@@ -6,11 +6,11 @@ compares against the static windows on the bursty-Ethernet N-body.
 """
 
 from repro.core import run_program
-from repro.core.adaptive import AdaptivePolicy, AdaptiveSpeculativeDriver
 from repro.apps import NBodyProgram
 from repro.harness import format_table
 from repro.nbody import uniform_cube
 from repro.platforms import wustl_1994
+from repro.policy import AimdWindow
 
 
 def build(p=16, iterations=20):
@@ -33,12 +33,11 @@ def run_comparison():
     # controller should explore windows, not fall back to blocking.
     # Rejection thresholds use the driver's *block-level* rates, which
     # sit well above the particle-level 2%.
-    driver = AdaptiveSpeculativeDriver(
-        prog, cluster, fw=1,
-        policy=AdaptivePolicy(epoch=4, min_fw=1, max_fw=3),
+    res = run_program(
+        prog, cluster, fw=1, cascade="none",
+        window_policy=AimdWindow(epoch=4, min_fw=1, max_fw=3),
     )
-    res = driver.run()
-    windows = driver.final_windows()
+    windows = res.final_windows()
     rows.append([
         "adaptive (start FW=1)",
         res.time_per_iteration,

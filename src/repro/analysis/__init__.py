@@ -47,7 +47,8 @@ text|json|sarif] [--trace LOG]``, ``repro perf-lint [paths] ...``,
 ``repro taint [paths] ...``, ``repro bounds [paths] ...`` and the
 umbrella ``repro check [paths] [--sarif FILE] [--stats]`` running all
 five families over one shared parse
-(:class:`~repro.analysis.program.ProgramIndex`).
+(:class:`~repro.analysis.program.ProgramIndex`).  The CLI builds all
+of them from one table, :data:`repro.analysis.tools.TOOLS`.
 """
 
 from repro.analysis.diagnostics import (
@@ -65,16 +66,15 @@ from repro.analysis.diagnostics import (
     all_spf_codes,
     all_spp_codes,
     all_spt_codes,
+    syntax_diagnostic,
 )
 from repro.analysis.linter import (
-    collect_suppressions,
     drop_suppressed,
-    iter_python_files,
     lint_paths,
     lint_source,
     parse_suppressions,
 )
-from repro.analysis.program import ProgramIndex, syntax_diagnostic
+from repro.analysis.program import ProgramIndex, iter_python_files
 from repro.analysis.replay import (
     ReplayFinding,
     ReplayReport,
@@ -82,13 +82,10 @@ from repro.analysis.replay import (
     cross_reference,
     replay,
 )
-from repro.analysis.reporters import render, render_json, render_text
 from repro.analysis.sarif import (
     apply_baseline,
     fingerprint,
-    load_baseline,
     render_sarif,
-    write_baseline,
 )
 from repro.analysis.specflow import analyze_paths, analyze_source
 
@@ -128,23 +125,17 @@ __all__ = [
     "apply_baseline",
     "cross_reference",
     "fingerprint",
-    "load_baseline",
     "render_sarif",
     "replay",
-    "write_baseline",
     "ReplayFinding",
     "ReplayReport",
     "Verdict",
-    "collect_suppressions",
     "drop_suppressed",
     "iter_python_files",
     "lint_paths",
     "lint_source",
     "parse_suppressions",
     "syntax_diagnostic",
-    "render",
-    "render_json",
-    "render_text",
     "ENV_FLAG",
     "ProtocolSanitizer",
     "ProtocolViolation",

@@ -1,10 +1,8 @@
 """Schema-versioned, consolidated fingerprint baselines.
 
-Historically each analysis family kept its own accepted-findings file
-(``.speclint/specflow-baseline.json``, ``.speclint/specperf-baseline.json``,
-...), all with the same v1 shape.  With four families that is four
-files to migrate in lockstep, so the accepted sets now live in **one**
-schema-versioned document keyed by tool::
+Every analysis family's accepted-findings set lives in **one**
+schema-versioned document keyed by tool name
+(:attr:`repro.analysis.tools.Tool.name`)::
 
     {
       "version": 2,
@@ -15,19 +13,16 @@ schema-versioned document keyed by tool::
       }
     }
 
-:func:`baseline_for` is the single read path: it prefers the
-consolidated file and falls back to the tool's legacy v1 file with a
-deprecation warning, so existing CI gates keep working until
-``repro check --migrate-baselines`` performs the one-shot move.
-Fingerprints themselves are unchanged
-(:func:`repro.analysis.sarif.fingerprint`), so migration is purely a
-re-keying — no finding is re-accepted or dropped.
+:func:`baseline_for` is the read path and :func:`set_baseline` the
+write path (what every ``--write-baseline`` calls: it replaces one
+tool's key and keeps the others).  A file of any other version is
+rejected loudly rather than read as empty.  Fingerprints are
+:func:`repro.analysis.sarif.fingerprint`.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 from repro.analysis.reporting import stable_json
@@ -38,23 +33,16 @@ DEFAULT_BASELINES = Path(".speclint/baselines.json")
 #: Current schema version of the consolidated document.
 SCHEMA_VERSION = 2
 
-#: Every analysis family that may hold an accepted set.
-TOOLS = ("speclint", "specflow", "specperf", "spectaint", "specbound")
-
-
-def legacy_baseline_path(tool: str, directory: Path | None = None) -> Path:
-    """Where the pre-consolidation v1 file of ``tool`` lived."""
-    base = directory if directory is not None else DEFAULT_BASELINES.parent
-    return base / f"{tool}-baseline.json"
-
 
 def load_baselines(path: str | Path) -> dict[str, frozenset[str]]:
     """``tool -> accepted fingerprints`` from a consolidated v2 file."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != SCHEMA_VERSION:
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != SCHEMA_VERSION:
         raise ValueError(
-            f"baseline file {path} has version {payload.get('version')!r}, "
-            f"expected {SCHEMA_VERSION} (run `repro check --migrate-baselines`)"
+            f"baseline file {path} has version {version!r}, "
+            f"expected {SCHEMA_VERSION} (a consolidated document keyed by "
+            "tool; regenerate it with `--write-baseline`)"
         )
     tools = payload.get("tools", {})
     if not isinstance(tools, dict):  # pragma: no cover - defensive
@@ -84,25 +72,11 @@ def save_baselines(
 def baseline_for(
     tool: str, path: str | Path | None = None
 ) -> frozenset[str]:
-    """The accepted fingerprint set of one tool.
-
-    Reads the consolidated file when present; otherwise falls back to
-    the tool's legacy v1 file (with a deprecation warning on stderr);
-    otherwise the empty set.
-    """
+    """The accepted fingerprint set of one tool (empty when no file)."""
     consolidated = Path(path) if path is not None else DEFAULT_BASELINES
-    if consolidated.exists():
-        return load_baselines(consolidated).get(tool, frozenset())
-    legacy = legacy_baseline_path(tool, consolidated.parent)
-    if legacy.exists():
-        print(
-            f"warning: reading deprecated per-tool baseline {legacy}; "
-            "run `repro check --migrate-baselines` to consolidate",
-            file=sys.stderr,
-        )
-        payload = json.loads(legacy.read_text(encoding="utf-8"))
-        return frozenset(str(fp) for fp in payload.get("fingerprints", []))
-    return frozenset()
+    if not consolidated.exists():
+        return frozenset()
+    return load_baselines(consolidated).get(tool, frozenset())
 
 
 def set_baseline(
@@ -113,33 +87,3 @@ def set_baseline(
     accepted = load_baselines(target) if target.exists() else {}
     accepted[tool] = fingerprints
     save_baselines(accepted, target)
-
-
-def migrate_baselines(
-    path: str | Path | None = None,
-) -> list[str]:
-    """One-shot move of every legacy v1 file into the v2 document.
-
-    Merges each ``<tool>-baseline.json`` into the consolidated file
-    (union with any set already there), deletes the legacy file, and
-    returns one human-readable line per action taken.
-    """
-    target = Path(path) if path is not None else DEFAULT_BASELINES
-    accepted = load_baselines(target) if target.exists() else {}
-    actions: list[str] = []
-    for tool in TOOLS:
-        legacy = legacy_baseline_path(tool, target.parent)
-        if not legacy.exists():
-            continue
-        payload = json.loads(legacy.read_text(encoding="utf-8"))
-        prints = frozenset(str(fp) for fp in payload.get("fingerprints", []))
-        accepted[tool] = accepted.get(tool, frozenset()) | prints
-        legacy.unlink()
-        actions.append(
-            f"migrated {legacy} ({len(prints)} fingerprint(s)) -> {target}"
-        )
-    if actions or not target.exists():
-        save_baselines(accepted, target)
-        if not actions:
-            actions.append(f"created empty consolidated baseline {target}")
-    return actions

@@ -13,16 +13,16 @@ Entry point: :func:`analyze_paths` (what ``repro bounds`` calls).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional
 
+from repro.analysis import program
 from repro.analysis.bounds.rules import RULE_CHECKERS, BoundContext
 from repro.analysis.bounds.summaries import compute_buffer_summaries
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import SPB_RULES, Diagnostic
-from repro.analysis.linter import drop_suppressed, iter_python_files
+from repro.analysis.linter import drop_suppressed
 from repro.analysis.perf.attribution import build_attribution
-from repro.analysis.program import syntax_diagnostic
 
 
 def analyze_modules(
@@ -58,41 +58,6 @@ def analyze_modules(
     return sorted(set(drop_suppressed(found, sources)))
 
 
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse one source text (testing convenience)."""
-    try:
-        module = ModuleGraphs.from_source(source, path=path)
-    except SyntaxError as exc:
-        return [syntax_diagnostic(path, exc, "SPB000")]
-    return analyze_modules([module], select=select)
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse every ``.py`` file under ``paths`` as one program.
-
-    One shared call graph means both the attribution and the buffer
-    summaries are interprocedural: a helper that appends to its
-    parameter makes its caller's call site an append site.  Unparseable
-    files each yield an ``SPB000`` diagnostic instead of aborting.
-    """
-    modules: list[ModuleGraphs] = []
-    syntax_errors: list[Diagnostic] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            modules.append(ModuleGraphs.from_source(source, path=str(file_path)))
-        except SyntaxError as exc:
-            syntax_errors.append(syntax_diagnostic(str(file_path), exc, "SPB000"))
-    return sorted(syntax_errors + analyze_modules(modules, select=select))
-
-
-def rule_catalogue() -> dict[str, str]:
-    """``code -> summary`` for every registered SPB rule (docs/CLI)."""
-    return {code: SPB_RULES[code].summary for code in sorted(SPB_RULES)}
+analyze_paths = partial(program.analyze_paths, analyze_modules, "SPB000")
+analyze_source = partial(program.analyze_source, analyze_modules, "SPB000")
+rule_catalogue = partial(program.rule_catalogue, SPB_RULES)

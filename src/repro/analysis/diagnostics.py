@@ -58,6 +58,18 @@ class Diagnostic:
         }
 
 
+def syntax_diagnostic(path: str, exc: SyntaxError, code: str) -> Diagnostic:
+    """A family's unparseable-file finding (SPL000/SPF000/.../SPB000)."""
+    return Diagnostic(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        code=code,
+        severity=Severity.ERROR,
+        message=f"syntax error: {exc.msg}",
+    )
+
+
 #: A rule is a callable: (module AST, path, source) -> iterator of findings.
 RuleFn = Callable[[ast.Module, str, str], Iterator[Diagnostic]]
 

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from repro.analysis.diagnostics import RULES, Diagnostic, Severity
+from repro.analysis import program
+from repro.analysis.cfg import CallGraph, ModuleGraphs
+from repro.analysis.diagnostics import RULES, Diagnostic
 
 # Import for the side effect of registering the rules.
 from repro.analysis import rules as _rules  # noqa: F401
@@ -40,9 +42,6 @@ _LINE_DIRECTIVE = re.compile(
 _FILE_DIRECTIVE = re.compile(
     r"#\s*spec(?:lint|flow|perf|taint|bound):\s*disable-file=([A-Za-z0-9_,\s]+)"
 )
-
-#: Directories never descended into during discovery.
-_SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
 
 
 def _parse_codes(raw: str) -> set[str]:
@@ -69,10 +68,6 @@ def parse_suppressions(source: str) -> tuple[dict[int, set[str]], set[str]]:
     return per_line, file_wide
 
 
-#: Historical name, kept for callers that predate the unification.
-collect_suppressions = parse_suppressions
-
-
 def _suppressed(
     diag: Diagnostic, per_line: dict[int, set[str]], file_wide: set[str]
 ) -> bool:
@@ -88,7 +83,7 @@ def drop_suppressed(
     ``sources`` maps diagnostic paths to their source text; findings in
     unknown files pass through unfiltered.  Shared by the specflow,
     specperf and spectaint drivers (speclint filters inline in
-    :func:`lint_source`, where it already holds the parsed directives).
+    :func:`lint_module`, where it already holds the parsed directives).
     """
     parsed: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
     kept: list[Diagnostic] = []
@@ -105,32 +100,6 @@ def drop_suppressed(
     return kept
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Run the (optionally ``select``-ed) rules over one source text.
-
-    Unparseable files yield a single ``SPL000`` syntax-error
-    diagnostic rather than crashing the run.
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Diagnostic(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                code="SPL000",
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    return lint_module(tree, path, source, select=select)
-
-
 def lint_module(
     tree: ast.Module,
     path: str,
@@ -139,9 +108,9 @@ def lint_module(
 ) -> list[Diagnostic]:
     """Run the rules over an already-parsed module.
 
-    The umbrella ``repro check`` parses every file exactly once and
-    feeds the same tree to every analysis family; this is speclint's
-    seat at that shared cache.
+    ``repro lint`` and ``repro check`` parse every file exactly once
+    (:class:`~repro.analysis.program.ProgramIndex`) and feed the same
+    tree to every analysis family through :func:`analyze_modules`.
     """
     per_line, file_wide = parse_suppressions(source)
     wanted = set(code.upper() for code in select) if select is not None else None
@@ -155,29 +124,22 @@ def lint_module(
     return sorted(found)
 
 
-def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    seen: set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            for sub in sorted(path.rglob("*.py")):
-                if not any(part in _SKIP_DIRS for part in sub.parts):
-                    seen.add(sub)
-        elif path.suffix == ".py":
-            seen.add(path)
-        elif not path.exists():
-            raise FileNotFoundError(f"speclint: no such path: {path}")
-    return sorted(seen)
-
-
-def lint_paths(
-    paths: Sequence[str | Path],
+def analyze_modules(
+    modules: Sequence[ModuleGraphs],
     select: Optional[Iterable[str]] = None,
+    callgraph: Optional[CallGraph] = None,
 ) -> list[Diagnostic]:
-    """Lint every ``.py`` file under ``paths``; returns all findings."""
-    found: list[Diagnostic] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        found.extend(lint_source(source, path=str(file_path), select=select))
-    return sorted(found)
+    """speclint's seat at the shared parse (``ProgramIndex`` modules).
+
+    Same signature as the other families' ``analyze_modules``; the
+    rules are per-module, so ``callgraph`` goes unused.
+    """
+    return sorted(
+        diag
+        for module in modules
+        for diag in lint_module(module.tree, module.path, module.source, select)
+    )
+
+
+lint_paths = partial(program.analyze_paths, analyze_modules, "SPL000")
+lint_source = partial(program.analyze_source, analyze_modules, "SPL000")

@@ -13,15 +13,15 @@ Entry point: :func:`analyze_paths` (what ``repro perf-lint`` calls).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional
 
+from repro.analysis import program
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import SPP_RULES, Diagnostic
-from repro.analysis.linter import drop_suppressed, iter_python_files
+from repro.analysis.linter import drop_suppressed
 from repro.analysis.perf.attribution import Attribution, build_attribution
 from repro.analysis.perf.rules import RULE_CHECKERS
-from repro.analysis.program import syntax_diagnostic
 
 
 def analyze_modules(
@@ -56,41 +56,6 @@ def analyze_modules(
     return sorted(set(drop_suppressed(found, sources)))
 
 
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse one source text (testing convenience)."""
-    try:
-        module = ModuleGraphs.from_source(source, path=path)
-    except SyntaxError as exc:
-        return [syntax_diagnostic(path, exc, "SPP000")]
-    return analyze_modules([module], select=select)
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse every ``.py`` file under ``paths`` as one program.
-
-    One shared call graph means the phase attribution is
-    interprocedural: a helper defined in one file inherits the phase
-    of its caller in another.  Unparseable files each yield an
-    ``SPP000`` diagnostic instead of aborting the run.
-    """
-    modules: list[ModuleGraphs] = []
-    syntax_errors: list[Diagnostic] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            modules.append(ModuleGraphs.from_source(source, path=str(file_path)))
-        except SyntaxError as exc:
-            syntax_errors.append(syntax_diagnostic(str(file_path), exc, "SPP000"))
-    return sorted(syntax_errors + analyze_modules(modules, select=select))
-
-
-def rule_catalogue() -> dict[str, str]:
-    """``code -> summary`` for every registered SPP rule (docs/CLI)."""
-    return {code: SPP_RULES[code].summary for code in sorted(SPP_RULES)}
+analyze_paths = partial(program.analyze_paths, analyze_modules, "SPP000")
+analyze_source = partial(program.analyze_source, analyze_modules, "SPP000")
+rule_catalogue = partial(program.rule_catalogue, SPP_RULES)

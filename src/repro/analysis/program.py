@@ -15,23 +15,30 @@ under its own ``xxx000`` code without re-hitting the parser.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.linter import iter_python_files
+from repro.analysis.diagnostics import Diagnostic, syntax_diagnostic
 
 
-def syntax_diagnostic(path: str, exc: SyntaxError, code: str) -> Diagnostic:
-    """The per-tool unparseable-file finding (SPL000/SPF000/SPP000/SPT000)."""
-    return Diagnostic(
-        path=path,
-        line=exc.lineno or 1,
-        col=(exc.offset or 1) - 1,
-        code=code,
-        severity=Severity.ERROR,
-        message=f"syntax error: {exc.msg}",
-    )
+#: Directories never descended into during discovery.
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
+
+
+def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    seen: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            for sub in sorted(path.rglob("*.py")):
+                if not any(part in _SKIP_DIRS for part in sub.parts):
+                    seen.add(sub)
+        elif path.suffix == ".py":
+            seen.add(path)
+        elif not path.exists():
+            raise FileNotFoundError(f"speclint: no such path: {path}")
+    return sorted(seen)
 
 
 class ProgramIndex:
@@ -69,3 +76,58 @@ class ProgramIndex:
             syntax_diagnostic(path, exc, code)
             for path, exc in self.syntax_errors
         ]
+
+
+#: A family's rule runner: ``(modules, select=, callgraph=) -> findings``.
+AnalyzeModules = Callable[..., list[Diagnostic]]
+
+
+def analyze_index(
+    analyze_modules: AnalyzeModules,
+    syntax_code: str,
+    index: ProgramIndex,
+    select: Optional[Iterable[str]] = None,
+) -> list[Diagnostic]:
+    """One family's findings over a shared parse, syntax errors included."""
+    return sorted(
+        index.syntax_diags(syntax_code)
+        + analyze_modules(index.modules, select=select, callgraph=index.callgraph)
+    )
+
+
+def analyze_paths(
+    analyze_modules: AnalyzeModules,
+    syntax_code: str,
+    paths: Sequence[str | Path],
+    select: Optional[Iterable[str]] = None,
+) -> list[Diagnostic]:
+    """Analyse every ``.py`` file under ``paths`` as one program.
+
+    All parseable files contribute to one shared call graph (that is
+    what makes every family's summaries *inter*-procedural: a helper
+    defined in one file is charged to its caller in another);
+    unparseable files each yield a ``syntax_code`` diagnostic instead
+    of aborting the run.  Each family binds its own runner and code
+    with :func:`functools.partial`.
+    """
+    return analyze_index(analyze_modules, syntax_code, ProgramIndex(paths), select)
+
+
+def analyze_source(
+    analyze_modules: AnalyzeModules,
+    syntax_code: str,
+    source: str,
+    path: str = "<string>",
+    select: Optional[Iterable[str]] = None,
+) -> list[Diagnostic]:
+    """Analyse one source text (testing convenience)."""
+    try:
+        module = ModuleGraphs.from_source(source, path=path)
+    except SyntaxError as exc:
+        return [syntax_diagnostic(path, exc, syntax_code)]
+    return analyze_modules([module], select=select)
+
+
+def rule_catalogue(rules: Mapping[str, Any]) -> dict[str, str]:
+    """``code -> summary`` for one family's rule registry (docs/CLI)."""
+    return {code: rules[code].summary for code in sorted(rules)}

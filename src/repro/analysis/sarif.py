@@ -10,16 +10,15 @@ catalogue under ``tool.driver.rules``, one ``result`` per
 Baselines ride on the same machinery.  Every diagnostic gets a
 *fingerprint* — a stable hash of ``path::code::message`` that survives
 unrelated edits moving the finding a few lines — recorded both in the
-SARIF ``partialFingerprints`` and in the plain-JSON baseline file CI
-checks in.  ``repro analyze --baseline FILE`` drops findings whose
-fingerprint the baseline already contains, so the gate only fails on
-*new* findings.
+SARIF ``partialFingerprints`` and in the consolidated baseline file CI
+checks in (:mod:`repro.analysis.baselines`).  ``repro analyze
+--baseline FILE`` drops findings whose fingerprint the baseline
+already contains, so the gate only fails on *new* findings.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 from repro.analysis.diagnostics import RULES, SPF_RULES, Diagnostic
@@ -36,9 +35,7 @@ __all__ = [
     "SARIF_VERSION",
     "apply_baseline",
     "fingerprint",
-    "load_baseline",
     "render_sarif",
-    "write_baseline",
 ]
 
 
@@ -114,25 +111,6 @@ def render_sarif(
 # --------------------------------------------------------------------------
 # baselines
 # --------------------------------------------------------------------------
-
-
-def write_baseline(diagnostics: list[Diagnostic], path: str | Path) -> int:
-    """Record the fingerprints of ``diagnostics`` as the accepted set."""
-    prints = sorted({fingerprint(d) for d in diagnostics})
-    payload = {"version": 1, "fingerprints": prints}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return len(prints)
-
-
-def load_baseline(path: str | Path) -> frozenset[str]:
-    """The fingerprint set a baseline file accepts."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    prints = payload.get("fingerprints", [])
-    if not isinstance(prints, list):  # pragma: no cover - defensive
-        raise ValueError(f"malformed baseline file {path}")
-    return frozenset(str(p) for p in prints)
 
 
 def apply_baseline(

@@ -23,13 +23,13 @@ exactly as they do for speclint.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional
 
+from repro.analysis import program
 from repro.analysis.cfg import CallGraph, ModuleGraphs
-from repro.analysis.diagnostics import SPF_RULES, Diagnostic
-from repro.analysis.linter import drop_suppressed, iter_python_files
-from repro.analysis.program import syntax_diagnostic
+from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.linter import drop_suppressed
 
 # Imported for the side effect of registering the SPF rule catalogue.
 from repro.analysis import races, typestate  # noqa: F401
@@ -79,41 +79,5 @@ def analyze_modules(
     return sorted(drop_suppressed(found, sources))
 
 
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse one source text (testing convenience)."""
-    try:
-        module = ModuleGraphs.from_source(source, path=path)
-    except SyntaxError as exc:
-        return [syntax_diagnostic(path, exc, "SPF000")]
-    return analyze_modules([module], select=select)
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse every ``.py`` file under ``paths`` as one program.
-
-    All parseable files contribute to one shared call graph (that is
-    what makes SPF101 summaries and SPF110 send/recv matching
-    *inter*-procedural); unparseable files each yield an ``SPF000``
-    diagnostic instead of aborting the run.
-    """
-    modules: list[ModuleGraphs] = []
-    syntax_errors: list[Diagnostic] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            modules.append(ModuleGraphs.from_source(source, path=str(file_path)))
-        except SyntaxError as exc:
-            syntax_errors.append(syntax_diagnostic(str(file_path), exc, "SPF000"))
-    return sorted(syntax_errors + analyze_modules(modules, select=select))
-
-
-def rule_catalogue() -> dict[str, str]:
-    """``code -> summary`` for every registered SPF rule (docs/CLI)."""
-    return {code: SPF_RULES[code].summary for code in sorted(SPF_RULES)}
+analyze_paths = partial(program.analyze_paths, analyze_modules, "SPF000")
+analyze_source = partial(program.analyze_source, analyze_modules, "SPF000")

@@ -17,13 +17,13 @@ umbrella ``repro check`` passes its pre-built
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional
 
+from repro.analysis import program
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import SPT_RULES, Diagnostic
-from repro.analysis.linter import drop_suppressed, iter_python_files
-from repro.analysis.program import syntax_diagnostic
+from repro.analysis.linter import drop_suppressed
 from repro.analysis.taint.lattice import (
     TaintContext,
     commit_lines_of,
@@ -65,41 +65,6 @@ def analyze_modules(
     return sorted(set(drop_suppressed(found, sources)))
 
 
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse one source text (testing convenience)."""
-    try:
-        module = ModuleGraphs.from_source(source, path=path)
-    except SyntaxError as exc:
-        return [syntax_diagnostic(path, exc, "SPT000")]
-    return analyze_modules([module], select=select)
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse every ``.py`` file under ``paths`` as one program.
-
-    One shared call graph makes the taint summaries interprocedural: a
-    helper that sinks its parameter in one file taints every caller in
-    another.  Unparseable files each yield an ``SPT000`` diagnostic
-    instead of aborting the run.
-    """
-    modules: list[ModuleGraphs] = []
-    syntax_errors: list[Diagnostic] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            modules.append(ModuleGraphs.from_source(source, path=str(file_path)))
-        except SyntaxError as exc:
-            syntax_errors.append(syntax_diagnostic(str(file_path), exc, "SPT000"))
-    return sorted(syntax_errors + analyze_modules(modules, select=select))
-
-
-def rule_catalogue() -> dict[str, str]:
-    """``code -> summary`` for every registered SPT rule (docs/CLI)."""
-    return {code: SPT_RULES[code].summary for code in sorted(SPT_RULES)}
+analyze_paths = partial(program.analyze_paths, analyze_modules, "SPT000")
+analyze_source = partial(program.analyze_source, analyze_modules, "SPT000")
+rule_catalogue = partial(program.rule_catalogue, SPT_RULES)

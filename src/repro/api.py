@@ -1,12 +1,13 @@
 """One run API across the three backends.
 
-Historically each backend grew its own entry point with its own
-signature and return shape: :func:`repro.core.driver.run_program`
-(DES, returns :class:`~repro.core.results.RunResult`),
-:func:`repro.engine.loopback.run_loopback` (returns a 3-tuple) and
-:class:`repro.parallel.MPRunner` (returns
-:class:`~repro.parallel.runner.MPRunResult`).  This module unifies
-them behind one frozen configuration value and one report type::
+Each backend has one primitive with its own native result:
+:func:`repro.core.driver.run_program` (DES, returns
+:class:`~repro.core.results.RunResult` with phase traces),
+:func:`repro.engine.loopback.run_loopback` (returns a 3-tuple
+including the runner) and :class:`repro.parallel.MPRunner` (returns
+:class:`~repro.parallel.runner.MPRunResult` with per-worker reports).
+This module puts them behind one frozen configuration value and one
+report type::
 
     from repro.api import RunConfig, run
 
@@ -19,8 +20,11 @@ The same ``RunConfig`` — including an optional
 :class:`~repro.faults.FaultPlan` — runs unchanged on ``"des"``
 (virtual time), ``"loopback"`` (deterministic in-process scheduler)
 and ``"mp"`` (real OS processes over pipes); only the clock the
-numbers are measured in differs.  The legacy entry points remain as
-thin primitives the dispatcher delegates to.
+numbers are measured in differs.  :func:`run` is the one way the CLI
+and the benchmark reach a backend; the three primitives are what it
+dispatches to, and what to call directly for the backend-native result
+(``RunReport.raw`` carries it too) — the paper experiments in
+:mod:`repro.harness`, for instance, read ``RunResult`` phase traces.
 """
 
 from __future__ import annotations

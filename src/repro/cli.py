@@ -1,5 +1,14 @@
 """Command-line interface: ``python -m repro`` / ``repro``.
 
+Two tables carry most of this module.  The *run* subcommands
+(``nbody``, ``jacobi``, ``chaos``) share one argparse parent, one
+:func:`_run_config` from those flags to a :class:`~repro.api.RunConfig`,
+one :func:`_execute` into :func:`repro.api.run` and one report printer;
+they differ only in the program they build and the detail lines they
+add.  The *analyzer* subcommands (``lint``, ``analyze``, ``perf-lint``,
+``taint``, ``bounds``) are one handler and one argparse loop over
+:data:`repro.analysis.tools.TOOLS`, which ``check`` iterates too.
+
 Subcommands
 -----------
 ``repro list``
@@ -8,12 +17,12 @@ Subcommands
     Regenerate one of the paper's tables/figures and print it.
 ``repro nbody -p 8 --fw 1 [--backend des|loopback|mp] ...``
     Run a single N-body experiment with explicit knobs; optionally
-    record the protocol event trace for later replay.  ``--backend
-    mp`` runs the same protocol engine on real OS processes over
-    pipes with injected latency instead of the simulator.
+    record the protocol event trace for later replay.  ``des`` runs on
+    the calibrated 1994 cluster model, ``loopback`` on the clockless
+    in-process scheduler, ``mp`` on real OS processes over pipes with
+    injected latency — same flags, same report layout.
 ``repro jacobi -p 4 -n 64 [--backend des|loopback|mp] ...``
-    Run a Jacobi solve through the unified :mod:`repro.api` facade on
-    any backend, with the same run flags as ``nbody``/``chaos``.
+    Run a Jacobi solve on any backend.
 ``repro chaos [--plan FILE | --drop 0.01 ...] [--verify] ...``
     Run a seeded fault-injection campaign: a :class:`~repro.faults.FaultPlan`
     from a JSON file or inline flags perturbs the receive path while
@@ -21,50 +30,27 @@ Subcommands
     summary and (with ``--verify``) checks physics against the
     fault-free twin.
 
-``nbody``, ``jacobi`` and ``chaos`` share one argparse parent, so
-``--backend/--fw/--bw/--adaptive/--record-trace/--seed/--sanitize``
-are spelled and validated identically, and the mp-only transport
-flags (``--latency/--jitter/--timeout``) error on other backends
-instead of silently no-opping.  (``mc`` keeps its sweep-valued
-``--p/--fw/--bw`` spellings — same names, list-typed.)
+The run subcommands spell and validate ``--backend/--fw/--bw/
+--adaptive/--record-trace/--seed/--sanitize`` identically, and the
+mp-only transport flags (``--latency/--jitter/--timeout``) error on
+other backends instead of silently no-opping.  (``mc`` keeps its
+sweep-valued ``--p/--fw/--bw`` spellings — same names, list-typed.)
+
 ``repro lint [paths] [--format json] [--sanitize-selftest]``
-    Run speclint (the protocol-aware static analyzer) over the given
-    files/directories, or self-test the runtime protocol sanitizer.
-``repro analyze [paths] [--format text|json|sarif] [--trace FILE]``
-    Run specflow (interprocedural type-state + happens-before
-    analysis, rules SPF1xx).  ``--baseline``/``--write-baseline``
-    manage the accepted-findings file CI checks in; ``--trace``
-    replays a recorded event log against the same protocol model and
-    reports which static findings the run confirms or refutes.
-``repro perf-lint [paths] [--format text|json|sarif] [--trace FILE]``
-    Run specperf (static hot-path cost analysis, rules SPP2xx): phase
-    attribution over the call graph plus the hot-path rule pack.
-    ``--trace`` replays a recorded event log, measures the share of
-    iteration time each protocol phase consumed, and marks findings
-    CONFIRMED/REFUTED against the calibrated performance model's
-    phase budget (Eq. 3-9).
-``repro taint [paths] [--format text|json|sarif] [--trace FILE]``
-    Run spectaint (speculation-escape & rollback-safety abstract
-    interpretation, rules SPT3xx): forward taint over the shared CFG +
-    call graph proving unconfirmed speculative values never reach an
-    irreversible effect.  ``--trace`` replays a recorded event log and
-    marks each finding CONFIRMED (a send demonstrably ran during an
-    open speculation window), REFUTED or UNOBSERVED.
-``repro bounds [paths] [--format text|json|sarif] [--trace FILE]``
-    Run specbound (static speculation-resource bound analysis, rules
-    SPB4xx): interprocedural buffer summaries over the shared call
-    graph proving every container the protocol grows is bounded by a
-    protocol parameter (BW for history, FW for run-ahead state).
-    ``--trace`` checks the derived symbolic occupancy bounds against
-    a recorded event log's observed per-rank maxima and reports each
-    occupancy contract CONFIRMED / REFUTED / UNOBSERVED.
-``repro check [paths] [--sarif FILE] [--stats] [--migrate-baselines]``
-    Umbrella: run all five families (speclint, specflow, specperf,
-    spectaint, specbound) in one process over one shared parse + call
-    graph, optionally writing a single merged SARIF document;
-    ``--stats`` prints per-tool wall time and parse counts;
-    ``--migrate-baselines`` performs the one-shot move of legacy
-    per-tool baseline files into ``.speclint/baselines.json``.
+    speclint: the protocol-aware per-module static analyzer (SPL0xx),
+    or a self-test of the runtime protocol sanitizer.
+``repro analyze | perf-lint | taint | bounds [paths] [--format text|json|sarif]``
+    specflow (type-state + happens-before, SPF1xx), specperf (hot-path
+    cost, SPP2xx), spectaint (speculation escape, SPT3xx) and
+    specbound (resource bounds, SPB4xx).  Each takes ``--select``,
+    ``--baseline FILE`` / ``--write-baseline FILE`` (the tool's key of
+    the consolidated ``.speclint/baselines.json``) and ``--trace FILE``,
+    which replays a recorded event log and marks the static findings
+    CONFIRMED / REFUTED / UNOBSERVED against what the run actually did.
+``repro check [paths] [--sarif FILE] [--stats]``
+    Umbrella: run all five families in one process over one shared
+    parse + call graph, optionally writing a single merged SARIF
+    document; ``--stats`` prints per-tool wall time and parse counts.
 ``repro mc [--p 2,3] [--fw 0,1] [--iters 3] [--budget 60s] ...``
     Run specmc: exhaustively model-check every message-delivery and
     scheduling interleaving of bounded engine configurations against
@@ -74,8 +60,8 @@ instead of silently no-opping.  (``mc`` keeps its sweep-valued
     pytest regression (``--emit-test``); ``--mutate`` injects a known
     engine bug to exercise that pipeline.
 
-Exit codes (shared by ``lint``, ``analyze`` and ``mc``)
--------------------------------------------------------
+Exit codes (shared by the analyzers, ``check`` and ``mc``)
+----------------------------------------------------------
 * ``0`` — clean: no findings / no invariant violation.
 * ``1`` — findings: at least one diagnostic, replay violation, or
   model-checking counterexample.
@@ -89,7 +75,7 @@ import argparse
 import sys
 from typing import Any, Optional, Sequence
 
-#: Shared analysis exit codes (``repro lint`` / ``repro analyze``).
+#: Exit codes shared by the analyzers, ``check`` and ``mc``.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -270,162 +256,132 @@ def _window_policy(args: argparse.Namespace, degraded: bool = False):
     return DegradedWindow(inner) if degraded else inner
 
 
-# Back-compat alias (the old name predates the shared parent).
-_nbody_window_policy = _window_policy
+#: Per backend: the units ``RunReport.wall_seconds`` and ``.timings``
+#: are measured in, and the format of one phase timing (ops are counts).
+_CLOCK = {
+    "des": ("virtual s", "virtual s", ".3f"),
+    "loopback": ("rounds", "ops", ".0f"),
+    "mp": ("wall s", "wall s", ".3f"),
+}
 
 
-def _nbody_overrides(args: argparse.Namespace) -> Optional[dict]:
-    """HEADLINE-config overrides from the shared run flags (None when
-    the run keeps the paper's canonical operating point)."""
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.cascade is not None:
-        overrides["cascade"] = args.cascade
-    return overrides or None
+def _mode(args: argparse.Namespace, label: str = "adaptive") -> str:
+    """Header suffix naming the seated window policy, if any."""
+    if not args.adaptive:
+        return ""
+    return f" {label}(epoch={args.epoch}, max_fw={args.max_fw})"
+
+
+def _run_config(args: argparse.Namespace, program, *, cascade: str,
+                seed: int, plan=None, cluster=None, degraded: bool = False):
+    """One :class:`~repro.api.RunConfig` from the shared run flags.
+
+    ``cascade`` is the subcommand's canonical policy, used when the
+    user gave no ``--cascade``.  Raises :class:`_UsageError` /
+    ``ValueError`` on a bad flag combination.
+    """
+    from repro.api import RunConfig
+
+    latency, jitter, timeout = _mp_flags(args)
+    return RunConfig(
+        program,
+        backend=args.backend,
+        fw=args.fw,
+        bw=args.bw,
+        cascade=args.cascade if args.cascade is not None else cascade,
+        window_policy=_window_policy(args, degraded),
+        fault_plan=plan,
+        record_trace=bool(args.record_trace),
+        sanitize=args.sanitize,
+        seed=seed,
+        latency=latency,
+        jitter=jitter,
+        cluster=cluster,
+        timeout=timeout,
+    )
+
+
+def _execute(config, trace_path: Optional[str] = None):
+    """Run ``config`` — the CLI's only call into a backend — and save
+    the recorded trace, if any, to ``trace_path``."""
+    from repro.api import run
+
+    report = run(config)
+    if config.record_trace:
+        report.event_log.save(trace_path)
+        print(f"(trace: {len(report.event_log)} events written to {trace_path})")
+    return report
+
+
+def _print_report(config, report, header: str, details: Sequence[str] = ()) -> None:
+    """The report every run subcommand prints, on every backend.
+
+    ``details`` are the subcommand's own lines, placed between the
+    timings and the rejection rates.  The message-level rate counts
+    checked *messages* the engine rejected; the particle-level rate
+    (N-body only) counts checked *particles* over θ, and is printed
+    only where the program object that ran is this process's — on mp
+    the workers' copies did the counting.
+    """
+    wall_unit, phase_unit, fmt = _CLOCK[report.backend]
+    print(header)
+    print(f"  wall                : {report.wall_seconds:.3f} {wall_unit}")
+    phases = " / ".join(
+        f"{phase}={report.timings[phase]:{fmt}}" for phase in sorted(report.timings)
+    )
+    print(f"  phase timings       : {phases} ({phase_unit}, max over ranks)")
+    for line in details:
+        print(line)
+    print(f"  rejected speculation (messages): {100 * report.rejection_rate:.2f}%")
+    particles = getattr(config.program, "spec_stats", None)
+    if particles is not None and particles.particles_checked:
+        print("  rejected speculation (particles): "
+              f"{100 * particles.incorrect_fraction:.2f}%")
+    if config.window_policy is not None:
+        history = report.window_history
+        finals = [history[rank][-1][1] for rank in sorted(history)]
+        changes = sum(len(h) - 1 for h in history.values())
+        print(f"  final windows       : {finals} ({changes} change(s))")
 
 
 def _cmd_nbody(args: argparse.Namespace) -> int:
+    """``repro nbody``: the HEADLINE N-body program on any backend."""
+    from repro.harness import build_nbody
+
+    program, cluster, cfg = build_nbody(
+        args.p,
+        iterations=args.iterations,
+        n_particles=args.particles,
+        threshold=args.theta,
+        config={"seed": args.seed} if args.seed is not None else None,
+        simulated=args.backend == "des",
+    )
     try:
-        latency, jitter, timeout = _mp_flags(args)
-        policy = _window_policy(args)
+        config = _run_config(
+            args, program, cascade=cfg["cascade"], seed=cfg["seed"],
+            cluster=cluster,
+        )
     except (_UsageError, ValueError) as exc:
         print(f"repro nbody: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.backend == "mp":
-        return _cmd_nbody_mp(args, policy, latency, jitter, timeout)
-    if args.backend == "loopback":
-        return _cmd_nbody_loopback(args, policy)
-    from repro.harness import run_nbody
-
-    event_log = None
-    if args.record_trace:
-        from repro.trace import EventLog
-
-        event_log = EventLog()
-    config = _nbody_overrides(args)
-    program, result = run_nbody(
-        p=args.p,
-        fw=args.fw,
-        iterations=args.iterations,
-        n_particles=args.particles,
-        threshold=args.theta,
-        config=config,
-        event_log=event_log,
-        window_policy=policy,
-        hist_cap=args.bw,
-        sanitize=args.sanitize,
-    )
-    if event_log is not None:
-        event_log.save(args.record_trace)
-        print(f"(trace: {len(event_log)} events written to {args.record_trace})")
-    b = result.steady_breakdown() if result.iterations > 1 else result.breakdown()
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
+    report = _execute(config, args.record_trace)
+    details = []
+    if args.backend == "des":
+        result = report.raw
+        b = result.steady_breakdown() if result.iterations > 1 else result.breakdown()
+        details = [
+            f"  makespan            : {result.makespan:.3f} virtual s",
+            f"  time/iteration      : {result.time_per_iteration:.3f} s",
+            f"  compute / comm      : {b['compute']:.3f} / {b['comm']:.3f} s per iter",
+            f"  spec / check / corr : {b['spec']:.3f} / {b['check']:.3f} / "
+            f"{b['correct']:.3f}",
+        ]
+    _print_report(
+        config, report,
         f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
-        f"theta={args.theta}{mode}"
+        f"theta={args.theta} backend={args.backend}{_mode(args)}",
+        details,
     )
-    print(f"  makespan            : {result.makespan:.3f} virtual s")
-    print(f"  time/iteration      : {result.time_per_iteration:.3f} s")
-    print(f"  compute / comm      : {b['compute']:.3f} / {b['comm']:.3f} s per iter")
-    print(f"  spec / check / corr : {b['spec']:.3f} / {b['check']:.3f} / {b['correct']:.3f}")
-    print(f"  rejected speculation: {100 * program.spec_stats.incorrect_fraction:.2f}%")
-    if policy is not None:
-        changes = sum(len(h) - 1 for h in result.window_history)
-        print(
-            f"  final windows       : {result.final_windows()} "
-            f"({changes} change(s))"
-        )
-    return 0
-
-
-def _cmd_nbody_loopback(args: argparse.Namespace, policy) -> int:
-    """``repro nbody --backend loopback``: deterministic, costs in ops."""
-    from repro.api import RunConfig, run as api_run
-    from repro.apps import NBodyProgram
-    from repro.harness.experiments import HEADLINE
-    from repro.nbody import uniform_cube
-
-    cfg = dict(HEADLINE)
-    cfg.update(_nbody_overrides(args) or {})
-    system = uniform_cube(
-        args.particles, seed=cfg["ic_seed"], softening=cfg["softening"]
-    )
-    program = NBodyProgram(
-        system, [1.0] * args.p, iterations=args.iterations,
-        dt=cfg["dt"], threshold=args.theta,
-    )
-    report = api_run(RunConfig(
-        program, backend="loopback", fw=args.fw, bw=args.bw,
-        cascade=cfg["cascade"], window_policy=policy,
-        record_trace=bool(args.record_trace), sanitize=args.sanitize,
-        seed=cfg["seed"],
-    ))
-    if args.record_trace:
-        report.event_log.save(args.record_trace)
-        print(f"(trace: {len(report.event_log)} events written to "
-              f"{args.record_trace})")
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
-        f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
-        f"theta={args.theta} backend=loopback{mode}"
-    )
-    print(f"  scheduler rounds    : {int(report.wall_seconds)}")
-    ops = " / ".join(
-        f"{phase}={report.timings[phase]:.0f}"
-        for phase in sorted(report.timings)
-    )
-    print(f"  phase ops (max/rank): {ops}")
-    print(f"  rejected speculation: {100 * report.rejection_rate:.2f}%")
-    return 0
-
-
-def _cmd_nbody_mp(
-    args: argparse.Namespace, policy, latency: float, jitter: float,
-    timeout: float,
-) -> int:
-    """``repro nbody --backend mp``: the protocol on real processes."""
-    from repro.harness import run_nbody_mp
-
-    config = _nbody_overrides(args)
-    program, result = run_nbody_mp(
-        p=args.p,
-        fw=args.fw,
-        iterations=args.iterations,
-        n_particles=args.particles,
-        threshold=args.theta,
-        latency=latency,
-        jitter=jitter,
-        config=config,
-        record_events=bool(args.record_trace),
-        timeout=timeout,
-        window_policy=policy,
-        hist_cap=args.bw,
-        sanitize=args.sanitize,
-    )
-    if args.record_trace:
-        log = result.event_log()
-        log.save(args.record_trace)
-        print(f"(trace: {len(log)} events written to {args.record_trace})")
-    spec_made = sum(r.spec_made for r in result.reports)
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
-        f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
-        f"theta={args.theta} backend=mp latency={latency}s{mode}"
-    )
-    print(f"  wall time           : {result.wall_seconds:.3f} s (slowest rank)")
-    print(f"  compute / comm      : {result.phase_seconds('compute'):.3f} / "
-          f"{result.phase_seconds('comm'):.3f} s (max over ranks)")
-    print(f"  speculations made   : {spec_made}")
-    print(f"  rejected speculation: {100 * result.rejection_rate:.2f}%")
-    if policy is not None:
-        changes = sum(
-            len(h) - 1 for h in result.window_history().values()
-        )
-        print(
-            f"  final windows       : {result.final_windows()} "
-            f"({changes} change(s))"
-        )
     return 0
 
 
@@ -442,65 +398,27 @@ def _build_jacobi(args: argparse.Namespace):
     return program, seed
 
 
-def _run_config(args: argparse.Namespace, program, policy, plan,
-                latency: float, jitter: float, timeout: float, seed: int):
-    """One :class:`~repro.api.RunConfig` from the shared run flags."""
-    from repro.api import RunConfig
-
-    return RunConfig(
-        program,
-        backend=args.backend,
-        fw=args.fw,
-        bw=args.bw,
-        cascade=args.cascade if args.cascade is not None else "recompute",
-        window_policy=policy,
-        fault_plan=plan,
-        record_trace=bool(args.record_trace),
-        sanitize=args.sanitize,
-        seed=seed,
-        latency=latency,
-        jitter=jitter,
-        timeout=timeout,
-    )
-
-
 def _cmd_jacobi(args: argparse.Namespace) -> int:
-    """``repro jacobi``: one solve through the unified run API."""
+    """``repro jacobi``: one solve on any backend."""
     import numpy as np
 
-    from repro.api import run as api_run
-
+    program, seed = _build_jacobi(args)
     try:
-        latency, jitter, timeout = _mp_flags(args)
-        policy = _window_policy(args)
+        config = _run_config(args, program, cascade="recompute", seed=seed)
     except (_UsageError, ValueError) as exc:
         print(f"repro jacobi: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    program, seed = _build_jacobi(args)
-    report = api_run(_run_config(
-        args, program, policy, None, latency, jitter, timeout, seed,
-    ))
-    if args.record_trace:
-        report.event_log.save(args.record_trace)
-        print(f"(trace: {len(report.event_log)} events written to "
-              f"{args.record_trace})")
+    report = _execute(config, args.record_trace)
     x = np.empty(program.partition.n)
     for rank, idx in enumerate(program.partition):
         x[idx] = report.results[rank]
     residual = float(np.max(np.abs(program.a @ x - program.b)))
-    unit = {"des": "virtual s", "loopback": "rounds", "mp": "wall s"}
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
+    _print_report(
+        config, report,
         f"p={args.p} FW={args.fw} n={args.n} T={args.iterations} "
-        f"theta={args.theta} backend={args.backend}{mode}"
+        f"theta={args.theta} backend={args.backend}{_mode(args)}",
+        [f"  residual (max |Ax-b|): {residual:.3e}"],
     )
-    print(f"  wall                : {report.wall_seconds:.3f} "
-          f"{unit[args.backend]}")
-    print(f"  residual (max |Ax-b|): {residual:.3e}")
-    print(f"  rejected speculation: {100 * report.rejection_rate:.2f}%")
-    if policy is not None:
-        changes = sum(len(h) - 1 for h in report.window_history.values())
-        print(f"  window changes      : {changes}")
     return 0
 
 
@@ -560,26 +478,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.api import run as api_run
-
-    try:
-        latency, jitter, timeout = _mp_flags(args)
-        policy = _window_policy(args, degraded=True)
-        plan = _chaos_plan(args)
-    except (_UsageError, ValueError) as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    program, seed = _build_jacobi(args)
-    config = _run_config(
-        args, program, policy, plan, latency, jitter, timeout, seed,
-    )
     from repro.analysis.sanitizer import ProtocolViolation
     from repro.engine.core import RetransmitExhausted
     from repro.faults import InjectedCrash
 
+    program, seed = _build_jacobi(args)
+    try:
+        plan = _chaos_plan(args)
+        config = _run_config(
+            args, program, cascade="recompute", seed=seed, plan=plan,
+            degraded=True,
+        )
+    except (_UsageError, ValueError) as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     planned_crash = any(f.crash_at is not None for f in plan.ranks)
     try:
-        report = api_run(config)
+        report = _execute(config, args.record_trace)
     except InjectedCrash as exc:
         # des/loopback: the crash fault unwinds the rank directly.
         print(f"chaos: planned crash terminated the run ({exc})")
@@ -606,10 +522,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"chaos: sanitizer violation — {first_line}")
             return EXIT_FINDINGS
         raise
-    if args.record_trace:
-        report.event_log.save(args.record_trace)
-        print(f"(trace: {len(report.event_log)} events written to "
-              f"{args.record_trace})")
 
     summary = report.fault_summary or {"injected": {}, "total_injected": 0,
                                        "retransmits_serviced": 0,
@@ -620,29 +532,25 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ) or "none"
     requested = sum(s.retransmits for s in report.stats)
     suppressed = sum(s.dups_suppressed for s in report.stats)
-    mode = (f" adaptive+degraded(epoch={args.epoch}, max_fw={args.max_fw})"
-            if policy else "")
-    print(
+    _print_report(
+        config, report,
         f"chaos: backend={args.backend} p={args.p} FW={args.fw} "
-        f"T={args.iterations} plan-seed={plan.seed}{mode}"
+        f"T={args.iterations} plan-seed={plan.seed}"
+        f"{_mode(args, 'adaptive+degraded')}",
+        [
+            f"  injected            : {injected} "
+            f"(total {summary['total_injected']})",
+            f"  retransmits         : {summary['retransmits_serviced']} "
+            f"serviced + {summary['auto_retransmits']} sender-timeout, "
+            f"{summary['outstanding_losses']} outstanding",
+            f"  engine              : {requested} retransmit request(s), "
+            f"{suppressed} duplicate(s) suppressed",
+        ],
     )
-    print(f"  injected            : {injected} "
-          f"(total {summary['total_injected']})")
-    print(f"  retransmits         : {summary['retransmits_serviced']} "
-          f"serviced + {summary['auto_retransmits']} sender-timeout, "
-          f"{summary['outstanding_losses']} outstanding")
-    print(f"  engine              : {requested} retransmit request(s), "
-          f"{suppressed} duplicate(s) suppressed")
-    unit = {"des": "virtual s", "loopback": "rounds", "mp": "wall s"}
-    print(f"  wall                : {report.wall_seconds:.3f} "
-          f"{unit[args.backend]}")
-    if policy is not None:
-        changes = sum(len(h) - 1 for h in report.window_history.values())
-        print(f"  window changes      : {changes}")
 
     identical = None
     if args.verify:
-        clean = api_run(dataclasses.replace(
+        clean = _execute(dataclasses.replace(
             config, fault_plan=None, record_trace=False,
         ))
         identical = all(
@@ -661,353 +569,66 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return EXIT_CLEAN if healed and identical is not False else EXIT_FINDINGS
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import lint_paths, render
-    from repro.analysis.sanitizer import run_selftest
+def _cmd_tool(args: argparse.Namespace) -> int:
+    """``repro lint|analyze|perf-lint|taint|bounds``: one analysis
+    family (``args.tool``, a :class:`~repro.analysis.tools.Tool`)."""
+    from repro.analysis.baselines import load_baselines, set_baseline
+    from repro.analysis.program import ProgramIndex
+    from repro.analysis.sarif import apply_baseline, fingerprint
 
+    tool = args.tool
     if args.sanitize_selftest:
+        from repro.analysis.sanitizer import run_selftest
+
         return run_selftest()
-    paths = args.paths or ["src"]
     try:
-        diagnostics = lint_paths(paths, select=args.select)
+        index = ProgramIndex(args.paths or ["src"])
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    print(render(diagnostics, args.format))
-    return EXIT_FINDINGS if diagnostics else EXIT_CLEAN
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        analyze_paths,
-        apply_baseline,
-        render,
-        render_sarif,
-        write_baseline,
-    )
-
-    paths = args.paths or ["src"]
-    try:
-        diagnostics = analyze_paths(paths, select=args.select)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    if args.write_baseline:
-        count = write_baseline(diagnostics, args.write_baseline)
-        print(
-            f"specflow: baseline with {count} fingerprint(s) written to "
-            f"{args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("specflow", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"specflow: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
-    if args.format == "sarif":
-        print(render_sarif(diagnostics), end="")
-    else:
-        print(render(diagnostics, args.format, tool="specflow"))
-    replay_findings = 0
-    if args.trace:
-        from repro.analysis import cross_reference
-        from repro.trace import EventLog
-
-        try:
-            log = EventLog.load(args.trace)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"specflow: cannot read trace: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        report, verdicts = cross_reference(
-            diagnostics, log, backward_window=args.bw
-        )
-        replay_findings = len(report.findings)
-        out = sys.stdout if args.format == "text" else sys.stderr
-        stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
-        print(f"trace replay: {stats}", file=out)
-        for finding in report.findings:
-            print(finding.format_text(), file=out)
-        for verdict in verdicts:
-            print(verdict.format_text(), file=out)
-        if not verdicts:
-            print(
-                "trace replay: no static SPF findings to cross-reference",
-                file=out,
-            )
-    if diagnostics or replay_findings:
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
-
-
-def _cmd_perf_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        apply_baseline,
-        render_sarif,
-        write_baseline,
-    )
-    from repro.analysis.diagnostics import SPP_RULES
-    from repro.analysis.perf import analyze_paths, check_contracts
-    from repro.analysis.perf.contracts import CONFIRMED, format_share_table
-    from repro.analysis.reporting import (
-        render_diag_json,
-        render_diag_text,
-        rule_catalogue_entries,
-    )
-
-    paths = args.paths or ["src"]
-    try:
-        diagnostics = analyze_paths(paths, select=args.select)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    if args.write_baseline:
-        count = write_baseline(diagnostics, args.write_baseline)
-        print(
-            f"specperf: baseline with {count} fingerprint(s) written to "
-            f"{args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("specperf", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"specperf: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
-    if args.format == "sarif":
-        print(
-            render_sarif(
-                diagnostics,
-                tool_name="specperf",
-                rules=rule_catalogue_entries(SPP_RULES),
-            ),
-            end="",
-        )
-    elif args.format == "json":
-        catalogue = {code: info.summary for code, info in SPP_RULES.items()}
-        print(render_diag_json(diagnostics, "specperf", catalogue))
-    else:
-        print(render_diag_text(diagnostics, "specperf"))
-    confirmed = 0
-    if args.trace:
-        from repro.trace import EventLog
-
-        try:
-            log = EventLog.load(args.trace)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"specperf: cannot read trace: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        measured, modeled, verdicts = check_contracts(
-            diagnostics, log, p=args.model_p, tol=args.tol
-        )
-        out = sys.stdout if args.format == "text" else sys.stderr
-        print(format_share_table(measured, modeled), file=out)
-        for verdict in verdicts:
-            print(verdict.format_text(), file=out)
-        if not verdicts:
-            print(
-                "cost contracts: no specperf findings to cross-reference",
-                file=out,
-            )
-        confirmed = sum(1 for v in verdicts if v.status == CONFIRMED)
-    if diagnostics or confirmed:
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
-
-
-def _load_accepted(tool: str, path: str) -> frozenset[str]:
-    """Accepted fingerprints for ``tool`` from either baseline schema.
-
-    Consolidated v2 documents are keyed by tool; legacy v1 files hold
-    one tool's flat set.  Sniffing the version here lets every gate
-    point at ``.speclint/baselines.json`` after migration while old
-    per-tool files keep working.
-    """
-    import json
-
-    from repro.analysis import load_baseline
-    from repro.analysis.baselines import SCHEMA_VERSION, load_baselines
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") == SCHEMA_VERSION:
-        return load_baselines(path).get(tool, frozenset())
-    return load_baseline(path)
-
-
-def _cmd_taint(args: argparse.Namespace) -> int:
-    from repro.analysis import apply_baseline, render_sarif
-    from repro.analysis.baselines import set_baseline
-    from repro.analysis.diagnostics import SPT_RULES
-    from repro.analysis.reporting import (
-        render_diag_json,
-        render_diag_text,
-        rule_catalogue_entries,
-    )
-    from repro.analysis.sarif import fingerprint
-    from repro.analysis.taint import analyze_paths, check_taint
-
-    paths = args.paths or ["src"]
-    try:
-        diagnostics = analyze_paths(paths, select=args.select)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    diagnostics = tool.analyze(index, select=args.select)
     if args.write_baseline:
         prints = frozenset(fingerprint(d) for d in diagnostics)
-        set_baseline("spectaint", prints, args.write_baseline)
+        try:
+            set_baseline(tool.name, prints, args.write_baseline)
+        except (OSError, ValueError) as exc:
+            print(f"{tool.name}: cannot write baseline: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(
-            f"spectaint: baseline with {len(prints)} fingerprint(s) written "
-            f"to {args.write_baseline} (tool key: spectaint)"
+            f"{tool.name}: baseline with {len(prints)} fingerprint(s) written "
+            f"to {args.write_baseline} (tool key: {tool.name})"
         )
         return EXIT_CLEAN
     if args.baseline:
         try:
-            accepted = _load_accepted("spectaint", args.baseline)
+            accepted = load_baselines(args.baseline).get(tool.name, frozenset())
         except (OSError, ValueError) as exc:
-            print(f"spectaint: cannot read baseline: {exc}", file=sys.stderr)
+            print(f"{tool.name}: cannot read baseline: {exc}", file=sys.stderr)
             return EXIT_USAGE
         diagnostics = apply_baseline(diagnostics, accepted)
-    if args.format == "sarif":
-        print(
-            render_sarif(
-                diagnostics,
-                tool_name="spectaint",
-                rules=rule_catalogue_entries(SPT_RULES),
-            ),
-            end="",
-        )
-    elif args.format == "json":
-        catalogue = {code: info.summary for code, info in SPT_RULES.items()}
-        print(render_diag_json(diagnostics, "spectaint", catalogue))
-    else:
-        print(render_diag_text(diagnostics, "spectaint"))
-    confirmed = 0
-    if args.trace:
-        from repro.analysis.taint import CONFIRMED, find_escapes
-        from repro.trace import EventLog
-
-        try:
-            log = EventLog.load(args.trace)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"spectaint: cannot read trace: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        witnesses = find_escapes(log)
-        verdicts = check_taint(diagnostics, log)
-        out = sys.stdout if args.format == "text" else sys.stderr
-        print(
-            f"trace replay: {len(log)} event(s), "
-            f"{len(witnesses)} escape witness(es)",
-            file=out,
-        )
-        for verdict in verdicts:
-            print(verdict.format_text(), file=out)
-        if not verdicts:
-            print(
-                "trace replay: no static SPT findings to cross-reference",
-                file=out,
-            )
-        confirmed = sum(1 for v in verdicts if v.status == CONFIRMED)
-    if diagnostics or confirmed:
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    from repro.analysis import apply_baseline, render_sarif
-    from repro.analysis.baselines import set_baseline
-    from repro.analysis.bounds import REFUTED, check_occupancy
-    from repro.analysis.bounds import analyze_paths as analyze_bounds
-    from repro.analysis.diagnostics import SPB_RULES
-    from repro.analysis.reporting import (
-        render_diag_json,
-        render_diag_text,
-        rule_catalogue_entries,
-    )
-    from repro.analysis.sarif import fingerprint
-
-    paths = args.paths or ["src"]
-    try:
-        diagnostics = analyze_bounds(paths, select=args.select)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    if args.write_baseline:
-        prints = frozenset(fingerprint(d) for d in diagnostics)
-        set_baseline("specbound", prints, args.write_baseline)
-        print(
-            f"specbound: baseline with {len(prints)} fingerprint(s) written "
-            f"to {args.write_baseline} (tool key: specbound)"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("specbound", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"specbound: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
-    if args.format == "sarif":
-        print(
-            render_sarif(
-                diagnostics,
-                tool_name="specbound",
-                rules=rule_catalogue_entries(SPB_RULES),
-            ),
-            end="",
-        )
-    elif args.format == "json":
-        catalogue = {code: info.summary for code, info in SPB_RULES.items()}
-        print(render_diag_json(diagnostics, "specbound", catalogue))
-    else:
-        print(render_diag_text(diagnostics, "specbound"))
-    refuted = 0
+    print(tool.render(diagnostics, args.format).rstrip("\n"))
+    failing = 0
     if args.trace:
         from repro.trace import EventLog
 
         try:
             log = EventLog.load(args.trace)
         except (OSError, ValueError, TypeError) as exc:
-            print(f"specbound: cannot read trace: {exc}", file=sys.stderr)
+            print(f"{tool.name}: cannot read trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        verdicts = check_occupancy(
-            log, p=args.model_p, fw=args.model_fw, bw=args.model_bw
-        )
+        lines, failing = tool.trace(diagnostics, log, args)
+        # Keep machine-readable stdout parseable: verdicts go to stderr.
         out = sys.stdout if args.format == "text" else sys.stderr
-        print(
-            f"occupancy contracts: {len(log)} event(s), "
-            f"{len(verdicts)} contract(s) checked at "
-            f"(fw={args.model_fw}, bw={args.model_bw})",
-            file=out,
-        )
-        for verdict in verdicts:
-            print(verdict.format_text(), file=out)
-        refuted = sum(1 for v in verdicts if v.status == REFUTED)
-    if diagnostics or refuted:
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+        for line in lines:
+            print(line, file=out)
+    return EXIT_FINDINGS if diagnostics or failing else EXIT_CLEAN
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: all five analysis families over one parse."""
-    from repro.analysis import apply_baseline
-    from repro.analysis.baselines import (
-        DEFAULT_BASELINES,
-        baseline_for,
-        migrate_baselines,
-    )
-    from repro.analysis.bounds import specbound
-    from repro.analysis.diagnostics import (
-        RULES,
-        SPB_RULES,
-        SPF_RULES,
-        SPP_RULES,
-        SPT_RULES,
-    )
-    from repro.analysis.linter import drop_suppressed, lint_module
-    from repro.analysis.perf import specperf
+    import time
+
+    from repro.analysis.baselines import DEFAULT_BASELINES, baseline_for
     from repro.analysis.program import ProgramIndex
     from repro.analysis.reporting import (
         SARIF_SCHEMA,
@@ -1017,137 +638,64 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sarif_document,
         stable_json,
     )
-    from repro.analysis.sarif import _result
-    from repro.analysis import specflow
-    from repro.analysis.taint import spectaint
+    from repro.analysis.sarif import _result, apply_baseline
+    from repro.analysis.tools import TOOLS
 
-    if args.migrate_baselines:
-        target = args.baselines or str(DEFAULT_BASELINES)
-        for action in migrate_baselines(target):
-            print(action)
-        return EXIT_CLEAN
-
-    paths = args.paths or ["src"]
-    import time as _time
-
-    parse_start = _time.perf_counter()
+    parse_start = time.perf_counter()
     try:
-        index = ProgramIndex(paths)
+        index = ProgramIndex(args.paths or ["src"])
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     index.callgraph  # build once, outside any single tool's timing
-    parse_seconds = _time.perf_counter() - parse_start
+    parse_seconds = time.perf_counter() - parse_start
 
-    sources = index.sources
+    tools = sorted(TOOLS, key=lambda tool: tool.name)
+    per_tool: dict[str, list] = {}
     tool_seconds: dict[str, float] = {}
-
-    def _timed(tool, thunk):
-        t0 = _time.perf_counter()
-        diags = thunk()
-        tool_seconds[tool] = _time.perf_counter() - t0
-        return diags
-
-    per_tool = {
-        "speclint": sorted(
-            _timed(
-                "speclint",
-                lambda: drop_suppressed(
-                    [
-                        d
-                        for m in index.modules
-                        for d in lint_module(m.tree, m.path, m.source)
-                    ],
-                    sources,
-                ),
-            )
-            + index.syntax_diags("SPL000")
-        ),
-        "specflow": sorted(
-            _timed(
-                "specflow",
-                lambda: specflow.analyze_modules(
-                    index.modules, callgraph=index.callgraph
-                ),
-            )
-            + index.syntax_diags("SPF000")
-        ),
-        "specperf": sorted(
-            _timed(
-                "specperf",
-                lambda: specperf.analyze_modules(
-                    index.modules, callgraph=index.callgraph
-                ),
-            )
-            + index.syntax_diags("SPP000")
-        ),
-        "spectaint": sorted(
-            _timed(
-                "spectaint",
-                lambda: spectaint.analyze_modules(
-                    index.modules, callgraph=index.callgraph
-                ),
-            )
-            + index.syntax_diags("SPT000")
-        ),
-        "specbound": sorted(
-            _timed(
-                "specbound",
-                lambda: specbound.analyze_modules(
-                    index.modules, callgraph=index.callgraph
-                ),
-            )
-            + index.syntax_diags("SPB000")
-        ),
-    }
+    for tool in tools:
+        t0 = time.perf_counter()
+        per_tool[tool.name] = tool.analyze(index)
+        tool_seconds[tool.name] = time.perf_counter() - t0
 
     baselines_path = args.baselines or (
         str(DEFAULT_BASELINES) if DEFAULT_BASELINES.exists() else None
     )
     if baselines_path is not None:
         try:
-            for tool in per_tool:
-                per_tool[tool] = apply_baseline(
-                    per_tool[tool], baseline_for(tool, baselines_path)
+            for name in per_tool:
+                per_tool[name] = apply_baseline(
+                    per_tool[name], baseline_for(name, baselines_path)
                 )
         except (OSError, ValueError) as exc:
             print(f"repro check: cannot read baselines: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    catalogues = {
-        "speclint": rule_catalogue_entries(RULES),
-        "specflow": rule_catalogue_entries(SPF_RULES),
-        "specperf": rule_catalogue_entries(SPP_RULES),
-        "spectaint": rule_catalogue_entries(SPT_RULES),
-        "specbound": rule_catalogue_entries(SPB_RULES),
-    }
     if args.sarif:
         merged: dict[str, object] = {
             "$schema": SARIF_SCHEMA,
             "version": SARIF_VERSION,
             "runs": [
                 sarif_document(
-                    tool,
-                    catalogues[tool],
-                    [_result(d) for d in per_tool[tool]],
+                    tool.name,
+                    rule_catalogue_entries(tool.rules),
+                    [_result(d) for d in per_tool[tool.name]],
                 )["runs"][0]
-                for tool in sorted(per_tool)
+                for tool in tools
             ],
         }
         with open(args.sarif, "w", encoding="utf-8") as fh:
             fh.write(stable_json(merged))
         print(f"repro check: merged SARIF written to {args.sarif}")
 
-    total = 0
+    total = sum(len(diags) for diags in per_tool.values())
     if args.format == "json":
         payload = {
             "tools": {
-                tool: [d.to_dict() for d in diags]
-                for tool, diags in sorted(per_tool.items())
+                name: [d.to_dict() for d in diags]
+                for name, diags in per_tool.items()
             },
-            "summary": {
-                tool: len(diags) for tool, diags in sorted(per_tool.items())
-            },
+            "summary": {name: len(diags) for name, diags in per_tool.items()},
         }
         if args.stats:
             payload["stats"] = {
@@ -1155,16 +703,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "syntax_failures": len(index.syntax_errors),
                 "parse_seconds": round(parse_seconds, 6),
                 "tool_seconds": {
-                    tool: round(secs, 6)
-                    for tool, secs in sorted(tool_seconds.items())
+                    name: round(secs, 6) for name, secs in tool_seconds.items()
                 },
             }
         print(stable_json(payload), end="")
-        total = sum(len(d) for d in per_tool.values())
     else:
-        for tool in sorted(per_tool):
-            print(render_diag_text(per_tool[tool], tool))
-            total += len(per_tool[tool])
+        for name, diags in per_tool.items():
+            print(render_diag_text(diags, name))
         print(
             f"repro check: {total} finding(s) across "
             f"{len(per_tool)} tool(s), {len(index.modules)} file(s) parsed once"
@@ -1175,8 +720,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"{len(index.modules)} file(s), "
                 f"{len(index.syntax_errors)} syntax failure(s)"
             )
-            for tool, secs in sorted(tool_seconds.items()):
-                print(f"  {tool:9s} {secs:7.3f}s  {len(per_tool[tool])} finding(s)")
+            for name, secs in tool_seconds.items():
+                print(f"  {name:9s} {secs:7.3f}s  {len(per_tool[name])} finding(s)")
     return EXIT_FINDINGS if total else EXIT_CLEAN
 
 
@@ -1421,233 +966,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ch.set_defaults(func=_cmd_chaos)
 
-    p_lint = sub.add_parser(
-        "lint", help="run speclint (protocol-aware static analysis)"
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", help="files/directories to lint (default: src)"
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    p_lint.add_argument(
-        "--select",
-        action="append",
-        metavar="CODE",
-        help="only run the given rule (repeatable), e.g. --select SPL001",
-    )
-    p_lint.add_argument(
-        "--sanitize-selftest",
-        action="store_true",
-        help="instead of linting, self-test the runtime protocol sanitizer",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
+    from repro.analysis.tools import TOOLS
 
-    p_an = sub.add_parser(
-        "analyze",
-        help="run specflow (interprocedural type-state + happens-before "
-        "analysis)",
-    )
-    p_an.add_argument(
-        "paths", nargs="*", help="files/directories to analyse (default: src)"
-    )
-    p_an.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format",
-    )
-    p_an.add_argument(
-        "--select",
-        action="append",
-        metavar="CODE",
-        help="only run the given rule (repeatable), e.g. --select SPF101",
-    )
-    p_an.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts",
-    )
-    p_an.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the accepted baseline and exit 0",
-    )
-    p_an.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="replay a recorded event log (JSONL) against the protocol "
-        "model and cross-reference the static findings",
-    )
-    p_an.add_argument(
-        "--bw",
-        type=int,
-        default=4,
-        metavar="N",
-        help="backward window used by the trace replay's staleness check",
-    )
-    p_an.set_defaults(func=_cmd_analyze)
-
-    p_pl = sub.add_parser(
-        "perf-lint",
-        help="run specperf (static hot-path cost analysis with "
-        "trace-validated phase-cost contracts)",
-    )
-    p_pl.add_argument(
-        "paths", nargs="*", help="files/directories to analyse (default: src)"
-    )
-    p_pl.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format",
-    )
-    p_pl.add_argument(
-        "--select",
-        action="append",
-        metavar="CODE",
-        help="only run the given rule (repeatable), e.g. --select SPP203",
-    )
-    p_pl.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts",
-    )
-    p_pl.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the accepted baseline and exit 0",
-    )
-    p_pl.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="replay a recorded event log (JSONL), measure per-phase "
-        "time shares, and judge findings against the model's phase "
-        "budget",
-    )
-    p_pl.add_argument(
-        "--model-p",
-        type=int,
-        default=None,
-        metavar="P",
-        help="processor count for the model budget (default: ranks in "
-        "the trace)",
-    )
-    p_pl.add_argument(
-        "--tol",
-        type=float,
-        default=0.05,
-        metavar="X",
-        help="share drift tolerated before a finding is CONFIRMED "
-        "(default: 0.05)",
-    )
-    p_pl.set_defaults(func=_cmd_perf_lint)
-
-    p_tn = sub.add_parser(
-        "taint",
-        help="run spectaint (speculation-escape & rollback-safety "
-        "abstract interpretation, rules SPT3xx)",
-    )
-    p_tn.add_argument(
-        "paths", nargs="*", help="files/directories to analyse (default: src)"
-    )
-    p_tn.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format",
-    )
-    p_tn.add_argument(
-        "--select",
-        action="append",
-        metavar="CODE",
-        help="only run the given rule (repeatable), e.g. --select SPT301",
-    )
-    p_tn.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts "
-        "(accepts the consolidated baselines.json or a legacy v1 file)",
-    )
-    p_tn.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings under the `spectaint` key of "
-        "the consolidated baseline file and exit 0",
-    )
-    p_tn.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="replay a recorded event log (JSONL): mark each finding "
-        "CONFIRMED (a send ran during an open speculation window), "
-        "REFUTED or UNOBSERVED",
-    )
-    p_tn.set_defaults(func=_cmd_taint)
-
-    p_bd = sub.add_parser(
-        "bounds",
-        help="run specbound (static speculation-resource bound analysis "
-        "with trace-validated occupancy contracts, rules SPB4xx)",
-    )
-    p_bd.add_argument(
-        "paths", nargs="*", help="files/directories to analyse (default: src)"
-    )
-    p_bd.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format",
-    )
-    p_bd.add_argument(
-        "--select",
-        action="append",
-        metavar="CODE",
-        help="only run the given rule (repeatable), e.g. --select SPB401",
-    )
-    p_bd.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts "
-        "(accepts the consolidated baselines.json or a legacy v1 file)",
-    )
-    p_bd.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings under the `specbound` key of "
-        "the consolidated baseline file and exit 0",
-    )
-    p_bd.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="check the symbolic occupancy bounds against a recorded "
-        "event log's observed per-rank maxima (history-ring span, inbox "
-        "depth, in-flight sends, cascade depth, event count); each "
-        "contract is CONFIRMED, REFUTED or UNOBSERVED",
-    )
-    p_bd.add_argument(
-        "--model-p",
-        type=int,
-        default=None,
-        metavar="P",
-        help="processor count for the bound evaluation (default: ranks "
-        "in the trace)",
-    )
-    p_bd.add_argument(
-        "--model-fw",
-        type=int,
-        default=1,
-        metavar="N",
-        help="forward window the trace was recorded with (default: 1)",
-    )
-    p_bd.add_argument(
-        "--model-bw",
-        type=int,
-        default=2,
-        metavar="N",
-        help="backward window the trace was recorded with (default: 2, "
-        "the N-body speculator's)",
-    )
-    p_bd.set_defaults(func=_cmd_bounds)
+    for tool in TOOLS:
+        p_tool = sub.add_parser(tool.cli, help=tool.help)
+        p_tool.add_argument(
+            "paths", nargs="*", help="files/directories to analyse (default: src)"
+        )
+        p_tool.add_argument(
+            "--format", choices=tool.formats, default="text", help="report format"
+        )
+        p_tool.add_argument(
+            "--select",
+            action="append",
+            metavar="CODE",
+            help="only run the given rule (repeatable), e.g. --select "
+            f"{min(tool.rules)}",
+        )
+        if tool.trace is not None:
+            p_tool.add_argument(
+                "--baseline",
+                metavar="FILE",
+                help="suppress findings whose fingerprints the "
+                f"`{tool.name}` key of this consolidated baseline accepts",
+            )
+            p_tool.add_argument(
+                "--write-baseline",
+                metavar="FILE",
+                help=f"record the current findings under the `{tool.name}` "
+                "key of the consolidated baseline file and exit 0",
+            )
+            p_tool.add_argument("--trace", metavar="FILE", help=tool.trace_help)
+        for flag, kwargs in tool.flags:
+            p_tool.add_argument(flag, **kwargs)
+        # Absent flags read as unset, so one handler serves every tool.
+        p_tool.set_defaults(
+            func=_cmd_tool, tool=tool, baseline=None, write_baseline=None,
+            trace=None, sanitize_selftest=False,
+        )
 
     p_ck = sub.add_parser(
         "check",
@@ -1673,12 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="consolidated baseline file (default: .speclint/baselines.json "
         "when present)",
-    )
-    p_ck.add_argument(
-        "--migrate-baselines",
-        action="store_true",
-        help="one-shot: merge the legacy per-tool baseline files into the "
-        "consolidated schema-versioned document, then exit",
     )
     p_ck.add_argument(
         "--stats",

@@ -20,7 +20,6 @@ reusable framework:
   speedup calculations.
 """
 
-from repro.core.adaptive import AdaptivePolicy, AdaptiveSpeculativeDriver
 from repro.core.checkers import (
     ErrorMetric,
     MaxAbsoluteError,
@@ -41,8 +40,6 @@ from repro.core.speculators import (
 )
 
 __all__ = [
-    "AdaptivePolicy",
-    "AdaptiveSpeculativeDriver",
     "DampedLinear",
     "ErrorMetric",
     "IncrementalProgram",

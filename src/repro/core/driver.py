@@ -46,18 +46,8 @@ from typing import Generator, Optional
 from repro.analysis.sanitizer import ProtocolSanitizer, sanitizer_from_env
 from repro.core.program import SyncIterativeProgram
 from repro.core.results import RunResult, SpecStats
-from repro.engine.core import (
-    SpecEngine,
-    default_hist_cap,
-    default_pre_send_horizon,
-    default_window_ok,
-    topology,
-)
+from repro.engine.core import SpecEngine, default_hist_cap, topology
 from repro.engine.des_transport import DESTransport
-
-# Re-exported for backwards compatibility: the authoritative definition
-# of the message-tag family moved into the engine's effect alphabet.
-from repro.engine.events import VARS  # noqa: F401
 from repro.faults import FaultPlan, wrap_engine
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.vm import Cluster, VirtualProcessor
@@ -187,7 +177,6 @@ class SpeculativeDriver:
             proc,
             sanitizer=self.sanitizer,
             event_log=self.cluster.event_log,
-            on_iteration=lambda t: self._post_iteration(proc, engine, t),
             on_window=lambda eff: self.fw_history[j].append(
                 (eff.iteration, eff.new_fw)
             ),
@@ -214,34 +203,10 @@ class SpeculativeDriver:
             cascade=self.cascade,
             hist_cap=self._hist_cap,
             stats=self._stats[rank],
-            # Bound methods so subclasses (and the sanitizer tests,
-            # which deliberately sabotage the gates) keep overriding
-            # the forward-window policy at the driver level.
-            pre_send_horizon=self._pre_send_horizon,
-            window_ok=self._window_ok,
             policy=self.window_policy,
             sanitizer=self.sanitizer,
             **retry_kwargs,
         )
-
-    # ----------------------------------------------------------- extension
-    def _pre_send_horizon(self, st: SpecEngine, t: int) -> int:
-        """Oldest iteration that must be verified before X_j(t) is sent.
-
-        Delegates to the engine's default gate; factored out (together
-        with :meth:`_window_ok`) so tests can sabotage the gates and
-        prove the runtime sanitizer catches the resulting window
-        violations.
-        """
-        return default_pre_send_horizon(st, t)
-
-    def _window_ok(self, st: SpecEngine, t: int) -> bool:
-        """May iteration ``t`` start given the rank's forward window?"""
-        return default_window_ok(st, t)
-
-    def _post_iteration(self, proc: VirtualProcessor, st: SpecEngine, t: int) -> None:
-        """Hook called after each completed iteration (adaptive drivers
-        override this to retune the rank's window)."""
 
 
 def run_program(

@@ -26,9 +26,6 @@ from repro.core.results import RunResult, SpecStats
 from repro.engine.core import ReceiveDrivenEngine, topology
 from repro.engine.des_transport import DESTransport
 
-# Re-exported for backwards compatibility: the authoritative definition
-# of the message-tag family moved into the engine's effect alphabet.
-from repro.engine.events import VARS  # noqa: F401
 from repro.vm import Cluster, VirtualProcessor
 
 

@@ -17,8 +17,8 @@ The package splits the paper's protocol (Fig. 3) from its media:
   fix) and no busy-wait blocking.
 
 Every protocol implementation in the repo — the DES drivers
-(:mod:`repro.core.driver`, :mod:`repro.core.receive_driven`,
-:mod:`repro.core.adaptive`) and the multiprocessing backend
+(:mod:`repro.core.driver`, :mod:`repro.core.receive_driven`) and
+the multiprocessing backend
 (:mod:`repro.parallel.worker`) — runs the engines in this package;
 speculate/verify/correct logic exists exactly once.
 """

@@ -111,9 +111,9 @@ def default_pre_send_horizon(engine: "SpecEngine", t: int) -> int:
 
     Fig. 3 sends X_j(t) only once the trailing verification loop has
     caught up to ``t - max(fw, 1)``, so corrections land before the
-    block goes on the wire.  A module function (not just a method) so
-    drivers can delegate to it and tests can sabotage the gates to
-    prove the runtime sanitizer catches window violations.
+    block goes on the wire.  The default behind the engine's
+    ``pre_send_horizon=`` constructor hook, which specmc mutations and
+    the sanitizer tests replace to sabotage the gate.
     """
     return t - max(engine.fw, 1)
 

@@ -62,10 +62,6 @@ class DESTransport:
         Optional trace-event recorder (send/recv are recorded by the
         processor itself; the engine's speculate/compute/verify/
         correct events are recorded here).
-    on_iteration:
-        Optional ``t -> None`` hook fired after each completed
-        iteration (progress callbacks; adaptation itself now lives in
-        the engine-seated :class:`~repro.policy.WindowPolicy`).
     on_window:
         Optional ``WindowChanged -> None`` hook fired when the seated
         policy moves this rank's window (drivers collect
@@ -77,13 +73,11 @@ class DESTransport:
         proc: VirtualProcessor,
         sanitizer: Any = None,
         event_log: Any = None,
-        on_iteration: Optional[Callable[[int], None]] = None,
         on_window: Optional[Callable[[WindowChanged], None]] = None,
     ) -> None:
         self.proc = proc
         self.sanitizer = sanitizer
         self.event_log = event_log
-        self.on_iteration = on_iteration
         self.on_window = on_window
         #: Per-source arrival counter standing in for the wire seq:
         #: the DES network is per-pair FIFO by construction, so the
@@ -196,8 +190,6 @@ class DESTransport:
             if san is not None:
                 san.on_cascade_end(rank)
         elif kind is IterationDone:
-            if self.on_iteration is not None:
-                self.on_iteration(effect.iteration)
             return now
         elif kind is WindowChanged:
             if san is not None:

@@ -10,6 +10,7 @@ into this module, so a table is regenerated identically everywhere.
 from repro.harness.experiments import (
     HEADLINE,
     ExperimentResult,
+    build_nbody,
     fig2_timelines,
     fig4_forward_window,
     fig5_model_speedup,
@@ -17,7 +18,6 @@ from repro.harness.experiments import (
     fig8_nbody_speedup,
     fig9_model_vs_measured,
     run_nbody,
-    run_nbody_mp,
     table2_phase_times,
     table3_threshold_sweep,
 )
@@ -28,6 +28,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "HEADLINE",
+    "build_nbody",
     "fig2_timelines",
     "fig4_forward_window",
     "fig5_model_speedup",
@@ -37,7 +38,6 @@ __all__ = [
     "format_table",
     "get_experiment",
     "run_nbody",
-    "run_nbody_mp",
     "table2_phase_times",
     "table3_threshold_sweep",
 ]

@@ -42,6 +42,7 @@ from repro.perfmodel import (
 )
 from repro.platforms import two_processor_demo, wustl_1994
 from repro.trace import EventLog, render_gantt
+from repro.vm import Cluster
 
 #: Shared configuration for the measured N-body experiments.
 HEADLINE: dict[str, Any] = {
@@ -89,8 +90,54 @@ class ExperimentResult:
 
 
 # --------------------------------------------------------------------------
-# Shared N-body runner
+# Shared N-body builder and runner
 # --------------------------------------------------------------------------
+def build_nbody(
+    p: int,
+    iterations: Optional[int] = None,
+    n_particles: Optional[int] = None,
+    threshold: Optional[float] = None,
+    record_force_errors: bool = False,
+    config: Optional[dict[str, Any]] = None,
+    simulated: bool = True,
+) -> tuple[NBodyProgram, Optional[Cluster], dict[str, Any]]:
+    """The :data:`HEADLINE` N-body program, its cluster and the merged config.
+
+    ``simulated=True`` decomposes over the calibrated WUSTL platform's
+    capacities and returns its DES cluster; ``simulated=False`` (the
+    loopback and mp backends, which have no platform model) uses
+    uniform capacities and returns ``None`` for the cluster.  The
+    initial conditions are the same either way.
+    """
+    cfg = dict(HEADLINE)
+    if config:
+        cfg.update(config)
+    capacities, platform = [1.0] * p, None
+    if simulated:
+        platform = wustl_1994(
+            p=p,
+            jitter_sigma=cfg["jitter_sigma"],
+            background_frames_per_s=cfg["background_frames_per_s"],
+            bursty_traffic=cfg["bursty_traffic"],
+            seed=cfg["seed"],
+        )
+        capacities = platform.capacities()
+    system = uniform_cube(
+        n_particles if n_particles is not None else cfg["n_particles"],
+        seed=cfg["ic_seed"],
+        softening=cfg["softening"],
+    )
+    program = NBodyProgram(
+        system,
+        capacities,
+        iterations=iterations if iterations is not None else cfg["iterations"],
+        dt=cfg["dt"],
+        threshold=threshold if threshold is not None else cfg["threshold"],
+        record_force_errors=record_force_errors,
+    )
+    return program, platform.cluster() if platform is not None else None, cfg
+
+
 def run_nbody(
     p: int,
     fw: int,
@@ -101,14 +148,12 @@ def run_nbody(
     config: Optional[dict[str, Any]] = None,
     event_log: Optional[EventLog] = None,
     window_policy: Optional[Any] = None,
-    hist_cap: Optional[int] = None,
-    sanitize: Optional[bool] = None,
 ) -> tuple[NBodyProgram, RunResult]:
     """One measured N-body run on the calibrated platform.
 
-    Prefer :func:`repro.api.run` for new code that does not need the
-    calibrated WUSTL platform; this remains the harness primitive the
-    paper's experiments (and ``repro nbody``) drive.
+    The harness primitive the paper's experiments drive; ``repro
+    nbody`` builds the same program with :func:`build_nbody` and runs
+    it through :func:`repro.api.run` on any backend.
 
     Returns the program (whose ``spec_stats`` carry particle-level
     counters) and the :class:`~repro.core.RunResult`.  Pass an
@@ -119,94 +164,15 @@ def run_nbody(
     the initial window and ``RunResult.window_history`` records the
     per-rank trajectories.
     """
-    cfg = dict(HEADLINE)
-    if config:
-        cfg.update(config)
-    n = n_particles if n_particles is not None else cfg["n_particles"]
-    iters = iterations if iterations is not None else cfg["iterations"]
-    theta = threshold if threshold is not None else cfg["threshold"]
-
-    platform = wustl_1994(
-        p=p,
-        jitter_sigma=cfg["jitter_sigma"],
-        background_frames_per_s=cfg["background_frames_per_s"],
-        bursty_traffic=cfg["bursty_traffic"],
-        seed=cfg["seed"],
+    program, cluster, cfg = build_nbody(
+        p, iterations, n_particles, threshold, record_force_errors, config
     )
-    system = uniform_cube(n, seed=cfg["ic_seed"], softening=cfg["softening"])
-    program = NBodyProgram(
-        system,
-        platform.capacities(),
-        iterations=iters,
-        dt=cfg["dt"],
-        threshold=theta,
-        record_force_errors=record_force_errors,
-    )
-    cluster = platform.cluster()
     if event_log is not None:
         cluster.event_log = event_log
     result = run_program(
         program, cluster, fw=fw, cascade=cfg["cascade"],
-        window_policy=window_policy, hist_cap=hist_cap, sanitize=sanitize,
-    )
-    return program, result
-
-
-def run_nbody_mp(
-    p: int,
-    fw: int,
-    iterations: Optional[int] = None,
-    n_particles: Optional[int] = None,
-    threshold: Optional[float] = None,
-    latency: float = 0.05,
-    jitter: float = 0.0,
-    config: Optional[dict[str, Any]] = None,
-    record_events: bool = False,
-    timeout: float = 300.0,
-    window_policy: Optional[Any] = None,
-    hist_cap: Optional[int] = None,
-    sanitize: Optional[bool] = None,
-) -> tuple[NBodyProgram, Any]:
-    """One N-body run on **real OS processes** (the mp backend).
-
-    Same initial conditions and protocol as :func:`run_nbody` — the
-    identical :class:`~repro.engine.SpecEngine` runs per rank — but
-    interpreted over :class:`~repro.engine.pipes.PipeTransport` with
-    ``latency`` wall-seconds of injected one-way delay instead of the
-    simulated WUSTL platform.  Capacities are uniform (real cores);
-    the second element of the return is an
-    :class:`~repro.parallel.runner.MPRunResult`.
-    """
-    from repro.parallel import MPRunner  # deferred: spawns processes
-
-    cfg = dict(HEADLINE)
-    if config:
-        cfg.update(config)
-    n = n_particles if n_particles is not None else cfg["n_particles"]
-    iters = iterations if iterations is not None else cfg["iterations"]
-    theta = threshold if threshold is not None else cfg["threshold"]
-
-    system = uniform_cube(n, seed=cfg["ic_seed"], softening=cfg["softening"])
-    program = NBodyProgram(
-        system,
-        [1.0] * p,
-        iterations=iters,
-        dt=cfg["dt"],
-        threshold=theta,
-    )
-    runner = MPRunner(
-        program,
-        fw=fw,
-        latency=latency,
-        jitter=jitter,
-        seed=cfg["seed"],
-        cascade=cfg["cascade"],
-        record_events=record_events,
         window_policy=window_policy,
-        hist_cap=hist_cap,
-        sanitize=sanitize,
     )
-    result = runner.run(timeout=timeout)
     return program, result
 
 

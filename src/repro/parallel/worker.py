@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.results import SpecStats
 from repro.engine.core import SpecEngine, topology
-from repro.engine.events import VARS  # noqa: F401  (re-export, back-compat)
 from repro.engine.pipes import PipeTransport
 from repro.engine.transport import drive
 from repro.faults import FaultPlan, FaultyTransport

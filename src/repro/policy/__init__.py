@@ -13,10 +13,9 @@ transport:
   ``StaticWindow(fw)`` is effect-for-effect identical to a fixed-FW
   run (it never changes the window, so no
   :class:`~repro.engine.events.WindowChanged` is ever emitted).
-* :class:`AimdWindow` — the AIMD controller formerly buried in
-  ``AdaptiveSpeculativeDriver._post_iteration``; because it is seated
-  *inside* :class:`~repro.engine.core.SpecEngine` it now adapts on
-  every backend (DES virtual time, loopback steps, real wall clocks).
+* :class:`AimdWindow` — the AIMD controller; because it is seated
+  *inside* :class:`~repro.engine.core.SpecEngine` it adapts on every
+  backend (DES virtual time, loopback steps, real wall clocks).
 * :class:`DegradedWindow` — a loss-aware wrapper around any policy:
   collapses FW toward 0 while the engine keeps reporting retransmits
   and re-arms the inner policy after a clean streak (the resilience

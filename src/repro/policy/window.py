@@ -115,10 +115,22 @@ class AimdWindow:
       ``reject_high`` the gap² error growth makes speculation a net
       loss → shrink by one.
 
-    Parameters are exactly ``AdaptivePolicy``'s (the deprecated
-    driver-level surface now constructs one of these).  Marks are
-    private per-instance state; the engine spawns one policy per rank
-    so ranks adapt independently.
+    Marks are private per-instance state; the engine spawns one
+    policy per rank so ranks adapt independently.
+
+    Attributes
+    ----------
+    epoch:
+        Iterations between adaptation decisions.
+    min_fw / max_fw:
+        Window bounds (``min_fw = 0`` allows falling back to the
+        blocking algorithm when speculation never pays).
+    wait_fraction:
+        Widen when epoch wait time exceeds this fraction of the epoch's
+        wall span.
+    reject_low / reject_high:
+        Rejection-rate thresholds: widening requires the epoch rate
+        below ``reject_low``; above ``reject_high`` forces a shrink.
     """
 
     epoch: int = 4

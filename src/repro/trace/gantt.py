@@ -61,7 +61,9 @@ def render_gantt(
     if t_end is None:
         ends = [max((i.end for i in t.intervals), default=0.0) for t in traces]
         t_end = max(ends) if ends else 0.0
-    if t_end <= 0:
+    if t_end <= 0 or t_end / width == 0.0:
+        # No span at all, or one so small (denormal) that a bucket
+        # width underflows to zero: draw on a unit axis instead.
         t_end = 1.0
     dt = t_end / width
 

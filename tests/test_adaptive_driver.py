@@ -1,11 +1,16 @@
-"""Tests for the adaptive forward-window driver."""
+"""The AIMD window policy steering the DES driver end to end.
+
+Unit tests of :class:`~repro.policy.AimdWindow` itself live in
+``tests/test_window_policy.py``; these run whole simulations and check
+where the windows end up.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import ZeroOrderHold
-from repro.core.adaptive import AdaptivePolicy, AdaptiveSpeculativeDriver
+from repro.core import ZeroOrderHold, run_program
 from repro.netsim import ConstantLatency, DelayNetwork
+from repro.policy import AimdWindow
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement, RandomDrift
@@ -29,35 +34,32 @@ def constant_prog(iterations=24, **kw):
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        AdaptivePolicy(epoch=0)
+        AimdWindow(epoch=0)
     with pytest.raises(ValueError):
-        AdaptivePolicy(min_fw=3, max_fw=2)
+        AimdWindow(min_fw=3, max_fw=2)
     with pytest.raises(ValueError):
-        AdaptivePolicy(reject_low=0.5, reject_high=0.2)
+        AimdWindow(reject_low=0.5, reject_high=0.2)
     with pytest.raises(ValueError):
-        AdaptivePolicy(wait_fraction=-0.1)
+        AimdWindow(wait_fraction=-0.1)
 
 
 def test_initial_fw_must_lie_in_bounds():
     prog = constant_prog(iterations=4)
     with pytest.raises(ValueError):
-        AdaptiveSpeculativeDriver(
-            prog, make_cluster(2, 0.1), fw=5, policy=AdaptivePolicy(max_fw=3)
+        run_program(
+            prog, make_cluster(2, 0.1), fw=5, window_policy=AimdWindow(max_fw=3)
         )
 
 
 def test_window_widens_under_large_delays():
     """comm = 3x compute: FW=1 leaves waiting, so the controller widens."""
     prog = constant_prog(iterations=32)
-    driver = AdaptiveSpeculativeDriver(
+    result = run_program(
         prog, make_cluster(2, latency=3.0), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=4),
+        window_policy=AimdWindow(epoch=4, max_fw=4),
     )
-    result = driver.run()
-    assert all(fw >= 2 for fw in driver.final_windows())
+    assert all(fw >= 2 for fw in result.final_windows())
     # And widening actually helped relative to a static FW=1 run.
-    from repro.core import run_program
-
     static = run_program(constant_prog(iterations=32), make_cluster(2, 3.0), fw=1)
     assert result.makespan < static.makespan
 
@@ -66,33 +68,30 @@ def test_window_shrinks_when_speculation_always_wrong():
     """Hostile dynamics: the controller backs down toward blocking."""
     prog = RandomDrift(nprocs=2, iterations=32, coupling=0.0, threshold=0.0,
                        ops_per_compute=1000.0)
-    driver = AdaptiveSpeculativeDriver(
+    result = run_program(
         prog, make_cluster(2, latency=2.0), fw=3,
-        policy=AdaptivePolicy(epoch=4, min_fw=0, max_fw=4),
+        window_policy=AimdWindow(epoch=4, min_fw=0, max_fw=4),
     )
-    driver.run()
-    assert all(fw < 3 for fw in driver.final_windows())
+    assert all(fw < 3 for fw in result.final_windows())
 
 
 def test_window_stable_when_masking_complete():
     """comm < compute and perfect speculation: FW=1 suffices, no drift."""
     prog = constant_prog(iterations=24)
-    driver = AdaptiveSpeculativeDriver(
+    result = run_program(
         prog, make_cluster(2, latency=0.5), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=4),
+        window_policy=AimdWindow(epoch=4, max_fw=4),
     )
-    driver.run()
-    assert driver.final_windows() == [1, 1]
+    assert result.final_windows() == [1, 1]
 
 
 def test_history_records_decisions():
     prog = constant_prog(iterations=32)
-    driver = AdaptiveSpeculativeDriver(
+    result = run_program(
         prog, make_cluster(2, latency=3.0), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=3),
+        window_policy=AimdWindow(epoch=4, max_fw=3),
     )
-    driver.run()
-    for history in driver.fw_history:
+    for history in result.window_history:
         assert history[0] == (0, 1)
         iters = [it for it, _ in history]
         assert iters == sorted(iters)
@@ -105,11 +104,10 @@ def test_adaptive_results_still_correct():
     """Adaptation must not corrupt the numerics (theta=0, FW<=1 path)."""
     prog = CoupledIncrement(nprocs=3, iterations=16, coupling=0.2,
                             threshold=0.0, ops_per_compute=1000.0)
-    driver = AdaptiveSpeculativeDriver(
+    result = run_program(
         prog, make_cluster(3, latency=0.2), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=1),  # cap: stays exact
+        window_policy=AimdWindow(epoch=4, max_fw=1),  # cap: stays exact
     )
-    result = driver.run()
     ref = prog.reference_run()
     for rank, block in result.final_blocks.items():
         np.testing.assert_allclose(block, ref[rank], atol=1e-9)

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.tools import TOOLS
+from repro.cli import EXIT_FINDINGS, build_parser, main
+from repro.trace import EventLog
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_list_command(capsys):
@@ -48,7 +55,33 @@ def test_nbody_shares_run_flags(capsys):
         "--backend", "loopback", "--fw", "1",
     ])
     assert rc == 0
-    assert "scheduler rounds" in capsys.readouterr().out
+    assert "rounds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["des", "loopback", "mp"])
+def test_nbody_prints_one_report_on_every_backend(backend, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    rc = main([
+        "nbody", "-p", "2", "--particles", "64", "--iterations", "3",
+        "--backend", backend, "--record-trace", str(trace),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"events written to {trace})" in out
+    assert len(EventLog.load(trace)) > 0
+    labels = [
+        line.split(":")[0].strip()
+        for line in out.splitlines() if line.startswith("  ")
+    ]
+    if backend == "des":  # the simulator's steady-state lines ride along
+        des_only = ["makespan", "time/iteration", "compute / comm",
+                    "spec / check / corr"]
+        assert [label for label in labels if label in des_only] == des_only
+        labels = [label for label in labels if label not in des_only]
+    expected = ["wall", "phase timings", "rejected speculation (messages)"]
+    if backend != "mp":  # on mp the workers' program copies did the counting
+        expected.append("rejected speculation (particles)")
+    assert labels == expected
 
 
 def test_mp_only_flags_rejected_off_mp(capsys):
@@ -148,3 +181,33 @@ def test_run_writes_json(tmp_path, capsys):
     assert data["experiment_id"] == "FIG5"
     assert len(data["rows"]) == 16
     assert all(isinstance(v, (int, float)) for v in data["rows"][0])
+
+
+# ------------------------------------------------------ the analyzer registry
+@pytest.mark.parametrize(
+    "tool,fmt",
+    [(tool, fmt) for tool in TOOLS for fmt in tool.formats],
+    ids=lambda value: getattr(value, "cli", value),
+)
+def test_every_tool_reports_its_fixture_tree_in_every_format(tool, fmt, capsys):
+    fixtures = TESTS / f"{tool.name}_fixtures"
+    assert main([tool.cli, str(fixtures), "--format", fmt]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out.splitlines()[-1].startswith(f"{tool.name}: ")
+        return
+    doc = json.loads(out)
+    if fmt == "json":
+        assert doc["tool"] == tool.name
+        assert set(tool.rules) <= set(doc["rules"])
+        assert doc["summary"]["total"] == len(doc["diagnostics"]) > 0
+    else:
+        (run,) = doc["runs"]
+        assert run["tool"]["driver"]["name"] == tool.name
+        advertised = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+        assert set(tool.rules) <= advertised
+        assert run["results"]
+        for result in run["results"]:
+            assert result["ruleId"] in advertised
+            assert "speclint/v1" in result["partialFingerprints"]
+

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import run_program
@@ -101,6 +101,8 @@ def test_property_speculation_never_slower_when_perfect_and_free_errors(latency,
     ),
     width=st.integers(1, 120),
 )
+# A denormal span: t_end / width underflows to 0.0 (was ZeroDivisionError).
+@example(spans=[("compute", 0.0, 5e-324)], width=2)
 def test_property_gantt_never_crashes(spans, width):
     trace = PhaseTrace(rank=0)
     for phase, a, b in spans:

@@ -36,7 +36,6 @@ def test_key_classes_importable_from_top_level():
 
 def test_subpackages_importable():
     import repro.core
-    import repro.core.adaptive
     import repro.core.receive_driven
     import repro.des
     import repro.harness

@@ -5,7 +5,7 @@ Three layers:
 * direct hook tests — each invariant fires on a crafted violation and
   stays quiet on the legal sequence;
 * integration — a clean speculative run passes under ``sanitize=True``,
-  and a driver whose forward-window gate is sabotaged is caught
+  and engines whose forward-window gates are sabotaged are caught
   *during a real simulation*;
 * wiring — the ``REPRO_SANITIZE`` environment flag and the CLI
   selftest.
@@ -18,6 +18,7 @@ from repro.analysis import ProtocolSanitizer, ProtocolViolation, run_selftest
 from repro.analysis.sanitizer import ENV_FLAG, sanitize_enabled, sanitizer_from_env
 from repro.cli import main
 from repro.core import SpeculativeDriver, run_program
+from repro.engine import DESTransport, SpecEngine, topology
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 
@@ -148,25 +149,30 @@ def test_clean_speculative_run_passes_sanitizer():
         np.testing.assert_array_equal(result.final_blocks[rank], plain.final_blocks[rank])
 
 
-class _UngatedDriver(SpeculativeDriver):
-    """Driver with both forward-window gates sabotaged: ranks race
-    ahead without waiting for verification — exactly the class of
-    driver bug the sanitizer exists to catch."""
-
-    def _window_ok(self, st, t):
-        return True
-
-    def _pre_send_horizon(self, st, t):
-        return -1  # never wait before sending
-
-
 def test_sanitizer_catches_forward_window_violation_in_real_run():
+    """Both forward-window gates sabotaged through the engine's
+    constructor hooks: ranks race ahead without waiting for
+    verification — exactly the class of bug the sanitizer exists to
+    catch."""
     prog = CoupledIncrement(nprocs=3, iterations=8, coupling=0.2)
     # Latency far above the per-iteration compute time: messages lag by
     # many iterations, so an ungated fw=1 rank exceeds its window fast.
-    driver = _UngatedDriver(prog, make_cluster(3, latency=50.0), fw=1, sanitize=True)
+    cluster = make_cluster(3, latency=50.0)
+    sanitizer = ProtocolSanitizer()
+    cluster.env.sanitizer = sanitizer
+    needed, audience = topology(prog)
+
+    def ungated_rank(proc):
+        engine = SpecEngine(
+            prog, proc.rank, needed[proc.rank], audience[proc.rank], fw=1,
+            pre_send_horizon=lambda eng, t: -1,  # never wait before sending
+            window_ok=lambda eng, t: True,
+            sanitizer=sanitizer,
+        )
+        return (yield from DESTransport(proc, sanitizer=sanitizer).drive(engine))
+
     with pytest.raises(ProtocolViolation) as exc:
-        driver.run()
+        cluster.run(ungated_rank)
     assert exc.value.invariant == "forward-window-bound"
 
 

@@ -17,15 +17,16 @@ from repro.analysis import (
     RULES,
     Severity,
     all_rule_codes,
-    collect_suppressions,
     iter_python_files,
     lint_paths,
     lint_source,
-    render,
-    render_json,
-    render_text,
+    parse_suppressions,
 )
+from repro.analysis.reporting import render_diag_text
+from repro.analysis.tools import TOOLS
 from repro.cli import main
+
+SPECLINT = next(tool for tool in TOOLS if tool.name == "speclint")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "speclint_fixtures"
@@ -190,7 +191,7 @@ def test_spl008_silent_on_observers_and_inspectors():
 def test_spl008_real_transports_are_exhaustive():
     diags = lint_paths([REPO_ROOT / "src" / "repro" / "engine"],
                        select=["SPL007", "SPL008"])
-    assert diags == [], render_text(diags)
+    assert diags == [], render_diag_text(diags)
 
 
 def test_good_fixture_is_clean():
@@ -208,7 +209,7 @@ def test_collect_suppressions_parses_both_directives():
         "x = 1  # speclint: disable=SPL001,SPL004\n"
         "y = 2  # speclint: disable=all\n"
     )
-    per_line, file_wide = collect_suppressions(src)
+    per_line, file_wide = parse_suppressions(src)
     assert file_wide == {"SPL003"}
     assert per_line[2] == {"SPL001", "SPL004"}
     # Codes are normalised to upper-case, including the wildcard.
@@ -228,7 +229,7 @@ def test_multi_tool_directive_suppresses_every_named_id():
         "x = 1  # speclint: disable=SPL001  # spectaint: disable=SPT301\n"
         "y = 2  # specflow: disable=SPF201, SPP203, SPL004\n"
     )
-    per_line, file_wide = collect_suppressions(src)
+    per_line, file_wide = parse_suppressions(src)
     assert per_line[1] == {"SPL001", "SPT301"}
     assert per_line[2] == {"SPF201", "SPP203", "SPL004"}
     assert file_wide == set()
@@ -266,15 +267,15 @@ def test_syntax_error_reports_spl000():
 
 # ---------------------------------------------------------------- reporters
 def test_text_reporter_clean_and_dirty():
-    assert render_text([]) == "speclint: clean"
+    assert render_diag_text([]) == "speclint: clean"
     diags = lint_fixture("bad_spl001_unawaited.py")
-    text = render_text(diags)
+    text = render_diag_text(diags)
     assert "SPL001" in text and "error(s)" in text
 
 
 def test_json_reporter_shape():
     diags = lint_fixture("bad_spl006_broad_except.py")
-    doc = json.loads(render_json(diags))
+    doc = json.loads(SPECLINT.render(diags, "json"))
     assert doc["tool"] == "speclint"
     assert set(doc["summary"]) == {"total", "errors", "warnings"}
     assert doc["summary"]["total"] == len(diags)
@@ -287,7 +288,7 @@ def test_json_reporter_shape():
 
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
-        render([], fmt="xml")
+        SPECLINT.render([], "xml")
 
 
 # -------------------------------------------------------------------- files
@@ -336,4 +337,4 @@ def test_repo_tree_is_speclint_clean():
     diags = lint_paths(
         [REPO_ROOT / "src", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
     )
-    assert diags == [], render_text(diags)
+    assert diags == [], render_diag_text(diags)

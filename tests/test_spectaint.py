@@ -10,10 +10,7 @@ import pytest
 from repro.analysis import cfg
 from repro.analysis.baselines import (
     SCHEMA_VERSION,
-    baseline_for,
-    legacy_baseline_path,
     load_baselines,
-    migrate_baselines,
     save_baselines,
     set_baseline,
 )
@@ -344,31 +341,6 @@ def test_set_baseline_preserves_other_tools(tmp_path):
     }
 
 
-def test_baseline_for_falls_back_to_legacy_with_warning(tmp_path, capsys):
-    consolidated = tmp_path / "baselines.json"
-    legacy = legacy_baseline_path("spectaint", tmp_path)
-    legacy.write_text('{"fingerprints": ["fff"]}')
-    assert baseline_for("spectaint", consolidated) == frozenset({"fff"})
-    assert "deprecated" in capsys.readouterr().err
-
-
-def test_migrate_baselines_merges_and_deletes_legacy(tmp_path):
-    target = tmp_path / "baselines.json"
-    for tool, fp in (("specflow", "aaa"), ("specperf", "bbb")):
-        legacy_baseline_path(tool, tmp_path).write_text(
-            json.dumps({"fingerprints": [fp]})
-        )
-    actions = migrate_baselines(target)
-    assert len(actions) == 2
-    assert not legacy_baseline_path("specflow", tmp_path).exists()
-    assert load_baselines(target) == {
-        "specflow": frozenset({"aaa"}),
-        "specperf": frozenset({"bbb"}),
-    }
-    # Idempotent: a second run finds nothing left to move.
-    assert migrate_baselines(target) == []
-
-
 # --------------------------------------------------------------------- CLI
 
 
@@ -411,7 +383,9 @@ def test_cli_taint_baseline_flow(tmp_path):
     ) == EXIT_USAGE
 
 
-def test_cli_taint_accepts_legacy_v1_baseline(tmp_path):
+def test_cli_taint_rejects_v1_baseline(tmp_path, capsys):
+    """A pre-consolidation (v1-shaped) file is refused loudly, not read
+    as an empty accepted set."""
     diags = analyze_paths([FIXTURES])
     legacy = tmp_path / "spectaint-baseline.json"
     legacy.write_text(
@@ -419,7 +393,10 @@ def test_cli_taint_accepts_legacy_v1_baseline(tmp_path):
     )
     assert main(
         ["taint", str(FIXTURES), "--baseline", str(legacy)]
-    ) == EXIT_CLEAN
+    ) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot read baseline" in err and "expected 2" in err
+    assert "migrate" not in err
 
 
 def test_cli_taint_trace_verdicts(tmp_path, capsys):
@@ -477,18 +454,6 @@ def test_cli_check_merged_sarif_has_one_run_per_tool(tmp_path, capsys):
     ]
     spt_run = doc["runs"][names.index("spectaint")]
     assert {r["ruleId"] for r in spt_run["results"]} == set(ALL_CODES)
-
-
-def test_cli_check_migrate_baselines(tmp_path, capsys):
-    target = tmp_path / "baselines.json"
-    legacy_baseline_path("specflow", tmp_path).write_text(
-        json.dumps({"fingerprints": ["abc"]})
-    )
-    assert main(
-        ["check", "--migrate-baselines", "--baselines", str(target)]
-    ) == EXIT_CLEAN
-    assert "migrated" in capsys.readouterr().out
-    assert load_baselines(target)["specflow"] == frozenset({"abc"})
 
 
 def test_cli_check_applies_consolidated_baselines(tmp_path, capsys):
