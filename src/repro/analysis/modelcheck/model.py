@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,23 +40,8 @@ from repro.analysis.invariants import require
 from repro.analysis.modelcheck.scenario import McConfig, build_program
 from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.engine.core import SpecEngine, topology
-from repro.engine.events import (
-    Arrival,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
-    Charge,
-    ComputeBegin,
-    Corrected,
-    IterationDone,
-    Recv,
-    Retransmit,
-    Send,
-    Speculated,
-    TryRecv,
-    Verified,
-    WindowChanged,
-)
+from repro.engine.events import Arrival, Charge, Recv, Retransmit, Send, TryRecv
+from repro.engine.observer import RankObserver
 from repro.engine.ring import OutOfOrderArrival
 
 __all__ = [
@@ -349,6 +335,19 @@ class Execution:
             for rank in range(config.p)
         }
         self.sanitizer = ProtocolSanitizer()
+        #: The shared observer seat per rank (sanitizer + event log;
+        #: ProtocolViolation escapes to ``_advance``).  No clock: the
+        #: engines fall back to their deterministic iteration clock,
+        #: so seated policies see bit-identical time on every schedule.
+        self._observers = {
+            rank: RankObserver(
+                rank, sanitizer=self.sanitizer,
+                record=(
+                    None if event_log is None else partial(self._record, rank)
+                ),
+            )
+            for rank in range(config.p)
+        }
         #: (src, dst) -> FIFO of undelivered messages.
         self.channels: Dict[Tuple[int, int], Deque[_Msg]] = {}
         self.parked: Dict[int, Any] = {}
@@ -466,10 +465,7 @@ class Execution:
         if not queue:
             del self.channels[(action.src, action.rank)]
         del self.parked[action.rank]
-        self._record(
-            "recv", action.rank, peer=action.src, family=family,
-            iteration=iteration,
-        )
+        self._record(action.rank, "recv", action.src, family, iteration)
         if self._check_delivery_seq:
             try:
                 self.sanitizer.on_delivery(action.rank, action.src, seq)
@@ -513,7 +509,12 @@ class Execution:
                     self.parked[rank] = effect
                     return
                 else:
-                    self._notify(rank, effect)
+                    if kind is Retransmit:
+                        # The model's transport never retransmits: count
+                        # the request (check_deadlock's
+                        # retransmit-bounded evidence).
+                        self.retransmits += 1
+                    self._observers[rank].notify(effect)
         except ProtocolViolation as exc:
             self._violate(exc.invariant, exc.details, rank=rank)
         except OutOfOrderArrival as exc:
@@ -526,10 +527,7 @@ class Execution:
             )
 
     def _on_send(self, rank: int, effect: Send) -> None:
-        self._record(
-            "send", rank, peer=effect.dst, family=effect.family,
-            iteration=effect.iteration,
-        )
+        self._record(rank, "send", effect.dst, effect.family, effect.iteration)
         if self._drop and rank == 1 and effect.dst == 0 and effect.seq == 0:
             self.dropped += 1
             return
@@ -538,85 +536,15 @@ class Execution:
         )
 
     # ----------------------------------------------------------- observers
-    def _tick(self) -> float:
-        self._clock += 1
-        return float(self._clock)
-
     def _record(
-        self,
-        kind: str,
-        rank: int,
-        peer: Optional[int] = None,
-        family: Optional[str] = None,
-        iteration: Optional[int] = None,
+        self, rank: int, kind: str, peer: Optional[int],
+        family: Optional[str], iteration: Optional[int],
     ) -> None:
         if self.event_log is not None:
+            self._clock += 1
             self.event_log.record(
-                kind, rank, self._tick(), peer=peer, family=family,
+                kind, rank, float(self._clock), peer=peer, family=family,
                 iteration=iteration,
-            )
-
-    def _notify(self, rank: int, effect: Any) -> None:
-        """Fan one engine event to the sanitizer seat + event log
-        (mirrors ``DESTransport._notify``; ProtocolViolation escapes to
-        ``_advance``)."""
-        san = self.sanitizer
-        kind = type(effect)
-        if kind is Speculated:
-            san.on_speculate(rank, effect.peer, effect.iteration)
-            if not effect.in_cascade:
-                self._record(
-                    "speculate", rank, peer=effect.peer, family="vars",
-                    iteration=effect.iteration,
-                )
-        elif kind is ComputeBegin:
-            san.on_compute_begin(
-                rank, effect.iteration, effect.verified_upto, effect.fw
-            )
-            self._record("compute", rank, iteration=effect.iteration)
-        elif kind is Verified:
-            san.on_verify(rank, effect.peer, effect.iteration)
-            self._record(
-                "verify", rank, peer=effect.peer, family="vars",
-                iteration=effect.iteration,
-            )
-        elif kind is Corrected:
-            self._record(
-                "correct", rank, peer=effect.peer, family="vars",
-                iteration=effect.iteration,
-            )
-        elif kind is CascadeBegin:
-            san.on_cascade_begin(rank, effect.iteration)
-        elif kind is CascadeStep:
-            san.on_cascade_step(rank, effect.iteration)
-        elif kind is CascadeEnd:
-            san.on_cascade_end(rank)
-        elif kind is IterationDone:
-            # Clock response stays None: the engine falls back to its
-            # deterministic iteration clock, so seated policies see
-            # bit-identical time on every schedule.
-            pass
-        elif kind is WindowChanged:
-            san.on_window_changed(
-                rank, effect.iteration, effect.old_fw, effect.new_fw,
-                effect.min_fw, effect.max_fw,
-            )
-            self._record(
-                "window", rank, peer=effect.new_fw,
-                iteration=effect.iteration,
-            )
-        elif kind is Retransmit:
-            # The model's transport never retransmits: count the
-            # request (check_deadlock's retransmit-bounded evidence)
-            # and let the sanitizer seat track the open gap.
-            self.retransmits += 1
-            san.on_retransmit(
-                rank, effect.peer, effect.seq, effect.attempt,
-                effect.max_attempts,
-            )
-            self._record(
-                "retransmit", rank, peer=effect.peer, family="vars",
-                iteration=effect.seq,
             )
 
     # ------------------------------------------------------------ checking

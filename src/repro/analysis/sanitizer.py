@@ -68,6 +68,22 @@ def sanitizer_from_env() -> Optional["ProtocolSanitizer"]:
     return ProtocolSanitizer() if sanitize_enabled() else None
 
 
+def resolve_sanitizer(
+    sanitize: "Optional[bool | ProtocolSanitizer]",
+) -> Optional["ProtocolSanitizer"]:
+    """The ``sanitize`` knob every backend takes, resolved once.
+
+    None defers to :data:`ENV_FLAG`, a bool arms or disarms, and an
+    already-built sanitizer is passed through (so a runner can share
+    the instance its engines were built with).
+    """
+    if sanitize is None:
+        return sanitizer_from_env()
+    if isinstance(sanitize, ProtocolSanitizer):
+        return sanitize
+    return ProtocolSanitizer() if sanitize else None
+
+
 class ProtocolSanitizer:
     """Checks DES + speculative-protocol invariants as a run executes.
 

@@ -14,6 +14,7 @@ report type::
     report = run(RunConfig(program, backend="mp", fw=2, latency=0.05))
     report.results[0]          # rank 0's final block
     report.timings["compute"]  # per-phase cost, max over ranks
+    report.stats[0]            # rank 0's SpecStats, on every backend
     report.window_history[0]   # rank 0's (iteration, fw) trajectory
 
 The same ``RunConfig`` — including an optional
@@ -34,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.driver import SpeculativeDriver
 from repro.core.program import SyncIterativeProgram
+from repro.core.results import SpecStats, fleet_rejection_rate
 from repro.engine.loopback import run_loopback
 from repro.faults import FaultPlan, merge_summaries
 from repro.netsim.latency import ConstantLatency, StochasticLatency
@@ -162,13 +164,12 @@ class RunReport:
     seconds (DES makespan), scheduler rounds (loopback) or real wall
     seconds (mp).  ``timings`` uses the same clock per phase (ops on
     loopback, where cost is counted rather than timed), aggregated as
-    the max over ranks.  ``stats`` entries are per-rank counter
-    objects — :class:`~repro.core.results.SpecStats` on des/loopback,
-    :class:`~repro.parallel.worker.WorkerReport` on mp — sharing the
-    speculation counter attribute names (``spec_made``,
-    ``spec_accepted``, ``spec_rejected``, ``recomputes``, ...).
-    ``raw`` keeps the backend-native result for anything the common
-    shape does not cover.
+    the max over ranks.  ``stats`` is one
+    :class:`~repro.core.results.SpecStats` per rank on every backend;
+    ``fault_summary`` is :func:`~repro.faults.merge_summaries` over the
+    ranks' injector receipts (None without a fault plan).  ``raw``
+    keeps the backend-native result for anything the common shape does
+    not cover.
     """
 
     backend: str
@@ -176,7 +177,7 @@ class RunReport:
     wall_seconds: float
     timings: Dict[str, float]
     window_history: Dict[int, List[Tuple[int, int]]]
-    stats: List[Any]
+    stats: List[SpecStats]
     fault_summary: Optional[Dict[str, Any]] = None
     event_log: Optional[EventLog] = None
     raw: Any = field(default=None, repr=False)
@@ -184,22 +185,39 @@ class RunReport:
     @property
     def rejection_rate(self) -> float:
         """Fleet-wide fraction of checked speculations rejected."""
-        checks = sum(s.spec_accepted + s.spec_rejected for s in self.stats)
-        if checks == 0:
-            return 0.0
-        return sum(s.spec_rejected for s in self.stats) / checks
+        return fleet_rejection_rate(self.stats)
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute ``config`` on its backend; one report shape for all three."""
-    if config.backend == "des":
-        return _run_des(config)
-    if config.backend == "loopback":
-        return _run_loopback(config)
-    return _run_mp(config)
+    """Execute ``config`` on its backend; one report shape for all three.
+
+    The backends differ only in how a run is started and where its
+    clock totals come from (the ``_start_*`` functions below); the
+    report itself is assembled once, here.
+    """
+    log = EventLog() if config.record_trace else None
+    knobs = dict(
+        fw=config.fw, cascade=config.cascade, sanitize=config.sanitize,
+        window_policy=config.window_policy, fault_plan=config.fault_plan,
+        hist_cap=config.bw,
+    )
+    start = {"des": _start_des, "loopback": _start_loopback, "mp": _start_mp}
+    measured, receipts = start[config.backend](config, log, knobs)
+    return RunReport(
+        backend=config.backend,
+        fault_summary=(
+            merge_summaries(receipts) if config.fault_plan is not None else None
+        ),
+        event_log=log,
+        **measured,
+    )
 
 
 # ---------------------------------------------------------------- backends
+# Each ``_start_*`` runs ``config`` on its backend with the protocol
+# ``knobs`` every primitive takes, tracing into ``log`` when one is
+# given, and returns the measured RunReport fields (in the backend's
+# own clock) plus the ranks' FaultSummary receipts.
 def _default_cluster(config: RunConfig) -> Cluster:
     """Uniform DES cluster with a constant(+jitter) latency network."""
     latency = ConstantLatency(config.latency)
@@ -212,92 +230,61 @@ def _default_cluster(config: RunConfig) -> Cluster:
     )
 
 
-def _run_des(config: RunConfig) -> RunReport:
+def _start_des(config: RunConfig, log: Optional[EventLog], knobs: dict) -> tuple:
     cluster = config.cluster if config.cluster is not None else _default_cluster(config)
-    log = EventLog() if config.record_trace else None
     if log is not None:
         cluster.event_log = log
-    driver = SpeculativeDriver(
-        config.program, cluster,
-        fw=config.fw, cascade=config.cascade, sanitize=config.sanitize,
-        window_policy=config.window_policy, fault_plan=config.fault_plan,
-        hist_cap=config.bw,
-    )
+    driver = SpeculativeDriver(config.program, cluster, **knobs)
     result = driver.run()
-    fault_summary = None
-    if config.fault_plan is not None:
-        # The driver stores bound summary methods (the injectors fill
-        # in as the run executes); materialise them now.
-        fault_summary = merge_summaries([fn() for fn in driver.fault_summaries])
-    return RunReport(
-        backend="des",
+    measured = dict(
         results=result.final_blocks,
         wall_seconds=result.makespan,
         timings=dict(result.breakdown().totals),
-        window_history={r: list(h) for r, h in enumerate(result.window_history)},
-        stats=list(result.stats),
-        fault_summary=fault_summary,
-        event_log=log,
+        window_history=dict(enumerate(result.window_history)),
+        stats=result.stats,
         raw=result,
     )
+    # The driver stores bound summary methods (the injectors fill in
+    # as the run executes); materialise them now.
+    return measured, [fn() for fn in driver.fault_summaries]
 
 
-def _run_loopback(config: RunConfig) -> RunReport:
-    log = EventLog() if config.record_trace else None
-    finals, stats, runner = run_loopback(
-        config.program,
-        fw=config.fw, cascade=config.cascade, event_log=log,
-        sanitize=config.sanitize, window_policy=config.window_policy,
-        fault_plan=config.fault_plan, hist_cap=config.bw,
-    )
+def _start_loopback(config: RunConfig, log: Optional[EventLog], knobs: dict) -> tuple:
+    finals, stats, runner = run_loopback(config.program, event_log=log, **knobs)
     timings: Dict[str, float] = {}
     for tally in runner.phase_ops.values():
         for phase, ops in tally.items():
             timings[phase] = max(timings.get(phase, 0.0), ops)
-    fault_summary = None
-    if config.fault_plan is not None:
-        fault_summary = merge_summaries(
-            [eng.injector.summary() for eng in runner.engines.values()]
-        )
-    return RunReport(
-        backend="loopback",
+    measured = dict(
         results=finals,
         wall_seconds=float(runner.rounds),
         timings=timings,
-        # Seed with the initial window so trajectories read the same
-        # as the DES and mp reports.
-        window_history={
-            rank: [(0, config.fw)] + list(hist)
-            for rank, hist in runner.window_history.items()
-        },
-        stats=list(stats),
-        fault_summary=fault_summary,
-        event_log=log,
+        window_history=runner.window_history,
+        stats=stats,
         raw=runner,
     )
+    if config.fault_plan is None:
+        return measured, []
+    return measured, [e.injector.summary() for e in runner.engines.values()]
 
 
-def _run_mp(config: RunConfig) -> RunReport:
+def _start_mp(config: RunConfig, log: Optional[EventLog], knobs: dict) -> tuple:
     from repro.parallel import MPRunner  # deferred: spawns processes
 
     runner = MPRunner(
-        config.program,
-        fw=config.fw, cascade=config.cascade,
-        latency=config.latency, jitter=config.jitter, seed=config.seed,
-        record_events=config.record_trace, sanitize=config.sanitize,
-        window_policy=config.window_policy, fault_plan=config.fault_plan,
-        hist_cap=config.bw,
+        config.program, latency=config.latency, jitter=config.jitter,
+        seed=config.seed, record_events=log is not None, **knobs,
     )
     result = runner.run(timeout=config.timeout)
+    if log is not None:
+        log.extend(result.event_log())
     phases = sorted({p for r in result.reports for p in r.phase_seconds})
-    return RunReport(
-        backend="mp",
+    measured = dict(
         results=result.final_blocks,
         wall_seconds=result.wall_seconds,
         timings={p: result.phase_seconds(p) for p in phases},
         window_history=result.window_history(),
-        stats=list(result.reports),
-        fault_summary=result.fault_summary(),
-        event_log=result.event_log() if config.record_trace else None,
+        stats=result.stats,
         raw=result,
     )
+    return measured, [r.fault_summary for r in result.reports]

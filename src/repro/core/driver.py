@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.analysis.sanitizer import ProtocolSanitizer, sanitizer_from_env
+from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.core.program import SyncIterativeProgram
 from repro.core.results import RunResult, SpecStats
-from repro.engine.core import SpecEngine, default_hist_cap, topology
+from repro.engine.core import build_engine, topology
 from repro.engine.des_transport import DESTransport
+from repro.engine.observer import RankObserver
 from repro.faults import FaultPlan, wrap_engine
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.vm import Cluster, VirtualProcessor
@@ -88,8 +89,7 @@ class SpeculativeDriver:
         Optional :class:`~repro.policy.WindowPolicy` template seated
         inside every rank's engine; each rank spawns a private copy
         and adapts independently.  ``fw`` is then the initial window;
-        decisions land in :attr:`fw_history` (and in
-        ``RunResult.window_history``).
+        decisions land in ``RunResult.window_history``.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; each rank's engine
         is wrapped in the fault middleware
@@ -112,34 +112,23 @@ class SpeculativeDriver:
         if fw < 0:
             raise ValueError("fw must be >= 0")
         self.cascade = CascadePolicy.coerce(cascade)
-        if cluster.size != program.nprocs:
-            raise ValueError(
-                f"cluster has {cluster.size} processors but program wants {program.nprocs}"
-            )
+        check_cluster(program, cluster)
         self.program = program
         self.cluster = cluster
         self.fw = fw
-        if sanitize is None:
-            self.sanitizer: Optional[ProtocolSanitizer] = sanitizer_from_env()
-        else:
-            self.sanitizer = ProtocolSanitizer() if sanitize else None
-        self._hist_cap = (
-            hist_cap if hist_cap is not None else default_hist_cap(program)
-        )
+        self.sanitizer: Optional[ProtocolSanitizer] = resolve_sanitizer(sanitize)
+        self._hist_cap = hist_cap
         self._stats = [SpecStats(rank=r) for r in range(cluster.size)]
-        #: needed[j] / audience[j]: validated dependency topology.
-        self._needed, self._audience = topology(program)
+        #: (needed, audience): validated dependency topology.
+        self._topology = topology(program)
         #: Template window policy; each engine spawns a private copy.
         self.window_policy = window_policy
         #: Optional fault plan wrapped around every rank's engine.
         self.fault_plan = fault_plan
         #: Per-rank injector receipts, filled as rank programs build.
         self.fault_summaries: list = []
-        #: Per-rank (iteration, fw) trajectory, seeded with the initial
-        #: window; grown from the engines' WindowChanged effects.
-        self.fw_history: list[list[tuple[int, int]]] = [
-            [(0, fw)] for _ in range(cluster.size)
-        ]
+        #: Per-rank observer seats, filled as rank programs build.
+        self._observers: dict[int, RankObserver] = {}
 
     # ------------------------------------------------------------------ run
     def run(self) -> RunResult:
@@ -149,9 +138,6 @@ class SpeculativeDriver:
         finals = self.cluster.run(self._rank_program)
         if self.sanitizer is not None:
             self.sanitizer.on_run_end()
-        for stats, proc in zip(self._stats, self.cluster.processors):
-            stats.messages_sent = proc.sent_count
-            stats.messages_received = proc.recv_count
         return RunResult(
             makespan=self.cluster.env.now,
             final_blocks={r: b for r, b in enumerate(finals)},
@@ -160,52 +146,46 @@ class SpeculativeDriver:
             fw=self.fw,
             iterations=self.program.iterations,
             capacities=self.cluster.capacities(),
-            window_history=self.fw_history,
+            window_history=[
+                self._observers[r].window_history
+                for r in range(self.cluster.size)
+            ],
         )
 
     # ---------------------------------------------------------- per-rank code
     def _rank_program(self, proc: VirtualProcessor) -> Generator:
         """One rank: a :class:`SpecEngine` driven over the simulator."""
         j = proc.rank
-        engine = self._make_engine(j)
+        engine = build_engine(
+            self.program, j, self._topology, fw=self.fw,
+            cascade=self.cascade, hist_cap=self._hist_cap,
+            stats=self._stats[j], policy=self.window_policy,
+            sanitizer=self.sanitizer, fault_plan=self.fault_plan,
+        )
         if self.fault_plan is not None:
             # charge_poll: DES recvs have no timeout, so retransmit
             # backoff is paid as TryRecv + Charge polls in virtual time.
             engine = wrap_engine(engine, self.fault_plan, charge_poll=True)
             self.fault_summaries.append(engine.injector.summary)
         transport = DESTransport(
-            proc,
-            sanitizer=self.sanitizer,
-            event_log=self.cluster.event_log,
-            on_window=lambda eff: self.fw_history[j].append(
-                (eff.iteration, eff.new_fw)
-            ),
+            proc, sanitizer=self.sanitizer, event_log=self.cluster.event_log
         )
-        final = yield from transport.drive(engine)
-        return final
+        self._observers[j] = transport.observer
+        return (yield from transport.drive(engine))
 
-    def _make_engine(self, rank: int) -> SpecEngine:
-        """Build rank ``rank``'s protocol state machine."""
-        retry_kwargs = (
-            {}
-            if self.fault_plan is None
-            else {
-                "max_retries": self.fault_plan.max_retries,
-                "retry_backoff": self.fault_plan.retry_backoff,
-            }
+
+def check_cluster(program: SyncIterativeProgram, cluster: Cluster) -> None:
+    """``cluster`` fits ``program`` and has not run yet — a used
+    cluster's clock and phase traces would carry over, and the second
+    run's timings would silently include the first's."""
+    if cluster.size != program.nprocs:
+        raise ValueError(
+            f"cluster has {cluster.size} processors but program wants {program.nprocs}"
         )
-        return SpecEngine(
-            self.program,
-            rank,
-            self._needed[rank],
-            self._audience[rank],
-            fw=self.fw,
-            cascade=self.cascade,
-            hist_cap=self._hist_cap,
-            stats=self._stats[rank],
-            policy=self.window_policy,
-            sanitizer=self.sanitizer,
-            **retry_kwargs,
+    if cluster.env.now != 0:
+        raise ValueError(
+            f"cluster has already run (env.now={cluster.env.now:g}); "
+            "build a fresh Cluster per run"
         )
 
 

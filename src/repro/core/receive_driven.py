@@ -21,6 +21,7 @@ from abc import abstractmethod
 from typing import Any, Generator
 
 from repro.analysis.sanitizer import sanitizer_from_env
+from repro.core.driver import check_cluster
 from repro.core.program import Block, SyncIterativeProgram
 from repro.core.results import RunResult, SpecStats
 from repro.engine.core import ReceiveDrivenEngine, topology
@@ -91,10 +92,7 @@ class ReceiveDrivenDriver:
     def __init__(self, program: IncrementalProgram, cluster: Cluster) -> None:
         if not isinstance(program, IncrementalProgram):
             raise TypeError("ReceiveDrivenDriver needs an IncrementalProgram")
-        if cluster.size != program.nprocs:
-            raise ValueError(
-                f"cluster has {cluster.size} processors but program wants {program.nprocs}"
-            )
+        check_cluster(program, cluster)
         self.program = program
         self.cluster = cluster
         self._stats = [SpecStats(rank=r) for r in range(cluster.size)]
@@ -106,9 +104,6 @@ class ReceiveDrivenDriver:
             # DES-level invariants only (no speculation happens here).
             self.cluster.env.sanitizer = sanitizer_from_env()
         finals = self.cluster.run(self._rank_program)
-        for stats, proc in zip(self._stats, self.cluster.processors):
-            stats.messages_sent = proc.sent_count
-            stats.messages_received = proc.recv_count
         return RunResult(
             makespan=self.cluster.env.now,
             final_blocks={r: b for r, b in enumerate(finals)},
@@ -127,5 +122,4 @@ class ReceiveDrivenDriver:
             stats=self._stats[j],
         )
         transport = DESTransport(proc, event_log=self.cluster.event_log)
-        final = yield from transport.drive(engine)
-        return final
+        return (yield from transport.drive(engine))

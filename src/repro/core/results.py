@@ -58,6 +58,13 @@ class SpecStats:
         return self.spec_rejected / self.checks if self.checks else 0.0
 
 
+def fleet_rejection_rate(stats: Sequence[SpecStats]) -> float:
+    """Fleet-wide fraction of checked speculations rejected (0 if none
+    checked) — the one definition every result type reports."""
+    checks = sum(s.checks for s in stats)
+    return sum(s.spec_rejected for s in stats) / checks if checks else 0.0
+
+
 @dataclass
 class RunResult:
     """Everything measured from one simulated run.
@@ -168,10 +175,7 @@ class RunResult:
     @property
     def rejection_rate(self) -> float:
         """Cluster-wide fraction of checked speculations rejected."""
-        checks = sum(s.checks for s in self.stats)
-        if checks == 0:
-            return 0.0
-        return sum(s.spec_rejected for s in self.stats) / checks
+        return fleet_rejection_rate(self.stats)
 
     def summary(self) -> dict:
         """Plain-data summary (JSON-serialisable) of the run.

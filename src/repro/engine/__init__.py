@@ -8,6 +8,8 @@ The package splits the paper's protocol (Fig. 3) from its media:
   socket, a pipe, or the simulator;
 * :mod:`repro.engine.transport` — the :class:`Transport` seam and the
   shared synchronous interpreter :func:`drive`;
+* :mod:`repro.engine.observer` — the one table every backend feeds its
+  notification effects through (sanitizer hooks + trace records);
 * :mod:`repro.engine.des_transport` — effects on the discrete event
   simulator (``repro.vm`` over ``repro.netsim``);
 * :mod:`repro.engine.loopback` — in-process FIFO queues with a

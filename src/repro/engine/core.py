@@ -288,7 +288,9 @@ class SpecEngine:
             # Run-ahead backlog: iterations arrived beyond the verified
             # horizon.  Bounded by the *policy ceiling* (not the live fw)
             # because peers under an adaptive policy may legitimately
-            # run a wider window than this rank's current one.
+            # run a wider window than this rank's current one.  A peer
+            # sends X(t) once it holds our X(t - w), which we sent with
+            # t - 2w verified, w = max(fw, 1) — blocking runs included.
             fw_bound = (
                 self.policy.max_fw if self.policy is not None else self.fw
             )
@@ -296,7 +298,7 @@ class SpecEngine:
                 self.rank,
                 k,
                 t - self.verified_upto,
-                fw_bound + max(fw_bound, 1),
+                2 * max(fw_bound, 1),
             )
 
     def prune(self) -> None:
@@ -365,6 +367,7 @@ class SpecEngine:
                         nbytes=nbytes,
                         seq=self.next_seq(dst),
                     )
+                    stats.messages_sent += 1
                 pack = prog.send_ops(j) * len(self.audience)
                 if pack > 0:
                     # Sender-side software cost (PVM pack); serial with
@@ -529,6 +532,7 @@ class SpecEngine:
         successors are replayed the moment the gap heals, so the
         protocol core below only ever sees the fault-free order.
         """
+        self.stats.messages_received += 1
         k = arrival.src
         if k not in self.needed:  # pragma: no cover - audience routing
             return
@@ -642,6 +646,35 @@ class SpecEngine:
         yield CascadeEnd()
 
 
+def build_engine(
+    program: SyncIterativeProgram,
+    rank: int,
+    topo: Tuple[Sequence[FrozenSet[int]], Sequence[Sequence[int]]],
+    fw: int = 1,
+    cascade: "CascadePolicy | str" = CascadePolicy.RECOMPUTE,
+    hist_cap: Optional[int] = None,
+    stats: Optional[SpecStats] = None,
+    policy: Optional[WindowPolicy] = None,
+    sanitizer: Optional[object] = None,
+    fault_plan: Optional[Any] = None,
+) -> SpecEngine:
+    """Rank ``rank``'s engine from a run's knobs — the one construction
+    site the DES, loopback and pipe backends share.  ``topo`` is
+    :func:`topology`'s result; under a ``fault_plan`` the retry budget
+    is the plan's (seating the plan's injection seam around the engine
+    or its transport stays with the backend)."""
+    needed, audience = topo
+    retry = {} if fault_plan is None else {
+        "max_retries": fault_plan.max_retries,
+        "retry_backoff": fault_plan.retry_backoff,
+    }
+    return SpecEngine(
+        program, rank, needed[rank], audience[rank],
+        fw=fw, cascade=cascade, hist_cap=hist_cap, stats=stats,
+        policy=policy, sanitizer=sanitizer, **retry,
+    )
+
+
 class ReceiveDrivenEngine:
     """The Fig. 7 baseline (incremental compute, no speculation) over
     the same effect alphabet and transports as :class:`SpecEngine`.
@@ -703,6 +736,7 @@ class ReceiveDrivenEngine:
                         nbytes=nbytes,
                         seq=self.next_seq(dst),
                     )
+                    stats.messages_sent += 1
                 pack = prog.send_ops(j) * len(self.audience)
                 if pack > 0:
                     yield Charge(pack, phase="comm", iteration=t)
@@ -719,6 +753,7 @@ class ReceiveDrivenEngine:
                     arrival = yield Recv(
                         phase="comm", iteration=t, match=(VARS, t)
                     )
+                    stats.messages_received += 1
                     k = arrival.src
                     if k not in remaining:  # pragma: no cover - tags prevent
                         raise RuntimeError(f"duplicate block from rank {k}")

@@ -11,9 +11,10 @@ Interprets the engine's effects against a
   signal);
 * ``Charge`` → ``proc.compute(ops, phase, iteration)`` — virtual time
   at the processor's capacity (times any background load);
-* protocol events → the runtime
-  :class:`~repro.analysis.sanitizer.ProtocolSanitizer` hooks and the
-  cluster's :class:`~repro.trace.events.EventLog`.
+* protocol events → the rank's
+  :class:`~repro.engine.observer.RankObserver` (sanitizer hooks and
+  the cluster's :class:`~repro.trace.events.EventLog`, stamped with
+  virtual time).
 
 Because ``recv``/``compute`` are simulator coroutines, the interpreter
 loop here is itself a generator: drivers ``yield from
@@ -23,27 +24,10 @@ programs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
-from repro.engine.events import (
-    Arrival,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
-    Charge,
-    ComputeBegin,
-    Corrected,
-    Degraded,
-    FaultInjected,
-    IterationDone,
-    Recv,
-    Retransmit,
-    Send,
-    Speculated,
-    TryRecv,
-    Verified,
-    WindowChanged,
-)
+from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
+from repro.engine.observer import RankObserver
 from repro.engine.transport import TransportError
 from repro.vm.processor import VirtualProcessor
 
@@ -62,10 +46,6 @@ class DESTransport:
         Optional trace-event recorder (send/recv are recorded by the
         processor itself; the engine's speculate/compute/verify/
         correct events are recorded here).
-    on_window:
-        Optional ``WindowChanged -> None`` hook fired when the seated
-        policy moves this rank's window (drivers collect
-        ``fw_history`` here).
     """
 
     def __init__(
@@ -73,12 +53,21 @@ class DESTransport:
         proc: VirtualProcessor,
         sanitizer: Any = None,
         event_log: Any = None,
-        on_window: Optional[Callable[[WindowChanged], None]] = None,
     ) -> None:
         self.proc = proc
-        self.sanitizer = sanitizer
-        self.event_log = event_log
-        self.on_window = on_window
+        env, rank = proc.env, proc.rank
+        #: The rank's observer seat; its clock is virtual time.
+        self.observer = RankObserver(
+            rank,
+            sanitizer=sanitizer,
+            record=None if event_log is None else (
+                lambda kind, peer, family, iteration: event_log.record(
+                    kind, rank, env.now, peer=peer, family=family,
+                    iteration=iteration,
+                )
+            ),
+            clock=lambda: env.now,
+        )
         #: Per-source arrival counter standing in for the wire seq:
         #: the DES network is per-pair FIFO by construction, so the
         #: k-th arrival from ``src`` carries ``Send.seq == k``.
@@ -91,8 +80,10 @@ class DESTransport:
         Use as ``final = yield from transport.drive(engine)``.
         """
         proc = self.proc
+        notify = self.observer.notify
+        self.observer.begin(engine)
         gen = engine.run()
-        response: Optional[Arrival] = None
+        response: Optional[Arrival | float] = None
         while True:
             try:
                 effect = gen.send(response)
@@ -122,7 +113,7 @@ class DESTransport:
                 msg = proc.try_recv()
                 response = self._arrival(msg) if msg is not None else None
             else:
-                response = self._notify(effect)
+                response = notify(effect)
 
     # ------------------------------------------------------------- plumbing
     def _arrival(self, msg: Any, waited: float = 0.0) -> Arrival:
@@ -138,91 +129,3 @@ class DESTransport:
             src=msg.src, iteration=iteration, payload=msg.payload,
             waited=waited, seq=seq,
         )
-
-    def _notify(self, effect: Any) -> Optional[float]:
-        """Fan one protocol event out to the sanitizer and event log.
-
-        Returns the virtual clock for ``IterationDone`` (the seated
-        window policy's timebase); None for every other event.
-        """
-        proc = self.proc
-        san = self.sanitizer
-        log = self.event_log
-        rank = proc.rank
-        now = proc.env.now
-        kind = type(effect)
-        if kind is Speculated:
-            if san is not None:
-                san.on_speculate(rank, effect.peer, effect.iteration)
-            if log is not None and not effect.in_cascade:
-                log.record(
-                    "speculate", rank, now, peer=effect.peer,
-                    family="vars", iteration=effect.iteration,
-                )
-        elif kind is ComputeBegin:
-            if san is not None:
-                san.on_compute_begin(
-                    rank, effect.iteration, effect.verified_upto, effect.fw
-                )
-            if log is not None:
-                log.record("compute", rank, now, iteration=effect.iteration)
-        elif kind is Verified:
-            if san is not None:
-                san.on_verify(rank, effect.peer, effect.iteration)
-            if log is not None:
-                log.record(
-                    "verify", rank, now, peer=effect.peer,
-                    family="vars", iteration=effect.iteration,
-                )
-        elif kind is Corrected:
-            if log is not None:
-                log.record(
-                    "correct", rank, now, peer=effect.peer,
-                    family="vars", iteration=effect.iteration,
-                )
-        elif kind is CascadeBegin:
-            if san is not None:
-                san.on_cascade_begin(rank, effect.iteration)
-        elif kind is CascadeStep:
-            if san is not None:
-                san.on_cascade_step(rank, effect.iteration)
-        elif kind is CascadeEnd:
-            if san is not None:
-                san.on_cascade_end(rank)
-        elif kind is IterationDone:
-            return now
-        elif kind is WindowChanged:
-            if san is not None:
-                san.on_window_changed(
-                    rank, effect.iteration, effect.old_fw, effect.new_fw,
-                    effect.min_fw, effect.max_fw,
-                )
-            if log is not None:
-                log.record(
-                    "window", rank, now, peer=effect.new_fw,
-                    iteration=effect.iteration,
-                )
-            if self.on_window is not None:
-                self.on_window(effect)
-        elif kind is FaultInjected:
-            if log is not None:
-                log.record(
-                    "fault", rank, now, peer=effect.src,
-                    family="vars", iteration=effect.iteration,
-                )
-        elif kind is Retransmit:
-            if san is not None:
-                san.on_retransmit(rank, effect.peer, effect.seq,
-                                  effect.attempt, effect.max_attempts)
-            if log is not None:
-                log.record(
-                    "retransmit", rank, now, peer=effect.peer,
-                    family="vars", iteration=effect.seq,
-                )
-        elif kind is Degraded:
-            if log is not None:
-                log.record(
-                    "degraded", rank, now, peer=int(effect.active),
-                    iteration=effect.iteration,
-                )
-        return None

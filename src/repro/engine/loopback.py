@@ -27,30 +27,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from repro.analysis.sanitizer import ProtocolSanitizer, sanitizer_from_env
+from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.core.results import SpecStats
-from repro.engine.core import ReceiveDrivenEngine, SpecEngine, topology
-from repro.engine.events import (
-    Arrival,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
-    Charge,
-    ComputeBegin,
-    Corrected,
-    Degraded,
-    FaultInjected,
-    IterationDone,
-    Recv,
-    Retransmit,
-    Send,
-    Speculated,
-    TryRecv,
-    Verified,
-    WindowChanged,
-)
+from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
+from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
+from repro.engine.observer import RankObserver
 from repro.faults.middleware import wrap_engine
 from repro.faults.plan import FaultPlan
 from repro.policy import WindowPolicy
@@ -81,22 +65,21 @@ class LoopbackRunner:
         Run under the :class:`~repro.analysis.sanitizer.ProtocolSanitizer`
         (the same runtime seat the DES and pipe backends use); ``None``
         (default) defers to the ``REPRO_SANITIZE`` environment variable.
+        An already-built sanitizer is shared as is (:func:`run_loopback`
+        hands over the one its engines were built with).
     """
 
     def __init__(
         self,
         engines: Dict[int, Any],
         event_log: Any = None,
-        sanitize: Optional[bool] = None,
+        sanitize: "Optional[bool | ProtocolSanitizer]" = None,
     ) -> None:
         if not engines:
             raise ValueError("need at least one engine")
         self.engines = dict(engines)
         self.event_log = event_log
-        if sanitize is None:
-            self.sanitizer: Optional[ProtocolSanitizer] = sanitizer_from_env()
-        else:
-            self.sanitizer = ProtocolSanitizer() if sanitize else None
+        self.sanitizer: Optional[ProtocolSanitizer] = resolve_sanitizer(sanitize)
         self.queues: Dict[int, Deque[_QueuedMessage]] = {
             rank: deque() for rank in self.engines
         }
@@ -104,30 +87,39 @@ class LoopbackRunner:
         self.phase_ops: Dict[int, Dict[str, float]] = {
             rank: {} for rank in self.engines
         }
-        #: rank -> [(iteration, new_fw)] window-policy decisions.
-        self.window_history: Dict[int, list[Tuple[int, int]]] = {
-            rank: [] for rank in self.engines
-        }
         self._step = 0
         #: Scheduler sweeps completed — the loopback's coarse clock
         #: (responds to ``IterationDone``; also the unit of
         #: ``Arrival.waited`` for ranks parked on a blocking receive).
-        self._rounds = 0
+        self.rounds = 0
         self._parked_at: Dict[int, int] = {}
         #: rank -> round at which a parked Recv's ``timeout`` expires
         #: (the rank then resumes with None so the engine's retransmit
         #: timer can escalate; fault-free engines never set one).
         self._parked_deadline: Dict[int, int] = {}
+        #: rank -> observer seat; its clock is the sweep count.
+        self.observers: Dict[int, RankObserver] = {}
+        for rank, engine in self.engines.items():
+            observer = self.observers[rank] = RankObserver(
+                rank,
+                sanitizer=self.sanitizer,
+                record=(
+                    None if event_log is None else partial(self._record, rank)
+                ),
+                clock=lambda: float(self.rounds),
+            )
+            observer.begin(engine)
 
     @property
-    def rounds(self) -> int:
-        """Scheduler sweeps completed — the loopback's coarse clock."""
-        return self._rounds
+    def window_history(self) -> Dict[int, list[Tuple[int, int]]]:
+        """rank -> (iteration, fw) trajectory from each rank's observer."""
+        return {r: obs.window_history for r, obs in self.observers.items()}
 
     # -------------------------------------------------------------- running
     def run(self) -> Dict[int, Any]:
         """Execute every rank to completion; rank -> final block."""
         gens = {rank: engine.run() for rank, engine in self.engines.items()}
+        notify = {rank: obs.notify for rank, obs in self.observers.items()}
         response: Dict[int, Optional[Arrival | float]] = {
             rank: None for rank in gens
         }
@@ -136,15 +128,15 @@ class LoopbackRunner:
 
         while len(finals) < len(gens):
             progress = False
-            self._rounds += 1
+            self.rounds += 1
             for rank in sorted(gens):
                 if rank in finals:
                     continue
                 if rank in blocked:
-                    arrival = self._match(rank, blocked[rank])
+                    arrival = self._match(rank, blocked[rank].match)
                     if arrival is None:
                         deadline = self._parked_deadline.get(rank)
-                        if deadline is None or self._rounds < deadline:
+                        if deadline is None or self.rounds < deadline:
                             continue  # still blocked
                         # Bounded park expired: resume with None.
                         self._parked_at.pop(rank, None)
@@ -153,7 +145,7 @@ class LoopbackRunner:
                         del blocked[rank]
                         progress = True
                     else:
-                        waited = float(self._rounds - self._parked_at.pop(rank))
+                        waited = float(self.rounds - self._parked_at.pop(rank))
                         self._parked_deadline.pop(rank, None)
                         response[rank] = replace(arrival, waited=waited)
                         del blocked[rank]
@@ -172,15 +164,15 @@ class LoopbackRunner:
                     if kind is Send:
                         self._deliver(rank, effect)
                     elif kind is TryRecv:
-                        response[rank] = self._match_wildcard(rank)
+                        response[rank] = self._match(rank, None)
                     elif kind is Recv:
-                        arrival = self._match(rank, effect)
+                        arrival = self._match(rank, effect.match)
                         if arrival is None:
                             blocked[rank] = effect
-                            self._parked_at[rank] = self._rounds
+                            self._parked_at[rank] = self.rounds
                             if effect.timeout is not None:
                                 self._parked_deadline[rank] = (
-                                    self._rounds
+                                    self.rounds
                                     + max(1, int(effect.timeout))
                                 )
                             break
@@ -189,7 +181,7 @@ class LoopbackRunner:
                         tally = self.phase_ops[rank]
                         tally[effect.phase] = tally.get(effect.phase, 0.0) + effect.ops
                     else:
-                        response[rank] = self._observe(rank, effect)
+                        response[rank] = notify[rank](effect)
             if not progress:
                 if self._parked_deadline:
                     # A bounded park is still counting down: advancing
@@ -210,125 +202,39 @@ class LoopbackRunner:
     def _deliver(self, src: int, effect: Send) -> None:
         if effect.dst not in self.queues:
             raise ValueError(f"send to unknown rank {effect.dst}")
-        self._observe_message("send", src, peer=effect.dst,
-                              family=effect.family, iteration=effect.iteration)
+        self._record(src, "send", effect.dst, effect.family, effect.iteration)
         self.queues[effect.dst].append(
             (src, effect.seq, effect.family, effect.iteration, effect.payload)
         )
 
-    def _match_wildcard(self, rank: int) -> Optional[Arrival]:
+    def _match(
+        self, rank: int, match: Optional[Tuple[str, int]]
+    ) -> Optional[Arrival]:
+        """Pop ``rank``'s oldest queued message matching ``(family,
+        iteration)`` (None matches any)."""
         queue = self.queues[rank]
-        if not queue:
-            return None
-        src, seq, family, iteration, payload = queue.popleft()
-        if self.sanitizer is not None:
-            self.sanitizer.on_delivery(rank, src, seq)
-        self._observe_message("recv", rank, peer=src,
-                              family=family, iteration=iteration)
-        return Arrival(src=src, iteration=iteration, payload=payload, seq=seq)
-
-    def _match(self, rank: int, effect: Recv) -> Optional[Arrival]:
-        if effect.match is None:
-            return self._match_wildcard(rank)
-        queue = self.queues[rank]
-        want_family, want_iteration = effect.match
         for i, (src, seq, family, iteration, payload) in enumerate(queue):
-            if family == want_family and iteration == want_iteration:
+            if match is None or (family, iteration) == match:
                 del queue[i]
                 if self.sanitizer is not None:
                     self.sanitizer.on_delivery(rank, src, seq)
-                self._observe_message("recv", rank, peer=src,
-                                      family=family, iteration=iteration)
+                self._record(rank, "recv", src, family, iteration)
                 return Arrival(src=src, iteration=iteration, payload=payload,
                                seq=seq)
         return None
 
     # ------------------------------------------------------------ observers
-    def _tick(self) -> float:
-        self._step += 1
-        return float(self._step)
-
-    def _observe_message(
-        self, kind: str, rank: int, peer: int, family: str, iteration: int
+    def _record(
+        self, rank: int, kind: str, peer: Optional[int],
+        family: Optional[str], iteration: Optional[int],
     ) -> None:
+        """Trace one event, stamped with the step counter."""
         if self.event_log is not None:
+            self._step += 1
             self.event_log.record(
-                kind, rank, self._tick(), peer=peer,
-                family=family, iteration=iteration,
+                kind, rank, float(self._step), peer=peer, family=family,
+                iteration=iteration,
             )
-
-    def _observe(self, rank: int, effect: Any) -> Optional[float]:
-        """Fan one protocol event out to the sanitizer and event log
-        (the loopback seat of ``DESTransport._notify``).
-
-        Returns the sweep count for ``IterationDone`` — the loopback's
-        clock for the engine-seated window policy."""
-        log = self.event_log
-        san = self.sanitizer
-        kind = type(effect)
-        if kind is Speculated:
-            if san is not None:
-                san.on_speculate(rank, effect.peer, effect.iteration)
-            if log is not None and not effect.in_cascade:
-                log.record("speculate", rank, self._tick(), peer=effect.peer,
-                           family="vars", iteration=effect.iteration)
-        elif kind is ComputeBegin:
-            if san is not None:
-                san.on_compute_begin(
-                    rank, effect.iteration, effect.verified_upto, effect.fw
-                )
-            if log is not None:
-                log.record("compute", rank, self._tick(),
-                           iteration=effect.iteration)
-        elif kind is Verified:
-            if san is not None:
-                san.on_verify(rank, effect.peer, effect.iteration)
-            if log is not None:
-                log.record("verify", rank, self._tick(), peer=effect.peer,
-                           family="vars", iteration=effect.iteration)
-        elif kind is Corrected:
-            if log is not None:
-                log.record("correct", rank, self._tick(), peer=effect.peer,
-                           family="vars", iteration=effect.iteration)
-        elif kind is CascadeBegin:
-            if san is not None:
-                san.on_cascade_begin(rank, effect.iteration)
-        elif kind is CascadeStep:
-            if san is not None:
-                san.on_cascade_step(rank, effect.iteration)
-        elif kind is CascadeEnd:
-            if san is not None:
-                san.on_cascade_end(rank)
-        elif kind is IterationDone:
-            return float(self._rounds)
-        elif kind is WindowChanged:
-            if san is not None:
-                san.on_window_changed(
-                    rank, effect.iteration, effect.old_fw, effect.new_fw,
-                    effect.min_fw, effect.max_fw,
-                )
-            if log is not None:
-                log.record("window", rank, self._tick(),
-                           peer=effect.new_fw, iteration=effect.iteration)
-            self.window_history[rank].append((effect.iteration, effect.new_fw))
-        elif kind is FaultInjected:
-            if log is not None:
-                log.record("fault", rank, self._tick(), peer=effect.src,
-                           family="vars", iteration=effect.iteration)
-        elif kind is Retransmit:
-            if san is not None:
-                san.on_retransmit(rank, effect.peer, effect.seq,
-                                  effect.attempt, effect.max_attempts)
-            if log is not None:
-                log.record("retransmit", rank, self._tick(),
-                           peer=effect.peer, family="vars",
-                           iteration=effect.seq)
-        elif kind is Degraded:
-            if log is not None:
-                log.record("degraded", rank, self._tick(),
-                           peer=int(effect.active),
-                           iteration=effect.iteration)
-        return None
 
 
 def run_loopback(
@@ -353,8 +259,18 @@ def run_loopback(
     inspect).  With a ``fault_plan``, each engine is wrapped in the
     :mod:`repro.faults` receive-path seam (speculative engines only).
     """
-    needed, audience = topology(program)
+    if receive_driven and (
+        fw != 1 or cascade != "recompute" or window_policy is not None
+        or fault_plan is not None
+    ):
+        raise ValueError(
+            "receive_driven=True runs the Fig. 7 baseline, which has no "
+            "forward window: fw, cascade, window_policy and fault_plan "
+            "do not apply"
+        )
+    topo = needed, audience = topology(program)
     stats = [SpecStats(rank=r) for r in range(program.nprocs)]
+    sanitizer = resolve_sanitizer(sanitize)
     engines: Dict[int, Any] = {}
     for rank in range(program.nprocs):
         if receive_driven:
@@ -363,26 +279,18 @@ def run_loopback(
             )
         else:
             engines[rank] = wrap_engine(
-                SpecEngine(
-                    program, rank, needed[rank], audience[rank],
-                    fw=fw, cascade=cascade, stats=stats[rank],
-                    policy=window_policy, hist_cap=hist_cap,
-                    max_retries=(
-                        fault_plan.max_retries if fault_plan is not None else 4
-                    ),
-                    retry_backoff=(
-                        fault_plan.retry_backoff
-                        if fault_plan is not None else 1.0
-                    ),
+                build_engine(
+                    program, rank, topo, fw=fw, cascade=cascade,
+                    hist_cap=hist_cap, stats=stats[rank],
+                    policy=window_policy, sanitizer=sanitizer,
+                    fault_plan=fault_plan,
                 ),
                 fault_plan,
             )
-    runner = LoopbackRunner(engines, event_log=event_log, sanitize=sanitize)
-    if runner.sanitizer is not None:
-        # Same sanitizer instance in the engines' buffer-occupancy seat
-        # (ReceiveDrivenEngine has no such seat and keeps its shape).
-        for engine in engines.values():
-            if hasattr(engine, "sanitizer"):
-                engine.sanitizer = runner.sanitizer
+    # The runner shares the sanitizer the engines were built with.
+    runner = LoopbackRunner(
+        engines, event_log=event_log,
+        sanitize=False if sanitizer is None else sanitizer,
+    )
     finals = runner.run()
     return finals, stats, runner

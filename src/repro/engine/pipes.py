@@ -36,27 +36,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import ProtocolSanitizer, sanitizer_from_env
-from repro.engine.events import (
-    VARS,
-    Arrival,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
-    Charge,
-    ComputeBegin,
-    Corrected,
-    Degraded,
-    FaultInjected,
-    IterationDone,
-    Recv,
-    Retransmit,
-    Send,
-    Speculated,
-    TryRecv,
-    Verified,
-    WindowChanged,
-)
+from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
+from repro.engine.events import VARS, Arrival, Charge, Recv, Send, TryRecv
+from repro.engine.observer import RankObserver
 from repro.engine.transport import TransportError
 from repro.trace.events import TraceEvent
 
@@ -108,10 +90,7 @@ class PipeTransport:
         self.jitter = jitter
         self._rng = rng
         self.record_events = record_events
-        if sanitize is None:
-            self.sanitizer: Optional[ProtocolSanitizer] = sanitizer_from_env()
-        else:
-            self.sanitizer = ProtocolSanitizer() if sanitize else None
+        self.sanitizer: Optional[ProtocolSanitizer] = resolve_sanitizer(sanitize)
         #: Per-peer FIFO of gated messages, already sequence-checked.
         self._inbox: Dict[int, List[_Pending]] = {src: [] for src in self._conns}
         #: Next expected wire sequence number per peer.
@@ -122,11 +101,17 @@ class PipeTransport:
         self.events: List[TraceEvent] = []
         self._event_seq = 0
         self.phase_seconds: Dict[str, float] = {}
-        #: (iteration, new_fw) decisions from the engine-seated window
-        #: policy (always collected; the worker reports them upstream).
-        self.window_events: List[Tuple[int, int]] = []
         self.t0 = time.monotonic()
         self._mark = self.t0
+        #: The rank's observer seat; its clock is wall seconds since
+        #: :meth:`start` (the seated window policy adapts on real
+        #: blocked-in-select time here).
+        self.observer = RankObserver(
+            rank,
+            sanitizer=self.sanitizer,
+            record=self._emit if record_events else None,
+            clock=lambda: self.wall_seconds,
+        )
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -135,7 +120,6 @@ class PipeTransport:
         self._mark = self.t0
         self._event_seq = 0
         self.events.clear()
-        self.window_events.clear()
 
     @property
     def wall_seconds(self) -> float:
@@ -154,7 +138,7 @@ class PipeTransport:
         delay = self.latency
         if self.jitter > 0 and self._rng is not None:
             delay *= float(np.exp(self._rng.normal(0.0, self.jitter)))
-        self._emit("send", peer=effect.dst, iteration=effect.iteration)
+        self._emit("send", effect.dst, effect.family, effect.iteration)
         conn = self._conns.get(effect.dst)
         if conn is None:
             raise TransportError(f"no pipe to rank {effect.dst}")
@@ -215,60 +199,7 @@ class PipeTransport:
             connection.wait(self._wait_list, timeout)
 
     def notify(self, effect: Any) -> Optional[float]:
-        san = self.sanitizer
-        kind = type(effect)
-        if kind is Speculated:
-            if san is not None:
-                san.on_speculate(self.rank, effect.peer, effect.iteration)
-            if not effect.in_cascade:
-                self._emit("speculate", peer=effect.peer,
-                           iteration=effect.iteration)
-        elif kind is ComputeBegin:
-            if san is not None:
-                san.on_compute_begin(
-                    self.rank, effect.iteration, effect.verified_upto,
-                    effect.fw,
-                )
-            self._emit("compute", iteration=effect.iteration)
-        elif kind is Verified:
-            if san is not None:
-                san.on_verify(self.rank, effect.peer, effect.iteration)
-            self._emit("verify", peer=effect.peer, iteration=effect.iteration)
-        elif kind is Corrected:
-            self._emit("correct", peer=effect.peer, iteration=effect.iteration)
-        elif kind is CascadeBegin:
-            if san is not None:
-                san.on_cascade_begin(self.rank, effect.iteration)
-        elif kind is CascadeStep:
-            if san is not None:
-                san.on_cascade_step(self.rank, effect.iteration)
-        elif kind is CascadeEnd:
-            if san is not None:
-                san.on_cascade_end(self.rank)
-        elif kind is IterationDone:
-            # Respond with the wall clock: the engine-seated window
-            # policy adapts on real blocked-in-select seconds here.
-            return self.wall_seconds
-        elif kind is WindowChanged:
-            if san is not None:
-                san.on_window_changed(
-                    self.rank, effect.iteration, effect.old_fw,
-                    effect.new_fw, effect.min_fw, effect.max_fw,
-                )
-            self._emit("window", peer=effect.new_fw,
-                       iteration=effect.iteration)
-            self.window_events.append((effect.iteration, effect.new_fw))
-        elif kind is FaultInjected:
-            self._emit("fault", peer=effect.src, iteration=effect.iteration)
-        elif kind is Retransmit:
-            if san is not None:
-                san.on_retransmit(self.rank, effect.peer, effect.seq,
-                                  effect.attempt, effect.max_attempts)
-            self._emit("retransmit", peer=effect.peer, iteration=effect.seq)
-        elif kind is Degraded:
-            self._emit("degraded", peer=int(effect.active),
-                       iteration=effect.iteration)
-        return None
+        return self.observer.notify(effect)
 
     # ------------------------------------------------------------- internals
     def _pump(self) -> None:
@@ -310,7 +241,7 @@ class PipeTransport:
         _effective, seq, iteration, payload = self._inbox[best_src].pop(0)
         if self.sanitizer is not None:
             self.sanitizer.on_delivery(self.rank, best_src, seq)
-        self._emit("recv", peer=best_src, iteration=iteration)
+        self._emit("recv", best_src, VARS, iteration)
         return Arrival(src=best_src, iteration=iteration, payload=payload,
                        seq=seq)
 
@@ -323,8 +254,8 @@ class PipeTransport:
         return max(0.0, min(stamps) - now)
 
     def _emit(
-        self, kind: str, peer: Optional[int] = None,
-        iteration: Optional[int] = None,
+        self, kind: str, peer: Optional[int], family: Optional[str],
+        iteration: Optional[int],
     ) -> None:
         if not self.record_events:
             return
@@ -334,7 +265,7 @@ class PipeTransport:
             TraceEvent(
                 rank=self.rank, seq=self._event_seq, kind=kind,
                 time=time.monotonic() - self.t0,
-                peer=peer, family=VARS, iteration=iteration,
+                peer=peer, family=family, iteration=iteration,
             )
         )
         self._event_seq += 1

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Optional
 
 from repro.core.program import SyncIterativeProgram
+from repro.core.results import SpecStats, fleet_rejection_rate
 from repro.engine.pipes import close_mesh, full_mesh
 from repro.faults import FaultPlan, merge_summaries
-from repro.faults.plan import FaultSummary
 from repro.parallel.worker import WorkerReport, worker_main
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.trace.events import EventLog
@@ -28,7 +28,7 @@ class MPRunResult:
     final_blocks:
         rank → final block.
     reports:
-        Full per-worker reports (phase seconds, speculation counters).
+        Full per-worker reports (phase seconds, :class:`SpecStats`).
     fw:
         Forward window used.
     """
@@ -54,6 +54,11 @@ class MPRunResult:
             log.extend(report.events)  # specbound: disable=SPB406
         return log
 
+    @property
+    def stats(self) -> list[SpecStats]:
+        """Per-rank protocol counters, in rank order."""
+        return [r.stats for r in self.reports]
+
     def window_history(self) -> dict[int, list[tuple[int, int]]]:
         """rank → (iteration, fw) trajectory from each worker's seated
         window policy (a single ``(0, fw)`` entry for static runs)."""
@@ -61,32 +66,14 @@ class MPRunResult:
 
     def final_windows(self) -> list[int]:
         """The FW each rank's engine ended the run with."""
-        return [r.final_fw for r in self.reports]
+        return [r.window_history[-1][1] for r in self.reports]
 
     def fault_summary(self) -> Optional[dict]:
         """Fleet-wide injected-fault/recovery totals, None on clean runs."""
-        per_rank = [r.fault_summary for r in self.reports]
-        if all(s is None for s in per_rank):
-            return None
         summaries = [
-            FaultSummary(
-                rank=s["rank"],
-                injected=dict(s["injected"]),
-                retransmits_serviced=s["retransmits_serviced"],
-                auto_retransmits=s["auto_retransmits"],
-                outstanding_losses=s["outstanding_losses"],
-            )
-            for s in per_rank
-            if s is not None
+            r.fault_summary for r in self.reports if r.fault_summary is not None
         ]
-        merged = merge_summaries(summaries)
-        merged["retransmits_requested"] = sum(
-            r.retransmits for r in self.reports
-        )
-        merged["dups_suppressed"] = sum(
-            r.dups_suppressed for r in self.reports
-        )
-        return merged
+        return merge_summaries(summaries) if summaries else None
 
     def phase_seconds(self, phase: str, how: str = "max") -> float:
         """Aggregate one phase's wall time over workers."""
@@ -102,10 +89,7 @@ class MPRunResult:
     @property
     def rejection_rate(self) -> float:
         """Cluster-wide fraction of checked speculations rejected."""
-        checks = sum(r.spec_accepted + r.spec_rejected for r in self.reports)
-        if checks == 0:
-            return 0.0
-        return sum(r.spec_rejected for r in self.reports) / checks
+        return fleet_rejection_rate(self.stats)
 
 
 class MPRunner:
@@ -199,6 +183,13 @@ class MPRunner:
         # Full mesh of duplex pipes: mesh[i][j] is i's endpoint to j.
         mesh = full_mesh(ctx, p)
 
+        knobs = dict(
+            fw=self.fw, latency=self.latency, jitter=self.jitter,
+            seed=self.seed, record_events=self.record_events,
+            cascade=self.cascade, sanitize=self.sanitize,
+            window_policy=self.window_policy, fault_plan=self.fault_plan,
+            hist_cap=self.hist_cap,
+        )
         result_conns = []
         barrier = ctx.Barrier(p)
         workers = []
@@ -207,23 +198,8 @@ class MPRunner:
             result_conns.append(parent_conn)
             proc = ctx.Process(
                 target=worker_main,
-                args=(
-                    rank,
-                    self.program,
-                    self.fw,
-                    mesh[rank],
-                    child_conn,
-                    self.latency,
-                    self.jitter,
-                    self.seed,
-                    barrier,
-                    self.record_events,
-                    self.cascade,
-                    self.sanitize,
-                    self.window_policy,
-                    self.fault_plan,
-                    self.hist_cap,
-                ),
+                args=(rank, self.program, mesh[rank], child_conn, barrier),
+                kwargs=knobs,
                 daemon=True,
             )
             workers.append(proc)
@@ -261,10 +237,7 @@ class MPRunner:
                     if failed:
                         reports.extend(
                             WorkerReport(
-                                rank=rank,
-                                final_block=None,
-                                phase_seconds={},
-                                error="did not report after a peer failed",
+                                rank, error="did not report after a peer failed"
                             )
                             for rank in missing
                         )
@@ -280,10 +253,7 @@ class MPRunner:
                         report = conn.recv()
                     except EOFError:
                         report = WorkerReport(
-                            rank=rank,
-                            final_block=None,
-                            phase_seconds={},
-                            error="worker process died without reporting",
+                            rank, error="worker process died without reporting"
                         )
                     reports.append(report)
                     if report.error is not None:

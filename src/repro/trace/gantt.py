@@ -7,6 +7,7 @@ per time bucket, keyed by phase.
 
 from __future__ import annotations
 
+import sys
 from typing import Mapping, Optional, Sequence
 
 from repro.trace.phases import PhaseTrace
@@ -61,9 +62,10 @@ def render_gantt(
     if t_end is None:
         ends = [max((i.end for i in t.intervals), default=0.0) for t in traces]
         t_end = max(ends) if ends else 0.0
-    if t_end <= 0 or t_end / width == 0.0:
-        # No span at all, or one so small (denormal) that a bucket
-        # width underflows to zero: draw on a unit axis instead.
+    if t_end <= 0 or t_end / width < sys.float_info.min:
+        # No span at all, or one so small that a bucket width is
+        # denormal (bucket indices would overflow): draw on a unit
+        # axis instead.
         t_end = 1.0
     dt = t_end / width
 

@@ -5,15 +5,19 @@ report shape, and stay in exact agreement with the legacy per-backend
 entry points it wraps.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro import RunConfig, RunReport, run
-from repro.core import run_program
+from repro.core import SpecStats, run_program
 from repro.engine.loopback import run_loopback
-from repro.faults import EdgeFault, FaultPlan
+from repro.faults import EdgeFault, FaultPlan, TriggerWindow
+from repro.harness.toys import JumpyProgram
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import DelayNetwork
+from repro.platforms import wustl_1994
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement
@@ -108,6 +112,57 @@ def test_all_backends_match_reference_physics():
         assert report.backend == backend
         for rank, expected in reference.items():
             np.testing.assert_array_equal(report.results[rank], expected)
+
+
+@pytest.mark.parametrize("backend", ["loopback", "mp"])
+def test_report_counts_and_traces_the_same_things_as_des(backend):
+    """Cross-backend differential on the report, DES as the reference:
+    a backend is a transport and nothing else, so what a rank counts,
+    what the fault receipt holds and what the trace is stamped with
+    must not depend on it."""
+    prog = JumpyProgram(nprocs=3, iterations=6)
+
+    def go(on, **knobs):
+        if on != "loopback" and knobs.get("fw"):
+            # Give the clocked backends something to speculate across
+            # (loopback's scheduler runs ahead by construction).
+            knobs["latency"] = 0.02
+        return run(RunConfig(prog, backend=on, timeout=120.0, **knobs))
+
+    # Fault-free fw=0 is deterministic everywhere: every counter agrees.
+    ref, got = go("des", fw=0), go(backend, fw=0)
+    for rank in range(prog.nprocs):
+        assert type(got.stats[rank]) is SpecStats
+        assert asdict(got.stats[rank]) == asdict(ref.stats[rank])
+    assert ref.stats[0].messages_sent == ref.stats[0].messages_received > 0
+
+    # One dropped message: the same receipt keys, and the drop is in it.
+    one_drop = FaultPlan(edges=(
+        EdgeFault("drop", 1.0, src=1, dst=0, window=TriggerWindow(2, 3)),
+    ))
+    ref, got = go("des", fault_plan=one_drop), go(backend, fault_plan=one_drop)
+    assert set(got.fault_summary) == set(ref.fault_summary)
+    assert got.fault_summary["injected"] == ref.fault_summary["injected"]
+    assert got.fault_summary["injected"] == {"drop": 1}
+
+    # Same trace vocabulary: which kinds carry a family is the table's
+    # decision, not the backend's.
+    def vocabulary(report):
+        return {(e.kind, e.family) for e in report.event_log}
+
+    assert vocabulary(go(backend, fw=1, record_trace=True)) == vocabulary(
+        go("des", fw=1, record_trace=True)
+    )
+
+
+def test_cluster_that_already_ran_is_refused():
+    """A frozen RunConfig with an explicit cluster used to run twice,
+    the second time on the first run's clock (9.233 then 18.466)."""
+    cfg = RunConfig(JumpyProgram(nprocs=3, iterations=6), backend="des",
+                    cluster=wustl_1994(3).cluster())
+    run(cfg)
+    with pytest.raises(ValueError, match="already run"):
+        run(cfg)
 
 
 # ---------------------------------------------------------- report shape

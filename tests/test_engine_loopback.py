@@ -50,6 +50,18 @@ def test_loopback_receive_driven_matches_spec_engine():
         np.testing.assert_allclose(spec[rank], base[rank], atol=1e-12)
 
 
+@pytest.mark.parametrize("knob", [
+    {"fw": 2}, {"cascade": "none"}, {"window_policy": object()},
+    {"fault_plan": object()},
+])
+def test_receive_driven_refuses_knobs_it_would_ignore(knob):
+    """The Fig. 7 baseline has no forward window: speculation knobs set
+    beside ``receive_driven=True`` used to be dropped silently."""
+    prog = CoupledIncrement(nprocs=2, iterations=3)
+    with pytest.raises(ValueError, match="receive_driven"):
+        run_loopback(prog, receive_driven=True, **knob)
+
+
 # ------------------------------------------------------------- speculation
 def test_round_robin_schedule_produces_speculation():
     """A constant state is predicted perfectly by a zero-order hold:

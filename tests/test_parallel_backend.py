@@ -53,7 +53,7 @@ def test_fw2_runs_and_is_exact_under_perfect_speculation():
     for rank in range(3):
         np.testing.assert_allclose(result.final_blocks[rank], ref[rank],
                                    atol=1e-12)
-    assert sum(r.spec_made for r in result.reports) > 0
+    assert sum(s.spec_made for s in result.stats) > 0
     assert result.rejection_rate == 0.0
 
 
@@ -64,7 +64,7 @@ def test_fw1_perfect_speculation_no_rejections():
     )
     result = MPRunner(prog, fw=1, latency=0.02).run(timeout=60)
     assert result.rejection_rate == 0.0
-    total_spec = sum(r.spec_made for r in result.reports)
+    total_spec = sum(s.spec_made for s in result.stats)
     assert total_spec > 0
 
 

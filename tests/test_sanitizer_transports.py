@@ -1,12 +1,15 @@
-"""One sanitizer, three transports: the runtime seat is uniform.
+"""One sanitizer, one observer table, three transports.
 
-The registry-backed :class:`ProtocolSanitizer` now rides along on all
+The registry-backed :class:`ProtocolSanitizer` rides along on all
 three backends (DES via ``Environment.sanitizer``/``DESTransport``,
 loopback via ``LoopbackRunner(sanitize=...)``, pipes via
-``PipeTransport(sanitize=...)``).  These tests feed each transport's
-*real* notification path the effect stream a deliberately broken
-engine hook would emit and assert all three trip the **same invariant
-id** — plus an end-to-end loopback run with a genuinely ungated engine.
+``PipeTransport(sanitize=...)``) through the one
+:class:`~repro.engine.observer.RankObserver` each backend constructs.
+These tests feed the observer *each backend actually built* the effect
+stream a deliberately broken engine hook would emit and assert it is
+the shared table that trips — plus a direct test that the table covers
+every notification effect, and an end-to-end loopback run with a
+genuinely ungated engine.
 """
 
 import numpy as np
@@ -16,8 +19,10 @@ from repro.analysis.modelcheck.scenario import DriftProgram
 from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.engine.core import SpecEngine, topology
 from repro.engine.des_transport import DESTransport
-from repro.engine.events import ComputeBegin, Send, Speculated
+from repro.engine import events as ev
+from repro.engine.events import ComputeBegin, Speculated
 from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner
+from repro.engine.observer import OBSERVED, RankObserver
 from repro.engine.pipes import PipeTransport
 
 
@@ -46,16 +51,17 @@ class _StubProc:
     env = _StubEnv()
 
 
-def _drip(notify):
-    """Feed the broken stream through one transport's notify seat."""
+def _drip(observer):
+    """Feed the broken stream through the observer a backend built."""
+    assert type(observer) is RankObserver
     for effect in _BROKEN_STREAM:
-        notify(effect)
+        observer.notify(effect)
 
 
 def test_des_transport_seat_trips_forward_window_bound():
     transport = DESTransport(_StubProc(), sanitizer=ProtocolSanitizer())
     with pytest.raises(ProtocolViolation) as exc:
-        _drip(transport._notify)
+        _drip(transport.observer)
     assert exc.value.invariant == EXPECTED
 
 
@@ -68,15 +74,102 @@ def test_loopback_seat_trips_forward_window_bound():
     }
     runner = LoopbackRunner(engines, sanitize=True)
     with pytest.raises(ProtocolViolation) as exc:
-        _drip(lambda effect: runner._observe(0, effect))
+        _drip(runner.observers[0])
     assert exc.value.invariant == EXPECTED
 
 
 def test_pipe_transport_seat_trips_forward_window_bound():
     transport = PipeTransport(rank=0, conns={}, sanitize=True)
     with pytest.raises(ProtocolViolation) as exc:
-        _drip(transport.notify)
+        _drip(transport.observer)
     assert exc.value.invariant == EXPECTED
+
+
+# One instance of every effect type, with distinct field values so a
+# swapped peer/iteration in a table row cannot cancel out.
+_SAMPLES = {
+    ev.Speculated: ev.Speculated(peer=1, iteration=3),
+    ev.ComputeBegin: ev.ComputeBegin(iteration=3, verified_upto=2, fw=1),
+    ev.Verified: ev.Verified(peer=1, iteration=3),
+    ev.Corrected: ev.Corrected(peer=1, iteration=3),
+    ev.CascadeBegin: ev.CascadeBegin(iteration=3),
+    ev.CascadeStep: ev.CascadeStep(iteration=4),
+    ev.CascadeEnd: ev.CascadeEnd(),
+    ev.IterationDone: ev.IterationDone(iteration=3),
+    ev.WindowChanged: ev.WindowChanged(
+        iteration=4, old_fw=1, new_fw=2, min_fw=0, max_fw=5),
+    ev.FaultInjected: ev.FaultInjected(kind="drop", src=1, seq=7, iteration=3),
+    ev.Retransmit: ev.Retransmit(
+        peer=1, seq=7, attempt=1, max_attempts=4, backoff=1.0),
+    ev.Degraded: ev.Degraded(iteration=4, active=True, losses=2),
+}
+
+#: What the shared table must do with each sample on rank 0: the
+#: sanitizer hook it calls (None = none) and the trace record it leaves.
+_EXPECTED_ROWS = {
+    ev.Speculated: (("on_speculate", (0, 1, 3)), ("speculate", 1, "vars", 3)),
+    ev.ComputeBegin: (
+        ("on_compute_begin", (0, 3, 2, 1)), ("compute", None, None, 3)),
+    ev.Verified: (("on_verify", (0, 1, 3)), ("verify", 1, "vars", 3)),
+    ev.Corrected: (None, ("correct", 1, "vars", 3)),
+    ev.CascadeBegin: (("on_cascade_begin", (0, 3)), None),
+    ev.CascadeStep: (("on_cascade_step", (0, 4)), None),
+    ev.CascadeEnd: (("on_cascade_end", (0,)), None),
+    ev.IterationDone: (None, None),
+    ev.WindowChanged: (
+        ("on_window_changed", (0, 4, 1, 2, 0, 5)), ("window", 2, None, 4)),
+    ev.FaultInjected: (None, ("fault", 1, "vars", 3)),
+    ev.Retransmit: (
+        ("on_retransmit", (0, 1, 7, 1, 4)), ("retransmit", 1, "vars", 7)),
+    ev.Degraded: (None, ("degraded", 1, None, 4)),
+}
+
+
+class _SpySanitizer:
+    """Records every hook call as (name, args)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append((name, args))
+
+
+def test_observer_table_covers_every_notification_effect():
+    """Every effect a transport does not interpret itself (all of
+    ``Effect`` but the four I/O + cost effects) has a table row, and
+    each row feeds the sanitizer and the trace exactly as pinned — a
+    new effect type without a row fails here."""
+    notifications = [
+        kind for kind in ev.Effect
+        if kind not in (ev.Send, ev.Recv, ev.TryRecv, ev.Charge)
+    ]
+    assert set(OBSERVED) == set(notifications) == set(_SAMPLES)
+    for kind in notifications:
+        spy, records = _SpySanitizer(), []
+        observer = RankObserver(
+            0, sanitizer=spy, record=lambda *entry: records.append(entry),
+            clock=lambda: 12.5,
+        )
+        response = observer.notify(_SAMPLES[kind])
+        hook, record = _EXPECTED_ROWS[kind]
+        assert spy.calls == ([hook] if hook else []), kind
+        assert records == ([record] if record else []), kind
+        assert response == (12.5 if kind is ev.IterationDone else None)
+    # The in_cascade suppression rule: sanitizer yes, trace no.
+    spy, records = _SpySanitizer(), []
+    RankObserver(0, sanitizer=spy, record=lambda *e: records.append(e)).notify(
+        ev.Speculated(peer=1, iteration=3, in_cascade=True)
+    )
+    assert spy.calls == [("on_speculate", (0, 1, 3))] and records == []
+
+
+def test_observer_owns_the_seeded_window_history():
+    observer = RankObserver(0)
+    observer.begin(type("E", (), {"fw": 2}))
+    observer.notify(_SAMPLES[ev.WindowChanged])
+    assert observer.window_history == [(0, 2), (4, 2)]
+    assert observer.notify(ev.IterationDone(iteration=0)) is None  # no clock
 
 
 def test_loopback_end_to_end_ungated_engine_trips_same_invariant():

@@ -201,7 +201,7 @@ def test_static_window_parity_on_loopback():
         np.testing.assert_array_equal(plain[0][rank], seated[0][rank])
     assert [vars(s) for s in plain[1]] == [vars(s) for s in seated[1]]
     assert list(plain_log) == list(seated_log)
-    assert seated[2].window_history == {0: [], 1: [], 2: []}
+    assert seated[2].window_history == {r: [(0, 1)] for r in range(3)}
 
 
 def _mp_fingerprint(window_policy):
@@ -217,8 +217,8 @@ def _mp_fingerprint(window_policy):
     ]
     return (
         {r: np.asarray(b).tobytes() for r, b in result.final_blocks.items()},
-        [(r.spec_made, r.spec_accepted, r.spec_rejected, r.checks)
-         for r in result.reports],
+        [(s.spec_made, s.spec_accepted, s.spec_rejected, s.checks)
+         for s in result.stats],
         events,
     )
 
