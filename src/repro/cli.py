@@ -931,8 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fault.add_argument(
         "--delay-by", type=float, default=2.0, metavar="UNITS",
-        help="how long a delayed message is held, in transport clock "
-        "units (default: 2)",
+        help="how long a delayed message is held, in receive polls "
+        "(default: 2)",
     )
     fault.add_argument(
         "--reorder", type=float, default=0.0, metavar="RATE",

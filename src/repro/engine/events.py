@@ -96,11 +96,16 @@ class Charge:
     processor's capacity; the pipe transport attributes the *real*
     wall time since the previous effect boundary (the numerics just
     executed inside the engine) to the phase.
+
+    ``factor`` is the straggler stretch the fault seam folded into
+    ``ops``; the pipe transport, which ignores ``ops``, sleeps
+    ``factor - 1`` times the phase's real time instead.
     """
 
     ops: float
     phase: str
     iteration: int
+    factor: float = 1.0
 
 
 @dataclass(frozen=True)

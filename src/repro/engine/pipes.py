@@ -151,8 +151,13 @@ class PipeTransport:
         The numerics whose declared cost this is have just executed
         inside the engine, so the elapsed real time *is* the phase's
         cost on this backend; ``effect.ops`` is deliberately unused.
+        A straggler ``effect.factor`` stretches that time by sleeping
+        the difference — what a genuinely slow rank shows the timeline.
         """
         now = time.monotonic()
+        if effect.factor > 1.0:
+            time.sleep((now - self._mark) * (effect.factor - 1.0))
+            now = time.monotonic()
         self.phase_seconds[effect.phase] = (
             self.phase_seconds.get(effect.phase, 0.0) + (now - self._mark)
         )

@@ -8,18 +8,17 @@ The package has three layers:
   window.  Every decision is a pure function of
   ``(plan.seed, src, dst, seq)``, so the same plan injects the same
   faults on every backend and every run.
-* :class:`FaultInjector` — the per-receiving-rank runtime core shared
-  by both seams: it filters wire arrivals, retains dropped messages in
-  a retransmit buffer, schedules duplicate/delayed/retransmitted
-  re-deliveries against the caller's clock, and accumulates the
+* :class:`FaultInjector` — the per-receiving-rank runtime core: it
+  filters wire arrivals, retains dropped messages in a retransmit
+  buffer, schedules duplicate/delayed/retransmitted re-deliveries
+  against its receive-poll clock, and accumulates the
   :class:`FaultSummary`.
-* The seams — :class:`FaultyTransport` wraps any
-  :class:`~repro.engine.transport.Transport` (the pipes/mp backend);
-  :func:`wrap_engine` wraps an engine's effect stream (the loopback
-  and DES backends).  Both inject on the *receive path*, downstream of
-  the transport's own wire bookkeeping, so wire-level invariants
-  (sequence-gap-freedom at the transport) stay intact and the
-  engine-level resilience layer is what heals the losses.
+* The seam — :func:`wrap_engine` wraps an engine's effect stream in a
+  :class:`FaultyEngine`, on every backend (DES, loopback, mp).  It
+  injects on the *receive path*, downstream of the transport's own
+  wire bookkeeping, so wire-level invariants (sequence-gap-freedom at
+  the transport) stay intact and the engine-level resilience layer is
+  what heals the losses.
 """
 
 from repro.faults.injector import FaultInjector, InjectedCrash
@@ -32,7 +31,6 @@ from repro.faults.plan import (
     TriggerWindow,
     merge_summaries,
 )
-from repro.faults.transport import FaultyTransport
 
 __all__ = [
     "EdgeFault",
@@ -40,7 +38,6 @@ __all__ = [
     "FaultPlan",
     "FaultSummary",
     "FaultyEngine",
-    "FaultyTransport",
     "InjectedCrash",
     "RankFault",
     "TriggerWindow",

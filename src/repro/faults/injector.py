@@ -1,10 +1,10 @@
-"""The per-rank fault core both injection seams share.
+"""The per-rank fault core behind the fault seam.
 
 One :class:`FaultInjector` sits on a single rank's receive path.  It
 filters every wire arrival through the plan's edge faults, retains
 dropped messages in a retransmit buffer (the modelled sender keeps a
 copy until it is acknowledged), schedules duplicate / delayed /
-retransmitted re-deliveries against the caller's clock, and answers
+retransmitted re-deliveries against its receive-poll clock, and answers
 the engine's :class:`~repro.engine.events.Retransmit` requests.
 
 Every decision is ``_roll(seed, fault_index, src, dst, seq)`` — a
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.engine.events import Arrival, FaultInjected
 from repro.faults.plan import FaultPlan, FaultSummary
@@ -38,10 +38,9 @@ def _roll(seed: int, *key: Any) -> float:
 class FaultInjector:
     """Applies one :class:`FaultPlan` on one rank's receive path.
 
-    The caller owns the clock: :meth:`tick` is called with the
-    transport's notion of now (wall seconds on pipes; ``None`` to use
-    an internal poll counter on loopback/DES) and returns re-deliveries
-    that matured plus the :class:`FaultInjected` events to notify.
+    The clock is the receive-poll counter: the seam calls
+    :meth:`tick` once per poll of the rank's receive path and gets back
+    the re-deliveries that matured.
     """
 
     def __init__(self, plan: FaultPlan, rank: int) -> None:
@@ -127,16 +126,15 @@ class FaultInjector:
         return deliver, events
 
     # ----------------------------------------------------------------- clock
-    def tick(self, now: Optional[float] = None) -> List[Arrival]:
-        """Advance the clock; return matured re-deliveries.
+    def tick(self) -> List[Arrival]:
+        """Advance the clock by one receive poll; return matured
+        re-deliveries.
 
-        ``now`` is the transport clock (monotonic); ``None`` advances
-        an internal poll counter by one (the loopback/DES clock unit).
         Also fires the modelled sender's own retransmit timer for
         losses the engine has not (successfully) requested within
         ``plan.sender_timeout``.
         """
-        self.clock = self.clock + 1.0 if now is None else max(self.clock, now)
+        self.clock += 1.0
         if self.plan.retransmit:
             overdue = [
                 key for key, (_, lost_at) in self.lost.items()

@@ -1,23 +1,29 @@
-"""Engine-side fault seam for the loopback and DES backends.
+"""The fault seam: one stage in every backend's engine effect stream.
 
 :class:`FaultyEngine` wraps an engine's effect generator and injects
 the plan between the transport and the engine: arrivals responding to
-``Recv`` / ``TryRecv`` are filtered through the shared
+``Recv`` / ``TryRecv`` are filtered through the rank's
 :class:`~repro.faults.injector.FaultInjector`, re-deliveries are
 served from the wrapper's local queue (never touching the wire, so
 the transport's own sequence bookkeeping stays contiguous), and the
 engine's :class:`~repro.engine.events.Retransmit` requests are
 serviced from the retained-loss buffer.  :class:`FaultInjected`
 events are pushed downstream so each backend's observer seat
-(sanitizer + EventLog) records them through its normal dispatch.
+(sanitizer + EventLog) records them through its normal dispatch.  A
+straggler's factor multiplies ``Charge.ops`` and rides along as
+``Charge.factor`` for the medium that times phases instead of
+counting ops.
 
-Clocking: the injector's clock unit is one receive poll.  On the
-loopback the wrapper bounds blocking receives with ``Recv.timeout``
-(the runner resumes a parked rank with ``None`` after that many
-scheduler rounds); under DES — whose mailbox has no timeout — it
-polls with ``TryRecv`` and charges ``poll_ops`` of virtual comm time
-between polls, which *is* the "exponential backoff in transport clock
-units" of the retransmit story: waiting costs simulated time.
+Clocking: the injector's clock unit is one receive poll, on every
+backend.  While the injector holds anything, a blocking receive is
+bounded with ``Recv.timeout`` so a fruitless poll lasts at most one
+clock unit of the medium — a scheduler round on the loopback, one
+wall second on pipes; with nothing held the receive goes through
+untouched and the rank parks in its transport.  Under DES — whose
+mailbox has no timeout — the wrapper polls with ``TryRecv`` and
+charges 1 % of an iteration's compute as virtual comm time between
+polls, which *is* the "exponential backoff in transport clock units"
+of the retransmit story: waiting costs simulated time.
 """
 
 from __future__ import annotations
@@ -38,54 +44,31 @@ from repro.engine.events import (
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.faults.plan import FaultPlan
 
-#: Attributes the wrapper keeps on itself; everything else proxies to
-#: the wrapped engine so drivers (which set ``engine.sanitizer``, read
-#: ``engine.fw`` / ``engine.stats``) never notice the seam.
-_OWN_ATTRS = frozenset({
-    "_engine", "_injector", "_charge_poll", "_poll_ops", "_pending",
-    "_stalled",
-})
-
 
 class FaultyEngine:
     """Proxy an engine, injecting a :class:`FaultPlan` into its
-    effect stream (see the module docstring)."""
+    effect stream (see the module docstring).  Attributes the wrapper
+    does not define read through to the wrapped engine, so backends
+    keep reading ``engine.fw`` / ``engine.stats`` off it."""
 
     def __init__(
-        self,
-        engine: Any,
-        plan: FaultPlan,
-        charge_poll: bool = False,
-        poll_ops: Optional[float] = None,
+        self, engine: Any, plan: FaultPlan, charge_poll: bool = False
     ) -> None:
-        object.__setattr__(self, "_engine", engine)
-        object.__setattr__(self, "_injector", FaultInjector(plan, engine.rank))
-        object.__setattr__(self, "_charge_poll", charge_poll)
-        if poll_ops is None:
-            # One poll costs a sliver of an iteration's compute: enough
-            # to advance virtual time, cheap enough not to dominate.
-            poll_ops = 0.01 * float(engine.program.compute_ops(engine.rank))
-        object.__setattr__(self, "_poll_ops", poll_ops)
-        object.__setattr__(self, "_pending", deque())
-        object.__setattr__(self, "_stalled", 0)
+        self._engine = engine
+        self.injector = FaultInjector(plan, engine.rank)
+        self._charge_poll = charge_poll
+        # One DES poll costs a sliver of an iteration's compute: enough
+        # to advance virtual time, cheap enough not to dominate.
+        self._poll_ops = 0.01 * float(engine.program.compute_ops(engine.rank))
+        self._pending: Deque[Arrival] = deque()
+        self._stalled = 0
 
-    # --------------------------------------------------------------- proxying
     def __getattr__(self, name: str) -> Any:
-        return getattr(object.__getattribute__(self, "_engine"), name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in _OWN_ATTRS:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._engine, name, value)
-
-    @property
-    def injector(self) -> FaultInjector:
-        return self._injector
+        return getattr(self._engine, name)
 
     # ---------------------------------------------------------------- running
     def run(self) -> Generator:
-        inj = self._injector
+        inj = self.injector
         gen = self._engine.run()
         response: Any = None
         while True:
@@ -103,7 +86,9 @@ class FaultyEngine:
             elif kind is Charge:
                 slow = inj.slowdown_for(effect.iteration)
                 if slow > 1.0:
-                    effect = replace(effect, ops=effect.ops * slow)
+                    effect = replace(
+                        effect, ops=effect.ops * slow, factor=slow
+                    )
                 yield effect
             elif kind is IterationDone:
                 if inj.crash_due(effect.iteration):
@@ -117,8 +102,8 @@ class FaultyEngine:
 
     def _receive(self, effect: Any) -> Generator:
         """Satisfy one Recv/TryRecv through the fault layer."""
-        inj = self._injector
-        pending: Deque[Arrival] = self._pending
+        inj = self.injector
+        pending = self._pending
         blocking = type(effect) is Recv
         while True:
             pending.extend(inj.tick())
@@ -165,7 +150,7 @@ class FaultyEngine:
         budget cannot engage.  Bound those silent polls so the run
         fails loudly instead of livelocking.
         """
-        inj = self._injector
+        inj = self.injector
         if inj.plan.retransmit or not inj.lost:
             self._stalled = 0
             return

@@ -51,8 +51,8 @@ class EdgeFault:
 
     ``src`` / ``dst`` of None are wildcards (any sender / any
     receiver).  ``rate`` is the per-message firing probability;
-    ``delay`` is how many transport clock units a delayed message is
-    held (ignored by the other kinds).
+    ``delay`` is how many receive polls a delayed message is held
+    (ignored by the other kinds).
     """
 
     kind: str
@@ -140,8 +140,10 @@ class FaultPlan:
     invariant must flag.  ``retransmit_delay`` is how long a serviced
     retransmission travels; ``sender_timeout`` is how long the layer
     waits for an engine request before its modelled sender timer fires
-    on its own (both in transport clock units: wall seconds on pipes,
-    receive polls on loopback/DES).
+    on its own.  Both, like :attr:`EdgeFault.delay`, count the rank's
+    receive polls on every backend; a blocked poll lasts at most one
+    clock unit of the medium (a loopback round, 1 % of an iteration's
+    compute in DES virtual time, one wall second on mp).
     """
 
     seed: int = 0

@@ -11,7 +11,7 @@ from typing import Any, Optional
 from repro.core.program import SyncIterativeProgram
 from repro.core.results import SpecStats, fleet_rejection_rate
 from repro.engine.pipes import close_mesh, full_mesh
-from repro.faults import FaultPlan, merge_summaries
+from repro.faults import FaultPlan
 from repro.parallel.worker import WorkerReport, worker_main
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.trace.events import EventLog
@@ -67,13 +67,6 @@ class MPRunResult:
     def final_windows(self) -> list[int]:
         """The FW each rank's engine ended the run with."""
         return [r.window_history[-1][1] for r in self.reports]
-
-    def fault_summary(self) -> Optional[dict]:
-        """Fleet-wide injected-fault/recovery totals, None on clean runs."""
-        summaries = [
-            r.fault_summary for r in self.reports if r.fault_summary is not None
-        ]
-        return merge_summaries(summaries) if summaries else None
 
     def phase_seconds(self, phase: str, how: str = "max") -> float:
         """Aggregate one phase's wall time over workers."""
@@ -134,13 +127,13 @@ class MPRunner:
         (see :meth:`MPRunResult.window_history`).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; each worker wraps
-        its pipe transport in a
-        :class:`~repro.faults.FaultyTransport`, so the plan's seeded
+        its engine with :func:`~repro.faults.wrap_engine` like every
+        other backend, so the plan's seeded
         drops/duplicates/delays/reorders, straggler slowdowns and
         crashes inject on the receive path while the engine's
-        retransmit layer recovers.  Per-rank receipts come back in
-        ``WorkerReport.fault_summary`` (see
-        :meth:`MPRunResult.fault_summary`).
+        retransmit layer recovers.  The plan's clock is receive polls;
+        a blocked poll lasts at most one wall second here.  Per-rank
+        receipts come back in ``WorkerReport.fault_summary``.
     """
 
     def __init__(

@@ -9,7 +9,9 @@ against the pipes by
 enforced at the receiver via per-message delivery stamps, sends carry
 per-destination sequence numbers (restoring FIFO-with-delay order
 under jitter — the SPF111 fix), and blocking receives park in
-``select`` rather than sleep-polling.
+``select`` rather than sleep-polling.  A fault plan is seated where
+the other backends seat it, as the :func:`~repro.faults.wrap_engine`
+stage between that engine and :func:`~repro.engine.transport.drive`.
 
 Because the engine owns the cascade machinery, every forward window
 the simulator supports (including FW >= 2 and ``cascade="none"``) now
@@ -28,7 +30,7 @@ from repro.core.results import SpecStats
 from repro.engine.core import build_engine, topology
 from repro.engine.pipes import PipeTransport
 from repro.engine.transport import drive
-from repro.faults import FaultSummary, FaultyTransport
+from repro.faults import FaultSummary, wrap_engine
 from repro.trace.events import TraceEvent
 
 
@@ -92,15 +94,14 @@ def _run_protocol(
         record_events=record_events,
         sanitize=sanitize,
     )
-    engine = build_engine(
-        program, rank, topology(program), fw=fw, cascade=cascade,
-        hist_cap=hist_cap, policy=window_policy,
-        sanitizer=transport.sanitizer, fault_plan=fault_plan,
+    engine = wrap_engine(
+        build_engine(
+            program, rank, topology(program), fw=fw, cascade=cascade,
+            hist_cap=hist_cap, policy=window_policy,
+            sanitizer=transport.sanitizer, fault_plan=fault_plan,
+        ),
+        fault_plan,
     )
-    if fault_plan is not None:
-        # Receive-side injection downstream of the pipe's wire
-        # bookkeeping: the wire stays gap-free, the engine sees chaos.
-        transport = FaultyTransport(transport, fault_plan)
     transport.observer.begin(engine)
 
     start_barrier.wait()
@@ -116,6 +117,6 @@ def _run_protocol(
         events=transport.events,
         window_history=transport.observer.window_history,
         fault_summary=(
-            transport.injector.summary() if fault_plan is not None else None
+            engine.injector.summary() if fault_plan is not None else None
         ),
     )

@@ -92,14 +92,14 @@ def test_recovered_chaos_physics_identical_to_fault_free(plan_seed, rate):
 
 def test_injected_counts_identical_across_backends():
     # The plan's decisions depend only on (seed, fault, src, dst, seq),
-    # never on the backend's clock — DES and loopback must inject the
+    # never on the backend's clock — every backend must inject the
     # exact same multiset of faults.
     plan = _mixed_plan(seed=3)
     prog = _program()
     by_backend = {}
-    for backend in ("des", "loopback"):
+    for backend in ("des", "loopback", "mp"):
         report = run(RunConfig(prog, backend=backend, fw=1,
                                cascade="recompute", fault_plan=plan))
         by_backend[backend] = report.fault_summary["injected"]
-    assert by_backend["des"] == by_backend["loopback"]
+    assert by_backend["des"] == by_backend["loopback"] == by_backend["mp"]
     assert sum(by_backend["des"].values()) >= 1

@@ -8,16 +8,21 @@ wrapper in isolation; `test_fault_determinism.py` covers the
 end-to-end reproducibility guarantees.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import RunConfig, run
-from repro.engine.core import RetransmitExhausted
+from repro.analysis.sanitizer import ProtocolViolation
+from repro.engine.core import RetransmitExhausted, build_engine, topology
+from repro.engine.events import Recv
 from repro.faults import (
     EdgeFault,
     FaultPlan,
     RankFault,
     TriggerWindow,
+    wrap_engine,
 )
 from repro.policy.window import DegradedWindow
 
@@ -122,20 +127,34 @@ def test_duplicates_are_suppressed():
         np.testing.assert_array_equal(report.results[rank], clean.results[rank])
 
 
-def test_unserviced_loss_exhausts_retries():
+def _unserviced_loss():
     # retransmit=False models a transport with no recovery: the engine
     # notices the gap when iteration 2's message overtakes the dropped
     # iteration-1 message, and its bounded retry loop must give up
     # loudly, not hang.  (Inter-rank messages carry iterations >= 1;
     # t=0 blocks are seeded locally.)
-    plan = FaultPlan(
+    return FaultPlan(
         seed=0,
         retransmit=False,
         edges=(EdgeFault(kind="drop", rate=1.0, src=0, dst=1,
                          window=TriggerWindow(stop=2)),),
     )
+
+
+def test_unserviced_loss_exhausts_retries():
+    # The engine's own bound; sanitize=False because the sanitizer
+    # (armed for every run under REPRO_SANITIZE=1) fires first, on the
+    # over-budget Retransmit itself — see the twin below.
     with pytest.raises(RetransmitExhausted, match="retransmit request"):
-        _chaos(plan, _program(p=2, iterations=4))
+        _chaos(_unserviced_loss(), _program(p=2, iterations=4),
+               sanitize=False)
+
+
+def test_unserviced_loss_violates_retransmit_bounded_when_sanitized():
+    with pytest.raises(ProtocolViolation) as caught:
+        _chaos(_unserviced_loss(), _program(p=2, iterations=4),
+               sanitize=True)
+    assert caught.value.invariant == "retransmit-bounded"
 
 
 def test_silent_unrecoverable_loss_fails_loudly():
@@ -167,6 +186,64 @@ def test_straggler_does_not_change_physics():
     report = _chaos(plan, prog)
     for rank in range(prog.nprocs):
         np.testing.assert_array_equal(report.results[rank], clean.results[rank])
+
+
+class SlowCompute(CoupledIncrement):
+    """Each compute takes 5 ms of real time, so a wall-clock stretch
+    shows above timer noise."""
+
+    def compute(self, rank, inputs, t):
+        time.sleep(0.005)
+        return super().compute(rank, inputs, t)
+
+
+def test_mp_straggler_sleeps_and_keeps_physics():
+    # On a medium that times phases, the seam's Charge.factor must
+    # turn into real sleep: rank 1's compute phase stretches ~3x next
+    # to the unfaulted rank 0 of the same run.
+    prog = SlowCompute(2, 8, coupling=0.05)
+    plan = FaultPlan(ranks=(RankFault(rank=1, slowdown=3.0),))
+    report = _chaos(plan, prog, backend="mp", timeout=120.0)
+    for rank, expected in prog.reference_run().items():
+        np.testing.assert_array_equal(report.results[rank], expected)
+    compute = [r.phase_seconds["compute"] for r in report.raw.reports]
+    assert compute[1] > 2.0 * compute[0]
+
+
+def test_mp_recovery_wait_is_booked_as_comm():
+    # Both ranks lose iteration 2's message, so neither sends again
+    # and no sequence gap opens: the losses wait for the modelled
+    # sender's timer, which the stalled ranks run down in fruitless
+    # polls of one wall second each.  Those go through
+    # PipeTransport.recv, which books them under Recv.phase; a wait
+    # slept anywhere else lands on whichever phase charges next (check).
+    plan = FaultPlan(
+        sender_timeout=5.0, retransmit_delay=0.0,
+        edges=(EdgeFault("drop", 1.0, window=TriggerWindow(2, 3)),),
+    )
+    report = _chaos(plan, _program(p=2, iterations=6), backend="mp",
+                    timeout=120.0)
+    assert report.fault_summary["injected"] == {"drop": 2}
+    assert report.fault_summary["outstanding_losses"] == 0
+    assert report.timings["comm"] >= 0.9
+    assert report.timings["check"] < 0.5 * report.timings["comm"]
+
+
+def test_idle_seam_leaves_a_blocking_receive_unbounded():
+    # With nothing held, the wrapper must not put a timeout on the
+    # engine's Recv: on pipes that is what lets a parked worker block
+    # in select instead of waking to run the injector's timers.
+    plan = FaultPlan(edges=(EdgeFault(kind="drop", rate=0.0),))
+    prog = _program(p=2, iterations=4)
+    engine = wrap_engine(
+        build_engine(prog, 0, topology(prog), fw=0, fault_plan=plan), plan
+    )
+    effects = engine.run()
+    effect = next(effects)
+    while type(effect) is not Recv:
+        effect = effects.send(None)
+    assert not engine.injector.outstanding()
+    assert effect.timeout is None
 
 
 def test_same_plan_same_summary():

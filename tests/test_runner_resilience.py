@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.faults import FaultPlan, RankFault
 from repro.parallel import MPRunner
 
 from tests.toy_programs import CoupledIncrement
@@ -67,5 +68,20 @@ def test_post_barrier_failure_bounded_by_grace():
         runner.run(timeout=120.0)
     # Bounded by the failure grace window (10 s) plus join/teardown
     # slack, not by the 120 s run timeout.
+    assert time.monotonic() - start < 60.0
+    _assert_no_orphans()
+
+
+def test_injected_crash_surfaces_within_grace():
+    # A planned crash is raised by the fault stage inside the worker's
+    # engine stream; it must come out of MPRunner like any other
+    # post-barrier failure: named, bounded by the grace, no orphans.
+    plan = FaultPlan(ranks=(RankFault(rank=1, crash_at=3),))
+    runner = MPRunner(CoupledIncrement(2, iterations=8), fw=1, fault_plan=plan)
+    start = time.monotonic()
+    with pytest.raises(
+        RuntimeError, match="InjectedCrash: rank 1: planned crash at iteration 3"
+    ):
+        runner.run(timeout=120.0)
     assert time.monotonic() - start < 60.0
     _assert_no_orphans()
