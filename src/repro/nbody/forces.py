@@ -8,6 +8,11 @@ The paper counts "about 70 floating point operations" per pair force;
 :data:`PAIR_FLOPS` carries that constant into the cost model so virtual
 times match the paper's accounting even though numpy executes far
 fewer visible Python operations.
+
+The kernel works on 2-D component planes, :data:`PLANE` elements of
+each per tile, and spells out its arithmetic in a fixed association, so the
+result is defined bit for bit by this file (DESIGN.md §5.8) — the
+drivers' golden traces and Fig. 8 are pinned to those bits.
 """
 
 from __future__ import annotations
@@ -16,6 +21,12 @@ import numpy as np
 
 #: Operations per pair force in the paper's cost accounting.
 PAIR_FLOPS = 70.0
+
+#: Elements per 2-D plane of a tile of the pairwise kernels: a tile spans
+#: every source and ``PLANE // n_s`` targets, so the force kernel's five
+#: float64 planes (1.3 MB) stay in a 2 MB L2 at any block size, and a
+#: block of up to 181 particles is one tile.
+PLANE = 32_768
 
 
 def accelerations_from_sources(
@@ -64,17 +75,46 @@ def accelerations_from_sources(
     if tp.size == 0 or sp.size == 0:
         return np.zeros_like(tp)
 
-    # delta[i, j] = r_j - r_i  -> shape (n_t, n_s, 3)
-    delta = sp[None, :, :] - tp[:, None, :]
-    dist2 = np.einsum("ijk,ijk->ij", delta, delta) + softening**2
-    # With zero softening the self-pair distance is exactly zero; the
-    # resulting inf is discarded when the diagonal is cleared below.
-    with np.errstate(divide="ignore"):
-        inv_d3 = dist2 ** (-1.5)
-    if exclude_self_pairs:
-        np.fill_diagonal(inv_d3, 0.0)
-    # a_i = G sum_j m_j delta_ij / d^3
-    return G * np.einsum("ij,j,ijk->ik", inv_d3, sm, delta)
+    n_t, n_s = tp.shape[0], sp.shape[0]
+    if n_t == 1:
+        # Widen: numpy sums a one-column plane pairwise, not in source order.
+        tp = np.repeat(tp, 2, axis=0)
+    targets = np.ascontiguousarray(tp.T)[:, None, :]
+    sources = np.ascontiguousarray(sp.T)[:, :, None]
+    sm = sm[:, None]
+    eps2 = softening**2
+    width = targets.shape[2]
+    tile = max(PLANE // n_s, 2)
+    # Source-major (n_s, tile) planes, reused by every tile: the three
+    # components of the separation, the pair weight, and a square.
+    planes = np.empty((5, n_s, min(tile, width)))
+    out = np.empty((3, width))
+    for lo in range(0, width, tile):
+        lo = min(lo, width - 2)  # a last tile one target wide overlaps its neighbour
+        hi = min(lo + tile, width)
+        tiled = planes[:, :, : hi - lo]
+        d, w, sq = tiled[:3], tiled[3], tiled[4]
+        # d[:, j, i] = r_j - r_i
+        np.subtract(sources, targets[:, :, lo:hi], out=d)
+        # dist2 = ((dx² + dz²) + dy²) + ε², in that association.
+        np.multiply(d[0], d[0], out=w)
+        np.multiply(d[2], d[2], out=sq)
+        w += sq
+        np.multiply(d[1], d[1], out=sq)
+        w += sq
+        w += eps2
+        # With zero softening the self-pair distance is exactly zero; the
+        # resulting inf is discarded when the diagonal is cleared below.
+        with np.errstate(divide="ignore"):
+            np.power(w, -1.5, out=w)
+        if exclude_self_pairs:
+            own = np.arange(lo, hi)
+            w[own % n_t, own - lo] = 0.0  # % n_t: the widened column is target 0 again
+        w *= sm
+        # a_i = G sum_j (m_j / d^3) delta_ij, sources added in index order from 0.0
+        d *= w
+        np.add.reduce(d, axis=1, initial=0.0, out=out[:, lo:hi])
+    return G * np.ascontiguousarray(out.T[:n_t])
 
 
 def accelerations(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nbody.forces import PLANE
+
 #: Paper's cost accounting: flops to speculate one particle's position.
 SPECULATE_FLOPS_PER_PARTICLE = 12.0
 #: Paper's cost accounting: flops to error-check one particle.
@@ -73,10 +75,27 @@ def pairwise_error_ratios(
     if lp.shape[0] == 0:
         return np.zeros(sp.shape[0])
     displacement = np.linalg.norm(sp - ap, axis=1)
-    delta = ap[:, None, :] - lp[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-    nearest = np.maximum(dist.min(axis=1), eps)
-    return displacement / nearest
+    n_r, n_l = ap.shape[0], lp.shape[0]
+    remote = ap.T[:, :, None]
+    local = np.ascontiguousarray(lp.T)[:, None, :]
+    tile = max(PLANE // n_l, 1)
+    # Remote-major (tile, n_l) planes, reused by every tile: the three
+    # components of the separation, squared and summed in place.
+    planes = np.empty((3, min(tile, n_r), n_l))
+    nearest2 = np.empty(n_r)
+    for lo in range(0, n_r, tile):
+        hi = min(lo + tile, n_r)
+        d = planes[:, : hi - lo]
+        np.subtract(remote[:, lo:hi], local, out=d)
+        d *= d
+        # dist2 = (dx² + dz²) + dy², the association the force kernel pins.
+        d2 = d[0]
+        d2 += d[2]
+        d2 += d[1]
+        np.minimum.reduce(d2, axis=1, out=nearest2[lo:hi])
+    # sqrt is monotone and correctly rounded: the root of the minimum
+    # is the minimum of the roots, for n_r roots instead of n_r * n_l.
+    return displacement / np.maximum(np.sqrt(nearest2), eps)
 
 
 def worst_pairwise_error(

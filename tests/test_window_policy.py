@@ -204,29 +204,46 @@ def test_static_window_parity_on_loopback():
     assert seated[2].window_history == {r: [(0, 1)] for r in range(3)}
 
 
-def _mp_fingerprint(window_policy):
+#: Effect kinds whose per-rank sequence no arrival race can move: a
+#: rank sends block t once, after verifying it (fw=1), and one peer's
+#: messages are FIFO.  How a rank's sends interleave with its receives,
+#: and whether a receive was late enough to speculate, verify and
+#: correct, is the wall clock's business.
+_RACE_FREE_KINDS = ("send", "recv")
+
+
+def _mp_fingerprint(window_policy, latency=0.01):
     prog = CoupledIncrement(nprocs=2, iterations=5, coupling=0.2,
                             threshold=0.0)
     result = MPRunner(
-        prog, fw=1, latency=0.01, seed=3, record_events=True,
+        prog, fw=1, latency=latency, seed=3, record_events=True,
         window_policy=window_policy,
     ).run(timeout=120)
-    events = [
-        (e.rank, e.seq, e.kind, e.peer, e.family, e.iteration)
-        for e in result.event_log()
-    ]
+    for s in result.stats:
+        assert s.checks == s.spec_made == s.spec_accepted + s.spec_rejected
+    events = {}
+    for e in result.event_log():
+        if e.kind in _RACE_FREE_KINDS:
+            events.setdefault((e.rank, e.kind), []).append(
+                (e.peer, e.family, e.iteration))
     return (
         {r: np.asarray(b).tobytes() for r, b in result.final_blocks.items()},
-        [(s.spec_made, s.spec_accepted, s.spec_rejected, s.checks)
-         for s in result.stats],
+        result.window_history(),
         events,
     )
 
 
 def test_static_window_parity_on_pipes():
-    """Same protocol steps in the same order on real processes (times
-    excluded: wall clocks jitter, the effect stream must not)."""
-    assert _mp_fingerprint(None) == _mp_fingerprint(StaticWindow(1))
+    """What `docs/robustness.md` promises of real processes: the same
+    physics (theta=0, fw=1: timing cannot leak into payloads), the same
+    window trajectory, and per rank the same sends and the same
+    receives in the same order.  Which receives were late is not
+    promised — two runs race message arrival against compute, so
+    ``spec_made`` and the speculate/verify/correct events may differ
+    between them; the second latency makes them differ on purpose."""
+    plain = _mp_fingerprint(None)
+    assert plain == _mp_fingerprint(StaticWindow(1))
+    assert plain == _mp_fingerprint(StaticWindow(1), latency=0.0)
 
 
 # -------------------------------------- pipes: blocked-receive accounting
