@@ -171,7 +171,7 @@ class SpeculativeDriver:
             proc, sanitizer=self.sanitizer, event_log=self.cluster.event_log
         )
         self._observers[j] = transport.observer
-        return (yield from transport.drive(engine))
+        return transport.drive(engine)
 
 
 def check_cluster(program: SyncIterativeProgram, cluster: Cluster) -> None:

@@ -122,4 +122,4 @@ class ReceiveDrivenDriver:
             stats=self._stats[j],
         )
         transport = DESTransport(proc, event_log=self.cluster.event_log)
-        return (yield from transport.drive(engine))
+        return transport.drive(engine)

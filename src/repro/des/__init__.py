@@ -16,18 +16,24 @@ of the paper as straight-line per-processor code:
 * :class:`Process` — generator wrapper; itself an event that fires when
   the generator returns.
 * :class:`AnyOf` / :class:`AllOf` — condition events.
-* :class:`Store` — unbounded FIFO with blocking ``get`` and
-  non-blocking inspection (the message-queue primitive).
+* :class:`Store` — unbounded FIFO with blocking ``get``, an immediate
+  event-less ``put`` and non-blocking inspection (the message-queue
+  primitive).
 
-Determinism: simultaneous events are ordered by (time, priority,
-sequence number); no wall-clock or unseeded randomness is consulted
-anywhere in the kernel.
+Determinism: the calendar orders events by (time, priority, insertion)
+and by nothing else; no wall-clock or unseeded randomness is consulted
+anywhere in the kernel.  Priority 0 is process bookkeeping, 1 every
+ordinary event; a model may schedule above 1 to run after the rest of
+an instant (the shared bus does, see :mod:`repro.netsim.bus`).  A time
+that was computed is scheduled as computed —
+``Event.succeed(at=T)`` / ``Environment.schedule_at`` — because
+``now + (T - now)`` need not be ``T`` (DESIGN.md §5.9).
 """
 
 from repro.des.environment import Environment
 from repro.des.errors import Interrupt, SimulationError
 from repro.des.events import AllOf, AnyOf, Event, Process, Timeout
-from repro.des.resources import PriorityStore, Resource, Store
+from repro.des.resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -35,7 +41,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "SimulationError",

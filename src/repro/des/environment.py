@@ -83,6 +83,19 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
+    def schedule_at(self, event: Event, time: float, priority: int = 1) -> None:
+        """Place a triggered event on the calendar at absolute ``time``.
+
+        For a completion whose instant was computed rather than
+        counted down to: ``now + (time - now)`` need not equal
+        ``time``, so :meth:`schedule` cannot land on it exactly.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={self._now})"
+            )
+        heapq.heappush(self._queue, (time, priority, next(self._eid), event))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -137,12 +150,13 @@ class Environment:
                         f"until={stop_at} is in the past (now={self._now})"
                     )
 
+        queue, step = self._queue, self.step
         try:
-            while self._queue:
-                if stop_at is not None and self._queue[0][0] > stop_at:
+            while queue:
+                if stop_at is not None and queue[0][0] > stop_at:
                     self._now = stop_at
                     return None
-                self.step()
+                step()
         except StopSimulation as stop:
             event: Event = stop.value
             if event._ok:

@@ -17,6 +17,7 @@ fails with that exception).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.des.errors import Interrupt, SimulationError
@@ -44,6 +45,8 @@ class Event:
     be called at most once.  Waiting is expressed by a process
     ``yield``-ing the event.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -80,16 +83,23 @@ class Event:
         return self._value
 
     # -- triggering --------------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = 1) -> "Event":
+    def succeed(
+        self, value: Any = None, priority: int = 1, at: Optional[float] = None
+    ) -> "Event":
         """Trigger the event successfully with ``value``.
 
-        Returns ``self`` so triggering can be chained/returned.
+        It is processed at the current instant, or at the absolute
+        virtual time ``at`` when one is given.  Returns ``self`` so
+        triggering can be chained/returned.
         """
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
+        if at is None:
+            self.env.schedule(self, priority=priority)
+        else:
+            self.env.schedule_at(self, at, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = 1) -> "Event":
@@ -150,14 +160,20 @@ class Timeout(Event):
         Value delivered when the timeout fires (default ``None``).
     """
 
+    __slots__ = ("_delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        # The hottest constructor of a run: fill the slots and push
+        # the calendar entry ``env.schedule(self, delay)`` would.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self.defused = False
+        self._delay = delay
+        heappush(env._queue, (env._now + delay, 1, next(env._eid), self))
 
     @property
     def delay(self) -> float:
@@ -167,6 +183,8 @@ class Timeout(Event):
 
 class Initialize(Event):
     """Internal event that kicks off a new :class:`Process` at time now."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
@@ -192,6 +210,8 @@ class Process(Event):
             result = yield env.process(child(env))
             assert result == 42
     """
+
+    __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: Generator, name: str | None = None) -> None:
         if not hasattr(generator, "throw"):
@@ -295,6 +315,8 @@ class Condition(Event):
     trigger order).
     """
 
+    __slots__ = ("_events", "_done")
+
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
@@ -342,6 +364,8 @@ class Condition(Event):
 class AllOf(Condition):
     """Condition that triggers once *all* sub-events have triggered."""
 
+    __slots__ = ()
+
     @staticmethod
     def evaluate(events: list[Event], done: int) -> bool:
         return done == len(events)
@@ -349,6 +373,8 @@ class AllOf(Condition):
 
 class AnyOf(Condition):
     """Condition that triggers once *any* sub-event has triggered."""
+
+    __slots__ = ()
 
     @staticmethod
     def evaluate(events: list[Event], done: int) -> bool:

@@ -8,9 +8,7 @@ speculative protocol (Fig. 3 of the paper).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.des.errors import SimulationError
@@ -20,24 +18,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
 
 
-class StorePut(Event):
-    """Event returned by :meth:`Store.put`; triggers when the item is stored."""
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
 class StoreGet(Event):
     """Event returned by :meth:`Store.get`; triggers with the retrieved item."""
+
+    __slots__ = ("filter", "_cancelled")
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]] = None) -> None:
         super().__init__(store.env)
         self.filter = filter
+        self._cancelled = False
         store._get_queue.append(self)
-        store._trigger()
+        store._serve()
 
     def cancel(self) -> None:
         """Withdraw this get request if it has not yet been satisfied."""
@@ -46,17 +37,18 @@ class StoreGet(Event):
 
 
 class Store:
-    """FIFO container with blocking ``get`` and (optionally) bounded ``put``.
+    """Unbounded FIFO container with blocking ``get``.
 
     Parameters
     ----------
     env:
         Owning environment.
-    capacity:
-        Maximum number of stored items; ``inf`` (default) = unbounded.
 
     Notes
     -----
+    * ``put(item)`` never blocks and costs no calendar event: the item
+      is stored on the spot, and only a waiting ``get`` it satisfies is
+      scheduled.
     * ``get(filter=...)`` retrieves the first item satisfying the
       predicate (a *filter store*), used to receive a message from a
       specific sender.
@@ -64,18 +56,16 @@ class Store:
       "has a message arrived?" probes.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._put_queue: deque[StorePut] = deque()
         self._get_queue: deque[StoreGet] = deque()
 
-    def put(self, item: Any) -> StorePut:
-        """Request to add ``item``; returns an event (immediate if space)."""
-        return StorePut(self, item)
+    def put(self, item: Any) -> None:
+        """Store ``item`` now and wake the first waiting get it satisfies."""
+        self.items.append(item)
+        if self._get_queue:
+            self._serve()
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Request to remove an item; returns an event carrying the item.
@@ -101,16 +91,7 @@ class Store:
         return sum(1 for item in self.items if filter(item))
 
     # -- internal ---------------------------------------------------------
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
     def _do_get(self, event: StoreGet) -> bool:
-        if getattr(event, "_cancelled", False):
-            return True  # drop silently
         if event.filter is None:
             if self.items:
                 event.succeed(self.items.popleft())
@@ -123,84 +104,31 @@ class Store:
                 return True
         return False
 
-    def _trigger(self) -> None:
-        """Match queued puts and gets until no further progress is possible."""
-        progress = True
-        while progress:
-            progress = False
-            while self._put_queue:
-                if self._do_put(self._put_queue[0]):
-                    self._put_queue.popleft()
-                    progress = True
-                else:
-                    break
-            # A filter get deeper in the queue may match even if the
-            # head does not, so scan the whole get queue.
-            remaining: deque[StoreGet] = deque()
-            while self._get_queue:
-                event = self._get_queue.popleft()
-                if event.triggered or getattr(event, "_cancelled", False):
-                    progress = True
-                    continue
-                if self._do_get(event):
-                    progress = True
-                else:
-                    remaining.append(event)
-            self._get_queue = remaining
+    def _serve(self) -> None:
+        """Hand stored items to the waiting gets, oldest request first.
+
+        A filter get deeper in the queue may match even if the head
+        does not, so the whole get queue is scanned.
+        """
+        waiting: deque[StoreGet] = deque()
+        for event in self._get_queue:
+            if event._cancelled or event.triggered:
+                continue  # withdrawn, or settled by someone else
+            if not self._do_get(event):
+                waiting.append(event)
+        self._get_queue = waiting
 
     def __len__(self) -> int:
         return len(self.items)
 
     def __repr__(self) -> str:
-        return f"<Store items={len(self.items)} capacity={self.capacity}>"
-
-
-class PriorityStore(Store):
-    """Store retrieving items smallest-first (heap order).
-
-    Items must be comparable, or wrapped with an explicit ``(priority,
-    payload)`` tuple.  Insertion order breaks priority ties.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[Any, int, Any]] = []
-        self._seq = count()
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, (event.item, next(self._seq), event.item))
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if getattr(event, "_cancelled", False):
-            return True
-        if event.filter is not None:
-            raise SimulationError("PriorityStore does not support filtered gets")
-        if self._heap:
-            _, _, item = heapq.heappop(self._heap)
-            event.succeed(item)
-            return True
-        return False
-
-    def peek(self, filter=None):  # noqa: D102 - see Store.peek
-        if filter is not None:
-            raise SimulationError("PriorityStore does not support filtered peeks")
-        return self._heap[0][2] if self._heap else None
-
-    def count(self, filter=None):  # noqa: D102 - see Store.count
-        if filter is not None:
-            raise SimulationError("PriorityStore does not support filtered counts")
-        return len(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
+        return f"<Store items={len(self.items)}>"
 
 
 class ResourceRequest(Event):
     """Event returned by :meth:`Resource.request`; triggers on acquisition."""
+
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)

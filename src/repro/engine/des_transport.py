@@ -9,17 +9,19 @@ Interprets the engine's effects against a
   spans are traced as the effect's phase and reported back as
   ``Arrival.waited`` virtual seconds — the adaptive controller's
   signal);
-* ``Charge`` → ``proc.compute(ops, phase, iteration)`` — virtual time
-  at the processor's capacity (times any background load);
+* ``Charge`` → what ``proc.compute(ops, phase, iteration)`` does —
+  virtual time at the processor's capacity (times any background
+  load), booked through ``proc.charged`` — without the two generator
+  frames;
 * protocol events → the rank's
   :class:`~repro.engine.observer.RankObserver` (sanitizer hooks and
   the cluster's :class:`~repro.trace.events.EventLog`, stamped with
   virtual time).
 
-Because ``recv``/``compute`` are simulator coroutines, the interpreter
-loop here is itself a generator: drivers ``yield from
-DESTransport(proc, ...).drive(engine)`` inside their per-rank
-programs.
+Because receives and charges wait on simulator events, the interpreter
+loop here is itself a generator: a driver's per-rank program *is*
+``DESTransport(proc, ...).drive(engine)``, handed to the cluster as it
+stands.
 """
 
 from __future__ import annotations
@@ -69,17 +71,19 @@ class DESTransport:
             clock=lambda: env.now,
         )
         #: Per-source arrival counter standing in for the wire seq:
-        #: the DES network is per-pair FIFO by construction, so the
-        #: k-th arrival from ``src`` carries ``Send.seq == k``.
+        #: every ``repro.netsim`` network clamps its channels to FIFO
+        #: (jitter included), so the k-th arrival from ``src`` carries
+        #: ``Send.seq == k``.
         self._arrival_seq: dict[int, int] = {}
 
     # ------------------------------------------------------------- the loop
     def drive(self, engine: Any) -> Generator:
         """Interpret ``engine`` to completion (a DES rank program body).
 
-        Use as ``final = yield from transport.drive(engine)``.
+        Return it from the rank program (or ``yield from`` it).
         """
         proc = self.proc
+        env = proc.env
         notify = self.observer.notify
         self.observer.begin(engine)
         gen = engine.run()
@@ -99,16 +103,20 @@ class DESTransport:
                     nbytes=effect.nbytes,
                 )
             elif kind is Charge:
-                yield from proc.compute(
-                    effect.ops, phase=effect.phase, iteration=effect.iteration
-                )
+                # proc.compute, in this frame: a resume then walks
+                # drive -> engine.run and no generator in between.
+                seconds = proc.seconds_for(effect.ops)
+                start = env.now
+                if seconds != 0:  # Timeout rejects a negative delay
+                    yield env.timeout(seconds)
+                proc.charged(effect.phase, start, effect.iteration)
             elif kind is Recv:
-                start = proc.env.now
+                start = env.now
                 msg = yield from proc.recv(
                     tag=effect.match, phase=effect.phase,
                     iteration=effect.iteration,
                 )
-                response = self._arrival(msg, waited=proc.env.now - start)
+                response = self._arrival(msg, waited=env.now - start)
             elif kind is TryRecv:
                 msg = proc.try_recv()
                 response = self._arrival(msg) if msg is not None else None

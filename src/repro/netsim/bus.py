@@ -6,23 +6,42 @@ communication time grows with p.  The paper attributes the performance
 roll-off beyond ~8–10 processors to exactly this contention ("network
 contention (not accounted for in the model) causes additional
 communication delay").
+
+What pins virtual time here (DESIGN.md §5.9).  A transfer requested at
+``now`` starts at ``start = max(now, free_at)`` and completes at
+``start + (frame_overhead + nbytes / bandwidth)``, scheduled as one
+event at that *absolute* time — the additions a FIFO queue of holders
+would make, in the same order, so a transfer granted at a release
+instant starts at exactly the float its predecessor ended on.
+Completions are scheduled at priority 2: a frame leaving the wire at T
+reaches its mailbox after every ordinary (priority 0/1) event of T, so
+a process that wakes at exactly T does not see it yet.  That is the
+order the hop-by-hop model this replaced produced, and the golden
+traces pin it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro.des import Environment, Event, Resource
+from repro.des import Environment, Event
+
+#: Calendar priority of a bus completion: after the instant's 0s and 1s.
+COMPLETION_PRIORITY = 2
 
 
 class SharedBus:
     """A single shared transmission medium (Ethernet-like).
 
-    Transfers acquire the bus FIFO, hold it for
-    ``frame_overhead + nbytes / bandwidth`` seconds, then release.
+    Transfers take the bus in the order :meth:`transfer` is called and
+    hold it for ``frame_overhead + nbytes / bandwidth`` seconds each.
+    The bus keeps the time the medium next falls idle, so a transfer is
+    one calendar event at ``max(now, free_at) + occupancy(nbytes)``
+    (see the module docstring for why that time and priority).
 
     Parameters
     ----------
@@ -48,7 +67,10 @@ class SharedBus:
         self.env = env
         self.bandwidth = bandwidth
         self.frame_overhead = frame_overhead
-        self._medium = Resource(env, capacity=1)
+        #: Virtual time the medium next falls idle.
+        self._free_at = 0.0
+        #: (start, nbytes) of each accepted, unfinished transfer, FIFO.
+        self._in_flight: deque[tuple[float, int]] = deque()
         #: Total bytes ever accepted for transfer (for utilisation stats).
         self.bytes_transferred = 0
         #: Total seconds the medium has been held.
@@ -58,28 +80,34 @@ class SharedBus:
         """Seconds the medium is held for an ``nbytes`` transfer."""
         return self.frame_overhead + nbytes / self.bandwidth
 
-    def transfer(self, nbytes: int) -> Event:
-        """Start a transfer; returns an event firing at completion."""
+    def transfer(
+        self, nbytes: int, done: Optional[Event] = None, value: Any = None
+    ) -> Event:
+        """Start a transfer; returns an event firing at completion.
+
+        ``done`` is the (pending) event to fire, a fresh one by
+        default; it fires with ``value``.
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        return self.env.process(self._transfer(nbytes), name="bus-transfer")
+        if done is None:
+            done = Event(self.env)
+        start = max(self.env.now, self._free_at)
+        self._free_at = end = start + self.occupancy(nbytes)
+        self._in_flight.append((start, nbytes))
+        done.callbacks.append(self._complete)
+        return done.succeed(value, priority=COMPLETION_PRIORITY, at=end)
 
-    def _transfer(self, nbytes: int) -> Generator:
-        request = self._medium.request()
-        yield request
-        hold = self.occupancy(nbytes)
-        start = self.env.now
-        try:
-            yield self.env.timeout(hold)
-        finally:
-            self._medium.release(request)
-            self.busy_time += self.env.now - start
-            self.bytes_transferred += nbytes
+    def _complete(self, event: Event) -> None:
+        # Completions fire in transfer() order, so the head is ours.
+        start, nbytes = self._in_flight.popleft()
+        self.busy_time += self.env.now - start
+        self.bytes_transferred += nbytes
 
     @property
     def queued(self) -> int:
         """Transfers currently waiting for the medium."""
-        return self._medium.queued
+        return max(len(self._in_flight) - 1, 0)
 
     def utilisation(self) -> float:
         """Fraction of elapsed virtual time the medium has been busy."""

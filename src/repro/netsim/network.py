@@ -10,14 +10,21 @@ implementations:
 * :class:`BusNetwork` — latency plus a :class:`~repro.netsim.bus.SharedBus`
   that serializes transfers, so all-to-all exchanges contend exactly as
   on the paper's Ethernet.
+
+Every network is FIFO per ``(src, dst)`` channel, as the TCP/PVM
+streams it stands for are: whatever the latency model draws, a message
+never clears the stage that model delays before its predecessor on the
+same channel does (ties keep send order).  Receivers rely on it — the
+engine's rings raise on an out-of-order arrival.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import inf
 from typing import Generator, Optional
 
-from repro.des import Environment, Event
+from repro.des import Environment, Event, Resource
 from repro.netsim.bus import SharedBus
 from repro.netsim.latency import ConstantLatency, LatencyModel
 
@@ -25,12 +32,15 @@ from repro.netsim.latency import ConstantLatency, LatencyModel
 class Network(ABC):
     """Abstract message transport over a simulated interconnect."""
 
-    def __init__(self, env: Environment) -> None:
+    def __init__(self, env: Environment, latency: Optional[LatencyModel] = None) -> None:
         self.env = env
+        self.latency = latency if latency is not None else ConstantLatency(0.0)
         #: Count of messages ever transmitted.
         self.messages_sent = 0
         #: Total payload bytes ever transmitted.
         self.bytes_sent = 0
+        #: Per channel, when its latest message clears the latency stage.
+        self._last_ready: dict[tuple[int, int], float] = {}
 
     @abstractmethod
     def transmit(self, src: int, dst: int, nbytes: int) -> Event:
@@ -39,6 +49,22 @@ class Network(ABC):
     def _account(self, nbytes: int) -> None:
         self.messages_sent += 1
         self.bytes_sent += nbytes
+
+    def _endpoint_stage(self, src: int, dst: int, nbytes: int) -> Optional[Event]:
+        """Draw the endpoint latency of a message sent now; FIFO-clamp it.
+
+        Returns the event firing when the stage ends — at the absolute
+        time ``max(now + delay, predecessor's end)``, so the clamp is
+        exact — or None when it ends on the spot: no delay, and no
+        predecessor that may still be due at this instant.
+        """
+        now, key = self.env.now, (src, dst)
+        delay = self.latency.delay(src, dst, nbytes, now)
+        last = self._last_ready.get(key, -inf)
+        if delay > 0 or last >= now:
+            self._last_ready[key] = ready = max(now + delay, last)
+            return Event(self.env).succeed(at=ready)
+        return None
 
 
 class DelayNetwork(Network):
@@ -51,11 +77,6 @@ class DelayNetwork(Network):
     as TCP/PVM streams guarantee.
     """
 
-    def __init__(self, env: Environment, latency: Optional[LatencyModel] = None) -> None:
-        super().__init__(env)
-        self.latency = latency if latency is not None else ConstantLatency(0.0)
-        self._last_delivery: dict[tuple[int, int], float] = {}
-
     def transmit(self, src: int, dst: int, nbytes: int) -> Event:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
@@ -65,8 +86,8 @@ class DelayNetwork(Network):
         key = (src, dst)
         # FIFO per channel: a message never arrives before its
         # predecessor on the same channel.
-        arrival = max(arrival, self._last_delivery.get(key, 0.0))
-        self._last_delivery[key] = arrival
+        arrival = max(arrival, self._last_ready.get(key, 0.0))
+        self._last_ready[key] = arrival
         return self.env.timeout(arrival - self.env.now, value=(src, dst, nbytes))
 
 
@@ -88,16 +109,13 @@ class SwitchedNetwork(Network):
         bandwidth: float,
         latency: Optional[LatencyModel] = None,
     ) -> None:
-        super().__init__(env)
+        super().__init__(env, latency)
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         self.nprocs = nprocs
         self.bandwidth = bandwidth
-        self.latency = latency if latency is not None else ConstantLatency(0.0)
-        from repro.des import Resource
-
         self._egress = [Resource(env, capacity=1) for _ in range(nprocs)]
         self._ingress = [Resource(env, capacity=1) for _ in range(nprocs)]
 
@@ -112,9 +130,9 @@ class SwitchedNetwork(Network):
         )
 
     def _deliver(self, src: int, dst: int, nbytes: int) -> Generator:
-        endpoint = self.latency.delay(src, dst, nbytes, self.env.now)
-        if endpoint > 0:
-            yield self.env.timeout(endpoint)
+        ready = self._endpoint_stage(src, dst, nbytes)
+        if ready is not None:
+            yield ready
         wire = nbytes / self.bandwidth
         # Hold sender egress, then receiver ingress (store-and-forward).
         egress = self._egress[src].request()
@@ -137,7 +155,9 @@ class BusNetwork(Network):
 
     A message first pays an endpoint ``latency`` (protocol-stack
     processing, which *can* overlap across processors), then occupies
-    the shared bus for its wire time (which cannot).
+    the shared bus for its wire time (which cannot).  That is two
+    calendar events: the end of the endpoint stage, whose callback
+    claims the bus, and the bus completion — the event returned here.
     """
 
     def __init__(
@@ -146,21 +166,18 @@ class BusNetwork(Network):
         bus: SharedBus,
         latency: Optional[LatencyModel] = None,
     ) -> None:
-        super().__init__(env)
+        super().__init__(env, latency)
         self.bus = bus
-        self.latency = latency if latency is not None else ConstantLatency(0.0)
 
     def transmit(self, src: int, dst: int, nbytes: int) -> Event:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         self._account(nbytes)
-        return self.env.process(
-            self._deliver(src, dst, nbytes), name=f"xmit-{src}-{dst}"
-        )
-
-    def _deliver(self, src: int, dst: int, nbytes: int) -> Generator:
-        endpoint = self.latency.delay(src, dst, nbytes, self.env.now)
-        if endpoint > 0:
-            yield self.env.timeout(endpoint)
-        yield self.bus.transfer(nbytes)
-        return (src, dst, nbytes)
+        done = Event(self.env)
+        value = (src, dst, nbytes)
+        ready = self._endpoint_stage(src, dst, nbytes)
+        if ready is None:
+            self.bus.transfer(nbytes, done, value)
+        else:
+            ready.callbacks.append(lambda _: self.bus.transfer(nbytes, done, value))
+        return done

@@ -89,11 +89,17 @@ class VirtualProcessor:
         start = self.env.now
         if seconds > 0:
             yield self.env.timeout(seconds)
-        self.trace.record(phase, start, self.env.now, iteration)
+        self.charged(phase, start, iteration)
+
+    def charged(self, phase: str, start: float, iteration: Optional[int]) -> None:
+        """Book ``[start, now]`` as ``phase``: what a charge leaves behind,
+        whoever waited it out (:meth:`advance`, or the engine transport
+        in its own frame)."""
+        now = self.env.now
+        self.trace.record(phase, start, now, iteration)
         if self.env.sanitizer is not None:
             self.env.sanitizer.note(
-                f"rank {self.rank}: {phase} t={iteration} "
-                f"[{start:.6g}, {self.env.now:.6g}]"
+                f"rank {self.rank}: {phase} t={iteration} [{start:.6g}, {now:.6g}]"
             )
 
     # ----------------------------------------------------------- messaging

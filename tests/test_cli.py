@@ -49,6 +49,14 @@ def test_nbody_command(capsys):
     assert "rejected speculation" in out
 
 
+def test_nbody_small_blocks_on_the_jittered_bus(capsys):
+    """Compute comparable to the 5 ms jittered endpoint latency: X(t+1)
+    used to reach the wire before X(t) (``OutOfOrderArrival: got t=1
+    after t=2``) until the networks clamped each channel to FIFO."""
+    assert main(["nbody", "--p", "4", "--particles", "64", "--iterations", "6"]) == 0
+    assert "makespan" in capsys.readouterr().out
+
+
 def test_nbody_shares_run_flags(capsys):
     rc = main([
         "nbody", "--p", "2", "--particles", "64", "--iterations", "3",

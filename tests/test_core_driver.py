@@ -300,3 +300,18 @@ def test_fw_larger_than_iterations_is_safe():
     prog = RandomDrift(nprocs=2, iterations=3, threshold=0.0)
     result = run_program(prog, make_cluster(2, latency=0.5), fw=10)
     assert_blocks_equal(result.final_blocks, prog.reference_run(), atol=1e-9)
+
+
+@pytest.mark.parametrize("fw", [1, 2, 3])
+def test_jittered_endpoint_latency_keeps_channels_fifo(fw):
+    """A 0.1 ms compute against a jittered 5 ms endpoint latency: the
+    next iteration's block often draws the shorter latency.  Before the
+    networks clamped each channel, it overtook its predecessor on the
+    wire and the run died with ``OutOfOrderArrival``."""
+    from repro.harness.toys import ConstantProgram
+    from repro.platforms import wustl_1994
+
+    prog = ConstantProgram(nprocs=4, iterations=40, block_size=8, ops_per_compute=2e3)
+    result = run_program(prog, wustl_1994(p=4, jitter_sigma=0.8, seed=1).cluster(), fw=fw)
+    for rank in range(4):
+        np.testing.assert_array_equal(result.final_blocks[rank], prog.initial_block(rank))

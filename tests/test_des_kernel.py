@@ -365,6 +365,34 @@ def test_schedule_into_past_rejected():
         env.schedule(evt, delay=-1)
 
 
+def test_succeed_at_lands_on_the_absolute_time():
+    """Counted down from 0.2, 0.9 becomes 0.2 + (0.9 - 0.2) =
+    0.8999999999999999; scheduled absolutely it is 0.9."""
+    env = Environment(initial_time=0.2)
+    evt = env.event().succeed("done", at=0.9)
+    assert evt.triggered and not evt.processed
+    assert env.run(until=evt) == "done"
+    assert env.now == 0.9 != 0.2 + (0.9 - 0.2)
+
+
+def test_succeed_at_into_past_rejected():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(SimulationError):
+        env.event().succeed(at=4.0)
+    with pytest.raises(SimulationError):
+        env.schedule_at(env.event(), 4.0)
+
+
+def test_same_instant_order_is_priority_then_insertion():
+    env = Environment()
+    order = []
+    for tag, priority in (("late", 2), ("a", 1), ("first", 0), ("b", 1)):
+        env.event().succeed(tag, priority=priority, at=1.0).add_callback(
+            lambda event: order.append(event.value))
+    env.run()
+    assert order == ["first", "a", "b", "late"]
+
+
 def test_determinism_same_seed_same_trace():
     def build_and_run():
         env = Environment()

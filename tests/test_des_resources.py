@@ -1,8 +1,8 @@
-"""Unit tests for Store, PriorityStore and Resource."""
+"""Unit tests for Store and Resource."""
 
 import pytest
 
-from repro.des import Environment, PriorityStore, Resource, SimulationError, Store
+from repro.des import Environment, Resource, SimulationError, Store
 
 
 def run(env, gen):
@@ -16,8 +16,8 @@ def test_store_put_then_get_fifo():
     store = Store(env)
 
     def proc(env):
-        yield store.put("a")
-        yield store.put("b")
+        store.put("a")
+        store.put("b")
         first = yield store.get()
         second = yield store.get()
         return (first, second)
@@ -35,7 +35,7 @@ def test_store_get_blocks_until_put():
 
     def producer(env):
         yield env.timeout(5)
-        yield store.put("late")
+        store.put("late")
 
     c = env.process(consumer(env))
     env.process(producer(env))
@@ -48,8 +48,8 @@ def test_store_filtered_get_skips_nonmatching():
     store = Store(env)
 
     def proc(env):
-        yield store.put(("from", 1))
-        yield store.put(("from", 2))
+        store.put(("from", 1))
+        store.put(("from", 2))
         got = yield store.get(filter=lambda m: m[1] == 2)
         return got
 
@@ -66,9 +66,9 @@ def test_store_filtered_get_blocks_until_match():
         return (env.now, got)
 
     def producer(env):
-        yield store.put("other")
+        store.put("other")
         yield env.timeout(3)
-        yield store.put("wanted")
+        store.put("wanted")
 
     c = env.process(consumer(env))
     env.process(producer(env))
@@ -77,46 +77,12 @@ def test_store_filtered_get_blocks_until_match():
     assert list(store.items) == ["other"]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put(1)
-        log.append(("stored-1", env.now))
-        yield store.put(2)
-        log.append(("stored-2", env.now))
-
-    def consumer(env):
-        yield env.timeout(4)
-        item = yield store.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("stored-1", 0) in log
-    assert ("stored-2", 4) in log
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
 def test_store_peek_and_count():
     env = Environment()
     store = Store(env)
-
-    def proc(env):
-        yield store.put(1)
-        yield store.put(2)
-        yield store.put(3)
-
-    env.process(proc(env))
-    env.run()
+    for item in (1, 2, 3):
+        store.put(item)
+    assert env.peek() == float("inf")  # a put costs no calendar event
     assert store.peek() == 1
     assert store.peek(filter=lambda x: x > 1) == 2
     assert store.count() == 3
@@ -139,7 +105,7 @@ def test_store_get_cancel():
         req = store.get()
         req.cancel()
         yield env.timeout(1)
-        yield store.put("x")
+        store.put("x")
         yield env.timeout(1)
         return store.count()
 
@@ -159,52 +125,13 @@ def test_multiple_consumers_fifo_service():
     def producer(env):
         yield env.timeout(1)
         for i in range(3):
-            yield store.put(i)
+            store.put(i)
 
     for tag in "abc":
         env.process(consumer(env, tag))
     env.process(producer(env))
     env.run()
     assert got == [("a", 0), ("b", 1), ("c", 2)]
-
-
-def test_priority_store_orders_items():
-    env = Environment()
-    store = PriorityStore(env)
-
-    def proc(env):
-        for x in (5, 1, 3):
-            yield store.put(x)
-        out = []
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item)
-        return out
-
-    assert run(env, proc(env)) == [1, 3, 5]
-
-
-def test_priority_store_rejects_filters():
-    env = Environment()
-    store = PriorityStore(env)
-    with pytest.raises(SimulationError):
-        env.process(iter([store.get(filter=lambda x: True)]))
-        env.run()
-
-
-def test_priority_store_peek_len():
-    env = Environment()
-    store = PriorityStore(env)
-
-    def proc(env):
-        yield store.put(9)
-        yield store.put(2)
-
-    env.process(proc(env))
-    env.run()
-    assert store.peek() == 2
-    assert len(store) == 2
-    assert store.count() == 2
 
 
 def test_resource_mutual_exclusion():

@@ -1,6 +1,10 @@
 """Unit tests for SharedBus, BackgroundTraffic and the Network transports."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import AllOf, Environment
 from repro.netsim import (
@@ -10,6 +14,8 @@ from repro.netsim import (
     DelayNetwork,
     LinearLatency,
     SharedBus,
+    StochasticLatency,
+    SwitchedNetwork,
 )
 
 
@@ -239,8 +245,6 @@ def test_bus_network_size_dependent_time():
 
 def test_switched_network_parallel_disjoint_pairs():
     """Disjoint pairs transfer fully in parallel on a switch."""
-    from repro.netsim import SwitchedNetwork
-
     env = Environment()
     net = SwitchedNetwork(env, nprocs=4, bandwidth=1000.0)
     a = net.transmit(0, 1, 1000)
@@ -252,8 +256,6 @@ def test_switched_network_parallel_disjoint_pairs():
 
 def test_switched_network_contends_per_endpoint():
     """Two messages into the same receiver serialize at its ingress."""
-    from repro.netsim import SwitchedNetwork
-
     env = Environment()
     net = SwitchedNetwork(env, nprocs=3, bandwidth=1000.0)
     a = net.transmit(0, 2, 1000)
@@ -264,8 +266,6 @@ def test_switched_network_contends_per_endpoint():
 
 
 def test_switched_network_validation():
-    from repro.netsim import SwitchedNetwork
-
     env = Environment()
     with pytest.raises(ValueError):
         SwitchedNetwork(env, nprocs=0, bandwidth=1.0)
@@ -281,8 +281,6 @@ def test_switched_network_validation():
 def test_switched_beats_bus_for_all_to_all():
     """The switch removes shared-medium contention: the same all-to-all
     exchange completes much faster than on the bus."""
-    from repro.netsim import SwitchedNetwork
-
     def total_time(make_net):
         env = Environment()
         net = make_net(env)
@@ -298,3 +296,65 @@ def test_switched_beats_bus_for_all_to_all():
     bus_time = total_time(lambda env: BusNetwork(env, SharedBus(env, bandwidth=1000.0)))
     switch_time = total_time(lambda env: SwitchedNetwork(env, nprocs=6, bandwidth=1000.0))
     assert switch_time < 0.5 * bus_time
+
+
+# ------------------------------------------------------------- FIFO channels
+CONTENDED = {
+    "bus": lambda env, latency: BusNetwork(
+        env, SharedBus(env, bandwidth=1e6, frame_overhead=1e-4), latency),
+    "switched": lambda env, latency: SwitchedNetwork(
+        env, nprocs=3, bandwidth=1e6, latency=latency),
+}
+
+
+@pytest.mark.parametrize("kind", CONTENDED)
+@settings(max_examples=50, deadline=None)
+@given(
+    sends=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2),
+                  st.sampled_from([0.0, 1e-3, 5e-3]), st.integers(0, 4000)),
+        min_size=2, max_size=30),
+    seed=st.integers(0, 20),
+)
+def test_property_channels_are_fifo_under_jitter(kind, sends, seed):
+    """Gaps comparable to a jittered 5 ms endpoint latency: a later
+    draw is often the shorter one, and must still not overtake."""
+    env = Environment()
+    net = CONTENDED[kind](env, StochasticLatency(ConstantLatency(5e-3), 1.0, seed=seed))
+    sent, delivered = defaultdict(list), defaultdict(list)
+
+    def source(env):
+        for k, (src, dst, gap, nbytes) in enumerate(sends):
+            if gap:
+                yield env.timeout(gap)
+            sent[src, dst].append(k)
+            net.transmit(src, dst, nbytes).add_callback(
+                lambda event, k=k: delivered[event.value[:2]].append(k))
+
+    env.process(source(env))
+    env.run()
+    assert delivered == sent
+
+
+def test_fifo_clamp_is_exact_and_ties_keep_send_order():
+    """The second message draws the shorter latency and is held to the
+    very float the first clears the endpoint stage on, behind it.
+    Counted down from 0.2 that instant would be 0.2 + (0.9 - 0.2) =
+    0.8999999999999999, and the second would go first."""
+    class Scripted(ConstantLatency):
+        def delay(self, src, dst, nbytes, now):
+            return draws.pop(0)
+
+    draws = [0.9, 0.1]
+    env = Environment()
+    net = BusNetwork(env, SharedBus(env, bandwidth=1e3), Scripted(0.0))
+    order = []
+
+    def source(env):
+        net.transmit(0, 1, 100).add_callback(lambda e: order.append(("a", env.now)))
+        yield env.timeout(0.2)
+        net.transmit(0, 1, 0).add_callback(lambda e: order.append(("b", env.now)))
+
+    env.process(source(env))
+    env.run()
+    assert order == [("a", 0.9 + 0.1), ("b", 0.9 + 0.1)]

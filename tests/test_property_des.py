@@ -64,7 +64,7 @@ def test_property_store_fifo_semantics(ops):
     def proc(env):
         for kind, value in ops:
             if kind == "put":
-                yield store.put(value)
+                store.put(value)
                 model.append(value)
             elif model:
                 # Only get when the model says an item is available, so
@@ -92,7 +92,7 @@ def test_property_store_conserves_items(n_producers, items_each):
     def producer(env, base):
         for i in range(items_each):
             yield env.timeout(0.5)
-            yield store.put(base * 100 + i)
+            store.put(base * 100 + i)
 
     def consumer(env, total):
         for _ in range(total):
