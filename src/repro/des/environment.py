@@ -16,10 +16,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Environment:
     """Execution environment for a single discrete-event simulation.
 
-    Owns the virtual clock (:attr:`now`) and a priority queue of
-    triggered events.  Events scheduled for the same instant are
-    processed in (priority, insertion) order, which makes runs fully
-    deterministic.
+    Owns the virtual clock (:attr:`now`, a plain attribute because it
+    is the hottest read of a run; only :meth:`step` and :meth:`run`
+    write it) and a priority queue of triggered events.  Events
+    scheduled for the same instant are processed in (priority,
+    insertion) order, which makes runs fully deterministic.
 
     Parameters
     ----------
@@ -39,24 +40,12 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
         #: Optional runtime protocol sanitizer (see
         #: :mod:`repro.analysis.sanitizer`); None = zero overhead.
         self.sanitizer: Optional["ProtocolSanitizer"] = None
-
-    # -- clock ----------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories --------------------------------------------------------
     def event(self) -> Event:
@@ -81,7 +70,7 @@ class Environment:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        heapq.heappush(self._queue, (self.now + delay, priority, next(self._eid), event))
 
     def schedule_at(self, event: Event, time: float, priority: int = 1) -> None:
         """Place a triggered event on the calendar at absolute ``time``.
@@ -90,9 +79,9 @@ class Environment:
         counted down to: ``now + (time - now)`` need not equal
         ``time``, so :meth:`schedule` cannot land on it exactly.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         heapq.heappush(self._queue, (time, priority, next(self._eid), event))
 
@@ -102,14 +91,14 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        prev_now = self._now
+        prev_now = self.now
         try:
-            self._now, _, _, event = heapq.heappop(self._queue)
+            self.now, _, _, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no more events") from None
         if self.sanitizer is not None:
             # Event state machine + monotonic clock invariants.
-            self.sanitizer.on_event_processed(event, self._now, prev_now)
+            self.sanitizer.on_event_processed(event, self.now, prev_now)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -145,16 +134,16 @@ class Environment:
                 until.add_callback(_stop_simulation)
             else:
                 stop_at = float(until)
-                if stop_at < self._now:
+                if stop_at < self.now:
                     raise SimulationError(
-                        f"until={stop_at} is in the past (now={self._now})"
+                        f"until={stop_at} is in the past (now={self.now})"
                     )
 
         queue, step = self._queue, self.step
         try:
             while queue:
                 if stop_at is not None and queue[0][0] > stop_at:
-                    self._now = stop_at
+                    self.now = stop_at
                     return None
                 step()
         except StopSimulation as stop:
@@ -168,12 +157,12 @@ class Environment:
             raise SimulationError(
                 "simulation ended before the awaited event triggered"
             )
-        if stop_at is not None and stop_at > self._now:
-            self._now = stop_at
+        if stop_at is not None and stop_at > self.now:
+            self.now = stop_at
         return None
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self.now} pending={len(self._queue)}>"
 
 
 def _stop_simulation(event: Event) -> None:

@@ -173,7 +173,7 @@ class Timeout(Event):
         self._ok = True
         self.defused = False
         self._delay = delay
-        heappush(env._queue, (env._now + delay, 1, next(env._eid), self))
+        heappush(env._queue, (env.now + delay, 1, next(env._eid), self))
 
     @property
     def delay(self) -> float:
@@ -259,7 +259,6 @@ class Process(Event):
     # -- internal -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
         sanitizer = self.env.sanitizer
         if sanitizer is not None:
             sanitizer.note(
@@ -274,15 +273,12 @@ class Process(Event):
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
             self._target = None
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self._target = None
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(

@@ -67,6 +67,10 @@ from repro.engine.ring import HistoryRing
 from repro.policy import CascadePolicy, WindowPolicy
 
 
+#: The field-less effects carry nothing, so each is built once.
+_TRY_RECV, _CASCADE_END = TryRecv(), CascadeEnd()
+
+
 class RetransmitExhausted(RuntimeError):
     """A sequence gap survived the engine's full retry budget.
 
@@ -335,7 +339,7 @@ class SpecEngine:
         for t in range(T):
             # 1. Opportunistically absorb whatever has already arrived.
             while True:
-                arrival = yield TryRecv()
+                arrival = yield _TRY_RECV
                 if arrival is None:
                     break
                 yield from self._on_arrival(arrival)
@@ -537,7 +541,7 @@ class SpecEngine:
         if k not in self.needed:  # pragma: no cover - audience routing
             return
         if arrival.seq < 0:
-            yield from self._accept(arrival)
+            yield from self._accept(arrival) or ()
             return
         expected = self._recv_next.get(k, 0)
         if arrival.seq < expected:
@@ -548,14 +552,14 @@ class SpecEngine:
             yield from self._gap_tick(k)
             return
         self._recv_next[k] = expected + 1
-        yield from self._accept(arrival)
+        yield from self._accept(arrival) or ()
         stash = self._recv_stash.get(k)
         while stash:
             parked = stash.pop(self._recv_next[k], None)
             if parked is None:
                 break
             self._recv_next[k] += 1
-            yield from self._accept(parked)
+            yield from self._accept(parked) or ()
         if k in self._gaps:
             if not stash:
                 healed = self._gaps.pop(k)
@@ -567,19 +571,21 @@ class SpecEngine:
                 # open the follow-up gap with a fresh retry budget.
                 yield from self._gap_tick(k)
 
-    def _accept(self, arrival: Arrival) -> Generator:
-        """Store an in-order arrival; verify (maybe correct) a speculation."""
+    def _accept(self, arrival: Arrival) -> Optional[Generator]:
+        """Store an in-order arrival; the effects of verifying (maybe
+        correcting) the speculation it settles, or None when it arrived
+        before it was needed — every arrival of a blocking run, which
+        then pays for no generator."""
+        k, t = arrival.src, arrival.iteration
+        self.record_arrival(k, t, arrival.payload)
+        spec = self.spec_used.pop((k, t), None)
+        return None if spec is None else self._verify(k, t, spec, arrival.payload)
+
+    def _verify(self, k: int, t: int, spec: Block, actual: Block) -> Generator:
+        """Check ``spec`` against the ``actual`` X_k(t); cascade on a reject."""
         prog = self.program
         j = self.rank
         stats = self.stats
-        k, t = arrival.src, arrival.iteration
-        actual = arrival.payload
-        self.record_arrival(k, t, actual)
-
-        spec = self.spec_used.pop((k, t), None)
-        if spec is None:
-            return  # arrived before we needed it: nothing to verify
-
         yield Verified(peer=k, iteration=t)
         stats.checks += 1
         own = self.chain[t]
@@ -617,7 +623,7 @@ class SpecEngine:
         yield Corrected(peer=k, iteration=t)
 
         if self.cascade == "none":
-            yield CascadeEnd()
+            yield _CASCADE_END
             return
 
         # Cascade: iterations t+1 .. frontier-1 consumed the old chain.
@@ -643,7 +649,7 @@ class SpecEngine:
             yield Charge(prog.compute_ops(j), phase="correct", iteration=t2)
             self.chain[t2 + 1] = new_block
             stats.recomputes += 1
-        yield CascadeEnd()
+        yield _CASCADE_END
 
 
 def build_engine(

@@ -64,9 +64,7 @@ class DESTransport:
             sanitizer=sanitizer,
             record=None if event_log is None else (
                 lambda kind, peer, family, iteration: event_log.record(
-                    kind, rank, env.now, peer=peer, family=family,
-                    iteration=iteration,
-                )
+                    kind, rank, env.now, peer, family, iteration)
             ),
             clock=lambda: env.now,
         )
@@ -133,7 +131,4 @@ class DESTransport:
             raise TransportError(f"unexpected message tag {tag!r}")
         seq = self._arrival_seq.get(msg.src, 0)
         self._arrival_seq[msg.src] = seq + 1
-        return Arrival(
-            src=msg.src, iteration=iteration, payload=msg.payload,
-            waited=waited, seq=seq,
-        )
+        return Arrival(msg.src, iteration, msg.payload, waited, seq)

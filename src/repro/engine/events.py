@@ -5,6 +5,9 @@ reads a clock and never charges time.  Instead its ``run()`` generator
 *yields* small immutable effect objects and receives the outcome back
 via ``generator.send(...)``.  A transport (DES, loopback, pipes)
 interprets each effect against its medium and resumes the engine.
+A run yields hundreds of thousands of them, so the ones with fields
+are frozen dataclasses filled by :func:`~repro.trace.records.record`
+and the engine builds the two without (``TryRecv``, ``CascadeEnd``) once.
 
 Two groups:
 
@@ -38,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.trace.records import record
+
 #: Message-tag family used by the speculative protocol's variable
 #: exchange (the single authoritative definition; drivers re-export it).
 VARS = "vars"
@@ -46,6 +51,7 @@ VARS = "vars"
 # --------------------------------------------------------------------------
 # I/O + cost effects
 # --------------------------------------------------------------------------
+@record
 @dataclass(frozen=True)
 class Send:
     """Hand one protocol message to the transport (asynchronous)."""
@@ -61,6 +67,7 @@ class Send:
     family: str = VARS
 
 
+@record
 @dataclass(frozen=True)
 class Recv:
     """Block until a protocol message is available; respond with
@@ -88,6 +95,7 @@ class TryRecv:
     """Non-blocking receive; respond with an :class:`Arrival` or None."""
 
 
+@record
 @dataclass(frozen=True)
 class Charge:
     """Account ``ops`` operations of compute work to ``phase``.
@@ -108,6 +116,7 @@ class Charge:
     factor: float = 1.0
 
 
+@record
 @dataclass(frozen=True)
 class Arrival:
     """Response to :class:`Recv` / :class:`TryRecv`.
@@ -134,6 +143,7 @@ class Arrival:
 # --------------------------------------------------------------------------
 # Protocol events (observer notifications; no response)
 # --------------------------------------------------------------------------
+@record
 @dataclass(frozen=True)
 class Speculated:
     """A missing input was predicted from the peer's history ring."""
@@ -147,6 +157,7 @@ class Speculated:
     in_cascade: bool = False
 
 
+@record
 @dataclass(frozen=True)
 class ComputeBegin:
     """One iteration's compute step is entered (forward-window probe)."""
@@ -156,6 +167,7 @@ class ComputeBegin:
     fw: int
 
 
+@record
 @dataclass(frozen=True)
 class Verified:
     """A speculated input is about to be checked against the actual."""
@@ -164,6 +176,7 @@ class Verified:
     iteration: int
 
 
+@record
 @dataclass(frozen=True)
 class Corrected:
     """A rejected speculation was repaired at ``iteration``."""
@@ -172,6 +185,7 @@ class Corrected:
     iteration: int
 
 
+@record
 @dataclass(frozen=True)
 class CascadeBegin:
     """A correction cascade opens at ``iteration``."""
@@ -179,6 +193,7 @@ class CascadeBegin:
     iteration: int
 
 
+@record
 @dataclass(frozen=True)
 class CascadeStep:
     """The cascade recomputes ``iteration`` (strictly ascending)."""
@@ -191,6 +206,7 @@ class CascadeEnd:
     """The correction cascade closed."""
 
 
+@record
 @dataclass(frozen=True)
 class IterationDone:
     """Iteration ``iteration`` completed.
@@ -205,6 +221,7 @@ class IterationDone:
     iteration: int
 
 
+@record
 @dataclass(frozen=True)
 class WindowChanged:
     """The seated window policy moved this rank's FW.
@@ -223,6 +240,7 @@ class WindowChanged:
     max_fw: int
 
 
+@record
 @dataclass(frozen=True)
 class FaultInjected:
     """The fault layer perturbed one message on this rank's receive
@@ -242,6 +260,7 @@ class FaultInjected:
     iteration: int
 
 
+@record
 @dataclass(frozen=True)
 class Retransmit:
     """The engine detected a sequence gap and requests retransmission
@@ -262,6 +281,7 @@ class Retransmit:
     backoff: float
 
 
+@record
 @dataclass(frozen=True)
 class Degraded:
     """The seated :class:`~repro.policy.DegradedWindow` flipped its

@@ -10,8 +10,9 @@ Injected latency is enforced at the *receiver*: each wire message
 carries a ``deliver_at`` wall-clock stamp and does not count as
 arrived until that instant passes — exactly how the simulator's delay
 networks behave.  Blocking receives park in
-:func:`multiprocessing.connection.wait` (``select`` under the hood)
-until either new bytes arrive or the earliest pending stamp matures;
+:func:`multiprocessing.connection.wait` until new bytes arrive, or,
+with a stamp pending, in ``select.select`` until it matures (to the
+microsecond: ``connection.wait`` would round up to the millisecond);
 there is **no sleep-poll loop** (the old ``_Mailbox.take_blocking``
 spun at 1e-4 s), so a blocked worker burns ~zero CPU — asserted by
 ``tests/test_engine_pipes.py``.
@@ -30,6 +31,7 @@ protocol's happens-before model.
 
 from __future__ import annotations
 
+import select
 import time
 from multiprocessing import connection
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -195,13 +197,18 @@ class PipeTransport:
                 self._mark = now
                 return None
             # Park until new bytes arrive or the earliest gated message
-            # matures.  No polling loop: `connection.wait` blocks in
-            # select(); a pure latency wait is one sleep to a deadline.
+            # matures.  No polling loop: a pure latency wait is one
+            # sleep to a deadline.
             timeout = self._next_maturity(now)
             if deadline is not None:
                 remaining = max(0.0, deadline - now)
                 timeout = remaining if timeout is None else min(timeout, remaining)
-            connection.wait(self._wait_list, timeout)
+            if timeout is None:
+                connection.wait(self._wait_list)
+            else:
+                # `connection.wait` is poll(2), which rounds a timeout up
+                # to the next millisecond; select(2) parks to the stamp.
+                select.select(self._wait_list, (), (), timeout)
 
     def notify(self, effect: Any) -> Optional[float]:
         return self.observer.notify(effect)

@@ -30,6 +30,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Optional, Tuple
 
+from repro.trace.records import record
+
 #: Canonical event kinds (the alphabet of the protocol state machine).
 EVENT_KINDS = (
     "send",       # message handed to the transport       (peer = dst)
@@ -43,6 +45,7 @@ EVENT_KINDS = (
     "retransmit", # engine requested a retransmission     (peer = src)
     "degraded",   # degraded-window mode flipped          (peer = active)
 )
+_KNOWN_KINDS = frozenset(EVENT_KINDS)
 
 
 def split_tag(tag: Hashable) -> Tuple[Optional[str], Optional[int]]:
@@ -64,6 +67,7 @@ def split_tag(tag: Hashable) -> Tuple[Optional[str], Optional[int]]:
     return str(tag), None
 
 
+@record
 @dataclass(frozen=True, order=True)
 class TraceEvent:
     """One protocol step on one rank.
@@ -159,13 +163,10 @@ class EventLog:
         counter is left untouched, keeping the stored log a contiguous
         per-rank prefix).
         """
-        if kind not in EVENT_KINDS:
+        if kind not in _KNOWN_KINDS:
             raise ValueError(f"unknown trace-event kind {kind!r}")
         seq = self._next_seq.get(rank, 0)
-        event = TraceEvent(
-            rank=rank, seq=seq, kind=kind, time=float(time),
-            peer=peer, family=family, iteration=iteration,
-        )
+        event = TraceEvent(rank, seq, kind, float(time), peer, family, iteration)
         if self._full():
             self.dropped += 1
             return event
@@ -178,9 +179,7 @@ class EventLog:
     ) -> TraceEvent:
         """Record a send/recv, splitting ``tag`` into family + iteration."""
         family, iteration = split_tag(tag)
-        return self.record(
-            kind, rank, time, peer=peer, family=family, iteration=iteration
-        )
+        return self.record(kind, rank, time, peer, family, iteration)
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         """Merge pre-sequenced events (e.g. from a worker process).

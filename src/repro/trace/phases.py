@@ -42,7 +42,13 @@ class Interval:
 
 
 class PhaseTrace:
-    """Append-only log of :class:`Interval` records for one processor.
+    """Append-only log of phase intervals for one processor.
+
+    A run records one row per charge and per receive and reads them a
+    few times when it is over, so :attr:`records` holds plain ``(phase,
+    start, end, iteration)`` rows, the aggregates walk those in record
+    order, and :class:`Interval` objects exist only once
+    :attr:`intervals` is read.
 
     Parameters
     ----------
@@ -52,7 +58,16 @@ class PhaseTrace:
 
     def __init__(self, rank: int = 0) -> None:
         self.rank = rank
-        self.intervals: list[Interval] = []
+        self.records: list[tuple[str, float, float, Optional[int]]] = []
+
+    @property
+    def intervals(self) -> list[Interval]:
+        """The rows as :class:`Interval` records (a new list per read)."""
+        return [Interval(*row) for row in self.records]
+
+    @intervals.setter
+    def intervals(self, intervals: Iterable[Interval]) -> None:
+        self.records = [(i.phase, i.start, i.end, i.iteration) for i in intervals]
 
     def record(self, phase: str, start: float, end: float, iteration: Optional[int] = None) -> None:
         """Append one interval (zero-length intervals are dropped)."""
@@ -62,42 +77,40 @@ class PhaseTrace:
             return
         # Phase intervals ARE the experiment's result payload: a run
         # records O(iterations) of them and ends; no cap wanted.
-        self.intervals.append(  # specbound: disable=SPB406
-            Interval(phase, start, end, iteration)
-        )
+        self.records.append((phase, start, end, iteration))  # specbound: disable=SPB406
 
     def total(self, phase: str) -> float:
         """Total time spent in ``phase``."""
-        return sum(i.duration for i in self.intervals if i.phase == phase)
+        return sum(end - start for p, start, end, _ in self.records if p == phase)
 
     def span(self) -> float:
         """Wall span from first interval start to last interval end."""
-        if not self.intervals:
+        if not self.records:
             return 0.0
-        return max(i.end for i in self.intervals) - min(i.start for i in self.intervals)
+        return max(row[2] for row in self.records) - min(row[1] for row in self.records)
 
     def breakdown(self) -> "PhaseBreakdown":
         """Aggregate into a :class:`PhaseBreakdown`."""
         totals = {phase: 0.0 for phase in PHASES}
-        for i in self.intervals:
-            totals[i.phase] = totals.get(i.phase, 0.0) + i.duration
+        for phase, start, end, _ in self.records:
+            totals[phase] = totals.get(phase, 0.0) + (end - start)
         return PhaseBreakdown(totals=totals, span=self.span())
 
     def iterations(self) -> list[int]:
         """Sorted distinct iteration tags present in the trace."""
-        return sorted({i.iteration for i in self.intervals if i.iteration is not None})
+        return sorted({row[3] for row in self.records if row[3] is not None})
 
     def for_iteration(self, iteration: int) -> "PhaseTrace":
         """A sub-trace containing only intervals tagged ``iteration``."""
         sub = PhaseTrace(self.rank)
-        sub.intervals = [i for i in self.intervals if i.iteration == iteration]
+        sub.records = [row for row in self.records if row[3] == iteration]
         return sub
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.records)
 
     def __repr__(self) -> str:
-        return f"<PhaseTrace rank={self.rank} intervals={len(self.intervals)}>"
+        return f"<PhaseTrace rank={self.rank} intervals={len(self.records)}>"
 
 
 @dataclass

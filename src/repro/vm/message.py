@@ -8,6 +8,8 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
+from repro.trace.records import record
+
 
 def payload_nbytes(payload: Any) -> int:
     """Best-effort wire size of a payload in bytes.
@@ -32,6 +34,7 @@ def payload_nbytes(payload: Any) -> int:
     return int(sys.getsizeof(payload))
 
 
+@record
 @dataclass(frozen=True)
 class Message:
     """One message in flight or delivered.
@@ -43,7 +46,8 @@ class Message:
     ndarray* payload is still the sender's responsibility, which is why
     the collectives deep-copy on send).  The single legitimate
     post-construction update, stamping the delivery time, goes through
-    :meth:`mark_delivered`.
+    :meth:`mark_delivered`.  One is built per send, so construction
+    goes through :func:`~repro.trace.records.record`.
 
     Attributes
     ----------
@@ -81,7 +85,7 @@ class Message:
             raise ValueError(
                 f"delivery at {now} precedes send at {self.sent_at}: {self!r}"
             )
-        object.__setattr__(self, "delivered_at", now)
+        self.__dict__["delivered_at"] = now
 
     @property
     def latency(self) -> float:

@@ -120,14 +120,7 @@ class VirtualProcessor:
         if not 0 <= dst < self.cluster.size:
             raise ValueError(f"invalid destination rank {dst}")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        msg = Message(
-            src=self.rank,
-            dst=dst,
-            tag=tag,
-            payload=payload,
-            nbytes=size,
-            sent_at=self.env.now,
-        )
+        msg = Message(self.rank, dst, tag, payload, size, self.env.now)
         self.sent_count += 1
         if self.cluster.event_log is not None:
             self.cluster.event_log.record_message(
@@ -171,8 +164,9 @@ class VirtualProcessor:
         communication/waiting time).
         """
         start = self.env.now
+        # The wildcard receive takes the mailbox's predicate-free path.
         msg: Message = yield self.mailbox.get(
-            filter=lambda m: m.matches(src, tag)
+            None if src is None and tag is None else lambda m: m.matches(src, tag)
         )
         self.trace.record(phase, start, self.env.now, iteration)
         self.recv_count += 1
@@ -189,8 +183,9 @@ class VirtualProcessor:
 
     def try_recv(self, src: Optional[int] = None, tag: Hashable = None) -> Optional[Message]:
         """Non-blocking receive: matching message or None (no time passes)."""
-        matcher = lambda m: m.matches(src, tag)  # noqa: E731
-        found = self.mailbox.peek(filter=matcher)
+        found = self.mailbox.peek(
+            None if src is None and tag is None else lambda m: m.matches(src, tag)
+        )
         if found is None:
             return None
         self.mailbox.items.remove(found)

@@ -2,9 +2,10 @@
 
 The two protocol-critical properties of the pipe transport:
 
-* blocking receives park in ``select`` (via
-  ``multiprocessing.connection.wait``) — a blocked worker burns ~zero
-  CPU, unlike the old mailbox's 1e-4 s sleep-poll;
+* blocking receives park in the kernel (``connection.wait`` for bytes,
+  ``select.select`` to a pending stamp) — a blocked worker burns ~zero
+  CPU, unlike the old mailbox's 1e-4 s sleep-poll, and wakes at the
+  stamp, not at the next millisecond;
 * wire messages are sequence-checked and their delivery stamps floored
   at their per-peer predecessor's, so injected jitter can never
   reorder one peer's ``vars`` conversation (the SPF111 race).
@@ -74,6 +75,28 @@ def test_blocking_recv_parks_until_bytes_arrive():
     assert cpu < 0.1 * wall + 0.02, f"spun: cpu={cpu:.3f}s of wall={wall:.3f}s"
     # The blocked span is charged to the receive's phase.
     assert transport.phase_seconds["comm"] == pytest.approx(wall, abs=0.05)
+
+
+def test_blocking_recv_parks_to_the_stamp_not_to_the_next_millisecond():
+    """``connection.wait`` is ``poll(2)`` and rounds its timeout up to a
+    whole millisecond, which made every latency-gated hop up to 1 ms
+    late; the maturity wait must wake at the stamp (and still sleep)."""
+    transport, sender = make_transport()
+    stamp, parks = 0.0023, 20
+    lateness = []
+    cpu0, wall0 = time.process_time(), time.monotonic()
+    for seq in range(parks):
+        deliver_at = time.monotonic() + stamp
+        sender.send((seq, deliver_at, seq, "payload"))
+        transport.recv(Recv(phase="comm", iteration=seq))
+        lateness.append(time.monotonic() - deliver_at)
+    wall = time.monotonic() - wall0
+    cpu = time.process_time() - cpu0
+
+    assert min(lateness) >= 0.0
+    median = sorted(lateness)[parks // 2]
+    assert median < 0.0005, f"median park overshoots its stamp by {median * 1e3:.2f} ms"
+    assert cpu < 0.25 * wall + 0.02, f"spun: cpu={cpu:.3f}s of wall={wall:.3f}s"
 
 
 # ------------------------------------------------------- sequenced delivery
