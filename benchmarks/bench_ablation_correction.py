@@ -29,7 +29,7 @@ def run_ablation():
         rows.append([
             "incremental" if incremental else "full recompute",
             b["correct"],
-            result.makespan,
+            result.wall_seconds,
             100.0 * prog.spec_stats.incorrect_fraction,
         ])
     return rows

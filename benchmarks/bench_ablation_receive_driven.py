@@ -66,13 +66,13 @@ def transient_rows():
     rows = []
     prog, cluster = build()
     rows.append(["transient", "blocking (Fig. 1)",
-                 run_program(prog, cluster, fw=0).makespan])
+                 run_program(prog, cluster, fw=0).wall_seconds])
     prog, cluster = build()
     rows.append(["transient", "receive-driven (Fig. 7)",
-                 ReceiveDrivenDriver(prog, cluster).run().makespan])
+                 ReceiveDrivenDriver(prog, cluster).run().wall_seconds])
     prog, cluster = build()
     rows.append(["transient", "speculative FW=2 (Fig. 3)",
-                 run_program(prog, cluster, fw=2, cascade="none").makespan])
+                 run_program(prog, cluster, fw=2, cascade="none").wall_seconds])
     return rows
 
 

@@ -42,7 +42,7 @@ def run_ablation():
         )
         result = run_program(prog, cluster, fw=1)
         rows.append(
-            [name, 100.0 * result.rejection_rate, result.makespan]
+            [name, 100.0 * result.rejection_rate, result.wall_seconds]
         )
     return rows
 

@@ -21,7 +21,7 @@ def run_sweep():
     # the injected latency around the measured compute time.
     probe = NBodyProgram(system, [1.0, 1.0], iterations=2, dt=0.01, threshold=0.0)
     base = MPRunner(probe, fw=0, latency=0.0).run(timeout=120)
-    compute_s = base.phase_seconds("compute") / probe.iterations
+    compute_s = base.timings["compute"] / probe.iterations
 
     for factor in (0.5, 1.0, 2.0):
         latency = max(compute_s * factor, 0.002)

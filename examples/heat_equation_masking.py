@@ -42,14 +42,14 @@ def main() -> None:
     program, blocking = run(0)
     _, speculative = run(1)
 
-    field = program.gather(speculative.final_blocks)
+    field = program.gather(speculative.results)
     serial = program.reference()
     max_dev = float(np.max(np.abs(field - serial)))
 
     print(f"1-D heat equation: {cells} cells on {procs} strips, {sweeps} sweeps")
-    print(f"  blocking    : {blocking.makespan:.4f} virtual s")
-    print(f"  speculative : {speculative.makespan:.4f} virtual s "
-          f"({blocking.makespan / speculative.makespan - 1:+.0%})")
+    print(f"  blocking    : {blocking.wall_seconds:.4f} virtual s")
+    print(f"  speculative : {speculative.wall_seconds:.4f} virtual s "
+          f"({blocking.wall_seconds / speculative.wall_seconds - 1:+.0%})")
     print(f"  rejected speculations : {100 * speculative.rejection_rate:.2f}%")
     print(f"  max deviation from the serial solution: {max_dev:.2e}")
     print(f"  messages per rank: "

@@ -34,7 +34,7 @@ def main() -> None:
             dt=dt, threshold=0.01,
         )
         result = run_program(program, platform.cluster(), fw=fw, cascade="none")
-        final = program.gather(result.final_blocks)
+        final = program.gather(result.results)
 
         if reference is None:
             reference = program.reference()

@@ -44,10 +44,10 @@ def main() -> None:
             ),
         )
         result = run_program(program, cluster, fw=1)
-        theta = program.gather(result.final_blocks)
+        theta = program.gather(result.results)
         print(
             f"{name:32s}{100 * result.rejection_rate:>11.1f}"
-            f"{result.makespan:>14.2f}{program.synchrony(theta):>8.3f}"
+            f"{result.wall_seconds:>14.2f}{program.synchrony(theta):>8.3f}"
         )
 
     print(

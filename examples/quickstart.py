@@ -47,7 +47,7 @@ def main() -> None:
     print(f"{'spec+check s/iter':24s}{b0['spec'] + b0['check']:>12.3f}"
           f"{b1['spec'] + b1['check']:>14.3f}")
     print(f"{'total s/iter':24s}{b0.total:>12.3f}{b1.total:>14.3f}")
-    gain = blocking.makespan / speculative.makespan - 1.0
+    gain = blocking.wall_seconds / speculative.wall_seconds - 1.0
     print(f"\nSpeculative computation is {gain:+.1%} faster "
           f"({100 * program.spec_stats.incorrect_fraction:.1f}% of speculations rejected)")
 

@@ -21,7 +21,7 @@ def main() -> None:
     # Measure the native compute time first, then inject a matching delay.
     probe = NBodyProgram(system, [1.0, 1.0], iterations=2, dt=0.01, threshold=0.0)
     base = MPRunner(probe, fw=0, latency=0.0).run()
-    compute_per_iter = base.phase_seconds("compute") / probe.iterations
+    compute_per_iter = base.timings["compute"] / probe.iterations
     latency = max(compute_per_iter, 0.001)
     print(f"{n}-particle N-body on 2 OS processes")
     print(f"measured compute/iteration: {1000 * compute_per_iter:.1f} ms; "
@@ -35,13 +35,13 @@ def main() -> None:
         label = "blocking (FW=0)" if fw == 0 else "speculative (FW=1)"
         res = results[fw]
         print(f"{label:20s}: wall {res.wall_seconds:.3f}s  "
-              f"waiting {res.phase_seconds('comm'):.3f}s  "
+              f"waiting {res.timings['comm']:.3f}s  "
               f"rejected {100 * res.rejection_rate:.1f}%")
 
     # Physics check: both runs agree with each other within theta-bounded
     # speculation error.
-    p0 = np.vstack([results[0].final_blocks[r][:, :3] for r in range(2)])
-    p1 = np.vstack([results[1].final_blocks[r][:, :3] for r in range(2)])
+    p0 = np.vstack([results[0].results[r][:, :3] for r in range(2)])
+    p1 = np.vstack([results[1].results[r][:, :3] for r in range(2)])
     print(f"\nmax position deviation between the two runs: "
           f"{float(np.max(np.abs(p0 - p1))):.2e}")
     print(f"speculation made the run "

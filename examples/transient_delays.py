@@ -31,7 +31,7 @@ def main() -> None:
         )
         program = ConstantProgram(nprocs=2, iterations=6)
         result = run_program(program, platform.cluster(), fw=fw)
-        print(f"FW = {fw}: makespan {result.makespan:.2f}s")
+        print(f"FW = {fw}: makespan {result.wall_seconds:.2f}s")
         print(render_gantt(result.traces, width=76))
 
 

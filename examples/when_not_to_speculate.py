@@ -47,7 +47,7 @@ def chaos_demo() -> None:
         exact_prog = CoupledMapLattice(initial, [1e6] * 4, 40, r=r, threshold=0.0)
         exact = run_program(exact_prog, cluster(), fw=1)
         np.testing.assert_allclose(
-            exact_prog.gather(exact.final_blocks), exact_prog.reference(), atol=1e-9
+            exact_prog.gather(exact.results), exact_prog.reference(), atol=1e-9
         )
     print("   (theta = 0 runs verified bit-exact in both regimes)\n")
 
@@ -60,7 +60,7 @@ def conservation_demo() -> None:
     for theta in (0.0, 5e-3, 2e-2):
         prog = WaveEquation1D(pulse, [1e6] * 4, 80, courant=1.0, threshold=theta)
         result = run_program(prog, cluster(latency=0.4), fw=1)
-        dev = float(np.max(np.abs(prog.gather(result.final_blocks) - prog.reference())))
+        dev = float(np.max(np.abs(prog.gather(result.results) - prog.reference())))
         print(f"   {theta:>8.3g}{100 * result.rejection_rate:>12.1f}{dev:>18.2e}")
     print(
         "\n   A heat-equation run at the same thresholds stays within ~theta\n"

@@ -1,4 +1,4 @@
-"""Capture golden RunResult fields from the current driver (parity anchor).
+"""Capture golden RunReport fields from the current driver (parity anchor).
 
 Two modes:
 
@@ -65,7 +65,7 @@ def nbody_adaptive_case() -> dict:
     doc = summarize(res)
     doc["window_history"] = [
         [[int(t), int(fw)] for t, fw in history]
-        for history in res.window_history
+        for history in res.window_history.values()
     ]
     doc["final_windows"] = res.final_windows()
     return doc
@@ -73,12 +73,12 @@ def nbody_adaptive_case() -> dict:
 
 def summarize(res) -> dict:
     return {
-        "makespan": repr(float(res.makespan)),
+        "makespan": repr(float(res.wall_seconds)),
         "iterations": res.iterations,
         "fw": res.fw,
         "final_digest": [
-            repr(float(np.asarray(res.final_blocks[r]).sum()))
-            for r in sorted(res.final_blocks)
+            repr(float(np.asarray(res.results[r]).sum()))
+            for r in sorted(res.results)
         ],
         "stats": [
             {

@@ -7,15 +7,19 @@ St. Louis, 1994).
 
 Quick start::
 
-    from repro import NBodyProgram, run_program, uniform_cube, wustl_1994
+    from repro import NBodyProgram, RunConfig, run, uniform_cube, wustl_1994
 
     platform = wustl_1994(p=8)
     system = uniform_cube(500, seed=0, softening=0.1)
     program = NBodyProgram(system, platform.capacities(),
                            iterations=10, dt=0.01, threshold=0.01)
-    blocking    = run_program(program, platform.cluster(), fw=0)
-    speculative = run_program(program, platform.cluster(), fw=1)
-    print(blocking.makespan, "->", speculative.makespan)
+    blocking    = run(RunConfig(program, fw=0, cluster=platform.cluster()))
+    speculative = run(RunConfig(program, fw=1, cluster=platform.cluster()))
+    print(blocking.wall_seconds, "->", speculative.wall_seconds)
+    print(speculative.steady_breakdown().totals)   # per-iteration phases
+
+Every backend (``backend="des" | "loopback" | "mp"``) returns the same
+:class:`RunReport`, in its own clock.
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -44,7 +48,6 @@ from repro.core import (
     DampedLinear,
     LinearExtrapolation,
     PolynomialExtrapolation,
-    RunResult,
     SpecStats,
     SpeculativeDriver,
     Speculator,
@@ -84,7 +87,6 @@ __all__ = [
     "ProcessorSpec",
     "RunConfig",
     "RunReport",
-    "RunResult",
     "SpecStats",
     "SpeculativeDriver",
     "Speculator",

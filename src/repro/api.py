@@ -1,21 +1,20 @@
 """One run API across the three backends.
 
-Each backend has one primitive with its own native result:
-:func:`repro.core.driver.run_program` (DES, returns
-:class:`~repro.core.results.RunResult` with phase traces),
-:func:`repro.engine.loopback.run_loopback` (returns a 3-tuple
-including the runner) and :class:`repro.parallel.MPRunner` (returns
-:class:`~repro.parallel.runner.MPRunResult` with per-worker reports).
-This module puts them behind one frozen configuration value and one
-report type::
+Every backend primitive — :func:`repro.core.driver.run_program` (DES),
+:func:`repro.engine.loopback.run_loopback` and
+:meth:`repro.parallel.MPRunner.run` — returns the same
+:class:`~repro.core.results.RunReport`.  This module puts them behind
+one frozen configuration value::
 
     from repro.api import RunConfig, run
 
     report = run(RunConfig(program, backend="mp", fw=2, latency=0.05))
     report.results[0]          # rank 0's final block
     report.timings["compute"]  # per-phase cost, max over ranks
-    report.stats[0]            # rank 0's SpecStats, on every backend
+    report.traces[0]           # rank 0's PhaseTrace rows, per iteration
+    report.stats[0]            # rank 0's SpecStats
     report.window_history[0]   # rank 0's (iteration, fw) trajectory
+    report.steady_breakdown()  # per-iteration phases without warm-up
 
 The same ``RunConfig`` — including an optional
 :class:`~repro.faults.FaultPlan` — runs unchanged on ``"des"``
@@ -23,21 +22,19 @@ The same ``RunConfig`` — including an optional
 and ``"mp"`` (real OS processes over pipes); only the clock the
 numbers are measured in differs.  :func:`run` is the one way the CLI
 and the benchmark reach a backend; the three primitives are what it
-dispatches to, and what to call directly for the backend-native result
-(``RunReport.raw`` carries it too) — the paper experiments in
-:mod:`repro.harness`, for instance, read ``RunResult`` phase traces.
+dispatches to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.driver import SpeculativeDriver
 from repro.core.program import SyncIterativeProgram
-from repro.core.results import SpecStats, fleet_rejection_rate
+from repro.core.results import RunReport
 from repro.engine.loopback import run_loopback
-from repro.faults import FaultPlan, merge_summaries
+from repro.faults import FaultPlan
 from repro.netsim.latency import ConstantLatency, StochasticLatency
 from repro.netsim.network import DelayNetwork
 from repro.policy import WindowPolicy
@@ -156,68 +153,20 @@ class RunConfig:
             )
 
 
-@dataclass
-class RunReport:
-    """What one run produced, shaped identically on every backend.
-
-    ``wall_seconds`` is measured in the backend's own clock: virtual
-    seconds (DES makespan), scheduler rounds (loopback) or real wall
-    seconds (mp).  ``timings`` uses the same clock per phase (ops on
-    loopback, where cost is counted rather than timed), aggregated as
-    the max over ranks.  ``stats`` is one
-    :class:`~repro.core.results.SpecStats` per rank on every backend;
-    ``fault_summary`` is :func:`~repro.faults.merge_summaries` over the
-    ranks' injector receipts (None without a fault plan).  ``raw``
-    keeps the backend-native result for anything the common shape does
-    not cover.
-    """
-
-    backend: str
-    results: Dict[int, Any]
-    wall_seconds: float
-    timings: Dict[str, float]
-    window_history: Dict[int, List[Tuple[int, int]]]
-    stats: List[SpecStats]
-    fault_summary: Optional[Dict[str, Any]] = None
-    event_log: Optional[EventLog] = None
-    raw: Any = field(default=None, repr=False)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Fleet-wide fraction of checked speculations rejected."""
-        return fleet_rejection_rate(self.stats)
-
-
 def run(config: RunConfig) -> RunReport:
-    """Execute ``config`` on its backend; one report shape for all three.
-
-    The backends differ only in how a run is started and where its
-    clock totals come from (the ``_start_*`` functions below); the
-    report itself is assembled once, here.
-    """
-    log = EventLog() if config.record_trace else None
+    """Execute ``config`` on its backend; one report shape for all three."""
     knobs = dict(
         fw=config.fw, cascade=config.cascade, sanitize=config.sanitize,
         window_policy=config.window_policy, fault_plan=config.fault_plan,
         hist_cap=config.bw,
     )
     start = {"des": _start_des, "loopback": _start_loopback, "mp": _start_mp}
-    measured, receipts = start[config.backend](config, log, knobs)
-    return RunReport(
-        backend=config.backend,
-        fault_summary=(
-            merge_summaries(receipts) if config.fault_plan is not None else None
-        ),
-        event_log=log,
-        **measured,
-    )
+    return start[config.backend](config, knobs)
 
 
 # ---------------------------------------------------------------- backends
 # Each ``_start_*`` runs ``config`` on its backend with the protocol
-# ``knobs`` every primitive takes, tracing into ``log`` when one is
-# given, and returns the measured RunReport fields (in the backend's
-# own clock) plus the ranks' FaultSummary receipts.
+# ``knobs`` every primitive takes, tracing when ``config.record_trace``.
 def _default_cluster(config: RunConfig) -> Cluster:
     """Uniform DES cluster with a constant(+jitter) latency network."""
     latency = ConstantLatency(config.latency)
@@ -230,61 +179,22 @@ def _default_cluster(config: RunConfig) -> Cluster:
     )
 
 
-def _start_des(config: RunConfig, log: Optional[EventLog], knobs: dict) -> tuple:
+def _start_des(config: RunConfig, knobs: dict) -> RunReport:
     cluster = config.cluster if config.cluster is not None else _default_cluster(config)
-    if log is not None:
-        cluster.event_log = log
-    driver = SpeculativeDriver(config.program, cluster, **knobs)
-    result = driver.run()
-    measured = dict(
-        results=result.final_blocks,
-        wall_seconds=result.makespan,
-        timings=dict(result.breakdown().totals),
-        window_history=dict(enumerate(result.window_history)),
-        stats=result.stats,
-        raw=result,
-    )
-    # The driver stores bound summary methods (the injectors fill in
-    # as the run executes); materialise them now.
-    return measured, [fn() for fn in driver.fault_summaries]
+    if config.record_trace:
+        cluster.event_log = EventLog()
+    return SpeculativeDriver(config.program, cluster, **knobs).run()
 
 
-def _start_loopback(config: RunConfig, log: Optional[EventLog], knobs: dict) -> tuple:
-    finals, stats, runner = run_loopback(config.program, event_log=log, **knobs)
-    timings: Dict[str, float] = {}
-    for tally in runner.phase_ops.values():
-        for phase, ops in tally.items():
-            timings[phase] = max(timings.get(phase, 0.0), ops)
-    measured = dict(
-        results=finals,
-        wall_seconds=float(runner.rounds),
-        timings=timings,
-        window_history=runner.window_history,
-        stats=stats,
-        raw=runner,
-    )
-    if config.fault_plan is None:
-        return measured, []
-    return measured, [e.injector.summary() for e in runner.engines.values()]
+def _start_loopback(config: RunConfig, knobs: dict) -> RunReport:
+    log = EventLog() if config.record_trace else None
+    return run_loopback(config.program, event_log=log, **knobs)
 
 
-def _start_mp(config: RunConfig, log: Optional[EventLog], knobs: dict) -> tuple:
+def _start_mp(config: RunConfig, knobs: dict) -> RunReport:
     from repro.parallel import MPRunner  # deferred: spawns processes
 
-    runner = MPRunner(
+    return MPRunner(
         config.program, latency=config.latency, jitter=config.jitter,
-        seed=config.seed, record_events=log is not None, **knobs,
-    )
-    result = runner.run(timeout=config.timeout)
-    if log is not None:
-        log.extend(result.event_log())
-    phases = sorted({p for r in result.reports for p in r.phase_seconds})
-    measured = dict(
-        results=result.final_blocks,
-        wall_seconds=result.wall_seconds,
-        timings={p: result.phase_seconds(p) for p in phases},
-        window_history=result.window_history(),
-        stats=result.stats,
-        raw=result,
-    )
-    return measured, [r.fault_summary for r in result.reports]
+        seed=config.seed, record_events=config.record_trace, **knobs,
+    ).run(timeout=config.timeout)

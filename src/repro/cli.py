@@ -327,7 +327,7 @@ def _print_report(config, report, header: str, details: Sequence[str] = ()) -> N
     print(header)
     print(f"  wall                : {report.wall_seconds:.3f} {wall_unit}")
     phases = " / ".join(
-        f"{phase}={report.timings[phase]:{fmt}}" for phase in sorted(report.timings)
+        f"{phase}={total:{fmt}}" for phase, total in sorted(report.timings.items())
     )
     print(f"  phase timings       : {phases} ({phase_unit}, max over ranks)")
     for line in details:
@@ -338,10 +338,9 @@ def _print_report(config, report, header: str, details: Sequence[str] = ()) -> N
         print("  rejected speculation (particles): "
               f"{100 * particles.incorrect_fraction:.2f}%")
     if config.window_policy is not None:
-        history = report.window_history
-        finals = [history[rank][-1][1] for rank in sorted(history)]
-        changes = sum(len(h) - 1 for h in history.values())
-        print(f"  final windows       : {finals} ({changes} change(s))")
+        changes = sum(len(h) - 1 for h in report.window_history.values())
+        print(f"  final windows       : {report.final_windows()} "
+              f"({changes} change(s))")
 
 
 def _cmd_nbody(args: argparse.Namespace) -> int:
@@ -365,17 +364,15 @@ def _cmd_nbody(args: argparse.Namespace) -> int:
         print(f"repro nbody: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = _execute(config, args.record_trace)
-    details = []
-    if args.backend == "des":
-        result = report.raw
-        b = result.steady_breakdown() if result.iterations > 1 else result.breakdown()
-        details = [
-            f"  makespan            : {result.makespan:.3f} virtual s",
-            f"  time/iteration      : {result.time_per_iteration:.3f} s",
-            f"  compute / comm      : {b['compute']:.3f} / {b['comm']:.3f} s per iter",
-            f"  spec / check / corr : {b['spec']:.3f} / {b['check']:.3f} / "
-            f"{b['correct']:.3f}",
-        ]
+    wall_unit, phase_unit, fmt = _CLOCK[report.backend]
+    b = report.steady_breakdown() if report.iterations > 1 else report.breakdown()
+    details = [
+        f"  time/iteration      : {report.time_per_iteration:.3f} {wall_unit}",
+        f"  compute / comm      : {b['compute']:{fmt}} / {b['comm']:{fmt}} "
+        f"{phase_unit} per iter",
+        f"  spec / check / corr : {b['spec']:{fmt}} / {b['check']:{fmt}} / "
+        f"{b['correct']:{fmt}}",
+    ]
     _print_report(
         config, report,
         f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "

@@ -16,7 +16,7 @@ reusable framework:
   ``FW >= 1`` the speculative algorithm of Fig. 3 with forward-window
   pipelining (Fig. 4) and cascade recomputation on rejected
   speculations.
-* :mod:`repro.core.results` — run results, speculation statistics and
+* :mod:`repro.core.results` — the run report, speculation statistics and
   speedup calculations.
 """
 
@@ -29,7 +29,7 @@ from repro.core.checkers import (
 from repro.core.driver import SpeculativeDriver, run_program
 from repro.core.program import SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram, ReceiveDrivenDriver
-from repro.core.results import RunResult, SpecStats, speedup, speedup_max
+from repro.core.results import RunReport, SpecStats, speedup, speedup_max
 from repro.core.speculators import (
     DampedLinear,
     LinearExtrapolation,
@@ -49,7 +49,7 @@ __all__ = [
     "PolynomialExtrapolation",
     "ReceiveDrivenDriver",
     "RmsError",
-    "RunResult",
+    "RunReport",
     "SpecStats",
     "Speculator",
     "SpeculativeDriver",

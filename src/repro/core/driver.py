@@ -45,7 +45,7 @@ from typing import Generator, Optional
 
 from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.core.program import SyncIterativeProgram
-from repro.core.results import RunResult, SpecStats
+from repro.core.results import RunReport, SpecStats, assemble_report
 from repro.engine.core import build_engine, topology
 from repro.engine.des_transport import DESTransport
 from repro.engine.observer import RankObserver
@@ -89,7 +89,7 @@ class SpeculativeDriver:
         Optional :class:`~repro.policy.WindowPolicy` template seated
         inside every rank's engine; each rank spawns a private copy
         and adapts independently.  ``fw`` is then the initial window;
-        decisions land in ``RunResult.window_history``.
+        decisions land in the report's ``window_history``.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; each rank's engine
         is wrapped in the fault middleware
@@ -125,31 +125,25 @@ class SpeculativeDriver:
         self.window_policy = window_policy
         #: Optional fault plan wrapped around every rank's engine.
         self.fault_plan = fault_plan
-        #: Per-rank injector receipts, filled as rank programs build.
-        self.fault_summaries: list = []
+        #: Per-rank fault injectors, filled as rank programs build.
+        self._injectors: list = []
         #: Per-rank observer seats, filled as rank programs build.
         self._observers: dict[int, RankObserver] = {}
 
     # ------------------------------------------------------------------ run
-    def run(self) -> RunResult:
-        """Execute the program to completion; returns the measurements."""
+    def run(self) -> RunReport:
+        """Execute the program to completion; returns the measurements
+        (in virtual seconds)."""
         if self.sanitizer is not None:
             self.cluster.env.sanitizer = self.sanitizer
         finals = self.cluster.run(self._rank_program)
         if self.sanitizer is not None:
             self.sanitizer.on_run_end()
-        return RunResult(
-            makespan=self.cluster.env.now,
-            final_blocks={r: b for r, b in enumerate(finals)},
-            traces=self.cluster.traces(),
-            stats=self._stats,
-            fw=self.fw,
-            iterations=self.program.iterations,
-            capacities=self.cluster.capacities(),
-            window_history=[
-                self._observers[r].window_history
-                for r in range(self.cluster.size)
-            ],
+        return des_report(
+            self.cluster, finals, self._stats, self._observers,
+            None if self.fault_plan is None
+            else [injector.summary() for injector in self._injectors],
+            fw=self.fw, iterations=self.program.iterations,
         )
 
     # ---------------------------------------------------------- per-rank code
@@ -166,7 +160,7 @@ class SpeculativeDriver:
             # charge_poll: DES recvs have no timeout, so retransmit
             # backoff is paid as TryRecv + Charge polls in virtual time.
             engine = wrap_engine(engine, self.fault_plan, charge_poll=True)
-            self.fault_summaries.append(engine.injector.summary)
+            self._injectors.append(engine.injector)
         transport = DESTransport(
             proc, sanitizer=self.sanitizer, event_log=self.cluster.event_log
         )
@@ -189,6 +183,20 @@ def check_cluster(program: SyncIterativeProgram, cluster: Cluster) -> None:
         )
 
 
+def des_report(
+    cluster: Cluster, finals: list, stats: list[SpecStats],
+    observers: dict[int, RankObserver], receipts: Optional[list],
+    fw: int, iterations: int,
+) -> RunReport:
+    """The report of a finished DES run, read off ``cluster``."""
+    return assemble_report(
+        "des", dict(enumerate(finals)), cluster.traces(), stats,
+        {r: obs.window_history for r, obs in observers.items()},
+        cluster.env.now, receipts, fw=fw, iterations=iterations,
+        capacities=cluster.capacities(), event_log=cluster.event_log,
+    )
+
+
 def run_program(
     program: SyncIterativeProgram,
     cluster: Cluster,
@@ -198,7 +206,7 @@ def run_program(
     window_policy: Optional[WindowPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     hist_cap: Optional[int] = None,
-) -> RunResult:
+) -> RunReport:
     """Convenience wrapper: build a driver and run it.
 
     Prefer :func:`repro.api.run` for new code — it runs the same

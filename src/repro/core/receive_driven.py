@@ -21,12 +21,12 @@ from abc import abstractmethod
 from typing import Any, Generator
 
 from repro.analysis.sanitizer import sanitizer_from_env
-from repro.core.driver import check_cluster
+from repro.core.driver import check_cluster, des_report
 from repro.core.program import Block, SyncIterativeProgram
-from repro.core.results import RunResult, SpecStats
+from repro.core.results import RunReport, SpecStats
 from repro.engine.core import ReceiveDrivenEngine, topology
 from repro.engine.des_transport import DESTransport
-
+from repro.engine.observer import RankObserver
 from repro.vm import Cluster, VirtualProcessor
 
 
@@ -97,21 +97,17 @@ class ReceiveDrivenDriver:
         self.cluster = cluster
         self._stats = [SpecStats(rank=r) for r in range(cluster.size)]
         self._needed, self._audience = topology(program)
+        self._observers: dict[int, RankObserver] = {}
 
-    def run(self) -> RunResult:
+    def run(self) -> RunReport:
         """Execute to completion; returns the measurements."""
         if self.cluster.env.sanitizer is None:
             # DES-level invariants only (no speculation happens here).
             self.cluster.env.sanitizer = sanitizer_from_env()
         finals = self.cluster.run(self._rank_program)
-        return RunResult(
-            makespan=self.cluster.env.now,
-            final_blocks={r: b for r, b in enumerate(finals)},
-            traces=self.cluster.traces(),
-            stats=self._stats,
-            fw=0,
-            iterations=self.program.iterations,
-            capacities=self.cluster.capacities(),
+        return des_report(
+            self.cluster, finals, self._stats, self._observers, None,
+            fw=0, iterations=self.program.iterations,
         )
 
     def _rank_program(self, proc: VirtualProcessor) -> Generator:
@@ -122,4 +118,5 @@ class ReceiveDrivenDriver:
             stats=self._stats[j],
         )
         transport = DESTransport(proc, event_log=self.cluster.event_log)
+        self._observers[j] = transport.observer
         return transport.drive(engine)

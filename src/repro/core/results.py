@@ -1,11 +1,11 @@
-"""Run results, speculation statistics, and speedup helpers."""
+"""The run report, speculation statistics, and speedup helpers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.trace import PhaseBreakdown, PhaseTrace, merge_breakdowns
+from repro.trace import EventLog, PhaseBreakdown, PhaseTrace, merge_breakdowns
 
 
 @dataclass
@@ -58,51 +58,60 @@ class SpecStats:
         return self.spec_rejected / self.checks if self.checks else 0.0
 
 
-def fleet_rejection_rate(stats: Sequence[SpecStats]) -> float:
-    """Fleet-wide fraction of checked speculations rejected (0 if none
-    checked) — the one definition every result type reports."""
-    checks = sum(s.checks for s in stats)
-    return sum(s.spec_rejected for s in stats) / checks if checks else 0.0
-
-
 @dataclass
-class RunResult:
-    """Everything measured from one simulated run.
+class RunReport:
+    """What one run produced — the one result type, on every backend.
+
+    Every time is in the backend's own clock: virtual seconds on DES,
+    scheduler rounds (``wall_seconds``) and counted ops (``traces``) on
+    loopback, wall seconds since the start barrier on mp.
 
     Attributes
     ----------
-    makespan:
-        Virtual time from start to the last processor finishing.
-    final_blocks:
+    backend:
+        ``"des"``, ``"loopback"`` or ``"mp"``.
+    results:
         Mapping rank → final block (X_j at the last iteration).
+    wall_seconds:
+        Start to the last rank finishing (the DES makespan).
     traces:
-        Per-rank :class:`~repro.trace.PhaseTrace`.
+        Per-rank :class:`~repro.trace.PhaseTrace`, rank order: one row
+        per charge and per blocking receive, tagged with its iteration.
     stats:
         Per-rank :class:`SpecStats`.
+    window_history:
+        rank → ``(iteration, fw)`` trajectory, seeded with the initial
+        window and extended by WindowChanged effects when a window
+        policy is seated.
     fw:
-        Forward window the run used (0 = no speculation).
+        Forward window the run started with (0 = no speculation).
     iterations:
         Iterations executed.
     capacities:
-        Processor capacities M_i of the cluster that ran.
-    window_history:
-        Per-rank ``(iteration, fw)`` trajectories (seeded with the
-        initial window; extended by WindowChanged effects when a
-        window policy is seated).  Empty for legacy call sites.
+        Processor capacities M_i of the cluster that ran (DES only;
+        empty elsewhere).
+    fault_summary:
+        :func:`~repro.faults.merge_summaries` over the ranks' injector
+        receipts; None without a fault plan.
+    event_log:
+        The protocol trace, when one was recorded.
     """
 
-    makespan: float
-    final_blocks: dict[int, Any]
+    backend: str
+    results: dict[int, Any]
+    wall_seconds: float
     traces: list[PhaseTrace]
     stats: list[SpecStats]
+    window_history: dict[int, list[tuple[int, int]]]
     fw: int
     iterations: int
     capacities: list[float] = field(default_factory=list)
-    window_history: list[list[tuple[int, int]]] = field(default_factory=list)
+    fault_summary: Optional[dict[str, Any]] = None
+    event_log: Optional[EventLog] = None
 
     def final_windows(self) -> list[int]:
         """The FW each rank ended the run with (see ``window_history``)."""
-        return [history[-1][1] for history in self.window_history]
+        return [self.window_history[r][-1][1] for r in sorted(self.window_history)]
 
     @property
     def nprocs(self) -> int:
@@ -111,8 +120,13 @@ class RunResult:
 
     @property
     def time_per_iteration(self) -> float:
-        """Average virtual time per iteration (the model's t_total)."""
-        return self.makespan / self.iterations
+        """Average time per iteration (the model's t_total)."""
+        return self.wall_seconds / self.iterations
+
+    @property
+    def timings(self) -> dict[str, float]:
+        """Per-phase totals, max over ranks: the six canonical phases."""
+        return self.breakdown().totals
 
     def breakdown(self, how: str = "max") -> PhaseBreakdown:
         """Cluster-level phase breakdown (see :func:`merge_breakdowns`)."""
@@ -136,11 +150,9 @@ class RunResult:
         span = self.iterations - skip
         breakdowns = []
         for trace in self.traces:
-            sub = type(trace)(trace.rank)
-            sub.intervals = [
-                iv
-                for iv in trace.intervals
-                if iv.iteration is None or iv.iteration >= skip
+            sub = PhaseTrace(trace.rank)
+            sub.records = [
+                row for row in trace.records if row[3] is None or row[3] >= skip
             ]
             breakdowns.append(sub.breakdown())
         return merge_breakdowns(breakdowns, how=how).scaled(1.0 / span)
@@ -174,8 +186,10 @@ class RunResult:
 
     @property
     def rejection_rate(self) -> float:
-        """Cluster-wide fraction of checked speculations rejected."""
-        return fleet_rejection_rate(self.stats)
+        """Fleet-wide fraction of checked speculations rejected (0 if
+        none checked)."""
+        checks = sum(s.checks for s in self.stats)
+        return sum(s.spec_rejected for s in self.stats) / checks if checks else 0.0
 
     def summary(self) -> dict:
         """Plain-data summary (JSON-serialisable) of the run.
@@ -188,25 +202,51 @@ class RunResult:
             self.steady_breakdown() if self.iterations > 1 else self.per_iteration_breakdown()
         )
         return {
+            "backend": self.backend,
             "nprocs": self.nprocs,
             "fw": self.fw,
             "iterations": self.iterations,
-            "makespan": self.makespan,
+            "wall_seconds": self.wall_seconds,
             "time_per_iteration": self.time_per_iteration,
-            "steady_phase_seconds": {k: v for k, v in steady.totals.items()},
+            "steady_phase_seconds": dict(steady.totals),
             "rejection_rate": self.rejection_rate,
             "recompute_fraction": self.recompute_fraction,
             "measured_k": self.measured_k() if self.iterations > 1 else 0.0,
             "tainted_sends": sum(s.tainted_sends for s in self.stats),
             "messages_sent": sum(s.messages_sent for s in self.stats),
+            "final_windows": self.final_windows(),
             "capacities": list(self.capacities),
         }
 
     def __repr__(self) -> str:
         return (
-            f"<RunResult p={self.nprocs} FW={self.fw} makespan={self.makespan:.6g} "
-            f"k={self.recompute_fraction:.3%}>"
+            f"<RunReport {self.backend} p={self.nprocs} FW={self.fw} "
+            f"wall={self.wall_seconds:.6g} k={self.recompute_fraction:.3%}>"
         )
+
+
+def assemble_report(
+    backend: str, finals: Mapping[int, Any], traces: Iterable[PhaseTrace],
+    stats: Iterable[SpecStats],
+    window_history: Mapping[int, list[tuple[int, int]]],
+    wall_seconds: float, receipts: Optional[Iterable[Any]], *, fw: int,
+    iterations: int, capacities: Iterable[float] = (),
+    event_log: Optional[EventLog] = None,
+) -> RunReport:
+    """The one place a backend's measurements become a :class:`RunReport`:
+    final blocks, per-rank traces / stats / window histories in rank
+    order, the clock total, and the ranks' fault receipts
+    (:class:`~repro.faults.FaultSummary`; None without a fault plan)."""
+    # Deferred: repro.faults imports the engine, which imports this module.
+    from repro.faults.plan import merge_summaries
+
+    return RunReport(
+        backend=backend, results=dict(finals), wall_seconds=float(wall_seconds),
+        traces=list(traces), stats=list(stats),
+        window_history=dict(window_history), fw=fw, iterations=iterations,
+        capacities=list(capacities), event_log=event_log,
+        fault_summary=None if receipts is None else merge_summaries(list(receipts)),
+    )
 
 
 def speedup(serial_time: float, parallel_time: float) -> float:

@@ -51,7 +51,12 @@ from repro.engine.events import (
     TryRecv,
     Verified,
 )
-from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner, run_loopback
+from repro.engine.loopback import (
+    LoopbackDeadlock,
+    LoopbackRunner,
+    build_loopback,
+    run_loopback,
+)
 from repro.engine.pipes import PipeTransport, close_mesh, full_mesh
 from repro.engine.ring import HistoryRing, OutOfOrderArrival
 from repro.engine.transport import Transport, TransportError, drive
@@ -82,6 +87,7 @@ __all__ = [
     "TransportError",
     "TryRecv",
     "Verified",
+    "build_loopback",
     "close_mesh",
     "default_hist_cap",
     "drive",

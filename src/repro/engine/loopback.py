@@ -19,8 +19,9 @@ speculative executions: a rank scheduled ahead of its peers reaches
 iteration ``t`` before their ``X(t)`` was sent, speculates, runs on,
 and verifies when the scheduler hands the peers their turn — the
 protocol's full speculate/verify/correct path, deterministically,
-with no clocks.  Charges accumulate into per-rank ``phase_ops``
-tallies (the loopback's "time").
+with no clocks.  Each ``Charge`` advances the rank's own op clock and
+leaves a :class:`~repro.trace.PhaseTrace` row on it (the loopback's
+"time"; a blocked receive costs no ops and leaves none).
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from functools import partial
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
-from repro.core.results import SpecStats
+from repro.core.results import RunReport, assemble_report
 from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
 from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
 from repro.faults.middleware import wrap_engine
 from repro.faults.plan import FaultPlan
 from repro.policy import WindowPolicy
+from repro.trace.phases import PhaseTrace
 
 
 class LoopbackDeadlock(RuntimeError):
@@ -83,10 +85,11 @@ class LoopbackRunner:
         self.queues: Dict[int, Deque[_QueuedMessage]] = {
             rank: deque() for rank in self.engines
         }
-        #: rank -> {phase: ops} accumulated from Charge effects.
-        self.phase_ops: Dict[int, Dict[str, float]] = {
-            rank: {} for rank in self.engines
+        #: rank -> phase rows on the rank's op clock, one per Charge.
+        self.traces: Dict[int, PhaseTrace] = {
+            rank: PhaseTrace(rank) for rank in self.engines
         }
+        self._ops_clock: Dict[int, float] = dict.fromkeys(self.engines, 0.0)
         self._step = 0
         #: Scheduler sweeps completed — the loopback's coarse clock
         #: (responds to ``IterationDone``; also the unit of
@@ -120,6 +123,8 @@ class LoopbackRunner:
         """Execute every rank to completion; rank -> final block."""
         gens = {rank: engine.run() for rank, engine in self.engines.items()}
         notify = {rank: obs.notify for rank, obs in self.observers.items()}
+        record = {rank: trace.record for rank, trace in self.traces.items()}
+        clock = self._ops_clock
         response: Dict[int, Optional[Arrival | float]] = {
             rank: None for rank in gens
         }
@@ -178,8 +183,9 @@ class LoopbackRunner:
                             break
                         response[rank] = arrival
                     elif kind is Charge:
-                        tally = self.phase_ops[rank]
-                        tally[effect.phase] = tally.get(effect.phase, 0.0) + effect.ops
+                        start = clock[rank]
+                        clock[rank] = end = start + effect.ops
+                        record[rank](effect.phase, start, end, effect.iteration)
                     else:
                         response[rank] = notify[rank](effect)
             if not progress:
@@ -237,7 +243,7 @@ class LoopbackRunner:
             )
 
 
-def run_loopback(
+def build_loopback(
     program: Any,
     fw: int = 1,
     cascade: str = "recompute",
@@ -247,16 +253,12 @@ def run_loopback(
     window_policy: Optional[WindowPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     hist_cap: Optional[int] = None,
-) -> Tuple[Dict[int, Any], list[SpecStats], LoopbackRunner]:
-    """Run ``program`` on the loopback transport.
+) -> LoopbackRunner:
+    """One engine per rank of ``program`` in a ready-to-run runner —
+    the construction half of :func:`run_loopback`, for callers that
+    want to inspect the runner's engines, queues or observers.
 
-    Prefer :func:`repro.api.run` for new code; this remains the
-    loopback backend primitive it delegates to.
-
-    Returns ``(final_blocks, stats, runner)`` — the per-rank final
-    blocks, the speculation counters, and the runner (whose
-    ``phase_ops`` tallies, ``window_history`` and queues tests may
-    inspect).  With a ``fault_plan``, each engine is wrapped in the
+    With a ``fault_plan``, each engine is wrapped in the
     :mod:`repro.faults` receive-path seam (speculative engines only).
     """
     if receive_driven and (
@@ -269,28 +271,58 @@ def run_loopback(
             "do not apply"
         )
     topo = needed, audience = topology(program)
-    stats = [SpecStats(rank=r) for r in range(program.nprocs)]
     sanitizer = resolve_sanitizer(sanitize)
     engines: Dict[int, Any] = {}
     for rank in range(program.nprocs):
         if receive_driven:
             engines[rank] = ReceiveDrivenEngine(
-                program, rank, needed[rank], audience[rank], stats=stats[rank]
+                program, rank, needed[rank], audience[rank]
             )
         else:
             engines[rank] = wrap_engine(
                 build_engine(
                     program, rank, topo, fw=fw, cascade=cascade,
-                    hist_cap=hist_cap, stats=stats[rank],
-                    policy=window_policy, sanitizer=sanitizer,
-                    fault_plan=fault_plan,
+                    hist_cap=hist_cap, policy=window_policy,
+                    sanitizer=sanitizer, fault_plan=fault_plan,
                 ),
                 fault_plan,
             )
     # The runner shares the sanitizer the engines were built with.
-    runner = LoopbackRunner(
+    return LoopbackRunner(
         engines, event_log=event_log,
         sanitize=False if sanitizer is None else sanitizer,
     )
+
+
+def run_loopback(
+    program: Any,
+    fw: int = 1,
+    cascade: str = "recompute",
+    receive_driven: bool = False,
+    event_log: Any = None,
+    sanitize: Optional[bool] = None,
+    window_policy: Optional[WindowPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    hist_cap: Optional[int] = None,
+) -> RunReport:
+    """Run ``program`` on the loopback transport (arguments as for
+    :func:`build_loopback`).
+
+    Prefer :func:`repro.api.run` for new code; this remains the
+    loopback backend primitive it delegates to.  ``wall_seconds`` is
+    the number of scheduler rounds, ``traces`` are in counted ops.
+    """
+    runner = build_loopback(
+        program, fw, cascade, receive_driven, event_log, sanitize,
+        window_policy, fault_plan, hist_cap,
+    )
     finals = runner.run()
-    return finals, stats, runner
+    engines = runner.engines.values()
+    return assemble_report(
+        "loopback", finals, runner.traces.values(),
+        [engine.stats for engine in engines], runner.window_history,
+        runner.rounds,
+        None if fault_plan is None else [e.injector.summary() for e in engines],
+        fw=0 if receive_driven else fw, iterations=program.iterations,
+        event_log=event_log,
+    )

@@ -43,6 +43,7 @@ from repro.engine.events import VARS, Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
 from repro.engine.transport import TransportError
 from repro.trace.events import TraceEvent
+from repro.trace.phases import PhaseTrace
 
 #: One buffered in-box entry:
 #: (effective_deliver_at, wire_seq, iteration, payload).
@@ -102,7 +103,9 @@ class PipeTransport:
         self._deliver_floor: Dict[int, float] = {src: 0.0 for src in self._conns}
         self.events: List[TraceEvent] = []
         self._event_seq = 0
-        self.phase_seconds: Dict[str, float] = {}
+        #: Phase rows in wall seconds since :meth:`start`: one per
+        #: charge and per blocking receive.
+        self.trace = PhaseTrace(rank)
         self.t0 = time.monotonic()
         self._mark = self.t0
         #: The rank's observer seat; its clock is wall seconds since
@@ -160,9 +163,8 @@ class PipeTransport:
         if effect.factor > 1.0:
             time.sleep((now - self._mark) * (effect.factor - 1.0))
             now = time.monotonic()
-        self.phase_seconds[effect.phase] = (
-            self.phase_seconds.get(effect.phase, 0.0) + (now - self._mark)
-        )
+        self.trace.record(
+            effect.phase, self._mark - self.t0, now - self.t0, effect.iteration)
         self._mark = now
 
     def try_recv(self, _effect: TryRecv) -> Optional[Arrival]:
@@ -178,9 +180,8 @@ class PipeTransport:
             arrival = self._pop_deliverable(now, match=effect.match)
             if arrival is not None:
                 end = time.monotonic()
-                self.phase_seconds[effect.phase] = (
-                    self.phase_seconds.get(effect.phase, 0.0) + (end - entry)
-                )
+                self.trace.record(
+                    effect.phase, entry - self.t0, end - self.t0, effect.iteration)
                 self._mark = end
                 return Arrival(
                     src=arrival.src, iteration=arrival.iteration,
@@ -191,9 +192,8 @@ class PipeTransport:
                 # Bounded park expired empty (the engine's retransmit
                 # timer under fault injection): attribute the wait and
                 # let the engine escalate.
-                self.phase_seconds[effect.phase] = (
-                    self.phase_seconds.get(effect.phase, 0.0) + (now - entry)
-                )
+                self.trace.record(
+                    effect.phase, entry - self.t0, now - self.t0, effect.iteration)
                 self._mark = now
                 return None
             # Park until new bytes arrive or the earliest gated message

@@ -27,7 +27,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.apps import NBodyProgram
-from repro.core import RunResult, run_program
+from repro.core import RunReport, run_program
 from repro.core.results import speedup_max
 from repro.harness.tables import format_table
 from repro.harness.toys import ConstantProgram, JumpyProgram
@@ -148,7 +148,7 @@ def run_nbody(
     config: Optional[dict[str, Any]] = None,
     event_log: Optional[EventLog] = None,
     window_policy: Optional[Any] = None,
-) -> tuple[NBodyProgram, RunResult]:
+) -> tuple[NBodyProgram, RunReport]:
     """One measured N-body run on the calibrated platform.
 
     The harness primitive the paper's experiments drive; ``repro
@@ -156,12 +156,12 @@ def run_nbody(
     it through :func:`repro.api.run` on any backend.
 
     Returns the program (whose ``spec_stats`` carry particle-level
-    counters) and the :class:`~repro.core.RunResult`.  Pass an
+    counters) and the :class:`~repro.core.RunReport`.  Pass an
     ``event_log`` to record every protocol step (send/recv/speculate/
     verify/correct) for ``repro analyze --trace`` replay, and a
     ``window_policy`` (e.g. :class:`~repro.policy.AimdWindow`) to let
     each rank retune its forward window at runtime — ``fw`` is then
-    the initial window and ``RunResult.window_history`` records the
+    the initial window and ``RunReport.window_history`` records the
     per-rank trajectories.
     """
     program, cluster, cfg = build_nbody(
@@ -201,7 +201,7 @@ def fig2_timelines(
         program = program_cls(nprocs=2, iterations=iterations)
         result = run_program(program, platform.cluster(), fw=fw)
         charts[label] = render_gantt(result.traces, width=width)
-        scenarios.append((label, result.makespan))
+        scenarios.append((label, result.wall_seconds))
         return result
 
     run("(a) no speculation (FW=0)", ConstantProgram, fw=0)
@@ -261,7 +261,7 @@ def fig4_forward_window(
         )
         program = ConstantProgram(nprocs=2, iterations=iterations)
         result = run_program(program, platform.cluster(), fw=fw)
-        rows.append([fw, result.makespan])
+        rows.append([fw, result.wall_seconds])
         charts[fw] = render_gantt(result.traces, width=width)
     base = rows[0][1]
     rows = [[fw, t, t / base] for fw, t in rows]
@@ -340,7 +340,7 @@ def fig8_nbody_speedup(
     Speedups are relative to the measured single-processor run on P1;
     the "maximum" column is ΣM_i / M_1 (paper's attainable bound).
     """
-    results: dict[tuple[int, int], RunResult] = {}
+    results: dict[tuple[int, int], RunReport] = {}
     _, base = run_nbody(1, 0, iterations=iterations, n_particles=n_particles, config=config)
     t1 = base.time_per_iteration
     results[(1, 0)] = base
@@ -505,8 +505,8 @@ def fig9_model_vs_measured(
         cfg.update(config)
     n = n_particles if n_particles is not None else cfg["n_particles"]
 
-    measured_nospec: dict[int, RunResult] = {}
-    measured_spec: dict[int, RunResult] = {}
+    measured_nospec: dict[int, RunReport] = {}
+    measured_spec: dict[int, RunReport] = {}
     for p in ps:
         _, r0 = run_nbody(p, 0, iterations=iterations, n_particles=n, config=config)
         measured_nospec[p] = r0

@@ -12,6 +12,6 @@ mpi4py is the natural modern target (the API mirrors its
 send/recv/probe idioms) but is unavailable offline.
 """
 
-from repro.parallel.runner import MPRunResult, MPRunner
+from repro.parallel.runner import MPRunner
 
-__all__ = ["MPRunResult", "MPRunner"]
+__all__ = ["MPRunner"]

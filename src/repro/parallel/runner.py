@@ -4,85 +4,16 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Optional
 
 from repro.core.program import SyncIterativeProgram
-from repro.core.results import SpecStats, fleet_rejection_rate
+from repro.core.results import RunReport, assemble_report
 from repro.engine.pipes import close_mesh, full_mesh
 from repro.faults import FaultPlan
 from repro.parallel.worker import WorkerReport, worker_main
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.trace.events import EventLog
-
-
-@dataclass
-class MPRunResult:
-    """Measurements from one real-process run.
-
-    Attributes
-    ----------
-    wall_seconds:
-        Longest per-worker wall time (protocol start to finish).
-    final_blocks:
-        rank → final block.
-    reports:
-        Full per-worker reports (phase seconds, :class:`SpecStats`).
-    fw:
-        Forward window used.
-    """
-
-    wall_seconds: float
-    final_blocks: dict[int, Any]
-    reports: list[WorkerReport]
-    fw: int
-
-    def event_log(self) -> EventLog:
-        """Merged protocol trace events from every worker.
-
-        Empty unless the runner was constructed with
-        ``record_events=True``.  Per-worker event times are relative to
-        each worker's protocol start (the post-barrier instant), so
-        cross-rank comparisons should rely on the happens-before
-        structure (``seq`` + message matching), not the clock.
-        """
-        log = EventLog()
-        for report in self.reports:
-            # One-shot post-run merge of the workers' own (finite) logs,
-            # not a long-running protocol buffer.
-            log.extend(report.events)  # specbound: disable=SPB406
-        return log
-
-    @property
-    def stats(self) -> list[SpecStats]:
-        """Per-rank protocol counters, in rank order."""
-        return [r.stats for r in self.reports]
-
-    def window_history(self) -> dict[int, list[tuple[int, int]]]:
-        """rank → (iteration, fw) trajectory from each worker's seated
-        window policy (a single ``(0, fw)`` entry for static runs)."""
-        return {r.rank: list(r.window_history) for r in self.reports}
-
-    def final_windows(self) -> list[int]:
-        """The FW each rank's engine ended the run with."""
-        return [r.window_history[-1][1] for r in self.reports]
-
-    def phase_seconds(self, phase: str, how: str = "max") -> float:
-        """Aggregate one phase's wall time over workers."""
-        values = [r.phase_seconds.get(phase, 0.0) for r in self.reports]
-        if how == "max":
-            return max(values)
-        if how == "sum":
-            return sum(values)
-        if how == "mean":
-            return sum(values) / len(values)
-        raise ValueError(f"unknown aggregation {how!r}")
-
-    @property
-    def rejection_rate(self) -> float:
-        """Cluster-wide fraction of checked speculations rejected."""
-        return fleet_rejection_rate(self.stats)
 
 
 class MPRunner:
@@ -111,9 +42,12 @@ class MPRunner:
         avoids re-importing the world per worker.
     record_events:
         Record per-worker protocol trace events
-        (:class:`~repro.trace.events.TraceEvent`), merged afterwards by
-        :meth:`MPRunResult.event_log` — the input for ``repro analyze
-        --trace`` replay.
+        (:class:`~repro.trace.events.TraceEvent`), merged afterwards
+        into the report's ``event_log`` — the input for ``repro analyze
+        --trace`` replay.  Event times are relative to each worker's
+        protocol start (the post-barrier instant), so cross-rank
+        comparisons should rely on the happens-before structure
+        (``seq`` + message matching), not the clock.
     sanitize:
         Arm the per-worker runtime
         :class:`~repro.analysis.sanitizer.ProtocolSanitizer`; ``None``
@@ -123,8 +57,7 @@ class MPRunner:
         Optional :class:`~repro.policy.WindowPolicy` template (must be
         picklable); each worker's engine spawns a private copy, so
         ranks adapt their forward windows independently on real wall
-        clocks.  Decisions come back in ``WorkerReport.window_history``
-        (see :meth:`MPRunResult.window_history`).
+        clocks.  Decisions come back in the report's ``window_history``.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; each worker wraps
         its engine with :func:`~repro.faults.wrap_engine` like every
@@ -132,8 +65,8 @@ class MPRunner:
         drops/duplicates/delays/reorders, straggler slowdowns and
         crashes inject on the receive path while the engine's
         retransmit layer recovers.  The plan's clock is receive polls;
-        a blocked poll lasts at most one wall second here.  Per-rank
-        receipts come back in ``WorkerReport.fault_summary``.
+        a blocked poll lasts at most one wall second here.  The merged
+        receipts come back in the report's ``fault_summary``.
     """
 
     def __init__(
@@ -168,8 +101,12 @@ class MPRunner:
         self.sanitize = sanitize
         self._ctx = mp.get_context(start_method) if start_method else mp.get_context()
 
-    def run(self, timeout: float = 300.0) -> MPRunResult:
-        """Execute to completion; raises on worker failure or timeout."""
+    def run(self, timeout: float = 300.0) -> RunReport:
+        """Execute to completion; raises on worker failure or timeout.
+
+        The report is in wall seconds since the start barrier;
+        ``wall_seconds`` is the longest worker's.
+        """
         p = self.program.nprocs
         ctx = self._ctx
 
@@ -271,9 +208,20 @@ class MPRunner:
                 "; ".join(f"rank {r.rank}: {r.error}" for r in failed)
             )
         reports.sort(key=lambda r: r.rank)
-        return MPRunResult(
-            wall_seconds=max(r.wall_seconds for r in reports),
-            final_blocks={r.rank: r.final_block for r in reports},
-            reports=reports,
-            fw=self.fw,
+        log = None
+        if self.record_events:
+            log = EventLog()
+            for r in reports:
+                # One-shot post-run merge of the workers' own (finite)
+                # logs, not a long-running protocol buffer.
+                log.extend(r.events)  # specbound: disable=SPB406
+        return assemble_report(
+            "mp",
+            {r.rank: r.final_block for r in reports},
+            [r.trace for r in reports],
+            [r.stats for r in reports],
+            {r.rank: r.window_history for r in reports},
+            max(r.wall_seconds for r in reports),
+            None if self.fault_plan is None else [r.fault_summary for r in reports],
+            fw=self.fw, iterations=self.program.iterations, event_log=log,
         )

@@ -32,6 +32,7 @@ from repro.engine.pipes import PipeTransport
 from repro.engine.transport import drive
 from repro.faults import FaultSummary, wrap_engine
 from repro.trace.events import TraceEvent
+from repro.trace.phases import PhaseTrace
 
 
 @dataclass
@@ -40,7 +41,9 @@ class WorkerReport:
 
     rank: int
     final_block: Any = None
-    phase_seconds: dict[str, float] = field(default_factory=dict)
+    #: Phase rows in wall seconds since the protocol start (None on an
+    #: error report).
+    trace: Optional[PhaseTrace] = None
     #: The rank's protocol counters, whole (None on an error report).
     stats: Optional[SpecStats] = None
     wall_seconds: float = 0.0
@@ -111,7 +114,7 @@ def _run_protocol(
     return WorkerReport(
         rank=rank,
         final_block=final,
-        phase_seconds=transport.phase_seconds,
+        trace=transport.trace,
         stats=engine.stats,
         wall_seconds=transport.wall_seconds,
         events=transport.events,

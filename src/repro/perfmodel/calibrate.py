@@ -13,11 +13,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.results import RunResult
+from repro.core.results import RunReport
 from repro.perfmodel.model import LinearCommTime, ModelParams, PerformanceModel
 
 
-def calibrate_tcomm(measured: Mapping[int, RunResult]) -> LinearCommTime:
+def calibrate_tcomm(measured: Mapping[int, RunReport]) -> LinearCommTime:
     """Least-squares fit of t_comm(p) = base + slope·(p-1) from runs.
 
     Parameters
@@ -47,8 +47,8 @@ def calibrate_tcomm(measured: Mapping[int, RunResult]) -> LinearCommTime:
 
 def model_vs_measured(
     params: ModelParams,
-    measured_nospec: Mapping[int, RunResult],
-    measured_spec: Mapping[int, RunResult],
+    measured_nospec: Mapping[int, RunReport],
+    measured_spec: Mapping[int, RunReport],
 ) -> dict[str, list[float]]:
     """The Fig. 9 dataset: model and measured speedups side by side.
 

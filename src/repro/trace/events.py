@@ -8,7 +8,9 @@ per-rank-sequenced :class:`TraceEvent`.  The resulting
 analysis (:mod:`repro.analysis.replay`) consumes to confirm or refute
 static happens-before findings against a real execution.
 
-Event logs are produced by two backends:
+Event logs are produced by every backend (``RunConfig(record_trace=True)``
+asks for one wherever the run happens; it comes back as
+``RunReport.event_log``):
 
 * the simulator — attach ``EventLog()`` to ``Cluster(event_log=...)``
   (or set ``cluster.event_log``) and every
@@ -17,7 +19,9 @@ Event logs are produced by two backends:
   speculate/verify/correct events;
 * the multiprocessing backend — ``MPRunner(..., record_events=True)``
   makes each worker log its protocol steps, merged by the parent into
-  one :class:`EventLog` (``MPRunResult.event_log()``).
+  one :class:`EventLog`;
+* the loopback backend — ``run_loopback(..., event_log=EventLog())``,
+  stamped with the scheduler's step counter.
 
 Logs round-trip through JSON-lines files (``save``/``load``) so a run
 recorded once can be replayed by ``repro analyze --trace`` forever.

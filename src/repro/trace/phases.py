@@ -65,10 +65,6 @@ class PhaseTrace:
         """The rows as :class:`Interval` records (a new list per read)."""
         return [Interval(*row) for row in self.records]
 
-    @intervals.setter
-    def intervals(self, intervals: Iterable[Interval]) -> None:
-        self.records = [(i.phase, i.start, i.end, i.iteration) for i in intervals]
-
     def record(self, phase: str, start: float, end: float, iteration: Optional[int] = None) -> None:
         """Append one interval (zero-length intervals are dropped)."""
         if end < start:
@@ -174,9 +170,7 @@ def merge_breakdowns(breakdowns: Iterable[PhaseBreakdown], how: str = "max") -> 
     items = list(breakdowns)
     if not items:
         return PhaseBreakdown()
-    keys = set()
-    for b in items:
-        keys.update(b.totals)
+    keys = dict.fromkeys(k for b in items for k in b.totals)  # first-seen order
     if how == "max":
         totals = {k: max(b[k] for b in items) for k in keys}
         span = max(b.span for b in items)

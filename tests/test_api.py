@@ -1,23 +1,28 @@
 """Tests for the unified run API (`repro.api`).
 
 One `RunConfig` + `run()` must cover all three backends with a single
-report shape, and stay in exact agreement with the legacy per-backend
-entry points it wraps.
+report shape, and stay in exact agreement with the per-backend
+primitives it dispatches to.
 """
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro import RunConfig, RunReport, run
+from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
 from repro.core import SpecStats, run_program
+from repro.engine import loopback
 from repro.engine.loopback import run_loopback
 from repro.faults import EdgeFault, FaultPlan, TriggerWindow
-from repro.harness.toys import JumpyProgram
+from repro.harness import build_nbody
+from repro.harness.toys import ConstantProgram, JumpyProgram
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import DelayNetwork
 from repro.platforms import wustl_1994
+from repro.trace import PHASES
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement
@@ -80,23 +85,27 @@ def _des_cluster(p, latency=0.0):
 
 def test_des_parity_with_run_program():
     prog = _program()
-    legacy = run_program(prog, _des_cluster(4, 0.01), fw=1, cascade="recompute")
+    direct = run_program(prog, _des_cluster(4, 0.01), fw=1, cascade="recompute")
     report = run(RunConfig(prog, backend="des", fw=1, latency=0.01))
-    assert report.wall_seconds == legacy.makespan
+    assert type(direct) is type(report) is RunReport
+    assert report.wall_seconds == direct.wall_seconds
+    assert report.timings == direct.timings
     for rank in range(prog.nprocs):
         np.testing.assert_array_equal(
-            report.results[rank], legacy.final_blocks[rank]
+            report.results[rank], direct.results[rank]
         )
 
 
 def test_loopback_parity_with_run_loopback():
     prog = _program()
-    finals, stats, runner = run_loopback(prog, fw=1, cascade="recompute")
+    direct = run_loopback(prog, fw=1, cascade="recompute")
     report = run(RunConfig(prog, backend="loopback", fw=1))
-    assert report.wall_seconds == float(runner.rounds)
+    assert type(direct) is type(report) is RunReport
+    assert report.wall_seconds == direct.wall_seconds > 0
+    assert report.timings == direct.timings
     for rank in range(prog.nprocs):
-        np.testing.assert_array_equal(report.results[rank], finals[rank])
-    assert [s.spec_made for s in report.stats] == [s.spec_made for s in stats]
+        np.testing.assert_array_equal(report.results[rank], direct.results[rank])
+    assert [s.spec_made for s in report.stats] == [s.spec_made for s in direct.stats]
 
 
 def test_all_backends_match_reference_physics():
@@ -166,6 +175,85 @@ def test_cluster_that_already_ran_is_refused():
 
 
 # ---------------------------------------------------------- report shape
+def _jacobi():
+    a, b = diagonally_dominant_system(24, seed=3)
+    return JacobiSolver(a, b, capacities=[1000.0] * 3, iterations=6,
+                        threshold=1e-6)
+
+
+def _nbody():
+    program, _cluster, _cfg = build_nbody(
+        2, iterations=4, n_particles=64, threshold=0.01, simulated=False)
+    return program
+
+
+@pytest.mark.parametrize("backend", ["des", "loopback", "mp"])
+@pytest.mark.parametrize("build", [_jacobi, _nbody])
+def test_one_report_shape_on_every_backend(build, backend):
+    """The shape contract: the same fields, the six canonical phases
+    and one PhaseTrace per rank covering every iteration, whichever
+    backend ran — only the clock differs."""
+    prog = build()
+    p, iterations = prog.nprocs, prog.iterations
+    latency = 0.0 if backend == "loopback" else 0.02
+    report = run(RunConfig(prog, backend=backend, fw=1, latency=latency,
+                           timeout=120.0))
+    assert type(report) is RunReport and report.backend == backend
+    assert (report.fw, report.iterations, report.nprocs) == (1, iterations, p)
+    assert sorted(report.results) == list(range(p))
+    assert sorted(report.timings) == sorted(PHASES)
+    assert [trace.rank for trace in report.traces] == list(range(p))
+    for trace in report.traces:
+        assert set(trace.iterations()) <= set(range(iterations))
+        computed = {row[3] for row in trace.records if row[0] == "compute"}
+        assert computed == set(range(iterations))
+    assert report.timings == {
+        phase: max(trace.total(phase) for trace in report.traces)
+        for phase in PHASES
+    }
+    summary = report.summary()
+    assert json.loads(json.dumps(summary)) == summary
+    assert sorted(summary["steady_phase_seconds"]) == sorted(PHASES)
+    assert report.final_windows() == [1] * p
+    assert sorted(report.window_history) == list(range(p))
+    assert 0.0 <= report.rejection_rate <= 1.0
+    assert [s.rank for s in report.stats] == list(range(p))
+    # What a backend cannot know is empty, not absent.
+    assert (report.capacities != []) == (backend == "des")
+    assert report.fault_summary is None and report.event_log is None
+    if backend == "mp":
+        for trace in report.traces:
+            durations = sum(end - start for _, start, end, _ in trace.records)
+            assert durations <= report.wall_seconds
+        assert report.timings["comm"] > 0
+    if backend == "loopback":
+        assert report.timings["comm"] == report.timings["idle"] == 0.0
+
+
+#: ``RunReport.timings`` on loopback, captured on the commit where it
+#: was still the max over ranks of ``LoopbackRunner.phase_ops`` (42320e3).
+PARENT_PHASE_OPS = {
+    "constant": {"compute": 4000000.0, "spec": 300000.0, "check": 300000.0},
+    "nbody": {"compute": 431232.0, "spec": 768.0, "check": 1536.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_PHASE_OPS))
+def test_loopback_op_clock_totals_equal_the_parents_phase_ops(name):
+    if name == "constant":
+        prog = ConstantProgram(nprocs=3, iterations=4)
+    else:
+        prog, _cluster, _cfg = build_nbody(
+            2, iterations=3, n_particles=64, threshold=0.01, simulated=False)
+    report = run(RunConfig(prog, backend="loopback", fw=1))
+    expected = dict.fromkeys(PHASES, 0.0) | PARENT_PHASE_OPS[name]
+    assert report.timings == expected
+    # Rows sit back to back on the rank's own op clock.
+    for trace in report.traces:
+        ends = [end for _, _, end, _ in trace.records]
+        assert [start for _, start, _, _ in trace.records] == [0.0] + ends[:-1]
+
+
 def test_report_shape_loopback():
     prog = _program()
     report = run(RunConfig(prog, backend="loopback", fw=2))
@@ -187,10 +275,19 @@ def test_report_records_trace_when_asked():
     assert len(report.event_log.events) > 0
 
 
-def test_bw_threads_through_to_engines():
-    prog = _program()
-    report = run(RunConfig(prog, backend="loopback", fw=1, bw=3))
-    assert all(eng.hist_cap == 3 for eng in report.raw.engines.values())
+def test_bw_threads_through_to_engines(monkeypatch):
+    # The report carries no runner: watch the one the backend builds.
+    built = []
+    build = loopback.build_loopback
+
+    def watched(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(loopback, "build_loopback", watched)
+    run(RunConfig(_program(), backend="loopback", fw=1, bw=3))
+    (runner,) = built
+    assert all(eng.hist_cap == 3 for eng in runner.engines.values())
 
 
 def test_fault_summary_surfaces_in_report():

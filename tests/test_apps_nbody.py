@@ -39,7 +39,7 @@ def test_validation():
 def test_fw0_matches_serial_reference():
     prog, caps = make_program()
     result = run_program(prog, make_cluster([1e6] * 3, latency=0.1), fw=0)
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-10)
     np.testing.assert_allclose(final.vel, ref.vel, atol=1e-10)
@@ -51,7 +51,7 @@ def test_theta_zero_fw1_run_exact():
     prog, caps = make_program(threshold=0.0)
     result = run_program(prog, make_cluster(caps, latency=0.5), fw=1)
     assert sum(s.tainted_sends for s in result.stats) == 0
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-9)
     np.testing.assert_allclose(final.vel, ref.vel, atol=1e-9)
@@ -64,7 +64,7 @@ def test_theta_zero_fw2_bounded_deviation():
     not eliminate, the deviation from the serial reference."""
     prog, caps = make_program(threshold=0.0)
     result = run_program(prog, make_cluster(caps, latency=0.5), fw=2)
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     ref = prog.reference()
     if sum(s.tainted_sends for s in result.stats) == 0:
         np.testing.assert_allclose(final.pos, ref.pos, atol=1e-9)
@@ -122,7 +122,7 @@ def test_tighter_threshold_more_rejections():
 def test_gather_preserves_masses_and_constants():
     prog, caps = make_program()
     result = run_program(prog, make_cluster(caps, latency=0.1), fw=1)
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     np.testing.assert_array_equal(final.mass, prog.system.mass)
     assert final.G == prog.system.G
     assert final.softening == prog.system.softening
@@ -131,7 +131,7 @@ def test_gather_preserves_masses_and_constants():
 def test_momentum_conserved_in_parallel_run():
     prog, caps = make_program(threshold=0.0)
     result = run_program(prog, make_cluster(caps, latency=0.3), fw=1)
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     np.testing.assert_allclose(final.momentum(), prog.system.momentum(), atol=1e-9)
 
 
@@ -142,7 +142,7 @@ def test_speculation_gap_handling_fw2():
     prog, caps = make_program(n=24, p=2, iterations=6, threshold=0.0)
     cluster = make_cluster(caps, latency=2.0)
     result = run_program(prog, cluster, fw=2)
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-4)
 

@@ -48,13 +48,13 @@ def test_heat_topology_neighbors_only():
 def test_heat_fw0_matches_reference():
     prog = heat_program()
     result = run_program(prog, make_cluster(4, latency=0.1), fw=0)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-12)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_heat_fw1_theta_zero_exact():
     prog = heat_program()
     result = run_program(prog, make_cluster(4, latency=0.5), fw=1)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-10)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
 def test_heat_incremental_correction_exact():
@@ -87,7 +87,7 @@ def test_heat_converges_to_linear_profile():
     """With fixed 1/0 boundaries the field tends to a linear ramp."""
     prog = heat_program(n=16, p=2, iterations=2000)
     result = run_program(prog, make_cluster(2), fw=1)
-    field = prog.gather(result.final_blocks)
+    field = prog.gather(result.results)
     x = (np.arange(16) + 1) / 17.0
     expected = 1.0 - x
     np.testing.assert_allclose(field, expected, atol=0.01)
@@ -122,21 +122,21 @@ def test_jacobi_fw0_matches_reference():
     a, b = diagonally_dominant_system(30, seed=2)
     prog = JacobiSolver(a, b, [1e6] * 3, 8, threshold=0.0)
     result = run_program(prog, make_cluster(3, latency=0.1), fw=0)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-12)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_jacobi_fw1_theta_zero_exact():
     a, b = diagonally_dominant_system(30, seed=3)
     prog = JacobiSolver(a, b, [1e6] * 3, 10, threshold=0.0)
     result = run_program(prog, make_cluster(3, latency=0.5), fw=1)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-10)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
 def test_jacobi_converges():
     a, b = diagonally_dominant_system(24, seed=4)
     prog = JacobiSolver(a, b, [1e6, 1e6], 60, threshold=0.0)
     result = run_program(prog, make_cluster(2, latency=0.2), fw=1)
-    x = prog.gather(result.final_blocks)
+    x = prog.gather(result.results)
     assert prog.residual(x) < 1e-6 * max(1.0, prog.residual(prog.x0))
 
 
@@ -164,13 +164,13 @@ def test_kuramoto_validation():
 def test_kuramoto_fw0_matches_reference():
     prog = KuramotoProgram.random(40, [1e6] * 4, 10, seed=6, threshold=0.0)
     result = run_program(prog, make_cluster(4, latency=0.1), fw=0)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-12)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_kuramoto_fw1_theta_zero_exact():
     prog = KuramotoProgram.random(40, [1e6] * 4, 10, seed=7, threshold=0.0)
     result = run_program(prog, make_cluster(4, latency=0.5), fw=1)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-10)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
 def test_kuramoto_linear_speculation_mostly_accepted():
@@ -186,6 +186,6 @@ def test_kuramoto_strong_coupling_synchronises():
         50, [1e6, 1e6], 400, seed=9, coupling=5.0, dt=0.02, threshold=0.0
     )
     result = run_program(prog, make_cluster(2), fw=1)
-    theta = prog.gather(result.final_blocks)
+    theta = prog.gather(result.results)
     assert prog.synchrony(theta) > prog.synchrony(prog.theta0)
     assert prog.synchrony(theta) > 0.8

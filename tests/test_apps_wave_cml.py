@@ -47,13 +47,13 @@ def test_wave_topology():
 def test_wave_fw0_matches_reference():
     prog = wave_program()
     result = run_program(prog, make_cluster(4, latency=0.05), fw=0)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-12)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_wave_fw1_theta_zero_exact():
     prog = wave_program()
     result = run_program(prog, make_cluster(4, latency=0.4), fw=1)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-10)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
 def test_wave_incremental_correction_exact():
@@ -73,7 +73,7 @@ def test_wave_incremental_correction_exact():
 def test_wave_energy_approximately_conserved():
     prog = wave_program(iterations=100)
     result = run_program(prog, make_cluster(4), fw=1)
-    e_final = prog.energy(result.final_blocks)
+    e_final = prog.energy(result.results)
     initial_blocks = {r: prog.initial_block(r) for r in range(4)}
     e_initial = prog.energy(initial_blocks)
     assert e_final == pytest.approx(e_initial, rel=0.05)
@@ -83,7 +83,7 @@ def test_wave_pulse_travels():
     """The pulse peak moves across the domain (dynamics are not decay)."""
     prog = wave_program(iterations=40)
     result = run_program(prog, make_cluster(4), fw=1)
-    u = prog.gather(result.final_blocks)
+    u = prog.gather(result.results)
     start_peak = int(np.argmax(gaussian_pulse()))
     # The single initial pulse splits into two traveling halves.
     assert abs(int(np.argmax(np.abs(u))) - start_peak) > 5
@@ -126,7 +126,7 @@ def test_wave_accepted_errors_persist_in_conservative_dynamics():
     def final_deviation(theta):
         prog = wave_program(iterations=80, threshold=theta)
         result = run_program(prog, make_cluster(4, latency=0.4), fw=1)
-        return float(np.max(np.abs(prog.gather(result.final_blocks) - prog.reference())))
+        return float(np.max(np.abs(prog.gather(result.results) - prog.reference())))
 
     exact = final_deviation(0.0)
     loose = final_deviation(2e-2)
@@ -163,7 +163,7 @@ def test_cml_periodic_topology():
 def test_cml_fw0_matches_reference():
     prog = cml_program()
     result = run_program(prog, make_cluster(4, latency=0.05), fw=0)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-12)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_cml_fw1_theta_zero_exact_despite_chaos():
@@ -171,13 +171,13 @@ def test_cml_fw1_theta_zero_exact_despite_chaos():
     speculation gets corrected before the next send."""
     prog = cml_program(iterations=15)
     result = run_program(prog, make_cluster(4, latency=0.3), fw=1)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-9)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-9)
 
 
 def test_cml_two_rank_periodic_exact():
     prog = cml_program(p=2, iterations=12)
     result = run_program(prog, make_cluster(2, latency=0.3), fw=1)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-9)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-9)
 
 
 def test_cml_chaos_defeats_speculation():
@@ -197,5 +197,5 @@ def test_cml_chaos_defeats_speculation():
 def test_cml_states_remain_bounded():
     prog = cml_program(iterations=50, threshold=1e-2)
     result = run_program(prog, make_cluster(4, latency=0.2), fw=1)
-    x = prog.gather(result.final_blocks)
+    x = prog.gather(result.results)
     assert np.all((x >= 0.0) & (x <= 1.0))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_FINDINGS, build_parser, main
-from repro.trace import EventLog
+from repro.trace import PHASES, EventLog
 
 TESTS = Path(__file__).resolve().parent
 
@@ -45,7 +45,8 @@ def test_nbody_command(capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "makespan" in out
+    assert "wall                :" in out and "virtual s" in out
+    assert "makespan" not in out  # one number, printed once
     assert "rejected speculation" in out
 
 
@@ -54,7 +55,7 @@ def test_nbody_small_blocks_on_the_jittered_bus(capsys):
     used to reach the wire before X(t) (``OutOfOrderArrival: got t=1
     after t=2``) until the networks clamped each channel to FIFO."""
     assert main(["nbody", "--p", "4", "--particles", "64", "--iterations", "6"]) == 0
-    assert "makespan" in capsys.readouterr().out
+    assert "wall                :" in capsys.readouterr().out
 
 
 def test_nbody_shares_run_flags(capsys):
@@ -81,15 +82,15 @@ def test_nbody_prints_one_report_on_every_backend(backend, tmp_path, capsys):
         line.split(":")[0].strip()
         for line in out.splitlines() if line.startswith("  ")
     ]
-    if backend == "des":  # the simulator's steady-state lines ride along
-        des_only = ["makespan", "time/iteration", "compute / comm",
-                    "spec / check / corr"]
-        assert [label for label in labels if label in des_only] == des_only
-        labels = [label for label in labels if label not in des_only]
-    expected = ["wall", "phase timings", "rejected speculation (messages)"]
+    expected = ["wall", "phase timings", "time/iteration", "compute / comm",
+                "spec / check / corr", "rejected speculation (messages)"]
     if backend != "mp":  # on mp the workers' program copies did the counting
         expected.append("rejected speculation (particles)")
     assert labels == expected
+    # Every line is in the backend's own clock, named once per line.
+    unit = {"des": "virtual s", "loopback": "rounds", "mp": "wall s"}[backend]
+    assert out.count(unit) >= 2
+    assert all(phase + "=" in out for phase in PHASES)
 
 
 def test_mp_only_flags_rejected_off_mp(capsys):

@@ -44,7 +44,7 @@ def assert_blocks_equal(result_blocks, reference, atol=0.0):
 def test_fw0_matches_serial_reference():
     prog = CoupledIncrement(nprocs=3, iterations=5, coupling=0.2)
     result = run_program(prog, make_cluster(3, latency=0.1), fw=0)
-    assert_blocks_equal(result.final_blocks, prog.reference_run())
+    assert_blocks_equal(result.results, prog.reference_run())
 
 
 def test_fw0_makes_no_speculations():
@@ -60,7 +60,7 @@ def test_theta_zero_always_corrects_to_exact_result(fw):
     """With θ=0 every erroneous speculation is repaired: exact results."""
     prog = RandomDrift(nprocs=3, iterations=6, coupling=0.3, threshold=0.0)
     result = run_program(prog, make_cluster(3, latency=0.5), fw=fw)
-    assert_blocks_equal(result.final_blocks, prog.reference_run(), atol=1e-9)
+    assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
 
 
 @pytest.mark.parametrize("fw", [1, 2])
@@ -75,7 +75,7 @@ def test_perfect_speculator_accepted_and_exact(fw):
         speculator=ZeroOrderHold(),
     )
     result = run_program(prog, make_cluster(3, latency=0.5), fw=fw)
-    assert_blocks_equal(result.final_blocks, prog.reference_run(), atol=0.0)
+    assert_blocks_equal(result.results, prog.reference_run(), atol=0.0)
     total_rejected = sum(s.spec_rejected for s in result.stats)
     assert total_rejected == 0
     assert sum(s.recomputes for s in result.stats) == 0
@@ -92,7 +92,7 @@ def test_linear_speculator_on_linear_dynamics_mostly_accepted():
         speculator=LinearExtrapolation(),
     )
     result = run_program(prog, make_cluster(2, latency=0.5), fw=1)
-    assert_blocks_equal(result.final_blocks, prog.reference_run(), atol=1e-9)
+    assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
     # Only the first iteration (single-point history, hold fallback)
     # can be rejected; everything afterwards is exact.
     assert sum(s.spec_rejected for s in result.stats) <= 2
@@ -116,7 +116,7 @@ def test_speculation_within_threshold_bounded_deviation():
         # ZOH mispredicts each step by `rate`; deviation accumulates but
         # stays O(T * rate) -- here inputs only shift means, coupling 0,
         # so own block is exact; just assert the run completed sanely.
-        assert np.all(np.isfinite(result.final_blocks[rank]))
+        assert np.all(np.isfinite(result.results[rank]))
     assert sum(s.spec_rejected for s in result.stats) == 0
 
 
@@ -131,8 +131,8 @@ def test_speculation_masks_latency():
         cluster = make_cluster(2, latency=1.0, capacity=1000.0)  # comp 1s, comm 1s
         return run_program(prog, cluster, fw=fw)
 
-    t0 = run(0).makespan
-    t1 = run(1).makespan
+    t0 = run(0).wall_seconds
+    t1 = run(1).wall_seconds
     assert t1 < t0
     # With comm <= compute, FW=1 can mask nearly all of the delay:
     # per-iteration cost drops from comp+comm toward comp+check.
@@ -148,8 +148,8 @@ def test_fw2_masks_more_than_fw1_when_comm_dominates():
         cluster = make_cluster(2, latency=2.5, capacity=1000.0)  # comp 1s, comm 2.5s
         return run_program(prog, cluster, fw=fw)
 
-    t1 = run(1).makespan
-    t2 = run(2).makespan
+    t1 = run(1).wall_seconds
+    t2 = run(2).wall_seconds
     assert t2 < t1
 
 
@@ -163,8 +163,8 @@ def test_bad_speculation_costs_more_than_blocking():
         cluster = make_cluster(2, latency=0.01, capacity=1000.0)  # comm ~ free
         return run_program(prog, cluster, fw=fw)
 
-    t0 = run(0).makespan
-    t1 = run(1).makespan
+    t0 = run(0).wall_seconds
+    t1 = run(1).wall_seconds
     # With negligible communication to mask, rejected speculations can
     # only add overhead.
     assert t1 > t0
@@ -221,9 +221,9 @@ def test_tainted_sends_possible_with_fw2():
 def test_single_processor_trivial_run():
     prog = CoupledIncrement(nprocs=1, iterations=4, rates=[1.0])
     result = run_program(prog, make_cluster(1), fw=1)
-    assert_blocks_equal(result.final_blocks, prog.reference_run())
+    assert_blocks_equal(result.results, prog.reference_run())
     assert result.stats[0].spec_made == 0
-    assert result.makespan > 0
+    assert result.wall_seconds > 0
 
 
 def test_driver_validates_inputs():
@@ -240,7 +240,7 @@ def test_run_result_metadata():
     assert result.nprocs == 2
     assert result.fw == 1
     assert result.iterations == 3
-    assert result.time_per_iteration == pytest.approx(result.makespan / 3)
+    assert result.time_per_iteration == pytest.approx(result.wall_seconds / 3)
     assert len(result.capacities) == 2
 
 
@@ -266,8 +266,8 @@ def test_determinism_same_config_same_everything():
         prog = RandomDrift(nprocs=3, iterations=5, threshold=0.0)
         r = run_program(prog, make_cluster(3, latency=0.3), fw=2)
         return (
-            r.makespan,
-            {k: v.tolist() for k, v in r.final_blocks.items()},
+            r.wall_seconds,
+            {k: v.tolist() for k, v in r.results.items()},
             [s.spec_made for s in r.stats],
         )
 
@@ -284,8 +284,8 @@ def test_heterogeneous_cluster_slowest_sets_pace():
     )
     result = run_program(prog, cluster, fw=0)
     # slow rank needs 2s per iteration; makespan >= 4 iterations * 2s
-    assert result.makespan >= 8.0
-    assert_blocks_equal(result.final_blocks, prog.reference_run())
+    assert result.wall_seconds >= 8.0
+    assert_blocks_equal(result.results, prog.reference_run())
 
 
 @pytest.mark.parametrize("p", [2, 4, 7])
@@ -293,13 +293,13 @@ def test_various_cluster_sizes(p):
     prog = CoupledIncrement(nprocs=p, iterations=4, coupling=0.1,
                             rates=list(range(p)), threshold=0.0)
     result = run_program(prog, make_cluster(p, latency=0.2), fw=1)
-    assert_blocks_equal(result.final_blocks, prog.reference_run(), atol=1e-9)
+    assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
 
 
 def test_fw_larger_than_iterations_is_safe():
     prog = RandomDrift(nprocs=2, iterations=3, threshold=0.0)
     result = run_program(prog, make_cluster(2, latency=0.5), fw=10)
-    assert_blocks_equal(result.final_blocks, prog.reference_run(), atol=1e-9)
+    assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
 
 
 @pytest.mark.parametrize("fw", [1, 2, 3])
@@ -314,4 +314,4 @@ def test_jittered_endpoint_latency_keeps_channels_fifo(fw):
     prog = ConstantProgram(nprocs=4, iterations=40, block_size=8, ops_per_compute=2e3)
     result = run_program(prog, wustl_1994(p=4, jitter_sigma=0.8, seed=1).cluster(), fw=fw)
     for rank in range(4):
-        np.testing.assert_array_equal(result.final_blocks[rank], prog.initial_block(rank))
+        np.testing.assert_array_equal(result.results[rank], prog.initial_block(rank))

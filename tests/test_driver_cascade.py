@@ -30,7 +30,7 @@ def test_cascade_none_equals_recompute_for_fw1():
     def run(cascade):
         prog = RandomDrift(nprocs=3, iterations=6, threshold=0.0)
         r = run_program(prog, make_cluster(3, latency=0.5), fw=1, cascade=cascade)
-        return r.makespan, {k: v.tolist() for k, v in r.final_blocks.items()}
+        return r.wall_seconds, {k: v.tolist() for k, v in r.results.items()}
 
     assert run("none") == run("recompute")
 
@@ -46,7 +46,7 @@ def test_cascade_recompute_more_expensive_under_fw2():
 
     r_none = run("none")
     r_cascade = run("recompute")
-    assert r_cascade.makespan >= r_none.makespan - 1e-9
+    assert r_cascade.wall_seconds >= r_none.wall_seconds - 1e-9
     # The cascading run redoes more block-iterations.
     assert (
         sum(s.recomputes for s in r_cascade.stats)
@@ -66,7 +66,7 @@ def test_cascade_recompute_fw2_closer_to_reference():
         r = run_program(prog, cluster, fw=2, cascade=cascade)
         ref = prog.reference_run()
         return max(
-            float(np.max(np.abs(r.final_blocks[j] - ref[j]))) for j in range(2)
+            float(np.max(np.abs(r.results[j] - ref[j]))) for j in range(2)
         )
 
     assert deviation("recompute") <= deviation("none") + 1e-12
@@ -107,7 +107,7 @@ def test_send_ops_charged_to_sender():
             nprocs=3, iterations=5, coupling=0.0, rates=[0.0, 0.0, 0.0],
             threshold=0.0, ops_per_compute=1000.0,
         )
-        return run_program(prog, make_cluster(3, latency=0.0), fw=0).makespan
+        return run_program(prog, make_cluster(3, latency=0.0), fw=0).wall_seconds
 
     free = makespan(CoupledIncrement)
     packed = makespan(Packing)

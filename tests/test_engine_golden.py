@@ -30,12 +30,12 @@ STAT_FIELDS = (
 def summarize(res):
     """Mirror of scripts/capture_golden.py's summary (keep in sync)."""
     return {
-        "makespan": repr(float(res.makespan)),
+        "makespan": repr(float(res.wall_seconds)),
         "iterations": res.iterations,
         "fw": res.fw,
         "final_digest": [
-            repr(float(np.asarray(res.final_blocks[r]).sum()))
-            for r in sorted(res.final_blocks)
+            repr(float(np.asarray(res.results[r]).sum()))
+            for r in sorted(res.results)
         ],
         "stats": [{f: getattr(s, f) for f in STAT_FIELDS} for s in res.stats],
     }
@@ -93,12 +93,12 @@ def test_nbody_adaptive_matches_pinned_trajectory():
     doc = summarize(res)
     doc["window_history"] = [
         [[int(t), int(fw)] for t, fw in history]
-        for history in res.window_history
+        for history in res.window_history.values()
     ]
     doc["final_windows"] = res.final_windows()
     assert doc == GOLDEN["nbody_adaptive"]
     # The trajectory is only interesting if adaptation actually fired.
-    assert any(len(h) > 1 for h in res.window_history)
+    assert any(len(h) > 1 for h in res.window_history.values())
 
 
 # ---------------------------------------------- the --check drift guard

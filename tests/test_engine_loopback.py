@@ -29,10 +29,10 @@ def test_loopback_exact_for_fw0_and_strict_fw1(fw):
     """fw=0 never speculates; fw=1 with theta=0 verifies every
     speculation exactly — both must equal the serial recurrence."""
     prog = CoupledIncrement(nprocs=3, iterations=7, coupling=0.3, threshold=0.0)
-    finals, stats, _ = run_loopback(prog, fw=fw)
-    assert_matches_reference(prog, finals)
+    report = run_loopback(prog, fw=fw)
+    assert_matches_reference(prog, report.results)
     if fw == 0:
-        assert all(s.spec_made == 0 for s in stats)
+        assert all(s.spec_made == 0 for s in report.stats)
 
 
 def test_loopback_receive_driven_matches_spec_engine():
@@ -44,10 +44,13 @@ def test_loopback_receive_driven_matches_spec_engine():
     system = uniform_cube(24, seed=42, softening=0.1)
     prog = NBodyProgram(system, [1.0, 1.0], iterations=3, dt=0.015,
                         threshold=0.01)
-    spec, _, _ = run_loopback(prog, fw=0)
-    base, _, _ = run_loopback(prog, receive_driven=True)
+    spec = run_loopback(prog, fw=0)
+    base = run_loopback(prog, receive_driven=True)
     for rank in range(2):
-        np.testing.assert_allclose(spec[rank], base[rank], atol=1e-12)
+        np.testing.assert_allclose(spec.results[rank], base.results[rank],
+                                   atol=1e-12)
+    # The baseline has no window: it reports fw 0, like the DES driver.
+    assert base.fw == 0 and base.window_history == {0: [(0, 0)], 1: [(0, 0)]}
 
 
 @pytest.mark.parametrize("knob", [
@@ -72,8 +75,9 @@ def test_round_robin_schedule_produces_speculation():
         nprocs=3, iterations=8, coupling=0.0, rates=[0.0, 0.0, 0.0],
         threshold=0.0, speculator=ZeroOrderHold(),
     )
-    finals, stats, _ = run_loopback(prog, fw=2)
-    assert_matches_reference(prog, finals)
+    report = run_loopback(prog, fw=2)
+    stats = report.stats
+    assert_matches_reference(prog, report.results)
     made = sum(s.spec_made for s in stats)
     assert made > 0
     assert sum(s.spec_rejected for s in stats) == 0
@@ -84,8 +88,9 @@ def test_rejection_and_correction_on_unpredictable_program():
     """RandomDrift defeats extrapolation; rejected speculations must
     be corrected so the final state still matches the reference."""
     prog = RandomDrift(nprocs=2, iterations=6, coupling=0.1, threshold=0.0)
-    finals, stats, _ = run_loopback(prog, fw=1)
-    assert_matches_reference(prog, finals)
+    report = run_loopback(prog, fw=1)
+    stats = report.stats
+    assert_matches_reference(prog, report.results)
     assert sum(s.spec_rejected for s in stats) > 0
     assert sum(s.recomputes for s in stats) > 0
 
@@ -93,9 +98,10 @@ def test_rejection_and_correction_on_unpredictable_program():
 # ----------------------------------------------------------- observability
 def test_phase_ops_tallied_per_rank():
     prog = CoupledIncrement(nprocs=2, iterations=4)
-    _, _, runner = run_loopback(prog, fw=1)
+    report = run_loopback(prog, fw=1)
     for rank in range(2):
-        assert runner.phase_ops[rank].get("compute", 0.0) > 0.0
+        assert report.traces[rank].rank == rank
+        assert report.traces[rank].total("compute") > 0.0
 
 
 def test_event_log_records_protocol_kinds():

@@ -74,7 +74,9 @@ def test_blocking_recv_parks_until_bytes_arrive():
     assert delay * 0.9 <= wall < delay + 0.3
     assert cpu < 0.1 * wall + 0.02, f"spun: cpu={cpu:.3f}s of wall={wall:.3f}s"
     # The blocked span is charged to the receive's phase.
-    assert transport.phase_seconds["comm"] == pytest.approx(wall, abs=0.05)
+    assert transport.trace.total("comm") == pytest.approx(wall, abs=0.05)
+    ((phase, start, end, iteration),) = transport.trace.records
+    assert (phase, iteration) == ("comm", 3) and 0.0 <= start < end
 
 
 def test_blocking_recv_parks_to_the_stamp_not_to_the_next_millisecond():
@@ -147,5 +149,5 @@ def test_p4_heavy_jitter_stays_exact():
     ).run(timeout=120)
     ref = prog.reference_run()
     for rank in range(4):
-        np.testing.assert_allclose(result.final_blocks[rank], ref[rank],
+        np.testing.assert_allclose(result.results[rank], ref[rank],
                                    atol=1e-12)

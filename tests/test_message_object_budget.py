@@ -38,8 +38,10 @@ PROGRAMS = {
 #: (program, fw) -> constructor frames inside ``api.run``.  With an
 #: ``Interval`` (and its ``__post_init__``) per charge and receive and a
 #: fresh ``TryRecv`` / ``CascadeEnd`` per yield this counter read
-#: 1279 / 1679 / 2017.
-PINNED = {("constant", 0): 977, ("constant", 1): 1187, ("jumpy", 1): 1382}
+#: 1279 / 1679 / 2017; with a ``RunResult`` re-wrapped in a ``RunReport``
+#: whose ``timings`` were summed eagerly (a ``PhaseBreakdown`` per rank
+#: and one merged) 977 / 1187 / 1382.
+PINNED = {("constant", 0): 971, ("constant", 1): 1181, ("jumpy", 1): 1376}
 
 
 def constructor_frames(config: RunConfig):
@@ -74,7 +76,7 @@ def test_constructor_frames_stay_within_the_budget(name, fw):
 
 
 def test_intervals_materialise_on_read_and_total_like_the_rows():
-    for trace in run(des_config("jumpy", 1)).raw.traces:
+    for trace in run(des_config("jumpy", 1)).traces:
         intervals = trace.intervals
         assert len(trace) == len(intervals) > 0
         assert all(type(iv) is Interval for iv in intervals)
@@ -90,17 +92,19 @@ def test_intervals_materialise_on_read_and_total_like_the_rows():
                                   - min(iv.start for iv in intervals))
 
 
-def test_intervals_setter_round_trips():
+def test_intervals_are_read_only_views_of_the_rows():
     trace = PhaseTrace(3)
     trace.record("compute", 0.0, 1.5, 0)
     trace.record("comm", 1.5, 1.5, 0)  # zero-length: dropped
     trace.record("comm", 1.5, 2.0, 1)
     assert trace.intervals == [Interval("compute", 0.0, 1.5, 0),
                                Interval("comm", 1.5, 2.0, 1)]
-    sub = PhaseTrace(3)
-    sub.intervals = [iv for iv in trace.intervals if iv.iteration == 1]
+    sub = trace.for_iteration(1)
     assert len(sub) == 1 and sub.total("comm") == 0.5
-    assert sub.intervals == trace.for_iteration(1).intervals
+    assert sub.intervals == [Interval("comm", 1.5, 2.0, 1)]
+    # Sub-traces are cut from the rows; nothing assigns Intervals back.
+    with pytest.raises(AttributeError):
+        trace.intervals = []
 
 
 def test_accept_is_none_for_an_unspeculated_arrival():

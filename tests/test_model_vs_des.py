@@ -40,7 +40,7 @@ def des_time_per_iteration(fw: int, sigma: float, iterations: int = 30) -> float
         threshold=0.0, ops_per_compute=COMP_OPS, speculator=ZeroOrderHold(),
     )
     result = run_program(prog, cluster, fw=fw, cascade="none")
-    return result.makespan / iterations
+    return result.wall_seconds / iterations
 
 
 def model_time_per_iteration(fw: int, comm_cv: float) -> float:

@@ -44,7 +44,7 @@ def test_bh_run_close_to_direct_run():
         prog = NBodyProgram(system, [1e6] * 2, 4, dt=0.005, threshold=0.0,
                             force_method=method, bh_theta=0.4)
         res = run_program(prog, make_cluster(2, latency=0.1), fw=1)
-        return prog.gather(res.final_blocks)
+        return prog.gather(res.results)
 
     direct = run("direct")
     bh = run("barnes_hut")
@@ -81,5 +81,5 @@ def test_bh_speculation_and_correction_still_work():
                         force_method="barnes_hut", bh_theta=0.5)
     result = run_program(prog, make_cluster(3, latency=0.4), fw=1, cascade="none")
     assert prog.spec_stats.particles_checked > 0
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     assert np.all(np.isfinite(final.pos))

@@ -28,7 +28,7 @@ def test_fw0_matches_serial_reference():
     result = MPRunner(prog, fw=0).run(timeout=60)
     ref = prog.reference_run()
     for rank in range(2):
-        np.testing.assert_allclose(result.final_blocks[rank], ref[rank], atol=1e-12)
+        np.testing.assert_allclose(result.results[rank], ref[rank], atol=1e-12)
 
 
 def test_fw1_theta_zero_exact():
@@ -36,7 +36,7 @@ def test_fw1_theta_zero_exact():
     result = MPRunner(prog, fw=1, latency=0.01).run(timeout=60)
     ref = prog.reference_run()
     for rank in range(3):
-        np.testing.assert_allclose(result.final_blocks[rank], ref[rank], atol=1e-10)
+        np.testing.assert_allclose(result.results[rank], ref[rank], atol=1e-10)
 
 
 def test_fw2_runs_and_is_exact_under_perfect_speculation():
@@ -51,7 +51,7 @@ def test_fw2_runs_and_is_exact_under_perfect_speculation():
     result = MPRunner(prog, fw=2, latency=0.02).run(timeout=60)
     ref = prog.reference_run()
     for rank in range(3):
-        np.testing.assert_allclose(result.final_blocks[rank], ref[rank],
+        np.testing.assert_allclose(result.results[rank], ref[rank],
                                    atol=1e-12)
     assert sum(s.spec_made for s in result.stats) > 0
     assert result.rejection_rate == 0.0
@@ -72,7 +72,7 @@ def test_nbody_parallel_matches_reference():
     system = uniform_cube(24, seed=0, softening=0.1)
     prog = NBodyProgram(system, [1.0, 1.0], iterations=4, dt=0.01, threshold=0.0)
     result = MPRunner(prog, fw=1, latency=0.01).run(timeout=120)
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-9)
 
@@ -81,7 +81,7 @@ def test_heat_equation_neighbor_topology_parallel():
     rng = np.random.default_rng(3)
     prog = HeatEquation1D(rng.uniform(size=32), [1.0] * 4, iterations=6, threshold=0.0)
     result = MPRunner(prog, fw=1, latency=0.005).run(timeout=60)
-    np.testing.assert_allclose(prog.gather(result.final_blocks), prog.reference(), atol=1e-10)
+    np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
 def test_speculation_masks_injected_latency_wall_clock():
@@ -105,11 +105,12 @@ def test_speculation_masks_injected_latency_wall_clock():
 def test_phase_seconds_accounting():
     prog = CoupledIncrement(nprocs=2, iterations=6, threshold=0.0)
     result = MPRunner(prog, fw=0, latency=0.02).run(timeout=60)
-    assert result.phase_seconds("comm") > 0.0
-    assert result.phase_seconds("comm", how="sum") >= result.phase_seconds("comm")
-    assert result.phase_seconds("comm", how="mean") <= result.phase_seconds("comm")
+    comm = result.breakdown(how="max")["comm"]
+    assert comm == result.timings["comm"] > 0.0
+    assert result.breakdown(how="sum")["comm"] >= comm
+    assert result.breakdown(how="mean")["comm"] <= comm
     with pytest.raises(ValueError):
-        result.phase_seconds("comm", how="median")
+        result.breakdown(how="median")
 
 
 def test_jitter_deterministic_results_despite_timing_noise():
@@ -117,4 +118,4 @@ def test_jitter_deterministic_results_despite_timing_noise():
     result = MPRunner(prog, fw=1, latency=0.01, jitter=0.5, seed=7).run(timeout=60)
     ref = prog.reference_run()
     for rank in range(2):
-        np.testing.assert_allclose(result.final_blocks[rank], ref[rank], atol=1e-10)
+        np.testing.assert_allclose(result.results[rank], ref[rank], atol=1e-10)

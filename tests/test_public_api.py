@@ -34,6 +34,26 @@ def test_key_classes_importable_from_top_level():
     )
 
 
+def test_one_result_type_is_exported_and_the_old_ones_resolve_nowhere():
+    import repro.api
+    import repro.core
+    import repro.core.results
+    import repro.parallel
+    import repro.parallel.runner
+
+    assert {"RunReport", "RunConfig", "run"} <= set(repro.__all__)
+    assert (repro.RunReport is repro.api.RunReport is repro.core.RunReport
+            is repro.core.results.RunReport)
+    for module in (repro, repro.api, repro.core, repro.core.results,
+                   repro.parallel, repro.parallel.runner):
+        for gone in ("RunResult", "MPRunResult"):
+            assert not hasattr(module, gone), (module.__name__, gone)
+    fields = set(repro.RunReport.__dataclass_fields__)
+    assert not {"raw", "makespan", "final_blocks"} & fields
+    assert not any(hasattr(repro.RunReport, old)
+                   for old in ("raw", "makespan", "final_blocks"))
+
+
 def test_subpackages_importable():
     import repro.core
     import repro.core.receive_driven

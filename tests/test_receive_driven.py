@@ -55,7 +55,7 @@ def test_incremental_decomposition_equals_compute():
 def test_receive_driven_matches_serial_reference():
     prog = nbody()
     result = ReceiveDrivenDriver(prog, make_cluster(3, latency=0.2)).run()
-    final = prog.gather(result.final_blocks)
+    final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-10)
     np.testing.assert_allclose(final.vel, ref.vel, atol=1e-10)
@@ -68,8 +68,13 @@ def test_receive_driven_matches_blocking_driver():
     r2 = run_program(prog2, make_cluster(3, latency=0.2), fw=0)
     for rank in range(3):
         np.testing.assert_allclose(
-            r1.final_blocks[rank], r2.final_blocks[rank], atol=1e-12
+            r1.results[rank], r2.results[rank], atol=1e-12
         )
+    # Same report as the blocking driver's: no window, never speculated.
+    assert type(r1) is type(r2) and r1.backend == r2.backend == "des"
+    assert r1.fw == r2.fw == 0
+    assert r1.window_history == r2.window_history == {r: [(0, 0)] for r in range(3)}
+    assert r1.capacities == r2.capacities and len(r1.traces) == 3
 
 
 def test_receive_driven_overlaps_staggered_arrivals():
@@ -82,8 +87,8 @@ def test_receive_driven_overlaps_staggered_arrivals():
             return ReceiveDrivenDriver(prog, cluster).run()
         return run_program(prog, cluster, fw=0)
 
-    t_recv = run("recv").makespan
-    t_block = run("block").makespan
+    t_recv = run("recv").wall_seconds
+    t_block = run("block").wall_seconds
     assert t_recv <= t_block + 1e-9
 
 

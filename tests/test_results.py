@@ -1,9 +1,11 @@
-"""Unit tests for RunResult aggregation, SpecStats and speedup helpers."""
+"""Unit tests for RunReport aggregation, SpecStats and speedup helpers."""
 
 import pytest
 
-from repro.core import RunResult, SpecStats, speedup, speedup_max
-from repro.trace import PhaseTrace
+from repro.api import RunConfig, run
+from repro.core import RunReport, SpecStats, speedup, speedup_max
+from repro.harness import build_nbody
+from repro.trace import PHASES, PhaseTrace
 
 
 def make_result(fw=1, iterations=4):
@@ -24,11 +26,13 @@ def make_result(fw=1, iterations=4):
         SpecStats(rank=1, spec_made=6, spec_accepted=3, spec_rejected=3, checks=6,
                   recomputes=4, iterations=iterations),
     ]
-    return RunResult(
-        makespan=clock,
-        final_blocks={0: None, 1: None},
+    return RunReport(
+        backend="des",
+        results={0: None, 1: None},
+        wall_seconds=clock,
         traces=[t0, t1],
         stats=stats,
+        window_history={0: [(0, fw)], 1: [(0, fw), (2, fw + 1)]},
         fw=fw,
         iterations=iterations,
         capacities=[2.0, 1.0],
@@ -64,12 +68,50 @@ def test_steady_breakdown_excludes_warmup():
     assert b["compute"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("how", ["max", "sum", "mean"])
+@pytest.mark.parametrize("skip", [0, 1, 2])
+def test_steady_breakdown_equals_a_reference_summed_over_intervals(skip, how):
+    """The rows are filtered directly; the reference walks ``Interval``
+    objects the way the setter-based version did."""
+    r = make_result(iterations=5)
+    per_rank, spans = [], []
+    for trace in r.traces:
+        kept = [iv for iv in trace.intervals
+                if iv.iteration is None or iv.iteration >= skip]
+        totals = dict.fromkeys(PHASES, 0.0)
+        for iv in kept:
+            totals[iv.phase] += iv.duration
+        per_rank.append(totals)
+        spans.append(max(iv.end for iv in kept) - min(iv.start for iv in kept))
+    merge = {"max": max, "sum": sum, "mean": lambda v: sum(v) / len(v)}[how]
+    scale = 1.0 / (r.iterations - skip)
+    got = r.steady_breakdown(how=how, skip=skip)
+    assert got.totals == {
+        phase: merge([t[phase] for t in per_rank]) * scale for phase in PHASES
+    }
+    span = sum(spans) / len(spans) if how == "mean" else max(spans)
+    assert got.span == span * scale
+
+
 def test_steady_breakdown_validation():
     r = make_result()
     with pytest.raises(ValueError):
         r.steady_breakdown(skip=4)
     with pytest.raises(ValueError):
         r.steady_breakdown(skip=-1)
+
+
+def test_timings_are_the_max_breakdown_over_the_six_phases():
+    r = make_result()
+    assert list(r.timings) == list(PHASES)
+    assert r.timings == r.breakdown("max").totals
+    assert r.timings == {
+        phase: max(t.total(phase) for t in r.traces) for phase in PHASES
+    }
+
+
+def test_final_windows_follow_the_trajectories_in_rank_order():
+    assert make_result(fw=1).final_windows() == [1, 2]
 
 
 def test_rejection_and_recompute_rates():
@@ -124,3 +166,42 @@ def test_summary_is_json_serialisable():
     assert data["fw"] == 1
     assert data["steady_phase_seconds"]["compute"] == pytest.approx(2.0)
     assert data["rejection_rate"] == pytest.approx(4 / 12)
+    assert data["backend"] == "des"
+    assert data["wall_seconds"] == 12.0
+    assert json.loads(encoded) == data
+
+
+#: ``repro nbody -p 4 --particles 120 --iterations 5`` on DES, captured
+#: on the commit before RunResult was folded into RunReport (42320e3):
+#: ``RunReport.timings``, then ``RunResult.steady_breakdown()``.
+PARENT_WALL = 1.053703201508313
+PARENT_TIMINGS = {
+    "check": 0.007978459999191778,
+    "comm": 0.0,
+    "compute": 1.0170960109695482,
+    "correct": 0.028244606296063623,
+    "idle": 0.0,
+    "spec": 0.003989229999595778,
+}
+PARENT_STEADY = {
+    "check": 0.0019946149997979445,
+    "comm": 0.0,
+    "compute": 0.20341920219390963,
+    "correct": 0.007061151574015906,
+    "idle": 0.0,
+    "spec": 0.0009973074998989445,
+}
+PARENT_STEADY_SPAN = 0.21257099982860084
+
+
+def test_des_timings_and_steady_breakdown_equal_the_parents():
+    program, cluster, cfg = build_nbody(4, iterations=5, n_particles=120,
+                                        threshold=0.01)
+    report = run(RunConfig(program, backend="des", fw=1, seed=cfg["seed"],
+                           cascade=cfg["cascade"], cluster=cluster))
+    assert report.wall_seconds == PARENT_WALL
+    assert report.timings == PARENT_TIMINGS
+    steady = report.steady_breakdown()
+    assert steady.totals == PARENT_STEADY
+    assert steady.span == PARENT_STEADY_SPAN
+    assert report.capacities == cluster.capacities()

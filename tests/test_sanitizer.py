@@ -145,8 +145,8 @@ def test_clean_speculative_run_passes_sanitizer():
         make_cluster(3, latency=0.4),
         fw=2,
     )
-    for rank in result.final_blocks:
-        np.testing.assert_array_equal(result.final_blocks[rank], plain.final_blocks[rank])
+    for rank in result.results:
+        np.testing.assert_array_equal(result.results[rank], plain.results[rank])
 
 
 def test_sanitizer_catches_forward_window_violation_in_real_run():

@@ -242,5 +242,5 @@ def test_mp_worker_surfaces_sanitizer_and_send_seq():
     from repro.parallel.runner import MPRunner
 
     result = MPRunner(_TinyProgram(), fw=1, sanitize=True).run(timeout=120)
-    assert set(result.final_blocks) == {0, 1}
-    assert np.isfinite(list(result.final_blocks.values())).all()
+    assert set(result.results) == {0, 1}
+    assert np.isfinite(list(result.results.values())).all()

@@ -324,7 +324,7 @@ def test_two_worker_trace_records_hb_edges():
     prog = CoupledIncrement(nprocs=2, iterations=4, coupling=0.2, threshold=0.0)
     runner = MPRunner(prog, fw=1, latency=0.05, record_events=True)
     result = runner.run(timeout=60)
-    log = result.event_log()
+    log = result.event_log
     assert log.ranks() == [0, 1]
     assert len(log.of_kind("speculate")) > 0   # the delay forced speculation
 
@@ -358,7 +358,7 @@ def test_two_worker_trace_records_hb_edges():
 def test_runs_without_recording_produce_empty_logs():
     prog = CoupledIncrement(nprocs=2, iterations=2)
     result = MPRunner(prog, fw=0).run(timeout=60)
-    assert len(result.event_log()) == 0
+    assert result.event_log is None
 
 
 # ---------------------------------------------- simulator differential run

@@ -92,9 +92,9 @@ def test_random_schedules_replay_bit_identical_to_loopback(scenario):
     """25 random explored schedules must all land on the canonical
     round-robin finals bit for bit (theta = 0, FW <= 1 exactness)."""
     config = McConfig(p=3, fw=1, bw=1, iters=3, scenario=scenario)
-    canonical, _stats, _runner = run_loopback(
+    canonical = run_loopback(
         build_program(config), fw=config.fw, cascade=config.cascade
-    )
+    ).results
     samples = random_schedules(config, n=25, seed=7)
     assert len(samples) == 25
     seen = set()

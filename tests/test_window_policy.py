@@ -143,14 +143,15 @@ def test_des_window_history_seeded_and_recorded():
         constant_prog(iterations=16), make_cluster(2, latency=3.0), fw=1,
         window_policy=AimdWindow(epoch=2, min_fw=0, max_fw=3),
     )
-    assert len(res.window_history) == 2
-    for history in res.window_history:
+    assert sorted(res.window_history) == [0, 1]
+    for history in res.window_history.values():
         assert history[0] == (0, 1)
         assert all(abs(b - a) == 1
                    for (_, a), (_, b) in zip(history, history[1:]))
     # comm >> compute and perfect speculation: somebody widened.
     assert any(fw > 1 for fw in res.final_windows())
-    assert res.final_windows() == [h[-1][1] for h in res.window_history]
+    assert res.final_windows() == [
+        h[-1][1] for h in res.window_history.values()]
 
 
 def test_window_events_land_in_the_des_trace():
@@ -176,8 +177,8 @@ def _des_fingerprint(window_policy):
                             threshold=0.0, ops_per_compute=1000.0)
     res = run_program(prog, cluster, fw=1, window_policy=window_policy)
     return (
-        repr(res.makespan),
-        {r: np.asarray(b).tobytes() for r, b in res.final_blocks.items()},
+        repr(res.wall_seconds),
+        {r: np.asarray(b).tobytes() for r, b in res.results.items()},
         [(s.spec_made, s.spec_accepted, s.spec_rejected, s.checks,
           s.recomputes) for s in res.stats],
         list(log),
@@ -198,10 +199,11 @@ def test_static_window_parity_on_loopback():
     seated = run_loopback(prog, fw=1, event_log=seated_log,
                           window_policy=StaticWindow(1))
     for rank in range(3):
-        np.testing.assert_array_equal(plain[0][rank], seated[0][rank])
-    assert [vars(s) for s in plain[1]] == [vars(s) for s in seated[1]]
+        np.testing.assert_array_equal(plain.results[rank], seated.results[rank])
+    assert [vars(s) for s in plain.stats] == [vars(s) for s in seated.stats]
     assert list(plain_log) == list(seated_log)
-    assert seated[2].window_history == {r: [(0, 1)] for r in range(3)}
+    assert seated.event_log is seated_log
+    assert seated.window_history == {r: [(0, 1)] for r in range(3)}
 
 
 #: Effect kinds whose per-rank sequence no arrival race can move: a
@@ -222,13 +224,13 @@ def _mp_fingerprint(window_policy, latency=0.01):
     for s in result.stats:
         assert s.checks == s.spec_made == s.spec_accepted + s.spec_rejected
     events = {}
-    for e in result.event_log():
+    for e in result.event_log:
         if e.kind in _RACE_FREE_KINDS:
             events.setdefault((e.rank, e.kind), []).append(
                 (e.peer, e.family, e.iteration))
     return (
-        {r: np.asarray(b).tobytes() for r, b in result.final_blocks.items()},
-        result.window_history(),
+        {r: np.asarray(b).tobytes() for r, b in result.results.items()},
+        result.window_history,
         events,
     )
 
@@ -260,8 +262,9 @@ def test_pipe_recv_reports_blocked_seconds_in_waited():
     assert arrival.payload == "late payload"
     assert arrival.waited >= delay * 0.9
     assert arrival.waited == pytest.approx(
-        transport.phase_seconds["comm"], abs=0.05
+        transport.trace.total("comm"), abs=0.05
     )
+    assert transport.trace.records[0][3] == 1  # tagged with the Recv's iteration
 
 
 def test_pipe_immediate_recv_reports_near_zero_wait():
@@ -285,7 +288,7 @@ def test_mp_adaptive_widens_and_stays_correct():
         window_policy=AimdWindow(epoch=2, min_fw=0, max_fw=3),
     ).run(timeout=120)
 
-    history = result.window_history()
+    history = result.window_history
     assert set(history) == {0, 1}
     for rank, trajectory in history.items():
         assert trajectory[0] == (0, 1)
@@ -295,14 +298,14 @@ def test_mp_adaptive_widens_and_stays_correct():
 
     ref = prog.reference_run()
     for rank in range(2):
-        np.testing.assert_allclose(result.final_blocks[rank], ref[rank],
+        np.testing.assert_allclose(result.results[rank], ref[rank],
                                    atol=1e-12)
 
 
 def test_mp_static_window_reports_trivial_history():
     prog = constant_prog(nprocs=2, iterations=4)
     result = MPRunner(prog, fw=1, latency=0.0, seed=1).run(timeout=120)
-    assert result.window_history() == {0: [(0, 1)], 1: [(0, 1)]}
+    assert result.window_history == {0: [(0, 1)], 1: [(0, 1)]}
     assert result.final_windows() == [1, 1]
 
 
