@@ -1,84 +1,65 @@
-"""speclint: protocol-aware static analysis + runtime sanitizer.
+"""speclint & co.: five static analysis families and a runtime sanitizer.
 
-Two complementary halves:
+A family is a rule table — a code prefix, a ``findings(index)``
+function from the shared parse
+(:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
+optionally a ``judge(view, diagnostics, args)`` function from the
+shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
+:class:`~repro.analysis.trace_view.Verdict` records.  All 37 rules
+register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
+:meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
+de-duplicates and sorts for every family; the CLI builds every
+subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 
-* :mod:`repro.analysis.rules` / :mod:`repro.analysis.linter` — an
-  AST-based static pass (rules SPL001..SPL006) that catches the
-  silent-failure classes specific to this codebase: dropped ``yield
-  from``, blocking receives in speculative paths, nondeterminism,
-  undisciplined message tags, payload aliasing, and broad excepts
-  swallowing :class:`~repro.des.errors.Interrupt`.
+* **speclint** (SPL001..SPL008, :mod:`repro.analysis.rules`) —
+  per-module AST rules for the silent-failure classes specific to this
+  codebase: dropped ``yield from``, blocking receives in speculative
+  paths, nondeterminism, undisciplined message tags, payload aliasing,
+  broad excepts swallowing :class:`~repro.des.errors.Interrupt`,
+  sans-I/O purity and effect-dispatch exhaustiveness.
+* **specflow** (SPF101..SPF111, :mod:`repro.analysis.typestate` and
+  :mod:`repro.analysis.races`) — per-function CFGs + a call graph feed
+  a type-state taint analysis of the speculate→verify→correct state
+  machine and a happens-before race analysis of the message-tag
+  families; :mod:`repro.analysis.replay` checks the same rules
+  dynamically against a recorded
+  :class:`~repro.trace.events.EventLog`.
+* **specperf** (SPP201..SPP208, :mod:`repro.analysis.perf`) — phase
+  attribution over the same call graph feeds a hot-path cost rule
+  pack; ``--trace`` judges the findings against the calibrated
+  performance model's per-phase time budget.
+* **spectaint** (SPT301..SPT308, :mod:`repro.analysis.taint`) —
+  forward taint abstract interpretation proving unconfirmed
+  speculative values never reach an irreversible effect; ``@commits``
+  / ``# spectaint: commit`` annotate legitimate confirmation sites.
+* **specbound** (SPB401..SPB408, :mod:`repro.analysis.bounds`) —
+  interprocedural buffer summaries proving every container the
+  protocol grows is bounded by a protocol parameter; ``--trace``
+  checks the symbolic occupancy bounds against observed maxima.
 * :mod:`repro.analysis.sanitizer` — a runtime
   :class:`ProtocolSanitizer` (opt-in via ``REPRO_SANITIZE=1``) that
-  asserts DES and forward-window invariants while a simulation runs.
-* :mod:`repro.analysis.specflow` — the interprocedural half (rules
-  SPF101..SPF111): per-function CFGs + a call graph feed a type-state
-  taint analysis of the speculate→verify→correct state machine and a
-  happens-before race analysis of the message-tag families; findings
-  render as text, JSON or SARIF.  :mod:`repro.analysis.replay` checks
-  the same rules dynamically against a recorded
-  :class:`~repro.trace.events.EventLog` so static findings can be
-  confirmed or refuted (differential analysis).
+  asserts DES and forward-window invariants while a simulation runs;
+  :mod:`repro.analysis.modelcheck` explores interleavings of the real
+  engine against the same invariants.
 
-* :mod:`repro.analysis.perf` — the cost half (rules SPP201..SPP208):
-  phase attribution over the same call graph feeds a hot-path cost
-  rule pack, and ``repro perf-lint --trace`` judges the findings
-  against the calibrated performance model's per-phase time budget
-  (CONFIRMED / REFUTED / UNOBSERVED cost contracts).
-
-* :mod:`repro.analysis.taint` — the escape half (rules
-  SPT301..SPT308): forward taint abstract interpretation over the
-  same CFGs + call graph proving unconfirmed speculative values never
-  reach an irreversible effect (I/O, sends, stores outliving the
-  backward window); ``@commits`` / ``# spectaint: commit`` annotate
-  legitimate confirmation sites, and ``repro taint --trace`` judges
-  findings against a recorded event log.
-
-* :mod:`repro.analysis.bounds` — the memory half (rules
-  SPB401..SPB408): interprocedural buffer summaries over the same
-  call graph proving every container the protocol grows is bounded by
-  a protocol parameter (BW for history, FW for run-ahead state), and
-  ``repro bounds --trace`` checks the derived symbolic occupancy
-  bounds against a recorded event log's observed maxima.
-
-Entry points: ``repro lint [paths] [--format json]
-[--sanitize-selftest]``, ``repro analyze [paths] [--format
-text|json|sarif] [--trace LOG]``, ``repro perf-lint [paths] ...``,
-``repro taint [paths] ...``, ``repro bounds [paths] ...`` and the
-umbrella ``repro check [paths] [--sarif FILE] [--stats]`` running all
-five families over one shared parse
-(:class:`~repro.analysis.program.ProgramIndex`).  The CLI builds all
-of them from one table, :data:`repro.analysis.tools.TOOLS`.
+Entry points: ``repro lint | analyze | perf-lint | taint | bounds
+[paths] [--format text|json|sarif] [--select CODE] [--trace LOG]``
+and the umbrella ``repro check [paths] [--sarif FILE] [--stats]``
+running all five families over one shared parse.
 """
 
 from repro.analysis.diagnostics import (
     RULES,
-    SPB_RULES,
-    SPF_RULES,
-    SPP_RULES,
-    SPT_RULES,
     Diagnostic,
-    Rule,
     RuleInfo,
     Severity,
-    all_rule_codes,
-    all_spb_codes,
-    all_spf_codes,
-    all_spp_codes,
-    all_spt_codes,
     syntax_diagnostic,
 )
-from repro.analysis.linter import (
-    drop_suppressed,
-    lint_paths,
-    lint_source,
-    parse_suppressions,
-)
+from repro.analysis.linter import drop_suppressed, parse_suppressions
 from repro.analysis.program import ProgramIndex, iter_python_files
 from repro.analysis.replay import (
     ReplayFinding,
     ReplayReport,
-    Verdict,
     cross_reference,
     replay,
 )
@@ -87,11 +68,18 @@ from repro.analysis.sarif import (
     fingerprint,
     render_sarif,
 )
-from repro.analysis.specflow import analyze_paths, analyze_source
+from repro.analysis.trace_view import (
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
+    TraceView,
+    Verdict,
+)
 
-# Imported for the side effect of registering the SPP, SPT and SPB
-# rule catalogues, so the shared reporters' rule listing is
-# import-order independent.
+# Imported for the side effect of registering every family's rules, so
+# the one registry is complete whichever module is imported first.
+from repro.analysis import rules as _spl_rules  # noqa: F401
+from repro.analysis import typestate as _spf_rules  # noqa: F401
 from repro.analysis.perf import rules as _spp_rules  # noqa: F401
 from repro.analysis.taint import rules as _spt_rules  # noqa: F401
 from repro.analysis.bounds import rules as _spb_rules  # noqa: F401
@@ -105,23 +93,16 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
+    "CONFIRMED",
+    "REFUTED",
     "RULES",
-    "SPB_RULES",
-    "SPF_RULES",
-    "SPP_RULES",
-    "SPT_RULES",
+    "UNOBSERVED",
     "Diagnostic",
     "ProgramIndex",
-    "Rule",
     "RuleInfo",
     "Severity",
-    "all_rule_codes",
-    "all_spb_codes",
-    "all_spf_codes",
-    "all_spp_codes",
-    "all_spt_codes",
-    "analyze_paths",
-    "analyze_source",
+    "TraceView",
+    "Verdict",
     "apply_baseline",
     "cross_reference",
     "fingerprint",
@@ -129,11 +110,8 @@ __all__ = [
     "replay",
     "ReplayFinding",
     "ReplayReport",
-    "Verdict",
     "drop_suppressed",
     "iter_python_files",
-    "lint_paths",
-    "lint_source",
     "parse_suppressions",
     "syntax_diagnostic",
     "ENV_FLAG",

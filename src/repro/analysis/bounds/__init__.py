@@ -8,11 +8,7 @@ occupancy contracts (:func:`check_occupancy`).
 """
 
 from repro.analysis.bounds.contracts import (
-    CONFIRMED,
     OCCUPANCY_BOUNDS,
-    REFUTED,
-    UNOBSERVED,
-    OccupancyVerdict,
     check_occupancy,
     inferred_iterations,
     observed_cascade_depth,
@@ -20,12 +16,7 @@ from repro.analysis.bounds.contracts import (
     observed_inflight_sends,
     observed_ring_spans,
 )
-from repro.analysis.bounds.specbound import (
-    analyze_modules,
-    analyze_paths,
-    analyze_source,
-    rule_catalogue,
-)
+from repro.analysis.bounds.rules import findings
 from repro.analysis.bounds.summaries import (
     BufferSummary,
     compute_buffer_summaries,
@@ -48,24 +39,18 @@ from repro.analysis.bounds.symbolic import (
 __all__ = [
     "Add",
     "BufferSummary",
-    "CONFIRMED",
     "Const",
     "Expr",
     "Max",
     "Mul",
     "OCCUPANCY_BOUNDS",
-    "OccupancyVerdict",
     "PARAMS",
     "Param",
-    "REFUTED",
-    "UNOBSERVED",
-    "analyze_modules",
-    "analyze_paths",
-    "analyze_source",
     "cascade_bound",
     "check_occupancy",
     "compute_buffer_summaries",
     "event_count_bound",
+    "findings",
     "history_ring_bound",
     "inbox_bound",
     "inferred_iterations",
@@ -74,5 +59,4 @@ __all__ = [
     "observed_inbox_depths",
     "observed_inflight_sends",
     "observed_ring_spans",
-    "rule_catalogue",
 ]

@@ -30,8 +30,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.bounds.symbolic import (
     Expr,
@@ -41,12 +40,17 @@ from repro.analysis.bounds.symbolic import (
     inbox_bound,
     inflight_bound,
 )
-from repro.trace.events import EventLog, TraceEvent
+from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.trace_view import (
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
+    TraceView,
+    Verdict,
+)
 
-#: Verdict labels (string constants shared with the reporters/tests).
-CONFIRMED = "confirmed"
-REFUTED = "refuted"
-UNOBSERVED = "unobserved"
+if TYPE_CHECKING:
+    import argparse
 
 #: metric name -> its symbolic bound.
 OCCUPANCY_BOUNDS: dict[str, Expr] = {
@@ -58,46 +62,7 @@ OCCUPANCY_BOUNDS: dict[str, Expr] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class OccupancyVerdict:
-    """One occupancy bound judged against a trace."""
-
-    metric: str
-    scope: str  # "rank 3" or "run"
-    observed: int
-    bound: int
-    expr: str  # rendered symbolic bound
-    status: str
-
-    def format_text(self) -> str:
-        """``occupancy-contract inbox [rank 0]: CONFIRMED ...`` (one line)."""
-        return (
-            f"occupancy-contract {self.metric} [{self.scope}]: "
-            f"{self.status.upper()} — observed {self.observed} vs "
-            f"bound {self.bound} = {self.expr}"
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "metric": self.metric,
-            "scope": self.scope,
-            "observed": self.observed,
-            "bound": self.bound,
-            "expr": self.expr,
-            "status": self.status,
-        }
-
-
-def _time_ordered(log: EventLog) -> list[TraceEvent]:
-    """Global replay order: by time, sends before the recvs they feed."""
-    kind_rank = {"send": 0}
-    return sorted(
-        log.events,
-        key=lambda ev: (ev.time, kind_rank.get(ev.kind, 1), ev.rank, ev.seq),
-    )
-
-
-def observed_ring_spans(log: EventLog) -> dict[int, int]:
+def observed_ring_spans(view: TraceView) -> dict[int, int]:
     """Per rank: the widest history span its rings had to retain.
 
     Tracks the newest iteration received per channel; the rank's
@@ -108,7 +73,7 @@ def observed_ring_spans(log: EventLog) -> dict[int, int]:
     """
     newest: dict[int, dict[int, int]] = {}
     spans: dict[int, int] = {}
-    for ev in _time_ordered(log):
+    for ev in view.time_ordered:
         if ev.kind != "recv" or ev.peer is None or ev.iteration is None:
             continue
         chans = newest.setdefault(ev.rank, {})
@@ -118,7 +83,7 @@ def observed_ring_spans(log: EventLog) -> dict[int, int]:
     return spans
 
 
-def observed_inbox_depths(log: EventLog) -> dict[int, int]:
+def observed_inbox_depths(view: TraceView) -> dict[int, int]:
     """Per rank: the deepest any single (source, family) channel got.
 
     Outstanding = sends addressed to the rank minus its recvs, counted
@@ -127,7 +92,7 @@ def observed_inbox_depths(log: EventLog) -> dict[int, int]:
     """
     outstanding: dict[tuple[int, int, Optional[str]], int] = {}
     depths: dict[int, int] = {}
-    for ev in _time_ordered(log):
+    for ev in view.time_ordered:
         if ev.peer is None:
             continue
         if ev.kind == "send":
@@ -142,7 +107,7 @@ def observed_inbox_depths(log: EventLog) -> dict[int, int]:
     return depths
 
 
-def observed_inflight_sends(log: EventLog) -> dict[int, int]:
+def observed_inflight_sends(view: TraceView) -> dict[int, int]:
     """Per rank: its maximum outstanding sends, summed over peers.
 
     Like :func:`observed_inbox_depths` but attributed to the *sender*:
@@ -151,7 +116,7 @@ def observed_inflight_sends(log: EventLog) -> dict[int, int]:
     """
     outstanding: dict[tuple[int, Optional[str], int], int] = {}
     peak: dict[int, int] = {}
-    for ev in _time_ordered(log):
+    for ev in view.time_ordered:
         if ev.peer is None:
             continue
         if ev.kind == "send":
@@ -171,7 +136,7 @@ def observed_inflight_sends(log: EventLog) -> dict[int, int]:
     return peak
 
 
-def observed_cascade_depth(log: EventLog) -> Optional[int]:
+def observed_cascade_depth(view: TraceView) -> Optional[int]:
     """Longest consecutive run of ``correct`` events on any rank.
 
     The engine emits one ``correct`` per repaired iteration and a
@@ -180,9 +145,9 @@ def observed_cascade_depth(log: EventLog) -> Optional[int]:
     when the trace contains no corrections.
     """
     best: Optional[int] = None
-    for rank in log.ranks():
+    for events in view.by_rank.values():
         run = 0
-        for ev in log.for_rank(rank):
+        for ev in events:
             if ev.kind == "correct":
                 run += 1
                 best = run if best is None else max(best, run)
@@ -191,33 +156,32 @@ def observed_cascade_depth(log: EventLog) -> Optional[int]:
     return best
 
 
-def inferred_iterations(log: EventLog) -> Optional[int]:
+def inferred_iterations(view: TraceView) -> Optional[int]:
     """Iteration count implied by the trace (max tagged iteration + 1)."""
-    tagged = [ev.iteration for ev in log.events if ev.iteration is not None]
+    tagged = [ev.iteration for ev in view.events if ev.iteration is not None]
     if not tagged:
         return None
     return max(tagged) + 1
 
 
 def check_occupancy(
-    log: EventLog,
+    view: TraceView,
     p: Optional[int] = None,
     fw: int = 1,
     bw: int = 2,
     iters: Optional[int] = None,
-) -> list[OccupancyVerdict]:
+) -> list[Verdict]:
     """Judge every occupancy bound against the trace.
 
     ``p`` defaults to the number of ranks in the trace and ``iters``
     to the largest tagged iteration; ``fw``/``bw`` must come from the
     run's configuration (they are not recorded per event).
     """
-    ranks = log.ranks()
-    p_eff = p if p is not None else max(1, len(ranks))
-    iters_eff = iters if iters is not None else inferred_iterations(log)
+    p_eff = p if p is not None else max(1, len(view.by_rank))
+    iters_eff = iters if iters is not None else inferred_iterations(view)
     env = {"p": p_eff, "fw": fw, "bw": bw, "iters": iters_eff or 0}
 
-    def verdict(metric: str, scope: str, observed: Optional[int]) -> OccupancyVerdict:
+    def verdict(metric: str, scope: str, observed: Optional[int]) -> Verdict:
         expr = OCCUPANCY_BOUNDS[metric]
         bound = expr.evaluate(env)
         if observed is None:
@@ -227,31 +191,38 @@ def check_occupancy(
             status = CONFIRMED
         else:
             status = REFUTED
-        return OccupancyVerdict(
-            metric=metric,
-            scope=scope,
-            observed=observed,
-            bound=bound,
-            expr=expr.render(),
-            status=status,
+        return Verdict(
+            "occupancy-contract", metric, f"[{scope}]", status, observed, bound,
+            f"observed {observed} vs bound {bound} = {expr.render()}",
         )
 
-    verdicts: list[OccupancyVerdict] = []
-    spans = observed_ring_spans(log)
-    depths = observed_inbox_depths(log)
-    inflight = observed_inflight_sends(log)
-    for rank in ranks:
-        verdicts.append(verdict("history-ring", f"rank {rank}", spans.get(rank)))
-        verdicts.append(verdict("inbox", f"rank {rank}", depths.get(rank)))
-        verdicts.append(verdict("in-flight", f"rank {rank}", inflight.get(rank)))
-    verdicts.append(verdict("cascade", "run", observed_cascade_depth(log)))
-    if iters_eff is None:
-        verdicts.append(verdict("events", "run", None))
-    else:
-        verdicts.append(verdict("events", "run", len(log.events)))
-    return sorted(verdicts)
+    spans = observed_ring_spans(view)
+    depths = observed_inbox_depths(view)
+    inflight = observed_inflight_sends(view)
+    claims: list[tuple[str, str, Optional[int]]] = [
+        ("cascade", "run", observed_cascade_depth(view)),
+        ("events", "run", len(view.events) if iters_eff is not None else None),
+    ]
+    for rank in view.by_rank:
+        claims.append(("history-ring", f"rank {rank}", spans.get(rank)))
+        claims.append(("inbox", f"rank {rank}", depths.get(rank)))
+        claims.append(("in-flight", f"rank {rank}", inflight.get(rank)))
+    # By metric, then scope as text ("rank 10" before "rank 2"): the
+    # order the report has always had.
+    return [verdict(*claim) for claim in sorted(claims, key=lambda c: c[:2])]
 
 
-def iter_verdict_dicts(verdicts: list[OccupancyVerdict]) -> list[dict[str, object]]:
-    """JSON-ready verdict records (stable order)."""
-    return [v.to_dict() for v in sorted(verdicts)]
+def judge(
+    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+) -> tuple[list[str], list[Verdict], int]:
+    """specbound's ``--trace`` hook: a REFUTED bound fails the run (the
+    contracts are about the run, so the static findings are not read)."""
+    verdicts = check_occupancy(
+        view, p=args.model_p, fw=args.model_fw, bw=args.model_bw
+    )
+    header = [
+        f"occupancy contracts: {len(view.events)} event(s), "
+        f"{len(verdicts)} contract(s) checked at "
+        f"(fw={args.model_fw}, bw={args.model_bw})"
+    ]
+    return header, verdicts, sum(v.status == REFUTED for v in verdicts)

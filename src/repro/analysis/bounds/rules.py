@@ -29,24 +29,33 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.analysis.bounds.summaries import (
     BufferSummary,
     Key,
+    compute_buffer_summaries,
     iter_allocations,
     iter_append_sites,
     module_trims,
     trimmed_tokens,
 )
-from repro.analysis.cfg import CallGraph, FunctionNode, ModuleGraphs
-from repro.analysis.diagnostics import Diagnostic, Severity, register_spb_rule
+from repro.analysis.cfg import (
+    CallGraph,
+    ModuleGraphs,
+    call_name,
+    loops_of,
+    walk_body,
+)
+from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
 from repro.analysis.perf.attribution import (
     Attribution,
-    call_name,
+    function_items,
     terminal_name,
-    walk_function,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramIndex
 
 #: Buffer tokens treated as trace/event logs (SPB406's domain; SPB401
 #: leaves them alone so one append site yields one finding).
@@ -73,77 +82,46 @@ GUARD_TOKENS = frozenset(
 #: Loop/index names that look like an iteration number (SPB408).
 ITERATION_NAMES = frozenset({"t", "t2", "iteration", "iter_no", "step"})
 
-LOOPS = (ast.For, ast.AsyncFor, ast.While)
-
-register_spb_rule(
+register_rule(
     "SPB401", "unbounded-append-in-loop", Severity.ERROR,
     "protocol-reachable buffer appended to in a loop with no trim "
     "anywhere in its module (directly or via a callee)",
 )
-register_spb_rule(
+register_rule(
     "SPB402", "literal-history-trim", Severity.WARNING,
     "history trim uses an integer literal instead of the BW/FW "
     "parameter that should bound it",
 )
-register_spb_rule(
+register_rule(
     "SPB403", "bare-deque-ring", Severity.WARNING,
     "ring-like deque allocated without maxlen (history must be "
     "capped by the backward window)",
 )
-register_spb_rule(
+register_rule(
     "SPB404", "ungated-inbox-growth", Severity.ERROR,
     "recv-side inbox appended to with no drain in its module "
     "(run-ahead is only bounded when delivery consumes the inbox)",
 )
-register_spb_rule(
+register_rule(
     "SPB405", "unclamped-window-widening", Severity.WARNING,
     "window policy widens fw without a max_fw clamp, so pending "
     "speculation state is unbounded",
 )
-register_spb_rule(
+register_rule(
     "SPB406", "unbounded-event-buffer", Severity.WARNING,
     "trace/event buffer on a protocol path grows with run length "
     "(no max_events cap or consumption trim)",
 )
-register_spb_rule(
+register_rule(
     "SPB407", "unguarded-cascade-loop", Severity.WARNING,
     "cascade correction loop bound is not derived from the forward "
     "window / frontier, so rollback depth is unbounded",
 )
-register_spb_rule(
+register_rule(
     "SPB408", "iteration-keyed-dict", Severity.WARNING,
     "dict keyed by iteration number never evicted (grows linearly "
     "with run length)",
 )
-
-
-def _diag(
-    path: str, node: ast.AST, code: str, severity: Severity, message: str
-) -> Diagnostic:
-    return Diagnostic(
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        severity=severity,
-        message=message,
-    )
-
-
-def _walk_stmts(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Every AST node under ``stmts``, pruning nested function bodies."""
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _loops_of(func: FunctionNode) -> list[ast.stmt]:
-    """All ``for``/``while`` loops of the function's own body."""
-    return [n for n in walk_function(func) if isinstance(n, LOOPS)]
 
 
 def _names_in(node: ast.AST) -> set[str]:
@@ -155,16 +133,6 @@ def _names_in(node: ast.AST) -> set[str]:
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
     return out
-
-
-def _function_items(
-    module: ModuleGraphs, attribution: Attribution
-) -> Iterator[tuple[str, FunctionNode, frozenset[str], bool]]:
-    """(qualname, function node, phases, hot) per function."""
-    for qual in sorted(module.cfgs):
-        cfg = module.cfgs[qual]
-        key = (module.path, qual)
-        yield qual, cfg.func, attribution.phases_of(key), attribution.is_hot(key)
 
 
 class BoundContext:
@@ -194,11 +162,11 @@ class BoundContext:
 
 def check_spb401(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
     trimmed_via_call = trimmed_tokens(module, ctx.callgraph, ctx.summaries)
-    for qual, func, phases, hot in _function_items(module, ctx.attribution):
+    for qual, func, phases, hot in function_items(module, ctx.attribution):
         if not phases and not hot:
             continue
         key = (module.path, qual)
-        for loop in _loops_of(func):
+        for loop in loops_of(func):
             body: list[ast.stmt] = loop.body  # type: ignore[attr-defined]
             for site in iter_append_sites(
                 body, key, ctx.callgraph, ctx.summaries
@@ -215,8 +183,8 @@ def check_spb401(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                 if site.token in trimmed_via_call:
                     continue
                 how = f" (via '{site.via}')" if site.via else ""
-                yield _diag(
-                    module.path, site.node, "SPB401", Severity.ERROR,
+                yield diag_at(
+                    module.path, site.node, "SPB401",
                     f"'{qual}' grows buffer '{site.buffer}' in a loop"
                     f"{how} and nothing in the module trims it; bound "
                     "it with the protocol parameter that should cap it "
@@ -263,8 +231,8 @@ def _literal_tail_slice(node: ast.Subscript) -> Optional[int]:
 
 
 def check_spb402(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in _function_items(module, ctx.attribution):
-        for node in walk_function(func):
+    for qual, func, _phases, _hot in function_items(module, ctx.attribution):
+        for node in walk_body(func.body):
             named: Optional[tuple[str, str]] = None
             n: Optional[int] = None
             if isinstance(node, ast.Delete):
@@ -278,8 +246,8 @@ def check_spb402(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                 named = _history_token(node.value.value)
                 n = _literal_tail_slice(node.value)
             if named is not None and n is not None:
-                yield _diag(
-                    module.path, node, "SPB402", Severity.WARNING,
+                yield diag_at(
+                    module.path, node, "SPB402",
                     f"'{qual}' trims history buffer '{named[0]}' to a "
                     f"literal {n}; derive the trim from the backward "
                     "window (bw) so the retained history tracks the "
@@ -293,15 +261,15 @@ def check_spb402(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
 
 
 def check_spb403(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in _function_items(module, ctx.attribution):
+    for qual, func, _phases, _hot in function_items(module, ctx.attribution):
         for alloc in iter_allocations(func):
             if alloc.kind != "deque" or alloc.has_maxlen:
                 continue
             ring_like = any(tok in alloc.token.lower() for tok in HISTORY_TOKENS)
             if not ring_like:
                 continue
-            yield _diag(
-                module.path, alloc.node, "SPB403", Severity.WARNING,
+            yield diag_at(
+                module.path, alloc.node, "SPB403",
                 f"'{qual}' allocates ring-like deque '{alloc.target}' "
                 "without maxlen; pass maxlen derived from the backward "
                 "window (e.g. deque(maxlen=bw)) so old history is "
@@ -326,7 +294,7 @@ def _module_drains(module: ModuleGraphs, token: str) -> bool:
 
 
 def check_spb404(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in _function_items(module, ctx.attribution):
+    for qual, func, phases, _hot in function_items(module, ctx.attribution):
         if "recv" not in phases:
             continue
         key = (module.path, qual)
@@ -337,8 +305,8 @@ def check_spb404(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                 continue
             if _module_drains(module, site.token):
                 continue
-            yield _diag(
-                module.path, site.node, "SPB404", Severity.ERROR,
+            yield diag_at(
+                module.path, site.node, "SPB404",
                 f"'{qual}' appends to inbox '{site.buffer}' on the "
                 "receive path but nothing drains it; the forward "
                 "window only bounds run-ahead when delivery consumes "
@@ -360,13 +328,13 @@ def _is_fw_name(expr: ast.AST) -> bool:
 
 
 def check_spb405(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in _function_items(module, ctx.attribution):
+    for qual, func, _phases, _hot in function_items(module, ctx.attribution):
         seen: set[str] = set()
-        for node in walk_function(func):
+        for node in walk_body(func.body):
             seen |= _names_in(node)
         if "max_fw" in seen or "min" in seen:
             continue  # a clamp is in scope
-        for node in walk_function(func):
+        for node in walk_body(func.body):
             widens = (
                 isinstance(node, ast.BinOp)
                 and isinstance(node.op, ast.Add)
@@ -382,8 +350,8 @@ def check_spb405(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                 )
             )
             if widens:
-                yield _diag(
-                    module.path, node, "SPB405", Severity.WARNING,
+                yield diag_at(
+                    module.path, node, "SPB405",
                     f"'{qual}' widens the forward window (fw + const) "
                     "with no max_fw clamp in scope; an unclamped "
                     "window makes in-flight speculation state "
@@ -397,7 +365,7 @@ def check_spb405(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
 
 
 def check_spb406(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, hot in _function_items(module, ctx.attribution):
+    for qual, func, phases, hot in function_items(module, ctx.attribution):
         if not phases and not hot:
             continue
         key = (module.path, qual)
@@ -408,8 +376,8 @@ def check_spb406(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                 continue
             if module_trims(module, site.token):
                 continue
-            yield _diag(
-                module.path, site.node, "SPB406", Severity.WARNING,
+            yield diag_at(
+                module.path, site.node, "SPB406",
                 f"'{qual}' appends to trace buffer '{site.buffer}' on "
                 "a protocol path with no max_events cap or consumption "
                 "trim; in long-running mode the log grows without "
@@ -450,19 +418,19 @@ def _open_ended(loop: ast.stmt) -> bool:
 
 
 def check_spb407(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in _function_items(module, ctx.attribution):
+    for qual, func, phases, _hot in function_items(module, ctx.attribution):
         if "cascade" not in terminal_name(qual).lower():
             continue
         if "correct" not in phases:
             continue  # analysis/reporting helpers, not the protocol
-        for loop in _loops_of(func):
+        for loop in loops_of(func):
             if not _open_ended(loop):
                 continue
             guard = {n.lower() for n in _loop_guard_names(loop)}
             if any(tok in name for name in guard for tok in GUARD_TOKENS):
                 continue
-            yield _diag(
-                module.path, loop, "SPB407", Severity.WARNING,
+            yield diag_at(
+                module.path, loop, "SPB407",
                 f"cascade loop in '{qual}' has no FW-derived depth "
                 "guard (bound not expressed in frontier/fw); a "
                 "correction cascade must terminate within the forward "
@@ -488,10 +456,10 @@ def _iteration_key_name(index: ast.expr) -> Optional[str]:
 
 
 def check_spb408(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in _function_items(module, ctx.attribution):
+    for qual, func, phases, _hot in function_items(module, ctx.attribution):
         if not phases:
             continue
-        for node in walk_function(func):
+        for node in walk_body(func.body):
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
@@ -514,8 +482,8 @@ def check_spb408(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                     continue
                 if _module_drains(module, named[1]):
                     continue
-                yield _diag(
-                    module.path, node, "SPB408", Severity.WARNING,
+                yield diag_at(
+                    module.path, node, "SPB408",
                     f"'{qual}' stores into '{named[0]}' keyed by "
                     f"iteration '{key_name}' and nothing in the module "
                     "evicts old keys; prune entries below the verified "
@@ -523,7 +491,7 @@ def check_spb408(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
                 )
 
 
-#: code -> checker, the pack the driver iterates.
+#: code -> checker, the pack :func:`findings` iterates.
 RULE_CHECKERS: dict[
     str, Callable[[ModuleGraphs, BoundContext], Iterator[Diagnostic]]
 ] = {
@@ -536,3 +504,15 @@ RULE_CHECKERS: dict[
     "SPB407": check_spb407,
     "SPB408": check_spb408,
 }
+
+
+def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
+    """Every SPB finding over the shared parse, attribution and call graph."""
+    ctx = BoundContext(
+        attribution=index.attribution,
+        callgraph=index.callgraph,
+        summaries=compute_buffer_summaries(index.callgraph),
+    )
+    for module in index.modules:
+        for checker in RULE_CHECKERS.values():
+            yield from checker(module, ctx)

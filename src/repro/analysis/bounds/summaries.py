@@ -28,8 +28,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.analysis.cfg import CallGraph, FunctionNode, ModuleGraphs
-from repro.analysis.perf.attribution import call_name, walk_function
+from repro.analysis.cfg import (
+    CallGraph,
+    FunctionNode,
+    ModuleGraphs,
+    call_name,
+    walk_body,
+)
 
 Key = tuple[str, str]  # (path, qualname), as in CallGraph
 
@@ -89,7 +94,7 @@ def direct_summary(func: FunctionNode) -> BufferSummary:
     index = {name: i for i, name in enumerate(params)}
     appends: set[int] = set()
     trims: set[int] = set()
-    for node in walk_function(func):
+    for node in walk_body(func.body):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             name = _receiver_name(node.func.value)
             if name in index:
@@ -196,12 +201,7 @@ def iter_append_sites(
         for call, callee in callgraph.calls_in(*key):
             callee_of[id(call)] = callee
 
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+    for node in walk_body(stmts):
         if not isinstance(node, ast.Call):
             continue
         if (
@@ -241,7 +241,7 @@ class AllocationSite:
 
 def iter_allocations(func: FunctionNode) -> Iterator[AllocationSite]:
     """Growable-container allocations assigned to a name/attribute."""
-    for node in walk_function(func):
+    for node in walk_body(func.body):
         targets: list[ast.expr] = []
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):

@@ -30,6 +30,9 @@ from typing import Iterator, Optional, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
+#: Loop statements, as the rule packs match them.
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+
 
 @dataclass
 class CFGNode:
@@ -81,13 +84,6 @@ class CFG:
             node = self.nodes[uid]
             if node.stmt is not None:
                 yield node
-
-    def node_of(self, stmt: ast.stmt) -> Optional[CFGNode]:
-        """The node wrapping ``stmt``, if it is in this CFG."""
-        for node in self.nodes.values():
-            if node.stmt is stmt:
-                return node
-        return None
 
     def reachable_from(self, uid: int) -> set[int]:
         """uids reachable from ``uid`` by one or more edges."""
@@ -249,6 +245,31 @@ def walk_own(stmt: ast.stmt) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def walk_body(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
+    """Every AST node under ``stmts``, pruning nested function bodies."""
+    stack: list[ast.AST] = list(stmts)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def loops_of(func: FunctionNode) -> list[ast.stmt]:
+    """All ``for``/``while`` loops of the function's own body."""
+    return [n for n in walk_body(func.body) if isinstance(n, LOOPS)]
+
+
+def call_name(call: ast.Call) -> Optional[str]:
+    """Terminal name of a call expression, if it has one."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
 def build_cfg(func: FunctionNode, qualname: str = "", path: str = "<string>") -> CFG:
     """Construct the CFG for one function definition."""
     cfg = CFG(func, qualname or func.name, path)
@@ -345,11 +366,7 @@ class CallGraph:
             for sub in walk_own(node.stmt):
                 if not isinstance(sub, ast.Call):
                     continue
-                name: Optional[str] = None
-                if isinstance(sub.func, ast.Name):
-                    name = sub.func.id
-                elif isinstance(sub.func, ast.Attribute):
-                    name = sub.func.attr
+                name = call_name(sub)
                 if name is None:
                     continue
                 for target in self._by_name.get(name, []):

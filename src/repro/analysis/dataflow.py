@@ -15,7 +15,7 @@ analysis uses frozen dict-of-frozenset states; anything hashable or
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generic, TypeVar
+from typing import Generic, TypeVar
 
 from repro.analysis.cfg import CFG, CFGNode
 
@@ -81,14 +81,6 @@ def solve_forward(cfg: CFG, analysis: ForwardAnalysis[S]) -> dict[int, S]:
     return entry_state
 
 
-def solve_and_exit(
-    cfg: CFG, analysis: ForwardAnalysis[S]
-) -> tuple[dict[int, S], S]:
-    """:func:`solve_forward` plus the state at the synthetic exit node."""
-    states = solve_forward(cfg, analysis)
-    return states, states[cfg.exit]
-
-
 def map_join(
     a: dict[str, frozenset[str]], b: dict[str, frozenset[str]]
 ) -> dict[str, frozenset[str]]:
@@ -108,8 +100,3 @@ def map_join(
         merged[key] = facts if have is None else (have | facts)
     return merged
 
-
-JoinFn = Callable[
-    [dict[str, frozenset[str]], dict[str, frozenset[str]]],
-    dict[str, frozenset[str]],
-]

@@ -1,20 +1,22 @@
-"""Diagnostic records and the speclint rule registry.
+"""Diagnostic records and the one rule registry.
 
-Every finding produced by a speclint rule is a :class:`Diagnostic`:
+Every finding produced by any analysis family is a :class:`Diagnostic`:
 an immutable (path, line, col, code, severity, message) record that
 reporters serialise and the CLI turns into an exit code.
 
-Rules register themselves in :data:`RULES` via :func:`register_rule`
-so the linter, the docs generator, and the test-suite all enumerate
-the same canonical set.
+All 37 rules of the five families register their metadata in
+:data:`RULES` via :func:`register_rule`; a family's catalogue is the
+codes carrying its prefix (:func:`rules_of`).  Findings are built by
+:func:`diag_at`, which reads the severity from the registry — an emit
+site names its code, never a severity.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Union
 
 
 class Severity(str, enum.Enum):
@@ -58,6 +60,43 @@ class Diagnostic:
         }
 
 
+@dataclass(frozen=True)
+class RuleInfo:
+    """One rule's catalogue entry (what reporters, SARIF and docs list)."""
+
+    code: str
+    name: str
+    severity: Severity
+    summary: str
+
+
+#: Every family's rules, keyed by code (SPL001 .. SPB408).
+RULES: dict[str, RuleInfo] = {}
+
+
+def register_rule(code: str, name: str, severity: Severity, summary: str) -> None:
+    """Register one rule's metadata (registering a code twice is an error)."""
+    if code in RULES:  # pragma: no cover - programming error
+        raise ValueError(f"duplicate rule code {code}")
+    RULES[code] = RuleInfo(code, name, severity, summary)
+
+
+def rules_of(prefix: str) -> dict[str, RuleInfo]:
+    """One family's catalogue: the registered codes with its prefix, sorted."""
+    return {code: RULES[code] for code in sorted(RULES) if code.startswith(prefix)}
+
+
+def diag_at(
+    path: str, where: Union[ast.AST, tuple[int, int]], code: str, message: str
+) -> Diagnostic:
+    """Rule ``code``'s finding at an AST node or a ``(line, col)`` pair."""
+    if isinstance(where, tuple):
+        line, col = where
+    else:
+        line, col = getattr(where, "lineno", 1), getattr(where, "col_offset", 0)
+    return Diagnostic(path, line, col, code, RULES[code].severity, message)
+
+
 def syntax_diagnostic(path: str, exc: SyntaxError, code: str) -> Diagnostic:
     """A family's unparseable-file finding (SPL000/SPF000/.../SPB000)."""
     return Diagnostic(
@@ -68,148 +107,3 @@ def syntax_diagnostic(path: str, exc: SyntaxError, code: str) -> Diagnostic:
         severity=Severity.ERROR,
         message=f"syntax error: {exc.msg}",
     )
-
-
-#: A rule is a callable: (module AST, path, source) -> iterator of findings.
-RuleFn = Callable[[ast.Module, str, str], Iterator[Diagnostic]]
-
-
-@dataclass(frozen=True)
-class Rule:
-    """A registered speclint rule."""
-
-    code: str
-    name: str
-    severity: Severity
-    summary: str
-    check: RuleFn = field(compare=False)
-
-
-#: Canonical rule registry, keyed by code (SPL001..SPL006).
-RULES: dict[str, Rule] = {}
-
-
-@dataclass(frozen=True)
-class RuleInfo:
-    """Metadata for a specflow (SPF1xx) rule.
-
-    Unlike speclint's :class:`Rule`, specflow rules are whole-program
-    analyses driven by :mod:`repro.analysis.specflow`, not per-module
-    callables — the registry records the catalogue (code, severity,
-    summary) that reporters, SARIF output and the docs enumerate.
-    """
-
-    code: str
-    name: str
-    severity: Severity
-    summary: str
-
-
-#: specflow rule catalogue, keyed by code (SPF101..SPF111).
-SPF_RULES: dict[str, RuleInfo] = {}
-
-
-def register_spf_rule(
-    code: str, name: str, severity: Severity, summary: str
-) -> RuleInfo:
-    """Register one specflow rule's metadata (idempotence is an error)."""
-    if code in SPF_RULES:  # pragma: no cover - programming error
-        raise ValueError(f"duplicate specflow rule code {code}")
-    info = RuleInfo(code=code, name=name, severity=severity, summary=summary)
-    SPF_RULES[code] = info
-    return info
-
-
-def all_spf_codes() -> list[str]:
-    """Sorted list of registered specflow rule codes."""
-    return sorted(SPF_RULES)
-
-
-#: specperf rule catalogue, keyed by code (SPP201..SPP208).  Like the
-#: SPF registry these are whole-program analyses driven by
-#: :mod:`repro.analysis.perf`; the registry records the metadata the
-#: reporters, SARIF output and the docs enumerate.
-SPP_RULES: dict[str, RuleInfo] = {}
-
-
-def register_spp_rule(
-    code: str, name: str, severity: Severity, summary: str
-) -> RuleInfo:
-    """Register one specperf rule's metadata (idempotence is an error)."""
-    if code in SPP_RULES:  # pragma: no cover - programming error
-        raise ValueError(f"duplicate specperf rule code {code}")
-    info = RuleInfo(code=code, name=name, severity=severity, summary=summary)
-    SPP_RULES[code] = info
-    return info
-
-
-def all_spp_codes() -> list[str]:
-    """Sorted list of registered specperf rule codes."""
-    return sorted(SPP_RULES)
-
-
-#: spectaint rule catalogue, keyed by code (SPT301..SPT308).  Like the
-#: SPF/SPP registries these are whole-program analyses driven by
-#: :mod:`repro.analysis.taint`; the registry records the metadata the
-#: reporters, SARIF output and the docs enumerate.
-SPT_RULES: dict[str, RuleInfo] = {}
-
-
-def register_spt_rule(
-    code: str, name: str, severity: Severity, summary: str
-) -> RuleInfo:
-    """Register one spectaint rule's metadata (idempotence is an error)."""
-    if code in SPT_RULES:  # pragma: no cover - programming error
-        raise ValueError(f"duplicate spectaint rule code {code}")
-    info = RuleInfo(code=code, name=name, severity=severity, summary=summary)
-    SPT_RULES[code] = info
-    return info
-
-
-def all_spt_codes() -> list[str]:
-    """Sorted list of registered spectaint rule codes."""
-    return sorted(SPT_RULES)
-
-
-#: specbound rule catalogue, keyed by code (SPB401..SPB408).  Like the
-#: SPF/SPP/SPT registries these are whole-program analyses driven by
-#: :mod:`repro.analysis.bounds`; the registry records the metadata the
-#: reporters, SARIF output and the docs enumerate.
-SPB_RULES: dict[str, RuleInfo] = {}
-
-
-def register_spb_rule(
-    code: str, name: str, severity: Severity, summary: str
-) -> RuleInfo:
-    """Register one specbound rule's metadata (idempotence is an error)."""
-    if code in SPB_RULES:  # pragma: no cover - programming error
-        raise ValueError(f"duplicate specbound rule code {code}")
-    info = RuleInfo(code=code, name=name, severity=severity, summary=summary)
-    SPB_RULES[code] = info
-    return info
-
-
-def all_spb_codes() -> list[str]:
-    """Sorted list of registered specbound rule codes."""
-    return sorted(SPB_RULES)
-
-
-def register_rule(
-    code: str, name: str, severity: Severity, summary: str
-) -> Callable[[RuleFn], RuleFn]:
-    """Decorator registering ``fn`` as the checker for ``code``."""
-
-    def wrap(fn: RuleFn) -> RuleFn:
-        if code in RULES:  # pragma: no cover - programming error
-            raise ValueError(f"duplicate rule code {code}")
-        RULES[code] = Rule(
-            code=code, name=name, severity=severity, summary=summary, check=fn
-        )
-        return fn
-
-    return wrap
-
-
-def all_rule_codes() -> list[str]:
-    """Sorted list of registered rule codes."""
-    return sorted(RULES)

@@ -1,4 +1,4 @@
-"""speclint driver: file discovery, rule execution, suppressions.
+"""Suppression directives: the one parser every family's findings pass.
 
 Suppression syntax (checked per physical line of the diagnostic):
 
@@ -17,24 +17,17 @@ tool that emits them; all spellings suppress all rule families (codes
 disambiguate), and one directive may name ids from several tools at
 once (``# speclint: disable=SPL001,SPT301``).
 
-:func:`parse_suppressions` is the single implementation every family
-(speclint, specflow, specperf, spectaint, specbound) consults — the
-per-tool drivers all route through :func:`drop_suppressed`.
+:func:`parse_suppressions` is the single implementation; the one
+driver (:meth:`repro.analysis.tools.Tool.analyze`) routes every
+family's findings through :func:`drop_suppressed`.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
-from repro.analysis import program
-from repro.analysis.cfg import CallGraph, ModuleGraphs
-from repro.analysis.diagnostics import RULES, Diagnostic
-
-# Import for the side effect of registering the rules.
-from repro.analysis import rules as _rules  # noqa: F401
+from repro.analysis.diagnostics import Diagnostic
 
 _LINE_DIRECTIVE = re.compile(
     r"#\s*spec(?:lint|flow|perf|taint|bound):\s*disable=([A-Za-z0-9_,\s]+)"
@@ -81,9 +74,7 @@ def drop_suppressed(
     """Filter findings through the suppression directives of their files.
 
     ``sources`` maps diagnostic paths to their source text; findings in
-    unknown files pass through unfiltered.  Shared by the specflow,
-    specperf and spectaint drivers (speclint filters inline in
-    :func:`lint_module`, where it already holds the parsed directives).
+    unknown files pass through unfiltered.
     """
     parsed: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
     kept: list[Diagnostic] = []
@@ -98,48 +89,3 @@ def drop_suppressed(
         if not _suppressed(diag, per_line, file_wide):
             kept.append(diag)
     return kept
-
-
-def lint_module(
-    tree: ast.Module,
-    path: str,
-    source: str,
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Run the rules over an already-parsed module.
-
-    ``repro lint`` and ``repro check`` parse every file exactly once
-    (:class:`~repro.analysis.program.ProgramIndex`) and feed the same
-    tree to every analysis family through :func:`analyze_modules`.
-    """
-    per_line, file_wide = parse_suppressions(source)
-    wanted = set(code.upper() for code in select) if select is not None else None
-    found: list[Diagnostic] = []
-    for code, rule in sorted(RULES.items()):
-        if wanted is not None and code not in wanted:
-            continue
-        for diag in rule.check(tree, path, source):
-            if not _suppressed(diag, per_line, file_wide):
-                found.append(diag)
-    return sorted(found)
-
-
-def analyze_modules(
-    modules: Sequence[ModuleGraphs],
-    select: Optional[Iterable[str]] = None,
-    callgraph: Optional[CallGraph] = None,
-) -> list[Diagnostic]:
-    """speclint's seat at the shared parse (``ProgramIndex`` modules).
-
-    Same signature as the other families' ``analyze_modules``; the
-    rules are per-module, so ``callgraph`` goes unused.
-    """
-    return sorted(
-        diag
-        for module in modules
-        for diag in lint_module(module.tree, module.path, module.source, select)
-    )
-
-
-lint_paths = partial(program.analyze_paths, analyze_modules, "SPL000")
-lint_source = partial(program.analyze_source, analyze_modules, "SPL000")

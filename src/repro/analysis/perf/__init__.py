@@ -18,10 +18,10 @@ Three layers:
 * :mod:`repro.analysis.perf.rules` — the SPP201..SPP208 hot-path rule
   pack, each scoped to the phases where its cost pattern hurts;
 * :mod:`repro.analysis.perf.contracts` — the differential half:
-  replays a recorded :class:`~repro.trace.events.EventLog`, measures
-  the share of iteration time each phase actually consumed, and marks
-  static findings CONFIRMED / REFUTED / UNOBSERVED against the model's
-  phase budget.
+  measures, over a :class:`~repro.analysis.trace_view.TraceView` of a
+  recorded run, the share of iteration time each phase actually
+  consumed, and marks static findings CONFIRMED / REFUTED / UNOBSERVED
+  against the model's phase budget.
 
 Entry point: ``repro perf-lint [paths] [--format text|json|sarif]
 [--trace LOG]`` (exit codes shared with ``lint``/``analyze``/``mc``).
@@ -34,29 +34,19 @@ from repro.analysis.perf.attribution import (
 )
 from repro.analysis.perf.contracts import (
     PHASE_OF_RULE,
-    CostVerdict,
     check_contracts,
     measure_phase_shares,
     model_phase_shares,
 )
-from repro.analysis.perf.specperf import (
-    analyze_modules,
-    analyze_paths,
-    analyze_source,
-    rule_catalogue,
-)
+from repro.analysis.perf.rules import findings
 
 __all__ = [
     "Attribution",
-    "CostVerdict",
     "FunctionCosts",
     "PHASE_OF_RULE",
-    "analyze_modules",
-    "analyze_paths",
-    "analyze_source",
     "build_attribution",
     "check_contracts",
+    "findings",
     "measure_phase_shares",
     "model_phase_shares",
-    "rule_catalogue",
 ]

@@ -33,9 +33,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator
 
-from repro.analysis.cfg import CallGraph, FunctionNode
+from repro.analysis.cfg import (
+    CallGraph,
+    FunctionNode,
+    ModuleGraphs,
+    call_name,
+    walk_body,
+)
 
 #: Protocol phases attributable to a function (superset of the measured
 #: phases in :mod:`repro.trace.phases`: send+recv both surface as comm).
@@ -88,26 +94,6 @@ def terminal_name(qualname: str) -> str:
     return qualname.rsplit(".", 1)[-1]
 
 
-def call_name(call: ast.Call) -> Optional[str]:
-    """Terminal name of a call expression, if it has one."""
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
-def walk_function(func: FunctionNode):
-    """All AST nodes of ``func``'s own body, pruning nested defs."""
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 @dataclass(frozen=True)
 class FunctionCosts:
     """Symbolic per-call cost summary of one function.
@@ -148,7 +134,7 @@ def _loop_depth(func: FunctionNode) -> int:
 def summarize_costs(func: FunctionNode) -> FunctionCosts:
     """Count allocation / copy / send call sites and loop nesting."""
     allocations = copies = sends = 0
-    for node in walk_function(func):
+    for node in walk_body(func.body):
         if not isinstance(node, ast.Call):
             continue
         name = call_name(node)
@@ -199,6 +185,20 @@ class Attribution:
                 "costs": self.costs[key].to_dict(),
             }
         return table
+
+
+def function_items(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[tuple[str, FunctionNode, frozenset[str], bool]]:
+    """(qualname, function node, attributed phases, hot) per function."""
+    for qual in sorted(module.cfgs):
+        key = (module.path, qual)
+        yield (
+            qual,
+            module.cfgs[qual].func,
+            attribution.phases_of(key),
+            attribution.is_hot(key),
+        )
 
 
 def _filtered_callees(callgraph: CallGraph, key: Key) -> set[Key]:

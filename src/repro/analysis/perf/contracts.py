@@ -32,13 +32,21 @@ every verdict — is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.trace_view import (
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
+    TraceView,
+    Verdict,
+)
 from repro.perfmodel.model import ModelParams, PerformanceModel, section4_params
-from repro.trace.events import EventLog
 from repro.trace.phases import PHASES
+
+if TYPE_CHECKING:
+    import argparse
 
 #: The measured phase a rule's cost pattern inflates when real.
 PHASE_OF_RULE: dict[str, str] = {
@@ -51,11 +59,6 @@ PHASE_OF_RULE: dict[str, str] = {
     "SPP207": "comm",     # mutable payload forces the copy
     "SPP208": "comm",     # sizing recomputed per message
 }
-
-#: Verdict labels (string constants shared with the reporters/tests).
-CONFIRMED = "confirmed"
-REFUTED = "refuted"
-UNOBSERVED = "unobserved"
 
 #: Gap attribution: the phase that owns time *after* an event kind.
 _AFTER_KIND = {
@@ -76,7 +79,7 @@ _KINDS_OF_PHASE = {
 }
 
 
-def measure_phase_shares(log: EventLog) -> dict[str, float]:
+def measure_phase_shares(view: TraceView) -> dict[str, float]:
     """Fraction of traced time each phase consumed, summed over ranks.
 
     Works on inter-event gaps per rank: the interval ending at a
@@ -85,8 +88,7 @@ def measure_phase_shares(log: EventLog) -> dict[str, float]:
     that *started* it (:data:`_AFTER_KIND`), defaulting to ``idle``.
     """
     totals = {phase: 0.0 for phase in PHASES}
-    for rank in log.ranks():
-        events = log.for_rank(rank)
+    for events in view.by_rank.values():
         for prev, cur in zip(events, events[1:]):
             gap = cur.time - prev.time
             if gap <= 0.0:
@@ -102,13 +104,12 @@ def measure_phase_shares(log: EventLog) -> dict[str, float]:
     return {phase: t / grand for phase, t in totals.items()}
 
 
-def observed_phases(log: EventLog) -> frozenset[str]:
+def observed_phases(view: TraceView) -> frozenset[str]:
     """Phases the trace actually exercised (has events of)."""
-    kinds = {ev.kind for ev in log.events}
     return frozenset(
         phase
         for phase, needed in _KINDS_OF_PHASE.items()
-        if kinds.intersection(needed)
+        if any(view.kind_counts[kind] for kind in needed)
     )
 
 
@@ -149,70 +150,40 @@ def model_phase_shares(
     return shares
 
 
-@dataclass(frozen=True, order=True)
-class CostVerdict:
-    """One rule's phase-cost claim judged against a trace."""
-
-    code: str
-    phase: str
-    measured: float
-    modeled: float
-    status: str
-
-    def format_text(self) -> str:
-        """``cost-contract SPP203 [compute]: CONFIRMED ...`` (one line)."""
-        drift = (self.measured - self.modeled) * 100.0
-        return (
-            f"cost-contract {self.code} [{self.phase}]: "
-            f"{self.status.upper()} — measured {self.measured:.1%} vs "
-            f"model {self.modeled:.1%} share ({drift:+.1f}pp)"
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "code": self.code,
-            "phase": self.phase,
-            "measured": round(self.measured, 6),
-            "modeled": round(self.modeled, 6),
-            "status": self.status,
-        }
-
-
 def check_contracts(
     diagnostics: Sequence[Diagnostic],
-    log: EventLog,
+    view: TraceView,
     p: Optional[int] = None,
     params: Optional[ModelParams] = None,
     tol: float = 0.05,
-) -> tuple[dict[str, float], dict[str, float], list[CostVerdict]]:
+) -> tuple[dict[str, float], dict[str, float], list[Verdict]]:
     """Judge every distinct finding code against the trace.
 
     Returns ``(measured shares, model shares, verdicts)``; ``p``
     defaults to the number of ranks in the trace.
     """
-    measured = measure_phase_shares(log)
-    observed = observed_phases(log)
-    ranks = log.ranks()
-    p_eff = p if p is not None else max(1, len(ranks))
+    measured = measure_phase_shares(view)
+    observed = observed_phases(view)
+    p_eff = p if p is not None else max(1, len(view.by_rank))
     modeled = model_phase_shares(p_eff, params)
-    verdicts: list[CostVerdict] = []
+    verdicts: list[Verdict] = []
     for code in sorted({d.code for d in diagnostics}):
         phase = PHASE_OF_RULE.get(code)
         if phase is None:
             continue
+        excess = measured[phase] - modeled[phase]
         if phase not in observed:
             status = UNOBSERVED
-        elif measured[phase] - modeled[phase] > tol:
+        elif excess > tol:
             status = CONFIRMED
         else:
             status = REFUTED
         verdicts.append(
-            CostVerdict(
-                code=code,
-                phase=phase,
-                measured=measured[phase],
-                modeled=modeled[phase],
-                status=status,
+            Verdict(
+                "cost-contract", code, f"[{phase}]", status,
+                measured[phase], modeled[phase],
+                f"measured {measured[phase]:.1%} vs model "
+                f"{modeled[phase]:.1%} share ({excess * 100.0:+.1f}pp)",
             )
         )
     return measured, modeled, verdicts
@@ -230,6 +201,14 @@ def format_share_table(
     return "\n".join(lines)
 
 
-def iter_verdict_dicts(verdicts: Iterable[CostVerdict]) -> list[dict[str, object]]:
-    """JSON-ready verdict records (stable order)."""
-    return [v.to_dict() for v in sorted(verdicts)]
+def judge(
+    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+) -> tuple[list[str], list[Verdict], int]:
+    """specperf's ``--trace`` hook: a CONFIRMED cost claim fails the run."""
+    measured, modeled, verdicts = check_contracts(
+        diagnostics, view, p=args.model_p, tol=args.tol
+    )
+    header = [format_share_table(measured, modeled)]
+    if not verdicts:
+        header.append("cost contracts: no specperf findings to cross-reference")
+    return header, verdicts, sum(v.status == CONFIRMED for v in verdicts)

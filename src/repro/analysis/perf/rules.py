@@ -29,16 +29,18 @@ from __future__ import annotations
 import ast
 import re
 from collections import Counter
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.analysis.cfg import FunctionNode, ModuleGraphs
-from repro.analysis.diagnostics import Diagnostic, Severity, register_spp_rule
+from repro.analysis.cfg import LOOPS, ModuleGraphs, call_name, loops_of, walk_body
+from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
 from repro.analysis.perf.attribution import (
     PHASE_SEEDS,
     Attribution,
-    call_name,
-    walk_function,
+    function_items,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramIndex
 
 #: Container names treated as per-iteration history / message state.
 HISTORY_NAMES = frozenset(
@@ -57,78 +59,47 @@ ALLOC_CALL_NAMES = frozenset(
      "ones_like", "full_like"}
 )
 
-LOOPS = (ast.For, ast.AsyncFor, ast.While)
-
-register_spp_rule(
+register_rule(
     "SPP201", "send-path-deepcopy", Severity.ERROR,
     "per-message deepcopy on the send path without an immutability "
     "fast path",
 )
-register_spp_rule(
+register_rule(
     "SPP202", "history-rebuild-in-loop", Severity.WARNING,
     "history container rebuilt on every loop iteration "
     "(O(messages x history) scan)",
 )
-register_spp_rule(
+register_rule(
     "SPP203", "alloc-in-compute-loop", Severity.WARNING,
     "array/container allocated inside the innermost compute loop",
 )
-register_spp_rule(
+register_rule(
     "SPP204", "history-ring-scan", Severity.ERROR,
     "linear HistoryRing scan inside a per-message loop",
 )
-register_spp_rule(
+register_rule(
     "SPP205", "attr-chain-in-kernel", Severity.WARNING,
     "attribute chain re-resolved on every innermost compute-loop "
     "iteration",
 )
-register_spp_rule(
+register_rule(
     "SPP206", "unbounded-event-buffer", Severity.WARNING,
     "unbounded trace/event buffer appended to inside a hot loop",
 )
-register_spp_rule(
+register_rule(
     "SPP207", "mutable-payload-send", Severity.WARNING,
     "freshly built mutable payload handed to send/broadcast "
     "(forces a deep copy)",
 )
-register_spp_rule(
+register_rule(
     "SPP208", "loop-invariant-sizing", Severity.WARNING,
     "loop-invariant payload_nbytes recomputed on every message",
 )
 
 
-def _diag(
-    path: str, node: ast.AST, code: str, severity: Severity, message: str
-) -> Diagnostic:
-    return Diagnostic(
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        severity=severity,
-        message=message,
-    )
-
-
-def _walk_stmts(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Every AST node under ``stmts``, pruning nested function bodies."""
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _loops_of(func: FunctionNode) -> list[ast.stmt]:
-    """All ``for``/``while`` loops of the function's own body."""
-    return [n for n in walk_function(func) if isinstance(n, LOOPS)]
-
-
 def _is_innermost(loop: ast.stmt) -> bool:
     """True when no further loop nests inside ``loop``'s body."""
-    for node in _walk_stmts(loop.body):  # type: ignore[attr-defined]
+    for node in walk_body(loop.body):  # type: ignore[attr-defined]
         if node is not loop and isinstance(node, LOOPS):
             return False
     return True
@@ -165,16 +136,6 @@ def _import_roots(tree: ast.Module) -> set[str]:
     return roots
 
 
-def _function_items(
-    module: ModuleGraphs, attribution: Attribution
-) -> Iterator[tuple[str, FunctionNode, frozenset[str]]]:
-    """(qualname, function node, attributed phases) per function."""
-    for qual in sorted(module.cfgs):
-        cfg = module.cfgs[qual]
-        key = (module.path, qual)
-        yield qual, cfg.func, attribution.phases_of(key)
-
-
 # --------------------------------------------------------------------------
 # SPP201: per-message deepcopy without an immutability fast path
 # --------------------------------------------------------------------------
@@ -183,21 +144,21 @@ def _function_items(
 def check_spp201(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, phases in _function_items(module, attribution):
+    for qual, func, phases, _hot in function_items(module, attribution):
         if "send" not in phases:
             continue
         guarded = any(
             isinstance(node, ast.Call)
             and (name := call_name(node)) is not None
             and "immutable" in name.lower()
-            for node in walk_function(func)
+            for node in walk_body(func.body)
         )
         if guarded:
             continue
-        for node in walk_function(func):
+        for node in walk_body(func.body):
             if isinstance(node, ast.Call) and call_name(node) == "deepcopy":
-                yield _diag(
-                    module.path, node, "SPP201", Severity.ERROR,
+                yield diag_at(
+                    module.path, node, "SPP201",
                     f"send-path function '{qual}' deep-copies every "
                     "payload; probe immutability first (frozen Message, "
                     "tuples of scalars, bytes) so already-safe payloads "
@@ -224,11 +185,11 @@ def _history_name(expr: ast.AST) -> Optional[str]:
 def check_spp202(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, phases in _function_items(module, attribution):
+    for qual, func, phases, _hot in function_items(module, attribution):
         if not phases & {"spec", "recv", "check"}:
             continue
-        for loop in _loops_of(func):
-            for node in _walk_stmts(loop.body):  # type: ignore[attr-defined]
+        for loop in loops_of(func):
+            for node in walk_body(loop.body):  # type: ignore[attr-defined]
                 rebuilt: Optional[str] = None
                 if (
                     isinstance(node, ast.Call)
@@ -239,8 +200,8 @@ def check_spp202(
                 elif isinstance(node, ast.ListComp):
                     rebuilt = _history_name(node.generators[0].iter)
                 if rebuilt is not None:
-                    yield _diag(
-                        module.path, node, "SPP202", Severity.WARNING,
+                    yield diag_at(
+                        module.path, node, "SPP202",
                         f"'{qual}' rebuilds history container "
                         f"'{rebuilt}' on every loop iteration — "
                         "O(messages x history) per iteration; hoist the "
@@ -256,20 +217,20 @@ def check_spp202(
 def check_spp203(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, phases in _function_items(module, attribution):
+    for qual, func, phases, _hot in function_items(module, attribution):
         if "compute" not in phases:
             continue
-        for loop in _loops_of(func):
+        for loop in loops_of(func):
             if not _is_innermost(loop):
                 continue
-            for node in _walk_stmts(loop.body):  # type: ignore[attr-defined]
+            for node in walk_body(loop.body):  # type: ignore[attr-defined]
                 flagged = (
                     isinstance(node, ast.Call)
                     and call_name(node) in ALLOC_CALL_NAMES
                 ) or isinstance(node, (ast.ListComp, ast.DictComp, ast.SetComp))
                 if flagged:
-                    yield _diag(
-                        module.path, node, "SPP203", Severity.WARNING,
+                    yield diag_at(
+                        module.path, node, "SPP203",
                         f"'{qual}' allocates a fresh array/container in "
                         "its innermost compute loop (paid once per pair "
                         "per iteration); hoist the allocation and reuse "
@@ -287,11 +248,11 @@ _RING_TOKENS = frozenset({"history", "ring"})
 def check_spp204(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, phases in _function_items(module, attribution):
+    for qual, func, phases, _hot in function_items(module, attribution):
         if not phases & {"recv", "check"}:
             continue
-        for loop in _loops_of(func):
-            for node in _walk_stmts(loop.body):  # type: ignore[attr-defined]
+        for loop in loops_of(func):
+            for node in walk_body(loop.body):  # type: ignore[attr-defined]
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -299,8 +260,8 @@ def check_spp204(
                 ):
                     continue
                 if _chain_names(node.func.value) & _RING_TOKENS:
-                    yield _diag(
-                        module.path, node, "SPP204", Severity.ERROR,
+                    yield diag_at(
+                        module.path, node, "SPP204",
                         f"'{qual}' walks a HistoryRing inside a "
                         "per-message loop — O(messages x history) per "
                         "iteration; cache the lookup (the ring is "
@@ -353,17 +314,17 @@ def check_spp205(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
     roots = _import_roots(module.tree)
-    for qual, func, phases in _function_items(module, attribution):
+    for qual, func, phases, _hot in function_items(module, attribution):
         if "compute" not in phases:
             continue
-        for loop in _loops_of(func):
+        for loop in loops_of(func):
             if not _is_innermost(loop):
                 continue
             counts = _collect_chains(loop.body, roots)  # type: ignore[attr-defined]
             for chain, n in sorted(counts.items()):
                 if n >= SPP205_THRESHOLD and chain.count(".") >= 2:
-                    yield _diag(
-                        module.path, loop, "SPP205", Severity.WARNING,
+                    yield diag_at(
+                        module.path, loop, "SPP205",
                         f"'{qual}' resolves '{chain}' {n} times in its "
                         "innermost compute loop; bind it to a local "
                         "before the loop",
@@ -387,12 +348,11 @@ def _module_trims(source: str, name: str) -> bool:
 def check_spp206(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, phases in _function_items(module, attribution):
-        key = (module.path, qual)
-        if not phases and not attribution.is_hot(key):
+    for qual, func, phases, hot in function_items(module, attribution):
+        if not phases and not hot:
             continue
-        for loop in _loops_of(func):
-            for node in _walk_stmts(loop.body):  # type: ignore[attr-defined]
+        for loop in loops_of(func):
+            for node in walk_body(loop.body):  # type: ignore[attr-defined]
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -404,8 +364,8 @@ def check_spp206(
                 buffer = node.func.value.attr
                 if _module_trims(module.source, buffer):
                     continue
-                yield _diag(
-                    module.path, node, "SPP206", Severity.WARNING,
+                yield diag_at(
+                    module.path, node, "SPP206",
                     f"'{qual}' appends to unbounded buffer "
                     f"'{buffer}' inside a hot loop; memory and scan "
                     "cost grow with run length — bound it (ring "
@@ -424,8 +384,8 @@ _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
 def check_spp207(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, _phases in _function_items(module, attribution):
-        for node in walk_function(func):
+    for qual, func, _phases, _hot in function_items(module, attribution):
+        for node in walk_body(func.body):
             if not (
                 isinstance(node, ast.Call)
                 and call_name(node) in PHASE_SEEDS["send"]
@@ -433,8 +393,8 @@ def check_spp207(
                 continue
             for arg in node.args:
                 if isinstance(arg, _MUTABLE_LITERALS):
-                    yield _diag(
-                        module.path, arg, "SPP207", Severity.WARNING,
+                    yield diag_at(
+                        module.path, arg, "SPP207",
                         f"'{qual}' sends a freshly built mutable "
                         "payload; isolation must deep-copy it — build "
                         "a tuple (or frozen structure) so the "
@@ -460,7 +420,7 @@ def _loop_targets(loop: ast.stmt) -> set[str]:
 def _assigned_in(stmts: list[ast.stmt]) -> set[str]:
     """Names assigned anywhere under ``stmts`` (loop-variant values)."""
     names: set[str] = set()
-    for node in _walk_stmts(stmts):
+    for node in walk_body(stmts):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
     return names
@@ -469,17 +429,17 @@ def _assigned_in(stmts: list[ast.stmt]) -> set[str]:
 def check_spp208(
     module: ModuleGraphs, attribution: Attribution
 ) -> Iterator[Diagnostic]:
-    for qual, func, phases in _function_items(module, attribution):
+    for qual, func, phases, _hot in function_items(module, attribution):
         sends = any(
             isinstance(node, ast.Call)
             and call_name(node) in PHASE_SEEDS["send"]
-            for node in walk_function(func)
+            for node in walk_body(func.body)
         )
         if not sends and "send" not in phases:
             continue
-        for loop in _loops_of(func):
+        for loop in loops_of(func):
             variant = _loop_targets(loop) | _assigned_in(loop.body)  # type: ignore[attr-defined]
-            for node in _walk_stmts(loop.body):  # type: ignore[attr-defined]
+            for node in walk_body(loop.body):  # type: ignore[attr-defined]
                 if not (
                     isinstance(node, ast.Call)
                     and call_name(node) == "payload_nbytes"
@@ -492,8 +452,8 @@ def check_spp208(
                     if isinstance(n, ast.Name)
                 }
                 if arg_names and not (arg_names & variant):
-                    yield _diag(
-                        module.path, node, "SPP208", Severity.WARNING,
+                    yield diag_at(
+                        module.path, node, "SPP208",
                         f"'{qual}' recomputes payload_nbytes on a "
                         "loop-invariant payload for every message; "
                         "hoist the size computation out of the send "
@@ -501,7 +461,7 @@ def check_spp208(
                     )
 
 
-#: code -> checker, the pack the driver iterates.
+#: code -> checker, the pack :func:`findings` iterates.
 RULE_CHECKERS: dict[
     str, Callable[[ModuleGraphs, Attribution], Iterator[Diagnostic]]
 ] = {
@@ -514,3 +474,10 @@ RULE_CHECKERS: dict[
     "SPP207": check_spp207,
     "SPP208": check_spp208,
 }
+
+
+def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
+    """Every SPP finding over the shared parse and its attribution."""
+    for module in index.modules:
+        for checker in RULE_CHECKERS.values():
+            yield from checker(module, index.attribution)

@@ -1,24 +1,26 @@
 """One shared parse of the program for every analysis family.
 
-``repro analyze`` and ``repro perf-lint`` each used to re-discover the
-files, re-parse every module and rebuild the interprocedural call
-graph from scratch; with four analysis families the umbrella ``repro
-check`` would have parsed the tree four times.  :class:`ProgramIndex`
-is the single cache they now share: files are discovered once, each
-parseable file becomes exactly one
+:class:`ProgramIndex` is the single cache the five families read:
+files are discovered once, each parseable file becomes exactly one
 :class:`~repro.analysis.cfg.ModuleGraphs` (tree + source + CFGs), the
-:class:`~repro.analysis.cfg.CallGraph` is built lazily once, and
-syntax errors are recorded per file so every tool can report them
-under its own ``xxx000`` code without re-hitting the parser.
+:class:`~repro.analysis.cfg.CallGraph` and the phase
+:class:`~repro.analysis.perf.attribution.Attribution` over it are each
+built on first use and kept, and syntax errors are recorded per file so
+every tool can report them under its own ``xxx000`` code without
+re-hitting the parser.  A family is a function from this index to raw
+findings (``findings(index)``); :meth:`repro.analysis.tools.Tool.analyze`
+is the one driver that selects, suppresses, de-duplicates and sorts.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import Diagnostic, syntax_diagnostic
+from repro.analysis.perf.attribution import Attribution, build_attribution
 
 
 #: Directories never descended into during discovery.
@@ -37,33 +39,49 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
         elif path.suffix == ".py":
             seen.add(path)
         elif not path.exists():
-            raise FileNotFoundError(f"speclint: no such path: {path}")
+            raise FileNotFoundError(f"no such path: {path}")
     return sorted(seen)
 
 
 class ProgramIndex:
-    """Parsed modules + call graph for one set of paths, built once."""
+    """Parsed modules + call graph + attribution for one program.
 
-    def __init__(self, paths: Sequence[str | Path]) -> None:
+    The program is every ``.py`` file under ``paths`` plus the
+    in-memory ``sources`` (``path -> text``; what
+    :meth:`~repro.analysis.tools.Tool.analyze_source` passes).  All
+    parseable files contribute to one call graph — that is what makes
+    every family's summaries *inter*-procedural: a helper defined in
+    one file is charged to its caller in another.
+    """
+
+    def __init__(
+        self,
+        paths: Sequence[str | Path] = (),
+        sources: Optional[Mapping[str, str]] = None,
+    ) -> None:
         self.modules: list[ModuleGraphs] = []
         #: ``(path, exception)`` for every unparseable file.
         self.syntax_errors: list[tuple[str, SyntaxError]] = []
-        self._callgraph: Optional[CallGraph] = None
-        for file_path in iter_python_files(paths):
-            source = file_path.read_text(encoding="utf-8")
+        texts = {
+            str(file_path): file_path.read_text(encoding="utf-8")
+            for file_path in iter_python_files(paths)
+        }
+        texts.update(sources or {})
+        for path, source in texts.items():
             try:
-                self.modules.append(
-                    ModuleGraphs.from_source(source, path=str(file_path))
-                )
+                self.modules.append(ModuleGraphs.from_source(source, path=path))
             except SyntaxError as exc:
-                self.syntax_errors.append((str(file_path), exc))
+                self.syntax_errors.append((path, exc))
 
-    @property
+    @cached_property
     def callgraph(self) -> CallGraph:
         """The shared interprocedural call graph (built on first use)."""
-        if self._callgraph is None:
-            self._callgraph = CallGraph(self.modules)
-        return self._callgraph
+        return CallGraph(self.modules)
+
+    @cached_property
+    def attribution(self) -> Attribution:
+        """The shared phase attribution (specperf and specbound read it)."""
+        return build_attribution(self.callgraph)
 
     @property
     def sources(self) -> dict[str, str]:
@@ -76,58 +94,3 @@ class ProgramIndex:
             syntax_diagnostic(path, exc, code)
             for path, exc in self.syntax_errors
         ]
-
-
-#: A family's rule runner: ``(modules, select=, callgraph=) -> findings``.
-AnalyzeModules = Callable[..., list[Diagnostic]]
-
-
-def analyze_index(
-    analyze_modules: AnalyzeModules,
-    syntax_code: str,
-    index: ProgramIndex,
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """One family's findings over a shared parse, syntax errors included."""
-    return sorted(
-        index.syntax_diags(syntax_code)
-        + analyze_modules(index.modules, select=select, callgraph=index.callgraph)
-    )
-
-
-def analyze_paths(
-    analyze_modules: AnalyzeModules,
-    syntax_code: str,
-    paths: Sequence[str | Path],
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse every ``.py`` file under ``paths`` as one program.
-
-    All parseable files contribute to one shared call graph (that is
-    what makes every family's summaries *inter*-procedural: a helper
-    defined in one file is charged to its caller in another);
-    unparseable files each yield a ``syntax_code`` diagnostic instead
-    of aborting the run.  Each family binds its own runner and code
-    with :func:`functools.partial`.
-    """
-    return analyze_index(analyze_modules, syntax_code, ProgramIndex(paths), select)
-
-
-def analyze_source(
-    analyze_modules: AnalyzeModules,
-    syntax_code: str,
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> list[Diagnostic]:
-    """Analyse one source text (testing convenience)."""
-    try:
-        module = ModuleGraphs.from_source(source, path=path)
-    except SyntaxError as exc:
-        return [syntax_diagnostic(path, exc, syntax_code)]
-    return analyze_modules([module], select=select)
-
-
-def rule_catalogue(rules: Mapping[str, Any]) -> dict[str, str]:
-    """``code -> summary`` for one family's rule registry (docs/CLI)."""
-    return {code: rules[code].summary for code in sorted(rules)}

@@ -39,16 +39,16 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs, walk_own
-from repro.analysis.diagnostics import Diagnostic, Severity, register_spf_rule
+from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
 
-register_spf_rule(
+register_rule(
     "SPF110",
     "orphaned-tag-family",
     Severity.ERROR,
     "a send whose tag family no receive can match (message leak), or "
     "a receive whose tag family no send produces (deadlock)",
 )
-register_spf_rule(
+register_rule(
     "SPF111",
     "unordered-conflicting-sends",
     Severity.WARNING,
@@ -299,17 +299,6 @@ def build_static_hb(
 # --------------------------------------------------------------------------
 
 
-def _site_diag(site: CommSite, code: str, severity: Severity, message: str) -> Diagnostic:
-    return Diagnostic(
-        path=site.path,
-        line=site.line,
-        col=site.col,
-        code=code,
-        severity=severity,
-        message=message,
-    )
-
-
 def check_spf110(sites: list[CommSite]) -> Iterator[Diagnostic]:
     """Orphaned send families / unsatisfiable receives."""
     sends = [s for s in sites if s.kind == "send"]
@@ -318,10 +307,10 @@ def check_spf110(sites: list[CommSite]) -> Iterator[Diagnostic]:
         if send.family is None:
             continue  # unresolved family: cannot judge
         if not any(_matches(send, recv) for recv in recvs):
-            yield _site_diag(
-                send,
+            yield diag_at(
+                send.path,
+                (send.line, send.col),
                 "SPF110",
-                Severity.ERROR,
                 f"send with tag family {send.family!r} in {send.qualname} "
                 "has no receive that can match it anywhere in the analysed "
                 "sources; the message is never consumed",
@@ -332,10 +321,10 @@ def check_spf110(sites: list[CommSite]) -> Iterator[Diagnostic]:
         if recv.wildcard_tag or recv.family is None:
             continue
         if recv.family not in known_send_families and not unresolved_sends:
-            yield _site_diag(
-                recv,
+            yield diag_at(
+                recv.path,
+                (recv.line, recv.col),
                 "SPF110",
-                Severity.ERROR,
                 f"receive of tag family {recv.family!r} in {recv.qualname} "
                 "matches no send in the analysed sources; this receive can "
                 "never be satisfied (deadlock on this path)",
@@ -377,10 +366,10 @@ def check_spf111(
                 if pair in reported:
                     continue
                 reported.add(pair)
-                yield _site_diag(
-                    a,
+                yield diag_at(
+                    a.path,
+                    (a.line, a.col),
                     "SPF111",
-                    Severity.WARNING,
                     f"sends of tag family {family!r} in "
                     f"{a.qualname} and {b.qualname} are unordered "
                     "in the happens-before graph and a wildcard receive can "

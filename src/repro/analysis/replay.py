@@ -9,8 +9,9 @@ in the shared :class:`~repro.analysis.races.HappensBeforeGraph`:
 
 * per-rank program order: ``(rank, seq)`` → ``(rank, seq + 1)``;
 * message order: each send is matched to the receive that consumed it
-  (same ``(src, dst, family, iteration)``, earliest unconsumed first)
-  and contributes a cross-rank edge.
+  (:func:`repro.analysis.trace_view.match_messages`, run once per
+  :class:`~repro.analysis.trace_view.TraceView`) and contributes a
+  cross-rank edge.
 
 On top of the dynamic graph the replay runs the *dynamic mirrors* of
 the SPF rules (same codes, so a static finding and its runtime
@@ -25,21 +26,31 @@ witness line up):
   rank to one peer received in the opposite order.
 
 Finally :func:`cross_reference` joins a static diagnostic list with a
-replay report: every SPF code is marked *confirmed* (the trace
-exhibits the behaviour), *refuted* (the trace exercised the code's
-behaviour and stayed clean) or *unobserved* (the trace never reached
-it) — the differential-analysis verdict ``repro analyze --trace``
-prints.
+replay report: every SPF code is marked CONFIRMED (the trace exhibits
+the behaviour), REFUTED (the trace exercised the code's behaviour and
+stayed clean) or UNOBSERVED (the trace never reached it) — the
+``protocol-contract`` verdicts ``repro analyze --trace`` prints through
+:func:`judge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.races import HappensBeforeGraph
-from repro.trace.events import EventLog, TraceEvent
+from repro.analysis.trace_view import (
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
+    TraceView,
+    Verdict,
+)
+from repro.trace.events import TraceEvent
+
+if TYPE_CHECKING:
+    import argparse
 
 #: Default backward window used by the dynamic SPF102 mirror when the
 #: caller does not pass the run's actual ``--bw``.
@@ -59,18 +70,6 @@ class ReplayFinding:
         return f"trace rank {self.rank} seq {self.seq}: {self.code} {self.message}"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Differential-analysis verdict for one static rule code."""
-
-    code: str
-    status: str        # "confirmed" | "refuted" | "unobserved"
-    detail: str
-
-    def format_text(self) -> str:
-        return f"{self.code}: {self.status} — {self.detail}"
-
-
 @dataclass
 class ReplayReport:
     """Everything the trace replay learned from one event log."""
@@ -81,9 +80,6 @@ class ReplayReport:
     unmatched_sends: int = 0
     unmatched_recvs: int = 0
     stats: dict[str, int] = field(default_factory=dict)
-
-    def codes(self) -> set[str]:
-        return {f.code for f in self.findings}
 
 
 def event_key(ev: TraceEvent) -> tuple[int, int]:
@@ -96,53 +92,17 @@ def event_key(ev: TraceEvent) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 
-def match_messages(
-    log: EventLog,
-) -> tuple[list[tuple[TraceEvent, TraceEvent]], list[TraceEvent], list[TraceEvent]]:
-    """Pair each send with the receive that consumed it.
-
-    Matching key is ``(src, dst, family, iteration)``; within a key,
-    sends and receives pair FIFO (the transports preserve per-pair
-    order, and the iteration sub-tag disambiguates the rest).  Returns
-    ``(pairs, unmatched_sends, unmatched_recvs)``.
-    """
-    pending: dict[
-        tuple[int, Optional[int], Optional[str], Optional[int]],
-        list[TraceEvent],
-    ] = {}
-    for ev in log.of_kind("send"):
-        key = (ev.rank, ev.peer, ev.family, ev.iteration)
-        pending.setdefault(key, []).append(ev)
-    pairs: list[tuple[TraceEvent, TraceEvent]] = []
-    unmatched_recvs: list[TraceEvent] = []
-    for ev in log.of_kind("recv"):
-        key = (
-            ev.peer if ev.peer is not None else -1,
-            ev.rank,
-            ev.family,
-            ev.iteration,
-        )
-        queue = pending.get(key)
-        if queue:
-            pairs.append((queue.pop(0), ev))
-        else:
-            unmatched_recvs.append(ev)
-    unmatched_sends = [ev for queue in pending.values() for ev in queue]
-    return pairs, sorted(unmatched_sends), unmatched_recvs
-
-
 def build_dynamic_hb(
-    log: EventLog,
+    view: TraceView,
 ) -> tuple[HappensBeforeGraph, ReplayReport]:
     """The dynamic HB graph of one recorded run (plus match stats)."""
     graph = HappensBeforeGraph()
-    for rank in log.ranks():
-        events = log.for_rank(rank)
+    for events in view.by_rank.values():
         for ev in events:
             graph.add_node(event_key(ev))
         for prev, nxt in zip(events, events[1:]):
             graph.add_edge(event_key(prev), event_key(nxt))
-    pairs, unmatched_sends, unmatched_recvs = match_messages(log)
+    pairs, unmatched_sends, unmatched_recvs = view.matching
     for send, recv in pairs:
         graph.add_edge(event_key(send), event_key(recv))
     report = ReplayReport(
@@ -159,10 +119,9 @@ def build_dynamic_hb(
 # --------------------------------------------------------------------------
 
 
-def _check_unverified_speculations(log: EventLog) -> Iterator[ReplayFinding]:
+def _check_unverified_speculations(view: TraceView) -> Iterator[ReplayFinding]:
     """SPF101 mirror: speculate events never followed by verify/correct."""
-    for rank in log.ranks():
-        events = log.for_rank(rank)
+    for events in view.by_rank.values():
         open_specs: dict[tuple[Optional[int], Optional[int]], TraceEvent] = {}
         for ev in events:
             key = (ev.peer, ev.iteration)
@@ -184,12 +143,12 @@ def _check_unverified_speculations(log: EventLog) -> Iterator[ReplayFinding]:
 
 
 def _check_stale_speculations(
-    log: EventLog, backward_window: int
+    view: TraceView, backward_window: int
 ) -> Iterator[ReplayFinding]:
     """SPF102 mirror: speculation source older than the backward window."""
-    for rank in log.ranks():
+    for events in view.by_rank.values():
         frontier: Optional[int] = None  # latest compute iteration seen
-        for ev in log.for_rank(rank):
+        for ev in events:
             if ev.kind == "compute" and ev.iteration is not None:
                 if frontier is None or ev.iteration > frontier:
                     frontier = ev.iteration
@@ -212,11 +171,11 @@ def _check_stale_speculations(
                 )
 
 
-def _check_correction_order(log: EventLog) -> Iterator[ReplayFinding]:
+def _check_correction_order(view: TraceView) -> Iterator[ReplayFinding]:
     """SPF103 mirror: a correction cascade applied in descending order."""
-    for rank in log.ranks():
+    for events in view.by_rank.values():
         prev: Optional[TraceEvent] = None
-        for ev in log.for_rank(rank):
+        for ev in events:
             if ev.kind != "correct":
                 prev = None if ev.kind == "verify" else prev
                 continue
@@ -240,12 +199,9 @@ def _check_correction_order(log: EventLog) -> Iterator[ReplayFinding]:
             prev = ev
 
 
-def _check_unmatched_messages(
-    log: EventLog, report: ReplayReport
-) -> Iterator[ReplayFinding]:
+def _check_unmatched_messages(view: TraceView) -> Iterator[ReplayFinding]:
     """SPF110 mirror: sends never consumed / receives never fed."""
-    pairs, unmatched_sends, unmatched_recvs = match_messages(log)
-    del pairs
+    _pairs, unmatched_sends, unmatched_recvs = view.matching
     for ev in unmatched_sends:
         yield ReplayFinding(
             code="SPF110",
@@ -268,9 +224,9 @@ def _check_unmatched_messages(
         )
 
 
-def _check_message_overtaking(log: EventLog) -> Iterator[ReplayFinding]:
+def _check_message_overtaking(view: TraceView) -> Iterator[ReplayFinding]:
     """SPF111 mirror: same-channel messages received out of send order."""
-    pairs, _, _ = match_messages(log)
+    pairs, _, _ = view.matching
     by_channel: dict[
         tuple[int, int, Optional[str]], list[tuple[TraceEvent, TraceEvent]]
     ] = {}
@@ -300,25 +256,25 @@ def _check_message_overtaking(log: EventLog) -> Iterator[ReplayFinding]:
 
 
 def replay(
-    log: EventLog, backward_window: int = DEFAULT_BACKWARD_WINDOW
+    view: TraceView, backward_window: int = DEFAULT_BACKWARD_WINDOW
 ) -> ReplayReport:
-    """Run every dynamic check over ``log`` and collect the findings."""
-    graph, report = build_dynamic_hb(log)
+    """Run every dynamic check over ``view`` and collect the findings."""
+    graph, report = build_dynamic_hb(view)
     findings: list[ReplayFinding] = []
-    findings.extend(_check_unverified_speculations(log))
-    findings.extend(_check_stale_speculations(log, backward_window))
-    findings.extend(_check_correction_order(log))
-    findings.extend(_check_unmatched_messages(log, report))
-    findings.extend(_check_message_overtaking(log))
+    findings.extend(_check_unverified_speculations(view))
+    findings.extend(_check_stale_speculations(view, backward_window))
+    findings.extend(_check_correction_order(view))
+    findings.extend(_check_unmatched_messages(view))
+    findings.extend(_check_message_overtaking(view))
     report.findings = sorted(findings)
     report.stats = {
-        "events": len(log),
-        "ranks": len(log.ranks()),
+        "events": len(view.events),
+        "ranks": len(view.by_rank),
         "hb_edges": graph.edge_count(),
         "matched_messages": report.matched_messages,
-        "speculations": len(log.of_kind("speculate")),
-        "verifications": len(log.of_kind("verify")),
-        "corrections": len(log.of_kind("correct")),
+        "speculations": view.kind_counts["speculate"],
+        "verifications": view.kind_counts["verify"],
+        "corrections": view.kind_counts["correct"],
     }
     return report
 
@@ -340,65 +296,63 @@ _EXERCISE_KINDS: dict[str, tuple[str, ...]] = {
 
 
 def cross_reference(
-    diagnostics: list[Diagnostic],
-    log: EventLog,
+    diagnostics: Sequence[Diagnostic],
+    view: TraceView,
     backward_window: int = DEFAULT_BACKWARD_WINDOW,
 ) -> tuple[ReplayReport, list[Verdict]]:
     """Join static findings with a recorded run.
 
     For every distinct SPF code among ``diagnostics``:
 
-    * *confirmed* — the replay witnessed the same violation class;
-    * *refuted* — the trace exercised the relevant protocol steps and
+    * CONFIRMED — the replay witnessed the same violation class;
+    * REFUTED — the trace exercised the relevant protocol steps and
       stayed clean (evidence the static finding is a false positive,
       or that this input never hits the bad path);
-    * *unobserved* — the trace never exercised those steps, so it says
+    * UNOBSERVED — the trace never exercised those steps, so it says
       nothing either way.
     """
-    report = replay(log, backward_window=backward_window)
-    witnessed = report.codes()
+    report = replay(view, backward_window=backward_window)
     verdicts: list[Verdict] = []
     for code in sorted({d.code for d in diagnostics if d.code.startswith("SPF1")}):
         static_count = sum(1 for d in diagnostics if d.code == code)
-        if code in witnessed:
-            hits = [f for f in report.findings if f.code == code]
-            verdicts.append(
-                Verdict(
-                    code=code,
-                    status="confirmed",
-                    detail=(
-                        f"{static_count} static finding(s); the trace "
-                        f"witnesses {len(hits)} runtime violation(s), e.g. "
-                        f"rank {hits[0].rank} seq {hits[0].seq}"
-                    ),
-                )
-            )
-            continue
+        hits = [f for f in report.findings if f.code == code]
         exercise = _EXERCISE_KINDS.get(code, ())
-        exercised = all(log.of_kind(kind) for kind in exercise) if exercise else False
-        if exercised:
-            verdicts.append(
-                Verdict(
-                    code=code,
-                    status="refuted",
-                    detail=(
-                        f"{static_count} static finding(s), but the trace "
-                        f"exercised {'/'.join(exercise)} events "
-                        f"({', '.join(str(len(log.of_kind(k))) for k in exercise)}"
-                        ") without violating the rule on this input"
-                    ),
-                )
+        if hits:
+            status = CONFIRMED
+            detail = (
+                f"{static_count} static finding(s); the trace "
+                f"witnesses {len(hits)} runtime violation(s), e.g. "
+                f"rank {hits[0].rank} seq {hits[0].seq}"
+            )
+        elif exercise and all(view.kind_counts[kind] for kind in exercise):
+            status = REFUTED
+            detail = (
+                f"{static_count} static finding(s), but the trace "
+                f"exercised {'/'.join(exercise)} events "
+                f"({', '.join(str(view.kind_counts[k]) for k in exercise)}"
+                ") without violating the rule on this input"
             )
         else:
-            verdicts.append(
-                Verdict(
-                    code=code,
-                    status="unobserved",
-                    detail=(
-                        f"{static_count} static finding(s); the trace never "
-                        f"exercised the relevant protocol steps "
-                        f"({'/'.join(exercise) or 'n/a'})"
-                    ),
-                )
+            status = UNOBSERVED
+            detail = (
+                f"{static_count} static finding(s); the trace never "
+                f"exercised the relevant protocol steps "
+                f"({'/'.join(exercise) or 'n/a'})"
             )
+        verdicts.append(
+            Verdict("protocol-contract", code, "", status, None, None, detail)
+        )
     return report, verdicts
+
+
+def judge(
+    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+) -> tuple[list[str], list[Verdict], int]:
+    """specflow's ``--trace`` hook: every replay finding fails the run."""
+    report, verdicts = cross_reference(diagnostics, view, backward_window=args.bw)
+    stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
+    header = [f"trace replay: {stats}"]
+    header += [finding.format_text() for finding in report.findings]
+    if not verdicts:
+        header.append("trace replay: no static SPF findings to cross-reference")
+    return header, verdicts, len(report.findings)

@@ -123,8 +123,7 @@ def rule_catalogue_entries(
     """SARIF ``tool.driver.rules`` entries for a metadata registry.
 
     Accepts any mapping code → object with ``name``/``summary``/
-    ``severity`` attributes (both :class:`Rule` and :class:`RuleInfo`
-    qualify).
+    ``severity`` attributes (:class:`RuleInfo` qualifies).
     """
     entries: List[Dict[str, Any]] = []
     for code in sorted(infos):

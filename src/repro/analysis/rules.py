@@ -19,9 +19,12 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import PurePosixPath
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.analysis.diagnostics import Diagnostic, Severity, register_rule
+from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
+
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramIndex
 
 # --------------------------------------------------------------------------
 # shared helpers
@@ -162,31 +165,20 @@ def is_generator_function(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def _diag(
-    path: str, node: ast.AST, code: str, severity: Severity, message: str
-) -> Diagnostic:
-    return Diagnostic(
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        severity=severity,
-        message=message,
-    )
-
-
 # --------------------------------------------------------------------------
 # SPL001 — unawaited simulation call
 # --------------------------------------------------------------------------
 
 
-@register_rule(
+register_rule(
     "SPL001",
     "unawaited-simulation-call",
     Severity.ERROR,
     "generator-API call (proc.compute/advance/recv) not driven with "
     "`yield from`, or an env.timeout event created and discarded",
 )
+
+
 def check_spl001(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """A dropped ``yield from`` silently skips virtual time/blocking."""
     parents = build_parent_map(tree)
@@ -198,22 +190,20 @@ def check_spl001(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
         if attr in GENERATOR_METHODS and is_proc_receiver(recv):
             parent = parents.get(node)
             if not isinstance(parent, ast.YieldFrom):
-                yield _diag(
+                yield diag_at(
                     path,
                     node,
                     "SPL001",
-                    Severity.ERROR,
                     f"simulation call `{receiver_tail(recv)}.{attr}(...)` is a "
                     "generator and does nothing unless driven with `yield from`",
                 )
         elif attr == "timeout" and is_env_receiver(recv):
             parent = parents.get(node)
             if isinstance(parent, ast.Expr):
-                yield _diag(
+                yield diag_at(
                     path,
                     node,
                     "SPL001",
-                    Severity.ERROR,
                     f"`{receiver_tail(recv)}.timeout(...)` creates an event that "
                     "is discarded; yield it (or drop the call)",
                 )
@@ -260,13 +250,15 @@ def _fw_branch_kind(test: ast.expr) -> Optional[str]:
     return None
 
 
-@register_rule(
+register_rule(
     "SPL002",
     "blocking-recv-in-speculative-path",
     Severity.ERROR,
     "blocking receive reachable inside an fw>=1 (speculative) branch; "
     "use try_recv/probe so the compute can run ahead",
 )
+
+
 def check_spl002(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """Blocking in the speculative arm reintroduces delay propagation."""
 
@@ -290,11 +282,10 @@ def check_spl002(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                 spec_arm = node.orelse
             for call in blocking_recvs(spec_arm):
                 assert isinstance(call.func, ast.Attribute)
-                yield _diag(
+                yield diag_at(
                     path,
                     call,
                     "SPL002",
-                    Severity.ERROR,
                     f"blocking `{call.func.attr}(...)` inside a speculative "
                     "(fw >= 1) branch; use try_recv()/probe() and speculate "
                     "instead of waiting",
@@ -302,11 +293,10 @@ def check_spl002(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
         elif isinstance(node, ast.While) and _fw_branch_kind(node.test) == "spec":
             for call in blocking_recvs(node.body):
                 assert isinstance(call.func, ast.Attribute)
-                yield _diag(
+                yield diag_at(
                     path,
                     call,
                     "SPL002",
-                    Severity.ERROR,
                     f"blocking `{call.func.attr}(...)` inside an fw >= 1 loop; "
                     "use try_recv()/probe()",
                 )
@@ -317,23 +307,24 @@ def check_spl002(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
 # --------------------------------------------------------------------------
 
 
-@register_rule(
+register_rule(
     "SPL003",
     "nondeterministic-source",
     Severity.ERROR,
     "wall-clock or process-global RNG in simulated code; inject a "
     "numpy.random.Generator (default_rng) and use env.now for time",
 )
+
+
 def check_spl003(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """time.time / random.* / os.urandom / legacy np.random break replay."""
     modules, from_names = import_table(tree)
 
     def flag(node: ast.AST, what: str) -> Diagnostic:
-        return _diag(
+        return diag_at(
             path,
             node,
             "SPL003",
-            Severity.ERROR,
             f"nondeterministic source `{what}` in simulated code; use the "
             "injected numpy.random.Generator / virtual clock instead",
         )
@@ -377,13 +368,15 @@ def check_spl003(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
 # --------------------------------------------------------------------------
 
 
-@register_rule(
+register_rule(
     "SPL004",
     "message-tag-discipline",
     Severity.ERROR,
     "message tags must be (family, iteration) tuples whose family is a "
     "declared constant (e.g. VARS), not a bare string",
 )
+
+
 def check_spl004(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """Bare-string tags collide across protocols and defeat routing."""
     for node in ast.walk(tree):
@@ -400,32 +393,29 @@ def check_spl004(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
         if isinstance(tag, ast.Constant):
             if tag.value is None:
                 continue  # wildcard receive
-            yield _diag(
+            yield diag_at(
                 path,
                 tag,
                 "SPL004",
-                Severity.ERROR,
                 f"bare {type(tag.value).__name__} tag {tag.value!r}; use a "
                 "(family, iteration) tuple with a declared family constant",
             )
         elif isinstance(tag, ast.Tuple):
             if len(tag.elts) != 2:
-                yield _diag(
+                yield diag_at(
                     path,
                     tag,
                     "SPL004",
-                    Severity.ERROR,
                     f"tag tuple has {len(tag.elts)} elements; the protocol "
                     "uses (family, iteration) pairs",
                 )
             elif isinstance(tag.elts[0], ast.Constant):
                 first = tag.elts[0]
                 assert isinstance(first, ast.Constant)
-                yield _diag(
+                yield diag_at(
                     path,
                     first,
                     "SPL004",
-                    Severity.ERROR,
                     f"inline tag family {first.value!r}; declare a module-level "
                     "family constant (like VARS) and use it in the tuple",
                 )
@@ -483,7 +473,7 @@ def _rebinds_param(func: ast.FunctionDef | ast.AsyncFunctionDef, name: str) -> b
     return any(a.arg == name for a in params)
 
 
-@register_rule(
+register_rule(
     "SPL005",
     "mutable-payload-aliasing",
     Severity.WARNING,
@@ -491,6 +481,8 @@ def _rebinds_param(func: ast.FunctionDef | ast.AsyncFunctionDef, name: str) -> b
     "(or by a closure defined in it); the receiver may observe the "
     "mutation (send a copy)",
 )
+
+
 def check_spl005(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """Zero-copy simulated sends alias sender memory; late writes race.
 
@@ -528,11 +520,10 @@ def check_spl005(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                 if line <= call.lineno:
                     continue
                 if _mutates_name(node, name):
-                    yield _diag(
+                    yield diag_at(
                         path,
                         call,
                         "SPL005",
-                        Severity.WARNING,
                         f"payload `{name}` is sent by reference but mutated at "
                         f"line {line}; send `{name}.copy()` (simulated sends "
                         "are zero-copy aliases)",
@@ -549,11 +540,10 @@ def check_spl005(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                     None,
                 )
                 if hit is not None:
-                    yield _diag(
+                    yield diag_at(
                         path,
                         call,
                         "SPL005",
-                        Severity.WARNING,
                         f"payload `{name}` is sent by reference and mutated "
                         f"by nested function `{nested.name}` (line "
                         f"{getattr(hit, 'lineno', nested.lineno)}); the "
@@ -603,13 +593,15 @@ def _handler_preserves_traceback(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@register_rule(
+register_rule(
     "SPL006",
     "broad-except-swallows-interrupt",
     Severity.ERROR,
     "bare/broad except in (or around) DES process bodies can swallow "
     "Interrupt/SimulationError or drop the original traceback",
 )
+
+
 def check_spl006(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """Swallowed Interrupts deadlock cascades; lost tracebacks hide bugs."""
     for func in iter_functions(tree):
@@ -622,11 +614,10 @@ def check_spl006(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
             )
             for handler in node.handlers:
                 if handler.type is None:
-                    yield _diag(
+                    yield diag_at(
                         path,
                         handler,
                         "SPL006",
-                        Severity.ERROR,
                         "bare `except:` swallows Interrupt/SimulationError "
                         "(and KeyboardInterrupt); catch specific exceptions",
                     )
@@ -637,21 +628,19 @@ def check_spl006(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                 if _handler_reraises(handler):
                     continue
                 if in_generator and not interrupt_handled:
-                    yield _diag(
+                    yield diag_at(
                         path,
                         handler,
                         "SPL006",
-                        Severity.ERROR,
                         "broad except in a DES process body swallows "
                         "Interrupt/SimulationError; catch specific exceptions "
                         "or re-raise",
                     )
                 elif not _handler_preserves_traceback(handler):
-                    yield _diag(
+                    yield diag_at(
                         path,
                         handler,
                         "SPL006",
-                        Severity.ERROR,
                         "broad except discards the original traceback; "
                         "re-raise, pass the exception object on, or record "
                         "traceback.format_exc()",
@@ -705,7 +694,7 @@ def _under_type_checking(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> bool
     return False
 
 
-@register_rule(
+register_rule(
     "SPL007",
     "sans-io-purity",
     Severity.ERROR,
@@ -714,6 +703,8 @@ def _under_type_checking(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> bool
     "module or calls an I/O builtin; all effects must be yielded to a "
     "transport",
 )
+
+
 def check_spl007(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """The engine's whole contract is that transports own every side
     effect; one sneaked-in ``time.time()`` silently forks the DES,
@@ -726,11 +717,10 @@ def check_spl007(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
             for alias in node.names:
                 top = alias.name.split(".")[0]
                 if top in IMPURE_MODULES and not _under_type_checking(node, parents):
-                    yield _diag(
+                    yield diag_at(
                         path,
                         node,
                         "SPL007",
-                        Severity.ERROR,
                         f"sans-I/O engine module imports `{alias.name}`; "
                         "clocks, RNG, sockets and processes belong to "
                         "transports — express the need as a yielded effect",
@@ -739,11 +729,10 @@ def check_spl007(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
             top = node.module.split(".")[0]
             if top in IMPURE_MODULES and not _under_type_checking(node, parents):
                 names = ", ".join(alias.name for alias in node.names)
-                yield _diag(
+                yield diag_at(
                     path,
                     node,
                     "SPL007",
-                    Severity.ERROR,
                     f"sans-I/O engine module imports `{names}` from "
                     f"`{node.module}`; clocks, RNG, sockets and processes "
                     "belong to transports — express the need as a yielded "
@@ -751,11 +740,10 @@ def check_spl007(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                 )
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id in IMPURE_BUILTINS:
-                yield _diag(
+                yield diag_at(
                     path,
                     node,
                     "SPL007",
-                    Severity.ERROR,
                     f"sans-I/O engine module calls `{node.func.id}(...)`; "
                     "I/O belongs in a transport (yield an effect, or move "
                     "this to the driver)",
@@ -854,7 +842,7 @@ def _effect_chains(
             yield node, names, has_default
 
 
-@register_rule(
+register_rule(
     "SPL008",
     "effect-alphabet-exhaustiveness",
     Severity.ERROR,
@@ -862,6 +850,8 @@ def _effect_chains(
     "alphabet (Send/Recv/TryRecv/Charge plus a default branch for "
     "notifications); unhandled effects are silently dropped",
 )
+
+
 def check_spl008(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
     """An effect the interpreter skips never reaches the medium: a
     dropped ``Charge`` corrupts timing, a dropped ``TryRecv`` hangs a
@@ -875,11 +865,10 @@ def check_spl008(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                 continue
             missing_io = sorted(IO_EFFECTS - names)
             if missing_io:
-                yield _diag(
+                yield diag_at(
                     path,
                     head,
                     "SPL008",
-                    Severity.ERROR,
                     f"effect dispatch in `{func.name}` never handles "
                     f"{', '.join(missing_io)}; every I/O effect the engine "
                     "can yield needs a branch (see repro.engine.events)",
@@ -887,13 +876,33 @@ def check_spl008(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
             if not has_default:
                 missing_notify = sorted(NOTIFY_EFFECTS - names)
                 if missing_notify:
-                    yield _diag(
+                    yield diag_at(
                         path,
                         head,
                         "SPL008",
-                        Severity.ERROR,
                         f"effect dispatch in `{func.name}` has no default "
                         "branch and never handles the notification "
                         f"effect(s) {', '.join(missing_notify)}; add an "
                         "`else`/`case _` forwarding to the observer",
                     )
+
+
+#: code -> checker, the pack :func:`findings` iterates.
+RULE_CHECKERS: dict[str, Callable[[ast.Module, str, str], Iterator[Diagnostic]]] = {
+    "SPL001": check_spl001,
+    "SPL002": check_spl002,
+    "SPL003": check_spl003,
+    "SPL004": check_spl004,
+    "SPL005": check_spl005,
+    "SPL006": check_spl006,
+    "SPL007": check_spl007,
+    "SPL008": check_spl008,
+}
+
+
+def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
+    """Every SPL finding: the rules are per-module, so the shared parse
+    is all they take from the index."""
+    for module in index.modules:
+        for checker in RULE_CHECKERS.values():
+            yield from checker(module.tree, module.path, module.source)

@@ -21,13 +21,12 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from repro.analysis.diagnostics import RULES, SPF_RULES, Diagnostic
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.reporting import (
     SARIF_LEVELS as _LEVELS,
     SARIF_SCHEMA,
     SARIF_VERSION,
     render_sarif_document,
-    rule_catalogue_entries,
 )
 
 __all__ = [
@@ -66,11 +65,6 @@ def fingerprint(diag: Diagnostic) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
-def _rule_catalogue() -> list[dict[str, object]]:
-    """SARIF rule metadata for every registered SPL + SPF rule."""
-    return rule_catalogue_entries(RULES) + rule_catalogue_entries(SPF_RULES)
-
-
 def _result(diag: Diagnostic) -> dict[str, object]:
     return {
         "ruleId": diag.code,
@@ -93,18 +87,17 @@ def _result(diag: Diagnostic) -> dict[str, object]:
 
 def render_sarif(
     diagnostics: list[Diagnostic],
-    tool_name: str = "specflow",
-    rules: list[dict[str, object]] | None = None,
+    tool_name: str,
+    rules: list[dict[str, object]],
 ) -> str:
     """One SARIF 2.1.0 document (pretty-printed JSON) for ``diagnostics``.
 
-    ``rules`` overrides the advertised rule catalogue (specperf passes
-    its SPP registry; the default is the SPL + SPF catalogue).
+    ``rules`` is the advertised catalogue
+    (:func:`~repro.analysis.reporting.rule_catalogue_entries` of the
+    tool's prefixes; :meth:`repro.analysis.tools.Tool.render` builds it).
     """
     return render_sarif_document(
-        tool_name,
-        rules if rules is not None else _rule_catalogue(),
-        [_result(d) for d in sorted(diagnostics)],
+        tool_name, rules, [_result(d) for d in sorted(diagnostics)]
     )
 
 

@@ -19,44 +19,24 @@ from repro.analysis.taint.lattice import (
     declared_commit_points,
     unconfirmed,
 )
-from repro.analysis.taint.spectaint import (
-    analyze_modules,
-    analyze_paths,
-    analyze_source,
-    rule_catalogue,
-)
-from repro.analysis.taint.verdicts import (
-    CONFIRMED,
-    REFUTED,
-    UNOBSERVED,
-    EscapeWitness,
-    TaintVerdict,
-    check_taint,
-    find_escapes,
-)
+from repro.analysis.taint.rules import findings
+from repro.analysis.taint.verdicts import EscapeWitness, check_taint, find_escapes
 
 __all__ = [
     "COMMITS_ATTR",
     "COMMITTED",
-    "CONFIRMED",
     "EscapeWitness",
-    "REFUTED",
     "SPEC",
     "TaintAnalysis",
     "TaintContext",
     "TaintSummary",
-    "TaintVerdict",
-    "UNOBSERVED",
-    "analyze_modules",
-    "analyze_paths",
-    "analyze_source",
     "check_taint",
     "commit_lines_of",
     "commits",
     "compute_taint_summaries",
     "declared_commit_points",
     "find_escapes",
+    "findings",
     "is_commit_point",
-    "rule_catalogue",
     "unconfirmed",
 ]

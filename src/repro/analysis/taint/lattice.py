@@ -36,13 +36,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.analysis.cfg import CFG, CallGraph, CFGNode, ModuleGraphs
+from repro.analysis.cfg import CFG, CallGraph, CFGNode, ModuleGraphs, call_name
 from repro.analysis.dataflow import ForwardAnalysis, map_join, solve_forward
 from repro.analysis.typestate import (
     CHECK_NAMES,
     CORRECT_NAMES,
     SPECULATE_NAMES,
-    _call_name,
     _iter_calls,
     _payload_of,
 )
@@ -241,7 +240,7 @@ class TaintAnalysis(ForwardAnalysis["State"]):
         """Does this call enter a declared commit point?"""
         if any(s.commits for s in self.callee_summaries(call)):
             return True
-        return _call_name(call) in self.ctx.commit_names
+        return call_name(call) in self.ctx.commit_names
 
     # ----------------------------------------------------------- transfer
     def facts_of(self, expr: ast.expr, state: "State") -> frozenset[str]:
@@ -253,7 +252,7 @@ class TaintAnalysis(ForwardAnalysis["State"]):
                 return _SPEC_ONLY
             return _EMPTY
         if isinstance(expr, ast.Call):
-            name = _call_name(expr)
+            name = call_name(expr)
             if name in SPECULATE_NAMES:
                 return _SPEC_ONLY
             if any(s.returns_spec for s in self.callee_summaries(expr)):
@@ -344,7 +343,7 @@ class TaintAnalysis(ForwardAnalysis["State"]):
         # 1. Confirmation points mark their named arguments committed:
         #    check/verify/correct calls and declared commit points.
         for call in _iter_calls(stmt):
-            name = _call_name(call)
+            name = call_name(call)
             if (
                 name in CHECK_NAMES
                 or name in CORRECT_NAMES
@@ -413,7 +412,7 @@ def iter_sink_args(
             continue
         if getattr(call, "lineno", 0) in analysis.commit_lines:
             continue
-        name = _call_name(call)
+        name = call_name(call)
         if name in IO_SINK_NAMES:
             for arg in list(call.args) + [kw.value for kw in call.keywords]:
                 facts = analysis.facts_of(arg, state)

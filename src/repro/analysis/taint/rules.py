@@ -13,32 +13,32 @@ records, so escapes through call chains are found without inlining.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.analysis.cfg import CFG, CallGraph, ModuleGraphs
+from repro.analysis.cfg import CFG, CallGraph, ModuleGraphs, call_name
 from repro.analysis.dataflow import solve_forward
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    Severity,
-    SPT_RULES,
-    register_spt_rule,
-)
+from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
 from repro.analysis.taint.lattice import (
     State,
     TaintAnalysis,
     TaintContext,
-    _call_name,
     _iter_calls,
     _param_names,
-    iter_sink_args,
     args_for_params,
+    commit_lines_of,
+    compute_taint_summaries,
+    declared_commit_points,
+    iter_sink_args,
     unconfirmed,
 )
 from repro.analysis.typestate import CHECK_NAMES
 
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramIndex
+
 # ------------------------------------------------------------------ registry
 
-register_spt_rule(
+register_rule(
     "SPT301",
     "spec-escape-to-io",
     Severity.ERROR,
@@ -46,7 +46,7 @@ register_spt_rule(
     "(print/open/write/dump/...) — once emitted it cannot be rolled "
     "back when the actual value arrives and disagrees",
 )
-register_spt_rule(
+register_rule(
     "SPT302",
     "spec-escape-via-send",
     Severity.ERROR,
@@ -54,7 +54,7 @@ register_spt_rule(
     "payload without a rollback seat; the receiver cannot distinguish "
     "it from confirmed state",
 )
-register_spt_rule(
+register_rule(
     "SPT303",
     "spec-stored-past-window",
     Severity.ERROR,
@@ -62,7 +62,7 @@ register_spt_rule(
     "outlives the backward window (object attribute or module global) "
     "with no reclaim (pop/del/clear) anywhere in the module",
 )
-register_spt_rule(
+register_rule(
     "SPT304",
     "unsanitized-commit",
     Severity.ERROR,
@@ -70,7 +70,7 @@ register_spt_rule(
     "(commit/finalize/publish) that is not a declared commit point, "
     "and no check/verify of that value exists on any later path",
 )
-register_spt_rule(
+register_rule(
     "SPT305",
     "commit-before-confirm",
     Severity.ERROR,
@@ -78,7 +78,7 @@ register_spt_rule(
     "check/verify of the same value is reachable *after* the "
     "commit-style call — the operations are in the wrong order",
 )
-register_spt_rule(
+register_rule(
     "SPT306",
     "spec-in-exception-path",
     Severity.ERROR,
@@ -86,7 +86,7 @@ register_spt_rule(
     "exception; exceptions propagate past the rollback machinery and "
     "leak the speculation to handlers that cannot undo it",
 )
-register_spt_rule(
+register_rule(
     "SPT307",
     "aliased-spec-mutation",
     Severity.ERROR,
@@ -94,7 +94,7 @@ register_spt_rule(
     "caller-owned object (a parameter or a copy of one); the mutation "
     "escapes the callee's frame and outlives its rollback scope",
 )
-register_spt_rule(
+register_rule(
     "SPT308",
     "dead-rollback-handler",
     Severity.WARNING,
@@ -118,17 +118,6 @@ _RECLAIMS = frozenset({"pop", "popitem", "popleft", "clear"})
 ROLLBACK_NAMES = frozenset(
     {"rollback", "on_rollback", "undo", "unwind", "revert"}
 )
-
-
-def _diag(path: str, node: ast.AST, code: str, message: str) -> Diagnostic:
-    return Diagnostic(
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        severity=SPT_RULES[code].severity,
-        message=message,
-    )
 
 
 def _describe(expr: ast.expr) -> str:
@@ -236,7 +225,7 @@ def _confirm_reachable(
         if stmt is None:
             continue
         for call in _iter_calls(stmt):
-            if _call_name(call) not in CHECK_NAMES:
+            if call_name(call) not in CHECK_NAMES:
                 continue
             args = list(call.args) + [kw.value for kw in call.keywords]
             if any(isinstance(a, ast.Name) and a.id == var for a in args):
@@ -274,7 +263,7 @@ def check_module(
         if key in emitted or getattr(node, "lineno", 0) in commit_lines:
             return
         emitted.add(key)
-        yield _diag(module.path, node, code, message)
+        yield diag_at(module.path, node, code, message)
 
     for qualname, cfg in sorted(module.cfgs.items()):
         summary = ctx.summaries.get((module.path, qualname))
@@ -293,7 +282,7 @@ def check_module(
             for code, call, arg, facts in iter_sink_args(stmt, state, analysis):
                 if not unconfirmed(facts):
                     continue  # parameter-origin only: the caller's report
-                sink = _call_name(call)
+                sink = call_name(call)
                 yield from emit(
                     call,
                     code,
@@ -327,7 +316,7 @@ def check_module(
                                 code,
                                 f"unconfirmed speculative value "
                                 f"{_describe(arg_expr)} escapes through "
-                                f"`{_call_name(call)}(...)` in {qualname}: "
+                                f"`{call_name(call)}(...)` in {qualname}: "
                                 f"the callee's parameter `{pname}` reaches "
                                 f"an irreversible sink ({code}) down the "
                                 "call chain",
@@ -335,7 +324,7 @@ def check_module(
 
             # --- SPT304/305: commit-style calls -----------------------
             for call in _iter_calls(stmt):
-                name = _call_name(call)
+                name = call_name(call)
                 if name not in COMMIT_STYLE_NAMES:
                     continue
                 if analysis.is_commit_call(call):
@@ -386,7 +375,7 @@ def check_module(
                         if gname is not None and gname in globals_:
                             spec_store_targets.append((target, gname))
             for call in _iter_calls(stmt):
-                if _call_name(call) not in _MUTATORS:
+                if call_name(call) not in _MUTATORS:
                     continue
                 if not isinstance(call.func, ast.Attribute):
                     continue
@@ -448,7 +437,7 @@ def check_module(
                         if root is not None and root in aliases:
                             spt307_sites.append((target, root, "subscript store"))
             for call in _iter_calls(stmt):
-                if _call_name(call) not in _MUTATORS:
+                if call_name(call) not in _MUTATORS:
                     continue
                 if not isinstance(call.func, ast.Attribute):
                     continue
@@ -458,7 +447,7 @@ def check_module(
                 args = list(call.args) + [kw.value for kw in call.keywords]
                 if any(unconfirmed(analysis.facts_of(a, state)) for a in args):
                     spt307_sites.append(
-                        (call, root, f"`.{_call_name(call)}(...)`")
+                        (call, root, f"`.{call_name(call)}(...)`")
                     )
             for site, root, how in spt307_sites:
                 yield from emit(
@@ -487,7 +476,7 @@ def check_dead_rollback(
             continue
         cfg = callgraph.cfg_of(key)
         anchor: ast.AST = cfg.func if cfg is not None else ast.Pass()
-        yield _diag(
+        yield diag_at(
             path,
             anchor,
             "SPT308",
@@ -496,3 +485,22 @@ def check_dead_rollback(
             "protocol is dead — wire it into the correction path or "
             "remove it",
         )
+
+
+def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
+    """Every SPT finding over the shared parse and call graph."""
+    commit_points = declared_commit_points(index.modules)
+    commit_lines = {m.path: commit_lines_of(m.source) for m in index.modules}
+    ctx = TaintContext(
+        callgraph=index.callgraph,
+        summaries=compute_taint_summaries(
+            index.callgraph, commit_points, commit_lines
+        ),
+        commit_names=frozenset(
+            qual.rsplit(".", 1)[-1] for _, qual in commit_points
+        ),
+        commit_lines=commit_lines,
+    )
+    for module in index.modules:
+        yield from check_module(module, ctx)
+    yield from check_dead_rollback(index.callgraph, commit_points)

@@ -3,7 +3,8 @@
 A static escape finding says "on some path an unconfirmed speculative
 value reaches an irreversible effect".  A recorded
 :class:`~repro.trace.events.EventLog` can judge whether a real run
-walked such a path: every rank's events are totally ordered by ``seq``,
+walked such a path: every rank's events are totally ordered by ``seq``
+(the :class:`~repro.analysis.trace_view.TraceView` holds them so),
 a ``speculate`` opens a speculation window on its rank, and a matching
 ``verify``/``correct`` closes it — so a ``send`` emitted *while the
 window is open* is a runtime witness that speculative state reached an
@@ -29,14 +30,19 @@ every verdict — is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.trace.events import EventLog
+from repro.analysis.trace_view import (
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
+    TraceView,
+    Verdict,
+)
 
-CONFIRMED = "confirmed"
-REFUTED = "refuted"
-UNOBSERVED = "unobserved"
+if TYPE_CHECKING:
+    import argparse
 
 #: Static codes judged by the send-during-open-speculation witness.
 _ESCAPE_CODES = frozenset(
@@ -66,7 +72,7 @@ class EscapeWitness:
         )
 
 
-def find_escapes(log: EventLog) -> list[EscapeWitness]:
+def find_escapes(view: TraceView) -> list[EscapeWitness]:
     """Every send emitted during an open speculation window.
 
     Per rank, in program order: ``speculate`` opens a window keyed by
@@ -76,9 +82,9 @@ def find_escapes(log: EventLog) -> list[EscapeWitness]:
     never spurious ones).
     """
     witnesses: list[EscapeWitness] = []
-    for rank in log.ranks():
+    for rank, events in view.by_rank.items():
         open_specs: list[tuple[Optional[str], Optional[int]]] = []
-        for ev in log.for_rank(rank):
+        for ev in events:
             key = (ev.family, ev.iteration)
             if ev.kind == "speculate":
                 open_specs.append(key)
@@ -101,45 +107,21 @@ def find_escapes(log: EventLog) -> list[EscapeWitness]:
     return witnesses
 
 
-@dataclass(frozen=True)
-class TaintVerdict:
-    """One static finding judged against a recorded trace."""
-
-    code: str
-    path: str
-    line: int
-    status: str
-    detail: str
-
-    def format_text(self) -> str:
-        """``taint-verdict SPT301 @ a.py:12: CONFIRMED — ...`` (one line)."""
-        return (
-            f"taint-verdict {self.code} @ {self.path}:{self.line}: "
-            f"{self.status.upper()} — {self.detail}"
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (see the JSON reporter)."""
-        return {
-            "code": self.code,
-            "path": self.path,
-            "line": self.line,
-            "status": self.status,
-            "detail": self.detail,
-        }
-
-
 def check_taint(
-    diagnostics: Sequence[Diagnostic], log: EventLog
-) -> list[TaintVerdict]:
-    """Judge every SPT finding against one recorded trace."""
-    witnesses = find_escapes(log)
-    speculated = bool(log.of_kind("speculate"))
-    sent = bool(log.of_kind("send"))
-    verified = bool(log.of_kind("verify"))
-    corrected = bool(log.of_kind("correct"))
+    diagnostics: Sequence[Diagnostic], view: TraceView
+) -> tuple[list[EscapeWitness], list[Verdict]]:
+    """Judge every SPT finding against one recorded trace.
 
-    verdicts: list[TaintVerdict] = []
+    Returns ``(escape witnesses, verdicts)``: the one escape scan feeds
+    both the verdicts and the report's header.
+    """
+    witnesses = find_escapes(view)
+    speculated = bool(view.kind_counts["speculate"])
+    sent = bool(view.kind_counts["send"])
+    verified = bool(view.kind_counts["verify"])
+    corrected = view.kind_counts["correct"]
+
+    verdicts: list[Verdict] = []
     for diag in sorted(diagnostics):
         if not diag.code.startswith("SPT"):
             continue
@@ -164,7 +146,7 @@ def check_taint(
             if corrected:
                 status = REFUTED
                 detail = (
-                    f"{len(log.of_kind('correct'))} correct event(s): the "
+                    f"{corrected} correct event(s): the "
                     "rollback path demonstrably ran"
                 )
             elif speculated and verified:
@@ -179,13 +161,22 @@ def check_taint(
         else:  # pragma: no cover - future codes default to silence
             status = UNOBSERVED
             detail = "no trace judgement defined for this code"
+        where = f"@ {diag.path}:{diag.line}"
         verdicts.append(
-            TaintVerdict(
-                code=diag.code,
-                path=diag.path,
-                line=diag.line,
-                status=status,
-                detail=detail,
-            )
+            Verdict("taint-verdict", diag.code, where, status, None, None, detail)
         )
-    return verdicts
+    return witnesses, verdicts
+
+
+def judge(
+    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+) -> tuple[list[str], list[Verdict], int]:
+    """spectaint's ``--trace`` hook: a CONFIRMED escape fails the run."""
+    witnesses, verdicts = check_taint(diagnostics, view)
+    header = [
+        f"trace replay: {len(view.events)} event(s), "
+        f"{len(witnesses)} escape witness(es)"
+    ]
+    if not verdicts:
+        header.append("trace replay: no static SPT findings to cross-reference")
+    return header, verdicts, sum(v.status == CONFIRMED for v in verdicts)

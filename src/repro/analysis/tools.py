@@ -1,56 +1,58 @@
 """The analyzer registry: one :class:`Tool` entry per analysis family.
 
-``repro lint | analyze | perf-lint | taint | bounds`` are one CLI
-handler and one argparse loop over :data:`TOOLS`, and the umbrella
-``repro check`` iterates the same table — so a family's CLI name,
-baseline key, rule catalogue, syntax-error code, extra flags and
-trace-replay hook are each stated exactly once, here.
-
-Every tool's run is ``ProgramIndex(paths)`` + ``tool.analyze(index)``:
-one shared parse and call graph, the family's ``analyze_modules`` over
-it, and the unparseable files reported under the family's ``xxx000``
-code.
+A family is a rule table: a code prefix (its catalogue is the
+registered codes that carry it), a function from the shared parse to
+raw findings (``findings(index)``, living beside the rules) and,
+optionally, a function from a shared trace view to verdicts
+(``judge(view, diagnostics, args)``, living beside the contracts).
+Everything else is stated once, here: ``repro lint | analyze |
+perf-lint | taint | bounds`` are one CLI handler and one argparse loop
+over :data:`TOOLS`, the umbrella ``repro check`` iterates the same
+table, and :meth:`Tool.analyze` is the one driver — select, suppress,
+de-duplicate, sort — behind all of them.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.analysis import linter, specflow
-from repro.analysis.bounds import contracts as occupancy
-from repro.analysis.bounds import specbound
-from repro.analysis.diagnostics import (
-    RULES,
-    SPB_RULES,
-    SPF_RULES,
-    SPP_RULES,
-    SPT_RULES,
-    Diagnostic,
-)
-from repro.analysis.perf import contracts as costs
-from repro.analysis.perf import specperf
-from repro.analysis.program import AnalyzeModules, ProgramIndex, analyze_index
-from repro.analysis.replay import cross_reference
+from repro.analysis import rules as spl
+from repro.analysis import typestate as spf
+from repro.analysis.bounds import rules as spb
+from repro.analysis.bounds.contracts import judge as judge_occupancy
+from repro.analysis.diagnostics import Diagnostic, RuleInfo, rules_of
+from repro.analysis.linter import drop_suppressed
+from repro.analysis.perf import rules as spp
+from repro.analysis.perf.contracts import judge as judge_costs
+from repro.analysis.program import ProgramIndex
+from repro.analysis.replay import judge as judge_protocol
 from repro.analysis.reporting import (
     render_diag_json,
     render_diag_text,
     rule_catalogue_entries,
 )
 from repro.analysis.sarif import render_sarif
-from repro.analysis.taint import spectaint
-from repro.analysis.taint import verdicts as escapes
-from repro.trace.events import EventLog
+from repro.analysis.taint import rules as spt
+from repro.analysis.taint.verdicts import judge as judge_escapes
+from repro.analysis.trace_view import TraceView, Verdict
 
 #: One ``parser.add_argument(name, **kwargs)`` call.
 Flag = tuple[str, dict[str, Any]]
-#: ``(diagnostics, log, args) -> (report lines, failing count)``: judge
-#: the static findings against a recorded trace.  A non-zero failing
-#: count fails the run even when the static report is clean.
-TraceHook = Callable[
-    [list[Diagnostic], EventLog, argparse.Namespace], tuple[list[str], int]
+#: A family's ``--trace`` hook: ``(view, diagnostics, args) -> (header
+#: lines, verdicts, failing count)``.  The header is printed before the
+#: verdict lines; a non-zero failing count fails the run even when the
+#: static report is clean.
+Judge = Callable[
+    [TraceView, Sequence[Diagnostic], argparse.Namespace],
+    tuple[list[str], list[Verdict], int],
 ]
+
+
+class UnknownRuleCode(ValueError):
+    """``--select`` named a code the tool does not own (a usage error)."""
 
 
 @dataclass(frozen=True)
@@ -62,29 +64,73 @@ class Tool:
     #: Tool name: report header, SARIF driver and baseline-file key.
     name: str
     help: str
-    rules: Mapping[str, Any]
-    #: Code unparseable files are reported under.
-    syntax_code: str
-    analyze_modules: AnalyzeModules
+    #: Code prefix: the family's rules are the registered codes carrying
+    #: it, and unparseable files are reported under ``<prefix>000``.
+    prefix: str
+    #: The family's raw findings over a shared parse.
+    findings: Callable[[ProgramIndex], Iterable[Diagnostic]]
     formats: tuple[str, ...] = ("text", "json", "sarif")
     #: Flags beyond the common ``paths/--format/--select`` set.
     flags: tuple[Flag, ...] = ()
-    #: Trace-replay hook; its presence also gives the subcommand
-    #: ``--trace`` and the fingerprint-baseline flags (speclint, the
-    #: one family without it, predates both).
-    trace: Optional[TraceHook] = None
+    #: Trace hook; its presence also gives the subcommand ``--trace``
+    #: and the fingerprint-baseline flags (speclint, the one family
+    #: without it, predates both).
+    judge: Optional[Judge] = None
     trace_help: str = ""
-    #: Registries a standalone JSON / SARIF report advertises when that
-    #: is not just ``rules``: speclint and specflow predate the
+    #: Prefixes a standalone JSON / SARIF report advertises when that
+    #: is not just ``prefix``: speclint and specflow predate the
     #: per-family catalogues and list the union they always have.
-    json_rules: tuple[Mapping[str, Any], ...] = ()
-    sarif_rules: tuple[Mapping[str, Any], ...] = ()
+    json_rules: tuple[str, ...] = ()
+    sarif_rules: tuple[str, ...] = ()
+
+    @property
+    def rules(self) -> dict[str, RuleInfo]:
+        """The family's catalogue, by code."""
+        return rules_of(self.prefix)
+
+    @property
+    def syntax_code(self) -> str:
+        """Code unparseable files are reported under."""
+        return f"{self.prefix}000"
 
     def analyze(
         self, index: ProgramIndex, select: Optional[Iterable[str]] = None
     ) -> list[Diagnostic]:
-        """This family's sorted findings over a shared parse."""
-        return analyze_index(self.analyze_modules, self.syntax_code, index, select)
+        """This family's findings over a shared parse: the selected,
+        unsuppressed ones, each once, sorted, with the unparseable
+        files under :attr:`syntax_code`.
+
+        ``select`` is case-insensitive; a code that is not this
+        family's raises :class:`UnknownRuleCode` (a typo must not turn
+        a gate green).
+        """
+        found = self.findings(index)
+        if select is not None:
+            wanted = {code.upper() for code in select}
+            unknown = wanted - set(self.rules) - {self.syntax_code}
+            if unknown:
+                raise UnknownRuleCode(
+                    f"unknown rule code(s) {', '.join(sorted(unknown))}; "
+                    f"{self.name} has {', '.join(self.rules)}"
+                )
+            found = (diag for diag in found if diag.code in wanted)
+        kept = set(drop_suppressed(found, index.sources))
+        return sorted([*index.syntax_diags(self.syntax_code), *kept])
+
+    def analyze_paths(
+        self, paths: Sequence[str | Path], select: Optional[Iterable[str]] = None
+    ) -> list[Diagnostic]:
+        """Analyse every ``.py`` file under ``paths`` as one program."""
+        return self.analyze(ProgramIndex(paths), select)
+
+    def analyze_source(
+        self,
+        source: str,
+        path: str = "<string>",
+        select: Optional[Iterable[str]] = None,
+    ) -> list[Diagnostic]:
+        """Analyse one source text (testing convenience)."""
+        return self.analyze(ProgramIndex(sources={path: source}), select)
 
     def render(self, diagnostics: Sequence[Diagnostic], fmt: str) -> str:
         """The standalone report in one of :attr:`formats`."""
@@ -95,76 +141,16 @@ class Tool:
         if fmt == "json":
             catalogue = {
                 code: info.summary
-                for rules in self.json_rules or (self.rules,)
-                for code, info in rules.items()
+                for prefix in self.json_rules or (self.prefix,)
+                for code, info in rules_of(prefix).items()
             }
             return render_diag_json(diagnostics, self.name, catalogue)
         entries = [
             entry
-            for rules in self.sarif_rules or (self.rules,)
-            for entry in rule_catalogue_entries(rules)
+            for prefix in self.sarif_rules or (self.prefix,)
+            for entry in rule_catalogue_entries(rules_of(prefix))
         ]
         return render_sarif(list(diagnostics), self.name, entries)
-
-
-def _verdict_lines(verdicts: Sequence[Any], none_message: str) -> list[str]:
-    return [v.format_text() for v in verdicts] or [none_message]
-
-
-def _specflow_trace(
-    diagnostics: list[Diagnostic], log: EventLog, args: argparse.Namespace
-) -> tuple[list[str], int]:
-    report, verdicts = cross_reference(diagnostics, log, backward_window=args.bw)
-    stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
-    lines = [f"trace replay: {stats}"]
-    lines += [finding.format_text() for finding in report.findings]
-    lines += _verdict_lines(
-        verdicts, "trace replay: no static SPF findings to cross-reference"
-    )
-    return lines, len(report.findings)
-
-
-def _specperf_trace(
-    diagnostics: list[Diagnostic], log: EventLog, args: argparse.Namespace
-) -> tuple[list[str], int]:
-    measured, modeled, verdicts = costs.check_contracts(
-        diagnostics, log, p=args.model_p, tol=args.tol
-    )
-    lines = [costs.format_share_table(measured, modeled)]
-    lines += _verdict_lines(
-        verdicts, "cost contracts: no specperf findings to cross-reference"
-    )
-    return lines, sum(v.status == costs.CONFIRMED for v in verdicts)
-
-
-def _spectaint_trace(
-    diagnostics: list[Diagnostic], log: EventLog, args: argparse.Namespace
-) -> tuple[list[str], int]:
-    witnesses = escapes.find_escapes(log)
-    verdicts = escapes.check_taint(diagnostics, log)
-    lines = [
-        f"trace replay: {len(log)} event(s), "
-        f"{len(witnesses)} escape witness(es)"
-    ]
-    lines += _verdict_lines(
-        verdicts, "trace replay: no static SPT findings to cross-reference"
-    )
-    return lines, sum(v.status == escapes.CONFIRMED for v in verdicts)
-
-
-def _specbound_trace(
-    diagnostics: list[Diagnostic], log: EventLog, args: argparse.Namespace
-) -> tuple[list[str], int]:
-    verdicts = occupancy.check_occupancy(
-        log, p=args.model_p, fw=args.model_fw, bw=args.model_bw
-    )
-    lines = [
-        f"occupancy contracts: {len(log)} event(s), "
-        f"{len(verdicts)} contract(s) checked at "
-        f"(fw={args.model_fw}, bw={args.model_bw})"
-    ]
-    lines += [v.format_text() for v in verdicts]
-    return lines, sum(v.status == occupancy.REFUTED for v in verdicts)
 
 
 def _model_p(what: str) -> Flag:
@@ -179,9 +165,8 @@ TOOLS: tuple[Tool, ...] = (
         cli="lint",
         name="speclint",
         help="run speclint (protocol-aware static analysis)",
-        rules=RULES,
-        syntax_code="SPL000",
-        analyze_modules=linter.analyze_modules,
+        prefix="SPL",
+        findings=spl.findings,
         formats=("text", "json"),
         flags=(
             ("--sanitize-selftest", dict(
@@ -190,16 +175,15 @@ TOOLS: tuple[Tool, ...] = (
                 "sanitizer",
             )),
         ),
-        json_rules=(RULES, SPF_RULES, SPP_RULES),
+        json_rules=("SPL", "SPF", "SPP"),
     ),
     Tool(
         cli="analyze",
         name="specflow",
         help="run specflow (interprocedural type-state + happens-before "
         "analysis, rules SPF1xx)",
-        rules=SPF_RULES,
-        syntax_code="SPF000",
-        analyze_modules=specflow.analyze_modules,
+        prefix="SPF",
+        findings=spf.findings,
         flags=(
             ("--bw", dict(
                 type=int, default=4, metavar="N",
@@ -207,20 +191,19 @@ TOOLS: tuple[Tool, ...] = (
                 "check",
             )),
         ),
-        trace=_specflow_trace,
+        judge=judge_protocol,
         trace_help="replay a recorded event log (JSONL) against the protocol "
         "model and cross-reference the static findings",
-        json_rules=(RULES, SPF_RULES, SPP_RULES),
-        sarif_rules=(RULES, SPF_RULES),
+        json_rules=("SPL", "SPF", "SPP"),
+        sarif_rules=("SPL", "SPF"),
     ),
     Tool(
         cli="perf-lint",
         name="specperf",
         help="run specperf (static hot-path cost analysis with "
         "trace-validated phase-cost contracts, rules SPP2xx)",
-        rules=SPP_RULES,
-        syntax_code="SPP000",
-        analyze_modules=specperf.analyze_modules,
+        prefix="SPP",
+        findings=spp.findings,
         flags=(
             _model_p("model budget"),
             ("--tol", dict(
@@ -229,7 +212,7 @@ TOOLS: tuple[Tool, ...] = (
                 "(default: 0.05)",
             )),
         ),
-        trace=_specperf_trace,
+        judge=judge_costs,
         trace_help="replay a recorded event log (JSONL), measure per-phase "
         "time shares, and judge findings against the model's phase budget",
     ),
@@ -238,10 +221,9 @@ TOOLS: tuple[Tool, ...] = (
         name="spectaint",
         help="run spectaint (speculation-escape & rollback-safety "
         "abstract interpretation, rules SPT3xx)",
-        rules=SPT_RULES,
-        syntax_code="SPT000",
-        analyze_modules=spectaint.analyze_modules,
-        trace=_spectaint_trace,
+        prefix="SPT",
+        findings=spt.findings,
+        judge=judge_escapes,
         trace_help="replay a recorded event log (JSONL): mark each finding "
         "CONFIRMED (a send ran during an open speculation window), "
         "REFUTED or UNOBSERVED",
@@ -251,9 +233,8 @@ TOOLS: tuple[Tool, ...] = (
         name="specbound",
         help="run specbound (static speculation-resource bound analysis "
         "with trace-validated occupancy contracts, rules SPB4xx)",
-        rules=SPB_RULES,
-        syntax_code="SPB000",
-        analyze_modules=specbound.analyze_modules,
+        prefix="SPB",
+        findings=spb.findings,
         flags=(
             _model_p("bound evaluation"),
             ("--model-fw", dict(
@@ -266,7 +247,7 @@ TOOLS: tuple[Tool, ...] = (
                 "(default: 2, the N-body speculator's)",
             )),
         ),
-        trace=_specbound_trace,
+        judge=judge_occupancy,
         trace_help="check the symbolic occupancy bounds against a recorded "
         "event log's observed per-rank maxima (history-ring span, inbox "
         "depth, in-flight sends, cascade depth, event count); each "

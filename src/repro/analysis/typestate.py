@@ -28,20 +28,28 @@ The SPF101 pass runs on the dataflow engine
 (:mod:`repro.analysis.dataflow`) over per-function CFGs
 (:mod:`repro.analysis.cfg`); SPF102/SPF103 are syntactic
 per-function passes that share the same function inventory.
+
+:func:`findings` is the specflow family as ``repro analyze`` runs it:
+these three passes plus the happens-before pair (SPF110/SPF111) of
+:mod:`repro.analysis.races`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.analysis.cfg import CFG, CallGraph, CFGNode, ModuleGraphs
+from repro.analysis.cfg import CallGraph, CFGNode, ModuleGraphs, call_name
 from repro.analysis.dataflow import ForwardAnalysis, map_join, solve_forward
-from repro.analysis.diagnostics import Diagnostic, Severity, register_spf_rule
+from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
+from repro.analysis.races import build_static_hb, check_spf110, check_spf111
+
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramIndex
 
 # ------------------------------------------------------------------ registry
 
-register_spf_rule(
+register_rule(
     "SPF101",
     "speculated-value-escapes-unverified",
     Severity.ERROR,
@@ -49,7 +57,7 @@ register_spf_rule(
     "(send/broadcast payload) without passing a check/verify on some "
     "control-flow path (interprocedural via return-value summaries)",
 )
-register_spf_rule(
+register_rule(
     "SPF102",
     "stale-history-speculation",
     Severity.ERROR,
@@ -57,7 +65,7 @@ register_spf_rule(
     "trimmed to the backward window, so arbitrarily old values can be "
     "consumed by a prediction",
 )
-register_spf_rule(
+register_rule(
     "SPF103",
     "out-of-order-correction",
     Severity.ERROR,
@@ -80,14 +88,6 @@ VERIFIED = "verified"  # that value has been checked on this path
 
 _EMPTY: frozenset[str] = frozenset()
 _SPEC_ONLY: frozenset[str] = frozenset({SPEC})
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
 
 
 def _iter_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
@@ -129,7 +129,7 @@ def _iter_calls_deep(stmt: ast.stmt) -> Iterator[ast.Call]:
 
 def _payload_of(call: ast.Call) -> Optional[ast.expr]:
     """The payload argument of a send/broadcast call, if present."""
-    name = _call_name(call)
+    name = call_name(call)
     if name == "send":
         if len(call.args) > 1:
             return call.args[1]
@@ -190,7 +190,7 @@ class SpecTaintAnalysis(ForwardAnalysis[State]):
         if isinstance(expr, ast.Name):
             return state.get(expr.id, _EMPTY)
         if isinstance(expr, ast.Call):
-            name = _call_name(expr)
+            name = call_name(expr)
             if name in SPECULATE_NAMES or id(expr) in self._spec_callees:
                 return _SPEC_ONLY
             return _EMPTY  # opaque calls launder taint (compute etc.)
@@ -247,7 +247,7 @@ class SpecTaintAnalysis(ForwardAnalysis[State]):
         new = dict(state)
         # 1. check/verify marks its named spec arguments as verified.
         for call in _iter_calls(stmt):
-            if _call_name(call) in CHECK_NAMES:
+            if call_name(call) in CHECK_NAMES:
                 for arg in list(call.args) + [kw.value for kw in call.keywords]:
                     if isinstance(arg, ast.Name):
                         facts = new.get(arg.id, _EMPTY)
@@ -271,17 +271,6 @@ class SpecTaintAnalysis(ForwardAnalysis[State]):
                 if isinstance(target, ast.Name):
                     new.pop(target.id, None)
         return new
-
-
-def _diag(path: str, node: ast.AST, code: str, message: str) -> Diagnostic:
-    return Diagnostic(
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        severity=Severity.ERROR,
-        message=message,
-    )
 
 
 def _unverified(facts: frozenset[str]) -> bool:
@@ -340,7 +329,7 @@ def check_spf101(
             assert node.stmt is not None
             state = states[node.uid]
             for call in _iter_calls(node.stmt):
-                if _call_name(call) not in COMMIT_NAMES:
+                if call_name(call) not in COMMIT_NAMES:
                     continue
                 payload = _payload_of(call)
                 if not isinstance(payload, ast.Name):
@@ -351,12 +340,12 @@ def check_spf101(
                 if key in seen:
                     continue
                 seen.add(key)
-                yield _diag(
+                yield diag_at(
                     module.path,
                     call,
                     "SPF101",
                     f"speculated value `{payload.id}` reaches "
-                    f"`{_call_name(call)}(...)` in {qualname} without a "
+                    f"`{call_name(call)}(...)` in {qualname} without a "
                     "check/verify on this path; verify (or correct) before "
                     "committing speculative state to other ranks",
                 )
@@ -394,7 +383,7 @@ def check_spf102(module: ModuleGraphs) -> Iterator[Diagnostic]:
             stmt = node.stmt
             assert stmt is not None
             for call in _iter_calls(stmt):
-                name = _call_name(call)
+                name = call_name(call)
                 if name == "append" and isinstance(call.func, ast.Attribute):
                     root = _subscript_root(call.func.value)
                     if root is not None:
@@ -455,7 +444,7 @@ def check_spf102(module: ModuleGraphs) -> Iterator[Diagnostic]:
                         if name in members:
                             roots.add(root)
             for root in sorted(roots):
-                yield _diag(
+                yield diag_at(
                     module.path,
                     call,
                     "SPF102",
@@ -475,7 +464,7 @@ def check_spf102(module: ModuleGraphs) -> Iterator[Diagnostic]:
 def _is_descending_iter(expr: ast.expr) -> bool:
     """Does the loop iterable run in descending order?"""
     if isinstance(expr, ast.Call):
-        name = _call_name(expr)
+        name = call_name(expr)
         if name == "reversed":
             return True
         if name == "sorted":
@@ -512,7 +501,7 @@ def check_spf103(module: ModuleGraphs) -> Iterator[Diagnostic]:
             if not _is_descending_iter(stmt.iter):
                 continue
             for call in _iter_calls_deep(stmt):
-                name = _call_name(call)
+                name = call_name(call)
                 is_correct = name in CORRECT_NAMES
                 if not is_correct and name in ("compute", "advance"):
                     is_correct = any(
@@ -523,7 +512,7 @@ def check_spf103(module: ModuleGraphs) -> Iterator[Diagnostic]:
                     )
                 if is_correct and (call.lineno, call.col_offset) not in seen:
                     seen.add((call.lineno, call.col_offset))
-                    yield _diag(
+                    yield diag_at(
                         module.path,
                         call,
                         "SPF103",
@@ -532,3 +521,16 @@ def check_spf103(module: ModuleGraphs) -> Iterator[Diagnostic]:
                         "iterations oldest-first (ascending), or later "
                         "recomputes consume still-stale state",
                     )
+
+
+def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
+    """Every SPF finding: the type-state passes here, then the
+    happens-before pair of :mod:`repro.analysis.races`."""
+    summaries = compute_summaries(index.callgraph)
+    for module in index.modules:
+        yield from check_spf101(module, index.callgraph, summaries)
+        yield from check_spf102(module)
+        yield from check_spf103(module)
+    graph, sites = build_static_hb(index.modules, index.callgraph)
+    yield from check_spf110(sites)
+    yield from check_spf111(graph, sites)

@@ -572,6 +572,7 @@ def _cmd_tool(args: argparse.Namespace) -> int:
     from repro.analysis.baselines import load_baselines, set_baseline
     from repro.analysis.program import ProgramIndex
     from repro.analysis.sarif import apply_baseline, fingerprint
+    from repro.analysis.tools import UnknownRuleCode
 
     tool = args.tool
     if args.sanitize_selftest:
@@ -580,10 +581,10 @@ def _cmd_tool(args: argparse.Namespace) -> int:
         return run_selftest()
     try:
         index = ProgramIndex(args.paths or ["src"])
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
+        diagnostics = tool.analyze(index, select=args.select)
+    except (FileNotFoundError, UnknownRuleCode) as exc:
+        print(f"{tool.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    diagnostics = tool.analyze(index, select=args.select)
     if args.write_baseline:
         prints = frozenset(fingerprint(d) for d in diagnostics)
         try:
@@ -606,17 +607,18 @@ def _cmd_tool(args: argparse.Namespace) -> int:
     print(tool.render(diagnostics, args.format).rstrip("\n"))
     failing = 0
     if args.trace:
+        from repro.analysis.trace_view import TraceView
         from repro.trace import EventLog
 
         try:
-            log = EventLog.load(args.trace)
+            view = TraceView(EventLog.load(args.trace))
         except (OSError, ValueError, TypeError) as exc:
             print(f"{tool.name}: cannot read trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        lines, failing = tool.trace(diagnostics, log, args)
+        header, verdicts, failing = tool.judge(view, diagnostics, args)
         # Keep machine-readable stdout parseable: verdicts go to stderr.
         out = sys.stdout if args.format == "text" else sys.stderr
-        for line in lines:
+        for line in [*header, *(v.format_text() for v in verdicts)]:
             print(line, file=out)
     return EXIT_FINDINGS if diagnostics or failing else EXIT_CLEAN
 
@@ -642,7 +644,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         index = ProgramIndex(args.paths or ["src"])
     except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
+        print(f"repro check: {exc}", file=sys.stderr)
         return EXIT_USAGE
     index.callgraph  # build once, outside any single tool's timing
     parse_seconds = time.perf_counter() - parse_start
@@ -980,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="only run the given rule (repeatable), e.g. --select "
             f"{min(tool.rules)}",
         )
-        if tool.trace is not None:
+        if tool.judge is not None:
             p_tool.add_argument(
                 "--baseline",
                 metavar="FILE",

@@ -1,0 +1,232 @@
+"""The one driver, tested once for every family.
+
+``Tool.analyze`` (select, suppress, de-duplicate, sort, syntax errors)
+and the one CLI handler behind ``repro lint | analyze | perf-lint |
+taint | bounds`` are the same code for all five families, so what they
+promise is asserted here once, parametrized over ``TOOLS``.  What is
+particular to a family — which fixture fires which rule, attribution,
+the taint lattice, symbolic bounds, the contracts' semantics — stays in
+its own ``tests/test_spec*.py``.
+"""
+
+import json
+import pathlib
+import shutil
+
+import pytest
+
+from repro.analysis import RULES, ProgramIndex
+from repro.analysis.tools import TOOLS, UnknownRuleCode
+from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+#: tool -> (a fixture that fires ``code``, a clean fixture, ``code``,
+#: a second fixture firing a different rule of the family).
+CASES = {
+    "speclint": ("bad_spl001_unawaited.py", "good_protocol.py", "SPL001",
+                 "bad_spl004_tags.py"),
+    "specflow": ("bad_spf110_orphan.py", "good_protocol.py", "SPF110",
+                 "bad_spf103_descending.py"),
+    "specperf": ("bad_spp203_alloc.py", "good_hot_path.py", "SPP203",
+                 "bad_spp201_sendcopy.py"),
+    "spectaint": ("bad_spt301_io.py", "good_confirmed.py", "SPT301",
+                  "bad_spt306_raise.py"),
+    "specbound": ("bad_bare_deque.py", "good_ring_window.py", "SPB403",
+                  "bad_literal_trim.py"),
+}
+
+every_tool = pytest.mark.parametrize("tool", TOOLS, ids=lambda tool: tool.name)
+
+
+def _case(tool):
+    bad, good, code, other = CASES[tool.name]
+    fixtures = TESTS / f"{tool.name}_fixtures"
+    return fixtures / bad, fixtures / good, code, fixtures / other
+
+
+def _codes(diagnostics):
+    return sorted({d.code for d in diagnostics})
+
+
+@pytest.fixture(scope="module")
+def src_index():
+    """``src/`` parsed once for the five ``src is clean`` cases."""
+    return ProgramIndex([SRC])
+
+
+# ----------------------------------------------------------- the registry
+
+
+@every_tool
+def test_catalogue_is_the_codes_with_the_tools_prefix(tool):
+    assert tool.rules
+    assert list(tool.rules) == sorted(
+        code for code in RULES if code.startswith(tool.prefix)
+    )
+    for code, info in tool.rules.items():
+        assert info.code == code and info.name and info.summary
+    assert tool.syntax_code == f"{tool.prefix}000"
+    assert tool.syntax_code not in RULES
+
+
+def test_every_rule_belongs_to_exactly_one_tool():
+    owners = {code: [t.name for t in TOOLS if code in t.rules] for code in RULES}
+    assert all(len(names) == 1 for names in owners.values()), owners
+    assert len(RULES) == 37
+
+
+# ------------------------------------------------------------- the driver
+
+
+@every_tool
+def test_select_restricts_and_is_case_insensitive(tool):
+    bad, _good, code, other = _case(tool)
+    both = tool.analyze_paths([bad, other])
+    assert len(_codes(both)) == 2 and code in _codes(both)
+    assert _codes(tool.analyze_paths([bad, other], select=[code])) == [code]
+    assert tool.analyze_paths([bad, other], select=[code.lower()]) == [
+        d for d in both if d.code == code
+    ]
+    assert tool.analyze_paths([bad], select=[tool.syntax_code]) == []
+
+
+@every_tool
+def test_select_rejects_unknown_and_foreign_codes(tool):
+    bad, _good, _code, _other = _case(tool)
+    foreign = next(t for t in TOOLS if t is not tool).rules
+    for wrong in ("NOPE", min(foreign)):
+        with pytest.raises(UnknownRuleCode, match=f"{wrong}.*{min(tool.rules)}"):
+            tool.analyze_paths([bad], select=[wrong])
+
+
+@every_tool
+@pytest.mark.parametrize("spelling", [t.name for t in TOOLS])
+def test_any_familys_directive_silences_a_finding(tool, spelling):
+    bad, _good, code, _other = _case(tool)
+    source = bad.read_text()
+    found = [d for d in tool.analyze_source(source, path="<t>") if d.code == code]
+    assert found
+    lines = source.splitlines()
+    for line in {d.line for d in found}:
+        lines[line - 1] += f"  # {spelling}: disable={code}"
+    silenced = tool.analyze_source("\n".join(lines) + "\n", path="<t>")
+    assert code not in _codes(silenced)
+
+
+@every_tool
+def test_syntax_error_yields_the_tools_000_code(tool):
+    diags = tool.analyze_source("def broken(:\n", path="broken.py")
+    assert [(d.path, d.code) for d in diags] == [("broken.py", tool.syntax_code)]
+    # ... whatever is selected: an unparseable file is never silent.
+    selected = tool.analyze_source("def broken(:\n", select=[min(tool.rules)])
+    assert _codes(selected) == [tool.syntax_code]
+
+
+@every_tool
+def test_src_is_clean(tool, src_index):
+    assert tool.analyze(src_index) == []
+
+
+@every_tool
+def test_each_finding_is_reported_once_and_in_order(tool):
+    diags = tool.analyze_paths([TESTS / f"{tool.name}_fixtures"])
+    assert diags == sorted(set(diags))
+
+
+def test_same_named_senders_in_two_files_report_each_race_once(tmp_path):
+    """Two copies of one racy module analysed as one program: SPF111's
+    messages name functions, not files, so the cross-file pairs used to
+    come out as exact duplicates (6 findings, one of them twice)."""
+    specflow = next(tool for tool in TOOLS if tool.name == "specflow")
+    race = TESTS / "specflow_fixtures" / "bad_spf111_race.py"
+    for name in ("a.py", "b.py"):
+        shutil.copy(race, tmp_path / name)
+    diags = specflow.analyze_paths([tmp_path])
+    assert _codes(diags) == ["SPF111"]
+    assert len(diags) == len(set(diags)) == 5
+
+
+@every_tool
+def test_two_runs_render_identical_bytes(tool):
+    fixtures = TESTS / f"{tool.name}_fixtures"
+    for fmt in tool.formats:
+        first = tool.render(tool.analyze_paths([fixtures]), fmt)
+        assert first == tool.render(tool.analyze_paths([fixtures]), fmt)
+
+
+# ---------------------------------------------------------------- the CLI
+
+
+@every_tool
+def test_cli_exit_codes(tool, capsys):
+    bad, good, code, _other = _case(tool)
+    assert main([tool.cli, str(bad)]) == EXIT_FINDINGS
+    assert code in capsys.readouterr().out
+    assert main([tool.cli, str(good)]) == EXIT_CLEAN
+    assert capsys.readouterr().out == f"{tool.name}: clean\n"
+    assert main([tool.cli, str(bad), "--select", code.lower()]) == EXIT_FINDINGS
+    capsys.readouterr()
+
+
+@every_tool
+def test_cli_usage_errors_name_the_tool_that_ran(tool, capsys):
+    bad, _good, _code, _other = _case(tool)
+    assert main([tool.cli, "no/such/path"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{tool.name}: no such path: no/such/path\n"
+    # A typo in --select must not turn the gate green.
+    assert main([tool.cli, str(bad), "--select", "NOPE"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{tool.name}: unknown rule code(s) NOPE; ")
+    assert all(code in captured.err for code in tool.rules)
+
+
+def test_check_usage_error_names_check(capsys):
+    assert main(["check", "no/such/path"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "repro check: no such path: no/such/path\n"
+
+
+@every_tool
+def test_cli_json_and_sarif_documents_name_the_tool(tool, capsys):
+    bad, _good, code, _other = _case(tool)
+    for fmt in tool.formats:
+        if fmt == "text":
+            continue
+        assert main([tool.cli, str(bad), "--format", fmt]) == EXIT_FINDINGS
+        doc = json.loads(capsys.readouterr().out)
+        if fmt == "json":
+            assert doc["tool"] == tool.name
+            assert set(tool.rules) <= set(doc["rules"])
+            assert doc["summary"]["total"] == len(doc["diagnostics"]) > 0
+            assert code in {d["code"] for d in doc["diagnostics"]}
+        else:
+            run = doc["runs"][0]
+            assert run["tool"]["driver"]["name"] == tool.name
+            assert set(tool.rules) <= {r["id"] for r in run["tool"]["driver"]["rules"]}
+            assert code in {r["ruleId"] for r in run["results"]}
+            for result in run["results"]:
+                assert "speclint/v1" in result["partialFingerprints"]
+
+
+@every_tool
+def test_cli_baseline_write_gate_new_finding(tool, tmp_path, capsys):
+    if tool.judge is None:
+        pytest.skip(f"{tool.name} has no --baseline")
+    bad, _good, code, other = _case(tool)
+    tree, baseline = tmp_path / "tree", tmp_path / "baselines.json"
+    tree.mkdir()
+    shutil.copy(bad, tree)
+    assert main([tool.cli, str(tree), "--write-baseline", str(baseline)]) == EXIT_CLEAN
+    assert tool.name in json.loads(baseline.read_text())["tools"]
+    assert main([tool.cli, str(tree), "--baseline", str(baseline)]) == EXIT_CLEAN
+    capsys.readouterr()
+    shutil.copy(other, tree)  # a new finding: the gate fails on it alone
+    assert main([tool.cli, str(tree), "--baseline", str(baseline)]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert other.name in out and bad.name not in out and code not in out
+    missing = str(tmp_path / "missing.json")
+    assert main([tool.cli, str(tree), "--baseline", missing]) == EXIT_USAGE

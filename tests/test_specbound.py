@@ -10,20 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import CONFIRMED, REFUTED, UNOBSERVED, Severity, TraceView
 from repro.analysis.baselines import load_baselines
 from repro.analysis.bounds import (
-    CONFIRMED,
     OCCUPANCY_BOUNDS,
     PARAMS,
-    REFUTED,
-    UNOBSERVED,
     Add,
     Const,
     Max,
     Mul,
     Param,
-    analyze_paths,
-    analyze_source,
     cascade_bound,
     check_occupancy,
     event_count_bound,
@@ -35,12 +31,15 @@ from repro.analysis.bounds import (
     observed_inbox_depths,
     observed_inflight_sends,
     observed_ring_spans,
-    rule_catalogue,
 )
-from repro.analysis.diagnostics import SPB_RULES, Severity, all_spb_codes
 from repro.analysis.linter import parse_suppressions
+from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.trace.events import EventLog
+
+SPECBOUND = next(tool for tool in TOOLS if tool.name == "specbound")
+analyze_paths = SPECBOUND.analyze_paths
+analyze_source = SPECBOUND.analyze_source
 
 FIXTURES = Path(__file__).parent / "specbound_fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -56,12 +55,11 @@ def _codes_of(path):
 
 
 def test_all_spb_rules_registered():
-    assert all_spb_codes() == ALL_CODES
-    assert set(rule_catalogue()) == set(ALL_CODES)
+    assert list(SPECBOUND.rules) == ALL_CODES
     errors = {"SPB401", "SPB404"}
     for code in ALL_CODES:
         expected = Severity.ERROR if code in errors else Severity.WARNING
-        assert SPB_RULES[code].severity is expected
+        assert SPECBOUND.rules[code].severity is expected
 
 
 # --------------------------------------------------------------- fixtures
@@ -239,29 +237,42 @@ def _flooded_log(depth=5):
 
 
 def test_healthy_log_confirms_every_contract():
-    verdicts = check_occupancy(_healthy_log(), fw=1, bw=2)
+    verdicts = check_occupancy(TraceView(_healthy_log()), fw=1, bw=2)
     # 3 per-rank metrics x 2 ranks + run-scoped cascade + events.
     assert len(verdicts) == 8
     assert {v.status for v in verdicts} == {CONFIRMED}
 
 
 def test_flooded_inbox_refutes_the_fw_bound():
-    verdicts = check_occupancy(_flooded_log(depth=5), fw=1, bw=2)
-    by_key = {(v.metric, v.scope): v for v in verdicts}
-    inbox = by_key[("inbox", "rank 1")]
+    verdicts = check_occupancy(TraceView(_flooded_log(depth=5)), fw=1, bw=2)
+    by_key = {(v.rule, v.where): v for v in verdicts}
+    inbox = by_key[("inbox", "[rank 1]")]
     assert inbox.status == REFUTED
     assert inbox.observed == 5 and inbox.bound == 2
     # The same flood shows up as the sender's in-flight excess.
-    assert by_key[("in-flight", "rank 0")].status == REFUTED
+    assert by_key[("in-flight", "[rank 0]")].status == REFUTED
     # A wide enough window would have made it legal.
-    wide = {(v.metric, v.scope): v for v in check_occupancy(_flooded_log(5), fw=4)}
-    assert wide[("inbox", "rank 1")].status == CONFIRMED
+    wide = {
+        (v.rule, v.where): v
+        for v in check_occupancy(TraceView(_flooded_log(5)), fw=4)
+    }
+    assert wide[("inbox", "[rank 1]")].status == CONFIRMED
+
+
+def test_verdicts_keep_their_textual_order_past_ten_ranks():
+    log = EventLog()
+    for rank in range(11):
+        log.record("compute", rank, 0.0)
+    inbox = [
+        v.where for v in check_occupancy(TraceView(log)) if v.rule == "inbox"
+    ]
+    assert inbox[:4] == ["[rank 0]", "[rank 1]", "[rank 10]", "[rank 2]"]
 
 
 def test_untagged_log_is_unobserved_not_refuted():
     log = EventLog()
     log.record("compute", 0, 0.0)
-    verdicts = check_occupancy(log, fw=1, bw=2)
+    verdicts = check_occupancy(TraceView(log), fw=1, bw=2)
     assert {v.status for v in verdicts} == {UNOBSERVED}
     assert all(v.observed == 0 for v in verdicts)
 
@@ -271,7 +282,7 @@ def test_observed_ring_spans_track_channel_lag():
     log.record_message("recv", 0, 1.0, peer=1, tag=("vars", 5))
     log.record_message("recv", 0, 2.0, peer=2, tag=("vars", 2))
     # Fast channel at iteration 5, slow at 2: span 5 - 2 + 2.
-    assert observed_ring_spans(log) == {0: 5}
+    assert observed_ring_spans(TraceView(log)) == {0: 5}
 
 
 def test_observed_inbox_depth_is_per_family():
@@ -280,29 +291,31 @@ def test_observed_inbox_depth_is_per_family():
     log.record_message("send", 0, 2.0, peer=1, tag=("barrier", 1))
     log.record_message("recv", 1, 3.0, peer=0, tag=("vars", 1))
     # One outstanding message per family, never two on one channel.
-    assert observed_inbox_depths(log) == {1: 1}
-    assert observed_inflight_sends(log) == {0: 1}
+    view = TraceView(log)
+    assert observed_inbox_depths(view) == {1: 1}
+    assert observed_inflight_sends(view) == {0: 1}
 
 
 def test_observed_cascade_depth_counts_consecutive_corrections():
     log = EventLog()
     for iteration, kind in enumerate(["correct", "correct", "compute", "correct"]):
         log.record(kind, 0, float(iteration), family="vars", iteration=iteration)
-    assert observed_cascade_depth(log) == 2
-    assert observed_cascade_depth(EventLog()) is None
+    assert observed_cascade_depth(TraceView(log)) == 2
+    assert observed_cascade_depth(TraceView(EventLog())) is None
 
 
 def test_inferred_iterations_is_max_tag_plus_one():
-    assert inferred_iterations(_healthy_log()) == 4
-    assert inferred_iterations(EventLog()) is None
+    assert inferred_iterations(TraceView(_healthy_log())) == 4
+    assert inferred_iterations(TraceView(EventLog())) is None
 
 
 def test_verdict_format_text_shape():
-    verdicts = check_occupancy(_flooded_log(depth=5), fw=1, bw=2)
+    verdicts = check_occupancy(TraceView(_flooded_log(depth=5)), fw=1, bw=2)
     refuted = [v for v in verdicts if v.status == REFUTED]
-    text = refuted[0].format_text()
-    assert text.startswith("occupancy-contract ")
-    assert "REFUTED" in text and "vs bound" in text
+    assert refuted[0].format_text() == (
+        "occupancy-contract in-flight [rank 0]: REFUTED — "
+        "observed 5 vs bound 2 = (p - 1) * (fw + 1)"
+    )
 
 
 # ------------------------------------------------------------ EventLog cap

@@ -16,27 +16,32 @@ import pathlib
 import pytest
 
 from repro.analysis import (
-    SPF_RULES,
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
     Diagnostic,
     Severity,
-    all_spf_codes,
-    analyze_paths,
-    analyze_source,
+    TraceView,
     apply_baseline,
     cross_reference,
     fingerprint,
-    render_sarif,
     replay,
 )
 from repro.analysis.baselines import baseline_for, set_baseline
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.races import build_static_hb, collect_comm_sites
 from repro.analysis.replay import build_dynamic_hb, event_key
+from repro.analysis.tools import TOOLS
 from repro.cli import main
 from repro.parallel import MPRunner
 from repro.trace import EventLog, TraceEvent, split_tag
 
 from tests.toy_programs import CoupledIncrement
+
+SPECFLOW = next(tool for tool in TOOLS if tool.name == "specflow")
+SPF_RULES = SPECFLOW.rules
+analyze_paths = SPECFLOW.analyze_paths
+analyze_source = SPECFLOW.analyze_source
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "specflow_fixtures"
@@ -54,7 +59,7 @@ def codes(diagnostics):
 
 # ------------------------------------------------------------ rule registry
 def test_spf_registry_catalogue():
-    assert all_spf_codes() == ["SPF101", "SPF102", "SPF103", "SPF110", "SPF111"]
+    assert list(SPF_RULES) == ["SPF101", "SPF102", "SPF103", "SPF110", "SPF111"]
     for code, info in SPF_RULES.items():
         assert info.code == code
         assert info.summary
@@ -234,7 +239,7 @@ def test_replay_clean_log_has_no_findings():
     _msg(log, 0, 1, 0)
     log.record("speculate", rank=1, time=0.0, peer=0, family="vars", iteration=1)
     log.record("verify", rank=1, time=0.0, peer=0, family="vars", iteration=1)
-    report = replay(log)
+    report = replay(TraceView(log))
     assert report.findings == []
     assert report.matched_messages == 1
 
@@ -242,7 +247,7 @@ def test_replay_clean_log_has_no_findings():
 def test_replay_flags_unverified_speculation():
     log = EventLog()
     log.record("speculate", rank=1, time=0.0, peer=0, family="vars", iteration=3)
-    report = replay(log)
+    report = replay(TraceView(log))
     assert [f.code for f in report.findings] == ["SPF101"]
 
 
@@ -251,17 +256,17 @@ def test_replay_flags_stale_speculation():
     log.record("compute", rank=0, time=0.0, iteration=9)
     log.record("speculate", rank=0, time=0.0, peer=1, family="vars", iteration=2)
     log.record("verify", rank=0, time=0.0, peer=1, family="vars", iteration=2)
-    report = replay(log, backward_window=4)
+    report = replay(TraceView(log), backward_window=4)
     assert [f.code for f in report.findings] == ["SPF102"]
     # A wide-enough window accepts the same trace.
-    assert replay(log, backward_window=10).findings == []
+    assert replay(TraceView(log), backward_window=10).findings == []
 
 
 def test_replay_flags_descending_corrections():
     log = EventLog()
     log.record("correct", rank=0, time=0.0, peer=1, iteration=5)
     log.record("correct", rank=0, time=0.0, peer=1, iteration=4)
-    report = replay(log)
+    report = replay(TraceView(log))
     assert [f.code for f in report.findings] == ["SPF103"]
 
 
@@ -269,7 +274,7 @@ def test_replay_flags_unmatched_messages():
     log = EventLog()
     _msg(log, 0, 1, 0, recv=False)
     log.record("recv", rank=0, time=0.0, peer=1, family="acks", iteration=0)
-    report = replay(log)
+    report = replay(TraceView(log))
     assert [f.code for f in report.findings] == ["SPF110", "SPF110"]
     assert report.unmatched_sends == 1
     assert report.unmatched_recvs == 1
@@ -282,7 +287,7 @@ def test_replay_flags_message_overtaking():
     # Rank 1 sees iteration 1 *before* iteration 0: overtaking.
     log.record("recv", rank=1, time=0.0, peer=0, family="vars", iteration=1)
     log.record("recv", rank=1, time=0.0, peer=0, family="vars", iteration=0)
-    report = replay(log)
+    report = replay(TraceView(log))
     assert [f.code for f in report.findings] == ["SPF111"]
 
 
@@ -297,18 +302,23 @@ def _diag(code):
 def test_cross_reference_confirmed_and_refuted():
     log = EventLog()
     _msg(log, 0, 1, 0, recv=False)   # unmatched send: SPF110 witnessed
-    report, verdicts = cross_reference([_diag("SPF110"), _diag("SPF111")], log)
-    by_code = {v.code: v.status for v in verdicts}
-    assert by_code["SPF110"] == "confirmed"
-    assert by_code["SPF111"] == "refuted"   # sends exercised, no overtaking
+    report, verdicts = cross_reference(
+        [_diag("SPF110"), _diag("SPF111")], TraceView(log)
+    )
+    by_code = {v.rule: v.status for v in verdicts}
+    assert by_code["SPF110"] == CONFIRMED
+    assert by_code["SPF111"] == REFUTED   # sends exercised, no overtaking
     assert report.findings
+    assert verdicts[0].format_text().startswith(
+        "protocol-contract SPF110: CONFIRMED — "
+    )
 
 
 def test_cross_reference_unobserved():
     log = EventLog()
     log.record("compute", rank=0, time=0.0, iteration=0)
-    _, verdicts = cross_reference([_diag("SPF103")], log)
-    assert [v.status for v in verdicts] == ["unobserved"]
+    _, verdicts = cross_reference([_diag("SPF103")], TraceView(log))
+    assert [v.status for v in verdicts] == [UNOBSERVED]
 
 
 # ------------------------------------- two-worker ordering regression test
@@ -328,13 +338,12 @@ def test_two_worker_trace_records_hb_edges():
     assert log.ranks() == [0, 1]
     assert len(log.of_kind("speculate")) > 0   # the delay forced speculation
 
-    graph, report = build_dynamic_hb(log)
+    view = TraceView(log)
+    graph, report = build_dynamic_hb(view)
     assert report.matched_messages > 0
     assert report.unmatched_sends == 0
     assert report.unmatched_recvs == 0
-    from repro.analysis.replay import match_messages
-
-    pairs, _, _ = match_messages(log)
+    pairs, _, _ = view.matching
     for send, recv in pairs:
         assert graph.ordered(event_key(send), event_key(recv))
         assert not graph.ordered(event_key(recv), event_key(send))
@@ -352,7 +361,7 @@ def test_two_worker_trace_records_hb_edges():
                 assert ev.seq < verified[key]
 
     # The protocol replay finds nothing wrong with a healthy run.
-    assert replay(log).findings == []
+    assert replay(view).findings == []
 
 
 def test_runs_without_recording_produce_empty_logs():
@@ -383,18 +392,18 @@ def test_trace_replay_cross_references_static_findings(tmp_path):
     # findings and judge them against the healthy recorded run.
     fixture = analyze_fixture("bad_spf111_race.py")
     assert "SPF111" in codes(fixture)
-    report, verdicts = cross_reference(fixture, log)
-    spf111 = next(v for v in verdicts if v.code == "SPF111")
+    report, verdicts = cross_reference(fixture, TraceView(log))
+    spf111 = next(v for v in verdicts if v.rule == "SPF111")
     # A healthy 2-rank run exercises the send path without overtaking:
     # the static warning is refuted (or, if the netsim reorders,
     # confirmed) — either way the verdict is decisive, not unobserved.
-    assert spf111.status in ("confirmed", "refuted")
+    assert spf111.status in (CONFIRMED, REFUTED)
 
 
 # --------------------------------------------------------- SARIF + baseline
 def test_sarif_document_shape():
     diags = analyze_fixture("bad_spf110_orphan.py")
-    doc = json.loads(render_sarif(diags))
+    doc = json.loads(SPECFLOW.render(diags, "sarif"))
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
@@ -436,7 +445,7 @@ def test_checked_in_baseline_covers_src():
 def test_cli_analyze_exit_codes(capsys):
     assert main(["analyze", str(FIXTURES)]) == 1
     captured = capsys.readouterr()
-    for code in all_spf_codes():
+    for code in SPF_RULES:
         assert code in captured.out
     assert main(["analyze", str(FIXTURES / "good_protocol.py")]) == 0
     assert main(["analyze", "no/such/path.py"]) == 2

@@ -13,20 +13,17 @@ import pathlib
 
 import pytest
 
-from repro.analysis import (
-    RULES,
-    Severity,
-    all_rule_codes,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    parse_suppressions,
-)
+from repro.analysis import Severity, iter_python_files, parse_suppressions
 from repro.analysis.reporting import render_diag_text
 from repro.analysis.tools import TOOLS
 from repro.cli import main
 
-SPECLINT = next(tool for tool in TOOLS if tool.name == "speclint")
+SPECLINT, SPECFLOW, SPECTAINT = (
+    next(tool for tool in TOOLS if tool.name == name)
+    for name in ("speclint", "specflow", "spectaint")
+)
+lint_paths = SPECLINT.analyze_paths
+lint_source = SPECLINT.analyze_source
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "speclint_fixtures"
@@ -43,11 +40,11 @@ def codes(diagnostics):
 
 # ------------------------------------------------------------ rule registry
 def test_registry_has_all_rules():
-    assert all_rule_codes() == [
+    assert list(SPECLINT.rules) == [
         "SPL001", "SPL002", "SPL003", "SPL004",
         "SPL005", "SPL006", "SPL007", "SPL008",
     ]
-    for code, rule in RULES.items():
+    for code, rule in SPECLINT.rules.items():
         assert rule.code == code
         assert rule.summary
         assert rule.severity in (Severity.ERROR, Severity.WARNING)
@@ -236,21 +233,18 @@ def test_multi_tool_directive_suppresses_every_named_id():
 
 
 def test_multi_tool_suppression_silences_findings_in_each_family():
-    from repro.analysis import specflow
-    from repro.analysis.taint import spectaint
-
     src = (
         "def step(history, transport):\n"
         "    guess = speculate(history)\n"
         "    transport.send(1, guess)"
         "  # specflow: disable=SPF101, SPT302\n"
     )
-    assert specflow.analyze_source(src, path="<t>") == []
-    assert spectaint.analyze_source(src, path="<t>") == []
+    assert SPECFLOW.analyze_source(src, path="<t>") == []
+    assert SPECTAINT.analyze_source(src, path="<t>") == []
     # Without the directive both families fire on that line.
     bare = src.replace("  # specflow: disable=SPF101, SPT302", "")
-    assert codes(specflow.analyze_source(bare, path="<t>")) == ["SPF101"]
-    assert codes(spectaint.analyze_source(bare, path="<t>")) == ["SPT302"]
+    assert codes(SPECFLOW.analyze_source(bare, path="<t>")) == ["SPF101"]
+    assert codes(SPECTAINT.analyze_source(bare, path="<t>")) == ["SPT302"]
 
 
 def test_select_restricts_rules():
@@ -280,7 +274,7 @@ def test_json_reporter_shape():
     assert set(doc["summary"]) == {"total", "errors", "warnings"}
     assert doc["summary"]["total"] == len(diags)
     assert doc["summary"]["errors"] + doc["summary"]["warnings"] == len(diags)
-    for code in all_rule_codes():
+    for code in SPECLINT.rules:
         assert code in doc["rules"]
     for record in doc["diagnostics"]:
         assert set(record) == {"path", "line", "col", "code", "severity", "message"}

@@ -163,12 +163,12 @@ def test_emitted_trace_confirms_spf111_via_dynamic_replay(tmp_path):
     """The model checker's counterexample is the same artifact class a
     recorded run produces: ``repro analyze --trace`` must flag the
     overtaking delivery (the SPF111 dynamic mirror)."""
-    from repro.analysis import cross_reference
+    from repro.analysis import TraceView, cross_reference
 
     result = explore(SMALL, mutation="no-seq-floor")
     path = tmp_path / "ce.jsonl"
     emit_trace(SMALL, result.violation.schedule, path, mutation="no-seq-floor")
-    report, _verdicts = cross_reference([], EventLog.load(path))
+    report, _verdicts = cross_reference([], TraceView(EventLog.load(path)))
     assert any("SPF111" in f.format_text() for f in report.findings), [
         f.format_text() for f in report.findings
     ]

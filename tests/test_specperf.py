@@ -6,29 +6,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import CONFIRMED, REFUTED, UNOBSERVED, Severity, TraceView
 from repro.analysis.cfg import CallGraph, ModuleGraphs
-from repro.analysis.diagnostics import SPP_RULES, Severity, all_spp_codes
 from repro.analysis.perf import (
-    analyze_paths,
-    analyze_source,
     build_attribution,
     check_contracts,
     measure_phase_shares,
     model_phase_shares,
-    rule_catalogue,
 )
 from repro.analysis.perf.attribution import summarize_costs
-from repro.analysis.perf.contracts import (
-    CONFIRMED,
-    PHASE_OF_RULE,
-    REFUTED,
-    UNOBSERVED,
-    observed_phases,
-)
-from repro.analysis.reporting import render_diag_json
+from repro.analysis.perf.contracts import PHASE_OF_RULE, observed_phases
+from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.trace.events import EventLog
 from repro.trace.phases import PHASES
+
+SPECPERF = next(tool for tool in TOOLS if tool.name == "specperf")
+analyze_paths = SPECPERF.analyze_paths
+analyze_source = SPECPERF.analyze_source
 
 FIXTURES = Path(__file__).parent / "specperf_fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -45,10 +40,9 @@ def _attribution(source, path="<fixture>"):
 
 
 def test_all_spp_rules_registered():
-    assert all_spp_codes() == ALL_CODES
-    assert set(rule_catalogue()) == set(ALL_CODES)
+    assert list(SPECPERF.rules) == ALL_CODES
     for code in ALL_CODES:
-        assert SPP_RULES[code].severity in (Severity.ERROR, Severity.WARNING)
+        assert SPECPERF.rules[code].severity in (Severity.ERROR, Severity.WARNING)
         assert PHASE_OF_RULE[code] in PHASES
 
 
@@ -212,8 +206,8 @@ def test_src_tree_is_clean():
 
 
 def test_analysis_is_deterministic_over_src():
-    first = render_diag_json(analyze_paths([SRC]), "specperf", rule_catalogue())
-    second = render_diag_json(analyze_paths([SRC]), "specperf", rule_catalogue())
+    first = SPECPERF.render(analyze_paths([SRC]), "json")
+    second = SPECPERF.render(analyze_paths([SRC]), "json")
     assert first == second
 
 
@@ -237,7 +231,7 @@ def _synthetic_log():
 
 
 def test_measure_phase_shares_attributes_gaps():
-    shares = measure_phase_shares(_synthetic_log())
+    shares = measure_phase_shares(TraceView(_synthetic_log()))
     assert shares["compute"] == pytest.approx(15.0 / 19.5)
     assert shares["comm"] == pytest.approx(4.0 / 19.5)
     assert shares["check"] == pytest.approx(0.5 / 19.5)
@@ -245,13 +239,13 @@ def test_measure_phase_shares_attributes_gaps():
 
 
 def test_measure_phase_shares_empty_log_is_all_zero():
-    shares = measure_phase_shares(EventLog())
+    shares = measure_phase_shares(TraceView(EventLog()))
     assert set(shares) == set(PHASES)
     assert all(v == 0.0 for v in shares.values())
 
 
 def test_observed_phases_follow_event_kinds():
-    assert observed_phases(_synthetic_log()) == {"compute", "comm", "check"}
+    assert observed_phases(TraceView(_synthetic_log())) == {"compute", "comm", "check"}
 
 
 def test_model_phase_shares_normalise_and_degenerate_to_serial():
@@ -265,8 +259,10 @@ def test_model_phase_shares_normalise_and_degenerate_to_serial():
 
 def test_check_contracts_verdict_statuses():
     diags = analyze_paths([FIXTURES])
-    measured, modeled, verdicts = check_contracts(diags, _synthetic_log(), p=2)
-    by_code = {v.code: v for v in verdicts}
+    measured, modeled, verdicts = check_contracts(
+        diags, TraceView(_synthetic_log()), p=2
+    )
+    by_code = {v.rule: v for v in verdicts}
     assert set(by_code) == set(ALL_CODES)
     # comm measured ~20.5% vs model 0% exposed comm at p=2: confirmed.
     assert by_code["SPP201"].status == CONFIRMED
@@ -275,14 +271,16 @@ def test_check_contracts_verdict_statuses():
     # compute measured below the model's budget: refuted.
     assert by_code["SPP203"].status == REFUTED
     line = by_code["SPP201"].format_text()
-    assert "SPP201" in line and "CONFIRMED" in line
+    assert line.startswith("cost-contract SPP201 [comm]: CONFIRMED — measured ")
+    assert by_code["SPP201"].observed == measured["comm"]
+    assert by_code["SPP201"].bound == modeled["comm"]
 
 
 def test_check_contracts_is_deterministic():
     diags = analyze_paths([FIXTURES])
-    log = _synthetic_log()
-    a = check_contracts(diags, log, p=2)
-    b = check_contracts(diags, log, p=2)
+    view = TraceView(_synthetic_log())
+    a = check_contracts(diags, view, p=2)
+    b = check_contracts(diags, view, p=2)
     assert a == b
 
 

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import cfg
+from repro.analysis import (
+    CONFIRMED,
+    REFUTED,
+    UNOBSERVED,
+    Severity,
+    TraceView,
+    cfg,
+    taint,
+)
 from repro.analysis.baselines import (
     SCHEMA_VERSION,
     load_baselines,
@@ -15,30 +23,38 @@ from repro.analysis.baselines import (
     set_baseline,
 )
 from repro.analysis.cfg import CallGraph, ModuleGraphs
-from repro.analysis.diagnostics import SPT_RULES, Severity, all_spt_codes
 from repro.analysis.linter import parse_suppressions
 from repro.analysis.program import ProgramIndex
 from repro.analysis.sarif import fingerprint
 from repro.analysis.taint import (
-    CONFIRMED,
-    REFUTED,
-    UNOBSERVED,
-    analyze_modules,
-    analyze_paths,
-    analyze_source,
-    check_taint,
     commit_lines_of,
     commits,
     compute_taint_summaries,
     declared_commit_points,
-    find_escapes,
     is_commit_point,
-    rule_catalogue,
     unconfirmed,
 )
 from repro.analysis.taint.lattice import COMMITTED, SPEC
+from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.trace.events import EventLog
+
+SPECTAINT, SPECFLOW = (
+    next(tool for tool in TOOLS if tool.name == name)
+    for name in ("spectaint", "specflow")
+)
+analyze_paths = SPECTAINT.analyze_paths
+analyze_source = SPECTAINT.analyze_source
+
+
+def find_escapes(log):
+    return taint.find_escapes(TraceView(log))
+
+
+def check_taint(diagnostics, log):
+    """The verdicts alone; the witnesses are ``find_escapes``'s."""
+    return taint.check_taint(diagnostics, TraceView(log))[1]
+
 
 FIXTURES = Path(__file__).parent / "spectaint_fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -61,11 +77,10 @@ def _modules(*sources):
 
 
 def test_all_spt_rules_registered():
-    assert all_spt_codes() == ALL_CODES
-    assert set(rule_catalogue()) == set(ALL_CODES)
+    assert list(SPECTAINT.rules) == ALL_CODES
     for code in ALL_CODES:
         expected = Severity.WARNING if code == "SPT308" else Severity.ERROR
-        assert SPT_RULES[code].severity is expected
+        assert SPECTAINT.rules[code].severity is expected
 
 
 # ---------------------------------------------------------------- lattice
@@ -305,11 +320,14 @@ def test_check_taint_spt308_semantics():
     assert [v.status for v in check_taint(diags, EventLog())] == [UNOBSERVED]
 
 
-def test_verdict_text_and_dict_shape():
-    diags = analyze_paths([FIXTURES / "bad_spt301_io.py"])
-    verdict = check_taint(diags, _escape_log())[0]
-    assert verdict.format_text().startswith("taint-verdict SPT301 @ ")
-    assert verdict.to_dict()["status"] == CONFIRMED
+def test_verdict_text_shape():
+    fixture = FIXTURES / "bad_spt301_io.py"
+    verdict = check_taint(analyze_paths([fixture]), _escape_log())[0]
+    assert verdict.format_text().startswith(
+        f"taint-verdict SPT301 @ {fixture}:{verdict.where.rsplit(':', 1)[1]}: "
+        "CONFIRMED — 1 escape witness(es); first: rank 0 seq 1: "
+    )
+    assert (verdict.kind, verdict.rule) == ("taint-verdict", "SPT301")
 
 
 # --------------------------------------------------------------- baselines
@@ -460,8 +478,6 @@ def test_cli_check_applies_consolidated_baselines(tmp_path, capsys):
     # Accept every spectaint AND specflow finding in the fixtures
     # (specflow rightly flags the speculate-then-send mutants too);
     # the fully-gated run then exits 0.
-    from repro.analysis import specflow
-
     target = tmp_path / "baselines.json"
     set_baseline(
         "spectaint",
@@ -470,7 +486,7 @@ def test_cli_check_applies_consolidated_baselines(tmp_path, capsys):
     )
     set_baseline(
         "specflow",
-        frozenset(fingerprint(d) for d in specflow.analyze_paths([FIXTURES])),
+        frozenset(fingerprint(d) for d in SPECFLOW.analyze_paths([FIXTURES])),
         target,
     )
     assert main(
@@ -504,9 +520,3 @@ def test_program_index_shares_one_callgraph():
     assert {Path(m.path).name for m in index.modules} == {
         p.name for p in FIXTURES.glob("*.py")
     }
-
-
-def test_analyze_modules_reuses_a_provided_callgraph():
-    index = ProgramIndex([FIXTURES / "bad_interproc_chain.py"])
-    diags = analyze_modules(index.modules, callgraph=index.callgraph)
-    assert [d.code for d in diags] == ["SPT301"]
