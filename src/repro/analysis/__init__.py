@@ -5,7 +5,7 @@ function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
 optionally a ``judge(view, diagnostics, args)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
-:class:`~repro.analysis.trace_view.Verdict` records.  All 37 rules
+:class:`~repro.analysis.trace_view.Verdict` records.  All 33 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
 :meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
 de-duplicates and sorts for every family; the CLI builds every
@@ -17,14 +17,13 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   paths, nondeterminism, undisciplined message tags, payload aliasing,
   broad excepts swallowing :class:`~repro.des.errors.Interrupt`,
   sans-I/O purity and effect-dispatch exhaustiveness.
-* **specflow** (SPF101..SPF111, :mod:`repro.analysis.typestate` and
-  :mod:`repro.analysis.races`) — per-function CFGs + a call graph feed
-  a type-state taint analysis of the speculate→verify→correct state
-  machine and a happens-before race analysis of the message-tag
-  families; :mod:`repro.analysis.replay` checks the same rules
-  dynamically against a recorded
-  :class:`~repro.trace.events.EventLog`.
-* **specperf** (SPP201..SPP208, :mod:`repro.analysis.perf`) — phase
+* **specflow** (SPF110, SPF111, :mod:`repro.analysis.races`) —
+  per-function CFGs + a call graph feed a happens-before race
+  analysis of the message-tag families;
+  :mod:`repro.analysis.replay` checks the same two rules, and the
+  speculate→verify→correct lifecycle of each rank, dynamically
+  against a recorded :class:`~repro.trace.events.EventLog`.
+* **specperf** (SPP2xx, :mod:`repro.analysis.perf`) — phase
   attribution over the same call graph feeds a hot-path cost rule
   pack; ``--trace`` judges the findings against the calibrated
   performance model's per-phase time budget.
@@ -79,7 +78,7 @@ from repro.analysis.trace_view import (
 # Imported for the side effect of registering every family's rules, so
 # the one registry is complete whichever module is imported first.
 from repro.analysis import rules as _spl_rules  # noqa: F401
-from repro.analysis import typestate as _spf_rules  # noqa: F401
+from repro.analysis import races as _spf_rules  # noqa: F401
 from repro.analysis.perf import rules as _spp_rules  # noqa: F401
 from repro.analysis.taint import rules as _spt_rules  # noqa: F401
 from repro.analysis.bounds import rules as _spb_rules  # noqa: F401

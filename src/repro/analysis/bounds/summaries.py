@@ -272,12 +272,10 @@ def iter_allocations(func: FunctionNode) -> Iterator[AllocationSite]:
 def module_trims(module: ModuleGraphs, token: str) -> bool:
     """Does the module anywhere shrink or cap buffer ``token``?
 
-    Textual, like specperf's trim probe, but subscript-aware (the pipe
-    inbox trims via ``self._inbox[src].pop(0)``) and counting a
-    ``maxlen=`` / ``max_events=`` cap.  ``clear`` is deliberately NOT
-    counted: resetting a buffer between runs does not bound it within
-    one (that asymmetry is what separates SPB406 from specperf's
-    hot-loop-scoped SPP206).
+    Textual, but subscript-aware (the pipe inbox trims via
+    ``self._inbox[src].pop(0)``) and counting a ``maxlen=`` /
+    ``max_events=`` cap.  ``clear`` is deliberately NOT counted:
+    resetting a buffer between runs does not bound it within one.
     """
     sub = r"(?:\[[^]\n]*\])?"
     name = re.escape(token)

@@ -1,7 +1,7 @@
-"""Control-flow graphs and the interprocedural call graph for specflow.
+"""Control-flow graphs and the interprocedural call graph.
 
-The specflow analyses (:mod:`repro.analysis.typestate`,
-:mod:`repro.analysis.races`) need to reason about *paths*, not just
+The path-sensitive analyses (:mod:`repro.analysis.races`,
+:mod:`repro.analysis.taint`) need to reason about *paths*, not just
 syntax: "can a speculated value reach a send without passing a check
 on **some** path?" is a reachability question.  This module builds the
 graphs those questions are asked over:

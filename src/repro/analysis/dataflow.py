@@ -1,4 +1,4 @@
-"""A small forward-dataflow fixpoint engine over specflow CFGs.
+"""A small forward-dataflow fixpoint engine over per-function CFGs.
 
 Classic worklist algorithm, monotone-framework shape: an analysis
 supplies the initial state, a join (least upper bound) and a transfer
@@ -7,9 +7,9 @@ state *at entry of* every node (the state after a node is
 ``transfer(node, entry_state)``).
 
 States must be immutable-ish values with structural equality — the
-engine never mutates them, it only joins and compares.  The typestate
-analysis uses frozen dict-of-frozenset states; anything hashable or
-``==``-comparable works.
+engine never mutates them, it only joins and compares.  The taint
+analysis (:mod:`repro.analysis.taint.lattice`) uses frozen
+dict-of-frozenset states; anything hashable or ``==``-comparable works.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ def map_join(
 ) -> dict[str, frozenset[str]]:
     """Pointwise union join for ``name -> set-of-facts`` states.
 
-    The workhorse lattice of the typestate analysis: each variable
-    maps to the set of abstract protocol states it may be in; merging
-    two paths unions the possibilities.
+    The workhorse lattice of the taint analysis: each variable maps to
+    the set of abstract facts it may carry; merging two paths unions
+    the possibilities.
     """
     if not b:
         return a

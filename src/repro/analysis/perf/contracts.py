@@ -55,7 +55,6 @@ PHASE_OF_RULE: dict[str, str] = {
     "SPP203": "compute",  # allocation inside the force kernel
     "SPP204": "check",    # ring scan per verified message
     "SPP205": "compute",  # attribute churn inside the kernel
-    "SPP206": "comm",     # buffer growth on the message path
     "SPP207": "comm",     # mutable payload forces the copy
     "SPP208": "comm",     # sizing recomputed per message
 }

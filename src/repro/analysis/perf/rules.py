@@ -1,4 +1,4 @@
-"""The SPP201..SPP208 hot-path cost rules.
+"""The SPP2xx hot-path cost rules.
 
 Each rule flags one cost pattern *in the phase where it hurts* — the
 phase attribution (:mod:`repro.analysis.perf.attribution`) scopes every
@@ -11,7 +11,6 @@ SPP202   history container rebuilt inside a loop (O(msgs × history))
 SPP203   array/container allocation in the innermost compute loop
 SPP204   linear HistoryRing scan inside a message loop
 SPP205   attribute chain re-resolved in the innermost compute loop
-SPP206   unbounded trace/event buffer appended to in a hot loop
 SPP207   freshly built mutable payload handed to send/broadcast
 SPP208   loop-invariant ``payload_nbytes`` recomputed per message
 =======  ==========================================================
@@ -27,7 +26,6 @@ speclint/specflow.
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -46,11 +44,6 @@ if TYPE_CHECKING:
 HISTORY_NAMES = frozenset(
     {"history", "events", "intervals", "messages", "chain", "buffer",
      "log", "pending"}
-)
-
-#: Attribute names treated as unbounded trace/event buffers (SPP206).
-BUFFER_NAMES = frozenset(
-    {"events", "intervals", "records", "log", "trace", "samples"}
 )
 
 #: numpy-style allocators + comprehension nodes flagged by SPP203.
@@ -81,10 +74,6 @@ register_rule(
     "SPP205", "attr-chain-in-kernel", Severity.WARNING,
     "attribute chain re-resolved on every innermost compute-loop "
     "iteration",
-)
-register_rule(
-    "SPP206", "unbounded-event-buffer", Severity.WARNING,
-    "unbounded trace/event buffer appended to inside a hot loop",
 )
 register_rule(
     "SPP207", "mutable-payload-send", Severity.WARNING,
@@ -332,48 +321,6 @@ def check_spp205(
 
 
 # --------------------------------------------------------------------------
-# SPP206: unbounded trace/event buffer appended to in a hot loop
-# --------------------------------------------------------------------------
-
-
-def _module_trims(source: str, name: str) -> bool:
-    """Does the module ever shrink or bound buffer attribute ``name``?"""
-    pattern = (
-        rf"\.{name}\.pop\b|\.{name}\.clear\b|del\s+self\.{name}"
-        rf"|\.{name}\s*=\s*.*\.{name}\[|maxlen"
-    )
-    return re.search(pattern, source) is not None
-
-
-def check_spp206(
-    module: ModuleGraphs, attribution: Attribution
-) -> Iterator[Diagnostic]:
-    for qual, func, phases, hot in function_items(module, attribution):
-        if not phases and not hot:
-            continue
-        for loop in loops_of(func):
-            for node in walk_body(loop.body):  # type: ignore[attr-defined]
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in {"append", "extend"}
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr in BUFFER_NAMES
-                ):
-                    continue
-                buffer = node.func.value.attr
-                if _module_trims(module.source, buffer):
-                    continue
-                yield diag_at(
-                    module.path, node, "SPP206",
-                    f"'{qual}' appends to unbounded buffer "
-                    f"'{buffer}' inside a hot loop; memory and scan "
-                    "cost grow with run length — bound it (ring "
-                    "buffer / maxlen) or trim on consumption",
-                )
-
-
-# --------------------------------------------------------------------------
 # SPP207: freshly built mutable payload handed to send/broadcast
 # --------------------------------------------------------------------------
 
@@ -470,7 +417,6 @@ RULE_CHECKERS: dict[
     "SPP203": check_spp203,
     "SPP204": check_spp204,
     "SPP205": check_spp205,
-    "SPP206": check_spp206,
     "SPP207": check_spp207,
     "SPP208": check_spp208,
 }

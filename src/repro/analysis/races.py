@@ -14,7 +14,8 @@ constants like ``VARS = "vars"``), and builds a
 * communication edges from each send site to every receive site whose
   family can match it.
 
-Two rule families read the graph:
+Two rules read the graph — the specflow family, as ``repro analyze``
+runs it through :func:`findings`:
 
 * **SPF110** — an orphaned conversation: a send whose family no
   receive can ever match (message leak), or a receive whose family no
@@ -36,10 +37,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Optional
+from typing import TYPE_CHECKING, Hashable, Iterator, Optional
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs, walk_own
 from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
+
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramIndex
 
 register_rule(
     "SPF110",
@@ -377,3 +381,10 @@ def check_spf111(
                     "delivery timing (disambiguate the tag or order the "
                     "sends)",
                 )
+
+
+def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
+    """Every SPF finding over the shared parse."""
+    graph, sites = build_static_hb(index.modules, index.callgraph)
+    yield from check_spf110(sites)
+    yield from check_spf111(graph, sites)

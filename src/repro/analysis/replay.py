@@ -1,9 +1,8 @@
 """Trace replay: check recorded runs against the protocol HB model.
 
-The static half of specflow (:mod:`repro.analysis.races`,
-:mod:`repro.analysis.typestate`) reasons about *source sites*; this
-module applies the same happens-before discipline to a *recorded
-execution* — an :class:`~repro.trace.events.EventLog` produced by the
+The static half of specflow (:mod:`repro.analysis.races`) reasons
+about *source sites*; this module applies the same happens-before
+discipline to a *recorded execution* — an :class:`~repro.trace.events.EventLog` produced by the
 simulator or the multiprocessing backend.  Each event becomes a node
 in the shared :class:`~repro.analysis.races.HappensBeforeGraph`:
 
@@ -14,16 +13,23 @@ in the shared :class:`~repro.analysis.races.HappensBeforeGraph`:
   cross-rank edge.
 
 On top of the dynamic graph the replay runs the *dynamic mirrors* of
-the SPF rules (same codes, so a static finding and its runtime
+the two SPF rules (same codes, so a static finding and its runtime
 witness line up):
+
+* **SPF110** — sends never received / receives never fed by a send;
+* **SPF111** — message overtaking: two same-family sends from one
+  rank to one peer received in the opposite order;
+
+and three per-rank lifecycle checks that have no static rule (their
+properties are the runtime invariants ``eventual-verification``,
+``history-ring-bound`` and ``cascade-order`` of
+:mod:`repro.analysis.invariants`; the codes below only label the
+report lines):
 
 * **SPF101** — a speculation never verified before the run ended;
 * **SPF102** — a speculation whose source iteration lags the rank's
   compute frontier by more than the backward window;
-* **SPF103** — corrections applied in descending iteration order;
-* **SPF110** — sends never received / receives never fed by a send;
-* **SPF111** — message overtaking: two same-family sends from one
-  rank to one peer received in the opposite order.
+* **SPF103** — corrections applied in descending iteration order.
 
 Finally :func:`cross_reference` joins a static diagnostic list with a
 replay report: every SPF code is marked CONFIRMED (the trace exhibits
@@ -52,7 +58,7 @@ from repro.trace.events import TraceEvent
 if TYPE_CHECKING:
     import argparse
 
-#: Default backward window used by the dynamic SPF102 mirror when the
+#: Default backward window used by the SPF102 staleness check when the
 #: caller does not pass the run's actual ``--bw``.
 DEFAULT_BACKWARD_WINDOW = 4
 
@@ -61,7 +67,7 @@ DEFAULT_BACKWARD_WINDOW = 4
 class ReplayFinding:
     """One protocol violation witnessed in a recorded trace."""
 
-    code: str          # SPF1xx, aligned with the static rule catalogue
+    code: str          # SPF1xx: a static rule's code or a lifecycle label
     rank: int
     seq: int
     message: str
@@ -120,7 +126,7 @@ def build_dynamic_hb(
 
 
 def _check_unverified_speculations(view: TraceView) -> Iterator[ReplayFinding]:
-    """SPF101 mirror: speculate events never followed by verify/correct."""
+    """SPF101: speculate events never followed by verify/correct."""
     for events in view.by_rank.values():
         open_specs: dict[tuple[Optional[int], Optional[int]], TraceEvent] = {}
         for ev in events:
@@ -145,7 +151,7 @@ def _check_unverified_speculations(view: TraceView) -> Iterator[ReplayFinding]:
 def _check_stale_speculations(
     view: TraceView, backward_window: int
 ) -> Iterator[ReplayFinding]:
-    """SPF102 mirror: speculation source older than the backward window."""
+    """SPF102: speculation source older than the backward window."""
     for events in view.by_rank.values():
         frontier: Optional[int] = None  # latest compute iteration seen
         for ev in events:
@@ -172,7 +178,7 @@ def _check_stale_speculations(
 
 
 def _check_correction_order(view: TraceView) -> Iterator[ReplayFinding]:
-    """SPF103 mirror: a correction cascade applied in descending order."""
+    """SPF103: a correction cascade applied in descending order."""
     for events in view.by_rank.values():
         prev: Optional[TraceEvent] = None
         for ev in events:
@@ -287,9 +293,6 @@ def replay(
 #: *exercised* (so a clean trace refutes rather than merely not
 #: observing the static finding).
 _EXERCISE_KINDS: dict[str, tuple[str, ...]] = {
-    "SPF101": ("speculate",),
-    "SPF102": ("speculate",),
-    "SPF103": ("correct",),
     "SPF110": ("send", "recv"),
     "SPF111": ("send",),
 }

@@ -1,4 +1,4 @@
-"""The spectaint lattice: forward taint facts over specflow CFGs.
+"""The spectaint lattice: forward taint facts over per-function CFGs.
 
 Each variable carries a set of abstract facts:
 
@@ -36,15 +36,22 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.analysis.cfg import CFG, CallGraph, CFGNode, ModuleGraphs, call_name
-from repro.analysis.dataflow import ForwardAnalysis, map_join, solve_forward
-from repro.analysis.typestate import (
-    CHECK_NAMES,
-    CORRECT_NAMES,
-    SPECULATE_NAMES,
-    _iter_calls,
-    _payload_of,
+from repro.analysis.cfg import (
+    CFG,
+    CallGraph,
+    CFGNode,
+    ModuleGraphs,
+    call_name,
+    walk_own,
 )
+from repro.analysis.dataflow import ForwardAnalysis, map_join, solve_forward
+
+#: Calls that *produce* speculated values.
+SPECULATE_NAMES = frozenset({"speculate", "predict", "extrapolate"})
+#: Calls that *verify* speculated values.
+CHECK_NAMES = frozenset({"check", "verify"})
+#: Calls that *correct* a rejected speculation.
+CORRECT_NAMES = frozenset({"correct"})
 
 #: Abstract facts a variable may carry.
 SPEC = "spec"            # derived from an unconfirmed speculative source
@@ -79,8 +86,8 @@ IO_SINK_NAMES = frozenset(
     }
 )
 
-#: Sends of derived state to other ranks (payload extraction shared
-#: with specflow's SPF101 via :func:`_payload_of`).
+#: Sends of derived state to other ranks (payload extraction:
+#: :func:`_payload_of`).
 SEND_SINK_NAMES = frozenset({"send", "broadcast"})
 
 #: Accessors that *read out of* a container without laundering: taking
@@ -88,6 +95,28 @@ SEND_SINK_NAMES = frozenset({"send", "broadcast"})
 _CONTAINER_READS = frozenset({"pop", "get", "popleft", "popitem"})
 
 _COMMIT_LINE = re.compile(r"#\s*spectaint:\s*commit\b")
+
+
+def _iter_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
+    """Calls in ``stmt``'s *own* expressions (:func:`walk_own`: nested
+    defs and nested statements, which are separate CFG nodes, are
+    skipped)."""
+    return (node for node in walk_own(stmt) if isinstance(node, ast.Call))
+
+
+def _payload_of(call: ast.Call) -> Optional[ast.expr]:
+    """The payload argument of a send/broadcast call, if present."""
+    name = call_name(call)
+    if name == "send":
+        if len(call.args) > 1:
+            return call.args[1]
+    elif name == "broadcast":
+        if call.args:
+            return call.args[0]
+    for kw in call.keywords:
+        if kw.arg == "payload":
+            return kw.value
+    return None
 
 
 def unconfirmed(facts: frozenset[str]) -> bool:

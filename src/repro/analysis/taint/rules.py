@@ -19,6 +19,7 @@ from repro.analysis.cfg import CFG, CallGraph, ModuleGraphs, call_name
 from repro.analysis.dataflow import solve_forward
 from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
 from repro.analysis.taint.lattice import (
+    CHECK_NAMES,
     State,
     TaintAnalysis,
     TaintContext,
@@ -31,7 +32,6 @@ from repro.analysis.taint.lattice import (
     iter_sink_args,
     unconfirmed,
 )
-from repro.analysis.typestate import CHECK_NAMES
 
 if TYPE_CHECKING:
     from repro.analysis.program import ProgramIndex

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+from repro.analysis import races as spf
 from repro.analysis import rules as spl
-from repro.analysis import typestate as spf
 from repro.analysis.bounds import rules as spb
 from repro.analysis.bounds.contracts import judge as judge_occupancy
 from repro.analysis.diagnostics import Diagnostic, RuleInfo, rules_of
@@ -180,8 +180,8 @@ TOOLS: tuple[Tool, ...] = (
     Tool(
         cli="analyze",
         name="specflow",
-        help="run specflow (interprocedural type-state + happens-before "
-        "analysis, rules SPF1xx)",
+        help="run specflow (interprocedural happens-before analysis, "
+        "rules SPF1xx)",
         prefix="SPF",
         findings=spf.findings,
         flags=(

@@ -40,7 +40,7 @@ sweep-valued ``--p/--fw/--bw`` spellings — same names, list-typed.)
     speclint: the protocol-aware per-module static analyzer (SPL0xx),
     or a self-test of the runtime protocol sanitizer.
 ``repro analyze | perf-lint | taint | bounds [paths] [--format text|json|sarif]``
-    specflow (type-state + happens-before, SPF1xx), specperf (hot-path
+    specflow (happens-before, SPF1xx), specperf (hot-path
     cost, SPP2xx), spectaint (speculation escape, SPT3xx) and
     specbound (resource bounds, SPB4xx).  Each takes ``--select``,
     ``--baseline FILE`` / ``--write-baseline FILE`` (the tool's key of

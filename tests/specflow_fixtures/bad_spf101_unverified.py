@@ -1,9 +1,9 @@
-"""Fixture: SPF101 — unverified speculated value reaches a commit.
+"""Fixture: SPT302 in a second tree — direct, via summary, one path.
 
-``guess`` is produced by a speculator and committed to another rank
-without any path passing it through ``check``/``verify`` first.  The
+``guess`` is produced by a speculator and sent to another rank without
+every path passing it through ``check``/``verify`` first.  The
 interprocedural variant launders the value through a helper whose
-summary says "returns unverified speculation".
+summary says "returns unconfirmed speculation".
 """
 
 VARS = "vars"
@@ -11,7 +11,7 @@ VARS = "vars"
 
 def direct(proc, t, history):
     guess = speculate(history, t)
-    proc.send(1, guess, tag=(VARS, t))        # SPF101: never verified
+    proc.send(1, guess, tag=(VARS, t))        # SPT302: never verified
 
 
 def produce(history, t):
@@ -20,7 +20,7 @@ def produce(history, t):
 
 def interprocedural(proc, t, history):
     estimate = produce(history, t)
-    proc.broadcast(estimate, tag=(VARS, t))   # SPF101: via summary
+    proc.broadcast(estimate, tag=(VARS, t))   # SPT302: via summary
 
 
 def one_path_unchecked(proc, t, history, lucky):
@@ -28,4 +28,4 @@ def one_path_unchecked(proc, t, history, lucky):
     if lucky:
         actual = proc.recv(src=0, tag=(VARS, t))
         guess = check(guess, actual)
-    proc.send(1, guess, tag=(VARS, t))        # SPF101: else-path unchecked
+    proc.send(1, guess, tag=(VARS, t))        # SPT302: else-path unchecked

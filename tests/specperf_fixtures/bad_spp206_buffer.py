@@ -1,4 +1,4 @@
-"""Fixture: SPP206 — unbounded event buffer appended to in a hot loop.
+"""Fixture: SPB406 in a second tree — event buffer appended, never trimmed.
 
 The arrival handler accumulates every event forever: memory and any
 later scan grow linearly with run length.  A ring buffer (or trimming
@@ -12,4 +12,4 @@ class Collector:
 
     def record_arrival(self, batch):
         for item in batch:
-            self.events.append(item)   # SPP206: never trimmed
+            self.events.append(item)   # SPB406: never trimmed

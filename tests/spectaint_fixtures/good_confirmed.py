@@ -17,4 +17,4 @@ def barrier_step(transport, history):
     # The surrounding barrier guarantees the actual arrived and matched
     # before this function is entered; the dataflow cannot see that.
     adopted = guess  # spectaint: commit — barrier-confirmed upstream
-    transport.send(1, adopted)  # specflow: disable=SPF101
+    transport.send(1, adopted)

@@ -8,22 +8,22 @@ calls in this file against that tree.  A refactor of
 change moves them deliberately (a failing assertion prints the new
 digest — say which report moved, and why, in CHANGES.md).
 
-``MOVED_DIGESTS`` are the four ISSUE 20 itself re-captured, each for a
-change it asked for:
-
-* ``trace/specflow`` — its verdict lines took the common ``{kind}
-  {rule} {where}: {STATUS} — {detail}`` shape (``SPF110: refuted — …``
-  became ``protocol-contract SPF110: REFUTED — …``); the ``trace
-  replay: …`` stats line and the static report above it are unchanged.
-* ``check/text``, ``check/json``, ``check/sarif`` — ``repro check`` over
-  the five fixture trees *together*.  Same-named senders in different
-  trees made specflow print 29 exact duplicate SPF111 lines there
-  (none over any one tree); the one driver prints each finding once,
-  so the report went 196 -> 167 findings.  Checked when re-captured:
-  the parent's text, JSON and merged SARIF with each duplicate dropped
-  equal the new ones but for the two count lines.
-  ``check-one-tree/*`` (the specflow tree alone, duplicate-free on the
-  parent) keep a parent-captured pin on all three ``check`` formats.
+``MOVED_DIGESTS`` were re-captured by ISSUE 22, which deleted four
+rules (SPF101, SPF102, SPF103, SPP206) and the two fixtures only they
+fired on (``bad_spf102_unbounded.py``, ``bad_spf103_descending.py``).
+Every report that listed one of the four — as a finding, a catalogue
+entry (speclint's JSON and specflow's JSON / SARIF advertise a union
+of families) or a ``--trace`` verdict — moved, and nothing else did.
+Checked when re-captured, report by report: the parent's code run
+over the tree without the two fixtures, with the findings, catalogue
+entries and verdicts of the four codes dropped, equals the new report
+but for the count lines; and removing the two fixtures from the
+parent's tree removes only findings located in them or pairing with a
+site in them (one SPL001, and over the specflow tree alone five
+SPF111 pairs with ``bad_spf102_unbounded.py:16``).  The ``check/*``
+and ``trace/specflow`` pins had already moved once, in ISSUE 20
+(verdict lines in the common ``{kind} {rule} {where}: {STATUS} —
+{detail}`` shape; 29 exact duplicate SPF111 lines printed once).
 
 Everything runs from the repo root so the paths inside the reports are
 the relative ones CI prints.  The structural pins at the bottom say
@@ -55,37 +55,37 @@ TREES = [
 ]
 TRACED = [tool for tool in TOOLS if tool.judge is not None]
 
-#: Captured on the parent commit; this PR must not move them.
+#: Captured on ISSUE 20's parent commit and never moved since.
 PARENT_DIGESTS = {
     "speclint/text": "36ca5f9cbd1388715346c279010b9a6d7f250dcc20089d1b864c1c2001577717",
-    "speclint/json": "4a2dbf9152d3c56ee9a5bb39fe27dd982dfef1387e47ca0237833dd3df4ac27b",
-    "specflow/text": "b4cbfac422dc3d3f812b52a0361a08428e208a006a7cc7dddcb72da596db6463",
-    "specflow/json": "27317e0364bf424aa8e3bd521185edd12752e30f2a83925845d1ca5a847c7ac7",
-    "specflow/sarif": "11286eb2fc52b9d1c80ff9f639097d0f62991969ff749ebf342f9f618b431669",
-    "specperf/text": "eb4e6b90c246a0fda2575ce1a7e9b36befafed9c809a203ed3577f892a1ccb6b",
-    "specperf/json": "d4e10d88d73d14de65c89db2586c5a0329e879bd5e444d871860f037ddc320ef",
-    "specperf/sarif": "1ed9b14316e8abd9c0996b5128822c1e283f38cfcaeb23609b09d15f65b59e5d",
     "spectaint/text": "74278adccf81f597e0e734e6f5b572605a834445217af46cf65aadc000f13662",
     "spectaint/json": "1d3e3aa51d3d1a9cf3169e4eddf1c7f7de64e39cb05b2acd0c6822762182777a",
     "spectaint/sarif": "3b3a4c07524cedb1baab55af77fc514b806178ce9cbb2c45f38e7394939cb362",
     "specbound/text": "8a72d93f4cf6e063ff959fed767d6a4b22cd538a61aee25b0bdafa2b1801b0b8",
     "specbound/json": "825e43b22c7ff7e6a90988792fd28f179c310f9354be44999218a82142718376",
     "specbound/sarif": "0316f08fd553614c102509cad56af38f4f1cbce02ead8d0858ad7bff57633a20",
-    "check-one-tree/text": "8bf6f73e79b12027babaec3e2912ee11f1a93dd4c382f59d693c41a62aac32a8",
-    "check-one-tree/json": "71fa3d6f8bf5e3f0ce4965ffd8dcebadd9dc3db9b3d8de79f1715ca5e8aab8bb",
-    "check-one-tree/sarif": "58d6cd6e389d9ff3e9e37aefb66cfd9e34872b5a9c0d51d2395627bb0db9dda4",
-    "trace/specperf": "bc09ca48d3cc0966c7435091a9056f6600a9f222e680ee62436bbdfedc44b891",
     "trace/spectaint": "766ae29d2e1e6c9fa02a457d15a441e184539d1f766185b4f50ff445d47be659",
     "trace/specbound": "e617c3fddf3dfeeb9d53e72476a78261a8472e3b4dc1f13ce0671fec301b12bd",
 }
 
-#: Re-captured by ISSUE 20, each for a change the issue asked for (see
+#: Re-captured by ISSUE 22: the reports that listed a deleted rule (see
 #: the module docstring).
 MOVED_DIGESTS = {
-    "check/text": "9455b63ef8771ac738f3404f44ab7d2a8fb7f06abb519fd2984fb00295abf46f",
-    "check/json": "7994d58b7ec56a4da3df8e868c531d91c2fb805ddb074f0cd602a25478823956",
-    "check/sarif": "ff824a90257b16e27da09c2d99e789d60d975f17d47ab43e8f711022061d6075",
-    "trace/specflow": "671cf3fec1d6b721e592aa797e2a86a98114d642ee4875451f40597506f97624",
+    "speclint/json": "9d56424992b36354bc15825cbbad0fe5c84c855a401e89a51271826f91891550",
+    "specflow/text": "71edb7f99ba3279639401662479a94a6c268028a5d5b67bdb51d48cabc60991a",
+    "specflow/json": "904e8330ec69e99e7ff01ff4a8600408eda3c6a52211c7bc0ef355b67d0646af",
+    "specflow/sarif": "60db48c775d471a06072d210228dbf93008e83fbecd30488d520f7bf62838f0a",
+    "specperf/text": "57ae5a4eb2286cdb21533d55b65581135c82bbc748ca7cdc711a5c7584cf40e5",
+    "specperf/json": "3ac96b1a95ffcd91a01ee722f638620c5c27e19dc66866b80deb9d07de7ffa49",
+    "specperf/sarif": "a8c43fed38b2d1736b31e8d6416e7d2c9bde0fcb53baa260765b016ea07971e6",
+    "check-one-tree/text": "aaa52c900cb6a2d37f40f5ac3c2be528181771c478b2fd28503dd4c7cfec79fe",
+    "check-one-tree/json": "38ded0dc7bd8b31312a38c88d4cfed83f8fd54a24585ac0a8b8147a5cec7c3f2",
+    "check-one-tree/sarif": "e612eb7f5ecf84c595c6bee61b18bb2ecaff9c646ace5accb283f49f4121cb12",
+    "check/text": "ca5f526d0b13cd38efc8f764f43056ac8ef45118f63c32c941882e30860ffca1",
+    "check/json": "d3e74165ef0479fbad3ce5f08c13099f950810779160a6ef587018d5515e6ed9",
+    "check/sarif": "2f4d5c768eb9f448e5c2f1354e8a9c3f5427374e652987ad3575f57510b3246f",
+    "trace/specflow": "b35bd3bda14c5d879ddb2d08728272ef8ab1c3595d17575a979c2c4c8edc712e",
+    "trace/specperf": "01bf58050408e84f0ffe53053c7b83d187b2602833e65acd845f1b0c63fd7144",
 }
 
 DIGESTS = {**PARENT_DIGESTS, **MOVED_DIGESTS}
@@ -121,9 +121,10 @@ def test_tool_report_is_byte_identical(tool, fmt):
 
 
 def test_every_tool_and_format_is_pinned_to_the_parent():
-    pinned = {key for key in PARENT_DIGESTS if key.startswith("spec")}
+    pinned = {key for key in DIGESTS if key.startswith("spec")}
     assert pinned == {f"{t.name}/{fmt}" for t in TOOLS for fmt in t.formats}
     assert len(pinned) == 14
+    assert not PARENT_DIGESTS.keys() & MOVED_DIGESTS.keys()
 
 
 # -------------------------------------------------------- repro check
@@ -144,14 +145,14 @@ def _check_reports(capsys, tmp_path, trees):
 def test_check_over_one_tree_is_byte_identical_to_the_parent(capsys, tmp_path):
     reports = _check_reports(capsys, tmp_path, ["tests/specflow_fixtures"])
     for fmt, report in reports.items():
-        assert _sha(report) == PARENT_DIGESTS[f"check-one-tree/{fmt}"], fmt
+        assert _sha(report) == DIGESTS[f"check-one-tree/{fmt}"], fmt
 
 
 def test_check_over_the_five_trees_matches_the_golden_file(capsys, tmp_path):
     reports = _check_reports(capsys, tmp_path, TREES)
     assert reports["text"] == (REPO_ROOT / GOLDEN_CHECK).read_text()
     for fmt, report in reports.items():
-        assert _sha(report) == MOVED_DIGESTS[f"check/{fmt}"], fmt
+        assert _sha(report) == DIGESTS[f"check/{fmt}"], fmt
     lines = reports["text"].splitlines()
     assert len(lines) == len(set(lines))  # every finding once
 
@@ -161,8 +162,8 @@ def test_check_over_the_five_trees_matches_the_golden_file(capsys, tmp_path):
 
 #: What the ``trace/*`` digests pin, in words (ISSUE 20's inventory).
 GOLDEN_TRACE_VERDICTS = {
-    "specflow": {"REFUTED": 5},
-    "specperf": {"CONFIRMED": 5, "REFUTED": 3},
+    "specflow": {"REFUTED": 2},
+    "specperf": {"CONFIRMED": 4, "REFUTED": 3},
     "spectaint": {"REFUTED": 13},
     "specbound": {"CONFIRMED": 14},
 }
@@ -214,7 +215,7 @@ def test_judges_never_ask_the_log_to_sort_itself(monkeypatch):
             view, tool.analyze(index), _judge_args(tool)
         )
         assert header and verdicts
-        assert failing == (5 if tool.name == "specperf" else 0)
+        assert failing == (4 if tool.name == "specperf" else 0)
 
 
 @pytest.mark.parametrize("tool", TRACED, ids=lambda tool: tool.name)

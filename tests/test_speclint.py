@@ -18,9 +18,9 @@ from repro.analysis.reporting import render_diag_text
 from repro.analysis.tools import TOOLS
 from repro.cli import main
 
-SPECLINT, SPECFLOW, SPECTAINT = (
+SPECLINT, SPECFLOW = (
     next(tool for tool in TOOLS if tool.name == name)
-    for name in ("speclint", "specflow", "spectaint")
+    for name in ("speclint", "specflow")
 )
 lint_paths = SPECLINT.analyze_paths
 lint_source = SPECLINT.analyze_source
@@ -234,17 +234,25 @@ def test_multi_tool_directive_suppresses_every_named_id():
 
 def test_multi_tool_suppression_silences_findings_in_each_family():
     src = (
-        "def step(history, transport):\n"
-        "    guess = speculate(history)\n"
-        "    transport.send(1, guess)"
-        "  # specflow: disable=SPF101, SPT302\n"
+        'VARS = "vars"\n'
+        "def early(proc, state):\n"
+        '    yield from proc.send(1, state, tag="vars")'
+        "  # specflow: disable=SPL004, SPF111\n"
+        "def late(proc, update, t):\n"
+        "    yield from proc.send(1, update, tag=(VARS, t))\n"
+        "def drain(proc):\n"
+        "    return (yield from proc.recv())\n"
     )
+    assert SPECLINT.analyze_source(src, path="<t>") == []
     assert SPECFLOW.analyze_source(src, path="<t>") == []
-    assert SPECTAINT.analyze_source(src, path="<t>") == []
     # Without the directive both families fire on that line.
-    bare = src.replace("  # specflow: disable=SPF101, SPT302", "")
-    assert codes(SPECFLOW.analyze_source(bare, path="<t>")) == ["SPF101"]
-    assert codes(SPECTAINT.analyze_source(bare, path="<t>")) == ["SPT302"]
+    bare = src.replace("  # specflow: disable=SPL004, SPF111", "")
+    assert [(d.code, d.line) for d in SPECLINT.analyze_source(bare, path="<t>")] == [
+        ("SPL004", 3)
+    ]
+    assert [(d.code, d.line) for d in SPECFLOW.analyze_source(bare, path="<t>")] == [
+        ("SPF111", 3)
+    ]
 
 
 def test_select_restricts_rules():
