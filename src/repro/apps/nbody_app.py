@@ -29,7 +29,11 @@ import numpy as np
 from repro.core.program import SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram
 from repro.nbody.barneshut import NODE_FLOPS, Octree, bh_accelerations
-from repro.nbody.forces import PAIR_FLOPS, accelerations_from_sources
+from repro.nbody.forces import (
+    PAIR_FLOPS,
+    accelerations_by_block,
+    accelerations_from_sources,
+)
 from repro.nbody.integrators import simulate
 from repro.nbody.particles import ParticleSystem
 from repro.nbody.speculation import (
@@ -164,33 +168,32 @@ class NBodyProgram(IncrementalProgram):
         if self.force_method == "barnes_hut":
             return self._compute_barnes_hut(rank, inputs, t)
         own = inputs[rank]
-        own_pos, own_vel = own[:, :3], own[:, 3:]
-        accel = accelerations_from_sources(
-            own_pos,
-            own_pos,
-            self.masses[rank],
+        by_block = accelerations_by_block(
+            own[:, :3],
+            [(inputs[k][:, :3], self.masses[k]) for k in range(self.nprocs)],
             G=self.system.G,
             softening=self.system.softening,
-            exclude_self_pairs=True,
+            self_block=rank,
         )
+        accel = by_block[rank]
         for k in range(self.nprocs):
-            if k == rank:
-                continue
-            block = inputs[k]
-            accel += accelerations_from_sources(
-                own_pos,
-                block[:, :3],
-                self.masses[k],
-                G=self.system.G,
-                softening=self.system.softening,
-            )
-        new_vel = own_vel + accel * self.dt
-        new_pos = own_pos + new_vel * self.dt
-        return np.hstack([new_pos, new_vel])
+            if k != rank:
+                accel += by_block[k]
+        return self._step(own, accel)
+
+    def _step(self, own: np.ndarray, accel: np.ndarray) -> np.ndarray:
+        """One semi-implicit Euler step of a block: v += a·Δt, then x += v·Δt."""
+        block = np.empty_like(own)
+        new_pos, new_vel = block[:, :3], block[:, 3:]
+        np.multiply(accel, self.dt, out=new_vel)
+        new_vel += own[:, 3:]
+        np.multiply(new_vel, self.dt, out=new_pos)
+        new_pos += own[:, :3]
+        return block
 
     def _compute_barnes_hut(self, rank: int, inputs: Mapping[int, np.ndarray], t: int) -> np.ndarray:
         own = inputs[rank]
-        own_pos, own_vel = own[:, :3], own[:, 3:]
+        own_pos = own[:, :3]
         all_pos = np.vstack([inputs[k][:, :3] for k in range(self.nprocs)])
         all_mass = np.concatenate([self.masses[k] for k in range(self.nprocs)])
         tree = Octree(all_pos, all_mass)
@@ -202,16 +205,16 @@ class NBodyProgram(IncrementalProgram):
             opening_angle=self.bh_theta,
         )
         self._bh_last_interactions[rank] = interactions
-        new_vel = own_vel + accel * self.dt
-        new_pos = own_pos + new_vel * self.dt
-        return np.hstack([new_pos, new_vel])
+        return self._step(own, accel)
 
     def speculate(self, rank, k, times, values, target):
         """Eq. 10 over the history gap: r* = r + v·(gap·Δt), v* = v."""
         last = values[-1]
         gap = target - times[-1]
-        pos = speculate_positions(last[:, :3], last[:, 3:], gap * self.dt)
-        return np.hstack([pos, last[:, 3:]])
+        block = np.empty_like(last)
+        block[:, :3] = speculate_positions(last[:, :3], last[:, 3:], gap * self.dt)
+        block[:, 3:] = last[:, 3:]
+        return block
 
     def check(self, rank, k, speculated, actual, own):
         """Worst Eq. 11 ratio over k's particles vs. our particles."""
@@ -261,25 +264,20 @@ class NBodyProgram(IncrementalProgram):
             # guard anyway (threshold exactly on the boundary).
             return next_block, 0.0
         bad_mass = self.masses[k][bad]
-        a_spec = accelerations_from_sources(
+        a_spec, a_act = accelerations_by_block(
             own_pos,
-            speculated[bad, :3],
-            bad_mass,
-            G=self.system.G,
-            softening=self.system.softening,
-        )
-        a_act = accelerations_from_sources(
-            own_pos,
-            actual[bad, :3],
-            bad_mass,
+            [(speculated[bad, :3], bad_mass), (actual[bad, :3], bad_mass)],
             G=self.system.G,
             softening=self.system.softening,
         )
         delta = a_act - a_spec
-        new_vel = next_block[:, 3:] + delta * self.dt
-        new_pos = next_block[:, :3] + delta * self.dt * self.dt
+        block = np.empty_like(next_block)
+        delta *= self.dt
+        np.add(next_block[:, 3:], delta, out=block[:, 3:])
+        delta *= self.dt
+        np.add(next_block[:, :3], delta, out=block[:, :3])
         ops = 2.0 * PAIR_FLOPS * n_bad * own_pos.shape[0] + 6.0 * own_pos.shape[0]
-        return np.hstack([new_pos, new_vel]), ops
+        return block, ops
 
     def _record_force_errors(self, speculated, actual, own, ratios):
         """Relative pair-force error vs the nearest local particle."""
@@ -337,9 +335,7 @@ class NBodyProgram(IncrementalProgram):
     def finish(self, rank, acc, own, t):
         """Integrate one semi-implicit Euler step from the summed forces."""
         _, accel = acc
-        new_vel = own[:, 3:] + accel * self.dt
-        new_pos = own[:, :3] + new_vel * self.dt
-        return np.hstack([new_pos, new_vel])
+        return self._step(own, accel)
 
     def begin_ops(self, rank: int) -> float:
         n_own = len(self.partition.indices(rank))

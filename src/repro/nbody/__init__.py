@@ -19,6 +19,7 @@ package provides the physics:
 from repro.nbody.forces import (
     PAIR_FLOPS,
     accelerations,
+    accelerations_by_block,
     accelerations_from_sources,
     potential_energy,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "PAIR_FLOPS",
     "ParticleSystem",
     "accelerations",
+    "accelerations_by_block",
     "accelerations_from_sources",
     "cold_disk",
     "leapfrog_step",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nbody.forces import PLANE
+from repro.nbody.forces import PLANE, squared_separations
 
 #: Paper's cost accounting: flops to speculate one particle's position.
 SPECULATE_FLOPS_PER_PARTICLE = 12.0
@@ -50,6 +50,9 @@ def pairwise_error_ratios(
     ``‖r*_a − r_a‖ / min_b ‖r_a − r_b‖`` — the error ratio against the
     *nearest* local particle, i.e. the largest ratio over all local b.
 
+    Works on the force kernel's component planes (DESIGN.md §5.8): a
+    chunk of ``PLANE // n_l`` remote particles by every local one.
+
     Parameters
     ----------
     speculated_pos / actual_pos:
@@ -77,21 +80,17 @@ def pairwise_error_ratios(
     displacement = np.linalg.norm(sp - ap, axis=1)
     n_r, n_l = ap.shape[0], lp.shape[0]
     remote = ap.T[:, :, None]
-    local = np.ascontiguousarray(lp.T)[:, None, :]
-    tile = max(PLANE // n_l, 1)
-    # Remote-major (tile, n_l) planes, reused by every tile: the three
-    # components of the separation, squared and summed in place.
-    planes = np.empty((3, min(tile, n_r), n_l))
+    rows = min(max(PLANE // n_l, 1), n_r)
+    # Remote-major (rows, n_l) planes, reused by every chunk: the three
+    # components of the separation, squared and summed in place, and the
+    # local particles repeated down the rows (so every operand is contiguous).
+    planes = np.empty((6, rows, n_l))
+    planes[3:] = np.ascontiguousarray(lp.T)[:, None, :]
     nearest2 = np.empty(n_r)
-    for lo in range(0, n_r, tile):
-        hi = min(lo + tile, n_r)
-        d = planes[:, : hi - lo]
-        np.subtract(remote[:, lo:hi], local, out=d)
-        d *= d
+    for lo in range(0, n_r, rows):
+        hi = min(lo + rows, n_r)
         # dist2 = (dx² + dz²) + dy², the association the force kernel pins.
-        d2 = d[0]
-        d2 += d[2]
-        d2 += d[1]
+        d2 = squared_separations(planes[:3, : hi - lo], remote[:, lo:hi], planes[3:, : hi - lo])
         np.minimum.reduce(d2, axis=1, out=nearest2[lo:hi])
     # sqrt is monotone and correctly rounded: the root of the minimum
     # is the minimum of the roots, for n_r roots instead of n_r * n_l.

@@ -1,15 +1,18 @@
-"""The tiled component-plane kernels against the einsum formulations
-they replaced (kept here as oracles, bit for bit), and the
-``check`` -> ``correct`` handoff of the Eq. 11 ratios in the app."""
+"""The chunked component-plane kernels against the einsum formulations
+they replaced (kept here as oracles, bit for bit), the multi-block force
+entry against its own one-block case, and the ``check`` -> ``correct``
+handoff of the Eq. 11 ratios in the app."""
 
 import numpy as np
 import pytest
 
 from repro import RunConfig, run
 from repro.apps import NBodyProgram, nbody_app
-from repro.nbody import uniform_cube
-from repro.nbody.forces import PLANE, accelerations_from_sources
+from repro.nbody import forces, uniform_cube
+from repro.nbody.forces import PLANE, accelerations_by_block, accelerations_from_sources
 from repro.nbody.speculation import pairwise_error_ratios
+from repro.partition import proportional_partition
+from repro.platforms import wustl_1994
 
 
 # ------------------------------------------------------------------ oracles
@@ -35,24 +38,35 @@ def blocks(rng, n):
     return rng.uniform(-0.5, 0.5, (n, 6))
 
 
-def tile(n_s):
-    """Targets per tile of the force kernel for ``n_s`` sources."""
-    return max(PLANE // n_s, 2)
+def chunk(n_cols):
+    """Rows per chunk of a kernel whose planes are ``n_cols`` wide: sources
+    of the force kernel (columns: targets, a lone one widened to two),
+    remote particles of the ratio kernel (columns: local particles)."""
+    return max(PLANE // max(n_cols, 2), 1)
 
 
-WIDE = 600  # sources enough that a block of targets takes several tiles
-SHAPES = [
-    # one tile
+WIDE = 600  # columns enough that a block of rows takes several chunks
+ROWS = chunk(WIDE)
+#: ``(n_t, n_s)`` for the force kernel, ``(n_r, n_l)`` for the ratio kernel.
+SHAPES = list(dict.fromkeys([  # (two of the derived shapes may coincide)
+    # one chunk of either kernel
     (1, 1), (1, 7), (1, WIDE), (7, 1), (2, 2), (62, 62), (63, 31), (150, 200),
-    # several: exact fit, a last tile one target wide (twice), a ragged one
-    (tile(WIDE), WIDE), (tile(WIDE) + 1, WIDE), (2 * tile(WIDE) + 1, WIDE),
-    (3 * tile(WIDE) - 1, WIDE),
-    # the narrowest tiles there are
+    # rows of several chunks: sources (remote particles) filling one exactly,
+    # one row over, a last chunk of one after two full ones, a ragged one
+    (WIDE, ROWS), (WIDE, ROWS + 1), (WIDE, 2 * ROWS + 1), (WIDE, 3 * ROWS - 1),
+    (ROWS, WIDE), (ROWS + 1, WIDE), (2 * ROWS + 1, WIDE), (3 * ROWS - 1, WIDE),
+    # one and two targets (planes two wide), chunks of two rows and of one
+    (1, chunk(1) + 1), (2, chunk(2) + 3), (PLANE // 2, 5), (PLANE, 3),
     (5, PLANE // 2), (3, PLANE),
-]
-#: Self-force sizes: one tile, several, and a last tile one target wide.
-SELF_SIZES = [1, 2, 7, 62, 150, WIDE,
-              next(n for n in range(200, WIDE) if n % tile(n) == 1)]
+    # more columns than a plane holds: targets tiled, the last tile two wide
+    (PLANE + 1, 3), (3, PLANE + 1),
+    # the tile edges of the target-tiled layout this one replaced
+    (54, WIDE), (55, WIDE), (109, WIDE), (161, WIDE), (5, 16384), (3, 32768),
+]))
+#: Self-force sizes: one chunk, several, a last chunk of one source (313),
+#: sources filling four chunks exactly (256).
+SELF_SIZES = [1, 2, 7, 62, 150, WIDE, 313, 256]
+assert 313 % chunk(313) == 1 and 256 == 4 * chunk(256)
 
 
 # ----------------------------------------------------------- kernel parity
@@ -85,12 +99,15 @@ def test_self_force_kernel_equals_einsum_oracle(n, softening):
 
 
 def test_force_kernel_equals_oracle_to_the_sign_of_zero():
-    """Massless sources contribute ``-0.0``; both sums start from ``+0.0``."""
+    """Massless sources contribute ``-0.0``; both sums start from ``+0.0``,
+    and the sum a chunk hands the next through the carry row stays ``+0.0``."""
     rng = np.random.default_rng(3)
-    tp, sp = blocks(rng, tile(WIDE) + 1)[:, :3], blocks(rng, WIDE)[:, :3]
-    got = accelerations_from_sources(tp, sp, np.zeros(WIDE))
-    want = einsum_accelerations(tp, sp, np.zeros(WIDE))
+    n_s = 2 * ROWS + 1
+    tp, sp = blocks(rng, WIDE)[:, :3], blocks(rng, n_s)[:, :3]
+    got = accelerations_from_sources(tp, sp, np.zeros(n_s))
+    want = einsum_accelerations(tp, sp, np.zeros(n_s))
     assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any()
 
 
 @pytest.mark.parametrize("n_r,n_l", SHAPES)
@@ -109,6 +126,70 @@ def test_ratio_kernel_floors_coincident_particles_like_the_oracle():
     got = pairwise_error_ratios(speculated, actual, actual, eps=1e-9)
     assert np.array_equal(got, einsum_ratios(speculated, actual, actual, eps=1e-9))
     assert np.isfinite(got).all()
+
+
+# ------------------------------------------------------ multi-block parity
+def assert_each_block_equals_its_own_call(tp, parts, self_block, softening):
+    got = accelerations_by_block(tp, parts, G=0.5, softening=softening, self_block=self_block)
+    assert got.shape == (len(parts),) + tp.shape and got.flags.c_contiguous
+    for k, (sp, sm) in enumerate(parts):
+        want = accelerations_from_sources(
+            tp, sp, sm, G=0.5, softening=softening, exclude_self_pairs=k == self_block
+        )
+        assert got[k].tobytes() == want.tobytes(), k
+
+
+def source_blocks(rng, counts):
+    return [(blocks(rng, n)[:, :3], rng.uniform(0.0, 1e-3, n)) for n in counts]
+
+
+@pytest.mark.parametrize("rank", [0, 7, 15])
+@pytest.mark.parametrize("softening", [0.1, 0.0])
+def test_unequal_blocks_each_equal_their_own_call(rank, softening):
+    """The 11-114 spread of the Fig. 8 platform, as one rank's ``compute``
+    passes it: rank 0's 114 targets take four chunks, rank 15's 11 one."""
+    partition = proportional_partition(1000, wustl_1994(p=16).capacities())
+    counts = [len(idx) for idx in partition]
+    assert min(counts) < 20 and max(counts) > 100
+    rng = np.random.default_rng(rank)
+    parts = source_blocks(rng, counts)
+    assert chunk(counts[0]) < sum(counts) < chunk(counts[15])
+    assert_each_block_equals_its_own_call(parts[rank][0], parts, rank, softening)
+
+
+@pytest.mark.parametrize("self_block", [None, 0, 2, 5])
+def test_a_block_larger_than_a_chunk_beside_smaller_ones(self_block):
+    """Whole small blocks share a chunk; the big ones span several, carried;
+    an empty block sums to zero; the self block may sit anywhere."""
+    counts = [10, ROWS - 10, 3 * ROWS + 1, 0, 1, 2 * ROWS]
+    rng = np.random.default_rng(5)
+    parts = source_blocks(rng, counts)
+    tp = blocks(rng, WIDE)[:, :3]
+    if self_block is not None:
+        tp = blocks(rng, counts[self_block])[:, :3]
+        parts[self_block] = (tp, parts[self_block][1])
+    for softening in (0.1, 0.0):
+        assert_each_block_equals_its_own_call(tp, parts, self_block, softening)
+
+
+def test_massless_blocks_keep_the_sign_of_zero_across_chunks():
+    rng = np.random.default_rng(6)
+    counts = [ROWS + 1, 2, 2 * ROWS + 1]
+    parts = [(blocks(rng, n)[:, :3], np.zeros(n)) for n in counts]
+    got = accelerations_by_block(blocks(rng, WIDE)[:, :3], parts)
+    assert not got.any() and not np.signbit(got).any()
+
+
+def test_multi_block_entry_validates_each_block():
+    tp = np.zeros((2, 3))
+    good = (np.zeros((4, 3)), np.ones(4))
+    with pytest.raises(ValueError):
+        accelerations_by_block(tp, [good, (np.zeros((4, 2)), np.ones(4))])
+    with pytest.raises(ValueError):
+        accelerations_by_block(tp, [good, (np.zeros((4, 3)), np.ones(3))])
+    with pytest.raises(ValueError):
+        accelerations_by_block(tp, [good, good], self_block=1)
+    assert accelerations_by_block(tp, []).shape == (0, 2, 3)
 
 
 # ------------------------------------------------- check -> correct handoff
@@ -143,6 +224,40 @@ def test_loopback_run_computes_ratios_once_per_check(monkeypatch):
     assert sum(s.recomputes for s in report.stats) > 0
     assert len(calls) == checks
     assert prog._rejected == {}
+
+
+def counted_kernel(monkeypatch):
+    """Count every entry into the force kernel, from the app or through
+    ``accelerations_from_sources``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return accelerations_by_block(*args, **kwargs)
+
+    monkeypatch.setattr(nbody_app, "accelerations_by_block", counting)
+    monkeypatch.setattr(forces, "accelerations_by_block", counting)
+    return calls
+
+
+def test_loopback_run_calls_the_kernel_once_per_compute_and_per_correct(monkeypatch):
+    calls = counted_kernel(monkeypatch)
+    prog = make_program(threshold=1e-4)
+    report = run(RunConfig(prog, backend="loopback", fw=1, cascade="none"))
+    corrects = sum(s.recomputes for s in report.stats)
+    assert corrects > 0
+    assert len(calls) == prog.nprocs * prog.iterations + corrects
+
+
+def test_compute_and_correct_are_one_kernel_call_each(monkeypatch):
+    calls = counted_kernel(monkeypatch)
+    prog = make_program()
+    next_block, inputs, speculated, actual = rejected_check(prog)
+    assert len(calls) == 1  # rejected_check's compute
+    prog.correct(0, next_block, inputs, 1, speculated, actual, 0)
+    assert len(calls) == 2
+    accelerations_from_sources(inputs[0][:, :3], inputs[1][:, :3], prog.masses[1])
+    assert len(calls) == 3  # the one-block case enters the same kernel
 
 
 @pytest.mark.parametrize("stranger", ["speculated", "actual", "own"])
