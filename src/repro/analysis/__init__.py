@@ -31,9 +31,9 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   forward taint abstract interpretation proving unconfirmed
   speculative values never reach an irreversible effect; ``@commits``
   / ``# spectaint: commit`` annotate legitimate confirmation sites.
-* **specbound** (SPB401..SPB408, :mod:`repro.analysis.bounds`) —
-  interprocedural buffer summaries proving every container the
-  protocol grows is bounded by a protocol parameter; ``--trace``
+* **specbound** (SPB4xx, :mod:`repro.analysis.bounds`) — per-function
+  rules flagging a history trim, window, event log, cascade loop or
+  iteration-keyed map that no protocol parameter bounds; ``--trace``
   checks the symbolic occupancy bounds against observed maxima.
 * :mod:`repro.analysis.sanitizer` — a runtime
   :class:`ProtocolSanitizer` (opt-in via ``REPRO_SANITIZE=1``) that

@@ -1,8 +1,8 @@
 """specbound: static speculation-resource bound analysis.
 
-Interprocedural buffer-bound analysis over the specflow CFG + call
-graph proving that every container the protocol grows is bounded by a
-protocol parameter (SPB401–SPB408), plus the symbolic bound language
+Per-function rules over the specflow CFG and phase attribution that
+flag a protocol buffer or loop no protocol parameter bounds (SPB402,
+SPB405–SPB408), plus the symbolic bound language
 (:mod:`repro.analysis.bounds.symbolic`) and the trace-validated
 occupancy contracts (:func:`check_occupancy`).
 """
@@ -17,10 +17,6 @@ from repro.analysis.bounds.contracts import (
     observed_ring_spans,
 )
 from repro.analysis.bounds.rules import findings
-from repro.analysis.bounds.summaries import (
-    BufferSummary,
-    compute_buffer_summaries,
-)
 from repro.analysis.bounds.symbolic import (
     PARAMS,
     Add,
@@ -38,7 +34,6 @@ from repro.analysis.bounds.symbolic import (
 
 __all__ = [
     "Add",
-    "BufferSummary",
     "Const",
     "Expr",
     "Max",
@@ -48,7 +43,6 @@ __all__ = [
     "Param",
     "cascade_bound",
     "check_occupancy",
-    "compute_buffer_summaries",
     "event_count_bound",
     "findings",
     "history_ring_bound",

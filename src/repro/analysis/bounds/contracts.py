@@ -112,9 +112,11 @@ def observed_inflight_sends(view: TraceView) -> dict[int, int]:
 
     Like :func:`observed_inbox_depths` but attributed to the *sender*:
     within one tag family, how many of the rank's messages were in the
-    pipe (or parked in a peer inbox) at once.
+    pipe (or parked in a peer inbox) at once.  Each (sender, family)
+    total moves by its channel's clamped delta: O(1) per event.
     """
     outstanding: dict[tuple[int, Optional[str], int], int] = {}
+    totals: dict[tuple[int, Optional[str]], int] = {}
     peak: dict[int, int] = {}
     for ev in view.time_ordered:
         if ev.peer is None:
@@ -127,12 +129,11 @@ def observed_inflight_sends(view: TraceView) -> dict[int, int]:
             continue
         delta = 1 if ev.kind == "send" else -1
         chan = (src, ev.family, dst)
-        outstanding[chan] = max(0, outstanding.get(chan, 0) + delta)
-        total = sum(
-            n for (s, fam, _d), n in outstanding.items()
-            if s == src and fam == ev.family
-        )
-        peak[src] = max(peak.get(src, 0), total)
+        before = outstanding.get(chan, 0)
+        outstanding[chan] = max(0, before + delta)
+        key = (src, ev.family)
+        totals[key] = totals.get(key, 0) + outstanding[chan] - before
+        peak[src] = max(peak.get(src, 0), totals[key])
     return peak
 
 

@@ -1,52 +1,35 @@
-"""The SPB401..SPB408 speculation-resource bound rules.
+"""The SPB402 and SPB405..SPB408 speculation-resource bound rules.
 
 Each rule flags one way a protocol buffer can outgrow the parameter
-that is supposed to bound it (BW for history, FW for run-ahead state,
-p for per-peer fan-out).  The phase attribution scopes most checks —
-an unbounded list in a test helper is silent, the same list on the
-receive path is a finding — and the buffer summaries
-(:mod:`repro.analysis.bounds.summaries`) make the append/trim pairing
-interprocedural.
+that is supposed to bound it (BW for history, FW for run-ahead state).
+The phase attribution scopes most checks — an unbounded list in a test
+helper is silent, the same list on the receive path is a finding — and
+every rule reads one function at a time.
 
 =======  ==========================================================
-SPB401   unbounded append-in-loop on a protocol-reachable buffer
 SPB402   history trim uses a literal instead of the BW/FW parameter
-SPB403   bare ``deque()`` without ``maxlen`` where a ring is expected
-SPB404   recv-side inbox grows without a drain pairing the append
 SPB405   window widening without a ``max_fw`` clamp
 SPB406   unbounded trace/event buffer in long-running protocol code
 SPB407   cascade correction loop without an FW-derived depth guard
 SPB408   dict keyed by iteration number without eviction
 =======  ==========================================================
 
-Heuristic rules are warnings, unambiguous growth is an error, and the
-messages say which parameter should appear in the bound.  Findings are
-plain ``Diagnostic`` records; ``# specbound: disable=SPB406``
-suppressions work exactly as for the other four families.
+Every rule is a warning, and the messages say which parameter should
+appear in the bound.  Findings are plain ``Diagnostic`` records;
+``# specbound: disable=SPB406`` suppressions work exactly as for the
+other four families.  History rings and inboxes have no static rule:
+the sanitizer's ``buffer-occupancy-bounded`` hooks and the ``--trace``
+occupancy contracts check them.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.analysis.bounds.summaries import (
-    BufferSummary,
-    Key,
-    compute_buffer_summaries,
-    iter_allocations,
-    iter_append_sites,
-    module_trims,
-    trimmed_tokens,
-)
-from repro.analysis.cfg import (
-    CallGraph,
-    ModuleGraphs,
-    call_name,
-    loops_of,
-    walk_body,
-)
+from repro.analysis.cfg import ModuleGraphs, call_name, loops_of, walk_body
 from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
 from repro.analysis.perf.attribution import (
     Attribution,
@@ -57,19 +40,15 @@ from repro.analysis.perf.attribution import (
 if TYPE_CHECKING:
     from repro.analysis.program import ProgramIndex
 
-#: Buffer tokens treated as trace/event logs (SPB406's domain; SPB401
-#: leaves them alone so one append site yields one finding).
+#: Method names that grow a container.
+APPEND_METHODS = frozenset({"append", "extend", "appendleft", "add"})
+
+#: Buffer tokens treated as trace/event logs (SPB406's domain).
 EVENT_BUFFER_TOKENS = frozenset(
     {"events", "records", "log", "trace", "samples", "intervals"}
 )
 
-#: Buffer tokens treated as per-source message inboxes (SPB404).
-INBOX_TOKENS = frozenset(
-    {"inbox", "_inbox", "pending", "backlog", "mailbox", "_mailboxes",
-     "queue", "_queue"}
-)
-
-#: Buffer tokens treated as speculation history (SPB402/SPB403).
+#: Buffer tokens treated as speculation history (SPB402).
 HISTORY_TOKENS = frozenset(
     {"history", "hist", "ring", "chain", "window", "recent", "samples"}
 )
@@ -83,24 +62,9 @@ GUARD_TOKENS = frozenset(
 ITERATION_NAMES = frozenset({"t", "t2", "iteration", "iter_no", "step"})
 
 register_rule(
-    "SPB401", "unbounded-append-in-loop", Severity.ERROR,
-    "protocol-reachable buffer appended to in a loop with no trim "
-    "anywhere in its module (directly or via a callee)",
-)
-register_rule(
     "SPB402", "literal-history-trim", Severity.WARNING,
     "history trim uses an integer literal instead of the BW/FW "
     "parameter that should bound it",
-)
-register_rule(
-    "SPB403", "bare-deque-ring", Severity.WARNING,
-    "ring-like deque allocated without maxlen (history must be "
-    "capped by the backward window)",
-)
-register_rule(
-    "SPB404", "ungated-inbox-growth", Severity.ERROR,
-    "recv-side inbox appended to with no drain in its module "
-    "(run-ahead is only bounded when delivery consumes the inbox)",
 )
 register_rule(
     "SPB405", "unclamped-window-widening", Severity.WARNING,
@@ -135,61 +99,77 @@ def _names_in(node: ast.AST) -> set[str]:
     return out
 
 
-class BoundContext:
-    """Shared per-run inputs every SPB checker receives.
+# --------------------------------------------------------------------------
+# Buffers: append sites and the textual trim / drain scans
+# --------------------------------------------------------------------------
 
-    Bundles the attribution (what is protocol-reachable), the call
-    graph (where the call sites resolve) and the buffer summaries
-    (which callees append/trim their parameters) so the rule pack
-    stays interprocedural without each rule recomputing the fixpoint.
+
+@dataclass(frozen=True)
+class AppendSite:
+    """One place a function grows a buffer."""
+
+    node: ast.AST
+    buffer: str  # display form, e.g. "self._backlog"
+    token: str  # terminal identifier, e.g. "_backlog"
+
+
+def _buffer_display(expr: ast.AST) -> Optional[tuple[str, str]]:
+    """(display, token) for a plain name / self-attribute buffer."""
+    cur = expr
+    while isinstance(cur, ast.Subscript):
+        cur = cur.value
+    if isinstance(cur, ast.Name):
+        return cur.id, cur.id
+    if (
+        isinstance(cur, ast.Attribute)
+        and isinstance(cur.value, ast.Name)
+        and cur.value.id == "self"
+    ):
+        return f"self.{cur.attr}", cur.attr
+    return None
+
+
+def iter_append_sites(stmts: list[ast.stmt]) -> Iterator[AppendSite]:
+    """Every direct ``buf.append(...)`` under ``stmts`` (nested defs pruned)."""
+    for node in walk_body(stmts):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in APPEND_METHODS
+        ):
+            named = _buffer_display(node.func.value)
+            if named is not None:
+                yield AppendSite(node=node, buffer=named[0], token=named[1])
+
+
+#: An optional subscript: ``self._inbox[src].pop(0)`` drains ``_inbox``.
+_SUB = r"(?:\[[^]\n]*\])?"
+
+
+def _module_drains(module: ModuleGraphs, token: str) -> bool:
+    """Does the module ever consume (pop/del) buffer ``token``?"""
+    name = re.escape(token)
+    pattern = rf"\b{name}{_SUB}\.pop(?:left|item)?\b|del\s+(?:self\.)?{name}\b"
+    return re.search(pattern, module.source) is not None
+
+
+def module_trims(module: ModuleGraphs, token: str) -> bool:
+    """Does the module anywhere shrink or cap buffer ``token``?
+
+    Textual: a drain, a ``remove``, a negative-slice reassignment or a
+    ``maxlen=`` / ``max_events=`` cap.  ``clear`` is deliberately NOT
+    counted: resetting a buffer between runs does not bound it within
+    one.
     """
-
-    def __init__(
-        self,
-        attribution: Attribution,
-        callgraph: Optional[CallGraph],
-        summaries: Optional[dict[Key, BufferSummary]],
-    ) -> None:
-        self.attribution = attribution
-        self.callgraph = callgraph
-        self.summaries = summaries
-
-
-# --------------------------------------------------------------------------
-# SPB401: unbounded append-in-loop on a protocol-reachable buffer
-# --------------------------------------------------------------------------
-
-
-def check_spb401(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    trimmed_via_call = trimmed_tokens(module, ctx.callgraph, ctx.summaries)
-    for qual, func, phases, hot in function_items(module, ctx.attribution):
-        if not phases and not hot:
-            continue
-        key = (module.path, qual)
-        for loop in loops_of(func):
-            body: list[ast.stmt] = loop.body  # type: ignore[attr-defined]
-            for site in iter_append_sites(
-                body, key, ctx.callgraph, ctx.summaries
-            ):
-                if not site.buffer.startswith("self."):
-                    # A local accumulator lives for one call; only
-                    # state that persists across iterations can outgrow
-                    # the protocol parameters.
-                    continue
-                if site.token in EVENT_BUFFER_TOKENS:
-                    continue  # SPB406's domain
-                if module_trims(module, site.token):
-                    continue
-                if site.token in trimmed_via_call:
-                    continue
-                how = f" (via '{site.via}')" if site.via else ""
-                yield diag_at(
-                    module.path, site.node, "SPB401",
-                    f"'{qual}' grows buffer '{site.buffer}' in a loop"
-                    f"{how} and nothing in the module trims it; bound "
-                    "it with the protocol parameter that should cap it "
-                    "(BW for history, FW for run-ahead state)",
-                )
+    name = re.escape(token)
+    pattern = (
+        rf"\b{name}{_SUB}\.remove\b"
+        rf"|\b{name}\s*=\s*[^=\n]*\b{name}\s*\[-"
+        rf"|maxlen|max_events"
+    )
+    return _module_drains(module, token) or (
+        re.search(pattern, module.source) is not None
+    )
 
 
 # --------------------------------------------------------------------------
@@ -230,8 +210,10 @@ def _literal_tail_slice(node: ast.Subscript) -> Optional[int]:
     return None
 
 
-def check_spb402(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in function_items(module, ctx.attribution):
+def check_spb402(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, _phases, _hot in function_items(module, attribution):
         for node in walk_body(func.body):
             named: Optional[tuple[str, str]] = None
             n: Optional[int] = None
@@ -256,65 +238,6 @@ def check_spb402(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
 
 
 # --------------------------------------------------------------------------
-# SPB403: bare deque() without maxlen where a ring is expected
-# --------------------------------------------------------------------------
-
-
-def check_spb403(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in function_items(module, ctx.attribution):
-        for alloc in iter_allocations(func):
-            if alloc.kind != "deque" or alloc.has_maxlen:
-                continue
-            ring_like = any(tok in alloc.token.lower() for tok in HISTORY_TOKENS)
-            if not ring_like:
-                continue
-            yield diag_at(
-                module.path, alloc.node, "SPB403",
-                f"'{qual}' allocates ring-like deque '{alloc.target}' "
-                "without maxlen; pass maxlen derived from the backward "
-                "window (e.g. deque(maxlen=bw)) so old history is "
-                "evicted automatically",
-            )
-
-
-# --------------------------------------------------------------------------
-# SPB404: recv-side inbox growth with no drain
-# --------------------------------------------------------------------------
-
-
-def _module_drains(module: ModuleGraphs, token: str) -> bool:
-    """Does the module ever consume (pop/del) buffer ``token``?"""
-    sub = r"(?:\[[^]\n]*\])?"
-    name = re.escape(token)
-    pattern = (
-        rf"\b{name}{sub}\.pop(?:left|item)?\b"
-        rf"|del\s+(?:self\.)?{name}\b"
-    )
-    return re.search(pattern, module.source) is not None
-
-
-def check_spb404(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in function_items(module, ctx.attribution):
-        if "recv" not in phases:
-            continue
-        key = (module.path, qual)
-        for site in iter_append_sites(
-            list(func.body), key, ctx.callgraph, ctx.summaries
-        ):
-            if site.token not in INBOX_TOKENS:
-                continue
-            if _module_drains(module, site.token):
-                continue
-            yield diag_at(
-                module.path, site.node, "SPB404",
-                f"'{qual}' appends to inbox '{site.buffer}' on the "
-                "receive path but nothing drains it; the forward "
-                "window only bounds run-ahead when delivery consumes "
-                "the inbox (pop on delivery)",
-            )
-
-
-# --------------------------------------------------------------------------
 # SPB405: window widening without a max_fw clamp
 # --------------------------------------------------------------------------
 
@@ -327,11 +250,16 @@ def _is_fw_name(expr: ast.AST) -> bool:
     return False
 
 
-def check_spb405(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in function_items(module, ctx.attribution):
+def check_spb405(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, _phases, _hot in function_items(module, attribution):
+        # One walk per top-level statement: nested defs are another
+        # function's scope; lambdas and class bodies are this one's.
         seen: set[str] = set()
-        for node in walk_body(func.body):
-            seen |= _names_in(node)
+        for stmt in func.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                seen |= _names_in(stmt)
         if "max_fw" in seen or "min" in seen:
             continue  # a clamp is in scope
         for node in walk_body(func.body):
@@ -364,14 +292,13 @@ def check_spb405(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
 # --------------------------------------------------------------------------
 
 
-def check_spb406(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, hot in function_items(module, ctx.attribution):
+def check_spb406(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, phases, hot in function_items(module, attribution):
         if not phases and not hot:
             continue
-        key = (module.path, qual)
-        for site in iter_append_sites(
-            list(func.body), key, None, None
-        ):
+        for site in iter_append_sites(func.body):
             if site.token not in EVENT_BUFFER_TOKENS:
                 continue
             if module_trims(module, site.token):
@@ -417,8 +344,10 @@ def _open_ended(loop: ast.stmt) -> bool:
     return False
 
 
-def check_spb407(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in function_items(module, ctx.attribution):
+def check_spb407(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, phases, _hot in function_items(module, attribution):
         if "cascade" not in terminal_name(qual).lower():
             continue
         if "correct" not in phases:
@@ -455,8 +384,10 @@ def _iteration_key_name(index: ast.expr) -> Optional[str]:
     return None
 
 
-def check_spb408(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in function_items(module, ctx.attribution):
+def check_spb408(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, phases, _hot in function_items(module, attribution):
         if not phases:
             continue
         for node in walk_body(func.body):
@@ -493,12 +424,9 @@ def check_spb408(module: ModuleGraphs, ctx: BoundContext) -> Iterator[Diagnostic
 
 #: code -> checker, the pack :func:`findings` iterates.
 RULE_CHECKERS: dict[
-    str, Callable[[ModuleGraphs, BoundContext], Iterator[Diagnostic]]
+    str, Callable[[ModuleGraphs, Attribution], Iterator[Diagnostic]]
 ] = {
-    "SPB401": check_spb401,
     "SPB402": check_spb402,
-    "SPB403": check_spb403,
-    "SPB404": check_spb404,
     "SPB405": check_spb405,
     "SPB406": check_spb406,
     "SPB407": check_spb407,
@@ -507,12 +435,7 @@ RULE_CHECKERS: dict[
 
 
 def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
-    """Every SPB finding over the shared parse, attribution and call graph."""
-    ctx = BoundContext(
-        attribution=index.attribution,
-        callgraph=index.callgraph,
-        summaries=compute_buffer_summaries(index.callgraph),
-    )
+    """Every SPB finding over the shared parse and its attribution."""
     for module in index.modules:
         for checker in RULE_CHECKERS.values():
-            yield from checker(module, ctx)
+            yield from checker(module, index.attribution)

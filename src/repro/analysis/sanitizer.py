@@ -421,6 +421,10 @@ def run_selftest(verbose: bool = True) -> int:
         san = ProtocolSanitizer()
         san.on_ring_occupancy(0, src=1, occupancy=5, capacity=4)
 
+    def bad_inbox() -> None:
+        san = ProtocolSanitizer()
+        san.on_inbox_depth(0, src=1, depth=4, bound=3)
+
     def bad_retransmit() -> None:
         san = ProtocolSanitizer()
         san.on_retransmit(0, src=1, seq=2, attempt=5, max_attempts=4)
@@ -433,6 +437,7 @@ def run_selftest(verbose: bool = True) -> int:
     expect_violation("eventual-verification", bad_run_end)
     expect_violation("window-policy-bound", bad_window_policy)
     expect_violation("buffer-occupancy-bounded", bad_occupancy)
+    expect_violation("buffer-occupancy-bounded", bad_inbox)
     expect_violation("retransmit-bounded", bad_retransmit)
 
     if verbose:
@@ -443,6 +448,6 @@ def run_selftest(verbose: bool = True) -> int:
             print(
                 "sanitizer selftest ok: clean run passed; "
                 f"{len(ProtocolSanitizer.INVARIANTS)} invariants armed, "
-                "9 crafted violations detected"
+                "10 crafted violations detected"
             )
     return 1 if failures else 0

@@ -25,6 +25,17 @@ and ``trace/specflow`` pins had already moved once, in ISSUE 20
 (verdict lines in the common ``{kind} {rule} {where}: {STATUS} —
 {detail}`` shape; 29 exact duplicate SPF111 lines printed once).
 
+The second cut of the rule audit deleted SPB401, SPB403 and SPB404
+with the four fixtures only they fired on (``bad_append_loop.py``,
+``bad_interproc_chain.py``, ``bad_bare_deque.py``,
+``bad_ungated_inbox.py``) and moved ``specbound/*``, ``check/*``,
+``check-one-tree/sarif`` (its merged catalogue lists specbound's rules)
+and ``trace/specbound`` (which prints the fixture findings above the
+verdicts).  Checked the same way: the parent's code over the tree
+without the four fixtures printed the same text byte for byte, and its
+JSON / SARIF, parsed, with the three codes' catalogue entries dropped,
+equal the new documents.
+
 Everything runs from the repo root so the paths inside the reports are
 the relative ones CI prints.  The structural pins at the bottom say
 *how* the reports are produced: one grouping pass over the log, one
@@ -61,14 +72,10 @@ PARENT_DIGESTS = {
     "spectaint/text": "74278adccf81f597e0e734e6f5b572605a834445217af46cf65aadc000f13662",
     "spectaint/json": "1d3e3aa51d3d1a9cf3169e4eddf1c7f7de64e39cb05b2acd0c6822762182777a",
     "spectaint/sarif": "3b3a4c07524cedb1baab55af77fc514b806178ce9cbb2c45f38e7394939cb362",
-    "specbound/text": "8a72d93f4cf6e063ff959fed767d6a4b22cd538a61aee25b0bdafa2b1801b0b8",
-    "specbound/json": "825e43b22c7ff7e6a90988792fd28f179c310f9354be44999218a82142718376",
-    "specbound/sarif": "0316f08fd553614c102509cad56af38f4f1cbce02ead8d0858ad7bff57633a20",
     "trace/spectaint": "766ae29d2e1e6c9fa02a457d15a441e184539d1f766185b4f50ff445d47be659",
-    "trace/specbound": "e617c3fddf3dfeeb9d53e72476a78261a8472e3b4dc1f13ce0671fec301b12bd",
 }
 
-#: Re-captured by ISSUE 22: the reports that listed a deleted rule (see
+#: Re-captured when rules were deleted: the reports that listed one (see
 #: the module docstring).
 MOVED_DIGESTS = {
     "speclint/json": "9d56424992b36354bc15825cbbad0fe5c84c855a401e89a51271826f91891550",
@@ -80,12 +87,16 @@ MOVED_DIGESTS = {
     "specperf/sarif": "a8c43fed38b2d1736b31e8d6416e7d2c9bde0fcb53baa260765b016ea07971e6",
     "check-one-tree/text": "aaa52c900cb6a2d37f40f5ac3c2be528181771c478b2fd28503dd4c7cfec79fe",
     "check-one-tree/json": "38ded0dc7bd8b31312a38c88d4cfed83f8fd54a24585ac0a8b8147a5cec7c3f2",
-    "check-one-tree/sarif": "e612eb7f5ecf84c595c6bee61b18bb2ecaff9c646ace5accb283f49f4121cb12",
-    "check/text": "ca5f526d0b13cd38efc8f764f43056ac8ef45118f63c32c941882e30860ffca1",
-    "check/json": "d3e74165ef0479fbad3ce5f08c13099f950810779160a6ef587018d5515e6ed9",
-    "check/sarif": "2f4d5c768eb9f448e5c2f1354e8a9c3f5427374e652987ad3575f57510b3246f",
+    "check-one-tree/sarif": "4f37fb4ed3c4a56622754366ba0c67b52726e75a95137f94bf0d0dde317dda6b",
+    "check/text": "548f73beb3435be0415b8e560024b5716cac284fa91408a08baef2b46b738982",
+    "check/json": "877ca4019ace56d4c6e1f201774a9d788047d61a360f229ff96611bd64bb5084",
+    "check/sarif": "8e36c4f533ef84908536f7e9fc449ecbc465218fe9e37def1894a045853f2eba",
+    "specbound/text": "367f89afc3af8d13978aaf43b54f4e4ecc43eaee357df8c40ba867f563aa5fb7",
+    "specbound/json": "d6283237aa4a77009f85957bfe4787ceac6f91cceb0f71ffad928dfb5d8a6639",
+    "specbound/sarif": "6e4103841a36fe1e69e7a9a442c14db386e7b4388fd815fdee276b08d8a02a30",
     "trace/specflow": "b35bd3bda14c5d879ddb2d08728272ef8ab1c3595d17575a979c2c4c8edc712e",
     "trace/specperf": "01bf58050408e84f0ffe53053c7b83d187b2602833e65acd845f1b0c63fd7144",
+    "trace/specbound": "d08cf5fe3e795f8d4e7e9871d9e1c1c592066c1a3ac4675474bc7f712982e7e8",
 }
 
 DIGESTS = {**PARENT_DIGESTS, **MOVED_DIGESTS}

@@ -106,6 +106,22 @@ def test_forward_window_bound_fw_exceeded():
     assert exc.value.invariant == "forward-window-bound"
 
 
+def test_ring_occupancy_over_capacity():
+    san = ProtocolSanitizer()
+    san.on_ring_occupancy(0, src=1, occupancy=4, capacity=4)  # full: legal
+    with pytest.raises(ProtocolViolation) as exc:
+        san.on_ring_occupancy(0, src=1, occupancy=5, capacity=4)
+    assert exc.value.invariant == "buffer-occupancy-bounded"
+
+
+def test_inbox_depth_over_bound():
+    san = ProtocolSanitizer()
+    san.on_inbox_depth(0, src=1, depth=3, bound=3)  # at the bound: legal
+    with pytest.raises(ProtocolViolation) as exc:
+        san.on_inbox_depth(0, src=1, depth=4, bound=3)
+    assert exc.value.invariant == "buffer-occupancy-bounded"
+
+
 def test_cascade_order_violation():
     san = ProtocolSanitizer()
     san.on_cascade_begin(0, 4)
@@ -209,4 +225,6 @@ def test_selftest_passes():
 
 def test_cli_sanitize_selftest(capsys):
     assert main(["lint", "--sanitize-selftest"]) == 0
-    assert "sanitizer selftest ok" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sanitizer selftest ok" in out
+    assert "10 crafted violations detected" in out

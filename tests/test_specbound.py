@@ -1,7 +1,6 @@
 """Tests for specbound: the symbolic bound language, the SPB rule
-pack, interprocedural buffer summaries, trace-validated occupancy
-contracts, the EventLog cap, and the ``repro bounds`` / ``repro
-check`` CLIs."""
+pack, trace-validated occupancy contracts, the EventLog cap, and the
+``repro bounds`` / ``repro check`` CLIs."""
 
 import json
 from pathlib import Path
@@ -44,7 +43,7 @@ analyze_source = SPECBOUND.analyze_source
 FIXTURES = Path(__file__).parent / "specbound_fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
-ALL_CODES = [f"SPB40{i}" for i in range(1, 9)]
+ALL_CODES = ["SPB402", "SPB405", "SPB406", "SPB407", "SPB408"]
 
 
 def _codes_of(path):
@@ -56,10 +55,8 @@ def _codes_of(path):
 
 def test_all_spb_rules_registered():
     assert list(SPECBOUND.rules) == ALL_CODES
-    errors = {"SPB401", "SPB404"}
     for code in ALL_CODES:
-        expected = Severity.ERROR if code in errors else Severity.WARNING
-        assert SPECBOUND.rules[code].severity is expected
+        assert SPECBOUND.rules[code].severity is Severity.WARNING
 
 
 # --------------------------------------------------------------- fixtures
@@ -68,11 +65,7 @@ def test_all_spb_rules_registered():
 @pytest.mark.parametrize(
     "name, code",
     [
-        ("bad_append_loop.py", "SPB401"),
-        ("bad_interproc_chain.py", "SPB401"),
         ("bad_literal_trim.py", "SPB402"),
-        ("bad_bare_deque.py", "SPB403"),
-        ("bad_ungated_inbox.py", "SPB404"),
         ("bad_unclamped_widen.py", "SPB405"),
         ("bad_event_buffer.py", "SPB406"),
         ("bad_unguarded_cascade.py", "SPB407"),
@@ -81,15 +74,6 @@ def test_all_spb_rules_registered():
 )
 def test_each_bad_fixture_fires_only_its_rule(name, code):
     assert _codes_of(FIXTURES / name) == [code]
-
-
-def test_interprocedural_append_through_helper():
-    diags = analyze_paths([FIXTURES / "bad_interproc_chain.py"])
-    assert [d.code for d in diags] == ["SPB401"]
-    # The finding lands on the call site in `compute`, where the
-    # buffer is handed to the helper — not inside `stash`, which only
-    # appends to whatever it is given.
-    assert "via 'stash'" in diags[0].message
 
 
 @pytest.mark.parametrize(
@@ -105,25 +89,42 @@ def test_whole_fixture_dir_fires_every_rule():
 
 
 def test_select_restricts_rules():
-    diags = analyze_paths([FIXTURES], select=["SPB403"])
-    assert {d.code for d in diags} == {"SPB403"}
+    diags = analyze_paths([FIXTURES], select=["SPB405"])
+    assert {d.code for d in diags} == {"SPB405"}
 
 
 def test_suppression_directive_silences_a_finding():
-    source = (FIXTURES / "bad_ungated_inbox.py").read_text()
-    assert [d.code for d in analyze_source(source, path="<t>")] == ["SPB404"]
+    source = (FIXTURES / "bad_event_buffer.py").read_text()
+    assert [d.code for d in analyze_source(source, path="<t>")] == ["SPB406"]
     silenced = source.replace(
-        "self.pending.append((src, message))",
-        "self.pending.append((src, message))  # specbound: disable=SPB404",
+        "self.events.append((src, t, block))",
+        "self.events.append((src, t, block))  # specbound: disable=SPB406",
     )
     assert analyze_source(silenced, path="<t>") == []
 
 
 def test_any_family_spelling_carries_spb_codes():
-    source = "x = 1  # speclint: disable=SPB404\n# spectaint: disable-file=SPB401\n"
+    source = "x = 1  # speclint: disable=SPB408\n# spectaint: disable-file=SPB407\n"
     per_line, file_wide = parse_suppressions(source)
-    assert per_line == {1: {"SPB404"}}
-    assert file_wide == {"SPB401"}
+    assert per_line == {1: {"SPB408"}}
+    assert file_wide == {"SPB407"}
+
+
+@pytest.mark.parametrize(
+    "clamp, fires",
+    [
+        ("    def cap():\n        return max_fw\n", True),
+        ("    cap = lambda: max_fw\n", False),
+        ("    class Limits:\n        cap = max_fw\n", False),
+    ],
+    ids=["nested-def", "lambda", "class-body"],
+)
+def test_spb405_clamp_scope(clamp, fires):
+    """A ``max_fw`` in a nested ``def`` is another function's clamp;
+    one in a lambda or a class body is this function's."""
+    source = f"def widen(fw):\n{clamp}    return fw + 1\n"
+    codes = [d.code for d in analyze_source(source, path="<t>")]
+    assert codes == (["SPB405"] if fires else [])
 
 
 def test_syntax_error_yields_spb000():
@@ -440,7 +441,7 @@ def test_cli_bounds_trace_contracts(tmp_path, capsys):
 
 
 def test_cli_check_exit_parity_with_bounds(capsys):
-    dirty = str(FIXTURES / "bad_bare_deque.py")
+    dirty = str(FIXTURES / "bad_unclamped_widen.py")
     clean = str(FIXTURES / "good_trimmed_inbox.py")
     assert main(["check", dirty]) == main(["bounds", dirty]) == EXIT_FINDINGS
     assert main(["check", clean]) == main(["bounds", clean]) == EXIT_CLEAN
