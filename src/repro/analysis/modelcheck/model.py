@@ -6,11 +6,15 @@ rank's live state sits in the engine object whenever the generator is
 parked at a ``Recv``/``TryRecv``.  That is exactly the shape an
 explicit-state model checker needs:
 
-* an :class:`Execution` holds one engine per rank, per-channel FIFO
-  queues of undelivered messages, and a fresh
+* an :class:`Execution` *is* the loopback backend's
+  :class:`~repro.engine.loopback.LoopbackRunner` — one engine per
+  rank, one FIFO queue of undelivered messages per destination (the
+  channel ``src -> dst`` is the part of it ``src`` sent), and a fresh
   :class:`~repro.analysis.sanitizer.ProtocolSanitizer` (the runtime
   seat of the shared invariant registry, reused verbatim as the model
-  checker's per-execution oracle);
+  checker's per-execution oracle) — driven by an explicit schedule
+  instead of the round-robin one, so the checker checks the very
+  machine loopback runs;
 * the *scheduler's* nondeterminism is reified as :class:`Action`
   values — ``deliver`` (hand one queued message to a parked rank) and
   ``skip`` (answer a ``TryRecv`` with "nothing yet", modelling a
@@ -29,10 +33,8 @@ so the checker can assert its own detection power end to end.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,8 +42,8 @@ from repro.analysis.invariants import require
 from repro.analysis.modelcheck.scenario import McConfig, build_program
 from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.engine.core import SpecEngine, topology
-from repro.engine.events import Arrival, Charge, Recv, Retransmit, Send, TryRecv
-from repro.engine.observer import RankObserver
+from repro.engine.events import Arrival, Recv, Send, TryRecv
+from repro.engine.loopback import LoopbackRunner
 from repro.engine.ring import OutOfOrderArrival
 
 __all__ = [
@@ -264,23 +266,22 @@ def _digest_block(block: Any) -> str:
     return repr(block)
 
 
-#: One queued wire message: (seq, family, iteration, payload).
-_Msg = Tuple[int, str, int, Any]
-
-
 # --------------------------------------------------------------------------
 # Execution
 # --------------------------------------------------------------------------
-class Execution:
-    """One deterministic run of ``p`` engines under an explicit schedule.
+class Execution(LoopbackRunner):
+    """The loopback runner of ``p`` engines under an explicit schedule.
 
     Construction primes every engine to its first park point; from
     then on the *only* nondeterminism is which :class:`Action` is
     applied next, so a schedule prefix identifies a state exactly.
-    Invariant violations (from the sanitizer seat, from the engine's
-    own :class:`OutOfOrderArrival`, or from the specmc-only state
-    predicates) are captured into :attr:`violation` rather than
-    raised, so exploration code stays straight-line.
+    Queues, stepping, delivery, event recording and the observer seats
+    are :class:`~repro.engine.loopback.LoopbackRunner`'s; this class
+    adds the mutated engine construction, the actions and the
+    specmc-only checks.  Invariant violations (from the sanitizer
+    seat, from the engine's own :class:`OutOfOrderArrival`, or from the
+    specmc-only state predicates) are captured into :attr:`violation`
+    rather than raised, so exploration code stays straight-line.
     """
 
     def __init__(
@@ -291,7 +292,6 @@ class Execution:
     ) -> None:
         self.config = config
         self.mutation = resolve_mutation(mutation)
-        self.event_log = event_log
         self.program = build_program(config)
         needed, audience = topology(self.program)
 
@@ -319,56 +319,35 @@ class Execution:
             if name == "runaway-window"
             else config.window_policy()
         )
-
-        self.engines: Dict[int, SpecEngine] = {
+        engines = {
             rank: engine_cls(
-                self.program,
-                rank,
-                needed[rank],
-                audience[rank],
-                fw=config.fw,
-                cascade=config.cascade,
-                hist_cap=config.hist_cap,
-                policy=policy,
-                **gate_kwargs,
+                self.program, rank, needed[rank], audience[rank],
+                fw=config.fw, cascade=config.cascade,
+                hist_cap=config.hist_cap, policy=policy, **gate_kwargs,
             )
             for rank in range(config.p)
         }
-        self.sanitizer = ProtocolSanitizer()
-        #: The shared observer seat per rank (sanitizer + event log;
-        #: ProtocolViolation escapes to ``_advance``).  No clock: the
-        #: engines fall back to their deterministic iteration clock,
-        #: so seated policies see bit-identical time on every schedule.
-        self._observers = {
-            rank: RankObserver(
-                rank, sanitizer=self.sanitizer,
-                record=(
-                    None if event_log is None else partial(self._record, rank)
-                ),
-            )
-            for rank in range(config.p)
-        }
-        #: (src, dst) -> FIFO of undelivered messages.
-        self.channels: Dict[Tuple[int, int], Deque[_Msg]] = {}
-        self.parked: Dict[int, Any] = {}
-        self.finals: Dict[int, Any] = {}
+        super().__init__(
+            engines, event_log=event_log, sanitize=ProtocolSanitizer()
+        )
+        #: No clock: the engines fall back to their deterministic
+        #: iteration clock, so seated policies see bit-identical time on
+        #: every schedule.
+        for observer in self.observers.values():
+            observer.clock = None
         self.violation: Optional[McViolation] = None
         self.schedule: List[Action] = []
-        self.steps = 0
         self.dropped = 0
-        self.retransmits = 0
-        self._clock = 0
-        self._gens = {rank: eng.run() for rank, eng in self.engines.items()}
-        for rank in sorted(self._gens):
+        for rank in sorted(self.engines):
             if self.violation is None:
-                self._advance(rank, None)
+                self.resume(rank, None)
         self._check_state()
 
     # ------------------------------------------------------------ queries
     @property
     def is_done(self) -> bool:
         """Every rank returned its final block (and nothing broke)."""
-        return self.violation is None and len(self.finals) == len(self._gens)
+        return self.violation is None and len(self.finals) == len(self.engines)
 
     def enabled_actions(self) -> List[Action]:
         """All scheduler actions applicable in the current state."""
@@ -387,22 +366,37 @@ class Execution:
     def _deliveries(
         self, rank: int, match: Optional[Tuple[str, int]]
     ) -> List[Action]:
+        """One ``deliver`` per channel into ``rank`` holding a message
+        ``match`` accepts: the channel's oldest such message (plus its
+        second message for a wildcard receive under ``no-seq-floor``).
+        Channel ``src -> rank`` is the part of ``rank``'s queue ``src``
+        sent, so ``Action.idx`` counts within that part."""
+        first: Dict[int, int] = {}  # src -> idx of its oldest match
+        sent: Dict[int, int] = {}  # src -> channel length so far
+        for src, _seq, family, iteration, _payload in self.queues[rank]:
+            idx = sent.get(src, 0)
+            sent[src] = idx + 1
+            if src not in first and (
+                match is None or (family, iteration) == match
+            ):
+                first[src] = idx
         out: List[Action] = []
-        for src in sorted(self._gens):
-            queue = self.channels.get((src, rank))
-            if not queue:
-                continue
-            if match is None:
-                out.append(Action("deliver", rank, src, 0))
-                if self._reorder and len(queue) >= 2:
-                    out.append(Action("deliver", rank, src, 1))
-            else:
-                family, iteration = match
-                for i, (_seq, fam, it, _payload) in enumerate(queue):
-                    if fam == family and it == iteration:
-                        out.append(Action("deliver", rank, src, i))
-                        break
+        for src in sorted(first):
+            out.append(Action("deliver", rank, src, first[src]))
+            if match is None and self._reorder and sent[src] >= 2:
+                out.append(Action("deliver", rank, src, 1))
         return out
+
+    def _queue_index(self, action: Action) -> int:
+        """Where message ``action.idx`` of channel ``action.src ->
+        action.rank`` sits in ``action.rank``'s queue."""
+        channel = [
+            i for i, message in enumerate(self.queues[action.rank])
+            if message[0] == action.src
+        ]
+        if not 0 <= action.idx < len(channel):
+            raise ValueError(f"{action.describe()} not enabled")
+        return channel[action.idx]
 
     def check_deadlock(self) -> Optional[McViolation]:
         """Detect (and record) a terminal state with unfinished ranks."""
@@ -413,14 +407,15 @@ class Execution:
         waiting = {
             rank: type(eff).__name__ for rank, eff in sorted(self.parked.items())
         }
-        undelivered = sum(len(q) for q in self.channels.values())
-        if self.dropped > 0 and self.retransmits > 0:
+        undelivered = sum(len(q) for q in self.queues.values())
+        retransmits = sum(e.stats.retransmits for e in self.engines.values())
+        if self.dropped > 0 and retransmits > 0:
             # The wedge is a *diagnosed* loss: the engine detected the
             # gap and requested retransmission, but the transport never
             # answered — the recovery contract, not scheduling, broke.
             self._violate(
                 "retransmit-bounded",
-                f"{self.retransmits} retransmit request(s) went "
+                f"{retransmits} retransmit request(s) went "
                 f"unanswered after {self.dropped} dropped message(s); "
                 f"ranks {sorted(self.parked)} are wedged awaiting "
                 "recovery (parked: "
@@ -442,79 +437,41 @@ class Execution:
         """Apply one enabled scheduler action (strict: raises if not)."""
         if self.violation is not None:
             raise RuntimeError("execution already violated; cannot step")
-        self.steps += 1
         self.schedule.append(action)
+        effect = self.parked.get(action.rank)
         if action.kind == "skip":
-            effect = self.parked.get(action.rank)
             if not isinstance(effect, TryRecv):
                 raise ValueError(f"{action.describe()} not enabled")
-            del self.parked[action.rank]
-            self._advance(action.rank, None)
-            self._check_state()
-            return
-        if action.kind != "deliver":
-            raise ValueError(f"unknown action kind {action.kind!r}")
-        queue = self.channels.get((action.src, action.rank))
-        if queue is None or len(queue) <= action.idx:
-            raise ValueError(f"{action.describe()} not enabled")
-        effect = self.parked.get(action.rank)
-        if effect is None:
-            raise ValueError(f"{action.describe()}: rank not parked")
-        seq, family, iteration, payload = queue[action.idx]
-        del queue[action.idx]
-        if not queue:
-            del self.channels[(action.src, action.rank)]
-        del self.parked[action.rank]
-        self._record(action.rank, "recv", action.src, family, iteration)
-        if self._check_delivery_seq:
+            self.resume(action.rank, None)
+        elif action.kind == "deliver":
+            i = self._queue_index(action)
+            if effect is None:
+                raise ValueError(f"{action.describe()}: rank not parked")
             try:
-                self.sanitizer.on_delivery(action.rank, action.src, seq)
+                arrival = self.pop(action.rank, i, self._check_delivery_seq)
             except ProtocolViolation as exc:
                 self._violate(exc.invariant, exc.details, rank=action.rank)
                 return
-        # A delivery resuming a blocking Recv counts one model step of
-        # wait — the deterministic analogue of blocked-in-select time,
-        # which is what makes window-widening decisions reachable for a
-        # seated policy (harmless otherwise: epoch_wait is unread).
-        waited = 1.0 if isinstance(effect, Recv) else 0.0
-        self._advance(
-            action.rank,
-            Arrival(
-                src=action.src, iteration=iteration, payload=payload,
-                waited=waited, seq=seq if self._include_seq else -1,
-            ),
-        )
-        self._check_state()
+            # A delivery resuming a blocking Recv counts one model step
+            # of wait — the deterministic analogue of blocked-in-select
+            # time, which is what makes window-widening decisions
+            # reachable for a seated policy (harmless otherwise:
+            # epoch_wait is unread).
+            self.resume(action.rank, replace(
+                arrival,
+                waited=1.0 if isinstance(effect, Recv) else 0.0,
+                seq=arrival.seq if self._include_seq else -1,
+            ))
+        else:
+            raise ValueError(f"unknown action kind {action.kind!r}")
+        # An action resumes one rank, and a send only appends to a
+        # queue: no other engine can have changed.
+        self._check_state(action.rank)
 
-    def _advance(self, rank: int, response: Optional[Arrival]) -> None:
-        """Run ``rank`` until it parks at a receive or finishes."""
-        gen = self._gens[rank]
+    def resume(self, rank: int, response: Optional[Arrival] = None) -> None:
+        """The runner's step, with a broken invariant captured."""
         try:
-            while True:
-                try:
-                    effect = gen.send(response)
-                except StopIteration as stop:
-                    self.parked.pop(rank, None)
-                    self.finals[rank] = stop.value
-                    if len(self.finals) == len(self._gens):
-                        self.sanitizer.on_run_end()
-                    return
-                response = None
-                kind = type(effect)
-                if kind is Send:
-                    self._on_send(rank, effect)
-                elif kind is Charge:
-                    pass  # the model has no clock; costs are not state
-                elif kind is Recv or kind is TryRecv:
-                    self.parked[rank] = effect
-                    return
-                else:
-                    if kind is Retransmit:
-                        # The model's transport never retransmits: count
-                        # the request (check_deadlock's
-                        # retransmit-bounded evidence).
-                        self.retransmits += 1
-                    self._observers[rank].notify(effect)
+            super().resume(rank, response)
         except ProtocolViolation as exc:
             self._violate(exc.invariant, exc.details, rank=rank)
         except OutOfOrderArrival as exc:
@@ -526,26 +483,12 @@ class Execution:
                 rank=rank,
             )
 
-    def _on_send(self, rank: int, effect: Send) -> None:
-        self._record(rank, "send", effect.dst, effect.family, effect.iteration)
-        if self._drop and rank == 1 and effect.dst == 0 and effect.seq == 0:
+    def _send(self, src: int, effect: Send) -> None:
+        if self._drop and src == 1 and effect.dst == 0 and effect.seq == 0:
+            self._record(src, "send", effect.dst, effect.family, effect.iteration)
             self.dropped += 1
-            return
-        self.channels.setdefault((rank, effect.dst), deque()).append(
-            (effect.seq, effect.family, effect.iteration, effect.payload)
-        )
-
-    # ----------------------------------------------------------- observers
-    def _record(
-        self, rank: int, kind: str, peer: Optional[int],
-        family: Optional[str], iteration: Optional[int],
-    ) -> None:
-        if self.event_log is not None:
-            self._clock += 1
-            self.event_log.record(
-                kind, rank, float(self._clock), peer=peer, family=family,
-                iteration=iteration,
-            )
+        else:
+            super()._send(src, effect)
 
     # ------------------------------------------------------------ checking
     def _violate(
@@ -559,12 +502,14 @@ class Execution:
             schedule=tuple(self.schedule),
         )
 
-    def _check_state(self) -> None:
+    def _check_state(self, rank: Optional[int] = None) -> None:
         """specmc-only state predicates (``history-ring-bound``,
-        ``window-policy-bound``)."""
+        ``window-policy-bound``) on ``rank``, or on every rank."""
         if self.violation is not None:
             return
-        for rank, engine in self.engines.items():
+        ranks = self.engines if rank is None else (rank,)
+        for rank in ranks:
+            engine = self.engines[rank]
             policy = engine.policy
             if policy is not None and not (
                 policy.min_fw <= engine.fw <= policy.max_fw
@@ -613,7 +558,7 @@ class Execution:
             h.update(repr(parts).encode())
             h.update(b"\x00")
 
-        for rank in sorted(self._gens):
+        for rank in sorted(self.engines):
             if rank in self.finals:
                 put("done", rank, _digest_block(self.finals[rank]))
                 continue
@@ -662,10 +607,14 @@ class Execution:
                 times, values = eng.history[k].series()
                 put("hist", k, tuple(times),
                     tuple(_digest_block(v) for v in values))
-        for key in sorted(self.channels):
-            queue = self.channels[key]
-            put("chan", key,
-                tuple((m[0], m[1], m[2], _digest_block(m[3])) for m in queue))
+        channels: Dict[Tuple[int, int], List[Tuple[Any, ...]]] = {}
+        for dst, queue in self.queues.items():
+            for src, seq, family, iteration, payload in queue:
+                channels.setdefault((src, dst), []).append(
+                    (seq, family, iteration, _digest_block(payload))
+                )
+        for key in sorted(channels):
+            put("chan", key, tuple(channels[key]))
         return h.digest()
 
 

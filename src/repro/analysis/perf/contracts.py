@@ -128,16 +128,9 @@ def model_phase_shares(
         shares["compute"] = 1.0
         return shares
     model = PerformanceModel(params)
-    counts = model.allocation(p)
     bottleneck = max(range(p), key=lambda i: model.t_spec_rank(p, i))
-    n_i = counts[bottleneck]
-    m_i = params.capacities[bottleneck]
-    remote = params.n - n_i
-    spec_t = remote * params.f_spec / m_i
-    comp_t = n_i * params.f_comp / m_i
+    spec_t, comp_t, check_t, correct_t = model.spec_terms(p, bottleneck)
     comm_t = max(0.0, params.t_comm(p) - (spec_t + comp_t))
-    check_t = remote * params.f_check / m_i
-    correct_t = params.k * n_i * params.f_comp / m_i
     total = spec_t + comp_t + comm_t + check_t + correct_t
     if total <= 0.0:  # pragma: no cover - degenerate parameters
         return shares

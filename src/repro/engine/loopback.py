@@ -1,7 +1,7 @@
 """Loopback transport: the whole protocol in one process, no clock.
 
-The cheapest possible medium — per-rank FIFO queues and a
-deterministic round-robin scheduler — useful for
+The cheapest possible medium — one FIFO queue per destination rank,
+stepped by a deterministic schedule — useful for
 
 * unit tests of protocol *logic* (what is sent, speculated, verified,
   corrected) without dragging in the DES kernel or real processes;
@@ -11,7 +11,14 @@ deterministic round-robin scheduler — useful for
 * differential testing: loopback, DES and pipe backends drive the
   *same* :class:`~repro.engine.core.SpecEngine`, so their speculation
   counters and final numerics must agree wherever timing does not
-  feed back into the numerics.
+  feed back into the numerics;
+* model checking: :class:`LoopbackRunner` is the one in-process
+  executor.  Its primitives are :meth:`~LoopbackRunner.resume` (step
+  one rank until it parks or returns) and :meth:`~LoopbackRunner.pop`
+  (deliver one queued message); :meth:`~LoopbackRunner.run` is the
+  round-robin schedule over them, and specmc's
+  :class:`~repro.analysis.modelcheck.model.Execution` is the same
+  runner under an explicit schedule of every delivery order.
 
 Delivery is immediate (messages become receivable the moment they are
 sent) and per-pair FIFO.  The round-robin schedule itself produces
@@ -95,13 +102,15 @@ class LoopbackRunner:
         #: (responds to ``IterationDone``; also the unit of
         #: ``Arrival.waited`` for ranks parked on a blocking receive).
         self.rounds = 0
-        self._parked_at: Dict[int, int] = {}
-        #: rank -> round at which a parked Recv's ``timeout`` expires
-        #: (the rank then resumes with None so the engine's retransmit
-        #: timer can escalate; fault-free engines never set one).
-        self._parked_deadline: Dict[int, int] = {}
+        #: rank -> the ``Recv`` / ``TryRecv`` the rank is parked on.
+        self.parked: Dict[int, Any] = {}
+        #: rank -> final block, for every rank that has returned.
+        self.finals: Dict[int, Any] = {}
         #: rank -> observer seat; its clock is the sweep count.
         self.observers: Dict[int, RankObserver] = {}
+        #: rank -> what :meth:`resume` drives: the engine generator's
+        #: ``send``, the observer's ``notify``, the phase-row ``record``.
+        self._seats: Dict[int, Tuple[Any, Any, Any]] = {}
         for rank, engine in self.engines.items():
             observer = self.observers[rank] = RankObserver(
                 rank,
@@ -112,6 +121,9 @@ class LoopbackRunner:
                 clock=lambda: float(self.rounds),
             )
             observer.begin(engine)
+            self._seats[rank] = (
+                engine.run().send, observer.notify, self.traces[rank].record
+            )
 
     @property
     def window_history(self) -> Dict[int, list[Tuple[int, int]]]:
@@ -120,92 +132,104 @@ class LoopbackRunner:
 
     # -------------------------------------------------------------- running
     def run(self) -> Dict[int, Any]:
-        """Execute every rank to completion; rank -> final block."""
-        gens = {rank: engine.run() for rank, engine in self.engines.items()}
-        notify = {rank: obs.notify for rank, obs in self.observers.items()}
-        record = {rank: trace.record for rank, trace in self.traces.items()}
-        clock = self._ops_clock
-        response: Dict[int, Optional[Arrival | float]] = {
-            rank: None for rank in gens
-        }
-        blocked: Dict[int, Recv] = {}
-        finals: Dict[int, Any] = {}
-
-        while len(finals) < len(gens):
+        """Execute every rank to completion under the round-robin
+        schedule; rank -> final block.  A rank parked on a ``Recv``
+        resumes with ``Arrival.waited`` = rounds parked, or with None
+        once its ``timeout`` (in rounds) expires; ``TryRecv`` is
+        answered on the spot."""
+        parked = self.parked
+        parked_at: Dict[int, int] = {}
+        #: rank -> round at which a parked Recv's ``timeout`` expires
+        #: (the rank then resumes with None so the engine's retransmit
+        #: timer can escalate; fault-free engines never set one).
+        deadlines: Dict[int, int] = {}
+        ranks = sorted(self.engines)
+        while len(self.finals) < len(ranks):
             progress = False
             self.rounds += 1
-            for rank in sorted(gens):
-                if rank in finals:
+            for rank in ranks:
+                if rank in self.finals:
                     continue
-                if rank in blocked:
-                    arrival = self._match(rank, blocked[rank].match)
-                    if arrival is None:
-                        deadline = self._parked_deadline.get(rank)
-                        if deadline is None or self.rounds < deadline:
-                            continue  # still blocked
-                        # Bounded park expired: resume with None.
-                        self._parked_at.pop(rank, None)
-                        self._parked_deadline.pop(rank, None)
-                        response[rank] = None
-                        del blocked[rank]
-                        progress = True
-                    else:
-                        waited = float(self.rounds - self._parked_at.pop(rank))
-                        self._parked_deadline.pop(rank, None)
-                        response[rank] = replace(arrival, waited=waited)
-                        del blocked[rank]
-                        progress = True
+                effect = parked.get(rank)
+                response: Optional[Arrival] = None
+                if effect is not None:
+                    response = self._match(rank, effect.match)
+                    if response is not None:
+                        response = replace(
+                            response,
+                            waited=float(self.rounds - parked_at[rank]),
+                        )
+                    elif self.rounds < deadlines.get(rank, self.rounds + 1):
+                        continue  # still blocked (a timed park: until due)
+                    del parked_at[rank]
+                    deadlines.pop(rank, None)
+                progress = True
                 # Step this rank until it blocks or finishes.
                 while True:
-                    try:
-                        effect = gens[rank].send(response[rank])
-                    except StopIteration as stop:
-                        finals[rank] = stop.value
-                        progress = True
+                    self.resume(rank, response)
+                    effect = parked.get(rank)
+                    if effect is None:
+                        break  # finished
+                    if type(effect) is TryRecv:
+                        response = self._match(rank, None)
+                        continue
+                    response = self._match(rank, effect.match)
+                    if response is None:
+                        parked_at[rank] = self.rounds
+                        if effect.timeout is not None:
+                            deadlines[rank] = (
+                                self.rounds + max(1, int(effect.timeout))
+                            )
                         break
-                    response[rank] = None
-                    progress = True
-                    kind = type(effect)
-                    if kind is Send:
-                        self._deliver(rank, effect)
-                    elif kind is TryRecv:
-                        response[rank] = self._match(rank, None)
-                    elif kind is Recv:
-                        arrival = self._match(rank, effect.match)
-                        if arrival is None:
-                            blocked[rank] = effect
-                            self._parked_at[rank] = self.rounds
-                            if effect.timeout is not None:
-                                self._parked_deadline[rank] = (
-                                    self.rounds
-                                    + max(1, int(effect.timeout))
-                                )
-                            break
-                        response[rank] = arrival
-                    elif kind is Charge:
-                        start = clock[rank]
-                        clock[rank] = end = start + effect.ops
-                        record[rank](effect.phase, start, end, effect.iteration)
-                    else:
-                        response[rank] = notify[rank](effect)
             if not progress:
-                if self._parked_deadline:
+                if deadlines:
                     # A bounded park is still counting down: advancing
                     # the round clock toward its deadline *is* progress.
                     continue
                 waiting = {
                     rank: (eff.match, eff.iteration)
-                    for rank, eff in sorted(blocked.items())
+                    for rank, eff in sorted(parked.items())
                 }
                 raise LoopbackDeadlock(
                     f"no rank can make progress; blocked receives: {waiting}"
                 )
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_end()
-        return finals
+        return self.finals
+
+    def resume(self, rank: int, response: Optional[Arrival] = None) -> None:
+        """Step ``rank`` from ``response`` until it parks on a ``Recv`` /
+        ``TryRecv`` (:attr:`parked`) or returns (:attr:`finals`): ``Send``
+        is queued, ``Charge`` is a row on the rank's op clock, anything
+        else goes to the rank's observer."""
+        self.parked.pop(rank, None)
+        send, notify, record = self._seats[rank]
+        clock = self._ops_clock
+        while True:
+            try:
+                effect = send(response)
+            except StopIteration as stop:
+                self.finals[rank] = stop.value
+                if (
+                    len(self.finals) == len(self.engines)
+                    and self.sanitizer is not None
+                ):
+                    self.sanitizer.on_run_end()
+                return
+            response = None
+            kind = type(effect)
+            if kind is Send:
+                self._send(rank, effect)
+            elif kind is Charge:
+                start = clock[rank]
+                clock[rank] = end = start + effect.ops
+                record(effect.phase, start, end, effect.iteration)
+            elif kind is Recv or kind is TryRecv:
+                self.parked[rank] = effect
+                return
+            else:
+                response = notify(effect)
 
     # ------------------------------------------------------------ messaging
-    def _deliver(self, src: int, effect: Send) -> None:
+    def _send(self, src: int, effect: Send) -> None:
         if effect.dst not in self.queues:
             raise ValueError(f"send to unknown rank {effect.dst}")
         self._record(src, "send", effect.dst, effect.family, effect.iteration)
@@ -213,20 +237,28 @@ class LoopbackRunner:
             (src, effect.seq, effect.family, effect.iteration, effect.payload)
         )
 
+    def pop(self, rank: int, i: int, check_seq: bool = True) -> Arrival:
+        """Take message ``i`` off ``rank``'s queue: record the ``recv``,
+        then (``check_seq``) hand its stamp to the sanitizer's
+        sequence-gap check."""
+        queue = self.queues[rank]
+        src, seq, family, iteration, payload = queue[i]
+        del queue[i]
+        self._record(rank, "recv", src, family, iteration)
+        if check_seq and self.sanitizer is not None:
+            self.sanitizer.on_delivery(rank, src, seq)
+        return Arrival(src=src, iteration=iteration, payload=payload, seq=seq)
+
     def _match(
         self, rank: int, match: Optional[Tuple[str, int]]
     ) -> Optional[Arrival]:
         """Pop ``rank``'s oldest queued message matching ``(family,
         iteration)`` (None matches any)."""
-        queue = self.queues[rank]
-        for i, (src, seq, family, iteration, payload) in enumerate(queue):
+        for i, (_src, _seq, family, iteration, _payload) in enumerate(
+            self.queues[rank]
+        ):
             if match is None or (family, iteration) == match:
-                del queue[i]
-                if self.sanitizer is not None:
-                    self.sanitizer.on_delivery(rank, src, seq)
-                self._record(rank, "recv", src, family, iteration)
-                return Arrival(src=src, iteration=iteration, payload=payload,
-                               seq=seq)
+                return self.pop(rank, i)
         return None
 
     # ------------------------------------------------------------ observers

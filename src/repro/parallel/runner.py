@@ -1,4 +1,13 @@
-"""Parent-side orchestration for the multiprocessing backend."""
+"""Parent-side orchestration for the multiprocessing backend.
+
+:class:`MPRunner` forks one worker per rank over a full mesh of pipes
+and waits on every worker's result pipe at once.  A failed run ends at
+its first failure report: an error a worker sent, or EOF from one that
+died without sending any.  The start barrier is aborted, the ranks
+that have not reported are reported as stopped after a peer failed,
+and the workers still running are terminated — a failure surfaces as
+soon as it happens, with no timer and no orphan process.
+"""
 
 from __future__ import annotations
 
@@ -146,38 +155,25 @@ class MPRunner:
         # first: a rank that fails *before* the start barrier reports
         # immediately while its peers are still parked at the barrier,
         # and waiting rank-by-rank would burn the full timeout before
-        # noticing.  On the first error report the barrier is aborted
-        # so parked peers fail fast instead of hanging.
+        # noticing.  The first error report ends the run (a worker that
+        # died without one reads as EOF, which counts): its peers may be
+        # parked at the barrier or blocked on a receive from the failed
+        # rank, and nothing would ever wake them.
         reports: list[WorkerReport] = []
         pending: dict[Any, int] = {
             conn: rank for rank, conn in enumerate(result_conns)
         }
         deadline = time.monotonic() + timeout
-        #: Once any worker reports an error, its peers may be blocked
-        #: on receives that will never be satisfied — give them a short
-        #: grace window to fail on their own, then give up on them
-        #: rather than burning the full run timeout.
-        failure_grace = 10.0
         failed = False
         try:
-            while pending:
+            while pending and not failed:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    missing = sorted(pending.values())
-                    if failed:
-                        reports.extend(
-                            WorkerReport(
-                                rank, error="did not report after a peer failed"
-                            )
-                            for rank in missing
-                        )
-                        pending.clear()
-                        break
                     raise TimeoutError(
-                        f"worker(s) {missing} did not report within {timeout}s"
+                        f"worker(s) {sorted(pending.values())} did not "
+                        f"report within {timeout}s"
                     )
-                ready = mp_connection.wait(list(pending), timeout=remaining)
-                for conn in ready:
+                for conn in mp_connection.wait(list(pending), timeout=remaining):
                     rank = pending.pop(conn)
                     try:
                         report = conn.recv()
@@ -187,25 +183,26 @@ class MPRunner:
                         )
                     reports.append(report)
                     if report.error is not None:
-                        barrier.abort()  # unpark peers still at the barrier
-                        if not failed:
-                            failed = True
-                            deadline = min(
-                                deadline, time.monotonic() + failure_grace
-                            )
+                        failed = True
+                        break
         finally:
+            if pending:
+                # Ended early (a failure, the timeout or an interrupt):
+                # unpark ranks at the barrier and stop the rest.
+                barrier.abort()
+                for proc in workers:
+                    proc.terminate()
             for proc in workers:
                 proc.join(timeout=10)
-            stragglers = [proc for proc in workers if proc.is_alive()]
-            for proc in stragglers:  # pragma: no cover - defensive
-                proc.terminate()
-            for proc in stragglers:  # pragma: no cover - defensive
-                proc.join(timeout=5)
+        reports.extend(
+            WorkerReport(rank, error="stopped after a peer failed")
+            for rank in sorted(pending.values())
+        )
 
-        failed = [r for r in reports if r.error is not None]
-        if failed:
+        errors = [r for r in reports if r.error is not None]
+        if errors:
             raise RuntimeError(
-                "; ".join(f"rank {r.rank}: {r.error}" for r in failed)
+                "; ".join(f"rank {r.rank}: {r.error}" for r in errors)
             )
         reports.sort(key=lambda r: r.rank)
         log = None

@@ -197,25 +197,34 @@ class PerformanceModel:
         )
         return comp + pr.t_comm(p)
 
+    def spec_terms(self, p: int, i: int) -> tuple[float, float, float, float]:
+        """Eq. 8's work terms on processor i (0-based), in seconds:
+        ``(spec, comp, check, correct)`` — speculating the N - N_i
+        remote variables, computing the N_i own ones, checking the
+        remote ones, and recomputing the fraction k of the own ones."""
+        pr = self.params
+        n_i = self.allocation(p)[i]
+        m_i = pr.capacities[i]
+        remote = pr.n - n_i
+        return (
+            remote * pr.f_spec / m_i,
+            n_i * pr.f_comp / m_i,
+            remote * pr.f_check / m_i,
+            pr.k * n_i * pr.f_comp / m_i,
+        )
+
     def t_spec_rank(self, p: int, i: int) -> float:
-        """Eq. 8: iteration time with speculation on processor i (0-based).
+        """Eq. 8: iteration time with speculation on processor i (0-based),
+        ``max(spec + comp, t_comm) + check + correct``.
 
         A processor allocated zero variables (possible under ``"total"``
         balancing with strong heterogeneity) computes nothing, hence
         speculates and checks nothing: it is idle and contributes 0.
         """
-        pr = self.params
-        counts = self.allocation(p)
-        n_i = counts[i]
-        if n_i == 0.0:
+        if self.allocation(p)[i] == 0.0:
             return 0.0
-        m_i = pr.capacities[i]
-        remote = pr.n - n_i
-        overlap = max(
-            remote * pr.f_spec / m_i + n_i * pr.f_comp / m_i,
-            pr.t_comm(p),
-        )
-        return overlap + remote * pr.f_check / m_i + pr.k * n_i * pr.f_comp / m_i
+        spec, comp, check, correct = self.spec_terms(p, i)
+        return max(spec + comp, self.params.t_comm(p)) + check + correct
 
     def t_spec(self, p: int) -> float:
         """Eq. 9: iteration time with speculation (max over processors)."""

@@ -38,15 +38,31 @@ SMALL = McConfig(p=2, fw=1, bw=1, iters=3)
 
 
 # ------------------------------------------------------------- exploration
+def _state_space(result):
+    return (result.explored, result.deduped, result.sleep_pruned,
+            result.transitions, result.executions, result.max_depth)
+
+
 def test_exhaustive_exploration_small_config_is_clean():
     result = explore(SMALL)
     assert result.violation is None
     assert result.exhausted
-    assert result.explored > 0
-    assert result.deduped > 0          # fingerprint dedup engaged
-    assert result.sleep_pruned > 0     # DPOR engaged
-    assert result.executions > 0
-    assert result.max_depth > 0
+    # explored / deduped (fingerprint dedup) / sleep-pruned (DPOR) /
+    # transitions / executions / max depth, exactly: a change to the
+    # fingerprint classes or the enabled-action order moves them.
+    assert _state_space(result) == (55, 19, 33, 74, 28, 10)
+
+
+def test_state_space_is_pinned_with_a_policy_and_at_three_ranks():
+    for config, expected in (
+        (McConfig(p=2, fw=1, bw=1, iters=3, window="aimd"),
+         (86, 25, 44, 113, 40, 10)),
+        (McConfig(p=3, fw=1, bw=1, iters=2),
+         (228, 223, 406, 543, 275, 12)),
+    ):
+        result = explore(config)
+        assert result.violation is None and result.exhausted, config
+        assert _state_space(result) == expected, config
 
 
 def test_exploration_covers_both_scenarios_and_cascades():
