@@ -95,6 +95,13 @@ def summarize(res) -> dict:
             }
             for s in res.stats
         ],
+        "breakdown": [
+            {
+                "span": repr(float(b.span)),
+                "totals": {phase: repr(float(t)) for phase, t in b.totals.items()},
+            }
+            for b in (trace.breakdown() for trace in res.traces)
+        ],
     }
 
 

@@ -147,15 +147,9 @@ class RunReport:
         """
         if not 0 <= skip < self.iterations:
             raise ValueError("skip must be in [0, iterations)")
-        span = self.iterations - skip
-        breakdowns = []
-        for trace in self.traces:
-            sub = PhaseTrace(trace.rank)
-            sub.records = [
-                row for row in trace.records if row[3] is None or row[3] >= skip
-            ]
-            breakdowns.append(sub.breakdown())
-        return merge_breakdowns(breakdowns, how=how).scaled(1.0 / span)
+        breakdowns = [trace.since(skip).breakdown() for trace in self.traces]
+        return merge_breakdowns(breakdowns, how=how).scaled(
+            1.0 / (self.iterations - skip))
 
     @property
     def recompute_fraction(self) -> float:

@@ -76,6 +76,9 @@ class MPRunner:
         retransmit layer recovers.  The plan's clock is receive polls;
         a blocked poll lasts at most one wall second here.  The merged
         receipts come back in the report's ``fault_summary``.
+    hist_cap:
+        Backward-window ring capacity of every worker's engine (default
+        from the program's speculator).
     """
 
     def __init__(

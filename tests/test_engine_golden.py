@@ -6,7 +6,10 @@ driver bit-for-bit.
 the protocol moved into :mod:`repro.engine`.  Every field — makespan
 ``repr``, per-rank final-block digests, and the full speculation
 counters — must match exactly: the refactor changed where the
-protocol lives, not what it does.
+protocol lives, not what it does.  The per-rank phase totals and span
+(``breakdown``, ``repr`` floats) were added later, captured before the
+phase rows became packed float64 columns, and pin that every
+breakdown is still summed in record order.
 """
 
 import json
@@ -38,6 +41,13 @@ def summarize(res):
             for r in sorted(res.results)
         ],
         "stats": [{f: getattr(s, f) for f in STAT_FIELDS} for s in res.stats],
+        "breakdown": [
+            {
+                "span": repr(float(b.span)),
+                "totals": {phase: repr(float(t)) for phase, t in b.totals.items()},
+            }
+            for b in (trace.breakdown() for trace in res.traces)
+        ],
     }
 
 
@@ -144,7 +154,8 @@ def test_check_mode_golden_file_matches_capture_layout():
         "nbody_adaptive",
     }
     for name, case in GOLDEN.items():
-        expected = {"makespan", "iterations", "fw", "final_digest", "stats"}
+        expected = {"makespan", "iterations", "fw", "final_digest", "stats",
+                    "breakdown"}
         if name == "nbody_adaptive":
             expected |= {"window_history", "final_windows"}
         assert set(case) == expected

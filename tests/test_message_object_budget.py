@@ -7,12 +7,15 @@ events, this one pins Python-level constructor frames (``__init__`` and
 dataclasses built through ``repro.trace.records.record``; what nobody
 reads during a run (``Interval`` objects, a verification generator for
 an arrival that verifies nothing, a predicate for a wildcard receive)
-is not built at all.
+is not built at all.  What a run does keep, one phase row per charge
+and per receive, is pinned in bytes per row.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -73,6 +76,28 @@ def test_constructor_frames_stay_within_the_budget(name, fw):
     assert sum(s.messages_sent for s in report.stats) == MESSAGES
     assert not [who for who in frames if who.startswith("Interval.")]
     assert sum(frames.values()) == PINNED[name, fw], sorted(frames.items())
+
+
+#: Bytes the traces keep alive per phase row.  A row is 32 packed bytes;
+#: the rest is array over-allocation and four small objects per trace.
+#: As a tuple in a list, with its boxed floats, a row kept about 100.
+ROW_BYTES = 40
+
+
+def test_phase_rows_stay_within_the_byte_budget():
+    tracemalloc.start()
+    try:
+        report = run(des_config("jumpy", 1))
+        rows = sum(len(trace) for trace in report.traces)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        report.traces.clear()
+        gc.collect()
+        freed = kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows > 200
+    assert freed <= ROW_BYTES * rows, freed / rows
 
 
 def test_intervals_materialise_on_read_and_total_like_the_rows():
