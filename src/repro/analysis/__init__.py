@@ -34,7 +34,7 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 * **specbound** (SPB4xx, :mod:`repro.analysis.bounds`) — per-function
   rules flagging a history trim, window, event log, cascade loop or
   iteration-keyed map that no protocol parameter bounds; ``--trace``
-  checks the symbolic occupancy bounds against observed maxima.
+  checks the (p, FW, BW) occupancy bounds against observed maxima.
 * :mod:`repro.analysis.sanitizer` — a runtime
   :class:`ProtocolSanitizer` (opt-in via ``REPRO_SANITIZE=1``) that
   asserts DES and forward-window invariants while a simulation runs;

@@ -1,11 +1,13 @@
-"""Occupancy contracts: symbolic bounds vs a recorded trace.
+"""Occupancy contracts: the protocol's resource bounds vs a recorded trace.
 
 The differential half of specbound, in the specperf cost-contract
-mold: a static bound is a *claim* about run-time occupancy, and a
-recorded :class:`~repro.trace.events.EventLog` is evidence for or
-against it.  For each contract we compute the observed maximum from
-the trace and evaluate the matching symbolic bound
-(:mod:`repro.analysis.bounds.symbolic`) at the run's ``(p, fw, bw)``:
+mold: a bound is a *claim* about run-time occupancy, and a recorded
+:class:`~repro.trace.events.EventLog` is evidence for or against it.
+Every buffer the protocol grows is bounded by a parameter of the run,
+not by its length: BW caps history, FW caps run-ahead, and p
+multiplies the per-peer bounds.  For each contract we compute the
+observed maximum from the trace and evaluate the matching row of
+:data:`OCCUPANCY_BOUNDS` at the run's ``(p, fw, bw, iters)``:
 
 * **history-ring** (per rank) — entries the rank's per-source history
   must retain: the gap between its most-advanced channel and the
@@ -30,16 +32,8 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.analysis.bounds.symbolic import (
-    Expr,
-    cascade_bound,
-    event_count_bound,
-    history_ring_bound,
-    inbox_bound,
-    inflight_bound,
-)
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.trace_view import (
     CONFIRMED,
@@ -52,13 +46,31 @@ from repro.analysis.trace_view import (
 if TYPE_CHECKING:
     import argparse
 
-#: metric name -> its symbolic bound.
-OCCUPANCY_BOUNDS: dict[str, Expr] = {
-    "history-ring": history_ring_bound(),
-    "inbox": inbox_bound(),
-    "in-flight": inflight_bound(),
-    "cascade": cascade_bound(),
-    "events": event_count_bound(),
+#: metric name -> (the bound as printed, the bound at (p, fw, bw, iters)).
+OCCUPANCY_BOUNDS: dict[str, tuple[str, Callable[[int, int, int, int], int]]] = {
+    # The engine's ``default_hist_cap``: the speculator reads the newest
+    # BW entries (at least 2, so linear extrapolation has a slope), and
+    # a correction may re-read one entry below the verified horizon, so
+    # two slots cover the entry being replaced and its predecessor.
+    "history-ring": ("max(bw, 2) + 2", lambda p, fw, bw, iters: max(bw, 2) + 2),
+    # The pre-send gate keeps a sender within FW iterations of what it
+    # has verified and delivery is FIFO per channel, so at most the FW
+    # speculated-past iterations plus the one being confirmed wait.
+    "inbox": ("fw + 1", lambda p, fw, bw, iters: fw + 1),
+    # The inbox bound on each of the p - 1 peers a rank broadcasts to.
+    "in-flight": (
+        "(p - 1) * (fw + 1)", lambda p, fw, bw, iters: (p - 1) * (fw + 1)
+    ),
+    # The window gate pins the frontier at most FW past the rejected
+    # iteration (one repair for the degenerate FW = 0).
+    "cascade": ("max(fw, 1)", lambda p, fw, bw, iters: max(fw, 1)),
+    # A generous linear envelope, not tight: per rank-iteration a
+    # bounded alphabet of events, plus per-peer traffic a cascade can
+    # multiply by at most the window.
+    "events": (
+        "p * iters * (6 + (p - 1) * (2 * fw + 6))",
+        lambda p, fw, bw, iters: p * iters * (6 + (p - 1) * (2 * fw + 6)),
+    ),
 }
 
 
@@ -180,11 +192,10 @@ def check_occupancy(
     """
     p_eff = p if p is not None else max(1, len(view.by_rank))
     iters_eff = iters if iters is not None else inferred_iterations(view)
-    env = {"p": p_eff, "fw": fw, "bw": bw, "iters": iters_eff or 0}
 
     def verdict(metric: str, scope: str, observed: Optional[int]) -> Verdict:
-        expr = OCCUPANCY_BOUNDS[metric]
-        bound = expr.evaluate(env)
+        text, formula = OCCUPANCY_BOUNDS[metric]
+        bound = formula(p_eff, fw, bw, iters_eff or 0)
         if observed is None:
             status = UNOBSERVED
             observed = 0
@@ -194,7 +205,7 @@ def check_occupancy(
             status = REFUTED
         return Verdict(
             "occupancy-contract", metric, f"[{scope}]", status, observed, bound,
-            f"observed {observed} vs bound {bound} = {expr.render()}",
+            f"observed {observed} vs bound {bound} = {text}",
         )
 
     spans = observed_ring_spans(view)

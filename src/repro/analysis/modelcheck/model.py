@@ -277,11 +277,15 @@ class Execution(LoopbackRunner):
     applied next, so a schedule prefix identifies a state exactly.
     Queues, stepping, delivery, event recording and the observer seats
     are :class:`~repro.engine.loopback.LoopbackRunner`'s; this class
-    adds the mutated engine construction, the actions and the
-    specmc-only checks.  Invariant violations (from the sanitizer
-    seat, from the engine's own :class:`OutOfOrderArrival`, or from the
-    specmc-only state predicates) are captured into :attr:`violation`
-    rather than raised, so exploration code stays straight-line.
+    adds the mutated engine construction, the actions and the deadlock
+    check.  Invariant violations (from the sanitizer seat, or the
+    engine's own :class:`OutOfOrderArrival`, reported as
+    ``history-ring-bound``) are captured into :attr:`violation` rather
+    than raised, so exploration code stays straight-line.  Nothing
+    else needs checking per state: the sanitizer judges every
+    ``WindowChanged`` as it is observed, and a
+    :class:`~repro.engine.ring.HistoryRing` can neither outgrow its
+    capacity nor accept a non-increasing time.
     """
 
     def __init__(
@@ -341,7 +345,6 @@ class Execution(LoopbackRunner):
         for rank in sorted(self.engines):
             if self.violation is None:
                 self.resume(rank, None)
-        self._check_state()
 
     # ------------------------------------------------------------ queries
     @property
@@ -464,9 +467,6 @@ class Execution(LoopbackRunner):
             ))
         else:
             raise ValueError(f"unknown action kind {action.kind!r}")
-        # An action resumes one rank, and a send only appends to a
-        # queue: no other engine can have changed.
-        self._check_state(action.rank)
 
     def resume(self, rank: int, response: Optional[Arrival] = None) -> None:
         """The runner's step, with a broken invariant captured."""
@@ -501,45 +501,6 @@ class Execution(LoopbackRunner):
             rank=rank,
             schedule=tuple(self.schedule),
         )
-
-    def _check_state(self, rank: Optional[int] = None) -> None:
-        """specmc-only state predicates (``history-ring-bound``,
-        ``window-policy-bound``) on ``rank``, or on every rank."""
-        if self.violation is not None:
-            return
-        ranks = self.engines if rank is None else (rank,)
-        for rank in ranks:
-            engine = self.engines[rank]
-            policy = engine.policy
-            if policy is not None and not (
-                policy.min_fw <= engine.fw <= policy.max_fw
-            ):
-                self._violate(
-                    "window-policy-bound",
-                    f"rank {rank}: engine FW {engine.fw} escaped the "
-                    f"seated policy's bounds "
-                    f"[{policy.min_fw}, {policy.max_fw}]",
-                    rank=rank,
-                )
-                return
-            for k, ring in engine.history.items():
-                times, _values = ring.series()
-                if len(times) > ring.capacity:
-                    self._violate(
-                        "history-ring-bound",
-                        f"rank {rank}: history for peer {k} holds "
-                        f"{len(times)} entries, capacity {ring.capacity}",
-                        rank=rank,
-                    )
-                    return
-                if any(b <= a for a, b in zip(times, times[1:])):
-                    self._violate(
-                        "history-ring-bound",
-                        f"rank {rank}: history times for peer {k} are "
-                        f"not strictly increasing: {list(times)}",
-                        rank=rank,
-                    )
-                    return
 
     # --------------------------------------------------------- fingerprint
     def fingerprint(self) -> bytes:

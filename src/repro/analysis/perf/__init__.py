@@ -12,9 +12,8 @@ Three layers:
 
 * :mod:`repro.analysis.perf.attribution` — assigns every function a
   set of protocol phases by seeding well-known protocol entry points
-  and propagating caller → callee over the specflow call graph, plus a
-  symbolic per-call cost summary (allocations, copies, sends, loop
-  nesting);
+  and propagating caller → callee over the specflow call graph, and
+  marks the functions a protocol seat reaches as hot;
 * :mod:`repro.analysis.perf.rules` — the SPP201..SPP208 hot-path rule
   pack, each scoped to the phases where its cost pattern hurts;
 * :mod:`repro.analysis.perf.contracts` — the differential half:
@@ -27,11 +26,7 @@ Entry point: ``repro perf-lint [paths] [--format text|json|sarif]
 [--trace LOG]`` (exit codes shared with ``lint``/``analyze``/``mc``).
 """
 
-from repro.analysis.perf.attribution import (
-    Attribution,
-    FunctionCosts,
-    build_attribution,
-)
+from repro.analysis.perf.attribution import Attribution, build_attribution
 from repro.analysis.perf.contracts import (
     PHASE_OF_RULE,
     check_contracts,
@@ -42,7 +37,6 @@ from repro.analysis.perf.rules import findings
 
 __all__ = [
     "Attribution",
-    "FunctionCosts",
     "PHASE_OF_RULE",
     "build_attribution",
     "check_contracts",

@@ -23,25 +23,16 @@ almost always targets a built-in list, not the analysed function that
 happens to share the name.  Honest over-approximation, same ethos as
 :mod:`repro.analysis.cfg`.
 
-The same pass computes a symbolic per-call cost summary per function
-(:class:`FunctionCosts`): allocation sites, copy sites, send sites and
-maximum loop-nesting depth — the inputs several SPP rules and the JSON
-report reuse.
+A second pass marks the functions reachable from a protocol seat as
+*hot* (run every iteration); SPB406 reads that flag.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.cfg import (
-    CallGraph,
-    FunctionNode,
-    ModuleGraphs,
-    call_name,
-    walk_body,
-)
+from repro.analysis.cfg import CallGraph, FunctionNode, ModuleGraphs
 
 #: Protocol phases attributable to a function (superset of the measured
 #: phases in :mod:`repro.trace.phases`: send+recv both surface as comm).
@@ -79,77 +70,10 @@ GENERIC_NAMES = frozenset(
      "remove", "join", "split", "strip", "read", "write", "close"}
 )
 
-#: Terminal callee names counted as array/container allocations.
-ALLOCATION_NAMES = frozenset(
-    {"zeros", "empty", "ones", "full", "array", "zeros_like", "empty_like",
-     "ones_like", "full_like", "arange", "linspace"}
-)
-
-#: Terminal callee names counted as copies.
-COPY_NAMES = frozenset({"deepcopy", "copy"})
-
 
 def terminal_name(qualname: str) -> str:
     """Last dotted component of a qualname (``A.B.f`` → ``f``)."""
     return qualname.rsplit(".", 1)[-1]
-
-
-@dataclass(frozen=True)
-class FunctionCosts:
-    """Symbolic per-call cost summary of one function.
-
-    Counts are *call sites*, not dynamic counts — the static analogue
-    of "how much work can one call of this function do".
-    """
-
-    allocations: int
-    copies: int
-    sends: int
-    max_loop_depth: int
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "allocations": self.allocations,
-            "copies": self.copies,
-            "sends": self.sends,
-            "max_loop_depth": self.max_loop_depth,
-        }
-
-
-def _loop_depth(func: FunctionNode) -> int:
-    """Maximum ``for``/``while`` nesting depth of the function body."""
-
-    def depth(node: ast.AST, current: int) -> int:
-        best = current
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            inc = 1 if isinstance(child, (ast.For, ast.AsyncFor, ast.While)) else 0
-            best = max(best, depth(child, current + inc))
-        return best
-
-    return depth(func, 0)
-
-
-def summarize_costs(func: FunctionNode) -> FunctionCosts:
-    """Count allocation / copy / send call sites and loop nesting."""
-    allocations = copies = sends = 0
-    for node in walk_body(func.body):
-        if not isinstance(node, ast.Call):
-            continue
-        name = call_name(node)
-        if name in ALLOCATION_NAMES:
-            allocations += 1
-        elif name in COPY_NAMES:
-            copies += 1
-        elif name in PHASE_SEEDS["send"]:
-            sends += 1
-    return FunctionCosts(
-        allocations=allocations,
-        copies=copies,
-        sends=sends,
-        max_loop_depth=_loop_depth(func),
-    )
 
 
 Key = tuple[str, str]  # (path, qualname), as in CallGraph
@@ -157,12 +81,10 @@ Key = tuple[str, str]  # (path, qualname), as in CallGraph
 
 @dataclass
 class Attribution:
-    """Phase sets, hot flags and cost summaries for a whole program."""
+    """Phase sets and hot flags for a whole program."""
 
     phases: dict[Key, frozenset[str]]
     hot: frozenset[Key]
-    costs: dict[Key, FunctionCosts]
-    callgraph: CallGraph
 
     def phases_of(self, key: Key) -> frozenset[str]:
         """Protocol phases attributed to one function (maybe empty)."""
@@ -171,20 +93,6 @@ class Attribution:
     def is_hot(self, key: Key) -> bool:
         """Is the function reachable from a protocol seat?"""
         return key in self.hot
-
-    def to_dict(self) -> dict[str, dict[str, object]]:
-        """JSON-ready attribution table (docs / debugging aid)."""
-        table: dict[str, dict[str, object]] = {}
-        for key in self.callgraph.functions():
-            phases = self.phases_of(key)
-            if not phases and not self.is_hot(key):
-                continue
-            table[f"{key[0]}::{key[1]}"] = {
-                "phases": sorted(phases),
-                "hot": self.is_hot(key),
-                "costs": self.costs[key].to_dict(),
-            }
-        return table
 
 
 def function_items(
@@ -232,7 +140,7 @@ def _propagate(
 
 
 def build_attribution(callgraph: CallGraph) -> Attribution:
-    """Seed, propagate and summarise costs over one program."""
+    """Seed and propagate the phases, then mark what the seats reach."""
     seeds: dict[Key, set[str]] = {}
     hot_seeds: list[Key] = []
     for key in callgraph.functions():
@@ -254,12 +162,4 @@ def build_attribution(callgraph: CallGraph) -> Attribution:
                 hot.add(callee)
                 work.append(callee)
 
-    costs: dict[Key, FunctionCosts] = {}
-    for key in callgraph.functions():
-        cfg = callgraph.cfg_of(key)
-        assert cfg is not None  # functions() keys come from the modules
-        costs[key] = summarize_costs(cfg.func)
-
-    return Attribution(
-        phases=phases, hot=frozenset(hot), costs=costs, callgraph=callgraph
-    )
+    return Attribution(phases=phases, hot=frozenset(hot))

@@ -12,9 +12,12 @@ the effect stream of one live execution, every invariant whose
 ``sequence-gap-freedom``, ``window-policy-bound``,
 ``buffer-occupancy-bounded``, ``retransmit-bounded``.
 
-(The registry's remaining ids — ``deadlock-freedom`` and
-``history-ring-bound`` — need a global view of *all* interleavings and
-are checked by the exhaustive seat, :mod:`repro.analysis.modelcheck`.)
+(The registry's remaining ids are the exhaustive seat's,
+:mod:`repro.analysis.modelcheck`: ``deadlock-freedom`` needs a global
+view of *all* interleavings, and ``history-ring-bound`` is enforced by
+the :class:`~repro.engine.ring.HistoryRing` itself — it cannot outgrow
+its capacity and raises on a non-increasing append — with specmc
+reporting that raise.)
 
 A violated invariant raises :class:`ProtocolViolation` carrying a
 phase-trace excerpt (the most recent protocol events) so the failure

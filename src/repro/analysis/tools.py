@@ -248,7 +248,7 @@ TOOLS: tuple[Tool, ...] = (
             )),
         ),
         judge=judge_occupancy,
-        trace_help="check the symbolic occupancy bounds against a recorded "
+        trace_help="check the (p, FW, BW) occupancy bounds against a recorded "
         "event log's observed per-rank maxima (history-ring span, inbox "
         "depth, in-flight sends, cascade depth, event count); each "
         "contract is CONFIRMED, REFUTED or UNOBSERVED",

@@ -102,7 +102,8 @@ class RunConfig:
         uniform cluster with a constant-latency network from
         ``latency``/``jitter``.
     timeout:
-        mp only: parent-side wall-clock budget for the whole run.
+        mp only: parent-side wall-clock budget for the whole run, in
+        seconds (> 0).
     """
 
     program: SyncIterativeProgram
@@ -138,6 +139,8 @@ class RunConfig:
             raise ValueError("bw (the history cap) must be >= 1")
         if self.latency < 0 or self.jitter < 0:
             raise ValueError("latency and jitter must be >= 0")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
         if self.backend == "loopback" and (self.latency or self.jitter):
             raise ValueError(
                 "the loopback backend has no clock; latency/jitter "

@@ -130,18 +130,10 @@ class ExtendedPerformanceModel:
     def _deterministic_components(self, p: int) -> tuple[float, float, float, float]:
         """(spec+comp time, check time, comm time, compute time) on the
         bottleneck processor of a p-processor run (per iteration)."""
-        pr = self.params
-        counts = self._base.allocation(p)
         # Bottleneck = the rank with the largest Eq.-8 time.
         times = [self._base.t_spec_rank(p, i) for i in range(p)]
-        i = int(np.argmax(times))
-        n_i = counts[i]
-        m_i = pr.capacities[i]
-        remote = pr.n - n_i
-        comp = n_i * pr.f_comp / m_i
-        spec = remote * pr.f_spec / m_i
-        check = remote * pr.f_check / m_i
-        return spec, check, pr.t_comm(p), comp
+        spec, comp, check, _ = self._base.spec_terms(p, int(np.argmax(times)))
+        return spec, check, self.params.t_comm(p), comp
 
     # ------------------------------------------------------------- estimate
     def expected_iteration_time(self, p: int, fw: int, bw: int = 2) -> float:

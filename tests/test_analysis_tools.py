@@ -5,7 +5,7 @@ and the one CLI handler behind ``repro lint | analyze | perf-lint |
 taint | bounds`` are the same code for all five families, so what they
 promise is asserted here once, parametrized over ``TOOLS``.  What is
 particular to a family — which fixture fires which rule, attribution,
-the taint lattice, symbolic bounds, the contracts' semantics — stays in
+the taint lattice, the bound table, the contracts' semantics — stays in
 its own ``tests/test_spec*.py``.
 """
 

@@ -63,6 +63,12 @@ def test_rejects_loopback_latency():
         RunConfig(_program(), backend="loopback", latency=0.1)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0])
+def test_rejects_nonpositive_timeout(timeout):
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        RunConfig(_program(), backend="mp", timeout=timeout)
+
+
 def test_rejects_cluster_off_des():
     cluster = Cluster(uniform_specs(4))
     with pytest.raises(ValueError, match="DES-only"):

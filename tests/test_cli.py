@@ -110,6 +110,22 @@ def test_mp_only_flags_rejected_off_mp(capsys):
     assert "--jitter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_nonpositive_timeout_is_a_usage_error(timeout, monkeypatch, capsys):
+    import multiprocessing.process
+
+    def no_start(self):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    rc = main([
+        "nbody", "--p", "2", "--particles", "64", "--iterations", "3",
+        "--backend", "mp", "--timeout", timeout,
+    ])
+    assert rc == 2
+    assert "timeout must be > 0" in capsys.readouterr().err
+
+
 def test_jacobi_command(capsys):
     rc = main([
         "jacobi", "-p", "4", "-n", "48", "--iterations", "10",

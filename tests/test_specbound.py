@@ -1,8 +1,9 @@
-"""Tests for specbound: the symbolic bound language, the SPB rule
-pack, trace-validated occupancy contracts, the EventLog cap, and the
+"""Tests for specbound: the occupancy bound table, the SPB rule pack,
+trace-validated occupancy contracts, the EventLog cap, and the
 ``repro bounds`` / ``repro check`` CLIs."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,19 +14,8 @@ from repro.analysis import CONFIRMED, REFUTED, UNOBSERVED, Severity, TraceView
 from repro.analysis.baselines import load_baselines
 from repro.analysis.bounds import (
     OCCUPANCY_BOUNDS,
-    PARAMS,
-    Add,
-    Const,
-    Max,
-    Mul,
-    Param,
-    cascade_bound,
     check_occupancy,
-    event_count_bound,
-    history_ring_bound,
-    inbox_bound,
     inferred_iterations,
-    inflight_bound,
     observed_cascade_depth,
     observed_inbox_depths,
     observed_inflight_sends,
@@ -34,7 +24,11 @@ from repro.analysis.bounds import (
 from repro.analysis.linter import parse_suppressions
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.core.speculators import PolynomialExtrapolation
+from repro.engine.core import default_hist_cap
 from repro.trace.events import EventLog
+
+from tests.toy_programs import CoupledIncrement
 
 SPECBOUND = next(tool for tool in TOOLS if tool.name == "specbound")
 analyze_paths = SPECBOUND.analyze_paths
@@ -140,8 +134,10 @@ def test_analysis_is_deterministic_over_fixtures():
     assert analyze_paths([FIXTURES]) == analyze_paths([FIXTURES])
 
 
-# ---------------------------------------------------------------- symbolic
+# ------------------------------------------------------------ bound table
 
+
+PARAMS = ("p", "fw", "bw", "iters")
 
 ENVS = st.fixed_dictionaries(
     {
@@ -153,63 +149,53 @@ ENVS = st.fixed_dictionaries(
 )
 
 
+def _bound(metric, env):
+    _text, formula = OCCUPANCY_BOUNDS[metric]
+    return formula(*(env[name] for name in PARAMS))
+
+
 @given(env=ENVS)
 @settings(max_examples=80, deadline=None)
 def test_bound_constructors_match_reference_formulas(env):
     p, fw, bw, iters = env["p"], env["fw"], env["bw"], env["iters"]
-    assert history_ring_bound().evaluate(env) == max(bw, 2) + 2
-    assert inbox_bound().evaluate(env) == fw + 1
-    assert inflight_bound().evaluate(env) == (p - 1) * (fw + 1)
-    assert cascade_bound().evaluate(env) == max(fw, 1)
-    assert event_count_bound().evaluate(env) == p * iters * (
-        6 + (p - 1) * (2 * fw + 6)
-    )
-
-
-@given(env=ENVS)
-@settings(max_examples=80, deadline=None)
-def test_substitute_evaluate_round_trip(env):
-    for expr in OCCUPANCY_BOUNDS.values():
-        closed = expr.substitute(env)
-        assert closed.params() == frozenset()
-        assert closed.evaluate({}) == expr.evaluate(env)
-
-
-@given(env=ENVS)
-@settings(max_examples=80, deadline=None)
-def test_partial_substitution_commutes_with_evaluate(env):
-    for expr in OCCUPANCY_BOUNDS.values():
-        partial = expr.substitute({"fw": env["fw"], "bw": env["bw"]})
-        assert partial.params() <= frozenset(PARAMS)
-        assert partial.evaluate(env) == expr.evaluate(env)
+    assert _bound("history-ring", env) == max(bw, 2) + 2
+    assert _bound("inbox", env) == fw + 1
+    assert _bound("in-flight", env) == (p - 1) * (fw + 1)
+    assert _bound("cascade", env) == max(fw, 1)
+    assert _bound("events", env) == p * iters * (6 + (p - 1) * (2 * fw + 6))
 
 
 def test_expr_operator_sugar_and_render():
-    fw = Param("fw")
-    assert (fw + 1).render() == "fw + 1"
-    assert (1 + fw).evaluate({"fw": 3}) == 4
-    assert (fw - 1).render() == "fw - 1"
-    assert (2 * fw).evaluate({"fw": 5}) == 10
-    assert isinstance((Param("p") - 1) * (fw + 1), Mul)
-    assert ((Param("p") - 1) * (fw + 1)).render() == "(p - 1) * (fw + 1)"
-    assert Max((Param("bw"), Const(2))).render() == "max(bw, 2)"
-    assert history_ring_bound().render() == "max(bw, 2) + 2"
+    assert {metric: text for metric, (text, _) in OCCUPANCY_BOUNDS.items()} == {
+        "history-ring": "max(bw, 2) + 2",
+        "inbox": "fw + 1",
+        "in-flight": "(p - 1) * (fw + 1)",
+        "cascade": "max(fw, 1)",
+        "events": "p * iters * (6 + (p - 1) * (2 * fw + 6))",
+    }
 
 
-def test_expr_params_and_hashability():
-    assert inflight_bound().params() == frozenset({"p", "fw"})
-    assert event_count_bound().params() == frozenset({"p", "fw", "iters"})
-    assert hash(inbox_bound()) == hash(Add((Param("fw"), Const(1))))
+@given(env=ENVS, other=ENVS)
+@settings(max_examples=80, deadline=None)
+def test_expr_params_and_hashability(env, other):
+    """A row's value moves only with the parameters its printed text
+    names: the text and the formula cannot drift apart."""
+    for metric, (text, _formula) in OCCUPANCY_BOUNDS.items():
+        named = set(re.findall(r"[a-z]+", text))
+        for name in PARAMS:
+            if name not in named:
+                assert _bound(metric, {**env, name: other[name]}) == _bound(
+                    metric, env
+                )
 
 
-def test_param_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown protocol parameter"):
-        Param("theta")
-
-
-def test_unbound_param_raises_on_evaluate():
-    with pytest.raises(KeyError, match="unbound"):
-        inbox_bound().evaluate({"p": 2})
+@pytest.mark.parametrize("bw", range(1, 9))
+def test_history_ring_row_is_the_engines_default_capacity(bw):
+    program = CoupledIncrement(
+        2, 3, speculator=PolynomialExtrapolation(order=bw - 1)
+    )
+    env = {"p": 2, "fw": 1, "bw": bw, "iters": 3}
+    assert _bound("history-ring", env) == default_hist_cap(program)
 
 
 # --------------------------------------------------------------- contracts

@@ -14,7 +14,6 @@ from repro.analysis.perf import (
     measure_phase_shares,
     model_phase_shares,
 )
-from repro.analysis.perf.attribution import summarize_costs
 from repro.analysis.perf.contracts import PHASE_OF_RULE, observed_phases
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
@@ -110,25 +109,6 @@ def test_hot_reachability_from_run_seat():
     )
     assert attr.is_hot(("<fixture>", "kernel"))
     assert not attr.is_hot(("<fixture>", "cold"))
-
-
-def test_cost_summaries_count_sites_and_loop_depth():
-    import ast
-
-    tree = ast.parse(
-        "def f(xs, proc):\n"
-        "    import numpy as np\n"
-        "    buf = np.zeros(3)\n"
-        "    for x in xs:\n"
-        "        for y in x:\n"
-        "            proc.send(0, y)\n"
-        "    return deepcopy(buf)\n"
-    )
-    costs = summarize_costs(tree.body[0])
-    assert costs.allocations == 1
-    assert costs.copies == 1
-    assert costs.sends == 1
-    assert costs.max_loop_depth == 2
 
 
 # -------------------------------------------------------------- rule pack
