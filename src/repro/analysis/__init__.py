@@ -5,17 +5,16 @@ function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
 optionally a ``judge(view, diagnostics, args)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
-:class:`~repro.analysis.trace_view.Verdict` records.  All 33 rules
+:class:`~repro.analysis.trace_view.Verdict` records.  All 25 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
 :meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
 de-duplicates and sorts for every family; the CLI builds every
 subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 
-* **speclint** (SPL001..SPL008, :mod:`repro.analysis.rules`) —
+* **speclint** (SPL001, SPL003..SPL008, :mod:`repro.analysis.rules`) —
   per-module AST rules for the silent-failure classes specific to this
-  codebase: dropped ``yield from``, blocking receives in speculative
-  paths, nondeterminism, undisciplined message tags, payload aliasing,
-  broad excepts swallowing :class:`~repro.des.errors.Interrupt`,
+  codebase: dropped ``yield from``, nondeterminism, undisciplined
+  message tags, payload aliasing, broad excepts swallowing :class:`~repro.des.errors.Interrupt`,
   sans-I/O purity and effect-dispatch exhaustiveness.
 * **specflow** (SPF110, SPF111, :mod:`repro.analysis.races`) —
   per-function CFGs + a call graph feed a happens-before race
@@ -27,7 +26,8 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   attribution over the same call graph feeds a hot-path cost rule
   pack; ``--trace`` judges the findings against the calibrated
   performance model's per-phase time budget.
-* **spectaint** (SPT301..SPT308, :mod:`repro.analysis.taint`) —
+* **spectaint** (SPT301, SPT302, SPT307, SPT308,
+  :mod:`repro.analysis.taint`) —
   forward taint abstract interpretation proving unconfirmed
   speculative values never reach an irreversible effect; ``@commits``
   / ``# spectaint: commit`` annotate legitimate confirmation sites.

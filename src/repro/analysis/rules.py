@@ -1,4 +1,4 @@
-"""The speclint rules (SPL001..SPL008).
+"""The speclint rules (SPL001, SPL003..SPL008).
 
 Each rule is a small, self-contained AST pass tuned to *this*
 codebase's speculative-DES idioms (see ``docs/static_analysis.md`` for
@@ -36,8 +36,6 @@ PROC_NAMES = frozenset({"proc", "processor", "vp"})
 ENV_NAMES = frozenset({"env", "environment"})
 #: Processor methods that are generators (must be ``yield from``-ed).
 GENERATOR_METHODS = frozenset({"compute", "advance", "recv"})
-#: Blocking receive primitives (simulated and wall-clock backends).
-BLOCKING_RECV_METHODS = frozenset({"recv", "take_blocking"})
 #: Transport primitives whose ``tag=`` keyword speclint inspects.
 TAGGED_METHODS = frozenset({"send", "recv", "try_recv", "probe", "broadcast"})
 #: Payload-sending primitives inspected by the aliasing rule.
@@ -206,99 +204,6 @@ def check_spl001(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
                     "SPL001",
                     f"`{receiver_tail(recv)}.timeout(...)` creates an event that "
                     "is discarded; yield it (or drop the call)",
-                )
-
-
-# --------------------------------------------------------------------------
-# SPL002 — blocking recv inside a speculative (fw >= 1) path
-# --------------------------------------------------------------------------
-
-
-def _fw_branch_kind(test: ast.expr) -> Optional[str]:
-    """Classify a branch test on the forward window.
-
-    Returns ``"spec"`` when the test implies fw >= 1, ``"blocking"``
-    when it implies fw == 0, None when it does not mention fw.
-    """
-
-    def is_fw(expr: ast.expr) -> bool:
-        tail = receiver_tail(expr)
-        return tail is not None and (tail == "fw" or tail.endswith("_fw"))
-
-    if is_fw(test):
-        return "spec"
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) and is_fw(test.operand):
-        return "blocking"
-    if isinstance(test, ast.Compare) and len(test.ops) == 1 and is_fw(test.left):
-        op = test.ops[0]
-        right = test.comparators[0]
-        if not isinstance(right, ast.Constant) or not isinstance(right.value, (int, float)):
-            return None
-        bound = float(right.value)
-        if isinstance(op, ast.Gt) and bound >= 0:
-            return "spec"
-        if isinstance(op, ast.GtE) and bound >= 1:
-            return "spec"
-        if isinstance(op, ast.NotEq) and bound == 0:
-            return "spec"
-        if isinstance(op, ast.Eq) and bound == 0:
-            return "blocking"
-        if isinstance(op, ast.Lt) and bound <= 1:
-            return "blocking"
-        if isinstance(op, ast.LtE) and bound <= 0:
-            return "blocking"
-    return None
-
-
-register_rule(
-    "SPL002",
-    "blocking-recv-in-speculative-path",
-    Severity.ERROR,
-    "blocking receive reachable inside an fw>=1 (speculative) branch; "
-    "use try_recv/probe so the compute can run ahead",
-)
-
-
-def check_spl002(tree: ast.Module, path: str, source: str) -> Iterator[Diagnostic]:
-    """Blocking in the speculative arm reintroduces delay propagation."""
-
-    def blocking_recvs(nodes: list[ast.stmt]) -> Iterator[ast.Call]:
-        for stmt in nodes:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in BLOCKING_RECV_METHODS
-                ):
-                    yield node
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.If):
-            kind = _fw_branch_kind(node.test)
-            spec_arm: list[ast.stmt] = []
-            if kind == "spec":
-                spec_arm = node.body
-            elif kind == "blocking":
-                spec_arm = node.orelse
-            for call in blocking_recvs(spec_arm):
-                assert isinstance(call.func, ast.Attribute)
-                yield diag_at(
-                    path,
-                    call,
-                    "SPL002",
-                    f"blocking `{call.func.attr}(...)` inside a speculative "
-                    "(fw >= 1) branch; use try_recv()/probe() and speculate "
-                    "instead of waiting",
-                )
-        elif isinstance(node, ast.While) and _fw_branch_kind(node.test) == "spec":
-            for call in blocking_recvs(node.body):
-                assert isinstance(call.func, ast.Attribute)
-                yield diag_at(
-                    path,
-                    call,
-                    "SPL002",
-                    f"blocking `{call.func.attr}(...)` inside an fw >= 1 loop; "
-                    "use try_recv()/probe()",
                 )
 
 
@@ -890,7 +795,6 @@ def check_spl008(tree: ast.Module, path: str, source: str) -> Iterator[Diagnosti
 #: code -> checker, the pack :func:`findings` iterates.
 RULE_CHECKERS: dict[str, Callable[[ast.Module, str, str], Iterator[Diagnostic]]] = {
     "SPL001": check_spl001,
-    "SPL002": check_spl002,
     "SPL003": check_spl003,
     "SPL004": check_spl004,
     "SPL005": check_spl005,

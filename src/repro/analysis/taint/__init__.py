@@ -2,9 +2,9 @@
 
 Forward taint analysis over the specflow CFG + call graph proving
 that values derived from unconfirmed speculative receives never reach
-an irreversible effect (SPT301–SPT308), plus the commit-point
-annotation API (:func:`commits`) and the trace-replay verdict layer
-(:func:`check_taint`).
+an irreversible effect (SPT301, SPT302, SPT307, SPT308), plus the
+commit-point annotation API (:func:`commits`) and the trace-replay
+verdict layer (:func:`check_taint`).
 """
 
 from repro.analysis.taint.annotations import COMMITS_ATTR, commits, is_commit_point
@@ -15,8 +15,8 @@ from repro.analysis.taint.lattice import (
     TaintContext,
     TaintSummary,
     commit_lines_of,
-    compute_taint_summaries,
     declared_commit_points,
+    solve_taint,
     unconfirmed,
 )
 from repro.analysis.taint.rules import findings
@@ -33,10 +33,10 @@ __all__ = [
     "check_taint",
     "commit_lines_of",
     "commits",
-    "compute_taint_summaries",
     "declared_commit_points",
     "find_escapes",
     "findings",
     "is_commit_point",
+    "solve_taint",
     "unconfirmed",
 ]

@@ -22,11 +22,13 @@ ever influenced, which is exactly the reversibility obligation: the
 speculative value itself must not escape, its recomputable derivatives
 are the rollback's job.
 
-:func:`compute_taint_summaries` iterates one solve per function to a
-fixed point over the call graph, producing per-function
-:class:`TaintSummary` records (returns-spec, which parameters reach
-which sink, is-commit-point) that both the rule pass and nested call
-sites consume.
+:func:`solve_taint` iterates one solve per function to a fixed point
+over the call graph, producing per-function :class:`TaintSummary`
+records (returns-spec, which parameters reach which sink,
+is-commit-point) that nested call sites consume.  It returns one
+:class:`TaintContext` that also keeps every function's states from the
+fixpoint's final round, which the rule pass reads instead of solving
+the function again.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ class TaintSummary:
 
 @dataclass
 class TaintContext:
-    """Everything one :class:`TaintAnalysis` solve needs around it."""
+    """Everything one :class:`TaintAnalysis` solve needs around it, and
+    what :func:`solve_taint`'s final round computed."""
 
     callgraph: Optional[CallGraph] = None
     summaries: dict[tuple[str, str], TaintSummary] = field(default_factory=dict)
@@ -192,6 +195,11 @@ class TaintContext:
     commit_names: frozenset[str] = frozenset()
     #: ``path -> lines`` carrying ``# spectaint: commit``.
     commit_lines: dict[str, frozenset[int]] = field(default_factory=dict)
+    #: ``(path, qualname) -> (analysis, states by node uid)`` of every
+    #: function that is not a declared commit point.
+    solved: dict[
+        tuple[str, str], tuple["TaintAnalysis", dict[int, "State"]]
+    ] = field(default_factory=dict)
 
 
 def _param_names(cfg: CFG) -> tuple[str, ...]:
@@ -455,42 +463,51 @@ def iter_sink_args(
                     yield "SPT302", call, payload, facts
 
 
-def compute_taint_summaries(
+def solve_taint(
     callgraph: CallGraph,
     commit_points: set[tuple[str, str]],
     commit_lines: dict[str, frozenset[int]],
-) -> dict[tuple[str, str], TaintSummary]:
-    """Fixpoint of per-function taint summaries over the call graph.
+) -> TaintContext:
+    """Solve every function to the fixpoint of the per-function taint
+    summaries over the call graph.
 
-    Each round re-solves every function with the current summaries;
-    a function's summary grows monotonically (returns-spec can only
-    flip to True, sink-params only gain entries), so the iteration
-    terminates in at most ``len(functions) + 1`` rounds.
+    Each round re-solves every function that is not a declared commit
+    point (trusted: it commits nothing speculative outward) with the
+    current summaries.  A summary grows monotonically (returns-spec can
+    only flip to True, sink-params only gain entries), so the rounds
+    stop, and the last one changes nothing: every state it computed
+    already saw the final summaries.  Those states are kept in
+    :attr:`TaintContext.solved`.
     """
-    summaries: dict[tuple[str, str], TaintSummary] = {}
-    for key in callgraph.functions():
-        cfg = callgraph.cfg_of(key)
-        summaries[key] = TaintSummary(
+    cfgs = {key: callgraph.cfg_of(key) for key in callgraph.functions()}
+    summaries = {
+        key: TaintSummary(
             param_names=_param_names(cfg) if cfg is not None else (),
             commits=key in commit_points,
         )
+        for key, cfg in cfgs.items()
+    }
     ctx = TaintContext(
         callgraph=callgraph,
         summaries=summaries,
         commit_names=frozenset(qual.rsplit(".", 1)[-1] for _, qual in commit_points),
         commit_lines=commit_lines,
     )
-    for _ in range(len(summaries) + 1):
+    # Summaries are updated in place, so each analysis's resolved
+    # callees stay current across rounds.
+    analyses = {
+        key: TaintAnalysis(cfg, ctx)
+        for key, cfg in cfgs.items()
+        if cfg is not None and not summaries[key].commits
+    }
+    changed = True
+    while changed:
         changed = False
-        for key in callgraph.functions():
+        for key, analysis in analyses.items():
             summary = summaries[key]
-            if summary.commits:
-                continue  # trusted: commits nothing speculative outward
-            cfg = callgraph.cfg_of(key)
-            if cfg is None:  # pragma: no cover - defensive
-                continue
-            analysis = TaintAnalysis(cfg, ctx)
+            cfg = analysis.cfg
             states = solve_forward(cfg, analysis)
+            ctx.solved[key] = (analysis, states)
             for node in cfg.stmt_nodes():
                 stmt = node.stmt
                 assert stmt is not None
@@ -527,6 +544,4 @@ def compute_taint_summaries(
                                 if summary.sink_params.get(idx) is None:
                                     summary.sink_params[idx] = code
                                     changed = True
-        if not changed:
-            break
-    return summaries
+    return ctx

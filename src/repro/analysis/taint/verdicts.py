@@ -45,9 +45,7 @@ if TYPE_CHECKING:
     import argparse
 
 #: Static codes judged by the send-during-open-speculation witness.
-_ESCAPE_CODES = frozenset(
-    {"SPT301", "SPT302", "SPT303", "SPT304", "SPT305", "SPT306", "SPT307"}
-)
+_ESCAPE_CODES = frozenset({"SPT301", "SPT302", "SPT307"})
 
 
 @dataclass(frozen=True)

@@ -74,11 +74,13 @@ class RunConfig:
     window_policy:
         Optional :class:`~repro.policy.WindowPolicy` template; each
         rank spawns a private copy and retunes its FW at runtime
-        (``fw`` is then the initial window).
+        (``fw`` is then the initial window, within the policy's
+        ``[min_fw, max_fw]``).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; the plan's seeded
         faults inject identically on every backend, and the report's
         :attr:`RunReport.fault_summary` carries the recovery receipt.
+        Every rank the plan names must be one of the program's.
     record_trace:
         Record protocol trace events; the report's ``event_log`` is
         then ready for ``repro analyze --trace`` replay.
@@ -87,8 +89,8 @@ class RunConfig:
         the ``REPRO_SANITIZE`` environment variable.
     seed:
         Seeds the stochastic parts of the transport (DES jitter
-        streams, mp per-worker jitter).  Fault seeding lives on the
-        plan (``fault_plan.seed``), not here.
+        streams, mp per-worker jitter); >= 0.  Fault seeding lives on
+        the plan (``fault_plan.seed``), not here.
     latency:
         One-way message delay: virtual seconds on ``"des"`` (ignored
         when an explicit ``cluster`` is supplied), wall seconds on
@@ -135,6 +137,22 @@ class RunConfig:
             )
         if self.fw < 0:
             raise ValueError("fw must be >= 0")
+        policy = self.window_policy
+        if policy is not None and not policy.min_fw <= self.fw <= policy.max_fw:
+            raise ValueError("initial fw must lie within [min_fw, max_fw]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.fault_plan is not None and nprocs is not None:
+            plan = self.fault_plan
+            named = [f.rank for f in plan.ranks] + [
+                r for f in plan.edges for r in (f.src, f.dst) if r is not None
+            ]
+            outside = sorted({r for r in named if not 0 <= r < nprocs})
+            if outside:
+                raise ValueError(
+                    f"fault plan names rank(s) {outside} but the program "
+                    f"has ranks 0..{nprocs - 1}"
+                )
         if self.bw is not None and self.bw < 1:
             raise ValueError("bw (the history cap) must be >= 1")
         if self.latency < 0 or self.jitter < 0:

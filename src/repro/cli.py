@@ -347,15 +347,15 @@ def _cmd_nbody(args: argparse.Namespace) -> int:
     """``repro nbody``: the HEADLINE N-body program on any backend."""
     from repro.harness import build_nbody
 
-    program, cluster, cfg = build_nbody(
-        args.p,
-        iterations=args.iterations,
-        n_particles=args.particles,
-        threshold=args.theta,
-        config={"seed": args.seed} if args.seed is not None else None,
-        simulated=args.backend == "des",
-    )
     try:
+        program, cluster, cfg = build_nbody(
+            args.p,
+            iterations=args.iterations,
+            n_particles=args.particles,
+            threshold=args.theta,
+            config={"seed": args.seed} if args.seed is not None else None,
+            simulated=args.backend == "des",
+        )
         config = _run_config(
             args, program, cascade=cfg["cascade"], seed=cfg["seed"],
             cluster=cluster,
@@ -399,8 +399,8 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
     """``repro jacobi``: one solve on any backend."""
     import numpy as np
 
-    program, seed = _build_jacobi(args)
     try:
+        program, seed = _build_jacobi(args)
         config = _run_config(args, program, cascade="recompute", seed=seed)
     except (_UsageError, ValueError) as exc:
         print(f"repro jacobi: {exc}", file=sys.stderr)
@@ -479,8 +479,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.engine.core import RetransmitExhausted
     from repro.faults import InjectedCrash
 
-    program, seed = _build_jacobi(args)
     try:
+        program, seed = _build_jacobi(args)
         plan = _chaos_plan(args)
         config = _run_config(
             args, program, cascade="recompute", seed=seed, plan=plan,

@@ -1,8 +1,8 @@
 """Fixture (clean): a declared commit point is a sanctioned escape.
 
 ``adopt_arrival`` is decorated ``@commits``: spectaint trusts its body
-(the store below would otherwise be SPT303) and treats every value
-passed into it as confirmed from the call onward.
+(its ``print`` would otherwise make each caller's guess an SPT301) and
+treats every value passed into it as confirmed from the call onward.
 """
 
 

@@ -1,19 +1,21 @@
 """Byte-parity pins for every analyzer report.
 
-``PARENT_DIGESTS`` were captured on the commit *before* the five
+``DIGESTS`` were first captured on the commit *before* the five
 families were folded behind one rule registry, one driver, one
 ``TraceView`` and one ``Verdict`` (ISSUE 20), by running exactly the
 calls in this file against that tree.  A refactor of
 ``repro.analysis`` must leave every one of them unchanged; a rule
 change moves them deliberately (a failing assertion prints the new
-digest — say which report moved, and why, in CHANGES.md).
+digest — say which report moved, and why, in CHANGES.md).  Each cut of
+the rule audit below re-captured the reports that listed a deleted
+rule, and nothing else.
 
-``MOVED_DIGESTS`` were re-captured by ISSUE 22, which deleted four
-rules (SPF101, SPF102, SPF103, SPP206) and the two fixtures only they
-fired on (``bad_spf102_unbounded.py``, ``bad_spf103_descending.py``).
-Every report that listed one of the four — as a finding, a catalogue
-entry (speclint's JSON and specflow's JSON / SARIF advertise a union
-of families) or a ``--trace`` verdict — moved, and nothing else did.
+The first cut deleted four rules (SPF101, SPF102, SPF103, SPP206)
+and the two fixtures only they fired on (``bad_spf102_unbounded.py``,
+``bad_spf103_descending.py``).  Every report that listed one of the
+four — as a finding, a catalogue entry (speclint's JSON and
+specflow's JSON / SARIF advertise a union of families) or a
+``--trace`` verdict — moved, and nothing else did.
 Checked when re-captured, report by report: the parent's code run
 over the tree without the two fixtures, with the findings, catalogue
 entries and verdicts of the four codes dropped, equals the new report
@@ -25,8 +27,8 @@ and ``trace/specflow`` pins had already moved once, in ISSUE 20
 (verdict lines in the common ``{kind} {rule} {where}: {STATUS} —
 {detail}`` shape; 29 exact duplicate SPF111 lines printed once).
 
-The second cut of the rule audit deleted SPB401, SPB403 and SPB404
-with the four fixtures only they fired on (``bad_append_loop.py``,
+The second cut deleted SPB401, SPB403 and SPB404 with the four
+fixtures only they fired on (``bad_append_loop.py``,
 ``bad_interproc_chain.py``, ``bad_bare_deque.py``,
 ``bad_ungated_inbox.py``) and moved ``specbound/*``, ``check/*``,
 ``check-one-tree/sarif`` (its merged catalogue lists specbound's rules)
@@ -35,6 +37,19 @@ verdicts).  Checked the same way: the parent's code over the tree
 without the four fixtures printed the same text byte for byte, and its
 JSON / SARIF, parsed, with the three codes' catalogue entries dropped,
 equal the new documents.
+
+The third cut deleted SPT303, SPT304, SPT305, SPT306 and SPL002 with
+the five fixtures only they fired on (``bad_spt303_store.py``,
+``bad_spt304_commit.py``, ``bad_spt305_order.py``,
+``bad_spt306_raise.py``, ``bad_spl002_blocking_spec.py``) and moved
+``speclint/text`` / ``json``, ``spectaint/*``, ``specflow/json`` /
+``sarif`` (their catalogues), ``check/*``, ``check-one-tree/sarif``
+and ``trace/spectaint`` (five fewer findings and REFUTED verdicts).
+Checked the same way, over every tool and ``check`` in every format,
+with and without ``--trace``, over ``src`` and the five trees: the
+parent's code over the tree without the five fixtures printed the same
+text byte for byte, and its JSON / SARIF, parsed, with the five codes'
+catalogue entries dropped, equal the new documents.
 
 Everything runs from the repo root so the paths inside the reports are
 the relative ones CI prints.  The structural pins at the bottom say
@@ -66,40 +81,33 @@ TREES = [
 ]
 TRACED = [tool for tool in TOOLS if tool.judge is not None]
 
-#: Captured on ISSUE 20's parent commit and never moved since.
-PARENT_DIGESTS = {
-    "speclint/text": "36ca5f9cbd1388715346c279010b9a6d7f250dcc20089d1b864c1c2001577717",
-    "spectaint/text": "74278adccf81f597e0e734e6f5b572605a834445217af46cf65aadc000f13662",
-    "spectaint/json": "1d3e3aa51d3d1a9cf3169e4eddf1c7f7de64e39cb05b2acd0c6822762182777a",
-    "spectaint/sarif": "3b3a4c07524cedb1baab55af77fc514b806178ce9cbb2c45f38e7394939cb362",
-    "trace/spectaint": "766ae29d2e1e6c9fa02a457d15a441e184539d1f766185b4f50ff445d47be659",
-}
-
-#: Re-captured when rules were deleted: the reports that listed one (see
-#: the module docstring).
-MOVED_DIGESTS = {
-    "speclint/json": "9d56424992b36354bc15825cbbad0fe5c84c855a401e89a51271826f91891550",
+#: ``family/format``, ``check*/format`` and ``trace/family`` -> sha256.
+DIGESTS = {
+    "speclint/text": "425c95ff511464bd377633730dac6c51f432c5d48548668cbedfa1629735a7df",
+    "speclint/json": "52a6f1ba233b2b74816e2a808cc2fa7967a059df2a3ee5f299e19ef1026a49e9",
     "specflow/text": "71edb7f99ba3279639401662479a94a6c268028a5d5b67bdb51d48cabc60991a",
-    "specflow/json": "904e8330ec69e99e7ff01ff4a8600408eda3c6a52211c7bc0ef355b67d0646af",
-    "specflow/sarif": "60db48c775d471a06072d210228dbf93008e83fbecd30488d520f7bf62838f0a",
+    "specflow/json": "e69c83e98b9af812f8ac8f58ca8e012ef7c67b83be07e4be21e0a010807f3496",
+    "specflow/sarif": "a761bbe527a2e8e45021c269f7250e3c391f0210da232553415670ce2ff7487f",
     "specperf/text": "57ae5a4eb2286cdb21533d55b65581135c82bbc748ca7cdc711a5c7584cf40e5",
     "specperf/json": "3ac96b1a95ffcd91a01ee722f638620c5c27e19dc66866b80deb9d07de7ffa49",
     "specperf/sarif": "a8c43fed38b2d1736b31e8d6416e7d2c9bde0fcb53baa260765b016ea07971e6",
-    "check-one-tree/text": "aaa52c900cb6a2d37f40f5ac3c2be528181771c478b2fd28503dd4c7cfec79fe",
-    "check-one-tree/json": "38ded0dc7bd8b31312a38c88d4cfed83f8fd54a24585ac0a8b8147a5cec7c3f2",
-    "check-one-tree/sarif": "4f37fb4ed3c4a56622754366ba0c67b52726e75a95137f94bf0d0dde317dda6b",
-    "check/text": "548f73beb3435be0415b8e560024b5716cac284fa91408a08baef2b46b738982",
-    "check/json": "877ca4019ace56d4c6e1f201774a9d788047d61a360f229ff96611bd64bb5084",
-    "check/sarif": "8e36c4f533ef84908536f7e9fc449ecbc465218fe9e37def1894a045853f2eba",
+    "spectaint/text": "30b96ad2f1d645b82fa26c2693a9196fbd5844b344261a231b8634acc5719e6c",
+    "spectaint/json": "8cd8e5d89a2ebbd7cea0b0535a7f04cee697539af7e647d16fa0fead10e2c14e",
+    "spectaint/sarif": "400ec4164a31c1b47adc71b5887ca9cc3a55af7d99cc8c0dda86789c590b9406",
     "specbound/text": "367f89afc3af8d13978aaf43b54f4e4ecc43eaee357df8c40ba867f563aa5fb7",
     "specbound/json": "d6283237aa4a77009f85957bfe4787ceac6f91cceb0f71ffad928dfb5d8a6639",
     "specbound/sarif": "6e4103841a36fe1e69e7a9a442c14db386e7b4388fd815fdee276b08d8a02a30",
+    "check-one-tree/text": "aaa52c900cb6a2d37f40f5ac3c2be528181771c478b2fd28503dd4c7cfec79fe",
+    "check-one-tree/json": "38ded0dc7bd8b31312a38c88d4cfed83f8fd54a24585ac0a8b8147a5cec7c3f2",
+    "check-one-tree/sarif": "e94eae828b53636bbbe4282463207379aea9ee3b737db92f5c61ff98e96a1e35",
+    "check/text": "68ee1d5c4a4a4e406d156c5815f1d992b72fd9663ea957652948b4736c10a216",
+    "check/json": "907f378b4aaea542509a0922971879b60619b5b801e2fc41f1ecf6205a0e44b9",
+    "check/sarif": "b1b9e8e3bc570f70a4f26f023fd5eac60a2d916393ee4ec4444888d5dd0f2f42",
     "trace/specflow": "b35bd3bda14c5d879ddb2d08728272ef8ab1c3595d17575a979c2c4c8edc712e",
     "trace/specperf": "01bf58050408e84f0ffe53053c7b83d187b2602833e65acd845f1b0c63fd7144",
+    "trace/spectaint": "e9d699668844fb15ef7e2d62ebca0e72cd4165b68963689463c951344163fbbe",
     "trace/specbound": "d08cf5fe3e795f8d4e7e9871d9e1c1c592066c1a3ac4675474bc7f712982e7e8",
 }
-
-DIGESTS = {**PARENT_DIGESTS, **MOVED_DIGESTS}
 
 
 def _sha(text):
@@ -135,7 +143,6 @@ def test_every_tool_and_format_is_pinned_to_the_parent():
     pinned = {key for key in DIGESTS if key.startswith("spec")}
     assert pinned == {f"{t.name}/{fmt}" for t in TOOLS for fmt in t.formats}
     assert len(pinned) == 14
-    assert not PARENT_DIGESTS.keys() & MOVED_DIGESTS.keys()
 
 
 # -------------------------------------------------------- repro check
@@ -175,7 +182,7 @@ def test_check_over_the_five_trees_matches_the_golden_file(capsys, tmp_path):
 GOLDEN_TRACE_VERDICTS = {
     "specflow": {"REFUTED": 2},
     "specperf": {"CONFIRMED": 4, "REFUTED": 3},
-    "spectaint": {"REFUTED": 13},
+    "spectaint": {"REFUTED": 8},
     "specbound": {"CONFIRMED": 14},
 }
 

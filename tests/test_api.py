@@ -16,12 +16,13 @@ from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
 from repro.core import SpecStats, run_program
 from repro.engine import loopback
 from repro.engine.loopback import run_loopback
-from repro.faults import EdgeFault, FaultPlan, TriggerWindow
+from repro.faults import EdgeFault, FaultPlan, RankFault, TriggerWindow
 from repro.harness import build_nbody
 from repro.harness.toys import ConstantProgram, JumpyProgram
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import DelayNetwork
 from repro.platforms import wustl_1994
+from repro.policy import AimdWindow
 from repro.trace import PHASES
 from repro.vm import Cluster, uniform_specs
 
@@ -79,6 +80,36 @@ def test_rejects_cluster_plus_latency():
     cluster = Cluster(uniform_specs(4))
     with pytest.raises(ValueError, match="mutually"):
         RunConfig(_program(), backend="des", cluster=cluster, latency=0.5)
+
+
+@pytest.mark.parametrize("fw", [0, 3])
+def test_rejects_initial_fw_outside_the_policy_bounds(fw):
+    policy = AimdWindow(min_fw=1, max_fw=2)
+    with pytest.raises(ValueError, match=r"fw must lie within \[min_fw, max_fw\]"):
+        RunConfig(_program(), fw=fw, window_policy=policy)
+    RunConfig(_program(), fw=2, window_policy=policy)
+
+
+def test_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig(_program(), backend="mp", seed=-1)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FaultPlan(ranks=(RankFault(rank=4, slowdown=2.0),)),
+        FaultPlan(edges=(EdgeFault(kind="drop", rate=0.1, src=7),)),
+        FaultPlan(edges=(EdgeFault(kind="drop", rate=0.1, src=0, dst=4),)),
+    ],
+    ids=["rank", "edge-src", "edge-dst"],
+)
+def test_rejects_fault_plan_naming_a_missing_rank(plan):
+    with pytest.raises(ValueError, match="fault plan names rank"):
+        RunConfig(_program(p=4), fault_plan=plan)
+    # A wildcard edge names no rank.
+    RunConfig(_program(p=4), fault_plan=FaultPlan(
+        edges=(EdgeFault(kind="drop", rate=0.1, dst=3),)))
 
 
 # ---------------------------------------------------------------- parity

@@ -110,20 +110,61 @@ def test_mp_only_flags_rejected_off_mp(capsys):
     assert "--jitter" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("timeout", ["0", "-1"])
-def test_nonpositive_timeout_is_a_usage_error(timeout, monkeypatch, capsys):
+@pytest.fixture
+def no_workers(monkeypatch):
+    """Fail the test if any worker process is started."""
     import multiprocessing.process
 
     def no_start(self):
         raise AssertionError("a worker process was started")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_nonpositive_timeout_is_a_usage_error(timeout, no_workers, capsys):
     rc = main([
         "nbody", "--p", "2", "--particles", "64", "--iterations", "3",
         "--backend", "mp", "--timeout", timeout,
     ])
     assert rc == 2
     assert "timeout must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nbody", "-p", "0"],
+        ["nbody", "-p", "17"],
+        ["nbody", "--iterations", "0"],
+        ["nbody", "--theta", "-1"],
+        ["jacobi", "--iterations", "0"],
+        ["jacobi", "--seed", "-1"],
+        ["chaos", "--iterations", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_run_flag_is_a_usage_error(argv, capsys):
+    """A flag the program or platform rejects exits 2 with one line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nbody", "--adaptive", "--fw", "5"], "initial fw must lie within"),
+        (["nbody", "--seed", "-1"], "seed must be >= 0"),
+        (["chaos", "--straggler", "5:2"], "fault plan names rank(s) [5]"),
+    ],
+    ids=["fw-outside-policy", "negative-seed", "missing-rank"],
+)
+def test_mp_run_config_error_exits_before_any_worker(argv, message, no_workers, capsys):
+    rc = main([*argv, "-p", "2", "--iterations", "3", "--backend", "mp"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_jacobi_command(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the speclint static-analysis pass (rules SPL001..SPL008).
+"""Tests for the speclint static-analysis pass (rules SPL001, SPL003..SPL008).
 
 Each rule is exercised twice: against a ``bad_*`` fixture that must
 fire at known lines, and against the ``good_*`` fixtures that must stay
@@ -41,7 +41,7 @@ def codes(diagnostics):
 # ------------------------------------------------------------ rule registry
 def test_registry_has_all_rules():
     assert list(SPECLINT.rules) == [
-        "SPL001", "SPL002", "SPL003", "SPL004",
+        "SPL001", "SPL003", "SPL004",
         "SPL005", "SPL006", "SPL007", "SPL008",
     ]
     for code, rule in SPECLINT.rules.items():
@@ -66,13 +66,6 @@ def test_spl001_silent_on_driven_generators():
         "    return msg\n"
     )
     assert lint_source(src) == []
-
-
-def test_spl002_blocking_recv_in_spec_branch():
-    diags = lint_fixture("bad_spl002_blocking_spec.py")
-    assert codes(diags) == ["SPL002"]
-    # Only the speculative arm fires; the blocking (else) arm is fine.
-    assert [d.line for d in diags] == [7]
 
 
 def test_spl003_nondeterminism_sources():
@@ -258,7 +251,7 @@ def test_multi_tool_suppression_silences_findings_in_each_family():
 def test_select_restricts_rules():
     path = FIXTURES / "bad_spl001_unawaited.py"
     source = path.read_text()
-    assert lint_source(source, select=["SPL002"]) == []
+    assert lint_source(source, select=["SPL003"]) == []
     assert codes(lint_source(source, select=["SPL001"])) == ["SPL001"]
 
 
