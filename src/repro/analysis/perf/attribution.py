@@ -40,6 +40,7 @@ PROTOCOL_PHASES = ("send", "recv", "spec", "compute", "check", "correct")
 
 #: Terminal function names seeding each phase.
 PHASE_SEEDS: dict[str, frozenset[str]] = {
+    # "isolate_payload" names SPP201's payload-isolation pattern, not a module.
     "send": frozenset({"send", "broadcast", "isolate_payload"}),
     "recv": frozenset(
         {"recv", "try_recv", "record_arrival", "on_arrival", "_on_arrival",

@@ -60,6 +60,11 @@ class ProtocolViolation(SimulationError):
             f"  recent phase trace (oldest first):\n{excerpt}"
         )
 
+    def __reduce__(self):
+        # ``args`` is the rendered message, not the constructor's: rebuild
+        # from the fields (an mp worker pickles its failure to the parent).
+        return type(self), (self.invariant, self.details, self.trace)
+
 
 def sanitize_enabled() -> bool:
     """Is :data:`ENV_FLAG` set to a truthy value?"""

@@ -490,11 +490,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"repro chaos: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    planned_crash = any(f.crash_at is not None for f in plan.ranks)
     try:
         report = _execute(config, args.record_trace)
     except InjectedCrash as exc:
-        # des/loopback: the crash fault unwinds the rank directly.
         print(f"chaos: planned crash terminated the run ({exc})")
         return EXIT_FINDINGS
     except ProtocolViolation as exc:
@@ -505,20 +503,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # recovered (expected under --no-retransmit).
         print(f"chaos: unrecovered loss — {exc}")
         return EXIT_FINDINGS
-    except RuntimeError as exc:
-        # mp: a dying worker's report surfaces as a RuntimeError.
-        first_line = str(exc).splitlines()[0] if str(exc) else str(exc)
-        if planned_crash and "InjectedCrash" in str(exc):
-            print("chaos: planned crash terminated the run "
-                  f"(rank report: {first_line})")
-            return EXIT_FINDINGS
-        if "RetransmitExhausted" in str(exc):
-            print(f"chaos: unrecovered loss — {first_line}")
-            return EXIT_FINDINGS
-        if "ProtocolViolation" in str(exc):
-            print(f"chaos: sanitizer violation — {first_line}")
-            return EXIT_FINDINGS
-        raise
 
     summary = report.fault_summary or {"injected": {}, "total_injected": 0,
                                        "retransmits_serviced": 0,

@@ -2,11 +2,11 @@
 
 :class:`MPRunner` forks one worker per rank over a full mesh of pipes
 and waits on every worker's result pipe at once.  A failed run ends at
-its first failure report: an error a worker sent, or EOF from one that
-died without sending any.  The start barrier is aborted, the ranks
-that have not reported are reported as stopped after a peer failed,
-and the workers still running are terminated — a failure surfaces as
-soon as it happens, with no timer and no orphan process.
+its first failure report: the exception a worker sent, or EOF from one
+that died without sending any.  The start barrier is aborted, the
+workers still running are terminated and the worker's exception is
+re-raised — a failure surfaces as soon as it happens, with its own
+type, no timer and no orphan process.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ class MPRunner:
         """Execute to completion; raises on worker failure or timeout.
 
         The report is in wall seconds since the start barrier;
-        ``wall_seconds`` is the longest worker's.
+        ``wall_seconds`` is the longest worker's.  A worker's exception
+        is re-raised as itself, chained from a ``RuntimeError`` with its
+        rank and worker traceback.
         """
         p = self.program.nprocs
         ctx = self._ctx
@@ -167,9 +169,9 @@ class MPRunner:
             conn: rank for rank, conn in enumerate(result_conns)
         }
         deadline = time.monotonic() + timeout
-        failed = False
+        failure: Optional[WorkerReport] = None
         try:
-            while pending and not failed:
+            while pending and failure is None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(
@@ -181,13 +183,13 @@ class MPRunner:
                     try:
                         report = conn.recv()
                     except EOFError:
-                        report = WorkerReport(
-                            rank, error="worker process died without reporting"
-                        )
-                    reports.append(report)
+                        report = WorkerReport(rank, error=RuntimeError(
+                            f"rank {rank}: worker process died without reporting"
+                        ))
                     if report.error is not None:
-                        failed = True
+                        failure = report
                         break
+                    reports.append(report)
         finally:
             if pending:
                 # Ended early (a failure, the timeout or an interrupt):
@@ -197,15 +199,11 @@ class MPRunner:
                     proc.terminate()
             for proc in workers:
                 proc.join(timeout=10)
-        reports.extend(
-            WorkerReport(rank, error="stopped after a peer failed")
-            for rank in sorted(pending.values())
-        )
-
-        errors = [r for r in reports if r.error is not None]
-        if errors:
-            raise RuntimeError(
-                "; ".join(f"rank {r.rank}: {r.error}" for r in errors)
+        if failure is not None:
+            raise failure.error from RuntimeError(
+                f"rank {failure.rank} failed in its worker process (ranks "
+                f"{sorted(pending.values())} stopped after it)\n"
+                f"{failure.error_traceback}"
             )
         reports.sort(key=lambda r: r.rank)
         log = None

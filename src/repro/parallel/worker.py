@@ -20,6 +20,7 @@ runs on real processes too.
 
 from __future__ import annotations
 
+import pickle
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
@@ -47,7 +48,9 @@ class WorkerReport:
     #: The rank's protocol counters, whole (None on an error report).
     stats: Optional[SpecStats] = None
     wall_seconds: float = 0.0
-    error: Optional[str] = None
+    #: The exception that ended the rank, and its worker-side traceback.
+    error: Optional[Exception] = None
+    error_traceback: str = ""
     #: Protocol trace events (populated when the runner records them);
     #: times are wall seconds relative to the worker's protocol start.
     events: list[TraceEvent] = field(default_factory=list)
@@ -76,13 +79,23 @@ def worker_main(
         # parent interprets worker death directly.
         raise
     except Exception as exc:  # pragma: no cover - surfaced to the parent
-        # Preserve the full original traceback in the surfaced error so
-        # the parent's re-raise points at the real failure site.
         report = WorkerReport(
-            rank, error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+            rank, error=_portable(exc), error_traceback=traceback.format_exc()
         )
     result_conn.send(report)
     result_conn.close()
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives the pipe to the parent unchanged, else a
+    ``RuntimeError`` that names its type."""
+    try:
+        copy = pickle.loads(pickle.dumps(exc))
+    except (pickle.PickleError, TypeError, AttributeError):
+        copy = None
+    if type(copy) is type(exc) and str(copy) == str(exc):
+        return exc
+    return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 def _run_protocol(

@@ -55,10 +55,9 @@ _KNOWN_KINDS = frozenset(EVENT_KINDS)
 def split_tag(tag: Hashable) -> Tuple[Optional[str], Optional[int]]:
     """Decompose a protocol tag into ``(family, iteration)``.
 
-    The protocol convention is ``(family, iteration)`` tuples; nested
-    collective tags like ``("gather", ("reduce", "x"))`` keep the outer
-    family and drop the non-integer remainder.  Anything else maps to
-    ``(str(tag) or None, None)``.
+    The protocol convention is ``(family, iteration)`` tuples; a pair
+    whose second item is not an integer keeps the family and drops the
+    remainder.  Anything else maps to ``(str(tag) or None, None)``.
     """
     if tag is None:
         return None, None

@@ -43,8 +43,8 @@ class Message:
     sender, network model, or receiver — can rewrite its envelope or
     swap its payload for another object (the SPL005 aliasing class is
     ruled out at the record level; in-place mutation of a *shared
-    ndarray* payload is still the sender's responsibility, which is why
-    the collectives deep-copy on send).  The single legitimate
+    ndarray* payload is still the sender's responsibility, which is what
+    speclint's SPL005 checks).  The single legitimate
     post-construction update, stamping the delivery time, goes through
     :meth:`mark_delivered`.  One is built per send, so construction
     goes through :func:`~repro.trace.records.record`.

@@ -1,9 +1,13 @@
 """The public API surface: imports, __all__, version, module entry."""
 
+import ast
+import pathlib
 import subprocess
 import sys
 
 import repro
+
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 
 
 def test_all_names_resolve():
@@ -65,8 +69,41 @@ def test_subpackages_importable():
     import repro.partition
     import repro.perfmodel.extended
     import repro.platforms
-    import repro.trace
-    import repro.vm.collectives  # noqa: F401
+    import repro.trace  # noqa: F401
+
+
+def _module_name(path):
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_every_module_is_imported_by_another():
+    # An ast walk, so nothing is executed: a module no other module of
+    # src/repro imports (at any depth, or as a package re-export) is
+    # dead code.  The two entry points are the only exceptions.
+    modules = {_module_name(path): path for path in PACKAGE.rglob("*.py")}
+    imported = set()
+    for name, path in modules.items():
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    anchor = package.rsplit(".", node.level - 1)[0]
+                    base = f"{anchor}.{base}" if base else anchor
+                targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for target in targets:
+                # Importing a.b.c imports its packages a and a.b too.
+                parts = target.split(".")
+                found.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+        imported |= found - {name}
+    orphans = set(modules) - imported - {"repro.__main__", "repro.cli"}
+    assert not orphans, sorted(orphans)
 
 
 def test_python_dash_m_entry():

@@ -11,6 +11,9 @@ surfaces in well under two seconds:
   them as stopped and terminates them instead of waiting on them.
 * a worker killed without a report — its result pipe reads EOF, which
   counts as its failure report.
+
+The failure keeps its type: the parent re-raises the worker's own
+exception, so it reads as it does on the in-process backends.
 """
 
 import multiprocessing
@@ -19,7 +22,10 @@ import time
 
 import pytest
 
-from repro.faults import FaultPlan, RankFault
+from repro.analysis.sanitizer import ProtocolViolation
+from repro.engine.core import RetransmitExhausted
+from repro.engine.loopback import run_loopback
+from repro.faults import FaultPlan, InjectedCrash, RankFault
 from repro.parallel import MPRunner
 
 from tests.toy_programs import CoupledIncrement
@@ -50,6 +56,38 @@ class KilledCompute(CoupledIncrement):
         if rank == 0 and t == 2:
             os._exit(3)
         return super().compute(rank, inputs, t)
+
+
+class Unpicklable(Exception):
+    """Holds a lambda, so it cannot cross the result pipe."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class RaisingCompute(CoupledIncrement):
+    """Rank 1 raises ``failure`` (a type and its arguments) at t = 2."""
+
+    def __init__(self, nprocs, iterations, failure, **kwargs):
+        super().__init__(nprocs, iterations, **kwargs)
+        self.failure = failure
+
+    def compute(self, rank, inputs, t):
+        if rank == 1 and t == 2:
+            exc_type, args = self.failure
+            raise exc_type(*args)
+        return super().compute(rank, inputs, t)
+
+
+FAILURES = [
+    (RuntimeError, ("boom in compute",)),
+    (ValueError, ("bad value in compute",)),
+    (InjectedCrash, ("rank 1: planned crash at iteration 2",)),
+    (RetransmitExhausted, ("rank 1: dropped message(s) cannot be recovered",)),
+    (ProtocolViolation, ("forward-window-bound", "ahead by 2", ["spec t=3"])),
+    (Unpicklable, ("cannot be sent",)),
+]
 
 
 def _assert_no_orphans():
@@ -100,9 +138,33 @@ def test_injected_crash_surfaces_within_grace():
     plan = FaultPlan(ranks=(RankFault(rank=1, crash_at=3),))
     runner = MPRunner(CoupledIncrement(2, iterations=8), fw=1, fault_plan=plan)
     start = time.monotonic()
-    with pytest.raises(
-        RuntimeError, match="InjectedCrash: rank 1: planned crash at iteration 3"
-    ):
+    with pytest.raises(InjectedCrash, match="rank 1: planned crash at iteration 3"):
         runner.run(timeout=120.0)
     assert time.monotonic() - start < 2.0
     _assert_no_orphans()
+
+
+@pytest.mark.parametrize(
+    "exc_type, args", FAILURES, ids=[exc_type.__name__ for exc_type, _ in FAILURES]
+)
+def test_worker_failure_keeps_its_type(exc_type, args):
+    program = RaisingCompute(2, iterations=8, failure=(exc_type, args))
+    with pytest.raises(exc_type) as local:
+        run_loopback(program, fw=1)
+    start = time.monotonic()
+    with pytest.raises(Exception) as remote:
+        MPRunner(program, fw=1).run(timeout=120.0)
+    assert time.monotonic() - start < 2.0
+    if exc_type is Unpicklable:
+        assert type(remote.value) is RuntimeError
+        assert str(remote.value) == f"Unpicklable: {local.value}"
+    else:
+        assert type(remote.value) is exc_type
+        assert str(remote.value) == str(local.value)
+    cause = remote.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert str(cause).startswith("rank 1 failed in its worker process")
+    assert "Traceback (most recent call last)" in str(cause)
+    assert "in compute" in str(cause)
+    _assert_no_orphans()
+
