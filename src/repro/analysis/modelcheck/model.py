@@ -208,16 +208,7 @@ class _RunawayWindow:
     def spawn(self) -> "_RunawayWindow":
         return _RunawayWindow()
 
-    def on_iteration(
-        self,
-        t: int,
-        *,
-        fw: int,
-        epoch_wait: float,
-        checks: int,
-        rejects: int,
-        now: float,
-    ) -> int:
+    def on_iteration(self, t: int, *, fw: int, **signals: float) -> int:
         # Deliberately runaway (no max_fw clamp): this is the broken
         # policy the model checker must catch, not a policy to fix.
         return fw + 1  # specbound: disable=SPB405
@@ -334,11 +325,6 @@ class Execution(LoopbackRunner):
         super().__init__(
             engines, event_log=event_log, sanitize=ProtocolSanitizer()
         )
-        #: No clock: the engines fall back to their deterministic
-        #: iteration clock, so seated policies see bit-identical time on
-        #: every schedule.
-        for observer in self.observers.values():
-            observer.clock = None
         self.violation: Optional[McViolation] = None
         self.schedule: List[Action] = []
         self.dropped = 0
@@ -455,14 +441,16 @@ class Execution(LoopbackRunner):
             except ProtocolViolation as exc:
                 self._violate(exc.invariant, exc.details, rank=action.rank)
                 return
-            # A delivery resuming a blocking Recv counts one model step
+            # A delivery resuming a blocking Recv counts one compute step
             # of wait — the deterministic analogue of blocked-in-select
             # time, which is what makes window-widening decisions
-            # reachable for a seated policy (harmless otherwise:
-            # epoch_wait is unread).
+            # reachable for a seated policy (harmless otherwise: the
+            # engine's wait is unread).
+            waited = (self.program.compute_ops(action.rank)
+                      if isinstance(effect, Recv) else 0.0)
             self.resume(action.rank, replace(
                 arrival,
-                waited=1.0 if isinstance(effect, Recv) else 0.0,
+                waited=waited,
                 seq=arrival.seq if self._include_seq else -1,
             ))
         else:
@@ -562,8 +550,8 @@ class Execution(LoopbackRunner):
             if eng.policy is not None:
                 # With a seated policy the adaptation signals *do* feed
                 # back into protocol decisions, so they join the state.
-                put("policy", eng.epoch_wait, eng.stats.checks,
-                    eng.stats.spec_rejected, eng.policy.state())
+                put("policy", eng.wait, eng.lag, eng.work,
+                    eng.overhead, eng.policy.state())
             for k in sorted(eng.history):
                 times, values = eng.history[k].series()
                 put("hist", k, tuple(times),

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.program import SyncIterativeProgram
-from repro.policy import AimdWindow, WindowPolicy
+from repro.policy import CostWindow, WindowPolicy
 
 #: Hard bounds on the checkable configuration space (ISSUE 4 / the
 #: docs' state-space model).  Beyond these the explicit-state search
@@ -38,7 +38,7 @@ MAX_ITERS = 4
 
 SCENARIOS = ("drift", "constant")
 CASCADES = ("recompute", "none")
-WINDOWS = ("static", "aimd")
+WINDOWS = ("static", "cost")
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,10 @@ class McConfig:
     Attributes mirror the protocol knobs: ``p`` engines, forward
     window ``fw``, backward window ``bw`` (the HistoryRing capacity is
     ``bw + 2``), ``iters`` iterations, the cascade policy, the window
-    policy (``"static"`` keeps FW fixed; ``"aimd"`` seats a
-    one-iteration-epoch :class:`~repro.policy.AimdWindow` in every
-    engine, with the model supplying the deterministic iteration
-    clock) and the scenario program.
+    policy (``"static"`` keeps FW fixed; ``"cost"`` seats a
+    one-iteration-epoch :class:`~repro.policy.CostWindow` in every
+    engine, which reads the engines' deterministic op clock) and the
+    scenario program.
     """
 
     p: int = 2
@@ -88,13 +88,13 @@ class McConfig:
     def window_policy(self) -> Optional[WindowPolicy]:
         """The engine-seated window-policy template, if any.
 
-        ``"aimd"`` uses a one-iteration epoch with bounds ``[0, 2]``
+        ``"cost"`` uses a one-iteration epoch with bounds ``[0, 2]``
         (the checkable FW range), so widen/shrink decisions happen on
         every iteration and the full window trajectory is explored
         within ``MAX_ITERS``.
         """
-        if self.window == "aimd":
-            return AimdWindow(epoch=1, min_fw=0, max_fw=MAX_FW)
+        if self.window == "cost":
+            return CostWindow(epoch=1, min_fw=0, max_fw=MAX_FW)
         return None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -145,7 +145,8 @@ class ConstantProgram(SyncIterativeProgram):
 
     Zero-order-hold speculation is exact, so every speculation is
     accepted — the verify/accept path of the protocol, with no
-    corrections at all.
+    corrections at all.  Speculating and checking are cheap next to
+    computing, so a seated cost-rule policy widens on waits here.
     """
 
     def __init__(self, nprocs: int, iterations: int) -> None:
@@ -159,6 +160,12 @@ class ConstantProgram(SyncIterativeProgram):
 
     def compute_ops(self, rank: int) -> float:
         return 10.0
+
+    def speculate_ops(self, rank: int, k: int) -> float:
+        return 1.0
+
+    def check_ops(self, rank: int, k: int) -> float:
+        return 1.0
 
     def block_nbytes(self, rank: int) -> int:
         return 8

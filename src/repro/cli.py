@@ -245,14 +245,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _window_policy(args: argparse.Namespace, degraded: bool = False):
     """The window-policy template for ``--adaptive`` (None when the
     run keeps its fixed forward window).  ``degraded=True`` (the chaos
-    subcommand) wraps the AIMD controller in
+    subcommand) wraps the cost-rule controller in
     :class:`~repro.policy.DegradedWindow` so persistent loss collapses
     FW toward 0 and recovery re-widens it."""
     if not args.adaptive:
         return None
-    from repro.policy import AimdWindow, DegradedWindow
+    from repro.policy import CostWindow, DegradedWindow
 
-    inner = AimdWindow(epoch=args.epoch, min_fw=0, max_fw=args.max_fw)
+    inner = CostWindow(epoch=args.epoch, min_fw=0, max_fw=args.max_fw)
     return DegradedWindow(inner) if degraded else inner
 
 
@@ -1052,9 +1052,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(cascades fire); constant accepts every speculation",
     )
     p_mc.add_argument(
-        "--window", choices=("static", "aimd"), default="static",
+        "--window", choices=("static", "cost"), default="static",
         help="window policy seated in every engine: static keeps FW "
-        "fixed; aimd explores the adaptive controller's widen/shrink "
+        "fixed; cost explores the adaptive controller's widen/shrink "
         "schedule (one-iteration epochs, bounds [0, 2])",
     )
     p_mc.add_argument(

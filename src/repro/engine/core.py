@@ -229,9 +229,16 @@ class SpecEngine:
         self.verified_upto = 0
         #: Next iteration to compute (chain[frontier] is the newest block).
         self.frontier = 0
-        #: Virtual/wall seconds spent blocked in window waits this epoch
-        #: (the adaptive controller's widening signal).
-        self.epoch_wait = 0.0
+        #: The window policy's signals, cumulative since the run started
+        #: (see :meth:`~repro.policy.WindowPolicy.on_iteration`): clock
+        #: time blocked in window waits, the wait a blocking rank would
+        #: have paid, and the clock time charged to fw-independent work
+        #: and to speculation (spec + check + correct) — the transport's
+        #: response to each ``Charge``, or its ops where there is none.
+        self.wait = 0.0
+        self.lag = 0.0
+        self.work = 0.0
+        self.overhead = 0.0
         #: Per-destination send sequence numbers (protocol-order stamps).
         self._send_seq: Dict[int, int] = {dst: 0 for dst in self.audience}
         # ---------------------------------------------- resilience state
@@ -354,7 +361,7 @@ class SpecEngine:
                 if arrival is None:
                     yield from self._on_recv_timeout()
                     continue
-                self.epoch_wait += arrival.waited
+                self.wait += arrival.waited
                 yield from self._on_arrival(arrival)
 
             # 2b. Broadcast X_j(t) (iteration 0 is known everywhere from
@@ -376,7 +383,8 @@ class SpecEngine:
                 if pack > 0:
                     # Sender-side software cost (PVM pack); serial with
                     # the sender's own progress, like the real stack.
-                    yield Charge(pack, phase="comm", iteration=t)
+                    spent = yield Charge(pack, phase="comm", iteration=t)
+                    self.work += pack if spent is None else spent
 
             # 2c. Post-send window: with fw = 0 this is the blocking
             #     receive of Fig. 1; with fw >= 1 a no-op beyond 2a.
@@ -387,7 +395,7 @@ class SpecEngine:
                 if arrival is None:
                     yield from self._on_recv_timeout()
                     continue
-                self.epoch_wait += arrival.waited
+                self.wait += arrival.waited
                 yield from self._on_arrival(arrival)
 
             # 3. Assemble inputs, speculating what is missing.
@@ -399,9 +407,9 @@ class SpecEngine:
                 else:
                     times, values = self.history[k].series()
                     spec = prog.speculate(j, k, times, values, t)
-                    yield Charge(
-                        prog.speculate_ops(j, k), phase="spec", iteration=t
-                    )
+                    ops = prog.speculate_ops(j, k)
+                    spent = yield Charge(ops, phase="spec", iteration=t)
+                    self.overhead += ops if spent is None else spent
                     self.spec_used[(k, t)] = spec
                     inputs[k] = spec
                     stats.spec_made += 1
@@ -413,7 +421,9 @@ class SpecEngine:
                 iteration=t, verified_upto=self.verified_upto, fw=self.fw
             )
             new_block = prog.compute(j, inputs, t)
-            yield Charge(prog.compute_ops(j), phase="compute", iteration=t)
+            ops = prog.compute_ops(j)
+            spent = yield Charge(ops, phase="compute", iteration=t)
+            self.work += ops if spent is None else spent
             self.chain[t + 1] = new_block
             self.frontier = t + 1
             stats.iterations += 1
@@ -442,23 +452,21 @@ class SpecEngine:
         """Consult the seated window policy after iteration ``t``.
 
         ``now`` is the transport's response to ``IterationDone``; a
-        transport with no clock (the model checker) responds None and
-        the iteration count stands in — a pure function of protocol
-        state, so fingerprint dedup stays sound.
+        transport with no clock (loopback, the model checker) responds
+        None and the rank's charged ops plus its waits stand in — a
+        pure function of protocol state, so fingerprint dedup stays
+        sound.
         """
         policy = self.policy
         assert policy is not None
-        clock = float(t + 1) if now is None else float(now)
+        if now is None:
+            now = self.work + self.overhead + self.wait
         observe_losses = getattr(policy, "observe_losses", None)
         if observe_losses is not None:
             observe_losses(self.stats.retransmits)
         new_fw = policy.on_iteration(
-            t,
-            fw=self.fw,
-            epoch_wait=self.epoch_wait,
-            checks=self.stats.checks,
-            rejects=self.stats.spec_rejected,
-            now=clock,
+            t, fw=self.fw, now=float(now), wait=self.wait, lag=self.lag,
+            work=self.work, overhead=self.overhead,
         )
         if new_fw != self.fw:
             old_fw = self.fw
@@ -522,7 +530,7 @@ class SpecEngine:
         """A bounded receive expired: escalate every open gap."""
         timeout = self._recv_timeout()
         if timeout is not None:
-            self.epoch_wait += timeout
+            self.wait += timeout
         for src in sorted(self._gaps):
             yield from self._gap_tick(src)
 
@@ -577,7 +585,10 @@ class SpecEngine:
         before it was needed — every arrival of a blocking run, which
         then pays for no generator."""
         k, t = arrival.src, arrival.iteration
+        verified = self.verified_upto
         self.record_arrival(k, t, arrival.payload)
+        # Each iteration this arrival completed waited on its transit.
+        self.lag += (self.verified_upto - verified) * arrival.latency
         spec = self.spec_used.pop((k, t), None)
         return None if spec is None else self._verify(k, t, spec, arrival.payload)
 
@@ -594,7 +605,9 @@ class SpecEngine:
         # under DES the virtual timeline is identical either way (no
         # effect separates the two).
         error = prog.check(j, k, spec, actual, own)
-        yield Charge(prog.check_ops(j, k), phase="check", iteration=t)
+        ops = prog.check_ops(j, k)
+        spent = yield Charge(ops, phase="check", iteration=t)
+        self.overhead += ops if spent is None else spent
         if error <= prog.threshold:
             stats.spec_accepted += 1
             return
@@ -617,7 +630,8 @@ class SpecEngine:
             j, self.chain[t + 1], inputs, k, spec, actual, t
         )
         inputs[k] = actual
-        yield Charge(ops, phase="correct", iteration=t)
+        spent = yield Charge(ops, phase="correct", iteration=t)
+        self.overhead += ops if spent is None else spent
         self.chain[t + 1] = corrected
         stats.recomputes += 1
         yield Corrected(peer=k, iteration=t)
@@ -638,15 +652,17 @@ class SpecEngine:
                     # with the Charge yields), so it is re-read per step.
                     times, values = self.history[k2].series()  # specperf: disable=SPP204
                     respec = prog.speculate(j, k2, times, values, t2)
-                    yield Charge(
-                        prog.speculate_ops(j, k2), phase="correct", iteration=t2
-                    )
+                    ops = prog.speculate_ops(j, k2)
+                    spent = yield Charge(ops, phase="correct", iteration=t2)
+                    self.overhead += ops if spent is None else spent
                     self.spec_used[(k2, t2)] = respec
                     inputs2[k2] = respec
                     stats.spec_made += 1
                     yield Speculated(peer=k2, iteration=t2, in_cascade=True)
             new_block = prog.compute(j, inputs2, t2)
-            yield Charge(prog.compute_ops(j), phase="correct", iteration=t2)
+            ops = prog.compute_ops(j)
+            spent = yield Charge(ops, phase="correct", iteration=t2)
+            self.overhead += ops if spent is None else spent
             self.chain[t2 + 1] = new_block
             stats.recomputes += 1
         yield _CASCADE_END

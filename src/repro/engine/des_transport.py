@@ -4,7 +4,9 @@ Interprets the engine's effects against a
 :class:`~repro.vm.processor.VirtualProcessor`:
 
 * ``Send`` → ``proc.send(dst, payload, tag=(family, iteration))`` —
-  the network model delivers through ``repro.netsim``;
+  the network model delivers through ``repro.netsim``, and every
+  ``Arrival`` carries the message's virtual transit time (the window
+  policy's latency signal);
 * ``Recv`` / ``TryRecv`` → ``proc.recv`` / ``proc.try_recv`` (blocked
   spans are traced as the effect's phase and reported back as
   ``Arrival.waited`` virtual seconds — the adaptive controller's
@@ -12,7 +14,7 @@ Interprets the engine's effects against a
 * ``Charge`` → what ``proc.compute(ops, phase, iteration)`` does —
   virtual time at the processor's capacity (times any background
   load), booked through ``proc.charged`` — without the two generator
-  frames;
+  frames; the engine gets the virtual seconds back;
 * protocol events → the rank's
   :class:`~repro.engine.observer.RankObserver` (sanitizer hooks and
   the cluster's :class:`~repro.trace.events.EventLog`, stamped with
@@ -108,6 +110,7 @@ class DESTransport:
                 if seconds != 0:  # Timeout rejects a negative delay
                     yield env.timeout(seconds)
                 proc.charged(effect.phase, start, effect.iteration)
+                response = seconds
             elif kind is Recv:
                 start = env.now
                 msg = yield from proc.recv(
@@ -131,4 +134,5 @@ class DESTransport:
             raise TransportError(f"unexpected message tag {tag!r}")
         seq = self._arrival_seq.get(msg.src, 0)
         self._arrival_seq[msg.src] = seq + 1
-        return Arrival(msg.src, iteration, msg.payload, waited, seq)
+        return Arrival(msg.src, iteration, msg.payload, waited, seq,
+                       msg.latency)

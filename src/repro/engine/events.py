@@ -103,7 +103,9 @@ class Charge:
     The DES transport converts ops to virtual seconds at the
     processor's capacity; the pipe transport attributes the *real*
     wall time since the previous effect boundary (the numerics just
-    executed inside the engine) to the phase.
+    executed inside the engine) to the phase.  Either responds with
+    the time charged, which the engine sums for its window policy (a
+    transport without a clock responds None and the ops stand in).
 
     ``factor`` is the straggler stretch the fault seam folded into
     ``ops``; the pipe transport, which ignores ``ops``, sleeps
@@ -123,7 +125,7 @@ class Arrival:
 
     ``waited`` is how long the receive blocked (virtual seconds under
     DES, wall seconds on pipes); the engine accumulates it into the
-    adaptive controller's epoch-wait signal.
+    window policy's wait signal.
 
     ``seq`` echoes the per-(src, dst) ``Send.seq`` the message carried
     on the wire, when the transport knows it (-1 otherwise).  Sequenced
@@ -131,6 +133,10 @@ class Arrival:
     suppressed, and out-of-order arrivals are parked until the gap is
     retransmitted.  All fault-free transports deliver in seq order, so
     the bookkeeping is inert outside fault injection.
+
+    ``latency`` is the message's transit time, from its send until it
+    became receivable (transport clock; 0.0 on transports without a
+    clock): the wait a blocking rank pays and a forward window hides.
     """
 
     src: int
@@ -138,6 +144,7 @@ class Arrival:
     payload: Any
     waited: float = 0.0
     seq: int = -1
+    latency: float = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +219,10 @@ class IterationDone:
     """Iteration ``iteration`` completed.
 
     The transport may respond with its clock reading (virtual seconds
-    under DES, wall seconds on pipes, the step count on loopback);
-    the engine feeds it to the seated
-    :class:`~repro.policy.WindowPolicy`.  A ``None`` response makes
-    the engine fall back to the iteration count as the clock.
+    under DES, wall seconds on pipes); the engine feeds it to the
+    seated :class:`~repro.policy.WindowPolicy`.  A ``None`` response
+    (loopback, the model checker) makes the engine fall back to its
+    charged ops plus its waits as the clock.
     """
 
     iteration: int

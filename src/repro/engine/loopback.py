@@ -34,7 +34,6 @@ leaves a :class:`~repro.trace.PhaseTrace` row on it (the loopback's
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from functools import partial
 from typing import Any, Deque, Dict, Optional, Tuple
 
@@ -98,15 +97,17 @@ class LoopbackRunner:
         }
         self._ops_clock: Dict[int, float] = dict.fromkeys(self.engines, 0.0)
         self._step = 0
-        #: Scheduler sweeps completed — the loopback's coarse clock
-        #: (responds to ``IterationDone``; also the unit of
-        #: ``Arrival.waited`` for ranks parked on a blocking receive).
+        #: Scheduler sweeps completed — the loopback's ``wall_seconds``
+        #: and the unit of ``Recv.timeout``.  Nothing else is timed:
+        #: ``IterationDone`` is answered with None and arrivals carry
+        #: no wait or transit, so a seated policy reads the engine's op
+        #: clock and sees no latency to hide.
         self.rounds = 0
         #: rank -> the ``Recv`` / ``TryRecv`` the rank is parked on.
         self.parked: Dict[int, Any] = {}
         #: rank -> final block, for every rank that has returned.
         self.finals: Dict[int, Any] = {}
-        #: rank -> observer seat; its clock is the sweep count.
+        #: rank -> observer seat (no clock).
         self.observers: Dict[int, RankObserver] = {}
         #: rank -> what :meth:`resume` drives: the engine generator's
         #: ``send``, the observer's ``notify``, the phase-row ``record``.
@@ -118,7 +119,6 @@ class LoopbackRunner:
                 record=(
                     None if event_log is None else partial(self._record, rank)
                 ),
-                clock=lambda: float(self.rounds),
             )
             observer.begin(engine)
             self._seats[rank] = (
@@ -134,11 +134,9 @@ class LoopbackRunner:
     def run(self) -> Dict[int, Any]:
         """Execute every rank to completion under the round-robin
         schedule; rank -> final block.  A rank parked on a ``Recv``
-        resumes with ``Arrival.waited`` = rounds parked, or with None
-        once its ``timeout`` (in rounds) expires; ``TryRecv`` is
-        answered on the spot."""
+        resumes with the message, or with None once its ``timeout`` (in
+        rounds) expires; ``TryRecv`` is answered on the spot."""
         parked = self.parked
-        parked_at: Dict[int, int] = {}
         #: rank -> round at which a parked Recv's ``timeout`` expires
         #: (the rank then resumes with None so the engine's retransmit
         #: timer can escalate; fault-free engines never set one).
@@ -154,14 +152,10 @@ class LoopbackRunner:
                 response: Optional[Arrival] = None
                 if effect is not None:
                     response = self._match(rank, effect.match)
-                    if response is not None:
-                        response = replace(
-                            response,
-                            waited=float(self.rounds - parked_at[rank]),
-                        )
-                    elif self.rounds < deadlines.get(rank, self.rounds + 1):
+                    if response is None and self.rounds < deadlines.get(
+                        rank, self.rounds + 1
+                    ):
                         continue  # still blocked (a timed park: until due)
-                    del parked_at[rank]
                     deadlines.pop(rank, None)
                 progress = True
                 # Step this rank until it blocks or finishes.
@@ -175,7 +169,6 @@ class LoopbackRunner:
                         continue
                     response = self._match(rank, effect.match)
                     if response is None:
-                        parked_at[rank] = self.rounds
                         if effect.timeout is not None:
                             deadlines[rank] = (
                                 self.rounds + max(1, int(effect.timeout))

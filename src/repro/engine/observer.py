@@ -79,8 +79,9 @@ class RankObserver:
     ``record(kind, peer, family, iteration)`` is the backend's trace
     sink (it stamps rank and time; None when tracing is off);
     ``clock()`` is the backend's reading answered to ``IterationDone``
-    — the seated window policy's timebase (None, the model checker,
-    answers None and the engine falls back to iteration counts).
+    — the seated window policy's timebase (without one, as on loopback
+    and in the model checker, the answer is None and the engine falls
+    back to its charged ops plus its waits).
     """
 
     def __init__(

@@ -7,9 +7,11 @@ per-message latency standing in for the paper's slow Ethernet.
 Delivery-time gating, no busy-wait
 ----------------------------------
 Injected latency is enforced at the *receiver*: each wire message
-carries a ``deliver_at`` wall-clock stamp and does not count as
-arrived until that instant passes — exactly how the simulator's delay
-networks behave.  Blocking receives park in
+carries its wall-clock send stamp, the receiver adds the injected
+delay (times a jitter draw) and the message does not count as arrived
+until that instant passes — exactly how the simulator's delay
+networks behave.  The difference is the message's transit time,
+reported as ``Arrival.latency``.  Blocking receives park in
 :func:`multiprocessing.connection.wait` until new bytes arrive, or,
 with a stamp pending, in ``select.select`` until it matures (to the
 microsecond: ``connection.wait`` would round up to the millisecond);
@@ -46,8 +48,8 @@ from repro.trace.events import TraceEvent
 from repro.trace.phases import PhaseTrace
 
 #: One buffered in-box entry:
-#: (effective_deliver_at, wire_seq, iteration, payload).
-_Pending = Tuple[float, int, int, Any]
+#: (effective_deliver_at, wire_seq, iteration, payload, transit).
+_Pending = Tuple[float, int, int, Any, float]
 
 
 class PipeTransport:
@@ -140,18 +142,16 @@ class PipeTransport:
 
     # ------------------------------------------------------------- handlers
     def send(self, effect: Send) -> None:
-        delay = self.latency
-        if self.jitter > 0 and self._rng is not None:
-            delay *= float(np.exp(self._rng.normal(0.0, self.jitter)))
         self._emit("send", effect.dst, effect.family, effect.iteration)
         conn = self._conns.get(effect.dst)
         if conn is None:
             raise TransportError(f"no pipe to rank {effect.dst}")
-        conn.send((effect.seq, time.monotonic() + delay, effect.iteration,
+        conn.send((effect.seq, time.monotonic(), effect.iteration,
                    effect.payload))
 
-    def charge(self, effect: Charge) -> None:
-        """Attribute the wall time since the last boundary to the phase.
+    def charge(self, effect: Charge) -> float:
+        """Attribute the wall time since the last boundary to the phase,
+        and return it.
 
         The numerics whose declared cost this is have just executed
         inside the engine, so the elapsed real time *is* the phase's
@@ -165,7 +165,8 @@ class PipeTransport:
             now = time.monotonic()
         self.trace.record(
             effect.phase, self._mark - self.t0, now - self.t0, effect.iteration)
-        self._mark = now
+        spent, self._mark = now - self._mark, now
+        return spent
 
     def try_recv(self, _effect: TryRecv) -> Optional[Arrival]:
         self._pump()
@@ -186,7 +187,7 @@ class PipeTransport:
                 return Arrival(
                     src=arrival.src, iteration=arrival.iteration,
                     payload=arrival.payload, waited=end - entry,
-                    seq=arrival.seq,
+                    seq=arrival.seq, latency=arrival.latency,
                 )
             if deadline is not None and now >= deadline:
                 # Bounded park expired empty (the engine's retransmit
@@ -218,7 +219,7 @@ class PipeTransport:
         """Drain every pipe into the sequence-checked, gated inbox."""
         for src, conn in self._conns.items():
             while conn.poll():
-                seq, deliver_at, iteration, payload = conn.recv()
+                seq, sent, iteration, payload = conn.recv()
                 expected = self._expected_seq[src]
                 if seq != expected:
                     raise TransportError(
@@ -226,9 +227,13 @@ class PipeTransport:
                         f"{src}: got seq {seq}, expected {expected}"
                     )
                 self._expected_seq[src] = expected + 1
-                effective = max(deliver_at, self._deliver_floor[src])
+                delay = self.latency
+                if self.jitter > 0 and self._rng is not None:
+                    delay *= float(np.exp(self._rng.normal(0.0, self.jitter)))
+                effective = max(sent + delay, self._deliver_floor[src])
                 self._deliver_floor[src] = effective
-                self._inbox[src].append((effective, seq, iteration, payload))
+                self._inbox[src].append(
+                    (effective, seq, iteration, payload, effective - sent))
 
     def _pop_deliverable(
         self, now: float, match: Optional[Tuple[str, int]]
@@ -240,7 +245,7 @@ class PipeTransport:
             queue = self._inbox[src]
             if not queue:
                 continue
-            effective, _seq, iteration, _payload = queue[0]
+            effective, _seq, iteration, _payload, _transit = queue[0]
             if effective > now:
                 continue
             if match is not None and (VARS, iteration) != match:
@@ -250,12 +255,13 @@ class PipeTransport:
                 best_src, best_at = src, effective
         if best_src is None:
             return None
-        _effective, seq, iteration, payload = self._inbox[best_src].pop(0)
+        _effective, seq, iteration, payload, transit = (
+            self._inbox[best_src].pop(0))
         if self.sanitizer is not None:
             self.sanitizer.on_delivery(self.rank, best_src, seq)
         self._emit("recv", best_src, VARS, iteration)
         return Arrival(src=best_src, iteration=iteration, payload=payload,
-                       seq=seq)
+                       seq=seq, latency=transit)
 
     def _next_maturity(self, now: float) -> Optional[float]:
         """Seconds until the earliest gated message matures (None =

@@ -45,9 +45,10 @@ class Transport(Protocol):
     def try_recv(self, effect: TryRecv) -> Optional[Arrival]:
         """Non-blocking receive; None when nothing is deliverable."""
 
-    def charge(self, effect: Charge) -> None:
+    def charge(self, effect: Charge) -> Optional[float]:
         """Account compute cost to a phase (wall transports attribute
-        the real time since the previous effect boundary)."""
+        the real time since the previous effect boundary); the clock
+        time charged, or None without a clock."""
 
     def notify(self, event: Any) -> Optional[float]:
         """Forward a protocol event to the medium's observers.
@@ -83,6 +84,6 @@ def drive(engine: Any, transport: Transport) -> Any:
         elif kind is TryRecv:
             response = transport.try_recv(effect)
         elif kind is Charge:
-            transport.charge(effect)
+            response = transport.charge(effect)
         else:
             response = transport.notify(effect)

@@ -89,7 +89,7 @@ class FaultyEngine:
                     effect = replace(
                         effect, ops=effect.ops * slow, factor=slow
                     )
-                yield effect
+                response = yield effect
             elif kind is IterationDone:
                 if inj.crash_due(effect.iteration):
                     raise InjectedCrash(

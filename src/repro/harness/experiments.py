@@ -159,7 +159,7 @@ def run_nbody(
     counters) and the :class:`~repro.core.RunReport`.  Pass an
     ``event_log`` to record every protocol step (send/recv/speculate/
     verify/correct) for ``repro analyze --trace`` replay, and a
-    ``window_policy`` (e.g. :class:`~repro.policy.AimdWindow`) to let
+    ``window_policy`` (e.g. :class:`~repro.policy.CostWindow`) to let
     each rank retune its forward window at runtime — ``fw`` is then
     the initial window and ``RunReport.window_history`` records the
     per-rank trajectories.

@@ -7,15 +7,18 @@ transport:
 
 * :class:`WindowPolicy` — the protocol every forward-window
   controller implements: observe one iteration's signals (cumulative
-  epoch wait, checks, rejects, and the transport's clock) and return
-  the rank's next FW.
+  wait, hidden latency, work and speculation ops, and the transport's
+  clock) and return the rank's next FW.
 * :class:`StaticWindow` — the identity policy; a run with
   ``StaticWindow(fw)`` is effect-for-effect identical to a fixed-FW
   run (it never changes the window, so no
   :class:`~repro.engine.events.WindowChanged` is ever emitted).
-* :class:`AimdWindow` — the AIMD controller; because it is seated
-  *inside* :class:`~repro.engine.core.SpecEngine` it adapts on every
-  backend (DES virtual time, loopback steps, real wall clocks).
+* :class:`CostWindow` — the controller: it prices the neighbouring
+  windows with the paper's Eq. 6 / Eq. 8 terms measured over each
+  epoch and moves to a cheaper one; because it is seated *inside*
+  :class:`~repro.engine.core.SpecEngine` it adapts on every backend
+  (DES virtual time, real wall clocks, charged ops where there is no
+  clock).
 * :class:`DegradedWindow` — a loss-aware wrapper around any policy:
   collapses FW toward 0 while the engine keeps reporting retransmits
   and re-arms the inner policy after a clean streak (the resilience
@@ -31,15 +34,15 @@ workers and hash cheaply into the model checker's state fingerprints.
 
 from repro.policy.cascade import CascadePolicy
 from repro.policy.window import (
-    AimdWindow,
+    CostWindow,
     DegradedWindow,
     StaticWindow,
     WindowPolicy,
 )
 
 __all__ = [
-    "AimdWindow",
     "CascadePolicy",
+    "CostWindow",
     "DegradedWindow",
     "StaticWindow",
     "WindowPolicy",

@@ -1,11 +1,13 @@
 """Forward-window policies: who decides each rank's FW, and when.
 
 The engine consults its policy once per completed iteration, passing
-*cumulative* signals (total window-wait, total checks, total rejects
-since the run started) plus the transport's clock — virtual seconds
-under DES, wall seconds on pipes, the scheduler step count on
-loopback.  Policies that think in epochs keep their own marks and
-difference against them; the engine never resets anything.
+*cumulative* signals (time blocked in window waits, the wait a blocking
+rank would have paid, and the time charged to work and to speculation,
+all since the run started) plus the transport's clock — virtual
+seconds under DES, wall seconds on pipes, the rank's own ops plus waits
+where the transport has no clock (loopback, the model checker).
+Policies that think in epochs keep their own marks and difference
+against them; the engine never resets anything.
 
 That cumulative-with-marks contract is what makes one policy work on
 every backend: a wall-clock transport cannot "reset" the engine's
@@ -15,8 +17,11 @@ monotone totals.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Tuple, runtime_checkable
+from itertools import chain
+from typing import Callable, List, Protocol, Tuple, runtime_checkable
 
 
 @runtime_checkable
@@ -41,15 +46,22 @@ class WindowPolicy(Protocol):
         t: int,
         *,
         fw: int,
-        epoch_wait: float,
-        checks: int,
-        rejects: int,
         now: float,
+        wait: float,
+        lag: float,
+        work: float,
+        overhead: float,
     ) -> int:
         """Observe iteration ``t``'s completion; return the next FW.
 
-        All counters are cumulative since the run started; ``now`` is
-        the transport's clock at the ``IterationDone`` boundary.
+        ``now`` is the transport's clock at the ``IterationDone``
+        boundary.  The rest are cumulative since the run started, in
+        the same clock: ``wait`` is the time blocked in window waits;
+        ``lag`` sums, over the verified iterations, the transit of the
+        message that completed each one's inputs (the wait a blocking
+        rank pays); ``work`` and ``overhead`` are the time charged to
+        fw-independent work (compute, message packing) and to
+        speculation (speculate, check, correct).
         """
         ...
 
@@ -84,16 +96,7 @@ class StaticWindow:
     def spawn(self) -> "StaticWindow":
         return self  # immutable: safe to share across ranks
 
-    def on_iteration(
-        self,
-        t: int,
-        *,
-        fw: int,
-        epoch_wait: float,
-        checks: int,
-        rejects: int,
-        now: float,
-    ) -> int:
+    def on_iteration(self, t: int, *, fw: int, **signals: float) -> int:
         return self.fw
 
     def state(self) -> Tuple[float, ...]:
@@ -101,62 +104,59 @@ class StaticWindow:
 
 
 @dataclass
-class AimdWindow:
-    """The AIMD forward-window controller (per rank).
+class CostWindow:
+    """The cost-rule forward-window controller (per rank).
 
-    Every ``epoch`` iterations, decide from two observable signals:
+    Every ``epoch`` iterations the rank prices every window in
+    ``[min_fw, max_fw]`` with the terms of the paper's Eq. 6 and Eq. 8,
+    measured over the epoch just run (per iteration, in the transport's
+    clock):
 
-    * **waiting time** — seconds blocked in window waits this epoch.
-      Waiting means the window is too small to absorb current delays
-      → widen by one (additive increase), provided rejections stayed
-      below ``reject_low``.
-    * **rejection rate** — fraction of this epoch's checks rejected.
-      Deep windows speculate across larger gaps; above
-      ``reject_high`` the gap² error growth makes speculation a net
-      loss → shrink by one.
+    * ``C`` — fw-independent work (compute, message packing);
+    * ``O`` — speculation overhead (speculate + check + correct);
+    * ``L`` — the latency a window hides: the transit of the message
+      that completed each iteration's inputs.  A wait at window ``fw``
+      also proves ``L >= wait + fw·(C + O)``, which is all a transport
+      without transit times (loopback, the model checker) can tell.
 
-    Marks are private per-instance state; the engine spawns one
-    policy per rank so ranks adapt independently.
+    Blocking costs ``C + L`` per iteration (Eq. 6); a window ``f >= 1``
+    costs ``C + O + max(0, L - f·(C + O))`` (Eq. 8, each message
+    overlapped with ``f`` iterations of work).  The rank steps one
+    window toward the cheapest when two things hold:
 
-    Attributes
-    ----------
-    epoch:
-        Iterations between adaptation decisions.
-    min_fw / max_fw:
-        Window bounds (``min_fw = 0`` allows falling back to the
-        blocking algorithm when speculation never pays).
-    wait_fraction:
-        Widen when epoch wait time exceeds this fraction of the epoch's
-        wall span.
-    reject_low / reject_high:
-        Rejection-rate thresholds: widening requires the epoch rate
-        below ``reject_low``; above ``reject_high`` forces a shrink.
+    * over the epoch, the predicted gain exceeds the standard error of
+      the epoch's iteration times, so noise alone never moves it;
+    * priced on the epoch's last iteration alone, the cheapest window
+      still wins, so a delay that has already passed is not chased
+      (one-off delays decay by themselves).
+
+    ``O`` is observable only while speculating: at ``fw = 0`` the last
+    measured ratio ``O / C`` stands in (0 before any, so a blocking
+    rank that sees latency tries a window once and learns its price).
+    The rule has no thresholds to tune: ``epoch`` is how often it
+    decides and ``min_fw`` / ``max_fw`` bound where it may go.
     """
 
     epoch: int = 4
     min_fw: int = 0
     max_fw: int = 4
-    wait_fraction: float = 0.05
-    reject_low: float = 0.10
-    reject_high: float = 0.35
 
-    # Epoch marks: the cumulative signals as of the last decision.
-    _mark_time: float = field(default=0.0, init=False, repr=False)
-    _mark_wait: float = field(default=0.0, init=False, repr=False)
-    _mark_checks: int = field(default=0, init=False, repr=False)
-    _mark_rejects: int = field(default=0, init=False, repr=False)
+    #: The cumulative signals (now, wait, lag, work, overhead) at the
+    #: previous iteration, and this epoch's per-iteration differences.
+    _prev: Tuple[float, ...] = field(
+        default=(0.0,) * 5, init=False, repr=False)
+    _steps: List[Tuple[float, ...]] = field(
+        default_factory=list, init=False, repr=False)
+    #: Overhead per unit of work, as last measured at fw >= 1.
+    _share: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.epoch < 1:
             raise ValueError("epoch must be >= 1")
         if not 0 <= self.min_fw <= self.max_fw:
             raise ValueError("need 0 <= min_fw <= max_fw")
-        if not 0 <= self.wait_fraction:
-            raise ValueError("wait_fraction must be >= 0")
-        if not 0 <= self.reject_low <= self.reject_high <= 1:
-            raise ValueError("need 0 <= reject_low <= reject_high <= 1")
 
-    def spawn(self) -> "AimdWindow":
+    def spawn(self) -> "CostWindow":
         return replace(self)  # fresh marks, same parameters
 
     def on_iteration(
@@ -164,44 +164,54 @@ class AimdWindow:
         t: int,
         *,
         fw: int,
-        epoch_wait: float,
-        checks: int,
-        rejects: int,
         now: float,
+        wait: float,
+        lag: float,
+        work: float,
+        overhead: float,
     ) -> int:
+        signals = (now, wait, lag, work, overhead)
+        self._steps.append(
+            tuple(cur - prev for cur, prev in zip(signals, self._prev)))
+        self._prev = signals
         if (t + 1) % self.epoch != 0:
             return fw
+        steps, self._steps = self._steps, []
+        times, d_wait, d_lag, d_work, d_over = zip(*steps)
+        if fw > 0 and sum(d_work) > 0:
+            self._share = sum(d_over) / sum(d_work)
+        mean_cost = self._pricer(
+            fw, len(steps), sum(d_wait), sum(d_lag), sum(d_work))
+        best = min(range(self.min_fw, self.max_fw + 1),
+                   key=lambda f: (mean_cost(f), abs(f - fw)))
+        last_cost = self._pricer(fw, 1, d_wait[-1], d_lag[-1], d_work[-1])
+        noise = (statistics.stdev(times) / math.sqrt(len(times))
+                 if len(times) > 1 else 0.0)
+        if (mean_cost(fw) - mean_cost(best) > noise
+                and last_cost(best) < last_cost(fw)):
+            return fw + (1 if best > fw else -1)
+        return fw
 
-        span = now - self._mark_time
-        d_checks = checks - self._mark_checks
-        d_rejects = rejects - self._mark_rejects
-        wait = epoch_wait - self._mark_wait
-        reject_rate = d_rejects / d_checks if d_checks else 0.0
+    def _pricer(
+        self, fw: int, n: int, wait: float, lag: float, work: float
+    ) -> Callable[[int], float]:
+        """Per-iteration cost of window ``f``, from the wait, lag and
+        work of ``n`` iterations measured at window ``fw``."""
+        c = work / n
+        o = c * self._share
+        hidden = lag / n
+        if wait > 0:
+            hidden = max(hidden, wait / n + fw * (c + o))
 
-        new_fw = fw
-        if reject_rate > self.reject_high and fw > self.min_fw:
-            new_fw = fw - 1
-        elif (
-            span > 0
-            and wait > self.wait_fraction * span
-            and reject_rate < self.reject_low
-            and fw < self.max_fw
-        ):
-            new_fw = fw + 1
+        def cost(f: int) -> float:
+            if f == 0:
+                return c + hidden
+            return c + o + max(0.0, hidden - f * (c + o))
 
-        self._mark_time = now
-        self._mark_wait = epoch_wait
-        self._mark_checks = checks
-        self._mark_rejects = rejects
-        return new_fw
+        return cost
 
     def state(self) -> Tuple[float, ...]:
-        return (
-            self._mark_time,
-            self._mark_wait,
-            float(self._mark_checks),
-            float(self._mark_rejects),
-        )
+        return (self._share, *self._prev, *chain(*self._steps))
 
 
 @dataclass
@@ -253,16 +263,7 @@ class DegradedWindow:
         self._fresh_losses = total_retransmits > self._seen_retransmits
         self._seen_retransmits = total_retransmits
 
-    def on_iteration(
-        self,
-        t: int,
-        *,
-        fw: int,
-        epoch_wait: float,
-        checks: int,
-        rejects: int,
-        now: float,
-    ) -> int:
+    def on_iteration(self, t: int, *, fw: int, **signals: float) -> int:
         if self._fresh_losses:
             self._fresh_losses = False
             self._clean_streak = 0
@@ -276,8 +277,7 @@ class DegradedWindow:
         # Clean: delegate, clamped into the inner policy's bounds in
         # case degradation parked fw below inner.min_fw.
         new_fw = self.inner.on_iteration(
-            t, fw=max(fw, self.inner.min_fw), epoch_wait=epoch_wait,
-            checks=checks, rejects=rejects, now=now,
+            t, fw=max(fw, self.inner.min_fw), **signals
         )
         return max(self.inner.min_fw, min(new_fw, self.inner.max_fw))
 

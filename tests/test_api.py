@@ -22,7 +22,7 @@ from repro.harness.toys import ConstantProgram, JumpyProgram
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import DelayNetwork
 from repro.platforms import wustl_1994
-from repro.policy import AimdWindow
+from repro.policy import CostWindow
 from repro.trace import PHASES
 from repro.vm import Cluster, uniform_specs
 
@@ -84,7 +84,7 @@ def test_rejects_cluster_plus_latency():
 
 @pytest.mark.parametrize("fw", [0, 3])
 def test_rejects_initial_fw_outside_the_policy_bounds(fw):
-    policy = AimdWindow(min_fw=1, max_fw=2)
+    policy = CostWindow(min_fw=1, max_fw=2)
     with pytest.raises(ValueError, match=r"fw must lie within \[min_fw, max_fw\]"):
         RunConfig(_program(), fw=fw, window_policy=policy)
     RunConfig(_program(), fw=2, window_policy=policy)

@@ -93,12 +93,12 @@ def test_nbody_adaptive_matches_pinned_trajectory():
     deterministic, so every rank's WindowChanged trajectory (and the
     stats it steers) must reproduce the pinned golden exactly."""
     from repro.harness import run_nbody
-    from repro.policy import AimdWindow
+    from repro.policy import CostWindow
 
     _, res = run_nbody(
         4, 1,
         config={"n_particles": 120, "iterations": 12},
-        window_policy=AimdWindow(epoch=2, min_fw=0, max_fw=3),
+        window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
     )
     doc = summarize(res)
     doc["window_history"] = [

@@ -52,6 +52,17 @@ def test_blocking_recv_does_not_spin_while_latency_gated():
     assert cpu < 0.1 * wall + 0.02, f"spun: cpu={cpu:.3f}s of wall={wall:.3f}s"
 
 
+def test_arrival_reports_the_injected_transit_as_latency():
+    """The receiver adds the injected delay to the wire's send stamp;
+    Arrival.latency is the difference — the transit a forward window
+    hides, which the window policy reads."""
+    transport, sender = make_transport(latency=0.2)
+    sender.send((0, time.monotonic(), 1, "payload"))
+    arrival = transport.recv(Recv(phase="comm", iteration=1))
+    assert arrival.latency == pytest.approx(0.2, abs=1e-9)
+    assert arrival.waited >= 0.2 * 0.9
+
+
 def test_blocking_recv_parks_until_bytes_arrive():
     """With nothing buffered the receiver waits for bytes (no deadline),
     wakes promptly when they land, and still burns ~no CPU."""

@@ -277,7 +277,7 @@ class _FixedPolicy:
     def spawn(self):
         return _FixedPolicy(self.want, self._min, self._max)
 
-    def on_iteration(self, t, *, fw, epoch_wait, checks, rejects, now):
+    def on_iteration(self, t, *, fw, **signals):
         self.calls += 1
         return self.want
 
@@ -287,7 +287,7 @@ class _FixedPolicy:
 
 def _decide(policy, t, fw):
     return policy.on_iteration(
-        t, fw=fw, epoch_wait=0.0, checks=1, rejects=0, now=float(t)
+        t, fw=fw, now=float(t), wait=0.0, lag=0.0, work=float(t), overhead=0.0
     )
 
 

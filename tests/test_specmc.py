@@ -55,7 +55,7 @@ def test_exhaustive_exploration_small_config_is_clean():
 
 def test_state_space_is_pinned_with_a_policy_and_at_three_ranks():
     for config, expected in (
-        (McConfig(p=2, fw=1, bw=1, iters=3, window="aimd"),
+        (McConfig(p=2, fw=1, bw=1, iters=3, window="cost"),
          (86, 25, 44, 113, 40, 10)),
         (McConfig(p=3, fw=1, bw=1, iters=2),
          (228, 223, 406, 543, 275, 12)),

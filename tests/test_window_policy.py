@@ -1,7 +1,7 @@
 """The backend-agnostic speculation-policy layer (PR 8).
 
 Covers the :mod:`repro.policy` package itself (``CascadePolicy``,
-``StaticWindow``, ``AimdWindow``), the engine seat (``WindowChanged``
+``StaticWindow``, ``CostWindow``), the engine seat (``WindowChanged``
 effects, per-rank spawning, bound validation), parity (a seated
 ``StaticWindow(fw)`` run is effect-for-effect identical to a plain
 fixed-FW run on every backend), the pipe transport's blocked-receive
@@ -23,7 +23,7 @@ from repro.engine.core import SpecEngine, topology
 from repro.engine.pipes import PipeTransport
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.parallel import MPRunner
-from repro.policy import AimdWindow, CascadePolicy, StaticWindow, WindowPolicy
+from repro.policy import CascadePolicy, CostWindow, StaticWindow, WindowPolicy
 from repro.trace import EventLog
 from repro.vm import Cluster, uniform_specs
 
@@ -74,53 +74,63 @@ def test_static_window_is_frozen_and_inert():
     assert isinstance(win, WindowPolicy)
     assert (win.min_fw, win.max_fw) == (2, 2)
     assert win.spawn() is win  # stateless: one instance serves all ranks
-    assert win.on_iteration(0, fw=2, epoch_wait=9.9, checks=5, rejects=5,
-                            now=1.0) == 2
+    assert win.on_iteration(0, fw=2, now=1.0, wait=9.9, lag=9.9, work=1.0,
+                            overhead=5.0) == 2
     assert win.state() == ()
     with pytest.raises(ValueError):
         StaticWindow(-1)
 
 
-# --------------------------------------------------------------- AimdWindow
-def test_aimd_validation_mirrors_adaptive_policy():
-    with pytest.raises(ValueError):
-        AimdWindow(epoch=0)
-    with pytest.raises(ValueError):
-        AimdWindow(min_fw=3, max_fw=2)
-    with pytest.raises(ValueError):
-        AimdWindow(reject_low=0.5, reject_high=0.2)
-    with pytest.raises(ValueError):
-        AimdWindow(wait_fraction=-0.1)
+# --------------------------------------------------------------- CostWindow
+def _feed(win, fw, rows):
+    """Drive ``win`` through one iteration per row of *per-iteration*
+    (span, wait, lag, work, overhead); the FW after each."""
+    totals = [0.0] * 5
+    decisions = []
+    for t, row in enumerate(rows):
+        totals = [a + b for a, b in zip(totals, row)]
+        now, wait, lag, work, overhead = totals
+        fw = win.on_iteration(t, fw=fw, now=now, wait=wait, lag=lag,
+                              work=work, overhead=overhead)
+        decisions.append(fw)
+    return decisions
 
 
-def test_aimd_spawn_gives_independent_controllers():
-    template = AimdWindow(epoch=1, max_fw=4)
+def test_cost_window_spawn_gives_independent_controllers():
+    template = CostWindow(epoch=1, max_fw=4)
     a, b = template.spawn(), template.spawn()
     assert a is not template and a is not b
-    # Drive a only: heavy waiting, perfect speculation -> widen.
-    fw = a.on_iteration(0, fw=1, epoch_wait=1.0, checks=4, rejects=0, now=1.0)
-    assert fw == 2
+    # Drive a only: a wait at fw=1 proves latency beyond one iteration
+    # of work (L >= 2 + 1), which a wider window hides -> step up.
+    assert _feed(a, 1, [(3.0, 2.0, 0.0, 1.0, 0.0)]) == [2]
     assert a.state() != b.state()  # a's marks moved; b untouched
 
 
-def test_aimd_widens_on_wait_and_shrinks_on_rejection():
-    win = AimdWindow(epoch=2, min_fw=0, max_fw=3)
-    # Epoch boundary at t=1: 100% rejection -> shrink.
-    assert win.on_iteration(0, fw=1, epoch_wait=0.0, checks=1, rejects=1,
-                            now=1.0) == 1  # not an epoch boundary
-    assert win.on_iteration(1, fw=1, epoch_wait=0.0, checks=2, rejects=2,
-                            now=2.0) == 0
-    # Next epoch: long waits, clean checks -> widen.
-    assert win.on_iteration(3, fw=0, epoch_wait=1.0, checks=4, rejects=2,
-                            now=4.0) == 1
-    assert len(win.state()) == 4
+def test_cost_window_widens_on_hidden_latency_and_shrinks_on_overhead():
+    win = CostWindow(epoch=2, min_fw=0, max_fw=3)
+    # Epoch 1 at fw=1: overhead 0.5 per iteration hides a latency of
+    # only 0.1, so blocking (1 + 0.1) is cheaper than speculating
+    # (1 + 0.5) -> shrink.  Epoch 2 at fw=0: every iteration waits 2
+    # for its inputs; a window pays the remembered overhead 0.5 and
+    # hides 1.5 of them -> widen.
+    rows = [(1.5, 0.0, 0.1, 1.0, 0.5)] * 2 + [(3.0, 2.0, 2.0, 1.0, 0.0)] * 2
+    assert _feed(win, 1, rows) == [1, 0, 0, 1]
 
 
 def test_aimd_holds_inside_deadband():
-    """No waiting and moderate rejection: neither gate trips."""
-    win = AimdWindow(epoch=1, min_fw=0, max_fw=4)
-    assert win.on_iteration(0, fw=2, epoch_wait=0.0, checks=5, rejects=1,
-                            now=1.0) == 2
+    """The AIMD controller held between two tuned rejection thresholds;
+    the cost rule that replaced it holds while the predicted gain is
+    inside the epoch's noise, or gone by the epoch's last iteration."""
+    win = CostWindow(epoch=2, min_fw=0, max_fw=4)
+    # Blocking would save 0.14 of 1.5 per iteration, but the iteration
+    # times spread by a standard error of 0.5: hold.
+    assert _feed(win, 1, [(1.0, 0.0, 0.0, 1.0, 0.1),
+                          (2.0, 0.0, 0.0, 1.0, 0.1)]) == [1, 1]
+    # A delay that hit three iterations but is gone by the epoch's last
+    # one is not chased.
+    delayed = (9.0, 4.0, 4.0, 10.0, 0.0)
+    assert _feed(CostWindow(epoch=4), 0,
+                 [delayed] * 3 + [(5.0, 0.0, 0.0, 10.0, 0.0)]) == [0] * 4
 
 
 # -------------------------------------------------------------- engine seat
@@ -129,19 +139,19 @@ def test_engine_validates_initial_fw_against_policy_bounds():
     needed, audience = topology(prog)
     with pytest.raises(ValueError, match="initial fw"):
         SpecEngine(prog, 0, needed[0], audience[0], fw=5,
-                   policy=AimdWindow(max_fw=3))
+                   policy=CostWindow(max_fw=3))
 
 
 def test_run_program_rejects_out_of_bounds_initial_fw():
     with pytest.raises(ValueError, match="initial fw"):
         run_program(constant_prog(), make_cluster(2, 0.1), fw=5,
-                    window_policy=AimdWindow(max_fw=3))
+                    window_policy=CostWindow(max_fw=3))
 
 
 def test_des_window_history_seeded_and_recorded():
     res = run_program(
         constant_prog(iterations=16), make_cluster(2, latency=3.0), fw=1,
-        window_policy=AimdWindow(epoch=2, min_fw=0, max_fw=3),
+        window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
     )
     assert sorted(res.window_history) == [0, 1]
     for history in res.window_history.values():
@@ -160,7 +170,7 @@ def test_window_events_land_in_the_des_trace():
     cluster.event_log = log
     run_program(
         constant_prog(iterations=16), cluster, fw=1,
-        window_policy=AimdWindow(epoch=2, min_fw=0, max_fw=3),
+        window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
     )
     window_events = [e for e in log if e.kind == "window"]
     assert window_events
@@ -250,10 +260,10 @@ def test_static_window_parity_on_pipes():
 
 # -------------------------------------- pipes: blocked-receive accounting
 def test_pipe_recv_reports_blocked_seconds_in_waited():
-    """Satellite 1: the wall-clock epoch-wait signal.  A receive that
-    parks in select must surface the blocked span in Arrival.waited —
-    that is what the engine accumulates into ``epoch_wait`` and what
-    the AIMD controller's widen gate reads on the mp backend."""
+    """The wall-clock wait signal.  A receive that parks in select must
+    surface the blocked span in Arrival.waited — that is what the
+    engine accumulates into the window policy's ``wait`` on the mp
+    backend."""
     ours, theirs = mp.Pipe(duplex=True)
     transport = PipeTransport(rank=0, conns={1: ours})
     delay = 0.3
@@ -285,7 +295,7 @@ def test_mp_adaptive_widens_and_stays_correct():
     prog = constant_prog(nprocs=2, iterations=12)
     result = MPRunner(
         prog, fw=1, latency=0.05, seed=7,
-        window_policy=AimdWindow(epoch=2, min_fw=0, max_fw=3),
+        window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
     ).run(timeout=120)
 
     history = result.window_history
@@ -331,23 +341,25 @@ def test_sanitizer_rejects_stale_window_gate():
 
 
 # ----------------------------------------------------------- specmc seat
-def test_specmc_explores_aimd_window_cleanly():
+def test_specmc_explores_cost_window_cleanly():
     from repro.analysis.modelcheck import McConfig, explore
 
-    result = explore(McConfig(p=2, fw=1, bw=1, iters=3, window="aimd"))
+    result = explore(McConfig(p=2, fw=1, bw=1, iters=3, window="cost"))
     assert result.violation is None
     assert result.explored > 0
 
 
-def test_specmc_aimd_trajectory_reaches_both_directions():
-    """Under drift (every speculation rejected) the canonical schedule
-    shrinks the window; under constant (waits dominate) it widens —
-    the model's deterministic clock makes both decisions reachable."""
+def test_specmc_cost_trajectory_reaches_both_directions():
+    """Delivery is instant in the model, so a speculation that hid no
+    wait is priced as pure overhead and the canonical schedule shrinks
+    the window; the blocking receives that follow are waits a window
+    would hide, so it widens again.  The engines' deterministic op
+    clock makes both decisions reachable under either scenario."""
     from repro.analysis.modelcheck import McConfig
     from repro.analysis.modelcheck.model import Execution
 
-    def final_fws(scenario):
-        ex = Execution(McConfig(p=2, fw=1, iters=3, window="aimd",
+    def trajectories(scenario):
+        ex = Execution(McConfig(p=2, fw=1, iters=3, window="cost",
                                 scenario=scenario))
         while not ex.is_done and ex.violation is None:
             actions = ex.enabled_actions()
@@ -356,10 +368,11 @@ def test_specmc_aimd_trajectory_reaches_both_directions():
             ex.apply(min(actions, key=lambda a: (a.kind, a.rank, a.src,
                                                  a.idx)))
         assert ex.violation is None
-        return [ex.engines[r].fw for r in sorted(ex.engines)]
+        return [[fw for _, fw in history]
+                for history in ex.window_history.values()]
 
-    assert min(final_fws("drift")) == 0     # shrank toward blocking
-    assert max(final_fws("constant")) == 2  # widened to the bound
+    for scenario in ("drift", "constant"):
+        assert [1, 0, 1] in trajectories(scenario), scenario
 
 
 def test_specmc_runaway_window_mutation_is_caught():
