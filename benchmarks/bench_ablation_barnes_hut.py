@@ -10,8 +10,8 @@ bottleneck, no forward window can mask beyond the interconnect's
 throughput.  Speculation hides latency, not insufficient bandwidth.
 """
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import run_program
 from repro.harness import format_table
 from repro.nbody import uniform_cube
 from repro.platforms import wustl_1994
@@ -31,7 +31,8 @@ def run_ablation():
                 system, platform.capacities(), iterations=8, dt=0.015,
                 threshold=0.01, force_method=method, bh_theta=0.6,
             )
-            res = run_program(prog, platform.cluster(), fw=fw, cascade="none")
+            res = run(RunConfig(prog, fw=fw, cascade="none",
+                                cluster=platform.cluster()))
             times[fw] = res.time_per_iteration
             if fw == 0:
                 b = res.steady_breakdown()

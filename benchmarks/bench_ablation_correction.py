@@ -7,8 +7,8 @@ naive full recomputation at a tight threshold where rejections are
 frequent.
 """
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import run_program
 from repro.harness import format_table
 from repro.nbody import uniform_cube
 from repro.platforms import wustl_1994
@@ -24,7 +24,7 @@ def run_ablation():
             system, platform.capacities(), iterations=10, dt=0.02,
             threshold=0.002, incremental_correction=incremental,
         )
-        result = run_program(prog, platform.cluster(), fw=1, cascade="none")
+        result = run(RunConfig(prog, fw=1, cascade="none", cluster=platform.cluster()))
         b = result.steady_breakdown()
         rows.append([
             "incremental" if incremental else "full recompute",

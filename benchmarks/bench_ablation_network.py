@@ -7,8 +7,8 @@ the contention-driven communication blow-up largely disappears, and so
 does most of speculation's advantage.
 """
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import run_program
 from repro.harness import format_table
 from repro.nbody import uniform_cube
 from repro.netsim import ConstantLatency, SwitchedNetwork
@@ -37,7 +37,7 @@ def run_ablation():
                     latency=ConstantLatency(WUSTL_ENDPOINT_LATENCY),
                 ),
             )
-        result = run_program(prog, cluster, fw=fw, cascade="none")
+        result = run(RunConfig(prog, fw=fw, cascade="none", cluster=cluster))
         b = result.steady_breakdown()
         rows.append([network, fw, b["comm"], b.total])
     return rows

@@ -14,8 +14,8 @@ form of overlap.  Two findings:
    paper's actual contribution.
 """
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import ReceiveDrivenDriver, run_program
 from repro.harness import format_table
 from repro.harness.toys import IncrementalConstantProgram
 from repro.nbody import uniform_cube
@@ -37,13 +37,15 @@ def steady_rows():
     rows = []
     prog, cluster = build()
     rows.append(["steady", "blocking (Fig. 1)",
-                 run_program(prog, cluster, fw=0).time_per_iteration])
+                 run(RunConfig(prog, fw=0, cluster=cluster)).time_per_iteration])
     prog, cluster = build()
     rows.append(["steady", "receive-driven (Fig. 7)",
-                 ReceiveDrivenDriver(prog, cluster).run().time_per_iteration])
+                 run(RunConfig(prog, receive_driven=True,
+                               cluster=cluster)).time_per_iteration])
     prog, cluster = build()
     rows.append(["steady", "speculative FW=1 (Fig. 3)",
-                 run_program(prog, cluster, fw=1, cascade="none").time_per_iteration])
+                 run(RunConfig(prog, fw=1, cascade="none",
+                               cluster=cluster)).time_per_iteration])
     return rows
 
 
@@ -66,13 +68,15 @@ def transient_rows():
     rows = []
     prog, cluster = build()
     rows.append(["transient", "blocking (Fig. 1)",
-                 run_program(prog, cluster, fw=0).wall_seconds])
+                 run(RunConfig(prog, fw=0, cluster=cluster)).wall_seconds])
     prog, cluster = build()
     rows.append(["transient", "receive-driven (Fig. 7)",
-                 ReceiveDrivenDriver(prog, cluster).run().wall_seconds])
+                 run(RunConfig(prog, receive_driven=True,
+                               cluster=cluster)).wall_seconds])
     prog, cluster = build()
     rows.append(["transient", "speculative FW=2 (Fig. 3)",
-                 run_program(prog, cluster, fw=2, cascade="none").wall_seconds])
+                 run(RunConfig(prog, fw=2, cascade="none",
+                               cluster=cluster)).wall_seconds])
     return rows
 
 

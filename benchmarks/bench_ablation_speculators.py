@@ -9,13 +9,9 @@ and makespan at a fixed tight threshold.
 
 import numpy as np
 
+from repro.api import RunConfig, run
 from repro.apps import KuramotoProgram
-from repro.core import (
-    LinearExtrapolation,
-    PolynomialExtrapolation,
-    ZeroOrderHold,
-    run_program,
-)
+from repro.core import LinearExtrapolation, PolynomialExtrapolation, ZeroOrderHold
 from repro.harness import format_table
 from repro.netsim import ConstantLatency, DelayNetwork, StochasticLatency
 from repro.vm import Cluster, uniform_specs
@@ -40,7 +36,7 @@ def run_ablation():
                 env, StochasticLatency(ConstantLatency(0.5), sigma=0.5, seed=9)
             ),
         )
-        result = run_program(prog, cluster, fw=1)
+        result = run(RunConfig(prog, fw=1, cluster=cluster))
         rows.append(
             [name, 100.0 * result.rejection_rate, result.wall_seconds]
         )

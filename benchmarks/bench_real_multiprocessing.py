@@ -8,10 +8,10 @@ per-iteration compute time.
 
 import numpy as np
 
+from repro.api import RunConfig, run
 from repro.harness import format_table
 from repro.nbody import uniform_cube
 from repro.apps import NBodyProgram
-from repro.parallel import MPRunner
 
 
 def run_sweep():
@@ -20,7 +20,7 @@ def run_sweep():
     # ~160^2 pair forces per rank -> fraction of a millisecond; scale
     # the injected latency around the measured compute time.
     probe = NBodyProgram(system, [1.0, 1.0], iterations=2, dt=0.01, threshold=0.0)
-    base = MPRunner(probe, fw=0, latency=0.0).run(timeout=120)
+    base = run(RunConfig(probe, backend="mp", fw=0, latency=0.0, timeout=120))
     compute_s = base.timings["compute"] / probe.iterations
 
     for factor in (0.5, 1.0, 2.0):
@@ -28,7 +28,8 @@ def run_sweep():
         times = {}
         for fw in (0, 1):
             prog = NBodyProgram(system, [1.0, 1.0], iterations=10, dt=0.01, threshold=0.01)
-            res = MPRunner(prog, fw=fw, latency=latency, seed=3).run(timeout=120)
+            res = run(RunConfig(prog, backend="mp", fw=fw, latency=latency, seed=3,
+                                timeout=120))
             times[fw] = res.wall_seconds
         rows.append([
             1000.0 * latency,

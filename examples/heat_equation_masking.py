@@ -12,7 +12,7 @@ Run:  python examples/heat_equation_masking.py
 
 import numpy as np
 
-from repro import HeatEquation1D, run_program, uniform_specs
+from repro import HeatEquation1D, RunConfig, run, uniform_specs
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster
 
@@ -22,7 +22,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     initial = rng.uniform(0.0, 1.0, size=cells)
 
-    def run(fw: int):
+    def go(fw: int):
         program = HeatEquation1D(
             initial,
             [2e5] * procs,
@@ -37,10 +37,10 @@ def main() -> None:
             # delay dominates; exactly the regime speculation targets.
             network_factory=lambda env: DelayNetwork(env, ConstantLatency(0.002)),
         )
-        return program, run_program(program, cluster, fw=fw)
+        return program, run(RunConfig(program, fw=fw, cluster=cluster))
 
-    program, blocking = run(0)
-    _, speculative = run(1)
+    program, blocking = go(0)
+    _, speculative = go(1)
 
     field = program.gather(speculative.results)
     serial = program.reference()

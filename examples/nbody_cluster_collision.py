@@ -12,7 +12,7 @@ Run:  python examples/nbody_cluster_collision.py
 
 import numpy as np
 
-from repro import NBodyProgram, run_program, two_clusters, wustl_1994
+from repro import NBodyProgram, RunConfig, run, two_clusters, wustl_1994
 
 
 def main() -> None:
@@ -33,7 +33,8 @@ def main() -> None:
             system, platform.capacities(), iterations=iterations,
             dt=dt, threshold=0.01,
         )
-        result = run_program(program, platform.cluster(), fw=fw, cascade="none")
+        result = run(RunConfig(program, fw=fw, cascade="none",
+                               cluster=platform.cluster()))
         final = program.gather(result.results)
 
         if reference is None:

@@ -14,8 +14,9 @@ from repro import (
     KuramotoProgram,
     LinearExtrapolation,
     PolynomialExtrapolation,
+    RunConfig,
     ZeroOrderHold,
-    run_program,
+    run,
     uniform_specs,
 )
 from repro.netsim import ConstantLatency, DelayNetwork, StochasticLatency
@@ -43,7 +44,7 @@ def main() -> None:
                 env, StochasticLatency(ConstantLatency(0.4), sigma=0.5, seed=8)
             ),
         )
-        result = run_program(program, cluster, fw=1)
+        result = run(RunConfig(program, fw=1, cluster=cluster))
         theta = program.gather(result.results)
         print(
             f"{name:32s}{100 * result.rejection_rate:>11.1f}"

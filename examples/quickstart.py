@@ -9,7 +9,7 @@ compares iteration times, exactly like the paper's headline experiment.
 Run:  python examples/quickstart.py
 """
 
-from repro import NBodyProgram, run_program, uniform_cube, wustl_1994
+from repro import NBodyProgram, RunConfig, run, uniform_cube, wustl_1994
 
 
 def main() -> None:
@@ -33,10 +33,10 @@ def main() -> None:
         return program, platform.cluster()
 
     program, cluster = fresh_program_and_cluster()
-    blocking = run_program(program, cluster, fw=0)
+    blocking = run(RunConfig(program, fw=0, cluster=cluster))
 
     program, cluster = fresh_program_and_cluster()
-    speculative = run_program(program, cluster, fw=1)
+    speculative = run(RunConfig(program, fw=1, cluster=cluster))
 
     b0 = blocking.steady_breakdown()
     b1 = speculative.steady_breakdown()

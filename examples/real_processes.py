@@ -11,7 +11,7 @@ Run:  python examples/real_processes.py
 
 import numpy as np
 
-from repro import MPRunner, NBodyProgram, uniform_cube
+from repro import NBodyProgram, RunConfig, run, uniform_cube
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
 
     # Measure the native compute time first, then inject a matching delay.
     probe = NBodyProgram(system, [1.0, 1.0], iterations=2, dt=0.01, threshold=0.0)
-    base = MPRunner(probe, fw=0, latency=0.0).run()
+    base = run(RunConfig(probe, backend="mp", fw=0, latency=0.0))
     compute_per_iter = base.timings["compute"] / probe.iterations
     latency = max(compute_per_iter, 0.001)
     print(f"{n}-particle N-body on 2 OS processes")
@@ -31,7 +31,8 @@ def main() -> None:
     for fw in (0, 1):
         program = NBodyProgram(system, [1.0, 1.0], iterations=iterations,
                                dt=0.01, threshold=0.01)
-        results[fw] = MPRunner(program, fw=fw, latency=latency, seed=3).run()
+        results[fw] = run(RunConfig(program, backend="mp", fw=fw, latency=latency,
+                                    seed=3))
         label = "blocking (FW=0)" if fw == 0 else "speculative (FW=1)"
         res = results[fw]
         print(f"{label:20s}: wall {res.wall_seconds:.3f}s  "

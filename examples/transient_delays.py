@@ -9,7 +9,7 @@ ASCII timelines make the pipelining visible.
 Run:  python examples/transient_delays.py
 """
 
-from repro.core import run_program
+from repro import RunConfig, run
 from repro.harness.toys import ConstantProgram
 from repro.netsim.latency import Spike
 from repro.platforms import two_processor_demo
@@ -30,7 +30,7 @@ def main() -> None:
             spikes=[Spike(extra=spike_s, t_start=0.5, t_end=1.5, src=0, dst=1)],
         )
         program = ConstantProgram(nprocs=2, iterations=6)
-        result = run_program(program, platform.cluster(), fw=fw)
+        result = run(RunConfig(program, fw=fw, cluster=platform.cluster()))
         print(f"FW = {fw}: makespan {result.wall_seconds:.2f}s")
         print(render_gantt(result.traces, width=76))
 

@@ -22,7 +22,7 @@ Run:  python examples/when_not_to_speculate.py
 
 import numpy as np
 
-from repro import CoupledMapLattice, WaveEquation1D, run_program, uniform_specs
+from repro import CoupledMapLattice, RunConfig, WaveEquation1D, run, uniform_specs
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster
 
@@ -41,11 +41,11 @@ def chaos_demo() -> None:
     print(f"   {'regime':12s}{'r':>6s}{'rejected %':>12s}")
     for label, r in (("stable", 2.5), ("chaotic", 3.9)):
         prog = CoupledMapLattice(initial, [1e6] * 4, 40, r=r, threshold=1e-3)
-        result = run_program(prog, cluster(), fw=1)
+        result = run(RunConfig(prog, fw=1, cluster=cluster()))
         print(f"   {label:12s}{r:>6.1f}{100 * result.rejection_rate:>12.1f}")
         # theta=0 sanity: the framework never corrupts the answer.
         exact_prog = CoupledMapLattice(initial, [1e6] * 4, 40, r=r, threshold=0.0)
-        exact = run_program(exact_prog, cluster(), fw=1)
+        exact = run(RunConfig(exact_prog, fw=1, cluster=cluster()))
         np.testing.assert_allclose(
             exact_prog.gather(exact.results), exact_prog.reference(), atol=1e-9
         )
@@ -59,7 +59,7 @@ def conservation_demo() -> None:
     print(f"   {'theta':>8s}{'rejected %':>12s}{'final deviation':>18s}")
     for theta in (0.0, 5e-3, 2e-2):
         prog = WaveEquation1D(pulse, [1e6] * 4, 80, courant=1.0, threshold=theta)
-        result = run_program(prog, cluster(latency=0.4), fw=1)
+        result = run(RunConfig(prog, fw=1, cluster=cluster(latency=0.4)))
         dev = float(np.max(np.abs(prog.gather(result.results) - prog.reference())))
         print(f"   {theta:>8.3g}{100 * result.rejection_rate:>12.1f}{dev:>18.2e}")
     print(

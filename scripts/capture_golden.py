@@ -24,8 +24,8 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.api import RunConfig, run
 from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
-from repro.core import run_program
 from repro.harness import run_nbody
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
@@ -43,7 +43,7 @@ def jacobi_case(fw: int, cascade: str) -> dict:
         uniform_specs(4, capacity=1000.0),
         network_factory=lambda env: DelayNetwork(env, ConstantLatency(0.4)),
     )
-    res = run_program(prog, cluster, fw=fw, cascade=cascade)
+    res = run(RunConfig(prog, fw=fw, cascade=cascade, cluster=cluster))
     return summarize(res)
 
 

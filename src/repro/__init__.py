@@ -23,13 +23,16 @@ Every backend (``backend="des" | "loopback" | "mp"``) returns the same
 
 Package map (see DESIGN.md for the full inventory):
 
-* :mod:`repro.core` — the speculation framework (drivers, speculators,
+* :mod:`repro.api` — :func:`run` and :class:`RunConfig`, the one way
+  to run a program on any backend.
+* :mod:`repro.core` — the speculation framework (speculators,
   checkers, results).
 * :mod:`repro.apps` — N-body, heat equation, Jacobi, Kuramoto.
 * :mod:`repro.vm` / :mod:`repro.netsim` / :mod:`repro.des` — the
   simulated cluster substrate.
 * :mod:`repro.perfmodel` — the Section-4 analytic model.
-* :mod:`repro.parallel` — real multiprocessing backend.
+* :mod:`repro.parallel` — real multiprocessing backend
+  (``backend="mp"``).
 * :mod:`repro.harness` — every table/figure of the paper as a runnable
   experiment.
 """
@@ -49,17 +52,14 @@ from repro.core import (
     LinearExtrapolation,
     PolynomialExtrapolation,
     SpecStats,
-    SpeculativeDriver,
     Speculator,
     SyncIterativeProgram,
     WeightedHistory,
     ZeroOrderHold,
-    run_program,
     speedup,
     speedup_max,
 )
 from repro.nbody import ParticleSystem, cold_disk, plummer_sphere, two_clusters, uniform_cube
-from repro.parallel import MPRunner
 from repro.perfmodel import ModelParams, PerformanceModel, section4_params
 from repro.platforms import PlatformConfig, modern_cluster, two_processor_demo, wustl_1994
 from repro.vm import Cluster, ProcessorSpec, linear_gradient_specs, uniform_specs
@@ -77,7 +77,6 @@ __all__ = [
     "KuramotoProgram",
     "LinearExtrapolation",
     "ModelParams",
-    "MPRunner",
     "NBodyProgram",
     "WaveEquation1D",
     "ParticleSystem",
@@ -88,7 +87,6 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "SpecStats",
-    "SpeculativeDriver",
     "Speculator",
     "SyncIterativeProgram",
     "WeightedHistory",
@@ -98,7 +96,6 @@ __all__ = [
     "modern_cluster",
     "plummer_sphere",
     "run",
-    "run_program",
     "section4_params",
     "speedup",
     "speedup_max",

@@ -55,11 +55,12 @@ PHASE_SEEDS: dict[str, frozenset[str]] = {
     "correct": frozenset({"correct", "cascade", "_cascade"}),
 }
 
-#: Terminal names of protocol seats: per-rank programs and engine loops.
+#: Terminal names of protocol seats: the engine loops and ``repro.api.run``
+#: (``run``), plus the two per-rank entry points handed over by reference,
+#: which the call graph cannot reach: the DES backend's per-rank program
+#: (``_rank_program``) and the mp worker's process target (``worker_main``).
 #: Functions reachable from a seat are *hot* (executed every iteration).
-HOT_SEATS = frozenset(
-    {"run", "worker_main", "_rank_program", "_run_protocol"}
-)
+HOT_SEATS = frozenset({"run", "worker_main", "_rank_program"})
 
 #: Call edges through these terminal names are not followed: they are
 #: overwhelmingly built-in container methods, and following them would

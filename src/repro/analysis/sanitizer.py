@@ -1,7 +1,7 @@
 """Runtime protocol sanitizer for the speculative protocol stack.
 
-Opt-in (``REPRO_SANITIZE=1`` or ``sanitize=True`` on the drivers and
-transports), the sanitizer is the *runtime seat* on the declarative
+Opt-in (``REPRO_SANITIZE=1`` or ``RunConfig(sanitize=True)`` on any
+backend), the sanitizer is the *runtime seat* on the declarative
 invariant registry in :mod:`repro.analysis.invariants`: it checks, on
 the effect stream of one live execution, every invariant whose
 ``seats`` include ``"sanitizer"``:
@@ -379,7 +379,7 @@ def run_selftest(verbose: bool = True) -> int:
 
     # 1. A clean speculative run under the sanitizer must pass.
     try:
-        from repro.core.driver import run_program
+        from repro.api import RunConfig, run
         from repro.harness.toys import ConstantProgram
         from repro.netsim import ConstantLatency, DelayNetwork
         from repro.vm import Cluster, uniform_specs
@@ -389,7 +389,7 @@ def run_selftest(verbose: bool = True) -> int:
             uniform_specs(3, capacity=1e3),
             network_factory=lambda env: DelayNetwork(env, ConstantLatency(0.5)),
         )
-        result = run_program(prog, cluster, fw=2, sanitize=True)
+        result = run(RunConfig(prog, fw=2, sanitize=True, cluster=cluster))
         if result.iterations != 6:  # pragma: no cover - sanity
             failures.append("clean run: unexpected result")
     except ProtocolViolation as exc:  # pragma: no cover - would be a bug

@@ -1,10 +1,6 @@
-"""One run API across the three backends.
+"""One way to run a program, on any of the three backends.
 
-Every backend primitive — :func:`repro.core.driver.run_program` (DES),
-:func:`repro.engine.loopback.run_loopback` and
-:meth:`repro.parallel.MPRunner.run` — returns the same
-:class:`~repro.core.results.RunReport`.  This module puts them behind
-one frozen configuration value::
+A run is one frozen configuration value handed to :func:`run`::
 
     from repro.api import RunConfig, run
 
@@ -20,26 +16,31 @@ The same ``RunConfig`` — including an optional
 :class:`~repro.faults.FaultPlan` — runs unchanged on ``"des"``
 (virtual time), ``"loopback"`` (deterministic in-process scheduler)
 and ``"mp"`` (real OS processes over pipes); only the clock the
-numbers are measured in differs.  :func:`run` is the one way the CLI
-and the benchmark reach a backend; the three primitives are what it
-dispatches to.
+numbers are measured in differs.  :func:`run` is the only entry point:
+the CLI, the experiments, the benchmarks and the tests all reach a
+backend through it, every setting is checked once (by
+:class:`RunConfig`), and every rank's engine comes from one factory
+(:func:`rank_engine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Generator, Optional
 
-from repro.core.driver import SpeculativeDriver
+from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.core.program import SyncIterativeProgram
-from repro.core.results import RunReport
-from repro.engine.loopback import run_loopback
-from repro.faults import FaultPlan
+from repro.core.receive_driven import IncrementalProgram
+from repro.core.results import RunReport, assemble_report
+from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
+from repro.engine.des_transport import DESTransport
+from repro.engine.loopback import LoopbackRunner
+from repro.faults import FaultPlan, wrap_engine
 from repro.netsim.latency import ConstantLatency, StochasticLatency
 from repro.netsim.network import DelayNetwork
-from repro.policy import WindowPolicy
+from repro.policy import CascadePolicy, WindowPolicy
 from repro.trace.events import EventLog
-from repro.vm import Cluster, uniform_specs
+from repro.vm import Cluster, VirtualProcessor, uniform_specs
 
 #: Backends :func:`run` dispatches over.
 BACKENDS = ("des", "loopback", "mp")
@@ -48,6 +49,9 @@ BACKENDS = ("des", "loopback", "mp")
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one protocol run needs, as a single frozen value.
+
+    Construction is validation: every setting is checked here, once,
+    whichever backend the run goes to.
 
     Parameters
     ----------
@@ -63,14 +67,32 @@ class RunConfig:
         The program owns its decomposition, so this exists purely to
         catch configuration drift at validation time.
     fw:
-        Forward window: 0 (blocking) or any depth >= 1 (speculative).
+        Forward window: 0 (the blocking algorithm of Fig. 1) or any
+        depth >= 1 (the speculative algorithm of Fig. 3, running at
+        most ``fw`` iterations ahead of the oldest unverified one).
     bw:
         Backward window: how many verified iterations each rank
         retains for checking and correction (the engine's history
         cap).  None (default) keeps the engine's derived default.
     cascade:
-        ``"recompute"`` or ``"none"`` — see
-        :class:`~repro.core.driver.SpeculativeDriver`.
+        What to do with iterations computed *after* a rejected one
+        (reachable only when fw >= 2); coerced to
+        :class:`~repro.policy.CascadePolicy`.
+
+        * ``"recompute"`` (default) — redo them in order from the
+          corrected state, re-speculating still-missing inputs.
+          Rigorous: with θ = 0 the local chain always equals what a
+          blocking run would have produced from the same inputs.
+        * ``"none"`` — correct only the iteration whose message just
+          arrived, as the paper's implementation does ("the resultant
+          force is recomputed"); downstream iterations keep their
+          slightly stale own-state, bounded by θ, and are repaired
+          implicitly as fresher messages arrive.  Far cheaper under
+          deep forward windows.
+
+        Corrections are local either way: blocks already broadcast
+        from speculative state are not re-sent (counted as
+        ``tainted_sends``).
     window_policy:
         Optional :class:`~repro.policy.WindowPolicy` template; each
         rank spawns a private copy and retunes its FW at runtime
@@ -81,6 +103,14 @@ class RunConfig:
         faults inject identically on every backend, and the report's
         :attr:`RunReport.fault_summary` carries the recovery receipt.
         Every rank the plan names must be one of the program's.
+    receive_driven:
+        Run the Fig. 7 baseline instead of the speculative protocol:
+        each rank absorbs remote blocks as they arrive and finishes
+        the update once all are in (:class:`~repro.engine.core.ReceiveDrivenEngine`).
+        Needs an :class:`~repro.core.receive_driven.IncrementalProgram`;
+        the baseline has no forward or backward window, so ``fw``,
+        ``bw``, ``cascade``, ``window_policy`` and ``fault_plan`` must
+        keep their defaults.  The report's ``fw`` is 0.
     record_trace:
         Record protocol trace events; the report's ``event_log`` is
         then ready for ``repro analyze --trace`` replay.
@@ -100,8 +130,9 @@ class RunConfig:
         only, same rules as ``latency``).
     cluster:
         DES only: an explicit :class:`~repro.vm.Cluster` (e.g. from
-        :func:`repro.platforms.wustl_1994`).  None (default) builds a
-        uniform cluster with a constant-latency network from
+        :func:`repro.platforms.wustl_1994`) with one processor per
+        rank, which has not run yet.  None (default) builds a uniform
+        cluster with a constant-latency network from
         ``latency``/``jitter``.
     timeout:
         mp only: parent-side wall-clock budget for the whole run, in
@@ -116,6 +147,7 @@ class RunConfig:
     cascade: str = "recompute"
     window_policy: Optional[WindowPolicy] = None
     fault_plan: Optional[FaultPlan] = None
+    receive_driven: bool = False
     record_trace: bool = False
     sanitize: Optional[bool] = None
     seed: int = 0
@@ -135,8 +167,23 @@ class RunConfig:
                 f"p={self.p} but program.nprocs={nprocs}; the program owns "
                 "its decomposition — rebuild it for a different p"
             )
+        if self.receive_driven:
+            if (
+                self.fw != 1 or self.bw is not None
+                or self.cascade != "recompute"
+                or self.window_policy is not None or self.fault_plan is not None
+            ):
+                raise ValueError(
+                    "receive_driven=True runs the Fig. 7 baseline, which has "
+                    "no forward or backward window: fw, bw, cascade, "
+                    "window_policy and fault_plan do not apply"
+                )
+            if not isinstance(self.program, IncrementalProgram):
+                raise TypeError("receive_driven=True needs an IncrementalProgram")
         if self.fw < 0:
             raise ValueError("fw must be >= 0")
+        # Frozen: the coerced spelling replaces the given one.
+        object.__setattr__(self, "cascade", CascadePolicy.coerce(self.cascade))
         policy = self.window_policy
         if policy is not None and not policy.min_fw <= self.fw <= policy.max_fw:
             raise ValueError("initial fw must lie within [min_fw, max_fw]")
@@ -164,30 +211,62 @@ class RunConfig:
                 "the loopback backend has no clock; latency/jitter "
                 "require backend='des' or backend='mp'"
             )
-        if self.cluster is not None and self.backend != "des":
-            raise ValueError("cluster is a DES-only knob")
-        if self.cluster is not None and (self.latency or self.jitter):
-            raise ValueError(
-                "latency/jitter and an explicit cluster are mutually "
-                "exclusive on DES — the cluster's network already "
-                "defines the delays"
-            )
+        if self.cluster is not None:
+            if self.backend != "des":
+                raise ValueError("cluster is a DES-only knob")
+            if self.latency or self.jitter:
+                raise ValueError(
+                    "latency/jitter and an explicit cluster are mutually "
+                    "exclusive on DES — the cluster's network already "
+                    "defines the delays"
+                )
+            if self.cluster.size != nprocs:
+                raise ValueError(
+                    f"cluster has {self.cluster.size} processors but "
+                    f"program wants {nprocs}"
+                )
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute ``config`` on its backend; one report shape for all three."""
-    knobs = dict(
-        fw=config.fw, cascade=config.cascade, sanitize=config.sanitize,
-        window_policy=config.window_policy, fault_plan=config.fault_plan,
-        hist_cap=config.bw,
+    if config.backend == "mp":
+        # Deferred: the mp worker imports this module for rank_engine.
+        from repro.parallel.runner import _start_mp
+
+        return _start_mp(config)
+    start = _start_des if config.backend == "des" else _start_loopback
+    return start(config)
+
+
+def rank_engine(
+    config: RunConfig,
+    rank: int,
+    topo: Any,
+    sanitizer: Optional[ProtocolSanitizer],
+) -> Any:
+    """Rank ``rank``'s engine for ``config`` — the one construction site
+    of every backend: the Fig. 7 baseline's
+    :class:`~repro.engine.core.ReceiveDrivenEngine`, or a
+    :class:`~repro.engine.core.SpecEngine` seated in the fault plan's
+    receive-path stage.  ``topo`` is :func:`~repro.engine.core.topology`'s
+    result."""
+    program = config.program
+    if config.receive_driven:
+        needed, audience = topo
+        return ReceiveDrivenEngine(program, rank, needed[rank], audience[rank])
+    engine = build_engine(
+        program, rank, topo, fw=config.fw, cascade=config.cascade,
+        hist_cap=config.bw, policy=config.window_policy,
+        sanitizer=sanitizer, fault_plan=config.fault_plan,
     )
-    start = {"des": _start_des, "loopback": _start_loopback, "mp": _start_mp}
-    return start[config.backend](config, knobs)
+    # charge_poll: DES recvs have no timeout, so retransmit backoff is
+    # paid as TryRecv + Charge polls in virtual time.
+    return wrap_engine(
+        engine, config.fault_plan, charge_poll=config.backend == "des"
+    )
 
 
 # ---------------------------------------------------------------- backends
-# Each ``_start_*`` runs ``config`` on its backend with the protocol
-# ``knobs`` every primitive takes, tracing when ``config.record_trace``.
 def _default_cluster(config: RunConfig) -> Cluster:
     """Uniform DES cluster with a constant(+jitter) latency network."""
     latency = ConstantLatency(config.latency)
@@ -200,22 +279,73 @@ def _default_cluster(config: RunConfig) -> Cluster:
     )
 
 
-def _start_des(config: RunConfig, knobs: dict) -> RunReport:
+def _start_des(config: RunConfig) -> RunReport:
+    """One engine per rank on the simulator, through
+    :class:`~repro.engine.des_transport.DESTransport`; the report is in
+    virtual seconds."""
     cluster = config.cluster if config.cluster is not None else _default_cluster(config)
+    if cluster.env.now != 0:
+        # A used cluster's clock and phase traces would carry over, and
+        # this run's timings would silently include the last one's.
+        raise ValueError(
+            f"cluster has already run (env.now={cluster.env.now:g}); "
+            "build a fresh Cluster per run"
+        )
     if config.record_trace:
         cluster.event_log = EventLog()
-    return SpeculativeDriver(config.program, cluster, **knobs).run()
+    sanitizer = resolve_sanitizer(config.sanitize)
+    if sanitizer is not None:
+        cluster.env.sanitizer = sanitizer
+    topo = topology(config.program)
+    engines: dict[int, Any] = {}
+    observers = {}
+
+    def _rank_program(proc: VirtualProcessor) -> Generator:
+        rank = proc.rank
+        engine = engines[rank] = rank_engine(config, rank, topo, sanitizer)
+        transport = DESTransport(
+            proc, sanitizer=sanitizer, event_log=cluster.event_log
+        )
+        observers[rank] = transport.observer
+        return transport.drive(engine)
+
+    finals = cluster.run(_rank_program)
+    if sanitizer is not None:
+        sanitizer.on_run_end()
+    ranked = [engines[rank] for rank in range(cluster.size)]
+    return assemble_report(
+        config, dict(enumerate(finals)), cluster.traces(),
+        [engine.stats for engine in ranked],
+        {rank: obs.window_history for rank, obs in observers.items()},
+        cluster.env.now,
+        None if config.fault_plan is None
+        else [engine.injector.summary() for engine in ranked],
+        capacities=cluster.capacities(), event_log=cluster.event_log,
+    )
 
 
-def _start_loopback(config: RunConfig, knobs: dict) -> RunReport:
+def _start_loopback(config: RunConfig) -> RunReport:
+    """One engine per rank on a :class:`~repro.engine.loopback.LoopbackRunner`;
+    ``wall_seconds`` is the number of scheduler rounds and the traces
+    are in counted ops."""
+    topo = topology(config.program)
+    sanitizer = resolve_sanitizer(config.sanitize)
+    engines = {
+        rank: rank_engine(config, rank, topo, sanitizer)
+        for rank in range(config.program.nprocs)
+    }
     log = EventLog() if config.record_trace else None
-    return run_loopback(config.program, event_log=log, **knobs)
-
-
-def _start_mp(config: RunConfig, knobs: dict) -> RunReport:
-    from repro.parallel import MPRunner  # deferred: spawns processes
-
-    return MPRunner(
-        config.program, latency=config.latency, jitter=config.jitter,
-        seed=config.seed, record_events=config.record_trace, **knobs,
-    ).run(timeout=config.timeout)
+    # The runner shares the sanitizer the engines were built with.
+    runner = LoopbackRunner(
+        engines, event_log=log,
+        sanitize=False if sanitizer is None else sanitizer,
+    )
+    finals = runner.run()
+    return assemble_report(
+        config, finals, runner.traces.values(),
+        [engine.stats for engine in engines.values()],
+        runner.window_history, runner.rounds,
+        None if config.fault_plan is None
+        else [engine.injector.summary() for engine in engines.values()],
+        event_log=log,
+    )

@@ -11,11 +11,8 @@ reusable framework:
 * :mod:`repro.core.program` — the application interface: an
   application supplies its compute / speculate / check / correct
   kernels plus an operation-count cost model.
-* :mod:`repro.core.driver` — the synchronous-iterative drivers:
-  ``FW = 0`` reproduces the blocking algorithm of Fig. 1 / Fig. 7, and
-  ``FW >= 1`` the speculative algorithm of Fig. 3 with forward-window
-  pipelining (Fig. 4) and cascade recomputation on rejected
-  speculations.
+* :mod:`repro.core.receive_driven` — :class:`IncrementalProgram`, the
+  interface the receive-driven baseline of Fig. 7 needs.
 * :mod:`repro.core.results` — the run report, speculation statistics and
   speedup calculations.
 """
@@ -26,9 +23,8 @@ from repro.core.checkers import (
     MaxRelativeError,
     RmsError,
 )
-from repro.core.driver import SpeculativeDriver, run_program
 from repro.core.program import SyncIterativeProgram
-from repro.core.receive_driven import IncrementalProgram, ReceiveDrivenDriver
+from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import RunReport, SpecStats, speedup, speedup_max
 from repro.core.speculators import (
     DampedLinear,
@@ -47,16 +43,13 @@ __all__ = [
     "MaxAbsoluteError",
     "MaxRelativeError",
     "PolynomialExtrapolation",
-    "ReceiveDrivenDriver",
     "RmsError",
     "RunReport",
     "SpecStats",
     "Speculator",
-    "SpeculativeDriver",
     "SyncIterativeProgram",
     "WeightedHistory",
     "ZeroOrderHold",
-    "run_program",
     "speedup",
     "speedup_max",
 ]

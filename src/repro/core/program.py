@@ -5,8 +5,8 @@ paper's model (Section 2)::
 
     X(t+1) = F(X(t), X(t-1), ...)
 
-partitioned into per-processor *blocks*.  The driver
-(:mod:`repro.core.driver`) calls back into the program for:
+partitioned into per-processor *blocks*.  The engine
+(:class:`repro.engine.core.SpecEngine`) calls back into the program for:
 
 * the real numerics (``compute``, ``speculate``, ``check``,
   ``correct``) — executed for every simulated processor so that

@@ -10,24 +10,19 @@ latency hiding, and the natural baseline to separate *overlap from
 reordering* from *overlap from speculation*.
 
 Programs opt in by implementing :class:`IncrementalProgram`'s three
-kernels (begin / absorb / finish); the N-body app does.  Programs
-without incremental structure should keep using the blocking driver
-(``run_program(..., fw=0)``), which implements Fig. 1.
+kernels (begin / absorb / finish); the N-body app does.  The baseline
+runs on any backend as ``run(RunConfig(program, receive_driven=True))``
+(the protocol is :class:`repro.engine.core.ReceiveDrivenEngine`).
+Programs without incremental structure use the blocking algorithm of
+Fig. 1 instead, ``RunConfig(program, fw=0)``.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Generator
+from typing import Any
 
-from repro.analysis.sanitizer import sanitizer_from_env
-from repro.core.driver import check_cluster, des_report
 from repro.core.program import Block, SyncIterativeProgram
-from repro.core.results import RunReport, SpecStats
-from repro.engine.core import ReceiveDrivenEngine, topology
-from repro.engine.des_transport import DESTransport
-from repro.engine.observer import RankObserver
-from repro.vm import Cluster, VirtualProcessor
 
 
 class IncrementalProgram(SyncIterativeProgram):
@@ -75,48 +70,3 @@ class IncrementalProgram(SyncIterativeProgram):
 
     def _total_size(self) -> int:
         return sum(self._block_size(k) for k in range(self.nprocs))
-
-
-class ReceiveDrivenDriver:
-    """Runs an :class:`IncrementalProgram` with Fig. 7 semantics.
-
-    Per iteration: broadcast the own block, start the accumulator from
-    local state, then absorb each message *as it arrives* (any order);
-    when all expected blocks are in, finish the update and move on.
-
-    The protocol itself is :class:`repro.engine.ReceiveDrivenEngine`;
-    this driver builds one per rank and interprets its effects on the
-    simulator through :class:`~repro.engine.des_transport.DESTransport`.
-    """
-
-    def __init__(self, program: IncrementalProgram, cluster: Cluster) -> None:
-        if not isinstance(program, IncrementalProgram):
-            raise TypeError("ReceiveDrivenDriver needs an IncrementalProgram")
-        check_cluster(program, cluster)
-        self.program = program
-        self.cluster = cluster
-        self._stats = [SpecStats(rank=r) for r in range(cluster.size)]
-        self._needed, self._audience = topology(program)
-        self._observers: dict[int, RankObserver] = {}
-
-    def run(self) -> RunReport:
-        """Execute to completion; returns the measurements."""
-        if self.cluster.env.sanitizer is None:
-            # DES-level invariants only (no speculation happens here).
-            self.cluster.env.sanitizer = sanitizer_from_env()
-        finals = self.cluster.run(self._rank_program)
-        return des_report(
-            self.cluster, finals, self._stats, self._observers, None,
-            fw=0, iterations=self.program.iterations,
-        )
-
-    def _rank_program(self, proc: VirtualProcessor) -> Generator:
-        """One rank: a :class:`ReceiveDrivenEngine` over the simulator."""
-        j = proc.rank
-        engine = ReceiveDrivenEngine(
-            self.program, j, self._needed[j], self._audience[j],
-            stats=self._stats[j],
-        )
-        transport = DESTransport(proc, event_log=self.cluster.event_log)
-        self._observers[j] = transport.observer
-        return transport.drive(engine)

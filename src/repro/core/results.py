@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from repro.trace import EventLog, PhaseBreakdown, PhaseTrace, merge_breakdowns
+
+if TYPE_CHECKING:
+    from repro.api import RunConfig
 
 
 @dataclass
@@ -220,24 +223,28 @@ class RunReport:
 
 
 def assemble_report(
-    backend: str, finals: Mapping[int, Any], traces: Iterable[PhaseTrace],
+    config: RunConfig, finals: Mapping[int, Any], traces: Iterable[PhaseTrace],
     stats: Iterable[SpecStats],
     window_history: Mapping[int, list[tuple[int, int]]],
-    wall_seconds: float, receipts: Optional[Iterable[Any]], *, fw: int,
-    iterations: int, capacities: Iterable[float] = (),
-    event_log: Optional[EventLog] = None,
+    wall_seconds: float, receipts: Optional[Iterable[Any]], *,
+    capacities: Iterable[float] = (), event_log: Optional[EventLog] = None,
 ) -> RunReport:
     """The one place a backend's measurements become a :class:`RunReport`:
     final blocks, per-rank traces / stats / window histories in rank
     order, the clock total, and the ranks' fault receipts
-    (:class:`~repro.faults.FaultSummary`; None without a fault plan)."""
+    (:class:`~repro.faults.FaultSummary`; None without a fault plan).
+    The backend, window and iteration count come from the run's
+    ``config``; the Fig. 7 baseline has no window and reports fw 0."""
     # Deferred: repro.faults imports the engine, which imports this module.
     from repro.faults.plan import merge_summaries
 
     return RunReport(
-        backend=backend, results=dict(finals), wall_seconds=float(wall_seconds),
+        backend=config.backend, results=dict(finals),
+        wall_seconds=float(wall_seconds),
         traces=list(traces), stats=list(stats),
-        window_history=dict(window_history), fw=fw, iterations=iterations,
+        window_history=dict(window_history),
+        fw=0 if config.receive_driven else config.fw,
+        iterations=config.program.iterations,
         capacities=list(capacities), event_log=event_log,
         fault_summary=None if receipts is None else merge_summaries(list(receipts)),
     )

@@ -18,10 +18,10 @@ The package splits the paper's protocol (Fig. 3) from its media:
   injected latency; sequenced, FIFO-restored delivery (the SPF111
   fix) and no busy-wait blocking.
 
-Every protocol implementation in the repo — the DES drivers
-(:mod:`repro.core.driver`, :mod:`repro.core.receive_driven`) and
-the multiprocessing backend
-(:mod:`repro.parallel.worker`) — runs the engines in this package;
+Every backend :func:`repro.api.run` reaches — the simulator, the
+loopback scheduler and the multiprocessing workers
+(:mod:`repro.parallel.worker`) — runs the engines in this package,
+built by one factory (:func:`repro.api.rank_engine`);
 speculate/verify/correct logic exists exactly once.
 """
 
@@ -51,12 +51,7 @@ from repro.engine.events import (
     TryRecv,
     Verified,
 )
-from repro.engine.loopback import (
-    LoopbackDeadlock,
-    LoopbackRunner,
-    build_loopback,
-    run_loopback,
-)
+from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner
 from repro.engine.pipes import PipeTransport, close_mesh, full_mesh
 from repro.engine.ring import HistoryRing, OutOfOrderArrival
 from repro.engine.transport import Transport, TransportError, drive
@@ -87,11 +82,9 @@ __all__ = [
     "TransportError",
     "TryRecv",
     "Verified",
-    "build_loopback",
     "close_mesh",
     "default_hist_cap",
     "drive",
     "full_mesh",
-    "run_loopback",
     "topology",
 ]

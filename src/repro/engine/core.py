@@ -34,7 +34,7 @@ transport into in-process queues — three media, one protocol.
 
 :class:`ReceiveDrivenEngine` expresses the paper's Fig. 7 baseline
 (incremental compute, no speculation) over the same effect alphabet,
-so the receive-driven driver shares the transports and observers too.
+so the receive-driven baseline shares the transports and observers too.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Sequence
 
 from repro.analysis.taint.annotations import commits
 from repro.core.program import Block, SyncIterativeProgram
+from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import SpecStats
 from repro.engine.events import (
     VARS,
@@ -147,12 +148,10 @@ class SpecEngine:
         lie within the policy's bounds.
     cascade:
         ``"recompute"`` (redo iterations after a rejected one) or
-        ``"none"`` (the paper's local correction); coerced to
-        :class:`~repro.policy.CascadePolicy`.
+        ``"none"`` (the paper's local correction), as validated by
+        :class:`~repro.api.RunConfig`.
     hist_cap:
         Backward-window ring capacity (default from the speculator).
-    stats:
-        Mutable counter sink; one :class:`SpecStats` per rank.
     pre_send_horizon / window_ok:
         Overridable forward-window gates (drivers pass bound methods;
         tests sabotage them to exercise the runtime sanitizer).  Both
@@ -187,7 +186,6 @@ class SpecEngine:
         fw: int = 1,
         cascade: "CascadePolicy | str" = CascadePolicy.RECOMPUTE,
         hist_cap: Optional[int] = None,
-        stats: Optional[SpecStats] = None,
         pre_send_horizon: Optional[HorizonFn] = None,
         window_ok: Optional[WindowFn] = None,
         policy: Optional[WindowPolicy] = None,
@@ -195,8 +193,6 @@ class SpecEngine:
         max_retries: int = 4,
         retry_backoff: float = 1.0,
     ) -> None:
-        if fw < 0:
-            raise ValueError("fw must be >= 0")
         if policy is not None and not policy.min_fw <= fw <= policy.max_fw:
             raise ValueError("initial fw must lie within [min_fw, max_fw]")
         self.program = program
@@ -204,11 +200,12 @@ class SpecEngine:
         self.needed = frozenset(needed)
         self.audience = list(audience)
         self.fw = fw
-        self.cascade = CascadePolicy.coerce(cascade)
+        self.cascade = cascade
         self.policy = policy.spawn() if policy is not None else None
         self.sanitizer = sanitizer
         self.hist_cap = hist_cap if hist_cap is not None else default_hist_cap(program)
-        self.stats = stats if stats is not None else SpecStats(rank=rank)
+        #: This rank's protocol counters.
+        self.stats = SpecStats(rank=rank)
         self._pre_send_horizon = pre_send_horizon
         self._window_ok = window_ok
 
@@ -675,16 +672,15 @@ def build_engine(
     fw: int = 1,
     cascade: "CascadePolicy | str" = CascadePolicy.RECOMPUTE,
     hist_cap: Optional[int] = None,
-    stats: Optional[SpecStats] = None,
     policy: Optional[WindowPolicy] = None,
     sanitizer: Optional[object] = None,
     fault_plan: Optional[Any] = None,
 ) -> SpecEngine:
-    """Rank ``rank``'s engine from a run's knobs — the one construction
-    site the DES, loopback and pipe backends share.  ``topo`` is
-    :func:`topology`'s result; under a ``fault_plan`` the retry budget
-    is the plan's (seating the plan's injection seam around the engine
-    or its transport stays with the backend)."""
+    """Rank ``rank``'s speculative engine from a run's knobs (called by
+    :func:`repro.api.rank_engine`, which every backend shares).
+    ``topo`` is :func:`topology`'s result; under a ``fault_plan`` the
+    retry budget is the plan's (seating the plan's injection seam
+    around the engine is the caller's)."""
     needed, audience = topo
     retry = {} if fault_plan is None else {
         "max_retries": fault_plan.max_retries,
@@ -692,8 +688,8 @@ def build_engine(
     }
     return SpecEngine(
         program, rank, needed[rank], audience[rank],
-        fw=fw, cascade=cascade, hist_cap=hist_cap, stats=stats,
-        policy=policy, sanitizer=sanitizer, **retry,
+        fw=fw, cascade=cascade, hist_cap=hist_cap, policy=policy,
+        sanitizer=sanitizer, **retry,
     )
 
 
@@ -708,25 +704,16 @@ class ReceiveDrivenEngine:
 
     def __init__(
         self,
-        program: Any,  # IncrementalProgram (avoids a core import cycle)
+        program: IncrementalProgram,
         rank: int,
         needed: FrozenSet[int],
         audience: Sequence[int],
-        stats: Optional[SpecStats] = None,
     ) -> None:
-        # Duck-typed (an isinstance against IncrementalProgram would
-        # cycle the import graph): the three kernels are the contract.
-        for kernel in ("begin", "absorb", "finish"):
-            if not callable(getattr(program, kernel, None)):
-                raise TypeError(
-                    "ReceiveDrivenEngine needs an IncrementalProgram "
-                    f"(missing {kernel!r})"
-                )
         self.program = program
         self.rank = rank
         self.needed = frozenset(needed)
         self.audience = list(audience)
-        self.stats = stats if stats is not None else SpecStats(rank=rank)
+        self.stats = SpecStats(rank=rank)
         self._send_seq: Dict[int, int] = {dst: 0 for dst in self.audience}
 
     def next_seq(self, dst: int) -> int:

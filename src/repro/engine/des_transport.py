@@ -21,9 +21,9 @@ Interprets the engine's effects against a
   virtual time).
 
 Because receives and charges wait on simulator events, the interpreter
-loop here is itself a generator: a driver's per-rank program *is*
-``DESTransport(proc, ...).drive(engine)``, handed to the cluster as it
-stands.
+loop here is itself a generator: the DES backend's per-rank program
+*is* ``DESTransport(proc, ...).drive(engine)``, handed to the cluster
+as it stands.
 """
 
 from __future__ import annotations

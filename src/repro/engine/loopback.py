@@ -5,9 +5,9 @@ stepped by a deterministic schedule — useful for
 
 * unit tests of protocol *logic* (what is sent, speculated, verified,
   corrected) without dragging in the DES kernel or real processes;
-* toys and teaching: ``run_loopback(program, fw=1)`` runs the full
-  speculative protocol on any :class:`SyncIterativeProgram` in
-  microseconds;
+* toys and teaching: ``run(RunConfig(program, backend="loopback"))``
+  runs the full speculative protocol on any
+  :class:`SyncIterativeProgram` in microseconds;
 * differential testing: loopback, DES and pipe backends drive the
   *same* :class:`~repro.engine.core.SpecEngine`, so their speculation
   counters and final numerics must agree wherever timing does not
@@ -38,13 +38,8 @@ from functools import partial
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
-from repro.core.results import RunReport, assemble_report
-from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
 from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
-from repro.faults.middleware import wrap_engine
-from repro.faults.plan import FaultPlan
-from repro.policy import WindowPolicy
 from repro.trace.phases import PhaseTrace
 
 
@@ -73,8 +68,8 @@ class LoopbackRunner:
         Run under the :class:`~repro.analysis.sanitizer.ProtocolSanitizer`
         (the same runtime seat the DES and pipe backends use); ``None``
         (default) defers to the ``REPRO_SANITIZE`` environment variable.
-        An already-built sanitizer is shared as is (:func:`run_loopback`
-        hands over the one its engines were built with).
+        An already-built sanitizer is shared as is (the loopback
+        backend hands over the one its engines were built with).
     """
 
     def __init__(
@@ -266,88 +261,3 @@ class LoopbackRunner:
                 kind, rank, float(self._step), peer=peer, family=family,
                 iteration=iteration,
             )
-
-
-def build_loopback(
-    program: Any,
-    fw: int = 1,
-    cascade: str = "recompute",
-    receive_driven: bool = False,
-    event_log: Any = None,
-    sanitize: Optional[bool] = None,
-    window_policy: Optional[WindowPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    hist_cap: Optional[int] = None,
-) -> LoopbackRunner:
-    """One engine per rank of ``program`` in a ready-to-run runner —
-    the construction half of :func:`run_loopback`, for callers that
-    want to inspect the runner's engines, queues or observers.
-
-    With a ``fault_plan``, each engine is wrapped in the
-    :mod:`repro.faults` receive-path seam (speculative engines only).
-    """
-    if receive_driven and (
-        fw != 1 or cascade != "recompute" or window_policy is not None
-        or fault_plan is not None
-    ):
-        raise ValueError(
-            "receive_driven=True runs the Fig. 7 baseline, which has no "
-            "forward window: fw, cascade, window_policy and fault_plan "
-            "do not apply"
-        )
-    topo = needed, audience = topology(program)
-    sanitizer = resolve_sanitizer(sanitize)
-    engines: Dict[int, Any] = {}
-    for rank in range(program.nprocs):
-        if receive_driven:
-            engines[rank] = ReceiveDrivenEngine(
-                program, rank, needed[rank], audience[rank]
-            )
-        else:
-            engines[rank] = wrap_engine(
-                build_engine(
-                    program, rank, topo, fw=fw, cascade=cascade,
-                    hist_cap=hist_cap, policy=window_policy,
-                    sanitizer=sanitizer, fault_plan=fault_plan,
-                ),
-                fault_plan,
-            )
-    # The runner shares the sanitizer the engines were built with.
-    return LoopbackRunner(
-        engines, event_log=event_log,
-        sanitize=False if sanitizer is None else sanitizer,
-    )
-
-
-def run_loopback(
-    program: Any,
-    fw: int = 1,
-    cascade: str = "recompute",
-    receive_driven: bool = False,
-    event_log: Any = None,
-    sanitize: Optional[bool] = None,
-    window_policy: Optional[WindowPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    hist_cap: Optional[int] = None,
-) -> RunReport:
-    """Run ``program`` on the loopback transport (arguments as for
-    :func:`build_loopback`).
-
-    Prefer :func:`repro.api.run` for new code; this remains the
-    loopback backend primitive it delegates to.  ``wall_seconds`` is
-    the number of scheduler rounds, ``traces`` are in counted ops.
-    """
-    runner = build_loopback(
-        program, fw, cascade, receive_driven, event_log, sanitize,
-        window_policy, fault_plan, hist_cap,
-    )
-    finals = runner.run()
-    engines = runner.engines.values()
-    return assemble_report(
-        "loopback", finals, runner.traces.values(),
-        [engine.stats for engine in engines], runner.window_history,
-        runner.rounds,
-        None if fault_plan is None else [e.injector.summary() for e in engines],
-        fw=0 if receive_driven else fw, iterations=program.iterations,
-        event_log=event_log,
-    )

@@ -85,8 +85,6 @@ class PipeTransport:
         record_events: bool = False,
         sanitize: Optional[bool] = None,
     ) -> None:
-        if latency < 0 or jitter < 0:
-            raise ValueError("latency and jitter must be >= 0")
         self.rank = rank
         self._conns: Dict[int, Any] = dict(conns)
         self._src_by_conn = {id(conn): src for src, conn in self._conns.items()}

@@ -26,8 +26,9 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import RunReport, run_program
+from repro.core import RunReport
 from repro.core.results import speedup_max
 from repro.harness.tables import format_table
 from repro.harness.toys import ConstantProgram, JumpyProgram
@@ -41,7 +42,7 @@ from repro.perfmodel import (
     section4_params,
 )
 from repro.platforms import two_processor_demo, wustl_1994
-from repro.trace import EventLog, render_gantt
+from repro.trace import render_gantt
 from repro.vm import Cluster
 
 #: Shared configuration for the measured N-body experiments.
@@ -146,7 +147,7 @@ def run_nbody(
     threshold: Optional[float] = None,
     record_force_errors: bool = False,
     config: Optional[dict[str, Any]] = None,
-    event_log: Optional[EventLog] = None,
+    record_trace: bool = False,
     window_policy: Optional[Any] = None,
 ) -> tuple[NBodyProgram, RunReport]:
     """One measured N-body run on the calibrated platform.
@@ -156,9 +157,10 @@ def run_nbody(
     it through :func:`repro.api.run` on any backend.
 
     Returns the program (whose ``spec_stats`` carry particle-level
-    counters) and the :class:`~repro.core.RunReport`.  Pass an
-    ``event_log`` to record every protocol step (send/recv/speculate/
-    verify/correct) for ``repro analyze --trace`` replay, and a
+    counters) and the :class:`~repro.core.RunReport`.  Pass
+    ``record_trace=True`` to record every protocol step (send/recv/
+    speculate/verify/correct) in the report's ``event_log`` for
+    ``repro analyze --trace`` replay, and a
     ``window_policy`` (e.g. :class:`~repro.policy.CostWindow`) to let
     each rank retune its forward window at runtime — ``fw`` is then
     the initial window and ``RunReport.window_history`` records the
@@ -167,12 +169,10 @@ def run_nbody(
     program, cluster, cfg = build_nbody(
         p, iterations, n_particles, threshold, record_force_errors, config
     )
-    if event_log is not None:
-        cluster.event_log = event_log
-    result = run_program(
-        program, cluster, fw=fw, cascade=cfg["cascade"],
-        window_policy=window_policy,
-    )
+    result = run(RunConfig(
+        program, fw=fw, cascade=cfg["cascade"], window_policy=window_policy,
+        record_trace=record_trace, cluster=cluster,
+    ))
     return program, result
 
 
@@ -194,19 +194,19 @@ def fig2_timelines(
     scenarios = []
     charts = {}
 
-    def run(label: str, program_cls, fw: int):
+    def scenario(label: str, program_cls, fw: int):
         platform = two_processor_demo(
             compute_seconds=compute_seconds, comm_seconds=comm_seconds
         )
         program = program_cls(nprocs=2, iterations=iterations)
-        result = run_program(program, platform.cluster(), fw=fw)
+        result = run(RunConfig(program, fw=fw, cluster=platform.cluster()))
         charts[label] = render_gantt(result.traces, width=width)
         scenarios.append((label, result.wall_seconds))
         return result
 
-    run("(a) no speculation (FW=0)", ConstantProgram, fw=0)
-    run("(b) speculation, all good", ConstantProgram, fw=1)
-    run("(c) speculation, all bad", JumpyProgram, fw=1)
+    scenario("(a) no speculation (FW=0)", ConstantProgram, fw=0)
+    scenario("(b) speculation, all good", ConstantProgram, fw=1)
+    scenario("(c) speculation, all bad", JumpyProgram, fw=1)
 
     rows = [[label, t, t / scenarios[0][1]] for label, t in scenarios]
     text = format_table(
@@ -260,7 +260,7 @@ def fig4_forward_window(
             ],
         )
         program = ConstantProgram(nprocs=2, iterations=iterations)
-        result = run_program(program, platform.cluster(), fw=fw)
+        result = run(RunConfig(program, fw=fw, cluster=platform.cluster()))
         rows.append([fw, result.wall_seconds])
         charts[fw] = render_gantt(result.traces, width=width)
     base = rows[0][1]

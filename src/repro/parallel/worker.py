@@ -2,19 +2,18 @@
 
 Each worker owns one rank's block and a duplex
 :class:`multiprocessing.connection.Connection` to every other rank.
-The speculative protocol itself is :class:`repro.engine.SpecEngine` —
-the same state machine the DES and loopback backends run — interpreted
-against the pipes by
-:class:`~repro.engine.pipes.PipeTransport`: injected latency is
-enforced at the receiver via per-message delivery stamps, sends carry
-per-destination sequence numbers (restoring FIFO-with-delay order
-under jitter — the SPF111 fix), and blocking receives park in
-``select`` rather than sleep-polling.  A fault plan is seated where
-the other backends seat it, as the :func:`~repro.faults.wrap_engine`
-stage between that engine and :func:`~repro.engine.transport.drive`.
+It receives the run's :class:`~repro.api.RunConfig` and builds its
+rank's engine with :func:`~repro.api.rank_engine`, as the DES and
+loopback backends do — the same :class:`repro.engine.SpecEngine` (or
+the Fig. 7 baseline), in the same fault-plan stage — and interprets
+it against the pipes with :class:`~repro.engine.pipes.PipeTransport`:
+injected latency is enforced at the receiver via per-message delivery
+stamps, sends carry per-destination sequence numbers (restoring
+FIFO-with-delay order under jitter — the SPF111 fix), and blocking
+receives park in ``select`` rather than sleep-polling.
 
 Because the engine owns the cascade machinery, every forward window
-the simulator supports (including FW >= 2 and ``cascade="none"``) now
+the simulator supports (including FW >= 2 and ``cascade="none"``)
 runs on real processes too.
 """
 
@@ -27,11 +26,12 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
+from repro.api import RunConfig, rank_engine
 from repro.core.results import SpecStats
-from repro.engine.core import build_engine, topology
+from repro.engine.core import topology
 from repro.engine.pipes import PipeTransport
 from repro.engine.transport import drive
-from repro.faults import FaultSummary, wrap_engine
+from repro.faults import FaultSummary
 from repro.trace.events import TraceEvent
 from repro.trace.phases import PhaseTrace
 
@@ -64,16 +64,15 @@ class WorkerReport:
 
 def worker_main(
     rank: int,
-    program: Any,
+    config: RunConfig,
     conns: Mapping[int, Any],
     result_conn: Any,
     start_barrier: Any,
-    **knobs: Any,
 ) -> None:
-    """Entry point executed inside each worker process (``knobs`` are
-    :func:`_run_protocol`'s keywords, sent once by the runner)."""
+    """Entry point executed inside each worker process: run rank
+    ``rank`` of ``config`` and send its :class:`WorkerReport` back."""
     try:
-        report = _run_protocol(rank, program, conns, start_barrier, **knobs)
+        report = _run_protocol(rank, config, conns, start_barrier)
     except (KeyboardInterrupt, SystemExit):  # pragma: no cover - interactive
         # Never convert interpreter-shutdown signals into a report: the
         # parent interprets worker death directly.
@@ -99,24 +98,18 @@ def _portable(exc: Exception) -> Exception:
 
 
 def _run_protocol(
-    rank, program, conns, start_barrier, fw, latency, jitter, seed,
-    record_events, cascade, sanitize, window_policy, fault_plan, hist_cap,
-):
+    rank: int, config: RunConfig, conns: Mapping[int, Any], start_barrier: Any
+) -> WorkerReport:
     """Build this rank's engine + transport and run to completion."""
     transport = PipeTransport(
         rank, conns,
-        latency=latency, jitter=jitter,
-        rng=np.random.default_rng(seed * 1000 + rank),
-        record_events=record_events,
-        sanitize=sanitize,
+        latency=config.latency, jitter=config.jitter,
+        rng=np.random.default_rng(config.seed * 1000 + rank),
+        record_events=config.record_trace,
+        sanitize=config.sanitize,
     )
-    engine = wrap_engine(
-        build_engine(
-            program, rank, topology(program), fw=fw, cascade=cascade,
-            hist_cap=hist_cap, policy=window_policy,
-            sanitizer=transport.sanitizer, fault_plan=fault_plan,
-        ),
-        fault_plan,
+    engine = rank_engine(
+        config, rank, topology(config.program), transport.sanitizer
     )
     transport.observer.begin(engine)
 
@@ -133,6 +126,7 @@ def _run_protocol(
         events=transport.events,
         window_history=transport.observer.window_history,
         fault_summary=(
-            engine.injector.summary() if fault_plan is not None else None
+            engine.injector.summary() if config.fault_plan is not None
+            else None
         ),
     )

@@ -1,10 +1,9 @@
 """The correction-cascade policy as a first-class enum.
 
-``cascade="recompute"`` / ``cascade="none"`` used to be bare strings
-validated (with the same error message) in three constructors —
-``SpecEngine``, ``SpeculativeDriver`` and ``MPRunner``.  The enum is
-the one authoritative spelling; :meth:`CascadePolicy.coerce` is the
-one validation site.
+``cascade="recompute"`` / ``cascade="none"`` are the two spellings;
+:class:`~repro.api.RunConfig` coerces its ``cascade`` through
+:meth:`CascadePolicy.coerce`, the one validation site, and documents
+what each policy does.
 
 It subclasses :class:`str` so every existing comparison
 (``engine.cascade == "none"``), dict key, JSON serialisation and

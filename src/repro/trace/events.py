@@ -8,20 +8,17 @@ per-rank-sequenced :class:`TraceEvent`.  The resulting
 analysis (:mod:`repro.analysis.replay`) consumes to confirm or refute
 static happens-before findings against a real execution.
 
-Event logs are produced by every backend (``RunConfig(record_trace=True)``
-asks for one wherever the run happens; it comes back as
-``RunReport.event_log``):
+Event logs are produced by every backend: ``RunConfig(record_trace=True)``
+asks for one wherever the run happens, and it comes back as
+``RunReport.event_log``.
 
-* the simulator — attach ``EventLog()`` to ``Cluster(event_log=...)``
-  (or set ``cluster.event_log``) and every
-  :class:`~repro.vm.processor.VirtualProcessor` send/receive is
-  recorded; the :class:`~repro.core.driver.SpeculativeDriver` adds
-  speculate/verify/correct events;
-* the multiprocessing backend — ``MPRunner(..., record_events=True)``
-  makes each worker log its protocol steps, merged by the parent into
-  one :class:`EventLog`;
-* the loopback backend — ``run_loopback(..., event_log=EventLog())``,
-  stamped with the scheduler's step counter.
+* the simulator — every :class:`~repro.vm.processor.VirtualProcessor`
+  send/receive is recorded on the cluster's log, and each rank's
+  transport adds the engine's speculate/verify/correct events,
+  stamped with virtual time;
+* the multiprocessing backend — each worker logs its protocol steps,
+  merged by the parent into one :class:`EventLog`;
+* the loopback backend — stamped with the scheduler's step counter.
 
 Logs round-trip through JSON-lines files (``save``/``load``) so a run
 recorded once can be replayed by ``repro analyze --trace`` forever.

@@ -8,7 +8,8 @@ where the windows end up.
 import numpy as np
 import pytest
 
-from repro.core import ZeroOrderHold, run_program
+from repro.api import RunConfig, run
+from repro.core import ZeroOrderHold
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.policy import CostWindow
 from repro.vm import Cluster, uniform_specs
@@ -44,21 +45,19 @@ def test_policy_validation():
 def test_initial_fw_must_lie_in_bounds():
     prog = constant_prog(iterations=4)
     with pytest.raises(ValueError):
-        run_program(
-            prog, make_cluster(2, 0.1), fw=5, window_policy=CostWindow(max_fw=3)
-        )
+        run(RunConfig(prog, fw=5, window_policy=CostWindow(max_fw=3),
+                      cluster=make_cluster(2, 0.1)))
 
 
 def test_window_widens_under_large_delays():
     """comm = 3x compute: FW=1 leaves waiting, so the controller widens."""
     prog = constant_prog(iterations=32)
-    result = run_program(
-        prog, make_cluster(2, latency=3.0), fw=1,
-        window_policy=CostWindow(epoch=4, max_fw=4),
-    )
+    result = run(RunConfig(prog, fw=1, window_policy=CostWindow(epoch=4, max_fw=4),
+                           cluster=make_cluster(2, latency=3.0)))
     assert all(fw >= 2 for fw in result.final_windows())
     # And widening actually helped relative to a static FW=1 run.
-    static = run_program(constant_prog(iterations=32), make_cluster(2, 3.0), fw=1)
+    static = run(RunConfig(constant_prog(iterations=32), fw=1,
+                           cluster=make_cluster(2, 3.0)))
     assert result.wall_seconds < static.wall_seconds
 
 
@@ -71,31 +70,26 @@ def test_window_shrinks_when_speculation_always_wrong():
         return RandomDrift(nprocs=2, iterations=32, coupling=0.0,
                            threshold=0.0, ops_per_compute=1000.0)
 
-    result = run_program(
-        prog(), make_cluster(2, latency=0.2), fw=3,
-        window_policy=CostWindow(epoch=4, min_fw=0, max_fw=4),
-    )
+    result = run(RunConfig(prog(), fw=3,
+                           window_policy=CostWindow(epoch=4, min_fw=0, max_fw=4),
+                           cluster=make_cluster(2, latency=0.2)))
     assert result.final_windows() == [0, 0]
-    static = run_program(prog(), make_cluster(2, latency=0.2), fw=3)
+    static = run(RunConfig(prog(), fw=3, cluster=make_cluster(2, latency=0.2)))
     assert result.wall_seconds < static.wall_seconds
 
 
 def test_window_stable_when_masking_complete():
     """comm < compute and perfect speculation: FW=1 suffices, no drift."""
     prog = constant_prog(iterations=24)
-    result = run_program(
-        prog, make_cluster(2, latency=0.5), fw=1,
-        window_policy=CostWindow(epoch=4, max_fw=4),
-    )
+    result = run(RunConfig(prog, fw=1, window_policy=CostWindow(epoch=4, max_fw=4),
+                           cluster=make_cluster(2, latency=0.5)))
     assert result.final_windows() == [1, 1]
 
 
 def test_history_records_decisions():
     prog = constant_prog(iterations=32)
-    result = run_program(
-        prog, make_cluster(2, latency=3.0), fw=1,
-        window_policy=CostWindow(epoch=4, max_fw=3),
-    )
+    result = run(RunConfig(prog, fw=1, window_policy=CostWindow(epoch=4, max_fw=3),
+                           cluster=make_cluster(2, latency=3.0)))
     for history in result.window_history.values():
         assert history[0] == (0, 1)
         iters = [it for it, _ in history]
@@ -109,10 +103,9 @@ def test_adaptive_results_still_correct():
     """Adaptation must not corrupt the numerics (theta=0, FW<=1 path)."""
     prog = CoupledIncrement(nprocs=3, iterations=16, coupling=0.2,
                             threshold=0.0, ops_per_compute=1000.0)
-    result = run_program(
-        prog, make_cluster(3, latency=0.2), fw=1,
-        window_policy=CostWindow(epoch=4, max_fw=1),  # cap: stays exact
-    )
+    result = run(RunConfig(prog, fw=1,
+                           window_policy=CostWindow(epoch=4, max_fw=1),  # cap: stays exact
+                           cluster=make_cluster(3, latency=0.2)))
     ref = prog.reference_run()
     for rank, block in result.results.items():
         np.testing.assert_allclose(block, ref[rank], atol=1e-9)

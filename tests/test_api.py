@@ -1,8 +1,8 @@
 """Tests for the unified run API (`repro.api`).
 
 One `RunConfig` + `run()` must cover all three backends with a single
-report shape, and stay in exact agreement with the per-backend
-primitives it dispatches to.
+report shape; `RunConfig` is the one place a run's settings are
+checked.
 """
 
 import json
@@ -11,18 +11,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro import RunConfig, RunReport, run
+from repro import RunConfig, RunReport, api, run
 from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
-from repro.core import SpecStats, run_program
-from repro.engine import loopback
-from repro.engine.loopback import run_loopback
+from repro.core import SpecStats
 from repro.faults import EdgeFault, FaultPlan, RankFault, TriggerWindow
 from repro.harness import build_nbody
 from repro.harness.toys import ConstantProgram, JumpyProgram
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import DelayNetwork
 from repro.platforms import wustl_1994
-from repro.policy import CostWindow
+from repro.policy import CascadePolicy, CostWindow
 from repro.trace import PHASES
 from repro.vm import Cluster, uniform_specs
 
@@ -52,6 +50,12 @@ def test_accepts_matching_p():
 def test_rejects_negative_fw():
     with pytest.raises(ValueError, match="fw must be >= 0"):
         RunConfig(_program(), fw=-1)
+
+
+def test_cascade_is_coerced_at_construction():
+    assert RunConfig(_program(), cascade="none").cascade is CascadePolicy.NONE
+    with pytest.raises(ValueError, match="unknown cascade policy 'sideways'"):
+        RunConfig(_program(), cascade="sideways")
 
 
 def test_rejects_zero_bw():
@@ -120,9 +124,10 @@ def _des_cluster(p, latency=0.0):
     )
 
 
-def test_des_parity_with_run_program():
+def test_des_default_cluster_equals_an_explicit_one():
     prog = _program()
-    direct = run_program(prog, _des_cluster(4, 0.01), fw=1, cascade="recompute")
+    direct = run(RunConfig(prog, fw=1, cascade="recompute",
+                           cluster=_des_cluster(4, 0.01)))
     report = run(RunConfig(prog, backend="des", fw=1, latency=0.01))
     assert type(direct) is type(report) is RunReport
     assert report.wall_seconds == direct.wall_seconds
@@ -133,9 +138,9 @@ def test_des_parity_with_run_program():
         )
 
 
-def test_loopback_parity_with_run_loopback():
+def test_loopback_default_cascade_is_recompute():
     prog = _program()
-    direct = run_loopback(prog, fw=1, cascade="recompute")
+    direct = run(RunConfig(prog, backend="loopback", fw=1, cascade="recompute"))
     report = run(RunConfig(prog, backend="loopback", fw=1))
     assert type(direct) is type(report) is RunReport
     assert report.wall_seconds == direct.wall_seconds > 0
@@ -313,18 +318,18 @@ def test_report_records_trace_when_asked():
 
 
 def test_bw_threads_through_to_engines(monkeypatch):
-    # The report carries no runner: watch the one the backend builds.
+    # The report carries no engines: watch the one factory build them.
     built = []
-    build = loopback.build_loopback
+    build = api.rank_engine
 
     def watched(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(loopback, "build_loopback", watched)
+    monkeypatch.setattr(api, "rank_engine", watched)
     run(RunConfig(_program(), backend="loopback", fw=1, bw=3))
-    (runner,) = built
-    assert all(eng.hist_cap == 3 for eng in runner.engines.values())
+    assert len(built) == 4
+    assert all(eng.hist_cap == 3 for eng in built)
 
 
 def test_fault_summary_surfaces_in_report():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.apps import HeatEquation2D
-from repro.core import run_program
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 
@@ -46,13 +46,13 @@ def test_topology_neighbors_only():
 
 def test_fw0_matches_reference():
     prog = make_program()
-    result = run_program(prog, make_cluster(3, latency=0.05), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(3, latency=0.05)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_fw1_theta_zero_exact():
     prog = make_program()
-    result = run_program(prog, make_cluster(3, latency=0.3), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(3, latency=0.3)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
@@ -94,7 +94,7 @@ def test_speculate_extrapolates_only_ghost_row():
 
 def test_diffusion_towards_boundary_value():
     prog = make_program(rows=12, cols=8, p=2, iterations=800)
-    result = run_program(prog, make_cluster(2), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2)))
     grid = prog.gather(result.results)
     # long-run: everything relaxes to the uniform boundary temperature
     np.testing.assert_allclose(grid, 0.5, atol=0.02)

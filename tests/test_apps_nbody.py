@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import run_program
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.nbody import uniform_cube, cold_disk
 from repro.vm import Cluster, ProcessorSpec, uniform_specs
@@ -38,7 +38,7 @@ def test_validation():
 
 def test_fw0_matches_serial_reference():
     prog, caps = make_program()
-    result = run_program(prog, make_cluster([1e6] * 3, latency=0.1), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster([1e6] * 3, latency=0.1)))
     final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-10)
@@ -49,7 +49,7 @@ def test_theta_zero_fw1_run_exact():
     """θ=0 with FW=1: every imperfect speculation is corrected *before*
     its consumer block is broadcast -> exact physics."""
     prog, caps = make_program(threshold=0.0)
-    result = run_program(prog, make_cluster(caps, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.5)))
     assert sum(s.tainted_sends for s in result.stats) == 0
     final = prog.gather(result.results)
     ref = prog.reference()
@@ -63,7 +63,7 @@ def test_theta_zero_fw2_bounded_deviation():
     local-only correction never repairs it.  θ=0 then bounds, but does
     not eliminate, the deviation from the serial reference."""
     prog, caps = make_program(threshold=0.0)
-    result = run_program(prog, make_cluster(caps, latency=0.5), fw=2)
+    result = run(RunConfig(prog, fw=2, cluster=make_cluster(caps, latency=0.5)))
     final = prog.gather(result.results)
     ref = prog.reference()
     if sum(s.tainted_sends for s in result.stats) == 0:
@@ -103,7 +103,7 @@ def test_correction_noop_when_all_within_threshold():
 def test_speculation_accepted_with_loose_threshold_small_dt():
     """Slow motion + θ=0.01 gives a low rejection rate (paper: ~2%)."""
     prog, caps = make_program(n=64, p=4, iterations=6, dt=0.005, threshold=0.01)
-    result = run_program(prog, make_cluster(caps, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.5)))
     assert prog.spec_stats.particles_checked > 0
     assert prog.spec_stats.incorrect_fraction < 0.3
 
@@ -111,7 +111,7 @@ def test_speculation_accepted_with_loose_threshold_small_dt():
 def test_tighter_threshold_more_rejections():
     def frac(theta):
         prog, caps = make_program(n=48, p=3, iterations=5, dt=0.01, threshold=theta)
-        run_program(prog, make_cluster(caps, latency=0.5), fw=1)
+        run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.5)))
         return prog.spec_stats.incorrect_fraction
 
     loose = frac(0.05)
@@ -121,7 +121,7 @@ def test_tighter_threshold_more_rejections():
 
 def test_gather_preserves_masses_and_constants():
     prog, caps = make_program()
-    result = run_program(prog, make_cluster(caps, latency=0.1), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.1)))
     final = prog.gather(result.results)
     np.testing.assert_array_equal(final.mass, prog.system.mass)
     assert final.G == prog.system.G
@@ -130,7 +130,7 @@ def test_gather_preserves_masses_and_constants():
 
 def test_momentum_conserved_in_parallel_run():
     prog, caps = make_program(threshold=0.0)
-    result = run_program(prog, make_cluster(caps, latency=0.3), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.3)))
     final = prog.gather(result.results)
     np.testing.assert_allclose(final.momentum(), prog.system.momentum(), atol=1e-9)
 
@@ -141,7 +141,7 @@ def test_speculation_gap_handling_fw2():
     (exact up to tainted-send propagation, see above)."""
     prog, caps = make_program(n=24, p=2, iterations=6, threshold=0.0)
     cluster = make_cluster(caps, latency=2.0)
-    result = run_program(prog, cluster, fw=2)
+    result = run(RunConfig(prog, fw=2, cluster=cluster))
     final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-4)
@@ -150,7 +150,7 @@ def test_speculation_gap_handling_fw2():
 def test_record_force_errors_flag():
     prog, caps = make_program(n=32, p=2, iterations=4, threshold=0.05,
                               record_force_errors=True)
-    run_program(prog, make_cluster(caps, latency=0.5), fw=1)
+    run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.5)))
     # Accepted speculations exist, so a force error was recorded.
     assert prog.spec_stats.max_accepted_force_error >= 0.0
     if prog.spec_stats.particles_rejected < prog.spec_stats.particles_checked:
@@ -164,7 +164,7 @@ def test_force_error_scales_with_threshold():
             n=48, p=3, iterations=6, dt=0.02, threshold=theta,
             record_force_errors=True,
         )
-        run_program(prog, make_cluster(caps, latency=0.5), fw=1)
+        run(RunConfig(prog, fw=1, cluster=make_cluster(caps, latency=0.5)))
         return prog.spec_stats.max_accepted_force_error
 
     assert max_err(0.1) >= max_err(0.001)
@@ -192,5 +192,5 @@ def test_cold_disk_speculation_very_accurate():
     system = cold_disk(50, seed=3)
     prog = NBodyProgram(system, [1e6, 1e6], 5, dt=0.001, threshold=0.01)
     cluster = make_cluster([1e6, 1e6], latency=0.5)
-    run_program(prog, cluster, fw=1)
+    run(RunConfig(prog, fw=1, cluster=cluster))
     assert prog.spec_stats.incorrect_fraction < 0.05

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.apps import HeatEquation1D, JacobiSolver, KuramotoProgram
 from repro.apps.jacobi import diagonally_dominant_system
-from repro.core import run_program
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 
@@ -47,13 +47,13 @@ def test_heat_topology_neighbors_only():
 
 def test_heat_fw0_matches_reference():
     prog = heat_program()
-    result = run_program(prog, make_cluster(4, latency=0.1), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(4, latency=0.1)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_heat_fw1_theta_zero_exact():
     prog = heat_program()
-    result = run_program(prog, make_cluster(4, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.5)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
@@ -73,7 +73,7 @@ def test_heat_incremental_correction_exact():
 
 def test_heat_messages_only_between_neighbors():
     prog = heat_program(p=4, iterations=5)
-    result = run_program(prog, make_cluster(4, latency=0.1), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.1)))
     # Interior ranks send to 2 neighbors, edge ranks to 1, per iteration
     # after the first.
     sends = [s.messages_sent for s in result.stats]
@@ -86,7 +86,7 @@ def test_heat_messages_only_between_neighbors():
 def test_heat_converges_to_linear_profile():
     """With fixed 1/0 boundaries the field tends to a linear ramp."""
     prog = heat_program(n=16, p=2, iterations=2000)
-    result = run_program(prog, make_cluster(2), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2)))
     field = prog.gather(result.results)
     x = (np.arange(16) + 1) / 17.0
     expected = 1.0 - x
@@ -121,21 +121,21 @@ def test_jacobi_validation():
 def test_jacobi_fw0_matches_reference():
     a, b = diagonally_dominant_system(30, seed=2)
     prog = JacobiSolver(a, b, [1e6] * 3, 8, threshold=0.0)
-    result = run_program(prog, make_cluster(3, latency=0.1), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(3, latency=0.1)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_jacobi_fw1_theta_zero_exact():
     a, b = diagonally_dominant_system(30, seed=3)
     prog = JacobiSolver(a, b, [1e6] * 3, 10, threshold=0.0)
-    result = run_program(prog, make_cluster(3, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(3, latency=0.5)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
 def test_jacobi_converges():
     a, b = diagonally_dominant_system(24, seed=4)
     prog = JacobiSolver(a, b, [1e6, 1e6], 60, threshold=0.0)
-    result = run_program(prog, make_cluster(2, latency=0.2), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.2)))
     x = prog.gather(result.results)
     assert prog.residual(x) < 1e-6 * max(1.0, prog.residual(prog.x0))
 
@@ -145,7 +145,7 @@ def test_jacobi_rejections_decline_as_it_converges():
     fixed threshold rejects mostly early iterations."""
     a, b = diagonally_dominant_system(24, seed=5)
     prog = JacobiSolver(a, b, [1e6, 1e6], 40, threshold=1e-6)
-    result = run_program(prog, make_cluster(2, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.5)))
     total_rejects = sum(s.spec_rejected for s in result.stats)
     total_checks = sum(s.checks for s in result.stats)
     assert total_checks > 0
@@ -163,13 +163,13 @@ def test_kuramoto_validation():
 
 def test_kuramoto_fw0_matches_reference():
     prog = KuramotoProgram.random(40, [1e6] * 4, 10, seed=6, threshold=0.0)
-    result = run_program(prog, make_cluster(4, latency=0.1), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(4, latency=0.1)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_kuramoto_fw1_theta_zero_exact():
     prog = KuramotoProgram.random(40, [1e6] * 4, 10, seed=7, threshold=0.0)
-    result = run_program(prog, make_cluster(4, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.5)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
@@ -177,7 +177,7 @@ def test_kuramoto_linear_speculation_mostly_accepted():
     """Phases drift ~linearly, so linear extrapolation is rarely rejected
     even with a tight threshold."""
     prog = KuramotoProgram.random(60, [1e6] * 3, 15, seed=8, dt=0.01, threshold=1e-4)
-    result = run_program(prog, make_cluster(3, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(3, latency=0.5)))
     assert result.rejection_rate < 0.5
 
 
@@ -185,7 +185,7 @@ def test_kuramoto_strong_coupling_synchronises():
     prog = KuramotoProgram.random(
         50, [1e6, 1e6], 400, seed=9, coupling=5.0, dt=0.02, threshold=0.0
     )
-    result = run_program(prog, make_cluster(2), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2)))
     theta = prog.gather(result.results)
     assert prog.synchrony(theta) > prog.synchrony(prog.theta0)
     assert prog.synchrony(theta) > 0.8

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.apps import CoupledMapLattice, WaveEquation1D
-from repro.core import LinearExtrapolation, run_program
+from repro.core import LinearExtrapolation
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 
@@ -46,13 +47,13 @@ def test_wave_topology():
 
 def test_wave_fw0_matches_reference():
     prog = wave_program()
-    result = run_program(prog, make_cluster(4, latency=0.05), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(4, latency=0.05)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
 def test_wave_fw1_theta_zero_exact():
     prog = wave_program()
-    result = run_program(prog, make_cluster(4, latency=0.4), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.4)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-10)
 
 
@@ -72,7 +73,7 @@ def test_wave_incremental_correction_exact():
 
 def test_wave_energy_approximately_conserved():
     prog = wave_program(iterations=100)
-    result = run_program(prog, make_cluster(4), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4)))
     e_final = prog.energy(result.results)
     initial_blocks = {r: prog.initial_block(r) for r in range(4)}
     e_initial = prog.energy(initial_blocks)
@@ -82,7 +83,7 @@ def test_wave_energy_approximately_conserved():
 def test_wave_pulse_travels():
     """The pulse peak moves across the domain (dynamics are not decay)."""
     prog = wave_program(iterations=40)
-    result = run_program(prog, make_cluster(4), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4)))
     u = prog.gather(result.results)
     start_peak = int(np.argmax(gaussian_pulse()))
     # The single initial pulse splits into two traveling halves.
@@ -110,7 +111,7 @@ def test_wave_linear_extrapolation_beats_hold():
             gaussian_pulse(96, width=0.08), [1e6] * 4, 60,
             courant=1.0, threshold=0.0, speculator=speculator,
         )
-        run_program(prog, make_cluster(4, latency=0.4), fw=1)
+        run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.4)))
         return float(np.median(errors))
 
     err_hold = median_error(ZeroOrderHold())
@@ -125,7 +126,7 @@ def test_wave_accepted_errors_persist_in_conservative_dynamics():
     reference grows far beyond a single step's tolerance."""
     def final_deviation(theta):
         prog = wave_program(iterations=80, threshold=theta)
-        result = run_program(prog, make_cluster(4, latency=0.4), fw=1)
+        result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.4)))
         return float(np.max(np.abs(prog.gather(result.results) - prog.reference())))
 
     exact = final_deviation(0.0)
@@ -162,7 +163,7 @@ def test_cml_periodic_topology():
 
 def test_cml_fw0_matches_reference():
     prog = cml_program()
-    result = run_program(prog, make_cluster(4, latency=0.05), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(4, latency=0.05)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-12)
 
 
@@ -170,13 +171,13 @@ def test_cml_fw1_theta_zero_exact_despite_chaos():
     """theta=0 keeps even chaotic dynamics exact: every wrong
     speculation gets corrected before the next send."""
     prog = cml_program(iterations=15)
-    result = run_program(prog, make_cluster(4, latency=0.3), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.3)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-9)
 
 
 def test_cml_two_rank_periodic_exact():
     prog = cml_program(p=2, iterations=12)
-    result = run_program(prog, make_cluster(2, latency=0.3), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.3)))
     np.testing.assert_allclose(prog.gather(result.results), prog.reference(), atol=1e-9)
 
 
@@ -184,9 +185,9 @@ def test_cml_chaos_defeats_speculation():
     """The negative control: in the chaotic regime nearly every
     speculation is rejected; in the stable regime nearly none are."""
     chaotic = cml_program(r=3.9, iterations=40, threshold=1e-3)
-    res_c = run_program(chaotic, make_cluster(4, latency=0.3), fw=1)
+    res_c = run(RunConfig(chaotic, fw=1, cluster=make_cluster(4, latency=0.3)))
     stable = cml_program(r=2.5, iterations=40, threshold=1e-3)
-    res_s = run_program(stable, make_cluster(4, latency=0.3), fw=1)
+    res_s = run(RunConfig(stable, fw=1, cluster=make_cluster(4, latency=0.3)))
     assert res_c.rejection_rate > 0.6
     # Stable map converges to the fixed point: speculation succeeds
     # once the transient dies out.
@@ -196,6 +197,6 @@ def test_cml_chaos_defeats_speculation():
 
 def test_cml_states_remain_bounded():
     prog = cml_program(iterations=50, threshold=1e-2)
-    result = run_program(prog, make_cluster(4, latency=0.2), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(4, latency=0.2)))
     x = prog.gather(result.results)
     assert np.all((x >= 0.0) & (x <= 1.0))

@@ -1,4 +1,5 @@
-"""Integration tests for the speculative driver: correctness invariants.
+"""Integration tests for the speculative protocol on the DES backend:
+correctness invariants.
 
 The strongest invariants:
 
@@ -16,12 +17,8 @@ The strongest invariants:
 import numpy as np
 import pytest
 
-from repro.core import (
-    LinearExtrapolation,
-    SpeculativeDriver,
-    ZeroOrderHold,
-    run_program,
-)
+from repro.api import RunConfig, run
+from repro.core import LinearExtrapolation, ZeroOrderHold
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 
@@ -43,13 +40,13 @@ def assert_blocks_equal(result_blocks, reference, atol=0.0):
 # ------------------------------------------------------ exactness invariants
 def test_fw0_matches_serial_reference():
     prog = CoupledIncrement(nprocs=3, iterations=5, coupling=0.2)
-    result = run_program(prog, make_cluster(3, latency=0.1), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(3, latency=0.1)))
     assert_blocks_equal(result.results, prog.reference_run())
 
 
 def test_fw0_makes_no_speculations():
     prog = CoupledIncrement(nprocs=3, iterations=4)
-    result = run_program(prog, make_cluster(3, latency=0.1), fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=make_cluster(3, latency=0.1)))
     assert all(s.spec_made == 0 for s in result.stats)
     assert all(s.checks == 0 for s in result.stats)
     assert all(s.recomputes == 0 for s in result.stats)
@@ -59,7 +56,7 @@ def test_fw0_makes_no_speculations():
 def test_theta_zero_always_corrects_to_exact_result(fw):
     """With θ=0 every erroneous speculation is repaired: exact results."""
     prog = RandomDrift(nprocs=3, iterations=6, coupling=0.3, threshold=0.0)
-    result = run_program(prog, make_cluster(3, latency=0.5), fw=fw)
+    result = run(RunConfig(prog, fw=fw, cluster=make_cluster(3, latency=0.5)))
     assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
 
 
@@ -74,7 +71,7 @@ def test_perfect_speculator_accepted_and_exact(fw):
         threshold=0.0,
         speculator=ZeroOrderHold(),
     )
-    result = run_program(prog, make_cluster(3, latency=0.5), fw=fw)
+    result = run(RunConfig(prog, fw=fw, cluster=make_cluster(3, latency=0.5)))
     assert_blocks_equal(result.results, prog.reference_run(), atol=0.0)
     total_rejected = sum(s.spec_rejected for s in result.stats)
     assert total_rejected == 0
@@ -91,7 +88,7 @@ def test_linear_speculator_on_linear_dynamics_mostly_accepted():
         threshold=1e-9,
         speculator=LinearExtrapolation(),
     )
-    result = run_program(prog, make_cluster(2, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.5)))
     assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
     # Only the first iteration (single-point history, hold fallback)
     # can be rejected; everything afterwards is exact.
@@ -110,7 +107,7 @@ def test_speculation_within_threshold_bounded_deviation():
         threshold=1e9,  # accept everything
         speculator=ZeroOrderHold(),
     )
-    result = run_program(prog, make_cluster(2, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.5)))
     ref = prog.reference_run()
     for rank in range(2):
         # ZOH mispredicts each step by `rate`; deviation accumulates but
@@ -123,16 +120,16 @@ def test_speculation_within_threshold_bounded_deviation():
 # ----------------------------------------------------------- timing behaviour
 def test_speculation_masks_latency():
     """With comm delay >> compute, FW=1 must beat FW=0 (Fig. 2b vs 2a)."""
-    def run(fw):
+    def go(fw):
         prog = CoupledIncrement(
             nprocs=2, iterations=8, coupling=0.0, rates=[0.0, 0.0],
             threshold=0.0, speculator=ZeroOrderHold(), ops_per_compute=1000.0,
         )
         cluster = make_cluster(2, latency=1.0, capacity=1000.0)  # comp 1s, comm 1s
-        return run_program(prog, cluster, fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=cluster))
 
-    t0 = run(0).wall_seconds
-    t1 = run(1).wall_seconds
+    t0 = go(0).wall_seconds
+    t1 = go(1).wall_seconds
     assert t1 < t0
     # With comm <= compute, FW=1 can mask nearly all of the delay:
     # per-iteration cost drops from comp+comm toward comp+check.
@@ -140,47 +137,47 @@ def test_speculation_masks_latency():
 
 
 def test_fw2_masks_more_than_fw1_when_comm_dominates():
-    def run(fw):
+    def go(fw):
         prog = CoupledIncrement(
             nprocs=2, iterations=10, coupling=0.0, rates=[0.0, 0.0],
             threshold=0.0, speculator=ZeroOrderHold(), ops_per_compute=1000.0,
         )
         cluster = make_cluster(2, latency=2.5, capacity=1000.0)  # comp 1s, comm 2.5s
-        return run_program(prog, cluster, fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=cluster))
 
-    t1 = run(1).wall_seconds
-    t2 = run(2).wall_seconds
+    t1 = go(1).wall_seconds
+    t2 = go(2).wall_seconds
     assert t2 < t1
 
 
 def test_bad_speculation_costs_more_than_blocking():
     """All-rejected speculation pays recompute penalty (Fig. 2c)."""
-    def run(fw):
+    def go(fw):
         prog = RandomDrift(
             nprocs=2, iterations=6, coupling=0.0,
             threshold=0.0, speculator=ZeroOrderHold(), ops_per_compute=1000.0,
         )
         cluster = make_cluster(2, latency=0.01, capacity=1000.0)  # comm ~ free
-        return run_program(prog, cluster, fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=cluster))
 
-    t0 = run(0).wall_seconds
-    t1 = run(1).wall_seconds
+    t0 = go(0).wall_seconds
+    t1 = go(1).wall_seconds
     # With negligible communication to mask, rejected speculations can
     # only add overhead.
     assert t1 > t0
 
 
 def test_comm_phase_shrinks_with_speculation():
-    def run(fw):
+    def go(fw):
         prog = CoupledIncrement(
             nprocs=2, iterations=8, coupling=0.0, rates=[0.0, 0.0],
             threshold=0.0, speculator=ZeroOrderHold(), ops_per_compute=1000.0,
         )
         cluster = make_cluster(2, latency=5.0, capacity=1000.0)
-        return run_program(prog, cluster, fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=cluster))
 
-    b0 = run(0).breakdown()
-    b1 = run(1).breakdown()
+    b0 = go(0).breakdown()
+    b1 = go(1).breakdown()
     assert b1["comm"] < b0["comm"]
     assert b1["spec"] > 0
     assert b1["check"] > 0
@@ -190,7 +187,7 @@ def test_comm_phase_shrinks_with_speculation():
 # ------------------------------------------------------------- bookkeeping
 def test_stats_counting_consistency():
     prog = RandomDrift(nprocs=3, iterations=6, threshold=0.0)
-    result = run_program(prog, make_cluster(3, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(3, latency=0.5)))
     for s in result.stats:
         assert s.checks == s.spec_accepted + s.spec_rejected
         assert s.iterations == prog.iterations
@@ -204,7 +201,7 @@ def test_no_tainted_sends_with_fw1_or_fw0():
     FW <= 1 every broadcast value is final (corrections already applied)."""
     prog = RandomDrift(nprocs=2, iterations=6, threshold=0.0)
     for fw in (0, 1):
-        result = run_program(prog, make_cluster(2, latency=0.5), fw=fw)
+        result = run(RunConfig(prog, fw=fw, cluster=make_cluster(2, latency=0.5)))
         assert sum(s.tainted_sends for s in result.stats) == 0
 
 
@@ -214,13 +211,13 @@ def test_tainted_sends_possible_with_fw2():
     prog = RandomDrift(nprocs=2, iterations=8, threshold=0.0,
                        ops_per_compute=1000.0)
     cluster = make_cluster(2, latency=3.0, capacity=1000.0)  # comm 3x compute
-    result = run_program(prog, cluster, fw=2)
+    result = run(RunConfig(prog, fw=2, cluster=cluster))
     assert sum(s.tainted_sends for s in result.stats) > 0
 
 
 def test_single_processor_trivial_run():
     prog = CoupledIncrement(nprocs=1, iterations=4, rates=[1.0])
-    result = run_program(prog, make_cluster(1), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(1)))
     assert_blocks_equal(result.results, prog.reference_run())
     assert result.stats[0].spec_made == 0
     assert result.wall_seconds > 0
@@ -228,15 +225,15 @@ def test_single_processor_trivial_run():
 
 def test_driver_validates_inputs():
     prog = CoupledIncrement(nprocs=2, iterations=2)
-    with pytest.raises(ValueError):
-        SpeculativeDriver(prog, make_cluster(3), fw=1)
-    with pytest.raises(ValueError):
-        SpeculativeDriver(prog, make_cluster(2), fw=-1)
+    with pytest.raises(ValueError, match="cluster has 3 processors"):
+        RunConfig(prog, fw=1, cluster=make_cluster(3))
+    with pytest.raises(ValueError, match="fw must be >= 0"):
+        RunConfig(prog, fw=-1, cluster=make_cluster(2))
 
 
 def test_run_result_metadata():
     prog = CoupledIncrement(nprocs=2, iterations=3)
-    result = run_program(prog, make_cluster(2, latency=0.1), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.1)))
     assert result.nprocs == 2
     assert result.fw == 1
     assert result.iterations == 3
@@ -249,14 +246,14 @@ def test_recompute_fraction_zero_when_perfect():
         nprocs=2, iterations=5, coupling=0.0, rates=[0.0, 0.0],
         threshold=0.0, speculator=ZeroOrderHold(),
     )
-    result = run_program(prog, make_cluster(2, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.5)))
     assert result.recompute_fraction == 0.0
     assert result.rejection_rate == 0.0
 
 
 def test_recompute_fraction_positive_when_always_wrong():
     prog = RandomDrift(nprocs=2, iterations=5, threshold=0.0)
-    result = run_program(prog, make_cluster(2, latency=0.5), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.5)))
     assert result.recompute_fraction > 0.0
     assert result.rejection_rate == 1.0
 
@@ -264,7 +261,7 @@ def test_recompute_fraction_positive_when_always_wrong():
 def test_determinism_same_config_same_everything():
     def once():
         prog = RandomDrift(nprocs=3, iterations=5, threshold=0.0)
-        r = run_program(prog, make_cluster(3, latency=0.3), fw=2)
+        r = run(RunConfig(prog, fw=2, cluster=make_cluster(3, latency=0.3)))
         return (
             r.wall_seconds,
             {k: v.tolist() for k, v in r.results.items()},
@@ -282,7 +279,7 @@ def test_heterogeneous_cluster_slowest_sets_pace():
         [ProcessorSpec("fast", 2000.0), ProcessorSpec("slow", 500.0)],
         network_factory=lambda env: DelayNetwork(env, ConstantLatency(0.01)),
     )
-    result = run_program(prog, cluster, fw=0)
+    result = run(RunConfig(prog, fw=0, cluster=cluster))
     # slow rank needs 2s per iteration; makespan >= 4 iterations * 2s
     assert result.wall_seconds >= 8.0
     assert_blocks_equal(result.results, prog.reference_run())
@@ -292,13 +289,13 @@ def test_heterogeneous_cluster_slowest_sets_pace():
 def test_various_cluster_sizes(p):
     prog = CoupledIncrement(nprocs=p, iterations=4, coupling=0.1,
                             rates=list(range(p)), threshold=0.0)
-    result = run_program(prog, make_cluster(p, latency=0.2), fw=1)
+    result = run(RunConfig(prog, fw=1, cluster=make_cluster(p, latency=0.2)))
     assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
 
 
 def test_fw_larger_than_iterations_is_safe():
     prog = RandomDrift(nprocs=2, iterations=3, threshold=0.0)
-    result = run_program(prog, make_cluster(2, latency=0.5), fw=10)
+    result = run(RunConfig(prog, fw=10, cluster=make_cluster(2, latency=0.5)))
     assert_blocks_equal(result.results, prog.reference_run(), atol=1e-9)
 
 
@@ -312,6 +309,7 @@ def test_jittered_endpoint_latency_keeps_channels_fifo(fw):
     from repro.platforms import wustl_1994
 
     prog = ConstantProgram(nprocs=4, iterations=40, block_size=8, ops_per_compute=2e3)
-    result = run_program(prog, wustl_1994(p=4, jitter_sigma=0.8, seed=1).cluster(), fw=fw)
+    result = run(RunConfig(prog, fw=fw,
+                           cluster=wustl_1994(p=4, jitter_sigma=0.8, seed=1).cluster()))
     for rank in range(4):
         np.testing.assert_array_equal(result.results[rank], prog.initial_block(rank))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SpeculativeDriver, run_program
+from repro.api import RunConfig, run
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.partition import largest_remainder_round
 from repro.vm import Cluster, uniform_specs
@@ -21,31 +21,32 @@ def make_cluster(p, latency=0.0, capacity=1000.0):
 def test_cascade_policy_validation():
     prog = CoupledIncrement(nprocs=2, iterations=2)
     with pytest.raises(ValueError):
-        SpeculativeDriver(prog, make_cluster(2), fw=1, cascade="sideways")
+        RunConfig(prog, fw=1, cascade="sideways", cluster=make_cluster(2))
 
 
 def test_cascade_none_equals_recompute_for_fw1():
     """With FW=1 the cascade range is always empty, so the policies
     coincide exactly."""
-    def run(cascade):
+    def go(cascade):
         prog = RandomDrift(nprocs=3, iterations=6, threshold=0.0)
-        r = run_program(prog, make_cluster(3, latency=0.5), fw=1, cascade=cascade)
+        r = run(RunConfig(prog, fw=1, cascade=cascade,
+                          cluster=make_cluster(3, latency=0.5)))
         return r.wall_seconds, {k: v.tolist() for k, v in r.results.items()}
 
-    assert run("none") == run("recompute")
+    assert go("none") == go("recompute")
 
 
 def test_cascade_recompute_more_expensive_under_fw2():
     """When FW=2 actually runs ahead and rejections happen, cascading
     full recomputes must cost at least as much virtual time."""
-    def run(cascade):
+    def go(cascade):
         prog = RandomDrift(nprocs=2, iterations=10, threshold=0.0,
                            ops_per_compute=1000.0)
         cluster = make_cluster(2, latency=2.5, capacity=1000.0)
-        return run_program(prog, cluster, fw=2, cascade=cascade)
+        return run(RunConfig(prog, fw=2, cascade=cascade, cluster=cluster))
 
-    r_none = run("none")
-    r_cascade = run("recompute")
+    r_none = go("none")
+    r_cascade = go("recompute")
     assert r_cascade.wall_seconds >= r_none.wall_seconds - 1e-9
     # The cascading run redoes more block-iterations.
     assert (
@@ -63,7 +64,7 @@ def test_cascade_recompute_fw2_closer_to_reference():
             threshold=0.0, ops_per_compute=1000.0,
         )
         cluster = make_cluster(2, latency=2.5, capacity=1000.0)
-        r = run_program(prog, cluster, fw=2, cascade=cascade)
+        r = run(RunConfig(prog, fw=2, cascade=cascade, cluster=cluster))
         ref = prog.reference_run()
         return max(
             float(np.max(np.abs(r.results[j] - ref[j]))) for j in range(2)
@@ -78,8 +79,8 @@ def test_driver_needed_validation():
             return frozenset({rank})  # self-dependency: invalid
 
     prog = BadNeeded(nprocs=2, iterations=2)
-    with pytest.raises(ValueError):
-        SpeculativeDriver(prog, make_cluster(2), fw=1)
+    with pytest.raises(ValueError, match="invalid needed set"):
+        run(RunConfig(prog, fw=1, cluster=make_cluster(2)))
 
 
 def test_largest_remainder_round():
@@ -107,7 +108,8 @@ def test_send_ops_charged_to_sender():
             nprocs=3, iterations=5, coupling=0.0, rates=[0.0, 0.0, 0.0],
             threshold=0.0, ops_per_compute=1000.0,
         )
-        return run_program(prog, make_cluster(3, latency=0.0), fw=0).wall_seconds
+        return run(RunConfig(prog, fw=0,
+                             cluster=make_cluster(3, latency=0.0))).wall_seconds
 
     free = makespan(CoupledIncrement)
     packed = makespan(Packing)

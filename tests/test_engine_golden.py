@@ -52,8 +52,8 @@ def summarize(res):
 
 
 def run_jacobi(fw, cascade):
+    from repro.api import RunConfig, run
     from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
-    from repro.core import run_program
     from repro.netsim import ConstantLatency, DelayNetwork
     from repro.vm import Cluster, uniform_specs
 
@@ -64,7 +64,7 @@ def run_jacobi(fw, cascade):
         uniform_specs(4, capacity=1000.0),
         network_factory=lambda env: DelayNetwork(env, ConstantLatency(0.4)),
     )
-    return run_program(prog, cluster, fw=fw, cascade=cascade)
+    return run(RunConfig(prog, fw=fw, cascade=cascade, cluster=cluster))
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ and check the loopback backend agrees with the serial reference.
 import numpy as np
 import pytest
 
-from repro.engine import LoopbackDeadlock, LoopbackRunner, run_loopback
+from repro.api import RunConfig, run
+from repro.engine import LoopbackDeadlock, LoopbackRunner
 from repro.engine.events import Recv
-from repro.trace import EventLog
 
 from tests.toy_programs import CoupledIncrement, RandomDrift
 
@@ -29,7 +29,7 @@ def test_loopback_exact_for_fw0_and_strict_fw1(fw):
     """fw=0 never speculates; fw=1 with theta=0 verifies every
     speculation exactly — both must equal the serial recurrence."""
     prog = CoupledIncrement(nprocs=3, iterations=7, coupling=0.3, threshold=0.0)
-    report = run_loopback(prog, fw=fw)
+    report = run(RunConfig(prog, backend="loopback", fw=fw))
     assert_matches_reference(prog, report.results)
     if fw == 0:
         assert all(s.spec_made == 0 for s in report.stats)
@@ -44,25 +44,25 @@ def test_loopback_receive_driven_matches_spec_engine():
     system = uniform_cube(24, seed=42, softening=0.1)
     prog = NBodyProgram(system, [1.0, 1.0], iterations=3, dt=0.015,
                         threshold=0.01)
-    spec = run_loopback(prog, fw=0)
-    base = run_loopback(prog, receive_driven=True)
+    spec = run(RunConfig(prog, backend="loopback", fw=0))
+    base = run(RunConfig(prog, backend="loopback", receive_driven=True))
     for rank in range(2):
         np.testing.assert_allclose(spec.results[rank], base.results[rank],
                                    atol=1e-12)
-    # The baseline has no window: it reports fw 0, like the DES driver.
+    # The baseline has no window: it reports fw 0 on every backend.
     assert base.fw == 0 and base.window_history == {0: [(0, 0)], 1: [(0, 0)]}
 
 
 @pytest.mark.parametrize("knob", [
     {"fw": 2}, {"cascade": "none"}, {"window_policy": object()},
-    {"fault_plan": object()},
+    {"fault_plan": object()}, {"bw": 1},
 ])
 def test_receive_driven_refuses_knobs_it_would_ignore(knob):
-    """The Fig. 7 baseline has no forward window: speculation knobs set
+    """The Fig. 7 baseline has no forward or backward window: knobs set
     beside ``receive_driven=True`` used to be dropped silently."""
     prog = CoupledIncrement(nprocs=2, iterations=3)
     with pytest.raises(ValueError, match="receive_driven"):
-        run_loopback(prog, receive_driven=True, **knob)
+        RunConfig(prog, backend="loopback", receive_driven=True, **knob)
 
 
 # ------------------------------------------------------------- speculation
@@ -75,7 +75,7 @@ def test_round_robin_schedule_produces_speculation():
         nprocs=3, iterations=8, coupling=0.0, rates=[0.0, 0.0, 0.0],
         threshold=0.0, speculator=ZeroOrderHold(),
     )
-    report = run_loopback(prog, fw=2)
+    report = run(RunConfig(prog, backend="loopback", fw=2))
     stats = report.stats
     assert_matches_reference(prog, report.results)
     made = sum(s.spec_made for s in stats)
@@ -88,7 +88,7 @@ def test_rejection_and_correction_on_unpredictable_program():
     """RandomDrift defeats extrapolation; rejected speculations must
     be corrected so the final state still matches the reference."""
     prog = RandomDrift(nprocs=2, iterations=6, coupling=0.1, threshold=0.0)
-    report = run_loopback(prog, fw=1)
+    report = run(RunConfig(prog, backend="loopback", fw=1))
     stats = report.stats
     assert_matches_reference(prog, report.results)
     assert sum(s.spec_rejected for s in stats) > 0
@@ -98,16 +98,16 @@ def test_rejection_and_correction_on_unpredictable_program():
 # ----------------------------------------------------------- observability
 def test_phase_ops_tallied_per_rank():
     prog = CoupledIncrement(nprocs=2, iterations=4)
-    report = run_loopback(prog, fw=1)
+    report = run(RunConfig(prog, backend="loopback", fw=1))
     for rank in range(2):
         assert report.traces[rank].rank == rank
         assert report.traces[rank].total("compute") > 0.0
 
 
 def test_event_log_records_protocol_kinds():
-    log = EventLog()
     prog = CoupledIncrement(nprocs=3, iterations=6, coupling=0.0)
-    run_loopback(prog, fw=2, event_log=log)
+    log = run(RunConfig(prog, backend="loopback", fw=2,
+                        record_trace=True)).event_log
     kinds = {e.kind for e in log}
     assert {"send", "recv", "compute", "speculate", "verify"} <= kinds
     # The step-counter logical clock is monotone along each rank's

@@ -18,9 +18,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.engine import Recv, TransportError, TryRecv
 from repro.engine.pipes import PipeTransport
-from repro.parallel import MPRunner
 
 from tests.toy_programs import CoupledIncrement
 
@@ -141,10 +141,12 @@ def test_jitter_cannot_reorder_one_peers_stream():
 
 
 def test_latency_and_jitter_validation():
-    with pytest.raises(ValueError):
-        make_transport(latency=-1.0)
-    with pytest.raises(ValueError):
-        make_transport(jitter=-0.5)
+    # Checked once, by the run's configuration, before any pipe exists.
+    prog = CoupledIncrement(nprocs=2, iterations=2)
+    with pytest.raises(ValueError, match="latency and jitter"):
+        RunConfig(prog, backend="mp", latency=-1.0)
+    with pytest.raises(ValueError, match="latency and jitter"):
+        RunConfig(prog, backend="mp", jitter=-0.5)
 
 
 # ------------------------------------------- end-to-end SPF111 regression
@@ -155,9 +157,8 @@ def test_p4_heavy_jitter_stays_exact():
     ordered, so the run completes (no TransportError, no deadlock)
     and the numerics equal the serial reference bit-for-bit."""
     prog = CoupledIncrement(nprocs=4, iterations=6, coupling=0.2, threshold=0.0)
-    result = MPRunner(
-        prog, fw=1, latency=0.02, jitter=1.5, seed=11,
-    ).run(timeout=120)
+    result = run(RunConfig(prog, backend="mp", fw=1, latency=0.02, jitter=1.5, seed=11,
+                           timeout=120))
     ref = prog.reference_run()
     for rank in range(4):
         np.testing.assert_allclose(result.results[rank], ref[rank],

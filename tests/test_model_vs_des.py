@@ -8,7 +8,8 @@ agree.
 
 import pytest
 
-from repro.core import ZeroOrderHold, run_program
+from repro.api import RunConfig, run
+from repro.core import ZeroOrderHold
 from repro.netsim import ConstantLatency, DelayNetwork, StochasticLatency
 from repro.perfmodel import (
     ExtendedPerformanceModel,
@@ -39,7 +40,7 @@ def des_time_per_iteration(fw: int, sigma: float, iterations: int = 30) -> float
         nprocs=P, iterations=iterations, coupling=0.0, rates=[0.0, 0.0],
         threshold=0.0, ops_per_compute=COMP_OPS, speculator=ZeroOrderHold(),
     )
-    result = run_program(prog, cluster, fw=fw, cascade="none")
+    result = run(RunConfig(prog, fw=fw, cascade="none", cluster=cluster))
     return result.wall_seconds / iterations
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
-from repro.core import ReceiveDrivenDriver, run_program
 from repro.nbody import plummer_sphere, uniform_cube
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
@@ -40,14 +40,14 @@ def test_bh_run_close_to_direct_run():
     accuracy over a few steps."""
     system = plummer_sphere(80, seed=2, softening=0.1)
 
-    def run(method):
+    def go(method):
         prog = NBodyProgram(system, [1e6] * 2, 4, dt=0.005, threshold=0.0,
                             force_method=method, bh_theta=0.4)
-        res = run_program(prog, make_cluster(2, latency=0.1), fw=1)
+        res = run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.1)))
         return prog.gather(res.results)
 
-    direct = run("direct")
-    bh = run("barnes_hut")
+    direct = go("direct")
+    bh = go("barnes_hut")
     scale = np.abs(direct.pos).max()
     np.testing.assert_allclose(bh.pos, direct.pos, atol=0.01 * scale)
 
@@ -69,9 +69,9 @@ def test_bh_cost_model_uses_measured_interactions():
 def test_bh_mode_rejects_receive_driven():
     system = uniform_cube(20, seed=4, softening=0.1)
     prog = NBodyProgram(system, [1e6, 1e6], 2, force_method="barnes_hut")
-    driver = ReceiveDrivenDriver(prog, make_cluster(2))
+    config = RunConfig(prog, receive_driven=True, cluster=make_cluster(2))
     with pytest.raises(NotImplementedError):
-        driver.run()
+        run(config)
 
 
 def test_bh_speculation_and_correction_still_work():
@@ -79,7 +79,8 @@ def test_bh_speculation_and_correction_still_work():
     system = uniform_cube(48, seed=5, softening=0.1)
     prog = NBodyProgram(system, [1e6] * 3, 5, dt=0.02, threshold=0.005,
                         force_method="barnes_hut", bh_theta=0.5)
-    result = run_program(prog, make_cluster(3, latency=0.4), fw=1, cascade="none")
+    result = run(RunConfig(prog, fw=1, cascade="none",
+                           cluster=make_cluster(3, latency=0.4)))
     assert prog.spec_stats.particles_checked > 0
     final = prog.gather(result.results)
     assert np.all(np.isfinite(final.pos))

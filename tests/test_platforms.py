@@ -59,13 +59,13 @@ def test_wustl_calibration_against_table2():
     """The calibration targets: compute ~5.83 s and comm ~4.7 s per
     steady iteration at p=16, N=1000, FW=0 (deterministic network)."""
     from repro.apps import NBodyProgram
-    from repro.core import run_program
+    from repro.api import RunConfig, run
     from repro.nbody import uniform_cube
 
     plat = wustl_1994(p=16)
     system = uniform_cube(1000, seed=42, softening=0.1)
     prog = NBodyProgram(system, plat.capacities(), iterations=5, dt=0.015)
-    res = run_program(prog, plat.cluster(), fw=0)
+    res = run(RunConfig(prog, fw=0, cluster=plat.cluster()))
     b = res.steady_breakdown()
     assert b["compute"] == pytest.approx(TABLE2_COMP_SECONDS, rel=0.05)
     assert b["comm"] == pytest.approx(TABLE2_COMM_SECONDS, rel=0.10)
@@ -158,18 +158,18 @@ def test_modern_cluster_speculation_still_pays_for_nbody():
     switched-gigabit cluster (200 us protocol latency vs ~0.6 ms of
     compute) still gains ~30% from FW=1."""
     from repro.apps import NBodyProgram
-    from repro.core import run_program
+    from repro.api import RunConfig, run
     from repro.nbody import uniform_cube
     from repro.platforms import modern_cluster
 
-    def run(fw):
+    def go(fw):
         plat = modern_cluster(p=4, capacity=2e9, base_latency=200e-6)
         system = uniform_cube(256, seed=3, softening=0.1)
         prog = NBodyProgram(system, plat.capacities(), 30, dt=0.005, threshold=0.01)
-        return run_program(prog, plat.cluster(), fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=plat.cluster()))
 
-    blocking = run(0).wall_seconds
-    speculative = run(1).wall_seconds
+    blocking = go(0).wall_seconds
+    speculative = go(1).wall_seconds
     assert speculative < 0.8 * blocking
 
 
@@ -179,18 +179,18 @@ def test_modern_cluster_cheap_kernels_expose_speculation_overhead():
     gain is mostly eaten by the speculation overhead -- the f_spec <<
     f_comp requirement the paper states is a real constraint."""
     from repro.apps import KuramotoProgram
-    from repro.core import run_program
+    from repro.api import RunConfig, run
     from repro.platforms import modern_cluster
 
-    def run(fw):
+    def go(fw):
         plat = modern_cluster(p=4, capacity=5e7, base_latency=200e-6)
         prog = KuramotoProgram.random(
             4000, plat.capacities(), 30, seed=3, dt=0.01, threshold=0.01
         )
-        return run_program(prog, plat.cluster(), fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=plat.cluster()))
 
-    blocking = run(0).wall_seconds
-    speculative = run(1).wall_seconds
+    blocking = go(0).wall_seconds
+    speculative = go(1).wall_seconds
     # Still no slower, but the gain is marginal (< 15%).
     assert speculative <= blocking
     assert speculative > 0.85 * blocking

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import run_program
+from repro.api import RunConfig, run
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.trace import PhaseTrace, render_gantt
 from repro.vm import Cluster, uniform_specs
@@ -35,7 +35,7 @@ def test_property_theta_zero_fw_le_1_exact(p, iterations, coupling, latency, fw)
         nprocs=p, iterations=iterations, coupling=coupling,
         rates=list(range(p)), threshold=0.0, ops_per_compute=1000.0,
     )
-    result = run_program(prog, make_cluster(p, latency), fw=fw)
+    result = run(RunConfig(prog, fw=fw, cluster=make_cluster(p, latency)))
     ref = prog.reference_run()
     for rank in range(p):
         np.testing.assert_allclose(result.results[rank], ref[rank], atol=1e-9)
@@ -59,7 +59,8 @@ def test_property_deep_windows_finite_and_accounted(p, iterations, latency, fw):
         nprocs=p, iterations=iterations, coupling=0.2,
         rates=list(range(p)), threshold=0.0, ops_per_compute=1000.0,
     )
-    result = run_program(prog, make_cluster(p, latency), fw=fw, cascade="none")
+    result = run(RunConfig(prog, fw=fw, cascade="none",
+                           cluster=make_cluster(p, latency)))
     for rank in range(p):
         assert np.all(np.isfinite(result.results[rank]))
     total_sent = sum(s.messages_sent for s in result.stats)
@@ -75,15 +76,15 @@ def test_property_deep_windows_finite_and_accounted(p, iterations, latency, fw):
 )
 def test_property_speculation_never_slower_when_perfect_and_free_errors(latency, iterations):
     """Perfect speculation: FW=1 makespan <= FW=0 makespan + overheads."""
-    def run(fw):
+    def go(fw):
         prog = CoupledIncrement(
             nprocs=2, iterations=iterations, coupling=0.0, rates=[0.0, 0.0],
             threshold=0.0, ops_per_compute=1000.0,
         )
-        return run_program(prog, make_cluster(2, latency), fw=fw)
+        return run(RunConfig(prog, fw=fw, cluster=make_cluster(2, latency)))
 
-    t0 = run(0).wall_seconds
-    r1 = run(1)
+    t0 = go(0).wall_seconds
+    r1 = go(1)
     # Overhead bound: spec+check ops per iteration per remote block.
     overhead = iterations * (12.0 * 4 + 24.0 * 4) / 1000.0
     assert r1.wall_seconds <= t0 + overhead + 1e-9

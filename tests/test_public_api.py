@@ -27,13 +27,12 @@ def test_key_classes_importable_from_top_level():
         HeatEquation2D,
         JacobiSolver,
         KuramotoProgram,
-        MPRunner,
         NBodyProgram,
         PerformanceModel,
-        SpeculativeDriver,
+        RunConfig,
         SyncIterativeProgram,
         WaveEquation1D,
-        run_program,
+        run,
         wustl_1994,
     )
 
@@ -56,6 +55,32 @@ def test_one_result_type_is_exported_and_the_old_ones_resolve_nowhere():
     assert not {"raw", "makespan", "final_blocks"} & fields
     assert not any(hasattr(repro.RunReport, old)
                    for old in ("raw", "makespan", "final_blocks"))
+
+
+#: The per-backend entry points :func:`repro.api.run` replaced.
+GONE_ENTRY_POINTS = ("SpeculativeDriver", "run_program", "ReceiveDrivenDriver",
+                     "run_loopback", "build_loopback", "MPRunner")
+
+
+def test_run_is_the_only_entry_point_and_the_old_ones_resolve_nowhere():
+    import repro.core
+    import repro.core.receive_driven
+    import repro.engine
+    import repro.engine.loopback
+    import repro.parallel
+    import repro.parallel.runner
+
+    for module in (repro, repro.core, repro.core.receive_driven, repro.engine,
+                   repro.engine.loopback, repro.parallel, repro.parallel.runner):
+        for gone in GONE_ENTRY_POINTS:
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert not (PACKAGE / "core" / "driver.py").exists()
+    defined = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    assert not defined & set(GONE_ENTRY_POINTS)
 
 
 def test_subpackages_importable():

@@ -1,9 +1,9 @@
-"""Tests for the Fig. 7 receive-driven driver and incremental programs."""
+"""Tests for the Fig. 7 receive-driven baseline and incremental programs."""
 
 import numpy as np
 import pytest
 
-from repro.core import ReceiveDrivenDriver, run_program
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
 from repro.nbody import uniform_cube
 from repro.netsim import ConstantLatency, DelayNetwork, StochasticLatency
@@ -30,13 +30,13 @@ def nbody(n=36, p=3, iterations=5, **kw):
 def test_requires_incremental_program():
     prog = CoupledIncrement(nprocs=2, iterations=2)
     with pytest.raises(TypeError):
-        ReceiveDrivenDriver(prog, make_cluster(2))
+        RunConfig(prog, receive_driven=True, cluster=make_cluster(2))
 
 
 def test_cluster_size_must_match():
     prog = nbody(p=2)
     with pytest.raises(ValueError):
-        ReceiveDrivenDriver(prog, make_cluster(3))
+        RunConfig(prog, receive_driven=True, cluster=make_cluster(3))
 
 
 def test_incremental_decomposition_equals_compute():
@@ -54,7 +54,8 @@ def test_incremental_decomposition_equals_compute():
 
 def test_receive_driven_matches_serial_reference():
     prog = nbody()
-    result = ReceiveDrivenDriver(prog, make_cluster(3, latency=0.2)).run()
+    result = run(RunConfig(prog, receive_driven=True,
+                           cluster=make_cluster(3, latency=0.2)))
     final = prog.gather(result.results)
     ref = prog.reference()
     np.testing.assert_allclose(final.pos, ref.pos, atol=1e-10)
@@ -63,9 +64,10 @@ def test_receive_driven_matches_serial_reference():
 
 def test_receive_driven_matches_blocking_driver():
     prog1 = nbody()
-    r1 = ReceiveDrivenDriver(prog1, make_cluster(3, latency=0.2)).run()
+    r1 = run(RunConfig(prog1, receive_driven=True,
+                       cluster=make_cluster(3, latency=0.2)))
     prog2 = nbody()
-    r2 = run_program(prog2, make_cluster(3, latency=0.2), fw=0)
+    r2 = run(RunConfig(prog2, fw=0, cluster=make_cluster(3, latency=0.2)))
     for rank in range(3):
         np.testing.assert_allclose(
             r1.results[rank], r2.results[rank], atol=1e-12
@@ -80,16 +82,32 @@ def test_receive_driven_matches_blocking_driver():
 def test_receive_driven_overlaps_staggered_arrivals():
     """With jittered arrivals, absorbing early messages while waiting
     for stragglers beats the all-then-compute baseline."""
-    def run(driver_kind):
+    def go(driver_kind):
         prog = nbody(n=60, p=3, iterations=8)
         cluster = make_cluster(3, latency=0.8, jitter=1.0, capacity=2e5)
         if driver_kind == "recv":
-            return ReceiveDrivenDriver(prog, cluster).run()
-        return run_program(prog, cluster, fw=0)
+            return run(RunConfig(prog, receive_driven=True, cluster=cluster))
+        return run(RunConfig(prog, fw=0, cluster=cluster))
 
-    t_recv = run("recv").wall_seconds
-    t_block = run("block").wall_seconds
+    t_recv = go("recv").wall_seconds
+    t_block = go("block").wall_seconds
     assert t_recv <= t_block + 1e-9
+
+
+@pytest.mark.parametrize("backend", ["des", "loopback", "mp"])
+def test_receive_driven_runs_on_every_backend(backend):
+    """The baseline reaches every backend through the one engine
+    factory.  Each rank absorbs remote blocks in arrival order, so the
+    physics agrees with the DES run to rounding, not bit for bit."""
+    reference = run(RunConfig(nbody(), receive_driven=True, latency=0.01))
+    latency = 0.0 if backend == "loopback" else 0.01
+    report = run(RunConfig(nbody(), backend=backend, receive_driven=True,
+                           latency=latency, timeout=120.0))
+    assert report.backend == backend
+    assert report.fw == 0
+    for rank in range(3):
+        np.testing.assert_allclose(report.results[rank],
+                                   reference.results[rank], atol=1e-12)
 
 
 def test_receive_driven_cost_model_totals():
@@ -104,7 +122,8 @@ def test_receive_driven_cost_model_totals():
 
 def test_receive_driven_stats_and_result_shape():
     prog = nbody(iterations=4)
-    result = ReceiveDrivenDriver(prog, make_cluster(3, latency=0.1)).run()
+    result = run(RunConfig(prog, receive_driven=True,
+                           cluster=make_cluster(3, latency=0.1)))
     assert result.fw == 0
     assert result.iterations == 4
     for s in result.stats:

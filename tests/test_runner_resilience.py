@@ -1,4 +1,4 @@
-"""MPRunner failure handling: a dying worker must not strand the run.
+"""mp backend failure handling: a dying worker must not strand the run.
 
 A failed run ends at its first failure report, so every case below
 surfaces in well under two seconds:
@@ -23,10 +23,9 @@ import time
 import pytest
 
 from repro.analysis.sanitizer import ProtocolViolation
+from repro.api import RunConfig, run
 from repro.engine.core import RetransmitExhausted
-from repro.engine.loopback import run_loopback
 from repro.faults import FaultPlan, InjectedCrash, RankFault
-from repro.parallel import MPRunner
 
 from tests.toy_programs import CoupledIncrement
 
@@ -101,10 +100,10 @@ def _assert_no_orphans():
 
 
 def test_pre_barrier_failure_raises_fast():
-    runner = MPRunner(ExplodingInit(2, iterations=6), fw=1)
+    config = RunConfig(ExplodingInit(2, iterations=6), backend="mp", fw=1, timeout=60.0)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="boom in initial_block"):
-        runner.run(timeout=60.0)
+        run(config)
     # Far below the run timeout: the error surfaced via the aborted
     # barrier, not by waiting the healthy rank out.
     assert time.monotonic() - start < 30.0
@@ -112,10 +111,11 @@ def test_pre_barrier_failure_raises_fast():
 
 
 def test_post_barrier_failure_bounded_by_grace():
-    runner = MPRunner(ExplodingCompute(2, iterations=8), fw=1)
+    config = RunConfig(ExplodingCompute(2, iterations=8), backend="mp", fw=1,
+                       timeout=120.0)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="boom in compute"):
-        runner.run(timeout=120.0)
+        run(config)
     # Ended by rank 0's report: rank 1, blocked on a receive from it,
     # is stopped rather than waited for.
     assert time.monotonic() - start < 2.0
@@ -123,23 +123,25 @@ def test_post_barrier_failure_bounded_by_grace():
 
 
 def test_worker_killed_without_report_surfaces_fast():
-    runner = MPRunner(KilledCompute(2, iterations=8), fw=1)
+    config = RunConfig(KilledCompute(2, iterations=8), backend="mp", fw=1,
+                       timeout=120.0)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="died without reporting"):
-        runner.run(timeout=120.0)
+        run(config)
     assert time.monotonic() - start < 2.0
     _assert_no_orphans()
 
 
 def test_injected_crash_surfaces_within_grace():
     # A planned crash is raised by the fault stage inside the worker's
-    # engine stream; it must come out of MPRunner like any other
+    # engine stream; it must come out of the mp backend like any other
     # post-barrier failure: named, at once, no orphans.
     plan = FaultPlan(ranks=(RankFault(rank=1, crash_at=3),))
-    runner = MPRunner(CoupledIncrement(2, iterations=8), fw=1, fault_plan=plan)
+    config = RunConfig(CoupledIncrement(2, iterations=8), backend="mp", fw=1,
+                       fault_plan=plan, timeout=120.0)
     start = time.monotonic()
     with pytest.raises(InjectedCrash, match="rank 1: planned crash at iteration 3"):
-        runner.run(timeout=120.0)
+        run(config)
     assert time.monotonic() - start < 2.0
     _assert_no_orphans()
 
@@ -150,10 +152,10 @@ def test_injected_crash_surfaces_within_grace():
 def test_worker_failure_keeps_its_type(exc_type, args):
     program = RaisingCompute(2, iterations=8, failure=(exc_type, args))
     with pytest.raises(exc_type) as local:
-        run_loopback(program, fw=1)
+        run(RunConfig(program, backend="loopback", fw=1))
     start = time.monotonic()
     with pytest.raises(Exception) as remote:
-        MPRunner(program, fw=1).run(timeout=120.0)
+        run(RunConfig(program, backend="mp", fw=1, timeout=120.0))
     assert time.monotonic() - start < 2.0
     if exc_type is Unpicklable:
         assert type(remote.value) is RuntimeError

@@ -16,8 +16,9 @@ import pytest
 
 from repro.analysis import ProtocolSanitizer, ProtocolViolation, run_selftest
 from repro.analysis.sanitizer import ENV_FLAG, sanitize_enabled, sanitizer_from_env
+from repro import api
+from repro.api import RunConfig, run
 from repro.cli import main
-from repro.core import SpeculativeDriver, run_program
 from repro.engine import DESTransport, SpecEngine, topology
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
@@ -148,19 +149,32 @@ def test_violation_carries_phase_trace():
     assert "recent phase trace" in str(exc.value)
 
 
+def _armed(monkeypatch):
+    """The sanitizers the DES backend resolves, in run order (a report
+    carries none, so watch the one place the knob is resolved)."""
+    armed = []
+    resolve = api.resolve_sanitizer
+
+    def watched(sanitize):
+        armed.append(resolve(sanitize))
+        return armed[-1]
+
+    monkeypatch.setattr(api, "resolve_sanitizer", watched)
+    return armed
+
+
 # -------------------------------------------------------------- integration
-def test_clean_speculative_run_passes_sanitizer():
+def test_clean_speculative_run_passes_sanitizer(monkeypatch):
+    armed = _armed(monkeypatch)
     prog = CoupledIncrement(nprocs=3, iterations=6, coupling=0.2)
-    driver = SpeculativeDriver(prog, make_cluster(3, latency=0.4), fw=2, sanitize=True)
-    result = driver.run()
-    assert driver.sanitizer is not None
-    assert driver.sanitizer.events_checked > 0
+    result = run(RunConfig(prog, fw=2, sanitize=True,
+                           cluster=make_cluster(3, latency=0.4)))
+    (sanitizer,) = armed
+    assert sanitizer is not None
+    assert sanitizer.events_checked > 0
     # Result identical to an unsanitized run: the sanitizer observes only.
-    plain = run_program(
-        CoupledIncrement(nprocs=3, iterations=6, coupling=0.2),
-        make_cluster(3, latency=0.4),
-        fw=2,
-    )
+    plain = run(RunConfig(CoupledIncrement(nprocs=3, iterations=6, coupling=0.2),
+                          fw=2, cluster=make_cluster(3, latency=0.4)))
     for rank in result.results:
         np.testing.assert_array_equal(result.results[rank], plain.results[rank])
 
@@ -194,9 +208,10 @@ def test_sanitizer_catches_forward_window_violation_in_real_run():
 
 def test_sanitize_false_disables_even_with_env(monkeypatch):
     monkeypatch.setenv(ENV_FLAG, "1")
+    armed = _armed(monkeypatch)
     prog = CoupledIncrement(nprocs=2, iterations=3)
-    driver = SpeculativeDriver(prog, make_cluster(2), fw=1, sanitize=False)
-    assert driver.sanitizer is None
+    run(RunConfig(prog, fw=1, sanitize=False, cluster=make_cluster(2)))
+    assert armed == [None]
 
 
 # ------------------------------------------------------------------- wiring
@@ -213,10 +228,12 @@ def test_env_flag_parsing(monkeypatch):
 
 def test_env_flag_arms_driver(monkeypatch):
     monkeypatch.setenv(ENV_FLAG, "1")
+    armed = _armed(monkeypatch)
     prog = CoupledIncrement(nprocs=2, iterations=3)
-    driver = SpeculativeDriver(prog, make_cluster(2, latency=0.1), fw=1)
-    assert isinstance(driver.sanitizer, ProtocolSanitizer)
-    driver.run()  # and the run stays clean
+    run(RunConfig(prog, fw=1, cluster=make_cluster(2, latency=0.1)))
+    (sanitizer,) = armed  # and the run stayed clean
+    assert isinstance(sanitizer, ProtocolSanitizer)
+    assert sanitizer.events_checked > 0
 
 
 def test_selftest_passes():

@@ -239,8 +239,9 @@ def test_sanitize_flag_uniform_default_env(monkeypatch):
 def test_mp_worker_surfaces_sanitizer_and_send_seq():
     """Real processes: a sanitized run completes cleanly and messages
     still carry contiguous sequence numbers end to end."""
-    from repro.parallel.runner import MPRunner
+    from repro.api import RunConfig, run
 
-    result = MPRunner(_TinyProgram(), fw=1, sanitize=True).run(timeout=120)
+    result = run(RunConfig(_TinyProgram(), backend="mp", fw=1, sanitize=True,
+                           timeout=120))
     assert set(result.results) == {0, 1}
     assert np.isfinite(list(result.results.values())).all()

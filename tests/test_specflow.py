@@ -32,8 +32,8 @@ from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.races import build_static_hb, collect_comm_sites
 from repro.analysis.replay import build_dynamic_hb, event_key
 from repro.analysis.tools import TOOLS
+from repro.api import RunConfig, run
 from repro.cli import main
-from repro.parallel import MPRunner
 from repro.trace import EventLog, TraceEvent, split_tag
 
 from tests.toy_programs import CoupledIncrement
@@ -329,8 +329,8 @@ def test_two_worker_trace_records_hb_edges():
     before the verification of the same (peer, iteration).
     """
     prog = CoupledIncrement(nprocs=2, iterations=4, coupling=0.2, threshold=0.0)
-    runner = MPRunner(prog, fw=1, latency=0.05, record_events=True)
-    result = runner.run(timeout=60)
+    result = run(RunConfig(prog, backend="mp", fw=1, latency=0.05,
+                           record_trace=True, timeout=60))
     log = result.event_log
     assert log.ranks() == [0, 1]
     assert len(log.of_kind("speculate")) > 0   # the delay forced speculation
@@ -363,7 +363,7 @@ def test_two_worker_trace_records_hb_edges():
 
 def test_runs_without_recording_produce_empty_logs():
     prog = CoupledIncrement(nprocs=2, iterations=2)
-    result = MPRunner(prog, fw=0).run(timeout=60)
+    result = run(RunConfig(prog, backend="mp", fw=0, timeout=60))
     assert result.event_log is None
 
 
@@ -372,9 +372,9 @@ def test_trace_replay_cross_references_static_findings(tmp_path):
     """Record a simulator run and judge the static findings against it."""
     from repro.harness import run_nbody
 
-    log = EventLog()
-    run_nbody(p=2, fw=1, iterations=4, n_particles=40, threshold=0.01,
-              event_log=log)
+    _, report = run_nbody(p=2, fw=1, iterations=4, n_particles=40,
+                          threshold=0.01, record_trace=True)
+    log = report.event_log
     assert len(log) > 0
     assert set(ev.kind for ev in log) >= {"send", "recv", "compute"}
 

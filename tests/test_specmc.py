@@ -30,8 +30,8 @@ from repro.analysis.modelcheck import (
     schedule_to_json,
     shrink_schedule,
 )
+from repro.api import RunConfig, run
 from repro.cli import main
-from repro.engine.loopback import run_loopback
 from repro.trace.events import EventLog
 
 SMALL = McConfig(p=2, fw=1, bw=1, iters=3)
@@ -108,9 +108,8 @@ def test_random_schedules_replay_bit_identical_to_loopback(scenario):
     """25 random explored schedules must all land on the canonical
     round-robin finals bit for bit (theta = 0, FW <= 1 exactness)."""
     config = McConfig(p=3, fw=1, bw=1, iters=3, scenario=scenario)
-    canonical = run_loopback(
-        build_program(config), fw=config.fw, cascade=config.cascade
-    ).results
+    canonical = run(RunConfig(build_program(config), backend="loopback", fw=config.fw,
+                              cascade=config.cascade)).results
     samples = random_schedules(config, n=25, seed=7)
     assert len(samples) == 25
     seen = set()

@@ -1,6 +1,7 @@
 """Tests for specperf: attribution, the SPP rule pack, suppressions,
 cost contracts and the ``repro perf-lint`` CLI."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from repro.analysis.perf import (
     measure_phase_shares,
     model_phase_shares,
 )
+from repro.analysis.perf.attribution import HOT_SEATS
 from repro.analysis.perf.contracts import PHASE_OF_RULE, observed_phases
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
@@ -98,6 +100,17 @@ def test_attribution_ignores_generic_container_names():
     assert attr.phases_of(("<fixture>", "extend")) == frozenset()
 
 
+def test_every_hot_seat_is_defined_in_the_package():
+    # Seats are matched by terminal name, so a renamed or moved per-rank
+    # entry point would silently drop out of the hot set.
+    defined = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+    assert not HOT_SEATS - defined, sorted(HOT_SEATS - defined)
+
+
 def test_hot_reachability_from_run_seat():
     module, attr = _attribution(
         "def kernel(x):\n"
@@ -145,7 +158,7 @@ def test_spp201_respects_immutability_guard():
 
 
 def test_spp201_fires_on_pre_fastpath_isolate_payload():
-    # The exact shape vm/collectives.py had before the fast path.
+    # A deep copy on every send: isolate_payload before its fast path.
     legacy = (
         "import copy\n"
         "def isolate_payload(value):\n"

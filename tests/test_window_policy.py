@@ -16,15 +16,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import ProtocolSanitizer, ProtocolViolation
-from repro.core import run_program
+from repro.api import RunConfig, run
 from repro.core import ZeroOrderHold
-from repro.engine import Recv, run_loopback
+from repro.engine import Recv
 from repro.engine.core import SpecEngine, topology
 from repro.engine.pipes import PipeTransport
 from repro.netsim import ConstantLatency, DelayNetwork
-from repro.parallel import MPRunner
 from repro.policy import CascadePolicy, CostWindow, StaticWindow, WindowPolicy
-from repro.trace import EventLog
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement
@@ -142,17 +140,12 @@ def test_engine_validates_initial_fw_against_policy_bounds():
                    policy=CostWindow(max_fw=3))
 
 
-def test_run_program_rejects_out_of_bounds_initial_fw():
-    with pytest.raises(ValueError, match="initial fw"):
-        run_program(constant_prog(), make_cluster(2, 0.1), fw=5,
-                    window_policy=CostWindow(max_fw=3))
-
-
 def test_des_window_history_seeded_and_recorded():
-    res = run_program(
-        constant_prog(iterations=16), make_cluster(2, latency=3.0), fw=1,
+    res = run(RunConfig(
+        constant_prog(iterations=16), fw=1,
         window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
-    )
+        cluster=make_cluster(2, latency=3.0),
+    ))
     assert sorted(res.window_history) == [0, 1]
     for history in res.window_history.values():
         assert history[0] == (0, 1)
@@ -165,14 +158,12 @@ def test_des_window_history_seeded_and_recorded():
 
 
 def test_window_events_land_in_the_des_trace():
-    log = EventLog()
-    cluster = make_cluster(2, latency=3.0)
-    cluster.event_log = log
-    run_program(
-        constant_prog(iterations=16), cluster, fw=1,
+    res = run(RunConfig(
+        constant_prog(iterations=16), fw=1,
         window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
-    )
-    window_events = [e for e in log if e.kind == "window"]
+        record_trace=True, cluster=make_cluster(2, latency=3.0),
+    ))
+    window_events = [e for e in res.event_log if e.kind == "window"]
     assert window_events
     for event in window_events:
         assert 0 <= event.peer <= 3  # peer column carries the new FW
@@ -180,18 +171,16 @@ def test_window_events_land_in_the_des_trace():
 
 # ------------------------------------------------------------------- parity
 def _des_fingerprint(window_policy):
-    log = EventLog()
-    cluster = make_cluster(3, latency=0.4)
-    cluster.event_log = log
     prog = CoupledIncrement(nprocs=3, iterations=6, coupling=0.2,
                             threshold=0.0, ops_per_compute=1000.0)
-    res = run_program(prog, cluster, fw=1, window_policy=window_policy)
+    res = run(RunConfig(prog, fw=1, window_policy=window_policy,
+                        record_trace=True, cluster=make_cluster(3, latency=0.4)))
     return (
         repr(res.wall_seconds),
         {r: np.asarray(b).tobytes() for r, b in res.results.items()},
         [(s.spec_made, s.spec_accepted, s.spec_rejected, s.checks,
           s.recomputes) for s in res.stats],
-        list(log),
+        list(res.event_log),
     )
 
 
@@ -204,15 +193,13 @@ def test_static_window_parity_on_des():
 def test_static_window_parity_on_loopback():
     prog = CoupledIncrement(nprocs=3, iterations=7, coupling=0.3,
                             threshold=0.0)
-    plain_log, seated_log = EventLog(), EventLog()
-    plain = run_loopback(prog, fw=1, event_log=plain_log)
-    seated = run_loopback(prog, fw=1, event_log=seated_log,
-                          window_policy=StaticWindow(1))
+    plain = run(RunConfig(prog, backend="loopback", fw=1, record_trace=True))
+    seated = run(RunConfig(prog, backend="loopback", fw=1, record_trace=True,
+                           window_policy=StaticWindow(1)))
     for rank in range(3):
         np.testing.assert_array_equal(plain.results[rank], seated.results[rank])
     assert [vars(s) for s in plain.stats] == [vars(s) for s in seated.stats]
-    assert list(plain_log) == list(seated_log)
-    assert seated.event_log is seated_log
+    assert list(plain.event_log) == list(seated.event_log)
     assert seated.window_history == {r: [(0, 1)] for r in range(3)}
 
 
@@ -227,10 +214,9 @@ _RACE_FREE_KINDS = ("send", "recv")
 def _mp_fingerprint(window_policy, latency=0.01):
     prog = CoupledIncrement(nprocs=2, iterations=5, coupling=0.2,
                             threshold=0.0)
-    result = MPRunner(
-        prog, fw=1, latency=latency, seed=3, record_events=True,
-        window_policy=window_policy,
-    ).run(timeout=120)
+    result = run(RunConfig(prog, backend="mp", fw=1, latency=latency, seed=3,
+                           record_trace=True, window_policy=window_policy,
+                           timeout=120))
     for s in result.stats:
         assert s.checks == s.spec_made == s.spec_accepted + s.spec_rejected
     events = {}
@@ -293,10 +279,10 @@ def test_mp_adaptive_widens_and_stays_correct():
     rank trajectories come back in the reports, and the numerics still
     equal the blocking reference exactly (theta=0 + exact ZOH)."""
     prog = constant_prog(nprocs=2, iterations=12)
-    result = MPRunner(
-        prog, fw=1, latency=0.05, seed=7,
-        window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
-    ).run(timeout=120)
+    result = run(RunConfig(
+        prog, backend="mp", fw=1, latency=0.05, seed=7,
+        window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3), timeout=120,
+    ))
 
     history = result.window_history
     assert set(history) == {0, 1}
@@ -314,7 +300,7 @@ def test_mp_adaptive_widens_and_stays_correct():
 
 def test_mp_static_window_reports_trivial_history():
     prog = constant_prog(nprocs=2, iterations=4)
-    result = MPRunner(prog, fw=1, latency=0.0, seed=1).run(timeout=120)
+    result = run(RunConfig(prog, backend="mp", fw=1, latency=0.0, seed=1, timeout=120))
     assert result.window_history == {0: [(0, 1)], 1: [(0, 1)]}
     assert result.final_windows() == [1, 1]
 
