@@ -41,6 +41,7 @@ from repro.nbody.speculation import (
     SPECULATE_FLOPS_PER_PARTICLE,
     pairwise_error_ratios,
     speculate_positions,
+    uncertified,
 )
 from repro.partition import Partition, proportional_partition
 
@@ -150,31 +151,49 @@ class NBodyProgram(IncrementalProgram):
         #: Static per-rank mass arrays (masses never change; every rank
         #: knows all of them from the initial distribution).
         self.masses = [self.system.mass[idx] for idx in self.partition]
+        #: Where each rank's block starts among all particles, in rank order.
+        self._starts = np.cumsum([0] + [len(m) for m in self.masses]).tolist()
         self._blocks0 = [
             np.hstack([self.system.pos[idx], self.system.vel[idx]])
             for idx in self.partition
         ]
         self.spec_stats = NBodySpecStats()
-        #: rank -> ``(speculated, actual, own, ratios)`` of a check that
+        #: rank -> ``(speculated, actual, own, bad)`` of a check that
         #: rejected, held until that rank's ``correct`` takes it (one
         #: program object serves every rank on DES and loopback).
         self._rejected: dict[int, tuple[np.ndarray, ...]] = {}
+        #: rank -> {k: block} of what ``speculate`` made for that rank's
+        #: next ``compute``.
+        self._speculated: dict[int, dict[int, np.ndarray]] = {}
+        #: (rank, k) -> {t: (speculated, own, nearest2)}: ``compute``'s
+        #: nearest squared separation of each speculated particle to the
+        #: own block, held until the check of that speculation takes it.
+        self._nearest: dict[tuple[int, int], dict[int, tuple[np.ndarray, ...]]] = {}
 
     # ----------------------------------------------------------- numerics
     def initial_block(self, rank: int) -> np.ndarray:
         return self._blocks0[rank]
 
     def compute(self, rank: int, inputs: Mapping[int, np.ndarray], t: int) -> np.ndarray:
+        speculated = self._speculated.pop(rank, None)
         if self.force_method == "barnes_hut":
             return self._compute_barnes_hut(rank, inputs, t)
         own = inputs[rank]
+        # The blocks this rank just speculated get each particle's nearest
+        # own particle, read off the force planes, for check's bound.
+        fresh = [k for k, block in speculated.items() if inputs[k] is block] if speculated else ()
+        nearest = np.empty(self.system.n) if fresh else None
         by_block = accelerations_by_block(
             own[:, :3],
             [(inputs[k][:, :3], self.masses[k]) for k in range(self.nprocs)],
             G=self.system.G,
             softening=self.system.softening,
             self_block=rank,
+            nearest=nearest,
         )
+        for k in fresh:
+            lo, hi = self._starts[k], self._starts[k + 1]
+            self._nearest.setdefault((rank, k), {})[t] = (inputs[k], own, nearest[lo:hi])
         accel = by_block[rank]
         for k in range(self.nprocs):
             if k != rank:
@@ -214,20 +233,60 @@ class NBodyProgram(IncrementalProgram):
         block = np.empty_like(last)
         block[:, :3] = speculate_positions(last[:, :3], last[:, 3:], gap * self.dt)
         block[:, 3:] = last[:, 3:]
+        self._speculated.setdefault(rank, {})[k] = block
         return block
 
     def check(self, rank, k, speculated, actual, own):
-        """Worst Eq. 11 ratio over k's particles vs. our particles."""
-        ratios = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own[:, :3])
-        self.spec_stats.particles_checked += ratios.size
-        rejected = int(np.count_nonzero(ratios > self.threshold))
-        self.spec_stats.particles_rejected += rejected
-        if self.record_force_errors and ratios.size:
-            self._record_force_errors(speculated, actual, own, ratios)
+        """Worst Eq. 11 ratio over k's particles vs. our particles.
+
+        Exact whenever it exceeds θ; otherwise a bound ≤ θ (θ itself
+        when some particle was certified rather than measured).  The
+        rejected count and the mask of bad particles handed to
+        ``correct`` are exact either way.
+
+        ``compute`` leaves the nearest squared separation of each
+        particle it was handed speculated to the own block; for these
+        very ``speculated`` and ``own`` arrays that certifies most
+        particles without a pairwise pass (:func:`uncertified`).  The
+        pass runs on the rest only: on every particle when there is no
+        bound (Barnes–Hut, an ``own`` corrected since ``compute``, a
+        direct call).
+        """
+        sp, ap = speculated[:, :3], actual[:, :3]
+        theta, n = self.threshold, len(speculated)
+        nearest2 = self._take_nearest(rank, k, speculated, own)
+        rows = slice(None) if nearest2 is None else uncertified(sp, ap, nearest2, theta)
+        ratios = pairwise_error_ratios(sp[rows], ap[rows], own[:, :3])
+        over = ratios > theta
+        self.spec_stats.particles_checked += n
+        self.spec_stats.particles_rejected += int(np.count_nonzero(over))
+        if self.record_force_errors and n:
+            accepted = np.ones(n, dtype=bool)
+            accepted[rows] = ratios <= theta
+            self._record_force_errors(speculated, actual, own, accepted)
         worst = float(ratios.max()) if ratios.size else 0.0
-        if worst > self.threshold:
-            self._rejected[rank] = (speculated, actual, own, ratios)
+        if worst > theta:
+            bad = np.zeros(n, dtype=bool)
+            bad[rows] = over
+            self._rejected[rank] = (speculated, actual, own, bad)
+        elif ratios.size < n:
+            worst = max(worst, theta)  # the certified rows' bound; a NaN stays NaN
         return worst
+
+    def _take_nearest(self, rank, k, speculated, own):
+        """``compute``'s nearest squared separations for ``speculated``
+        (taken: each speculation is checked once), or None when there are
+        none or ``own`` is not the block they were measured against."""
+        held = self._nearest.get((rank, k))
+        if held is None:
+            return None
+        for t, (block, seen_own, nearest2) in held.items():
+            if block is speculated:
+                del held[t]
+                if not held:
+                    del self._nearest[rank, k]
+                return nearest2 if seen_own is own else None
+        return None
 
     def correct(self, rank, next_block, inputs, k, speculated, actual, t):
         """Exact incremental correction of the rejected particles only.
@@ -245,7 +304,7 @@ class NBodyProgram(IncrementalProgram):
             return self.compute(rank, fixed, t), self.compute_ops(rank)
         own = inputs[rank]
         own_pos = own[:, :3]
-        # The rejecting check's ratios hold only for the very arrays it
+        # The rejecting check's mask holds only for the very arrays it
         # saw: it is handed chain[t], we inputs_used[t][rank], and the
         # two differ at fw >= 2 with cascade="none".
         if (
@@ -254,10 +313,9 @@ class NBodyProgram(IncrementalProgram):
             and held[1] is actual
             and held[2] is own
         ):
-            ratios = held[3]
+            bad = held[3]
         else:
-            ratios = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own_pos)
-        bad = ratios > self.threshold
+            bad = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own_pos) > self.threshold
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             # Driver-level rejection implies at least one bad particle;
@@ -279,9 +337,8 @@ class NBodyProgram(IncrementalProgram):
         ops = 2.0 * PAIR_FLOPS * n_bad * own_pos.shape[0] + 6.0 * own_pos.shape[0]
         return block, ops
 
-    def _record_force_errors(self, speculated, actual, own, ratios):
+    def _record_force_errors(self, speculated, actual, own, accepted):
         """Relative pair-force error vs the nearest local particle."""
-        accepted = ratios <= self.threshold
         if not np.any(accepted):
             return
         sp = speculated[accepted, :3]

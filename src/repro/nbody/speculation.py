@@ -26,6 +26,14 @@ SPECULATE_FLOPS_PER_PARTICLE = 12.0
 #: Paper's cost accounting: flops to error-check one particle.
 CHECK_FLOPS_PER_PARTICLE = 24.0
 
+#: Relative slack on each side of :func:`uncertified`'s inequality.  The
+#: separations, the displacement and the inequality itself round by a
+#: few ulps (about 1e-15); the slack outweighs them hundreds of times over.
+CERTIFY_MARGIN = 1e-12
+#: Nearest squared separations are clamped here: one that overflowed to
+#: inf would certify any displacement.
+MAX_SQUARE = 1e300
+
 
 def speculate_positions(pos: np.ndarray, vel: np.ndarray, dt: float) -> np.ndarray:
     """Constant-velocity extrapolation of positions (Eq. 10)."""
@@ -95,6 +103,35 @@ def pairwise_error_ratios(
     # sqrt is monotone and correctly rounded: the root of the minimum
     # is the minimum of the roots, for n_r roots instead of n_r * n_l.
     return displacement / np.maximum(np.sqrt(nearest2), eps)
+
+
+def uncertified(
+    speculated_pos: np.ndarray,
+    actual_pos: np.ndarray,
+    nearest2: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """Indices of the remote particles a triangle-inequality bound cannot
+    clear of an Eq. 11 ratio above ``threshold``.
+
+    ``nearest2[a]`` is the squared separation of the *speculated*
+    ``r*_a`` to its nearest local particle, s² (the force kernel's
+    ``nearest`` output).  With ``d = ‖r*_a − r_a‖``, every local b has
+    ``‖r_a − r_b‖ ≥ s − d``, so ``d ≤ θ·(s − d)`` bounds the ratio
+    :func:`pairwise_error_ratios` would return for a by θ.  The test
+    runs squared, with :data:`CERTIFY_MARGIN` on each side (DESIGN.md
+    §5.8); NaN never certifies.  ``nearest2`` is overwritten.
+    """
+    # d² = (dx² + dy²) + dz²: the sum pairwise_error_ratios roots for d.
+    delta = np.subtract(speculated_pos, actual_pos)
+    np.square(delta, out=delta)
+    d2 = delta[:, 0] + delta[:, 1]
+    d2 += delta[:, 2]
+    # d·(1 + θ(1 + m)) ≤ s·θ(1 − m), both sides squared.
+    d2 *= (1.0 + threshold * (1.0 + CERTIFY_MARGIN)) ** 2
+    np.minimum(nearest2, MAX_SQUARE, out=nearest2)
+    nearest2 *= (threshold * (1.0 - CERTIFY_MARGIN)) ** 2
+    return np.flatnonzero(~(d2 <= nearest2))
 
 
 def worst_pairwise_error(

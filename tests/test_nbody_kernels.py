@@ -1,16 +1,19 @@
 """The chunked component-plane kernels against the einsum formulations
 they replaced (kept here as oracles, bit for bit), the multi-block force
-entry against its own one-block case, and the ``check`` -> ``correct``
-handoff of the Eq. 11 ratios in the app."""
+entry against its own one-block case, the force kernel's ``nearest``
+output, the certified Eq. 11 check against the exact pass, and the
+``check`` -> ``correct`` handoff in the app."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RunConfig, run
 from repro.apps import NBodyProgram, nbody_app
-from repro.nbody import forces, uniform_cube
+from repro.nbody import ParticleSystem, forces, uniform_cube
 from repro.nbody.forces import PLANE, accelerations_by_block, accelerations_from_sources
-from repro.nbody.speculation import pairwise_error_ratios
+from repro.nbody.speculation import pairwise_error_ratios, uncertified
 from repro.partition import proportional_partition
 from repro.platforms import wustl_1994
 
@@ -31,6 +34,12 @@ def einsum_ratios(sp, ap, lp, eps=1e-12):
     delta = ap[:, None, :] - lp[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
     return displacement / np.maximum(dist.min(axis=1), eps)
+
+
+def einsum_nearest(tp, sp):
+    """Each source's least unsoftened squared separation to any target."""
+    delta = sp[None, :, :] - tp[:, None, :]
+    return np.einsum("ijk,ijk->ij", delta, delta).min(axis=0)
 
 
 def blocks(rng, n):
@@ -128,6 +137,45 @@ def test_ratio_kernel_floors_coincident_particles_like_the_oracle():
     assert np.isfinite(got).all()
 
 
+@pytest.mark.parametrize("n_t,n_s", SHAPES)
+def test_nearest_output_equals_einsum_oracle_and_moves_no_force_bit(n_t, n_s):
+    """Targets tiled past ``PLANE`` fold their minima; a lone target is
+    widened to two equal columns."""
+    rng = np.random.default_rng(1000 * n_t + n_s + 7)
+    tp, sp = blocks(rng, n_t)[:, :3], blocks(rng, n_s)[:, :3]
+    sm = rng.uniform(0.0, 1e-3, n_s)
+    nearest = np.full(n_s, -1.0)
+    got = accelerations_by_block(tp, [(sp, sm)], softening=0.1, nearest=nearest)
+    want = accelerations_by_block(tp, [(sp, sm)], softening=0.1)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(nearest, einsum_nearest(tp, sp))
+
+
+@pytest.mark.parametrize("self_block", [None, 2])
+@pytest.mark.parametrize("softening", [0.1, 0.0])
+def test_nearest_output_spans_every_block_in_order(self_block, softening):
+    counts = [10, ROWS - 10, 3 * ROWS + 1, 0, 1, 2 * ROWS]
+    rng = np.random.default_rng(8)
+    parts = source_blocks(rng, counts)
+    tp = blocks(rng, WIDE)[:, :3] if self_block is None else parts[self_block][0]
+    nearest = np.empty(sum(counts))
+    got = accelerations_by_block(
+        tp, parts, softening=softening, self_block=self_block, nearest=nearest
+    )
+    want = accelerations_by_block(tp, parts, softening=softening, self_block=self_block)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(nearest, einsum_nearest(tp, np.concatenate([sp for sp, _ in parts])))
+
+
+def test_nearest_output_is_inf_without_targets_and_checks_its_shape():
+    parts = [(np.ones((4, 3)), np.ones(4))]
+    nearest = np.zeros(4)
+    accelerations_by_block(np.zeros((0, 3)), parts, nearest=nearest)
+    assert np.isposinf(nearest).all()
+    with pytest.raises(ValueError):
+        accelerations_by_block(np.zeros((2, 3)), parts, nearest=np.zeros(3))
+
+
 # ------------------------------------------------------ multi-block parity
 def assert_each_block_equals_its_own_call(tp, parts, self_block, softening):
     got = accelerations_by_block(tp, parts, G=0.5, softening=softening, self_block=self_block)
@@ -210,19 +258,27 @@ def rejected_check(prog, rank=0, k=1):
     return next_block, spec_inputs, speculated, actual
 
 
-def test_loopback_run_computes_ratios_once_per_check(monkeypatch):
-    calls = []
+def test_loopback_run_computes_ratios_at_most_once_per_check_on_uncertified_rows(monkeypatch):
+    passed, unsure = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return pairwise_error_ratios(*args, **kwargs)
+    def counting(speculated_pos, *args, **kwargs):
+        passed.append(len(speculated_pos))
+        return pairwise_error_ratios(speculated_pos, *args, **kwargs)
+
+    def recording(*args):
+        rows = uncertified(*args)
+        unsure.append(len(rows))
+        return rows
 
     monkeypatch.setattr(nbody_app, "pairwise_error_ratios", counting)
-    prog = make_program(threshold=1e-4)
+    monkeypatch.setattr(nbody_app, "uncertified", recording)
+    prog = make_program(threshold=1e-3)
     report = run(RunConfig(prog, backend="loopback", fw=1))
     checks = sum(s.checks for s in report.stats)
     assert sum(s.recomputes for s in report.stats) > 0
-    assert len(calls) == checks
+    # Every check had compute's bound, and the pass saw only what it left.
+    assert len(passed) <= checks and len(unsure) == checks
+    assert sum(passed) == sum(unsure) < prog.spec_stats.particles_checked
     assert prog._rejected == {}
 
 
@@ -301,3 +357,168 @@ def test_no_block_is_kept_past_an_accept_or_a_correct(incremental):
     assert set(prog._rejected) == {0, 2}  # one program serves every rank
     prog.correct(0, next_block, inputs, 1, speculated, actual, 0)
     assert set(prog._rejected) == {2}
+
+    # Nor past a run: every speculation, bound and mask is taken, through
+    # rejections and the re-speculations of a cascade.
+    prog = make_program(incremental_correction=incremental, threshold=1e-3)
+    report = run(RunConfig(prog, backend="loopback", fw=2))
+    assert sum(s.recomputes for s in report.stats) > sum(s.spec_rejected for s in report.stats)
+    assert prog._rejected == prog._speculated == prog._nearest == {}
+
+
+# ------------------------------------------------ the certified Eq. 11 check
+THETA = 0.01
+
+
+def checked(prog, speculated, actual, own):
+    """Rank 0's ``check`` of k=1's block: the ratio it returns, the
+    particles it rejected, and the mask it holds for ``correct``."""
+    worst = prog.check(0, 1, speculated, actual, own)
+    held = prog._rejected.pop(0, None)
+    return worst, prog.spec_stats.particles_rejected, None if held is None else held[3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_own=st.integers(1, 9),
+    n_remote=st.integers(1, 9),
+    offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    shape=st.sampled_from(["radial", "random", "short", "still"]),
+    coincide=st.booleans(),
+    nan=st.sampled_from([None, "speculated", "actual", "own"]),
+)
+def test_certified_check_agrees_with_the_exact_pass(
+    seed, n_own, n_remote, offset, shape, coincide, nan
+):
+    """The app's path (speculate -> compute -> check) against a direct
+    ``check``, which has no bound and runs the exact pass on every row.
+    A displacement of θ times the nearest distance, straight away from
+    that particle, puts the ratio within 1e-12 of θ where the triangle
+    inequality is tight and only the margin decides; a coincident
+    particle puts it at the 1e-12 distance floor."""
+    rng = np.random.default_rng(seed)
+    n = n_own + n_remote
+    system = ParticleSystem(np.full(n, 1e-3), np.zeros((n, 3)), np.zeros((n, 3)), softening=0.1)
+    prog = NBodyProgram(system, [n_own, n_remote], 1, threshold=THETA)
+    assert [len(m) for m in prog.masses] == [n_own, n_remote]
+    own = np.zeros((n_own, 6))
+    own[:, :3] = offset + rng.uniform(-1.0, 1.0, (n_own, 3))
+    actual = np.zeros((n_remote, 6))
+    actual[:, :3] = offset + rng.uniform(-1.0, 1.0, (n_remote, 3))
+    if coincide:
+        actual[0, :3] = own[-1, :3]
+    gap = actual[:, None, :3] - own[None, :, :3]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", gap, gap))
+    reach = THETA * np.maximum(dist.min(axis=1), 1e-12)
+    reach *= 1.0 + rng.uniform(-1e-12, 1e-12, n_remote)
+    if shape == "radial":
+        away = gap[np.arange(n_remote), dist.argmin(axis=1)]
+    else:
+        away = rng.normal(size=(n_remote, 3))
+    norm = np.linalg.norm(away, axis=1)
+    away /= np.where(norm > 0, norm, 1.0)[:, None]
+    away *= {"radial": 1.0, "random": 1.0, "short": 0.5, "still": 0.0}[shape]
+    last = actual.copy()
+    last[:, :3] += away * reach[:, None]
+    poisoned = {"speculated": last, "actual": actual, "own": own}.get(nan)
+    if poisoned is not None:
+        poisoned[rng.integers(len(poisoned)), rng.integers(3)] = np.nan
+
+    speculated = prog.speculate(0, 1, [0], [last], 1)  # zero velocity: r* = last
+    assert np.array_equal(speculated, last, equal_nan=True)
+    prog.compute(0, {0: own, 1: speculated}, 0)
+    got, got_rejected, got_bad = checked(prog, speculated, actual, own)
+    assert prog._nearest == {} and prog._speculated == {}
+
+    ref = NBodyProgram(system, [n_own, n_remote], 1, threshold=THETA)
+    want, want_rejected, want_bad = checked(ref, speculated, actual, own)
+    over = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own[:, :3]) > THETA
+    assert got_rejected == want_rejected == np.count_nonzero(over)
+    assert (got_bad is None) == (want_bad is None)
+    if want_bad is not None:
+        assert np.array_equal(got_bad, want_bad) and np.array_equal(want_bad, over)
+    if want > THETA or np.isnan(want):
+        assert got == want or (np.isnan(got) and np.isnan(want))
+    else:
+        assert want <= got <= THETA
+
+
+def test_a_square_that_overflows_certifies_nothing():
+    """|r* - r_b|^2 overflows to inf while |r - r_b|^2 does not, and the
+    ratio is above θ: the clamp keeps the bound from clearing it."""
+    own = np.zeros((1, 3))
+    actual = np.array([[1.33e154, 0.0, 0.0]])
+    speculated = np.array([[1.344e154, 0.0, 0.0]])
+    nearest2 = np.empty(1)
+    with np.errstate(over="ignore"):
+        accelerations_by_block(own, [(speculated, np.ones(1))], nearest=nearest2)
+    assert np.isposinf(nearest2).all()
+    assert pairwise_error_ratios(speculated, actual, own)[0] > THETA
+    assert uncertified(speculated, actual, nearest2, THETA).tolist() == [0]
+
+
+def loopback_p4(fw=1, cascade="recompute"):
+    prog = NBodyProgram(uniform_cube(64, seed=0, softening=0.1), [1e6] * 4, 6, threshold=1e-3)
+    return prog, RunConfig(prog, backend="loopback", fw=fw, cascade=cascade)
+
+
+def des_p16():
+    platform = wustl_1994(p=16, seed=1)
+    system = uniform_cube(160, seed=42, softening=0.1)
+    prog = NBodyProgram(system, platform.capacities(), 6, dt=0.015, threshold=0.01)
+    return prog, RunConfig(prog, backend="des", fw=1, cluster=platform.cluster())
+
+
+#: name -> (set-up, whether some check must find its own block corrected
+#: since compute: fw=2 without a cascade leaves chain[t] repaired under
+#: an iteration computed from the old one).
+RUNS = {
+    "loopback-p4": (loopback_p4, False),
+    "des-p16": (des_p16, False),
+    "loopback-p4-fw2-none": (lambda: loopback_p4(fw=2, cascade="none"), True),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_runs_are_identical_with_the_bound_and_without_it(name, monkeypatch):
+    setup, mismatched = RUNS[name]
+    take = NBodyProgram._take_nearest
+    found = []
+
+    def watched(self, *args):
+        nearest2 = take(self, *args)
+        found.append(nearest2 is not None)
+        return nearest2
+
+    def absent(self, *args):
+        take(self, *args)  # taken all the same, so nothing is kept
+        return None
+
+    monkeypatch.setattr(NBodyProgram, "_take_nearest", watched)
+    prog, config = setup()
+    report = run(config)
+    monkeypatch.setattr(NBodyProgram, "_take_nearest", absent)
+    bare, config = setup()
+    bare_report = run(config)
+
+    assert prog.spec_stats.particles_rejected > 0
+    assert any(found) and (not all(found)) == mismatched
+    for rank, block in report.results.items():
+        assert block.tobytes() == bare_report.results[rank].tobytes()
+    assert report.stats == bare_report.stats
+    assert report.wall_seconds == bare_report.wall_seconds
+    assert prog.spec_stats == bare.spec_stats
+
+
+def test_a_blocking_run_never_asks_for_the_nearest_output(monkeypatch):
+    asked = []
+
+    def counting(*args, nearest=None, **kwargs):
+        asked.append(nearest is not None)
+        return accelerations_by_block(*args, nearest=nearest, **kwargs)
+
+    monkeypatch.setattr(nbody_app, "accelerations_by_block", counting)
+    prog, config = loopback_p4(fw=0)
+    run(config)
+    assert len(asked) == prog.nprocs * prog.iterations and not any(asked)
