@@ -3,7 +3,7 @@
 A family is a rule table — a code prefix, a ``findings(index)``
 function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
-optionally a ``judge(view, diagnostics, args)`` function from the
+optionally a ``judge(view, diagnostics)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
 :class:`~repro.analysis.trace_view.Verdict` records.  All 25 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
@@ -34,7 +34,8 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 * **specbound** (SPB4xx, :mod:`repro.analysis.bounds`) — per-function
   rules flagging a history trim, window, event log, cascade loop or
   iteration-keyed map that no protocol parameter bounds; ``--trace``
-  checks the (p, FW, BW) occupancy bounds against observed maxima.
+  checks the occupancy bounds, at the (p, FW, iterations) the trace's
+  header records, against observed maxima.
 * :mod:`repro.analysis.sanitizer` — a runtime
   :class:`ProtocolSanitizer` (opt-in via ``REPRO_SANITIZE=1``) that
   asserts DES and forward-window invariants while a simulation runs;

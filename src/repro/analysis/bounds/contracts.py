@@ -4,24 +4,25 @@ The differential half of specbound, in the specperf cost-contract
 mold: a bound is a *claim* about run-time occupancy, and a recorded
 :class:`~repro.trace.events.EventLog` is evidence for or against it.
 Every buffer the protocol grows is bounded by a parameter of the run,
-not by its length: BW caps history, FW caps run-ahead, and p
-multiplies the per-peer bounds.  For each contract we compute the
-observed maximum from the trace and evaluate the matching row of
-:data:`OCCUPANCY_BOUNDS` at the run's ``(p, fw, bw, iters)``:
+not by its length: FW caps run-ahead, and p multiplies the per-peer
+bounds.  For each contract we compute the observed maximum from the
+trace and evaluate the matching row of :data:`OCCUPANCY_BOUNDS` at the
+``(p, max_fw, iterations)`` of the trace's own header:
 
-* **history-ring** (per rank) — entries the rank's per-source history
-  must retain: the gap between its most-advanced channel and the
-  verified horizon (the oldest iteration a cascade may still re-read),
-  checked against the engine's ring capacity ``max(bw, 2) + 2``;
 * **inbox** (per rank) — undelivered messages per source channel
   (sends observed minus recvs, per tag family so barrier traffic does
-  not pollute the data channel), checked against ``fw + 1``;
+  not pollute the data channel), checked against the engine's
+  run-ahead bound ``2 * max(fw, 1)``;
 * **in-flight** (per rank) — a rank's outstanding sends across all
-  peers, checked against ``(p - 1) * (fw + 1)``;
+  peers, checked against ``(p - 1) * 2 * max(fw, 1)``;
 * **cascade** (run) — longest consecutive run of ``correct`` events on
   any rank, checked against ``max(fw, 1)``;
 * **events** (run) — total trace size, checked against the linear
   envelope ``p * iters * (...)``.
+
+The history rings have no contract here: a ring cannot outgrow its
+capacity (:class:`~repro.engine.ring.HistoryRing` raises), and the
+runtime sanitizer checks each ring's real occupancy as it fills.
 
 Verdicts are **CONFIRMED** (observed within the bound), **REFUTED**
 (the run outgrew the bound — a protocol-window or transport bug), or
@@ -32,7 +33,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.trace_view import (
@@ -42,57 +43,31 @@ from repro.analysis.trace_view import (
     TraceView,
     Verdict,
 )
+from repro.engine.core import run_ahead_bound
 
-if TYPE_CHECKING:
-    import argparse
-
-#: metric name -> (the bound as printed, the bound at (p, fw, bw, iters)).
-OCCUPANCY_BOUNDS: dict[str, tuple[str, Callable[[int, int, int, int], int]]] = {
-    # The engine's ``default_hist_cap``: the speculator reads the newest
-    # BW entries (at least 2, so linear extrapolation has a slope), and
-    # a correction may re-read one entry below the verified horizon, so
-    # two slots cover the entry being replaced and its predecessor.
-    "history-ring": ("max(bw, 2) + 2", lambda p, fw, bw, iters: max(bw, 2) + 2),
-    # The pre-send gate keeps a sender within FW iterations of what it
-    # has verified and delivery is FIFO per channel, so at most the FW
-    # speculated-past iterations plus the one being confirmed wait.
-    "inbox": ("fw + 1", lambda p, fw, bw, iters: fw + 1),
+#: metric name -> (the bound as printed, the bound at (p, fw, iters)),
+#: where fw is the window's ceiling (the header's ``max_fw``).
+OCCUPANCY_BOUNDS: dict[str, tuple[str, Callable[[int, int, int], int]]] = {
+    # The engine's run-ahead bound (derived at its definition): a
+    # channel's undelivered messages reach at most that far past the
+    # receiver's verified horizon.
+    "inbox": ("2 * max(fw, 1)", lambda p, fw, iters: run_ahead_bound(fw)),
     # The inbox bound on each of the p - 1 peers a rank broadcasts to.
     "in-flight": (
-        "(p - 1) * (fw + 1)", lambda p, fw, bw, iters: (p - 1) * (fw + 1)
+        "(p - 1) * 2 * max(fw, 1)",
+        lambda p, fw, iters: (p - 1) * run_ahead_bound(fw),
     ),
     # The window gate pins the frontier at most FW past the rejected
     # iteration (one repair for the degenerate FW = 0).
-    "cascade": ("max(fw, 1)", lambda p, fw, bw, iters: max(fw, 1)),
+    "cascade": ("max(fw, 1)", lambda p, fw, iters: max(fw, 1)),
     # A generous linear envelope, not tight: per rank-iteration a
     # bounded alphabet of events, plus per-peer traffic a cascade can
     # multiply by at most the window.
     "events": (
         "p * iters * (6 + (p - 1) * (2 * fw + 6))",
-        lambda p, fw, bw, iters: p * iters * (6 + (p - 1) * (2 * fw + 6)),
+        lambda p, fw, iters: p * iters * (6 + (p - 1) * (2 * fw + 6)),
     ),
 }
-
-
-def observed_ring_spans(view: TraceView) -> dict[int, int]:
-    """Per rank: the widest history span its rings had to retain.
-
-    Tracks the newest iteration received per channel; the rank's
-    verified horizon is the slowest channel's newest iteration, and a
-    cascade may re-read one entry below it, so the fast channel's ring
-    must span ``newest - horizon + 2`` entries (the initial condition
-    counts as iteration 0).
-    """
-    newest: dict[int, dict[int, int]] = {}
-    spans: dict[int, int] = {}
-    for ev in view.time_ordered:
-        if ev.kind != "recv" or ev.peer is None or ev.iteration is None:
-            continue
-        chans = newest.setdefault(ev.rank, {})
-        chans[ev.peer] = max(chans.get(ev.peer, 0), ev.iteration)
-        span = max(chans.values()) - min(chans.values()) + 2
-        spans[ev.rank] = max(spans.get(ev.rank, 0), span)
-    return spans
 
 
 def observed_inbox_depths(view: TraceView) -> dict[int, int]:
@@ -169,33 +144,14 @@ def observed_cascade_depth(view: TraceView) -> Optional[int]:
     return best
 
 
-def inferred_iterations(view: TraceView) -> Optional[int]:
-    """Iteration count implied by the trace (max tagged iteration + 1)."""
-    tagged = [ev.iteration for ev in view.events if ev.iteration is not None]
-    if not tagged:
-        return None
-    return max(tagged) + 1
-
-
-def check_occupancy(
-    view: TraceView,
-    p: Optional[int] = None,
-    fw: int = 1,
-    bw: int = 2,
-    iters: Optional[int] = None,
-) -> list[Verdict]:
-    """Judge every occupancy bound against the trace.
-
-    ``p`` defaults to the number of ranks in the trace and ``iters``
-    to the largest tagged iteration; ``fw``/``bw`` must come from the
-    run's configuration (they are not recorded per event).
-    """
-    p_eff = p if p is not None else max(1, len(view.by_rank))
-    iters_eff = iters if iters is not None else inferred_iterations(view)
+def check_occupancy(view: TraceView) -> list[Verdict]:
+    """Judge every occupancy bound against the trace, at its header's
+    ``(p, max_fw, iterations)``."""
+    header = view.required_header()
 
     def verdict(metric: str, scope: str, observed: Optional[int]) -> Verdict:
         text, formula = OCCUPANCY_BOUNDS[metric]
-        bound = formula(p_eff, fw, bw, iters_eff or 0)
+        bound = formula(header.p, header.max_fw, header.iterations)
         if observed is None:
             status = UNOBSERVED
             observed = 0
@@ -208,15 +164,13 @@ def check_occupancy(
             f"observed {observed} vs bound {bound} = {text}",
         )
 
-    spans = observed_ring_spans(view)
     depths = observed_inbox_depths(view)
     inflight = observed_inflight_sends(view)
     claims: list[tuple[str, str, Optional[int]]] = [
         ("cascade", "run", observed_cascade_depth(view)),
-        ("events", "run", len(view.events) if iters_eff is not None else None),
+        ("events", "run", len(view.events) or None),
     ]
     for rank in view.by_rank:
-        claims.append(("history-ring", f"rank {rank}", spans.get(rank)))
         claims.append(("inbox", f"rank {rank}", depths.get(rank)))
         claims.append(("in-flight", f"rank {rank}", inflight.get(rank)))
     # By metric, then scope as text ("rank 10" before "rank 2"): the
@@ -225,16 +179,15 @@ def check_occupancy(
 
 
 def judge(
-    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+    view: TraceView, diagnostics: Sequence[Diagnostic]
 ) -> tuple[list[str], list[Verdict], int]:
     """specbound's ``--trace`` hook: a REFUTED bound fails the run (the
     contracts are about the run, so the static findings are not read)."""
-    verdicts = check_occupancy(
-        view, p=args.model_p, fw=args.model_fw, bw=args.model_bw
-    )
+    verdicts = check_occupancy(view)
+    run = view.required_header()
     header = [
         f"occupancy contracts: {len(view.events)} event(s), "
-        f"{len(verdicts)} contract(s) checked at "
-        f"(fw={args.model_fw}, bw={args.model_bw})"
+        f"{len(verdicts)} contract(s) checked at (p={run.p}, "
+        f"max_fw={run.max_fw}, iterations={run.iterations})"
     ]
     return header, verdicts, sum(v.status == REFUTED for v in verdicts)

@@ -6,7 +6,8 @@ a static finding is a *claim* about run-time cost, and a recorded
 :class:`~repro.trace.events.EventLog` is evidence for or against it.
 
 The contract is the calibrated performance model (Eq. 3-9,
-:mod:`repro.perfmodel.model`): on the bottleneck processor one
+:mod:`repro.perfmodel.model`) at the trace header's ``p``: on the
+bottleneck processor one
 speculative iteration decomposes into
 
     max(spec + compute, comm) + check + k * recompute
@@ -19,7 +20,7 @@ communication wait; time after a ``compute``/``speculate``/``verify``/
 (:data:`PHASE_OF_RULE`) is then judged:
 
 * **CONFIRMED** — the phase consumed more of the iteration than the
-  model budgets (beyond ``tol``): the trace is consistent with the
+  model budgets (beyond :data:`TOL`): the trace is consistent with the
   flagged overhead actually costing time;
 * **REFUTED** — the phase stayed within its budget: the pattern exists
   but did not distort this run's phase economy;
@@ -32,7 +33,7 @@ every verdict — is byte-reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.trace_view import (
@@ -45,8 +46,9 @@ from repro.analysis.trace_view import (
 from repro.perfmodel.model import ModelParams, PerformanceModel, section4_params
 from repro.trace.phases import PHASES
 
-if TYPE_CHECKING:
-    import argparse
+#: Share drift a phase may show over its model budget before a finding
+#: on it is CONFIRMED.
+TOL = 0.05
 
 #: The measured phase a rule's cost pattern inflates when real.
 PHASE_OF_RULE: dict[str, str] = {
@@ -145,19 +147,16 @@ def model_phase_shares(
 def check_contracts(
     diagnostics: Sequence[Diagnostic],
     view: TraceView,
-    p: Optional[int] = None,
     params: Optional[ModelParams] = None,
-    tol: float = 0.05,
 ) -> tuple[dict[str, float], dict[str, float], list[Verdict]]:
     """Judge every distinct finding code against the trace.
 
-    Returns ``(measured shares, model shares, verdicts)``; ``p``
-    defaults to the number of ranks in the trace.
+    Returns ``(measured shares, model shares, verdicts)``; the model
+    runs at the header's ``p``.
     """
     measured = measure_phase_shares(view)
     observed = observed_phases(view)
-    p_eff = p if p is not None else max(1, len(view.by_rank))
-    modeled = model_phase_shares(p_eff, params)
+    modeled = model_phase_shares(view.required_header().p, params)
     verdicts: list[Verdict] = []
     for code in sorted({d.code for d in diagnostics}):
         phase = PHASE_OF_RULE.get(code)
@@ -166,7 +165,7 @@ def check_contracts(
         excess = measured[phase] - modeled[phase]
         if phase not in observed:
             status = UNOBSERVED
-        elif excess > tol:
+        elif excess > TOL:
             status = CONFIRMED
         else:
             status = REFUTED
@@ -194,12 +193,10 @@ def format_share_table(
 
 
 def judge(
-    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+    view: TraceView, diagnostics: Sequence[Diagnostic]
 ) -> tuple[list[str], list[Verdict], int]:
     """specperf's ``--trace`` hook: a CONFIRMED cost claim fails the run."""
-    measured, modeled, verdicts = check_contracts(
-        diagnostics, view, p=args.model_p, tol=args.tol
-    )
+    measured, modeled, verdicts = check_contracts(diagnostics, view)
     header = [format_share_table(measured, modeled)]
     if not verdicts:
         header.append("cost contracts: no specperf findings to cross-reference")

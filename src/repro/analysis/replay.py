@@ -28,7 +28,8 @@ report lines):
 
 * **SPF101** — a speculation never verified before the run ended;
 * **SPF102** — a speculation whose source iteration lags the rank's
-  compute frontier by more than the backward window;
+  compute frontier by more than the history ring holds (the trace
+  header's ``hist_cap``);
 * **SPF103** — corrections applied in descending iteration order.
 
 Finally :func:`cross_reference` joins a static diagnostic list with a
@@ -42,7 +43,7 @@ stayed clean) or UNOBSERVED (the trace never reached it) — the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.races import HappensBeforeGraph
@@ -54,13 +55,6 @@ from repro.analysis.trace_view import (
     Verdict,
 )
 from repro.trace.events import TraceEvent
-
-if TYPE_CHECKING:
-    import argparse
-
-#: Default backward window used by the SPF102 staleness check when the
-#: caller does not pass the run's actual ``--bw``.
-DEFAULT_BACKWARD_WINDOW = 4
 
 
 @dataclass(frozen=True, order=True)
@@ -148,10 +142,12 @@ def _check_unverified_speculations(view: TraceView) -> Iterator[ReplayFinding]:
             )
 
 
-def _check_stale_speculations(
-    view: TraceView, backward_window: int
-) -> Iterator[ReplayFinding]:
-    """SPF102: speculation source older than the backward window."""
+def _check_stale_speculations(view: TraceView) -> Iterator[ReplayFinding]:
+    """SPF102: speculation source older than the history ring holds (a
+    hand-built log without a header has no ring to judge against)."""
+    if view.header is None:
+        return
+    hist_cap = view.header.hist_cap
     for events in view.by_rank.values():
         frontier: Optional[int] = None  # latest compute iteration seen
         for ev in events:
@@ -162,7 +158,7 @@ def _check_stale_speculations(
                 ev.kind == "speculate"
                 and ev.iteration is not None
                 and frontier is not None
-                and frontier - ev.iteration > backward_window
+                and frontier - ev.iteration > hist_cap
             ):
                 yield ReplayFinding(
                     code="SPF102",
@@ -172,7 +168,7 @@ def _check_stale_speculations(
                         f"speculation for iteration {ev.iteration} ran while "
                         f"the compute frontier was at {frontier} — "
                         f"{frontier - ev.iteration} iterations back, beyond "
-                        f"the backward window of {backward_window}"
+                        f"the backward window of {hist_cap}"
                     ),
                 )
 
@@ -261,14 +257,12 @@ def _check_message_overtaking(view: TraceView) -> Iterator[ReplayFinding]:
                 )
 
 
-def replay(
-    view: TraceView, backward_window: int = DEFAULT_BACKWARD_WINDOW
-) -> ReplayReport:
+def replay(view: TraceView) -> ReplayReport:
     """Run every dynamic check over ``view`` and collect the findings."""
     graph, report = build_dynamic_hb(view)
     findings: list[ReplayFinding] = []
     findings.extend(_check_unverified_speculations(view))
-    findings.extend(_check_stale_speculations(view, backward_window))
+    findings.extend(_check_stale_speculations(view))
     findings.extend(_check_correction_order(view))
     findings.extend(_check_unmatched_messages(view))
     findings.extend(_check_message_overtaking(view))
@@ -299,9 +293,7 @@ _EXERCISE_KINDS: dict[str, tuple[str, ...]] = {
 
 
 def cross_reference(
-    diagnostics: Sequence[Diagnostic],
-    view: TraceView,
-    backward_window: int = DEFAULT_BACKWARD_WINDOW,
+    diagnostics: Sequence[Diagnostic], view: TraceView
 ) -> tuple[ReplayReport, list[Verdict]]:
     """Join static findings with a recorded run.
 
@@ -314,7 +306,7 @@ def cross_reference(
     * UNOBSERVED — the trace never exercised those steps, so it says
       nothing either way.
     """
-    report = replay(view, backward_window=backward_window)
+    report = replay(view)
     verdicts: list[Verdict] = []
     for code in sorted({d.code for d in diagnostics if d.code.startswith("SPF1")}):
         static_count = sum(1 for d in diagnostics if d.code == code)
@@ -349,10 +341,10 @@ def cross_reference(
 
 
 def judge(
-    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+    view: TraceView, diagnostics: Sequence[Diagnostic]
 ) -> tuple[list[str], list[Verdict], int]:
     """specflow's ``--trace`` hook: every replay finding fails the run."""
-    report, verdicts = cross_reference(diagnostics, view, backward_window=args.bw)
+    report, verdicts = cross_reference(diagnostics, view)
     stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
     header = [f"trace replay: {stats}"]
     header += [finding.format_text() for finding in report.findings]

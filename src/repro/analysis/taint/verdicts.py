@@ -30,7 +30,7 @@ every verdict — is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.trace_view import (
@@ -40,9 +40,6 @@ from repro.analysis.trace_view import (
     TraceView,
     Verdict,
 )
-
-if TYPE_CHECKING:
-    import argparse
 
 #: Static codes judged by the send-during-open-speculation witness.
 _ESCAPE_CODES = frozenset({"SPT301", "SPT302", "SPT307"})
@@ -167,7 +164,7 @@ def check_taint(
 
 
 def judge(
-    view: TraceView, diagnostics: Sequence[Diagnostic], args: argparse.Namespace
+    view: TraceView, diagnostics: Sequence[Diagnostic]
 ) -> tuple[list[str], list[Verdict], int]:
     """spectaint's ``--trace`` hook: a CONFIRMED escape fails the run."""
     witnesses, verdicts = check_taint(diagnostics, view)

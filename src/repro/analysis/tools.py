@@ -4,7 +4,8 @@ A family is a rule table: a code prefix (its catalogue is the
 registered codes that carry it), a function from the shared parse to
 raw findings (``findings(index)``, living beside the rules) and,
 optionally, a function from a shared trace view to verdicts
-(``judge(view, diagnostics, args)``, living beside the contracts).
+(``judge(view, diagnostics)``, living beside the contracts; the run
+parameters it needs are the trace's own header).
 Everything else is stated once, here: ``repro lint | analyze |
 perf-lint | taint | bounds`` are one CLI handler and one argparse loop
 over :data:`TOOLS`, the umbrella ``repro check`` iterates the same
@@ -14,7 +15,6 @@ de-duplicate, sort — behind all of them.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -41,13 +41,12 @@ from repro.analysis.trace_view import TraceView, Verdict
 
 #: One ``parser.add_argument(name, **kwargs)`` call.
 Flag = tuple[str, dict[str, Any]]
-#: A family's ``--trace`` hook: ``(view, diagnostics, args) -> (header
-#: lines, verdicts, failing count)``.  The header is printed before the
-#: verdict lines; a non-zero failing count fails the run even when the
-#: static report is clean.
+#: A family's ``--trace`` hook: ``(view, diagnostics) -> (header lines,
+#: verdicts, failing count)``.  The header is printed before the verdict
+#: lines; a non-zero failing count fails the run even when the static
+#: report is clean.
 Judge = Callable[
-    [TraceView, Sequence[Diagnostic], argparse.Namespace],
-    tuple[list[str], list[Verdict], int],
+    [TraceView, Sequence[Diagnostic]], tuple[list[str], list[Verdict], int]
 ]
 
 
@@ -153,13 +152,6 @@ class Tool:
         return render_sarif(list(diagnostics), self.name, entries)
 
 
-def _model_p(what: str) -> Flag:
-    return ("--model-p", dict(
-        type=int, default=None, metavar="P",
-        help=f"processor count for the {what} (default: ranks in the trace)",
-    ))
-
-
 TOOLS: tuple[Tool, ...] = (
     Tool(
         cli="lint",
@@ -184,13 +176,6 @@ TOOLS: tuple[Tool, ...] = (
         "rules SPF1xx)",
         prefix="SPF",
         findings=spf.findings,
-        flags=(
-            ("--bw", dict(
-                type=int, default=4, metavar="N",
-                help="backward window used by the trace replay's staleness "
-                "check",
-            )),
-        ),
         judge=judge_protocol,
         trace_help="replay a recorded event log (JSONL) against the protocol "
         "model and cross-reference the static findings",
@@ -204,14 +189,6 @@ TOOLS: tuple[Tool, ...] = (
         "trace-validated phase-cost contracts, rules SPP2xx)",
         prefix="SPP",
         findings=spp.findings,
-        flags=(
-            _model_p("model budget"),
-            ("--tol", dict(
-                type=float, default=0.05, metavar="X",
-                help="share drift tolerated before a finding is CONFIRMED "
-                "(default: 0.05)",
-            )),
-        ),
         judge=judge_costs,
         trace_help="replay a recorded event log (JSONL), measure per-phase "
         "time shares, and judge findings against the model's phase budget",
@@ -235,22 +212,10 @@ TOOLS: tuple[Tool, ...] = (
         "with trace-validated occupancy contracts, rules SPB4xx)",
         prefix="SPB",
         findings=spb.findings,
-        flags=(
-            _model_p("bound evaluation"),
-            ("--model-fw", dict(
-                type=int, default=1, metavar="N",
-                help="forward window the trace was recorded with (default: 1)",
-            )),
-            ("--model-bw", dict(
-                type=int, default=2, metavar="N",
-                help="backward window the trace was recorded with "
-                "(default: 2, the N-body speculator's)",
-            )),
-        ),
         judge=judge_occupancy,
-        trace_help="check the (p, FW, BW) occupancy bounds against a recorded "
-        "event log's observed per-rank maxima (history-ring span, inbox "
-        "depth, in-flight sends, cascade depth, event count); each "
-        "contract is CONFIRMED, REFUTED or UNOBSERVED",
+        trace_help="check the occupancy bounds, at the (p, FW, iterations) "
+        "the trace's header records, against a recorded event log's "
+        "observed maxima (inbox depth, in-flight sends, cascade depth, "
+        "event count); each contract is CONFIRMED, REFUTED or UNOBSERVED",
     ),
 )

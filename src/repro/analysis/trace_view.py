@@ -14,7 +14,9 @@ Every contract answers with the same :class:`Verdict`, in one of three
 statuses: :data:`CONFIRMED`, :data:`REFUTED`, :data:`UNOBSERVED`.
 Which status fails a run is the family's: a CONFIRMED cost or escape
 claim is bad news, a REFUTED occupancy bound is.  A family's hook into
-``--trace`` is its ``judge`` (:data:`repro.analysis.tools.Judge`).
+``--trace`` is its ``judge`` (:data:`repro.analysis.tools.Judge`), and
+the run parameters a judge needs come from the trace's own
+:class:`~repro.trace.events.TraceHeader` (:attr:`TraceView.header`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from repro.trace.events import EventLog, TraceEvent
+from repro.trace.events import EventLog, TraceEvent, TraceHeader
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -96,6 +98,9 @@ class TraceView:
     """What the contracts read of one event log, each computed once."""
 
     def __init__(self, log: EventLog) -> None:
+        #: The run's parameters (p, iterations, the window's ceiling,
+        #: the ring capacity); None only for a hand-built log.
+        self.header: Optional[TraceHeader] = log.header
         #: Every event, in recording order.
         self.events: list[TraceEvent] = log.events
         #: Events per kind (absent kinds count 0).
@@ -108,6 +113,12 @@ class TraceView:
             events.sort(key=lambda ev: ev.seq)
         #: ``rank -> its events in program (seq) order``, ranks ascending.
         self.by_rank: dict[int, list[TraceEvent]] = dict(sorted(by_rank.items()))
+
+    def required_header(self) -> TraceHeader:
+        """:attr:`header`, for a judge that cannot work without it."""
+        if self.header is None:
+            raise ValueError("the trace has no header to judge it at")
+        return self.header
 
     @cached_property
     def matching(self) -> Matching:

@@ -599,7 +599,7 @@ def _cmd_tool(args: argparse.Namespace) -> int:
         except (OSError, ValueError, TypeError) as exc:
             print(f"{tool.name}: cannot read trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        header, verdicts, failing = tool.judge(view, diagnostics, args)
+        header, verdicts, failing = tool.judge(view, diagnostics)
         # Keep machine-readable stdout parseable: verdicts go to stderr.
         out = sys.stdout if args.format == "text" else sys.stderr
         for line in [*header, *(v.format_text() for v in verdicts)]:

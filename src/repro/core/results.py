@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from repro.trace import EventLog, PhaseBreakdown, PhaseTrace, merge_breakdowns
+from repro.trace.events import TraceHeader
 
 if TYPE_CHECKING:
     from repro.api import RunConfig
@@ -234,9 +235,23 @@ def assemble_report(
     order, the clock total, and the ranks' fault receipts
     (:class:`~repro.faults.FaultSummary`; None without a fault plan).
     The backend, window and iteration count come from the run's
-    ``config``; the Fig. 7 baseline has no window and reports fw 0."""
+    ``config``; the Fig. 7 baseline has no window and reports fw 0.
+    A recorded ``event_log`` gets the run's
+    :class:`~repro.trace.events.TraceHeader` here, for every backend."""
     # Deferred: repro.faults imports the engine, which imports this module.
     from repro.faults.plan import merge_summaries
+
+    if event_log is not None:
+        from repro.engine.core import default_hist_cap
+
+        policy, program = config.window_policy, config.program
+        event_log.header = TraceHeader(
+            p=program.nprocs, iterations=program.iterations,
+            max_fw=0 if config.receive_driven
+            else policy.max_fw if policy is not None else config.fw,
+            hist_cap=config.bw if config.bw is not None
+            else default_hist_cap(program),
+        )
 
     return RunReport(
         backend=config.backend, results=dict(finals),

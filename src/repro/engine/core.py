@@ -86,6 +86,19 @@ def default_hist_cap(program: SyncIterativeProgram) -> int:
     return max(getattr(program.speculator, "backward_window", 1), 2) + 2
 
 
+def run_ahead_bound(max_fw: int) -> int:
+    """How far past a rank's verified horizon its peers' arrivals reach.
+
+    A peer sends X(t) once it holds our X(t - w), which we sent with
+    t - 2w verified, w = max(fw, 1) — blocking runs included.  ``max_fw``
+    is the window's ceiling, not the live fw: peers under an adaptive
+    policy may legitimately run a wider window than this rank's current
+    one.  The sanitizer checks each arrival's backlog against it and
+    specbound's ``inbox`` / ``in-flight`` contracts a recorded trace's.
+    """
+    return 2 * max(max_fw, 1)
+
+
 def topology(
     program: SyncIterativeProgram,
 ) -> Tuple[list[FrozenSet[int]], list[list[int]]]:
@@ -294,19 +307,11 @@ class SpecEngine:
                 self.rank, k, len(ring), ring.capacity
             )
             # Run-ahead backlog: iterations arrived beyond the verified
-            # horizon.  Bounded by the *policy ceiling* (not the live fw)
-            # because peers under an adaptive policy may legitimately
-            # run a wider window than this rank's current one.  A peer
-            # sends X(t) once it holds our X(t - w), which we sent with
-            # t - 2w verified, w = max(fw, 1) — blocking runs included.
-            fw_bound = (
-                self.policy.max_fw if self.policy is not None else self.fw
-            )
+            # horizon, bounded at the *policy ceiling* (not the live fw).
             self.sanitizer.on_inbox_depth(
-                self.rank,
-                k,
-                t - self.verified_upto,
-                2 * max(fw_bound, 1),
+                self.rank, k, t - self.verified_upto, run_ahead_bound(
+                    self.policy.max_fw if self.policy is not None else self.fw
+                ),
             )
 
     def prune(self) -> None:

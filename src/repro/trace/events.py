@@ -22,6 +22,9 @@ asks for one wherever the run happens, and it comes back as
 
 Logs round-trip through JSON-lines files (``save``/``load``) so a run
 recorded once can be replayed by ``repro analyze --trace`` forever.
+The first line of a file is the run's :class:`TraceHeader` — the
+parameters fixed before the run started that the trace's judges read —
+and every other line is one event.
 """
 
 from __future__ import annotations
@@ -47,6 +50,33 @@ EVENT_KINDS = (
     "degraded",   # degraded-window mode flipped          (peer = active)
 )
 _KNOWN_KINDS = frozenset(EVENT_KINDS)
+
+#: Version of the JSONL layout :meth:`EventLog.save` writes: a header
+#: line, then one event per line.
+FORMAT = 2
+
+
+@dataclass(frozen=True)
+class TraceHeader:
+    """The run parameters a recorded trace's judges read.
+
+    Attributes
+    ----------
+    p:
+        Ranks in the run.
+    iterations:
+        Protocol iterations the run was configured for.
+    max_fw:
+        The forward window's ceiling: the window policy's ``max_fw``,
+        else the fixed ``fw`` (0 for the Fig. 7 baseline).
+    hist_cap:
+        Capacity of the engines' history rings.
+    """
+
+    p: int
+    iterations: int
+    max_fw: int
+    hist_cap: int
 
 
 def split_tag(tag: Hashable) -> Tuple[Optional[str], Optional[int]]:
@@ -127,15 +157,20 @@ class EventLog:
     stay contiguous) plus an honest count of what it missed.  The
     default (``None``, unbounded) keeps recorded traces byte-identical
     for the replay tooling.
+
+    ``header`` is the run's :class:`TraceHeader`: a run stamps it on
+    the log it recorded, and :meth:`save` refuses a log without one.
     """
 
     def __init__(
         self,
         events: Optional[Iterable[TraceEvent]] = None,
         max_events: Optional[int] = None,
+        header: Optional[TraceHeader] = None,
     ) -> None:
         if max_events is not None and max_events < 0:
             raise ValueError("max_events must be >= 0 (or None for unbounded)")
+        self.header = header
         self.max_events = max_events
         self.dropped = 0
         self.events: list[TraceEvent] = []
@@ -235,18 +270,22 @@ class EventLog:
 
     # ----------------------------------------------------------- JSONL I/O
     def save(self, path: str | Path) -> None:
-        """Write the log as JSON-lines (one event per line)."""
+        """Write the log as JSON-lines: the header, then one event per line."""
+        if self.header is None:
+            raise ValueError("an EventLog needs a header to be saved")
         with open(path, "w", encoding="utf-8") as fh:
+            header = {"format": FORMAT, **asdict(self.header)}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
             for ev in sorted(self.events):
                 fh.write(json.dumps(ev.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "EventLog":
-        """Read a JSON-lines log written by :meth:`save`."""
-        events = []
+        """Read a JSON-lines log written by :meth:`save`; a file whose
+        first line is not a format-2 header is refused."""
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(TraceEvent.from_dict(json.loads(line)))
-        return cls(events)
+            lines = [json.loads(line) for line in fh if line.strip()]
+        head = lines[0] if lines and isinstance(lines[0], dict) else {}
+        if head.pop("format", None) != FORMAT:
+            raise ValueError(f"no format-{FORMAT} header on the first line")
+        return cls(map(TraceEvent.from_dict, lines[1:]), header=TraceHeader(**head))

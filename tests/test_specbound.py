@@ -2,6 +2,7 @@
 trace-validated occupancy contracts, the EventLog cap, and the
 ``repro bounds`` / ``repro check`` CLIs."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -15,18 +16,18 @@ from repro.analysis.baselines import load_baselines
 from repro.analysis.bounds import (
     OCCUPANCY_BOUNDS,
     check_occupancy,
-    inferred_iterations,
     observed_cascade_depth,
     observed_inbox_depths,
     observed_inflight_sends,
-    observed_ring_spans,
 )
 from repro.analysis.linter import parse_suppressions
 from repro.analysis.tools import TOOLS
+from repro.api import RunConfig, run
+from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.core.speculators import PolynomialExtrapolation
 from repro.engine.core import default_hist_cap
-from repro.trace.events import EventLog
+from repro.trace.events import EventLog, TraceHeader
 
 from tests.toy_programs import CoupledIncrement
 
@@ -137,13 +138,12 @@ def test_analysis_is_deterministic_over_fixtures():
 # ------------------------------------------------------------ bound table
 
 
-PARAMS = ("p", "fw", "bw", "iters")
+PARAMS = ("p", "fw", "iters")
 
 ENVS = st.fixed_dictionaries(
     {
         "p": st.integers(min_value=1, max_value=16),
         "fw": st.integers(min_value=0, max_value=8),
-        "bw": st.integers(min_value=1, max_value=8),
         "iters": st.integers(min_value=1, max_value=64),
     }
 )
@@ -157,19 +157,17 @@ def _bound(metric, env):
 @given(env=ENVS)
 @settings(max_examples=80, deadline=None)
 def test_bound_constructors_match_reference_formulas(env):
-    p, fw, bw, iters = env["p"], env["fw"], env["bw"], env["iters"]
-    assert _bound("history-ring", env) == max(bw, 2) + 2
-    assert _bound("inbox", env) == fw + 1
-    assert _bound("in-flight", env) == (p - 1) * (fw + 1)
+    p, fw, iters = env["p"], env["fw"], env["iters"]
+    assert _bound("inbox", env) == 2 * max(fw, 1)
+    assert _bound("in-flight", env) == (p - 1) * 2 * max(fw, 1)
     assert _bound("cascade", env) == max(fw, 1)
     assert _bound("events", env) == p * iters * (6 + (p - 1) * (2 * fw + 6))
 
 
 def test_expr_operator_sugar_and_render():
     assert {metric: text for metric, (text, _) in OCCUPANCY_BOUNDS.items()} == {
-        "history-ring": "max(bw, 2) + 2",
-        "inbox": "fw + 1",
-        "in-flight": "(p - 1) * (fw + 1)",
+        "inbox": "2 * max(fw, 1)",
+        "in-flight": "(p - 1) * 2 * max(fw, 1)",
         "cascade": "max(fw, 1)",
         "events": "p * iters * (6 + (p - 1) * (2 * fw + 6))",
     }
@@ -191,19 +189,23 @@ def test_expr_params_and_hashability(env, other):
 
 @pytest.mark.parametrize("bw", range(1, 9))
 def test_history_ring_row_is_the_engines_default_capacity(bw):
+    """The ring capacity a trace records is the one the engines had."""
     program = CoupledIncrement(
         2, 3, speculator=PolynomialExtrapolation(order=bw - 1)
     )
-    env = {"p": 2, "fw": 1, "bw": bw, "iters": 3}
-    assert _bound("history-ring", env) == default_hist_cap(program)
+    report = run(RunConfig(program, backend="loopback", record_trace=True))
+    assert report.event_log.header.hist_cap == default_hist_cap(program)
 
 
 # --------------------------------------------------------------- contracts
 
+#: The header of the hand-built two-rank logs below.
+HEADER = TraceHeader(p=2, iterations=4, max_fw=1, hist_cap=4)
+
 
 def _healthy_log():
     """Two ranks exchanging three tagged iterations, one correction."""
-    log = EventLog()
+    log = EventLog(header=HEADER)
     for t in range(1, 4):
         base = float(t)
         log.record_message("send", 0, base, peer=1, tag=("vars", t))
@@ -216,7 +218,7 @@ def _healthy_log():
 
 def _flooded_log(depth=5):
     """Rank 0 fires `depth` sends at rank 1 before a single recv."""
-    log = EventLog()
+    log = EventLog(header=HEADER)
     for t in range(1, depth + 1):
         log.record_message("send", 0, float(t), peer=1, tag=("vars", t))
     log.record_message("recv", 1, float(depth + 1), peer=0, tag=("vars", 1))
@@ -224,14 +226,14 @@ def _flooded_log(depth=5):
 
 
 def test_healthy_log_confirms_every_contract():
-    verdicts = check_occupancy(TraceView(_healthy_log()), fw=1, bw=2)
-    # 3 per-rank metrics x 2 ranks + run-scoped cascade + events.
-    assert len(verdicts) == 8
+    verdicts = check_occupancy(TraceView(_healthy_log()))
+    # 2 per-rank metrics x 2 ranks + run-scoped cascade + events.
+    assert len(verdicts) == 6
     assert {v.status for v in verdicts} == {CONFIRMED}
 
 
 def test_flooded_inbox_refutes_the_fw_bound():
-    verdicts = check_occupancy(TraceView(_flooded_log(depth=5)), fw=1, bw=2)
+    verdicts = check_occupancy(TraceView(_flooded_log(depth=5)))
     by_key = {(v.rule, v.where): v for v in verdicts}
     inbox = by_key[("inbox", "[rank 1]")]
     assert inbox.status == REFUTED
@@ -239,15 +241,14 @@ def test_flooded_inbox_refutes_the_fw_bound():
     # The same flood shows up as the sender's in-flight excess.
     assert by_key[("in-flight", "[rank 0]")].status == REFUTED
     # A wide enough window would have made it legal.
-    wide = {
-        (v.rule, v.where): v
-        for v in check_occupancy(TraceView(_flooded_log(5)), fw=4)
-    }
+    flood = _flooded_log(5)
+    flood.header = dataclasses.replace(HEADER, max_fw=4)
+    wide = {(v.rule, v.where): v for v in check_occupancy(TraceView(flood))}
     assert wide[("inbox", "[rank 1]")].status == CONFIRMED
 
 
 def test_verdicts_keep_their_textual_order_past_ten_ranks():
-    log = EventLog()
+    log = EventLog(header=dataclasses.replace(HEADER, p=11))
     for rank in range(11):
         log.record("compute", rank, 0.0)
     inbox = [
@@ -257,19 +258,13 @@ def test_verdicts_keep_their_textual_order_past_ten_ranks():
 
 
 def test_untagged_log_is_unobserved_not_refuted():
-    log = EventLog()
+    log = EventLog(header=HEADER)
     log.record("compute", 0, 0.0)
-    verdicts = check_occupancy(TraceView(log), fw=1, bw=2)
-    assert {v.status for v in verdicts} == {UNOBSERVED}
-    assert all(v.observed == 0 for v in verdicts)
-
-
-def test_observed_ring_spans_track_channel_lag():
-    log = EventLog()
-    log.record_message("recv", 0, 1.0, peer=1, tag=("vars", 5))
-    log.record_message("recv", 0, 2.0, peer=2, tag=("vars", 2))
-    # Fast channel at iteration 5, slow at 2: span 5 - 2 + 2.
-    assert observed_ring_spans(TraceView(log)) == {0: 5}
+    by_rule = {v.rule: v for v in check_occupancy(TraceView(log))}
+    # The header sizes the event envelope; nothing else was exercised.
+    assert by_rule.pop("events").status == CONFIRMED
+    assert {v.status for v in by_rule.values()} == {UNOBSERVED}
+    assert all(v.observed == 0 for v in by_rule.values())
 
 
 def test_observed_inbox_depth_is_per_family():
@@ -291,18 +286,30 @@ def test_observed_cascade_depth_counts_consecutive_corrections():
     assert observed_cascade_depth(TraceView(EventLog())) is None
 
 
-def test_inferred_iterations_is_max_tag_plus_one():
-    assert inferred_iterations(TraceView(_healthy_log())) == 4
-    assert inferred_iterations(TraceView(EventLog())) is None
-
-
 def test_verdict_format_text_shape():
-    verdicts = check_occupancy(TraceView(_flooded_log(depth=5)), fw=1, bw=2)
+    verdicts = check_occupancy(TraceView(_flooded_log(depth=5)))
     refuted = [v for v in verdicts if v.status == REFUTED]
     assert refuted[0].format_text() == (
         "occupancy-contract in-flight [rank 0]: REFUTED — "
-        "observed 5 vs bound 2 = (p - 1) * (fw + 1)"
+        "observed 5 vs bound 2 = (p - 1) * 2 * max(fw, 1)"
     )
+
+
+@pytest.mark.parametrize("cascade", ["recompute", "none"])
+@pytest.mark.parametrize("fw", range(5))
+@pytest.mark.parametrize("p", [2, 4])
+def test_correct_runs_refute_no_occupancy_contract(p, fw, cascade):
+    """At theta = 0 every speculation is rejected, so the window runs
+    as far ahead as it may: inbox depth reaches the bound exactly."""
+    a, b = diagonally_dominant_system(16, seed=3)
+    program = JacobiSolver(a, b, capacities=[1000.0] * p, iterations=20,
+                           threshold=0.0)
+    report = run(RunConfig(program, backend="loopback", fw=fw,
+                           cascade=cascade, record_trace=True))
+    verdicts = check_occupancy(TraceView(report.event_log))
+    assert [v.format_text() for v in verdicts if v.status == REFUTED] == []
+    inbox = max(v.observed for v in verdicts if v.rule == "inbox")
+    assert inbox == 2 * max(fw, 1)
 
 
 # ------------------------------------------------------------ EventLog cap
@@ -404,7 +411,7 @@ def test_cli_bounds_trace_contracts(tmp_path, capsys):
     assert main(
         [
             "bounds", str(FIXTURES / "good_ring_window.py"),
-            "--trace", str(trace), "--model-fw", "1", "--model-bw", "2",
+            "--trace", str(trace),
         ]
     ) == EXIT_CLEAN
     out = capsys.readouterr().out
@@ -416,7 +423,7 @@ def test_cli_bounds_trace_contracts(tmp_path, capsys):
     assert main(
         [
             "bounds", str(FIXTURES / "good_ring_window.py"),
-            "--trace", str(flooded), "--model-fw", "1",
+            "--trace", str(flooded),
         ]
     ) == EXIT_FINDINGS  # a refuted contract gates even a clean tree
     assert "REFUTED" in capsys.readouterr().out

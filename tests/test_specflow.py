@@ -35,6 +35,7 @@ from repro.analysis.tools import TOOLS
 from repro.api import RunConfig, run
 from repro.cli import main
 from repro.trace import EventLog, TraceEvent, split_tag
+from repro.trace.events import TraceHeader
 
 from tests.toy_programs import CoupledIncrement
 
@@ -208,8 +209,12 @@ def test_split_tag_families():
     assert split_tag(None) == (None, None)
 
 
+#: The header of the hand-built logs saved below.
+HEADER = TraceHeader(p=2, iterations=4, max_fw=1, hist_cap=4)
+
+
 def test_eventlog_jsonl_roundtrip(tmp_path):
-    log = EventLog()
+    log = EventLog(header=HEADER)
     log.record_message("send", rank=0, time=0.25, peer=1, tag=("vars", 2))
     log.record("speculate", rank=1, time=0.5, peer=0, iteration=2, family="vars")
     path = tmp_path / "trace.jsonl"
@@ -249,14 +254,15 @@ def test_replay_flags_unverified_speculation():
 
 
 def test_replay_flags_stale_speculation():
-    log = EventLog()
+    log = EventLog(header=HEADER)
     log.record("compute", rank=0, time=0.0, iteration=9)
     log.record("speculate", rank=0, time=0.0, peer=1, family="vars", iteration=2)
     log.record("verify", rank=0, time=0.0, peer=1, family="vars", iteration=2)
-    report = replay(TraceView(log), backward_window=4)
+    report = replay(TraceView(log))
     assert [f.code for f in report.findings] == ["SPF102"]
-    # A wide-enough window accepts the same trace.
-    assert replay(TraceView(log), backward_window=10).findings == []
+    # A wide-enough ring accepts the same trace.
+    log.header = TraceHeader(p=2, iterations=4, max_fw=1, hist_cap=10)
+    assert replay(TraceView(log)).findings == []
 
 
 def test_replay_flags_descending_corrections():
@@ -457,7 +463,7 @@ def test_cli_analyze_baseline_flow(tmp_path, capsys):
 
 
 def test_cli_analyze_trace_flags_replay_findings(tmp_path, capsys):
-    log = EventLog()
+    log = EventLog(header=HEADER)
     _msg(log, 0, 1, 0, recv=False)   # leaked message
     trace = tmp_path / "trace.jsonl"
     log.save(trace)

@@ -19,7 +19,7 @@ from repro.analysis.perf.attribution import HOT_SEATS
 from repro.analysis.perf.contracts import PHASE_OF_RULE, observed_phases
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
-from repro.trace.events import EventLog
+from repro.trace.events import EventLog, TraceHeader
 from repro.trace.phases import PHASES
 
 SPECPERF = next(tool for tool in TOOLS if tool.name == "specperf")
@@ -209,7 +209,7 @@ def test_analysis_is_deterministic_over_src():
 
 def _synthetic_log():
     """Two ranks; rank 0: compute-heavy, rank 1: waits on a recv."""
-    log = EventLog()
+    log = EventLog(header=TraceHeader(p=2, iterations=2, max_fw=1, hist_cap=4))
     # rank 0: send at t=0, compute 0->10, verify at 10, next compute.
     log.record("send", 0, 0.0, peer=1, family="vars", iteration=0)
     log.record("compute", 0, 0.0, iteration=0)
@@ -253,7 +253,7 @@ def test_model_phase_shares_normalise_and_degenerate_to_serial():
 def test_check_contracts_verdict_statuses():
     diags = analyze_paths([FIXTURES])
     measured, modeled, verdicts = check_contracts(
-        diags, TraceView(_synthetic_log()), p=2
+        diags, TraceView(_synthetic_log())
     )
     by_code = {v.rule: v for v in verdicts}
     assert set(by_code) == set(ALL_CODES)
@@ -272,8 +272,8 @@ def test_check_contracts_verdict_statuses():
 def test_check_contracts_is_deterministic():
     diags = analyze_paths([FIXTURES])
     view = TraceView(_synthetic_log())
-    a = check_contracts(diags, view, p=2)
-    b = check_contracts(diags, view, p=2)
+    a = check_contracts(diags, view)
+    b = check_contracts(diags, view)
     assert a == b
 
 
@@ -336,13 +336,3 @@ def test_cli_perf_lint_trace_contracts(tmp_path, capsys):
         ["perf-lint", str(FIXTURES), "--trace", str(tmp_path / "nope.jsonl")]
     ) == EXIT_USAGE
 
-
-def test_cli_perf_lint_tol_flag_relaxes_confirmation(tmp_path, capsys):
-    trace = tmp_path / "trace.jsonl"
-    _synthetic_log().save(trace)
-    assert main(
-        ["perf-lint", str(FIXTURES / "bad_spp203_alloc.py"),
-         "--trace", str(trace), "--tol", "1.0"]
-    ) == 1  # the static finding still fails the run
-    out = capsys.readouterr().out
-    assert "REFUTED" in out and "CONFIRMED" not in out

@@ -39,7 +39,7 @@ from repro.analysis.taint import lattice
 from repro.analysis.taint.lattice import COMMITTED, SPEC
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
-from repro.trace.events import EventLog
+from repro.trace.events import EventLog, TraceHeader
 
 SPECTAINT, SPECFLOW = (
     next(tool for tool in TOOLS if tool.name == name)
@@ -284,8 +284,12 @@ def test_one_directive_suppresses_codes_across_families():
 # ---------------------------------------------------------------- verdicts
 
 
+#: The header of the hand-built logs below (spectaint reads none of it).
+HEADER = TraceHeader(p=2, iterations=4, max_fw=1, hist_cap=4)
+
+
 def _escape_log():
-    log = EventLog()
+    log = EventLog(header=HEADER)
     log.record("speculate", rank=0, time=1.0, family="vars", iteration=3)
     log.record("send", rank=0, time=2.0, peer=1, family="vars", iteration=3)
     log.record("verify", rank=0, time=3.0, family="vars", iteration=3)
@@ -293,7 +297,7 @@ def _escape_log():
 
 
 def _clean_log():
-    log = EventLog()
+    log = EventLog(header=HEADER)
     log.record("speculate", rank=0, time=1.0, family="vars", iteration=3)
     log.record("verify", rank=0, time=2.0, family="vars", iteration=3)
     log.record("send", rank=0, time=3.0, peer=1, family="vars", iteration=3)
