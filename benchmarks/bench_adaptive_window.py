@@ -1,12 +1,15 @@
 """ABL-ADAPT: runtime forward-window adaptation on the paper testbed.
 
 The paper tunes FW offline; this ablation lets each rank retune it
-online with :class:`~repro.policy.CostWindow`, which prices the windows
-with Eq. 6 / Eq. 8 from the wait, latency, work and speculation
-overhead it measured, and holds it to the static windows at every p of
-Fig. 8, at Fig. 8's own T=20: starting from FW=1 and free to fall back
-to blocking, the adaptive makespan must be within 2 % of the best fixed
-window's.  The DES is deterministic, so the bound is exact.
+online with :class:`~repro.policy.CostWindow`, which prices every
+window with the engine's pipelining law,
+:func:`~repro.perfmodel.iteration_time` (``C + L`` blocking, Eq. 6;
+``max(C + O, (L + O_v) / f)`` at a window f, Eq. 8 at f = 1), from the
+wait, latency, work and speculation overhead it measured, and holds it
+to the static windows at every p of Fig. 8, at Fig. 8's own T=20:
+starting from FW=1 and free to fall back to blocking, the adaptive
+makespan must be within 2 % of the best fixed window's.  The DES is
+deterministic, so the bound is exact.
 
 One more row repeats the parameter-server straggler comparison (Wong,
 PAPERS.md) on the same program: with one rank computing at half speed,

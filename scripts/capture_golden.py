@@ -53,12 +53,12 @@ def nbody_case(fw: int) -> dict:
 
 
 def nbody_adaptive_case() -> dict:
-    """p=4 jittered DES adaptive run: the per-rank WindowChanged
+    """p=8 jittered DES adaptive run: the per-rank WindowChanged
     trajectory is pure virtual-time arithmetic, hence bit-stable."""
     from repro.policy import CostWindow
 
     _, res = run_nbody(
-        4, 1,
+        8, 1,
         config={"n_particles": 120, "iterations": 12},
         window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
     )

@@ -551,7 +551,7 @@ class Execution(LoopbackRunner):
                 # With a seated policy the adaptation signals *do* feed
                 # back into protocol decisions, so they join the state.
                 put("policy", eng.wait, eng.lag, eng.work,
-                    eng.overhead, eng.policy.state())
+                    eng.overhead, eng.verify, eng.policy.state())
             for k in sorted(eng.history):
                 times, values = eng.history[k].series()
                 put("hist", k, tuple(times),

@@ -240,15 +240,13 @@ class SpecEngine:
         #: Next iteration to compute (chain[frontier] is the newest block).
         self.frontier = 0
         #: The window policy's signals, cumulative since the run started
-        #: (see :meth:`~repro.policy.WindowPolicy.on_iteration`): clock
-        #: time blocked in window waits, the wait a blocking rank would
-        #: have paid, and the clock time charged to fw-independent work
-        #: and to speculation (spec + check + correct) — the transport's
-        #: response to each ``Charge``, or its ops where there is none.
+        #: (see :meth:`~repro.policy.WindowPolicy.on_iteration`): the
+        #: transport's answers to each ``Charge``, or the ops if none.
         self.wait = 0.0
         self.lag = 0.0
         self.work = 0.0
         self.overhead = 0.0
+        self.verify = 0.0
         #: Per-destination send sequence numbers (protocol-order stamps).
         self._send_seq: Dict[int, int] = {dst: 0 for dst in self.audience}
         # ---------------------------------------------- resilience state
@@ -468,7 +466,7 @@ class SpecEngine:
             observe_losses(self.stats.retransmits)
         new_fw = policy.on_iteration(
             t, fw=self.fw, now=float(now), wait=self.wait, lag=self.lag,
-            work=self.work, overhead=self.overhead,
+            work=self.work, overhead=self.overhead, verify=self.verify,
         )
         if new_fw != self.fw:
             old_fw = self.fw
@@ -594,6 +592,10 @@ class SpecEngine:
         spec = self.spec_used.pop((k, t), None)
         return None if spec is None else self._verify(k, t, spec, arrival.payload)
 
+    def _book_verify(self, spent: float) -> None:
+        self.overhead += spent  # check or correct: no window overlaps it
+        self.verify += spent
+
     def _verify(self, k: int, t: int, spec: Block, actual: Block) -> Generator:
         """Check ``spec`` against the ``actual`` X_k(t); cascade on a reject."""
         prog = self.program
@@ -609,7 +611,7 @@ class SpecEngine:
         error = prog.check(j, k, spec, actual, own)
         ops = prog.check_ops(j, k)
         spent = yield Charge(ops, phase="check", iteration=t)
-        self.overhead += ops if spent is None else spent
+        self._book_verify(ops if spent is None else spent)
         if error <= prog.threshold:
             stats.spec_accepted += 1
             return
@@ -633,7 +635,7 @@ class SpecEngine:
         )
         inputs[k] = actual
         spent = yield Charge(ops, phase="correct", iteration=t)
-        self.overhead += ops if spent is None else spent
+        self._book_verify(ops if spent is None else spent)
         self.chain[t + 1] = corrected
         stats.recomputes += 1
         yield Corrected(peer=k, iteration=t)
@@ -656,7 +658,7 @@ class SpecEngine:
                     respec = prog.speculate(j, k2, times, values, t2)
                     ops = prog.speculate_ops(j, k2)
                     spent = yield Charge(ops, phase="correct", iteration=t2)
-                    self.overhead += ops if spent is None else spent
+                    self._book_verify(ops if spent is None else spent)
                     self.spec_used[(k2, t2)] = respec
                     inputs2[k2] = respec
                     stats.spec_made += 1
@@ -664,7 +666,7 @@ class SpecEngine:
             new_block = prog.compute(j, inputs2, t2)
             ops = prog.compute_ops(j)
             spent = yield Charge(ops, phase="correct", iteration=t2)
-            self.overhead += ops if spent is None else spent
+            self._book_verify(ops if spent is None else spent)
             self.chain[t2 + 1] = new_block
             stats.recomputes += 1
         yield _CASCADE_END

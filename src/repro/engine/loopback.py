@@ -96,7 +96,7 @@ class LoopbackRunner:
         #: and the unit of ``Recv.timeout``.  Nothing else is timed:
         #: ``IterationDone`` is answered with None and arrivals carry
         #: no wait or transit, so a seated policy reads the engine's op
-        #: clock and sees no latency to hide.
+        #: clock, has no evidence of latency and holds its window.
         self.rounds = 0
         #: rank -> the ``Recv`` / ``TryRecv`` the rank is parked on.
         self.parked: Dict[int, Any] = {}

@@ -14,6 +14,7 @@ from repro.perfmodel.model import (
     LinearCommTime,
     ModelParams,
     PerformanceModel,
+    iteration_time,
     section4_params,
 )
 
@@ -24,6 +25,7 @@ __all__ = [
     "ModelParams",
     "PerformanceModel",
     "calibrate_tcomm",
+    "iteration_time",
     "model_vs_measured",
     "section4_params",
 ]

@@ -8,12 +8,14 @@ window sizes for speculation"*.  This module builds that model.
 The steady-state pipeline of one (symmetric) processor is simulated as
 a stochastic recurrence over iterations::
 
-    F_t = S_t + overhead + C_t + penalty_t       (compute finishes)
+    F_t = S_t + O_s + C_t + O_v + penalty_t      (compute finishes)
     A_t = S_t + W_t                              (iteration-t messages arrive)
-    S_t = max(F_{t-1}, A_{t-FW})                 (forward-window constraint)
+    S_t = max(F_{t-1}, A_{t-FW} + O_v)           (forward-window constraint)
 
 with per-iteration compute times ``C_t`` and message-arrival delays
 ``W_t`` drawn log-normally around the deterministic Section-4 values.
+Without them and without rejections this is the engine's pipelining
+law, :func:`~repro.perfmodel.model.iteration_time`.
 A speculated input that bridged a gap of ``g`` iterations is rejected
 with probability ``p_rej(g) = min(1, k₁ · g^2 · κ(BW))`` — the gap²
 law follows from constant-velocity extrapolation error growing as
@@ -29,11 +31,11 @@ gap-driven rejections eat the gains — see :meth:`optimal_fw`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perfmodel.model import ModelParams, PerformanceModel
+from repro.perfmodel.model import ModelParams, PerformanceModel, iteration_time
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,6 @@ class ExtendedPerformanceModel:
         self.seed = seed
         self._base = PerformanceModel(params)
 
-    # ----------------------------------------------------------- components
-    def _deterministic_components(self, p: int) -> tuple[float, float, float, float]:
-        """(spec+comp time, check time, comm time, compute time) on the
-        bottleneck processor of a p-processor run (per iteration)."""
-        # Bottleneck = the rank with the largest Eq.-8 time.
-        times = [self._base.t_spec_rank(p, i) for i in range(p)]
-        spec, comp, check, _ = self._base.spec_terms(p, int(np.argmax(times)))
-        return spec, check, self.params.t_comm(p), comp
-
     # ------------------------------------------------------------- estimate
     def expected_iteration_time(self, p: int, fw: int, bw: int = 2) -> float:
         """Mean steady-state iteration time at forward window ``fw``.
@@ -152,46 +145,34 @@ class ExtendedPerformanceModel:
         warmup = max(50, self.mc_iterations // 10)
         total = self.mc_iterations + warmup
 
+        comm = self.params.t_comm(p)
         if fw == 0:
             # Blocking algorithm: its own (compute-balanced) allocation,
             # no speculation overheads; iteration = compute + full wait.
-            comp0 = self._base.t_nospec(p) - self.params.t_comm(p)
-            comp_draws = comp0 * _lognormal_factors(rng, var.comp_cv, total)
-            comm_draws = self.params.t_comm(p) * _lognormal_factors(
-                rng, var.comm_cv, total
-            )
-            samples = comp_draws + comm_draws
-            return float(samples[warmup:].mean())
-
-        spec, check, comm, comp = self._deterministic_components(p)
+            comp, spec, check = self._base.t_nospec(p) - comm, 0.0, 0.0
+        else:  # the bottleneck: the rank with the largest Eq.-8 time
+            rank = max(range(p), key=lambda i: self._base.t_spec_rank(p, i))
+            spec, comp, check, _ = self._base.spec_terms(p, rank)
         comp_draws = comp * _lognormal_factors(rng, var.comp_cv, total)
         comm_draws = comm * _lognormal_factors(rng, var.comm_cv, total)
+        if fw == 0:
+            return float(iteration_time(0, comp_draws, comm_draws)[warmup:].mean())
         reject_draws = rng.uniform(size=total)
 
         finish = 0.0  # F_{t-1}
         arrivals = np.zeros(total)  # A_t
         starts = np.zeros(total)
         for t in range(total):
-            gate = arrivals[t - fw] if t - fw >= 0 else 0.0
-            start = max(finish, gate)
-            starts[t] = start
+            gate = arrivals[t - fw] + check if t >= fw else 0.0  # A_{t-FW} + O_v
+            starts[t] = start = max(finish, gate)
             arrivals[t] = start + comm_draws[t]
-            # Speculation gap: distance from the newest verified input.
+            # Speculation gap: distance from the newest verified input,
             # v = the largest j < t whose messages had arrived by the
-            # time this compute started (v = -1 means only the initial
-            # state was verified).
-            v = -1
-            for j in range(t - 1, max(t - fw - 1, -1), -1):
-                if arrivals[j] <= start:
-                    v = j
-                    break
-            gap = max(1, min(t - v if v >= 0 else t + 1, fw))
-            p_rej = var.rejection_probability(max(gap, 1), bw)
-            penalty = (
-                var.correction_fraction * comp_draws[t]
-                if reject_draws[t] < p_rej
-                else 0.0
-            )
+            # time this compute started (-1: only the initial state).
+            v = next((j for j in range(t - 1, max(t - fw - 1, -1), -1)
+                      if arrivals[j] <= start), -1)
+            p_rej = var.rejection_probability(max(1, min(t - v, fw)), bw)
+            penalty = var.correction_fraction * comp_draws[t] if reject_draws[t] < p_rej else 0.0
             finish = start + spec + comp_draws[t] + check + penalty
         return float((finish - starts[warmup]) / (total - warmup))
 

@@ -15,12 +15,26 @@ Model assumptions (paper, Section 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.partition import largest_remainder_round
+
+
+def iteration_time(f: int, work: float, latency: float, speculate: float = 0.0,
+                   check: float = 0.0, correct: float = 0.0) -> float:
+    """The pipelining law: a rank's iteration time at forward window ``f``.
+
+    The engine sends X(t) once X(t - f) has arrived and been checked and
+    corrected, ``S(t) = max(S(t-1) + C + O, S(t-f) + L + O_v)``: work C,
+    latency L, ``speculate`` O_s (overlaps the wait), ``check + correct``
+    O_v (cannot), O = O_s + O_v.  So T(0) = C + L (Eq. 6) and T(f) =
+    max(C + O, (L + O_v) / f), which at f = 1 is Eq. 8, float op for op.
+    """
+    if f == 0:
+        return work + latency
+    wait = (latency - (f - 1) * (check + correct)) / f
+    return max(speculate + work, wait) + check + correct
 
 
 @dataclass(frozen=True)
@@ -195,7 +209,7 @@ class PerformanceModel:
         comp = max(
             n_i * pr.f_comp / m_i for n_i, m_i in zip(counts, pr.capacities[:p])
         )
-        return comp + pr.t_comm(p)
+        return iteration_time(0, comp, pr.t_comm(p))
 
     def spec_terms(self, p: int, i: int) -> tuple[float, float, float, float]:
         """Eq. 8's work terms on processor i (0-based), in seconds:
@@ -214,7 +228,7 @@ class PerformanceModel:
         )
 
     def t_spec_rank(self, p: int, i: int) -> float:
-        """Eq. 8: iteration time with speculation on processor i (0-based),
+        """Eq. 8, :func:`iteration_time` at FW = 1, on processor i (0-based):
         ``max(spec + comp, t_comm) + check + correct``.
 
         A processor allocated zero variables (possible under ``"total"``
@@ -224,7 +238,7 @@ class PerformanceModel:
         if self.allocation(p)[i] == 0.0:
             return 0.0
         spec, comp, check, correct = self.spec_terms(p, i)
-        return max(spec + comp, self.params.t_comm(p)) + check + correct
+        return iteration_time(1, comp, self.params.t_comm(p), spec, check, correct)
 
     def t_spec(self, p: int) -> float:
         """Eq. 9: iteration time with speculation (max over processors)."""

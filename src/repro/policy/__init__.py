@@ -13,9 +13,9 @@ transport:
   ``StaticWindow(fw)`` is effect-for-effect identical to a fixed-FW
   run (it never changes the window, so no
   :class:`~repro.engine.events.WindowChanged` is ever emitted).
-* :class:`CostWindow` — the controller: it prices the neighbouring
-  windows with the paper's Eq. 6 / Eq. 8 terms measured over each
-  epoch and moves to a cheaper one; because it is seated *inside*
+* :class:`CostWindow` — the controller: it prices every window with
+  the engine's pipelining law from each epoch's measured terms and
+  moves toward the cheapest; because it is seated *inside*
   :class:`~repro.engine.core.SpecEngine` it adapts on every backend
   (DES virtual time, real wall clocks, charged ops where there is no
   clock).
@@ -27,9 +27,10 @@ transport:
   the stringly-typed ``cascade="recompute"|"none"`` previously
   validated in three separate constructors.
 
-Policies are deliberately pure Python with no engine, transport or
-numpy imports: they must pickle cleanly across ``multiprocessing``
-workers and hash cheaply into the model checker's state fingerprints.
+Policies are deliberately pure Python with no engine or transport
+imports and plain-float marks: they must pickle cleanly across
+``multiprocessing`` workers and hash cheaply into the model checker's
+state fingerprints.
 """
 
 from repro.policy.cascade import CascadePolicy

@@ -2,10 +2,11 @@
 
 The engine consults its policy once per completed iteration, passing
 *cumulative* signals (time blocked in window waits, the wait a blocking
-rank would have paid, and the time charged to work and to speculation,
-all since the run started) plus the transport's clock — virtual
-seconds under DES, wall seconds on pipes, the rank's own ops plus waits
-where the transport has no clock (loopback, the model checker).
+rank would have paid, the time charged to work, to speculation and to
+its check + correct part, all since the run started) plus the
+transport's clock — virtual seconds under DES, wall seconds on pipes,
+the rank's own ops plus waits where the transport has no clock
+(loopback, the model checker).
 Policies that think in epochs keep their own marks and difference
 against them; the engine never resets anything.
 
@@ -22,6 +23,8 @@ import statistics
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, List, Protocol, Tuple, runtime_checkable
+
+from repro.perfmodel.model import iteration_time
 
 
 @runtime_checkable
@@ -51,6 +54,7 @@ class WindowPolicy(Protocol):
         lag: float,
         work: float,
         overhead: float,
+        verify: float,
     ) -> int:
         """Observe iteration ``t``'s completion; return the next FW.
 
@@ -61,7 +65,8 @@ class WindowPolicy(Protocol):
         message that completed each one's inputs (the wait a blocking
         rank pays); ``work`` and ``overhead`` are the time charged to
         fw-independent work (compute, message packing) and to
-        speculation (speculate, check, correct).
+        speculation (speculate, check, correct); ``verify`` is the check
+        and correct part, run between an arrival and the next send.
         """
         ...
 
@@ -108,32 +113,33 @@ class CostWindow:
     """The cost-rule forward-window controller (per rank).
 
     Every ``epoch`` iterations the rank prices every window in
-    ``[min_fw, max_fw]`` with the terms of the paper's Eq. 6 and Eq. 8,
-    measured over the epoch just run (per iteration, in the transport's
-    clock):
+    ``[min_fw, max_fw]`` with the engine's pipelining law,
+    :func:`~repro.perfmodel.model.iteration_time` (``C + L`` blocking,
+    Eq. 6; ``max(C + O, (L + O_v) / f)`` at a window ``f``, Eq. 8 at
+    ``f = 1``), from the epoch just run, per iteration in the
+    transport's clock: the work ``C`` (compute, packing), speculation
+    ``O_s`` and check + correct ``O_v`` (``O = O_s + O_v``), and the
+    latency ``L``, the transit of the message that completed each
+    iteration's inputs.  A wait at window ``fw`` is the law's latency
+    bound binding, so the law run backwards gives ``L >= fw·(C + O +
+    wait) - O_v`` (``wait`` at ``fw = 0``), which is all a transport
+    without transit times (loopback, the model checker) can tell.
 
-    * ``C`` — fw-independent work (compute, message packing);
-    * ``O`` — speculation overhead (speculate + check + correct);
-    * ``L`` — the latency a window hides: the transit of the message
-      that completed each iteration's inputs.  A wait at window ``fw``
-      also proves ``L >= wait + fw·(C + O)``, which is all a transport
-      without transit times (loopback, the model checker) can tell.
+    The rank steps one window toward the cheapest when
 
-    Blocking costs ``C + L`` per iteration (Eq. 6); a window ``f >= 1``
-    costs ``C + O + max(0, L - f·(C + O))`` (Eq. 8, each message
-    overlapped with ``f`` iterations of work).  The rank steps one
-    window toward the cheapest when two things hold:
-
-    * over the epoch, the predicted gain exceeds the standard error of
-      the epoch's iteration times, so noise alone never moves it;
+    * the epoch saw a wait or a transit (one with neither is no
+      evidence about ``L``);
+    * the predicted gain exceeds the standard error of the epoch's
+      iteration times averaged per ``max(fw, 1)`` of them (a window
+      spreads one wait over that many: the pipeline's shape, not
+      noise), so noise alone never moves it;
     * priced on the epoch's last iteration alone, the cheapest window
-      still wins, so a delay that has already passed is not chased
-      (one-off delays decay by themselves).
+      still wins, so a delay that has already passed is not chased.
 
     ``O`` is observable only while speculating: at ``fw = 0`` the last
-    measured ratio ``O / C`` stands in (0 before any, so a blocking
-    rank that sees latency tries a window once and learns its price).
-    The rule has no thresholds to tune: ``epoch`` is how often it
+    measured ``O_s / C`` and ``O_v / C`` stand in (0 before any, so a
+    blocking rank that sees latency tries a window once and learns its
+    price).  There are no thresholds to tune: ``epoch`` is how often it
     decides and ``min_fw`` / ``max_fw`` bound where it may go.
     """
 
@@ -141,14 +147,14 @@ class CostWindow:
     min_fw: int = 0
     max_fw: int = 4
 
-    #: The cumulative signals (now, wait, lag, work, overhead) at the
-    #: previous iteration, and this epoch's per-iteration differences.
+    #: The cumulative signals at the previous iteration, and this
+    #: epoch's per-iteration differences.
     _prev: Tuple[float, ...] = field(
-        default=(0.0,) * 5, init=False, repr=False)
+        default=(0.0,) * 6, init=False, repr=False)
     _steps: List[Tuple[float, ...]] = field(
         default_factory=list, init=False, repr=False)
-    #: Overhead per unit of work, as last measured at fw >= 1.
-    _share: float = field(default=0.0, init=False, repr=False)
+    #: ``O_s / C`` and ``O_v / C``, as last measured at fw >= 1.
+    _share: Tuple[float, float] = field(default=(0.0, 0.0), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.epoch < 1:
@@ -169,49 +175,43 @@ class CostWindow:
         lag: float,
         work: float,
         overhead: float,
+        verify: float,
     ) -> int:
-        signals = (now, wait, lag, work, overhead)
+        signals = (now, wait, lag, work, overhead, verify)
         self._steps.append(
             tuple(cur - prev for cur, prev in zip(signals, self._prev)))
         self._prev = signals
         if (t + 1) % self.epoch != 0:
             return fw
         steps, self._steps = self._steps, []
-        times, d_wait, d_lag, d_work, d_over = zip(*steps)
-        if fw > 0 and sum(d_work) > 0:
-            self._share = sum(d_over) / sum(d_work)
-        mean_cost = self._pricer(
-            fw, len(steps), sum(d_wait), sum(d_lag), sum(d_work))
+        times, d_wait, d_lag, d_work, d_over, d_verify = zip(*steps)
+        n, work = len(steps), sum(d_work)
+        if fw > 0 and work > 0:
+            self._share = ((sum(d_over) - sum(d_verify)) / work, sum(d_verify) / work)
+        if not any(d_wait) and not any(d_lag):
+            return fw
+        mean_cost = self._pricer(fw, sum(d_wait) / n, sum(d_lag) / n, work / n)
         best = min(range(self.min_fw, self.max_fw + 1),
                    key=lambda f: (mean_cost(f), abs(f - fw)))
-        last_cost = self._pricer(fw, 1, d_wait[-1], d_lag[-1], d_work[-1])
-        noise = (statistics.stdev(times) / math.sqrt(len(times))
-                 if len(times) > 1 else 0.0)
+        last_cost = self._pricer(fw, d_wait[-1], d_lag[-1], d_work[-1])
+        period = max(fw, 1)
+        spans = [sum(times[i:i + period]) / period for i in range(0, n - period + 1, period)]
+        noise = statistics.stdev(spans) / math.sqrt(len(spans)) if len(spans) > 1 else 0.0
         if (mean_cost(fw) - mean_cost(best) > noise
                 and last_cost(best) < last_cost(fw)):
             return fw + (1 if best > fw else -1)
         return fw
 
-    def _pricer(
-        self, fw: int, n: int, wait: float, lag: float, work: float
-    ) -> Callable[[int], float]:
-        """Per-iteration cost of window ``f``, from the wait, lag and
-        work of ``n`` iterations measured at window ``fw``."""
-        c = work / n
-        o = c * self._share
-        hidden = lag / n
-        if wait > 0:
-            hidden = max(hidden, wait / n + fw * (c + o))
-
-        def cost(f: int) -> float:
-            if f == 0:
-                return c + hidden
-            return c + o + max(0.0, hidden - f * (c + o))
-
-        return cost
+    def _pricer(self, fw: int, wait: float, latency: float, c: float) -> Callable[[int], float]:
+        """Per-iteration cost of window ``f``, from one iteration's
+        wait, transit and work measured at window ``fw``."""
+        o_s, o_v = (c * share for share in self._share)
+        if wait > 0:  # the law run backwards
+            latency = max(latency, wait if fw == 0 else fw * (c + o_s + o_v + wait) - o_v)
+        return lambda f: iteration_time(f, c, latency, o_s, o_v)
 
     def state(self) -> Tuple[float, ...]:
-        return (self._share, *self._prev, *chain(*self._steps))
+        return (*self._share, *self._prev, *chain(*self._steps))
 
 
 @dataclass

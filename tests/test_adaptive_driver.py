@@ -111,6 +111,25 @@ def test_adaptive_results_still_correct():
         np.testing.assert_allclose(block, ref[rank], atol=1e-9)
 
 
+def test_adaptive_finds_the_best_fixed_window_when_latency_dominates():
+    """50 ms of latency against 10 us of work: a window of f hides all
+    but (L + O_v) / f of it, so each wider window pays, and the best
+    fixed window is the widest.  From FW=1 the policy ends there on
+    every rank and, over 160 iterations with its ramp, stays within 10 %
+    of that fixed window."""
+
+    def run_toy(fw, policy=None):
+        return run(RunConfig(constant_prog(iterations=160), fw=fw,
+                             latency=0.05, window_policy=policy))
+
+    fixed = {fw: run_toy(fw).wall_seconds for fw in range(5)}
+    best = min(fixed, key=fixed.get)
+    adaptive = run_toy(1, CostWindow(epoch=2, min_fw=0, max_fw=4))
+    assert best == 4
+    assert adaptive.final_windows() == [best, best]
+    assert adaptive.wall_seconds <= 1.10 * fixed[best]
+
+
 @pytest.mark.parametrize("p", [4, 16])
 def test_adaptive_never_loses_to_the_best_fixed_window(p):
     """The fig8 contract at fig8's own T=20, from --fw 1 with min_fw=0:

@@ -89,14 +89,16 @@ def test_nbody_matches_pre_refactor_driver(case, fw):
 
 
 def test_nbody_adaptive_matches_pinned_trajectory():
-    """The p=4 jittered DES adaptive run is bit-stable: virtual time is
+    """The p=8 jittered DES adaptive run is bit-stable: virtual time is
     deterministic, so every rank's WindowChanged trajectory (and the
-    stats it steers) must reproduce the pinned golden exactly."""
+    stats it steers) must reproduce the pinned golden exactly.  At
+    p=8 the 120-particle blocks compute for less than the latency, so
+    the ranks widen."""
     from repro.harness import run_nbody
     from repro.policy import CostWindow
 
     _, res = run_nbody(
-        4, 1,
+        8, 1,
         config={"n_particles": 120, "iterations": 12},
         window_policy=CostWindow(epoch=2, min_fw=0, max_fw=3),
     )

@@ -1,21 +1,25 @@
-"""Cross-validation: the extended performance model vs the simulator.
+"""Cross-validation: the performance models vs the simulator.
 
-The Monte-Carlo pipeline model of :mod:`repro.perfmodel.extended` and
-the discrete-event simulator implement the same protocol at very
-different abstraction levels; their qualitative predictions must
-agree.
+The pipelining law :func:`repro.perfmodel.iteration_time` must be what
+the discrete-event simulator runs.  The Monte-Carlo pipeline model of
+:mod:`repro.perfmodel.extended` and the simulator implement the same
+protocol at very different abstraction levels; their qualitative
+predictions must agree.
 """
 
 import pytest
 
 from repro.api import RunConfig, run
 from repro.core import ZeroOrderHold
+from repro.harness import fig9_model_vs_measured, run_nbody
 from repro.netsim import ConstantLatency, DelayNetwork, StochasticLatency
 from repro.perfmodel import (
     ExtendedPerformanceModel,
     LinearCommTime,
     ModelParams,
+    PerformanceModel,
     VariabilityParams,
+    iteration_time,
 )
 from repro.vm import Cluster, uniform_specs
 
@@ -96,3 +100,52 @@ def test_agreement_on_variance_penalty():
     mod_noisy = model_time_per_iteration(1, 0.66)
     assert des_noisy > des_calm
     assert mod_noisy > mod_calm
+
+
+def test_the_law_is_the_des_slope_on_the_toy():
+    """The engine's pipelining law against the DES it describes: the
+    per-iteration slope of the toy on the default uniform cluster (10 us
+    of work, 0.48 us speculation and 0.96 us check per iteration) at
+    L / C in {0.5, 2, 8, 32} and every window 0-4 is ``iteration_time``
+    to 1 %."""
+
+    def toy(iterations):
+        return CoupledIncrement(
+            nprocs=2, iterations=iterations, coupling=0.0, rates=[0.0, 0.0],
+            threshold=0.0, speculator=ZeroOrderHold(),
+        )
+
+    def makespan(fw, iterations, latency):
+        return run(RunConfig(toy(iterations), fw=fw, latency=latency)).wall_seconds
+
+    prog, (cpu, _) = toy(1), uniform_specs(2)
+    work, spec, check = (cpu.seconds_for(ops) for ops in (
+        prog.compute_ops(0), prog.speculate_ops(0, 1), prog.check_ops(0, 1)))
+
+    for ratio in (0.5, 2, 8, 32):
+        latency = ratio * work
+        for fw in range(5):
+            slope = (makespan(fw, 160, latency) - makespan(fw, 40, latency)) / 120
+            law = iteration_time(fw, work, latency, spec, check)
+            assert slope == pytest.approx(law, rel=0.01), (ratio, fw)
+
+
+def test_the_law_holds_on_the_fig8_platform():
+    """On the Fig. 8 platform latency never outlasts a rank's work, so
+    the law prices FW=2 like FW=1, as the DES runs it.  At FW 0-2 its
+    speedups are within the Fig. 9 model's 4.8 % of the DES at every p
+    (FW 0 and 1 are Fig. 9's own columns: Eq. 6 and Eq. 8 are the law
+    there)."""
+    fig9 = fig9_model_vs_measured()
+    data = fig9.extra["data"]
+    assert max(data["deviation_no_speculation_pct"]) < 4.8
+    assert max(data["deviation_speculation_pct"]) < 4.8
+    model = PerformanceModel(fig9.extra["params"])
+    t1 = run_nbody(1, 0)[1].time_per_iteration
+    for p in (2, 4, 8, 12, 16):
+        law = max(
+            iteration_time(2, comp, model.params.t_comm(p), spec, check, correct)
+            for spec, comp, check, correct in (
+                model.spec_terms(p, i) for i in range(p)))
+        measured = t1 / run_nbody(p, 2)[1].time_per_iteration
+        assert model.t_serial() / law == pytest.approx(measured, rel=0.048), p

@@ -1,11 +1,15 @@
 """Tests for the extended (variance + window aware) performance model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.perfmodel import (
     ExtendedPerformanceModel,
+    LinearCommTime,
     PerformanceModel,
     VariabilityParams,
+    iteration_time,
     section4_params,
 )
 
@@ -48,10 +52,23 @@ def test_bw_discount_reduces_rejections():
     assert v.rejection_probability(2, 3) == pytest.approx(0.1)
 
 
-def test_fw0_matches_deterministic_base_model():
-    m = model(comm_cv=0.0, comp_cv=0.0)
-    base = PerformanceModel(section4_params(k=0.02))
-    assert m.expected_iteration_time(16, 0) == pytest.approx(base.t_nospec(16), rel=1e-6)
+def test_deterministic_limit_is_the_law_at_every_fw():
+    """No variance and no rejections leave the engine's pipelining law:
+    ``C + L`` blocking, ``max(C + O, (L + O_v) / f)`` on the bottleneck
+    rank at a window f, to within the one iteration of the 4000 averaged
+    that a window's phase can add.  The latency is four compute phases,
+    so it binds up to f = 3 and the work binds at f = 4."""
+    params = section4_params(k=0.0)
+    params = replace(params, t_comm=LinearCommTime(slope=4 * params.t_comm.slope))
+    base = PerformanceModel(params)
+    m = ExtendedPerformanceModel(params, VariabilityParams(k1=0.0), seed=1)
+    rank = max(range(16), key=lambda i: base.t_spec_rank(16, i))
+    spec, comp, check, _ = base.spec_terms(16, rank)
+    laws = [base.t_nospec(16)] + [
+        iteration_time(fw, comp, params.t_comm(16), spec, check) for fw in range(1, 5)]
+    assert laws[3] > laws[4] == comp + spec + check
+    for fw, law in enumerate(laws):
+        assert m.expected_iteration_time(16, fw) == pytest.approx(law, rel=1e-3), fw
 
 
 def test_p1_reduces_to_serial():

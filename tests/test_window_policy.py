@@ -82,14 +82,14 @@ def test_static_window_is_frozen_and_inert():
 # --------------------------------------------------------------- CostWindow
 def _feed(win, fw, rows):
     """Drive ``win`` through one iteration per row of *per-iteration*
-    (span, wait, lag, work, overhead); the FW after each."""
-    totals = [0.0] * 5
+    (span, wait, lag, work, overhead[, verify]); the FW after each."""
+    totals = [0.0] * 6
     decisions = []
     for t, row in enumerate(rows):
-        totals = [a + b for a, b in zip(totals, row)]
-        now, wait, lag, work, overhead = totals
+        totals = [a + b for a, b in zip(totals, (*row, 0.0)[:6])]
+        now, wait, lag, work, overhead, verify = totals
         fw = win.on_iteration(t, fw=fw, now=now, wait=wait, lag=lag,
-                              work=work, overhead=overhead)
+                              work=work, overhead=overhead, verify=verify)
         decisions.append(fw)
     return decisions
 
@@ -99,7 +99,7 @@ def test_cost_window_spawn_gives_independent_controllers():
     a, b = template.spawn(), template.spawn()
     assert a is not template and a is not b
     # Drive a only: a wait at fw=1 proves latency beyond one iteration
-    # of work (L >= 2 + 1), which a wider window hides -> step up.
+    # of work (L >= 1 + 2), which a wider window hides -> step up.
     assert _feed(a, 1, [(3.0, 2.0, 0.0, 1.0, 0.0)]) == [2]
     assert a.state() != b.state()  # a's marks moved; b untouched
 
@@ -110,7 +110,7 @@ def test_cost_window_widens_on_hidden_latency_and_shrinks_on_overhead():
     # only 0.1, so blocking (1 + 0.1) is cheaper than speculating
     # (1 + 0.5) -> shrink.  Epoch 2 at fw=0: every iteration waits 2
     # for its inputs; a window pays the remembered overhead 0.5 and
-    # hides 1.5 of them -> widen.
+    # spreads the wait over the iterations in flight (2 / f) -> widen.
     rows = [(1.5, 0.0, 0.1, 1.0, 0.5)] * 2 + [(3.0, 2.0, 2.0, 1.0, 0.0)] * 2
     assert _feed(win, 1, rows) == [1, 0, 0, 1]
 
@@ -120,10 +120,13 @@ def test_aimd_holds_inside_deadband():
     the cost rule that replaced it holds while the predicted gain is
     inside the epoch's noise, or gone by the epoch's last iteration."""
     win = CostWindow(epoch=2, min_fw=0, max_fw=4)
-    # Blocking would save 0.14 of 1.5 per iteration, but the iteration
+    # Blocking would save 0.09 of 1.5 per iteration, but the iteration
     # times spread by a standard error of 0.5: hold.
-    assert _feed(win, 1, [(1.0, 0.0, 0.0, 1.0, 0.1),
-                          (2.0, 0.0, 0.0, 1.0, 0.1)]) == [1, 1]
+    assert _feed(win, 1, [(1.0, 0.0, 0.01, 1.0, 0.1),
+                          (2.0, 0.0, 0.01, 1.0, 0.1)]) == [1, 1]
+    # An epoch with no wait and no transit says nothing about latency:
+    # its overhead alone does not price a step down to blocking.
+    assert _feed(CostWindow(epoch=2), 1, [(1.5, 0.0, 0.0, 1.0, 0.5)] * 2) == [1, 1]
     # A delay that hit three iterations but is gone by the epoch's last
     # one is not chased.
     delayed = (9.0, 4.0, 4.0, 10.0, 0.0)
@@ -336,11 +339,14 @@ def test_specmc_explores_cost_window_cleanly():
 
 
 def test_specmc_cost_trajectory_reaches_both_directions():
-    """Delivery is instant in the model, so a speculation that hid no
-    wait is priced as pure overhead and the canonical schedule shrinks
-    the window; the blocking receives that follow are waits a window
-    would hide, so it widens again.  The engines' deterministic op
-    clock makes both decisions reachable under either scenario."""
+    """Delivery is instant in the model, so an iteration that neither
+    waited nor saw a transit is no evidence and the window holds; a
+    blocked delivery waits one compute step.  Under ``constant`` that
+    wait is latency a wider window hides, so the canonical schedule
+    widens; under ``drift`` every speculation is rejected, and the
+    check and correction each rejection costs exceed the compute a
+    window overlaps with the wait, so it shrinks.
+    The engines' deterministic op clock makes both reachable."""
     from repro.analysis.modelcheck import McConfig
     from repro.analysis.modelcheck.model import Execution
 
@@ -357,8 +363,8 @@ def test_specmc_cost_trajectory_reaches_both_directions():
         return [[fw for _, fw in history]
                 for history in ex.window_history.values()]
 
-    for scenario in ("drift", "constant"):
-        assert [1, 0, 1] in trajectories(scenario), scenario
+    assert [1, 0] in trajectories("drift")
+    assert [1, 2] in trajectories("constant")
 
 
 def test_specmc_runaway_window_mutation_is_caught():
