@@ -19,9 +19,9 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 * **specflow** (SPF110, SPF111, :mod:`repro.analysis.races`) —
   per-function CFGs + a call graph feed a happens-before race
   analysis of the message-tag families;
-  :mod:`repro.analysis.replay` checks the same two rules, and the
-  speculate→verify→correct lifecycle of each rank, dynamically
-  against a recorded :class:`~repro.trace.events.EventLog`.
+  :mod:`repro.analysis.replay` checks the same two rules dynamically
+  against a recorded :class:`~repro.trace.events.EventLog`, and runs
+  the runtime sanitizer over each rank's records.
 * **specperf** (SPP2xx, :mod:`repro.analysis.perf`) — phase
   attribution over the same call graph feeds a hot-path cost rule
   pack; ``--trace`` judges the findings against the calibrated

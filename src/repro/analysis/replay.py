@@ -1,43 +1,39 @@
-"""Trace replay: check recorded runs against the protocol HB model.
+"""Trace replay: check a recorded run rank by rank, then across ranks.
 
-The static half of specflow (:mod:`repro.analysis.races`) reasons
-about *source sites*; this module applies the same happens-before
-discipline to a *recorded execution* — an :class:`~repro.trace.events.EventLog` produced by the
-simulator or the multiprocessing backend.  Each event becomes a node
-in the shared :class:`~repro.analysis.races.HappensBeforeGraph`:
+**Per rank, the live sanitizer offline.** Each rank's records of an
+:class:`~repro.trace.events.EventLog` (simulator, loopback, pipes or
+specmc's ``--emit-trace``), in program order, go through a
+:class:`~repro.analysis.sanitizer.ProtocolSanitizer`:
+:data:`~repro.engine.observer.REPLAYED` rebuilds the effect a record was
+made from, and the call :data:`~repro.engine.observer.OBSERVED` makes
+for it live is made again, so a finding carries the invariant id the
+live seat raises (:mod:`repro.analysis.invariants`).  The live calls
+outside that table are made the same way: a ``recv`` carrying its wire
+seq goes to ``on_delivery`` (loopback and pipes stamp it; the DES
+networks are FIFO by construction and never check it); a
+``retransmit`` opens its seq's gap, which heals once that seq has
+reached the rank -- by a ``recv`` of it, or the fault seam's ``fault``
+record for it (the seam re-delivers from its own buffer) -- as the
+engine's ``on_gap_healed`` does live; and a cascade ends at the first
+record that is not one of its steps.  A rank stops at its first
+violation, as the live seat raises at its first; the run-end checks
+run only when no rank violated.
 
-* per-rank program order: ``(rank, seq)`` → ``(rank, seq + 1)``;
-* message order: each send is matched to the receive that consumed it
-  (:func:`repro.analysis.trace_view.match_messages`, run once per
-  :class:`~repro.analysis.trace_view.TraceView`) and contributes a
-  cross-rank edge.
+**Across ranks, the happens-before graph.** Per-rank program order
+plus one edge per matched message
+(:func:`~repro.analysis.trace_view.match_messages`) make the shared
+:class:`~repro.analysis.races.HappensBeforeGraph`, over which run the
+dynamic mirrors of the two SPF rules (same codes, so a static finding
+and its runtime witness line up): **SPF110**, a send never received or
+a receive never fed, and **SPF111**, two same-family sends on one
+channel received in the opposite order.  The receiving rank stops at
+an SPF111 arrival: live, its history ring raised there
+(``history-ring-bound``).
 
-On top of the dynamic graph the replay runs the *dynamic mirrors* of
-the two SPF rules (same codes, so a static finding and its runtime
-witness line up):
-
-* **SPF110** — sends never received / receives never fed by a send;
-* **SPF111** — message overtaking: two same-family sends from one
-  rank to one peer received in the opposite order;
-
-and three per-rank lifecycle checks that have no static rule (their
-properties are the runtime invariants ``eventual-verification``,
-``history-ring-bound`` and ``cascade-order`` of
-:mod:`repro.analysis.invariants`; the codes below only label the
-report lines):
-
-* **SPF101** — a speculation never verified before the run ended;
-* **SPF102** — a speculation whose source iteration lags the rank's
-  compute frontier by more than the history ring holds (the trace
-  header's ``hist_cap``);
-* **SPF103** — corrections applied in descending iteration order.
-
-Finally :func:`cross_reference` joins a static diagnostic list with a
-replay report: every SPF code is marked CONFIRMED (the trace exhibits
-the behaviour), REFUTED (the trace exercised the code's behaviour and
-stayed clean) or UNOBSERVED (the trace never reached it) — the
-``protocol-contract`` verdicts ``repro analyze --trace`` prints through
-:func:`judge`.
+:func:`cross_reference` marks each static SPF code CONFIRMED (the trace
+exhibits it), REFUTED (the trace exercised it and stayed clean) or
+UNOBSERVED -- the ``protocol-contract`` verdicts ``repro analyze
+--trace`` prints through :func:`judge`.
 """
 
 from __future__ import annotations
@@ -47,6 +43,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.races import HappensBeforeGraph
+from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.analysis.trace_view import (
     CONFIRMED,
     REFUTED,
@@ -56,18 +53,25 @@ from repro.analysis.trace_view import (
 )
 from repro.trace.events import TraceEvent
 
+#: The rank (and seq) of a run-end finding, which judges the whole run.
+RUN_END = -1
+
 
 @dataclass(frozen=True, order=True)
 class ReplayFinding:
     """One protocol violation witnessed in a recorded trace."""
 
-    code: str          # SPF1xx: a static rule's code or a lifecycle label
-    rank: int
+    code: str          # SPF110 / SPF111, or the sanitizer's invariant id
+    rank: int          # RUN_END for a run-end finding
     seq: int
     message: str
 
     def format_text(self) -> str:
-        return f"trace rank {self.rank} seq {self.seq}: {self.code} {self.message}"
+        where = (
+            "run end" if self.rank == RUN_END
+            else f"rank {self.rank} seq {self.seq}"
+        )
+        return f"trace {where}: {self.code} {self.message}"
 
 
 @dataclass
@@ -85,11 +89,6 @@ class ReplayReport:
 def event_key(ev: TraceEvent) -> tuple[int, int]:
     """Graph-node identity of one event: ``(rank, seq)``."""
     return (ev.rank, ev.seq)
-
-
-# --------------------------------------------------------------------------
-# dynamic happens-before construction
-# --------------------------------------------------------------------------
 
 
 def build_dynamic_hb(
@@ -115,90 +114,75 @@ def build_dynamic_hb(
 
 
 # --------------------------------------------------------------------------
-# dynamic rule mirrors
+# per rank: the sanitizer over each rank's records
 # --------------------------------------------------------------------------
 
 
-def _check_unverified_speculations(view: TraceView) -> Iterator[ReplayFinding]:
-    """SPF101: speculate events never followed by verify/correct."""
-    for events in view.by_rank.values():
-        open_specs: dict[tuple[Optional[int], Optional[int]], TraceEvent] = {}
-        for ev in events:
-            key = (ev.peer, ev.iteration)
-            if ev.kind == "speculate":
-                open_specs[key] = ev
-            elif ev.kind in ("verify", "correct"):
-                open_specs.pop(key, None)
-        for ev in sorted(open_specs.values()):
-            yield ReplayFinding(
-                code="SPF101",
-                rank=ev.rank,
-                seq=ev.seq,
-                message=(
-                    f"speculated input from rank {ev.peer} for iteration "
-                    f"{ev.iteration} was never verified before the run "
-                    "ended; its effects committed unchecked"
-                ),
-            )
+def _sanitize_rank(
+    san: ProtocolSanitizer, events: list[TraceEvent], stop: Optional[int],
+) -> Optional[ReplayFinding]:
+    """Feed one rank's records (up to seq ``stop``) to ``san``; the
+    finding for the first that violates, else None."""
+    # Not at module level: importing repro.analysis must not load the
+    # engine package (which imports repro.analysis) part-way through.
+    from repro.engine.events import CascadeBegin, CascadeStep
+    from repro.engine.observer import OBSERVED, REPLAYED
 
-
-def _check_stale_speculations(view: TraceView) -> Iterator[ReplayFinding]:
-    """SPF102: speculation source older than the history ring holds (a
-    hand-built log without a header has no ring to judge against)."""
-    if view.header is None:
-        return
-    hist_cap = view.header.hist_cap
-    for events in view.by_rank.values():
-        frontier: Optional[int] = None  # latest compute iteration seen
-        for ev in events:
-            if ev.kind == "compute" and ev.iteration is not None:
-                if frontier is None or ev.iteration > frontier:
-                    frontier = ev.iteration
-            elif (
-                ev.kind == "speculate"
-                and ev.iteration is not None
-                and frontier is not None
-                and frontier - ev.iteration > hist_cap
-            ):
-                yield ReplayFinding(
-                    code="SPF102",
-                    rank=ev.rank,
-                    seq=ev.seq,
-                    message=(
-                        f"speculation for iteration {ev.iteration} ran while "
-                        f"the compute frontier was at {frontier} — "
-                        f"{frontier - ev.iteration} iterations back, beyond "
-                        f"the backward window of {hist_cap}"
-                    ),
-                )
-
-
-def _check_correction_order(view: TraceView) -> Iterator[ReplayFinding]:
-    """SPF103: a correction cascade applied in descending order."""
-    for events in view.by_rank.values():
-        prev: Optional[TraceEvent] = None
-        for ev in events:
-            if ev.kind != "correct":
-                prev = None if ev.kind == "verify" else prev
+    arrived: set[tuple[Optional[int], int]] = set()  # (src, wire seq)
+    asked: dict[Optional[int], int] = {}  # src -> seq of its open gap
+    in_cascade = False
+    for ev in events:
+        if stop is not None and ev.seq > stop:
+            break
+        rank, kind = ev.rank, ev.kind
+        try:
+            rebuild = REPLAYED.get(kind)
+            effect = None if rebuild is None else rebuild(ev)
+            if in_cascade and type(effect) is not CascadeStep:
+                san.on_cascade_end(rank)
+            in_cascade = type(effect) in (CascadeBegin, CascadeStep)
+            if effect is not None:
+                OBSERVED[type(effect)][0](san, rank, effect)
+            if kind == "retransmit":
+                asked[ev.peer] = ev.iteration
+            elif ev.args and kind in ("recv", "fault"):
+                if kind == "recv":
+                    san.on_delivery(rank, ev.peer, ev.args[0])
+                arrived.add((ev.peer, ev.args[0]))
+            else:
                 continue
-            if (
-                prev is not None
-                and prev.iteration is not None
-                and ev.iteration is not None
-                and ev.iteration < prev.iteration
-            ):
-                yield ReplayFinding(
-                    code="SPF103",
-                    rank=ev.rank,
-                    seq=ev.seq,
-                    message=(
-                        f"correction for iteration {ev.iteration} applied "
-                        f"after the correction for {prev.iteration}; the "
-                        "cascade must repair oldest-first or later repairs "
-                        "recompute from unrepaired state"
-                    ),
-                )
-            prev = ev
+            if (ev.peer, asked.get(ev.peer)) in arrived:
+                san.on_gap_healed(rank, ev.peer, asked.pop(ev.peer))
+        except ProtocolViolation as exc:
+            return ReplayFinding(exc.invariant, rank, ev.seq, exc.details)
+    return None
+
+
+def _sanitize(
+    view: TraceView, overtaken: Sequence[ReplayFinding] = (),
+) -> list[ReplayFinding]:
+    """The sanitizer over each rank's records, each stopping at its
+    first ``overtaken`` (SPF111) arrival, then over the run's end when
+    no rank violated."""
+    stops = {f.rank: f.seq for f in sorted(overtaken, reverse=True)}
+    san = ProtocolSanitizer()
+    findings = []
+    for events in view.by_rank.values():
+        finding = _sanitize_rank(san, events, stops.get(events[0].rank))
+        if finding is not None:
+            findings.append(finding)
+    if not findings and not stops:
+        try:
+            san.on_run_end()
+        except ProtocolViolation as exc:
+            findings.append(
+                ReplayFinding(exc.invariant, RUN_END, RUN_END, exc.details))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# across ranks: the dynamic rule mirrors
+# --------------------------------------------------------------------------
 
 
 def _check_unmatched_messages(view: TraceView) -> Iterator[ReplayFinding]:
@@ -206,23 +190,15 @@ def _check_unmatched_messages(view: TraceView) -> Iterator[ReplayFinding]:
     _pairs, unmatched_sends, unmatched_recvs = view.matching
     for ev in unmatched_sends:
         yield ReplayFinding(
-            code="SPF110",
-            rank=ev.rank,
-            seq=ev.seq,
-            message=(
-                f"send to rank {ev.peer} (family {ev.family!r}, iteration "
-                f"{ev.iteration}) was never received; the message leaked"
-            ),
+            "SPF110", ev.rank, ev.seq,
+            f"send to rank {ev.peer} (family {ev.family!r}, iteration "
+            f"{ev.iteration}) was never received; the message leaked",
         )
     for ev in unmatched_recvs:
         yield ReplayFinding(
-            code="SPF110",
-            rank=ev.rank,
-            seq=ev.seq,
-            message=(
-                f"receive from rank {ev.peer} (family {ev.family!r}, "
-                f"iteration {ev.iteration}) matches no recorded send"
-            ),
+            "SPF110", ev.rank, ev.seq,
+            f"receive from rank {ev.peer} (family {ev.family!r}, "
+            f"iteration {ev.iteration}) matches no recorded send",
         )
 
 
@@ -244,29 +220,22 @@ def _check_message_overtaking(view: TraceView) -> Iterator[ReplayFinding]:
         ):
             if recv_b.seq < recv_a.seq:
                 yield ReplayFinding(
-                    code="SPF111",
-                    rank=recv_b.rank,
-                    seq=recv_b.seq,
-                    message=(
-                        f"message (family {send_b.family!r}, iteration "
-                        f"{send_b.iteration}) from rank {send_b.rank} "
-                        f"overtook the earlier send for iteration "
-                        f"{send_a.iteration}; receives observed delivery "
-                        "order, not send order"
-                    ),
+                    "SPF111", recv_b.rank, recv_b.seq,
+                    f"message (family {send_b.family!r}, iteration "
+                    f"{send_b.iteration}) from rank {send_b.rank} "
+                    f"overtook the earlier send for iteration "
+                    f"{send_a.iteration}; receives observed delivery "
+                    "order, not send order",
                 )
 
 
 def replay(view: TraceView) -> ReplayReport:
     """Run every dynamic check over ``view`` and collect the findings."""
     graph, report = build_dynamic_hb(view)
-    findings: list[ReplayFinding] = []
-    findings.extend(_check_unverified_speculations(view))
-    findings.extend(_check_stale_speculations(view))
-    findings.extend(_check_correction_order(view))
-    findings.extend(_check_unmatched_messages(view))
-    findings.extend(_check_message_overtaking(view))
-    report.findings = sorted(findings)
+    overtaken = list(_check_message_overtaking(view))
+    report.findings = sorted(
+        [*_check_unmatched_messages(view), *overtaken,
+         *_sanitize(view, overtaken)])
     report.stats = {
         "events": len(view.events),
         "ranks": len(view.by_rank),
@@ -295,17 +264,10 @@ _EXERCISE_KINDS: dict[str, tuple[str, ...]] = {
 def cross_reference(
     diagnostics: Sequence[Diagnostic], view: TraceView
 ) -> tuple[ReplayReport, list[Verdict]]:
-    """Join static findings with a recorded run.
-
-    For every distinct SPF code among ``diagnostics``:
-
-    * CONFIRMED — the replay witnessed the same violation class;
-    * REFUTED — the trace exercised the relevant protocol steps and
-      stayed clean (evidence the static finding is a false positive,
-      or that this input never hits the bad path);
-    * UNOBSERVED — the trace never exercised those steps, so it says
-      nothing either way.
-    """
+    """Join static findings with a recorded run: for every distinct SPF
+    code among ``diagnostics``, CONFIRMED (the replay witnessed the same
+    violation class), REFUTED (the trace exercised the relevant protocol
+    steps and stayed clean) or UNOBSERVED (it never exercised them)."""
     report = replay(view)
     verdicts: list[Verdict] = []
     for code in sorted({d.code for d in diagnostics if d.code.startswith("SPF1")}):

@@ -4,20 +4,13 @@ Opt-in (``REPRO_SANITIZE=1`` or ``RunConfig(sanitize=True)`` on any
 backend), the sanitizer is the *runtime seat* on the declarative
 invariant registry in :mod:`repro.analysis.invariants`: it checks, on
 the effect stream of one live execution, every invariant whose
-``seats`` include ``"sanitizer"``:
-
-``event-state-machine``, ``monotonic-virtual-time``,
-``forward-window-bound``, ``cascade-order``,
-``verify-without-speculate``, ``eventual-verification``,
-``sequence-gap-freedom``, ``window-policy-bound``,
-``buffer-occupancy-bounded``, ``retransmit-bounded``.
-
-(The registry's remaining ids are the exhaustive seat's,
-:mod:`repro.analysis.modelcheck`: ``deadlock-freedom`` needs a global
-view of *all* interleavings, and ``history-ring-bound`` is enforced by
-the :class:`~repro.engine.ring.HistoryRing` itself — it cannot outgrow
-its capacity and raises on a non-increasing append — with specmc
-reporting that raise.)
+``seats`` include ``"sanitizer"`` (:attr:`ProtocolSanitizer.INVARIANTS`),
+and :mod:`repro.analysis.replay` runs it again over a recorded trace.
+The registry's other ids are the exhaustive seat's,
+:mod:`repro.analysis.modelcheck`: ``deadlock-freedom`` needs every
+interleaving, and ``history-ring-bound`` is enforced by the
+:class:`~repro.engine.ring.HistoryRing` itself, which cannot outgrow
+its capacity and raises on a non-increasing append.
 
 A violated invariant raises :class:`ProtocolViolation` carrying a
 phase-trace excerpt (the most recent protocol events) so the failure

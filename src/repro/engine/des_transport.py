@@ -65,8 +65,8 @@ class DESTransport:
             rank,
             sanitizer=sanitizer,
             record=None if event_log is None else (
-                lambda kind, peer, family, iteration: event_log.record(
-                    kind, rank, env.now, peer, family, iteration)
+                lambda kind, peer, family, iteration, args: event_log.record(
+                    kind, rank, env.now, peer, family, iteration, args)
             ),
             clock=lambda: env.now,
         )

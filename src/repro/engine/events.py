@@ -159,8 +159,7 @@ class Speculated:
     iteration: int
     #: Re-speculations inside a correction cascade notify the
     #: sanitizer but are not separate trace events (the enclosing
-    #: ``correct`` event already covers the step) — mirrors the
-    #: original drivers' recording discipline.
+    #: ``correct`` event already covers the step).
     in_cascade: bool = False
 
 

@@ -228,11 +228,12 @@ class LoopbackRunner:
     def pop(self, rank: int, i: int, check_seq: bool = True) -> Arrival:
         """Take message ``i`` off ``rank``'s queue: record the ``recv``,
         then (``check_seq``) hand its stamp to the sanitizer's
-        sequence-gap check."""
+        sequence-gap check; the record carries the stamp if checked."""
         queue = self.queues[rank]
         src, seq, family, iteration, payload = queue[i]
         del queue[i]
-        self._record(rank, "recv", src, family, iteration)
+        self._record(
+            rank, "recv", src, family, iteration, (seq,) if check_seq else ())
         if check_seq and self.sanitizer is not None:
             self.sanitizer.on_delivery(rank, src, seq)
         return Arrival(src=src, iteration=iteration, payload=payload, seq=seq)
@@ -253,11 +254,10 @@ class LoopbackRunner:
     def _record(
         self, rank: int, kind: str, peer: Optional[int],
         family: Optional[str], iteration: Optional[int],
+        args: Tuple[int, ...] = (),
     ) -> None:
         """Trace one event, stamped with the step counter."""
         if self.event_log is not None:
             self._step += 1
             self.event_log.record(
-                kind, rank, float(self._step), peer=peer, family=family,
-                iteration=iteration,
-            )
+                kind, rank, float(self._step), peer, family, iteration, args)

@@ -255,9 +255,9 @@ class PipeTransport:
             return None
         _effective, seq, iteration, payload, transit = (
             self._inbox[best_src].pop(0))
+        self._emit("recv", best_src, VARS, iteration, (seq,))
         if self.sanitizer is not None:
             self.sanitizer.on_delivery(self.rank, best_src, seq)
-        self._emit("recv", best_src, VARS, iteration)
         return Arrival(src=best_src, iteration=iteration, payload=payload,
                        seq=seq, latency=transit)
 
@@ -271,7 +271,7 @@ class PipeTransport:
 
     def _emit(
         self, kind: str, peer: Optional[int], family: Optional[str],
-        iteration: Optional[int],
+        iteration: Optional[int], args: Tuple[int, ...] = (),
     ) -> None:
         if not self.record_events:
             return
@@ -281,7 +281,7 @@ class PipeTransport:
             TraceEvent(
                 rank=self.rank, seq=self._event_seq, kind=kind,
                 time=time.monotonic() - self.t0,
-                peer=peer, family=family, iteration=iteration,
+                peer=peer, family=family, iteration=iteration, args=args,
             )
         )
         self._event_seq += 1

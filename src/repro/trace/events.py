@@ -3,28 +3,15 @@
 While :mod:`repro.trace.phases` records *how long* each protocol phase
 took, this module records *what happened in what order*: every send,
 receive, speculation, verification and correction as a timestamped,
-per-rank-sequenced :class:`TraceEvent`.  The resulting
-:class:`EventLog` is exactly the input the specflow trace-replay
-analysis (:mod:`repro.analysis.replay`) consumes to confirm or refute
-static happens-before findings against a real execution.
+per-rank-sequenced :class:`TraceEvent`, carrying what its sanitizer
+hook reads.  ``RunConfig(record_trace=True)`` asks any backend for the
+:class:`EventLog` (``RunReport.event_log``: virtual time on the
+simulator, wall time on mp, the scheduler's step counter on loopback),
+and :mod:`repro.analysis.replay` judges it.
 
-Event logs are produced by every backend: ``RunConfig(record_trace=True)``
-asks for one wherever the run happens, and it comes back as
-``RunReport.event_log``.
-
-* the simulator — every :class:`~repro.vm.processor.VirtualProcessor`
-  send/receive is recorded on the cluster's log, and each rank's
-  transport adds the engine's speculate/verify/correct events,
-  stamped with virtual time;
-* the multiprocessing backend — each worker logs its protocol steps,
-  merged by the parent into one :class:`EventLog`;
-* the loopback backend — stamped with the scheduler's step counter.
-
-Logs round-trip through JSON-lines files (``save``/``load``) so a run
-recorded once can be replayed by ``repro analyze --trace`` forever.
-The first line of a file is the run's :class:`TraceHeader` — the
-parameters fixed before the run started that the trace's judges read —
-and every other line is one event.
+Logs round-trip through JSON-lines files (``save``/``load``): the first
+line is the run's :class:`TraceHeader` -- the parameters fixed before
+the run that the trace's judges read -- and every other line one event.
 """
 
 from __future__ import annotations
@@ -36,20 +23,33 @@ from typing import Hashable, Iterable, Iterator, Optional, Tuple
 
 from repro.trace.records import record
 
-#: Canonical event kinds (the alphabet of the protocol state machine).
-EVENT_KINDS = (
-    "send",       # message handed to the transport       (peer = dst)
-    "recv",       # message consumed by the application   (peer = src)
-    "speculate",  # missing input predicted               (peer = src)
-    "verify",     # speculated input checked vs actual    (peer = src)
-    "correct",    # rejected speculation repaired         (peer = src)
-    "compute",    # one iteration's compute step entered  (peer = None)
-    "window",     # window policy moved the rank's FW     (peer = new FW)
-    "fault",      # injected fault perturbed an arrival   (peer = src)
-    "retransmit", # engine requested a retransmission     (peer = src)
-    "degraded",   # degraded-window mode flipped          (peer = active)
-)
-_KNOWN_KINDS = frozenset(EVENT_KINDS)
+#: Canonical event kinds (the alphabet of the protocol state machine)
+#: -> the lengths a record's ``args`` may have: the integers its
+#: sanitizer hook reads beyond peer and iteration
+#: (:data:`repro.engine.observer.REPLAYED` turns them back into it).
+EVENT_KINDS: dict[str, tuple[int, ...]] = {
+    "send": (0,),        # handed to the transport (peer = dst)
+    "recv": (0, 1),      # consumed (peer = src); (wire seq) on loopback / mp
+    "speculate": (0,),   # missing input predicted (peer = src)
+    "verify": (0,),      # speculation checked vs actual (peer = src)
+    "correct": (1,),     # repaired (peer = src); (cascade's first iteration)
+    "compute": (2,),     # iteration entered; (verified_upto, fw)
+    "window": (3,),      # FW moved (peer = new FW); (old, min, max FW)
+    "fault": (1,),       # injected fault on an arrival (peer = src); (wire seq)
+    "retransmit": (2,),  # (peer = src, iteration = seq); (attempt, max_attempts)
+    "degraded": (0,),    # degraded-window mode flipped (peer = active)
+}
+
+
+def check_args(kind: str, args: Tuple[int, ...]) -> None:
+    """Refuse an unknown kind, or ``args`` that do not fit ``kind``."""
+    arities = EVENT_KINDS.get(kind)
+    if arities is None:
+        raise ValueError(f"unknown trace-event kind {kind!r}")
+    if len(args) not in arities or not all(type(a) is int for a in args):
+        raise ValueError(f"{kind!r} record carries args {list(args)!r}; "
+                         f"it takes {' or '.join(map(str, arities))} integer(s)")
+
 
 #: Version of the JSONL layout :meth:`EventLog.save` writes: a header
 #: line, then one event per line.
@@ -125,6 +125,9 @@ class TraceEvent:
         None for non-message events.
     iteration:
         Protocol iteration the step belongs to, when known.
+    args:
+        The further integers the kind's sanitizer hook reads (see
+        :data:`EVENT_KINDS`); empty for most kinds.
     """
 
     rank: int
@@ -134,15 +137,20 @@ class TraceEvent:
     peer: Optional[int] = None
     family: Optional[str] = None
     iteration: Optional[int] = None
+    args: Tuple[int, ...] = ()
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (one JSONL record)."""
-        return asdict(self)
+        """JSON-ready representation (one JSONL record; no ``args`` key
+        when there are none)."""
+        out = asdict(self)
+        if not self.args:
+            del out["args"]
+        return out
 
     @classmethod
     def from_dict(cls, record: dict[str, object]) -> "TraceEvent":
         """Inverse of :meth:`to_dict` (unknown keys are rejected)."""
-        return cls(**record)  # type: ignore[arg-type]
+        return cls(**{**record, "args": tuple(record.get("args", ()))})  # type: ignore[arg-type]
 
 
 class EventLog:
@@ -190,18 +198,22 @@ class EventLog:
         peer: Optional[int] = None,
         family: Optional[str] = None,
         iteration: Optional[int] = None,
+        args: Tuple[int, ...] = (),
     ) -> TraceEvent:
         """Append one event, assigning the rank's next sequence number.
 
         When the ``max_events`` cap is reached the event is *built but
         not stored* (the drop is counted and the rank's sequence
         counter is left untouched, keeping the stored log a contiguous
-        per-rank prefix).
+        per-rank prefix).  An unknown kind, or a wrong number of args
+        for it, is refused (the recorders pass ints; :meth:`extend`,
+        which loaded logs go through, also checks each is one).
         """
-        if kind not in _KNOWN_KINDS:
-            raise ValueError(f"unknown trace-event kind {kind!r}")
+        if len(args) not in EVENT_KINDS.get(kind, ()):
+            check_args(kind, args)
         seq = self._next_seq.get(rank, 0)
-        event = TraceEvent(rank, seq, kind, float(time), peer, family, iteration)
+        event = TraceEvent(
+            rank, seq, kind, float(time), peer, family, iteration, args)
         if self._full():
             self.dropped += 1
             return event
@@ -220,9 +232,11 @@ class EventLog:
         """Merge pre-sequenced events (e.g. from a worker process).
 
         Respects the ``max_events`` cap like :meth:`record`: events
-        beyond the cap are counted as dropped, not stored.
+        beyond the cap are counted as dropped, not stored.  Refuses an
+        event whose args do not fit its kind (:func:`check_args`).
         """
         for ev in events:
+            check_args(ev.kind, ev.args)
             if self._full():
                 self.dropped += 1
                 continue
@@ -282,7 +296,8 @@ class EventLog:
     @classmethod
     def load(cls, path: str | Path) -> "EventLog":
         """Read a JSON-lines log written by :meth:`save`; a file whose
-        first line is not a format-2 header is refused."""
+        first line is not a format-2 header, or with a record whose args
+        do not fit its kind, is refused."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
         head = lines[0] if lines and isinstance(lines[0], dict) else {}

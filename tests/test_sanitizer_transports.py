@@ -22,8 +22,9 @@ from repro.engine.des_transport import DESTransport
 from repro.engine import events as ev
 from repro.engine.events import ComputeBegin, Speculated
 from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner
-from repro.engine.observer import OBSERVED, RankObserver
+from repro.engine.observer import OBSERVED, REPLAYED, RankObserver
 from repro.engine.pipes import PipeTransport
+from repro.trace.events import EventLog, TraceEvent
 
 
 def _TinyProgram():
@@ -107,21 +108,25 @@ _SAMPLES = {
 #: What the shared table must do with each sample on rank 0: the
 #: sanitizer hook it calls (None = none) and the trace record it leaves.
 _EXPECTED_ROWS = {
-    ev.Speculated: (("on_speculate", (0, 1, 3)), ("speculate", 1, "vars", 3)),
+    ev.Speculated: (
+        ("on_speculate", (0, 1, 3)), ("speculate", 1, "vars", 3, ())),
     ev.ComputeBegin: (
-        ("on_compute_begin", (0, 3, 2, 1)), ("compute", None, None, 3)),
-    ev.Verified: (("on_verify", (0, 1, 3)), ("verify", 1, "vars", 3)),
-    ev.Corrected: (None, ("correct", 1, "vars", 3)),
+        ("on_compute_begin", (0, 3, 2, 1)), ("compute", None, None, 3, (2, 1))),
+    ev.Verified: (("on_verify", (0, 1, 3)), ("verify", 1, "vars", 3, ())),
+    # A fresh observer has no cascade open (-1).
+    ev.Corrected: (None, ("correct", 1, "vars", 3, (-1,))),
     ev.CascadeBegin: (("on_cascade_begin", (0, 3)), None),
     ev.CascadeStep: (("on_cascade_step", (0, 4)), None),
     ev.CascadeEnd: (("on_cascade_end", (0,)), None),
     ev.IterationDone: (None, None),
     ev.WindowChanged: (
-        ("on_window_changed", (0, 4, 1, 2, 0, 5)), ("window", 2, None, 4)),
-    ev.FaultInjected: (None, ("fault", 1, "vars", 3)),
+        ("on_window_changed", (0, 4, 1, 2, 0, 5)),
+        ("window", 2, None, 4, (1, 0, 5))),
+    ev.FaultInjected: (None, ("fault", 1, "vars", 3, (7,))),
     ev.Retransmit: (
-        ("on_retransmit", (0, 1, 7, 1, 4)), ("retransmit", 1, "vars", 7)),
-    ev.Degraded: (None, ("degraded", 1, None, 4)),
+        ("on_retransmit", (0, 1, 7, 1, 4)),
+        ("retransmit", 1, "vars", 7, (1, 4))),
+    ev.Degraded: (None, ("degraded", 1, None, 4, ())),
 }
 
 
@@ -162,6 +167,58 @@ def test_observer_table_covers_every_notification_effect():
         ev.Speculated(peer=1, iteration=3, in_cascade=True)
     )
     assert spy.calls == [("on_speculate", (0, 1, 3))] and records == []
+
+
+def test_each_record_replays_its_effects_sanitizer_call():
+    """:data:`REPLAYED` is :data:`OBSERVED` read backwards: the effect
+    rebuilt from a record draws the very sanitizer call the original
+    drew.  A ``correct`` record is the cascade's repair or one of its
+    steps, by the cascade's first iteration it carries."""
+    stream = [
+        _SAMPLES[kind] for kind in (
+            ev.Speculated, ev.ComputeBegin, ev.Verified, ev.WindowChanged,
+            ev.Retransmit)
+    ]
+    stream += [ev.CascadeBegin(iteration=3), ev.Corrected(peer=1, iteration=3),
+               ev.CascadeStep(iteration=4), ev.Corrected(peer=1, iteration=4)]
+    live, records = _SpySanitizer(), []
+    observer = RankObserver(
+        0, sanitizer=live, record=lambda *entry: records.append(entry))
+    for effect in stream:
+        observer.notify(effect)
+    replayed = _SpySanitizer()
+    for kind, peer, family, iteration, args in records:
+        effect = REPLAYED[kind](
+            TraceEvent(0, 0, kind, 0.0, peer, family, iteration, args))
+        OBSERVED[type(effect)][0](replayed, 0, effect)
+    assert replayed.calls == live.calls
+    assert [r[4] for r in records if r[0] == "correct"] == [(3,), (3,)]
+
+
+def test_a_violating_loopback_run_records_the_violating_effect_last():
+    """The observer records an effect before the sanitizer checks it,
+    so the trace of a run the seat stopped ends at the effect that
+    broke the invariant, and that record alone re-raises it."""
+    program = _TinyProgram()
+    needed, audience = topology(program)
+    engines = {
+        rank: SpecEngine(
+            program, rank, needed[rank], audience[rank], fw=0,
+            pre_send_horizon=lambda engine, t: -(10 ** 9),
+            window_ok=lambda engine, t: True,
+        )
+        for rank in range(2)
+    }
+    log = EventLog()
+    runner = LoopbackRunner(engines, event_log=log, sanitize=True)
+    with pytest.raises(ProtocolViolation) as exc:
+        runner.run()
+    last = log.events[-1]
+    assert last.kind == "compute"
+    with pytest.raises(ProtocolViolation) as again:
+        OBSERVED[ev.ComputeBegin][0](
+            ProtocolSanitizer(), last.rank, REPLAYED["compute"](last))
+    assert again.value.invariant == exc.value.invariant == EXPECTED
 
 
 def test_observer_owns_the_seeded_window_history():

@@ -212,7 +212,8 @@ def _healthy_log():
         log.record_message("send", 1, base, peer=0, tag=("vars", t))
         log.record_message("recv", 0, base + 0.4, peer=1, tag=("vars", t))
         log.record_message("recv", 1, base + 0.4, peer=0, tag=("vars", t))
-    log.record("correct", 0, 4.0, peer=1, family="vars", iteration=3)
+    log.record("correct", 0, 4.0, peer=1, family="vars", iteration=3,
+               args=(3,))
     return log
 
 
@@ -250,7 +251,7 @@ def test_flooded_inbox_refutes_the_fw_bound():
 def test_verdicts_keep_their_textual_order_past_ten_ranks():
     log = EventLog(header=dataclasses.replace(HEADER, p=11))
     for rank in range(11):
-        log.record("compute", rank, 0.0)
+        log.record("compute", rank, 0.0, args=(0, 1))
     inbox = [
         v.where for v in check_occupancy(TraceView(log)) if v.rule == "inbox"
     ]
@@ -259,7 +260,7 @@ def test_verdicts_keep_their_textual_order_past_ten_ranks():
 
 def test_untagged_log_is_unobserved_not_refuted():
     log = EventLog(header=HEADER)
-    log.record("compute", 0, 0.0)
+    log.record("compute", 0, 0.0, args=(0, 1))
     by_rule = {v.rule: v for v in check_occupancy(TraceView(log))}
     # The header sizes the event envelope; nothing else was exercised.
     assert by_rule.pop("events").status == CONFIRMED
@@ -280,8 +281,10 @@ def test_observed_inbox_depth_is_per_family():
 
 def test_observed_cascade_depth_counts_consecutive_corrections():
     log = EventLog()
+    args = {"correct": (0,), "compute": (0, 1)}
     for iteration, kind in enumerate(["correct", "correct", "compute", "correct"]):
-        log.record(kind, 0, float(iteration), family="vars", iteration=iteration)
+        log.record(kind, 0, float(iteration), family="vars", iteration=iteration,
+                   args=args[kind])
     assert observed_cascade_depth(TraceView(log)) == 2
     assert observed_cascade_depth(TraceView(EventLog())) is None
 
@@ -318,7 +321,7 @@ def test_correct_runs_refute_no_occupancy_contract(p, fw, cascade):
 def test_event_log_cap_drops_newest_and_counts():
     log = EventLog(max_events=3)
     for t in range(5):
-        log.record("compute", 0, float(t), iteration=t)
+        log.record("compute", 0, float(t), iteration=t, args=(t, 1))
     assert len(log) == 3
     assert log.dropped == 2
     # The stored prefix keeps contiguous per-rank sequence numbers.
@@ -329,7 +332,7 @@ def test_event_log_cap_drops_newest_and_counts():
 def test_event_log_extend_respects_cap():
     source = EventLog()
     for t in range(4):
-        source.record("compute", 1, float(t), iteration=t)
+        source.record("compute", 1, float(t), iteration=t, args=(t, 1))
     capped = EventLog(max_events=2)
     capped.extend(source.events)
     assert len(capped) == 2 and capped.dropped == 2
@@ -339,7 +342,7 @@ def test_event_log_summary_shape():
     log = EventLog(max_events=8)
     log.record_message("send", 0, 1.0, peer=1, tag=("vars", 1))
     log.record_message("recv", 1, 1.5, peer=0, tag=("vars", 1))
-    log.record("compute", 0, 2.0, iteration=1)
+    log.record("compute", 0, 2.0, iteration=1, args=(1, 1))
     assert log.summary() == {
         "events": 3,
         "ranks": [0, 1],

@@ -2,8 +2,10 @@
 
 Static half: every ``bad_spf11*`` fixture in ``tests/specflow_fixtures``
 must fire exactly its rule and the ``good_protocol`` fixtures must stay
-silent.  Dynamic half: synthetic event logs drive each replay mirror,
-and a real two-worker multiprocessing run with injected latency must
+silent.  Dynamic half: synthetic event logs drive each replay check;
+recorded runs on every backend replay clean and each specmc mutation's
+trace names the invariant specmc raised (replay is the sanitizer run
+offline); and a real two-worker multiprocessing run with injected latency must
 produce a trace whose happens-before edges are consistent (matched
 sends precede their receives, speculations precede their
 verifications).  The differential test records a simulator run and
@@ -12,6 +14,7 @@ cross-references it against the static findings over ``src/``.
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -29,8 +32,9 @@ from repro.analysis import (
 )
 from repro.analysis.baselines import baseline_for, set_baseline
 from repro.analysis.cfg import CallGraph, ModuleGraphs
+from repro.analysis.modelcheck import MUTATIONS, McConfig, emit_trace, explore
 from repro.analysis.races import build_static_hb, collect_comm_sites
-from repro.analysis.replay import build_dynamic_hb, event_key
+from repro.analysis.replay import RUN_END, build_dynamic_hb, event_key
 from repro.analysis.tools import TOOLS
 from repro.api import RunConfig, run
 from repro.cli import main
@@ -195,11 +199,18 @@ def test_comm_sites_and_hb_graph():
 def test_eventlog_assigns_per_rank_sequence():
     log = EventLog()
     e0 = log.record("send", rank=0, time=0.0, peer=1, family="vars", iteration=0)
-    e1 = log.record("compute", rank=0, time=1.0)
+    e1 = log.record("compute", rank=0, time=1.0, args=(0, 1))
     e2 = log.record("recv", rank=1, time=0.5, peer=0, family="vars", iteration=0)
     assert (e0.seq, e1.seq, e2.seq) == (0, 1, 0)
     with pytest.raises(ValueError):
         log.record("teleport", rank=0, time=2.0)
+    # A record whose args do not fit its kind is refused.
+    for kind, args in (("compute", ()), ("send", (1,)), ("recv", (1, 2))):
+        with pytest.raises(ValueError, match="args"):
+            log.record(kind, rank=0, time=2.0, args=args)
+    with pytest.raises(ValueError, match="args"):  # loaded or merged: ints only
+        log.extend([TraceEvent(0, 3, "correct", 2.0, 1, "vars", 1, (True,))])
+    assert len(log) == 3
 
 
 def test_split_tag_families():
@@ -250,27 +261,41 @@ def test_replay_flags_unverified_speculation():
     log = EventLog()
     log.record("speculate", rank=1, time=0.0, peer=0, family="vars", iteration=3)
     report = replay(TraceView(log))
-    assert [f.code for f in report.findings] == ["SPF101"]
+    assert [(f.code, f.rank) for f in report.findings] == [
+        ("eventual-verification", RUN_END)]
+    assert report.findings[0].format_text().startswith(
+        "trace run end: eventual-verification 1 speculation(s) never verified")
 
 
 def test_replay_flags_stale_speculation():
+    """A speculation for iteration 2 while computing 9 means iteration
+    2 was unverified at compute 9: past any window narrower than 7, so
+    the sanitizer's window bound is what a stale speculation breaks."""
     log = EventLog(header=HEADER)
-    log.record("compute", rank=0, time=0.0, iteration=9)
+    log.record("compute", rank=0, time=0.0, iteration=9, args=(1, 1))
     log.record("speculate", rank=0, time=0.0, peer=1, family="vars", iteration=2)
     log.record("verify", rank=0, time=0.0, peer=1, family="vars", iteration=2)
     report = replay(TraceView(log))
-    assert [f.code for f in report.findings] == ["SPF102"]
-    # A wide-enough ring accepts the same trace.
-    log.header = TraceHeader(p=2, iterations=4, max_fw=1, hist_cap=10)
-    assert replay(TraceView(log)).findings == []
+    assert [(f.code, f.rank, f.seq) for f in report.findings] == [
+        ("forward-window-bound", 0, 0)]
+    # A wide-enough window accepts the same trace.
+    wide = EventLog(header=HEADER)
+    wide.extend([replace(ev, args=(1, 7)) if ev.kind == "compute" else ev
+                 for ev in log.events])
+    assert replay(TraceView(wide)).findings == []
 
 
 def test_replay_flags_descending_corrections():
     log = EventLog()
-    log.record("correct", rank=0, time=0.0, peer=1, iteration=5)
-    log.record("correct", rank=0, time=0.0, peer=1, iteration=4)
+    log.record("correct", rank=0, time=0.0, peer=1, iteration=5, args=(5,))
+    log.record("correct", rank=0, time=0.0, peer=1, iteration=4, args=(5,))
     report = replay(TraceView(log))
-    assert [f.code for f in report.findings] == ["SPF103"]
+    assert [(f.code, f.seq) for f in report.findings] == [("cascade-order", 1)]
+    # The same two repairs, each opening its own cascade, are legal.
+    log = EventLog()
+    log.record("correct", rank=0, time=0.0, peer=1, iteration=5, args=(5,))
+    log.record("correct", rank=0, time=0.0, peer=1, iteration=4, args=(4,))
+    assert replay(TraceView(log)).findings == []
 
 
 def test_replay_flags_unmatched_messages():
@@ -319,7 +344,7 @@ def test_cross_reference_confirmed_and_refuted():
 
 def test_cross_reference_unobserved():
     log = EventLog()
-    log.record("compute", rank=0, time=0.0, iteration=0)
+    log.record("compute", rank=0, time=0.0, iteration=0, args=(0, 1))
     _, verdicts = cross_reference([_diag("SPF110")], TraceView(log))
     assert [v.status for v in verdicts] == [UNOBSERVED]
 
@@ -371,6 +396,58 @@ def test_runs_without_recording_produce_empty_logs():
     prog = CoupledIncrement(nprocs=2, iterations=2)
     result = run(RunConfig(prog, backend="mp", fw=0, timeout=60))
     assert result.event_log is None
+
+
+# ------------------------------------------- offline = online, differentially
+#: Clean recorded runs: one per backend, and a chaos run (1 % loss and
+#: a 3x straggler) on each whose retransmits heal -- on loopback and mp
+#: by the wire seq of a ``recv``, on the DES by the ``fault`` record.
+CHAOS = ["chaos", "-p", "2", "-n", "32", "--iterations", "12", "--fw", "1",
+         "--drop", "0.01", "--straggler", "1:3.0", "--fault-seed", "1"]
+CLEAN_RUNS = {
+    "des": ["nbody", "-p", "4", "--fw", "2", "--particles", "40",
+            "--iterations", "4"],
+    "loopback": ["jacobi", "-p", "3", "--fw", "1", "--backend", "loopback"],
+    "mp": ["nbody", "--backend", "mp", "-p", "2", "--particles", "32",
+           "--iterations", "3", "--latency", "0.02"],
+    "des-chaos": [*CHAOS, "--backend", "des"],
+    "loopback-chaos": [*CHAOS, "--backend", "loopback"],
+    "mp-chaos": [*CHAOS, "--backend", "mp"],
+}
+#: How a trace names what specmc caught: by its invariant id, but for
+#: the history ring's own raise, which the trace shows as the
+#: overtaking arrival the ring raised on.
+OFFLINE_NAME = {"history-ring-bound": "SPF111"}
+
+
+@pytest.mark.parametrize("case", sorted(CLEAN_RUNS) + sorted(MUTATIONS))
+def test_replay_names_what_the_live_seat_names(case, tmp_path, capsys):
+    """Replaying a recorded trace is running the sanitizer over it: a
+    clean run on any backend replays with no finding, and each specmc
+    mutation's counterexample trace names the invariant specmc raised
+    (SPF110's unreceived sends aside: a violating trace is a prefix)."""
+    trace = tmp_path / "trace.jsonl"
+    if case in CLEAN_RUNS:
+        assert main([*CLEAN_RUNS[case], "--record-trace", str(trace)]) == 0
+        expected = set()
+    else:
+        config = McConfig(p=2, fw=0 if case == "ungated-window" else 1,
+                          iters=3)
+        caught = explore(config, mutation=case).violation
+        emit_trace(config, caught.schedule, trace, mutation=case)
+        expected = {OFFLINE_NAME.get(caught.invariant, caught.invariant)}
+        assert caught.invariant == MUTATIONS[case].expected_invariant
+    log = EventLog.load(trace)
+    if "chaos" in case:
+        assert log.of_kind("retransmit")  # the gaps this run healed
+    report = replay(TraceView(log))
+    assert {f.code for f in report.findings} - {"SPF110"} == expected
+    capsys.readouterr()
+    rc = main(["analyze", str(REPO_ROOT / "src/repro/engine"),
+               "--trace", str(trace)])
+    out = capsys.readouterr().out
+    assert rc == (1 if expected else 0)
+    assert all(code in out for code in expected)
 
 
 # ---------------------------------------------- simulator differential run

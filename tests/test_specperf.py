@@ -212,14 +212,14 @@ def _synthetic_log():
     log = EventLog(header=TraceHeader(p=2, iterations=2, max_fw=1, hist_cap=4))
     # rank 0: send at t=0, compute 0->10, verify at 10, next compute.
     log.record("send", 0, 0.0, peer=1, family="vars", iteration=0)
-    log.record("compute", 0, 0.0, iteration=0)
+    log.record("compute", 0, 0.0, iteration=0, args=(0, 1))
     log.record("verify", 0, 10.0, peer=1, family="vars", iteration=0)
-    log.record("compute", 0, 10.5, iteration=1)
+    log.record("compute", 0, 10.5, iteration=1, args=(0, 1))
     # rank 1: blocked on the message from t=0 to t=4.
     log.record("send", 1, 0.0, peer=0, family="vars", iteration=0)
     log.record("recv", 1, 4.0, peer=0, family="vars", iteration=0)
-    log.record("compute", 1, 4.0, iteration=0)
-    log.record("compute", 1, 9.0, iteration=1)
+    log.record("compute", 1, 4.0, iteration=0, args=(0, 1))
+    log.record("compute", 1, 9.0, iteration=1, args=(0, 1))
     return log
 
 

@@ -342,7 +342,8 @@ def test_check_taint_spt308_semantics():
 
     corrected = EventLog()
     corrected.record("speculate", rank=0, time=1.0, family="vars", iteration=1)
-    corrected.record("correct", rank=0, time=2.0, family="vars", iteration=1)
+    corrected.record("correct", rank=0, time=2.0, family="vars", iteration=1,
+                     args=(1,))
     assert [v.status for v in check_taint(diags, corrected)] == [REFUTED]
 
     # speculate+verify but never correct: consistent with a dead handler.

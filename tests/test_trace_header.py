@@ -79,7 +79,7 @@ def test_cli_mc_emit_trace_records_the_header(tmp_path, capsys):
 def test_save_load_round_trip(tmp_path):
     log = EventLog(header=TraceHeader(p=3, iterations=7, max_fw=2, hist_cap=5))
     log.record_message("send", 0, 0.5, peer=1, tag=("vars", 1))
-    log.record("compute", 2, 1.0, iteration=1)
+    log.record("compute", 2, 1.0, iteration=1, args=(0, 2))
     path = tmp_path / "trace.jsonl"
     log.save(path)
     first = json.loads(path.read_text().splitlines()[0])
@@ -104,4 +104,20 @@ def test_a_file_without_a_header_is_a_usage_error(tmp_path, capsys):
         EventLog.load(events)
     good = Path(__file__).parent / "specflow_fixtures" / "good_protocol.py"
     assert main(["analyze", str(good), "--trace", str(events)]) == EXIT_USAGE
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_a_record_whose_args_do_not_fit_its_kind_is_a_usage_error(
+    tmp_path, capsys
+):
+    """Each kind carries what its sanitizer hook reads; a file whose
+    ``compute`` record lacks ``(verified_upto, fw)`` cannot be replayed."""
+    lines = GOLDEN_TRACE.read_text().splitlines(True)
+    assert '"args": [0, 1], ' in lines[1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + lines[1].replace('"args": [0, 1], ', ""))
+    with pytest.raises(ValueError, match="'compute' record carries args"):
+        EventLog.load(bad)
+    good = Path(__file__).parent / "specflow_fixtures" / "good_protocol.py"
+    assert main(["analyze", str(good), "--trace", str(bad)]) == EXIT_USAGE
     assert "cannot read trace" in capsys.readouterr().err
