@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.analysis.invariants import require
 from repro.analysis.modelcheck.scenario import McConfig, build_program
+from repro.core.program import SyncIterativeProgram
 from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.engine.core import SpecEngine, topology
 from repro.engine.events import Arrival, Recv, Send, TryRecv
@@ -288,6 +289,10 @@ class Execution(LoopbackRunner):
         self.config = config
         self.mutation = resolve_mutation(mutation)
         self.program = build_program(config)
+        if type(self.program).correct is not SyncIterativeProgram.correct:
+            # fingerprint() settles owed repairs through ``correct``; only
+            # the default (one pure compute) leaves the program as it was.
+            raise TypeError("a specmc scenario program must keep the default correct")
         needed, audience = topology(self.program)
 
         name = self.mutation.name if self.mutation is not None else None
@@ -521,8 +526,16 @@ class Execution(LoopbackRunner):
                 put("running", rank)
             eng = self.engines[rank]
             put(eng.frontier, eng.verified_upto, eng.fw)
+            # The settled block: a state whose repair of X(t) is still
+            # owed continues exactly like one that already ran it.
+            # (__init__ holds the scenario to the default, pure correct.)
             for t in sorted(eng.chain):
-                put("chain", t, _digest_block(eng.chain[t]))
+                block = eng.chain[t]
+                if t - 1 in eng.owed:
+                    block = eng.program.correct(
+                        rank, block, eng.inputs_used[t - 1], eng.owed[t - 1], t - 1
+                    )
+                put("chain", t, _digest_block(block))
             for key in sorted(eng.actual):
                 put("actual", key, _digest_block(eng.actual[key]))
             for key in sorted(eng.spec_used):

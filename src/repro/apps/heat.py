@@ -156,26 +156,30 @@ class HeatEquation1D(SyncIterativeProgram):
         idx = self._ghost_index(rank, k)
         return abs(float(speculated[idx]) - float(actual[idx]))
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
+    def correct(self, rank, next_block, inputs, rejected, t):
         """Exact incremental fix: only the edge cell reads the neighbor.
 
         A wrong speculated neighbor strip affects the local update only
-        through one ghost value, so the repair touches one cell.
+        through one ghost value, so each repair touches one cell.
         """
         if next_block.size == 0:
-            return next_block, 0.0
+            return next_block
         fixed = next_block.copy()
-        if k == rank - 1:
-            wrong = float(speculated[-1]) if speculated.size else self.boundary[0]
-            right_val = float(actual[-1]) if actual.size else self.boundary[0]
-            fixed[0] += self.r * (right_val - wrong)
-        elif k == rank + 1:
-            wrong = float(speculated[0]) if speculated.size else self.boundary[1]
-            right_val = float(actual[0]) if actual.size else self.boundary[1]
-            fixed[-1] += self.r * (right_val - wrong)
-        else:  # pragma: no cover - needed() prevents other ranks
-            raise ValueError(f"rank {rank} does not depend on {k}")
-        return fixed, 4.0
+        for k, speculated, actual in rejected:
+            if k == rank - 1:
+                wrong = float(speculated[-1]) if speculated.size else self.boundary[0]
+                right_val = float(actual[-1]) if actual.size else self.boundary[0]
+                fixed[0] += self.r * (right_val - wrong)
+            elif k == rank + 1:
+                wrong = float(speculated[0]) if speculated.size else self.boundary[1]
+                right_val = float(actual[0]) if actual.size else self.boundary[1]
+                fixed[-1] += self.r * (right_val - wrong)
+            else:  # pragma: no cover - needed() prevents other ranks
+                raise ValueError(f"rank {rank} does not depend on {k}")
+        return fixed
+
+    def correct_ops(self, rank, inputs, k, speculated, actual, t):
+        return 4.0 if inputs[rank].size else 0.0
 
     # --------------------------------------------------------- cost model
     def compute_ops(self, rank: int) -> float:

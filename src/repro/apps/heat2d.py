@@ -161,17 +161,21 @@ class HeatEquation2D(SyncIterativeProgram):
         idx = self._ghost_row_index(rank, k)
         return float(np.max(np.abs(speculated[idx, :] - actual[idx, :])))
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
-        """Exact incremental fix of the strip row adjacent to ``k``."""
+    def correct(self, rank, next_block, inputs, rejected, t):
+        """Exact incremental fix of the strip row adjacent to each ``k``."""
         if next_block.size == 0:
-            return next_block, 0.0
-        idx = self._ghost_row_index(rank, k)
+            return next_block
         fixed = next_block.copy()
-        wrong_row = speculated[idx, :]
-        right_row = actual[idx, :]
-        local_row = 0 if k == rank - 1 else -1
-        fixed[local_row, :] += self.r * (right_row - wrong_row)
-        return fixed, 3.0 * self.cols
+        for k, speculated, actual in rejected:
+            idx = self._ghost_row_index(rank, k)
+            wrong_row = speculated[idx, :]
+            right_row = actual[idx, :]
+            local_row = 0 if k == rank - 1 else -1
+            fixed[local_row, :] += self.r * (right_row - wrong_row)
+        return fixed
+
+    def correct_ops(self, rank, inputs, k, speculated, actual, t):
+        return 3.0 * self.cols if inputs[rank].size else 0.0
 
     # --------------------------------------------------------- cost model
     def compute_ops(self, rank: int) -> float:

@@ -158,10 +158,10 @@ class NBodyProgram(IncrementalProgram):
             for idx in self.partition
         ]
         self.spec_stats = NBodySpecStats()
-        #: rank -> ``(speculated, actual, own, bad)`` of a check that
+        #: rank -> ``[speculated, actual, own, bad]`` per check that
         #: rejected, held until that rank's ``correct`` takes it (one
         #: program object serves every rank on DES and loopback).
-        self._rejected: dict[int, tuple[np.ndarray, ...]] = {}
+        self._rejected: dict[int, list[list[np.ndarray]]] = {}
         #: rank -> {k: block} of what ``speculate`` made for that rank's
         #: next ``compute``.
         self._speculated: dict[int, dict[int, np.ndarray]] = {}
@@ -268,7 +268,7 @@ class NBodyProgram(IncrementalProgram):
         if worst > theta:
             bad = np.zeros(n, dtype=bool)
             bad[rows] = over
-            self._rejected[rank] = (speculated, actual, own, bad)
+            self._rejected.setdefault(rank, []).append([speculated, actual, own, bad])
         elif ratios.size < n:
             worst = max(worst, theta)  # the certified rows' bound; a NaN stays NaN
         return worst
@@ -288,54 +288,82 @@ class NBodyProgram(IncrementalProgram):
                 return nearest2 if seen_own is own else None
         return None
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
+    def _held(self, rank, speculated, actual, take=False):
+        """The rejecting check's ``[speculated, actual, own, bad]`` for
+        these very arrays (removed with ``take``), or None."""
+        held = self._rejected.get(rank, ())
+        for i, entry in enumerate(held):
+            if entry[0] is speculated and entry[1] is actual:
+                if take:
+                    del held[i]
+                    if not held:
+                        del self._rejected[rank]
+                return entry
+        return None
+
+    def _mask(self, entry, speculated, actual, own):
+        """Which of ``speculated``'s particles fail Eq. 11 against ``own``.
+
+        The held mask holds only for the very ``own`` its check saw: the
+        check is handed chain[t], the repair inputs_used[t][rank], and
+        the two differ at fw >= 2 with cascade="none".
+        """
+        if entry is not None and entry[2] is own:
+            return entry[3]
+        return pairwise_error_ratios(speculated[:, :3], actual[:, :3], own[:, :3]) > self.threshold
+
+    def correct_ops(self, rank, inputs, k, speculated, actual, t):
+        """Two pair sums per rejected particle and own particle, plus the
+        update (a full compute without ``incremental_correction``)."""
+        if not self.incremental_correction:
+            return self.compute_ops(rank)
+        own = inputs[rank]
+        entry = self._held(rank, speculated, actual)
+        bad = self._mask(entry, speculated, actual, own)
+        if entry is not None:
+            entry[2:] = own, bad  # what the repair will be handed
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad == 0:
+            # Driver-level rejection implies at least one bad particle;
+            # guard anyway (threshold exactly on the boundary).
+            return 0.0
+        return 2.0 * PAIR_FLOPS * n_bad * len(own) + 6.0 * len(own)
+
+    def correct(self, rank, next_block, inputs, rejected, t):
         """Exact incremental correction of the rejected particles only.
 
         Semi-implicit Euler is linear in the acceleration, so replacing
         the contribution of the offending source particles repairs the
         block exactly:  Δa = a(actual_bad) − a(spec_bad);
-        v ← v + Δa·Δt;  x ← x + Δa·Δt².
+        v ← v + Δa·Δt;  x ← x + Δa·Δt².  One kernel call sums every
+        rejection's bad particles (each block's bits are those of a call
+        on it alone), and the Δa are applied in rejection order.
         """
-        held = self._rejected.pop(rank, None)
+        own = inputs[rank]
+        held = [self._held(rank, spec, act, take=True) for _, spec, act in rejected]
         if not self.incremental_correction:
             # Naive policy: recompute the whole block from scratch.
-            fixed = dict(inputs)
-            fixed[k] = actual
-            return self.compute(rank, fixed, t), self.compute_ops(rank)
-        own = inputs[rank]
-        own_pos = own[:, :3]
-        # The rejecting check's mask holds only for the very arrays it
-        # saw: it is handed chain[t], we inputs_used[t][rank], and the
-        # two differ at fw >= 2 with cascade="none".
-        if (
-            held is not None
-            and held[0] is speculated
-            and held[1] is actual
-            and held[2] is own
-        ):
-            bad = held[3]
-        else:
-            bad = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own_pos) > self.threshold
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            # Driver-level rejection implies at least one bad particle;
-            # guard anyway (threshold exactly on the boundary).
-            return next_block, 0.0
-        bad_mass = self.masses[k][bad]
-        a_spec, a_act = accelerations_by_block(
-            own_pos,
-            [(speculated[bad, :3], bad_mass), (actual[bad, :3], bad_mass)],
-            G=self.system.G,
-            softening=self.system.softening,
+            return self.compute(rank, inputs, t)
+        sources = []
+        for (k, spec, act), entry in zip(rejected, held):
+            bad = self._mask(entry, spec, act, own)
+            if bad.any():
+                bad_mass = self.masses[k][bad]
+                sources += [(spec[bad, :3], bad_mass), (act[bad, :3], bad_mass)]
+        if not sources:
+            return next_block
+        accel = accelerations_by_block(
+            own[:, :3], sources, G=self.system.G, softening=self.system.softening
         )
-        delta = a_act - a_spec
-        block = np.empty_like(next_block)
-        delta *= self.dt
-        np.add(next_block[:, 3:], delta, out=block[:, 3:])
-        delta *= self.dt
-        np.add(next_block[:, :3], delta, out=block[:, :3])
-        ops = 2.0 * PAIR_FLOPS * n_bad * own_pos.shape[0] + 6.0 * own_pos.shape[0]
-        return block, ops
+        block = next_block.copy()
+        vel, pos = block[:, 3:], block[:, :3]
+        for a_spec, a_act in zip(accel[0::2], accel[1::2]):
+            delta = a_act - a_spec
+            delta *= self.dt
+            vel += delta
+            delta *= self.dt
+            pos += delta
+        return block
 
     def _record_force_errors(self, speculated, actual, own, accepted):
         """Relative pair-force error vs the nearest local particle."""

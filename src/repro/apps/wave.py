@@ -143,17 +143,21 @@ class WaveEquation1D(SyncIterativeProgram):
         idx = self._ghost_index(rank, k)
         return abs(float(speculated[0, idx]) - float(actual[0, idx]))
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
-        """Exact incremental fix: the ghost enters one edge cell linearly."""
+    def correct(self, rank, next_block, inputs, rejected, t):
+        """Exact incremental fix: each ghost enters one edge cell linearly."""
         if next_block.shape[1] == 0:
-            return next_block, 0.0
-        idx = self._ghost_index(rank, k)
-        wrong = float(speculated[0, idx])
-        right_val = float(actual[0, idx])
+            return next_block
         fixed = next_block.copy()
-        local = 0 if k == rank - 1 else -1
-        fixed[0, local] += self.c2 * (right_val - wrong)
-        return fixed, 4.0
+        for k, speculated, actual in rejected:
+            idx = self._ghost_index(rank, k)
+            wrong = float(speculated[0, idx])
+            right_val = float(actual[0, idx])
+            local = 0 if k == rank - 1 else -1
+            fixed[0, local] += self.c2 * (right_val - wrong)
+        return fixed
+
+    def correct_ops(self, rank, inputs, k, speculated, actual, t):
+        return 4.0 if inputs[rank].shape[1] else 0.0
 
     # --------------------------------------------------------- cost model
     def compute_ops(self, rank: int) -> float:

@@ -127,39 +127,55 @@ class SyncIterativeProgram(ABC):
         rank: int,
         next_block: Block,
         inputs: Mapping[int, Block],
-        k: int,
-        speculated: Block,
-        actual: Block,
+        rejected: Sequence[tuple[int, Block, Block]],
         t: int,
-    ) -> tuple[Block, float]:
-        """Repair ``rank``'s block at t+1 after a rejected speculation.
+    ) -> Block:
+        """Repair ``rank``'s block at t+1 after rejected speculations.
+
+        The engine calls this once per repaired iteration, with every
+        speculation of iteration ``t`` rejected since the last repair;
+        each was priced by :meth:`correct_ops` when it was rejected.
 
         Parameters
         ----------
         next_block:
-            The (tainted) X_rank(t+1) computed with the speculated input.
+            The (tainted) X_rank(t+1) computed with the speculated inputs.
         inputs:
-            The exact inputs used for that computation (``inputs[k]``
-            is the rejected speculated value).
-        k:
-            The rank whose speculation failed.
-        speculated / actual:
-            The rejected and the true block of ``k`` at iteration ``t``.
+            The inputs of that computation, each rejected rank's entry
+            already replaced by its actual block.
+        rejected:
+            ``(k, speculated, actual)`` per rejection, in rejection
+            order: the rank whose speculation failed, and the rejected
+            and the true block of ``k`` at iteration ``t``.
         t:
             The iteration whose inputs were wrong.
 
         Returns
         -------
-        ``(corrected_block, ops_spent)``.  The default performs a full
-        recomputation with the actual value substituted — the paper's
-        "or in some cases, recomputes its variables".  Applications
-        can override with an incremental correction (the N-body app
-        subtracts the speculated-pair forces and adds the actual-pair
-        forces).
+        The corrected block.  The default performs one full
+        recomputation on the repaired inputs — the paper's "or in some
+        cases, recomputes its variables".  Applications can override
+        with an incremental correction (the N-body app subtracts the
+        speculated-pair forces and adds the actual-pair forces); the
+        result must equal applying the rejections one at a time, in
+        order.
         """
-        fixed = dict(inputs)
-        fixed[k] = actual
-        return self.compute(rank, fixed, t), self.compute_ops(rank)
+        return self.compute(rank, inputs, t)
+
+    def correct_ops(
+        self,
+        rank: int,
+        inputs: Mapping[int, Block],
+        k: int,
+        speculated: Block,
+        actual: Block,
+        t: int,
+    ) -> float:
+        """Operations to repair X_rank(t+1) for one rejected speculation
+        (``k``'s ``speculated`` block, whose ``actual`` arrived), charged
+        as it is rejected.  ``inputs`` are as for :meth:`correct`.
+        Default: one full recomputation."""
+        return self.compute_ops(rank)
 
     # ----------------------------------------------------------- topology
     def needed(self, rank: int) -> frozenset[int]:

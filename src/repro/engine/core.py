@@ -231,6 +231,10 @@ class SpecEngine:
         self.spec_used: Dict[Tuple[int, int], Block] = {}
         #: Exact inputs used to compute chain[t+1] (for corrections).
         self.inputs_used: Dict[int, Dict[int, Block]] = {}
+        #: Rejections whose repair of chain[t+1] has not run yet:
+        #: t -> [(k, speculated, actual), ...] in rejection order.  Each
+        #: was charged as it was rejected; :meth:`_settle` runs them.
+        self.owed: Dict[int, list] = {}
         #: Backward-window rings of received actuals, per remote rank.
         self.history: Dict[int, HistoryRing] = {}
         #: Remaining messages expected for iteration t (t >= 1).
@@ -330,6 +334,42 @@ class SpecEngine:
         self._send_seq[dst] = seq + 1
         return seq
 
+    # --------------------------------------------------------- corrections
+    def block(self, t: int) -> Block:
+        """X_rank(t) as a read must see it: any repair owed to it first."""
+        if self.owed and t - 1 in self.owed:
+            self._repair(t - 1)
+        return self.chain[t]
+
+    def _repair(self, t: int) -> None:
+        """Repair chain[t+1] for every rejection owed at ``t``, in one call."""
+        self.chain[t + 1] = self.program.correct(
+            self.rank, self.chain[t + 1], self.inputs_used[t], self.owed.pop(t), t
+        )
+
+    def _settle(self, recompute_after: Optional[int] = None) -> None:
+        """Run each owed repair that may no longer wait, oldest first.
+
+        A repair of chain[t+1] waits while more of iteration ``t``'s
+        rejections may come (t is not yet verified) and nothing may read
+        the block yet (t+1 is neither computed nor allowed by the
+        window).  A cascade about to recompute every block after
+        ``recompute_after`` takes the place of the repairs owed to them:
+        those run now, so the program drops what it holds for them, and
+        the recompute overwrites their result (applied later, a repair
+        would correct a block already computed from the actual inputs).
+        Called inside each verification, before its last ``Charge``, so
+        a repair is booked as check or correct time.
+        """
+        for t in sorted(self.owed):
+            if (
+                self.verified_upto >= t
+                or t + 1 < self.frontier
+                or self.window_ok(t + 1)
+                or (recompute_after is not None and t > recompute_after)
+            ):
+                self._repair(t)
+
     # ------------------------------------------------------------ protocol
     def run(self) -> Generator:
         """The full protocol for this rank, as an effect generator.
@@ -370,10 +410,11 @@ class SpecEngine:
                 if any(key[1] < t for key in self.spec_used):
                     stats.tainted_sends += 1
                 nbytes = prog.block_nbytes(j)
+                payload = self.block(t)
                 for dst in self.audience:
                     yield Send(
                         dst=dst,
-                        payload=self.chain[t],
+                        payload=payload,
                         iteration=t,
                         nbytes=nbytes,
                         seq=self.next_seq(dst),
@@ -399,7 +440,7 @@ class SpecEngine:
                 yield from self._on_arrival(arrival)
 
             # 3. Assemble inputs, speculating what is missing.
-            inputs: Dict[int, Block] = {j: self.chain[t]}
+            inputs: Dict[int, Block] = {j: self.block(t)}
             for k in sorted(self.needed):
                 known = self.actual.get((k, t))
                 if known is not None:
@@ -445,7 +486,7 @@ class SpecEngine:
                 continue
             yield from self._on_arrival(arrival)
 
-        return self.chain[T]
+        return self.block(T)
 
     # -------------------------------------------------------------- policy
     def _retune(self, t: int, now: Optional[float]) -> Generator:
@@ -603,16 +644,19 @@ class SpecEngine:
         stats = self.stats
         yield Verified(peer=k, iteration=t)
         stats.checks += 1
-        own = self.chain[t]
+        own = self.block(t)
         # The check numerics run before their Charge so wall-clock
         # transports attribute the real check time to the right phase;
         # under DES the virtual timeline is identical either way (no
         # effect separates the two).
         error = prog.check(j, k, spec, actual, own)
+        accepted = error <= prog.threshold
+        if accepted and self.owed:
+            self._settle()  # this arrival may have verified an iteration
         ops = prog.check_ops(j, k)
         spent = yield Charge(ops, phase="check", iteration=t)
         self._book_verify(ops if spent is None else spent)
-        if error <= prog.threshold:
+        if accepted:
             stats.spec_accepted += 1
             return
         stats.spec_rejected += 1
@@ -628,15 +672,15 @@ class SpecEngine:
         yield CascadeBegin(iteration=t)
 
         # Repair iteration t itself via the (possibly incremental)
-        # application correction hook.
+        # application correction hook: priced now, run by _settle with
+        # the iteration's other rejections.
         inputs = self.inputs_used[t]
-        corrected, ops = prog.correct(
-            j, self.chain[t + 1], inputs, k, spec, actual, t
-        )
         inputs[k] = actual
+        ops = prog.correct_ops(j, inputs, k, spec, actual, t)
+        self.owed.setdefault(t, []).append((k, spec, actual))
+        self._settle(None if self.cascade == "none" else t)
         spent = yield Charge(ops, phase="correct", iteration=t)
         self._book_verify(ops if spent is None else spent)
-        self.chain[t + 1] = corrected
         stats.recomputes += 1
         yield Corrected(peer=k, iteration=t)
 
@@ -649,7 +693,7 @@ class SpecEngine:
             yield CascadeStep(iteration=t2)
             yield Corrected(peer=k, iteration=t2)
             inputs2 = self.inputs_used[t2]
-            inputs2[j] = self.chain[t2]
+            inputs2[j] = self.block(t2)
             for k2 in sorted(self.needed):
                 if (k2, t2) in self.spec_used:
                     # The ring may grow mid-cascade (arrivals interleave

@@ -31,11 +31,7 @@ from repro.nbody.particles import (
     two_clusters,
     uniform_cube,
 )
-from repro.nbody.speculation import (
-    pairwise_error_ratios,
-    speculate_positions,
-    worst_pairwise_error,
-)
+from repro.nbody.speculation import pairwise_error_ratios, speculate_positions
 
 __all__ = [
     "PAIR_FLOPS",
@@ -53,5 +49,4 @@ __all__ = [
     "symplectic_euler_step",
     "two_clusters",
     "uniform_cube",
-    "worst_pairwise_error",
 ]

@@ -132,13 +132,3 @@ def uncertified(
     np.minimum(nearest2, MAX_SQUARE, out=nearest2)
     nearest2 *= (threshold * (1.0 - CERTIFY_MARGIN)) ** 2
     return np.flatnonzero(~(d2 <= nearest2))
-
-
-def worst_pairwise_error(
-    speculated_pos: np.ndarray,
-    actual_pos: np.ndarray,
-    local_pos: np.ndarray,
-) -> float:
-    """Maximum Eq. 11 ratio over all (remote, local) pairs."""
-    ratios = pairwise_error_ratios(speculated_pos, actual_pos, local_pos)
-    return float(ratios.max()) if ratios.size else 0.0

@@ -64,7 +64,8 @@ def test_incremental_row_correction_exact():
     tainted = dict(inputs)
     tainted[1] = wrong
     bad_next = prog.compute(0, tainted, 0)
-    fixed, ops = prog.correct(0, bad_next, tainted, 1, wrong, inputs[1], 0)
+    ops = prog.correct_ops(0, inputs, 1, wrong, inputs[1], 0)
+    fixed = prog.correct(0, bad_next, inputs, [(1, wrong, inputs[1])], 0)
     clean = prog.compute(0, inputs, 0)
     np.testing.assert_allclose(fixed, clean, atol=1e-13)
     assert ops > 0

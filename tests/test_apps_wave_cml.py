@@ -65,7 +65,8 @@ def test_wave_incremental_correction_exact():
     tainted = dict(inputs)
     tainted[1] = wrong
     bad = prog.compute(0, tainted, 0)
-    fixed, ops = prog.correct(0, bad, tainted, 1, wrong, inputs[1], 0)
+    ops = prog.correct_ops(0, inputs, 1, wrong, inputs[1], 0)
+    fixed = prog.correct(0, bad, inputs, [(1, wrong, inputs[1])], 0)
     clean = prog.compute(0, inputs, 0)
     np.testing.assert_allclose(fixed, clean, atol=1e-14)
     assert ops == 4.0

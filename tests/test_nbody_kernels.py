@@ -247,7 +247,8 @@ def make_program(**kw):
 
 
 def rejected_check(prog, rank=0, k=1):
-    """Drive one rejecting ``check``; return what ``correct`` is handed."""
+    """Drive one rejecting ``check``; return what ``correct`` is handed
+    (the inputs with the actual block in place of the rejected one)."""
     inputs = {r: prog.initial_block(r) for r in range(prog.nprocs)}
     actual = inputs[k]
     speculated = actual + 0.05
@@ -255,7 +256,13 @@ def rejected_check(prog, rank=0, k=1):
     spec_inputs[k] = speculated
     next_block = prog.compute(rank, spec_inputs, 0)
     assert prog.check(rank, k, speculated, actual, inputs[rank]) > prog.threshold
-    return next_block, spec_inputs, speculated, actual
+    return next_block, inputs, speculated, actual
+
+
+def correct_one(prog, next_block, inputs, speculated, actual, rank=0, k=1):
+    """Price and repair one rejection of ``k``'s block, as the engine does."""
+    ops = prog.correct_ops(rank, inputs, k, speculated, actual, 0)
+    return prog.correct(rank, next_block, inputs, [(k, speculated, actual)], 0), ops
 
 
 def test_loopback_run_computes_ratios_at_most_once_per_check_on_uncertified_rows(monkeypatch):
@@ -297,12 +304,22 @@ def counted_kernel(monkeypatch):
 
 
 def test_loopback_run_calls_the_kernel_once_per_compute_and_per_correct(monkeypatch):
+    """Once per compute and once per repaired (rank, iteration): a rank
+    repairs all of an iteration's rejections with one kernel call."""
     calls = counted_kernel(monkeypatch)
     prog = make_program(threshold=1e-4)
+    repaired = set()
+    price = prog.correct_ops
+
+    def recording(rank, inputs, k, speculated, actual, t):
+        repaired.add((rank, t))
+        return price(rank, inputs, k, speculated, actual, t)
+
+    prog.correct_ops = recording
     report = run(RunConfig(prog, backend="loopback", fw=1, cascade="none"))
-    corrects = sum(s.recomputes for s in report.stats)
-    assert corrects > 0
-    assert len(calls) == prog.nprocs * prog.iterations + corrects
+    rejections = sum(s.recomputes for s in report.stats)
+    assert rejections > len(repaired) > 0
+    assert len(calls) == prog.nprocs * prog.iterations + len(repaired)
 
 
 def test_compute_and_correct_are_one_kernel_call_each(monkeypatch):
@@ -310,7 +327,7 @@ def test_compute_and_correct_are_one_kernel_call_each(monkeypatch):
     prog = make_program()
     next_block, inputs, speculated, actual = rejected_check(prog)
     assert len(calls) == 1  # rejected_check's compute
-    prog.correct(0, next_block, inputs, 1, speculated, actual, 0)
+    correct_one(prog, next_block, inputs, speculated, actual)
     assert len(calls) == 2
     accelerations_from_sources(inputs[0][:, :3], inputs[1][:, :3], prog.masses[1])
     assert len(calls) == 3  # the one-block case enters the same kernel
@@ -320,18 +337,18 @@ def test_compute_and_correct_are_one_kernel_call_each(monkeypatch):
 def test_correct_recomputes_for_arrays_the_check_did_not_see(stranger):
     prog = make_program()
     next_block, inputs, speculated, actual = rejected_check(prog)
-    want, want_ops = make_program().correct(0, next_block, inputs, 1, speculated, actual, 0)
+    want, want_ops = correct_one(make_program(), next_block, inputs, speculated, actual)
 
     # A poisoned handoff must not be trusted for an equal-valued copy.
-    held = prog._rejected[0]
-    prog._rejected[0] = held[:3] + (np.zeros_like(held[3]),)
+    [held] = prog._rejected[0]
+    held[3] = np.zeros_like(held[3])
     if stranger == "speculated":
         speculated = speculated.copy()
     elif stranger == "actual":
         actual = actual.copy()
     else:
         inputs[0] = inputs[0].copy()
-    got, got_ops = prog.correct(0, next_block, inputs, 1, speculated, actual, 0)
+    got, got_ops = correct_one(prog, next_block, inputs, speculated, actual)
     assert np.array_equal(got, want) and got_ops == want_ops
     assert not np.array_equal(got, next_block)
 
@@ -339,9 +356,9 @@ def test_correct_recomputes_for_arrays_the_check_did_not_see(stranger):
 def test_correct_reuses_the_rejecting_checks_ratios(monkeypatch):
     prog = make_program()
     next_block, inputs, speculated, actual = rejected_check(prog)
-    want, want_ops = make_program().correct(0, next_block, inputs, 1, speculated, actual, 0)
+    want, want_ops = correct_one(make_program(), next_block, inputs, speculated, actual)
     monkeypatch.setattr(nbody_app, "pairwise_error_ratios", None)  # any call raises
-    got, got_ops = prog.correct(0, next_block, inputs, 1, speculated, actual, 0)
+    got, got_ops = correct_one(prog, next_block, inputs, speculated, actual)
     assert np.array_equal(got, want) and got_ops == want_ops
 
 
@@ -352,11 +369,16 @@ def test_no_block_is_kept_past_an_accept_or_a_correct(incremental):
     assert prog.check(0, 1, actual + 1e-9, actual, own) <= prog.threshold
     assert prog._rejected == {}
 
+    # Several masks wait per rank until the rank's one repair takes them.
     next_block, inputs, speculated, actual = rejected_check(prog, rank=0)
+    _, _, speculated2, actual2 = rejected_check(prog, rank=0, k=2)
     rejected_check(prog, rank=2)
-    assert set(prog._rejected) == {0, 2}  # one program serves every rank
-    prog.correct(0, next_block, inputs, 1, speculated, actual, 0)
-    assert set(prog._rejected) == {2}
+    assert {r: len(held) for r, held in prog._rejected.items()} == {0: 2, 2: 1}
+    rejected = [(1, speculated, actual), (2, speculated2, actual2)]
+    for k, spec, act in rejected:
+        prog.correct_ops(0, inputs, k, spec, act, 0)
+    prog.correct(0, next_block, inputs, rejected, 0)
+    assert set(prog._rejected) == {2}  # one program serves every rank
 
     # Nor past a run: every speculation, bound and mask is taken, through
     # rejections and the re-speculations of a cascade.
@@ -375,7 +397,7 @@ def checked(prog, speculated, actual, own):
     particles it rejected, and the mask it holds for ``correct``."""
     worst = prog.check(0, 1, speculated, actual, own)
     held = prog._rejected.pop(0, None)
-    return worst, prog.spec_stats.particles_rejected, None if held is None else held[3]
+    return worst, prog.spec_stats.particles_rejected, None if held is None else held[0][3]
 
 
 @settings(max_examples=300, deadline=None)

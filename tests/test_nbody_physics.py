@@ -19,7 +19,6 @@ from repro.nbody import (
     symplectic_euler_step,
     two_clusters,
     uniform_cube,
-    worst_pairwise_error,
 )
 
 
@@ -240,20 +239,20 @@ def test_pairwise_error_ratio_formula():
     # displacement 0.1; nearest local at distance 1.0
     ratios = pairwise_error_ratios(spec, act, local)
     np.testing.assert_allclose(ratios, [0.1])
-    assert worst_pairwise_error(spec, act, local) == pytest.approx(0.1)
+    assert pairwise_error_ratios(spec, act, local).max() == pytest.approx(0.1)
 
 
 def test_pairwise_error_zero_for_exact_speculation():
     act = np.random.default_rng(0).normal(size=(5, 3))
     local = np.random.default_rng(1).normal(size=(4, 3))
-    assert worst_pairwise_error(act, act, local) == 0.0
+    assert pairwise_error_ratios(act, act, local).max() == 0.0
 
 
 def test_pairwise_error_empty_inputs():
     assert pairwise_error_ratios(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((3, 3))).size == 0
     out = pairwise_error_ratios(np.ones((2, 3)), np.ones((2, 3)), np.zeros((0, 3)))
     np.testing.assert_array_equal(out, [0.0, 0.0])
-    assert worst_pairwise_error(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+    assert pairwise_error_ratios(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
 
 def test_pairwise_error_validation():

@@ -142,6 +142,20 @@ def test_each_mutation_is_caught_with_its_expected_invariant(name):
     assert result.violation.invariant == mutation.expected_invariant
 
 
+def test_a_scenario_program_must_keep_the_default_correct(monkeypatch):
+    """The fingerprint settles owed repairs through ``correct``; an
+    override could change the program's state as a side effect."""
+    from repro.analysis.modelcheck import model
+
+    class Incremental(type(build_program(SMALL))):
+        def correct(self, rank, next_block, inputs, rejected, t):
+            return next_block
+
+    monkeypatch.setattr(model, "build_program", lambda config: Incremental(config.p, config.iters))
+    with pytest.raises(TypeError, match="default correct"):
+        explore(SMALL)
+
+
 def test_unknown_mutation_is_rejected():
     with pytest.raises(ValueError):
         explore(SMALL, mutation="not-a-mutation")
