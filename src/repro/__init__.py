@@ -48,20 +48,18 @@ from repro.apps import (
     WaveEquation1D,
 )
 from repro.core import (
-    DampedLinear,
     LinearExtrapolation,
     PolynomialExtrapolation,
     SpecStats,
     Speculator,
     SyncIterativeProgram,
-    WeightedHistory,
     ZeroOrderHold,
     speedup,
     speedup_max,
 )
-from repro.nbody import ParticleSystem, cold_disk, plummer_sphere, two_clusters, uniform_cube
+from repro.nbody import ParticleSystem, plummer_sphere, two_clusters, uniform_cube
 from repro.perfmodel import ModelParams, PerformanceModel, section4_params
-from repro.platforms import PlatformConfig, modern_cluster, two_processor_demo, wustl_1994
+from repro.platforms import PlatformConfig, two_processor_demo, wustl_1994
 from repro.vm import Cluster, ProcessorSpec, linear_gradient_specs, uniform_specs
 
 __version__ = "1.0.0"
@@ -70,7 +68,6 @@ __all__ = [
     "BACKENDS",
     "Cluster",
     "CoupledMapLattice",
-    "DampedLinear",
     "HeatEquation1D",
     "HeatEquation2D",
     "JacobiSolver",
@@ -89,11 +86,8 @@ __all__ = [
     "SpecStats",
     "Speculator",
     "SyncIterativeProgram",
-    "WeightedHistory",
     "ZeroOrderHold",
-    "cold_disk",
     "linear_gradient_specs",
-    "modern_cluster",
     "plummer_sphere",
     "run",
     "section4_params",

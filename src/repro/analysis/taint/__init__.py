@@ -7,7 +7,7 @@ commit-point annotation API (:func:`commits`) and the trace-replay
 verdict layer (:func:`check_taint`).
 """
 
-from repro.analysis.taint.annotations import COMMITS_ATTR, commits, is_commit_point
+from repro.analysis.taint.annotations import COMMITS_ATTR, commits
 from repro.analysis.taint.lattice import (
     COMMITTED,
     SPEC,
@@ -36,7 +36,6 @@ __all__ = [
     "declared_commit_points",
     "find_escapes",
     "findings",
-    "is_commit_point",
     "solve_taint",
     "unconfirmed",
 ]

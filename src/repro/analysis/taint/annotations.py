@@ -41,7 +41,3 @@ def commits(func: F) -> F:
     setattr(func, COMMITS_ATTR, True)
     return func
 
-
-def is_commit_point(func: object) -> bool:
-    """Was ``func`` decorated with :func:`commits`?"""
-    return bool(getattr(func, COMMITS_ATTR, False))

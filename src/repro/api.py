@@ -36,7 +36,7 @@ from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
 from repro.engine.des_transport import DESTransport
 from repro.engine.loopback import LoopbackRunner
 from repro.faults import FaultPlan, wrap_engine
-from repro.netsim.latency import ConstantLatency, StochasticLatency
+from repro.netsim.latency import latency_model
 from repro.netsim.network import DelayNetwork
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.trace.events import EventLog
@@ -118,8 +118,10 @@ class RunConfig:
         Arm the runtime protocol sanitizer; None (default) defers to
         the ``REPRO_SANITIZE`` environment variable.
     seed:
-        Seeds the stochastic parts of the transport (DES jitter
-        streams, mp per-worker jitter); >= 0.  Fault seeding lives on
+        Seeds the jitter stream of the run's latency model
+        (:func:`~repro.netsim.latency.latency_model`): one stream of
+        seed ``seed`` on des, one per receiving rank of seed
+        ``seed * 1000 + rank`` on mp; >= 0.  Fault seeding lives on
         the plan (``fault_plan.seed``), not here.
     latency:
         One-way message delay: virtual seconds on ``"des"`` (ignored
@@ -127,7 +129,8 @@ class RunConfig:
         ``"mp"``.  Must be 0 on ``"loopback"``, which has no clock.
     jitter:
         Log-normal sigma multiplying ``latency`` per message (des/mp
-        only, same rules as ``latency``).
+        only, same rules as ``latency``).  It scales the latency, so
+        ``jitter > 0`` needs ``latency > 0``.
     cluster:
         DES only: an explicit :class:`~repro.vm.Cluster` (e.g. from
         :func:`repro.platforms.wustl_1994`) with one processor per
@@ -204,6 +207,11 @@ class RunConfig:
             raise ValueError("bw (the history cap) must be >= 1")
         if self.latency < 0 or self.jitter < 0:
             raise ValueError("latency and jitter must be >= 0")
+        if self.jitter > 0 and self.latency == 0:
+            raise ValueError(
+                f"jitter={self.jitter} multiplies latency=0, so it would "
+                "delay nothing; set latency > 0 or jitter = 0"
+            )
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
         if self.backend == "loopback" and (self.latency or self.jitter):
@@ -269,10 +277,7 @@ def rank_engine(
 # ---------------------------------------------------------------- backends
 def _default_cluster(config: RunConfig) -> Cluster:
     """Uniform DES cluster with a constant(+jitter) latency network."""
-    latency = ConstantLatency(config.latency)
-    if config.jitter > 0:
-        latency = StochasticLatency(latency, sigma=config.jitter,
-                                    seed=config.seed)
+    latency = latency_model(config.latency, config.jitter, seed=config.seed)
     return Cluster(
         uniform_specs(config.program.nprocs),
         network_factory=lambda env: DelayNetwork(env, latency),

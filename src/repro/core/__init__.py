@@ -5,9 +5,9 @@ reusable framework:
 
 * :mod:`repro.core.speculators` — speculation functions x*_k(t) built
   from the backward window of past received values (zero-order hold,
-  linear / constant-velocity, polynomial, weighted history).
-* :mod:`repro.core.checkers` — generic error metrics comparing
-  speculated against actual values.
+  linear / constant-velocity, polynomial).
+* :mod:`repro.core.checkers` — a generic, scale-free error metric
+  comparing speculated against actual values.
 * :mod:`repro.core.program` — the application interface: an
   application supplies its compute / speculate / check / correct
   kernels plus an operation-count cost model.
@@ -17,38 +17,27 @@ reusable framework:
   speedup calculations.
 """
 
-from repro.core.checkers import (
-    ErrorMetric,
-    MaxAbsoluteError,
-    MaxRelativeError,
-    RmsError,
-)
+from repro.core.checkers import ErrorMetric, MaxRelativeError
 from repro.core.program import SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import RunReport, SpecStats, speedup, speedup_max
 from repro.core.speculators import (
-    DampedLinear,
     LinearExtrapolation,
     PolynomialExtrapolation,
     Speculator,
-    WeightedHistory,
     ZeroOrderHold,
 )
 
 __all__ = [
-    "DampedLinear",
     "ErrorMetric",
     "IncrementalProgram",
     "LinearExtrapolation",
-    "MaxAbsoluteError",
     "MaxRelativeError",
     "PolynomialExtrapolation",
-    "RmsError",
     "RunReport",
     "SpecStats",
     "Speculator",
     "SyncIterativeProgram",
-    "WeightedHistory",
     "ZeroOrderHold",
     "speedup",
     "speedup_max",

@@ -33,16 +33,6 @@ class ErrorMetric(ABC):
         return s, a
 
 
-class MaxAbsoluteError(ErrorMetric):
-    """max |x* - x| over all variables in the block."""
-
-    def error(self, speculated, actual):
-        s, a = self._validate(speculated, actual)
-        if s.size == 0:
-            return 0.0
-        return float(np.max(np.abs(s - a)))
-
-
 class MaxRelativeError(ErrorMetric):
     """max |x* - x| / (|x| + eps): scale-free per-variable error.
 
@@ -61,12 +51,3 @@ class MaxRelativeError(ErrorMetric):
             return 0.0
         return float(np.max(np.abs(s - a) / (np.abs(a) + self.eps)))
 
-
-class RmsError(ErrorMetric):
-    """Root-mean-square of (x* - x) over the block."""
-
-    def error(self, speculated, actual):
-        s, a = self._validate(speculated, actual)
-        if s.size == 0:
-            return 0.0
-        return float(np.sqrt(np.mean((s - a) ** 2)))

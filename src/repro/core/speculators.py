@@ -138,63 +138,3 @@ class PolynomialExtrapolation(Speculator):
     def __repr__(self) -> str:
         return f"PolynomialExtrapolation(order={self.order})"
 
-
-class DampedLinear(Speculator):
-    """Linear extrapolation with a damped trend (BW = 2).
-
-    ``x*(t) = x(t1) + λ · slope · (t − t1)`` with λ ∈ [0, 1]:
-    λ = 1 is plain linear extrapolation, λ = 0 a zero-order hold.
-    Damping trades a little bias on clean trends for robustness when
-    the history is noisy (jittery measurements, oscillatory dynamics) —
-    the same bias/variance dial as exponential smoothing.
-    """
-
-    backward_window = 2
-
-    def __init__(self, damping: float = 0.7) -> None:
-        if not 0.0 <= damping <= 1.0:
-            raise ValueError("damping must be in [0, 1]")
-        self.damping = damping
-
-    def extrapolate(self, times, values, target):
-        self._validate(times, values, target)
-        if len(values) == 1:
-            return np.array(values[-1], copy=True)
-        t0, t1 = times[-2], times[-1]
-        v0, v1 = np.asarray(values[-2]), np.asarray(values[-1])
-        slope = (v1 - v0) / (t1 - t0)
-        return v1 + self.damping * slope * (target - t1)
-
-    def __repr__(self) -> str:
-        return f"DampedLinear(damping={self.damping})"
-
-
-class WeightedHistory(Speculator):
-    """The paper's explicit form: x*(t) = Σ w_m · x(t_last-m+1).
-
-    ``weights[0]`` multiplies the most recent value.  Assumes
-    (approximately) uniformly spaced history; with fewer samples than
-    weights, the weights are truncated and renormalised so they still
-    sum to the original total.
-    """
-
-    def __init__(self, weights: Sequence[float]) -> None:
-        if len(weights) == 0:
-            raise ValueError("need at least one weight")
-        self.weights = tuple(float(w) for w in weights)
-        self.backward_window = len(self.weights)
-
-    def extrapolate(self, times, values, target):
-        self._validate(times, values, target)
-        k = min(len(self.weights), len(values))
-        used = np.asarray(self.weights[:k], dtype=float)
-        full = sum(self.weights)
-        if used.sum() != 0 and full != 0:
-            used = used * (full / used.sum())
-        result = np.zeros_like(np.asarray(values[-1]), dtype=float)
-        for m in range(k):
-            result = result + used[m] * np.asarray(values[-1 - m])
-        return result
-
-    def __repr__(self) -> str:
-        return f"WeightedHistory({list(self.weights)})"

@@ -7,11 +7,15 @@ per-message latency standing in for the paper's slow Ethernet.
 Delivery-time gating, no busy-wait
 ----------------------------------
 Injected latency is enforced at the *receiver*: each wire message
-carries its wall-clock send stamp, the receiver adds the injected
-delay (times a jitter draw) and the message does not count as arrived
-until that instant passes — exactly how the simulator's delay
-networks behave.  The difference is the message's transit time,
-reported as ``Arrival.latency``.  Blocking receives park in
+carries its wall-clock send stamp, and when the receiver pumps it off
+the pipe it draws the message's delay from the run's
+:class:`~repro.netsim.latency.LatencyModel` — the model the
+simulator's networks draw from, so a jitter stream or a
+:class:`~repro.netsim.latency.Spike` means the same on both clocks.
+The message does not count as arrived until send stamp + delay
+passes, exactly how the simulator's delay networks behave.  The
+difference is the message's transit time, reported as
+``Arrival.latency``.  Blocking receives park in
 :func:`multiprocessing.connection.wait` until new bytes arrive, or,
 with a stamp pending, in ``select.select`` until it matures (to the
 microsecond: ``connection.wait`` would round up to the millisecond);
@@ -38,12 +42,11 @@ import time
 from multiprocessing import connection
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.engine.events import VARS, Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
 from repro.engine.transport import TransportError
+from repro.netsim.latency import ConstantLatency, LatencyModel
 from repro.trace.events import TraceEvent
 from repro.trace.phases import PhaseTrace
 
@@ -61,11 +64,10 @@ class PipeTransport:
         This worker's rank (event attribution).
     conns:
         peer rank -> duplex :class:`Connection`.
-    latency / jitter:
-        Injected one-way delay in wall seconds and the log-normal
-        sigma multiplying it per message.
-    rng:
-        Seeded generator for the jitter stream (None = no jitter).
+    latency:
+        The run's :class:`~repro.netsim.latency.LatencyModel`, in wall
+        seconds; it is asked once per message, with the send stamp on
+        this rank's protocol clock (None = no injected delay).
     record_events:
         Record protocol :class:`TraceEvent` s (times relative to
         :meth:`start`) for ``repro analyze --trace`` replay.
@@ -79,9 +81,7 @@ class PipeTransport:
         self,
         rank: int,
         conns: Mapping[int, Any],
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        latency: Optional[LatencyModel] = None,
         record_events: bool = False,
         sanitize: Optional[bool] = None,
     ) -> None:
@@ -89,9 +89,7 @@ class PipeTransport:
         self._conns: Dict[int, Any] = dict(conns)
         self._src_by_conn = {id(conn): src for src, conn in self._conns.items()}
         self._wait_list: List[Any] = list(self._conns.values())
-        self.latency = latency
-        self.jitter = jitter
-        self._rng = rng
+        self.latency = latency if latency is not None else ConstantLatency(0.0)
         self.record_events = record_events
         self.sanitizer: Optional[ProtocolSanitizer] = resolve_sanitizer(sanitize)
         #: Per-peer FIFO of gated messages, already sequence-checked.
@@ -225,9 +223,7 @@ class PipeTransport:
                         f"{src}: got seq {seq}, expected {expected}"
                     )
                 self._expected_seq[src] = expected + 1
-                delay = self.latency
-                if self.jitter > 0 and self._rng is not None:
-                    delay *= float(np.exp(self._rng.normal(0.0, self.jitter)))
+                delay = self.latency.delay(src, self.rank, sent - self.t0)
                 effective = max(sent + delay, self._deliver_floor[src])
                 self._deliver_floor[src] = effective
                 self._inbox[src].append(

@@ -26,7 +26,6 @@ from repro.nbody.forces import (
 from repro.nbody.integrators import leapfrog_step, simulate, symplectic_euler_step
 from repro.nbody.particles import (
     ParticleSystem,
-    cold_disk,
     plummer_sphere,
     two_clusters,
     uniform_cube,
@@ -39,7 +38,6 @@ __all__ = [
     "accelerations",
     "accelerations_by_block",
     "accelerations_from_sources",
-    "cold_disk",
     "leapfrog_step",
     "pairwise_error_ratios",
     "plummer_sphere",

@@ -177,17 +177,3 @@ def bh_accelerations(
     visit(tree.root, np.arange(tp.shape[0], dtype=np.intp))
     return out, interactions
 
-
-def bh_accelerations_full(
-    pos: np.ndarray,
-    mass: np.ndarray,
-    G: float = 1.0,
-    softening: float = 0.01,
-    opening_angle: float = DEFAULT_OPENING_ANGLE,
-    leaf_size: int = 8,
-) -> tuple[np.ndarray, int]:
-    """Self-consistent Barnes–Hut accelerations of a whole system."""
-    tree = Octree(pos, mass, leaf_size=leaf_size)
-    return bh_accelerations(
-        pos, tree, G=G, softening=softening, opening_angle=opening_angle
-    )

@@ -167,40 +167,6 @@ def two_clusters(
     return ParticleSystem(mass=mass, pos=pos, vel=vel, G=G, softening=softening)
 
 
-def cold_disk(
-    n: int,
-    seed: int = 0,
-    r_min: float = 0.5,
-    r_max: float = 2.0,
-    central_mass: float = 100.0,
-    G: float = 1.0,
-    softening: float = 0.05,
-) -> ParticleSystem:
-    """Light ring particles on near-circular orbits around a heavy center.
-
-    Motion is dominated by the central mass, so trajectories are
-    locally straight over small timesteps — the friendliest workload
-    for constant-velocity speculation.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2 (center + at least one orbiter)")
-    rng = np.random.default_rng(seed)
-    m = n - 1
-    radius = rng.uniform(r_min, r_max, size=m)
-    angle = rng.uniform(0.0, 2 * np.pi, size=m)
-    pos = np.column_stack(
-        [radius * np.cos(angle), radius * np.sin(angle), rng.normal(0, 0.01, m)]
-    )
-    v_circ = np.sqrt(G * central_mass / radius)
-    vel = np.column_stack(
-        [-v_circ * np.sin(angle), v_circ * np.cos(angle), np.zeros(m)]
-    )
-    pos = np.vstack([[0.0, 0.0, 0.0], pos])
-    vel = np.vstack([[0.0, 0.0, 0.0], vel])
-    mass = np.concatenate([[central_mass], np.full(m, 1e-4)])
-    return ParticleSystem(mass=mass, pos=pos, vel=vel, G=G, softening=softening)
-
-
 def _random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) isotropic unit vectors."""
     v = rng.normal(size=(n, 3))

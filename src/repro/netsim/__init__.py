@@ -5,8 +5,9 @@ This package substitutes the paper's physical substrate — a shared
 composable delay models:
 
 * :mod:`repro.netsim.latency` — per-message latency models: constant,
-  size-linear, processor-count-scaled, stochastic (log-normal jitter),
-  transient spikes (the Fig. 4 scenario), and composition.
+  stochastic (log-normal jitter) and transient spikes (the Fig. 4
+  scenario).  The mp backend's pipe transport draws from the same
+  models, in wall seconds.
 * :mod:`repro.netsim.bus` — a shared-medium bus with FIFO contention
   and optional background traffic, reproducing the contention-driven
   growth of t_comm with p that the paper observes beyond 8 processors.
@@ -17,14 +18,10 @@ composable delay models:
 
 from repro.netsim.bus import BackgroundTraffic, BurstyTraffic, SharedBus
 from repro.netsim.latency import (
-    CompositeLatency,
     ConstantLatency,
     LatencyModel,
-    LinearLatency,
-    PerProcessorScaledLatency,
     StochasticLatency,
     TransientSpikes,
-    UniformLatency,
 )
 from repro.netsim.network import BusNetwork, DelayNetwork, Network, SwitchedNetwork
 
@@ -32,16 +29,12 @@ __all__ = [
     "BackgroundTraffic",
     "BurstyTraffic",
     "BusNetwork",
-    "CompositeLatency",
     "ConstantLatency",
     "DelayNetwork",
     "LatencyModel",
-    "LinearLatency",
     "Network",
-    "PerProcessorScaledLatency",
     "SharedBus",
     "StochasticLatency",
     "SwitchedNetwork",
     "TransientSpikes",
-    "UniformLatency",
 ]

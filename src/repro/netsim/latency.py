@@ -1,10 +1,13 @@
 """Per-message latency models.
 
-A :class:`LatencyModel` maps a message (source, destination, size,
-current time) to a delay in virtual seconds.  Models are composable so
-the calibrated platform can express e.g. *"fixed software overhead +
-size/bandwidth + log-normal jitter + a transient spike on the P1→P2
-path at t≈0"* as a single object.
+A :class:`LatencyModel` maps a message (source, destination, send
+time) to a delay in seconds.  Models compose by wrapping, so the
+calibrated platform can express e.g. *"fixed endpoint latency +
+log-normal jitter + a transient spike on the P1→P2 path at t≈0"* as a
+single object.  The same object delays messages on every clocked
+backend: the DES networks draw from it in virtual seconds, and the mp
+pipe transport in wall seconds, when the receiver pumps the message
+off its pipe.
 
 All randomness flows through a ``numpy.random.Generator`` owned by the
 model, seeded at construction — two models built with the same seed
@@ -22,29 +25,25 @@ import numpy as np
 
 
 class LatencyModel(ABC):
-    """Maps one message to a transmission delay (virtual seconds)."""
+    """Maps one message to a transmission delay (seconds on the run's clock)."""
 
     @abstractmethod
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        """Delay for a message of ``nbytes`` from ``src`` to ``dst`` at ``now``.
+    def delay(self, src: int, dst: int, now: float) -> float:
+        """Delay for a message from ``src`` to ``dst`` sent at ``now``.
 
         Parameters
         ----------
         src, dst:
             Integer processor ranks.
-        nbytes:
-            Payload size in bytes.
         now:
-            Current virtual time (lets models express transient effects).
+            The message's send time on the run's clock (lets models
+            express transient effects).
         """
-
-    def __add__(self, other: "LatencyModel") -> "CompositeLatency":
-        return CompositeLatency([self, other])
 
 
 @dataclass(frozen=True)
 class ConstantLatency(LatencyModel):
-    """Fixed delay for every message regardless of size or endpoints."""
+    """Fixed delay for every message regardless of endpoints."""
 
     seconds: float
 
@@ -52,69 +51,8 @@ class ConstantLatency(LatencyModel):
         if self.seconds < 0:
             raise ValueError(f"negative latency: {self.seconds}")
 
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
+    def delay(self, src: int, dst: int, now: float) -> float:
         return self.seconds
-
-
-@dataclass(frozen=True)
-class LinearLatency(LatencyModel):
-    """Affine size model: ``overhead + nbytes / bandwidth``.
-
-    ``overhead`` captures per-message software cost (PVM pack/unpack,
-    protocol stack); ``bandwidth`` is in bytes per virtual second.
-    """
-
-    overhead: float = 0.0
-    bandwidth: float = float("inf")
-
-    def __post_init__(self) -> None:
-        if self.overhead < 0:
-            raise ValueError("negative overhead")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        return self.overhead + nbytes / self.bandwidth
-
-
-@dataclass(frozen=True)
-class PerProcessorScaledLatency(LatencyModel):
-    """Scales a base model linearly with the processor count.
-
-    The Section-4 study assumes *t_comm(p) grows linearly with p*; this
-    model expresses exactly that: ``delay = base × (1 + slope·(p-1))``.
-    """
-
-    base: LatencyModel
-    nprocs: int
-    slope: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.nprocs < 1:
-            raise ValueError("nprocs must be >= 1")
-        if self.slope < 0:
-            raise ValueError("slope must be >= 0")
-
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        factor = 1.0 + self.slope * (self.nprocs - 1)
-        return self.base.delay(src, dst, nbytes, now) * factor
-
-
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[low, high]`` per message (seeded)."""
-
-    def __init__(self, low: float, high: float, seed: int = 0) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
-        self.low = low
-        self.high = high
-        self._rng = np.random.default_rng(seed)
-
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        return float(self._rng.uniform(self.low, self.high))
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low}, {self.high})"
 
 
 class StochasticLatency(LatencyModel):
@@ -132,8 +70,8 @@ class StochasticLatency(LatencyModel):
         self.sigma = sigma
         self._rng = np.random.default_rng(seed)
 
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        d = self.base.delay(src, dst, nbytes, now)
+    def delay(self, src: int, dst: int, now: float) -> float:
+        d = self.base.delay(src, dst, now)
         if self.sigma == 0.0:
             return d
         return d * float(math.exp(self._rng.normal(0.0, self.sigma)))
@@ -179,30 +117,20 @@ class TransientSpikes(LatencyModel):
     base: LatencyModel
     spikes: Sequence[Spike] = field(default_factory=tuple)
 
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        d = self.base.delay(src, dst, nbytes, now)
+    def delay(self, src: int, dst: int, now: float) -> float:
+        d = self.base.delay(src, dst, now)
         for spike in self.spikes:
             if spike.applies(src, dst, now):
                 d += spike.extra
         return d
 
 
-class CompositeLatency(LatencyModel):
-    """Sum of several latency models (e.g. overhead + wire + jitter)."""
 
-    def __init__(self, models: Sequence[LatencyModel]) -> None:
-        if not models:
-            raise ValueError("CompositeLatency needs at least one model")
-        flattened: list[LatencyModel] = []
-        for m in models:
-            if isinstance(m, CompositeLatency):
-                flattened.extend(m.models)
-            else:
-                flattened.append(m)
-        self.models = tuple(flattened)
-
-    def delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        return sum(m.delay(src, dst, nbytes, now) for m in self.models)
-
-    def __repr__(self) -> str:
-        return f"CompositeLatency({list(self.models)!r})"
+def latency_model(latency: float, jitter: float = 0.0, seed: int = 0) -> LatencyModel:
+    """A run's injected delay: ``latency`` seconds per message, times a
+    log-normal draw of sigma ``jitter`` (seeded by ``seed``) when
+    ``jitter > 0``."""
+    model: LatencyModel = ConstantLatency(latency)
+    if jitter > 0:
+        model = StochasticLatency(model, sigma=jitter, seed=seed)
+    return model

@@ -50,7 +50,7 @@ class Network(ABC):
         self.messages_sent += 1
         self.bytes_sent += nbytes
 
-    def _endpoint_stage(self, src: int, dst: int, nbytes: int) -> Optional[Event]:
+    def _endpoint_stage(self, src: int, dst: int) -> Optional[Event]:
         """Draw the endpoint latency of a message sent now; FIFO-clamp it.
 
         Returns the event firing when the stage ends — at the absolute
@@ -59,7 +59,7 @@ class Network(ABC):
         predecessor that may still be due at this instant.
         """
         now, key = self.env.now, (src, dst)
-        delay = self.latency.delay(src, dst, nbytes, now)
+        delay = self.latency.delay(src, dst, now)
         last = self._last_ready.get(key, -inf)
         if delay > 0 or last >= now:
             self._last_ready[key] = ready = max(now + delay, last)
@@ -81,7 +81,7 @@ class DelayNetwork(Network):
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         self._account(nbytes)
-        delay = self.latency.delay(src, dst, nbytes, self.env.now)
+        delay = self.latency.delay(src, dst, self.env.now)
         arrival = self.env.now + delay
         key = (src, dst)
         # FIFO per channel: a message never arrives before its
@@ -130,7 +130,7 @@ class SwitchedNetwork(Network):
         )
 
     def _deliver(self, src: int, dst: int, nbytes: int) -> Generator:
-        ready = self._endpoint_stage(src, dst, nbytes)
+        ready = self._endpoint_stage(src, dst)
         if ready is not None:
             yield ready
         wire = nbytes / self.bandwidth
@@ -175,7 +175,7 @@ class BusNetwork(Network):
         self._account(nbytes)
         done = Event(self.env)
         value = (src, dst, nbytes)
-        ready = self._endpoint_stage(src, dst, nbytes)
+        ready = self._endpoint_stage(src, dst)
         if ready is None:
             self.bus.transfer(nbytes, done, value)
         else:

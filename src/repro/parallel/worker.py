@@ -7,7 +7,8 @@ rank's engine with :func:`~repro.api.rank_engine`, as the DES and
 loopback backends do — the same :class:`repro.engine.SpecEngine` (or
 the Fig. 7 baseline), in the same fault-plan stage — and interprets
 it against the pipes with :class:`~repro.engine.pipes.PipeTransport`:
-injected latency is enforced at the receiver via per-message delivery
+injected latency — the run's :func:`~repro.netsim.latency.latency_model`,
+on a per-rank seed — is enforced at the receiver via per-message delivery
 stamps, sends carry per-destination sequence numbers (restoring
 FIFO-with-delay order under jitter — the SPF111 fix), and blocking
 receives park in ``select`` rather than sleep-polling.
@@ -24,14 +25,13 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-import numpy as np
-
 from repro.api import RunConfig, rank_engine
 from repro.core.results import SpecStats
 from repro.engine.core import topology
 from repro.engine.pipes import PipeTransport
 from repro.engine.transport import drive
 from repro.faults import FaultSummary
+from repro.netsim.latency import latency_model
 from repro.trace.events import TraceEvent
 from repro.trace.phases import PhaseTrace
 
@@ -103,8 +103,8 @@ def _run_protocol(
     """Build this rank's engine + transport and run to completion."""
     transport = PipeTransport(
         rank, conns,
-        latency=config.latency, jitter=config.jitter,
-        rng=np.random.default_rng(config.seed * 1000 + rank),
+        latency=latency_model(config.latency, config.jitter,
+                              seed=config.seed * 1000 + rank),
         record_events=config.record_trace,
         sanitize=config.sanitize,
     )

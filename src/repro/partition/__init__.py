@@ -9,8 +9,6 @@ time on every processor.
 from repro.partition.partition import (
     Partition,
     largest_remainder_round,
-    block_partition,
-    cyclic_partition,
     proportional_counts,
     proportional_partition,
 )
@@ -18,8 +16,6 @@ from repro.partition.partition import (
 __all__ = [
     "Partition",
     "largest_remainder_round",
-    "block_partition",
-    "cyclic_partition",
     "proportional_counts",
     "proportional_partition",
 ]

@@ -144,17 +144,3 @@ def proportional_partition(n: int, capacities: Sequence[float]) -> Partition:
     )
     return Partition(n=n, assignments=assignments)
 
-
-def block_partition(n: int, p: int) -> Partition:
-    """Equal contiguous blocks (homogeneous processors)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return proportional_partition(n, [1.0] * p)
-
-
-def cyclic_partition(n: int, p: int) -> Partition:
-    """Round-robin assignment: variable i goes to processor i mod p."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    assignments = tuple(np.arange(r, n, p, dtype=np.intp) for r in range(p))
-    return Partition(n=n, assignments=assignments)

@@ -177,58 +177,6 @@ def wustl_1994(
     )
 
 
-def modern_cluster(
-    p: int = 16,
-    capacity: float = 2e9,
-    link_bandwidth: float = 125e6,
-    base_latency: float = 50e-6,
-    jitter_sigma: float = 0.0,
-    seed: int = 0,
-) -> PlatformConfig:
-    """A contemporary homogeneous cluster: switched gigabit, fast CPUs.
-
-    Useful as a contrast to :func:`wustl_1994`: thirty years of
-    hardware moved both compute and network, but their *ratio* — and
-    therefore the value of latency masking — depends entirely on the
-    workload.  Per-link full-duplex bandwidth defaults to 1 Gb/s
-    (125 MB/s) with a 50 µs base latency.
-
-    Parameters
-    ----------
-    p:
-        Number of identical nodes.
-    capacity:
-        Node capacity in model ops/s.
-    link_bandwidth:
-        Per-endpoint bandwidth in bytes/s (switched; no shared medium).
-    base_latency:
-        Per-message protocol latency in seconds.
-    jitter_sigma:
-        Optional log-normal jitter on the base latency.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if capacity <= 0 or link_bandwidth <= 0 or base_latency < 0:
-        raise ValueError("capacity/bandwidth must be positive; latency >= 0")
-    from repro.netsim import SwitchedNetwork
-    from repro.vm import uniform_specs
-
-    specs = uniform_specs(p, capacity=capacity, name_prefix="node")
-
-    def network_factory(env: Environment) -> Network:
-        latency: LatencyModel = ConstantLatency(base_latency)
-        if jitter_sigma > 0:
-            latency = StochasticLatency(latency, sigma=jitter_sigma, seed=seed + 1)
-        return SwitchedNetwork(env, nprocs=p, bandwidth=link_bandwidth, latency=latency)
-
-    return PlatformConfig(
-        name=f"modern-cluster-p{p}",
-        specs=specs,
-        network_factory=network_factory,
-        description="homogeneous switched-gigabit cluster (contrast platform)",
-    )
-
-
 def two_processor_demo(
     compute_seconds: float = 1.0,
     comm_seconds: float = 1.5,

@@ -19,7 +19,7 @@ SUN/Sparc workstations — with simulated processors:
 """
 
 from repro.vm.cluster import Cluster
-from repro.vm.load import BackgroundLoad, ConstantSlowdown, RandomWalkLoad
+from repro.vm.load import BackgroundLoad, RandomWalkLoad
 from repro.vm.message import Message
 from repro.vm.processor import VirtualProcessor
 from repro.vm.specs import ProcessorSpec, linear_gradient_specs, uniform_specs
@@ -27,7 +27,6 @@ from repro.vm.specs import ProcessorSpec, linear_gradient_specs, uniform_specs
 __all__ = [
     "BackgroundLoad",
     "Cluster",
-    "ConstantSlowdown",
     "linear_gradient_specs",
     "Message",
     "ProcessorSpec",

@@ -21,21 +21,6 @@ class BackgroundLoad(ABC):
         """Multiplicative factor applied to compute durations at ``now``."""
 
 
-class ConstantSlowdown(BackgroundLoad):
-    """Fixed slowdown factor (1.0 = unloaded)."""
-
-    def __init__(self, factor: float = 1.0) -> None:
-        if factor < 1.0:
-            raise ValueError("slowdown factor must be >= 1")
-        self.factor = factor
-
-    def slowdown(self, now: float) -> float:
-        return self.factor
-
-    def __repr__(self) -> str:
-        return f"ConstantSlowdown({self.factor})"
-
-
 class RandomWalkLoad(BackgroundLoad):
     """Mean-reverting random-walk load, piecewise constant in time.
 

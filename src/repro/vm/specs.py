@@ -10,7 +10,6 @@ p processors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,3 @@ def uniform_specs(p: int, capacity: float = 100e6, name_prefix: str = "cpu") -> 
         raise ValueError("p must be >= 1")
     return [ProcessorSpec(name=f"{name_prefix}{i + 1}", capacity=capacity) for i in range(p)]
 
-
-def total_capacity(specs: Sequence[ProcessorSpec]) -> float:
-    """Sum of capacities (numerator of the paper's speedup_max)."""
-    return sum(s.capacity for s in specs)

@@ -30,11 +30,11 @@ def test_validation():
         HeatEquation2D(np.zeros((2, 4)), [1.0, 1.0, 1.0], 5)  # too few rows
     with pytest.raises(ValueError):
         HeatEquation2D(np.zeros((8, 4)), [1.0, 1.0], 5, r=0.3)  # unstable r
-    from repro.partition import cyclic_partition
+    from repro.partition import Partition
 
+    interleaved = Partition(8, (np.arange(0, 8, 2), np.arange(1, 8, 2)))
     with pytest.raises(ValueError):
-        HeatEquation2D(np.zeros((8, 4)), [1.0, 1.0], 5,
-                       partition=cyclic_partition(8, 2))
+        HeatEquation2D(np.zeros((8, 4)), [1.0, 1.0], 5, partition=interleaved)
 
 
 def test_topology_neighbors_only():

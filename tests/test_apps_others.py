@@ -32,10 +32,11 @@ def test_heat_validation():
         HeatEquation1D(np.zeros(10), [1.0, 1.0], 5, r=0.6)
     with pytest.raises(ValueError):
         HeatEquation1D(np.zeros(10), [1.0, 1.0], 5, r=0.0)
-    from repro.partition import cyclic_partition
+    from repro.partition import Partition
 
+    interleaved = Partition(10, (np.arange(0, 10, 2), np.arange(1, 10, 2)))
     with pytest.raises(ValueError):
-        HeatEquation1D(np.zeros(10), [1.0, 1.0], 5, partition=cyclic_partition(10, 2))
+        HeatEquation1D(np.zeros(10), [1.0, 1.0], 5, partition=interleaved)
 
 
 def test_heat_topology_neighbors_only():

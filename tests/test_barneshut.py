@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nbody import accelerations, plummer_sphere, uniform_cube
-from repro.nbody.barneshut import Octree, bh_accelerations, bh_accelerations_full
+from repro.nbody.barneshut import Octree, bh_accelerations
 
 
 def test_octree_validation():
@@ -42,7 +42,8 @@ def test_octree_mass_and_com_consistency():
 def test_zero_opening_angle_is_exact():
     ps = uniform_cube(50, seed=4, softening=0.05)
     direct = accelerations(ps.pos, ps.mass, softening=0.05)
-    bh, _ = bh_accelerations_full(ps.pos, ps.mass, softening=0.05, opening_angle=0.0)
+    bh, _ = bh_accelerations(ps.pos, Octree(ps.pos, ps.mass), softening=0.05,
+                             opening_angle=0.0)
     np.testing.assert_allclose(bh, direct, rtol=1e-10, atol=1e-12)
 
 
@@ -52,8 +53,8 @@ def test_accuracy_improves_with_smaller_theta():
     norm = np.linalg.norm(direct, axis=1).mean()
 
     def err(theta):
-        bh, _ = bh_accelerations_full(
-            ps.pos, ps.mass, softening=0.05, opening_angle=theta
+        bh, _ = bh_accelerations(
+            ps.pos, Octree(ps.pos, ps.mass), softening=0.05, opening_angle=theta
         )
         return np.linalg.norm(bh - direct, axis=1).mean() / norm
 
@@ -67,8 +68,8 @@ def test_interaction_count_scales_sub_quadratically():
     counts = {}
     for n in (256, 1024):
         ps = uniform_cube(n, seed=6, softening=softening)
-        _, cnt = bh_accelerations_full(
-            ps.pos, ps.mass, softening=softening, opening_angle=0.7
+        _, cnt = bh_accelerations(
+            ps.pos, Octree(ps.pos, ps.mass), softening=softening, opening_angle=0.7
         )
         counts[n] = cnt
     # Per-particle interactions grow ~logarithmically: quadrupling N
@@ -83,7 +84,7 @@ def test_interaction_count_scales_sub_quadratically():
 def test_self_interaction_vanishes():
     pos = np.array([[0.0, 0.0, 0.0]])
     mass = np.array([1.0])
-    acc, _ = bh_accelerations_full(pos, mass, softening=0.0)
+    acc, _ = bh_accelerations(pos, Octree(pos, mass), softening=0.0)
     np.testing.assert_array_equal(acc, 0.0)
 
 
@@ -100,7 +101,8 @@ def test_momentum_conservation_approximate():
     """BH forces are not exactly pairwise-antisymmetric, but total force
     stays small relative to the force scale."""
     ps = plummer_sphere(200, seed=7, softening=0.05)
-    bh, _ = bh_accelerations_full(ps.pos, ps.mass, softening=0.05, opening_angle=0.5)
+    bh, _ = bh_accelerations(ps.pos, Octree(ps.pos, ps.mass), softening=0.05,
+                             opening_angle=0.5)
     total = np.einsum("i,ij->j", ps.mass, bh)
     scale = np.abs(ps.mass[:, None] * bh).sum(axis=0)
     assert np.all(np.abs(total) < 0.05 * scale)

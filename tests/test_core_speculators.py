@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import (
     LinearExtrapolation,
     PolynomialExtrapolation,
-    WeightedHistory,
     ZeroOrderHold,
 )
 
@@ -72,34 +71,15 @@ def test_polynomial_validation():
         PolynomialExtrapolation(order=-1)
 
 
-def test_weighted_history_explicit_weights():
-    # x* = 2*x(t-1) - 1*x(t-2): linear extrapolation weights
-    ts, vs = hist([1.0], [3.0])
-    out = WeightedHistory([2.0, -1.0]).extrapolate(ts, vs, 2)
-    np.testing.assert_allclose(out, [5.0])
-
-
-def test_weighted_history_truncates_and_renormalises():
-    # weights (0.5, 0.5) but only one sample -> full weight on it
-    out = WeightedHistory([0.5, 0.5]).extrapolate([0], [np.array([4.0])], 1)
-    np.testing.assert_allclose(out, [4.0])
-
-
-def test_weighted_history_validation():
-    with pytest.raises(ValueError):
-        WeightedHistory([])
-
-
 def test_backward_window_sizes():
     assert ZeroOrderHold().backward_window == 1
     assert LinearExtrapolation().backward_window == 2
     assert PolynomialExtrapolation(order=3).backward_window == 4
-    assert WeightedHistory([1, 2, 3]).backward_window == 3
 
 
 @pytest.mark.parametrize(
     "spec",
-    [ZeroOrderHold(), LinearExtrapolation(), PolynomialExtrapolation(2), WeightedHistory([1.0])],
+    [ZeroOrderHold(), LinearExtrapolation(), PolynomialExtrapolation(2)],
 )
 def test_common_validation(spec):
     v = [np.array([1.0])]
@@ -147,47 +127,3 @@ def test_multidimensional_blocks_supported():
     out = LinearExtrapolation().extrapolate([0, 1], values, 2)
     np.testing.assert_allclose(out, np.arange(6, dtype=float).reshape(2, 3) * 3)
 
-
-def test_damped_linear_interpolates_between_hold_and_linear():
-    from repro.core import DampedLinear
-
-    times, values = hist([0.0], [2.0])
-    hold = DampedLinear(damping=0.0).extrapolate(times, values, 2)
-    full = DampedLinear(damping=1.0).extrapolate(times, values, 2)
-    half = DampedLinear(damping=0.5).extrapolate(times, values, 2)
-    np.testing.assert_allclose(hold, [2.0])   # = last value
-    np.testing.assert_allclose(full, [4.0])   # = linear extrapolation
-    np.testing.assert_allclose(half, [3.0])   # midway
-
-
-def test_damped_linear_single_point_holds():
-    from repro.core import DampedLinear
-
-    out = DampedLinear().extrapolate([0], [np.array([5.0])], 2)
-    np.testing.assert_allclose(out, [5.0])
-
-
-def test_damped_linear_validation():
-    from repro.core import DampedLinear
-
-    with pytest.raises(ValueError):
-        DampedLinear(damping=1.5)
-    with pytest.raises(ValueError):
-        DampedLinear(damping=-0.1)
-
-
-def test_damped_linear_more_robust_to_noise_than_linear():
-    """On a noisy constant signal, full linear extrapolation amplifies
-    the noise (variance x5 for the last-two-points slope); damping
-    shrinks it back toward the hold."""
-    from repro.core import DampedLinear, LinearExtrapolation
-
-    rng = np.random.default_rng(0)
-    signal = 1.0 + 0.1 * rng.normal(size=200)
-    lin_err, damp_err = [], []
-    for t in range(2, 199):
-        hist_t = [t - 2, t - 1]
-        vals = [np.array([signal[t - 2]]), np.array([signal[t - 1]])]
-        lin_err.append(abs(LinearExtrapolation().extrapolate(hist_t, vals, t)[0] - signal[t]))
-        damp_err.append(abs(DampedLinear(0.3).extrapolate(hist_t, vals, t)[0] - signal[t]))
-    assert np.mean(damp_err) < np.mean(lin_err)

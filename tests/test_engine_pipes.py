@@ -21,6 +21,12 @@ import pytest
 from repro.api import RunConfig, run
 from repro.engine import Recv, TransportError, TryRecv
 from repro.engine.pipes import PipeTransport
+from repro.netsim.latency import (
+    ConstantLatency,
+    Spike,
+    StochasticLatency,
+    TransientSpikes,
+)
 
 from tests.toy_programs import CoupledIncrement
 
@@ -56,11 +62,43 @@ def test_arrival_reports_the_injected_transit_as_latency():
     """The receiver adds the injected delay to the wire's send stamp;
     Arrival.latency is the difference — the transit a forward window
     hides, which the window policy reads."""
-    transport, sender = make_transport(latency=0.2)
+    transport, sender = make_transport(latency=ConstantLatency(0.2))
     sender.send((0, time.monotonic(), 1, "payload"))
     arrival = transport.recv(Recv(phase="comm", iteration=1))
     assert arrival.latency == pytest.approx(0.2, abs=1e-9)
     assert arrival.waited >= 0.2 * 0.9
+
+
+def test_a_spike_delays_only_the_messages_stamped_inside_its_window():
+    """The Fig. 4 transient on real pipes: the model is asked with the
+    send stamp on the receiver's protocol clock, so a message sent in
+    [t_start, t_end) pays the extra delay and a later one does not."""
+    spike = Spike(extra=0.2, t_start=0.0, t_end=0.5, src=1, dst=0)
+    transport, sender = make_transport(
+        latency=TransientSpikes(ConstantLatency(0.05), (spike,)))
+    transport.t0 -= 1.0  # the protocol started a second ago
+    sender.send((0, transport.t0 + 0.1, 1, "inside"))
+    sender.send((1, transport.t0 + 0.6, 2, "after"))
+    inside = transport.recv(Recv(phase="comm", iteration=1))
+    after = transport.recv(Recv(phase="comm", iteration=2))
+    assert inside.latency == pytest.approx(0.25, abs=1e-9)
+    assert after.latency == pytest.approx(0.05, abs=1e-9)
+
+
+def test_seeded_jitter_draws_the_models_stream_in_order():
+    """Each pumped message takes the next draw of the transport's
+    model: the transits equal a same-seeded twin's, drawn in turn."""
+    transport, sender = make_transport(
+        latency=StochasticLatency(ConstantLatency(0.02), sigma=0.5, seed=7))
+    twin = StochasticLatency(ConstantLatency(0.02), sigma=0.5, seed=7)
+    # A second apart, so the FIFO floor never binds.
+    stamps = [time.monotonic() + seq for seq in range(5)]
+    for seq, sent in enumerate(stamps):
+        sender.send((seq, sent, seq, "payload"))
+    transport._pump()
+    delivered = [entry[0] for entry in transport._inbox[1]]
+    assert delivered == [sent + twin.delay(1, 0, 0.0) for sent in stamps]
+    assert len({at - sent for at, sent in zip(delivered, stamps)}) == 5
 
 
 def test_blocking_recv_parks_until_bytes_arrive():
@@ -147,6 +185,8 @@ def test_latency_and_jitter_validation():
         RunConfig(prog, backend="mp", latency=-1.0)
     with pytest.raises(ValueError, match="latency and jitter"):
         RunConfig(prog, backend="mp", jitter=-0.5)
+    with pytest.raises(ValueError, match="jitter=0.5 multiplies latency=0"):
+        RunConfig(prog, backend="mp", jitter=0.5)
 
 
 # ------------------------------------------- end-to-end SPF111 regression

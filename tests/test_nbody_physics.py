@@ -9,7 +9,6 @@ from repro.nbody import (
     ParticleSystem,
     accelerations,
     accelerations_from_sources,
-    cold_disk,
     leapfrog_step,
     pairwise_error_ratios,
     plummer_sphere,
@@ -121,8 +120,6 @@ def test_generators_basic_shapes():
         assert np.all(np.isfinite(ps.vel))
     ps = two_clusters(51, seed=3)
     assert ps.n == 51
-    ps = cold_disk(40, seed=3)
-    assert ps.n == 40
 
 
 def test_generators_deterministic():
@@ -139,8 +136,6 @@ def test_generator_validation():
         plummer_sphere(0)
     with pytest.raises(ValueError):
         two_clusters(1)
-    with pytest.raises(ValueError):
-        cold_disk(1)
 
 
 def test_plummer_roughly_virialised():
@@ -197,14 +192,6 @@ def test_simulate_zero_steps_identity():
     ps = uniform_cube(5, seed=0)
     out = simulate(ps, dt=0.1, steps=0)
     np.testing.assert_array_equal(out.pos, ps.pos)
-
-
-def test_cold_disk_orbits_stay_bounded():
-    ps = cold_disk(30, seed=2)
-    out = simulate(ps, dt=0.001, steps=100)
-    radii = np.linalg.norm(out.pos[1:, :2], axis=1)
-    assert np.all(radii < 5.0)
-    assert np.all(radii > 0.1)
 
 
 # ---------------------------------------------------------------- speculation

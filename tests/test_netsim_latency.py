@@ -2,22 +2,14 @@
 
 import pytest
 
-from repro.netsim import (
-    CompositeLatency,
-    ConstantLatency,
-    LinearLatency,
-    PerProcessorScaledLatency,
-    StochasticLatency,
-    TransientSpikes,
-    UniformLatency,
-)
-from repro.netsim.latency import Spike
+from repro.netsim import ConstantLatency, StochasticLatency, TransientSpikes
+from repro.netsim.latency import Spike, latency_model
 
 
 def test_constant_latency():
     m = ConstantLatency(0.5)
-    assert m.delay(0, 1, 1000, 0.0) == 0.5
-    assert m.delay(3, 7, 0, 99.0) == 0.5
+    assert m.delay(0, 1, 0.0) == 0.5
+    assert m.delay(3, 7, 99.0) == 0.5
 
 
 def test_constant_latency_rejects_negative():
@@ -25,72 +17,18 @@ def test_constant_latency_rejects_negative():
         ConstantLatency(-1)
 
 
-def test_linear_latency_affine_in_size():
-    m = LinearLatency(overhead=0.1, bandwidth=1000.0)
-    assert m.delay(0, 1, 0, 0.0) == pytest.approx(0.1)
-    assert m.delay(0, 1, 500, 0.0) == pytest.approx(0.6)
-
-
-def test_linear_latency_validation():
-    with pytest.raises(ValueError):
-        LinearLatency(overhead=-1)
-    with pytest.raises(ValueError):
-        LinearLatency(bandwidth=0)
-
-
-def test_per_processor_scaling():
-    base = ConstantLatency(1.0)
-    m1 = PerProcessorScaledLatency(base, nprocs=1, slope=0.5)
-    m16 = PerProcessorScaledLatency(base, nprocs=16, slope=0.5)
-    assert m1.delay(0, 1, 0, 0) == pytest.approx(1.0)
-    assert m16.delay(0, 1, 0, 0) == pytest.approx(1.0 + 0.5 * 15)
-
-
-def test_per_processor_scaling_is_linear_in_p():
-    base = ConstantLatency(2.0)
-    delays = [
-        PerProcessorScaledLatency(base, nprocs=p, slope=1.0).delay(0, 1, 0, 0)
-        for p in range(1, 17)
-    ]
-    diffs = [b - a for a, b in zip(delays, delays[1:])]
-    assert all(d == pytest.approx(diffs[0]) for d in diffs)
-
-
-def test_per_processor_scaling_validation():
-    with pytest.raises(ValueError):
-        PerProcessorScaledLatency(ConstantLatency(1), nprocs=0)
-    with pytest.raises(ValueError):
-        PerProcessorScaledLatency(ConstantLatency(1), nprocs=2, slope=-1)
-
-
-def test_uniform_latency_within_bounds_and_deterministic():
-    m1 = UniformLatency(0.1, 0.5, seed=7)
-    m2 = UniformLatency(0.1, 0.5, seed=7)
-    seq1 = [m1.delay(0, 1, 0, 0) for _ in range(50)]
-    seq2 = [m2.delay(0, 1, 0, 0) for _ in range(50)]
-    assert seq1 == seq2
-    assert all(0.1 <= d <= 0.5 for d in seq1)
-
-
-def test_uniform_latency_validation():
-    with pytest.raises(ValueError):
-        UniformLatency(0.5, 0.1)
-    with pytest.raises(ValueError):
-        UniformLatency(-0.1, 0.5)
-
-
 def test_stochastic_sigma_zero_is_base():
     base = ConstantLatency(2.0)
     m = StochasticLatency(base, sigma=0.0, seed=1)
-    assert m.delay(0, 1, 0, 0) == 2.0
+    assert m.delay(0, 1, 0) == 2.0
 
 
 def test_stochastic_jitter_positive_and_deterministic():
     base = ConstantLatency(1.0)
     a = StochasticLatency(base, sigma=0.3, seed=42)
     b = StochasticLatency(base, sigma=0.3, seed=42)
-    sa = [a.delay(0, 1, 0, 0) for _ in range(100)]
-    sb = [b.delay(0, 1, 0, 0) for _ in range(100)]
+    sa = [a.delay(0, 1, 0) for _ in range(100)]
+    sb = [b.delay(0, 1, 0) for _ in range(100)]
     assert sa == sb
     assert all(d > 0 for d in sa)
     assert len(set(sa)) > 1  # actually jitters
@@ -114,29 +52,16 @@ def test_spike_matching_rules():
 def test_transient_spikes_add_only_in_window():
     base = ConstantLatency(1.0)
     m = TransientSpikes(base, spikes=[Spike(extra=10.0, t_start=0.0, t_end=0.5, src=0, dst=1)])
-    assert m.delay(0, 1, 0, 0.0) == pytest.approx(11.0)
-    assert m.delay(0, 1, 0, 1.0) == pytest.approx(1.0)
-    assert m.delay(1, 0, 0, 0.0) == pytest.approx(1.0)
+    assert m.delay(0, 1, 0.0) == pytest.approx(11.0)
+    assert m.delay(0, 1, 1.0) == pytest.approx(1.0)
+    assert m.delay(1, 0, 0.0) == pytest.approx(1.0)
 
 
-def test_composite_sums_components():
-    m = CompositeLatency([ConstantLatency(1.0), LinearLatency(overhead=0.5, bandwidth=100)])
-    assert m.delay(0, 1, 100, 0) == pytest.approx(1.0 + 0.5 + 1.0)
 
-
-def test_composite_flattens_nested():
-    inner = CompositeLatency([ConstantLatency(1), ConstantLatency(2)])
-    outer = CompositeLatency([inner, ConstantLatency(3)])
-    assert len(outer.models) == 3
-    assert outer.delay(0, 1, 0, 0) == 6
-
-
-def test_composite_via_add_operator():
-    m = ConstantLatency(1.0) + ConstantLatency(2.0)
-    assert isinstance(m, CompositeLatency)
-    assert m.delay(0, 1, 0, 0) == 3.0
-
-
-def test_composite_empty_rejected():
-    with pytest.raises(ValueError):
-        CompositeLatency([])
+def test_latency_model_wraps_jitter_only_when_asked():
+    assert latency_model(0.05) == ConstantLatency(0.05)
+    jittered = latency_model(0.05, jitter=0.3, seed=4)
+    twin = StochasticLatency(ConstantLatency(0.05), sigma=0.3, seed=4)
+    assert isinstance(jittered, StochasticLatency) and jittered.sigma == 0.3
+    assert [jittered.delay(0, 1, t) for t in range(5)] == [
+        twin.delay(0, 1, t) for t in range(5)]

@@ -12,7 +12,6 @@ from repro.netsim import (
     BusNetwork,
     ConstantLatency,
     DelayNetwork,
-    LinearLatency,
     SharedBus,
     StochasticLatency,
     SwitchedNetwork,
@@ -153,7 +152,7 @@ def test_delay_network_fifo_per_channel():
             object.__setattr__(self, "seconds", 0.0)
             self.calls = 0
 
-        def delay(self, src, dst, nbytes, now):
+        def delay(self, src, dst, now):
             self.calls += 1
             return 1.0 if self.calls == 1 else 0.1
 
@@ -237,7 +236,7 @@ def test_bus_network_rejects_negative_size():
 def test_bus_network_size_dependent_time():
     env = Environment()
     bus = SharedBus(env, bandwidth=100.0)
-    net = BusNetwork(env, bus, latency=LinearLatency(overhead=0.1, bandwidth=1e9))
+    net = BusNetwork(env, bus, latency=ConstantLatency(0.1))
     ev = net.transmit(0, 1, 200)
     env.run(until=ev)
     assert env.now == pytest.approx(0.1 + 2.0)
@@ -342,7 +341,7 @@ def test_fifo_clamp_is_exact_and_ties_keep_send_order():
     Counted down from 0.2 that instant would be 0.2 + (0.9 - 0.2) =
     0.8999999999999999, and the second would go first."""
     class Scripted(ConstantLatency):
-        def delay(self, src, dst, nbytes, now):
+        def delay(self, src, dst, now):
             return draws.pop(0)
 
     draws = [0.9, 0.1]

@@ -81,7 +81,7 @@ class OracleBusNetwork(Network):
         )
 
     def _deliver(self, src, dst, nbytes):
-        ready = self._endpoint_stage(src, dst, nbytes)
+        ready = self._endpoint_stage(src, dst)
         if ready is not None:
             yield ready
         yield self.bus.transfer(nbytes)

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.partition import (
     Partition,
-    block_partition,
-    cyclic_partition,
     proportional_counts,
     proportional_partition,
 )
@@ -90,7 +88,7 @@ def test_partition_indices_accessor():
 
 
 def test_partition_iterable():
-    part = block_partition(4, 2)
+    part = proportional_partition(4, [1.0, 1.0])
     blocks = list(part)
     assert len(blocks) == 2
 
@@ -102,42 +100,6 @@ def test_partition_validates_cover():
         Partition(n=3, assignments=(np.array([0, 1]), np.array([1, 2])))  # overlap
     with pytest.raises(ValueError):
         Partition(n=2, assignments=(np.array([0, 5]),))  # out of range
-
-
-def test_block_partition_equal_sizes():
-    part = block_partition(12, 4)
-    assert part.counts == (3, 3, 3, 3)
-
-
-def test_block_partition_uneven():
-    part = block_partition(10, 3)
-    assert sum(part.counts) == 10
-    assert max(part.counts) - min(part.counts) <= 1
-
-
-def test_cyclic_partition_round_robin():
-    part = cyclic_partition(7, 3)
-    np.testing.assert_array_equal(part.indices(0), [0, 3, 6])
-    np.testing.assert_array_equal(part.indices(1), [1, 4])
-    np.testing.assert_array_equal(part.indices(2), [2, 5])
-
-
-def test_partition_p_validation():
-    with pytest.raises(ValueError):
-        block_partition(10, 0)
-    with pytest.raises(ValueError):
-        cyclic_partition(10, 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=500),
-    p=st.integers(min_value=1, max_value=16),
-)
-def test_property_cyclic_partition_cover(n, p):
-    part = cyclic_partition(n, p)
-    allidx = np.concatenate([a for a in part.assignments]) if n else np.empty(0)
-    assert sorted(allidx.tolist()) == list(range(n))
 
 
 def test_paper_linear_gradient_partition():

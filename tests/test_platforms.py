@@ -135,62 +135,3 @@ def test_bursty_traffic_deterministic():
         return env.run(until=done)
 
     assert run_once() == run_once()
-
-
-def test_modern_cluster_preset():
-    from repro.platforms import modern_cluster
-
-    plat = modern_cluster(p=4)
-    assert plat.nprocs == 4
-    caps = plat.capacities()
-    assert len(set(caps)) == 1  # homogeneous
-    cluster = plat.cluster()
-    assert cluster.size == 4
-    with pytest.raises(ValueError):
-        modern_cluster(p=0)
-    with pytest.raises(ValueError):
-        modern_cluster(capacity=0)
-
-
-def test_modern_cluster_speculation_still_pays_for_nbody():
-    """Thirty years later the same story holds whenever per-message
-    latency rivals per-iteration compute: a fine-grained N-body on a
-    switched-gigabit cluster (200 us protocol latency vs ~0.6 ms of
-    compute) still gains ~30% from FW=1."""
-    from repro.apps import NBodyProgram
-    from repro.api import RunConfig, run
-    from repro.nbody import uniform_cube
-    from repro.platforms import modern_cluster
-
-    def go(fw):
-        plat = modern_cluster(p=4, capacity=2e9, base_latency=200e-6)
-        system = uniform_cube(256, seed=3, softening=0.1)
-        prog = NBodyProgram(system, plat.capacities(), 30, dt=0.005, threshold=0.01)
-        return run(RunConfig(prog, fw=fw, cluster=plat.cluster()))
-
-    blocking = go(0).wall_seconds
-    speculative = go(1).wall_seconds
-    assert speculative < 0.8 * blocking
-
-
-def test_modern_cluster_cheap_kernels_expose_speculation_overhead():
-    """The flip side: for kernels whose per-element speculation/check
-    cost rivals the compute cost (Kuramoto: 6 of ~11 ops), the masking
-    gain is mostly eaten by the speculation overhead -- the f_spec <<
-    f_comp requirement the paper states is a real constraint."""
-    from repro.apps import KuramotoProgram
-    from repro.api import RunConfig, run
-    from repro.platforms import modern_cluster
-
-    def go(fw):
-        plat = modern_cluster(p=4, capacity=5e7, base_latency=200e-6)
-        prog = KuramotoProgram.random(
-            4000, plat.capacities(), 30, seed=3, dt=0.01, threshold=0.01
-        )
-        return run(RunConfig(prog, fw=fw, cluster=plat.cluster()))
-
-    blocking = go(0).wall_seconds
-    speculative = go(1).wall_seconds
-    # Still no slower, but the gain is marginal (< 15%).
-    assert speculative <= blocking
-    assert speculative > 0.85 * blocking

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -129,6 +130,40 @@ def test_every_module_is_imported_by_another():
         imported |= found - {name}
     orphans = set(modules) - imported - {"repro.__main__", "repro.cli"}
     assert not orphans, sorted(orphans)
+
+
+def _words(path):
+    return set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+
+
+def test_every_public_name_has_a_caller():
+    # A public top-level function or class of src/repro must be named by
+    # another non-__init__ file of src/repro, benchmarks, examples,
+    # scripts or bench, used by its own module outside its definition,
+    # or documented in README.md / docs/*.md.  A name only its tests
+    # call (and a package re-exports) is dead code.
+    root = PACKAGE.parent.parent
+    callers = {path: _words(path) for path in PACKAGE.rglob("*.py")
+               if path.name != "__init__.py"}
+    for folder in ("benchmarks", "examples", "scripts", "bench"):
+        callers.update((path, _words(path)) for path in (root / folder).rglob("*.py"))
+    documented = set().union(*map(_words, [root / "README.md",
+                                           *(root / "docs").glob("*.md")]))
+    uncalled = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in documented):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+            if node.name in re.findall(r"\w+", rest):
+                continue
+            if not any(node.name in words for other, words in callers.items()
+                       if other != path):
+                uncalled.append(f"{path.relative_to(PACKAGE)}::{node.name}")
+    assert not uncalled, uncalled
 
 
 def test_python_dash_m_entry():

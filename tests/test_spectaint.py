@@ -28,10 +28,10 @@ from repro.analysis.linter import parse_suppressions
 from repro.analysis.program import ProgramIndex
 from repro.analysis.sarif import fingerprint
 from repro.analysis.taint import (
+    COMMITS_ATTR,
     commit_lines_of,
     commits,
     declared_commit_points,
-    is_commit_point,
     solve_taint,
     unconfirmed,
 )
@@ -112,13 +112,13 @@ def test_commits_decorator_marks_function():
     def adopt(value):
         return value
 
-    assert is_commit_point(adopt)
+    assert getattr(adopt, COMMITS_ATTR) is True
     assert adopt(3) == 3  # the wrapper is the function itself
 
     def plain(value):
         return value
 
-    assert not is_commit_point(plain)
+    assert not hasattr(plain, COMMITS_ATTR)
 
 
 def test_summaries_propagate_returns_and_sinks():

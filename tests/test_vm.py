@@ -6,15 +6,14 @@ import pytest
 
 from repro.netsim import BusNetwork, ConstantLatency, DelayNetwork, SharedBus
 from repro.vm import (
+    BackgroundLoad,
     Cluster,
-    ConstantSlowdown,
     ProcessorSpec,
     RandomWalkLoad,
     linear_gradient_specs,
     uniform_specs,
 )
 from repro.vm.message import Message, payload_nbytes
-from repro.vm.specs import total_capacity
 
 import numpy as np
 
@@ -62,18 +61,7 @@ def test_uniform_specs():
         uniform_specs(0)
 
 
-def test_total_capacity():
-    specs = uniform_specs(4, capacity=2.0)
-    assert total_capacity(specs) == 8.0
-
-
 # ------------------------------------------------------------------- loads
-def test_constant_slowdown():
-    assert ConstantSlowdown(1.5).slowdown(0.0) == 1.5
-    with pytest.raises(ValueError):
-        ConstantSlowdown(0.5)
-
-
 def test_random_walk_load_bounds_and_determinism():
     a = RandomWalkLoad(mean=0.2, step=0.1, seed=5)
     b = RandomWalkLoad(mean=0.2, step=0.1, seed=5)
@@ -150,10 +138,11 @@ def test_cluster_compute_time_scales_with_capacity():
 
 
 def test_cluster_background_load_slows_compute():
-    cluster = Cluster(
-        uniform_specs(1, capacity=100.0),
-        loads=[ConstantSlowdown(2.0)],
-    )
+    class Doubled(BackgroundLoad):
+        def slowdown(self, now):
+            return 2.0
+
+    cluster = Cluster(uniform_specs(1, capacity=100.0), loads=[Doubled()])
 
     def program(proc):
         yield from proc.compute(100.0)
