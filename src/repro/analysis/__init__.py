@@ -1,11 +1,11 @@
-"""speclint & co.: five static analysis families and a runtime sanitizer.
+"""speclint & co.: four static analysis families and a runtime sanitizer.
 
-A family is a rule table — a code prefix, a ``findings(index)``
+A family is a rule table — its code prefixes, a ``findings(index)``
 function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
 optionally a ``judge(view, diagnostics)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
-:class:`~repro.analysis.trace_view.Verdict` records.  All 25 rules
+:class:`~repro.analysis.trace_view.Verdict` records.  All 20 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
 :meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
 de-duplicates and sorts for every family; the CLI builds every
@@ -22,30 +22,30 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   :mod:`repro.analysis.replay` checks the same two rules dynamically
   against a recorded :class:`~repro.trace.events.EventLog`, and runs
   the runtime sanitizer over each rank's records.
-* **specperf** (SPP2xx, :mod:`repro.analysis.perf`) — phase
-  attribution over the same call graph feeds a hot-path cost rule
-  pack; ``--trace`` judges the findings against the calibrated
-  performance model's per-phase time budget.
 * **spectaint** (SPT301, SPT302, SPT307, SPT308,
   :mod:`repro.analysis.taint`) —
   forward taint abstract interpretation proving unconfirmed
   speculative values never reach an irreversible effect; ``@commits``
   / ``# spectaint: commit`` annotate legitimate confirmation sites.
-* **specbound** (SPB4xx, :mod:`repro.analysis.bounds`) — per-function
-  rules flagging a history trim, window, event log, cascade loop or
-  iteration-keyed map that no protocol parameter bounds; ``--trace``
-  checks the occupancy bounds, at the (p, FW, iterations) the trace's
-  header records, against observed maxima.
+* **specbound** (SPB4xx and SPP204 / SPP207,
+  :mod:`repro.analysis.bounds`) — phase attribution over the same call
+  graph feeds per-function rules flagging a history trim, window,
+  event log, cascade loop or iteration-keyed map that no protocol
+  parameter bounds, and a per-message ring scan or mutable payload on
+  the protocol path; ``--trace`` checks the occupancy bounds, at the
+  (p, FW, iterations) the trace's header records, against observed
+  maxima, then judges the SPP findings against the calibrated
+  performance model's per-phase time budget.
 * :mod:`repro.analysis.sanitizer` — a runtime
   :class:`ProtocolSanitizer` (opt-in via ``REPRO_SANITIZE=1``) that
   asserts DES and forward-window invariants while a simulation runs;
   :mod:`repro.analysis.modelcheck` explores interleavings of the real
   engine against the same invariants.
 
-Entry points: ``repro lint | analyze | perf-lint | taint | bounds
+Entry points: ``repro lint | analyze | taint | bounds
 [paths] [--format text|json|sarif] [--select CODE] [--trace LOG]``
 and the umbrella ``repro check [paths] [--sarif FILE] [--stats]``
-running all five families over one shared parse.
+running all four families over one shared parse.
 """
 
 from repro.analysis.diagnostics import (
@@ -80,7 +80,6 @@ from repro.analysis.trace_view import (
 # the one registry is complete whichever module is imported first.
 from repro.analysis import rules as _spl_rules  # noqa: F401
 from repro.analysis import races as _spf_rules  # noqa: F401
-from repro.analysis.perf import rules as _spp_rules  # noqa: F401
 from repro.analysis.taint import rules as _spt_rules  # noqa: F401
 from repro.analysis.bounds import rules as _spb_rules  # noqa: F401
 from repro.analysis.sanitizer import (

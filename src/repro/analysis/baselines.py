@@ -8,7 +8,6 @@ schema-versioned document keyed by tool name
       "version": 2,
       "tools": {
         "specflow":  {"fingerprints": ["..."]},
-        "specperf":  {"fingerprints": ["..."]},
         "spectaint": {"fingerprints": ["..."]}
       }
     }

@@ -2,10 +2,10 @@
 
 The speculative iteration has six protocol phases (mirroring
 :mod:`repro.trace.phases` and the Eq. 3-9 cost model): ``send``,
-``recv``, ``spec``, ``compute``, ``check`` and ``correct``.  A cost
-pattern is only a finding when it sits *inside* one of those phases —
-an allocation in a test helper is free, the same allocation in the
-per-pair force loop is paid N² times per iteration.
+``recv``, ``spec``, ``compute``, ``check`` and ``correct``.  A buffer
+or cost pattern is only a finding when it sits *inside* one of those
+phases — an unbounded list in a test helper is harmless, the same list
+on the receive path grows with every message.
 
 Attribution is a fixed point over the specflow call graph:
 
@@ -34,13 +34,11 @@ from typing import Iterator
 
 from repro.analysis.cfg import CallGraph, FunctionNode, ModuleGraphs
 
-#: Protocol phases attributable to a function (superset of the measured
-#: phases in :mod:`repro.trace.phases`: send+recv both surface as comm).
-PROTOCOL_PHASES = ("send", "recv", "spec", "compute", "check", "correct")
-
-#: Terminal function names seeding each phase.
+#: Terminal function names seeding each phase (a superset of the
+#: measured phases in :mod:`repro.trace.phases`: send and recv both
+#: surface as comm).
 PHASE_SEEDS: dict[str, frozenset[str]] = {
-    # "isolate_payload" names SPP201's payload-isolation pattern, not a module.
+    # "isolate_payload" names the payload-isolation hook, not a module.
     "send": frozenset({"send", "broadcast", "isolate_payload"}),
     "recv": frozenset(
         {"recv", "try_recv", "record_arrival", "on_arrival", "_on_arrival",

@@ -1,10 +1,12 @@
-"""The SPB402 and SPB405..SPB408 speculation-resource bound rules.
+"""specbound's rules: speculation-resource bounds and hot-path costs.
 
-Each rule flags one way a protocol buffer can outgrow the parameter
-that is supposed to bound it (BW for history, FW for run-ahead state).
-The phase attribution scopes most checks — an unbounded list in a test
-helper is silent, the same list on the receive path is a finding — and
-every rule reads one function at a time.
+The SPB rules each flag one way a protocol buffer can outgrow the
+parameter that is supposed to bound it (BW for history, FW for
+run-ahead state); the two SPP rules flag a per-message cost the phase
+budget pays for.  The phase attribution scopes most checks — an
+unbounded list in a test helper is silent, the same list on the
+receive path is a finding — and every rule reads one function at a
+time.
 
 =======  ==========================================================
 SPB402   history trim uses a literal instead of the BW/FW parameter
@@ -12,12 +14,14 @@ SPB405   window widening without a ``max_fw`` clamp
 SPB406   unbounded trace/event buffer in long-running protocol code
 SPB407   cascade correction loop without an FW-derived depth guard
 SPB408   dict keyed by iteration number without eviction
+SPP204   linear HistoryRing scan inside a message loop
+SPP207   freshly built mutable payload handed to send/broadcast
 =======  ==========================================================
 
-Every rule is a warning, and the messages say which parameter should
-appear in the bound.  Findings are plain ``Diagnostic`` records;
+The messages say which parameter should appear in the bound, or what
+to cache or freeze.  Findings are plain ``Diagnostic`` records;
 ``# specbound: disable=SPB406`` suppressions work exactly as for the
-other four families.  History rings and inboxes have no static rule:
+other three families.  History rings and inboxes have no static rule:
 the sanitizer's ``buffer-occupancy-bounded`` hooks and the ``--trace``
 occupancy contracts check them.
 """
@@ -31,7 +35,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.analysis.cfg import ModuleGraphs, call_name, loops_of, walk_body
 from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
-from repro.analysis.perf.attribution import (
+from repro.analysis.bounds.attribution import (
+    PHASE_SEEDS,
     Attribution,
     function_items,
     terminal_name,
@@ -85,6 +90,15 @@ register_rule(
     "SPB408", "iteration-keyed-dict", Severity.WARNING,
     "dict keyed by iteration number never evicted (grows linearly "
     "with run length)",
+)
+register_rule(
+    "SPP204", "history-ring-scan", Severity.ERROR,
+    "linear HistoryRing scan inside a per-message loop",
+)
+register_rule(
+    "SPP207", "mutable-payload-send", Severity.WARNING,
+    "freshly built mutable payload handed to send/broadcast "
+    "(forces a deep copy)",
 )
 
 
@@ -422,6 +436,84 @@ def check_spb408(
                 )
 
 
+# --------------------------------------------------------------------------
+# SPP204: linear HistoryRing scan inside a per-message loop
+# --------------------------------------------------------------------------
+
+_RING_TOKENS = frozenset({"history", "ring"})
+
+
+def _chain_names(expr: ast.AST) -> set[str]:
+    """Identifiers appearing in an attribute/subscript chain."""
+    names: set[str] = set()
+    cur: Optional[ast.AST] = expr
+    while cur is not None:
+        if isinstance(cur, ast.Attribute):
+            names.add(cur.attr)
+            cur = cur.value
+        elif isinstance(cur, ast.Subscript):
+            cur = cur.value
+        elif isinstance(cur, ast.Name):
+            names.add(cur.id)
+            cur = None
+        else:
+            cur = None
+    return names
+
+
+def check_spp204(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, phases, _hot in function_items(module, attribution):
+        if not phases & {"recv", "check"}:
+            continue
+        for loop in loops_of(func):
+            for node in walk_body(loop.body):  # type: ignore[attr-defined]
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"lookup", "times", "values", "series"}
+                ):
+                    continue
+                if _chain_names(node.func.value) & _RING_TOKENS:
+                    yield diag_at(
+                        module.path, node, "SPP204",
+                        f"'{qual}' walks a HistoryRing inside a "
+                        "per-message loop — O(messages x history) per "
+                        "iteration; cache the lookup (the ring is "
+                        "keyed by iteration) outside the loop",
+                    )
+
+
+# --------------------------------------------------------------------------
+# SPP207: freshly built mutable payload handed to send/broadcast
+# --------------------------------------------------------------------------
+
+_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                     ast.SetComp)
+
+
+def check_spp207(
+    module: ModuleGraphs, attribution: Attribution
+) -> Iterator[Diagnostic]:
+    for qual, func, _phases, _hot in function_items(module, attribution):
+        for node in walk_body(func.body):
+            if not (
+                isinstance(node, ast.Call)
+                and call_name(node) in PHASE_SEEDS["send"]
+            ):
+                continue
+            for arg in node.args:
+                if isinstance(arg, _MUTABLE_LITERALS):
+                    yield diag_at(
+                        module.path, arg, "SPP207",
+                        f"'{qual}' sends a freshly built mutable "
+                        "payload; isolation must deep-copy it — build "
+                        "a tuple (or frozen structure) so the "
+                        "immutability fast path applies",
+                    )
+
+
 #: code -> checker, the pack :func:`findings` iterates.
 RULE_CHECKERS: dict[
     str, Callable[[ModuleGraphs, Attribution], Iterator[Diagnostic]]
@@ -431,11 +523,14 @@ RULE_CHECKERS: dict[
     "SPB406": check_spb406,
     "SPB407": check_spb407,
     "SPB408": check_spb408,
+    "SPP204": check_spp204,
+    "SPP207": check_spp207,
 }
 
 
 def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
-    """Every SPB finding over the shared parse and its attribution."""
+    """Every SPB and SPP finding over the shared parse and its
+    attribution."""
     for module in index.modules:
         for checker in RULE_CHECKERS.values():
             yield from checker(module, index.attribution)

@@ -81,8 +81,9 @@ def register_rule(code: str, name: str, severity: Severity, summary: str) -> Non
     RULES[code] = RuleInfo(code, name, severity, summary)
 
 
-def rules_of(prefix: str) -> dict[str, RuleInfo]:
-    """One family's catalogue: the registered codes with its prefix, sorted."""
+def rules_of(prefix: str | tuple[str, ...]) -> dict[str, RuleInfo]:
+    """One family's catalogue: the registered codes with its prefix (or
+    one of its prefixes), sorted."""
     return {code: RULES[code] for code in sorted(RULES) if code.startswith(prefix)}
 
 

@@ -10,12 +10,12 @@ Suppression syntax (checked per physical line of the diagnostic):
     file (used e.g. by wall-clock backends that legitimately read the
     real clock).
 
-The same directives spelled ``# specflow: ...``, ``# specperf: ...``,
-``# spectaint: ...`` or ``# specbound: ...`` are honoured too, so
-SPF1xx/SPP2xx/SPT3xx/SPB4xx suppressions read naturally next to the
-tool that emits them; all spellings suppress all rule families (codes
-disambiguate), and one directive may name ids from several tools at
-once (``# speclint: disable=SPL001,SPT301``).
+The same directives spelled ``# specflow: ...``, ``# spectaint: ...``
+or ``# specbound: ...`` are honoured too — one spelling per family in
+:data:`repro.analysis.tools.TOOLS` — so SPF/SPT/SPB/SPP suppressions
+read naturally next to the tool that emits them; all spellings
+suppress all rule families (codes disambiguate), and one directive may
+name ids from several tools at once (``# speclint: disable=SPL001,SPT301``).
 
 :func:`parse_suppressions` is the single implementation; the one
 driver (:meth:`repro.analysis.tools.Tool.analyze`) routes every
@@ -30,10 +30,10 @@ from typing import Iterable
 from repro.analysis.diagnostics import Diagnostic
 
 _LINE_DIRECTIVE = re.compile(
-    r"#\s*spec(?:lint|flow|perf|taint|bound):\s*disable=([A-Za-z0-9_,\s]+)"
+    r"#\s*spec(?:lint|flow|taint|bound):\s*disable=([A-Za-z0-9_,\s]+)"
 )
 _FILE_DIRECTIVE = re.compile(
-    r"#\s*spec(?:lint|flow|perf|taint|bound):\s*disable-file=([A-Za-z0-9_,\s]+)"
+    r"#\s*spec(?:lint|flow|taint|bound):\s*disable-file=([A-Za-z0-9_,\s]+)"
 )
 
 

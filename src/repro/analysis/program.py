@@ -1,10 +1,10 @@
 """One shared parse of the program for every analysis family.
 
-:class:`ProgramIndex` is the single cache the five families read:
+:class:`ProgramIndex` is the single cache the four families read:
 files are discovered once, each parseable file becomes exactly one
 :class:`~repro.analysis.cfg.ModuleGraphs` (tree + source + CFGs), the
 :class:`~repro.analysis.cfg.CallGraph` and the phase
-:class:`~repro.analysis.perf.attribution.Attribution` over it are each
+:class:`~repro.analysis.bounds.attribution.Attribution` over it are each
 built on first use and kept, and syntax errors are recorded per file so
 every tool can report them under its own ``xxx000`` code without
 re-hitting the parser.  A family is a function from this index to raw
@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import Diagnostic, syntax_diagnostic
-from repro.analysis.perf.attribution import Attribution, build_attribution
+from repro.analysis.bounds.attribution import Attribution, build_attribution
 
 
 #: Directories never descended into during discovery.
@@ -80,7 +80,7 @@ class ProgramIndex:
 
     @cached_property
     def attribution(self) -> Attribution:
-        """The shared phase attribution (specperf and specbound read it)."""
+        """The shared phase attribution (specbound's rules read it)."""
         return build_attribution(self.callgraph)
 
     @property

@@ -308,8 +308,9 @@ def judge(
     """specflow's ``--trace`` hook: every replay finding fails the run."""
     report, verdicts = cross_reference(diagnostics, view)
     stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
-    header = [f"trace replay: {stats}"]
-    header += [finding.format_text() for finding in report.findings]
+    lines = [f"trace replay: {stats}"]
+    lines += [finding.format_text() for finding in report.findings]
     if not verdicts:
-        header.append("trace replay: no static SPF findings to cross-reference")
-    return header, verdicts, len(report.findings)
+        lines.append("trace replay: no static SPF findings to cross-reference")
+    lines += [v.format_text() for v in verdicts]
+    return lines, verdicts, len(report.findings)

@@ -168,10 +168,11 @@ def judge(
 ) -> tuple[list[str], list[Verdict], int]:
     """spectaint's ``--trace`` hook: a CONFIRMED escape fails the run."""
     witnesses, verdicts = check_taint(diagnostics, view)
-    header = [
+    lines = [
         f"trace replay: {len(view.events)} event(s), "
         f"{len(witnesses)} escape witness(es)"
     ]
     if not verdicts:
-        header.append("trace replay: no static SPT findings to cross-reference")
-    return header, verdicts, sum(v.status == CONFIRMED for v in verdicts)
+        lines.append("trace replay: no static SPT findings to cross-reference")
+    lines += [v.format_text() for v in verdicts]
+    return lines, verdicts, sum(v.status == CONFIRMED for v in verdicts)

@@ -1,13 +1,13 @@
 """The analyzer registry: one :class:`Tool` entry per analysis family.
 
-A family is a rule table: a code prefix (its catalogue is the
-registered codes that carry it), a function from the shared parse to
+A family is a rule table: its code prefixes (its catalogue is the
+registered codes that carry one), a function from the shared parse to
 raw findings (``findings(index)``, living beside the rules) and,
 optionally, a function from a shared trace view to verdicts
 (``judge(view, diagnostics)``, living beside the contracts; the run
 parameters it needs are the trace's own header).
-Everything else is stated once, here: ``repro lint | analyze |
-perf-lint | taint | bounds`` are one CLI handler and one argparse loop
+Everything else is stated once, here: ``repro lint | analyze | taint
+| bounds`` are one CLI handler and one argparse loop
 over :data:`TOOLS`, the umbrella ``repro check`` iterates the same
 table, and :meth:`Tool.analyze` is the one driver — select, suppress,
 de-duplicate, sort — behind all of them.
@@ -22,11 +22,9 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.analysis import races as spf
 from repro.analysis import rules as spl
 from repro.analysis.bounds import rules as spb
-from repro.analysis.bounds.contracts import judge as judge_occupancy
+from repro.analysis.bounds.contracts import judge as judge_bounds
 from repro.analysis.diagnostics import Diagnostic, RuleInfo, rules_of
 from repro.analysis.linter import drop_suppressed
-from repro.analysis.perf import rules as spp
-from repro.analysis.perf.contracts import judge as judge_costs
 from repro.analysis.program import ProgramIndex
 from repro.analysis.replay import judge as judge_protocol
 from repro.analysis.reporting import (
@@ -41,10 +39,10 @@ from repro.analysis.trace_view import TraceView, Verdict
 
 #: One ``parser.add_argument(name, **kwargs)`` call.
 Flag = tuple[str, dict[str, Any]]
-#: A family's ``--trace`` hook: ``(view, diagnostics) -> (header lines,
-#: verdicts, failing count)``.  The header is printed before the verdict
-#: lines; a non-zero failing count fails the run even when the static
-#: report is clean.
+#: A family's ``--trace`` hook: ``(view, diagnostics) -> (report lines,
+#: verdicts, failing count)``.  The report is printed as is, a line per
+#: verdict included; a non-zero failing count fails the run even when
+#: the static report is clean.
 Judge = Callable[
     [TraceView, Sequence[Diagnostic]], tuple[list[str], list[Verdict], int]
 ]
@@ -63,9 +61,10 @@ class Tool:
     #: Tool name: report header, SARIF driver and baseline-file key.
     name: str
     help: str
-    #: Code prefix: the family's rules are the registered codes carrying
-    #: it, and unparseable files are reported under ``<prefix>000``.
-    prefix: str
+    #: Code prefixes: the family's rules are the registered codes
+    #: carrying one, and unparseable files are reported under the
+    #: first's ``000``.
+    prefixes: tuple[str, ...]
     #: The family's raw findings over a shared parse.
     findings: Callable[[ProgramIndex], Iterable[Diagnostic]]
     formats: tuple[str, ...] = ("text", "json", "sarif")
@@ -77,7 +76,7 @@ class Tool:
     judge: Optional[Judge] = None
     trace_help: str = ""
     #: Prefixes a standalone JSON / SARIF report advertises when that
-    #: is not just ``prefix``: speclint and specflow predate the
+    #: is not just ``prefixes``: speclint and specflow predate the
     #: per-family catalogues and list the union they always have.
     json_rules: tuple[str, ...] = ()
     sarif_rules: tuple[str, ...] = ()
@@ -85,12 +84,12 @@ class Tool:
     @property
     def rules(self) -> dict[str, RuleInfo]:
         """The family's catalogue, by code."""
-        return rules_of(self.prefix)
+        return rules_of(self.prefixes)
 
     @property
     def syntax_code(self) -> str:
         """Code unparseable files are reported under."""
-        return f"{self.prefix}000"
+        return f"{self.prefixes[0]}000"
 
     def analyze(
         self, index: ProgramIndex, select: Optional[Iterable[str]] = None
@@ -140,13 +139,13 @@ class Tool:
         if fmt == "json":
             catalogue = {
                 code: info.summary
-                for prefix in self.json_rules or (self.prefix,)
+                for prefix in self.json_rules or self.prefixes
                 for code, info in rules_of(prefix).items()
             }
             return render_diag_json(diagnostics, self.name, catalogue)
         entries = [
             entry
-            for prefix in self.sarif_rules or (self.prefix,)
+            for prefix in self.sarif_rules or self.prefixes
             for entry in rule_catalogue_entries(rules_of(prefix))
         ]
         return render_sarif(list(diagnostics), self.name, entries)
@@ -157,7 +156,7 @@ TOOLS: tuple[Tool, ...] = (
         cli="lint",
         name="speclint",
         help="run speclint (protocol-aware static analysis)",
-        prefix="SPL",
+        prefixes=("SPL",),
         findings=spl.findings,
         formats=("text", "json"),
         flags=(
@@ -174,7 +173,7 @@ TOOLS: tuple[Tool, ...] = (
         name="specflow",
         help="run specflow (interprocedural happens-before analysis, "
         "rules SPF1xx)",
-        prefix="SPF",
+        prefixes=("SPF",),
         findings=spf.findings,
         judge=judge_protocol,
         trace_help="replay a recorded event log (JSONL) against the protocol "
@@ -183,22 +182,11 @@ TOOLS: tuple[Tool, ...] = (
         sarif_rules=("SPL", "SPF"),
     ),
     Tool(
-        cli="perf-lint",
-        name="specperf",
-        help="run specperf (static hot-path cost analysis with "
-        "trace-validated phase-cost contracts, rules SPP2xx)",
-        prefix="SPP",
-        findings=spp.findings,
-        judge=judge_costs,
-        trace_help="replay a recorded event log (JSONL), measure per-phase "
-        "time shares, and judge findings against the model's phase budget",
-    ),
-    Tool(
         cli="taint",
         name="spectaint",
         help="run spectaint (speculation-escape & rollback-safety "
         "abstract interpretation, rules SPT3xx)",
-        prefix="SPT",
+        prefixes=("SPT",),
         findings=spt.findings,
         judge=judge_escapes,
         trace_help="replay a recorded event log (JSONL): mark each finding "
@@ -208,14 +196,17 @@ TOOLS: tuple[Tool, ...] = (
     Tool(
         cli="bounds",
         name="specbound",
-        help="run specbound (static speculation-resource bound analysis "
-        "with trace-validated occupancy contracts, rules SPB4xx)",
-        prefix="SPB",
+        help="run specbound (static speculation-resource bound and "
+        "hot-path cost analysis with trace-validated occupancy and "
+        "phase-cost contracts, rules SPB4xx and SPP204 / SPP207)",
+        prefixes=("SPB", "SPP"),
         findings=spb.findings,
-        judge=judge_occupancy,
+        judge=judge_bounds,
         trace_help="check the occupancy bounds, at the (p, FW, iterations) "
         "the trace's header records, against a recorded event log's "
         "observed maxima (inbox depth, in-flight sends, cascade depth, "
-        "event count); each contract is CONFIRMED, REFUTED or UNOBSERVED",
+        "event count), then measure per-phase time shares and judge the "
+        "SPP findings against the model's phase budget; each contract is "
+        "CONFIRMED, REFUTED or UNOBSERVED",
     ),
 )

@@ -1,13 +1,12 @@
 """One view of a recorded trace, one verdict about it.
 
-``repro analyze | perf-lint | taint | bounds --trace LOG`` each judge
-static findings against a recorded
-:class:`~repro.trace.events.EventLog`.  The four families' contracts
-ask the log overlapping questions — a rank's events in program order,
-how many events of a kind there are, which receive consumed which
-send, the events in time order — and :class:`TraceView` answers each
-of them once: one grouping pass when it is built, the matching and the
-time ordering on first use.  The matched pairs are the edge list of
+``repro analyze | taint | bounds --trace LOG`` each judge static
+findings against a recorded :class:`~repro.trace.events.EventLog`.
+The four contract sets ask the log overlapping questions — a rank's
+events in program order, how many events of a kind there are, which
+receive consumed which send, the events in time order — and
+:class:`TraceView` answers each of them once: one grouping pass when
+it is built, the matching and the time ordering on first use.  The matched pairs are the edge list of
 the trace read as a task graph (Eijkhout, PAPERS.md).
 
 Every contract answers with the same :class:`Verdict`, in one of three
@@ -57,7 +56,7 @@ class Verdict:
     detail: str
 
     def format_text(self) -> str:
-        """``cost-contract SPP203 [compute]: CONFIRMED — ...`` (one line)."""
+        """``cost-contract SPP204 [check]: CONFIRMED — ...`` (one line)."""
         head = " ".join(part for part in (self.kind, self.rule, self.where) if part)
         return f"{head}: {self.status} — {self.detail}"
 

@@ -5,8 +5,8 @@ Two tables carry most of this module.  The *run* subcommands
 :func:`_run_config` from those flags to a :class:`~repro.api.RunConfig`,
 one :func:`_execute` into :func:`repro.api.run` and one report printer;
 they differ only in the program they build and the detail lines they
-add.  The *analyzer* subcommands (``lint``, ``analyze``, ``perf-lint``,
-``taint``, ``bounds``) are one handler and one argparse loop over
+add.  The *analyzer* subcommands (``lint``, ``analyze``, ``taint``,
+``bounds``) are one handler and one argparse loop over
 :data:`repro.analysis.tools.TOOLS`, which ``check`` iterates too.
 
 Subcommands
@@ -39,16 +39,16 @@ sweep-valued ``--p/--fw/--bw`` spellings — same names, list-typed.)
 ``repro lint [paths] [--format json] [--sanitize-selftest]``
     speclint: the protocol-aware per-module static analyzer (SPL0xx),
     or a self-test of the runtime protocol sanitizer.
-``repro analyze | perf-lint | taint | bounds [paths] [--format text|json|sarif]``
-    specflow (happens-before, SPF1xx), specperf (hot-path
-    cost, SPP2xx), spectaint (speculation escape, SPT3xx) and
-    specbound (resource bounds, SPB4xx).  Each takes ``--select``,
+``repro analyze | taint | bounds [paths] [--format text|json|sarif]``
+    specflow (happens-before, SPF1xx), spectaint (speculation escape,
+    SPT3xx) and specbound (resource bounds, SPB4xx, and hot-path cost,
+    SPP204 / SPP207).  Each takes ``--select``,
     ``--baseline FILE`` / ``--write-baseline FILE`` (the tool's key of
     the consolidated ``.speclint/baselines.json``) and ``--trace FILE``,
     which replays a recorded event log and marks the static findings
     CONFIRMED / REFUTED / UNOBSERVED against what the run actually did.
 ``repro check [paths] [--sarif FILE] [--stats]``
-    Umbrella: run all five families in one process over one shared
+    Umbrella: run all four families in one process over one shared
     parse + call graph, optionally writing a single merged SARIF
     document; ``--stats`` prints per-tool wall time and parse counts.
 ``repro mc [--p 2,3] [--fw 0,1] [--iters 3] [--budget 60s] ...``
@@ -551,7 +551,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_tool(args: argparse.Namespace) -> int:
-    """``repro lint|analyze|perf-lint|taint|bounds``: one analysis
+    """``repro lint|analyze|taint|bounds``: one analysis
     family (``args.tool``, a :class:`~repro.analysis.tools.Tool`)."""
     from repro.analysis.baselines import load_baselines, set_baseline
     from repro.analysis.program import ProgramIndex
@@ -599,16 +599,16 @@ def _cmd_tool(args: argparse.Namespace) -> int:
         except (OSError, ValueError, TypeError) as exc:
             print(f"{tool.name}: cannot read trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        header, verdicts, failing = tool.judge(view, diagnostics)
+        report, _verdicts, failing = tool.judge(view, diagnostics)
         # Keep machine-readable stdout parseable: verdicts go to stderr.
         out = sys.stdout if args.format == "text" else sys.stderr
-        for line in [*header, *(v.format_text() for v in verdicts)]:
+        for line in report:
             print(line, file=out)
     return EXIT_FINDINGS if diagnostics or failing else EXIT_CLEAN
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """``repro check``: all five analysis families over one parse."""
+    """``repro check``: all four analysis families over one parse."""
     import time
 
     from repro.analysis.baselines import DEFAULT_BASELINES, baseline_for
@@ -990,8 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ck = sub.add_parser(
         "check",
-        help="run every analysis family (speclint+specflow+specperf+"
-        "spectaint+specbound) over one shared parse",
+        help="run every analysis family (speclint+specflow+spectaint+"
+        "specbound) over one shared parse",
     )
     p_ck.add_argument(
         "paths", nargs="*", help="files/directories to analyse (default: src)"

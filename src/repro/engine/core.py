@@ -698,7 +698,7 @@ class SpecEngine:
                 if (k2, t2) in self.spec_used:
                     # The ring may grow mid-cascade (arrivals interleave
                     # with the Charge yields), so it is re-read per step.
-                    times, values = self.history[k2].series()  # specperf: disable=SPP204
+                    times, values = self.history[k2].series()  # specbound: disable=SPP204
                     respec = prog.speculate(j, k2, times, values, t2)
                     ops = prog.speculate_ops(j, k2)
                     spent = yield Charge(ops, phase="correct", iteration=t2)

@@ -1,4 +1,4 @@
-"""Fixture: SPB406 in a second tree — event buffer appended, never trimmed.
+"""Fixture: SPB406 at the deleted SPP206's site — event buffer appended, never trimmed.
 
 The arrival handler accumulates every event forever: memory and any
 later scan grow linearly with run length.  A ring buffer (or trimming

@@ -1,9 +1,9 @@
-"""Fixture: the fixed idioms — every SPP rule stays silent here.
+"""Fixture: the fixed idioms — both SPP rules stay silent here.
 
-The payload isolator probes immutability before copying (SPP201), the
-fan-out hoists the size computation (SPP208) and sends an immutable
-tuple (SPP207), and nothing rebuilds history or allocates inside a
-kernel loop.
+The payload isolator probes immutability before copying, the fan-out
+sizes the payload once and sends no freshly built list or dict
+(SPP207), and nothing scans the history ring inside a message loop
+(SPP204).
 """
 
 import copy

@@ -51,6 +51,28 @@ parent's code over the tree without the five fixtures printed the same
 text byte for byte, and its JSON / SARIF, parsed, with the five codes'
 catalogue entries dropped, equal the new documents.
 
+The fourth cut deleted SPP201, SPP202, SPP203, SPP205 and SPP208 with
+the five fixtures only they fired on (``bad_spp201_sendcopy.py``,
+``bad_spp202_rebuild.py``, ``bad_spp203_alloc.py``,
+``bad_spp205_attrchain.py``, ``bad_spp208_sizing.py``), folded what was
+left of specperf (SPP204, SPP207, the cost contracts) into specbound,
+and moved the four surviving ``specperf_fixtures`` files into
+``tests/specbound_fixtures``.  It dropped the ``specperf/*`` and
+``trace/specperf`` pins and moved ``speclint/json`` and
+``specflow/json`` (their catalogues), ``specbound/*`` (SPP204, SPP207
+and the SPB406 of ``bad_spp206_buffer.py`` join its tree; its
+catalogue lists both prefixes), ``check*/*`` (four runs, four count
+lines) and ``trace/specbound`` (the cost share table and the SPP204 /
+SPP207 verdicts follow the occupancy report).  Checked when
+re-captured: every surviving finding and verdict line equals the
+parent's with ``tests/specperf_fixtures/`` read as
+``tests/specbound_fixtures/``, except that an SPF111 pair is reported
+at the site whose path sorts first, so the pairs with ``publish`` and
+``fanout`` now print at those functions; as unordered pairs the sets
+are equal but for the ``fanout``/``fanout`` pair the deleted
+``bad_spp208_sizing.py`` made.  The parent's code run over the new
+trees prints the same finding lines as the new code, byte for byte.
+
 When recorded traces started carrying their run's parameters in a
 header line, ``--trace`` lost the flags that restated them and only
 ``trace/specbound`` moved: its header line names the header's
@@ -76,7 +98,7 @@ import pathlib
 import pytest
 
 from repro.analysis import program, trace_view
-from repro.analysis.perf import attribution
+from repro.analysis.bounds import attribution
 from repro.analysis.program import ProgramIndex
 from repro.analysis.taint import verdicts as taint_verdicts
 from repro.analysis.tools import TOOLS
@@ -89,36 +111,32 @@ GOLDEN_CHECK = "tests/golden/check_fixtures.txt"
 #: ``repro check`` over these, in this order, is the golden text report.
 TREES = [
     f"tests/{name}_fixtures"
-    for name in ("speclint", "specflow", "specperf", "spectaint", "specbound")
+    for name in ("speclint", "specflow", "spectaint", "specbound")
 ]
 TRACED = [tool for tool in TOOLS if tool.judge is not None]
 
 #: ``family/format``, ``check*/format`` and ``trace/family`` -> sha256.
 DIGESTS = {
     "speclint/text": "425c95ff511464bd377633730dac6c51f432c5d48548668cbedfa1629735a7df",
-    "speclint/json": "52a6f1ba233b2b74816e2a808cc2fa7967a059df2a3ee5f299e19ef1026a49e9",
+    "speclint/json": "9a6cc22011d33a569703186ee6c6db530e129e1112c69c0871ae957298c017ea",
     "specflow/text": "71edb7f99ba3279639401662479a94a6c268028a5d5b67bdb51d48cabc60991a",
-    "specflow/json": "e69c83e98b9af812f8ac8f58ca8e012ef7c67b83be07e4be21e0a010807f3496",
+    "specflow/json": "9b716c0ed8088e239598287f0b6203a92485f4d9a7c8047acfe2117c15b7a6f6",
     "specflow/sarif": "a761bbe527a2e8e45021c269f7250e3c391f0210da232553415670ce2ff7487f",
-    "specperf/text": "57ae5a4eb2286cdb21533d55b65581135c82bbc748ca7cdc711a5c7584cf40e5",
-    "specperf/json": "3ac96b1a95ffcd91a01ee722f638620c5c27e19dc66866b80deb9d07de7ffa49",
-    "specperf/sarif": "a8c43fed38b2d1736b31e8d6416e7d2c9bde0fcb53baa260765b016ea07971e6",
     "spectaint/text": "30b96ad2f1d645b82fa26c2693a9196fbd5844b344261a231b8634acc5719e6c",
     "spectaint/json": "8cd8e5d89a2ebbd7cea0b0535a7f04cee697539af7e647d16fa0fead10e2c14e",
     "spectaint/sarif": "400ec4164a31c1b47adc71b5887ca9cc3a55af7d99cc8c0dda86789c590b9406",
-    "specbound/text": "367f89afc3af8d13978aaf43b54f4e4ecc43eaee357df8c40ba867f563aa5fb7",
-    "specbound/json": "d6283237aa4a77009f85957bfe4787ceac6f91cceb0f71ffad928dfb5d8a6639",
-    "specbound/sarif": "6e4103841a36fe1e69e7a9a442c14db386e7b4388fd815fdee276b08d8a02a30",
-    "check-one-tree/text": "aaa52c900cb6a2d37f40f5ac3c2be528181771c478b2fd28503dd4c7cfec79fe",
-    "check-one-tree/json": "38ded0dc7bd8b31312a38c88d4cfed83f8fd54a24585ac0a8b8147a5cec7c3f2",
-    "check-one-tree/sarif": "e94eae828b53636bbbe4282463207379aea9ee3b737db92f5c61ff98e96a1e35",
-    "check/text": "68ee1d5c4a4a4e406d156c5815f1d992b72fd9663ea957652948b4736c10a216",
-    "check/json": "907f378b4aaea542509a0922971879b60619b5b801e2fc41f1ecf6205a0e44b9",
-    "check/sarif": "b1b9e8e3bc570f70a4f26f023fd5eac60a2d916393ee4ec4444888d5dd0f2f42",
+    "specbound/text": "53e053e48382dcbf79f1b02eb9535386139ddb1d03c5bc707bac12d63ed336e0",
+    "specbound/json": "a70faa08fc0bfdf68478b9efefe6a433199f7617624507e1a62cc8c276ccc85c",
+    "specbound/sarif": "6c04743bd2732502ee3da6e6183c5074a635838bada48a12d108c0a175b42244",
+    "check-one-tree/text": "a29424abdea729c319b3be88875a769602719fe0603eb9cd6910292d964e3d75",
+    "check-one-tree/json": "f9cf79b99fcb149ec4d5d9543da99ef0e54680ebf10d42cb8117e9bf86d246c6",
+    "check-one-tree/sarif": "acd8c01b28ae328d1f3c409f0a20bf3ebf22bdbe11d97063db04468f36ec4b4d",
+    "check/text": "6f8ce62e82cfeb82bcfb7ada7190800f8eda648826a635ab3371f0bb4a0e5527",
+    "check/json": "8cab5d61907479e99622097578ca5caede41d45010733be8acc405d7584dcf87",
+    "check/sarif": "13be8377be7b3f7b1a7a44599824e034fda96b2f3a4b2c688af2a652113d2de6",
     "trace/specflow": "b35bd3bda14c5d879ddb2d08728272ef8ab1c3595d17575a979c2c4c8edc712e",
-    "trace/specperf": "01bf58050408e84f0ffe53053c7b83d187b2602833e65acd845f1b0c63fd7144",
     "trace/spectaint": "e9d699668844fb15ef7e2d62ebca0e72cd4165b68963689463c951344163fbbe",
-    "trace/specbound": "14c1fbdc3d5f23fc823add1fefa0497d31cfa60efcef7779c15c1460fb689b1f",
+    "trace/specbound": "9717d8883df1896d1aea7de83ee60f40cc3dded988e2b3d5036716a1909cb40a",
 }
 
 
@@ -154,7 +172,7 @@ def test_tool_report_is_byte_identical(tool, fmt):
 def test_every_tool_and_format_is_pinned_to_the_parent():
     pinned = {key for key in DIGESTS if key.startswith("spec")}
     assert pinned == {f"{t.name}/{fmt}" for t in TOOLS for fmt in t.formats}
-    assert len(pinned) == 14
+    assert len(pinned) == 11
 
 
 # -------------------------------------------------------- repro check
@@ -193,9 +211,8 @@ def test_check_over_the_five_trees_matches_the_golden_file(capsys, tmp_path):
 #: What the ``trace/*`` digests pin, in words (ISSUE 20's inventory).
 GOLDEN_TRACE_VERDICTS = {
     "specflow": {"REFUTED": 2},
-    "specperf": {"CONFIRMED": 4, "REFUTED": 3},
     "spectaint": {"REFUTED": 8},
-    "specbound": {"CONFIRMED": 10},
+    "specbound": {"CONFIRMED": 12},
 }
 
 
@@ -233,7 +250,7 @@ def test_judges_never_ask_the_log_to_sort_itself(monkeypatch):
         index = ProgramIndex([f"tests/{tool.name}_fixtures"])
         header, verdicts, failing = tool.judge(view, tool.analyze(index))
         assert header and verdicts
-        assert failing == (4 if tool.name == "specperf" else 0)
+        assert failing == (2 if tool.name == "specbound" else 0)
 
 
 @pytest.mark.parametrize("tool", TRACED, ids=lambda tool: tool.name)
@@ -263,8 +280,8 @@ def test_one_matching_pass_and_one_escape_scan_per_trace(
 
 
 def test_check_builds_the_attribution_once(monkeypatch, capsys):
-    """Sibling of ``test_check_parses_each_file_exactly_once``: specperf
-    and specbound share the index's attribution."""
+    """Sibling of ``test_check_parses_each_file_exactly_once``: every
+    specbound rule reads the index's one attribution."""
     built = []
     original = attribution.build_attribution
 
@@ -273,6 +290,6 @@ def test_check_builds_the_attribution_once(monkeypatch, capsys):
         return original(callgraph)
 
     monkeypatch.setattr(program, "build_attribution", counting)
-    _stdout(capsys, ["check", "tests/specperf_fixtures"])
+    _stdout(capsys, ["check", "tests/specbound_fixtures"])
     assert len(built) == 1
 

@@ -1,8 +1,8 @@
 """The one driver, tested once for every family.
 
 ``Tool.analyze`` (select, suppress, de-duplicate, sort, syntax errors)
-and the one CLI handler behind ``repro lint | analyze | perf-lint |
-taint | bounds`` are the same code for all five families, so what they
+and the one CLI handler behind ``repro lint | analyze | taint |
+bounds`` are the same code for all four families, so what they
 promise is asserted here once, parametrized over ``TOOLS``.  What is
 particular to a family — which fixture fires which rule, attribution,
 the taint lattice, the bound table, the contracts' semantics — stays in
@@ -17,6 +17,7 @@ import shutil
 import pytest
 
 from repro.analysis import RULES, ProgramIndex
+from repro.analysis.linter import _FILE_DIRECTIVE, _LINE_DIRECTIVE, parse_suppressions
 from repro.analysis.tools import TOOLS, UnknownRuleCode
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 
@@ -31,8 +32,6 @@ CASES = {
                  "bad_spl004_tags.py"),
     "specflow": ("bad_spf110_orphan.py", "good_protocol.py", "SPF110",
                  "bad_spf111_race.py"),
-    "specperf": ("bad_spp203_alloc.py", "good_hot_path.py", "SPP203",
-                 "bad_spp201_sendcopy.py"),
     "spectaint": ("bad_spt301_io.py", "good_confirmed.py", "SPT301",
                   "bad_spt307_alias.py"),
     "specbound": ("bad_unclamped_widen.py", "good_ring_window.py", "SPB405",
@@ -54,7 +53,7 @@ def _codes(diagnostics):
 
 @pytest.fixture(scope="module")
 def src_index():
-    """``src/`` parsed once for the five ``src is clean`` cases."""
+    """``src/`` parsed once for the four ``src is clean`` cases."""
     return ProgramIndex([SRC])
 
 
@@ -65,18 +64,18 @@ def src_index():
 def test_catalogue_is_the_codes_with_the_tools_prefix(tool):
     assert tool.rules
     assert list(tool.rules) == sorted(
-        code for code in RULES if code.startswith(tool.prefix)
+        code for code in RULES if code.startswith(tool.prefixes)
     )
     for code, info in tool.rules.items():
         assert info.code == code and info.name and info.summary
-    assert tool.syntax_code == f"{tool.prefix}000"
+    assert tool.syntax_code == f"{tool.prefixes[0]}000"
     assert tool.syntax_code not in RULES
 
 
 def test_every_rule_belongs_to_exactly_one_tool():
     owners = {code: [t.name for t in TOOLS if code in t.rules] for code in RULES}
     assert all(len(names) == 1 for names in owners.values()), owners
-    assert len(RULES) == 25
+    assert len(RULES) == 20
 
 
 def test_documented_rules_are_the_registry():
@@ -133,6 +132,25 @@ def test_any_familys_directive_silences_a_finding(tool, spelling):
     assert code not in _codes(silenced)
 
 
+def test_directive_spellings_are_the_tool_names():
+    """One suppression spelling per family: the directive regexes accept
+    exactly the tool names, and a folded family's spelling is gone."""
+    names = {tool.name for tool in TOOLS}
+    for regex in (_LINE_DIRECTIVE, _FILE_DIRECTIVE):
+        (alternation,) = re.findall(r"spec\(\?:([a-z|]+)\)", regex.pattern)
+        assert {f"spec{part}" for part in alternation.split("|")} == names
+    per_line, file_wide = parse_suppressions(
+        "x = 1  # specperf: disable=SPP204\n# specperf: disable-file=SPP207\n"
+    )
+    assert per_line == {} and file_wide == set()
+    specbound = next(tool for tool in TOOLS if tool.name == "specbound")
+    ring_scan = TESTS / "specbound_fixtures" / "bad_spp204_ringscan.py"
+    source = ring_scan.read_text().replace(
+        "# SPP204", "# specperf: disable=SPP204"
+    )
+    assert _codes(specbound.analyze_source(source, path="<t>")) == ["SPP204"]
+
+
 @every_tool
 def test_syntax_error_yields_the_tools_000_code(tool):
     diags = tool.analyze_source("def broken(:\n", path="broken.py")
@@ -174,7 +192,7 @@ def test_same_named_senders_in_two_files_report_each_race_once(tmp_path):
         ("spectaint", "SPT302", "specflow_fixtures/bad_spf101_unverified.py", 31),
         ("spectaint", "SPT302", "spectaint_fixtures/bad_spt302_send.py", 10),
         ("spectaint", "SPT302", "spectaint_fixtures/bad_spt302_send.py", 11),
-        ("specbound", "SPB406", "specperf_fixtures/bad_spp206_buffer.py", 15),
+        ("specbound", "SPB406", "specbound_fixtures/bad_spp206_buffer.py", 15),
     ],
 )
 def test_surviving_rule_fires_where_the_deleted_duplicate_did(

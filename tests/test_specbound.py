@@ -1,7 +1,9 @@
-"""Tests for specbound: the occupancy bound table, the SPB rule pack,
-trace-validated occupancy contracts, the EventLog cap, and the
-``repro bounds`` / ``repro check`` CLIs."""
+"""Tests for specbound: phase attribution, the occupancy bound table,
+the SPB and SPP rule pack, trace-validated occupancy and phase-cost
+contracts, the EventLog cap, and the ``repro bounds`` / ``repro check``
+CLIs."""
 
+import ast
 import dataclasses
 import json
 import re
@@ -15,11 +17,18 @@ from repro.analysis import CONFIRMED, REFUTED, UNOBSERVED, Severity, TraceView
 from repro.analysis.baselines import load_baselines
 from repro.analysis.bounds import (
     OCCUPANCY_BOUNDS,
+    PHASE_OF_RULE,
+    check_contracts,
     check_occupancy,
+    measure_phase_shares,
+    model_phase_shares,
     observed_cascade_depth,
     observed_inbox_depths,
     observed_inflight_sends,
 )
+from repro.analysis.bounds.attribution import HOT_SEATS, build_attribution
+from repro.analysis.bounds.contracts import observed_phases
+from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.linter import parse_suppressions
 from repro.analysis.tools import TOOLS
 from repro.api import RunConfig, run
@@ -28,6 +37,7 @@ from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.core.speculators import PolynomialExtrapolation
 from repro.engine.core import default_hist_cap
 from repro.trace.events import EventLog, TraceHeader
+from repro.trace.phases import PHASES
 
 from tests.toy_programs import CoupledIncrement
 
@@ -38,7 +48,9 @@ analyze_source = SPECBOUND.analyze_source
 FIXTURES = Path(__file__).parent / "specbound_fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
-ALL_CODES = ["SPB402", "SPB405", "SPB406", "SPB407", "SPB408"]
+SPB_CODES = ["SPB402", "SPB405", "SPB406", "SPB407", "SPB408"]
+SPP_CODES = ["SPP204", "SPP207"]
+ALL_CODES = SPB_CODES + SPP_CODES
 
 
 def _codes_of(path):
@@ -50,8 +62,97 @@ def _codes_of(path):
 
 def test_all_spb_rules_registered():
     assert list(SPECBOUND.rules) == ALL_CODES
-    for code in ALL_CODES:
+    for code in SPB_CODES:
         assert SPECBOUND.rules[code].severity is Severity.WARNING
+
+
+def test_all_spp_rules_registered():
+    assert list(PHASE_OF_RULE) == SPP_CODES
+    for code in SPP_CODES:
+        assert SPECBOUND.rules[code].severity in (Severity.ERROR, Severity.WARNING)
+        assert PHASE_OF_RULE[code] in PHASES
+
+
+# ------------------------------------------------------------ attribution
+
+
+def _attribution(source, path="<fixture>"):
+    module = ModuleGraphs.from_source(source, path=path)
+    return module, build_attribution(CallGraph([module]))
+
+
+def test_attribution_seeds_by_terminal_name():
+    module, attr = _attribution(
+        "def send(proc, dst, value):\n"
+        "    pass\n"
+        "def compute(state):\n"
+        "    pass\n"
+    )
+    assert attr.phases_of(("<fixture>", "send")) == {"send"}
+    assert attr.phases_of(("<fixture>", "compute")) == {"compute"}
+
+
+def test_attribution_propagates_caller_to_callee():
+    module, attr = _attribution(
+        "def helper(x):\n"
+        "    return x + 1\n"
+        "def compute(state):\n"
+        "    return helper(state)\n"
+        "def unrelated(x):\n"
+        "    return x\n"
+    )
+    assert "compute" in attr.phases_of(("<fixture>", "helper"))
+    assert attr.phases_of(("<fixture>", "unrelated")) == frozenset()
+
+
+def test_attribution_is_transitive_and_merges_phases():
+    module, attr = _attribution(
+        "def deep(x):\n"
+        "    return x\n"
+        "def helper(x):\n"
+        "    return deep(x)\n"
+        "def compute(state):\n"
+        "    return helper(state)\n"
+        "def verify(a, b):\n"
+        "    return helper(a) == b\n"
+    )
+    assert attr.phases_of(("<fixture>", "deep")) == {"compute", "check"}
+
+
+def test_attribution_ignores_generic_container_names():
+    # `extend` is a defined function AND a list method name: the call
+    # edge through `.extend` must not leak the compute phase into it.
+    module, attr = _attribution(
+        "def extend(log, events):\n"
+        "    log.events += events\n"
+        "def compute(state, out):\n"
+        "    out.extend(state)\n"
+    )
+    assert attr.phases_of(("<fixture>", "extend")) == frozenset()
+
+
+def test_every_hot_seat_is_defined_in_the_package():
+    # Seats are matched by terminal name, so a renamed or moved per-rank
+    # entry point would silently drop out of the hot set.
+    defined = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+    assert not HOT_SEATS - defined, sorted(HOT_SEATS - defined)
+
+
+def test_hot_reachability_from_run_seat():
+    module, attr = _attribution(
+        "def kernel(x):\n"
+        "    return x * 2\n"
+        "def run(state):\n"
+        "    return kernel(state)\n"
+        "def cold(x):\n"
+        "    return x\n"
+    )
+    assert attr.is_hot(("<fixture>", "kernel"))
+    assert not attr.is_hot(("<fixture>", "cold"))
 
 
 # --------------------------------------------------------------- fixtures
@@ -65,6 +166,8 @@ def test_all_spb_rules_registered():
         ("bad_event_buffer.py", "SPB406"),
         ("bad_unguarded_cascade.py", "SPB407"),
         ("bad_iteration_dict.py", "SPB408"),
+        ("bad_spp204_ringscan.py", "SPP204"),
+        ("bad_spp207_mutable.py", "SPP207"),
     ],
 )
 def test_each_bad_fixture_fires_only_its_rule(name, code):
@@ -72,7 +175,7 @@ def test_each_bad_fixture_fires_only_its_rule(name, code):
 
 
 @pytest.mark.parametrize(
-    "name", ["good_ring_window.py", "good_trimmed_inbox.py"]
+    "name", ["good_ring_window.py", "good_trimmed_inbox.py", "good_hot_path.py"]
 )
 def test_good_fixtures_are_clean(name):
     assert _codes_of(FIXTURES / name) == []
@@ -315,6 +418,99 @@ def test_correct_runs_refute_no_occupancy_contract(p, fw, cascade):
     assert inbox == 2 * max(fw, 1)
 
 
+# ---------------------------------------------------------- cost contracts
+
+
+def _synthetic_log(header=TraceHeader(p=2, iterations=2, max_fw=1, hist_cap=4),
+                   verify=True):
+    """Two ranks; rank 0: compute-heavy, rank 1: waits on a recv."""
+    log = EventLog(header=header)
+    # rank 0: send at t=0, compute 0->10, verify at 10, next compute.
+    log.record("send", 0, 0.0, peer=1, family="vars", iteration=0)
+    log.record("compute", 0, 0.0, iteration=0, args=(0, 1))
+    if verify:
+        log.record("verify", 0, 10.0, peer=1, family="vars", iteration=0)
+    log.record("compute", 0, 10.5, iteration=1, args=(0, 1))
+    # rank 1: blocked on the message from t=0 to t=4.
+    log.record("send", 1, 0.0, peer=0, family="vars", iteration=0)
+    log.record("recv", 1, 4.0, peer=0, family="vars", iteration=0)
+    log.record("compute", 1, 4.0, iteration=0, args=(0, 1))
+    log.record("compute", 1, 9.0, iteration=1, args=(0, 1))
+    return log
+
+
+def test_measure_phase_shares_attributes_gaps():
+    shares = measure_phase_shares(TraceView(_synthetic_log()))
+    assert shares["compute"] == pytest.approx(15.0 / 19.5)
+    assert shares["comm"] == pytest.approx(4.0 / 19.5)
+    assert shares["check"] == pytest.approx(0.5 / 19.5)
+    assert sum(shares.values()) == pytest.approx(1.0)
+
+
+def test_measure_phase_shares_empty_log_is_all_zero():
+    shares = measure_phase_shares(TraceView(EventLog()))
+    assert set(shares) == set(PHASES)
+    assert all(v == 0.0 for v in shares.values())
+
+
+def test_observed_phases_follow_event_kinds():
+    assert observed_phases(TraceView(_synthetic_log())) == {"compute", "comm", "check"}
+
+
+def test_model_phase_shares_normalise_and_degenerate_to_serial():
+    shares = model_phase_shares(8)
+    assert sum(shares.values()) == pytest.approx(1.0)
+    assert shares["compute"] > 0
+    serial = model_phase_shares(1)
+    assert serial["compute"] == 1.0
+    assert serial["comm"] == 0.0
+
+
+def test_check_contracts_verdict_statuses():
+    diags = analyze_paths([FIXTURES])
+    measured, modeled, verdicts = check_contracts(
+        diags, TraceView(_synthetic_log())
+    )
+    by_code = {v.rule: v for v in verdicts}
+    assert set(by_code) == set(SPP_CODES)
+    # comm measured ~20.5% vs model 0% exposed comm at p=2: confirmed.
+    assert by_code["SPP207"].status == CONFIRMED
+    # check measured within TOL of the model's budget: refuted.
+    assert by_code["SPP204"].status == REFUTED
+    line = by_code["SPP207"].format_text()
+    assert line.startswith("cost-contract SPP207 [comm]: CONFIRMED — measured ")
+    assert by_code["SPP207"].observed == measured["comm"]
+    assert by_code["SPP207"].bound == modeled["comm"]
+    # No verify event: the check phase never ran, so it is unobserved.
+    _m, _b, unverified = check_contracts(
+        diags, TraceView(_synthetic_log(verify=False))
+    )
+    assert {v.rule: v.status for v in unverified}["SPP204"] == UNOBSERVED
+
+
+def test_check_contracts_is_deterministic():
+    diags = analyze_paths([FIXTURES])
+    view = TraceView(_synthetic_log())
+    a = check_contracts(diags, view)
+    b = check_contracts(diags, view)
+    assert a == b
+
+
+@pytest.mark.parametrize("p", [2, 16, 20])
+def test_share_table_names_the_p_the_budget_was_evaluated_at(p, tmp_path, capsys):
+    """The model covers p <= 16: a wider trace is judged at 16, and the
+    table says so; a trace it covers prints the plain header."""
+    trace = tmp_path / "trace.jsonl"
+    _synthetic_log(TraceHeader(p=p, iterations=2, max_fw=1, hist_cap=4)).save(trace)
+    main(["bounds", str(FIXTURES / "bad_spp207_mutable.py"), "--trace", str(trace)])
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.startswith("phase "))
+    if p <= 16:
+        assert header == "phase      measured    model"
+    else:
+        assert header == f"phase      measured    model at p=16 (trace p={p})"
+
+
 # ------------------------------------------------------------ EventLog cap
 
 
@@ -436,6 +632,27 @@ def test_cli_bounds_trace_contracts(tmp_path, capsys):
     ) == EXIT_USAGE
 
 
+def test_cli_bounds_trace_reports_both_contract_sets(tmp_path, capsys):
+    """Occupancy first, then the cost share table and cost verdicts; a
+    CONFIRMED cost overrun fails the run as a REFUTED bound does."""
+    trace = tmp_path / "trace.jsonl"
+    _synthetic_log().save(trace)
+    assert main(["bounds", str(FIXTURES), "--trace", str(trace)]) == EXIT_FINDINGS
+    lines = capsys.readouterr().out.splitlines()
+    occupancy = [i for i, line in enumerate(lines) if line.startswith("occupancy-contract")]
+    costs = [i for i, line in enumerate(lines) if line.startswith("cost-contract")]
+    table = lines.index("phase      measured    model")
+    assert occupancy and costs and occupancy[-1] < table < costs[0]
+    assert "cost-contract SPP207 [comm]: CONFIRMED" in "\n".join(lines)
+    # A clean tree + trace: nothing to cross-reference, exit 0.
+    clean = str(FIXTURES / "good_hot_path.py")
+    assert main(["bounds", clean, "--trace", str(trace)]) == EXIT_CLEAN
+    assert "no static SPP findings" in capsys.readouterr().out
+    assert main(["bounds", clean, "--select", "SPP204"]) == EXIT_CLEAN
+    assert main(["bounds", clean, "--select", "SPP201"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
 def test_cli_check_exit_parity_with_bounds(capsys):
     dirty = str(FIXTURES / "bad_unclamped_widen.py")
     clean = str(FIXTURES / "good_trimmed_inbox.py")
@@ -450,9 +667,7 @@ def test_cli_check_merged_sarif_includes_specbound(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(sarif.read_text())
     names = [r["tool"]["driver"]["name"] for r in doc["runs"]]
-    assert names == [
-        "specbound", "specflow", "speclint", "specperf", "spectaint"
-    ]
+    assert names == ["specbound", "specflow", "speclint", "spectaint"]
     spb_run = doc["runs"][names.index("specbound")]
     assert {r["ruleId"] for r in spb_run["results"]} == set(ALL_CODES)
 
@@ -464,7 +679,7 @@ def test_cli_check_stats_lines(capsys):
     out = capsys.readouterr().out
     assert "repro check stats:" in out
     assert "1 file(s)" in out
-    for tool in ("specbound", "specflow", "speclint", "specperf", "spectaint"):
+    for tool in ("specbound", "specflow", "speclint", "spectaint"):
         assert tool in out
 
 
@@ -478,5 +693,5 @@ def test_cli_check_stats_json(capsys):
     assert stats["files_parsed"] == 1
     assert stats["syntax_failures"] == 0
     assert set(stats["tool_seconds"]) == {
-        "specbound", "specflow", "speclint", "specperf", "spectaint"
+        "specbound", "specflow", "speclint", "spectaint"
     }

@@ -254,9 +254,9 @@ def test_suppression_parser_accepts_all_four_spellings():
     source = (
         "a = 1  # speclint: disable=SPL101\n"
         "b = 2  # specflow: disable=SPF201\n"
-        "c = 3  # specperf: disable=SPP203\n"
+        "c = 3  # specbound: disable=SPP203\n"
         "d = 4  # spectaint: disable=SPT301\n"
-        "# specperf: disable-file=SPP204\n"
+        "# specbound: disable-file=SPP204\n"
     )
     per_line, file_wide = parse_suppressions(source)
     assert per_line == {
@@ -498,9 +498,7 @@ def test_cli_check_merged_sarif_has_one_run_per_tool(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(sarif.read_text())
     names = [r["tool"]["driver"]["name"] for r in doc["runs"]]
-    assert names == [
-        "specbound", "specflow", "speclint", "specperf", "spectaint"
-    ]
+    assert names == ["specbound", "specflow", "speclint", "spectaint"]
     spt_run = doc["runs"][names.index("spectaint")]
     assert {r["ruleId"] for r in spt_run["results"]} == set(ALL_CODES)
 
