@@ -1,4 +1,4 @@
-"""speclint & co.: four static analysis families and a runtime sanitizer.
+"""speclint & co.: four static analysis families, a trace replay and specmc.
 
 A family is a rule table — its code prefixes, a ``findings(index)``
 function from the shared parse
@@ -36,11 +36,15 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   (p, FW, iterations) the trace's header records, against observed
   maxima, then judges the SPP findings against the calibrated
   performance model's per-phase time budget.
-* :mod:`repro.analysis.sanitizer` — a runtime
-  :class:`ProtocolSanitizer` (opt-in via ``REPRO_SANITIZE=1``) that
-  asserts DES and forward-window invariants while a simulation runs;
-  :mod:`repro.analysis.modelcheck` explores interleavings of the real
-  engine against the same invariants.
+* :mod:`repro.analysis.modelcheck` (specmc) explores interleavings
+  of the real engine against the invariants the runtime sanitizer
+  (:mod:`repro.engine.sanitizer`) checks on one live run.
+
+The layer rule is one-way: this package may import the runtime, and
+nothing outside it imports ``repro.analysis`` except the front end,
+:mod:`repro.cli`.  A run loads no analyzer; the sanitizer, its
+invariant registry (:mod:`repro.engine.invariants`) and the
+``@commits`` marker (:func:`repro.engine.core.commits`) are runtime.
 
 Entry points: ``repro lint | analyze | taint | bounds
 [paths] [--format text|json|sarif] [--select CODE] [--trace LOG]``
@@ -82,14 +86,6 @@ from repro.analysis import rules as _spl_rules  # noqa: F401
 from repro.analysis import races as _spf_rules  # noqa: F401
 from repro.analysis.taint import rules as _spt_rules  # noqa: F401
 from repro.analysis.bounds import rules as _spb_rules  # noqa: F401
-from repro.analysis.sanitizer import (
-    ENV_FLAG,
-    ProtocolSanitizer,
-    ProtocolViolation,
-    run_selftest,
-    sanitize_enabled,
-    sanitizer_from_env,
-)
 
 __all__ = [
     "CONFIRMED",
@@ -113,10 +109,4 @@ __all__ = [
     "iter_python_files",
     "parse_suppressions",
     "syntax_diagnostic",
-    "ENV_FLAG",
-    "ProtocolSanitizer",
-    "ProtocolViolation",
-    "run_selftest",
-    "sanitize_enabled",
-    "sanitizer_from_env",
 ]

@@ -6,7 +6,7 @@ specflow checks dataflow and happens-before, specmc *executes* every
 reachable message-delivery/scheduling interleaving of bounded
 configurations (p <= 3, FW <= 2, BW <= 2, T <= 4) of real
 :class:`~repro.engine.core.SpecEngine` instances and checks the shared
-invariant registry (:mod:`repro.analysis.invariants`) in every state.
+invariant registry (:mod:`repro.engine.invariants`) in every state.
 
 Entry points:
 

@@ -10,7 +10,7 @@ explicit-state model checker needs:
   :class:`~repro.engine.loopback.LoopbackRunner` — one engine per
   rank, one FIFO queue of undelivered messages per destination (the
   channel ``src -> dst`` is the part of it ``src`` sent), and a fresh
-  :class:`~repro.analysis.sanitizer.ProtocolSanitizer` (the runtime
+  :class:`~repro.engine.sanitizer.ProtocolSanitizer` (the runtime
   seat of the shared invariant registry, reused verbatim as the model
   checker's per-execution oracle) — driven by an explicit schedule
   instead of the round-robin one, so the checker checks the very
@@ -38,14 +38,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.invariants import require
 from repro.analysis.modelcheck.scenario import McConfig, build_program
 from repro.core.program import SyncIterativeProgram
-from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.engine.core import SpecEngine, topology
 from repro.engine.events import Arrival, Recv, Send, TryRecv
+from repro.engine.invariants import require
 from repro.engine.loopback import LoopbackRunner
 from repro.engine.ring import OutOfOrderArrival
+from repro.engine.sanitizer import ProtocolSanitizer, ProtocolViolation
 
 __all__ = [
     "Action",

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.analysis.invariants import INVARIANTS, specmc_invariant_ids
 from repro.analysis.modelcheck.explorer import McResult
 from repro.analysis.modelcheck.model import schedule_to_json
 from repro.analysis.reporting import render_sarif_document, stable_json
+from repro.engine.invariants import INVARIANTS, specmc_invariant_ids
 
 __all__ = ["report_dict", "render_text", "render_json", "render_sarif_mc"]
 

@@ -3,11 +3,11 @@
 **Per rank, the live sanitizer offline.** Each rank's records of an
 :class:`~repro.trace.events.EventLog` (simulator, loopback, pipes or
 specmc's ``--emit-trace``), in program order, go through a
-:class:`~repro.analysis.sanitizer.ProtocolSanitizer`:
+:class:`~repro.engine.sanitizer.ProtocolSanitizer`:
 :data:`~repro.engine.observer.REPLAYED` rebuilds the effect a record was
 made from, and the call :data:`~repro.engine.observer.OBSERVED` makes
 for it live is made again, so a finding carries the invariant id the
-live seat raises (:mod:`repro.analysis.invariants`).  The live calls
+live seat raises (:mod:`repro.engine.invariants`).  The live calls
 outside that table are made the same way: a ``recv`` carrying its wire
 seq goes to ``on_delivery`` (loopback and pipes stamp it; the DES
 networks are FIFO by construction and never check it); a
@@ -43,7 +43,6 @@ from typing import Iterator, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.races import HappensBeforeGraph
-from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.analysis.trace_view import (
     CONFIRMED,
     REFUTED,
@@ -51,6 +50,7 @@ from repro.analysis.trace_view import (
     TraceView,
     Verdict,
 )
+from repro.engine.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.trace.events import TraceEvent
 
 #: The rank (and seq) of a run-end finding, which judges the whole run.

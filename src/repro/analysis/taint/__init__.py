@@ -3,11 +3,11 @@
 Forward taint analysis over the specflow CFG + call graph proving
 that values derived from unconfirmed speculative receives never reach
 an irreversible effect (SPT301, SPT302, SPT307, SPT308), plus the
-commit-point annotation API (:func:`commits`) and the trace-replay
-verdict layer (:func:`check_taint`).
+trace-replay verdict layer (:func:`check_taint`).  Commit points are
+matched by name: a ``@commits`` decorator (the runtime marker is
+:func:`repro.engine.core.commits`) or a ``# spectaint: commit`` line.
 """
 
-from repro.analysis.taint.annotations import COMMITS_ATTR, commits
 from repro.analysis.taint.lattice import (
     COMMITTED,
     SPEC,
@@ -23,7 +23,6 @@ from repro.analysis.taint.rules import findings
 from repro.analysis.taint.verdicts import EscapeWitness, check_taint, find_escapes
 
 __all__ = [
-    "COMMITS_ATTR",
     "COMMITTED",
     "EscapeWitness",
     "SPEC",
@@ -32,7 +31,6 @@ __all__ = [
     "TaintSummary",
     "check_taint",
     "commit_lines_of",
-    "commits",
     "declared_commit_points",
     "find_escapes",
     "findings",

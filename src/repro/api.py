@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.core.program import SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import RunReport, assemble_report
 from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
 from repro.engine.des_transport import DESTransport
 from repro.engine.loopback import LoopbackRunner
+from repro.engine.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.faults import FaultPlan, wrap_engine
 from repro.netsim.latency import latency_model
 from repro.netsim.network import DelayNetwork
@@ -124,9 +124,11 @@ class RunConfig:
         ``seed * 1000 + rank`` on mp; >= 0.  Fault seeding lives on
         the plan (``fault_plan.seed``), not here.
     latency:
-        One-way message delay: virtual seconds on ``"des"`` (ignored
-        when an explicit ``cluster`` is supplied), wall seconds on
-        ``"mp"``.  Must be 0 on ``"loopback"``, which has no clock.
+        One-way message delay: virtual seconds on ``"des"``, wall
+        seconds on ``"mp"``.  Must be 0 on ``"loopback"``, which has
+        no clock, and with an explicit ``cluster``, whose network
+        already defines the delays (``ValueError``: mutually
+        exclusive).
     jitter:
         Log-normal sigma multiplying ``latency`` per message (des/mp
         only, same rules as ``latency``).  It scales the latency, so

@@ -475,8 +475,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.analysis.sanitizer import ProtocolViolation
     from repro.engine.core import RetransmitExhausted
+    from repro.engine.sanitizer import ProtocolViolation
     from repro.faults import InjectedCrash
 
     try:
@@ -560,7 +560,7 @@ def _cmd_tool(args: argparse.Namespace) -> int:
 
     tool = args.tool
     if args.sanitize_selftest:
-        from repro.analysis.sanitizer import run_selftest
+        from repro.engine.sanitizer import run_selftest
 
         return run_selftest()
     try:

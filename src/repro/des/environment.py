@@ -10,7 +10,7 @@ from repro.des.errors import EmptySchedule, SimulationError, StopSimulation
 from repro.des.events import Event, Process, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.sanitizer import ProtocolSanitizer
+    from repro.engine.sanitizer import ProtocolSanitizer
 
 
 class Environment:
@@ -44,7 +44,7 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         #: Optional runtime protocol sanitizer (see
-        #: :mod:`repro.analysis.sanitizer`); None = zero overhead.
+        #: :mod:`repro.engine.sanitizer`); None = zero overhead.
         self.sanitizer: Optional["ProtocolSanitizer"] = None
 
     # -- event factories --------------------------------------------------------

@@ -10,6 +10,10 @@ The package splits the paper's protocol (Fig. 3) from its media:
   shared synchronous interpreter :func:`drive`;
 * :mod:`repro.engine.observer` — the one table every backend feeds its
   notification effects through (sanitizer hooks + trace records);
+* :mod:`repro.engine.sanitizer` — the opt-in runtime
+  :class:`~repro.engine.sanitizer.ProtocolSanitizer`
+  (``REPRO_SANITIZE=1``), the runtime seat of the invariant registry
+  :mod:`repro.engine.invariants`;
 * :mod:`repro.engine.des_transport` — effects on the discrete event
   simulator (``repro.vm`` over ``repro.netsim``);
 * :mod:`repro.engine.loopback` — in-process FIFO queues with a
@@ -23,6 +27,10 @@ loopback scheduler and the multiprocessing workers
 (:mod:`repro.parallel.worker`) — runs the engines in this package,
 built by one factory (:func:`repro.api.rank_engine`);
 speculate/verify/correct logic exists exactly once.
+
+The runtime imports no analyzer: :mod:`repro.analysis` may import this
+package, never the reverse, so a run loads none of the static
+analysis families.
 """
 
 from __future__ import annotations

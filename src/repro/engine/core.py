@@ -39,9 +39,8 @@ so the receive-driven baseline shares the transports and observers too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Sequence, Tuple, TypeVar
 
-from repro.analysis.taint.annotations import commits
 from repro.core.program import Block, SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import SpecStats
@@ -143,6 +142,28 @@ def default_window_ok(engine: "SpecEngine", t: int) -> bool:
     return engine.verified_upto >= t - engine.fw
 
 
+#: Attribute :func:`commits` sets on the functions it marks.
+COMMITS_ATTR = "__spectaint_commits__"
+
+_F = TypeVar("_F", bound=Callable[..., object])
+
+
+def commits(func: _F) -> _F:
+    """Mark ``func`` as a commit point: a pure marker, zero runtime cost.
+
+    Data derived from an unconfirmed speculative receive must stay
+    reversible until the actual value arrives; a commit point is a site
+    that legitimately ends that obligation.  spectaint treats every
+    argument passed into a decorated function as confirmed from the
+    call onward, and never reports its body as an escape.  It matches
+    the decorator *by name* (it never imports the code it checks), so
+    fixtures may use any decorator called ``commits``; the line-level
+    spelling is a ``# spectaint: commit`` comment.
+    """
+    setattr(func, COMMITS_ATTR, True)
+    return func
+
+
 class SpecEngine:
     """Sans-I/O speculative protocol state machine for one rank.
 
@@ -176,7 +197,7 @@ class SpecEngine:
         window is announced as a ``WindowChanged`` effect.  The engine
         spawns a private instance, so one template may seed all ranks.
     sanitizer:
-        Optional :class:`~repro.analysis.sanitizer.ProtocolSanitizer`
+        Optional :class:`~repro.engine.sanitizer.ProtocolSanitizer`
         whose buffer-occupancy hooks (``buffer-occupancy-bounded``) are
         fed on every arrival: history-ring occupancy vs capacity and
         the run-ahead backlog vs the FW-derived inbox bound.

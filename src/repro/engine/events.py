@@ -23,7 +23,7 @@ Two groups:
 
 **Protocol events** — pure notifications (speculate / compute /
 verify / correct / cascade); transports forward them to observers
-(the runtime :class:`~repro.analysis.sanitizer.ProtocolSanitizer`,
+(the runtime :class:`~repro.engine.sanitizer.ProtocolSanitizer`,
 the :class:`~repro.trace.events.EventLog` consumed by specflow's
 trace replay).  Because every backend drives the same engine, all
 observers hook one code path.

@@ -37,9 +37,9 @@ from collections import deque
 from functools import partial
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
+from repro.engine.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.trace.phases import PhaseTrace
 
 
@@ -65,7 +65,7 @@ class LoopbackRunner:
         events are recorded with the scheduler's step counter as the
         logical clock, ready for ``repro analyze --trace`` replay.
     sanitize:
-        Run under the :class:`~repro.analysis.sanitizer.ProtocolSanitizer`
+        Run under the :class:`~repro.engine.sanitizer.ProtocolSanitizer`
         (the same runtime seat the DES and pipe backends use); ``None``
         (default) defers to the ``REPRO_SANITIZE`` environment variable.
         An already-built sanitizer is shared as is (the loopback

@@ -3,7 +3,7 @@
 Every backend hands the effects it does not interpret itself
 (everything but ``Send`` / ``Recv`` / ``TryRecv`` / ``Charge``) to a
 :class:`RankObserver`.  What an effect means to the runtime
-:class:`~repro.analysis.sanitizer.ProtocolSanitizer` and which trace
+:class:`~repro.engine.sanitizer.ProtocolSanitizer` and which trace
 record it leaves is one table, :data:`OBSERVED`; a backend contributes
 only its sanitizer, a ``record`` sink that stamps its own clock, and
 the ``clock`` answered to ``IterationDone``.  Each record carries what

@@ -42,9 +42,9 @@ import time
 from multiprocessing import connection
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.analysis.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.engine.events import VARS, Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
+from repro.engine.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.engine.transport import TransportError
 from repro.netsim.latency import ConstantLatency, LatencyModel
 from repro.trace.events import TraceEvent
@@ -72,7 +72,7 @@ class PipeTransport:
         Record protocol :class:`TraceEvent` s (times relative to
         :meth:`start`) for ``repro analyze --trace`` replay.
     sanitize:
-        Run under the :class:`~repro.analysis.sanitizer.ProtocolSanitizer`
+        Run under the :class:`~repro.engine.sanitizer.ProtocolSanitizer`
         (same runtime seat as the DES and loopback backends); ``None``
         (default) defers to the ``REPRO_SANITIZE`` environment variable.
     """

@@ -15,11 +15,11 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.sanitizer import sanitizer_from_env
 from repro.des import AllOf, Environment
 from repro.engine import DESTransport, topology
 from repro.engine.core import build_engine
 from repro.engine.events import Charge, Recv, Send
+from repro.engine.sanitizer import sanitizer_from_env
 from repro.harness.toys import ConstantProgram, JumpyProgram
 from repro.platforms import wustl_1994
 from repro.vm import Cluster

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro import RunConfig, run
-from repro.analysis.sanitizer import ProtocolViolation
 from repro.engine.core import RetransmitExhausted, build_engine, topology
 from repro.engine.events import Recv
+from repro.engine.sanitizer import ProtocolViolation
 from repro.faults import (
     EdgeFault,
     FaultPlan,

@@ -1,6 +1,6 @@
 """The invariant registry is the single source of truth.
 
-The registry (:mod:`repro.analysis.invariants`) feeds three consumers:
+The registry (:mod:`repro.engine.invariants`) feeds three consumers:
 the runtime :class:`ProtocolSanitizer`, the specmc model checker, and
 the documentation.  These tests pin the consistency the tentpole
 promises: every id a consumer enumerates is registered, every seat
@@ -13,7 +13,8 @@ import re
 
 import pytest
 
-from repro.analysis.invariants import (
+from repro.analysis.modelcheck import MUTATIONS, report_dict
+from repro.engine.invariants import (
     INVARIANTS,
     SEAT_SANITIZER,
     SEAT_SPECMC,
@@ -22,8 +23,7 @@ from repro.analysis.invariants import (
     sanitizer_invariant_ids,
     specmc_invariant_ids,
 )
-from repro.analysis.modelcheck import MUTATIONS, report_dict
-from repro.analysis.sanitizer import ProtocolSanitizer
+from repro.engine.sanitizer import ProtocolSanitizer
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sanitizer import sanitizer_from_env
 from repro.des import Environment, Resource, Store
+from repro.engine.sanitizer import sanitizer_from_env
 from repro.netsim import (
     BackgroundTraffic,
     BurstyTraffic,

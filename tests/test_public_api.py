@@ -1,6 +1,7 @@
 """The public API surface: imports, __all__, version, module entry."""
 
 import ast
+import os
 import pathlib
 import re
 import subprocess
@@ -103,33 +104,69 @@ def _module_name(path):
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+def _imports(name, path):
+    """Every module ``path`` imports, at any depth of its AST.
+
+    An ast walk, so nothing is executed: function-local imports and
+    imports under ``TYPE_CHECKING`` count.  Importing a.b.c imports its
+    packages a and a.b too.
+    """
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            found.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return found - {name}
+
+
 def test_every_module_is_imported_by_another():
-    # An ast walk, so nothing is executed: a module no other module of
-    # src/repro imports (at any depth, or as a package re-export) is
-    # dead code.  The two entry points are the only exceptions.
+    # A module no other module of src/repro imports (at any depth, or
+    # as a package re-export) is dead code.  The two entry points are
+    # the only exceptions.
     modules = {_module_name(path): path for path in PACKAGE.rglob("*.py")}
-    imported = set()
-    for name, path in modules.items():
-        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
-        found = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    anchor = package.rsplit(".", node.level - 1)[0]
-                    base = f"{anchor}.{base}" if base else anchor
-                targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            for target in targets:
-                # Importing a.b.c imports its packages a and a.b too.
-                parts = target.split(".")
-                found.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
-        imported |= found - {name}
+    imported = set().union(*(_imports(name, path) for name, path in modules.items()))
     orphans = set(modules) - imported - {"repro.__main__", "repro.cli"}
     assert not orphans, sorted(orphans)
+
+
+def test_only_the_front_end_imports_the_analyzers():
+    # The layer rule: repro.analysis may import the runtime, and nothing
+    # outside it imports repro.analysis except the CLI.
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = _module_name(path)
+        if name == "repro.cli" or name.startswith("repro.analysis"):
+            continue
+        if "repro.analysis" in _imports(name, path):
+            offenders.append(name)
+    assert not offenders, offenders
+
+
+def test_importing_repro_loads_no_analyzer():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; "
+         "print(sorted(m for m in sys.modules if m.startswith('repro')))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = ast.literal_eval(out.stdout)
+    assert "repro.api" in loaded
+    assert not [m for m in loaded if m.startswith("repro.analysis")]
 
 
 def _words(path):

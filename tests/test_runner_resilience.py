@@ -22,9 +22,9 @@ import time
 
 import pytest
 
-from repro.analysis.sanitizer import ProtocolViolation
 from repro.api import RunConfig, run
 from repro.engine.core import RetransmitExhausted
+from repro.engine.sanitizer import ProtocolViolation
 from repro.faults import FaultPlan, InjectedCrash, RankFault
 
 from tests.toy_programs import CoupledIncrement

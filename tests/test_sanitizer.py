@@ -14,12 +14,18 @@ Three layers:
 import numpy as np
 import pytest
 
-from repro.analysis import ProtocolSanitizer, ProtocolViolation, run_selftest
-from repro.analysis.sanitizer import ENV_FLAG, sanitize_enabled, sanitizer_from_env
 from repro import api
 from repro.api import RunConfig, run
 from repro.cli import main
 from repro.engine import DESTransport, SpecEngine, topology
+from repro.engine.sanitizer import (
+    ENV_FLAG,
+    ProtocolSanitizer,
+    ProtocolViolation,
+    run_selftest,
+    sanitize_enabled,
+    sanitizer_from_env,
+)
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.modelcheck.scenario import DriftProgram
-from repro.analysis.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.engine.core import SpecEngine, topology
 from repro.engine.des_transport import DESTransport
 from repro.engine import events as ev
@@ -24,6 +23,7 @@ from repro.engine.events import ComputeBegin, Speculated
 from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner
 from repro.engine.observer import OBSERVED, REPLAYED, RankObserver
 from repro.engine.pipes import PipeTransport
+from repro.engine.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.trace.events import EventLog, TraceEvent
 
 

@@ -28,9 +28,7 @@ from repro.analysis.linter import parse_suppressions
 from repro.analysis.program import ProgramIndex
 from repro.analysis.sarif import fingerprint
 from repro.analysis.taint import (
-    COMMITS_ATTR,
     commit_lines_of,
-    commits,
     declared_commit_points,
     solve_taint,
     unconfirmed,
@@ -39,6 +37,7 @@ from repro.analysis.taint import lattice
 from repro.analysis.taint.lattice import COMMITTED, SPEC
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.engine.core import COMMITS_ATTR, commits
 from repro.trace.events import EventLog, TraceHeader
 
 SPECTAINT, SPECFLOW = (

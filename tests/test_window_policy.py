@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import ProtocolSanitizer, ProtocolViolation
 from repro.api import RunConfig, run
 from repro.core import ZeroOrderHold
 from repro.engine import Recv
 from repro.engine.core import SpecEngine, topology
 from repro.engine.pipes import PipeTransport
+from repro.engine.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.policy import CascadePolicy, CostWindow, StaticWindow, WindowPolicy
 from repro.vm import Cluster, uniform_specs
