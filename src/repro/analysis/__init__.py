@@ -5,7 +5,7 @@ function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
 optionally a ``judge(view, diagnostics)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
-:class:`~repro.analysis.trace_view.Verdict` records.  All 20 rules
+:class:`~repro.analysis.trace_view.Verdict` records.  All 16 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
 :meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
 de-duplicates and sorts for every family; the CLI builds every
@@ -22,17 +22,16 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   :mod:`repro.analysis.replay` checks the same two rules dynamically
   against a recorded :class:`~repro.trace.events.EventLog`, and runs
   the runtime sanitizer over each rank's records.
-* **spectaint** (SPT301, SPT302, SPT307, SPT308,
-  :mod:`repro.analysis.taint`) —
+* **spectaint** (SPT301, SPT302, :mod:`repro.analysis.taint`) —
   forward taint abstract interpretation proving unconfirmed
   speculative values never reach an irreversible effect; ``@commits``
   / ``# spectaint: commit`` annotate legitimate confirmation sites.
 * **specbound** (SPB4xx and SPP204 / SPP207,
   :mod:`repro.analysis.bounds`) — phase attribution over the same call
-  graph feeds per-function rules flagging a history trim, window,
-  event log, cascade loop or iteration-keyed map that no protocol
-  parameter bounds, and a per-message ring scan or mutable payload on
-  the protocol path; ``--trace`` checks the occupancy bounds, at the
+  graph feeds per-function rules flagging a window, event log or
+  iteration-keyed map that no protocol parameter bounds, and a
+  per-message ring scan or mutable payload on the protocol path;
+  ``--trace`` checks the occupancy bounds, at the
   (p, FW, iterations) the trace's header records, against observed
   maxima, then judges the SPP findings against the calibrated
   performance model's per-phase time budget.
@@ -67,11 +66,7 @@ from repro.analysis.replay import (
     cross_reference,
     replay,
 )
-from repro.analysis.sarif import (
-    apply_baseline,
-    fingerprint,
-    render_sarif,
-)
+from repro.analysis.sarif import fingerprint, render_sarif
 from repro.analysis.trace_view import (
     CONFIRMED,
     REFUTED,
@@ -98,7 +93,6 @@ __all__ = [
     "Severity",
     "TraceView",
     "Verdict",
-    "apply_baseline",
     "cross_reference",
     "fingerprint",
     "render_sarif",

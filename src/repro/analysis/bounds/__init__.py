@@ -8,7 +8,7 @@ Three layers:
   marks the functions a protocol seat reaches as hot;
 * :mod:`repro.analysis.bounds.rules` — per-function rules over the
   specflow CFG and that attribution: a protocol buffer or loop no
-  protocol parameter bounds (SPB402, SPB405–SPB408), and a
+  protocol parameter bounds (SPB405, SPB406, SPB408), and a
   per-message cost on the receive or send path (SPP204, SPP207);
 * :mod:`repro.analysis.bounds.contracts` — the trace-validated
   contracts: the protocol's four occupancy bounds

@@ -9,10 +9,8 @@ receive path is a finding — and every rule reads one function at a
 time.
 
 =======  ==========================================================
-SPB402   history trim uses a literal instead of the BW/FW parameter
 SPB405   window widening without a ``max_fw`` clamp
 SPB406   unbounded trace/event buffer in long-running protocol code
-SPB407   cascade correction loop without an FW-derived depth guard
 SPB408   dict keyed by iteration number without eviction
 SPP204   linear HistoryRing scan inside a message loop
 SPP207   freshly built mutable payload handed to send/broadcast
@@ -39,7 +37,6 @@ from repro.analysis.bounds.attribution import (
     PHASE_SEEDS,
     Attribution,
     function_items,
-    terminal_name,
 )
 
 if TYPE_CHECKING:
@@ -53,24 +50,9 @@ EVENT_BUFFER_TOKENS = frozenset(
     {"events", "records", "log", "trace", "samples", "intervals"}
 )
 
-#: Buffer tokens treated as speculation history (SPB402).
-HISTORY_TOKENS = frozenset(
-    {"history", "hist", "ring", "chain", "window", "recent", "samples"}
-)
-
-#: Names that make a loop bound window-derived (SPB407's guard).
-GUARD_TOKENS = frozenset(
-    {"frontier", "fw", "forward", "window", "horizon", "bound", "depth"}
-)
-
 #: Loop/index names that look like an iteration number (SPB408).
 ITERATION_NAMES = frozenset({"t", "t2", "iteration", "iter_no", "step"})
 
-register_rule(
-    "SPB402", "literal-history-trim", Severity.WARNING,
-    "history trim uses an integer literal instead of the BW/FW "
-    "parameter that should bound it",
-)
 register_rule(
     "SPB405", "unclamped-window-widening", Severity.WARNING,
     "window policy widens fw without a max_fw clamp, so pending "
@@ -80,11 +62,6 @@ register_rule(
     "SPB406", "unbounded-event-buffer", Severity.WARNING,
     "trace/event buffer on a protocol path grows with run length "
     "(no max_events cap or consumption trim)",
-)
-register_rule(
-    "SPB407", "unguarded-cascade-loop", Severity.WARNING,
-    "cascade correction loop bound is not derived from the forward "
-    "window / frontier, so rollback depth is unbounded",
 )
 register_rule(
     "SPB408", "iteration-keyed-dict", Severity.WARNING,
@@ -187,71 +164,6 @@ def module_trims(module: ModuleGraphs, token: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# SPB402: history trim uses a literal instead of the BW/FW parameter
-# --------------------------------------------------------------------------
-
-
-def _history_token(expr: ast.AST) -> Optional[tuple[str, str]]:
-    """(display, token) when the expression reads a history-ish buffer."""
-    cur = expr
-    while isinstance(cur, ast.Subscript):
-        cur = cur.value
-    if isinstance(cur, ast.Name) and cur.id in HISTORY_TOKENS:
-        return cur.id, cur.id
-    if isinstance(cur, ast.Attribute) and cur.attr in HISTORY_TOKENS:
-        display = (
-            f"self.{cur.attr}"
-            if isinstance(cur.value, ast.Name) and cur.value.id == "self"
-            else cur.attr
-        )
-        return display, cur.attr
-    return None
-
-
-def _literal_tail_slice(node: ast.Subscript) -> Optional[int]:
-    """The N of a ``buf[-N:]`` / ``buf[:-N]`` trim with a literal N."""
-    sl = node.slice
-    if not isinstance(sl, ast.Slice):
-        return None
-    for edge in (sl.lower, sl.upper):
-        if (
-            isinstance(edge, ast.UnaryOp)
-            and isinstance(edge.op, ast.USub)
-            and isinstance(edge.operand, ast.Constant)
-            and isinstance(edge.operand.value, int)
-        ):
-            return int(edge.operand.value)
-    return None
-
-
-def check_spb402(
-    module: ModuleGraphs, attribution: Attribution
-) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in function_items(module, attribution):
-        for node in walk_body(func.body):
-            named: Optional[tuple[str, str]] = None
-            n: Optional[int] = None
-            if isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        named = _history_token(target.value)
-                        n = _literal_tail_slice(target)
-            elif isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Subscript
-            ):
-                named = _history_token(node.value.value)
-                n = _literal_tail_slice(node.value)
-            if named is not None and n is not None:
-                yield diag_at(
-                    module.path, node, "SPB402",
-                    f"'{qual}' trims history buffer '{named[0]}' to a "
-                    f"literal {n}; derive the trim from the backward "
-                    "window (bw) so the retained history tracks the "
-                    "speculator's needs",
-                )
-
-
-# --------------------------------------------------------------------------
 # SPB405: window widening without a max_fw clamp
 # --------------------------------------------------------------------------
 
@@ -324,60 +236,6 @@ def check_spb406(
                 "trim; in long-running mode the log grows without "
                 "bound — cap it (EventLog(max_events=...)) and count "
                 "drops",
-            )
-
-
-# --------------------------------------------------------------------------
-# SPB407: cascade correction loop without an FW-derived depth guard
-# --------------------------------------------------------------------------
-
-
-def _loop_guard_names(loop: ast.stmt) -> set[str]:
-    """Identifiers appearing in the loop's bound expression."""
-    if isinstance(loop, (ast.For, ast.AsyncFor)):
-        return _names_in(loop.iter)
-    if isinstance(loop, ast.While):
-        return _names_in(loop.test)
-    return set()
-
-
-def _open_ended(loop: ast.stmt) -> bool:
-    """Loops whose trip count is not tied to an existing collection.
-
-    ``for x in some_list`` iterates a finite structure and is bounded
-    by whatever bounds the structure; ``while ...`` and
-    ``for t in range(...)`` / ``itertools.count(...)`` manufacture
-    their own trip count and need a window-derived guard.
-    """
-    if isinstance(loop, ast.While):
-        return True
-    if isinstance(loop, (ast.For, ast.AsyncFor)) and isinstance(
-        loop.iter, ast.Call
-    ):
-        return call_name(loop.iter) in {"range", "count"}
-    return False
-
-
-def check_spb407(
-    module: ModuleGraphs, attribution: Attribution
-) -> Iterator[Diagnostic]:
-    for qual, func, phases, _hot in function_items(module, attribution):
-        if "cascade" not in terminal_name(qual).lower():
-            continue
-        if "correct" not in phases:
-            continue  # analysis/reporting helpers, not the protocol
-        for loop in loops_of(func):
-            if not _open_ended(loop):
-                continue
-            guard = {n.lower() for n in _loop_guard_names(loop)}
-            if any(tok in name for name in guard for tok in GUARD_TOKENS):
-                continue
-            yield diag_at(
-                module.path, loop, "SPB407",
-                f"cascade loop in '{qual}' has no FW-derived depth "
-                "guard (bound not expressed in frontier/fw); a "
-                "correction cascade must terminate within the forward "
-                "window or rollback work is unbounded",
             )
 
 
@@ -518,10 +376,8 @@ def check_spp207(
 RULE_CHECKERS: dict[
     str, Callable[[ModuleGraphs, Attribution], Iterator[Diagnostic]]
 ] = {
-    "SPB402": check_spb402,
     "SPB405": check_spb405,
     "SPB406": check_spb406,
-    "SPB407": check_spb407,
     "SPB408": check_spb408,
     "SPP204": check_spp204,
     "SPP207": check_spp207,

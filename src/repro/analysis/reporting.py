@@ -17,7 +17,7 @@ pieces live here exactly once:
   ``analysis/sarif.py`` and ``modelcheck/report.py`` fill with their
   own results.
 
-Tool-specific logic — fingerprints, baselines, result records — stays
+Tool-specific logic — fingerprints, result records — stays
 with each tool; only the presentation scaffolding is shared.
 """
 

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 output and fingerprint baselines for speclint/specflow.
+"""SARIF 2.1.0 output for the analysis families.
 
 SARIF (Static Analysis Results Interchange Format) is the lingua
 franca code-scanning UIs ingest; emitting it lets CI upload specflow
@@ -7,13 +7,11 @@ produces is deliberately minimal but valid: one ``run``, the rule
 catalogue under ``tool.driver.rules``, one ``result`` per
 :class:`~repro.analysis.diagnostics.Diagnostic`.
 
-Baselines ride on the same machinery.  Every diagnostic gets a
-*fingerprint* — a stable hash of ``path::code::message`` that survives
-unrelated edits moving the finding a few lines — recorded both in the
-SARIF ``partialFingerprints`` and in the consolidated baseline file CI
-checks in (:mod:`repro.analysis.baselines`).  ``repro analyze
---baseline FILE`` drops findings whose fingerprint the baseline
-already contains, so the gate only fails on *new* findings.
+Every result carries a *fingerprint* in its ``partialFingerprints`` —
+a stable hash of ``path::code::message`` that survives unrelated
+edits moving the finding a few lines — which code scanning uses to
+track a finding across commits.  Accepting a finding is an in-source
+``# <tool>: disable=CODE`` directive, not a fingerprint list.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.analysis.reporting import (
 __all__ = [
     "SARIF_SCHEMA",
     "SARIF_VERSION",
-    "apply_baseline",
     "fingerprint",
     "render_sarif",
 ]
@@ -42,8 +39,8 @@ def _canonical_path(path: str) -> str:
     """Project-relative POSIX form of a diagnostic path.
 
     Absolute paths are relativised against the working directory when
-    possible so a baseline written by ``repro analyze src/`` in CI
-    matches an in-process run that passed absolute paths.
+    possible so ``repro analyze src/`` in CI fingerprints a finding as
+    an in-process run that passed absolute paths does.
     """
     p = Path(path)
     if p.is_absolute():
@@ -57,7 +54,7 @@ def _canonical_path(path: str) -> str:
 def fingerprint(diag: Diagnostic) -> str:
     """Stable identity of a finding: hash of ``path::code::message``.
 
-    Line/column are deliberately excluded so a baseline survives
+    Line/column are deliberately excluded so a fingerprint survives
     unrelated edits above the finding; rule messages are written
     without embedded line numbers for the same reason.
     """
@@ -99,15 +96,3 @@ def render_sarif(
     return render_sarif_document(
         tool_name, rules, [_result(d) for d in sorted(diagnostics)]
     )
-
-
-# --------------------------------------------------------------------------
-# baselines
-# --------------------------------------------------------------------------
-
-
-def apply_baseline(
-    diagnostics: list[Diagnostic], accepted: frozenset[str]
-) -> list[Diagnostic]:
-    """Drop findings whose fingerprint the baseline already accepts."""
-    return [d for d in diagnostics if fingerprint(d) not in accepted]

@@ -2,7 +2,7 @@
 
 Forward taint analysis over the specflow CFG + call graph proving
 that values derived from unconfirmed speculative receives never reach
-an irreversible effect (SPT301, SPT302, SPT307, SPT308), plus the
+an irreversible effect (SPT301, SPT302), plus the
 trace-replay verdict layer (:func:`check_taint`).  Commit points are
 matched by name: a ``@commits`` decorator (the runtime marker is
 :func:`repro.engine.core.commits`) or a ``# spectaint: commit`` line.

@@ -18,11 +18,6 @@ irreversible effect before its confirmation.  Each finding becomes:
 * **UNOBSERVED** — the trace never exercised the combination (no
   speculation, or no sink events), so it is silent about the claim.
 
-``SPT308`` (dead rollback handler) is judged differently: a trace that
-*corrects* refutes it (the recovery path demonstrably ran); a trace
-that speculates and verifies but never corrects is consistent with the
-handler being dead and confirms the concern.
-
 Determinism: the DES is seeded, so a recorded trace — and therefore
 every verdict — is byte-reproducible.
 """
@@ -42,7 +37,7 @@ from repro.analysis.trace_view import (
 )
 
 #: Static codes judged by the send-during-open-speculation witness.
-_ESCAPE_CODES = frozenset({"SPT301", "SPT302", "SPT307"})
+_ESCAPE_CODES = frozenset({"SPT301", "SPT302"})
 
 
 @dataclass(frozen=True)
@@ -113,8 +108,6 @@ def check_taint(
     witnesses = find_escapes(view)
     speculated = bool(view.kind_counts["speculate"])
     sent = bool(view.kind_counts["send"])
-    verified = bool(view.kind_counts["verify"])
-    corrected = view.kind_counts["correct"]
 
     verdicts: list[Verdict] = []
     for diag in sorted(diagnostics):
@@ -137,23 +130,7 @@ def check_taint(
                 status = UNOBSERVED
                 missing = "speculation" if not speculated else "sink events"
                 detail = f"trace contains no {missing}; silent on this claim"
-        elif diag.code == "SPT308":
-            if corrected:
-                status = REFUTED
-                detail = (
-                    f"{corrected} correct event(s): the "
-                    "rollback path demonstrably ran"
-                )
-            elif speculated and verified:
-                status = CONFIRMED
-                detail = (
-                    "trace speculates and verifies but never corrects — "
-                    "consistent with an unreachable recovery path"
-                )
-            else:
-                status = UNOBSERVED
-                detail = "trace never exercised the speculation machinery"
-        else:  # pragma: no cover - future codes default to silence
+        else:  # SPT000: an unparseable file claims no escape
             status = UNOBSERVED
             detail = "no trace judgement defined for this code"
         where = f"@ {diag.path}:{diag.line}"

@@ -58,7 +58,7 @@ class Tool:
 
     #: Subcommand name (``repro <cli>``).
     cli: str
-    #: Tool name: report header, SARIF driver and baseline-file key.
+    #: Tool name: report header and SARIF driver.
     name: str
     help: str
     #: Code prefixes: the family's rules are the registered codes
@@ -71,15 +71,9 @@ class Tool:
     #: Flags beyond the common ``paths/--format/--select`` set.
     flags: tuple[Flag, ...] = ()
     #: Trace hook; its presence also gives the subcommand ``--trace``
-    #: and the fingerprint-baseline flags (speclint, the one family
-    #: without it, predates both).
+    #: (speclint, the one family without it, predates it).
     judge: Optional[Judge] = None
     trace_help: str = ""
-    #: Prefixes a standalone JSON / SARIF report advertises when that
-    #: is not just ``prefixes``: speclint and specflow predate the
-    #: per-family catalogues and list the union they always have.
-    json_rules: tuple[str, ...] = ()
-    sarif_rules: tuple[str, ...] = ()
 
     @property
     def rules(self) -> dict[str, RuleInfo]:
@@ -137,18 +131,11 @@ class Tool:
         if fmt == "text":
             return render_diag_text(diagnostics, self.name)
         if fmt == "json":
-            catalogue = {
-                code: info.summary
-                for prefix in self.json_rules or self.prefixes
-                for code, info in rules_of(prefix).items()
-            }
+            catalogue = {code: info.summary for code, info in self.rules.items()}
             return render_diag_json(diagnostics, self.name, catalogue)
-        entries = [
-            entry
-            for prefix in self.sarif_rules or self.prefixes
-            for entry in rule_catalogue_entries(rules_of(prefix))
-        ]
-        return render_sarif(list(diagnostics), self.name, entries)
+        return render_sarif(
+            list(diagnostics), self.name, rule_catalogue_entries(self.rules)
+        )
 
 
 TOOLS: tuple[Tool, ...] = (
@@ -166,7 +153,6 @@ TOOLS: tuple[Tool, ...] = (
                 "sanitizer",
             )),
         ),
-        json_rules=("SPL", "SPF", "SPP"),
     ),
     Tool(
         cli="analyze",
@@ -178,8 +164,6 @@ TOOLS: tuple[Tool, ...] = (
         judge=judge_protocol,
         trace_help="replay a recorded event log (JSONL) against the protocol "
         "model and cross-reference the static findings",
-        json_rules=("SPL", "SPF", "SPP"),
-        sarif_rules=("SPL", "SPF"),
     ),
     Tool(
         cli="taint",

@@ -42,9 +42,7 @@ sweep-valued ``--p/--fw/--bw`` spellings — same names, list-typed.)
 ``repro analyze | taint | bounds [paths] [--format text|json|sarif]``
     specflow (happens-before, SPF1xx), spectaint (speculation escape,
     SPT3xx) and specbound (resource bounds, SPB4xx, and hot-path cost,
-    SPP204 / SPP207).  Each takes ``--select``,
-    ``--baseline FILE`` / ``--write-baseline FILE`` (the tool's key of
-    the consolidated ``.speclint/baselines.json``) and ``--trace FILE``,
+    SPP204 / SPP207).  Each takes ``--select`` and ``--trace FILE``,
     which replays a recorded event log and marks the static findings
     CONFIRMED / REFUTED / UNOBSERVED against what the run actually did.
 ``repro check [paths] [--sarif FILE] [--stats]``
@@ -65,7 +63,7 @@ Exit codes (shared by the analyzers, ``check`` and ``mc``)
 * ``0`` — clean: no findings / no invariant violation.
 * ``1`` — findings: at least one diagnostic, replay violation, or
   model-checking counterexample.
-* ``2`` — usage error: bad paths, unreadable trace/baseline files,
+* ``2`` — usage error: bad paths, an unreadable trace file,
   out-of-bounds model-checking configuration.
 """
 
@@ -553,9 +551,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_tool(args: argparse.Namespace) -> int:
     """``repro lint|analyze|taint|bounds``: one analysis
     family (``args.tool``, a :class:`~repro.analysis.tools.Tool`)."""
-    from repro.analysis.baselines import load_baselines, set_baseline
     from repro.analysis.program import ProgramIndex
-    from repro.analysis.sarif import apply_baseline, fingerprint
     from repro.analysis.tools import UnknownRuleCode
 
     tool = args.tool
@@ -569,25 +565,6 @@ def _cmd_tool(args: argparse.Namespace) -> int:
     except (FileNotFoundError, UnknownRuleCode) as exc:
         print(f"{tool.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.write_baseline:
-        prints = frozenset(fingerprint(d) for d in diagnostics)
-        try:
-            set_baseline(tool.name, prints, args.write_baseline)
-        except (OSError, ValueError) as exc:
-            print(f"{tool.name}: cannot write baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(
-            f"{tool.name}: baseline with {len(prints)} fingerprint(s) written "
-            f"to {args.write_baseline} (tool key: {tool.name})"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = load_baselines(args.baseline).get(tool.name, frozenset())
-        except (OSError, ValueError) as exc:
-            print(f"{tool.name}: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
     print(tool.render(diagnostics, args.format).rstrip("\n"))
     failing = 0
     if args.trace:
@@ -611,7 +588,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: all four analysis families over one parse."""
     import time
 
-    from repro.analysis.baselines import DEFAULT_BASELINES, baseline_for
     from repro.analysis.program import ProgramIndex
     from repro.analysis.reporting import (
         SARIF_SCHEMA,
@@ -621,7 +597,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sarif_document,
         stable_json,
     )
-    from repro.analysis.sarif import _result, apply_baseline
+    from repro.analysis.sarif import _result
     from repro.analysis.tools import TOOLS
 
     parse_start = time.perf_counter()
@@ -640,19 +616,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         per_tool[tool.name] = tool.analyze(index)
         tool_seconds[tool.name] = time.perf_counter() - t0
-
-    baselines_path = args.baselines or (
-        str(DEFAULT_BASELINES) if DEFAULT_BASELINES.exists() else None
-    )
-    if baselines_path is not None:
-        try:
-            for name in per_tool:
-                per_tool[name] = apply_baseline(
-                    per_tool[name], baseline_for(name, baselines_path)
-                )
-        except (OSError, ValueError) as exc:
-            print(f"repro check: cannot read baselines: {exc}", file=sys.stderr)
-            return EXIT_USAGE
 
     if args.sarif:
         merged: dict[str, object] = {
@@ -967,25 +930,12 @@ def build_parser() -> argparse.ArgumentParser:
             f"{min(tool.rules)}",
         )
         if tool.judge is not None:
-            p_tool.add_argument(
-                "--baseline",
-                metavar="FILE",
-                help="suppress findings whose fingerprints the "
-                f"`{tool.name}` key of this consolidated baseline accepts",
-            )
-            p_tool.add_argument(
-                "--write-baseline",
-                metavar="FILE",
-                help=f"record the current findings under the `{tool.name}` "
-                "key of the consolidated baseline file and exit 0",
-            )
             p_tool.add_argument("--trace", metavar="FILE", help=tool.trace_help)
         for flag, kwargs in tool.flags:
             p_tool.add_argument(flag, **kwargs)
         # Absent flags read as unset, so one handler serves every tool.
         p_tool.set_defaults(
-            func=_cmd_tool, tool=tool, baseline=None, write_baseline=None,
-            trace=None, sanitize_selftest=False,
+            func=_cmd_tool, tool=tool, trace=None, sanitize_selftest=False,
         )
 
     p_ck = sub.add_parser(
@@ -1006,12 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif",
         metavar="FILE",
         help="write one merged SARIF document (one run per tool) to FILE",
-    )
-    p_ck.add_argument(
-        "--baselines",
-        metavar="FILE",
-        help="consolidated baseline file (default: .speclint/baselines.json "
-        "when present)",
     )
     p_ck.add_argument(
         "--stats",

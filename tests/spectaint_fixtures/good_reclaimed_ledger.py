@@ -1,8 +1,8 @@
 """Fixture (clean): a reclaimed speculation ledger is not an escape.
 
 Storing the guess into ``self.pending`` is exactly how a rollback
-ledger works: the receiver's own attribute is not a caller-owned alias
-(no SPT307), and the guess reaches no I/O or send before ``check``.
+ledger works: the receiver's own attribute is not a caller-owned
+object, and the guess reaches no I/O or send before ``check``.
 """
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import CONFIRMED, REFUTED, UNOBSERVED, Severity, TraceView
-from repro.analysis.baselines import load_baselines
 from repro.analysis.bounds import (
     OCCUPANCY_BOUNDS,
     PHASE_OF_RULE,
@@ -48,7 +47,7 @@ analyze_source = SPECBOUND.analyze_source
 FIXTURES = Path(__file__).parent / "specbound_fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
-SPB_CODES = ["SPB402", "SPB405", "SPB406", "SPB407", "SPB408"]
+SPB_CODES = ["SPB405", "SPB406", "SPB408"]
 SPP_CODES = ["SPP204", "SPP207"]
 ALL_CODES = SPB_CODES + SPP_CODES
 
@@ -58,12 +57,6 @@ def _codes_of(path):
 
 
 # --------------------------------------------------------------- registry
-
-
-def test_all_spb_rules_registered():
-    assert list(SPECBOUND.rules) == ALL_CODES
-    for code in SPB_CODES:
-        assert SPECBOUND.rules[code].severity is Severity.WARNING
 
 
 def test_all_spp_rules_registered():
@@ -161,10 +154,8 @@ def test_hot_reachability_from_run_seat():
 @pytest.mark.parametrize(
     "name, code",
     [
-        ("bad_literal_trim.py", "SPB402"),
         ("bad_unclamped_widen.py", "SPB405"),
         ("bad_event_buffer.py", "SPB406"),
-        ("bad_unguarded_cascade.py", "SPB407"),
         ("bad_iteration_dict.py", "SPB408"),
         ("bad_spp204_ringscan.py", "SPP204"),
         ("bad_spp207_mutable.py", "SPP207"),
@@ -186,26 +177,11 @@ def test_whole_fixture_dir_fires_every_rule():
     assert codes == set(ALL_CODES)
 
 
-def test_select_restricts_rules():
-    diags = analyze_paths([FIXTURES], select=["SPB405"])
-    assert {d.code for d in diags} == {"SPB405"}
-
-
-def test_suppression_directive_silences_a_finding():
-    source = (FIXTURES / "bad_event_buffer.py").read_text()
-    assert [d.code for d in analyze_source(source, path="<t>")] == ["SPB406"]
-    silenced = source.replace(
-        "self.events.append((src, t, block))",
-        "self.events.append((src, t, block))  # specbound: disable=SPB406",
-    )
-    assert analyze_source(silenced, path="<t>") == []
-
-
 def test_any_family_spelling_carries_spb_codes():
-    source = "x = 1  # speclint: disable=SPB408\n# spectaint: disable-file=SPB407\n"
+    source = "x = 1  # speclint: disable=SPB408\n# spectaint: disable-file=SPB405\n"
     per_line, file_wide = parse_suppressions(source)
     assert per_line == {1: {"SPB408"}}
-    assert file_wide == {"SPB407"}
+    assert file_wide == {"SPB405"}
 
 
 @pytest.mark.parametrize(
@@ -223,19 +199,6 @@ def test_spb405_clamp_scope(clamp, fires):
     source = f"def widen(fw):\n{clamp}    return fw + 1\n"
     codes = [d.code for d in analyze_source(source, path="<t>")]
     assert codes == (["SPB405"] if fires else [])
-
-
-def test_syntax_error_yields_spb000():
-    diags = analyze_source("def broken(:\n", path="<t>")
-    assert [d.code for d in diags] == ["SPB000"]
-
-
-def test_src_tree_is_clean():
-    assert analyze_paths([SRC]) == []
-
-
-def test_analysis_is_deterministic_over_fixtures():
-    assert analyze_paths([FIXTURES]) == analyze_paths([FIXTURES])
 
 
 # ------------------------------------------------------------ bound table
@@ -564,44 +527,6 @@ def test_event_log_uncapped_is_unchanged(tmp_path):
 
 
 # --------------------------------------------------------------------- CLI
-
-
-def test_cli_bounds_exit_codes():
-    assert main(["bounds", str(FIXTURES)]) == EXIT_FINDINGS
-    assert main(["bounds", str(FIXTURES / "good_ring_window.py")]) == EXIT_CLEAN
-    assert main(["bounds", "no/such/path.py"]) == EXIT_USAGE
-
-
-def test_cli_bounds_json_document(capsys):
-    assert main(["bounds", str(FIXTURES), "--format", "json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["tool"] == "specbound"
-    assert set(ALL_CODES) <= set(doc["rules"])
-    assert doc["summary"]["total"] >= len(ALL_CODES)
-
-
-def test_cli_bounds_sarif_document(capsys):
-    assert main(["bounds", str(FIXTURES), "--format", "sarif"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "specbound"
-    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(ALL_CODES)
-    for result in run["results"]:
-        assert "speclint/v1" in result["partialFingerprints"]
-
-
-def test_cli_bounds_baseline_flow(tmp_path):
-    baseline = tmp_path / "baselines.json"
-    assert main(
-        ["bounds", str(FIXTURES), "--write-baseline", str(baseline)]
-    ) == EXIT_CLEAN
-    assert "specbound" in load_baselines(baseline)
-    assert main(
-        ["bounds", str(FIXTURES), "--baseline", str(baseline)]
-    ) == EXIT_CLEAN
-    assert main(
-        ["bounds", str(FIXTURES), "--baseline", str(tmp_path / "none.json")]
-    ) == EXIT_USAGE
 
 
 def test_cli_bounds_trace_contracts(tmp_path, capsys):

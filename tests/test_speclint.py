@@ -38,18 +38,6 @@ def codes(diagnostics):
     return sorted({d.code for d in diagnostics})
 
 
-# ------------------------------------------------------------ rule registry
-def test_registry_has_all_rules():
-    assert list(SPECLINT.rules) == [
-        "SPL001", "SPL003", "SPL004",
-        "SPL005", "SPL006", "SPL007", "SPL008",
-    ]
-    for code, rule in SPECLINT.rules.items():
-        assert rule.code == code
-        assert rule.summary
-        assert rule.severity in (Severity.ERROR, Severity.WARNING)
-
-
 # ------------------------------------------------------------ per-rule firing
 def test_spl001_unawaited_simulation_calls():
     diags = lint_fixture("bad_spl001_unawaited.py")
@@ -248,18 +236,6 @@ def test_multi_tool_suppression_silences_findings_in_each_family():
     ]
 
 
-def test_select_restricts_rules():
-    path = FIXTURES / "bad_spl001_unawaited.py"
-    source = path.read_text()
-    assert lint_source(source, select=["SPL003"]) == []
-    assert codes(lint_source(source, select=["SPL001"])) == ["SPL001"]
-
-
-def test_syntax_error_reports_spl000():
-    diags = lint_source("def broken(:\n")
-    assert [d.code for d in diags] == ["SPL000"]
-
-
 # ---------------------------------------------------------------- reporters
 def test_text_reporter_clean_and_dirty():
     assert render_diag_text([]) == "speclint: clean"
@@ -302,14 +278,6 @@ def test_lint_paths_missing_path_raises():
 
 
 # ------------------------------------------------------------------ the CLI
-def test_cli_lint_exit_codes(capsys):
-    assert main(["lint", str(FIXTURES / "good_protocol.py")]) == 0
-    assert "clean" in capsys.readouterr().out
-    assert main(["lint", str(FIXTURES)]) == 1
-    out = capsys.readouterr().out
-    assert "SPL001" in out and "SPL006" in out
-
-
 def test_cli_lint_json_format(capsys):
     assert main(["lint", str(FIXTURES / "bad_spl003_nondet.py"), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -327,9 +295,8 @@ def test_cli_lint_select(capsys):
 
 # ------------------------------------------------- the tree itself is clean
 def test_repo_tree_is_speclint_clean():
-    """src/, examples/ and benchmarks/ must lint clean — the same gate
-    CI applies.  Fixture files are deliberately not part of this set."""
-    diags = lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
-    )
+    """examples/ and benchmarks/ must lint clean — the rest of the gate
+    CI applies (``src`` is ``test_analysis_tools::test_src_is_clean``).
+    Fixture files are deliberately not part of this set."""
+    diags = lint_paths([REPO_ROOT / "examples", REPO_ROOT / "benchmarks"])
     assert diags == [], render_diag_text(diags)

@@ -1,6 +1,6 @@
 """Tests for spectaint: the taint lattice, the SPT rule pack,
-commit-point annotations, trace-replay verdicts, consolidated
-baselines and the ``repro taint`` / ``repro check`` CLIs."""
+commit-point annotations, trace-replay verdicts and the ``repro
+taint`` / ``repro check`` CLIs."""
 
 import json
 from collections import Counter
@@ -12,21 +12,13 @@ from repro.analysis import (
     CONFIRMED,
     REFUTED,
     UNOBSERVED,
-    Severity,
     TraceView,
     cfg,
     taint,
 )
-from repro.analysis.baselines import (
-    SCHEMA_VERSION,
-    load_baselines,
-    save_baselines,
-    set_baseline,
-)
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.linter import parse_suppressions
 from repro.analysis.program import ProgramIndex
-from repro.analysis.sarif import fingerprint
 from repro.analysis.taint import (
     commit_lines_of,
     declared_commit_points,
@@ -40,10 +32,7 @@ from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.engine.core import COMMITS_ATTR, commits
 from repro.trace.events import EventLog, TraceHeader
 
-SPECTAINT, SPECFLOW = (
-    next(tool for tool in TOOLS if tool.name == name)
-    for name in ("spectaint", "specflow")
-)
+SPECTAINT = next(tool for tool in TOOLS if tool.name == "spectaint")
 analyze_paths = SPECTAINT.analyze_paths
 analyze_source = SPECTAINT.analyze_source
 
@@ -58,9 +47,8 @@ def check_taint(diagnostics, log):
 
 
 FIXTURES = Path(__file__).parent / "spectaint_fixtures"
-SRC = Path(__file__).parent.parent / "src"
 
-ALL_CODES = ["SPT301", "SPT302", "SPT307", "SPT308"]
+ALL_CODES = ["SPT301", "SPT302"]
 
 
 def _codes_of(path):
@@ -72,16 +60,6 @@ def _modules(*sources):
         ModuleGraphs.from_source(src, path=f"<m{i}>")
         for i, src in enumerate(sources)
     ]
-
-
-# --------------------------------------------------------------- registry
-
-
-def test_all_spt_rules_registered():
-    assert list(SPECTAINT.rules) == ALL_CODES
-    for code in ALL_CODES:
-        expected = Severity.WARNING if code == "SPT308" else Severity.ERROR
-        assert SPECTAINT.rules[code].severity is expected
 
 
 # ---------------------------------------------------------------- lattice
@@ -169,8 +147,6 @@ def test_rule_pass_solves_nothing_the_fixpoint_did_not(monkeypatch):
     [
         ("bad_spt301_io.py", "SPT301", 2),
         ("bad_spt302_send.py", "SPT302", 2),
-        ("bad_spt307_alias.py", "SPT307", 2),
-        ("bad_spt308_dead_rollback.py", "SPT308", 1),
     ],
 )
 def test_each_bad_fixture_fires_only_its_rule(name, code, count):
@@ -187,12 +163,6 @@ def test_interprocedural_escape_through_two_calls():
     assert "relay" in diags[0].message
 
 
-def test_aliasing_fixture_catches_both_mutations():
-    diags = analyze_paths([FIXTURES / "bad_spt307_alias.py"])
-    lines = sorted(d.line for d in diags)
-    assert len(lines) == 2 and lines[0] != lines[1]
-
-
 @pytest.mark.parametrize(
     "name",
     ["good_commit_point.py", "good_confirmed.py", "good_reclaimed_ledger.py"],
@@ -206,11 +176,6 @@ def test_whole_fixture_dir_fires_every_rule():
     assert codes == set(ALL_CODES)
 
 
-def test_select_restricts_rules():
-    diags = analyze_paths([FIXTURES], select=["SPT302"])
-    assert {d.code for d in diags} == {"SPT302"}
-
-
 def test_commit_line_directive_sanctions_a_sink():
     clean = (
         "def step(history):\n"
@@ -220,30 +185,6 @@ def test_commit_line_directive_sanctions_a_sink():
     assert analyze_source(clean, path="<t>") == []
     dirty = clean.replace("  # spectaint: commit — confirmed upstream", "")
     assert [d.code for d in analyze_source(dirty, path="<t>")] == ["SPT301"]
-
-
-def test_suppression_directive_silences_a_finding():
-    source = (
-        "def step(history):\n"
-        "    guess = speculate(history)\n"
-        "    print(guess)  # spectaint: disable=SPT301\n"
-    )
-    assert analyze_source(source, path="<t>") == []
-
-
-def test_syntax_error_yields_spt000():
-    diags = analyze_source("def broken(:\n", path="<t>")
-    assert [d.code for d in diags] == ["SPT000"]
-
-
-def test_src_tree_is_clean():
-    assert analyze_paths([SRC]) == []
-
-
-def test_analysis_is_deterministic_over_fixtures():
-    first = analyze_paths([FIXTURES])
-    second = analyze_paths([FIXTURES])
-    assert first == second
 
 
 # ----------------------------------------------------- multi-tool parsing
@@ -335,21 +276,6 @@ def test_check_taint_escape_verdicts():
     assert {v.status for v in unobserved} == {UNOBSERVED}
 
 
-def test_check_taint_spt308_semantics():
-    diags = analyze_paths([FIXTURES / "bad_spt308_dead_rollback.py"])
-    assert [d.code for d in diags] == ["SPT308"]
-
-    corrected = EventLog()
-    corrected.record("speculate", rank=0, time=1.0, family="vars", iteration=1)
-    corrected.record("correct", rank=0, time=2.0, family="vars", iteration=1,
-                     args=(1,))
-    assert [v.status for v in check_taint(diags, corrected)] == [REFUTED]
-
-    # speculate+verify but never correct: consistent with a dead handler.
-    assert [v.status for v in check_taint(diags, _clean_log())] == [CONFIRMED]
-    assert [v.status for v in check_taint(diags, EventLog())] == [UNOBSERVED]
-
-
 def test_verdict_text_shape():
     fixture = FIXTURES / "bad_spt301_io.py"
     verdict = check_taint(analyze_paths([fixture]), _escape_log())[0]
@@ -360,91 +286,7 @@ def test_verdict_text_shape():
     assert (verdict.kind, verdict.rule) == ("taint-verdict", "SPT301")
 
 
-# --------------------------------------------------------------- baselines
-
-
-def test_baselines_v2_round_trip(tmp_path):
-    target = tmp_path / "baselines.json"
-    accepted = {"spectaint": frozenset({"abc123"}), "specflow": frozenset()}
-    save_baselines(accepted, target)
-    payload = json.loads(target.read_text())
-    assert payload["version"] == SCHEMA_VERSION
-    assert load_baselines(target) == accepted
-
-
-def test_load_baselines_rejects_wrong_version(tmp_path):
-    target = tmp_path / "baselines.json"
-    target.write_text('{"version": 1, "fingerprints": []}')
-    with pytest.raises(ValueError, match="version"):
-        load_baselines(target)
-
-
-def test_set_baseline_preserves_other_tools(tmp_path):
-    target = tmp_path / "baselines.json"
-    set_baseline("specflow", frozenset({"aaa"}), target)
-    set_baseline("spectaint", frozenset({"bbb"}), target)
-    assert load_baselines(target) == {
-        "specflow": frozenset({"aaa"}),
-        "spectaint": frozenset({"bbb"}),
-    }
-
-
 # --------------------------------------------------------------------- CLI
-
-
-def test_cli_taint_exit_codes():
-    assert main(["taint", str(FIXTURES)]) == EXIT_FINDINGS
-    assert main(["taint", str(FIXTURES / "good_confirmed.py")]) == EXIT_CLEAN
-    assert main(["taint", "no/such/path.py"]) == EXIT_USAGE
-
-
-def test_cli_taint_json_document(capsys):
-    assert main(["taint", str(FIXTURES), "--format", "json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["tool"] == "spectaint"
-    assert set(ALL_CODES) <= set(doc["rules"])
-    assert doc["summary"]["total"] >= len(ALL_CODES)
-
-
-def test_cli_taint_sarif_document(capsys):
-    assert main(["taint", str(FIXTURES), "--format", "sarif"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "spectaint"
-    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(ALL_CODES)
-    for result in run["results"]:
-        assert "speclint/v1" in result["partialFingerprints"]
-
-
-def test_cli_taint_baseline_flow(tmp_path):
-    baseline = tmp_path / "baselines.json"
-    assert main(
-        ["taint", str(FIXTURES), "--write-baseline", str(baseline)]
-    ) == EXIT_CLEAN
-    # The written file is the consolidated v2 document, keyed by tool.
-    assert "spectaint" in load_baselines(baseline)
-    assert main(
-        ["taint", str(FIXTURES), "--baseline", str(baseline)]
-    ) == EXIT_CLEAN
-    assert main(
-        ["taint", str(FIXTURES), "--baseline", str(tmp_path / "none.json")]
-    ) == EXIT_USAGE
-
-
-def test_cli_taint_rejects_v1_baseline(tmp_path, capsys):
-    """A pre-consolidation (v1-shaped) file is refused loudly, not read
-    as an empty accepted set."""
-    diags = analyze_paths([FIXTURES])
-    legacy = tmp_path / "spectaint-baseline.json"
-    legacy.write_text(
-        json.dumps({"fingerprints": sorted(fingerprint(d) for d in diags)})
-    )
-    assert main(
-        ["taint", str(FIXTURES), "--baseline", str(legacy)]
-    ) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "cannot read baseline" in err and "expected 2" in err
-    assert "migrate" not in err
 
 
 def test_cli_taint_trace_verdicts(tmp_path, capsys):
@@ -500,27 +342,6 @@ def test_cli_check_merged_sarif_has_one_run_per_tool(tmp_path, capsys):
     assert names == ["specbound", "specflow", "speclint", "spectaint"]
     spt_run = doc["runs"][names.index("spectaint")]
     assert {r["ruleId"] for r in spt_run["results"]} == set(ALL_CODES)
-
-
-def test_cli_check_applies_consolidated_baselines(tmp_path, capsys):
-    # Accept every spectaint AND specflow finding in the fixtures
-    # (specflow rightly flags the speculate-then-send mutants too);
-    # the fully-gated run then exits 0.
-    target = tmp_path / "baselines.json"
-    set_baseline(
-        "spectaint",
-        frozenset(fingerprint(d) for d in analyze_paths([FIXTURES])),
-        target,
-    )
-    set_baseline(
-        "specflow",
-        frozenset(fingerprint(d) for d in SPECFLOW.analyze_paths([FIXTURES])),
-        target,
-    )
-    assert main(
-        ["check", str(FIXTURES), "--baselines", str(target)]
-    ) == EXIT_CLEAN
-    capsys.readouterr()
 
 
 # ------------------------------------------------------------- parse once
