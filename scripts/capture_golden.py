@@ -7,11 +7,11 @@ Two modes:
   anchor after a *deliberate* behaviour change.
 * **--check** — recompute every case and diff it against the checked-in
   golden file, exiting ``1`` with a field-level drift report when
-  anything moved.  CI runs this so golden drift fails loudly at the
-  gate instead of surfacing later as a mysterious parity-test failure.
+  anything moved.
 
-The summary layout is mirrored by ``tests/test_engine_golden.py``
-(keep in sync).
+``tests/test_engine_golden.py`` runs the same ``CASES`` (one test per
+case, so tier-1 gates on every pin) and ``--check`` reports drift field
+by field.
 """
 
 from __future__ import annotations
@@ -105,17 +105,22 @@ def summarize(res) -> dict:
     }
 
 
+#: Case name -> (case function, its arguments): the pinned runs.
+#: ``tests/test_engine_golden.py`` runs each one against its pin.
+CASES = {
+    "jacobi_fw1_recompute": (jacobi_case, 1, "recompute"),
+    "jacobi_fw2_recompute": (jacobi_case, 2, "recompute"),
+    "jacobi_fw0": (jacobi_case, 0, "recompute"),
+    "jacobi_fw2_none": (jacobi_case, 2, "none"),
+    "nbody_fw0": (nbody_case, 0),
+    "nbody_fw1": (nbody_case, 1),
+    "nbody_fw2": (nbody_case, 2),
+    "nbody_adaptive": (nbody_adaptive_case,),
+}
+
+
 def capture() -> Dict[str, Any]:
-    return {
-        "jacobi_fw1_recompute": jacobi_case(1, "recompute"),
-        "jacobi_fw2_recompute": jacobi_case(2, "recompute"),
-        "jacobi_fw0": jacobi_case(0, "recompute"),
-        "jacobi_fw2_none": jacobi_case(2, "none"),
-        "nbody_fw0": nbody_case(0),
-        "nbody_fw1": nbody_case(1),
-        "nbody_fw2": nbody_case(2),
-        "nbody_adaptive": nbody_adaptive_case(),
-    }
+    return {name: case(*args) for name, (case, *args) in CASES.items()}
 
 
 def drift_report(golden: Dict[str, Any], current: Dict[str, Any]) -> list:
