@@ -3,10 +3,9 @@
 ``ARTIFACTS`` declares each artifact once: the command that produces it
 (a ``repro`` CLI call or a repo script) and the ``tests/golden/`` file
 that pins it, if any.  A row's outputs are its exit code, its stdout and
-stderr (where a JSON report's ``--trace`` verdicts go), and every file
-it writes (the argv entries under ``parity-out/``).  Text is
-compared line by line, JSON / JSONL / SARIF as parsed documents, and
-``elapsed`` readings are blanked first.
+stderr, and every file it writes (the argv entries under
+``parity-out/``).  Text is compared line by line, JSON / JSONL / SARIF
+as parsed documents, and ``elapsed`` readings are blanked first.
 
 Two modes, run from anywhere:
 

@@ -14,7 +14,7 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 * **speclint** (SPL001, SPL003..SPL008, :mod:`repro.analysis.rules`) —
   per-module AST rules for the silent-failure classes specific to this
   codebase: dropped ``yield from``, nondeterminism, undisciplined
-  message tags, payload aliasing, broad excepts swallowing :class:`~repro.des.errors.Interrupt`,
+  message tags, payload aliasing, broad excepts swallowing simulator errors,
   sans-I/O purity and effect-dispatch exhaustiveness.
 * **specflow** (SPF110, SPF111, :mod:`repro.analysis.races`) —
   per-function CFGs + a call graph feed a happens-before race

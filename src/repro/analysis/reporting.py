@@ -24,7 +24,7 @@ with each tool; only the presentation scaffolding is shared.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 
@@ -68,8 +68,10 @@ def render_diag_json(
     tool: str,
     catalogue: Mapping[str, str],
     trailing_newline: bool = False,
+    trace: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    """Stable JSON document: rule catalogue, summary counts, findings."""
+    """Stable JSON document: rule catalogue, summary counts, findings,
+    and the ``--trace`` verdict as the ``trace`` member when given."""
     errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
     payload = {
         "tool": tool,
@@ -81,6 +83,8 @@ def render_diag_json(
         },
         "diagnostics": [d.to_dict() for d in diagnostics],
     }
+    if trace is not None:
+        payload["trace"] = dict(trace)
     return stable_json(payload, trailing_newline=trailing_newline)
 
 

@@ -35,6 +35,8 @@ PROC_NAMES = frozenset({"proc", "processor", "vp"})
 #: Receiver names that denote a simulation environment.
 ENV_NAMES = frozenset({"env", "environment"})
 #: Processor methods that are generators (must be ``yield from``-ed).
+#: ``compute`` / ``advance`` are gone from the runtime; SPL001's
+#: fixtures are their only witnesses.
 GENERATOR_METHODS = frozenset({"compute", "advance", "recv"})
 #: Transport primitives whose ``tag=`` keyword speclint inspects.
 TAGGED_METHODS = frozenset({"send", "recv", "try_recv", "probe", "broadcast"})

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from typing import Any, Mapping, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.reporting import (
     SARIF_LEVELS as _LEVELS,
     SARIF_SCHEMA,
     SARIF_VERSION,
-    render_sarif_document,
+    sarif_document,
+    stable_json,
 )
 
 __all__ = [
@@ -86,13 +88,18 @@ def render_sarif(
     diagnostics: list[Diagnostic],
     tool_name: str,
     rules: list[dict[str, object]],
+    trace: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """One SARIF 2.1.0 document (pretty-printed JSON) for ``diagnostics``.
 
     ``rules`` is the advertised catalogue
     (:func:`~repro.analysis.reporting.rule_catalogue_entries` of the
     tool's prefixes; :meth:`repro.analysis.tools.Tool.render` builds it).
+    A ``--trace`` verdict, when given, is the run's ``properties.trace``.
     """
-    return render_sarif_document(
+    document = sarif_document(
         tool_name, rules, [_result(d) for d in sorted(diagnostics)]
     )
+    if trace is not None:
+        document["runs"][0]["properties"] = {"trace": dict(trace)}
+    return stable_json(document)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.analysis import races as spf
 from repro.analysis import rules as spl
@@ -124,17 +124,32 @@ class Tool:
         """Analyse one source text (testing convenience)."""
         return self.analyze(ProgramIndex(sources={path: source}), select)
 
-    def render(self, diagnostics: Sequence[Diagnostic], fmt: str) -> str:
-        """The standalone report in one of :attr:`formats`."""
+    def render(
+        self,
+        diagnostics: Sequence[Diagnostic],
+        fmt: str,
+        trace: Optional[Mapping[str, Any]] = None,
+    ) -> str:
+        """The standalone report in one of :attr:`formats`.
+
+        ``trace`` is a :attr:`judge`'s verdict on a recorded trace,
+        ``{"file", "failing", "report"}`` with ``report`` its lines.
+        Text prints those lines after the findings; the JSON document
+        carries the whole verdict as its ``trace`` member, SARIF as
+        ``runs[0].properties.trace``.
+        """
         if fmt not in self.formats:
             raise ValueError(f"unknown {self.name} output format {fmt!r}")
         if fmt == "text":
-            return render_diag_text(diagnostics, self.name)
+            text = render_diag_text(diagnostics, self.name)
+            if trace is None:
+                return text
+            return "\n".join([text.rstrip("\n"), *trace["report"]])
         if fmt == "json":
             catalogue = {code: info.summary for code, info in self.rules.items()}
-            return render_diag_json(diagnostics, self.name, catalogue)
+            return render_diag_json(diagnostics, self.name, catalogue, trace=trace)
         return render_sarif(
-            list(diagnostics), self.name, rule_catalogue_entries(self.rules)
+            list(diagnostics), self.name, rule_catalogue_entries(self.rules), trace
         )
 
 

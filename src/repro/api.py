@@ -62,10 +62,6 @@ class RunConfig:
         ``"des"`` (virtual-time simulator), ``"loopback"``
         (deterministic in-process scheduler) or ``"mp"`` (real OS
         processes over pipes).
-    p:
-        Optional cross-check; must equal ``program.nprocs`` when set.
-        The program owns its decomposition, so this exists purely to
-        catch configuration drift at validation time.
     fw:
         Forward window: 0 (the blocking algorithm of Fig. 1) or any
         depth >= 1 (the speculative algorithm of Fig. 3, running at
@@ -146,7 +142,6 @@ class RunConfig:
 
     program: SyncIterativeProgram
     backend: str = "des"
-    p: Optional[int] = None
     fw: int = 1
     bw: Optional[int] = None
     cascade: str = "recompute"
@@ -167,11 +162,6 @@ class RunConfig:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
         nprocs = getattr(self.program, "nprocs", None)
-        if self.p is not None and self.p != nprocs:
-            raise ValueError(
-                f"p={self.p} but program.nprocs={nprocs}; the program owns "
-                "its decomposition — rebuild it for a different p"
-            )
         if self.receive_driven:
             if (
                 self.fw != 1 or self.bw is not None

@@ -167,9 +167,7 @@ def _run_flags_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _mp_flags(
-    args: argparse.Namespace, default_latency: float = 0.05
-) -> tuple[float, float, float]:
+def _mp_flags(args: argparse.Namespace) -> tuple[float, float, float]:
     """Resolve ``--latency/--jitter/--timeout``; raise off-backend.
 
     Historically these flags existed only on ``nbody`` and silently
@@ -193,7 +191,7 @@ def _mp_flags(
             )
         return 0.0, 0.0, 300.0
     return (
-        args.latency if args.latency is not None else default_latency,
+        args.latency if args.latency is not None else 0.05,
         args.jitter if args.jitter is not None else 0.0,
         args.timeout if args.timeout is not None else 300.0,
     )
@@ -565,8 +563,7 @@ def _cmd_tool(args: argparse.Namespace) -> int:
     except (FileNotFoundError, UnknownRuleCode) as exc:
         print(f"{tool.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(tool.render(diagnostics, args.format).rstrip("\n"))
-    failing = 0
+    failing, trace = 0, None
     if args.trace:
         from repro.analysis.trace_view import TraceView
         from repro.trace import EventLog
@@ -574,13 +571,13 @@ def _cmd_tool(args: argparse.Namespace) -> int:
         try:
             view = TraceView(EventLog.load(args.trace))
         except (OSError, ValueError, TypeError) as exc:
+            print(tool.render(diagnostics, args.format).rstrip("\n"))
             print(f"{tool.name}: cannot read trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
         report, _verdicts, failing = tool.judge(view, diagnostics)
-        # Keep machine-readable stdout parseable: verdicts go to stderr.
-        out = sys.stdout if args.format == "text" else sys.stderr
-        for line in report:
-            print(line, file=out)
+        lines = "\n".join(report).splitlines()  # an entry may span lines
+        trace = {"file": args.trace, "failing": failing, "report": lines}
+    print(tool.render(diagnostics, args.format, trace).rstrip("\n"))
     return EXIT_FINDINGS if diagnostics or failing else EXIT_CLEAN
 
 

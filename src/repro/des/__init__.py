@@ -7,15 +7,15 @@ entities are ordinary Python generator functions ("processes") that
 the event calendar.
 
 The kernel is intentionally minimal — just what the virtual-machine
-substrate (:mod:`repro.vm`) needs to express the speculative protocol
-of the paper as straight-line per-processor code:
+substrate (:mod:`repro.vm`) and the DES transport
+(:mod:`repro.engine.des_transport`) need to run one engine per rank:
 
 * :class:`Environment` — clock + event calendar, ``run``/``step``.
 * :class:`Event` — one-shot occurrence carrying a value or an error.
 * :class:`Timeout` — event that fires after a virtual delay.
 * :class:`Process` — generator wrapper; itself an event that fires when
   the generator returns.
-* :class:`AnyOf` / :class:`AllOf` — condition events.
+* :class:`AllOf` — the event that waits for a set of events.
 * :class:`Store` — unbounded FIFO with blocking ``get``, an immediate
   event-less ``put`` and non-blocking inspection (the message-queue
   primitive).
@@ -31,16 +31,14 @@ that was computed is scheduled as computed —
 """
 
 from repro.des.environment import Environment
-from repro.des.errors import Interrupt, SimulationError
-from repro.des.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.des.errors import SimulationError
+from repro.des.events import AllOf, Event, Process, Timeout
 from repro.des.resources import Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

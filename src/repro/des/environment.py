@@ -66,7 +66,8 @@ class Environment:
 
         ``priority`` breaks ties at equal times (lower runs first);
         the kernel uses priority 0 for process bookkeeping events so
-        that e.g. interrupts beat ordinary wakeups.
+        that a process starts or resumes before the ordinary events of
+        its instant.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")

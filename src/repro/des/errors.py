@@ -29,19 +29,3 @@ class StopSimulation(Exception):
     def __init__(self, value: Any) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown *into* a process by :meth:`Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` is
-    whatever object the interrupter supplied (e.g. a reason string).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        """The object passed to :meth:`Process.interrupt`."""
-        return self.args[0]

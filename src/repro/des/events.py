@@ -20,7 +20,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from repro.des.errors import Interrupt, SimulationError
+from repro.des.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.environment import Environment
@@ -116,14 +116,6 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            event.defused = True
-            self.fail(event.value)
-
     # -- misc ---------------------------------------------------------------
     def add_callback(self, callback: Callback) -> None:
         """Run ``callback(self)`` when the event is processed."""
@@ -138,13 +130,6 @@ class Event:
             else "triggered" if self.triggered else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-    # Allow `yield evt & other` / `yield evt | other` sugar.
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -211,7 +196,7 @@ class Process(Event):
             assert result == 42
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str | None = None) -> None:
         if not hasattr(generator, "throw"):
@@ -219,42 +204,12 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when
-        #: finished or about to be resumed).
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
         return self._value is _PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently suspended on."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process stops waiting on its current target (the target
-        event itself is unaffected and may still trigger later).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        if self._target is None:
-            raise SimulationError(f"{self.name} is being initialised; cannot interrupt")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True
-        # Detach from current target so the stale wakeup is ignored.
-        target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._target = None
-        event.callbacks.append(self._resume)
-        self.env.schedule(event, priority=0)
 
     # -- internal -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -272,11 +227,9 @@ class Process(Event):
                 event.defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._target = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._target = None
             self.fail(exc)
             return
 
@@ -291,10 +244,8 @@ class Process(Event):
             immediate._value = next_event._value
             immediate.defused = True
             immediate.callbacks.append(self._resume)
-            self._target = immediate
             self.env.schedule(immediate, priority=0)
         else:
-            self._target = next_event
             next_event.add_callback(self._resume)
 
     def __repr__(self) -> str:
@@ -302,13 +253,13 @@ class Process(Event):
         return f"<Process {self.name!r} {state}>"
 
 
-class Condition(Event):
-    """Base for composite events over a set of sub-events.
+class AllOf(Event):
+    """Composite event that triggers once *all* sub-events have.
 
-    Triggers when ``evaluate(events, n_done)`` returns True, or fails as
-    soon as any sub-event fails.  The condition's value is a dict
-    mapping each *triggered* sub-event to its value (insertion order =
-    trigger order).
+    It fails as soon as any sub-event fails.  Its value is a dict
+    mapping each sub-event to its value, in the order given;
+    :meth:`~repro.vm.cluster.Cluster.run` waits on one over the rank
+    processes.
     """
 
     __slots__ = ("_events", "_done")
@@ -329,21 +280,6 @@ class Condition(Event):
             else:
                 event.add_callback(self._check)
 
-    @staticmethod
-    def evaluate(events: list[Event], done: int) -> bool:  # pragma: no cover
-        """Return True when the condition is satisfied (subclass hook)."""
-        raise NotImplementedError
-
-    def _collect_values(self) -> dict[Event, Any]:
-        # Only events that have actually *occurred* (been processed)
-        # belong in the result; a Timeout is "triggered" from birth but
-        # has not happened until the calendar reaches it.
-        return {
-            e: e._value
-            for e in self._events
-            if e.callbacks is None and e.triggered and e._ok
-        }
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
@@ -353,25 +289,6 @@ class Condition(Event):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-        elif self.evaluate(self._events, self._done):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Condition that triggers once *all* sub-events have triggered."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def evaluate(events: list[Event], done: int) -> bool:
-        return done == len(events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers once *any* sub-event has triggered."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def evaluate(events: list[Event], done: int) -> bool:
-        return done >= 1
+        elif self._done == len(self._events):
+            # Every sub-event has been processed, and none failed.
+            self.succeed({e: e._value for e in self._events})

@@ -1,7 +1,7 @@
 """Blocking containers and resources for the discrete-event kernel.
 
 :class:`Store` is the workhorse here: the virtual-machine message
-queues (:mod:`repro.vm`) are Stores, with ``probe``-style inspection of
+queues (:mod:`repro.vm`) are Stores, with :meth:`Store.peek` over
 :attr:`Store.items` for the non-blocking arrival check in the
 speculative protocol (Fig. 3 of the paper).
 """
@@ -21,19 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class StoreGet(Event):
     """Event returned by :meth:`Store.get`; triggers with the retrieved item."""
 
-    __slots__ = ("filter", "_cancelled")
+    __slots__ = ("filter",)
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]] = None) -> None:
         super().__init__(store.env)
         self.filter = filter
-        self._cancelled = False
         store._get_queue.append(self)
         store._serve()
-
-    def cancel(self) -> None:
-        """Withdraw this get request if it has not yet been satisfied."""
-        if not self.triggered:
-            self._cancelled = True
 
 
 class Store:
@@ -84,12 +78,6 @@ class Store:
                 return item
         return None
 
-    def count(self, filter: Optional[Callable[[Any], bool]] = None) -> int:
-        """Number of stored items (matching ``filter`` if given)."""
-        if filter is None:
-            return len(self.items)
-        return sum(1 for item in self.items if filter(item))
-
     # -- internal ---------------------------------------------------------
     def _do_get(self, event: StoreGet) -> bool:
         if event.filter is None:
@@ -112,8 +100,6 @@ class Store:
         """
         waiting: deque[StoreGet] = deque()
         for event in self._get_queue:
-            if event._cancelled or event.triggered:
-                continue  # withdrawn, or settled by someone else
             if not self._do_get(event):
                 waiting.append(event)
         self._get_queue = waiting

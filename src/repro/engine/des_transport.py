@@ -11,10 +11,9 @@ Interprets the engine's effects against a
   spans are traced as the effect's phase and reported back as
   ``Arrival.waited`` virtual seconds — the adaptive controller's
   signal);
-* ``Charge`` → what ``proc.compute(ops, phase, iteration)`` does —
-  virtual time at the processor's capacity (times any background
-  load), booked through ``proc.charged`` — without the two generator
-  frames; the engine gets the virtual seconds back;
+* ``Charge`` → a timeout of ``proc.seconds_for(ops)`` virtual seconds
+  (the processor's capacity), waited out in this frame and booked
+  through ``proc.charged``; the engine gets the virtual seconds back;
 * protocol events → the rank's
   :class:`~repro.engine.observer.RankObserver` (sanitizer hooks and
   the cluster's :class:`~repro.trace.events.EventLog`, stamped with
@@ -103,7 +102,7 @@ class DESTransport:
                     nbytes=effect.nbytes,
                 )
             elif kind is Charge:
-                # proc.compute, in this frame: a resume then walks
+                # Waited out in this frame: a resume then walks
                 # drive -> engine.run and no generator in between.
                 seconds = proc.seconds_for(effect.ops)
                 start = env.now

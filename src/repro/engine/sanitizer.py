@@ -99,8 +99,9 @@ class ProtocolSanitizer:
     #: never hand-listed, so sanitizer/specmc/docs cannot drift apart.
     INVARIANTS = sanitizer_invariant_ids()
 
-    def __init__(self, trace_limit: int = 40) -> None:
-        self._trace: Deque[str] = deque(maxlen=trace_limit)
+    def __init__(self) -> None:
+        #: The last 40 notes, printed with a violation.
+        self._trace: Deque[str] = deque(maxlen=40)
         #: Outstanding (rank, src, t) speculations awaiting verification.
         self._outstanding: set[tuple[int, int, int]] = set()
         #: Everything ever speculated (re-speculation during a cascade

@@ -24,7 +24,7 @@ backwards through the cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.des import Environment
 from repro.netsim import (
@@ -38,7 +38,7 @@ from repro.netsim import (
     TransientSpikes,
 )
 from repro.netsim.latency import LatencyModel, Spike
-from repro.vm import BackgroundLoad, Cluster, ProcessorSpec, RandomWalkLoad, linear_gradient_specs
+from repro.vm import Cluster, ProcessorSpec, linear_gradient_specs
 
 #: Paper workload constants used for calibration.
 N_REF = 1000
@@ -61,7 +61,7 @@ WUSTL_ENDPOINT_LATENCY = 5e-3
 
 @dataclass
 class PlatformConfig:
-    """A reproducible cluster recipe (specs + network + loads).
+    """A reproducible cluster recipe (specs + network).
 
     Calling :meth:`cluster` builds a *fresh* simulation environment
     each time, so successive runs are independent and deterministic.
@@ -70,7 +70,6 @@ class PlatformConfig:
     name: str
     specs: list[ProcessorSpec]
     network_factory: Callable[[Environment], Network]
-    loads: Optional[list[Optional[BackgroundLoad]]] = None
     description: str = ""
 
     @property
@@ -84,9 +83,7 @@ class PlatformConfig:
 
     def cluster(self) -> Cluster:
         """Build a fresh :class:`~repro.vm.Cluster` for one run."""
-        return Cluster(
-            self.specs, network_factory=self.network_factory, loads=self.loads
-        )
+        return Cluster(self.specs, network_factory=self.network_factory)
 
 
 def wustl_1994(
@@ -97,7 +94,6 @@ def wustl_1994(
     burst_rate: float = 105.0,
     mean_on: float = 12.0,
     mean_off: float = 35.0,
-    background_load: bool = False,
     spikes: Sequence[Spike] = (),
     seed: int = 0,
 ) -> PlatformConfig:
@@ -121,9 +117,6 @@ def wustl_1994(
     burst_rate / mean_on / mean_off:
         Burst shape (frames/s during a burst; mean burst and quiet
         durations in seconds).
-    background_load:
-        Attach a drifting compute slowdown to each workstation
-        (timeshared users).
     spikes:
         Transient extra delays (the Fig. 4 scenario).
     seed:
@@ -159,17 +152,10 @@ def wustl_1994(
             latency = StochasticLatency(latency, sigma=jitter_sigma, seed=seed + 2)
         return BusNetwork(env, bus, latency=latency)
 
-    loads = None
-    if background_load:
-        loads = [
-            RandomWalkLoad(mean=0.05, step=0.03, interval=5.0, seed=seed + 10 + r)
-            for r in range(p)
-        ]
     return PlatformConfig(
         name=f"wustl-1994-p{p}",
         specs=specs,
         network_factory=network_factory,
-        loads=loads,
         description=(
             "16 SUN/Sparc workstations (linear 10:1 capacity gradient) on a "
             "shared Ethernet under PVM; calibrated to Table 2 of the paper"

@@ -5,12 +5,12 @@ SUN/Sparc workstations — with simulated processors:
 
 * :class:`ProcessorSpec` — a processor's capacity M_i (operations per
   virtual second), mirroring the paper's MIPS ratings (10–120 MIPS).
-* :class:`BackgroundLoad` — multiplicative compute slowdown modelling
-  timeshared background processes.
-* :class:`VirtualProcessor` — the per-rank execution context exposing
-  the PVM-flavoured API used by programs: ``compute`` (burn virtual
-  cycles), ``send`` (asynchronous), ``recv`` (blocking), ``try_recv`` /
-  ``probe`` (non-blocking arrival checks), all phase-traced.
+* :class:`VirtualProcessor` — the per-rank execution context the DES
+  transport drives: ``seconds_for`` / ``charged`` (virtual compute at
+  the processor's capacity), ``send`` (asynchronous), ``recv``
+  (blocking) and ``try_recv`` (the non-blocking arrival check), all
+  phase-traced.  A rank is slowed by a
+  :class:`~repro.faults.RankFault`, on every backend alike.
 * :class:`Cluster` — builds the processors over a
   :class:`~repro.netsim.network.Network` and launches per-rank program
   generators.
@@ -19,18 +19,15 @@ SUN/Sparc workstations — with simulated processors:
 """
 
 from repro.vm.cluster import Cluster
-from repro.vm.load import BackgroundLoad, RandomWalkLoad
 from repro.vm.message import Message
 from repro.vm.processor import VirtualProcessor
 from repro.vm.specs import ProcessorSpec, linear_gradient_specs, uniform_specs
 
 __all__ = [
-    "BackgroundLoad",
     "Cluster",
     "linear_gradient_specs",
     "Message",
     "ProcessorSpec",
-    "RandomWalkLoad",
     "uniform_specs",
     "VirtualProcessor",
 ]

@@ -7,7 +7,6 @@ from typing import Callable, Generator, Optional, Sequence
 from repro.des import AllOf, Environment, Process
 from repro.netsim.network import DelayNetwork, Network
 from repro.trace.events import EventLog
-from repro.vm.load import BackgroundLoad
 from repro.vm.processor import VirtualProcessor
 from repro.vm.specs import ProcessorSpec
 
@@ -25,9 +24,6 @@ class Cluster:
     network_factory:
         Callable ``env -> Network``; defaults to a zero-latency
         :class:`~repro.netsim.network.DelayNetwork`.
-    loads:
-        Optional per-processor background-load models (same length as
-        ``specs``; None entries = unloaded).
     env:
         Supply an environment to share it with other simulation
         components; otherwise a fresh one is created.
@@ -43,7 +39,7 @@ class Cluster:
     >>> from repro.vm import Cluster, uniform_specs
     >>> cluster = Cluster(uniform_specs(2, capacity=1e6))
     >>> def program(proc):
-    ...     yield from proc.compute(2e6)
+    ...     yield proc.env.timeout(proc.seconds_for(2e6))
     ...     return proc.env.now
     >>> results = cluster.run(program)
     >>> results[0]
@@ -54,14 +50,11 @@ class Cluster:
         self,
         specs: Sequence[ProcessorSpec],
         network_factory: Optional[Callable[[Environment], Network]] = None,
-        loads: Optional[Sequence[Optional[BackgroundLoad]]] = None,
         env: Optional[Environment] = None,
         event_log: Optional[EventLog] = None,
     ) -> None:
         if not specs:
             raise ValueError("cluster needs at least one processor")
-        if loads is not None and len(loads) != len(specs):
-            raise ValueError("loads must match specs length")
         self.env = env if env is not None else Environment()
         #: Protocol trace-event recorder (None = recording off).
         self.event_log: Optional[EventLog] = event_log
@@ -70,13 +63,7 @@ class Cluster:
         )
         self.specs = list(specs)
         self.processors: list[VirtualProcessor] = [
-            VirtualProcessor(
-                self,
-                rank=i,
-                spec=spec,
-                load=loads[i] if loads is not None else None,
-            )
-            for i, spec in enumerate(specs)
+            VirtualProcessor(self, rank=i, spec=spec) for i, spec in enumerate(specs)
         ]
 
     @property

@@ -1,17 +1,12 @@
-"""The virtual processor: compute, send, receive, all phase-traced.
+"""The virtual processor: capacity, mailbox and phase trace of one rank.
 
-A *program* is a generator function taking a :class:`VirtualProcessor`
-and yield-ing from its API::
-
-    def program(proc):
-        yield from proc.compute(ops=1e6, iteration=0)
-        proc.send(dst=1, payload=data, tag=("vars", 0))
-        msg = yield from proc.recv(src=1, tag=("vars", 0), iteration=0)
-
-``compute`` burns virtual cycles at the processor's capacity (scaled by
-any background load); ``send`` is asynchronous (PVM-style); ``recv``
-blocks and records the blocked span as ``comm`` time; ``try_recv`` and
-``probe`` are the non-blocking arrival checks at the heart of the
+The DES backend's rank program is ``DESTransport(proc).drive(engine)``
+(:mod:`repro.engine.des_transport`), which waits out each charge in
+its own frame and books it through :meth:`VirtualProcessor.charged`.
+The processor supplies the rest: :meth:`~VirtualProcessor.seconds_for`
+prices ops at its capacity; ``send`` is asynchronous (PVM-style);
+``recv`` blocks and records the blocked span as ``comm`` time;
+``try_recv`` is the non-blocking arrival check at the heart of the
 speculative protocol (Fig. 3: "if (msg from k arrived) receive else
 speculate").
 """
@@ -22,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Generator, Hashable, Optional
 
 from repro.des import Event, Store
 from repro.trace import PhaseTrace
-from repro.vm.load import BackgroundLoad
 from repro.vm.message import Message, payload_nbytes
 from repro.vm.specs import ProcessorSpec
 
@@ -36,65 +30,22 @@ class VirtualProcessor:
     Not constructed directly — the cluster builds one per spec.
     """
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        rank: int,
-        spec: ProcessorSpec,
-        load: Optional[BackgroundLoad] = None,
-    ) -> None:
+    def __init__(self, cluster: "Cluster", rank: int, spec: ProcessorSpec) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.rank = rank
         self.spec = spec
-        self.load = load
         self.mailbox: Store = Store(cluster.env)
         self.trace = PhaseTrace(rank)
-        #: Messages sent / received counters.
-        self.sent_count = 0
-        self.recv_count = 0
 
     # ------------------------------------------------------------- compute
     def seconds_for(self, ops: float) -> float:
-        """Virtual seconds to execute ``ops`` operations right now."""
-        base = self.spec.seconds_for(ops)
-        if self.load is not None:
-            base *= self.load.slowdown(self.env.now)
-        return base
-
-    def compute(
-        self,
-        ops: float,
-        phase: str = "compute",
-        iteration: Optional[int] = None,
-    ) -> Generator:
-        """Burn ``ops`` operations of virtual compute time.
-
-        Use as ``yield from proc.compute(...)``.  The elapsed span is
-        recorded in the trace under ``phase`` ("compute", "spec",
-        "check" or "correct" in the speculative protocol).
-        """
-        duration = self.seconds_for(ops)
-        yield from self.advance(duration, phase=phase, iteration=iteration)
-
-    def advance(
-        self,
-        seconds: float,
-        phase: str = "compute",
-        iteration: Optional[int] = None,
-    ) -> Generator:
-        """Advance virtual time by a raw duration, tracing it as ``phase``."""
-        if seconds < 0:
-            raise ValueError("seconds must be >= 0")
-        start = self.env.now
-        if seconds > 0:
-            yield self.env.timeout(seconds)
-        self.charged(phase, start, iteration)
+        """Virtual seconds to execute ``ops`` operations."""
+        return self.spec.seconds_for(ops)
 
     def charged(self, phase: str, start: float, iteration: Optional[int]) -> None:
-        """Book ``[start, now]`` as ``phase``: what a charge leaves behind,
-        whoever waited it out (:meth:`advance`, or the engine transport
-        in its own frame)."""
+        """Book ``[start, now]`` as ``phase``: what a charge leaves behind
+        once the engine transport has waited it out in its own frame."""
         now = self.env.now
         self.trace.record(phase, start, now, iteration)
         if self.env.sanitizer is not None:
@@ -121,7 +72,6 @@ class VirtualProcessor:
             raise ValueError(f"invalid destination rank {dst}")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         msg = Message(self.rank, dst, tag, payload, size, self.env.now)
-        self.sent_count += 1
         if self.cluster.event_log is not None:
             self.cluster.event_log.record_message(
                 "send", self.rank, self.env.now, peer=dst, tag=tag
@@ -135,20 +85,6 @@ class VirtualProcessor:
 
         delivery.add_callback(_deliver)
         return delivery
-
-    def broadcast(
-        self,
-        payload: Any,
-        tag: Hashable = None,
-        nbytes: Optional[int] = None,
-    ) -> list[Event]:
-        """Send ``payload`` to every *other* processor (Fig. 1's
-        "send X_j(t) to all processors")."""
-        return [
-            self.send(dst, payload, tag=tag, nbytes=nbytes)
-            for dst in range(self.cluster.size)
-            if dst != self.rank
-        ]
 
     def recv(
         self,
@@ -169,7 +105,6 @@ class VirtualProcessor:
             None if src is None and tag is None else lambda m: m.matches(src, tag)
         )
         self.trace.record(phase, start, self.env.now, iteration)
-        self.recv_count += 1
         if self.cluster.event_log is not None:
             self.cluster.event_log.record_message(
                 "recv", self.rank, self.env.now, peer=msg.src, tag=msg.tag
@@ -189,20 +124,11 @@ class VirtualProcessor:
         if found is None:
             return None
         self.mailbox.items.remove(found)
-        self.recv_count += 1
         if self.cluster.event_log is not None:
             self.cluster.event_log.record_message(
                 "recv", self.rank, self.env.now, peer=found.src, tag=found.tag
             )
         return found
-
-    def probe(self, src: Optional[int] = None, tag: Hashable = None) -> bool:
-        """Non-blocking arrival check (Fig. 3's "if msg from k arrived")."""
-        return self.mailbox.peek(filter=lambda m: m.matches(src, tag)) is not None
-
-    def pending(self) -> int:
-        """Number of undelivered messages waiting in the mailbox."""
-        return len(self.mailbox)
 
     def __repr__(self) -> str:
         return f"<VirtualProcessor rank={self.rank} {self.spec.name} M={self.spec.capacity:.3g}>"

@@ -108,6 +108,7 @@ message matching, one escape scan, one attribution.
 """
 
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -245,6 +246,31 @@ def test_trace_report_is_byte_identical(tool, capsys):
     assert {
         status: n for status, n in counts.items() if n
     } == GOLDEN_TRACE_VERDICTS[tool.name]
+
+
+@pytest.mark.parametrize("tool", TRACED, ids=lambda tool: tool.name)
+def test_json_and_sarif_carry_the_trace_verdict_in_the_document(tool, capsys):
+    """``--format json|sarif --trace`` puts the verdict lines the text
+    run prints into the one document on stdout, and nothing on stderr;
+    the rest of the document is the one printed without ``--trace``."""
+    tree = f"tests/{tool.name}_fixtures"
+    text = _stdout(capsys, [tool.cli, tree, "--trace", GOLDEN_TRACE])
+    plain = _stdout(capsys, [tool.cli, tree])
+    verdicts = text.splitlines()[len(plain.splitlines()):]
+    assert verdicts
+    for fmt in ("json", "sarif"):
+        capsys.readouterr()
+        assert main([tool.cli, tree, "--format", fmt,
+                     "--trace", GOLDEN_TRACE]) == EXIT_FINDINGS
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        holder = doc if fmt == "json" else doc["runs"][0].pop("properties")
+        trace = holder.pop("trace")
+        assert trace["file"] == GOLDEN_TRACE
+        assert trace["report"] == verdicts
+        assert trace["failing"] == (2 if tool.name == "specbound" else 0)
+        assert doc == json.loads(_stdout(capsys, [tool.cli, tree, "--format", fmt]))
 
 
 # ---------------------------------------------------- structural pins

@@ -37,16 +37,6 @@ def test_rejects_unknown_backend():
         RunConfig(_program(), backend="smoke-signals")
 
 
-def test_rejects_p_mismatch():
-    with pytest.raises(ValueError, match="program.nprocs"):
-        RunConfig(_program(p=4), p=8)
-
-
-def test_accepts_matching_p():
-    cfg = RunConfig(_program(p=4), p=4)
-    assert cfg.p == 4
-
-
 def test_rejects_negative_fw():
     with pytest.raises(ValueError, match="fw must be >= 0"):
         RunConfig(_program(), fw=-1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event, Interrupt, SimulationError
+from repro.des import AllOf, Environment, Event, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -205,21 +205,6 @@ def test_manual_event_wakes_waiter():
     assert log == [(7, "open")]
 
 
-def test_anyof_first_wins():
-    env = Environment()
-
-    def proc(env):
-        fast = env.timeout(1, value="fast")
-        slow = env.timeout(10, value="slow")
-        results = yield AnyOf(env, [fast, slow])
-        return list(results.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == ["fast"]
-    assert env.now == 10  # slow timeout still drains
-
-
 def test_allof_waits_for_all():
     env = Environment()
 
@@ -232,20 +217,6 @@ def test_allof_waits_for_all():
     p = env.process(proc(env))
     env.run()
     assert p.value == (5, ["a", "b"])
-
-
-def test_condition_operators():
-    env = Environment()
-
-    def proc(env):
-        a = env.timeout(1, value=1)
-        b = env.timeout(2, value=2)
-        res = yield a & b
-        return sum(res.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == 3
 
 
 def test_empty_allof_triggers_immediately():
@@ -283,59 +254,6 @@ def test_yield_non_event_is_error():
     env.process(proc(env))
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(3)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(3, "wake up")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            pass
-        yield env.timeout(5)
-        return env.now
-
-    def interrupter(env, victim):
-        yield env.timeout(2)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == 7
 
 
 def test_process_is_alive_lifecycle():
@@ -445,42 +363,10 @@ def test_condition_failure_propagates():
     assert p.value == "caught: sub-event failed"
 
 
-def test_anyof_with_already_processed_event():
-    env = Environment()
-
-    def proc(env):
-        done = env.timeout(1, value="early")
-        yield env.timeout(3)
-        res = yield AnyOf(env, [done, env.timeout(10)])
-        return list(res.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == ["early"]
-
-
 def test_condition_cross_environment_rejected():
     env1, env2 = Environment(), Environment()
     with pytest.raises(SimulationError):
         AllOf(env1, [env1.timeout(1), env2.timeout(1)])
-
-
-def test_event_trigger_copies_outcome():
-    env = Environment()
-    src = env.event()
-    dst = env.event()
-    src.succeed(42)
-    dst.trigger(src)
-    assert dst.value == 42
-
-    src2 = env.event()
-    dst2 = env.event()
-    src2.fail(ValueError("x"))
-    src2.defused = True
-    dst2.trigger(src2)
-    assert isinstance(dst2.value, ValueError)
-    dst2.defused = True
-    env.run()
 
 
 def test_run_until_already_processed_event():

@@ -85,8 +85,6 @@ def test_store_peek_and_count():
     assert env.peek() == float("inf")  # a put costs no calendar event
     assert store.peek() == 1
     assert store.peek(filter=lambda x: x > 1) == 2
-    assert store.count() == 3
-    assert store.count(filter=lambda x: x % 2 == 1) == 2
     assert len(store) == 3
 
 
@@ -95,22 +93,6 @@ def test_store_peek_empty_returns_none():
     store = Store(env)
     assert store.peek() is None
     assert store.peek(filter=lambda x: True) is None
-
-
-def test_store_get_cancel():
-    env = Environment()
-    store = Store(env)
-
-    def proc(env):
-        req = store.get()
-        req.cancel()
-        yield env.timeout(1)
-        store.put("x")
-        yield env.timeout(1)
-        return store.count()
-
-    # the cancelled get must not consume the item
-    assert run(env, proc(env)) == 1
 
 
 def test_multiple_consumers_fifo_service():

@@ -47,12 +47,6 @@ def test_platform_metadata():
     plat = wustl_1994(p=3)
     assert plat.nprocs == 3
     assert "wustl" in plat.name
-    assert plat.loads is None
-
-
-def test_wustl_background_load_option():
-    plat = wustl_1994(p=2, background_load=True)
-    assert plat.loads is not None and len(plat.loads) == 2
 
 
 def test_wustl_calibration_against_table2():

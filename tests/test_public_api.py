@@ -85,6 +85,69 @@ def test_run_is_the_only_entry_point_and_the_old_ones_resolve_nowhere():
     assert not defined & set(GONE_ENTRY_POINTS)
 
 
+#: What a DES rank could once be written or slowed with besides an
+#: engine behind ``DESTransport`` and a ``RankFault``: owner -> names.
+GONE_SIMULATOR_NAMES = {
+    "VirtualProcessor": ("compute", "advance", "broadcast", "probe", "pending",
+                         "sent_count", "recv_count", "load"),
+    "Process": ("interrupt", "target"),
+    "Event": ("trigger", "__and__", "__or__"),
+    "StoreGet": ("cancel",),
+    "Store": ("count",),
+}
+GONE_SIMULATOR_CLASSES = ("AnyOf", "Condition", "Interrupt",
+                          "BackgroundLoad", "RandomWalkLoad")
+
+
+def test_the_simulator_has_one_program_shape_and_one_slowdown():
+    import inspect
+
+    import repro.api
+    import repro.cli
+    import repro.des
+    import repro.des.errors
+    import repro.des.events
+    import repro.des.resources
+    import repro.platforms
+    import repro.vm
+    from repro.engine.sanitizer import ProtocolSanitizer
+    from repro.vm import Cluster, uniform_specs
+
+    owners = {
+        "VirtualProcessor": Cluster(uniform_specs(1)).processor(0),
+        "Process": repro.des.Process,
+        "Event": repro.des.Environment().event(),
+        "StoreGet": repro.des.resources.StoreGet,
+        "Store": repro.des.Store,
+    }
+    for owner, names in GONE_SIMULATOR_NAMES.items():
+        for gone in names:
+            assert not hasattr(owners[owner], gone), (owner, gone)
+    for module in (repro, repro.des, repro.des.errors, repro.des.events,
+                   repro.des.resources, repro.vm, repro.platforms):
+        for gone in GONE_SIMULATOR_CLASSES:
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert not (PACKAGE / "vm" / "load.py").exists()
+    defined = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                defined.add(node.name)
+    assert not defined & set(GONE_SIMULATOR_CLASSES)
+
+    def params(func):
+        return set(inspect.signature(func).parameters)
+
+    assert "load" not in params(repro.vm.VirtualProcessor)
+    assert "loads" not in params(Cluster)
+    assert "loads" not in repro.platforms.PlatformConfig.__dataclass_fields__
+    assert "background_load" not in params(repro.platforms.wustl_1994)
+    assert params(repro.cli._mp_flags) == {"args"}
+    assert not params(ProtocolSanitizer)
+    fields = repro.api.RunConfig.__dataclass_fields__
+    assert "p" not in fields and len(fields) == 15
+
+
 def test_subpackages_importable():
     import repro.core
     import repro.core.receive_driven
