@@ -41,7 +41,6 @@ from repro.api import BACKENDS, RunConfig, RunReport, run
 from repro.apps import (
     CoupledMapLattice,
     HeatEquation1D,
-    HeatEquation2D,
     JacobiSolver,
     KuramotoProgram,
     NBodyProgram,
@@ -69,7 +68,6 @@ __all__ = [
     "Cluster",
     "CoupledMapLattice",
     "HeatEquation1D",
-    "HeatEquation2D",
     "JacobiSolver",
     "KuramotoProgram",
     "LinearExtrapolation",

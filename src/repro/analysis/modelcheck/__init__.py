@@ -23,9 +23,7 @@ from repro.analysis.modelcheck.emit import emit_test, emit_trace
 from repro.analysis.modelcheck.explorer import (
     Budget,
     McResult,
-    ScheduleSample,
     explore,
-    random_schedules,
 )
 from repro.analysis.modelcheck.model import (
     MUTATIONS,
@@ -77,12 +75,10 @@ __all__ = [
     "Mutation",
     "ReplayOutcome",
     "SCENARIOS",
-    "ScheduleSample",
     "build_program",
     "emit_test",
     "emit_trace",
     "explore",
-    "random_schedules",
     "render_json",
     "render_sarif_mc",
     "render_text",

@@ -34,10 +34,9 @@ composition.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.analysis.modelcheck.model import (
     Action,
@@ -48,7 +47,7 @@ from repro.analysis.modelcheck.model import (
 )
 from repro.analysis.modelcheck.scenario import McConfig
 
-__all__ = ["Budget", "McResult", "ScheduleSample", "explore", "random_schedules"]
+__all__ = ["Budget", "McResult", "explore"]
 
 
 @dataclass(frozen=True)
@@ -218,48 +217,3 @@ def explore(
     result.exhausted = True
     result.elapsed = time.perf_counter() - started
     return result
-
-
-@dataclass
-class ScheduleSample:
-    """One complete random-walk execution (for property tests)."""
-
-    schedule: Tuple[Action, ...]
-    finals: Dict[int, Any]
-    violation: Optional[McViolation]
-
-
-def random_schedules(
-    config: McConfig,
-    n: int,
-    seed: int = 0,
-    mutation: Union[str, Mutation, None] = None,
-    max_steps: int = 100_000,
-) -> List[ScheduleSample]:
-    """``n`` complete executions under uniformly random scheduling.
-
-    Each walk picks uniformly among the enabled actions until every
-    rank finishes (or an invariant breaks, when a mutation is
-    injected).  The schedules are genuine specmc-explorable paths —
-    exactly what the determinism property tests replay.
-    """
-    rng = random.Random(seed)
-    samples: List[ScheduleSample] = []
-    for _ in range(n):
-        ex = Execution(config, mutation=mutation)
-        steps = 0
-        while ex.violation is None and not ex.is_done and steps < max_steps:
-            actions = ex.enabled_actions()
-            if not actions:
-                ex.check_deadlock()
-                break
-            ex.apply(rng.choice(actions))
-            steps += 1
-        samples.append(
-            ScheduleSample(
-                schedule=tuple(ex.schedule),
-                finals=dict(ex.finals),
-                violation=ex.violation,
-            )
-        )
-    return samples

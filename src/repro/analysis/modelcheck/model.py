@@ -594,13 +594,6 @@ class ReplayOutcome:
     completed: int
     config: McConfig = field(repr=False, default=McConfig())
 
-    @property
-    def deadlocked(self) -> bool:
-        return (
-            self.violation is not None
-            and self.violation.invariant == "deadlock-freedom"
-        )
-
 
 def _canonical_key(action: Action) -> Tuple[int, int, int, int]:
     """Deterministic completion order: deliveries first, low ranks first."""

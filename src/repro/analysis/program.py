@@ -47,8 +47,7 @@ class ProgramIndex:
     """Parsed modules + call graph + attribution for one program.
 
     The program is every ``.py`` file under ``paths`` plus the
-    in-memory ``sources`` (``path -> text``; what
-    :meth:`~repro.analysis.tools.Tool.analyze_source` passes).  All
+    in-memory ``sources`` (``path -> text``).  All
     parseable files contribute to one call graph — that is what makes
     every family's summaries *inter*-procedural: a helper defined in
     one file is charged to its caller in another.

@@ -16,7 +16,6 @@ de-duplicate, sort — behind all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.analysis import races as spf
@@ -108,21 +107,6 @@ class Tool:
             found = (diag for diag in found if diag.code in wanted)
         kept = set(drop_suppressed(found, index.sources))
         return sorted([*index.syntax_diags(self.syntax_code), *kept])
-
-    def analyze_paths(
-        self, paths: Sequence[str | Path], select: Optional[Iterable[str]] = None
-    ) -> list[Diagnostic]:
-        """Analyse every ``.py`` file under ``paths`` as one program."""
-        return self.analyze(ProgramIndex(paths), select)
-
-    def analyze_source(
-        self,
-        source: str,
-        path: str = "<string>",
-        select: Optional[Iterable[str]] = None,
-    ) -> list[Diagnostic]:
-        """Analyse one source text (testing convenience)."""
-        return self.analyze(ProgramIndex(sources={path: source}), select)
 
     def render(
         self,

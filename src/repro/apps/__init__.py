@@ -3,9 +3,8 @@
 * :class:`NBodyProgram` — the paper's Section-5 case study: O(N²)
   gravitational N-body with Eq. 10 speculation, Eq. 11 checking and
   exact incremental force correction.
-* :class:`HeatEquation1D` / :class:`HeatEquation2D` — strip-decomposed
-  Jacobi iteration for the 1-D / 2-D heat equation (neighbor-coupled
-  topology; the 2-D variant exchanges whole ghost rows).
+* :class:`HeatEquation1D` — strip-decomposed Jacobi iteration for the
+  1-D heat equation (neighbor-coupled topology).
 * :class:`JacobiSolver` — dense Jacobi iteration for Ax = b
   (all-to-all topology, converging dynamics).
 * :class:`KuramotoProgram` — globally coupled phase oscillators
@@ -18,7 +17,6 @@
 
 from repro.apps.cml import CoupledMapLattice
 from repro.apps.heat import HeatEquation1D
-from repro.apps.heat2d import HeatEquation2D
 from repro.apps.jacobi import JacobiSolver
 from repro.apps.kuramoto import KuramotoProgram
 from repro.apps.nbody_app import NBodyProgram
@@ -27,7 +25,6 @@ from repro.apps.wave import WaveEquation1D
 __all__ = [
     "CoupledMapLattice",
     "HeatEquation1D",
-    "HeatEquation2D",
     "JacobiSolver",
     "KuramotoProgram",
     "NBodyProgram",

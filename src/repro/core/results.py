@@ -136,10 +136,6 @@ class RunReport:
         """Cluster-level phase breakdown (see :func:`merge_breakdowns`)."""
         return merge_breakdowns([t.breakdown() for t in self.traces], how=how)
 
-    def per_iteration_breakdown(self, how: str = "max") -> PhaseBreakdown:
-        """Phase breakdown normalised per iteration (Table-2 shape)."""
-        return self.breakdown(how=how).scaled(1.0 / self.iterations)
-
     def steady_breakdown(self, how: str = "max", skip: int = 1) -> PhaseBreakdown:
         """Per-iteration breakdown excluding the first ``skip`` warm-up
         iterations.
@@ -154,19 +150,6 @@ class RunReport:
         breakdowns = [trace.since(skip).breakdown() for trace in self.traces]
         return merge_breakdowns(breakdowns, how=how).scaled(
             1.0 / (self.iterations - skip))
-
-    @property
-    def recompute_fraction(self) -> float:
-        """Corrections per checked speculation (cascades included).
-
-        ``Σ recomputes / Σ checks``: 0 when every speculation was
-        accepted; can exceed the rejection rate when forward-window
-        cascades redo several iterations per rejection.
-        """
-        checks = sum(s.checks for s in self.stats)
-        if checks == 0:
-            return 0.0
-        return sum(s.recomputes for s in self.stats) / checks
 
     def measured_k(self, skip: int = 1) -> float:
         """The model's k, measured: correction time over compute time.
@@ -189,37 +172,10 @@ class RunReport:
         checks = sum(s.checks for s in self.stats)
         return sum(s.spec_rejected for s in self.stats) / checks if checks else 0.0
 
-    def summary(self) -> dict:
-        """Plain-data summary (JSON-serialisable) of the run.
-
-        Contains the headline timings, the steady per-iteration phase
-        breakdown, and aggregated speculation statistics — everything a
-        results pipeline typically wants, none of the block payloads.
-        """
-        steady = (
-            self.steady_breakdown() if self.iterations > 1 else self.per_iteration_breakdown()
-        )
-        return {
-            "backend": self.backend,
-            "nprocs": self.nprocs,
-            "fw": self.fw,
-            "iterations": self.iterations,
-            "wall_seconds": self.wall_seconds,
-            "time_per_iteration": self.time_per_iteration,
-            "steady_phase_seconds": dict(steady.totals),
-            "rejection_rate": self.rejection_rate,
-            "recompute_fraction": self.recompute_fraction,
-            "measured_k": self.measured_k() if self.iterations > 1 else 0.0,
-            "tainted_sends": sum(s.tainted_sends for s in self.stats),
-            "messages_sent": sum(s.messages_sent for s in self.stats),
-            "final_windows": self.final_windows(),
-            "capacities": list(self.capacities),
-        }
-
     def __repr__(self) -> str:
         return (
             f"<RunReport {self.backend} p={self.nprocs} FW={self.fw} "
-            f"wall={self.wall_seconds:.6g} k={self.recompute_fraction:.3%}>"
+            f"wall={self.wall_seconds:.6g}>"
         )
 
 

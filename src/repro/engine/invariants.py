@@ -39,7 +39,6 @@ __all__ = [
     "WINDOW_POLICY_BOUND",
     "BUFFER_OCCUPANCY_BOUNDED",
     "RETRANSMIT_BOUNDED",
-    "invariant_ids",
     "sanitizer_invariant_ids",
     "specmc_invariant_ids",
     "require",
@@ -231,11 +230,6 @@ RETRANSMIT_BOUNDED = _register(
     "safety",
     (SEAT_SANITIZER, SEAT_SPECMC),
 )
-
-
-def invariant_ids() -> Tuple[str, ...]:
-    """All registered invariant ids, in registration order."""
-    return tuple(INVARIANTS)
 
 
 def _seat_ids(seat: str) -> Tuple[str, ...]:

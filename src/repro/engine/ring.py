@@ -75,14 +75,6 @@ class HistoryRing:
         """``(times, values)`` — the speculator's input signature."""
         return self.times(), self.values()
 
-    def latest_time(self) -> Optional[int]:
-        """Newest held iteration, or None when empty."""
-        return self._items[-1][0] if self._items else None
-
-    def latest(self) -> Tuple[int, Any]:
-        """Newest ``(t, value)``; raises IndexError when empty."""
-        return self._items[-1]
-
     def lookup(self, t: int) -> Optional[Any]:
         """Value recorded for iteration ``t``, or None if trimmed/absent."""
         for held_t, value in reversed(self._items):

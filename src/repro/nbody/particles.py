@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class ParticleSystem:
     def momentum(self) -> np.ndarray:
         """(3,) total linear momentum (conserved exactly by pair forces)."""
         return np.einsum("i,ij->j", self.mass, self.vel)
-
-    def center_of_mass(self) -> np.ndarray:
-        """(3,) mass-weighted mean position."""
-        return np.einsum("i,ij->j", self.mass, self.pos) / self.mass.sum()
 
 
 def uniform_cube(

@@ -71,7 +71,7 @@ class SharedBus:
         self._free_at = 0.0
         #: (start, nbytes) of each accepted, unfinished transfer, FIFO.
         self._in_flight: deque[tuple[float, int]] = deque()
-        #: Total bytes ever accepted for transfer (for utilisation stats).
+        #: Total bytes ever accepted for transfer.
         self.bytes_transferred = 0
         #: Total seconds the medium has been held.
         self.busy_time = 0.0
@@ -108,12 +108,6 @@ class SharedBus:
     def queued(self) -> int:
         """Transfers currently waiting for the medium."""
         return max(len(self._in_flight) - 1, 0)
-
-    def utilisation(self) -> float:
-        """Fraction of elapsed virtual time the medium has been busy."""
-        if self.env.now == 0:
-            return 0.0
-        return self.busy_time / self.env.now
 
     def __repr__(self) -> str:
         return (

@@ -55,13 +55,6 @@ class Partition:
         """Number of variables per processor (the paper's N_i)."""
         return tuple(len(a) for a in self.assignments)
 
-    def owner(self) -> np.ndarray:
-        """Array of length n mapping variable index → owning processor."""
-        owner = np.empty(self.n, dtype=np.intp)
-        for rank, idx in enumerate(self.assignments):
-            owner[idx] = rank
-        return owner
-
     def indices(self, rank: int) -> np.ndarray:
         """The variable indices owned by processor ``rank``."""
         return self.assignments[rank]

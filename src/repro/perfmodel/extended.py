@@ -176,10 +176,6 @@ class ExtendedPerformanceModel:
             finish = start + spec + comp_draws[t] + check + penalty
         return float((finish - starts[warmup]) / (total - warmup))
 
-    def expected_speedup(self, p: int, fw: int, bw: int = 2) -> float:
-        """Speedup vs the deterministic single-processor time."""
-        return self._base.t_serial() / self.expected_iteration_time(p, fw, bw)
-
     def optimal_fw(self, p: int, bw: int = 2, max_fw: int = 6) -> int:
         """The forward window minimising expected iteration time."""
         if max_fw < 1:

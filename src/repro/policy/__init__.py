@@ -9,10 +9,6 @@ transport:
   controller implements: observe one iteration's signals (cumulative
   wait, hidden latency, work and speculation ops, and the transport's
   clock) and return the rank's next FW.
-* :class:`StaticWindow` — the identity policy; a run with
-  ``StaticWindow(fw)`` is effect-for-effect identical to a fixed-FW
-  run (it never changes the window, so no
-  :class:`~repro.engine.events.WindowChanged` is ever emitted).
 * :class:`CostWindow` — the controller: it prices every window with
   the engine's pipelining law from each epoch's measured terms and
   moves toward the cheapest; because it is seated *inside*
@@ -37,7 +33,6 @@ from repro.policy.cascade import CascadePolicy
 from repro.policy.window import (
     CostWindow,
     DegradedWindow,
-    StaticWindow,
     WindowPolicy,
 )
 
@@ -45,6 +40,5 @@ __all__ = [
     "CascadePolicy",
     "CostWindow",
     "DegradedWindow",
-    "StaticWindow",
     "WindowPolicy",
 ]

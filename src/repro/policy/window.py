@@ -75,39 +75,6 @@ class WindowPolicy(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class StaticWindow:
-    """The identity policy: the window never moves.
-
-    A run with ``StaticWindow(fw)`` is effect-for-effect identical to
-    a plain fixed-FW run — the policy returns the current FW verbatim,
-    so the engine never emits ``WindowChanged``.
-    """
-
-    fw: int
-
-    def __post_init__(self) -> None:
-        if self.fw < 0:
-            raise ValueError("fw must be >= 0")
-
-    @property
-    def min_fw(self) -> int:
-        return self.fw
-
-    @property
-    def max_fw(self) -> int:
-        return self.fw
-
-    def spawn(self) -> "StaticWindow":
-        return self  # immutable: safe to share across ranks
-
-    def on_iteration(self, t: int, *, fw: int, **signals: float) -> int:
-        return self.fw
-
-    def state(self) -> Tuple[float, ...]:
-        return ()
-
-
 @dataclass
 class CostWindow:
     """The cost-rule forward-window controller (per rank).

@@ -249,30 +249,6 @@ class EventLog:
         """Sorted ranks present in the log."""
         return sorted({ev.rank for ev in self.events})
 
-    def for_rank(self, rank: int) -> list[TraceEvent]:
-        """One rank's events in program (seq) order."""
-        return sorted(
-            (ev for ev in self.events if ev.rank == rank),
-            key=lambda ev: ev.seq,
-        )
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All events of one kind, (rank, seq) order."""
-        return sorted(ev for ev in self.events if ev.kind == kind)
-
-    def summary(self) -> dict[str, object]:
-        """Shape of the log: sizes, per-kind counts, drops (JSON-ready)."""
-        counts: dict[str, int] = {}
-        for ev in self.events:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        return {
-            "events": len(self.events),
-            "ranks": self.ranks(),
-            "kinds": dict(sorted(counts.items())),
-            "max_events": self.max_events,
-            "dropped": self.dropped,
-        }
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -160,11 +160,6 @@ class PhaseTrace:
         tags = self._columns()[:, 3]
         return [int(tag) for tag in np.unique(tags[tags != _UNTAGGED])]
 
-    def for_iteration(self, iteration: Optional[int]) -> "PhaseTrace":
-        """A sub-trace containing only intervals tagged ``iteration``."""
-        tag = _UNTAGGED if iteration is None else iteration
-        return self._where(self._columns()[:, 3] == tag)
-
     def since(self, iteration: int) -> "PhaseTrace":
         """A sub-trace of the intervals tagged ``iteration`` or later,
         plus the untagged ones (a warm-up cut)."""
@@ -197,11 +192,6 @@ class PhaseBreakdown:
         return self.totals.get(phase, 0.0)
 
     @property
-    def busy(self) -> float:
-        """Seconds in productive phases (everything except comm/idle)."""
-        return sum(v for k, v in self.totals.items() if k not in ("comm", "idle"))
-
-    @property
     def total(self) -> float:
         """Sum over all recorded phases."""
         return sum(self.totals.values())
@@ -216,11 +206,6 @@ class PhaseBreakdown:
             span=self.span * factor,
         )
 
-    def as_row(self, phases: Sequence[str] = ("compute", "comm", "spec", "check")) -> list[float]:
-        """Totals in Table-2 column order plus the grand total."""
-        row = [self[p] for p in phases]
-        row.append(self.total)
-        return row
 
 
 def merge_breakdowns(breakdowns: Iterable[PhaseBreakdown], how: str = "max") -> PhaseBreakdown:

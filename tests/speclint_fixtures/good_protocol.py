@@ -1,7 +1,5 @@
 """Fixture: a protocol body speclint should accept without diagnostics."""
 
-from repro.des.errors import Interrupt
-
 VARS = "vars"
 
 
@@ -11,12 +9,9 @@ def rank_program(env, proc, program, rng):
         for t in range(program.iterations):
             proc.send(1, block, tag=(VARS, t))
             delay = float(rng.normal(1.0, 0.1))
-            yield from proc.compute(abs(delay))
-            msg = yield from proc.recv(match=None)
-            try:
-                block = program.compute(0, {1: msg.payload}, t)
-            except Interrupt:
-                raise
+            yield env.timeout(proc.seconds_for(abs(delay)))
+            msg = yield from proc.recv(src=1, tag=(VARS, t))
+            block = program.compute(0, {1: msg.payload}, t)
         return block
 
     return body

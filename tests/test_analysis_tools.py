@@ -100,13 +100,13 @@ def test_documented_rules_are_the_registry():
 @every_tool
 def test_select_restricts_and_is_case_insensitive(tool):
     bad, _good, code, other = _case(tool)
-    both = tool.analyze_paths([bad, other])
+    both = tool.analyze(ProgramIndex([bad, other]))
     assert len(_codes(both)) == 2 and code in _codes(both)
-    assert _codes(tool.analyze_paths([bad, other], select=[code])) == [code]
-    assert tool.analyze_paths([bad, other], select=[code.lower()]) == [
+    assert _codes(tool.analyze(ProgramIndex([bad, other]), select=[code])) == [code]
+    assert tool.analyze(ProgramIndex([bad, other]), select=[code.lower()]) == [
         d for d in both if d.code == code
     ]
-    assert tool.analyze_paths([bad], select=[tool.syntax_code]) == []
+    assert tool.analyze(ProgramIndex([bad]), select=[tool.syntax_code]) == []
 
 
 @every_tool
@@ -115,7 +115,7 @@ def test_select_rejects_unknown_and_foreign_codes(tool):
     foreign = next(t for t in TOOLS if t is not tool).rules
     for wrong in ("NOPE", min(foreign)):
         with pytest.raises(UnknownRuleCode, match=f"{wrong}.*{min(tool.rules)}"):
-            tool.analyze_paths([bad], select=[wrong])
+            tool.analyze(ProgramIndex([bad]), select=[wrong])
 
 
 @every_tool
@@ -123,12 +123,12 @@ def test_select_rejects_unknown_and_foreign_codes(tool):
 def test_any_familys_directive_silences_a_finding(tool, spelling):
     bad, _good, code, _other = _case(tool)
     source = bad.read_text()
-    found = [d for d in tool.analyze_source(source, path="<t>") if d.code == code]
+    found = [d for d in tool.analyze(ProgramIndex(sources={"<t>": source})) if d.code == code]
     assert found
     lines = source.splitlines()
     for line in {d.line for d in found}:
         lines[line - 1] += f"  # {spelling}: disable={code}"
-    silenced = tool.analyze_source("\n".join(lines) + "\n", path="<t>")
+    silenced = tool.analyze(ProgramIndex(sources={"<t>": "\n".join(lines) + "\n"}))
     assert code not in _codes(silenced)
 
 
@@ -148,15 +148,16 @@ def test_directive_spellings_are_the_tool_names():
     source = ring_scan.read_text().replace(
         "# SPP204", "# specperf: disable=SPP204"
     )
-    assert _codes(specbound.analyze_source(source, path="<t>")) == ["SPP204"]
+    assert _codes(specbound.analyze(ProgramIndex(sources={"<t>": source}))) == ["SPP204"]
 
 
 @every_tool
 def test_syntax_error_yields_the_tools_000_code(tool):
-    diags = tool.analyze_source("def broken(:\n", path="broken.py")
+    diags = tool.analyze(ProgramIndex(sources={"broken.py": "def broken(:\n"}))
     assert [(d.path, d.code) for d in diags] == [("broken.py", tool.syntax_code)]
     # ... whatever is selected: an unparseable file is never silent.
-    selected = tool.analyze_source("def broken(:\n", select=[min(tool.rules)])
+    selected = tool.analyze(ProgramIndex(sources={"<string>": "def broken(:\n"}),
+                            select=[min(tool.rules)])
     assert _codes(selected) == [tool.syntax_code]
 
 
@@ -167,7 +168,7 @@ def test_src_is_clean(tool, src_index):
 
 @every_tool
 def test_each_finding_is_reported_once_and_in_order(tool):
-    diags = tool.analyze_paths([TESTS / f"{tool.name}_fixtures"])
+    diags = tool.analyze(ProgramIndex([TESTS / f"{tool.name}_fixtures"]))
     assert diags == sorted(set(diags))
 
 
@@ -179,7 +180,7 @@ def test_same_named_senders_in_two_files_report_each_race_once(tmp_path):
     race = TESTS / "specflow_fixtures" / "bad_spf111_race.py"
     for name in ("a.py", "b.py"):
         shutil.copy(race, tmp_path / name)
-    diags = specflow.analyze_paths([tmp_path])
+    diags = specflow.analyze(ProgramIndex([tmp_path]))
     assert _codes(diags) == ["SPF111"]
     assert len(diags) == len(set(diags)) == 5
 
@@ -202,7 +203,7 @@ def test_surviving_rule_fires_where_the_deleted_duplicate_did(
     else-path) and the one SPP206 site is an SPB406 site: what ISSUE 22
     deleted the duplicates on."""
     tool = next(tool for tool in TOOLS if tool.name == tool_name)
-    diags = tool.analyze_paths([TESTS / fixture])
+    diags = tool.analyze(ProgramIndex([TESTS / fixture]))
     assert (code, line) in {(d.code, d.line) for d in diags}
 
 
@@ -210,8 +211,8 @@ def test_surviving_rule_fires_where_the_deleted_duplicate_did(
 def test_two_runs_render_identical_bytes(tool):
     fixtures = TESTS / f"{tool.name}_fixtures"
     for fmt in tool.formats:
-        first = tool.render(tool.analyze_paths([fixtures]), fmt)
-        assert first == tool.render(tool.analyze_paths([fixtures]), fmt)
+        first = tool.render(tool.analyze(ProgramIndex([fixtures])), fmt)
+        assert first == tool.render(tool.analyze(ProgramIndex([fixtures])), fmt)
 
 
 # ---------------------------------------------------------------- the CLI

@@ -5,7 +5,6 @@ report shape; `RunConfig` is the one place a run's settings are
 checked.
 """
 
-import json
 from dataclasses import asdict
 
 import numpy as np
@@ -243,9 +242,6 @@ def test_one_report_shape_on_every_backend(build, backend):
         phase: max(trace.total(phase) for trace in report.traces)
         for phase in PHASES
     }
-    summary = report.summary()
-    assert json.loads(json.dumps(summary)) == summary
-    assert sorted(summary["steady_phase_seconds"]) == sorted(PHASES)
     assert report.final_windows() == [1] * p
     assert sorted(report.window_history) == list(range(p))
     assert 0.0 <= report.rejection_rate <= 1.0

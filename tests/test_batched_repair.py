@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.api import RunConfig, run
-from repro.apps import HeatEquation1D, HeatEquation2D, NBodyProgram, WaveEquation1D
+from repro.apps import HeatEquation1D, NBodyProgram, WaveEquation1D
 from repro.engine.core import build_engine, topology
 from repro.engine.events import (
     Arrival, CascadeBegin, Charge, Recv, Verified, WindowChanged,
@@ -60,8 +60,6 @@ APPS = {
     "nbody-recompute": (lambda rng, n_own: nbody(rng, False, n_own), 0),
     "heat": (lambda rng, _: HeatEquation1D(
         rng.uniform(0.0, 1.0, 12), [1.0] * 3, 1, r=0.25, boundary=(1.0, 0.0)), 1),
-    "heat2d": (lambda rng, _: HeatEquation2D(
-        rng.uniform(0.0, 1.0, (9, 4)), [1.0] * 3, 1, r=0.2, boundary=0.5), 1),
     "wave": (lambda rng, _: WaveEquation1D(
         rng.uniform(-1.0, 1.0, 12), [1.0] * 3, 1, courant=0.9), 1),
     "default": (lambda rng, _: CoupledIncrement(3, 1, coupling=0.3), 1),
@@ -77,8 +75,6 @@ def old_ops(prog, rank, k, speculated, actual):
         return 2.0 * PAIR_FLOPS * n_bad * len(own) + 6.0 * len(own) if n_bad else 0.0
     if isinstance(prog, (HeatEquation1D, WaveEquation1D)):
         return 4.0
-    if isinstance(prog, HeatEquation2D):
-        return 3.0 * prog.cols
     return prog.compute_ops(rank)
 
 

@@ -42,8 +42,6 @@ def test_ring_matches_list_trim_reference_model(seed):
             assert ring.values() == [v_ for _, v_ in ref]
             assert ring.series() == (ring.times(), ring.values())
             assert len(ring) == len(ref) <= cap
-            assert ring.latest() == ref[-1]
-            assert ring.latest_time() == ref[-1][0]
 
 
 @pytest.mark.parametrize("seed", [3, 4])

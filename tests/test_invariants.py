@@ -18,7 +18,6 @@ from repro.engine.invariants import (
     INVARIANTS,
     SEAT_SANITIZER,
     SEAT_SPECMC,
-    invariant_ids,
     require,
     sanitizer_invariant_ids,
     specmc_invariant_ids,
@@ -41,12 +40,10 @@ def test_registry_is_well_formed():
 
 
 def test_seat_views_partition_the_registry():
-    assert set(sanitizer_invariant_ids()) <= set(invariant_ids())
-    assert set(specmc_invariant_ids()) <= set(invariant_ids())
+    assert set(sanitizer_invariant_ids()) <= set(INVARIANTS)
+    assert set(specmc_invariant_ids()) <= set(INVARIANTS)
     # Every invariant is enforced somewhere.
-    assert set(sanitizer_invariant_ids()) | set(specmc_invariant_ids()) == set(
-        invariant_ids()
-    )
+    assert set(sanitizer_invariant_ids()) | set(specmc_invariant_ids()) == set(INVARIANTS)
 
 
 def test_sanitizer_enumerates_registry_seat():
@@ -71,7 +68,7 @@ def test_require_rejects_unregistered_ids():
 
 def test_docs_catalogue_lists_every_invariant():
     protocol_md = (REPO_ROOT / "docs" / "protocol.md").read_text()
-    for invariant_id in invariant_ids():
+    for invariant_id in INVARIANTS:
         assert f"`{invariant_id}`" in protocol_md, (
             f"docs/protocol.md invariant catalogue is missing {invariant_id}"
         )

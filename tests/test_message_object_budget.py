@@ -125,7 +125,7 @@ def test_intervals_are_read_only_views_of_the_rows():
     trace.record("comm", 1.5, 2.0, 1)
     assert trace.intervals == [Interval("compute", 0.0, 1.5, 0),
                                Interval("comm", 1.5, 2.0, 1)]
-    sub = trace.for_iteration(1)
+    sub = trace.since(1)
     assert len(sub) == 1 and sub.total("comm") == 0.5
     assert sub.intervals == [Interval("comm", 1.5, 2.0, 1)]
     # Sub-traces are cut from the rows; nothing assigns Intervals back.

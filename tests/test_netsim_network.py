@@ -50,7 +50,6 @@ def test_bus_stats_accumulate():
     env.run(until=done)
     assert bus.bytes_transferred == 100
     assert bus.busy_time == pytest.approx(1.0)
-    assert bus.utilisation() == pytest.approx(1.0)
 
 
 def test_bus_validation():
@@ -62,12 +61,6 @@ def test_bus_validation():
     bus = SharedBus(env, bandwidth=1)
     with pytest.raises(ValueError):
         bus.transfer(-1)
-
-
-def test_bus_utilisation_zero_at_start():
-    env = Environment()
-    bus = SharedBus(env, bandwidth=1)
-    assert bus.utilisation() == 0.0
 
 
 def test_background_traffic_delays_foreground():

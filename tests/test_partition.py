@@ -75,12 +75,6 @@ def test_partition_disjoint_cover():
     assert part.nprocs == 3
 
 
-def test_partition_owner_map():
-    part = proportional_partition(10, [1.0, 1.0])
-    owner = part.owner()
-    assert owner.tolist() == [0] * 5 + [1] * 5
-
-
 def test_partition_indices_accessor():
     part = proportional_partition(6, [1.0, 2.0])
     np.testing.assert_array_equal(part.indices(0), [0, 1])

@@ -137,13 +137,6 @@ def test_estimates_deterministic_given_seed():
     assert a == b
 
 
-def test_expected_speedup_consistent():
-    m = model(comm_cv=0.5)
-    s = m.expected_speedup(8, 1)
-    base = PerformanceModel(section4_params(k=0.02))
-    assert s == pytest.approx(base.t_serial() / m.expected_iteration_time(8, 1))
-
-
 def test_validation():
     with pytest.raises(ValueError):
         ExtendedPerformanceModel(section4_params(), VariabilityParams(), mc_iterations=5)

@@ -54,12 +54,6 @@ def test_breakdown_max_over_ranks():
     assert b["correct"] == pytest.approx(1.5)
 
 
-def test_per_iteration_breakdown():
-    r = make_result()
-    b = r.per_iteration_breakdown()
-    assert b["compute"] == pytest.approx(2.0)
-
-
 def test_steady_breakdown_excludes_warmup():
     r = make_result()
     b = r.steady_breakdown(skip=1)
@@ -117,7 +111,6 @@ def test_final_windows_follow_the_trajectories_in_rank_order():
 def test_rejection_and_recompute_rates():
     r = make_result()
     assert r.rejection_rate == pytest.approx(4 / 12)
-    assert r.recompute_fraction == pytest.approx(5 / 12)
 
 
 def test_rates_zero_when_no_checks():
@@ -125,7 +118,6 @@ def test_rates_zero_when_no_checks():
     for s in r.stats:
         s.checks = s.spec_rejected = s.spec_accepted = s.recomputes = 0
     assert r.rejection_rate == 0.0
-    assert r.recompute_fraction == 0.0
 
 
 def test_measured_k_ratio():
@@ -153,22 +145,6 @@ def test_speedup_helpers():
         speedup_max([])
     with pytest.raises(ValueError):
         speedup_max([1.0, 0.0])
-
-
-def test_summary_is_json_serialisable():
-    import json
-
-    r = make_result()
-    data = r.summary()
-    encoded = json.dumps(data)
-    assert "time_per_iteration" in encoded
-    assert data["nprocs"] == 2
-    assert data["fw"] == 1
-    assert data["steady_phase_seconds"]["compute"] == pytest.approx(2.0)
-    assert data["rejection_rate"] == pytest.approx(4 / 12)
-    assert data["backend"] == "des"
-    assert data["wall_seconds"] == 12.0
-    assert json.loads(encoded) == data
 
 
 #: ``repro nbody -p 4 --particles 120 --iterations 5`` on DES, captured

