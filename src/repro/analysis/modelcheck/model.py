@@ -601,24 +601,22 @@ def _canonical_key(action: Action) -> Tuple[int, int, int, int]:
             action.idx)
 
 
+#: Most canonical actions a replay takes after its schedule runs out.
+MAX_COMPLETION_STEPS = 100_000
+
+
 def replay_schedule(
     config: McConfig,
     schedule: Sequence[Action],
     mutation: Union[str, Mutation, None] = None,
     event_log: Any = None,
-    strict: bool = False,
-    complete: bool = True,
-    max_steps: int = 100_000,
 ) -> ReplayOutcome:
     """Replay ``schedule`` against a fresh :class:`Execution`.
 
-    Best-effort by default: actions no longer enabled (the shrinker
-    removes their enablers) are skipped, and after the schedule runs
-    out the execution is *completed deterministically* (canonical
-    action order) so run-end and deadlock violations still surface.
-    ``strict=True`` raises on a non-enabled action instead — the
-    explorer's replay-on-backtrack path uses that, since its prefixes
-    are enabled by construction.
+    Best-effort: actions no longer enabled (the shrinker removes their
+    enablers) are skipped, and after the schedule runs out the
+    execution is *completed deterministically* (canonical action order)
+    so run-end and deadlock violations still surface.
     """
     ex = Execution(config, mutation=mutation, event_log=event_log)
     applied = skipped = completed = 0
@@ -628,18 +626,16 @@ def replay_schedule(
         if action in ex.enabled_actions():
             ex.apply(action)
             applied += 1
-        elif strict:
-            raise ValueError(f"schedule action {action.describe()} not enabled")
         else:
             skipped += 1
-    if complete:
-        while ex.violation is None and not ex.is_done and completed < max_steps:
-            actions = ex.enabled_actions()
-            if not actions:
-                ex.check_deadlock()
-                break
-            ex.apply(min(actions, key=_canonical_key))
-            completed += 1
+    while (ex.violation is None and not ex.is_done
+           and completed < MAX_COMPLETION_STEPS):
+        actions = ex.enabled_actions()
+        if not actions:
+            ex.check_deadlock()
+            break
+        ex.apply(min(actions, key=_canonical_key))
+        completed += 1
     return ReplayOutcome(
         violation=ex.violation,
         finals=dict(ex.finals),

@@ -26,19 +26,21 @@ from repro.analysis.modelcheck.scenario import McConfig
 
 __all__ = ["shrink_schedule"]
 
+#: Most replays one shrink takes.
+MAX_REPLAYS = 2000
+
 
 def shrink_schedule(
     config: McConfig,
     schedule: Sequence[Action],
     invariant: str,
     mutation: Union[str, Mutation, None] = None,
-    max_replays: int = 2000,
 ) -> Tuple[Action, ...]:
     """1-minimal schedule still violating ``invariant``.
 
     Classic ddmin (complement reduction with granularity doubling)
     followed by a greedy single-action sweep.  Bounded by
-    ``max_replays`` replays; returns the input unchanged if it does
+    :data:`MAX_REPLAYS` replays; returns the input unchanged if it does
     not reproduce (should not happen for explorer-produced schedules).
     """
     mut = resolve_mutation(mutation)
@@ -58,7 +60,7 @@ def shrink_schedule(
         return tuple(schedule)
 
     granularity = 2
-    while len(current) >= 2 and replays < max_replays:
+    while len(current) >= 2 and replays < MAX_REPLAYS:
         chunk = max(1, len(current) // granularity)
         chunks = [current[i:i + chunk] for i in range(0, len(current), chunk)]
         reduced: Optional[List[Action]] = None
@@ -81,7 +83,7 @@ def shrink_schedule(
             granularity = min(len(current), granularity * 2)
 
     index = 0
-    while index < len(current) and replays < max_replays:
+    while index < len(current) and replays < MAX_REPLAYS:
         candidate = current[:index] + current[index + 1:]
         if fails(candidate):
             current = candidate

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import Diagnostic, syntax_diagnostic
@@ -46,29 +46,21 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
 class ProgramIndex:
     """Parsed modules + call graph + attribution for one program.
 
-    The program is every ``.py`` file under ``paths`` plus the
-    in-memory ``sources`` (``path -> text``).  All
-    parseable files contribute to one call graph — that is what makes
+    The program is every ``.py`` file under ``paths``.  All parseable
+    files contribute to one call graph — that is what makes
     every family's summaries *inter*-procedural: a helper defined in
     one file is charged to its caller in another.
     """
 
-    def __init__(
-        self,
-        paths: Sequence[str | Path] = (),
-        sources: Optional[Mapping[str, str]] = None,
-    ) -> None:
+    def __init__(self, paths: Sequence[str | Path]) -> None:
         self.modules: list[ModuleGraphs] = []
         #: ``(path, exception)`` for every unparseable file.
         self.syntax_errors: list[tuple[str, SyntaxError]] = []
-        texts = {
-            str(file_path): file_path.read_text(encoding="utf-8")
-            for file_path in iter_python_files(paths)
-        }
-        texts.update(sources or {})
-        for path, source in texts.items():
+        for file_path in iter_python_files(paths):
+            path = str(file_path)
             try:
-                self.modules.append(ModuleGraphs.from_source(source, path=path))
+                self.modules.append(ModuleGraphs.from_source(
+                    file_path.read_text(encoding="utf-8"), path=path))
             except SyntaxError as exc:
                 self.syntax_errors.append((path, exc))
 

@@ -288,8 +288,7 @@ def _start_des(config: RunConfig) -> RunReport:
             f"cluster has already run (env.now={cluster.env.now:g}); "
             "build a fresh Cluster per run"
         )
-    if config.record_trace:
-        cluster.event_log = EventLog()
+    log = EventLog() if config.record_trace else None
     sanitizer = resolve_sanitizer(config.sanitize)
     if sanitizer is not None:
         cluster.env.sanitizer = sanitizer
@@ -300,9 +299,7 @@ def _start_des(config: RunConfig) -> RunReport:
     def _rank_program(proc: VirtualProcessor) -> Generator:
         rank = proc.rank
         engine = engines[rank] = rank_engine(config, rank, topo, sanitizer)
-        transport = DESTransport(
-            proc, sanitizer=sanitizer, event_log=cluster.event_log
-        )
+        transport = DESTransport(proc, sanitizer=sanitizer, event_log=log)
         observers[rank] = transport.observer
         return transport.drive(engine)
 
@@ -317,7 +314,7 @@ def _start_des(config: RunConfig) -> RunReport:
         cluster.env.now,
         None if config.fault_plan is None
         else [engine.injector.summary() for engine in ranked],
-        capacities=cluster.capacities(), event_log=cluster.event_log,
+        capacities=cluster.capacities(), event_log=log,
     )
 
 

@@ -17,13 +17,13 @@ overhead) rather than silently producing wrong answers.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.program import SyncIterativeProgram
 from repro.core.speculators import ZeroOrderHold
-from repro.partition import Partition, proportional_partition
+from repro.partition import proportional_partition
 
 #: Flops per site per update in the cost model.
 SITE_FLOPS = 8.0
@@ -58,7 +58,6 @@ class CoupledMapLattice(SyncIterativeProgram):
         coupling: float = 0.3,
         threshold: float = 1e-3,
         speculator=None,
-        partition: Optional[Partition] = None,
     ) -> None:
         super().__init__(
             nprocs=len(capacities),
@@ -78,16 +77,7 @@ class CoupledMapLattice(SyncIterativeProgram):
         self.x0 = field
         self.r = r
         self.coupling = coupling
-        self.partition = (
-            partition
-            if partition is not None
-            else proportional_partition(field.size, capacities)
-        )
-        if self.partition.n != field.size or self.partition.nprocs != self.nprocs:
-            raise ValueError("partition inconsistent with field/capacities")
-        for idx in self.partition:
-            if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-                raise ValueError("CoupledMapLattice requires contiguous strips")
+        self.partition = proportional_partition(field.size, capacities)
 
     def _f(self, x: np.ndarray) -> np.ndarray:
         return self.r * x * (1.0 - x)

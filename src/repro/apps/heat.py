@@ -17,13 +17,13 @@ the incremental correction uses exactly that structure.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.program import SyncIterativeProgram
 from repro.core.speculators import LinearExtrapolation
-from repro.partition import Partition, proportional_partition
+from repro.partition import proportional_partition
 
 #: Flops per cell per Jacobi update in the cost model.
 CELL_FLOPS = 6.0
@@ -58,7 +58,6 @@ class HeatEquation1D(SyncIterativeProgram):
         boundary: tuple[float, float] = (0.0, 0.0),
         threshold: float = 1e-3,
         speculator=None,
-        partition: Optional[Partition] = None,
     ) -> None:
         super().__init__(
             nprocs=len(capacities),
@@ -74,17 +73,7 @@ class HeatEquation1D(SyncIterativeProgram):
         self.field0 = field
         self.r = r
         self.boundary = (float(boundary[0]), float(boundary[1]))
-        self.partition = (
-            partition
-            if partition is not None
-            else proportional_partition(field.size, capacities)
-        )
-        if self.partition.n != field.size or self.partition.nprocs != self.nprocs:
-            raise ValueError("partition inconsistent with field/capacities")
-        # Contiguity check: strips must be consecutive index ranges.
-        for idx in self.partition:
-            if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-                raise ValueError("HeatEquation1D requires contiguous strips")
+        self.partition = proportional_partition(field.size, capacities)
 
     # ----------------------------------------------------------- topology
     def needed(self, rank: int) -> frozenset[int]:

@@ -14,28 +14,24 @@ corrections — a dynamic the N-body case study does not show.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.program import SyncIterativeProgram
 from repro.core.speculators import LinearExtrapolation
-from repro.partition import Partition, proportional_partition
+from repro.partition import proportional_partition
 
 
-def diagonally_dominant_system(
-    n: int, seed: int = 0, dominance: float = 2.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random (A, b) with rows diagonally dominant by ``dominance``×."""
+def diagonally_dominant_system(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Random (A, b) with rows diagonally dominant by 2×."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dominance <= 1.0:
-        raise ValueError("dominance must exceed 1 for guaranteed convergence")
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     np.fill_diagonal(a, 0.0)
     row_sums = np.abs(a).sum(axis=1)
-    np.fill_diagonal(a, dominance * np.maximum(row_sums, 1.0))
+    np.fill_diagonal(a, 2.0 * np.maximum(row_sums, 1.0))
     b = rng.normal(size=n)
     return a, b
 
@@ -55,8 +51,8 @@ class JacobiSolver(SyncIterativeProgram):
     threshold:
         Acceptance threshold on the max absolute error of a speculated
         block.
-    x0:
-        Initial guess (defaults to zeros).
+
+    The initial guess is zero.
     """
 
     def __init__(
@@ -66,9 +62,7 @@ class JacobiSolver(SyncIterativeProgram):
         capacities: Sequence[float],
         iterations: int,
         threshold: float = 1e-6,
-        x0: Optional[np.ndarray] = None,
         speculator=None,
-        partition: Optional[Partition] = None,
     ) -> None:
         super().__init__(
             nprocs=len(capacities),
@@ -84,16 +78,8 @@ class JacobiSolver(SyncIterativeProgram):
         diag = np.diag(self.a)
         if np.any(diag == 0):
             raise ValueError("A must have a non-zero diagonal")
-        self.x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-        if self.x0.shape != (n,):
-            raise ValueError("x0 must match b")
-        self.partition = (
-            partition
-            if partition is not None
-            else proportional_partition(n, capacities)
-        )
-        if self.partition.n != n or self.partition.nprocs != self.nprocs:
-            raise ValueError("partition inconsistent with system/capacities")
+        self.x0 = np.zeros(n)
+        self.partition = proportional_partition(n, capacities)
         self._diag = diag
         #: Per-rank row slices of A and cached diagonal blocks.
         self._rows = [self.a[idx, :] for idx in self.partition]

@@ -13,13 +13,13 @@ paper identifies as the sweet spot for speculative computation.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.program import SyncIterativeProgram
 from repro.core.speculators import LinearExtrapolation
-from repro.partition import Partition, proportional_partition
+from repro.partition import proportional_partition
 
 
 class KuramotoProgram(SyncIterativeProgram):
@@ -54,7 +54,6 @@ class KuramotoProgram(SyncIterativeProgram):
         dt: float = 0.01,
         threshold: float = 1e-3,
         speculator=None,
-        partition: Optional[Partition] = None,
     ) -> None:
         super().__init__(
             nprocs=len(capacities),
@@ -71,14 +70,7 @@ class KuramotoProgram(SyncIterativeProgram):
         self.theta0 = theta
         self.coupling = coupling
         self.dt = dt
-        n = self.omega.shape[0]
-        self.partition = (
-            partition
-            if partition is not None
-            else proportional_partition(n, capacities)
-        )
-        if self.partition.n != n or self.partition.nprocs != self.nprocs:
-            raise ValueError("partition inconsistent with oscillators/capacities")
+        self.partition = proportional_partition(self.omega.shape[0], capacities)
 
     @classmethod
     def random(

@@ -21,8 +21,8 @@ speculate a particle, 24 to check one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.nbody.speculation import (
     speculate_positions,
     uncertified,
 )
-from repro.partition import Partition, proportional_partition
+from repro.partition import proportional_partition
 
 #: Extra flops per owned particle for the velocity/position update.
 INTEGRATE_FLOPS = 12.0
@@ -121,7 +121,6 @@ class NBodyProgram(IncrementalProgram):
         incremental_correction: bool = True,
         force_method: str = "direct",
         bh_theta: float = 0.5,
-        partition: Optional[Partition] = None,
     ) -> None:
         super().__init__(nprocs=len(capacities), iterations=iterations, threshold=threshold)
         if dt <= 0:
@@ -139,15 +138,7 @@ class NBodyProgram(IncrementalProgram):
         #: Interactions evaluated by the most recent Barnes-Hut
         #: traversal per rank (drives the measured cost model).
         self._bh_last_interactions = [0] * self.nprocs
-        self.partition = (
-            partition
-            if partition is not None
-            else proportional_partition(system.n, capacities)
-        )
-        if self.partition.nprocs != self.nprocs:
-            raise ValueError("partition width must match capacities length")
-        if self.partition.n != system.n:
-            raise ValueError("partition size must match particle count")
+        self.partition = proportional_partition(system.n, capacities)
         #: Static per-rank mass arrays (masses never change; every rank
         #: knows all of them from the initial distribution).
         self.masses = [self.system.mass[idx] for idx in self.partition]

@@ -16,13 +16,13 @@ The block state carries the two time levels the stencil needs:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.program import SyncIterativeProgram
 from repro.core.speculators import LinearExtrapolation
-from repro.partition import Partition, proportional_partition
+from repro.partition import proportional_partition
 
 #: Flops per cell per leapfrog update in the cost model.
 CELL_FLOPS = 8.0
@@ -55,7 +55,6 @@ class WaveEquation1D(SyncIterativeProgram):
         courant: float = 0.9,
         threshold: float = 1e-3,
         speculator=None,
-        partition: Optional[Partition] = None,
     ) -> None:
         super().__init__(
             nprocs=len(capacities),
@@ -70,16 +69,7 @@ class WaveEquation1D(SyncIterativeProgram):
             raise ValueError("courant must be in (0, 1] for stability")
         self.u0 = field
         self.c2 = courant * courant
-        self.partition = (
-            partition
-            if partition is not None
-            else proportional_partition(field.size, capacities)
-        )
-        if self.partition.n != field.size or self.partition.nprocs != self.nprocs:
-            raise ValueError("partition inconsistent with field/capacities")
-        for idx in self.partition:
-            if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-                raise ValueError("WaveEquation1D requires contiguous strips")
+        self.partition = proportional_partition(field.size, capacities)
 
     # ----------------------------------------------------------- topology
     def needed(self, rank: int) -> frozenset[int]:

@@ -34,20 +34,15 @@ class ErrorMetric(ABC):
 
 
 class MaxRelativeError(ErrorMetric):
-    """max |x* - x| / (|x| + eps): scale-free per-variable error.
+    """max |x* - x| / (|x| + 1e-12): scale-free per-variable error.
 
-    ``eps`` guards against division by zero for near-zero actual
+    The 1e-12 guards against division by zero for near-zero actual
     values.
     """
-
-    def __init__(self, eps: float = 1e-12) -> None:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = eps
 
     def error(self, speculated, actual):
         s, a = self._validate(speculated, actual)
         if s.size == 0:
             return 0.0
-        return float(np.max(np.abs(s - a) / (np.abs(a) + self.eps)))
+        return float(np.max(np.abs(s - a) / (np.abs(a) + 1e-12)))
 

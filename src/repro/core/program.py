@@ -64,7 +64,6 @@ class SyncIterativeProgram(ABC):
         iterations: int,
         threshold: float = 0.01,
         speculator: Optional[Speculator] = None,
-        error_metric: Optional[ErrorMetric] = None,
     ) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
@@ -76,7 +75,7 @@ class SyncIterativeProgram(ABC):
         self.iterations = iterations
         self.threshold = threshold
         self.speculator = speculator if speculator is not None else ZeroOrderHold()
-        self.error_metric = error_metric if error_metric is not None else MaxRelativeError()
+        self.error_metric: ErrorMetric = MaxRelativeError()
 
     # ----------------------------------------------------------- numerics
     @abstractmethod

@@ -20,12 +20,8 @@ class Environment:
     is the hottest read of a run; only :meth:`step` and :meth:`run`
     write it) and a priority queue of triggered events.  Events
     scheduled for the same instant are processed in (priority,
-    insertion) order, which makes runs fully deterministic.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the virtual clock (default ``0.0``).
+    insertion) order, which makes runs fully deterministic.  The
+    clock starts at 0.
 
     Examples
     --------
@@ -39,8 +35,8 @@ class Environment:
     3.5
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self.now = float(initial_time)
+    def __init__(self) -> None:
+        self.now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         #: Optional runtime protocol sanitizer (see

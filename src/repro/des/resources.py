@@ -69,14 +69,9 @@ class Store:
         """
         return StoreGet(self, filter)
 
-    def peek(self, filter: Optional[Callable[[Any], bool]] = None) -> Optional[Any]:
-        """Return (without removing) the first matching item, or None."""
-        if filter is None:
-            return self.items[0] if self.items else None
-        for item in self.items:
-            if filter(item):
-                return item
-        return None
+    def peek(self) -> Optional[Any]:
+        """Return (without removing) the first item, or None."""
+        return self.items[0] if self.items else None
 
     # -- internal ---------------------------------------------------------
     def _do_get(self, event: StoreGet) -> bool:

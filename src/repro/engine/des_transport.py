@@ -16,8 +16,9 @@ Interprets the engine's effects against a
   through ``proc.charged``; the engine gets the virtual seconds back;
 * protocol events → the rank's
   :class:`~repro.engine.observer.RankObserver` (sanitizer hooks and
-  the cluster's :class:`~repro.trace.events.EventLog`, stamped with
-  virtual time).
+  the run's :class:`~repro.trace.events.EventLog`, stamped with
+  virtual time); ``send`` / ``recv`` records go through the same
+  sink.
 
 Because receives and charges wait on simulator events, the interpreter
 loop here is itself a generator: the DES backend's per-rank program
@@ -46,9 +47,8 @@ class DESTransport:
         Optional runtime protocol sanitizer; engine events feed its
         speculate/compute/verify/cascade hooks.
     event_log:
-        Optional trace-event recorder (send/recv are recorded by the
-        processor itself; the engine's speculate/compute/verify/
-        correct events are recorded here).
+        Optional trace-event recorder: each send and receive, and the
+        engine's protocol events, stamped with virtual time.
     """
 
     def __init__(
@@ -59,15 +59,14 @@ class DESTransport:
     ) -> None:
         self.proc = proc
         env, rank = proc.env, proc.rank
+        #: The trace sink: ``(kind, peer, family, iteration, args)``.
+        self._record = None if event_log is None else (
+            lambda kind, peer, family, iteration, args: event_log.record(
+                kind, rank, env.now, peer, family, iteration, args)
+        )
         #: The rank's observer seat; its clock is virtual time.
         self.observer = RankObserver(
-            rank,
-            sanitizer=sanitizer,
-            record=None if event_log is None else (
-                lambda kind, peer, family, iteration, args: event_log.record(
-                    kind, rank, env.now, peer, family, iteration, args)
-            ),
-            clock=lambda: env.now,
+            rank, sanitizer=sanitizer, record=self._record, clock=lambda: env.now,
         )
         #: Per-source arrival counter standing in for the wire seq:
         #: every ``repro.netsim`` network clamps its channels to FIFO
@@ -95,6 +94,9 @@ class DESTransport:
             response = None
             kind = type(effect)
             if kind is Send:
+                if self._record is not None:
+                    self._record("send", effect.dst, effect.family,
+                                 effect.iteration, ())
                 proc.send(
                     effect.dst,
                     effect.payload,
@@ -131,6 +133,8 @@ class DESTransport:
         family, iteration = tag
         if not isinstance(iteration, int):  # pragma: no cover - defensive
             raise TransportError(f"unexpected message tag {tag!r}")
+        if self._record is not None:
+            self._record("recv", msg.src, family, iteration, ())
         seq = self._arrival_seq.get(msg.src, 0)
         self._arrival_seq[msg.src] = seq + 1
         return Arrival(msg.src, iteration, msg.payload, waited, seq,

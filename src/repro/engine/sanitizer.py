@@ -352,7 +352,7 @@ class ProtocolSanitizer:
         )
 
 
-def run_selftest(verbose: bool = True) -> int:
+def run_selftest() -> int:
     """Prove the sanitizer fires: run a clean simulation under it, then
     deliberately violate each driver-level invariant.
 
@@ -442,14 +442,13 @@ def run_selftest(verbose: bool = True) -> int:
     expect_violation("buffer-occupancy-bounded", bad_inbox)
     expect_violation("retransmit-bounded", bad_retransmit)
 
-    if verbose:
-        if failures:
-            for failure in failures:
-                print(f"sanitizer selftest FAILED: {failure}")
-        else:
-            print(
-                "sanitizer selftest ok: clean run passed; "
-                f"{len(ProtocolSanitizer.INVARIANTS)} invariants armed, "
-                "10 crafted violations detected"
-            )
+    if failures:
+        for failure in failures:
+            print(f"sanitizer selftest FAILED: {failure}")
+    else:
+        print(
+            "sanitizer selftest ok: clean run passed; "
+            f"{len(ProtocolSanitizer.INVARIANTS)} invariants armed, "
+            "10 crafted violations detected"
+        )
     return 1 if failures else 0

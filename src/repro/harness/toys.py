@@ -20,6 +20,7 @@ class ConstantProgram(SyncIterativeProgram):
     """State never changes, so any hold-based speculation is exact.
 
     Used for Fig. 2(b): every speculated value is good and acceptable.
+    Speculating or checking a block costs 5 % of a compute.
     """
 
     def __init__(
@@ -28,16 +29,12 @@ class ConstantProgram(SyncIterativeProgram):
         iterations: int,
         ops_per_compute: float = 1e6,
         block_size: int = 8,
-        spec_cost_fraction: float = 0.05,
-        check_cost_fraction: float = 0.05,
         **kwargs,
     ) -> None:
         kwargs.setdefault("threshold", 0.0)
         super().__init__(nprocs, iterations, **kwargs)
         self.ops_per_compute = ops_per_compute
         self.block_size = block_size
-        self.spec_cost_fraction = spec_cost_fraction
-        self.check_cost_fraction = check_cost_fraction
 
     def initial_block(self, rank: int) -> np.ndarray:
         return np.full(self.block_size, float(rank))
@@ -52,10 +49,10 @@ class ConstantProgram(SyncIterativeProgram):
         return self.ops_per_compute
 
     def speculate_ops(self, rank: int, k: int) -> float:
-        return self.ops_per_compute * self.spec_cost_fraction
+        return self.ops_per_compute * 0.05
 
     def check_ops(self, rank: int, k: int) -> float:
-        return self.ops_per_compute * self.check_cost_fraction
+        return self.ops_per_compute * 0.05
 
     def block_nbytes(self, rank: int) -> int:
         return 8 * self.block_size

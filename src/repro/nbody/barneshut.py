@@ -27,6 +27,8 @@ import numpy as np
 DEFAULT_OPENING_ANGLE = 0.5
 #: Cost-model flops per accepted node-target monopole interaction.
 NODE_FLOPS = 70.0
+#: Most particles a leaf keeps before it splits.
+LEAF_SIZE = 8
 
 
 @dataclass
@@ -35,7 +37,7 @@ class _Node:
 
     center: np.ndarray
     half: float
-    #: Indices of the particles inside (leaves only keep <= leaf_size).
+    #: Indices of the particles inside (leaves only keep <= LEAF_SIZE).
     indices: np.ndarray
     mass: float = 0.0
     com: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -53,20 +55,17 @@ class Octree:
     ----------
     pos / mass:
         (n, 3) positions, (n,) masses.
-    leaf_size:
-        Maximum particles kept in a leaf before it splits.
+
+    A leaf keeps at most :data:`LEAF_SIZE` particles before it splits.
     """
 
-    def __init__(self, pos: np.ndarray, mass: np.ndarray, leaf_size: int = 8) -> None:
+    def __init__(self, pos: np.ndarray, mass: np.ndarray) -> None:
         self.pos = np.asarray(pos, dtype=float)
         self.mass = np.asarray(mass, dtype=float)
         if self.pos.ndim != 2 or self.pos.shape[1] != 3:
             raise ValueError("pos must be (n, 3)")
         if self.mass.shape != (self.pos.shape[0],):
             raise ValueError("mass must match pos length")
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-        self.leaf_size = leaf_size
         n = self.pos.shape[0]
         if n == 0:
             self.root: Optional[_Node] = None
@@ -86,7 +85,7 @@ class Octree:
         node.mass = float(m.sum())
         node.com = (m[:, None] * self.pos[indices]).sum(axis=0) / node.mass
         # Depth cap guards against coincident particles.
-        if len(indices) <= self.leaf_size or depth >= 48:
+        if len(indices) <= LEAF_SIZE or depth >= 48:
             return node
         p = self.pos[indices]
         octant = (

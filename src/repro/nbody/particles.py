@@ -80,12 +80,11 @@ class ParticleSystem:
 def uniform_cube(
     n: int,
     seed: int = 0,
-    box: float = 1.0,
-    vscale: float = 0.05,
     G: float = 1.0,
     softening: float = 0.05,
 ) -> ParticleSystem:
-    """n equal-mass particles uniform in a cube with small random velocities.
+    """n equal-mass particles uniform in the unit cube centred on the
+    origin, with N(0, 0.05) velocities.
 
     The gentle velocity scale keeps trajectories smooth over a
     timestep — the regime where the paper's constant-velocity
@@ -94,8 +93,8 @@ def uniform_cube(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pos = rng.uniform(-box / 2, box / 2, size=(n, 3))
-    vel = rng.normal(0.0, vscale, size=(n, 3))
+    pos = rng.uniform(-0.5, 0.5, size=(n, 3))
+    vel = rng.normal(0.0, 0.05, size=(n, 3))
     mass = np.full(n, 1.0 / n)
     return ParticleSystem(mass=mass, pos=pos, vel=vel, G=G, softening=softening)
 
@@ -103,12 +102,12 @@ def uniform_cube(
 def plummer_sphere(
     n: int,
     seed: int = 0,
-    scale_radius: float = 1.0,
     total_mass: float = 1.0,
     G: float = 1.0,
     softening: float = 0.05,
 ) -> ParticleSystem:
-    """Plummer-model cluster in approximate virial equilibrium.
+    """Plummer-model cluster of scale radius 1 in approximate virial
+    equilibrium.
 
     Standard Aarseth–Hénon–Wielen sampling: radii from the inverse
     cumulative mass profile, isotropic velocities from the local escape
@@ -117,11 +116,11 @@ def plummer_sphere(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    # Radii: M(r)/M = r^3/(r^2+a^2)^{3/2}  ->  r = a / sqrt(x^{-2/3} - 1)
+    # Radii: M(r)/M = r^3/(r^2+1)^{3/2}  ->  r = 1 / sqrt(x^{-2/3} - 1)
     x = rng.uniform(0.0, 1.0, size=n)
     x = np.clip(x, 1e-10, 1 - 1e-10)
-    r = scale_radius / np.sqrt(x ** (-2.0 / 3.0) - 1.0)
-    r = np.minimum(r, 10.0 * scale_radius)  # clip the far tail
+    r = 1.0 / np.sqrt(x ** (-2.0 / 3.0) - 1.0)
+    r = np.minimum(r, 10.0)  # clip the far tail
     pos = r[:, None] * _random_unit_vectors(rng, n)
 
     # Velocities: f(q) ~ q^2 (1-q^2)^{7/2}, v = q * v_esc(r)
@@ -134,7 +133,7 @@ def plummer_sphere(
         take = trial_q[ok][: n - filled]
         q[filled : filled + take.size] = take
         filled += take.size
-    v_esc = np.sqrt(2.0 * G * total_mass) * (r**2 + scale_radius**2) ** (-0.25)
+    v_esc = np.sqrt(2.0 * G * total_mass) * (r**2 + 1.0) ** (-0.25)
     vel = (q * v_esc)[:, None] * _random_unit_vectors(rng, n)
 
     mass = np.full(n, total_mass / n)
@@ -145,18 +144,17 @@ def two_clusters(
     n: int,
     seed: int = 0,
     separation: float = 4.0,
-    approach_speed: float = 0.2,
     G: float = 1.0,
     softening: float = 0.05,
 ) -> ParticleSystem:
-    """Two Plummer spheres on a slow collision course (merger scenario)."""
+    """Two Plummer spheres closing at speed 0.2 (merger scenario)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     n1 = n // 2
     a = plummer_sphere(n1, seed=seed, total_mass=0.5, G=G, softening=softening)
     b = plummer_sphere(n - n1, seed=seed + 1, total_mass=0.5, G=G, softening=softening)
     offset = np.array([separation / 2, 0.0, 0.0])
-    kick = np.array([approach_speed / 2, 0.0, 0.0])
+    kick = np.array([0.1, 0.0, 0.0])
     pos = np.vstack([a.pos - offset, b.pos + offset])
     vel = np.vstack([a.vel + kick, b.vel - kick])
     mass = np.concatenate([a.mass, b.mass])

@@ -50,7 +50,6 @@ def pairwise_error_ratios(
     speculated_pos: np.ndarray,
     actual_pos: np.ndarray,
     local_pos: np.ndarray,
-    eps: float = 1e-12,
 ) -> np.ndarray:
     """Per-remote-particle worst-case Eq. 11 ratio.
 
@@ -67,8 +66,8 @@ def pairwise_error_ratios(
         (n_r, 3) speculated and true remote positions.
     local_pos:
         (n_l, 3) positions of the checking processor's own particles.
-    eps:
-        Distance floor to keep coincident particles finite.
+
+    A distance floor of 1e-12 keeps coincident particles finite.
 
     Returns
     -------
@@ -102,7 +101,7 @@ def pairwise_error_ratios(
         np.minimum.reduce(d2, axis=1, out=nearest2[lo:hi])
     # sqrt is monotone and correctly rounded: the root of the minimum
     # is the minimum of the roots, for n_r roots instead of n_r * n_l.
-    return displacement / np.maximum(np.sqrt(nearest2), eps)
+    return displacement / np.maximum(np.sqrt(nearest2), 1e-12)
 
 
 def uncertified(

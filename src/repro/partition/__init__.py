@@ -8,14 +8,12 @@ time on every processor.
 
 from repro.partition.partition import (
     Partition,
-    largest_remainder_round,
     proportional_counts,
     proportional_partition,
 )
 
 __all__ = [
     "Partition",
-    "largest_remainder_round",
     "proportional_counts",
     "proportional_partition",
 ]

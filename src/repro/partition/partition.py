@@ -100,30 +100,6 @@ def proportional_counts(n: int, capacities: Sequence[float]) -> list[int]:
     return counts.tolist()
 
 
-def largest_remainder_round(shares: Sequence[float]) -> list[int]:
-    """Round non-negative real shares to integers preserving their sum.
-
-    The shares must sum to (floating-point approximately) an integer;
-    each rounded count is within one of its share.
-    """
-    arr = np.asarray(shares, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("shares must be a non-empty 1-D sequence")
-    if np.any(arr < 0):
-        raise ValueError("shares must be >= 0")
-    total = arr.sum()
-    n = int(round(total))
-    if abs(total - n) > 1e-6 * max(1.0, abs(total)):
-        raise ValueError(f"shares sum to {total}, not an integer")
-    counts = np.floor(arr).astype(int)
-    remainder = n - int(counts.sum())
-    if remainder:
-        frac = arr - counts
-        order = np.lexsort((np.arange(arr.size), -frac))
-        counts[order[:remainder]] += 1
-    return counts.tolist()
-
-
 def proportional_partition(n: int, capacities: Sequence[float]) -> Partition:
     """Contiguous-block partition with capacity-proportional counts.
 

@@ -8,13 +8,13 @@ window sizes for speculation"*.  This module builds that model.
 The steady-state pipeline of one (symmetric) processor is simulated as
 a stochastic recurrence over iterations::
 
-    F_t = S_t + O_s + C_t + O_v + penalty_t      (compute finishes)
+    F_t = S_t + O_s + C + O_v + penalty_t        (compute finishes)
     A_t = S_t + W_t                              (iteration-t messages arrive)
     S_t = max(F_{t-1}, A_{t-FW} + O_v)           (forward-window constraint)
 
-with per-iteration compute times ``C_t`` and message-arrival delays
-``W_t`` drawn log-normally around the deterministic Section-4 values.
-Without them and without rejections this is the engine's pipelining
+with the Section-4 compute time ``C`` and per-iteration message-arrival
+delays ``W_t`` drawn log-normally around the Section-4 value.  Without
+that spread and without rejections this is the engine's pipelining
 law, :func:`~repro.perfmodel.model.iteration_time`.
 A speculated input that bridged a gap of ``g`` iterations is rejected
 with probability ``p_rej(g) = min(1, k₁ · g^2 · κ(BW))`` — the gap²
@@ -37,6 +37,9 @@ import numpy as np
 
 from repro.perfmodel.model import ModelParams, PerformanceModel, iteration_time
 
+#: Simulated pipeline iterations per estimate (after warm-up).
+MC_ITERATIONS = 4000
+
 
 @dataclass(frozen=True)
 class VariabilityParams:
@@ -47,8 +50,6 @@ class VariabilityParams:
     comm_cv:
         Coefficient of variation of the per-iteration communication
         time (log-normal; 0 = the deterministic Section-4 model).
-    comp_cv:
-        Coefficient of variation of the compute time (background load).
     k1:
         Rejection probability of a gap-1 speculation (the measured
         Table-3 operating point, e.g. 0.02 at θ = 0.01).
@@ -63,14 +64,13 @@ class VariabilityParams:
     """
 
     comm_cv: float = 0.0
-    comp_cv: float = 0.0
     k1: float = 0.02
     bw_discount: float = 1.0
     correction_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.comm_cv < 0 or self.comp_cv < 0:
-            raise ValueError("coefficients of variation must be >= 0")
+        if self.comm_cv < 0:
+            raise ValueError("comm_cv must be >= 0")
         if not 0 <= self.k1 <= 1:
             raise ValueError("k1 must be in [0, 1]")
         if not 0 < self.bw_discount <= 1:
@@ -107,8 +107,6 @@ class ExtendedPerformanceModel:
         counts, t_comm).
     variability:
         Stochastic and window parameters.
-    mc_iterations:
-        Simulated pipeline iterations per estimate (after warm-up).
     seed:
         Monte-Carlo seed (estimates are deterministic given it).
     """
@@ -117,14 +115,10 @@ class ExtendedPerformanceModel:
         self,
         params: ModelParams,
         variability: VariabilityParams,
-        mc_iterations: int = 4000,
         seed: int = 0,
     ) -> None:
-        if mc_iterations < 10:
-            raise ValueError("mc_iterations must be >= 10")
         self.params = params
         self.variability = variability
-        self.mc_iterations = mc_iterations
         self.seed = seed
         self._base = PerformanceModel(params)
 
@@ -142,8 +136,8 @@ class ExtendedPerformanceModel:
             return self._base.t_serial()
         var = self.variability
         rng = np.random.default_rng(self.seed)
-        warmup = max(50, self.mc_iterations // 10)
-        total = self.mc_iterations + warmup
+        warmup = max(50, MC_ITERATIONS // 10)
+        total = MC_ITERATIONS + warmup
 
         comm = self.params.t_comm(p)
         if fw == 0:
@@ -153,10 +147,9 @@ class ExtendedPerformanceModel:
         else:  # the bottleneck: the rank with the largest Eq.-8 time
             rank = max(range(p), key=lambda i: self._base.t_spec_rank(p, i))
             spec, comp, check, _ = self._base.spec_terms(p, rank)
-        comp_draws = comp * _lognormal_factors(rng, var.comp_cv, total)
         comm_draws = comm * _lognormal_factors(rng, var.comm_cv, total)
         if fw == 0:
-            return float(iteration_time(0, comp_draws, comm_draws)[warmup:].mean())
+            return float(iteration_time(0, comp, comm_draws)[warmup:].mean())
         reject_draws = rng.uniform(size=total)
 
         finish = 0.0  # F_{t-1}
@@ -172,8 +165,8 @@ class ExtendedPerformanceModel:
             v = next((j for j in range(t - 1, max(t - fw - 1, -1), -1)
                       if arrivals[j] <= start), -1)
             p_rej = var.rejection_probability(max(1, min(t - v, fw)), bw)
-            penalty = var.correction_fraction * comp_draws[t] if reject_draws[t] < p_rej else 0.0
-            finish = start + spec + comp_draws[t] + check + penalty
+            penalty = var.correction_fraction * comp if reject_draws[t] < p_rej else 0.0
+            finish = start + spec + comp + check + penalty
         return float((finish - starts[warmup]) / (total - warmup))
 
     def optimal_fw(self, p: int, bw: int = 2, max_fw: int = 6) -> int:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from repro.partition import largest_remainder_round
-
 
 def iteration_time(f: int, work: float, latency: float, speculate: float = 0.0,
                    check: float = 0.0, correct: float = 0.0) -> float:
@@ -78,10 +76,6 @@ class ModelParams:
     k:
         Fraction of a processor's variables recomputed per iteration
         because of speculation errors (the paper's "% recomputations").
-    integer_counts:
-        Round the variable allocation to integers (largest remainder)
-        instead of using ideal real-valued shares.  The paper's closed
-        forms correspond to ``False``.
     allocation:
         ``"compute"`` — the paper's literal Eq. 4–5: balance only the
         computation phase (N_i ∝ M_i).  ``"total"`` — balance the whole
@@ -107,7 +101,6 @@ class ModelParams:
     f_check: float
     t_comm: Callable[[int], float]
     k: float = 0.0
-    integer_counts: bool = False
     allocation: str = "compute"
 
     def __post_init__(self) -> None:
@@ -153,13 +146,9 @@ class PerformanceModel:
             raise ValueError(f"p must be in [1, {pr.max_procs}]")
         caps = pr.capacities[:p]
         if pr.allocation == "total" and p > 1:
-            counts = self._total_balanced(pr.n, caps)
-        else:
-            total = sum(caps)
-            counts = [pr.n * c / total for c in caps]
-        if pr.integer_counts:
-            return [float(c) for c in largest_remainder_round(counts)]
-        return counts
+            return self._total_balanced(pr.n, caps)
+        total = sum(caps)
+        return [pr.n * c / total for c in caps]
 
     def _total_balanced(self, n: int, caps: Sequence[float]) -> list[float]:
         """N_i equalising per-processor speculative workload.
@@ -261,11 +250,10 @@ class PerformanceModel:
         return sum(caps) / caps[0]
 
     # ------------------------------------------------------------- curves
-    def speedup_curves(self, p_values: Sequence[int] | None = None) -> dict[str, list[float]]:
-        """The Fig. 5 dataset: speedups vs p for all three curves."""
-        if p_values is None:
-            p_values = range(1, self.params.max_procs + 1)
-        ps = list(p_values)
+    def speedup_curves(self) -> dict[str, list[float]]:
+        """The Fig. 5 dataset: speedups vs p = 1..max_procs for all
+        three curves."""
+        ps = range(1, self.params.max_procs + 1)
         return {
             "p": [float(p) for p in ps],
             "no_speculation": [self.speedup_nospec(p) for p in ps],
@@ -286,10 +274,10 @@ class PerformanceModel:
             "no_speculation": [nospec] * len(spec),
         }
 
-    def crossover_k(self, p: int, tol: float = 1e-9) -> float:
+    def crossover_k(self, p: int) -> float:
         """The k at which speculation stops paying off at p processors.
 
-        Found by bisection on ``t_spec(p; k) - t_nospec(p)``; returns
+        Found by bisection on ``t_spec(p; k) - t_nospec(p)`` to 1e-9; returns
         ``1.0`` if speculation wins even at k = 1.
         """
         target = self.t_nospec(p)
@@ -302,7 +290,7 @@ class PerformanceModel:
         if gain(0.0) <= 0:
             return 0.0
         lo, hi = 0.0, 1.0
-        while hi - lo > tol:
+        while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             if gain(mid) > 0:
                 lo = mid
@@ -313,7 +301,6 @@ class PerformanceModel:
 
 def section4_params(
     n: int = 1000,
-    p_max: int = 16,
     fastest: float = 120e6,
     ratio: float = 10.0,
     f_comp: float = 7000.0,
@@ -322,15 +309,16 @@ def section4_params(
 ) -> ModelParams:
     """The parameter study of Section 4 (used for Fig. 5 and Fig. 6).
 
-    * capacities fall linearly with M_1 = ``ratio`` × M_{p_max};
+    * 16 capacities fall linearly with M_1 = ``ratio`` × M_16;
     * f_comp = 100 · f_spec = 50 · f_check;
     * t_comm(p) grows linearly in p and equals the computation time per
-      iteration at p = p_max.
+      iteration at p = 16.
 
     ``allocation`` defaults to ``"total"`` because the paper's literal
     compute-only balancing (``"compute"``) contradicts its own Fig. 5
     at this heterogeneity — see :class:`ModelParams` for the analysis.
     """
+    p_max = 16
     caps = tuple(
         fastest - i * (fastest - fastest / ratio) / (p_max - 1) for i in range(p_max)
     )

@@ -23,7 +23,7 @@ backwards through the cost model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.des import Environment
@@ -166,18 +166,17 @@ def wustl_1994(
 def two_processor_demo(
     compute_seconds: float = 1.0,
     comm_seconds: float = 1.5,
-    ops_per_iteration: float = 1e6,
     spikes: Sequence[Spike] = (),
 ) -> PlatformConfig:
     """The Fig. 2 / Fig. 4 illustration: two equal processors, one slow
     channel with a fixed message delay.
 
-    ``ops_per_iteration`` is the compute cost the paired program should
-    use so one iteration takes ``compute_seconds``.
+    One iteration of 1e6 ops (the toy programs' default compute cost)
+    takes ``compute_seconds``.
     """
     if compute_seconds <= 0 or comm_seconds <= 0:
         raise ValueError("times must be positive")
-    capacity = ops_per_iteration / compute_seconds
+    capacity = 1e6 / compute_seconds
     specs = [ProcessorSpec("P1", capacity), ProcessorSpec("P2", capacity)]
 
     def network_factory(env: Environment) -> Network:

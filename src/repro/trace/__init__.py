@@ -7,7 +7,7 @@ aggregators here turn those traces into the paper's artifacts:
 Table 2's per-phase time breakdown and the Fig. 2 / Fig. 4 timelines.
 """
 
-from repro.trace.events import EVENT_KINDS, EventLog, TraceEvent, split_tag
+from repro.trace.events import EVENT_KINDS, EventLog, TraceEvent
 from repro.trace.gantt import render_gantt
 from repro.trace.phases import (
     PHASES,
@@ -27,5 +27,4 @@ __all__ = [
     "TraceEvent",
     "merge_breakdowns",
     "render_gantt",
-    "split_tag",
 ]

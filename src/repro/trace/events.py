@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.trace.records import record
 
@@ -77,24 +77,6 @@ class TraceHeader:
     iterations: int
     max_fw: int
     hist_cap: int
-
-
-def split_tag(tag: Hashable) -> Tuple[Optional[str], Optional[int]]:
-    """Decompose a protocol tag into ``(family, iteration)``.
-
-    The protocol convention is ``(family, iteration)`` tuples; a pair
-    whose second item is not an integer keeps the family and drops the
-    remainder.  Anything else maps to ``(str(tag) or None, None)``.
-    """
-    if tag is None:
-        return None, None
-    if isinstance(tag, tuple) and len(tag) == 2:
-        family = tag[0] if isinstance(tag[0], str) else str(tag[0])
-        iteration = tag[1] if isinstance(tag[1], int) else None
-        return family, iteration
-    if isinstance(tag, str):
-        return tag, None
-    return str(tag), None
 
 
 @record
@@ -220,13 +202,6 @@ class EventLog:
         self._next_seq[rank] = seq + 1
         self.events.append(event)
         return event
-
-    def record_message(
-        self, kind: str, rank: int, time: float, peer: int, tag: Hashable,
-    ) -> TraceEvent:
-        """Record a send/recv, splitting ``tag`` into family + iteration."""
-        family, iteration = split_tag(tag)
-        return self.record(kind, rank, time, peer, family, iteration)
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         """Merge pre-sequenced events (e.g. from a worker process).

@@ -12,8 +12,8 @@ from typing import Mapping, Optional, Sequence
 
 from repro.trace.phases import PhaseTrace
 
-#: Default one-character glyphs per phase.
-DEFAULT_GLYPHS: Mapping[str, str] = {
+#: One-character glyph per phase.
+GLYPHS: Mapping[str, str] = {
     "compute": "C",
     "comm": "-",
     "spec": "s",
@@ -27,8 +27,6 @@ def render_gantt(
     traces: Sequence[PhaseTrace],
     width: int = 80,
     t_end: Optional[float] = None,
-    glyphs: Optional[Mapping[str, str]] = None,
-    legend: bool = True,
 ) -> str:
     """Render processor traces as an ASCII timeline.
 
@@ -41,23 +39,17 @@ def render_gantt(
     t_end:
         Time mapped to the right edge; defaults to the latest interval
         end over all traces.
-    glyphs:
-        Override the phase → character mapping.
-    legend:
-        Append a glyph legend below the chart.
 
     Returns
     -------
-    A multi-line string.  When several phases fall in the same bucket,
-    the phase covering the most time in that bucket wins.
+    A multi-line string with a glyph legend below the chart.  When
+    several phases fall in the same bucket, the phase covering the most
+    time in that bucket wins.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if not traces:
         return "(no traces)\n"
-    chars = dict(DEFAULT_GLYPHS)
-    if glyphs:
-        chars.update(glyphs)
 
     if t_end is None:
         ends = [max((i.end for i in t.intervals), default=0.0) for t in traces]
@@ -89,14 +81,13 @@ def render_gantt(
                 row.append(" ")
             else:
                 phase = max(bucket.items(), key=lambda kv: kv[1])[0]
-                row.append(chars.get(phase, "?"))
+                row.append(GLYPHS.get(phase, "?"))
         lines.append(f"P{trace.rank:<3d}|{''.join(row)}|")
 
     out = "\n".join(lines)
     axis = f"    t=0{' ' * max(0, width - len(f'{t_end:.3g}') - 4)}t={t_end:.3g}"
     out += "\n" + axis
-    if legend:
-        used = {iv.phase for t in traces for iv in t.intervals}
-        entries = [f"{chars.get(p, '?')}={p}" for p in sorted(used)]
-        out += "\n    legend: " + "  ".join(entries)
+    used = {iv.phase for t in traces for iv in t.intervals}
+    entries = [f"{GLYPHS.get(p, '?')}={p}" for p in sorted(used)]
+    out += "\n    legend: " + "  ".join(entries)
     return out + "\n"

@@ -6,7 +6,6 @@ from typing import Callable, Generator, Optional, Sequence
 
 from repro.des import AllOf, Environment, Process
 from repro.netsim.network import DelayNetwork, Network
-from repro.trace.events import EventLog
 from repro.vm.processor import VirtualProcessor
 from repro.vm.specs import ProcessorSpec
 
@@ -27,12 +26,6 @@ class Cluster:
     env:
         Supply an environment to share it with other simulation
         components; otherwise a fresh one is created.
-    event_log:
-        Optional :class:`~repro.trace.events.EventLog`; when present,
-        every processor send/receive (and the drivers'
-        speculate/verify/correct steps) is recorded into it, ready for
-        ``repro analyze --trace`` replay.  None (default) = zero
-        overhead.
 
     Examples
     --------
@@ -51,13 +44,10 @@ class Cluster:
         specs: Sequence[ProcessorSpec],
         network_factory: Optional[Callable[[Environment], Network]] = None,
         env: Optional[Environment] = None,
-        event_log: Optional[EventLog] = None,
     ) -> None:
         if not specs:
             raise ValueError("cluster needs at least one processor")
         self.env = env if env is not None else Environment()
-        #: Protocol trace-event recorder (None = recording off).
-        self.event_log: Optional[EventLog] = event_log
         self.network: Network = (
             network_factory(self.env) if network_factory else DelayNetwork(self.env)
         )

@@ -75,7 +75,7 @@ class Message:
     payload: Any
     nbytes: int
     sent_at: float
-    delivered_at: Optional[float] = field(default=None, compare=False)
+    delivered_at: Optional[float] = field(default=None, init=False, compare=False)
 
     def mark_delivered(self, now: float) -> None:
         """Stamp the delivery time (exactly once, at mailbox arrival)."""

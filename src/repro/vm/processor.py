@@ -72,10 +72,6 @@ class VirtualProcessor:
             raise ValueError(f"invalid destination rank {dst}")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         msg = Message(self.rank, dst, tag, payload, size, self.env.now)
-        if self.cluster.event_log is not None:
-            self.cluster.event_log.record_message(
-                "send", self.rank, self.env.now, peer=dst, tag=tag
-            )
         delivery = self.cluster.network.transmit(self.rank, dst, size)
         mailbox = self.cluster.processors[dst].mailbox
 
@@ -105,10 +101,6 @@ class VirtualProcessor:
             None if src is None and tag is None else lambda m: m.matches(src, tag)
         )
         self.trace.record(phase, start, self.env.now, iteration)
-        if self.cluster.event_log is not None:
-            self.cluster.event_log.record_message(
-                "recv", self.rank, self.env.now, peer=msg.src, tag=msg.tag
-            )
         if self.env.sanitizer is not None:
             self.env.sanitizer.note(
                 f"rank {self.rank}: recv src={msg.src} tag={msg.tag!r} "
@@ -116,18 +108,11 @@ class VirtualProcessor:
             )
         return msg
 
-    def try_recv(self, src: Optional[int] = None, tag: Hashable = None) -> Optional[Message]:
-        """Non-blocking receive: matching message or None (no time passes)."""
-        found = self.mailbox.peek(
-            None if src is None and tag is None else lambda m: m.matches(src, tag)
-        )
-        if found is None:
-            return None
-        self.mailbox.items.remove(found)
-        if self.cluster.event_log is not None:
-            self.cluster.event_log.record_message(
-                "recv", self.rank, self.env.now, peer=found.src, tag=found.tag
-            )
+    def try_recv(self) -> Optional[Message]:
+        """Non-blocking receive: the oldest message or None (no time passes)."""
+        found = self.mailbox.peek()
+        if found is not None:
+            self.mailbox.items.popleft()
         return found
 
     def __repr__(self) -> str:

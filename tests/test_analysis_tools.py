@@ -120,19 +120,20 @@ def test_select_rejects_unknown_and_foreign_codes(tool):
 
 @every_tool
 @pytest.mark.parametrize("spelling", [t.name for t in TOOLS])
-def test_any_familys_directive_silences_a_finding(tool, spelling):
+def test_any_familys_directive_silences_a_finding(tool, spelling, tmp_path):
     bad, _good, code, _other = _case(tool)
-    source = bad.read_text()
-    found = [d for d in tool.analyze(ProgramIndex(sources={"<t>": source})) if d.code == code]
+    found = [d for d in tool.analyze(ProgramIndex([bad])) if d.code == code]
     assert found
-    lines = source.splitlines()
+    lines = bad.read_text().splitlines()
     for line in {d.line for d in found}:
         lines[line - 1] += f"  # {spelling}: disable={code}"
-    silenced = tool.analyze(ProgramIndex(sources={"<t>": "\n".join(lines) + "\n"}))
+    quiet = tmp_path / bad.name
+    quiet.write_text("\n".join(lines) + "\n")
+    silenced = tool.analyze(ProgramIndex([quiet]))
     assert code not in _codes(silenced)
 
 
-def test_directive_spellings_are_the_tool_names():
+def test_directive_spellings_are_the_tool_names(tmp_path):
     """One suppression spelling per family: the directive regexes accept
     exactly the tool names, and a folded family's spelling is gone."""
     names = {tool.name for tool in TOOLS}
@@ -145,19 +146,21 @@ def test_directive_spellings_are_the_tool_names():
     assert per_line == {} and file_wide == set()
     specbound = next(tool for tool in TOOLS if tool.name == "specbound")
     ring_scan = TESTS / "specbound_fixtures" / "bad_spp204_ringscan.py"
-    source = ring_scan.read_text().replace(
+    respelled = tmp_path / ring_scan.name
+    respelled.write_text(ring_scan.read_text().replace(
         "# SPP204", "# specperf: disable=SPP204"
-    )
-    assert _codes(specbound.analyze(ProgramIndex(sources={"<t>": source}))) == ["SPP204"]
+    ))
+    assert _codes(specbound.analyze(ProgramIndex([respelled]))) == ["SPP204"]
 
 
 @every_tool
-def test_syntax_error_yields_the_tools_000_code(tool):
-    diags = tool.analyze(ProgramIndex(sources={"broken.py": "def broken(:\n"}))
-    assert [(d.path, d.code) for d in diags] == [("broken.py", tool.syntax_code)]
+def test_syntax_error_yields_the_tools_000_code(tool, tmp_path):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    diags = tool.analyze(ProgramIndex([broken]))
+    assert [(d.path, d.code) for d in diags] == [(str(broken), tool.syntax_code)]
     # ... whatever is selected: an unparseable file is never silent.
-    selected = tool.analyze(ProgramIndex(sources={"<string>": "def broken(:\n"}),
-                            select=[min(tool.rules)])
+    selected = tool.analyze(ProgramIndex([broken]), select=[min(tool.rules)])
     assert _codes(selected) == [tool.syntax_code]
 
 

@@ -28,13 +28,6 @@ def test_validation():
     system = uniform_cube(10, seed=0)
     with pytest.raises(ValueError):
         NBodyProgram(system, [1.0, 1.0], 5, dt=0.0)
-    from repro.partition import proportional_partition
-
-    with pytest.raises(ValueError):
-        NBodyProgram(system, [1.0, 1.0], 5,
-                     partition=proportional_partition(10, [1.0] * 3))
-    with pytest.raises(ValueError):
-        NBodyProgram(system, [1.0], 5, partition=proportional_partition(9, [1.0]))
 
 
 def test_fw0_matches_serial_reference():

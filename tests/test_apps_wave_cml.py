@@ -33,11 +33,6 @@ def test_wave_validation():
         WaveEquation1D(np.zeros((2, 2)), [1.0], 5)
     with pytest.raises(ValueError):
         WaveEquation1D(np.zeros(10), [1.0, 1.0], 5, courant=1.5)
-    from repro.partition import Partition
-
-    interleaved = Partition(10, (np.arange(0, 10, 2), np.arange(1, 10, 2)))
-    with pytest.raises(ValueError):
-        WaveEquation1D(np.zeros(10), [1.0, 1.0], 5, partition=interleaved)
 
 
 def test_wave_topology():

@@ -12,8 +12,6 @@ def test_octree_validation():
         Octree(np.zeros((3, 2)), np.ones(3))
     with pytest.raises(ValueError):
         Octree(np.zeros((3, 3)), np.ones(4))
-    with pytest.raises(ValueError):
-        Octree(np.zeros((3, 3)), np.ones(3), leaf_size=0)
 
 
 def test_octree_empty_and_single():

@@ -15,13 +15,8 @@ def test_max_rel_error_scale_free():
 
 
 def test_max_rel_error_eps_guards_zero():
-    m = MaxRelativeError(eps=1e-6)
+    m = MaxRelativeError()
     assert np.isfinite(m.error(np.array([1.0]), np.array([0.0])))
-
-
-def test_max_rel_error_eps_validation():
-    with pytest.raises(ValueError):
-        MaxRelativeError(eps=0)
 
 
 def test_shape_mismatch_rejected():

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_start():
-    env = Environment(initial_time=10.0)
-    assert env.now == 10.0
-
-
 def test_timeout_advances_clock():
     env = Environment()
 
@@ -103,7 +98,8 @@ def test_run_until_time_stops_clock():
 
 
 def test_run_until_time_in_past_rejected():
-    env = Environment(initial_time=5)
+    env = Environment()
+    env.run(until=5)
     with pytest.raises(SimulationError):
         env.run(until=3)
 
@@ -286,7 +282,8 @@ def test_schedule_into_past_rejected():
 def test_succeed_at_lands_on_the_absolute_time():
     """Counted down from 0.2, 0.9 becomes 0.2 + (0.9 - 0.2) =
     0.8999999999999999; scheduled absolutely it is 0.9."""
-    env = Environment(initial_time=0.2)
+    env = Environment()
+    env.run(until=0.2)
     evt = env.event().succeed("done", at=0.9)
     assert evt.triggered and not evt.processed
     assert env.run(until=evt) == "done"
@@ -294,7 +291,8 @@ def test_succeed_at_lands_on_the_absolute_time():
 
 
 def test_succeed_at_into_past_rejected():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.event().succeed(at=4.0)
     with pytest.raises(SimulationError):

@@ -84,7 +84,6 @@ def test_store_peek_and_count():
         store.put(item)
     assert env.peek() == float("inf")  # a put costs no calendar event
     assert store.peek() == 1
-    assert store.peek(filter=lambda x: x > 1) == 2
     assert len(store) == 3
 
 
@@ -92,7 +91,6 @@ def test_store_peek_empty_returns_none():
     env = Environment()
     store = Store(env)
     assert store.peek() is None
-    assert store.peek(filter=lambda x: True) is None
 
 
 def test_multiple_consumers_fifo_service():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.netsim import ConstantLatency, DelayNetwork
-from repro.partition import largest_remainder_round
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement, RandomDrift
@@ -81,18 +80,6 @@ def test_driver_needed_validation():
     prog = BadNeeded(nprocs=2, iterations=2)
     with pytest.raises(ValueError, match="invalid needed set"):
         run(RunConfig(prog, fw=1, cluster=make_cluster(2)))
-
-
-def test_largest_remainder_round():
-    assert largest_remainder_round([1.5, 1.5]) == [2, 1]
-    assert largest_remainder_round([2.0, 3.0]) == [2, 3]
-    assert sum(largest_remainder_round([0.3, 0.3, 0.4])) == 1
-    with pytest.raises(ValueError):
-        largest_remainder_round([])
-    with pytest.raises(ValueError):
-        largest_remainder_round([-1.0, 2.0])
-    with pytest.raises(ValueError):
-        largest_remainder_round([0.5, 0.7])  # sums to 1.2: not integral
 
 
 def test_send_ops_charged_to_sender():

@@ -59,11 +59,10 @@ def test_jumpy_program_defeats_extrapolation():
 
 
 def test_toy_cost_model():
-    prog = ConstantProgram(nprocs=2, iterations=3, ops_per_compute=100.0,
-                           spec_cost_fraction=0.1, check_cost_fraction=0.2)
+    prog = ConstantProgram(nprocs=2, iterations=3, ops_per_compute=100.0)
     assert prog.compute_ops(0) == 100.0
-    assert prog.speculate_ops(0, 1) == pytest.approx(10.0)
-    assert prog.check_ops(0, 1) == pytest.approx(20.0)
+    assert prog.speculate_ops(0, 1) == pytest.approx(5.0)
+    assert prog.check_ops(0, 1) == pytest.approx(5.0)
     assert prog.block_nbytes(0) == 64
 
 

@@ -132,8 +132,8 @@ def test_ratio_kernel_floors_coincident_particles_like_the_oracle():
     rng = np.random.default_rng(4)
     actual = blocks(rng, 9)[:, :3]
     speculated = actual + 1e-3
-    got = pairwise_error_ratios(speculated, actual, actual, eps=1e-9)
-    assert np.array_equal(got, einsum_ratios(speculated, actual, actual, eps=1e-9))
+    got = pairwise_error_ratios(speculated, actual, actual)
+    assert np.array_equal(got, einsum_ratios(speculated, actual, actual))
     assert np.isfinite(got).all()
 
 

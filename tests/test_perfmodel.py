@@ -72,13 +72,6 @@ def test_allocation_proportional():
     assert n1 / n2 == pytest.approx(2.0)
 
 
-def test_allocation_integer_mode():
-    m = PerformanceModel(simple_params(integer_counts=True))
-    counts = m.allocation(2)
-    assert counts == [round(c) for c in counts]
-    assert sum(counts) == 100
-
-
 def test_allocation_bounds():
     m = PerformanceModel(simple_params())
     with pytest.raises(ValueError):

@@ -14,11 +14,10 @@ from repro.perfmodel import (
 )
 
 
-def model(comm_cv=0.0, comp_cv=0.0, k1=0.02, bw_discount=1.0, seed=1, **kw):
+def model(comm_cv=0.0, k1=0.02, bw_discount=1.0, seed=1, **kw):
     return ExtendedPerformanceModel(
         section4_params(k=0.02),
-        VariabilityParams(comm_cv=comm_cv, comp_cv=comp_cv, k1=k1,
-                          bw_discount=bw_discount, **kw),
+        VariabilityParams(comm_cv=comm_cv, k1=k1, bw_discount=bw_discount, **kw),
         seed=seed,
     )
 
@@ -138,8 +137,6 @@ def test_estimates_deterministic_given_seed():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        ExtendedPerformanceModel(section4_params(), VariabilityParams(), mc_iterations=5)
     m = model()
     with pytest.raises(ValueError):
         m.expected_iteration_time(8, -1)

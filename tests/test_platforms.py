@@ -66,8 +66,7 @@ def test_wustl_calibration_against_table2():
 
 
 def test_two_processor_demo_shape():
-    plat = two_processor_demo(compute_seconds=2.0, comm_seconds=1.0,
-                              ops_per_iteration=1e6)
+    plat = two_processor_demo(compute_seconds=2.0, comm_seconds=1.0)
     assert plat.nprocs == 2
     assert plat.capacities() == [5e5, 5e5]
     with pytest.raises(ValueError):

@@ -110,6 +110,7 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
     import repro.des.events
     import repro.des.resources
     import repro.platforms
+    import repro.trace
     import repro.vm
     from repro.engine.sanitizer import ProtocolSanitizer
     from repro.vm import Cluster, uniform_specs
@@ -141,6 +142,15 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
 
     assert "load" not in params(repro.vm.VirtualProcessor)
     assert "loads" not in params(Cluster)
+    # One trace-recording seat on the DES: DESTransport, as on the
+    # other backends; the processor and the cluster record nothing.
+    assert "event_log" not in params(Cluster)
+    assert not hasattr(Cluster(uniform_specs(1)), "event_log")
+    assert params(repro.vm.VirtualProcessor.try_recv) == {"self"}
+    assert not hasattr(repro.trace.EventLog, "record_message")
+    assert not hasattr(repro.trace, "split_tag")
+    for path in (PACKAGE / "vm").glob("*.py"):
+        assert "repro.trace.events" not in _imports(_module_name(path), path), path
     assert "loads" not in repro.platforms.PlatformConfig.__dataclass_fields__
     assert "background_load" not in params(repro.platforms.wustl_1994)
     assert params(repro.cli._mp_flags) == {"args"}
@@ -248,10 +258,25 @@ def _code_words(path):
             for word in re.findall(r"\w+", token.string)]
 
 
-#: Public names that only tests call and that stay, each with its reason.
+#: Public names that only tests call, and parameters only tests pass,
+#: that stay, each with its reason.
 TEST_ONLY = {
     "nbody/particles.py::ParticleSystem.total_energy":
         "the energy-conservation oracle of tests/test_nbody_physics.py",
+    "cli.py::main(argv=)":
+        "the console entry point; tests drive the CLI in-process through it",
+    "harness/experiments.py::fig4_forward_window(spike_extra=)":
+        "tier-1 runs the paper's experiments at reduced size through it",
+    "harness/experiments.py::fig6_error_sensitivity(k_values=)":
+        "tier-1 runs the paper's experiments at reduced size through it",
+    "harness/experiments.py::fig8_nbody_speedup(ps=)":
+        "tier-1 runs the paper's experiments at reduced size through it",
+    "harness/experiments.py::table3_threshold_sweep(thetas=)":
+        "tier-1 runs the paper's experiments at reduced size through it",
+    "harness/experiments.py::fig9_model_vs_measured(ps=)":
+        "tier-1 runs the paper's experiments at reduced size through it",
+    "trace/events.py::EventLog(max_events=)":
+        "specbound's SPB406 names it as the remedy in its message",
 }
 
 
@@ -270,20 +295,106 @@ def _public_defs(tree):
                     yield f"{node.name}.{member.name}", member
 
 
+def _is_frozen_dataclass(node):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                       for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def _init_fields(node):
+    """A frozen dataclass's ``__init__`` fields: (name, has a default)."""
+    for member in node.body:
+        if (not isinstance(member, ast.AnnAssign)
+                or not isinstance(member.target, ast.Name)
+                or "ClassVar" in ast.unparse(member.annotation)):
+            continue
+        value = member.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            yield member.target.id, bool({"default", "default_factory"} & set(keywords))
+        else:
+            yield member.target.id, value is not None
+
+
+def _defaulted_parameters(tree):
+    """``(label, callee, position, parameter)`` for each parameter with a
+    default of a module's public functions and methods (``__init__``
+    included; ``callee`` is the name a call uses, the class's for
+    ``__init__``) and each defaulted field of its frozen dataclasses.
+    ``position`` is the number of positional arguments a call needs to
+    reach the parameter, None for a keyword-only one."""
+    def signature(func, label, callee, bound):
+        args = func.args
+        positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+        for i, name in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                yield f"{label}({name}=)", callee, i + 1, name
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{label}({arg.arg}=)", callee, None, arg.arg
+
+    for qualified, node in _public_defs(tree):
+        if isinstance(node, ast.ClassDef):
+            if _is_frozen_dataclass(node):
+                names = list(_init_fields(node))
+                for i, (name, has_default) in enumerate(names):
+                    if has_default:
+                        yield f"{qualified}({name}=)", qualified, i + 1, name
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    yield from signature(member, qualified, qualified, 1)
+            continue
+        owner, _, name = qualified.rpartition(".")
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in node.decorator_list)
+        if not any(getattr(d, "id", None) == "property" for d in node.decorator_list):
+            yield from signature(node, qualified, name, 0 if static or not owner else 1)
+
+
+def _passed(paths):
+    """What the code of ``paths`` passes: the keyword names of its calls
+    and the string keys of its dict displays, and for each callee name
+    the most positional arguments any call gives it (a ``*`` argument
+    reaches every position)."""
+    keywords, reach = set(), {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict):
+                keywords.update(k.value for k in node.keys if isinstance(k, ast.Constant)
+                                and isinstance(k.value, str))
+            elif isinstance(node, ast.Call):
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+                reach[callee] = max(reach.get(callee, 0), count)
+    return keywords, reach
+
+
 def test_every_public_name_has_a_caller():
     # A public name of src/repro (top-level function or class, or a
     # method or property of such a class) must be named by the code of
     # another non-__init__ file of src/repro, benchmarks, examples,
     # scripts or bench, or used by its own module's code outside its
-    # definition and its __all__.  A name only tests call is dead code.
+    # definition and its __all__.  A parameter with a default of a
+    # public function or method, or a defaulted field of a frozen
+    # dataclass, must be passed by the code of one of those files or
+    # any __init__: by keyword to any callee, as a string key of a dict
+    # display, or positionally to a callee of its name.  A name only
+    # tests call, or a parameter only tests pass, is dead code.
     root = PACKAGE.parent.parent
     paths = [path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py"]
     for folder in ("benchmarks", "examples", "scripts", "bench"):
         paths.extend((root / folder).rglob("*.py"))
     callers = {path: {word for _, word in _code_words(path)} for path in paths}
+    keywords, reach = _passed([*paths, *PACKAGE.rglob("__init__.py")])
     uncalled = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(PACKAGE)
         words = _code_words(path)
         exports = [node for node in tree.body if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
@@ -297,9 +408,15 @@ def test_every_public_name_has_a_caller():
                 continue
             if not any(name in other_words for other, other_words in callers.items()
                        if other != path):
-                uncalled.append(f"{path.relative_to(PACKAGE)}::{qualified}")
+                uncalled.append(f"{where}::{qualified}")
+        for label, callee, position, parameter in _defaulted_parameters(tree):
+            if parameter in keywords:
+                continue
+            if position is not None and reach.get(callee, 0) >= position:
+                continue
+            uncalled.append(f"{where}::{label}")
     dead = [name for name in uncalled if name not in TEST_ONLY]
-    assert not dead, "only tests call:\n" + "\n".join(dead)
+    assert not dead, "only tests call or pass:\n" + "\n".join(dead)
     stale = set(TEST_ONLY) - set(uncalled)
     assert not stale, f"these have a caller now, drop their exemption: {stale}"
 

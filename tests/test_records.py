@@ -29,7 +29,7 @@ def twin_of(cls: type) -> type:
     namespace = {"__repr__": cls.__repr__} if cls is Message else {}
     return dataclasses.make_dataclass(
         cls.__name__,
-        [(f.name, f.type, field(default=f.default, compare=f.compare))
+        [(f.name, f.type, field(default=f.default, init=f.init, compare=f.compare))
          for f in fields(cls)],
         frozen=True, order=params.order, namespace=namespace,
     )
@@ -53,7 +53,7 @@ def test_a_record_is_its_stock_twin_but_for_how_it_is_filled(cls):
     assert signature(cls) == signature(twin)
     assert cls.__match_args__ == twin.__match_args__
 
-    names = [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls) if f.init]
     required = [f.name for f in fields(cls) if f.default is dataclasses.MISSING]
     values = dict(zip(names, range(1, len(names) + 1)))
     for build in (
@@ -144,4 +144,4 @@ def test_record_refuses_what_its_init_would_not_emulate():
         @record
         @dataclass(frozen=True)
         class Derived:
-            x: int = field(init=False, default=0)
+            x: int = field(init=False)

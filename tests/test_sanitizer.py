@@ -243,7 +243,7 @@ def test_env_flag_arms_driver(monkeypatch):
 
 
 def test_selftest_passes():
-    assert run_selftest(verbose=False) == 0
+    assert run_selftest() == 0
 
 
 def test_cli_sanitize_selftest(capsys):

@@ -44,8 +44,11 @@ from tests.toy_programs import CoupledIncrement
 SPECBOUND = next(tool for tool in TOOLS if tool.name == "specbound")
 
 
-def analyze_source(source, path="<string>"):
-    return SPECBOUND.analyze(ProgramIndex(sources={path: source}))
+def analyze_source(tmp_path, source, name="t.py"):
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return SPECBOUND.analyze(ProgramIndex([path]))
 
 
 def analyze_paths(paths):
@@ -201,11 +204,11 @@ def test_any_family_spelling_carries_spb_codes():
     ],
     ids=["nested-def", "lambda", "class-body"],
 )
-def test_spb405_clamp_scope(clamp, fires):
+def test_spb405_clamp_scope(tmp_path, clamp, fires):
     """A ``max_fw`` in a nested ``def`` is another function's clamp;
     one in a lambda or a class body is this function's."""
     source = f"def widen(fw):\n{clamp}    return fw + 1\n"
-    codes = [d.code for d in analyze_source(source, path="<t>")]
+    codes = [d.code for d in analyze_source(tmp_path, source)]
     assert codes == (["SPB405"] if fires else [])
 
 
@@ -282,10 +285,10 @@ def _healthy_log():
     log = EventLog(header=HEADER)
     for t in range(1, 4):
         base = float(t)
-        log.record_message("send", 0, base, peer=1, tag=("vars", t))
-        log.record_message("send", 1, base, peer=0, tag=("vars", t))
-        log.record_message("recv", 0, base + 0.4, peer=1, tag=("vars", t))
-        log.record_message("recv", 1, base + 0.4, peer=0, tag=("vars", t))
+        log.record("send", 0, base, 1, "vars", t)
+        log.record("send", 1, base, 0, "vars", t)
+        log.record("recv", 0, base + 0.4, 1, "vars", t)
+        log.record("recv", 1, base + 0.4, 0, "vars", t)
     log.record("correct", 0, 4.0, peer=1, family="vars", iteration=3,
                args=(3,))
     return log
@@ -295,8 +298,8 @@ def _flooded_log(depth=5):
     """Rank 0 fires `depth` sends at rank 1 before a single recv."""
     log = EventLog(header=HEADER)
     for t in range(1, depth + 1):
-        log.record_message("send", 0, float(t), peer=1, tag=("vars", t))
-    log.record_message("recv", 1, float(depth + 1), peer=0, tag=("vars", 1))
+        log.record("send", 0, float(t), 1, "vars", t)
+    log.record("recv", 1, float(depth + 1), 0, "vars", 1)
     return log
 
 
@@ -344,9 +347,9 @@ def test_untagged_log_is_unobserved_not_refuted():
 
 def test_observed_inbox_depth_is_per_family():
     log = EventLog()
-    log.record_message("send", 0, 1.0, peer=1, tag=("vars", 1))
-    log.record_message("send", 0, 2.0, peer=1, tag=("barrier", 1))
-    log.record_message("recv", 1, 3.0, peer=0, tag=("vars", 1))
+    log.record("send", 0, 1.0, 1, "vars", 1)
+    log.record("send", 0, 2.0, 1, "barrier", 1)
+    log.record("recv", 1, 3.0, 0, "vars", 1)
     # One outstanding message per family, never two on one channel.
     view = TraceView(log)
     assert observed_inbox_depths(view) == {1: 1}

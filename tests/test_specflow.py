@@ -37,7 +37,7 @@ from repro.analysis.replay import RUN_END, build_dynamic_hb, event_key
 from repro.analysis.tools import TOOLS
 from repro.api import RunConfig, run
 from repro.cli import main
-from repro.trace import EventLog, TraceEvent, split_tag
+from repro.trace import EventLog, TraceEvent
 from repro.trace.events import TraceHeader
 
 from tests.toy_programs import CoupledIncrement
@@ -46,8 +46,11 @@ SPECFLOW = next(tool for tool in TOOLS if tool.name == "specflow")
 SPF_RULES = SPECFLOW.rules
 
 
-def analyze_source(source, path="<string>"):
-    return SPECFLOW.analyze(ProgramIndex(sources={path: source}))
+def analyze_source(tmp_path, source, name="t.py"):
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return SPECFLOW.analyze(ProgramIndex([path]))
 
 
 def analyze_paths(paths):
@@ -60,8 +63,7 @@ SPL_FIXTURES = pathlib.Path(__file__).resolve().parent / "speclint_fixtures"
 
 
 def analyze_fixture(name):
-    path = FIXTURES / name
-    return analyze_source(path.read_text(), path=str(path))
+    return analyze_paths([FIXTURES / name])
 
 
 def codes(diagnostics):
@@ -147,14 +149,13 @@ def test_good_protocol_fixture_is_clean():
 
 
 def test_speclint_good_fixture_is_specflow_clean():
-    path = SPL_FIXTURES / "good_protocol.py"
-    assert analyze_source(path.read_text(), path=str(path)) == []
+    assert analyze_paths([SPL_FIXTURES / "good_protocol.py"]) == []
 
 
-def test_specflow_suppression_directive():
+def test_specflow_suppression_directive(tmp_path):
     path = FIXTURES / "bad_spf110_orphan.py"
     src = "# specflow: disable-file=SPF110\n" + path.read_text()
-    assert analyze_source(src) == []
+    assert analyze_source(tmp_path, src) == []
 
 
 # ------------------------------------------------------- static HB plumbing
@@ -192,20 +193,13 @@ def test_eventlog_assigns_per_rank_sequence():
     assert len(log) == 3
 
 
-def test_split_tag_families():
-    assert split_tag(("vars", 3)) == ("vars", 3)
-    assert split_tag(("gather", ("x", 1))) == ("gather", None)
-    assert split_tag("barrier-in") == ("barrier-in", None)
-    assert split_tag(None) == (None, None)
-
-
 #: The header of the hand-built logs saved below.
 HEADER = TraceHeader(p=2, iterations=4, max_fw=1, hist_cap=4)
 
 
 def test_eventlog_jsonl_roundtrip(tmp_path):
     log = EventLog(header=HEADER)
-    log.record_message("send", rank=0, time=0.25, peer=1, tag=("vars", 2))
+    log.record("send", rank=0, time=0.25, peer=1, family="vars", iteration=2)
     log.record("speculate", rank=1, time=0.5, peer=0, iteration=2, family="vars")
     path = tmp_path / "trace.jsonl"
     log.save(path)

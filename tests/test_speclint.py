@@ -24,8 +24,11 @@ SPECLINT, SPECFLOW = (
 )
 
 
-def lint_source(source, path="<string>", select=None):
-    return SPECLINT.analyze(ProgramIndex(sources={path: source}), select)
+def lint_source(tmp_path, source, name="t.py", select=None):
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return SPECLINT.analyze(ProgramIndex([path]), select)
 
 
 def lint_paths(paths, select=None):
@@ -37,8 +40,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "speclint_fixtures"
 
 
 def lint_fixture(name):
-    path = FIXTURES / name
-    return lint_source(path.read_text(), path=str(path))
+    return lint_paths([FIXTURES / name])
 
 
 def codes(diagnostics):
@@ -52,7 +54,7 @@ def test_spl001_unawaited_simulation_calls():
     assert sorted(d.line for d in diags) == [10, 11, 12]
 
 
-def test_spl001_silent_on_driven_generators():
+def test_spl001_silent_on_driven_generators(tmp_path):
     src = (
         "def body(env, proc):\n"
         "    yield from proc.compute(1.0)\n"
@@ -60,7 +62,7 @@ def test_spl001_silent_on_driven_generators():
         "    yield env.timeout(2.0)\n"
         "    return msg\n"
     )
-    assert lint_source(src) == []
+    assert lint_source(tmp_path, src) == []
 
 
 def test_spl003_nondeterminism_sources():
@@ -71,13 +73,13 @@ def test_spl003_nondeterminism_sources():
     assert all(d.line < 18 for d in diags)
 
 
-def test_spl003_allows_default_rng():
+def test_spl003_allows_default_rng(tmp_path):
     src = (
         "import numpy as np\n"
         "def make(seed):\n"
         "    return np.random.default_rng(seed)\n"
     )
-    assert lint_source(src) == []
+    assert lint_source(tmp_path, src) == []
 
 
 def test_spl004_tag_discipline():
@@ -92,7 +94,7 @@ def test_spl005_payload_aliasing_is_warning():
     assert all(d.severity is Severity.WARNING for d in diags)
 
 
-def test_spl005_silent_when_copy_is_sent():
+def test_spl005_silent_when_copy_is_sent(tmp_path):
     src = (
         "VARS = 'vars'\n"
         "def body(proc, block, t):\n"
@@ -100,7 +102,7 @@ def test_spl005_silent_when_copy_is_sent():
         "    yield from proc.compute(1.0)\n"
         "    block += 1.0\n"
     )
-    assert lint_source(src) == []
+    assert lint_source(tmp_path, src) == []
 
 
 def test_spl006_broad_and_bare_excepts():
@@ -109,7 +111,7 @@ def test_spl006_broad_and_bare_excepts():
     assert sorted(d.line for d in diags) == [8, 12, 21]
 
 
-def test_spl006_allows_reraise_and_traceback_preservation():
+def test_spl006_allows_reraise_and_traceback_preservation(tmp_path):
     src = (
         "import traceback\n"
         "def a(fn):\n"
@@ -124,7 +126,7 @@ def test_spl006_allows_reraise_and_traceback_preservation():
         "        log(traceback.format_exc())\n"
         "        return None\n"
     )
-    assert lint_source(src) == []
+    assert lint_source(tmp_path, src) == []
 
 
 def test_spl007_impure_engine_fixture():
@@ -133,22 +135,22 @@ def test_spl007_impure_engine_fixture():
     assert sorted(d.line for d in diags) == [9, 10, 11, 12, 13, 25, 26]
 
 
-def test_spl007_applies_to_engine_core_by_path():
+def test_spl007_applies_to_engine_core_by_path(tmp_path):
     src = "import time\n"
-    diags = lint_source(src, path="src/repro/engine/core.py", select=["SPL007"])
+    diags = lint_source(tmp_path, src, name="src/repro/engine/core.py", select=["SPL007"])
     assert codes(diags) == ["SPL007"]
     # Same source outside the engine core (and unmarked) is fine.
-    assert lint_source(src, path="src/repro/harness.py", select=["SPL007"]) == []
+    assert lint_source(tmp_path, src, name="src/repro/harness.py", select=["SPL007"]) == []
 
 
-def test_spl007_allows_type_checking_imports():
+def test_spl007_allows_type_checking_imports(tmp_path):
     src = (
         "# speclint: sans-io\n"
         "from typing import TYPE_CHECKING\n"
         "if TYPE_CHECKING:\n"
         "    import os\n"
     )
-    assert lint_source(src, select=["SPL007"]) == []
+    assert lint_source(tmp_path, src, select=["SPL007"]) == []
 
 
 def test_spl008_partial_dispatch_fixture():
@@ -160,7 +162,7 @@ def test_spl008_partial_dispatch_fixture():
     assert len(diags) == 4
 
 
-def test_spl008_silent_on_observers_and_inspectors():
+def test_spl008_silent_on_observers_and_inspectors(tmp_path):
     # A notification-only observer (no Send branch) may be partial.
     src = (
         "def observe(effect, log):\n"
@@ -170,7 +172,7 @@ def test_spl008_silent_on_observers_and_inspectors():
         "    elif kind is Verified:\n"
         "        log('v')\n"
     )
-    assert lint_source(src, select=["SPL008"]) == []
+    assert lint_source(tmp_path, src, select=["SPL008"]) == []
 
 
 def test_spl008_real_transports_are_exhaustive():
@@ -201,9 +203,9 @@ def test_collect_suppressions_parses_both_directives():
     assert per_line[3] == {"ALL"}
 
 
-def test_disable_all_wildcard_suppresses_everything():
+def test_disable_all_wildcard_suppresses_everything(tmp_path):
     src = "def f(env):\n    env.timeout(1.0)  # speclint: disable=all\n"
-    assert lint_source(src) == []
+    assert lint_source(tmp_path, src) == []
 
 
 def test_multi_tool_directive_suppresses_every_named_id():
@@ -220,7 +222,7 @@ def test_multi_tool_directive_suppresses_every_named_id():
     assert file_wide == set()
 
 
-def test_multi_tool_suppression_silences_findings_in_each_family():
+def test_multi_tool_suppression_silences_findings_in_each_family(tmp_path):
     src = (
         'VARS = "vars"\n'
         "def early(proc, state):\n"
@@ -231,14 +233,14 @@ def test_multi_tool_suppression_silences_findings_in_each_family():
         "def drain(proc):\n"
         "    return (yield from proc.recv())\n"
     )
-    assert lint_source(src, path="<t>") == []
-    assert SPECFLOW.analyze(ProgramIndex(sources={"<t>": src})) == []
+    assert lint_source(tmp_path, src) == []
+    assert SPECFLOW.analyze(ProgramIndex([tmp_path / "t.py"])) == []
     # Without the directive both families fire on that line.
     bare = src.replace("  # specflow: disable=SPL004, SPF111", "")
-    assert [(d.code, d.line) for d in lint_source(bare, path="<t>")] == [
+    assert [(d.code, d.line) for d in lint_source(tmp_path, bare)] == [
         ("SPL004", 3)
     ]
-    flow = SPECFLOW.analyze(ProgramIndex(sources={"<t>": bare}))
+    flow = SPECFLOW.analyze(ProgramIndex([tmp_path / "t.py"]))
     assert [(d.code, d.line) for d in flow] == [
         ("SPF111", 3)
     ]

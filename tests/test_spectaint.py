@@ -35,8 +35,11 @@ from repro.trace.events import EventLog, TraceHeader
 SPECTAINT = next(tool for tool in TOOLS if tool.name == "spectaint")
 
 
-def analyze_source(source, path="<string>"):
-    return SPECTAINT.analyze(ProgramIndex(sources={path: source}))
+def analyze_source(tmp_path, source, name="t.py"):
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return SPECTAINT.analyze(ProgramIndex([path]))
 
 
 def analyze_paths(paths):
@@ -182,15 +185,15 @@ def test_whole_fixture_dir_fires_every_rule():
     assert codes == set(ALL_CODES)
 
 
-def test_commit_line_directive_sanctions_a_sink():
+def test_commit_line_directive_sanctions_a_sink(tmp_path):
     clean = (
         "def step(history):\n"
         "    guess = speculate(history)\n"
         "    print(guess)  # spectaint: commit — confirmed upstream\n"
     )
-    assert analyze_source(clean, path="<t>") == []
+    assert analyze_source(tmp_path, clean) == []
     dirty = clean.replace("  # spectaint: commit — confirmed upstream", "")
-    assert [d.code for d in analyze_source(dirty, path="<t>")] == ["SPT301"]
+    assert [d.code for d in analyze_source(tmp_path, dirty)] == ["SPT301"]
 
 
 # ----------------------------------------------------- multi-tool parsing
@@ -214,7 +217,7 @@ def test_suppression_parser_accepts_all_four_spellings():
     assert file_wide == {"SPP204"}
 
 
-def test_one_directive_suppresses_codes_across_families():
+def test_one_directive_suppresses_codes_across_families(tmp_path):
     # One spelling may carry any family's ids: a single directive on the
     # offending line silences both the speclint and the spectaint finding.
     source = (
@@ -224,7 +227,7 @@ def test_one_directive_suppresses_codes_across_families():
     )
     per_line, _ = parse_suppressions(source)
     assert per_line == {3: {"SPT301", "SPF202"}}
-    assert analyze_source(source, path="<t>") == []
+    assert analyze_source(tmp_path, source) == []
 
 
 # ---------------------------------------------------------------- verdicts

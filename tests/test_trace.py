@@ -122,7 +122,7 @@ def test_gantt_dominant_phase_per_bucket():
     t = PhaseTrace(rank=0)
     t.record("compute", 0.0, 0.9)
     t.record("comm", 0.9, 1.0)
-    out = render_gantt([t], width=1, legend=False)
+    out = render_gantt([t], width=1)
     # compute dominates the single bucket
     assert "|C|" in out
 
@@ -135,12 +135,6 @@ def test_gantt_width_validation():
     with pytest.raises(ValueError):
         render_gantt([PhaseTrace()], width=0)
 
-
-def test_gantt_custom_glyphs():
-    t = PhaseTrace(rank=0)
-    t.record("compute", 0, 1)
-    out = render_gantt([t], width=4, glyphs={"compute": "#"}, legend=False)
-    assert "#" in out
 
 
 # ------------------------------------------------- the tuple-list reference

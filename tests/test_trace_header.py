@@ -78,7 +78,7 @@ def test_cli_mc_emit_trace_records_the_header(tmp_path, capsys):
 
 def test_save_load_round_trip(tmp_path):
     log = EventLog(header=TraceHeader(p=3, iterations=7, max_fw=2, hist_cap=5))
-    log.record_message("send", 0, 0.5, peer=1, tag=("vars", 1))
+    log.record("send", 0, 0.5, 1, "vars", 1)
     log.record("compute", 2, 1.0, iteration=1, args=(0, 2))
     path = tmp_path / "trace.jsonl"
     log.save(path)
