@@ -55,10 +55,10 @@ PHASE_SEEDS: dict[str, frozenset[str]] = {
 
 #: Terminal names of protocol seats: the engine loops and ``repro.api.run``
 #: (``run``), plus the two per-rank entry points handed over by reference,
-#: which the call graph cannot reach: the DES backend's per-rank program
-#: (``_rank_program``) and the mp worker's process target (``worker_main``).
+#: which the call graph cannot reach: the DES runner's calendar callback
+#: (``_wake``) and the mp worker's process target (``worker_main``).
 #: Functions reachable from a seat are *hot* (executed every iteration).
-HOT_SEATS = frozenset({"run", "worker_main", "_rank_program"})
+HOT_SEATS = frozenset({"run", "worker_main", "_wake"})
 
 #: Call edges through these terminal names are not followed: they are
 #: overwhelmingly built-in container methods, and following them would

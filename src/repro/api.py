@@ -26,21 +26,20 @@ backend through it, every setting is checked once (by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.core.program import SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import RunReport, assemble_report
 from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
-from repro.engine.des_transport import DESTransport
-from repro.engine.loopback import LoopbackRunner
+from repro.engine.loopback import CalendarRunner, LoopbackRunner
 from repro.engine.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.faults import FaultPlan, wrap_engine
 from repro.netsim.latency import latency_model
 from repro.netsim.network import DelayNetwork
 from repro.policy import CascadePolicy, WindowPolicy
 from repro.trace.events import EventLog
-from repro.vm import Cluster, VirtualProcessor, uniform_specs
+from repro.vm import Cluster, uniform_specs
 
 #: Backends :func:`run` dispatches over.
 BACKENDS = ("des", "loopback", "mp")
@@ -234,8 +233,7 @@ def run(config: RunConfig) -> RunReport:
         from repro.parallel.runner import _start_mp
 
         return _start_mp(config)
-    start = _start_des if config.backend == "des" else _start_loopback
-    return start(config)
+    return _start_in_process(config)
 
 
 def rank_engine(
@@ -276,70 +274,42 @@ def _default_cluster(config: RunConfig) -> Cluster:
     )
 
 
-def _start_des(config: RunConfig) -> RunReport:
-    """One engine per rank on the simulator, through
-    :class:`~repro.engine.des_transport.DESTransport`; the report is in
-    virtual seconds."""
-    cluster = config.cluster if config.cluster is not None else _default_cluster(config)
-    if cluster.env.now != 0:
-        # A used cluster's clock and phase traces would carry over, and
-        # this run's timings would silently include the last one's.
-        raise ValueError(
-            f"cluster has already run (env.now={cluster.env.now:g}); "
-            "build a fresh Cluster per run"
-        )
+def _start_in_process(config: RunConfig) -> RunReport:
+    """One engine per rank in this process: a
+    :class:`~repro.engine.loopback.CalendarRunner` on the des cluster's
+    calendar (virtual seconds), else a
+    :class:`~repro.engine.loopback.LoopbackRunner` (``wall_seconds`` is
+    its scheduler rounds and the traces are in counted ops)."""
+    cluster = None
+    if config.backend == "des":
+        cluster = config.cluster if config.cluster is not None else _default_cluster(config)
+        if cluster.env.now != 0:
+            # A used cluster's clock would carry over, and this run's
+            # timings would silently include the last one's.
+            raise ValueError(
+                f"cluster has already run (env.now={cluster.env.now:g}); "
+                "build a fresh Cluster per run"
+            )
     log = EventLog() if config.record_trace else None
     sanitizer = resolve_sanitizer(config.sanitize)
-    if sanitizer is not None:
-        cluster.env.sanitizer = sanitizer
     topo = topology(config.program)
-    engines: dict[int, Any] = {}
-    observers = {}
-
-    def _rank_program(proc: VirtualProcessor) -> Generator:
-        rank = proc.rank
-        engine = engines[rank] = rank_engine(config, rank, topo, sanitizer)
-        transport = DESTransport(proc, sanitizer=sanitizer, event_log=log)
-        observers[rank] = transport.observer
-        return transport.drive(engine)
-
-    finals = cluster.run(_rank_program)
-    if sanitizer is not None:
-        sanitizer.on_run_end()
-    ranked = [engines[rank] for rank in range(cluster.size)]
-    return assemble_report(
-        config, dict(enumerate(finals)), cluster.traces(),
-        [engine.stats for engine in ranked],
-        {rank: obs.window_history for rank, obs in observers.items()},
-        cluster.env.now,
-        None if config.fault_plan is None
-        else [engine.injector.summary() for engine in ranked],
-        capacities=cluster.capacities(), event_log=log,
-    )
-
-
-def _start_loopback(config: RunConfig) -> RunReport:
-    """One engine per rank on a :class:`~repro.engine.loopback.LoopbackRunner`;
-    ``wall_seconds`` is the number of scheduler rounds and the traces
-    are in counted ops."""
-    topo = topology(config.program)
-    sanitizer = resolve_sanitizer(config.sanitize)
     engines = {
         rank: rank_engine(config, rank, topo, sanitizer)
         for rank in range(config.program.nprocs)
     }
-    log = EventLog() if config.record_trace else None
     # The runner shares the sanitizer the engines were built with.
-    runner = LoopbackRunner(
-        engines, event_log=log,
-        sanitize=False if sanitizer is None else sanitizer,
-    )
+    seat = False if sanitizer is None else sanitizer
+    if cluster is None:
+        runner = LoopbackRunner(engines, event_log=log, sanitize=seat)
+    else:
+        runner = CalendarRunner(cluster, engines, event_log=log, sanitize=seat)
     finals = runner.run()
     return assemble_report(
         config, finals, runner.traces.values(),
-        [engine.stats for engine in engines.values()],
-        runner.window_history, runner.rounds,
+        [engine.stats for engine in engines.values()], runner.window_history,
+        runner.rounds if cluster is None else cluster.env.now,
         None if config.fault_plan is None
         else [engine.injector.summary() for engine in engines.values()],
+        capacities=() if cluster is None else cluster.capacities(),
         event_log=log,
     )

@@ -7,8 +7,9 @@ entities are ordinary Python generator functions ("processes") that
 the event calendar.
 
 The kernel is intentionally minimal — just what the virtual-machine
-substrate (:mod:`repro.vm`) and the DES transport
-(:mod:`repro.engine.des_transport`) need to run one engine per rank:
+substrate (:mod:`repro.vm`), its networks (:mod:`repro.netsim`) and
+the DES backend's :class:`~repro.engine.loopback.CalendarRunner`,
+which schedules each rank's steps as calendar entries, need:
 
 * :class:`Environment` — clock + event calendar, ``run``/``step``.
 * :class:`Event` — one-shot occurrence carrying a value or an error.
@@ -16,16 +17,16 @@ substrate (:mod:`repro.vm`) and the DES transport
 * :class:`Process` — generator wrapper; itself an event that fires when
   the generator returns.
 * :class:`AllOf` — the event that waits for a set of events.
-* :class:`Store` — unbounded FIFO with blocking ``get``, an immediate
-  event-less ``put`` and non-blocking inspection (the message-queue
-  primitive).
+* :class:`Store` — unbounded FIFO with blocking ``get`` and an
+  immediate event-less ``put`` (a processor's mailbox).
 
 Determinism: the calendar orders events by (time, priority, insertion)
 and by nothing else; no wall-clock or unseeded randomness is consulted
-anywhere in the kernel.  Priority 0 is process bookkeeping, 1 every
-ordinary event; a model may schedule above 1 to run after the rest of
-an instant (the shared bus does, see :mod:`repro.netsim.bus`).  A time
-that was computed is scheduled as computed —
+anywhere in the kernel.  Priority 0 is bookkeeping (a process or a
+runner's rank starting, a process resuming), 1 every ordinary event;
+a model may schedule above 1 to run after the rest of an instant (the
+shared bus does, see :mod:`repro.netsim.bus`).  A time that was
+computed is scheduled as computed —
 ``Event.succeed(at=T)`` / ``Environment.schedule_at`` — because
 ``now + (T - now)`` need not be ``T`` (DESIGN.md §5.9).
 """

@@ -1,9 +1,8 @@
 """Blocking containers and resources for the discrete-event kernel.
 
-:class:`Store` is the workhorse here: the virtual-machine message
-queues (:mod:`repro.vm`) are Stores, with :meth:`Store.peek` over
-:attr:`Store.items` for the non-blocking arrival check in the
-speculative protocol (Fig. 3 of the paper).
+:class:`Store` is the mailbox of a virtual processor (:mod:`repro.vm`)
+that a program run through ``Cluster.run`` receives from;
+:class:`Resource` is a counted resource such as a shared medium.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ class Store:
     * ``get(filter=...)`` retrieves the first item satisfying the
       predicate (a *filter store*), used to receive a message from a
       specific sender.
-    * :attr:`items` may be inspected (but not mutated) for non-blocking
-      "has a message arrived?" probes.
+    * :attr:`items` may be inspected (but not mutated).
     """
 
     def __init__(self, env: "Environment") -> None:
@@ -68,10 +66,6 @@ class Store:
         is returned (order among matching items preserved).
         """
         return StoreGet(self, filter)
-
-    def peek(self) -> Optional[Any]:
-        """Return (without removing) the first item, or None."""
-        return self.items[0] if self.items else None
 
     # -- internal ---------------------------------------------------------
     def _do_get(self, event: StoreGet) -> bool:

@@ -14,10 +14,9 @@ The package splits the paper's protocol (Fig. 3) from its media:
   :class:`~repro.engine.sanitizer.ProtocolSanitizer`
   (``REPRO_SANITIZE=1``), the runtime seat of the invariant registry
   :mod:`repro.engine.invariants`;
-* :mod:`repro.engine.des_transport` — effects on the discrete event
-  simulator (``repro.vm`` over ``repro.netsim``);
-* :mod:`repro.engine.loopback` — in-process FIFO queues with a
-  deterministic scheduler, for tests and toys;
+* :mod:`repro.engine.loopback` — the in-process executor, under a
+  deterministic scheduler (:class:`LoopbackRunner`: tests, toys, the
+  model checker) or on the simulator's calendar (:class:`CalendarRunner`);
 * :mod:`repro.engine.pipes` — real ``multiprocessing`` pipes with
   injected latency; sequenced, FIFO-restored delivery (the SPF111
   fix) and no busy-wait blocking.
@@ -41,7 +40,6 @@ from repro.engine.core import (
     default_hist_cap,
     topology,
 )
-from repro.engine.des_transport import DESTransport
 from repro.engine.events import (
     VARS,
     Arrival,
@@ -59,7 +57,7 @@ from repro.engine.events import (
     TryRecv,
     Verified,
 )
-from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner
+from repro.engine.loopback import CalendarRunner, LoopbackDeadlock, LoopbackRunner
 from repro.engine.pipes import PipeTransport, close_mesh, full_mesh
 from repro.engine.ring import HistoryRing, OutOfOrderArrival
 from repro.engine.transport import Transport, TransportError, drive
@@ -67,13 +65,13 @@ from repro.engine.transport import Transport, TransportError, drive
 __all__ = [
     "VARS",
     "Arrival",
+    "CalendarRunner",
     "CascadeBegin",
     "CascadeEnd",
     "CascadeStep",
     "Charge",
     "ComputeBegin",
     "Corrected",
-    "DESTransport",
     "Effect",
     "HistoryRing",
     "IterationDone",

@@ -1,4 +1,4 @@
-"""Loopback transport: the whole protocol in one process, no clock.
+"""The in-process executor: the whole protocol in one process.
 
 The cheapest possible medium — one FIFO queue per destination rank,
 stepped by a deterministic schedule — useful for
@@ -13,29 +13,35 @@ stepped by a deterministic schedule — useful for
   counters and final numerics must agree wherever timing does not
   feed back into the numerics;
 * model checking: :class:`LoopbackRunner` is the one in-process
-  executor.  Its primitives are :meth:`~LoopbackRunner.resume` (step
-  one rank until it parks or returns) and :meth:`~LoopbackRunner.pop`
-  (deliver one queued message); :meth:`~LoopbackRunner.run` is the
-  round-robin schedule over them, and specmc's
+  executor.  :meth:`~LoopbackRunner.resume` steps one rank until it
+  parks or returns and :meth:`~LoopbackRunner.pop` delivers one queued
+  message; :meth:`~LoopbackRunner.run` is the round-robin schedule
+  over them, and specmc's
   :class:`~repro.analysis.modelcheck.model.Execution` is the same
-  runner under an explicit schedule of every delivery order.
+  runner under an explicit schedule of every delivery order;
+* simulation: :class:`CalendarRunner` is the same runner on a
+  simulated cluster's calendar, the DES backend.  Only the primitives
+  ``resume`` hands ``Send``, ``Charge`` and the receives to differ:
+  there they take virtual time.
 
-Delivery is immediate (messages become receivable the moment they are
-sent) and per-pair FIFO.  The round-robin schedule itself produces
-speculative executions: a rank scheduled ahead of its peers reaches
-iteration ``t`` before their ``X(t)`` was sent, speculates, runs on,
-and verifies when the scheduler hands the peers their turn — the
-protocol's full speculate/verify/correct path, deterministically,
-with no clocks.  Each ``Charge`` advances the rank's own op clock and
-leaves a :class:`~repro.trace.PhaseTrace` row on it (the loopback's
-"time"; a blocked receive costs no ops and leaves none).
+Under :class:`LoopbackRunner` delivery is immediate (messages become
+receivable the moment they are sent) and per-pair FIFO.  The
+round-robin schedule itself produces speculative executions: a rank
+scheduled ahead of its peers reaches iteration ``t`` before their
+``X(t)`` was sent, speculates, runs on, and verifies when the
+scheduler hands the peers their turn — the protocol's full
+speculate/verify/correct path, deterministically, with no clocks.
+Each ``Charge`` advances the rank's own op clock and leaves a
+:class:`~repro.trace.PhaseTrace` row on it (the loopback's "time"; a
+blocked receive costs no ops and leaves none).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Any, Deque, Dict, Optional, Tuple
+from itertools import count
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
 from repro.engine.observer import RankObserver
@@ -91,7 +97,10 @@ class LoopbackRunner:
             rank: PhaseTrace(rank) for rank in self.engines
         }
         self._ops_clock: Dict[int, float] = dict.fromkeys(self.engines, 0.0)
-        self._step = 0
+        #: ``(rank, kind, peer, family, iteration, args=())`` -> one
+        #: trace record, stamped with :meth:`_clock`.  It holds no
+        #: reference to the runner, so a finished run is freed at once.
+        self._record = _sink(event_log, self._clock())
         #: Scheduler sweeps completed — the loopback's ``wall_seconds``
         #: and the unit of ``Recv.timeout``.  Nothing else is timed:
         #: ``IterationDone`` is answered with None and arrivals carry
@@ -105,8 +114,8 @@ class LoopbackRunner:
         #: rank -> observer seat (no clock).
         self.observers: Dict[int, RankObserver] = {}
         #: rank -> what :meth:`resume` drives: the engine generator's
-        #: ``send``, the observer's ``notify``, the phase-row ``record``.
-        self._seats: Dict[int, Tuple[Any, Any, Any]] = {}
+        #: ``send`` and the observer's ``notify``.
+        self._seats: Dict[int, Tuple[Any, Any]] = {}
         for rank, engine in self.engines.items():
             observer = self.observers[rank] = RankObserver(
                 rank,
@@ -116,9 +125,7 @@ class LoopbackRunner:
                 ),
             )
             observer.begin(engine)
-            self._seats[rank] = (
-                engine.run().send, observer.notify, self.traces[rank].record
-            )
+            self._seats[rank] = (engine.run().send, observer.notify)
 
     @property
     def window_history(self) -> Dict[int, list[Tuple[int, int]]]:
@@ -184,37 +191,53 @@ class LoopbackRunner:
         return self.finals
 
     def resume(self, rank: int, response: Optional[Arrival] = None) -> None:
-        """Step ``rank`` from ``response`` until it parks on a ``Recv`` /
-        ``TryRecv`` (:attr:`parked`) or returns (:attr:`finals`): ``Send``
-        is queued, ``Charge`` is a row on the rank's op clock, anything
-        else goes to the rank's observer."""
-        self.parked.pop(rank, None)
-        send, notify, record = self._seats[rank]
-        clock = self._ops_clock
+        """Step ``rank`` from ``response`` until it parks (:attr:`parked`)
+        or returns (:attr:`finals`): ``Send``, ``Charge`` and the receives
+        go to this runner's primitives, anything else to the rank's
+        observer."""
+        parked = self.parked
+        parked.pop(rank, None)
+        send, notify = self._seats[rank]
         while True:
             try:
                 effect = send(response)
             except StopIteration as stop:
                 self.finals[rank] = stop.value
-                if (
-                    len(self.finals) == len(self.engines)
-                    and self.sanitizer is not None
-                ):
-                    self.sanitizer.on_run_end()
+                if len(self.finals) == len(self.engines):
+                    self._end()
                 return
-            response = None
             kind = type(effect)
             if kind is Send:
                 self._send(rank, effect)
+                response = None
             elif kind is Charge:
-                start = clock[rank]
-                clock[rank] = end = start + effect.ops
-                record(effect.phase, start, end, effect.iteration)
+                response = self._charge(rank, effect)
+                if rank in parked:
+                    return
             elif kind is Recv or kind is TryRecv:
-                self.parked[rank] = effect
-                return
+                response = self._receive(rank, effect)
+                if rank in parked:
+                    return
             else:
                 response = notify(effect)
+
+    # ----------------------------------------------------------- primitives
+    def _charge(self, rank: int, effect: Charge) -> Optional[float]:
+        """A row on the rank's op clock; no clock reading to answer."""
+        start = self._ops_clock[rank]
+        self._ops_clock[rank] = end = start + effect.ops
+        self.traces[rank].record(effect.phase, start, end, effect.iteration)
+        return None
+
+    def _receive(self, rank: int, effect: Any) -> Optional[Arrival]:
+        """Park on every ``Recv`` / ``TryRecv``: the schedule answers it."""
+        self.parked[rank] = effect
+        return None
+
+    def _end(self) -> None:
+        """The last rank returned."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_run_end()
 
     # ------------------------------------------------------------ messaging
     def _send(self, src: int, effect: Send) -> None:
@@ -251,13 +274,137 @@ class LoopbackRunner:
         return None
 
     # ------------------------------------------------------------ observers
-    def _record(
-        self, rank: int, kind: str, peer: Optional[int],
-        family: Optional[str], iteration: Optional[int],
-        args: Tuple[int, ...] = (),
+    def _clock(self) -> Callable[[], float]:
+        """The trace stamp: a step counter stands in for a clock."""
+        steps = count(1)
+        return lambda: float(next(steps))
+
+
+def _sink(event_log: Any, stamp: Callable[[], float]) -> Callable[..., None]:
+    """The runner's trace sink into ``event_log`` (a no-op without one)."""
+    if event_log is None:
+        return lambda *_: None
+    return lambda rank, kind, peer, family, iteration, args=(): event_log.record(
+        kind, rank, stamp(), peer, family, iteration, args)
+
+
+class CalendarRunner(LoopbackRunner):
+    """:class:`LoopbackRunner` on a :class:`~repro.vm.Cluster`'s
+    calendar: the DES backend (rank ``r`` on processor ``r``; records,
+    phase rows and ``IterationDone`` answers in virtual seconds).
+
+    A ``Charge`` of ``s > 0`` seconds wakes the rank at ``now + s``; a
+    ``Send`` goes through the network, whose delivery queues it; a
+    ``Recv`` is served the moment a queued message matches it, and the
+    rank wakes at (now, priority 1); a wake books the phase row; a
+    ``TryRecv`` takes the oldest queued message.  Those placements
+    decide every makespan (DESIGN.md 5.9).  ``Arrival.seq`` is the
+    message's ``Send.seq``.
+    """
+
+    def __init__(
+        self,
+        cluster: Any,
+        engines: Dict[int, Any],
+        event_log: Any = None,
+        sanitize: "Optional[bool | ProtocolSanitizer]" = None,
     ) -> None:
-        """Trace one event, stamped with the step counter."""
-        if self.event_log is not None:
-            self._step += 1
-            self.event_log.record(
-                kind, rank, float(self._step), peer, family, iteration, args)
+        self.env = env = cluster.env
+        self.network = cluster.network
+        super().__init__(engines, event_log=event_log, sanitize=sanitize)
+        if self.sanitizer is not None:
+            env.sanitizer = self.sanitizer
+        self._seconds_for = {
+            rank: cluster.processors[rank].seconds_for for rank in self.engines
+        }
+        for observer in self.observers.values():
+            observer.clock = lambda: env.now
+        #: rank -> when the Charge / Recv it is parked on began.
+        self._since: Dict[int, float] = {}
+        #: rank -> the parked Recv no queued message has matched yet.
+        self._blocked: Dict[int, Recv] = {}
+        self._done = env.event()
+
+    def run(self) -> Dict[int, Any]:
+        """Start every rank (priority 0, rank order) and run the calendar
+        until the last one returns; rank -> final block, in rank order."""
+        for rank in sorted(self.engines):
+            start = self.env.event()
+            start.callbacks.append(partial(self._wake, rank))
+            start.succeed(priority=0)
+        self.env.run(until=self._done)
+        return dict(sorted(self.finals.items()))
+
+    def _wake(self, rank: int, event: Any) -> None:
+        """Calendar callback: start ``rank``, or book the ``Charge`` /
+        ``Recv`` it is parked on as a phase row and resume it."""
+        effect = self.parked.get(rank)
+        response = None
+        if effect is not None:
+            now, start = self.env.now, self._since[rank]
+            self.traces[rank].record(effect.phase, start, now, effect.iteration)
+            response = event.value
+            if type(effect) is Recv:
+                response = self._arrival(rank, response, now - start)
+        self.resume(rank, response)
+
+    def _end(self) -> None:
+        super()._end()
+        self._done.succeed()
+
+    # ----------------------------------------------------------- primitives
+    def _charge(self, rank: int, effect: Charge) -> float:
+        seconds = self._seconds_for[rank](effect.ops)
+        if seconds != 0:  # a Timeout rejects a negative delay
+            self.parked[rank] = effect
+            self._since[rank] = self.env.now
+            wake = self.env.timeout(seconds, seconds)
+            wake.callbacks.append(partial(self._wake, rank))
+        return seconds
+
+    def _receive(self, rank: int, effect: Any) -> Optional[Arrival]:
+        queue = self.queues[rank]
+        if type(effect) is TryRecv:
+            return self._arrival(rank, queue.popleft(), 0.0) if queue else None
+        self.parked[rank] = self._blocked[rank] = effect
+        self._since[rank] = self.env.now
+        self._serve(rank)
+        return None
+
+    def _send(self, src: int, effect: Send) -> None:
+        if effect.dst not in self.queues:
+            raise ValueError(f"send to unknown rank {effect.dst}")
+        self._record(src, "send", effect.dst, effect.family, effect.iteration)
+        delivery = self.network.transmit(src, effect.dst, int(effect.nbytes))
+        delivery.add_callback(partial(self._deliver, src, effect, self.env.now))
+
+    def _deliver(self, src: int, effect: Send, sent: float, _event: Any) -> None:
+        """Queue a delivered message as (src, seq, family, iteration,
+        payload, transit) and serve its receiver."""
+        self.queues[effect.dst].append((
+            src, effect.seq, effect.family, effect.iteration, effect.payload,
+            self.env.now - sent,
+        ))
+        self._serve(effect.dst)
+
+    def _serve(self, rank: int) -> None:
+        """Hand ``rank``'s blocked ``Recv`` its oldest matching message."""
+        effect = self._blocked.get(rank)
+        if effect is None:
+            return
+        queue = self.queues[rank]
+        for i, message in enumerate(queue):
+            if effect.match is None or (message[2], message[3]) == effect.match:
+                del queue[i], self._blocked[rank]
+                wake = self.env.timeout(0.0, message)  # at (now, priority 1)
+                wake.callbacks.append(partial(self._wake, rank))
+                return
+
+    def _arrival(self, rank: int, message: Any, waited: float) -> Arrival:
+        src, seq, family, iteration, payload, latency = message
+        self._record(rank, "recv", src, family, iteration)
+        return Arrival(src, iteration, payload, waited, seq, latency)
+
+    def _clock(self) -> Callable[[], float]:
+        env = self.env
+        return lambda: env.now

@@ -1,21 +1,17 @@
 """The transport seam: how a sans-I/O engine meets a medium.
 
 A *transport* interprets the engine's effects against one messaging
-medium.  Three implementations ship:
+medium.  One of two loops steps a run's engines:
 
-* :class:`~repro.engine.des_transport.DESTransport` — the discrete
-  event simulator (``repro.vm`` clusters over ``repro.netsim``
-  networks); effects become :class:`VirtualProcessor` calls, costs
-  become virtual time.
-* :class:`~repro.engine.loopback.LoopbackRunner` — in-process queues
-  with a deterministic round-robin scheduler; for tests and toys.
-* :class:`~repro.engine.pipes.PipeTransport` — real
-  ``multiprocessing`` pipes with injected latency; costs become wall
-  time.
-
-:func:`drive` is the synchronous interpreter loop shared by the
-wall-clock transports; the DES transport has its own generator-shaped
-loop because its handlers must ``yield`` into the simulator.
+* :class:`~repro.engine.loopback.LoopbackRunner` — in-process queues;
+  under its deterministic round-robin scheduler for tests and toys,
+  and as :class:`~repro.engine.loopback.CalendarRunner` on the
+  discrete event simulator's calendar (``repro.vm`` clusters over
+  ``repro.netsim`` networks), where costs become virtual time.
+* :func:`drive` over a :class:`Transport`, the synchronous loop of
+  the wall-clock medium :class:`~repro.engine.pipes.PipeTransport`:
+  real ``multiprocessing`` pipes with injected latency, where costs
+  become wall time.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ energy-conservation comparisons.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nbody.forces import accelerations
 from repro.nbody.particles import ParticleSystem
 

@@ -9,7 +9,7 @@ from the application's cost model, and compare curves.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 

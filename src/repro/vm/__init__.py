@@ -5,15 +5,15 @@ SUN/Sparc workstations — with simulated processors:
 
 * :class:`ProcessorSpec` — a processor's capacity M_i (operations per
   virtual second), mirroring the paper's MIPS ratings (10–120 MIPS).
-* :class:`VirtualProcessor` — the per-rank execution context the DES
-  transport drives: ``seconds_for`` / ``charged`` (virtual compute at
-  the processor's capacity), ``send`` (asynchronous), ``recv``
-  (blocking) and ``try_recv`` (the non-blocking arrival check), all
-  phase-traced.  A rank is slowed by a
+* :class:`VirtualProcessor` — one rank's processor: ``seconds_for``
+  (virtual compute at its capacity), a phase trace, and PVM-style
+  ``send`` (asynchronous) / ``recv`` (blocking) for a program run
+  through ``Cluster.run``.  A rank is slowed by a
   :class:`~repro.faults.RankFault`, on every backend alike.
-* :class:`Cluster` — builds the processors over a
-  :class:`~repro.netsim.network.Network` and launches per-rank program
-  generators.
+* :class:`Cluster` — the processors over a
+  :class:`~repro.netsim.network.Network`, on whose calendar the DES
+  backend's :class:`~repro.engine.loopback.CalendarRunner` steps one
+  engine per processor; ``run`` launches per-rank program generators.
 * :func:`linear_gradient_specs` — the Section-4 platform: p processors
   whose capacities fall linearly from M_1 to M_1/ratio.
 """

@@ -61,10 +61,6 @@ class Cluster:
         """Number of processors."""
         return len(self.processors)
 
-    def processor(self, rank: int) -> VirtualProcessor:
-        """The processor at ``rank``."""
-        return self.processors[rank]
-
     def capacities(self) -> list[float]:
         """Per-processor capacities M_i."""
         return [s.capacity for s in self.specs]
@@ -102,10 +98,6 @@ class Cluster:
                     f"programs still running at virtual time {until}"
                 )
         return [p.value for p in procs]
-
-    def traces(self):
-        """Per-processor phase traces (rank order)."""
-        return [p.trace for p in self.processors]
 
     def __repr__(self) -> str:
         return f"<Cluster p={self.size} network={type(self.network).__name__}>"

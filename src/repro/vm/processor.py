@@ -1,14 +1,12 @@
 """The virtual processor: capacity, mailbox and phase trace of one rank.
 
-The DES backend's rank program is ``DESTransport(proc).drive(engine)``
-(:mod:`repro.engine.des_transport`), which waits out each charge in
-its own frame and books it through :meth:`VirtualProcessor.charged`.
-The processor supplies the rest: :meth:`~VirtualProcessor.seconds_for`
-prices ops at its capacity; ``send`` is asynchronous (PVM-style);
-``recv`` blocks and records the blocked span as ``comm`` time;
-``try_recv`` is the non-blocking arrival check at the heart of the
-speculative protocol (Fig. 3: "if (msg from k arrived) receive else
-speculate").
+:meth:`VirtualProcessor.seconds_for` prices ops at the processor's
+capacity; the DES backend's
+:class:`~repro.engine.loopback.CalendarRunner` charges at that price.
+``send`` (asynchronous, PVM-style) and ``recv`` (blocking; the blocked
+span is a ``comm`` row of :attr:`VirtualProcessor.trace`) are the
+processor's own message API for a program run through
+:meth:`Cluster.run <repro.vm.cluster.Cluster.run>`.
 """
 
 from __future__ import annotations
@@ -42,16 +40,6 @@ class VirtualProcessor:
     def seconds_for(self, ops: float) -> float:
         """Virtual seconds to execute ``ops`` operations."""
         return self.spec.seconds_for(ops)
-
-    def charged(self, phase: str, start: float, iteration: Optional[int]) -> None:
-        """Book ``[start, now]`` as ``phase``: what a charge leaves behind
-        once the engine transport has waited it out in its own frame."""
-        now = self.env.now
-        self.trace.record(phase, start, now, iteration)
-        if self.env.sanitizer is not None:
-            self.env.sanitizer.note(
-                f"rank {self.rank}: {phase} t={iteration} [{start:.6g}, {now:.6g}]"
-            )
 
     # ----------------------------------------------------------- messaging
     def send(
@@ -107,13 +95,6 @@ class VirtualProcessor:
                 f"blocked [{start:.6g}, {self.env.now:.6g}]"
             )
         return msg
-
-    def try_recv(self) -> Optional[Message]:
-        """Non-blocking receive: the oldest message or None (no time passes)."""
-        found = self.mailbox.peek()
-        if found is not None:
-            self.mailbox.items.popleft()
-        return found
 
     def __repr__(self) -> str:
         return f"<VirtualProcessor rank={self.rank} {self.spec.name} M={self.spec.capacity:.3g}>"

@@ -3,8 +3,8 @@
 Host seconds per simulated message are what bound the p = 16 sweeps, and
 they are mostly calendar events.  The budget: two per message (end of
 the endpoint stage, wire completion), one per charge that takes time,
-one per receive (the mailbox ``get``), and the rank processes with the
-``AllOf`` over them.  No per-message ``Process`` exists.  The four step
+one per receive (the rank's wake), one start per rank and one end of
+run.  No ``Process`` exists, per message or per rank.  The four step
 counts are pinned so the mechanism cannot regress — or improve —
 without this file saying so.
 """
@@ -15,11 +15,10 @@ from collections import Counter
 
 import pytest
 
-from repro.des import AllOf, Environment
-from repro.engine import DESTransport, topology
-from repro.engine.core import build_engine
+from repro import api
+from repro.api import RunConfig
+from repro.des import Environment
 from repro.engine.events import Charge, Recv, Send
-from repro.engine.sanitizer import sanitizer_from_env
 from repro.harness.toys import ConstantProgram, JumpyProgram
 from repro.platforms import wustl_1994
 from repro.vm import Cluster
@@ -33,24 +32,27 @@ PROGRAMS = {
 }
 #: (program, fw) -> Environment.step() calls until the run is over.
 PINNED = {
-    ("constant", 0): 339, ("constant", 1): 409,
-    ("jumpy", 0): 339, ("jumpy", 1): 456,
+    ("constant", 0): 335, ("constant", 1): 405,
+    ("jumpy", 0): 335, ("jumpy", 1): 452,
 }
 
 
 class NamingEnvironment(Environment):
-    """Remembers the name of every process ever started."""
+    """Counts its steps and remembers the name of every process ever
+    started."""
 
     def __init__(self) -> None:
         super().__init__()
         self.names: list = []
-        # DES-level invariants (event state machine, monotone clock)
-        # when CI arms REPRO_SANITIZE.
-        self.sanitizer = sanitizer_from_env()
+        self.steps = 0
 
     def process(self, generator, name=None):
         self.names.append(name)
         return super().process(generator, name)
+
+    def step(self):
+        self.steps += 1
+        super().step()
 
 
 class Tally:
@@ -58,6 +60,7 @@ class Tally:
 
     def __init__(self, engine, counts: Counter) -> None:
         self.engine, self.fw, self.counts = engine, engine.fw, counts
+        self.stats = engine.stats
 
     def run(self):
         gen, response = self.engine.run(), None
@@ -72,25 +75,18 @@ class Tally:
 
 
 @pytest.mark.parametrize("name,fw", PINNED)
-def test_calendar_events_stay_within_the_budget(name, fw):
-    program = PROGRAMS[name]()
+def test_calendar_events_stay_within_the_budget(name, fw, monkeypatch):
     platform = wustl_1994(p=P)
     env = NamingEnvironment()
     cluster = Cluster(platform.specs, network_factory=platform.network_factory, env=env)
-    topo, counts = topology(program), Counter()
+    counts = Counter()
+    build = api.rank_engine
+    monkeypatch.setattr(api, "rank_engine", lambda *args: Tally(build(*args), counts))
 
-    def rank_program(proc):
-        engine = build_engine(program, proc.rank, topo, fw=fw)
-        return DESTransport(proc).drive(Tally(engine, counts))
-
-    done = AllOf(env, cluster.launch(rank_program))
-    steps = 0
-    while not done.processed:
-        env.step()
-        steps += 1
+    # The run arms the sanitizer when CI sets REPRO_SANITIZE.
+    api.run(RunConfig(PROGRAMS[name](), backend="des", fw=fw, cluster=cluster))
 
     assert counts[Send] == cluster.network.messages_sent == P * (P - 1) * 9
-    assert steps <= 2 * counts[Send] + counts[Charge] + counts[Recv] + 2 * P + 1
-    assert not [n for n in env.names if n.startswith("xmit-") or n == "bus-transfer"]
-    assert env.names == [f"rank{r}" for r in range(P)]
-    assert steps == PINNED[name, fw]
+    assert env.steps <= 2 * counts[Send] + counts[Charge] + counts[Recv] + P + 1
+    assert env.names == []  # a DES run starts no process
+    assert env.steps == PINNED[name, fw]

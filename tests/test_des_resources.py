@@ -77,20 +77,14 @@ def test_store_filtered_get_blocks_until_match():
     assert list(store.items) == ["other"]
 
 
-def test_store_peek_and_count():
+def test_store_put_costs_no_event_and_counts():
     env = Environment()
     store = Store(env)
     for item in (1, 2, 3):
         store.put(item)
     assert env.peek() == float("inf")  # a put costs no calendar event
-    assert store.peek() == 1
+    assert list(store.items) == [1, 2, 3]
     assert len(store) == 3
-
-
-def test_store_peek_empty_returns_none():
-    env = Environment()
-    store = Store(env)
-    assert store.peek() is None
 
 
 def test_multiple_consumers_fifo_service():

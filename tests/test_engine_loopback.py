@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
-from repro.engine import LoopbackDeadlock, LoopbackRunner
-from repro.engine.events import Recv
+from repro.engine import CalendarRunner, LoopbackDeadlock, LoopbackRunner
+from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
+from repro.netsim import ConstantLatency, DelayNetwork
+from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement, RandomDrift
 
@@ -136,3 +138,46 @@ def test_deadlock_detected_not_hung():
 def test_runner_rejects_empty_engine_map():
     with pytest.raises(ValueError):
         LoopbackRunner({})
+
+
+# ------------------------------------------------------------ the calendar
+class _Script:
+    """Fake engine yielding a fixed effect list; keeps the responses."""
+
+    fw = 0
+
+    def __init__(self, *effects):
+        self.effects, self.responses = effects, []
+
+    def run(self):
+        for effect in self.effects:
+            self.responses.append((yield effect))
+        return len(self.responses)
+
+
+def test_calendar_runner_answers_on_virtual_time():
+    """One op per virtual second, 0.5 s on the wire: a charge is
+    answered with its seconds, a ``TryRecv`` with the oldest delivered
+    message or None, a ``Recv`` with its wait and the message's
+    transit, and ``seq`` counts the arrivals from each source."""
+    sender = _Script(
+        Send(1, "a", 0, 8, 0), Send(1, "b", 1, 8, 1),
+        Charge(2.0, "compute", 0), Send(1, "c", 2, 8, 2),
+    )
+    receiver = _Script(
+        TryRecv(), Charge(1.0, "compute", 0), TryRecv(),
+        Recv("comm", 1), Recv("comm", 2), TryRecv(),
+    )
+    cluster = Cluster(uniform_specs(2, capacity=1.0),
+                      network_factory=lambda env: DelayNetwork(env, ConstantLatency(0.5)))
+    runner = CalendarRunner(cluster, {0: sender, 1: receiver})
+
+    assert runner.run() == {0: 4, 1: 6}
+    assert cluster.env.now == 2.5  # the receiver returned last
+    assert sender.responses == [None, None, 2.0, None]
+    assert receiver.responses == [
+        None, 1.0, Arrival(0, 0, "a", 0.0, 0, 0.5),
+        Arrival(0, 1, "b", 0.0, 1, 0.5), Arrival(0, 2, "c", 1.5, 2, 0.5), None,
+    ]
+    assert runner.traces[1].records == [
+        ("compute", 0.0, 1.0, 0), ("comm", 1.0, 2.5, 2)]

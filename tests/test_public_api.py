@@ -87,17 +87,18 @@ def test_run_is_the_only_entry_point_and_the_old_ones_resolve_nowhere():
 
 
 #: What a DES rank could once be written or slowed with besides an
-#: engine behind ``DESTransport`` and a ``RankFault``: owner -> names.
+#: engine stepped by ``CalendarRunner`` and a ``RankFault``: owner -> names.
 GONE_SIMULATOR_NAMES = {
     "VirtualProcessor": ("compute", "advance", "broadcast", "probe", "pending",
-                         "sent_count", "recv_count", "load"),
+                         "sent_count", "recv_count", "load", "try_recv",
+                         "charged"),
     "Process": ("interrupt", "target"),
     "Event": ("trigger", "__and__", "__or__"),
     "StoreGet": ("cancel",),
-    "Store": ("count",),
+    "Store": ("count", "peek"),
 }
 GONE_SIMULATOR_CLASSES = ("AnyOf", "Condition", "Interrupt",
-                          "BackgroundLoad", "RandomWalkLoad")
+                          "BackgroundLoad", "RandomWalkLoad", "DESTransport")
 
 
 def test_the_simulator_has_one_program_shape_and_one_slowdown():
@@ -109,6 +110,7 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
     import repro.des.errors
     import repro.des.events
     import repro.des.resources
+    import repro.engine
     import repro.platforms
     import repro.trace
     import repro.vm
@@ -116,7 +118,7 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
     from repro.vm import Cluster, uniform_specs
 
     owners = {
-        "VirtualProcessor": Cluster(uniform_specs(1)).processor(0),
+        "VirtualProcessor": Cluster(uniform_specs(1)).processors[0],
         "Process": repro.des.Process,
         "Event": repro.des.Environment().event(),
         "StoreGet": repro.des.resources.StoreGet,
@@ -126,10 +128,11 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
         for gone in names:
             assert not hasattr(owners[owner], gone), (owner, gone)
     for module in (repro, repro.des, repro.des.errors, repro.des.events,
-                   repro.des.resources, repro.vm, repro.platforms):
+                   repro.des.resources, repro.vm, repro.platforms, repro.engine):
         for gone in GONE_SIMULATOR_CLASSES:
             assert not hasattr(module, gone), (module.__name__, gone)
     assert not (PACKAGE / "vm" / "load.py").exists()
+    assert not (PACKAGE / "engine" / "des_transport.py").exists()
     defined = set()
     for path in PACKAGE.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -142,11 +145,10 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
 
     assert "load" not in params(repro.vm.VirtualProcessor)
     assert "loads" not in params(Cluster)
-    # One trace-recording seat on the DES: DESTransport, as on the
-    # other backends; the processor and the cluster record nothing.
+    # One trace-recording seat on the DES: the runner, as on the other
+    # backends; the processor and the cluster record nothing.
     assert "event_log" not in params(Cluster)
     assert not hasattr(Cluster(uniform_specs(1)), "event_log")
-    assert params(repro.vm.VirtualProcessor.try_recv) == {"self"}
     assert not hasattr(repro.trace.EventLog, "record_message")
     assert not hasattr(repro.trace, "split_tag")
     for path in (PACKAGE / "vm").glob("*.py"):

@@ -17,7 +17,7 @@ import pytest
 from repro import api
 from repro.api import RunConfig, run
 from repro.cli import main
-from repro.engine import DESTransport, SpecEngine, topology
+from repro.engine import CalendarRunner, SpecEngine, topology
 from repro.engine.sanitizer import (
     ENV_FLAG,
     ProtocolSanitizer,
@@ -195,20 +195,19 @@ def test_sanitizer_catches_forward_window_violation_in_real_run():
     # many iterations, so an ungated fw=1 rank exceeds its window fast.
     cluster = make_cluster(3, latency=50.0)
     sanitizer = ProtocolSanitizer()
-    cluster.env.sanitizer = sanitizer
     needed, audience = topology(prog)
-
-    def ungated_rank(proc):
-        engine = SpecEngine(
-            prog, proc.rank, needed[proc.rank], audience[proc.rank], fw=1,
+    engines = {
+        rank: SpecEngine(
+            prog, rank, needed[rank], audience[rank], fw=1,
             pre_send_horizon=lambda eng, t: -1,  # never wait before sending
             window_ok=lambda eng, t: True,
             sanitizer=sanitizer,
         )
-        return (yield from DESTransport(proc, sanitizer=sanitizer).drive(engine))
+        for rank in range(3)
+    }
 
     with pytest.raises(ProtocolViolation) as exc:
-        cluster.run(ungated_rank)
+        CalendarRunner(cluster, engines, sanitize=sanitizer).run()
     assert exc.value.invariant == "forward-window-bound"
 
 

@@ -1,7 +1,7 @@
 """One sanitizer, one observer table, three transports.
 
 The registry-backed :class:`ProtocolSanitizer` rides along on all
-three backends (DES via ``Environment.sanitizer``/``DESTransport``,
+three backends (DES via ``Environment.sanitizer``/``CalendarRunner``,
 loopback via ``LoopbackRunner(sanitize=...)``, pipes via
 ``PipeTransport(sanitize=...)``) through the one
 :class:`~repro.engine.observer.RankObserver` each backend constructs.
@@ -17,14 +17,14 @@ import pytest
 
 from repro.analysis.modelcheck.scenario import DriftProgram
 from repro.engine.core import SpecEngine, topology
-from repro.engine.des_transport import DESTransport
 from repro.engine import events as ev
 from repro.engine.events import ComputeBegin, Speculated
-from repro.engine.loopback import LoopbackDeadlock, LoopbackRunner
+from repro.engine.loopback import CalendarRunner, LoopbackDeadlock, LoopbackRunner
 from repro.engine.observer import OBSERVED, REPLAYED, RankObserver
 from repro.engine.pipes import PipeTransport
 from repro.engine.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.trace.events import EventLog, TraceEvent
+from repro.vm import Cluster, uniform_specs
 
 
 def _TinyProgram():
@@ -43,15 +43,6 @@ _BROKEN_STREAM = (
 EXPECTED = "forward-window-bound"
 
 
-class _StubEnv:
-    now = 0.0
-
-
-class _StubProc:
-    rank = 0
-    env = _StubEnv()
-
-
 def _drip(observer):
     """Feed the broken stream through the observer a backend built."""
     assert type(observer) is RankObserver
@@ -60,9 +51,15 @@ def _drip(observer):
 
 
 def test_des_transport_seat_trips_forward_window_bound():
-    transport = DESTransport(_StubProc(), sanitizer=ProtocolSanitizer())
+    program = _TinyProgram()
+    needed, audience = topology(program)
+    engines = {
+        rank: SpecEngine(program, rank, needed[rank], audience[rank], fw=0)
+        for rank in range(2)
+    }
+    runner = CalendarRunner(Cluster(uniform_specs(2)), engines, sanitize=True)
     with pytest.raises(ProtocolViolation) as exc:
-        _drip(transport.observer)
+        _drip(runner.observers[0])
     assert exc.value.invariant == EXPECTED
 
 
