@@ -5,32 +5,31 @@ function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
 optionally a ``judge(view, diagnostics)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
-:class:`~repro.analysis.trace_view.Verdict` records.  All 16 rules
+:class:`~repro.analysis.trace_view.Verdict` records.  All 8 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
 :meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
 de-duplicates and sorts for every family; the CLI builds every
 subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
 
-* **speclint** (SPL001, SPL003..SPL008, :mod:`repro.analysis.rules`) —
-  per-module AST rules for the silent-failure classes specific to this
-  codebase: dropped ``yield from``, nondeterminism, undisciplined
-  message tags, payload aliasing, broad excepts swallowing simulator errors,
-  sans-I/O purity and effect-dispatch exhaustiveness.
-* **specflow** (SPF110, SPF111, :mod:`repro.analysis.races`) —
+* **speclint** (SPL001, SPL004, :mod:`repro.analysis.rules`) —
+  per-module AST rules for two silent-failure classes of the simulator
+  API: a dropped ``yield from`` and an undisciplined message tag.
+* **specflow** (SPF111, :mod:`repro.analysis.races`) —
   per-function CFGs + a call graph feed a happens-before race
   analysis of the message-tag families;
-  :mod:`repro.analysis.replay` checks the same two rules dynamically
+  :mod:`repro.analysis.replay` checks the rule (and unmatched messages,
+  as SPF110) dynamically
   against a recorded :class:`~repro.trace.events.EventLog`, and runs
   the runtime sanitizer over each rank's records.
-* **spectaint** (SPT301, SPT302, :mod:`repro.analysis.taint`) —
+* **spectaint** (SPT302, :mod:`repro.analysis.taint`) —
   forward taint abstract interpretation proving unconfirmed
-  speculative values never reach an irreversible effect; ``@commits``
+  speculative values are never sent to another rank; ``@commits``
   / ``# spectaint: commit`` annotate legitimate confirmation sites.
-* **specbound** (SPB4xx and SPP204 / SPP207,
+* **specbound** (SPB4xx and SPP204,
   :mod:`repro.analysis.bounds`) — phase attribution over the same call
   graph feeds per-function rules flagging a window, event log or
   iteration-keyed map that no protocol parameter bounds, and a
-  per-message ring scan or mutable payload on the protocol path;
+  per-message ring scan on the protocol path;
   ``--trace`` checks the occupancy bounds, at the
   (p, FW, iterations) the trace's header records, against observed
   maxima, then judges the SPP findings against the calibrated

@@ -9,7 +9,7 @@ Three layers:
 * :mod:`repro.analysis.bounds.rules` — per-function rules over the
   specflow CFG and that attribution: a protocol buffer or loop no
   protocol parameter bounds (SPB405, SPB406, SPB408), and a
-  per-message cost on the receive or send path (SPP204, SPP207);
+  per-message cost on the receive path (SPP204);
 * :mod:`repro.analysis.bounds.contracts` — the trace-validated
   contracts: the protocol's four occupancy bounds
   (:data:`OCCUPANCY_BOUNDS`) at the ``(p, max_fw, iterations)`` a

@@ -38,8 +38,7 @@ from repro.analysis.cfg import CallGraph, FunctionNode, ModuleGraphs
 #: measured phases in :mod:`repro.trace.phases`: send and recv both
 #: surface as comm).
 PHASE_SEEDS: dict[str, frozenset[str]] = {
-    # "isolate_payload" names the payload-isolation hook, not a module.
-    "send": frozenset({"send", "broadcast", "isolate_payload"}),
+    "send": frozenset({"send"}),
     "recv": frozenset(
         {"recv", "try_recv", "record_arrival", "on_arrival", "_on_arrival",
          "deliver"}

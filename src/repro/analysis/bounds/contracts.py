@@ -207,7 +207,6 @@ TOL = 0.05
 #: The measured phase an SPP rule's cost pattern inflates when real.
 PHASE_OF_RULE: dict[str, str] = {
     "SPP204": "check",  # ring scan per verified message
-    "SPP207": "comm",   # mutable payload forces the copy
 }
 
 #: Gap attribution: the phase that owns time *after* an event kind.

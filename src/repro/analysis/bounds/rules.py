@@ -2,7 +2,7 @@
 
 The SPB rules each flag one way a protocol buffer can outgrow the
 parameter that is supposed to bound it (BW for history, FW for
-run-ahead state); the two SPP rules flag a per-message cost the phase
+run-ahead state); the SPP rule flags a per-message cost the phase
 budget pays for.  The phase attribution scopes most checks — an
 unbounded list in a test helper is silent, the same list on the
 receive path is a finding — and every rule reads one function at a
@@ -13,11 +13,10 @@ SPB405   window widening without a ``max_fw`` clamp
 SPB406   unbounded trace/event buffer in long-running protocol code
 SPB408   dict keyed by iteration number without eviction
 SPP204   linear HistoryRing scan inside a message loop
-SPP207   freshly built mutable payload handed to send/broadcast
 =======  ==========================================================
 
 The messages say which parameter should appear in the bound, or what
-to cache or freeze.  Findings are plain ``Diagnostic`` records;
+to cache.  Findings are plain ``Diagnostic`` records;
 ``# specbound: disable=SPB406`` suppressions work exactly as for the
 other three families.  History rings and inboxes have no static rule:
 the sanitizer's ``buffer-occupancy-bounded`` hooks and the ``--trace``
@@ -31,13 +30,9 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.analysis.cfg import ModuleGraphs, call_name, loops_of, walk_body
+from repro.analysis.cfg import ModuleGraphs, loops_of, walk_body
 from repro.analysis.diagnostics import Diagnostic, Severity, diag_at, register_rule
-from repro.analysis.bounds.attribution import (
-    PHASE_SEEDS,
-    Attribution,
-    function_items,
-)
+from repro.analysis.bounds.attribution import Attribution, function_items
 
 if TYPE_CHECKING:
     from repro.analysis.program import ProgramIndex
@@ -71,11 +66,6 @@ register_rule(
 register_rule(
     "SPP204", "history-ring-scan", Severity.ERROR,
     "linear HistoryRing scan inside a per-message loop",
-)
-register_rule(
-    "SPP207", "mutable-payload-send", Severity.WARNING,
-    "freshly built mutable payload handed to send/broadcast "
-    "(forces a deep copy)",
 )
 
 
@@ -343,35 +333,6 @@ def check_spp204(
                     )
 
 
-# --------------------------------------------------------------------------
-# SPP207: freshly built mutable payload handed to send/broadcast
-# --------------------------------------------------------------------------
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                     ast.SetComp)
-
-
-def check_spp207(
-    module: ModuleGraphs, attribution: Attribution
-) -> Iterator[Diagnostic]:
-    for qual, func, _phases, _hot in function_items(module, attribution):
-        for node in walk_body(func.body):
-            if not (
-                isinstance(node, ast.Call)
-                and call_name(node) in PHASE_SEEDS["send"]
-            ):
-                continue
-            for arg in node.args:
-                if isinstance(arg, _MUTABLE_LITERALS):
-                    yield diag_at(
-                        module.path, arg, "SPP207",
-                        f"'{qual}' sends a freshly built mutable "
-                        "payload; isolation must deep-copy it — build "
-                        "a tuple (or frozen structure) so the "
-                        "immutability fast path applies",
-                    )
-
-
 #: code -> checker, the pack :func:`findings` iterates.
 RULE_CHECKERS: dict[
     str, Callable[[ModuleGraphs, Attribution], Iterator[Diagnostic]]
@@ -380,7 +341,6 @@ RULE_CHECKERS: dict[
     "SPB406": check_spb406,
     "SPB408": check_spb408,
     "SPP204": check_spp204,
-    "SPP207": check_spp207,
 }
 
 

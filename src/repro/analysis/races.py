@@ -14,18 +14,13 @@ constants like ``VARS = "vars"``), and builds a
 * communication edges from each send site to every receive site whose
   family can match it.
 
-Two rules read the graph — the specflow family, as ``repro analyze``
-runs it through :func:`findings`:
-
-* **SPF110** — an orphaned conversation: a send whose family no
-  receive can ever match (message leak), or a receive whose family no
-  send produces (guaranteed deadlock on that path).
-* **SPF111** — an unordered conflicting pair: two *distinct* send
-  sites share a tag family, neither happens-before the other, and an
-  ambiguous receive (wildcard tag or wildcard source) can match both —
-  so which message the receive consumes depends on delivery timing.
-  Same-site sends are exempt: the protocol's iteration sub-tag orders
-  those.
+One rule reads the graph — the specflow family, as ``repro analyze``
+runs it through :func:`findings`: **SPF111**, an unordered conflicting
+pair.  Two *distinct* send sites share a tag family, neither
+happens-before the other, and an ambiguous receive (wildcard tag or
+wildcard source) can match both — so which message the receive
+consumes depends on delivery timing.  Same-site sends are exempt: the
+protocol's iteration sub-tag orders those.
 
 The same :class:`HappensBeforeGraph` is reused dynamically by
 :mod:`repro.analysis.replay`, where nodes are trace events instead of
@@ -46,13 +41,6 @@ if TYPE_CHECKING:
     from repro.analysis.program import ProgramIndex
 
 register_rule(
-    "SPF110",
-    "orphaned-tag-family",
-    Severity.ERROR,
-    "a send whose tag family no receive can match (message leak), or "
-    "a receive whose tag family no send produces (deadlock)",
-)
-register_rule(
     "SPF111",
     "unordered-conflicting-sends",
     Severity.WARNING,
@@ -62,8 +50,8 @@ register_rule(
 )
 
 #: Method names treated as message sends / receives.
-SEND_METHODS = frozenset({"send", "broadcast"})
-RECV_METHODS = frozenset({"recv", "try_recv", "probe"})
+SEND_METHODS = frozenset({"send"})
+RECV_METHODS = frozenset({"recv"})
 
 
 @dataclass(frozen=True, order=True)
@@ -303,38 +291,6 @@ def build_static_hb(
 # --------------------------------------------------------------------------
 
 
-def check_spf110(sites: list[CommSite]) -> Iterator[Diagnostic]:
-    """Orphaned send families / unsatisfiable receives."""
-    sends = [s for s in sites if s.kind == "send"]
-    recvs = [s for s in sites if s.kind == "recv"]
-    for send in sends:
-        if send.family is None:
-            continue  # unresolved family: cannot judge
-        if not any(_matches(send, recv) for recv in recvs):
-            yield diag_at(
-                send.path,
-                (send.line, send.col),
-                "SPF110",
-                f"send with tag family {send.family!r} in {send.qualname} "
-                "has no receive that can match it anywhere in the analysed "
-                "sources; the message is never consumed",
-            )
-    known_send_families = {s.family for s in sends if s.family is not None}
-    unresolved_sends = any(s.family is None for s in sends)
-    for recv in recvs:
-        if recv.wildcard_tag or recv.family is None:
-            continue
-        if recv.family not in known_send_families and not unresolved_sends:
-            yield diag_at(
-                recv.path,
-                (recv.line, recv.col),
-                "SPF110",
-                f"receive of tag family {recv.family!r} in {recv.qualname} "
-                "matches no send in the analysed sources; this receive can "
-                "never be satisfied (deadlock on this path)",
-            )
-
-
 def check_spf111(
     graph: HappensBeforeGraph, sites: list[CommSite]
 ) -> Iterator[Diagnostic]:
@@ -386,5 +342,4 @@ def check_spf111(
 def findings(index: ProgramIndex) -> Iterator[Diagnostic]:
     """Every SPF finding over the shared parse."""
     graph, sites = build_static_hb(index.modules, index.callgraph)
-    yield from check_spf110(sites)
     yield from check_spf111(graph, sites)

@@ -256,7 +256,6 @@ def replay(view: TraceView) -> ReplayReport:
 #: *exercised* (so a clean trace refutes rather than merely not
 #: observing the static finding).
 _EXERCISE_KINDS: dict[str, tuple[str, ...]] = {
-    "SPF110": ("send", "recv"),
     "SPF111": ("send",),
 }
 

@@ -1,8 +1,8 @@
 """spectaint: speculation-escape & rollback-safety abstract interpretation.
 
 Forward taint analysis over the specflow CFG + call graph proving
-that values derived from unconfirmed speculative receives never reach
-an irreversible effect (SPT301, SPT302), plus the
+that values derived from unconfirmed speculative receives are never
+sent to another rank (SPT302), plus the
 trace-replay verdict layer (:func:`check_taint`).  Commit points are
 matched by name: a ``@commits`` decorator (the runtime marker is
 :func:`repro.engine.core.commits`) or a ``# spectaint: commit`` line.

@@ -67,30 +67,9 @@ _SPEC_ONLY: frozenset[str] = frozenset({SPEC})
 #: (or popping from it) yields an unconfirmed speculative value.
 SPEC_LEDGER_ATTRS = frozenset({"spec_used"})
 
-#: Calls that commit irreversible I/O: builtins plus the write/dump
-#: surface of files, OS process helpers and array serialisers.
-IO_SINK_NAMES = frozenset(
-    {
-        "print",
-        "open",
-        "write",
-        "writelines",
-        "write_text",
-        "write_bytes",
-        "system",
-        "popen",
-        "check_call",
-        "check_output",
-        "dump",
-        "save",
-        "savetxt",
-        "tofile",
-    }
-)
-
 #: Sends of derived state to other ranks (payload extraction:
 #: :func:`_payload_of`).
-SEND_SINK_NAMES = frozenset({"send", "broadcast"})
+SEND_SINK_NAMES = frozenset({"send"})
 
 #: Accessors that *read out of* a container without laundering: taking
 #: an element of a tainted mapping/sequence keeps the taint.
@@ -107,14 +86,9 @@ def _iter_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
 
 
 def _payload_of(call: ast.Call) -> Optional[ast.expr]:
-    """The payload argument of a send/broadcast call, if present."""
-    name = call_name(call)
-    if name == "send":
-        if len(call.args) > 1:
-            return call.args[1]
-    elif name == "broadcast":
-        if call.args:
-            return call.args[0]
+    """The payload argument of a send call, if present."""
+    if len(call.args) > 1:
+        return call.args[1]
     for kw in call.keywords:
         if kw.arg == "payload":
             return kw.value
@@ -437,8 +411,7 @@ def iter_sink_args(
     """Direct sink reaches in one statement.
 
     Yields ``(SPT code, sink call, offending argument, facts)`` for
-    every argument of an I/O builtin (SPT301) or send/broadcast
-    payload (SPT302) whose facts include speculative or
+    every send payload (SPT302) whose facts include speculative or
     parameter-origin taint.  Commit calls are not sinks — a declared
     commit point is exactly where speculative data is *allowed* to
     become irreversible — and sink calls on a ``# spectaint: commit``
@@ -449,13 +422,7 @@ def iter_sink_args(
             continue
         if getattr(call, "lineno", 0) in analysis.commit_lines:
             continue
-        name = call_name(call)
-        if name in IO_SINK_NAMES:
-            for arg in list(call.args) + [kw.value for kw in call.keywords]:
-                facts = analysis.facts_of(arg, state)
-                if unconfirmed(facts) or param_indices(facts):
-                    yield "SPT301", call, arg, facts
-        elif name in SEND_SINK_NAMES:
+        if call_name(call) in SEND_SINK_NAMES:
             payload = _payload_of(call)
             if payload is not None:
                 facts = analysis.facts_of(payload, state)

@@ -1,6 +1,6 @@
-"""The SPT301 and SPT302 rule pass over the taint lattice.
+"""The SPT302 rule pass over the taint lattice.
 
-Each rule names one way a speculative value can defeat the rollback
+The rule names the way a speculative value can defeat the rollback
 guarantee of the speculative protocol (PAPER.md §"wrong guesses must
 be correctable"): once an unconfirmed value reaches an effect the
 backward window cannot undo, a mispredicted receive is no longer
@@ -36,14 +36,6 @@ if TYPE_CHECKING:
 # ------------------------------------------------------------------ registry
 
 register_rule(
-    "SPT301",
-    "spec-escape-to-io",
-    Severity.ERROR,
-    "an unconfirmed speculative value reaches an irreversible I/O sink "
-    "(print/open/write/dump/...) — once emitted it cannot be rolled "
-    "back when the actual value arrives and disagrees",
-)
-register_rule(
     "SPT302",
     "spec-escape-via-send",
     Severity.ERROR,
@@ -64,7 +56,7 @@ def _describe(expr: ast.expr) -> str:
 def check_module(
     module: ModuleGraphs, ctx: TaintContext
 ) -> Iterator[Diagnostic]:
-    """Run SPT301 and SPT302 over every function of one module."""
+    """Run SPT302 over every function of one module."""
     commit_lines = ctx.commit_lines.get(module.path, frozenset())
     emitted: set[tuple[int, int, str]] = set()
 
@@ -85,7 +77,7 @@ def check_module(
             assert stmt is not None
             state = states[node.uid]
 
-            # --- SPT301/302: direct sink reaches -----------------------
+            # --- SPT302: direct sink reaches -----------------------
             for code, call, arg, facts in iter_sink_args(stmt, state, analysis):
                 if not unconfirmed(facts):
                     continue  # parameter-origin only: the caller's report
@@ -99,7 +91,7 @@ def check_module(
                     "through a declared commit point first",
                 )
 
-            # --- SPT301/302 interprocedural: tainted arg into a
+            # --- SPT302 interprocedural: tainted arg into a
             # function whose parameter reaches a sink ------------------
             for call in _iter_calls(stmt):
                 if analysis.is_commit_call(call):

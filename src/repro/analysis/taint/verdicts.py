@@ -37,7 +37,7 @@ from repro.analysis.trace_view import (
 )
 
 #: Static codes judged by the send-during-open-speculation witness.
-_ESCAPE_CODES = frozenset({"SPT301", "SPT302"})
+_ESCAPE_CODES = frozenset({"SPT302"})
 
 
 @dataclass(frozen=True)

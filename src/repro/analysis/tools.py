@@ -181,7 +181,7 @@ TOOLS: tuple[Tool, ...] = (
         name="specbound",
         help="run specbound (static speculation-resource bound and "
         "hot-path cost analysis with trace-validated occupancy and "
-        "phase-cost contracts, rules SPB4xx and SPP204 / SPP207)",
+        "phase-cost contracts, rules SPB4xx and SPP204)",
         prefixes=("SPB", "SPP"),
         findings=spb.findings,
         judge=judge_bounds,

@@ -42,7 +42,7 @@ sweep-valued ``--p/--fw/--bw`` spellings — same names, list-typed.)
 ``repro analyze | taint | bounds [paths] [--format text|json|sarif]``
     specflow (happens-before, SPF1xx), spectaint (speculation escape,
     SPT3xx) and specbound (resource bounds, SPB4xx, and hot-path cost,
-    SPP204 / SPP207).  Each takes ``--select`` and ``--trace FILE``,
+    SPP204).  Each takes ``--select`` and ``--trace FILE``,
     which replays a recorded event log and marks the static findings
     CONFIRMED / REFUTED / UNOBSERVED against what the run actually did.
 ``repro check [paths] [--sarif FILE] [--stats]``

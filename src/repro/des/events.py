@@ -64,11 +64,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have been executed."""
-        return self.callbacks is None  # type: ignore[return-value]
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded.  Only valid once triggered."""
         if self._ok is None:
@@ -126,7 +121,7 @@ class Event:
     def __repr__(self) -> str:
         state = (
             "processed"
-            if self.processed
+            if self.callbacks is None
             else "triggered" if self.triggered else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -206,11 +201,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is _PENDING
-
     # -- internal -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -249,7 +239,7 @@ class Process(Event):
             next_event.add_callback(self._resume)
 
     def __repr__(self) -> str:
-        state = "alive" if self.is_alive else "finished"
+        state = "alive" if self._value is _PENDING else "finished"
         return f"<Process {self.name!r} {state}>"
 
 

@@ -143,16 +143,6 @@ class Resource:
             raise SimulationError("releasing a request that does not hold the resource")
         self._trigger()
 
-    @property
-    def in_use(self) -> int:
-        """Units currently held."""
-        return len(self.users)
-
-    @property
-    def queued(self) -> int:
-        """Requests waiting for a unit."""
-        return len(self._queue)
-
     def _trigger(self) -> None:
         while self._queue and len(self.users) < self.capacity:
             request = self._queue.popleft()
@@ -160,4 +150,4 @@ class Resource:
             request.succeed()
 
     def __repr__(self) -> str:
-        return f"<Resource in_use={self.in_use}/{self.capacity} queued={self.queued}>"
+        return f"<Resource in_use={len(self.users)}/{self.capacity} queued={len(self._queue)}>"

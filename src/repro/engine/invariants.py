@@ -106,7 +106,8 @@ MONOTONIC_VIRTUAL_TIME = _register(
     "In the DES seat, each rank's charged virtual time is "
     "non-decreasing across effects.  Only the DES transport has a "
     "clock, so only the runtime seat checks this; the sans-I/O engine "
-    "itself never reads time (enforced separately by SPL007).",
+    "itself never reads time (tests/test_specmc.py's pinned state "
+    "counts catch an engine that does).",
     "safety",
     (SEAT_SANITIZER,),
 )

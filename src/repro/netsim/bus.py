@@ -104,15 +104,10 @@ class SharedBus:
         self.busy_time += self.env.now - start
         self.bytes_transferred += nbytes
 
-    @property
-    def queued(self) -> int:
-        """Transfers currently waiting for the medium."""
-        return max(len(self._in_flight) - 1, 0)
-
     def __repr__(self) -> str:
         return (
             f"<SharedBus bw={self.bandwidth:.3g} B/s "
-            f"overhead={self.frame_overhead:.3g}s queued={self.queued}>"
+            f"overhead={self.frame_overhead:.3g}s queued={max(len(self._in_flight) - 1, 0)}>"
         )
 
 

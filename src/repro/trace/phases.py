@@ -47,12 +47,6 @@ class Interval:
         if self.end < self.start:
             raise ValueError(f"interval ends before it starts: {self}")
 
-    @property
-    def duration(self) -> float:
-        """Length of the interval in the trace's own clock: virtual
-        seconds on DES, wall seconds on mp, counted ops on loopback."""
-        return self.end - self.start
-
 
 class PhaseTrace:
     """Append-only log of phase intervals for one processor.

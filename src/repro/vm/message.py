@@ -87,13 +87,6 @@ class Message:
             )
         self.__dict__["delivered_at"] = now
 
-    @property
-    def latency(self) -> float:
-        """Transit time; only valid after delivery."""
-        if self.delivered_at is None:
-            raise ValueError("message not yet delivered")
-        return self.delivered_at - self.sent_at
-
     def matches(self, src: Optional[int] = None, tag: Optional[Hashable] = None) -> bool:
         """Selective-receive predicate (None = wildcard)."""
         if src is not None and self.src != src:

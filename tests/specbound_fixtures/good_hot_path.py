@@ -1,9 +1,9 @@
-"""Fixture: the fixed idioms — both SPP rules stay silent here.
+"""Fixture: the fixed idioms — the SPP rule stays silent here.
 
 The payload isolator probes immutability before copying, the fan-out
-sizes the payload once and sends no freshly built list or dict
-(SPP207), and nothing scans the history ring inside a message loop
-(SPP204).
+sizes the payload once and sends the caller's own state, and nothing
+scans the history ring inside a message loop (SPP204): each is the
+fix of a per-message cost.
 """
 
 import copy

@@ -20,7 +20,7 @@ def produce(history, t):
 
 def interprocedural(proc, t, history):
     estimate = produce(history, t)
-    proc.broadcast(estimate, tag=(VARS, t))   # SPT302: via summary
+    proc.send(1, estimate, tag=(VARS, t))     # SPT302: via summary
 
 
 def one_path_unchecked(proc, t, history, lucky):

@@ -1,7 +1,7 @@
 """Fixture: rules must reach decorated, nested and async-nested defs.
 
 Regression guard for the rule visitors: every function below hides an
-un-driven ``proc.compute(...)`` (SPL001) behind a nesting shape that a
+un-driven ``proc.recv(...)`` (SPL001) behind a nesting shape that a
 naive top-level-only visitor would skip — a decorator, a closure
 inside a closure, an async-nested def, and a method of a class defined
 inside a function.
@@ -18,7 +18,7 @@ def decorate(fn):
 @functools.lru_cache(maxsize=None)
 def decorated(proc):
     def body():
-        proc.compute(1.0)        # SPL001: dropped generator (decorated)
+        proc.recv(src=1)        # SPL001: dropped generator (decorated)
         yield None
 
     return body
@@ -27,7 +27,7 @@ def decorated(proc):
 def outer(proc):
     def middle():
         def inner():
-            proc.compute(2.0)    # SPL001: dropped generator (doubly nested)
+            proc.recv(src=2)    # SPL001: dropped generator (doubly nested)
             yield None
 
         return inner
@@ -37,7 +37,7 @@ def outer(proc):
 
 async def async_outer(proc):
     def inner():
-        proc.compute(3.0)        # SPL001: dropped generator (async-nested)
+        proc.recv(src=3)        # SPL001: dropped generator (async-nested)
         yield None
 
     return inner
@@ -46,7 +46,7 @@ async def async_outer(proc):
 def factory(proc):
     class Stepper:
         def step(self):
-            proc.compute(4.0)    # SPL001: dropped generator (class-in-def)
+            proc.recv(src=4)    # SPL001: dropped generator (class-in-def)
             yield None
 
     return Stepper

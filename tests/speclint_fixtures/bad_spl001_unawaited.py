@@ -7,7 +7,7 @@ ruff; exists purely as speclint input for tests/test_speclint.py.
 
 def rank_program(env, proc):
     def body():
-        proc.compute(1.5)          # SPL001: generator never driven
+        proc.recv(src=0)           # SPL001: generator never driven
         proc.recv(match=None)      # SPL001: result (a generator) discarded
         env.timeout(3.0)           # SPL001: bare-expression timeout
         yield env.timeout(1.0)

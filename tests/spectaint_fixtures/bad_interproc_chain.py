@@ -1,15 +1,15 @@
 """Fixture: interprocedural escape through two calls.
 
 Neither ``relay`` nor ``emit`` speculates, and ``produce`` never
-touches I/O — only the whole chain is broken: the speculation made in
+sends — only the whole chain is broken: the speculation made in
 ``produce`` flows through ``relay``'s parameter into ``emit``'s
-parameter, which prints it.  Catching this requires the call-graph
+parameter, which sends it.  Catching this requires the call-graph
 summaries, not any single-function view.
 """
 
 
 def emit(value):
-    print(value)        # sink: tainted only via callers
+    PEER.send(1, value)  # sink: tainted only via callers
 
 
 def relay(value):
@@ -18,4 +18,4 @@ def relay(value):
 
 def produce(history):
     guess = speculate(history)
-    relay(guess)        # SPT301: escape through a two-call chain
+    relay(guess)        # SPT302: escape through a two-call chain

@@ -8,4 +8,4 @@ the receiver folds it into its own state as if it were confirmed.
 def exchange(transport, history):
     guess = predict(history)
     transport.send(1, guess)     # SPT302: payload is unconfirmed
-    transport.broadcast(guess)   # SPT302: broadcast fan-out is worse
+    transport.send(2, guess)     # SPT302: and so is every other peer

@@ -1,7 +1,7 @@
 """Fixture (clean): confirm-then-commit, the protocol done right.
 
 Every speculative value passes a check/verify (or a justified
-``# spectaint: commit`` line) before any irreversible effect.
+``# spectaint: commit`` line) before it is sent.
 """
 
 
@@ -9,7 +9,7 @@ def step(transport, history, actual):
     guess = speculate(history)
     check(guess, actual)      # confirmation happens first ...
     transport.send(1, guess)  # ... so the send is clean
-    print(guess)              # ... and so is the I/O
+    transport.send(2, guess)  # ... and so is the next
 
 
 def barrier_step(transport, history):

@@ -2,7 +2,7 @@
 
 Storing the guess into ``self.pending`` is exactly how a rollback
 ledger works: the receiver's own attribute is not a caller-owned
-object, and the guess reaches no I/O or send before ``check``.
+object, and the guess reaches no send before ``check``.
 """
 
 

@@ -25,26 +25,21 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 DOCS = TESTS.parent / "docs" / "static_analysis.md"
 
-#: tool -> (a fixture that fires ``code``, a clean fixture, ``code``,
-#: a second fixture firing a different rule of the family).
+#: tool -> (a fixture that fires ``code``, a clean fixture, ``code``).
 CASES = {
-    "speclint": ("bad_spl001_unawaited.py", "good_protocol.py", "SPL001",
-                 "bad_spl004_tags.py"),
-    "specflow": ("bad_spf110_orphan.py", "good_protocol.py", "SPF110",
-                 "bad_spf111_race.py"),
-    "spectaint": ("bad_spt301_io.py", "good_confirmed.py", "SPT301",
-                  "bad_spt302_send.py"),
-    "specbound": ("bad_unclamped_widen.py", "good_ring_window.py", "SPB405",
-                  "bad_event_buffer.py"),
+    "speclint": ("bad_spl001_unawaited.py", "good_protocol.py", "SPL001"),
+    "specflow": ("bad_spf111_race.py", "good_protocol.py", "SPF111"),
+    "spectaint": ("bad_spt302_send.py", "good_confirmed.py", "SPT302"),
+    "specbound": ("bad_unclamped_widen.py", "good_ring_window.py", "SPB405"),
 }
 
 every_tool = pytest.mark.parametrize("tool", TOOLS, ids=lambda tool: tool.name)
 
 
 def _case(tool):
-    bad, good, code, other = CASES[tool.name]
+    bad, good, code = CASES[tool.name]
     fixtures = TESTS / f"{tool.name}_fixtures"
-    return fixtures / bad, fixtures / good, code, fixtures / other
+    return fixtures / bad, fixtures / good, code
 
 
 def _codes(diagnostics):
@@ -75,7 +70,7 @@ def test_catalogue_is_the_codes_with_the_tools_prefix(tool):
 def test_every_rule_belongs_to_exactly_one_tool():
     owners = {code: [t.name for t in TOOLS if code in t.rules] for code in RULES}
     assert all(len(names) == 1 for names in owners.values()), owners
-    assert len(RULES) == 16
+    assert len(RULES) == 8
 
 
 def test_documented_rules_are_the_registry():
@@ -99,19 +94,19 @@ def test_documented_rules_are_the_registry():
 
 @every_tool
 def test_select_restricts_and_is_case_insensitive(tool):
-    bad, _good, code, other = _case(tool)
-    both = tool.analyze(ProgramIndex([bad, other]))
-    assert len(_codes(both)) == 2 and code in _codes(both)
-    assert _codes(tool.analyze(ProgramIndex([bad, other]), select=[code])) == [code]
-    assert tool.analyze(ProgramIndex([bad, other]), select=[code.lower()]) == [
-        d for d in both if d.code == code
+    bad, _good, code = _case(tool)
+    tree = ProgramIndex([bad.parent])
+    everything = tool.analyze(tree)
+    assert code in _codes(everything)
+    assert tool.analyze(tree, select=[code.lower()]) == [
+        d for d in everything if d.code == code
     ]
     assert tool.analyze(ProgramIndex([bad]), select=[tool.syntax_code]) == []
 
 
 @every_tool
 def test_select_rejects_unknown_and_foreign_codes(tool):
-    bad, _good, _code, _other = _case(tool)
+    bad, _good, _code = _case(tool)
     foreign = next(t for t in TOOLS if t is not tool).rules
     for wrong in ("NOPE", min(foreign)):
         with pytest.raises(UnknownRuleCode, match=f"{wrong}.*{min(tool.rules)}"):
@@ -121,7 +116,7 @@ def test_select_rejects_unknown_and_foreign_codes(tool):
 @every_tool
 @pytest.mark.parametrize("spelling", [t.name for t in TOOLS])
 def test_any_familys_directive_silences_a_finding(tool, spelling, tmp_path):
-    bad, _good, code, _other = _case(tool)
+    bad, _good, code = _case(tool)
     found = [d for d in tool.analyze(ProgramIndex([bad])) if d.code == code]
     assert found
     lines = bad.read_text().splitlines()
@@ -223,7 +218,7 @@ def test_two_runs_render_identical_bytes(tool):
 
 @every_tool
 def test_cli_exit_codes(tool, capsys):
-    bad, good, code, _other = _case(tool)
+    bad, good, code = _case(tool)
     assert main([tool.cli, str(bad)]) == EXIT_FINDINGS
     assert code in capsys.readouterr().out
     assert main([tool.cli, str(good)]) == EXIT_CLEAN
@@ -234,7 +229,7 @@ def test_cli_exit_codes(tool, capsys):
 
 @every_tool
 def test_cli_usage_errors_name_the_tool_that_ran(tool, capsys):
-    bad, _good, _code, _other = _case(tool)
+    bad, _good, _code = _case(tool)
     assert main([tool.cli, "no/such/path"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -266,7 +261,7 @@ def test_fingerprint_baseline_flags_are_unknown_arguments(capsys):
 
 @every_tool
 def test_cli_json_and_sarif_documents_name_the_tool(tool, capsys):
-    bad, _good, code, _other = _case(tool)
+    bad, _good, code = _case(tool)
     for fmt in tool.formats:
         if fmt == "text":
             continue

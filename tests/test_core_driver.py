@@ -313,3 +313,56 @@ def test_jittered_endpoint_latency_keeps_channels_fifo(fw):
                            cluster=wustl_1994(p=4, jitter_sigma=0.8, seed=1).cluster()))
     for rank in range(4):
         np.testing.assert_array_equal(result.results[rank], prog.initial_block(rank))
+
+
+# ------------------------------------------- what a long run keeps and reads
+def _watch_engines(monkeypatch):
+    """The engines the run builds (the report carries none)."""
+    from repro import api
+
+    built = []
+    build = api.rank_engine
+
+    def watched(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(api, "rank_engine", watched)
+    return built
+
+
+@pytest.mark.parametrize("fw", [1, 3])
+def test_bookkeeping_is_bounded_by_the_window_not_the_run(fw, monkeypatch):
+    """Inputs, actual blocks, arrival counts and the own chain are kept
+    only for the iterations a correction can still reach."""
+    from repro.engine.core import run_ahead_bound
+
+    engines = _watch_engines(monkeypatch)
+    prog = RandomDrift(nprocs=3, iterations=40, coupling=0.3, threshold=0.0)
+    run(RunConfig(prog, fw=fw, cluster=make_cluster(3, latency=0.5)))
+    bound = run_ahead_bound(fw) + 2
+    for engine in engines:
+        assert len(engine.inputs_used) <= bound
+        assert len({t for _src, t in engine.actual}) <= bound
+        assert len(engine.missing) <= bound
+        assert len(engine.chain) <= bound
+
+
+def test_each_speculation_reads_its_ring_once(monkeypatch):
+    """A history ring is read once per guess made from it, cascades
+    included: never once per peer per cascade step."""
+    from repro.engine.ring import HistoryRing
+
+    reads = []
+    series = HistoryRing.series
+
+    def counted(self):
+        reads.append(self)
+        return series(self)
+
+    monkeypatch.setattr(HistoryRing, "series", counted)
+    prog = RandomDrift(nprocs=3, iterations=12, coupling=0.3, threshold=0.0)
+    result = run(RunConfig(prog, fw=2, cluster=make_cluster(3, latency=2.0)))
+    # More recomputes than rejections: cascades recomputed later blocks.
+    assert sum(s.recomputes - s.spec_rejected for s in result.stats) > 0
+    assert len(reads) == sum(s.spec_made for s in result.stats)

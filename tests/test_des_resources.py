@@ -186,5 +186,4 @@ def test_resource_counters():
     env.process(holder(env))
     env.process(waiter(env))
     env.run(until=2)
-    assert r.in_use == 1
-    assert r.queued == 1
+    assert repr(r) == "<Resource in_use=1/1 queued=1>"

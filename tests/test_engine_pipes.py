@@ -14,12 +14,13 @@ The two protocol-critical properties of the pipe transport:
 import multiprocessing as mp
 import threading
 import time
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
-from repro.engine import Recv, TransportError, TryRecv
+from repro.engine import Recv, Send, TransportError, TryRecv
 from repro.engine.pipes import PipeTransport
 from repro.netsim.latency import (
     ConstantLatency,
@@ -151,6 +152,17 @@ def test_blocking_recv_parks_to_the_stamp_not_to_the_next_millisecond():
 
 
 # ------------------------------------------------------- sequenced delivery
+def test_a_wire_frame_is_the_payload_and_a_three_field_header():
+    """One send puts ``(seq, send stamp, iteration, payload)`` on the
+    pipe, pickled as a tuple: the bytes ``bench/micro.py`` computes for
+    ``pipes.pickled_bytes``, read here off the pipe itself."""
+    transport, peer = make_transport()
+    payload = np.zeros((500, 6))
+    transport.send(Send(dst=1, payload=payload, iteration=3,
+                        nbytes=payload.nbytes, seq=0))
+    assert len(peer.recv_bytes()) == len(ForkingPickler.dumps((0, 0.0, 3, payload)))
+
+
 def test_wire_sequence_break_raises():
     transport, sender = make_transport()
     sender.send((1, time.monotonic(), 1, "skipped ahead"))

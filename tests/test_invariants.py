@@ -72,16 +72,3 @@ def test_docs_catalogue_lists_every_invariant():
         assert f"`{invariant_id}`" in protocol_md, (
             f"docs/protocol.md invariant catalogue is missing {invariant_id}"
         )
-
-
-def test_lint_effect_alphabet_matches_engine():
-    """SPL008's mirrored alphabet must track the real effect union."""
-    from repro.analysis.rules import EFFECT_ALPHABET, IO_EFFECTS, NOTIFY_EFFECTS
-    from repro.engine.events import Arrival, Charge, Effect, Recv, Send, TryRecv
-
-    real = {cls.__name__ for cls in Effect}
-    assert EFFECT_ALPHABET == real
-    assert IO_EFFECTS == {Send.__name__, Recv.__name__, TryRecv.__name__,
-                          Charge.__name__}
-    assert NOTIFY_EFFECTS == real - IO_EFFECTS
-    assert Arrival.__name__ not in EFFECT_ALPHABET  # response, not effect

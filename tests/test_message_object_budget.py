@@ -114,7 +114,7 @@ def test_intervals_materialise_on_read_and_total_like_the_rows():
         # The reference: today's sums, spelled over Interval objects.
         totals: dict = {}
         for iv in intervals:
-            totals[iv.phase] = totals.get(iv.phase, 0.0) + iv.duration
+            totals[iv.phase] = totals.get(iv.phase, 0.0) + (iv.end - iv.start)
         breakdown = trace.breakdown()
         for phase, total in totals.items():
             assert breakdown[phase] == total == trace.total(phase)

@@ -74,7 +74,7 @@ def test_steady_breakdown_equals_a_reference_summed_over_intervals(skip, how):
                 if iv.iteration is None or iv.iteration >= skip]
         totals = dict.fromkeys(PHASES, 0.0)
         for iv in kept:
-            totals[iv.phase] += iv.duration
+            totals[iv.phase] += (iv.end - iv.start)
         per_rank.append(totals)
         spans.append(max(iv.end for iv in kept) - min(iv.start for iv in kept))
     merge = {"max": max, "sum": sum, "mean": lambda v: sum(v) / len(v)}[how]

@@ -59,7 +59,7 @@ FIXTURES = Path(__file__).parent / "specbound_fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
 SPB_CODES = ["SPB405", "SPB406", "SPB408"]
-SPP_CODES = ["SPP204", "SPP207"]
+SPP_CODES = ["SPP204"]
 ALL_CODES = SPB_CODES + SPP_CODES
 
 
@@ -169,7 +169,6 @@ def test_hot_reachability_from_run_seat():
         ("bad_event_buffer.py", "SPB406"),
         ("bad_iteration_dict.py", "SPB408"),
         ("bad_spp204_ringscan.py", "SPP204"),
-        ("bad_spp207_mutable.py", "SPP207"),
     ],
 )
 def test_each_bad_fixture_fires_only_its_rule(name, code):
@@ -396,7 +395,7 @@ def test_correct_runs_refute_no_occupancy_contract(p, fw, cascade):
 
 
 def _synthetic_log(header=TraceHeader(p=2, iterations=2, max_fw=1, hist_cap=4),
-                   verify=True):
+                   verify=True, check_end=10.5):
     """Two ranks; rank 0: compute-heavy, rank 1: waits on a recv."""
     log = EventLog(header=header)
     # rank 0: send at t=0, compute 0->10, verify at 10, next compute.
@@ -404,7 +403,7 @@ def _synthetic_log(header=TraceHeader(p=2, iterations=2, max_fw=1, hist_cap=4),
     log.record("compute", 0, 0.0, iteration=0, args=(0, 1))
     if verify:
         log.record("verify", 0, 10.0, peer=1, family="vars", iteration=0)
-    log.record("compute", 0, 10.5, iteration=1, args=(0, 1))
+    log.record("compute", 0, check_end, iteration=1, args=(0, 1))
     # rank 1: blocked on the message from t=0 to t=4.
     log.record("send", 1, 0.0, peer=0, family="vars", iteration=0)
     log.record("recv", 1, 4.0, peer=0, family="vars", iteration=0)
@@ -445,16 +444,19 @@ def test_check_contracts_verdict_statuses():
     measured, modeled, verdicts = check_contracts(
         diags, TraceView(_synthetic_log())
     )
-    by_code = {v.rule: v for v in verdicts}
-    assert set(by_code) == set(SPP_CODES)
-    # comm measured ~20.5% vs model 0% exposed comm at p=2: confirmed.
-    assert by_code["SPP207"].status == CONFIRMED
+    assert [v.rule for v in verdicts] == SPP_CODES
     # check measured within TOL of the model's budget: refuted.
-    assert by_code["SPP204"].status == REFUTED
-    line = by_code["SPP207"].format_text()
-    assert line.startswith("cost-contract SPP207 [comm]: CONFIRMED — measured ")
-    assert by_code["SPP207"].observed == measured["comm"]
-    assert by_code["SPP207"].bound == modeled["comm"]
+    assert verdicts[0].status == REFUTED
+    # A verification four units long overruns the check budget: confirmed.
+    measured, modeled, verdicts = check_contracts(
+        diags, TraceView(_synthetic_log(check_end=14.0))
+    )
+    (spp204,) = verdicts
+    assert spp204.status == CONFIRMED
+    line = spp204.format_text()
+    assert line.startswith("cost-contract SPP204 [check]: CONFIRMED — measured ")
+    assert spp204.observed == measured["check"]
+    assert spp204.bound == modeled["check"]
     # No verify event: the check phase never ran, so it is unobserved.
     _m, _b, unverified = check_contracts(
         diags, TraceView(_synthetic_log(verify=False))
@@ -476,7 +478,7 @@ def test_share_table_names_the_p_the_budget_was_evaluated_at(p, tmp_path, capsys
     table says so; a trace it covers prints the plain header."""
     trace = tmp_path / "trace.jsonl"
     _synthetic_log(TraceHeader(p=p, iterations=2, max_fw=1, hist_cap=4)).save(trace)
-    main(["bounds", str(FIXTURES / "bad_spp207_mutable.py"), "--trace", str(trace)])
+    main(["bounds", str(FIXTURES / "bad_spp204_ringscan.py"), "--trace", str(trace)])
     lines = capsys.readouterr().out.splitlines()
     header = next(line for line in lines if line.startswith("phase "))
     if p <= 16:
@@ -557,14 +559,14 @@ def test_cli_bounds_trace_reports_both_contract_sets(tmp_path, capsys):
     """Occupancy first, then the cost share table and cost verdicts; a
     CONFIRMED cost overrun fails the run as a REFUTED bound does."""
     trace = tmp_path / "trace.jsonl"
-    _synthetic_log().save(trace)
+    _synthetic_log(check_end=14.0).save(trace)
     assert main(["bounds", str(FIXTURES), "--trace", str(trace)]) == EXIT_FINDINGS
     lines = capsys.readouterr().out.splitlines()
     occupancy = [i for i, line in enumerate(lines) if line.startswith("occupancy-contract")]
     costs = [i for i, line in enumerate(lines) if line.startswith("cost-contract")]
     table = lines.index("phase      measured    model")
     assert occupancy and costs and occupancy[-1] < table < costs[0]
-    assert "cost-contract SPP207 [comm]: CONFIRMED" in "\n".join(lines)
+    assert "cost-contract SPP204 [check]: CONFIRMED" in "\n".join(lines)
     # A clean tree + trace: nothing to cross-reference, exit 0.
     clean = str(FIXTURES / "good_hot_path.py")
     assert main(["bounds", clean, "--trace", str(trace)]) == EXIT_CLEAN

@@ -132,7 +132,6 @@ def test_cfg_covers_nested_and_decorated_functions():
 @pytest.mark.parametrize(
     "fixture, code, count",
     [
-        ("bad_spf110_orphan.py", "SPF110", 2),
         ("bad_spf111_race.py", "SPF111", 1),
     ],
 )
@@ -153,8 +152,8 @@ def test_speclint_good_fixture_is_specflow_clean():
 
 
 def test_specflow_suppression_directive(tmp_path):
-    path = FIXTURES / "bad_spf110_orphan.py"
-    src = "# specflow: disable-file=SPF110\n" + path.read_text()
+    path = FIXTURES / "bad_spf111_race.py"
+    src = "# specflow: disable-file=SPF111\n" + path.read_text()
     assert analyze_source(tmp_path, src) == []
 
 
@@ -302,23 +301,26 @@ def _diag(code):
 
 def test_cross_reference_confirmed_and_refuted():
     log = EventLog()
-    _msg(log, 0, 1, 0, recv=False)   # unmatched send: SPF110 witnessed
-    report, verdicts = cross_reference(
-        [_diag("SPF110"), _diag("SPF111")], TraceView(log)
-    )
-    by_code = {v.rule: v.status for v in verdicts}
-    assert by_code["SPF110"] == CONFIRMED
-    assert by_code["SPF111"] == REFUTED   # sends exercised, no overtaking
+    _msg(log, 0, 1, 0)
+    _msg(log, 0, 1, 1)
+    _, verdicts = cross_reference([_diag("SPF111")], TraceView(log))
+    assert [v.status for v in verdicts] == [REFUTED]  # sends, no overtaking
+    log = EventLog()
+    log.record("send", rank=0, time=0.0, peer=1, family="vars", iteration=0)
+    log.record("send", rank=0, time=0.0, peer=1, family="vars", iteration=1)
+    log.record("recv", rank=1, time=0.0, peer=0, family="vars", iteration=1)
+    log.record("recv", rank=1, time=0.0, peer=0, family="vars", iteration=0)
+    report, verdicts = cross_reference([_diag("SPF111")], TraceView(log))
     assert report.findings
     assert verdicts[0].format_text().startswith(
-        "protocol-contract SPF110: CONFIRMED — "
+        "protocol-contract SPF111: CONFIRMED — "
     )
 
 
 def test_cross_reference_unobserved():
     log = EventLog()
     log.record("compute", rank=0, time=0.0, iteration=0, args=(0, 1))
-    _, verdicts = cross_reference([_diag("SPF110")], TraceView(log))
+    _, verdicts = cross_reference([_diag("SPF111")], TraceView(log))
     assert [v.status for v in verdicts] == [UNOBSERVED]
 
 
@@ -455,13 +457,13 @@ def test_trace_replay_cross_references_static_findings(tmp_path):
 
 # --------------------------------------------------------------------- SARIF
 def test_sarif_document_shape():
-    diags = analyze_fixture("bad_spf110_orphan.py")
+    diags = analyze_fixture("bad_spf111_race.py")
     doc = json.loads(SPECFLOW.render(diags, "sarif"))
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == ["SPF110", "SPF111"]
-    assert [r["ruleId"] for r in run["results"]] == ["SPF110", "SPF110"]
+    assert rule_ids == ["SPF111"]
+    assert [r["ruleId"] for r in run["results"]] == ["SPF111"]
     for res in run["results"]:
         assert res["partialFingerprints"]["speclint/v1"]
         region = res["locations"][0]["physicalLocation"]["region"]

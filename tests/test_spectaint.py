@@ -57,7 +57,7 @@ def check_taint(diagnostics, log):
 
 FIXTURES = Path(__file__).parent / "spectaint_fixtures"
 
-ALL_CODES = ["SPT301", "SPT302"]
+ALL_CODES = ["SPT302"]
 
 
 def _codes_of(path):
@@ -109,15 +109,15 @@ def test_commits_decorator_marks_function():
 
 def test_summaries_propagate_returns_and_sinks():
     modules = _modules(
-        "def emit(value):\n    print(value)\n\n"
+        "def emit(value):\n    PEER.send(1, value)\n\n"
         "def relay(value):\n    emit(value)\n\n"
         "def make(history):\n    return speculate(history)\n"
     )
     summaries = solve_taint(CallGraph(modules), frozenset(), {}).summaries
     assert summaries[("<m0>", "make")].returns_spec
-    assert summaries[("<m0>", "emit")].sink_params == {0: "SPT301"}
+    assert summaries[("<m0>", "emit")].sink_params == {0: "SPT302"}
     # The sink taints relay's parameter transitively.
-    assert summaries[("<m0>", "relay")].sink_params == {0: "SPT301"}
+    assert summaries[("<m0>", "relay")].sink_params == {0: "SPT302"}
 
 
 def test_rule_pass_solves_nothing_the_fixpoint_did_not(monkeypatch):
@@ -154,7 +154,6 @@ def test_rule_pass_solves_nothing_the_fixpoint_did_not(monkeypatch):
 @pytest.mark.parametrize(
     "name, code, count",
     [
-        ("bad_spt301_io.py", "SPT301", 2),
         ("bad_spt302_send.py", "SPT302", 2),
     ],
 )
@@ -165,7 +164,7 @@ def test_each_bad_fixture_fires_only_its_rule(name, code, count):
 
 def test_interprocedural_escape_through_two_calls():
     diags = analyze_paths([FIXTURES / "bad_interproc_chain.py"])
-    assert [d.code for d in diags] == ["SPT301"]
+    assert [d.code for d in diags] == ["SPT302"]
     # The finding lands on the call in `produce`, where the taint enters
     # the chain — not inside `emit`, which is clean in isolation.
     assert diags[0].line == 21
@@ -189,11 +188,11 @@ def test_commit_line_directive_sanctions_a_sink(tmp_path):
     clean = (
         "def step(history):\n"
         "    guess = speculate(history)\n"
-        "    print(guess)  # spectaint: commit — confirmed upstream\n"
+        "    PEER.send(1, guess)  # spectaint: commit — confirmed upstream\n"
     )
     assert analyze_source(tmp_path, clean) == []
     dirty = clean.replace("  # spectaint: commit — confirmed upstream", "")
-    assert [d.code for d in analyze_source(tmp_path, dirty)] == ["SPT301"]
+    assert [d.code for d in analyze_source(tmp_path, dirty)] == ["SPT302"]
 
 
 # ----------------------------------------------------- multi-tool parsing
@@ -204,7 +203,7 @@ def test_suppression_parser_accepts_all_four_spellings():
         "a = 1  # speclint: disable=SPL101\n"
         "b = 2  # specflow: disable=SPF201\n"
         "c = 3  # specbound: disable=SPP203\n"
-        "d = 4  # spectaint: disable=SPT301\n"
+        "d = 4  # spectaint: disable=SPT302\n"
         "# specbound: disable-file=SPP204\n"
     )
     per_line, file_wide = parse_suppressions(source)
@@ -212,7 +211,7 @@ def test_suppression_parser_accepts_all_four_spellings():
         1: {"SPL101"},
         2: {"SPF201"},
         3: {"SPP203"},
-        4: {"SPT301"},
+        4: {"SPT302"},
     }
     assert file_wide == {"SPP204"}
 
@@ -223,10 +222,10 @@ def test_one_directive_suppresses_codes_across_families(tmp_path):
     source = (
         "def step(history):\n"
         "    guess = speculate(history)\n"
-        "    print(guess)  # speclint: disable=SPT301, SPF202\n"
+        "    PEER.send(1, guess)  # speclint: disable=SPT302, SPF202\n"
     )
     per_line, _ = parse_suppressions(source)
-    assert per_line == {3: {"SPT301", "SPF202"}}
+    assert per_line == {3: {"SPT302", "SPF202"}}
     assert analyze_source(tmp_path, source) == []
 
 
@@ -273,7 +272,7 @@ def test_windows_are_per_rank():
 
 
 def test_check_taint_escape_verdicts():
-    diags = analyze_paths([FIXTURES / "bad_spt301_io.py"])
+    diags = analyze_paths([FIXTURES / "bad_spt302_send.py"])
     confirmed = check_taint(diags, _escape_log())
     assert {v.status for v in confirmed} == {CONFIRMED}
     assert "escape witness" in confirmed[0].detail
@@ -286,13 +285,13 @@ def test_check_taint_escape_verdicts():
 
 
 def test_verdict_text_shape():
-    fixture = FIXTURES / "bad_spt301_io.py"
+    fixture = FIXTURES / "bad_spt302_send.py"
     verdict = check_taint(analyze_paths([fixture]), _escape_log())[0]
     assert verdict.format_text().startswith(
-        f"taint-verdict SPT301 @ {fixture}:{verdict.where.rsplit(':', 1)[1]}: "
+        f"taint-verdict SPT302 @ {fixture}:{verdict.where.rsplit(':', 1)[1]}: "
         "CONFIRMED — 1 escape witness(es); first: rank 0 seq 1: "
     )
-    assert (verdict.kind, verdict.rule) == ("taint-verdict", "SPT301")
+    assert (verdict.kind, verdict.rule) == ("taint-verdict", "SPT302")
 
 
 # --------------------------------------------------------------------- CLI
@@ -302,7 +301,7 @@ def test_cli_taint_trace_verdicts(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     _escape_log().save(trace)
     assert main(
-        ["taint", str(FIXTURES / "bad_spt301_io.py"), "--trace", str(trace)]
+        ["taint", str(FIXTURES / "bad_spt302_send.py"), "--trace", str(trace)]
     ) == EXIT_FINDINGS
     out = capsys.readouterr().out
     assert "escape witness(es)" in out
@@ -311,7 +310,7 @@ def test_cli_taint_trace_verdicts(tmp_path, capsys):
     clean = tmp_path / "clean.jsonl"
     _clean_log().save(clean)
     assert main(
-        ["taint", str(FIXTURES / "bad_spt301_io.py"), "--trace", str(clean)]
+        ["taint", str(FIXTURES / "bad_spt302_send.py"), "--trace", str(clean)]
     ) == EXIT_FINDINGS  # static findings still gate even when refuted
     assert "REFUTED" in capsys.readouterr().out
 

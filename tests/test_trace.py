@@ -26,11 +26,6 @@ def make_trace():
     return t
 
 
-def test_interval_duration():
-    iv = Interval("compute", 1.0, 3.5)
-    assert iv.duration == 2.5
-
-
 def test_interval_rejects_negative():
     with pytest.raises(ValueError):
         Interval("compute", 2.0, 1.0)
