@@ -42,7 +42,7 @@ OUT = "parity-out"
 GOLDEN_TRACE = "tests/golden/jacobi_p4_fw1.jsonl"
 TREES = tuple(
     f"tests/{family}_fixtures"
-    for family in ("speclint", "specflow", "spectaint", "specbound")
+    for family in ("speclint", "specflow")
 )
 
 #: An output's name (``exit code``, ``stdout``, ``stderr`` or a written
@@ -93,8 +93,6 @@ def _rows() -> Iterator[Artifact]:
     for cli, family, formats in (
         ("lint", "speclint", ("text", "json")),
         ("analyze", "specflow", ("text", "json", "sarif")),
-        ("taint", "spectaint", ("text", "json", "sarif")),
-        ("bounds", "specbound", ("text", "json", "sarif")),
     ):
         for fmt in formats:
             argv = ("repro", cli, f"tests/{family}_fixtures", "--format", fmt)

@@ -1,11 +1,11 @@
-"""speclint & co.: four static analysis families, a trace replay and specmc.
+"""speclint & co.: two static analysis families, a trace replay and specmc.
 
-A family is a rule table — its code prefixes, a ``findings(index)``
+A family is a rule table — its code prefix, a ``findings(index)``
 function from the shared parse
 (:class:`~repro.analysis.program.ProgramIndex`) to raw findings, and
 optionally a ``judge(view, diagnostics)`` function from the
 shared trace view (:class:`~repro.analysis.trace_view.TraceView`) to
-:class:`~repro.analysis.trace_view.Verdict` records.  All 8 rules
+:class:`~repro.analysis.trace_view.Verdict` records.  All 3 rules
 register in one :data:`~repro.analysis.diagnostics.RULES`; one driver,
 :meth:`repro.analysis.tools.Tool.analyze`, selects, suppresses,
 de-duplicates and sorts for every family; the CLI builds every
@@ -20,34 +20,22 @@ subcommand from one table, :data:`repro.analysis.tools.TOOLS`.
   :mod:`repro.analysis.replay` checks the rule (and unmatched messages,
   as SPF110) dynamically
   against a recorded :class:`~repro.trace.events.EventLog`, and runs
-  the runtime sanitizer over each rank's records.
-* **spectaint** (SPT302, :mod:`repro.analysis.taint`) —
-  forward taint abstract interpretation proving unconfirmed
-  speculative values are never sent to another rank; ``@commits``
-  / ``# spectaint: commit`` annotate legitimate confirmation sites.
-* **specbound** (SPB4xx and SPP204,
-  :mod:`repro.analysis.bounds`) — phase attribution over the same call
-  graph feeds per-function rules flagging a window, event log or
-  iteration-keyed map that no protocol parameter bounds, and a
-  per-message ring scan on the protocol path;
-  ``--trace`` checks the occupancy bounds, at the
-  (p, FW, iterations) the trace's header records, against observed
-  maxima, then judges the SPP findings against the calibrated
-  performance model's per-phase time budget.
+  the runtime sanitizer over each rank's records; ``--trace`` then
+  checks the occupancy bounds (:mod:`repro.analysis.bounds`), at the
+  (p, FW, iterations) the trace's header records, against its
+  observed maxima.
 * :mod:`repro.analysis.modelcheck` (specmc) explores interleavings
   of the real engine against the invariants the runtime sanitizer
   (:mod:`repro.engine.sanitizer`) checks on one live run.
 
 The layer rule is one-way: this package may import the runtime, and
 nothing outside it imports ``repro.analysis`` except the front end,
-:mod:`repro.cli`.  A run loads no analyzer; the sanitizer, its
-invariant registry (:mod:`repro.engine.invariants`) and the
-``@commits`` marker (:func:`repro.engine.core.commits`) are runtime.
+:mod:`repro.cli`.  A run loads no analyzer; the sanitizer and its
+invariant registry (:mod:`repro.engine.invariants`) are runtime.
 
-Entry points: ``repro lint | analyze | taint | bounds
-[paths] [--format text|json|sarif] [--select CODE] [--trace LOG]``
-and the umbrella ``repro check [paths] [--sarif FILE] [--stats]``
-running all four families over one shared parse.
+Entry points: ``repro lint | analyze [paths] [--format text|json|sarif]
+[--select CODE] [--trace LOG]`` and the umbrella ``repro check [paths]
+[--sarif FILE] [--stats]`` running both families over one shared parse.
 """
 
 from repro.analysis.diagnostics import (
@@ -78,8 +66,6 @@ from repro.analysis.trace_view import (
 # the one registry is complete whichever module is imported first.
 from repro.analysis import rules as _spl_rules  # noqa: F401
 from repro.analysis import races as _spf_rules  # noqa: F401
-from repro.analysis.taint import rules as _spt_rules  # noqa: F401
-from repro.analysis.bounds import rules as _spb_rules  # noqa: F401
 
 __all__ = [
     "CONFIRMED",

@@ -1,10 +1,9 @@
 """Control-flow graphs and the interprocedural call graph.
 
-The path-sensitive analyses (:mod:`repro.analysis.races`,
-:mod:`repro.analysis.taint`) need to reason about *paths*, not just
-syntax: "can a speculated value reach a send without passing a check
-on **some** path?" is a reachability question.  This module builds the
-graphs those questions are asked over:
+The path-sensitive race analysis (:mod:`repro.analysis.races`) needs
+to reason about *paths*, not just syntax: "can two sends of one family
+happen in either order?" is a reachability question.  This module
+builds the graphs those questions are asked over:
 
 * :func:`build_cfg` — a statement-level control-flow graph for one
   function (``if``/loops/``try``/``return``/``break``/``continue``
@@ -29,10 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: Loop statements, as the rule packs match them.
-LOOPS = (ast.For, ast.AsyncFor, ast.While)
-
 
 @dataclass
 class CFGNode:
@@ -245,22 +240,6 @@ def walk_own(stmt: ast.stmt) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def walk_body(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Every AST node under ``stmts``, pruning nested function bodies."""
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def loops_of(func: FunctionNode) -> list[ast.stmt]:
-    """All ``for``/``while`` loops of the function's own body."""
-    return [n for n in walk_body(func.body) if isinstance(n, LOOPS)]
-
-
 def call_name(call: ast.Call) -> Optional[str]:
     """Terminal name of a call expression, if it has one."""
     if isinstance(call.func, ast.Name):
@@ -331,10 +310,7 @@ class CallGraph:
 
     Nodes are ``(path, qualname)`` pairs; an edge caller → callee means
     the caller's body contains a call whose terminal name matches the
-    callee's function name.  ``callers``/``callees`` expose both
-    directions; :meth:`calls_in` lists the resolved call expressions of
-    one function (used to apply interprocedural summaries at call
-    sites).
+    callee's function name; ``callees`` holds each function's edges.
     """
 
     def __init__(self, modules: list[ModuleGraphs]) -> None:
@@ -346,21 +322,11 @@ class CallGraph:
                 name = qual.rsplit(".", 1)[-1]
                 self._by_name.setdefault(name, []).append((mod.path, qual))
         self.callees: dict[tuple[str, str], set[tuple[str, str]]] = {}
-        self.callers: dict[tuple[str, str], set[tuple[str, str]]] = {}
-        self._call_sites: dict[tuple[str, str], list[tuple[ast.Call, tuple[str, str]]]] = {}
         for mod in modules:
             for qual, cfg in mod.cfgs.items():
-                key = (mod.path, qual)
-                self.callees.setdefault(key, set())
-                self._call_sites.setdefault(key, [])
-                for call, callee in self._resolve_calls(cfg):
-                    self.callees[key].add(callee)
-                    self.callers.setdefault(callee, set()).add(key)
-                    self._call_sites[key].append((call, callee))
+                self.callees[(mod.path, qual)] = set(self._resolve_calls(cfg))
 
-    def _resolve_calls(
-        self, cfg: CFG
-    ) -> Iterator[tuple[ast.Call, tuple[str, str]]]:
+    def _resolve_calls(self, cfg: CFG) -> Iterator[tuple[str, str]]:
         for node in cfg.stmt_nodes():
             assert node.stmt is not None
             for sub in walk_own(node.stmt):
@@ -369,16 +335,11 @@ class CallGraph:
                 name = call_name(sub)
                 if name is None:
                     continue
-                for target in self._by_name.get(name, []):
-                    yield sub, target
-
-    def calls_in(self, path: str, qualname: str) -> list[tuple[ast.Call, tuple[str, str]]]:
-        """Resolved ``(call expression, callee key)`` pairs of one function."""
-        return self._call_sites.get((path, qualname), [])
+                yield from self._by_name.get(name, [])
 
     def functions(self) -> list[tuple[str, str]]:
         """All ``(path, qualname)`` keys, deterministic order."""
-        return sorted(self._call_sites)
+        return sorted(self.callees)
 
     def cfg_of(self, key: tuple[str, str]) -> Optional[CFG]:
         """The CFG behind a call-graph key."""

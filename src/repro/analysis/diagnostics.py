@@ -4,7 +4,7 @@ Every finding produced by any analysis family is a :class:`Diagnostic`:
 an immutable (path, line, col, code, severity, message) record that
 reporters serialise and the CLI turns into an exit code.
 
-All 37 rules of the five families register their metadata in
+The three rules of the two families register their metadata in
 :data:`RULES` via :func:`register_rule`; a family's catalogue is the
 codes carrying its prefix (:func:`rules_of`).  Findings are built by
 :func:`diag_at`, which reads the severity from the registry — an emit
@@ -70,7 +70,7 @@ class RuleInfo:
     summary: str
 
 
-#: Every family's rules, keyed by code (SPL001 .. SPB408).
+#: Every family's rules, keyed by code (SPL001, SPL004, SPF111).
 RULES: dict[str, RuleInfo] = {}
 
 
@@ -81,9 +81,9 @@ def register_rule(code: str, name: str, severity: Severity, summary: str) -> Non
     RULES[code] = RuleInfo(code, name, severity, summary)
 
 
-def rules_of(prefix: str | tuple[str, ...]) -> dict[str, RuleInfo]:
-    """One family's catalogue: the registered codes with its prefix (or
-    one of its prefixes), sorted."""
+def rules_of(prefix: str) -> dict[str, RuleInfo]:
+    """One family's catalogue: the registered codes with its prefix,
+    sorted."""
     return {code: RULES[code] for code in sorted(RULES) if code.startswith(prefix)}
 
 
@@ -99,7 +99,7 @@ def diag_at(
 
 
 def syntax_diagnostic(path: str, exc: SyntaxError, code: str) -> Diagnostic:
-    """A family's unparseable-file finding (SPL000/SPF000/.../SPB000)."""
+    """A family's unparseable-file finding (SPL000 or SPF000)."""
     return Diagnostic(
         path=path,
         line=exc.lineno or 1,

@@ -10,12 +10,12 @@ Suppression syntax (checked per physical line of the diagnostic):
     file (used e.g. by wall-clock backends that legitimately read the
     real clock).
 
-The same directives spelled ``# specflow: ...``, ``# spectaint: ...``
-or ``# specbound: ...`` are honoured too — one spelling per family in
-:data:`repro.analysis.tools.TOOLS` — so SPF/SPT/SPB/SPP suppressions
-read naturally next to the tool that emits them; all spellings
-suppress all rule families (codes disambiguate), and one directive may
-name ids from several tools at once (``# speclint: disable=SPL001,SPT301``).
+The same directives spelled ``# specflow: ...`` are honoured too — one
+spelling per family in :data:`repro.analysis.tools.TOOLS` — so SPF
+suppressions read naturally next to the tool that emits them; both
+spellings suppress both rule families (codes disambiguate), and one
+directive may name ids from both tools at once
+(``# speclint: disable=SPL001,SPF111``).
 
 :func:`parse_suppressions` is the single implementation; the one
 driver (:meth:`repro.analysis.tools.Tool.analyze`) routes every
@@ -30,10 +30,10 @@ from typing import Iterable
 from repro.analysis.diagnostics import Diagnostic
 
 _LINE_DIRECTIVE = re.compile(
-    r"#\s*spec(?:lint|flow|taint|bound):\s*disable=([A-Za-z0-9_,\s]+)"
+    r"#\s*spec(?:lint|flow):\s*disable=([A-Za-z0-9_,\s]+)"
 )
 _FILE_DIRECTIVE = re.compile(
-    r"#\s*spec(?:lint|flow|taint|bound):\s*disable-file=([A-Za-z0-9_,\s]+)"
+    r"#\s*spec(?:lint|flow):\s*disable-file=([A-Za-z0-9_,\s]+)"
 )
 
 
@@ -45,7 +45,7 @@ def parse_suppressions(source: str) -> tuple[dict[int, set[str]], set[str]]:
     """(per-line, file-wide) suppressed rule codes from directives.
 
     Every directive on a line contributes (a line may carry both a
-    ``# speclint:`` and a ``# spectaint:`` directive), and every
+    ``# speclint:`` and a ``# specflow:`` directive), and every
     spelling accepts every family's codes.
     """
     per_line: dict[int, set[str]] = {}

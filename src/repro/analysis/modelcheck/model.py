@@ -212,7 +212,7 @@ class _RunawayWindow:
     def on_iteration(self, t: int, *, fw: int, **signals: float) -> int:
         # Deliberately runaway (no max_fw clamp): this is the broken
         # policy the model checker must catch, not a policy to fix.
-        return fw + 1  # specbound: disable=SPB405
+        return fw + 1
 
     def state(self) -> Tuple[float, ...]:
         return ()

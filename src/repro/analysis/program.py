@@ -1,11 +1,10 @@
 """One shared parse of the program for every analysis family.
 
-:class:`ProgramIndex` is the single cache the four families read:
+:class:`ProgramIndex` is the single cache the two families read:
 files are discovered once, each parseable file becomes exactly one
 :class:`~repro.analysis.cfg.ModuleGraphs` (tree + source + CFGs), the
-:class:`~repro.analysis.cfg.CallGraph` and the phase
-:class:`~repro.analysis.bounds.attribution.Attribution` over it are each
-built on first use and kept, and syntax errors are recorded per file so
+:class:`~repro.analysis.cfg.CallGraph` over them is built on first use
+and kept, and syntax errors are recorded per file so
 every tool can report them under its own ``xxx000`` code without
 re-hitting the parser.  A family is a function from this index to raw
 findings (``findings(index)``); :meth:`repro.analysis.tools.Tool.analyze`
@@ -20,7 +19,6 @@ from typing import Sequence
 
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.diagnostics import Diagnostic, syntax_diagnostic
-from repro.analysis.bounds.attribution import Attribution, build_attribution
 
 
 #: Directories never descended into during discovery.
@@ -44,7 +42,7 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
 
 
 class ProgramIndex:
-    """Parsed modules + call graph + attribution for one program.
+    """Parsed modules + call graph for one program.
 
     The program is every ``.py`` file under ``paths``.  All parseable
     files contribute to one call graph — that is what makes
@@ -68,11 +66,6 @@ class ProgramIndex:
     def callgraph(self) -> CallGraph:
         """The shared interprocedural call graph (built on first use)."""
         return CallGraph(self.modules)
-
-    @cached_property
-    def attribution(self) -> Attribution:
-        """The shared phase attribution (specbound's rules read it)."""
-        return build_attribution(self.callgraph)
 
     @property
     def sources(self) -> dict[str, str]:

@@ -33,7 +33,8 @@ an SPF111 arrival: live, its history ring raised there
 :func:`cross_reference` marks each static SPF code CONFIRMED (the trace
 exhibits it), REFUTED (the trace exercised it and stayed clean) or
 UNOBSERVED -- the ``protocol-contract`` verdicts ``repro analyze
---trace`` prints through :func:`judge`.
+--trace`` prints through :func:`judge`, before the occupancy verdicts
+of :mod:`repro.analysis.bounds`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+from repro.analysis import bounds
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.races import HappensBeforeGraph
 from repro.analysis.trace_view import (
@@ -304,7 +306,9 @@ def cross_reference(
 def judge(
     view: TraceView, diagnostics: Sequence[Diagnostic]
 ) -> tuple[list[str], list[Verdict], int]:
-    """specflow's ``--trace`` hook: every replay finding fails the run."""
+    """specflow's ``--trace`` hook: the protocol report, then the
+    occupancy report (:func:`repro.analysis.bounds.judge`).  Every
+    replay finding and every REFUTED bound fails the run."""
     report, verdicts = cross_reference(diagnostics, view)
     stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
     lines = [f"trace replay: {stats}"]
@@ -312,4 +316,9 @@ def judge(
     if not verdicts:
         lines.append("trace replay: no static SPF findings to cross-reference")
     lines += [v.format_text() for v in verdicts]
-    return lines, verdicts, len(report.findings)
+    occupancy_lines, occupancy, refuted = bounds.judge(view)
+    return (
+        lines + occupancy_lines,
+        verdicts + occupancy,
+        len(report.findings) + refuted,
+    )

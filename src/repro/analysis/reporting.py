@@ -1,6 +1,6 @@
 """Shared report plumbing for the analysis tools.
 
-speclint, specflow, specmc and specbound all ship the same three
+speclint, specflow and specmc all ship the same three
 output shapes — a ``path:line:col`` text listing with a summary line,
 a stable JSON document, and a SARIF 2.1.0 run — and before this
 module each tool carried its own copy of the scaffolding.  The shared
@@ -10,7 +10,7 @@ pieces live here exactly once:
   artifact uses (``indent=2, sort_keys=True``), so reports are
   byte-reproducible across runs and machines;
 * :func:`render_diag_text` / :func:`render_diag_json` — the
-  diagnostic-list reporters (speclint, specflow and specbound all emit
+  diagnostic-list reporters (speclint and specflow both emit
   :class:`~repro.analysis.diagnostics.Diagnostic` records);
 * :func:`sarif_document` / :func:`render_sarif_document` — the SARIF
   envelope (schema pin, tool driver, rule catalogue) that

@@ -94,7 +94,7 @@ def render_sarif(
 
     ``rules`` is the advertised catalogue
     (:func:`~repro.analysis.reporting.rule_catalogue_entries` of the
-    tool's prefixes; :meth:`repro.analysis.tools.Tool.render` builds it).
+    tool's prefix; :meth:`repro.analysis.tools.Tool.render` builds it).
     A ``--trace`` verdict, when given, is the run's ``properties.trace``.
     """
     document = sarif_document(

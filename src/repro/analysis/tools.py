@@ -1,16 +1,16 @@
 """The analyzer registry: one :class:`Tool` entry per analysis family.
 
-A family is a rule table: its code prefixes (its catalogue is the
-registered codes that carry one), a function from the shared parse to
+A family is a rule table: its code prefix (its catalogue is the
+registered codes that carry it), a function from the shared parse to
 raw findings (``findings(index)``, living beside the rules) and,
 optionally, a function from a shared trace view to verdicts
 (``judge(view, diagnostics)``, living beside the contracts; the run
 parameters it needs are the trace's own header).
-Everything else is stated once, here: ``repro lint | analyze | taint
-| bounds`` are one CLI handler and one argparse loop
-over :data:`TOOLS`, the umbrella ``repro check`` iterates the same
-table, and :meth:`Tool.analyze` is the one driver — select, suppress,
-de-duplicate, sort — behind all of them.
+Everything else is stated once, here: ``repro lint | analyze`` are one
+CLI handler and one argparse loop over :data:`TOOLS`, the umbrella
+``repro check`` iterates the same table, and :meth:`Tool.analyze` is
+the one driver — select, suppress, de-duplicate, sort — behind all of
+them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.analysis import races as spf
 from repro.analysis import rules as spl
-from repro.analysis.bounds import rules as spb
-from repro.analysis.bounds.contracts import judge as judge_bounds
 from repro.analysis.diagnostics import Diagnostic, RuleInfo, rules_of
 from repro.analysis.linter import drop_suppressed
 from repro.analysis.program import ProgramIndex
@@ -32,8 +30,6 @@ from repro.analysis.reporting import (
     rule_catalogue_entries,
 )
 from repro.analysis.sarif import render_sarif
-from repro.analysis.taint import rules as spt
-from repro.analysis.taint.verdicts import judge as judge_escapes
 from repro.analysis.trace_view import TraceView, Verdict
 
 #: One ``parser.add_argument(name, **kwargs)`` call.
@@ -60,10 +56,9 @@ class Tool:
     #: Tool name: report header and SARIF driver.
     name: str
     help: str
-    #: Code prefixes: the family's rules are the registered codes
-    #: carrying one, and unparseable files are reported under the
-    #: first's ``000``.
-    prefixes: tuple[str, ...]
+    #: Code prefix: the family's rules are the registered codes
+    #: carrying it, and unparseable files are reported under its ``000``.
+    prefix: str
     #: The family's raw findings over a shared parse.
     findings: Callable[[ProgramIndex], Iterable[Diagnostic]]
     formats: tuple[str, ...] = ("text", "json", "sarif")
@@ -77,12 +72,12 @@ class Tool:
     @property
     def rules(self) -> dict[str, RuleInfo]:
         """The family's catalogue, by code."""
-        return rules_of(self.prefixes)
+        return rules_of(self.prefix)
 
     @property
     def syntax_code(self) -> str:
         """Code unparseable files are reported under."""
-        return f"{self.prefixes[0]}000"
+        return f"{self.prefix}000"
 
     def analyze(
         self, index: ProgramIndex, select: Optional[Iterable[str]] = None
@@ -142,7 +137,7 @@ TOOLS: tuple[Tool, ...] = (
         cli="lint",
         name="speclint",
         help="run speclint (protocol-aware static analysis)",
-        prefixes=("SPL",),
+        prefix="SPL",
         findings=spl.findings,
         formats=("text", "json"),
         flags=(
@@ -158,38 +153,13 @@ TOOLS: tuple[Tool, ...] = (
         name="specflow",
         help="run specflow (interprocedural happens-before analysis, "
         "rules SPF1xx)",
-        prefixes=("SPF",),
+        prefix="SPF",
         findings=spf.findings,
         judge=judge_protocol,
         trace_help="replay a recorded event log (JSONL) against the protocol "
-        "model and cross-reference the static findings",
-    ),
-    Tool(
-        cli="taint",
-        name="spectaint",
-        help="run spectaint (speculation-escape & rollback-safety "
-        "abstract interpretation, rules SPT3xx)",
-        prefixes=("SPT",),
-        findings=spt.findings,
-        judge=judge_escapes,
-        trace_help="replay a recorded event log (JSONL): mark each finding "
-        "CONFIRMED (a send ran during an open speculation window), "
-        "REFUTED or UNOBSERVED",
-    ),
-    Tool(
-        cli="bounds",
-        name="specbound",
-        help="run specbound (static speculation-resource bound and "
-        "hot-path cost analysis with trace-validated occupancy and "
-        "phase-cost contracts, rules SPB4xx and SPP204)",
-        prefixes=("SPB", "SPP"),
-        findings=spb.findings,
-        judge=judge_bounds,
-        trace_help="check the occupancy bounds, at the (p, FW, iterations) "
-        "the trace's header records, against a recorded event log's "
-        "observed maxima (inbox depth, in-flight sends, cascade depth, "
-        "event count), then measure per-phase time shares and judge the "
-        "SPP findings against the model's phase budget; each contract is "
-        "CONFIRMED, REFUTED or UNOBSERVED",
+        "model and cross-reference the static findings, then check the "
+        "occupancy bounds (inbox depth, in-flight sends, cascade depth, "
+        "event count) at the (p, FW, iterations) the trace's header "
+        "records against its observed maxima",
     ),
 )

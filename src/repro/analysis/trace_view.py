@@ -1,20 +1,22 @@
 """One view of a recorded trace, one verdict about it.
 
-``repro analyze | taint | bounds --trace LOG`` each judge static
-findings against a recorded :class:`~repro.trace.events.EventLog`.
-The four contract sets ask the log overlapping questions — a rank's
-events in program order, how many events of a kind there are, which
-receive consumed which send, the events in time order — and
-:class:`TraceView` answers each of them once: one grouping pass when
-it is built, the matching and the time ordering on first use.  The matched pairs are the edge list of
+``repro analyze --trace LOG`` judges the static findings, and the
+protocol's occupancy bounds, against a recorded
+:class:`~repro.trace.events.EventLog`.  Its two contract sets ask the
+log overlapping questions — a rank's events in program order, how
+many events of a kind there are, which receive consumed which send,
+the events in time order — and :class:`TraceView` answers each of
+them once: one grouping pass when it is built, the matching and the
+time ordering on first use.  The matched pairs are the edge list of
 the trace read as a task graph (Eijkhout, PAPERS.md).
 
 Every contract answers with the same :class:`Verdict`, in one of three
-statuses: :data:`CONFIRMED`, :data:`REFUTED`, :data:`UNOBSERVED`.
-Which status fails a run is the family's: a CONFIRMED cost or escape
-claim is bad news, a REFUTED occupancy bound is.  A family's hook into
-``--trace`` is its ``judge`` (:data:`repro.analysis.tools.Judge`), and
-the run parameters a judge needs come from the trace's own
+statuses: :data:`CONFIRMED`, :data:`REFUTED`, :data:`UNOBSERVED`.  A
+REFUTED occupancy bound fails the run; a protocol verdict only
+reports, and the replay findings behind it fail the run.  A family's
+hook into ``--trace`` is its ``judge``
+(:data:`repro.analysis.tools.Judge`), and the run parameters a judge
+needs come from the trace's own
 :class:`~repro.trace.events.TraceHeader` (:attr:`TraceView.header`).
 """
 
@@ -41,13 +43,12 @@ Matching = tuple[
 class Verdict:
     """One claim judged against a recorded trace."""
 
-    #: The contract family: ``protocol-contract``, ``cost-contract``,
-    #: ``taint-verdict`` or ``occupancy-contract``.
+    #: The contract family: ``protocol-contract`` or
+    #: ``occupancy-contract``.
     kind: str
     #: What was judged: a rule code, or an occupancy metric.
     rule: str
-    #: Its scope as printed — ``[comm]``, ``[rank 3]``, ``@ a.py:12`` —
-    #: or empty.
+    #: Its scope as printed — ``[run]``, ``[rank 3]`` — or empty.
     where: str
     status: str
     #: The measured and the allowed quantity, where the contract has them.
@@ -56,7 +57,7 @@ class Verdict:
     detail: str
 
     def format_text(self) -> str:
-        """``cost-contract SPP204 [check]: CONFIRMED — ...`` (one line)."""
+        """``occupancy-contract inbox [rank 1]: REFUTED — ...`` (one line)."""
         head = " ".join(part for part in (self.kind, self.rule, self.where) if part)
         return f"{head}: {self.status} — {self.detail}"
 

@@ -5,9 +5,9 @@ Two tables carry most of this module.  The *run* subcommands
 :func:`_run_config` from those flags to a :class:`~repro.api.RunConfig`,
 one :func:`_execute` into :func:`repro.api.run` and one report printer;
 they differ only in the program they build and the detail lines they
-add.  The *analyzer* subcommands (``lint``, ``analyze``, ``taint``,
-``bounds``) are one handler and one argparse loop over
-:data:`repro.analysis.tools.TOOLS`, which ``check`` iterates too.
+add.  The *analyzer* subcommands (``lint``, ``analyze``) are one
+handler and one argparse loop over :data:`repro.analysis.tools.TOOLS`,
+which ``check`` iterates too.
 
 Subcommands
 -----------
@@ -39,14 +39,14 @@ sweep-valued ``--p/--fw/--bw`` spellings — same names, list-typed.)
 ``repro lint [paths] [--format json] [--sanitize-selftest]``
     speclint: the protocol-aware per-module static analyzer (SPL0xx),
     or a self-test of the runtime protocol sanitizer.
-``repro analyze | taint | bounds [paths] [--format text|json|sarif]``
-    specflow (happens-before, SPF1xx), spectaint (speculation escape,
-    SPT3xx) and specbound (resource bounds, SPB4xx, and hot-path cost,
-    SPP204).  Each takes ``--select`` and ``--trace FILE``,
-    which replays a recorded event log and marks the static findings
-    CONFIRMED / REFUTED / UNOBSERVED against what the run actually did.
+``repro analyze [paths] [--format text|json|sarif]``
+    specflow (happens-before, SPF1xx).  It takes ``--select`` and
+    ``--trace FILE``, which replays a recorded event log, marks the
+    static findings CONFIRMED / REFUTED / UNOBSERVED against what the
+    run actually did, then checks the protocol's occupancy bounds
+    against the log's observed maxima.
 ``repro check [paths] [--sarif FILE] [--stats]``
-    Umbrella: run all four families in one process over one shared
+    Umbrella: run both families in one process over one shared
     parse + call graph, optionally writing a single merged SARIF
     document; ``--stats`` prints per-tool wall time and parse counts.
 ``repro mc [--p 2,3] [--fw 0,1] [--iters 3] [--budget 60s] ...``
@@ -547,7 +547,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_tool(args: argparse.Namespace) -> int:
-    """``repro lint|analyze|taint|bounds``: one analysis
+    """``repro lint|analyze``: one analysis
     family (``args.tool``, a :class:`~repro.analysis.tools.Tool`)."""
     from repro.analysis.program import ProgramIndex
     from repro.analysis.tools import UnknownRuleCode
@@ -582,7 +582,7 @@ def _cmd_tool(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """``repro check``: all four analysis families over one parse."""
+    """``repro check``: both analysis families over one parse."""
     import time
 
     from repro.analysis.program import ProgramIndex
@@ -937,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ck = sub.add_parser(
         "check",
-        help="run every analysis family (speclint+specflow+spectaint+"
-        "specbound) over one shared parse",
+        help="run every analysis family (speclint+specflow) over one "
+        "shared parse",
     )
     p_ck.add_argument(
         "paths", nargs="*", help="files/directories to analyse (default: src)"

@@ -39,7 +39,7 @@ so the receive-driven baseline shares the transports and observers too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Sequence, Tuple
 
 from repro.core.program import Block, SyncIterativeProgram
 from repro.core.receive_driven import IncrementalProgram
@@ -93,7 +93,7 @@ def run_ahead_bound(max_fw: int) -> int:
     is the window's ceiling, not the live fw: peers under an adaptive
     policy may legitimately run a wider window than this rank's current
     one.  The sanitizer checks each arrival's backlog against it and
-    specbound's ``inbox`` / ``in-flight`` contracts a recorded trace's.
+    the ``inbox`` / ``in-flight`` occupancy contracts a recorded trace's.
     """
     return 2 * max(max_fw, 1)
 
@@ -140,28 +140,6 @@ def default_window_ok(engine: "SpecEngine", t: int) -> bool:
     if engine.fw == 0:
         return engine.verified_upto >= t
     return engine.verified_upto >= t - engine.fw
-
-
-#: Attribute :func:`commits` sets on the functions it marks.
-COMMITS_ATTR = "__spectaint_commits__"
-
-_F = TypeVar("_F", bound=Callable[..., object])
-
-
-def commits(func: _F) -> _F:
-    """Mark ``func`` as a commit point: a pure marker, zero runtime cost.
-
-    Data derived from an unconfirmed speculative receive must stay
-    reversible until the actual value arrives; a commit point is a site
-    that legitimately ends that obligation.  spectaint treats every
-    argument passed into a decorated function as confirmed from the
-    call onward, and never reports its body as an escape.  It matches
-    the decorator *by name* (it never imports the code it checks), so
-    fixtures may use any decorator called ``commits``; the line-level
-    spelling is a ``# spectaint: commit`` comment.
-    """
-    setattr(func, COMMITS_ATTR, True)
-    return func
 
 
 class SpecEngine:
@@ -311,11 +289,6 @@ class SpecEngine:
         return gate(self, t)
 
     # ---------------------------------------------------------- bookkeeping
-    # @commits: the block stored here is the *actual* arrival from the
-    # transport, never a speculation — storing it into the history ring
-    # and advancing the verified horizon is the protocol's confirmation
-    # step itself, so spectaint treats values entering here as committed.
-    @commits
     def record_arrival(self, k: int, t: int, block: Block) -> None:
         """Store an actual block and advance the verified horizon."""
         expected = len(self.needed)
@@ -719,7 +692,7 @@ class SpecEngine:
                 if (k2, t2) in self.spec_used:
                     # The ring may grow mid-cascade (arrivals interleave
                     # with the Charge yields), so it is re-read per step.
-                    times, values = self.history[k2].series()  # specbound: disable=SPP204
+                    times, values = self.history[k2].series()
                     respec = prog.speculate(j, k2, times, values, t2)
                     ops = prog.speculate_ops(j, k2)
                     spent = yield Charge(ops, phase="correct", iteration=t2)

@@ -206,8 +206,8 @@ WINDOW_POLICY_BOUND = _register(
 BUFFER_OCCUPANCY_BOUNDED = _register(
     "buffer-occupancy-bounded",
     "Protocol buffers stay within their parameter-derived bounds",
-    "While a rank runs, its speculation buffers respect the bounds the "
-    "specbound analysis derives from the protocol parameters: each "
+    "While a rank runs, its speculation buffers respect the bounds "
+    "derived from the protocol parameters: each "
     "history ring holds at most its capacity of entries, and the "
     "run-ahead backlog (iterations arrived but not yet verified) never "
     "exceeds the FW-derived inbox bound.  A rank exceeding either has "

@@ -272,8 +272,8 @@ class PipeTransport:
         if not self.record_events:
             return
         # Opt-in recording buffer living exactly one worker run; the
-        # parent drains it into the run's (cappable) EventLog.
-        self.events.append(  # specbound: disable=SPB406
+        # parent drains it into the run's EventLog.
+        self.events.append(
             TraceEvent(
                 rank=self.rank, seq=self._event_seq, kind=kind,
                 time=time.monotonic() - self.t0,

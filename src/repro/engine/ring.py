@@ -75,15 +75,6 @@ class HistoryRing:
         """``(times, values)`` — the speculator's input signature."""
         return self.times(), self.values()
 
-    def lookup(self, t: int) -> Optional[Any]:
-        """Value recorded for iteration ``t``, or None if trimmed/absent."""
-        for held_t, value in reversed(self._items):
-            if held_t == t:
-                return value
-            if held_t < t:
-                return None
-        return None
-
     def __len__(self) -> int:
         return len(self._items)
 

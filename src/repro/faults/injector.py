@@ -91,7 +91,7 @@ class FaultInjector:
         events: List[FaultInjected] = []
         fault = self._pick_fault(src, seq, arrival.iteration)
         if fault is not None:
-            events.append(  # specbound: disable=SPB406
+            events.append(
                 FaultInjected(
                     kind=fault.kind, src=src, seq=seq,
                     iteration=arrival.iteration,

@@ -121,7 +121,7 @@ def _start_mp(config: RunConfig) -> RunReport:
         for r in reports:
             # One-shot post-run merge of the workers' own (finite)
             # logs, not a long-running protocol buffer.
-            log.extend(r.events)  # specbound: disable=SPB406
+            log.extend(r.events)
     return assemble_report(
         config,
         {r.rank: r.final_block for r in reports},

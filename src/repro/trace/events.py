@@ -141,13 +141,6 @@ class EventLog:
     The log hands out sequence numbers itself: callers only say *what*
     happened, the log pins down the per-rank order.
 
-    ``max_events`` caps the log for long-running use: once full, new
-    events are counted in :attr:`dropped` instead of stored, so the
-    log is a faithful *prefix* of the run (per-rank sequence numbers
-    stay contiguous) plus an honest count of what it missed.  The
-    default (``None``, unbounded) keeps recorded traces byte-identical
-    for the replay tooling.
-
     ``header`` is the run's :class:`TraceHeader`: a run stamps it on
     the log it recorded, and :meth:`save` refuses a log without one.
     """
@@ -155,21 +148,13 @@ class EventLog:
     def __init__(
         self,
         events: Optional[Iterable[TraceEvent]] = None,
-        max_events: Optional[int] = None,
         header: Optional[TraceHeader] = None,
     ) -> None:
-        if max_events is not None and max_events < 0:
-            raise ValueError("max_events must be >= 0 (or None for unbounded)")
         self.header = header
-        self.max_events = max_events
-        self.dropped = 0
         self.events: list[TraceEvent] = []
         self._next_seq: dict[int, int] = {}
         if events is not None:
             self.extend(events)
-
-    def _full(self) -> bool:
-        return self.max_events is not None and len(self.events) >= self.max_events
 
     # ------------------------------------------------------------ recording
     def record(
@@ -184,21 +169,15 @@ class EventLog:
     ) -> TraceEvent:
         """Append one event, assigning the rank's next sequence number.
 
-        When the ``max_events`` cap is reached the event is *built but
-        not stored* (the drop is counted and the rank's sequence
-        counter is left untouched, keeping the stored log a contiguous
-        per-rank prefix).  An unknown kind, or a wrong number of args
-        for it, is refused (the recorders pass ints; :meth:`extend`,
-        which loaded logs go through, also checks each is one).
+        An unknown kind, or a wrong number of args for it, is refused
+        (the recorders pass ints; :meth:`extend`, which loaded logs go
+        through, also checks each is one).
         """
         if len(args) not in EVENT_KINDS.get(kind, ()):
             check_args(kind, args)
         seq = self._next_seq.get(rank, 0)
         event = TraceEvent(
             rank, seq, kind, float(time), peer, family, iteration, args)
-        if self._full():
-            self.dropped += 1
-            return event
         self._next_seq[rank] = seq + 1
         self.events.append(event)
         return event
@@ -206,15 +185,11 @@ class EventLog:
     def extend(self, events: Iterable[TraceEvent]) -> None:
         """Merge pre-sequenced events (e.g. from a worker process).
 
-        Respects the ``max_events`` cap like :meth:`record`: events
-        beyond the cap are counted as dropped, not stored.  Refuses an
-        event whose args do not fit its kind (:func:`check_args`).
+        Refuses an event whose args do not fit its kind
+        (:func:`check_args`).
         """
         for ev in events:
             check_args(ev.kind, ev.args)
-            if self._full():
-                self.dropped += 1
-                continue
             self.events.append(ev)
             nxt = self._next_seq.get(ev.rank, 0)
             self._next_seq[ev.rank] = max(nxt, ev.seq + 1)

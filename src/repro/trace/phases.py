@@ -104,7 +104,7 @@ class PhaseTrace:
             self._codes = {**self._codes, phase: code}
         # Phase intervals ARE the experiment's result payload: a run
         # records O(iterations) of them and ends; no cap wanted.
-        self._rows.frombytes(_pack_row(  # specbound: disable=SPB406
+        self._rows.frombytes(_pack_row(
             code, start, end, _UNTAGGED if iteration is None else iteration))
 
     def _columns(self) -> np.ndarray:

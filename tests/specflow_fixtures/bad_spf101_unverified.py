@@ -1,9 +1,9 @@
-"""Fixture: SPT302 in a second tree — direct, via summary, one path.
+"""Fixture: speculated values sent unverified, as specflow sees them.
 
-``guess`` is produced by a speculator and sent to another rank without
-every path passing it through ``check``/``verify`` first.  The
-interprocedural variant launders the value through a helper whose
-summary says "returns unconfirmed speculation".
+Each function sends a speculated ``vars`` block, unordered with every
+other ``vars`` sender of the tree (SPF111); ``one_path_unchecked`` also
+drops a ``proc.recv(...)`` generator (SPL001).  Sending a guess before
+it is verified is the runtime sanitizer's finding, not a static one.
 """
 
 VARS = "vars"
@@ -11,7 +11,7 @@ VARS = "vars"
 
 def direct(proc, t, history):
     guess = speculate(history, t)
-    proc.send(1, guess, tag=(VARS, t))        # SPT302: never verified
+    proc.send(1, guess, tag=(VARS, t))        # SPF111: never verified
 
 
 def produce(history, t):
@@ -20,7 +20,7 @@ def produce(history, t):
 
 def interprocedural(proc, t, history):
     estimate = produce(history, t)
-    proc.send(1, estimate, tag=(VARS, t))     # SPT302: via summary
+    proc.send(1, estimate, tag=(VARS, t))     # SPF111: via a helper
 
 
 def one_path_unchecked(proc, t, history, lucky):
@@ -28,4 +28,4 @@ def one_path_unchecked(proc, t, history, lucky):
     if lucky:
         actual = proc.recv(src=0, tag=(VARS, t))
         guess = check(guess, actual)
-    proc.send(1, guess, tag=(VARS, t))        # SPT302: else-path unchecked
+    proc.send(1, guess, tag=(VARS, t))        # else-path sends the raw guess

@@ -115,10 +115,21 @@ prints the same text and exit codes byte for byte, and its JSON /
 SARIF, parsed, with the eight codes' catalogue entries dropped and
 SPL001's summary blanked, equal the new documents.
 
+The seventh cut deleted spectaint (SPT302) and specbound's four static
+rules (SPB405, SPB406, SPB408, SPP204) with their fixture trees, the
+phase attribution and the cost contracts, and folded the occupancy
+contracts into ``repro analyze --trace``.  It dropped the
+``spectaint/*``, ``specbound/*``, ``trace/spectaint`` and
+``trace/specbound`` pins and moved ``check/*`` (two trees, two tools),
+``check-one-tree/*`` (two tools) and ``trace/specflow``, which prints
+``trace/specbound``'s occupancy report, byte for byte, after the
+protocol verdicts.  The finding lines of ``check/text`` are the
+parent's but for the deleted families' and trees'.
+
 Everything runs from the repo root so the paths inside the reports are
 the relative ones CI prints.  The structural pins at the bottom say
 *how* the reports are produced: one grouping pass over the log, one
-message matching, one escape scan, one attribution.
+message matching.
 """
 
 import hashlib
@@ -127,10 +138,8 @@ import pathlib
 
 import pytest
 
-from repro.analysis import program, trace_view
-from repro.analysis.bounds import attribution
+from repro.analysis import trace_view
 from repro.analysis.program import ProgramIndex
-from repro.analysis.taint import verdicts as taint_verdicts
 from repro.analysis.tools import TOOLS
 from repro.cli import EXIT_FINDINGS, main
 from repro.trace.events import EventLog
@@ -141,7 +150,7 @@ GOLDEN_CHECK = "tests/golden/check_fixtures.txt"
 #: ``repro check`` over these, in this order, is the golden text report.
 TREES = [
     f"tests/{name}_fixtures"
-    for name in ("speclint", "specflow", "spectaint", "specbound")
+    for name in ("speclint", "specflow")
 ]
 TRACED = [tool for tool in TOOLS if tool.judge is not None]
 
@@ -152,21 +161,13 @@ DIGESTS = {
     "specflow/text": "cc789680e3c064f8779a6d44524b0a5eff7b230d8a007c07ac112895ced7af49",
     "specflow/json": "91bdfc9f84fb7936aee2eb9b435878dbfada85b99d605867703f963ea0e2495d",
     "specflow/sarif": "03393a92a07d6db4665bf37e9629df7b70d2617a62f445f1debe34abb760a0b7",
-    "spectaint/text": "9330ae012465d0c3a3d62c795a00aa54880d1269531391b7a5a186bcc44b6a4f",
-    "spectaint/json": "b053300a376f2f6a612ac678dad2b27f812e2a17e4b39c63dc992d7e635cbacf",
-    "spectaint/sarif": "381188606b76155eb46213a5e3b9a553e6ade234465e80505360698a47fce4d4",
-    "specbound/text": "39ae3635755cf298d04b42d5440a18cc9de5587862ba6e7a1bb052cc93b14492",
-    "specbound/json": "d95b8583fa88dc04405ddf32fb3e8544bc8b87d184a72b7f62095dcc7013e8b1",
-    "specbound/sarif": "8cd80b94e29ce76d02c9cb70686e423dd982c552785b6084a084cf6d2c4491e2",
-    "check-one-tree/text": "daecf204939c3e98a8ea3a72cc4921b980ab49265529b7f99f688dfda25f1c3e",
-    "check-one-tree/json": "9f13f3f6183a4c1ac156602b8d454045bc0694202291c6ae381b55a73376800a",
-    "check-one-tree/sarif": "5b117929d027088da029fa61f39d30abd5c878c195483f3484ccd79872cadf0d",
-    "check/text": "61fbda000008937abe7be778f040497863efa6e9666ae3d1a7796bb8bda02b6e",
-    "check/json": "4017a3077db10d73fc2c5ef39e877969f8f9e7b3ac5c8e96046ccfe46e5be1a3",
-    "check/sarif": "36e6d4d05e552fe0edea0869f90178ceb0cd4eba517b833a1cb9e6151dced3fa",
-    "trace/specflow": "45594f172b6baa8465223b0277a153cbbc2048c9125913acea83e0f0d974b27c",
-    "trace/spectaint": "162d85def688b491a2b1e41c3969b1708c614e9029f507130dd1c601a796a732",
-    "trace/specbound": "56339850ab7aed1466a214023358bd4da2b500d45d81a6b7c87641efc4d3c0dd",
+    "check-one-tree/text": "40ef1e91fd1a710b51a019f96d1fb2f6aeef91ee89dc8a53fab5daf7bd2817e2",
+    "check-one-tree/json": "7fd1974a9f18d962857df0ad95f44b8cde9baa4e1229ece167bf0fc5b779801e",
+    "check-one-tree/sarif": "6a6688099e14d80d578247df784a5b9872585db921ba0ab5804a13fa2c4a89dd",
+    "check/text": "d209716b0bbdb12248826115fb50a91cda652bf00450b63bbaeafea960d45929",
+    "check/json": "16cdb0f142faeaa74d0fe8a9732c33f18c933446306eaa76f2384f55ca55b26f",
+    "check/sarif": "94b1c0314770e1b8759f7045382e0d788062340c5489283f96c23da01d6f5e7c",
+    "trace/specflow": "b2b0503fc65079e9cd9f370f7d8ff6eda6188105fab36a0ec903fb6ab27bf900",
 }
 
 
@@ -202,7 +203,7 @@ def test_tool_report_is_byte_identical(tool, fmt):
 def test_every_tool_and_format_is_pinned_to_the_parent():
     pinned = {key for key in DIGESTS if key.startswith("spec")}
     assert pinned == {f"{t.name}/{fmt}" for t in TOOLS for fmt in t.formats}
-    assert len(pinned) == 11
+    assert len(pinned) == 5
 
 
 # -------------------------------------------------------- repro check
@@ -238,11 +239,10 @@ def test_check_over_the_five_trees_matches_the_golden_file(capsys, tmp_path):
 # ------------------------------------------------------------ --trace
 
 
-#: What the ``trace/*`` digests pin, in words (ISSUE 20's inventory).
+#: What the ``trace/*`` digests pin, in words: specflow's one REFUTED
+#: protocol verdict and the ten CONFIRMED occupancy rows.
 GOLDEN_TRACE_VERDICTS = {
-    "specflow": {"REFUTED": 1},
-    "spectaint": {"REFUTED": 3},
-    "specbound": {"CONFIRMED": 11},
+    "specflow": {"REFUTED": 1, "CONFIRMED": 10},
 }
 
 
@@ -283,7 +283,7 @@ def test_json_and_sarif_carry_the_trace_verdict_in_the_document(tool, capsys):
         trace = holder.pop("trace")
         assert trace["file"] == GOLDEN_TRACE
         assert trace["report"] == verdicts
-        assert trace["failing"] == (1 if tool.name == "specbound" else 0)
+        assert trace["failing"] == 0
         assert doc == json.loads(_stdout(capsys, [tool.cli, tree, "--format", fmt]))
 
 
@@ -291,7 +291,7 @@ def test_json_and_sarif_carry_the_trace_verdict_in_the_document(tool, capsys):
 
 
 def test_judges_never_ask_the_log_to_sort_itself():
-    """All four contracts read the one TraceView; the log has no
+    """Both contract sets read the one TraceView; the log has no
     sorting accessors of its own to go back to."""
     log = EventLog.load(GOLDEN_TRACE)
     view = trace_view.TraceView(log)
@@ -299,46 +299,21 @@ def test_judges_never_ask_the_log_to_sort_itself():
         index = ProgramIndex([f"tests/{tool.name}_fixtures"])
         header, verdicts, failing = tool.judge(view, tool.analyze(index))
         assert header and verdicts
-        assert failing == (1 if tool.name == "specbound" else 0)
+        assert failing == 0
 
 
 @pytest.mark.parametrize("tool", TRACED, ids=lambda tool: tool.name)
-def test_one_matching_pass_and_one_escape_scan_per_trace(
-    tool, monkeypatch, capsys
-):
-    calls = {"match": 0, "escapes": 0}
-    match, escapes = trace_view.match_messages, taint_verdicts.find_escapes
+def test_one_matching_pass_per_trace(tool, monkeypatch, capsys):
+    calls = {"match": 0}
+    match = trace_view.match_messages
 
     def counting_match(*args):
         calls["match"] += 1
         return match(*args)
 
-    def counting_escapes(*args):
-        calls["escapes"] += 1
-        return escapes(*args)
-
     monkeypatch.setattr(trace_view, "match_messages", counting_match)
-    monkeypatch.setattr(taint_verdicts, "find_escapes", counting_escapes)
     _stdout(
         capsys,
         [tool.cli, f"tests/{tool.name}_fixtures", "--trace", GOLDEN_TRACE],
     )
-    assert calls["match"] <= 1 and calls["escapes"] <= 1
-    assert calls["match"] == (tool.name == "specflow")
-    assert calls["escapes"] == (tool.name == "spectaint")
-
-
-def test_check_builds_the_attribution_once(monkeypatch, capsys):
-    """Sibling of ``test_check_parses_each_file_exactly_once``: every
-    specbound rule reads the index's one attribution."""
-    built = []
-    original = attribution.build_attribution
-
-    def counting(callgraph):
-        built.append(callgraph)
-        return original(callgraph)
-
-    monkeypatch.setattr(program, "build_attribution", counting)
-    _stdout(capsys, ["check", "tests/specbound_fixtures"])
-    assert len(built) == 1
-
+    assert calls["match"] == 1

@@ -1,12 +1,12 @@
 """The one driver, tested once for every family.
 
 ``Tool.analyze`` (select, suppress, de-duplicate, sort, syntax errors)
-and the one CLI handler behind ``repro lint | analyze | taint |
-bounds`` are the same code for all four families, so what they
-promise is asserted here once, parametrized over ``TOOLS``.  What is
-particular to a family — which fixture fires which rule, attribution,
-the taint lattice, the bound table, the contracts' semantics — stays in
-its own ``tests/test_spec*.py``.
+and the one CLI handler behind ``repro lint | analyze`` are the same
+code for both families, so what they promise is asserted here once,
+parametrized over ``TOOLS``; so is ``repro check``, the umbrella over
+both on one shared parse.  What is particular to a family — which
+fixture fires which rule, the replay, the occupancy contracts — stays
+in its own ``tests/test_spec*.py``.
 """
 
 import json
@@ -16,7 +16,8 @@ import shutil
 
 import pytest
 
-from repro.analysis import RULES, ProgramIndex
+from repro.analysis import RULES, ProgramIndex, cfg
+from repro.analysis.cfg import ModuleGraphs
 from repro.analysis.linter import _FILE_DIRECTIVE, _LINE_DIRECTIVE, parse_suppressions
 from repro.analysis.tools import TOOLS, UnknownRuleCode
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
@@ -29,8 +30,6 @@ DOCS = TESTS.parent / "docs" / "static_analysis.md"
 CASES = {
     "speclint": ("bad_spl001_unawaited.py", "good_protocol.py", "SPL001"),
     "specflow": ("bad_spf111_race.py", "good_protocol.py", "SPF111"),
-    "spectaint": ("bad_spt302_send.py", "good_confirmed.py", "SPT302"),
-    "specbound": ("bad_unclamped_widen.py", "good_ring_window.py", "SPB405"),
 }
 
 every_tool = pytest.mark.parametrize("tool", TOOLS, ids=lambda tool: tool.name)
@@ -48,7 +47,7 @@ def _codes(diagnostics):
 
 @pytest.fixture(scope="module")
 def src_index():
-    """``src/`` parsed once for the four ``src is clean`` cases."""
+    """``src/`` parsed once for the two ``src is clean`` cases."""
     return ProgramIndex([SRC])
 
 
@@ -59,23 +58,23 @@ def src_index():
 def test_catalogue_is_the_codes_with_the_tools_prefix(tool):
     assert tool.rules
     assert list(tool.rules) == sorted(
-        code for code in RULES if code.startswith(tool.prefixes)
+        code for code in RULES if code.startswith(tool.prefix)
     )
     for code, info in tool.rules.items():
         assert info.code == code and info.name and info.summary
-    assert tool.syntax_code == f"{tool.prefixes[0]}000"
+    assert tool.syntax_code == f"{tool.prefix}000"
     assert tool.syntax_code not in RULES
 
 
 def test_every_rule_belongs_to_exactly_one_tool():
     owners = {code: [t.name for t in TOOLS if code in t.rules] for code in RULES}
     assert all(len(names) == 1 for names in owners.values()), owners
-    assert len(RULES) == 8
+    assert len(RULES) == 3
 
 
 def test_documented_rules_are_the_registry():
     """The ``### SPL001 — title (error)`` headings and the
-    ``| `SPB405` | warning |`` catalogue rows of the docs name exactly
+    ``| `SPL004` | error |`` catalogue rows of the docs name exactly
     the registered rules, each with its severity (the ``xxx000`` parse
     codes are not rules; the audit table's second column is not a
     severity, so its rows do not match)."""
@@ -130,22 +129,23 @@ def test_any_familys_directive_silences_a_finding(tool, spelling, tmp_path):
 
 def test_directive_spellings_are_the_tool_names(tmp_path):
     """One suppression spelling per family: the directive regexes accept
-    exactly the tool names, and a folded family's spelling is gone."""
+    exactly the tool names, and a deleted family's spelling is gone."""
     names = {tool.name for tool in TOOLS}
     for regex in (_LINE_DIRECTIVE, _FILE_DIRECTIVE):
         (alternation,) = re.findall(r"spec\(\?:([a-z|]+)\)", regex.pattern)
         assert {f"spec{part}" for part in alternation.split("|")} == names
-    per_line, file_wide = parse_suppressions(
-        "x = 1  # specperf: disable=SPP204\n# specperf: disable-file=SPP207\n"
-    )
-    assert per_line == {} and file_wide == set()
-    specbound = next(tool for tool in TOOLS if tool.name == "specbound")
-    ring_scan = TESTS / "specbound_fixtures" / "bad_spp204_ringscan.py"
-    respelled = tmp_path / ring_scan.name
-    respelled.write_text(ring_scan.read_text().replace(
-        "# SPP204", "# specperf: disable=SPP204"
+    for gone in ("specperf", "spectaint", "specbound"):
+        per_line, file_wide = parse_suppressions(
+            f"x = 1  # {gone}: disable=SPF111\n# {gone}: disable-file=SPL001\n"
+        )
+        assert per_line == {} and file_wide == set()
+    specflow = next(tool for tool in TOOLS if tool.name == "specflow")
+    race = TESTS / "specflow_fixtures" / "bad_spf111_race.py"
+    respelled = tmp_path / race.name
+    respelled.write_text(race.read_text().replace(
+        "# SPF111: races", "# specbound: disable=SPF111 races"
     ))
-    assert _codes(specbound.analyze(ProgramIndex([respelled]))) == ["SPP204"]
+    assert _codes(specflow.analyze(ProgramIndex([respelled]))) == ["SPF111"]
 
 
 @every_tool
@@ -181,28 +181,6 @@ def test_same_named_senders_in_two_files_report_each_race_once(tmp_path):
     diags = specflow.analyze(ProgramIndex([tmp_path]))
     assert _codes(diags) == ["SPF111"]
     assert len(diags) == len(set(diags)) == 5
-
-
-@pytest.mark.parametrize(
-    "tool_name, code, fixture, line",
-    [
-        ("spectaint", "SPT302", "specflow_fixtures/bad_spf101_unverified.py", 14),
-        ("spectaint", "SPT302", "specflow_fixtures/bad_spf101_unverified.py", 23),
-        ("spectaint", "SPT302", "specflow_fixtures/bad_spf101_unverified.py", 31),
-        ("spectaint", "SPT302", "spectaint_fixtures/bad_spt302_send.py", 10),
-        ("spectaint", "SPT302", "spectaint_fixtures/bad_spt302_send.py", 11),
-        ("specbound", "SPB406", "specbound_fixtures/bad_spp206_buffer.py", 15),
-    ],
-)
-def test_surviving_rule_fires_where_the_deleted_duplicate_did(
-    tool_name, code, fixture, line
-):
-    """The five SPF101 sites are SPT302 sites (direct, via summary,
-    else-path) and the one SPP206 site is an SPB406 site: what ISSUE 22
-    deleted the duplicates on."""
-    tool = next(tool for tool in TOOLS if tool.name == tool_name)
-    diags = tool.analyze(ProgramIndex([TESTS / fixture]))
-    assert (code, line) in {(d.code, d.line) for d in diags}
 
 
 @every_tool
@@ -282,3 +260,120 @@ def test_cli_json_and_sarif_documents_name_the_tool(tool, capsys):
         # A report lists its own family's catalogue and no other's.
         assert ids == list(tool.rules)
 
+
+
+# -------------------------------------------------------------- repro check
+
+
+CHECKED = TESTS / "specflow_fixtures"
+#: A file both families find clean.
+CLEAN = TESTS / "speclint_fixtures" / "good_protocol.py"
+
+
+def test_cli_check_exit_codes_match_individual_tools(capsys):
+    dirty = str(CHECKED)
+    clean = str(CLEAN)
+    assert main(["check", dirty]) == main(["analyze", dirty]) == EXIT_FINDINGS
+    assert main(["check", clean]) == main(["analyze", clean]) == EXIT_CLEAN
+    assert main(["check", "no/such/path.py"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_cli_check_text_summary(capsys):
+    assert main(["check", str(CLEAN)]) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "repro check:" in out
+    assert "1 file(s) parsed once" in out
+
+
+def test_cli_check_merged_sarif_has_one_run_per_tool(tmp_path, capsys):
+    sarif = tmp_path / "merged.sarif"
+    assert main(["check", str(CHECKED), "--sarif", str(sarif)]) == EXIT_FINDINGS
+    capsys.readouterr()
+    doc = json.loads(sarif.read_text())
+    names = [r["tool"]["driver"]["name"] for r in doc["runs"]]
+    assert names == ["specflow", "speclint"]
+    spf_run = doc["runs"][names.index("specflow")]
+    assert {r["ruleId"] for r in spf_run["results"]} == {"SPF111"}
+
+
+def test_cli_check_stats_lines(capsys):
+    assert main(
+        ["check", str(CLEAN), "--stats"]
+    ) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "repro check stats:" in out
+    assert "1 file(s)" in out
+    for tool in TOOLS:
+        assert tool.name in out
+
+
+def test_cli_check_stats_json(capsys):
+    assert main(
+        ["check", str(CLEAN), "--stats",
+         "--format", "json"]
+    ) == EXIT_CLEAN
+    doc = json.loads(capsys.readouterr().out)
+    stats = doc["stats"]
+    assert stats["files_parsed"] == 1
+    assert stats["syntax_failures"] == 0
+    assert set(stats["tool_seconds"]) == {tool.name for tool in TOOLS}
+
+
+def test_check_parses_each_file_exactly_once(monkeypatch, capsys):
+    parsed = []
+    original = ModuleGraphs.from_source.__func__
+
+    def counting(cls, source, path="<string>"):
+        parsed.append(path)
+        return original(cls, source, path=path)
+
+    monkeypatch.setattr(cfg.ModuleGraphs, "from_source", classmethod(counting))
+    assert main(["check", str(CHECKED)]) == EXIT_FINDINGS
+    capsys.readouterr()
+    files = sorted(str(p) for p in CHECKED.glob("*.py"))
+    assert sorted(parsed) == files  # each file parsed exactly once
+    assert len(parsed) == len(set(parsed))
+
+
+def test_program_index_shares_one_callgraph():
+    index = ProgramIndex([CHECKED])
+    assert index.callgraph is index.callgraph
+    assert {pathlib.Path(m.path).name for m in index.modules} == {
+        p.name for p in CHECKED.glob("*.py")
+    }
+
+
+# ----------------------------------------------------------- suppressions
+
+
+def test_suppression_parser_accepts_both_spellings():
+    source = (
+        "a = 1  # speclint: disable=SPL101\n"
+        "b = 2  # specflow: disable=SPF201\n"
+        "# specflow: disable-file=SPL004\n"
+    )
+    per_line, file_wide = parse_suppressions(source)
+    assert per_line == {1: {"SPL101"}, 2: {"SPF201"}}
+    assert file_wide == {"SPL004"}
+
+
+def test_one_directive_suppresses_codes_across_families(tmp_path):
+    # One spelling may carry any family's ids: a single directive on the
+    # offending line silences both the speclint and the specflow finding.
+    source = (
+        'VARS = "vars"\n'
+        "def early(proc, state):\n"
+        '    yield from proc.send(1, state, tag="vars")'
+        "  # speclint: disable=SPL004, SPF111\n"
+        "def late(proc, update, t):\n"
+        "    yield from proc.send(1, update, tag=(VARS, t))\n"
+        "def drain(proc):\n"
+        "    return (yield from proc.recv())\n"
+    )
+    per_line, _ = parse_suppressions(source)
+    assert per_line == {3: {"SPL004", "SPF111"}}
+    path = tmp_path / "t.py"
+    path.write_text(source)
+    for tool in TOOLS:
+        assert tool.analyze(ProgramIndex([path])) == []

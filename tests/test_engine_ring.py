@@ -1,17 +1,13 @@
 """Property tests for the backward-window :class:`HistoryRing`.
 
-Two styles on purpose: hand-rolled seeded randomization checks the
-ring against a reference model — a plain list trimmed with
-``del ref[:-cap]``, exactly the idiom the ring replaced in the pipe
-worker — across many random append sequences, and a hypothesis
-property pins the ``lookup`` contract at the trim boundary, where the
-shrinker finds off-by-one capacities faster than fixed seeds do.
+Hand-rolled seeded randomization checks the ring against a reference
+model — a plain list trimmed with ``del ref[:-cap]``, exactly the idiom
+the ring replaced in the pipe worker — across many random append
+sequences.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine import HistoryRing, OutOfOrderArrival
 
@@ -58,20 +54,6 @@ def test_ring_times_strictly_increasing_and_newest_kept(seed):
             assert times == [t for t, _ in samples][-cap:]
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_ring_lookup(seed):
-    for cap, samples in random_sequences(seed):
-        ring = HistoryRing(cap)
-        held = {}
-        for t, v in samples:
-            ring.append(t, v)
-            held[t] = v
-        kept = ring.times()
-        for t in range(0, (kept[-1] + 2) if kept else 2):
-            expected = held[t] if t in kept else None
-            assert ring.lookup(t) == expected
-
-
 def test_out_of_order_append_raises():
     ring = HistoryRing(4, initial=(3, "x"))
     with pytest.raises(OutOfOrderArrival):
@@ -80,37 +62,6 @@ def test_out_of_order_append_raises():
         ring.append(1, "past")
     ring.append(4, "ok")  # still usable after the rejected appends
     assert ring.times() == [3, 4]
-
-
-@given(
-    cap=st.integers(min_value=1, max_value=8),
-    gaps=st.lists(st.integers(min_value=1, max_value=3), max_size=24),
-)
-@settings(max_examples=200, deadline=None)
-def test_lookup_partitions_times_at_the_trim_boundary(cap, gaps):
-    """Every time ever appended is either retained (lookup returns its
-    value) or trimmed (lookup returns None), split exactly at the
-    oldest surviving time — and times never appended are None on both
-    sides of the boundary."""
-    ring = HistoryRing(cap)
-    appended = {}
-    t = 0
-    for gap in gaps:
-        t += gap
-        ring.append(t, f"v{t}")
-        appended[t] = f"v{t}"
-    kept = ring.times()
-    assert kept == sorted(appended)[-cap:]
-    boundary = kept[0] if kept else 0
-    for past in appended:
-        if past >= boundary:
-            assert ring.lookup(past) == appended[past]
-        else:
-            assert ring.lookup(past) is None  # trimmed, not misfiled
-    # Interior gaps (skipped iterations) and the future miss cleanly.
-    for probe in range(0, t + 2):
-        if probe not in appended:
-            assert ring.lookup(probe) is None
 
 
 def test_ordering_enforced_across_trim_boundary():

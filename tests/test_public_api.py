@@ -298,9 +298,6 @@ TEST_ONLY = {
         "tier-1 runs the paper's experiments at reduced size through it",
     "harness/experiments.py::fig9_model_vs_measured(ps=)":
         "tier-1 runs the paper's experiments at reduced size through it",
-    "trace/events.py::EventLog(max_events=)":
-        "SPB406 names it as the remedy; docs/mutants.txt, SPB406 row: a "
-        "broken cap is caught by its tier-1 test, so SPB406 stays",
 }
 
 

@@ -98,15 +98,15 @@ def test_disable_all_wildcard_suppresses_everything(tmp_path):
 
 
 def test_multi_tool_directive_suppresses_every_named_id():
-    # One line may carry several families' directives, and every
+    # One line may carry both families' directives, and every
     # spelling accepts every family's codes — a single unified parse
-    # (shared by all four tools) must honour the union of them.
+    # (shared by both tools) must honour the union of them.
     src = (
-        "x = 1  # speclint: disable=SPL001  # spectaint: disable=SPT301\n"
+        "x = 1  # speclint: disable=SPL001  # specflow: disable=SPF111\n"
         "y = 2  # specflow: disable=SPF201, SPP203, SPL004\n"
     )
     per_line, file_wide = parse_suppressions(src)
-    assert per_line[1] == {"SPL001", "SPT301"}
+    assert per_line[1] == {"SPL001", "SPF111"}
     assert per_line[2] == {"SPF201", "SPP203", "SPL004"}
     assert file_wide == set()
 
