@@ -297,29 +297,6 @@ def test_cli_check_merged_sarif_has_one_run_per_tool(tmp_path, capsys):
     assert {r["ruleId"] for r in spf_run["results"]} == {"SPF111"}
 
 
-def test_cli_check_stats_lines(capsys):
-    assert main(
-        ["check", str(CLEAN), "--stats"]
-    ) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "repro check stats:" in out
-    assert "1 file(s)" in out
-    for tool in TOOLS:
-        assert tool.name in out
-
-
-def test_cli_check_stats_json(capsys):
-    assert main(
-        ["check", str(CLEAN), "--stats",
-         "--format", "json"]
-    ) == EXIT_CLEAN
-    doc = json.loads(capsys.readouterr().out)
-    stats = doc["stats"]
-    assert stats["files_parsed"] == 1
-    assert stats["syntax_failures"] == 0
-    assert set(stats["tool_seconds"]) == {tool.name for tool in TOOLS}
-
-
 def test_check_parses_each_file_exactly_once(monkeypatch, capsys):
     parsed = []
     original = ModuleGraphs.from_source.__func__

@@ -1,6 +1,7 @@
 """Tests for the occupancy contracts: the bound table, the verdicts a
 recorded trace draws, and ``repro analyze --trace``, which prints them
-after the protocol verdicts."""
+after the protocol verdicts; and ``repro check --stats``, which times
+each family's pass."""
 
 import dataclasses
 import json
@@ -19,6 +20,7 @@ from repro.analysis.bounds import (
     observed_inbox_depths,
     observed_inflight_sends,
 )
+from repro.analysis.tools import TOOLS
 from repro.api import RunConfig, run
 from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
 from repro.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
@@ -29,6 +31,7 @@ from repro.trace.events import EventLog, TraceHeader
 from tests.toy_programs import CoupledIncrement
 
 FIXTURES = Path(__file__).parent / "specflow_fixtures"
+CLEAN = Path(__file__).parent / "speclint_fixtures" / "good_protocol.py"
 
 
 # ------------------------------------------------------------ bound table
@@ -223,7 +226,7 @@ def _drained_flood(depth=5):
     return log
 
 
-def test_cli_analyze_trace_contracts(tmp_path, capsys):
+def test_cli_bounds_trace_contracts(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     _healthy_log().save(trace)
     assert main(
@@ -238,7 +241,7 @@ def test_cli_analyze_trace_contracts(tmp_path, capsys):
     ) == EXIT_USAGE
 
 
-def test_cli_analyze_trace_reports_both_contract_sets(tmp_path, capsys):
+def test_cli_bounds_trace_reports_both_contract_sets(tmp_path, capsys):
     """The protocol verdicts first, then the occupancy verdicts."""
     trace = tmp_path / "trace.jsonl"
     _healthy_log().save(trace)
@@ -275,3 +278,26 @@ def test_cli_analyze_trace_refutes_a_flooded_inbox(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     refuted = [line for line in doc["trace"]["report"] if ": REFUTED — " in line]
     assert doc["trace"]["failing"] == len(refuted) == 2  # inbox, in-flight
+
+
+def test_cli_check_stats_lines(capsys):
+    assert main(
+        ["check", str(CLEAN), "--stats"]
+    ) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "repro check stats:" in out
+    assert "1 file(s)" in out
+    for tool in TOOLS:
+        assert tool.name in out
+
+
+def test_cli_check_stats_json(capsys):
+    assert main(
+        ["check", str(CLEAN), "--stats",
+         "--format", "json"]
+    ) == EXIT_CLEAN
+    doc = json.loads(capsys.readouterr().out)
+    stats = doc["stats"]
+    assert stats["files_parsed"] == 1
+    assert stats["syntax_failures"] == 0
+    assert set(stats["tool_seconds"]) == {tool.name for tool in TOOLS}
