@@ -73,11 +73,9 @@ LOOPBACK = "src/repro/engine/loopback.py"
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant("SPL001", "ingress-hold-not-yielded", "src/repro/netsim/network.py",
-           (("yield self.env.timeout(wire)\n        finally:\n"
-             "            self._ingress",
-             "self.env.timeout(wire)\n        finally:\n"
-             "            self._ingress"),),
-           "the receiver-ingress hold builds its timeout and drops it"),
+           (("self.env.now + message[2], self._leave_ingress",
+             "self.env.now, self._leave_ingress"),),
+           "the receiver-ingress port releases the link without holding it"),
     Mutant("SPL003", "global-rng-system", "src/repro/apps/jacobi.py",
            (("b = rng.normal(size=n)", "b = np.random.normal(size=n)"),),
            "Jacobi's right-hand side drawn from numpy's global RNG"),

@@ -90,6 +90,7 @@ def _rows() -> Iterator[Artifact]:
         GOLDEN_TRACE,
     )
     yield Artifact("capture-golden", ("python", "scripts/capture_golden.py"))
+    yield Artifact("ties", ("python", "scripts/ties.py"))
     for cli, family, formats in (
         ("lint", "speclint", ("text", "json")),
         ("analyze", "specflow", ("text", "json", "sarif")),

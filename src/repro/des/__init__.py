@@ -6,13 +6,16 @@ entities are ordinary Python generator functions ("processes") that
 :class:`~repro.des.environment.Environment` owns the virtual clock and
 the event calendar.
 
-The kernel is intentionally minimal — just what the virtual-machine
-substrate (:mod:`repro.vm`), its networks (:mod:`repro.netsim`) and
-the DES backend's :class:`~repro.engine.loopback.CalendarRunner`,
-which schedules each rank's steps as calendar entries, need:
+The kernel is intentionally minimal.  Its calendar is one heap of
+``(time, priority, seq, callback, value)`` entries, and the DES
+backend's :class:`~repro.engine.loopback.CalendarRunner` and the
+networks (:mod:`repro.netsim`) schedule plain callbacks on it.  The
+event objects serve the virtual processors' own message API
+(:mod:`repro.vm`) and programs run through ``Cluster.run``:
 
-* :class:`Environment` — clock + event calendar, ``run``/``step``.
-* :class:`Event` — one-shot occurrence carrying a value or an error.
+* :class:`Environment` — clock + calendar, ``schedule``/``run``/``step``.
+* :class:`Event` — one-shot occurrence carrying a value or an error;
+  its calendar entry runs its callbacks.
 * :class:`Timeout` — event that fires after a virtual delay.
 * :class:`Process` — generator wrapper; itself an event that fires when
   the generator returns.
@@ -20,28 +23,26 @@ which schedules each rank's steps as calendar entries, need:
 * :class:`Store` — unbounded FIFO with blocking ``get`` and an
   immediate event-less ``put`` (a processor's mailbox).
 
-Determinism: the calendar orders events by (time, priority, insertion)
+Determinism: the calendar orders entries by (time, priority, insertion)
 and by nothing else; no wall-clock or unseeded randomness is consulted
 anywhere in the kernel.  Priority 0 is bookkeeping (a process or a
-runner's rank starting, a process resuming), 1 every ordinary event;
+runner's rank starting, a process resuming), 1 every ordinary entry;
 a model may schedule above 1 to run after the rest of an instant (the
-shared bus does, see :mod:`repro.netsim.bus`).  A time that was
-computed is scheduled as computed —
-``Event.succeed(at=T)`` / ``Environment.schedule_at`` — because
+shared bus does, see :mod:`repro.netsim.bus`).  ``schedule`` takes an
+absolute time, so a time that was computed is scheduled as computed:
 ``now + (T - now)`` need not be ``T`` (DESIGN.md §5.9).
 """
 
 from repro.des.environment import Environment
 from repro.des.errors import SimulationError
 from repro.des.events import AllOf, Event, Process, Timeout
-from repro.des.resources import Resource, Store
+from repro.des.resources import Store
 
 __all__ = [
     "AllOf",
     "Environment",
     "Event",
     "Process",
-    "Resource",
     "SimulationError",
     "Store",
     "Timeout",

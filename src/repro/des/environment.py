@@ -1,12 +1,13 @@
-"""The simulation environment: virtual clock + event calendar."""
+"""The simulation environment: virtual clock + calendar of callbacks."""
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from math import inf
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.des.errors import EmptySchedule, SimulationError, StopSimulation
+from repro.des.errors import EmptySchedule, SimulationError
 from repro.des.events import Event, Process, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -18,10 +19,10 @@ class Environment:
 
     Owns the virtual clock (:attr:`now`, a plain attribute because it
     is the hottest read of a run; only :meth:`step` and :meth:`run`
-    write it) and a priority queue of triggered events.  Events
-    scheduled for the same instant are processed in (priority,
-    insertion) order, which makes runs fully deterministic.  The
-    clock starts at 0.
+    write it) and the calendar: one heap of ``(time, priority, seq,
+    callback, value)`` entries.  Entries of one instant run in
+    (priority, insertion) order, which makes runs fully deterministic.
+    The clock starts at 0.
 
     Examples
     --------
@@ -37,7 +38,7 @@ class Environment:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Callable[[Any], None], Any]] = []
         self._eid = count()
         #: Optional runtime protocol sanitizer (see
         #: :mod:`repro.engine.sanitizer`); None = zero overhead.
@@ -57,51 +58,42 @@ class Environment:
         return Process(self, generator, name=name)
 
     # -- scheduling ---------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        """Place a triggered event on the calendar ``delay`` from now.
+    def schedule(
+        self,
+        time: float,
+        callback: Callable[[Any], None],
+        value: Any = None,
+        priority: int = 1,
+    ) -> None:
+        """Call ``callback(value)`` at the absolute virtual ``time``.
 
-        ``priority`` breaks ties at equal times (lower runs first);
-        the kernel uses priority 0 for process bookkeeping events so
-        that a process starts or resumes before the ordinary events of
-        its instant.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self.now + delay, priority, next(self._eid), event))
-
-    def schedule_at(self, event: Event, time: float, priority: int = 1) -> None:
-        """Place a triggered event on the calendar at absolute ``time``.
-
-        For a completion whose instant was computed rather than
-        counted down to: ``now + (time - now)`` need not equal
-        ``time``, so :meth:`schedule` cannot land on it exactly.
+        ``priority`` breaks ties at equal times (lower runs first); 0
+        is bookkeeping that runs before the ordinary entries of its
+        instant.  The time is absolute because a computed instant is
+        scheduled as computed: ``now + (time - now)`` need not be
+        ``time`` (DESIGN.md §5.9).
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        heapq.heappush(self._queue, (time, priority, next(self._eid), event))
+        heappush(self._queue, (time, priority, next(self._eid), callback, value))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next calendar entry, or ``inf`` if none."""
+        return self._queue[0][0] if self._queue else inf
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Run exactly one calendar entry (advancing the clock to it)."""
         prev_now = self.now
         try:
-            self.now, _, _, event = heapq.heappop(self._queue)
+            self.now, _, _, callback, value = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no more events") from None
         if self.sanitizer is not None:
-            # Event state machine + monotonic clock invariants.
-            self.sanitizer.on_event_processed(event, self.now, prev_now)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event.defused:
-            # Nobody was waiting on a failed event: surface the error.
-            raise event._value
+            # Monotonic clock; the state machine if the entry is an Event.
+            self.sanitizer.on_event_processed(callback, self.now, prev_now)
+        callback(value)
 
     # -- run loop ---------------------------------------------------------------
     def run(self, until: "float | Event | None" = None) -> Any:
@@ -119,49 +111,28 @@ class Environment:
         -------
         The ``until`` event's value, if an event was given; else None.
         """
-        stop_at: Optional[float] = None
-        if until is not None:
-            if isinstance(until, Event):
-                if until.callbacks is None:
-                    # Already processed; just report its outcome.
-                    if until._ok:
-                        return until._value
-                    until.defused = True
-                    raise until._value
-                until.add_callback(_stop_simulation)
-            else:
-                stop_at = float(until)
-                if stop_at < self.now:
-                    raise SimulationError(
-                        f"until={stop_at} is in the past (now={self.now})"
-                    )
-
         queue, step = self._queue, self.step
-        try:
-            while queue:
-                if stop_at is not None and queue[0][0] > stop_at:
-                    self.now = stop_at
-                    return None
+        if isinstance(until, Event):
+            # The run reports the event's failure; processing it does not.
+            until.defused = True
+            while until.callbacks is not None:
+                if not queue:
+                    raise SimulationError(
+                        "simulation ended before the awaited event triggered"
+                    )
                 step()
-        except StopSimulation as stop:
-            event: Event = stop.value
-            if event._ok:
-                return event._value
-            event.defused = True
-            raise event._value from None
-
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError(
-                "simulation ended before the awaited event triggered"
-            )
-        if stop_at is not None and stop_at > self.now:
+            if until._ok:
+                return until._value
+            raise until._value
+        stop_at = inf if until is None else float(until)
+        if stop_at < self.now:
+            raise SimulationError(f"until={stop_at} is in the past (now={self.now})")
+        while queue and queue[0][0] <= stop_at:
+            step()
+        if until is not None:
             self.now = stop_at
         return None
 
     def __repr__(self) -> str:
         return f"<Environment now={self.now} pending={len(self._queue)}>"
 
-
-def _stop_simulation(event: Event) -> None:
-    """Callback that aborts :meth:`Environment.run` at ``event``."""
-    raise StopSimulation(event)

@@ -6,9 +6,12 @@ states:
 ``pending``
     created, not yet scheduled; processes may add callbacks / wait.
 ``triggered``
-    given a value (or an exception) and placed on the event calendar.
+    given a value (or an exception) and placed on the calendar.
 ``processed``
-    popped from the calendar; its callbacks have run.
+    its calendar entry has run, and with it its callbacks.
+
+An event is its own calendar callback: triggering it schedules the
+event itself, and the calendar calling it runs its callback list.
 
 :class:`Process` doubles as an event: it triggers when its generator
 returns (value = the generator's return value) or raises (the event
@@ -17,7 +20,6 @@ fails with that exception).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.des.errors import SimulationError
@@ -78,23 +80,15 @@ class Event:
         return self._value
 
     # -- triggering --------------------------------------------------------
-    def succeed(
-        self, value: Any = None, priority: int = 1, at: Optional[float] = None
-    ) -> "Event":
-        """Trigger the event successfully with ``value``.
-
-        It is processed at the current instant, or at the absolute
-        virtual time ``at`` when one is given.  Returns ``self`` so
-        triggering can be chained/returned.
-        """
+    def succeed(self, value: Any = None, priority: int = 1) -> "Event":
+        """Trigger the event successfully with ``value``, to be processed
+        at the current instant.  Returns ``self`` so triggering can be
+        chained/returned."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        if at is None:
-            self.env.schedule(self, priority=priority)
-        else:
-            self.env.schedule_at(self, at, priority)
+        self.env.schedule(self.env.now, self, None, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = 1) -> "Event":
@@ -108,8 +102,17 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, priority=priority)
+        self.env.schedule(self.env.now, self, None, priority)
         return self
+
+    def __call__(self, _value: Any) -> None:
+        """The event's calendar entry: run its callbacks, once."""
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+        if not self._ok and not self.defused:
+            # Nobody was waiting on a failed event: surface the error.
+            raise self._value
 
     # -- misc ---------------------------------------------------------------
     def add_callback(self, callback: Callback) -> None:
@@ -140,38 +143,15 @@ class Timeout(Event):
         Value delivered when the timeout fires (default ``None``).
     """
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        # The hottest constructor of a run: fill the slots and push
-        # the calendar entry ``env.schedule(self, delay)`` would.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.defused = False
-        self._delay = delay
-        heappush(env._queue, (env.now + delay, 1, next(env._eid), self))
-
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
-
-
-class Initialize(Event):
-    """Internal event that kicks off a new :class:`Process` at time now."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
-        self.callbacks.append(process._resume)
         self._ok = True
-        self._value = None
-        env.schedule(self, priority=0)
+        self._value = value
+        env.schedule(env.now + delay, self)
 
 
 class Process(Event):
@@ -199,20 +179,23 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        env.schedule(env.now, self._resume, None, 0)
 
     # -- internal -----------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+    def _resume(self, event: Optional[Event]) -> None:
+        """Advance the generator with the outcome of ``event`` (None:
+        start it)."""
+        ok = event is None or event._ok
         sanitizer = self.env.sanitizer
         if sanitizer is not None:
             sanitizer.note(
                 f"t={self.env.now:.6g}: resume {self.name} "
-                f"({'ok' if event._ok else 'throw'})"
+                f"({'ok' if ok else 'throw'})"
             )
         try:
-            if event._ok:
-                next_event = self._generator.send(event._value)
+            if ok:
+                next_event = self._generator.send(
+                    None if event is None else event._value)
             else:
                 event.defused = True
                 next_event = self._generator.throw(event._value)
@@ -228,13 +211,8 @@ class Process(Event):
                 f"process {self.name!r} yielded a non-event: {next_event!r}"
             )
         if next_event.callbacks is None:
-            # Already processed: resume immediately at the current time.
-            immediate = Event(self.env)
-            immediate._ok = next_event._ok
-            immediate._value = next_event._value
-            immediate.defused = True
-            immediate.callbacks.append(self._resume)
-            self.env.schedule(immediate, priority=0)
+            # Already processed: resume at the current instant.
+            self.env.schedule(self.env.now, self._resume, next_event, 0)
         else:
             next_event.add_callback(self._resume)
 

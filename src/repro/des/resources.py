@@ -1,8 +1,7 @@
-"""Blocking containers and resources for the discrete-event kernel.
+"""The blocking container of the discrete-event kernel.
 
 :class:`Store` is the mailbox of a virtual processor (:mod:`repro.vm`)
-that a program run through ``Cluster.run`` receives from;
-:class:`Resource` is a counted resource such as a shared medium.
+that a program run through ``Cluster.run`` receives from.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.des.errors import SimulationError
 from repro.des.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,56 +96,3 @@ class Store:
 
     def __repr__(self) -> str:
         return f"<Store items={len(self.items)}>"
-
-
-class ResourceRequest(Event):
-    """Event returned by :meth:`Resource.request`; triggers on acquisition."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger()
-
-
-class Resource:
-    """Counted resource with FIFO acquisition (e.g. a shared bus).
-
-    Usage::
-
-        req = bus.request()
-        yield req
-        ... hold the resource ...
-        bus.release(req)
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self.users: list[ResourceRequest] = []
-        self._queue: deque[ResourceRequest] = deque()
-
-    def request(self) -> ResourceRequest:
-        """Queue for one unit of the resource."""
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        """Return the unit acquired by ``request``."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise SimulationError("releasing a request that does not hold the resource")
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            request = self._queue.popleft()
-            self.users.append(request)
-            request.succeed()
-
-    def __repr__(self) -> str:
-        return f"<Resource in_use={len(self.users)}/{self.capacity} queued={len(self._queue)}>"

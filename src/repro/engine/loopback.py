@@ -323,27 +323,29 @@ class CalendarRunner(LoopbackRunner):
         self._since: Dict[int, float] = {}
         #: rank -> the parked Recv no queued message has matched yet.
         self._blocked: Dict[int, Recv] = {}
+        #: rank -> its calendar callback (start, or wake with a value).
+        self._wakers = {rank: partial(self._wake, rank) for rank in self.engines}
         self._done = env.event()
 
     def run(self) -> Dict[int, Any]:
         """Start every rank (priority 0, rank order) and run the calendar
         until the last one returns; rank -> final block, in rank order."""
         for rank in sorted(self.engines):
-            start = self.env.event()
-            start.callbacks.append(partial(self._wake, rank))
-            start.succeed(priority=0)
+            self.env.schedule(self.env.now, self._wakers[rank], None, 0)
         self.env.run(until=self._done)
+        self._wakers.clear()  # each refers back to this runner: a cycle
         return dict(sorted(self.finals.items()))
 
-    def _wake(self, rank: int, event: Any) -> None:
+    def _wake(self, rank: int, value: Any) -> None:
         """Calendar callback: start ``rank``, or book the ``Charge`` /
-        ``Recv`` it is parked on as a phase row and resume it."""
+        ``Recv`` it is parked on as a phase row and resume it with
+        ``value`` (the seconds charged, or the message served)."""
         effect = self.parked.get(rank)
         response = None
         if effect is not None:
             now, start = self.env.now, self._since[rank]
             self.traces[rank].record(effect.phase, start, now, effect.iteration)
-            response = event.value
+            response = value
             if type(effect) is Recv:
                 response = self._arrival(rank, response, now - start)
         self.resume(rank, response)
@@ -355,11 +357,10 @@ class CalendarRunner(LoopbackRunner):
     # ----------------------------------------------------------- primitives
     def _charge(self, rank: int, effect: Charge) -> float:
         seconds = self._seconds_for[rank](effect.ops)
-        if seconds != 0:  # a Timeout rejects a negative delay
+        if seconds != 0:  # the calendar rejects a negative one
             self.parked[rank] = effect
-            self._since[rank] = self.env.now
-            wake = self.env.timeout(seconds, seconds)
-            wake.callbacks.append(partial(self._wake, rank))
+            self._since[rank] = now = self.env.now
+            self.env.schedule(now + seconds, self._wakers[rank], seconds)
         return seconds
 
     def _receive(self, rank: int, effect: Any) -> Optional[Arrival]:
@@ -375,10 +376,10 @@ class CalendarRunner(LoopbackRunner):
         if effect.dst not in self.queues:
             raise ValueError(f"send to unknown rank {effect.dst}")
         self._record(src, "send", effect.dst, effect.family, effect.iteration)
-        delivery = self.network.transmit(src, effect.dst, int(effect.nbytes))
-        delivery.add_callback(partial(self._deliver, src, effect, self.env.now))
+        self.network.transmit(src, effect.dst, int(effect.nbytes),
+                              partial(self._deliver, src, effect, self.env.now))
 
-    def _deliver(self, src: int, effect: Send, sent: float, _event: Any) -> None:
+    def _deliver(self, src: int, effect: Send, sent: float, _: Any) -> None:
         """Queue a delivered message as (src, seq, family, iteration,
         payload, transit) and serve its receiver."""
         self.queues[effect.dst].append((
@@ -396,8 +397,7 @@ class CalendarRunner(LoopbackRunner):
         for i, message in enumerate(queue):
             if effect.match is None or (message[2], message[3]) == effect.match:
                 del queue[i], self._blocked[rank]
-                wake = self.env.timeout(0.0, message)  # at (now, priority 1)
-                wake.callbacks.append(partial(self._wake, rank))
+                self.env.schedule(self.env.now, self._wakers[rank], message)
                 return
 
     def _arrival(self, rank: int, message: Any, waited: float) -> Arrival:

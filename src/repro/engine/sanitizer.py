@@ -137,7 +137,9 @@ class ProtocolSanitizer:
 
     # ------------------------------------------------------- DES hooks
     def on_event_processed(self, event: object, now: float, prev_now: float) -> None:
-        """Called by ``Environment.step`` before callbacks run."""
+        """Called by ``Environment.step`` with each calendar entry's
+        callback before it runs: the clock on every entry, the state
+        machine when the callback is an ``Event`` (its own entry)."""
         self.events_checked += 1
         if now < prev_now:
             self._violate(

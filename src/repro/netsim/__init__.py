@@ -12,8 +12,8 @@ composable delay models:
   and optional background traffic, reproducing the contention-driven
   growth of t_comm with p that the paper observes beyond 8 processors.
 * :mod:`repro.netsim.network` — the transport interface used by the
-  virtual machine: ``transmit(src, dst, nbytes)`` returning a delivery
-  event.
+  virtual machine: ``transmit(src, dst, nbytes, deliver)`` puts
+  ``deliver`` on the calendar for the delivery instant.
 """
 
 from repro.netsim.bus import BackgroundTraffic, BurstyTraffic, SharedBus

@@ -10,11 +10,11 @@ communication delay").
 What pins virtual time here (DESIGN.md §5.9).  A transfer requested at
 ``now`` starts at ``start = max(now, free_at)`` and completes at
 ``start + (frame_overhead + nbytes / bandwidth)``, scheduled as one
-event at that *absolute* time — the additions a FIFO queue of holders
-would make, in the same order, so a transfer granted at a release
-instant starts at exactly the float its predecessor ended on.
+calendar entry at that *absolute* time — the additions a FIFO queue of
+holders would make, in the same order, so a transfer granted at a
+release instant starts at exactly the float its predecessor ended on.
 Completions are scheduled at priority 2: a frame leaving the wire at T
-reaches its mailbox after every ordinary (priority 0/1) event of T, so
+reaches its mailbox after every ordinary (priority 0/1) entry of T, so
 a process that wakes at exactly T does not see it yet.  That is the
 order the hop-by-hop model this replaced produced, and the golden
 traces pin it.
@@ -22,13 +22,12 @@ traces pin it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.des import Environment, Event
+from repro.des import Environment
 
 #: Calendar priority of a bus completion: after the instant's 0s and 1s.
 COMPLETION_PRIORITY = 2
@@ -40,7 +39,7 @@ class SharedBus:
     Transfers take the bus in the order :meth:`transfer` is called and
     hold it for ``frame_overhead + nbytes / bandwidth`` seconds each.
     The bus keeps the time the medium next falls idle, so a transfer is
-    one calendar event at ``max(now, free_at) + occupancy(nbytes)``
+    one calendar entry at ``max(now, free_at) + occupancy(nbytes)``
     (see the module docstring for why that time and priority).
 
     Parameters
@@ -69,8 +68,6 @@ class SharedBus:
         self.frame_overhead = frame_overhead
         #: Virtual time the medium next falls idle.
         self._free_at = 0.0
-        #: (start, nbytes) of each accepted, unfinished transfer, FIFO.
-        self._in_flight: deque[tuple[float, int]] = deque()
         #: Total bytes ever accepted for transfer.
         self.bytes_transferred = 0
         #: Total seconds the medium has been held.
@@ -80,34 +77,27 @@ class SharedBus:
         """Seconds the medium is held for an ``nbytes`` transfer."""
         return self.frame_overhead + nbytes / self.bandwidth
 
-    def transfer(
-        self, nbytes: int, done: Optional[Event] = None, value: Any = None
-    ) -> Event:
-        """Start a transfer; returns an event firing at completion.
-
-        ``done`` is the (pending) event to fire, a fresh one by
-        default; it fires with ``value``.
-        """
+    def transfer(self, nbytes: int, done: Optional[Callable[[Any], None]] = None) -> None:
+        """Start a transfer; the calendar calls ``done(None)`` (if given)
+        when it completes."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        if done is None:
-            done = Event(self.env)
         start = max(self.env.now, self._free_at)
         self._free_at = end = start + self.occupancy(nbytes)
-        self._in_flight.append((start, nbytes))
-        done.callbacks.append(self._complete)
-        return done.succeed(value, priority=COMPLETION_PRIORITY, at=end)
+        self.env.schedule(
+            end, self._complete, (start, nbytes, done), COMPLETION_PRIORITY)
 
-    def _complete(self, event: Event) -> None:
-        # Completions fire in transfer() order, so the head is ours.
-        start, nbytes = self._in_flight.popleft()
+    def _complete(self, transfer: tuple) -> None:
+        start, nbytes, done = transfer
         self.busy_time += self.env.now - start
         self.bytes_transferred += nbytes
+        if done is not None:
+            done(None)
 
     def __repr__(self) -> str:
         return (
             f"<SharedBus bw={self.bandwidth:.3g} B/s "
-            f"overhead={self.frame_overhead:.3g}s queued={max(len(self._in_flight) - 1, 0)}>"
+            f"overhead={self.frame_overhead:.3g}s free_at={self._free_at:.6g}>"
         )
 
 
@@ -140,22 +130,30 @@ class BackgroundTraffic:
             raise ValueError("frame_bytes must be >= 0")
 
     def attach(self, bus: SharedBus, until: Optional[float] = None) -> None:
-        """Start generating traffic on ``bus`` (until time ``until``)."""
+        """Start generating traffic on ``bus`` (until time ``until``).
+
+        The generator is a callback that reschedules itself: a start
+        entry (priority 0), one entry per frame, and a last one when it
+        stops at ``until``.
+        """
         if self.rate == 0:
             return
-        bus.env.process(self._generate(bus, until), name="background-traffic")
-
-    def _generate(self, bus: SharedBus, until: Optional[float]) -> Generator:
         rng = np.random.default_rng(self.seed)
         env = bus.env
-        while until is None or env.now < until:
-            gap = float(rng.exponential(1.0 / self.rate))
-            yield env.timeout(gap)
-            if until is not None and env.now >= until:
-                return
-            # Fire-and-forget: the frame occupies the bus; nobody waits
-            # on its completion event.
-            bus.transfer(self.frame_bytes)
+
+        def wait(_: Any = None) -> None:
+            if until is None or env.now < until:
+                env.schedule(env.now + float(rng.exponential(1.0 / self.rate)), send)
+            else:
+                env.schedule(env.now, _stopped)
+
+        def send(_: Any) -> None:
+            if until is None or env.now < until:
+                # The frame occupies the bus; nobody waits on its completion.
+                bus.transfer(self.frame_bytes)
+            wait()
+
+        env.schedule(env.now, wait, priority=0)
 
 
 @dataclass
@@ -197,27 +195,41 @@ class BurstyTraffic:
             raise ValueError("frame_bytes must be >= 0")
 
     def attach(self, bus: SharedBus, until: Optional[float] = None) -> None:
-        """Start the modulated generator on ``bus``."""
+        """Start the modulated generator on ``bus``, a self-rescheduling
+        callback like :meth:`BackgroundTraffic.attach`'s."""
         if self.base_rate == 0 and self.burst_rate == 0:
             return
-        bus.env.process(self._generate(bus, until), name="bursty-traffic")
-
-    def _generate(self, bus: SharedBus, until: Optional[float]) -> Generator:
         rng = np.random.default_rng(self.seed)
         env = bus.env
-        in_burst = False
-        phase_end = env.now + float(rng.exponential(self.mean_off))
-        while until is None or env.now < until:
+        in_burst, phase_end = False, 0.0
+
+        def start(_: Any) -> None:
+            nonlocal phase_end
+            phase_end = env.now + float(rng.exponential(self.mean_off))
+            wait()
+
+        def wait(_: Any = None) -> None:
+            nonlocal in_burst, phase_end
+            if until is not None and env.now >= until:
+                env.schedule(env.now, _stopped)
+                return
             if env.now >= phase_end:
                 in_burst = not in_burst
                 mean = self.mean_on if in_burst else self.mean_off
                 phase_end = env.now + float(rng.exponential(mean))
             rate = self.burst_rate if in_burst else self.base_rate
             if rate <= 0:
-                yield env.timeout(min(1.0, max(phase_end - env.now, 1e-9)))
-                continue
-            gap = float(rng.exponential(1.0 / rate))
-            yield env.timeout(gap)
-            if until is not None and env.now >= until:
-                return
-            bus.transfer(self.frame_bytes)
+                env.schedule(env.now + min(1.0, max(phase_end - env.now, 1e-9)), wait)
+            else:
+                env.schedule(env.now + float(rng.exponential(1.0 / rate)), send)
+
+        def send(_: Any) -> None:
+            if until is None or env.now < until:
+                bus.transfer(self.frame_bytes)
+            wait()
+
+        env.schedule(env.now, start, priority=0)
+
+
+def _stopped(_: Any) -> None:
+    """A traffic generator's last calendar entry, at the instant it stops."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Hashable, Optional
 
-from repro.des import Event, Store
+from repro.des import Store
 from repro.trace import PhaseTrace
 from repro.vm.message import Message, payload_nbytes
 from repro.vm.specs import ProcessorSpec
@@ -48,27 +48,24 @@ class VirtualProcessor:
         payload: Any,
         tag: Hashable = None,
         nbytes: Optional[int] = None,
-    ) -> Event:
+    ) -> None:
         """Asynchronously send ``payload`` to processor ``dst``.
 
-        Returns the delivery event (usually ignored by the sender; the
-        network deposits the message in the destination mailbox when
-        the event fires).  Sending to self is allowed and goes through
-        the network like any other message.
+        The network deposits the message in the destination mailbox on
+        delivery.  Sending to self is allowed and goes through the
+        network like any other message.
         """
         if not 0 <= dst < self.cluster.size:
             raise ValueError(f"invalid destination rank {dst}")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         msg = Message(self.rank, dst, tag, payload, size, self.env.now)
-        delivery = self.cluster.network.transmit(self.rank, dst, size)
         mailbox = self.cluster.processors[dst].mailbox
 
-        def _deliver(event: Event) -> None:
+        def _deliver(_: Any) -> None:
             msg.mark_delivered(self.env.now)
             mailbox.put(msg)
 
-        delivery.add_callback(_deliver)
-        return delivery
+        self.cluster.network.transmit(self.rank, dst, size, _deliver)
 
     def recv(
         self,

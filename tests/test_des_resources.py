@@ -1,8 +1,11 @@
-"""Unit tests for Store and Resource."""
+"""Unit tests for Store, and for the Resource that the network parity
+oracle (``tests/test_netsim_parity.py``) queues on."""
 
 import pytest
 
-from repro.des import Environment, Resource, SimulationError, Store
+from repro.des import Environment, SimulationError, Store
+
+from tests.test_netsim_parity import Resource
 
 
 def run(env, gen):

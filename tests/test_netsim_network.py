@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import AllOf, Environment
+from repro.des import AllOf, Environment, Event
 from repro.netsim import (
     BackgroundTraffic,
     BusNetwork,
@@ -16,6 +16,25 @@ from repro.netsim import (
     StochasticLatency,
     SwitchedNetwork,
 )
+
+
+def transfer(bus, nbytes) -> Event:
+    """An event that fires when ``bus`` completes an ``nbytes`` transfer."""
+    done = bus.env.event()
+    bus.transfer(nbytes, lambda _: done.succeed())
+    return done
+
+
+def arrival(net, src, dst, nbytes) -> Event:
+    """An event that fires, with ``(src, dst, nbytes)``, when ``net``
+    delivers the message."""
+    done = net.env.event()
+    net.transmit(src, dst, nbytes, lambda _: done.succeed((src, dst, nbytes)))
+    return done
+
+
+def ignore(_):
+    """A delivery nobody waits on."""
 
 
 # --------------------------------------------------------------------------- bus
@@ -29,7 +48,7 @@ def test_bus_single_transfer_time():
     env = Environment()
     bus = SharedBus(env, bandwidth=100.0)
 
-    done = bus.transfer(50)
+    done = transfer(bus, 50)
     env.run(until=done)
     assert env.now == pytest.approx(0.5)
 
@@ -37,8 +56,8 @@ def test_bus_single_transfer_time():
 def test_bus_serializes_concurrent_transfers():
     env = Environment()
     bus = SharedBus(env, bandwidth=100.0)
-    a = bus.transfer(100)  # 1s
-    b = bus.transfer(100)  # must queue behind a
+    a = transfer(bus, 100)  # 1s
+    b = transfer(bus, 100)  # must queue behind a
     env.run(until=AllOf(env, [a, b]))
     assert env.now == pytest.approx(2.0)
 
@@ -46,7 +65,7 @@ def test_bus_serializes_concurrent_transfers():
 def test_bus_stats_accumulate():
     env = Environment()
     bus = SharedBus(env, bandwidth=100.0)
-    done = bus.transfer(100)
+    done = transfer(bus, 100)
     env.run(until=done)
     assert bus.bytes_transferred == 100
     assert bus.busy_time == pytest.approx(1.0)
@@ -60,7 +79,7 @@ def test_bus_validation():
         SharedBus(env, bandwidth=1, frame_overhead=-1)
     bus = SharedBus(env, bandwidth=1)
     with pytest.raises(ValueError):
-        bus.transfer(-1)
+        bus.transfer(-1, ignore)
 
 
 def test_background_traffic_delays_foreground():
@@ -74,7 +93,7 @@ def test_background_traffic_delays_foreground():
 
         def fg(env):
             yield env.timeout(1.0)
-            yield bus.transfer(1000)
+            yield transfer(bus, 1000)
             results.append(env.now)
 
         done = env.process(fg(env))
@@ -88,7 +107,7 @@ def test_background_traffic_zero_rate_noop():
     env = Environment()
     bus = SharedBus(env, bandwidth=1000.0)
     BackgroundTraffic(rate=0.0).attach(bus)
-    done = bus.transfer(100)
+    done = transfer(bus, 100)
     env.run(until=done)
     assert env.now == pytest.approx(0.1)
 
@@ -108,7 +127,7 @@ def test_background_traffic_deterministic():
 
         def fg(env):
             yield env.timeout(2.0)
-            yield bus.transfer(500)
+            yield transfer(bus, 500)
             return env.now
 
         done = env.process(fg(env))
@@ -121,7 +140,7 @@ def test_background_traffic_deterministic():
 def test_delay_network_delivery_time():
     env = Environment()
     net = DelayNetwork(env, ConstantLatency(0.25))
-    ev = net.transmit(0, 1, 100)
+    ev = arrival(net, 0, 1, 100)
     env.run(until=ev)
     assert env.now == pytest.approx(0.25)
     assert ev.value == (0, 1, 100)
@@ -130,7 +149,7 @@ def test_delay_network_delivery_time():
 def test_delay_network_default_zero_latency():
     env = Environment()
     net = DelayNetwork(env)
-    ev = net.transmit(0, 1, 10)
+    ev = arrival(net, 0, 1, 10)
     env.run(until=ev)
     assert env.now == 0.0
 
@@ -151,8 +170,8 @@ def test_delay_network_fifo_per_channel():
 
     env = Environment()
     net = DelayNetwork(env, Decreasing())
-    first = net.transmit(0, 1, 10)
-    second = net.transmit(0, 1, 10)
+    first = arrival(net, 0, 1, 10)
+    second = arrival(net, 0, 1, 10)
     arrivals = {}
 
     def watch(env):
@@ -170,8 +189,8 @@ def test_delay_network_fifo_per_channel():
 def test_delay_network_distinct_channels_independent():
     env = Environment()
     net = DelayNetwork(env, ConstantLatency(0.5))
-    a = net.transmit(0, 1, 10)
-    b = net.transmit(2, 3, 10)
+    a = arrival(net, 0, 1, 10)
+    b = arrival(net, 2, 3, 10)
     env.run(until=AllOf(env, [a, b]))
     assert env.now == pytest.approx(0.5)  # fully parallel
 
@@ -179,8 +198,8 @@ def test_delay_network_distinct_channels_independent():
 def test_delay_network_accounting():
     env = Environment()
     net = DelayNetwork(env)
-    net.transmit(0, 1, 100)
-    net.transmit(1, 0, 200)
+    net.transmit(0, 1, 100, ignore)
+    net.transmit(1, 0, 200, ignore)
     assert net.messages_sent == 2
     assert net.bytes_sent == 300
 
@@ -189,7 +208,7 @@ def test_delay_network_rejects_negative_size():
     env = Environment()
     net = DelayNetwork(env)
     with pytest.raises(ValueError):
-        net.transmit(0, 1, -1)
+        net.transmit(0, 1, -1, ignore)
 
 
 def test_bus_network_contention_grows_completion_time():
@@ -199,7 +218,7 @@ def test_bus_network_contention_grows_completion_time():
         env = Environment()
         bus = SharedBus(env, bandwidth=1000.0)
         net = BusNetwork(env, bus)
-        events = [net.transmit(i, (i + 1) % 8, 1000) for i in range(n_messages)]
+        events = [arrival(net, i, (i + 1) % 8, 1000) for i in range(n_messages)]
         env.run(until=AllOf(env, events))
         return env.now
 
@@ -213,8 +232,8 @@ def test_bus_network_endpoint_latency_overlaps():
     env = Environment()
     bus = SharedBus(env, bandwidth=1000.0)
     net = BusNetwork(env, bus, latency=ConstantLatency(0.5))
-    a = net.transmit(0, 1, 1000)  # 0.5 + 1.0 wire
-    b = net.transmit(2, 3, 1000)  # endpoint overlaps; wire queues
+    a = arrival(net, 0, 1, 1000)  # 0.5 + 1.0 wire
+    b = arrival(net, 2, 3, 1000)  # endpoint overlaps; wire queues
     env.run(until=AllOf(env, [a, b]))
     assert env.now == pytest.approx(0.5 + 1.0 + 1.0)
 
@@ -223,14 +242,14 @@ def test_bus_network_rejects_negative_size():
     env = Environment()
     net = BusNetwork(env, SharedBus(env, bandwidth=1))
     with pytest.raises(ValueError):
-        net.transmit(0, 1, -1)
+        net.transmit(0, 1, -1, ignore)
 
 
 def test_bus_network_size_dependent_time():
     env = Environment()
     bus = SharedBus(env, bandwidth=100.0)
     net = BusNetwork(env, bus, latency=ConstantLatency(0.1))
-    ev = net.transmit(0, 1, 200)
+    ev = arrival(net, 0, 1, 200)
     env.run(until=ev)
     assert env.now == pytest.approx(0.1 + 2.0)
 
@@ -239,8 +258,8 @@ def test_switched_network_parallel_disjoint_pairs():
     """Disjoint pairs transfer fully in parallel on a switch."""
     env = Environment()
     net = SwitchedNetwork(env, nprocs=4, bandwidth=1000.0)
-    a = net.transmit(0, 1, 1000)
-    b = net.transmit(2, 3, 1000)
+    a = arrival(net, 0, 1, 1000)
+    b = arrival(net, 2, 3, 1000)
     env.run(until=AllOf(env, [a, b]))
     # store-and-forward: egress + ingress = 2 seconds, overlapped pairs
     assert env.now == pytest.approx(2.0)
@@ -250,8 +269,8 @@ def test_switched_network_contends_per_endpoint():
     """Two messages into the same receiver serialize at its ingress."""
     env = Environment()
     net = SwitchedNetwork(env, nprocs=3, bandwidth=1000.0)
-    a = net.transmit(0, 2, 1000)
-    b = net.transmit(1, 2, 1000)
+    a = arrival(net, 0, 2, 1000)
+    b = arrival(net, 1, 2, 1000)
     env.run(until=AllOf(env, [a, b]))
     # egress overlaps (different senders); ingress serializes.
     assert env.now == pytest.approx(3.0)
@@ -265,9 +284,9 @@ def test_switched_network_validation():
         SwitchedNetwork(env, nprocs=2, bandwidth=0.0)
     net = SwitchedNetwork(env, nprocs=2, bandwidth=1.0)
     with pytest.raises(ValueError):
-        net.transmit(0, 5, 10)
+        net.transmit(0, 5, 10, ignore)
     with pytest.raises(ValueError):
-        net.transmit(0, 1, -1)
+        net.transmit(0, 1, -1, ignore)
 
 
 def test_switched_beats_bus_for_all_to_all():
@@ -277,7 +296,7 @@ def test_switched_beats_bus_for_all_to_all():
         env = Environment()
         net = make_net(env)
         events = [
-            net.transmit(i, j, 1000)
+            arrival(net, i, j, 1000)
             for i in range(6)
             for j in range(6)
             if i != j
@@ -320,8 +339,8 @@ def test_property_channels_are_fifo_under_jitter(kind, sends, seed):
             if gap:
                 yield env.timeout(gap)
             sent[src, dst].append(k)
-            net.transmit(src, dst, nbytes).add_callback(
-                lambda event, k=k: delivered[event.value[:2]].append(k))
+            net.transmit(src, dst, nbytes,
+                         lambda _, k=k, key=(src, dst): delivered[key].append(k))
 
     env.process(source(env))
     env.run()
@@ -343,10 +362,33 @@ def test_fifo_clamp_is_exact_and_ties_keep_send_order():
     order = []
 
     def source(env):
-        net.transmit(0, 1, 100).add_callback(lambda e: order.append(("a", env.now)))
+        net.transmit(0, 1, 100, lambda _: order.append(("a", env.now)))
         yield env.timeout(0.2)
-        net.transmit(0, 1, 0).add_callback(lambda e: order.append(("b", env.now)))
+        net.transmit(0, 1, 0, lambda _: order.append(("b", env.now)))
 
     env.process(source(env))
     env.run()
     assert order == [("a", 0.9 + 0.1), ("b", 0.9 + 0.1)]
+
+
+def test_delay_network_clamp_lands_on_the_predecessor_float():
+    """The second message draws the shorter latency and is clamped to
+    the first one's arrival.  Counted down from its send time, that
+    arrival is 0.0524972421238693, one ulp before the first message's
+    0.05249724212386931, and the receiver would see it first."""
+    class Scripted(ConstantLatency):
+        def delay(self, src, dst, now):
+            return draws.pop(0)
+
+    draws = [0.046994462554119994, 0.038437334136460284]
+    sent = [0.0055027795697493165, 0.013782183081038516]
+    env = Environment()
+    net = DelayNetwork(env, Scripted(0.0))
+    order = []
+    for k, when in enumerate(sent):
+        env.run(until=when)
+        net.transmit(0, 1, 8, lambda _, k=k: order.append((k, env.now)))
+    env.run()
+    first = sent[0] + 0.046994462554119994
+    assert sent[1] + (first - sent[1]) < first  # the countdown's ulp
+    assert order == [(0, first), (1, first)]

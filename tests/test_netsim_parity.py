@@ -18,11 +18,13 @@ same-instant rule itself is asserted directly, on both.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment, Event, SimulationError, Store
 from repro.engine.sanitizer import sanitizer_from_env
 from repro.netsim import (
     BackgroundTraffic,
@@ -38,6 +40,70 @@ from repro.vm import Cluster, uniform_specs
 
 
 # ------------------------------------------------------------------ the oracle
+class ResourceRequest(Event):
+    """Event returned by :meth:`Resource.request`; triggers on acquisition."""
+
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: "Resource") -> None:
+        super().__init__(resource.env)
+        self.resource = resource
+        resource._queue.append(self)
+        resource._trigger()
+
+
+class Resource:
+    """The parent's counted resource with FIFO acquisition (e.g. a
+    shared bus).
+
+    Usage::
+
+        req = bus.request()
+        yield req
+        ... hold the resource ...
+        bus.release(req)
+    """
+
+    def __init__(self, env: Environment, capacity: int = 1) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.env = env
+        self.capacity = capacity
+        self.users: list[ResourceRequest] = []
+        self._queue: deque[ResourceRequest] = deque()
+
+    def request(self) -> ResourceRequest:
+        """Queue for one unit of the resource."""
+        return ResourceRequest(self)
+
+    def release(self, request: ResourceRequest) -> None:
+        """Return the unit acquired by ``request``."""
+        try:
+            self.users.remove(request)
+        except ValueError:
+            raise SimulationError("releasing a request that does not hold the resource")
+        self._trigger()
+
+    def _trigger(self) -> None:
+        while self._queue and len(self.users) < self.capacity:
+            request = self._queue.popleft()
+            self.users.append(request)
+            request.succeed()
+
+    def __repr__(self) -> str:
+        return f"<Resource in_use={len(self.users)}/{self.capacity} queued={len(self._queue)}>"
+
+
+def at(env, time):
+    """An event processed at the absolute ``time``: the end of an
+    endpoint stage, which a timeout counted down from now could miss by
+    an ulp."""
+    event = env.event()
+    event._ok, event._value = True, None
+    env.schedule(time, event)
+    return event
+
+
 class OracleBus:
     """The parent's ``SharedBus``: one ``Process`` and one ``Resource``
     request per transfer."""
@@ -74,16 +140,16 @@ class OracleBusNetwork(Network):
         super().__init__(env, latency)
         self.bus = bus
 
-    def transmit(self, src, dst, nbytes):
+    def transmit(self, src, dst, nbytes, deliver):
         self._account(nbytes)
-        return self.env.process(
+        self.env.process(
             self._deliver(src, dst, nbytes), name=f"xmit-{src}-{dst}"
-        )
+        ).add_callback(deliver)
 
     def _deliver(self, src, dst, nbytes):
         ready = self._endpoint_stage(src, dst)
         if ready is not None:
-            yield ready
+            yield at(self.env, ready)
         yield self.bus.transfer(nbytes)
         return (src, dst, nbytes)
 

@@ -12,6 +12,8 @@ from repro.platforms import (
     wustl_1994,
 )
 
+from tests.test_netsim_network import transfer
+
 
 def test_wustl_spec_gradient():
     plat = wustl_1994(p=16)
@@ -86,7 +88,7 @@ def test_bursty_traffic_zero_rates_noop():
     env = Environment()
     bus = SharedBus(env, bandwidth=1000.0)
     BurstyTraffic(base_rate=0.0, burst_rate=0.0).attach(bus)
-    done = bus.transfer(100)
+    done = transfer(bus, 100)
     env.run(until=done)
     assert env.now == pytest.approx(0.1)
 
@@ -103,7 +105,7 @@ def test_bursty_traffic_bursts_delay_foreground():
 
         def fg(env):
             yield env.timeout(1.0)
-            yield bus.transfer(2000)
+            yield transfer(bus, 2000)
             return env.now
 
         done = env.process(fg(env))
@@ -121,7 +123,7 @@ def test_bursty_traffic_deterministic():
 
         def fg(env):
             yield env.timeout(5.0)
-            yield bus.transfer(1000)
+            yield transfer(bus, 1000)
             return env.now
 
         done = env.process(fg(env))

@@ -94,9 +94,12 @@ GONE_SIMULATOR_NAMES = {
     "Event": ("trigger", "__and__", "__or__"),
     "StoreGet": ("cancel",),
     "Store": ("count", "peek"),
+    "Environment": ("schedule_at",),
+    "Timeout": ("delay",),
 }
 GONE_SIMULATOR_CLASSES = ("AnyOf", "Condition", "Interrupt",
-                          "BackgroundLoad", "RandomWalkLoad", "DESTransport")
+                          "BackgroundLoad", "RandomWalkLoad", "DESTransport",
+                          "Resource", "ResourceRequest", "Initialize")
 
 
 def test_the_simulator_has_one_program_shape_and_one_slowdown():
@@ -121,6 +124,8 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
         "Event": repro.des.Environment().event(),
         "StoreGet": repro.des.resources.StoreGet,
         "Store": repro.des.Store,
+        "Environment": repro.des.Environment,
+        "Timeout": repro.des.Timeout,
     }
     for owner, names in GONE_SIMULATOR_NAMES.items():
         for gone in names:
@@ -141,6 +146,7 @@ def test_the_simulator_has_one_program_shape_and_one_slowdown():
     def params(func):
         return set(inspect.signature(func).parameters)
 
+    assert "at" not in params(repro.des.Event.succeed)
     assert "load" not in params(repro.vm.VirtualProcessor)
     assert "loads" not in params(Cluster)
     # One trace-recording seat on the DES: the runner, as on the other

@@ -17,6 +17,7 @@ import pytest
 from repro import api
 from repro.api import RunConfig, run
 from repro.cli import main
+from repro.des import Environment
 from repro.engine import CalendarRunner, SpecEngine, topology
 from repro.engine.sanitizer import (
     ENV_FLAG,
@@ -62,6 +63,20 @@ def test_event_state_machine_untriggered_event():
     san = ProtocolSanitizer()
     with pytest.raises(ProtocolViolation) as exc:
         san.on_event_processed(FakeEvent(), now=0.0, prev_now=0.0)
+    assert exc.value.invariant == "event-state-machine"
+
+
+def test_the_calendar_checks_every_entry_and_the_state_of_each_event():
+    env = Environment()
+    env.sanitizer = san = ProtocolSanitizer()
+    event = env.event().succeed("x")
+    env.schedule(0.0, lambda _: None)  # a plain callback: the clock only
+    env.schedule(0.0, event)  # the same event a second time
+    env.step()
+    env.step()
+    assert san.events_checked == 2
+    with pytest.raises(ProtocolViolation) as exc:
+        env.step()
     assert exc.value.invariant == "event-state-machine"
 
 
