@@ -19,7 +19,10 @@ The package splits the paper's protocol (Fig. 3) from its media:
   model checker) or on the simulator's calendar (:class:`CalendarRunner`);
 * :mod:`repro.engine.pipes` — real ``multiprocessing`` pipes with
   injected latency; sequenced, FIFO-restored delivery (the SPF111
-  fix) and no busy-wait blocking.
+  fix) and no busy-wait blocking.  This package does not re-export
+  it: import :class:`~repro.engine.pipes.PipeTransport` and the mesh
+  helpers from :mod:`repro.engine.pipes`, so that an in-process run
+  loads no ``multiprocessing``, ``socket`` or ``subprocess``.
 
 Every backend :func:`repro.api.run` reaches — the simulator, the
 loopback scheduler and the multiprocessing workers
@@ -58,7 +61,6 @@ from repro.engine.events import (
     Verified,
 )
 from repro.engine.loopback import CalendarRunner, LoopbackDeadlock, LoopbackRunner
-from repro.engine.pipes import PipeTransport, close_mesh, full_mesh
 from repro.engine.ring import HistoryRing, OutOfOrderArrival
 from repro.engine.transport import Transport, TransportError, drive
 
@@ -78,7 +80,6 @@ __all__ = [
     "LoopbackDeadlock",
     "LoopbackRunner",
     "OutOfOrderArrival",
-    "PipeTransport",
     "ReceiveDrivenEngine",
     "Recv",
     "Send",
@@ -88,9 +89,7 @@ __all__ = [
     "TransportError",
     "TryRecv",
     "Verified",
-    "close_mesh",
     "default_hist_cap",
     "drive",
-    "full_mesh",
     "topology",
 ]

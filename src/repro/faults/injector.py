@@ -15,7 +15,6 @@ timing, and re-running a chaos experiment replays it exactly.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
@@ -29,6 +28,10 @@ class InjectedCrash(RuntimeError):
 
 def _roll(seed: int, *key: Any) -> float:
     """Deterministic uniform [0, 1) from the plan seed and a fault key."""
+    # Imported here: ``hashlib`` loads OpenSSL's libcrypto (~3.5 MiB RSS),
+    # and only a run with a fault plan ever rolls.
+    import hashlib
+
     digest = hashlib.blake2b(
         repr((seed,) + key).encode("utf-8"), digest_size=8
     ).digest()

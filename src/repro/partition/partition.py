@@ -42,7 +42,10 @@ class Partition:
             raise ValueError(
                 f"partition covers {seen.size} of {self.n} variables"
             )
-        if seen.size and (np.unique(seen).size != seen.size or seen.min() < 0 or seen.max() >= self.n):
+        # Range first: bincount rejects negatives with its own error.  (No
+        # np.unique: it imports numpy.ma, ~1.5 MiB, on every build.)
+        if seen.size and (seen.min() < 0 or seen.max() >= self.n
+                          or np.bincount(seen).max() > 1):
             raise ValueError("partition assignments must be a disjoint cover of range(n)")
 
     @property

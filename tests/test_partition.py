@@ -92,8 +92,12 @@ def test_partition_validates_cover():
         Partition(n=4, assignments=(np.array([0, 1]), np.array([2])))  # missing 3
     with pytest.raises(ValueError):
         Partition(n=3, assignments=(np.array([0, 1]), np.array([1, 2])))  # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disjoint cover"):
+        Partition(n=3, assignments=(np.array([0, 1]), np.array([1])))  # overlap, full size
+    with pytest.raises(ValueError, match="disjoint cover"):
         Partition(n=2, assignments=(np.array([0, 5]),))  # out of range
+    with pytest.raises(ValueError, match="disjoint cover"):
+        Partition(n=2, assignments=(np.array([-1, 1]),))  # negative
 
 
 def test_paper_linear_gradient_partition():

@@ -249,6 +249,36 @@ def test_importing_repro_loads_no_analyzer():
     assert not [m for m in loaded if m.startswith("repro.analysis")]
 
 
+#: Modules an in-process run never uses: OpenSSL's libcrypto (behind
+#: ``hashlib``), the multiprocessing stack, and ``numpy.ma``.
+UNUSED_BY_IN_PROCESS_RUNS = ("_hashlib", "multiprocessing", "numpy.ma")
+
+
+def test_in_process_runs_load_no_openssl_mp_stack_or_numpy_ma():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, repro\n"
+        "from repro.harness.toys import ConstantProgram\n"
+        "from repro.nbody import uniform_cube\n"
+        f"unused = {UNUSED_BY_IN_PROCESS_RUNS!r}\n"
+        "repro.run(repro.RunConfig(ConstantProgram(nprocs=2, iterations=3), fw=1))\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+        "repro.NBodyProgram(uniform_cube(16, seed=0, softening=0.1), [1.0, 1.0],\n"
+        "                   iterations=2, dt=0.01, threshold=0.01)\n"
+        "print(sorted(m for m in ('numpy.ma',) if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    after_des, after_nbody = map(ast.literal_eval, out.stdout.splitlines())
+    assert after_des == [], after_des
+    assert after_nbody == [], after_nbody
+
+
 #: Nodes whose ``name`` defines rather than uses it.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
