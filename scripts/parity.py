@@ -300,6 +300,18 @@ def against_parent(parent_src: pathlib.Path, src: pathlib.Path) -> List[str]:
     return verdicts
 
 
+def extract_src(rev: str, into: str) -> pathlib.Path:
+    """REV's ``src``, extracted with ``git archive`` under ``into``; a
+    ValueError carrying git's message if REV names no tree."""
+    archive = subprocess.run(
+        ["git", "archive", rev, "src"], cwd=ROOT, capture_output=True
+    )
+    if archive.returncode:
+        raise ValueError(archive.stderr.decode().strip())
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
+    return pathlib.Path(into) / "src"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -314,18 +326,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             verdicts = against_golden(src)
         else:
             with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-                archive = subprocess.run(
-                    ["git", "archive", args.parent, "src"],
-                    cwd=ROOT, capture_output=True,
-                )
-                if archive.returncode:
-                    print(f"parity: {archive.stderr.decode().strip()}",
-                          file=sys.stderr)
+                try:
+                    parent_src = extract_src(args.parent, tmp)
+                except ValueError as bad:
+                    print(f"parity: {bad}", file=sys.stderr)
                     return 2
-                subprocess.run(
-                    ["tar", "-x", "-C", tmp], input=archive.stdout, check=True
-                )
-                verdicts = against_parent(pathlib.Path(tmp) / "src", src)
+                verdicts = against_parent(parent_src, src)
     finally:
         shutil.rmtree(ROOT / OUT, ignore_errors=True)
     moved = sum(not line.startswith("identical") for line in verdicts)
