@@ -29,6 +29,21 @@ failure): then the change moved the simulation, not only its speed.  A
 round in which an mp sample fails is dropped whole, and the script then
 exits 1 after its report.
 
+The verdict applies the whole claim rule to the wall metric, and
+reports each of its three tests: the ``B/A`` interval excludes 1 (while
+``A'/A`` contains it), ``B`` wins at least nine tenths of the rounds
+(ties count for neither side), and the medians differ by more than
+``A``'s interquartile range.  A change moved the metric only when all
+three pass.
+
+``--count`` counts instead of timing: per workload, one fresh worker per
+tree takes a warm-up sample, then one sample under ``sys.setprofile``,
+and the script prints each tree's Python calls (generator resumes
+included) and C calls, and ``B - A``.  Counts of a deterministic
+workload repeat exactly, so a plumbing change states its delta before
+any timing.  It exits 2, as the timed mode does, when the trees'
+makespans differ or a deterministic sample fails.
+
 ``--import`` measures instead, in ten fresh processes per tree, what
 ``import repro.api`` costs over ``import numpy``: peak RSS, wall time,
 the number of modules it loads, and which of OpenSSL's ``_hashlib``,
@@ -38,6 +53,7 @@ Usage (about 12 minutes for the four workloads at the default 24 rounds)::
 
     python scripts/ab.py [--rev HEAD] [--workload des-null-p16 ...]
                          [--fw 1] [--rounds 24]
+    python scripts/ab.py --count [--rev HEAD] [--workload ...] [--fw 1]
     python scripts/ab.py --import [--rev HEAD]
 """
 
@@ -55,7 +71,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -82,13 +98,15 @@ IMPORT_REPEATS = 10
 
 class Paired(NamedTuple):
     """The median of ``num[i] / den[i]`` over paired samples, with a
-    percentile-bootstrap 95 % interval, and how often ``num`` was lower."""
+    percentile-bootstrap 95 % interval, and how often ``num`` was lower
+    (``wins``) and higher (``losses``); a tie counts for neither."""
 
     ratio: float
     low: float
     high: float
     wins: int
     n: int
+    losses: int
 
     def contains_one(self) -> bool:
         return self.low <= 1.0 <= self.high
@@ -105,29 +123,104 @@ def paired_ratio(num: Sequence[float], den: Sequence[float]) -> Paired:
     low = medians[int(0.025 * (BOOTSTRAP_RESAMPLES - 1))]
     high = medians[int(round(0.975 * (BOOTSTRAP_RESAMPLES - 1)))]
     wins = sum(a < b for a, b in zip(num, den))
-    return Paired(statistics.median(ratios), low, high, wins, len(ratios))
+    losses = sum(a > b for a, b in zip(num, den))
+    return Paired(statistics.median(ratios), low, high, wins, len(ratios), losses)
+
+
+class RuleTest(NamedTuple):
+    """One test of the claim rule: its name, whether it passed, and why."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def claim_tests(a: Sequence[float], a_prime: Sequence[float],
+                b: Sequence[float]) -> List[RuleTest]:
+    """The claim rule's three tests of ``b`` against ``a``, sampled in
+    lockstep with ``a_prime`` (``a``'s tree run again):
+
+    * *interval*: the ``B/A`` bootstrap interval excludes 1 while the
+      ``A'/A`` interval contains it;
+    * *wins*: ``B`` is on the side the median ratio points to in at
+      least nine tenths of the rounds, ties counting for neither;
+    * *medians*: the medians differ by more than ``A``'s interquartile
+      range.
+    """
+    aa, ab = paired_ratio(a_prime, a), paired_ratio(b, a)
+    lower = ab.ratio <= 1.0
+    side = "lower" if lower else "higher"
+    won = ab.wins if lower else ab.losses
+    need = -(-9 * ab.n // 10)  # ceil(0.9 n), in integers
+    base, other = BENCH_RUN.summarise(list(a)), BENCH_RUN.summarise(list(b))
+    gap, spread = abs(other["median"] - base["median"]), base["q3"] - base["q1"]
+    return [
+        RuleTest("interval", not ab.contains_one() and aa.contains_one(),
+                 f"B/A 95% [{ab.low:.3f}, {ab.high:.3f}] "
+                 f"{'contains' if ab.contains_one() else 'excludes'} 1, "
+                 f"A'/A [{aa.low:.3f}, {aa.high:.3f}] "
+                 f"{'contains' if aa.contains_one() else 'excludes'} 1"),
+        RuleTest("wins", won >= need, f"B {side} in {won}/{ab.n}, needs {need}"),
+        RuleTest("medians", gap > spread,
+                 f"|{other['median']:.4f} - {base['median']:.4f}| = {gap:.4f} "
+                 f"{'>' if gap > spread else '<='} A's IQR {spread:.4f}"),
+    ]
+
+
+def verdict(metric: str, tests: Sequence[RuleTest], ratio: float) -> str:
+    """One line: did ``B`` move ``metric`` (median ``B/A`` ``ratio``) by
+    the whole claim rule?"""
+    failed = [test.name for test in tests if not test.passed]
+    if not failed:
+        return f"B moved {metric} {'lower' if ratio <= 1.0 else 'higher'}: all three tests pass"
+    return f"{metric} did not move by the claim rule (failed: {', '.join(failed)})"
 
 
 # --------------------------------------------------------------- the worker
 
 
+def count_calls(fn: Callable[..., Any], *args: Any) -> Tuple[int, int, Any]:
+    """``(python_calls, c_calls, result)`` of ``fn(*args)`` under
+    ``sys.setprofile``.  Python calls count every frame entered,
+    generator resumes included; C calls count builtins and extension
+    functions.  The ``sys.setprofile(None)`` that ends the count is not
+    counted."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame: Any, event: str, arg: Any) -> None:
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"] - 1, result
+
+
 def worker(workload_name: str, fw: int) -> int:
-    """Serve single samples: one line on stdin asks for one, one JSON line
-    on the saved stdout answers.  Anything the run prints goes to stderr."""
+    """Serve single samples: one line on stdin asks for one (the line
+    ``count`` for one under :func:`count_calls`), one JSON line on the
+    saved stdout answers.  Anything the run prints goes to stderr."""
     protocol = os.fdopen(os.dup(1), "w")
     os.dup2(2, 1)
     import workloads
 
     sampler = workloads.Sampler(workloads.WORKLOADS[workload_name], workloads.DEFAULT_SEED,
                                 quick=False)
-    for _ in sys.stdin:
+    for line in sys.stdin:
         failures = len(sampler.failures)
-        sample = sampler.sample(fw)
-        reply: Dict[str, Any] = {
+        reply: Dict[str, Any] = {}
+        if line.strip() == "count":
+            reply["calls"], reply["c_calls"], sample = count_calls(sampler.sample, fw)
+        else:
+            sample = sampler.sample(fw)
+        reply.update({
             "deterministic": sampler.workload.backend != "mp",
             "setup": sampler.setups[-1],
             "peak_rss_mb": workloads.peak_rss_mb(),
-        }
+        })
         if sample is None:
             reply["failure"] = sampler.failures[failures]
         else:
@@ -151,9 +244,10 @@ class Worker:
              "--fw", str(fw)],
             cwd=ROOT, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
-    def sample(self) -> Dict[str, Any]:
+    def sample(self, request: str = "") -> Dict[str, Any]:
+        """One sample; ``request`` ``count`` asks for a counted one."""
         assert self.process.stdin is not None and self.process.stdout is not None
-        self.process.stdin.write("\n")
+        self.process.stdin.write(request + "\n")
         self.process.stdin.flush()
         line = self.process.stdout.readline()
         if not line:
@@ -186,6 +280,23 @@ class Refused(Exception):
     timing them says nothing."""
 
 
+def judge(workload: str, fw: int, replies: Dict[str, Dict[str, Any]]) -> List[str]:
+    """The failures among one sample per tree, which are only an mp
+    workload's to drop: Refused when a deterministic sample failed or
+    the trees' makespans differ."""
+    failed = [f"{label}: {reply['failure']}" for label, reply in replies.items()
+              if "failure" in reply]
+    if not replies["A"]["deterministic"]:
+        return failed
+    if failed:
+        raise Refused(f"{workload} fw={fw}: a sample failed\n" + "\n".join(failed))
+    makespans = {label: reply["makespans"] for label, reply in replies.items()}
+    if len(set(map(tuple, makespans.values()))) > 1:
+        raise Refused(f"{workload} fw={fw}: virtual makespans differ between "
+                      f"the trees: {makespans}")
+    return []
+
+
 def lockstep(workload: str, trees: Dict[str, Path], fw: int,
              rounds: int) -> tuple[Dict[str, Side], int]:
     """``rounds`` rounds of one sample per worker.  The workers are fresh
@@ -204,18 +315,11 @@ def lockstep(workload: str, trees: Dict[str, Path], fw: int,
             for index in (-1, *range(start, min(start + len(ORDERS), rounds))):
                 replies = {label: workers[label].sample()
                            for label in ORDERS[index % len(ORDERS)]}
-                failed = [f"{label}: {reply['failure']}" for label, reply in replies.items()
-                          if "failure" in reply]
-                if failed and replies["A"]["deterministic"]:
-                    raise Refused(f"{workload} fw={fw}: a sample failed\n" + "\n".join(failed))
+                failed = judge(workload, fw, replies)
                 if failed:
                     dropped += index >= 0
                     print("\n".join(failed), file=sys.stderr)
                     continue
-                makespans = {label: reply["makespans"] for label, reply in replies.items()}
-                if replies["A"]["deterministic"] and len(set(map(tuple, makespans.values()))) > 1:
-                    raise Refused(f"{workload} fw={fw}: virtual makespans differ between "
-                                  f"the trees: {makespans}")
                 for label, reply in replies.items():
                     side = sides[label]
                     side.peak_rss_mb = max(side.peak_rss_mb, reply["peak_rss_mb"])
@@ -249,13 +353,42 @@ def report(workload: str, fw: int, sides: Dict[str, Side], dropped: int) -> List
                          f"{label} lower in {p.wins}/{p.n}")
     lines.append("  peak_rss_mb   " + "  ".join(
         f"{side.label} {side.peak_rss_mb:.2f}" for side in sides.values()))
-    aa = paired_ratio(sides["A'"].wall, sides["A"].wall)
-    ab = paired_ratio(sides["B"].wall, sides["A"].wall)
-    verdict = ("A/A interval excludes 1: the host drifted, nothing resolved"
-               if not aa.contains_one() else
-               f"B/A moved {metric}" if not ab.contains_one() else
-               f"{metric} did not move beyond the A/A spread")
-    lines.append(f"  verdict: {verdict}")
+    tests = claim_tests(sides["A"].wall, sides["A'"].wall, sides["B"].wall)
+    lines.append(f"  claim rule on {metric}:")
+    lines.extend(f"    {test.name:<8} {'pass' if test.passed else 'FAIL'}  {test.detail}"
+                 for test in tests)
+    ratio = paired_ratio(sides["B"].wall, sides["A"].wall).ratio
+    lines.append(f"  verdict: {verdict(metric, tests, ratio)}")
+    return lines
+
+
+# --------------------------------------------------------------- --count
+
+
+def counted(workload: str, trees: Dict[str, Path], fw: int) -> List[str]:
+    """One counted sample per tree, each in a fresh worker after one
+    warm-up sample; Refused if a deterministic sample fails or the
+    trees' makespans differ."""
+    replies = {}
+    for label, src in trees.items():
+        each = Worker(label, src, workload, fw)
+        try:
+            each.sample()  # warm-up: imports, references, first-call paths
+            replies[label] = each.sample("count")
+        finally:
+            each.close()
+    failed = judge(workload, fw, replies)
+    a, b = replies["A"], replies["B"]
+    lines = [f"{workload}  fw={fw}  one counted sample per tree"
+             + ("" if a["deterministic"] else " (mp: this process only, not exact)"),
+             f"  {'tree':<5} {'python calls':>14} {'C calls':>14}"]
+    for label, reply in replies.items():
+        lines.append(f"  {label:<5} {reply['calls']:>14,} {reply['c_calls']:>14,}")
+    deltas = [b[key] - a[key] for key in ("calls", "c_calls")]
+    lines.append(f"  {'B-A':<5} {deltas[0]:>+14,} {deltas[1]:>+14,}")
+    lines.append(f"  {'B/A-1':<5} {deltas[0] / a['calls']:>+14.2%} "
+                 f"{deltas[1] / a['c_calls']:>+14.2%}")
+    lines.extend(f"  {failure}" for failure in failed)
     return lines
 
 
@@ -310,6 +443,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="1: run_wall_s's speculative runs; 0: block_wall_s's")
     parser.add_argument("--rounds", type=int, default=24,
                         help="samples per worker and workload (default 24)")
+    parser.add_argument("--count", action="store_true",
+                        help="count Python and C calls of one sample per tree instead")
     parser.add_argument("--import", dest="imports", action="store_true",
                         help="measure the cost of import repro.api instead")
     parser.add_argument("--worker", metavar="WORKLOAD", help=argparse.SUPPRESS)
@@ -328,6 +463,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"ab: A and A' = {args.rev}'s src, B = {ROOT / 'src'}; ratios are X/A")
         if args.imports:
             print("\n".join(import_costs({"A": rev_src, "B": ROOT / "src"})))
+            return 0
+        if args.count:
+            for workload in args.workload:
+                try:
+                    lines = counted(workload, {"A": rev_src, "B": ROOT / "src"}, args.fw)
+                except Refused as refused:
+                    print(f"ab: refusing to compare: {refused}", file=sys.stderr)
+                    return 2
+                print("\n".join(lines), flush=True)
             return 0
         trees = {"A": rev_src, "A'": rev_src, "B": ROOT / "src"}
         dropped_any = False

@@ -117,9 +117,9 @@ class SyncIterativeProgram(ABC):
         ``own`` is the observing rank's block at the same iteration,
         allowing relational metrics like the paper's Eq. 11 (error
         relative to inter-particle distance).  Default: the generic
-        :attr:`error_metric` on the raw arrays.
+        :attr:`error_metric` on the raw blocks (the metric converts them).
         """
-        return self.error_metric.error(np.asarray(speculated), np.asarray(actual))
+        return self.error_metric.error(speculated, actual)
 
     def correct(
         self,

@@ -19,6 +19,7 @@ at least one point (every processor knows X(0)).
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -61,7 +62,7 @@ class Speculator(ABC):
             raise ValueError("times and values must have equal length")
         if not times:
             raise ValueError("speculation needs at least one history point")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
         if target <= times[-1]:
             raise ValueError(

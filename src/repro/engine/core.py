@@ -28,9 +28,11 @@ the FW/BW windows of Section 3.2) for *every* backend.  The engine:
             break
         response = transport.handle(effect)   # Arrival / None
 
-The DES transport turns effects into ``VirtualProcessor`` calls, the
-pipe transport into real ``multiprocessing`` I/O, and the loopback
-transport into in-process queues — three media, one protocol.
+The loopback runner answers effects from in-process queues, the DES
+backend (:class:`~repro.engine.loopback.CalendarRunner`, the same
+runner) from a simulated cluster's calendar and network, and the pipe
+transport with real ``multiprocessing`` I/O — three media, one
+protocol.
 
 :class:`ReceiveDrivenEngine` expresses the paper's Fig. 7 baseline
 (incremental compute, no speculation) over the same effect alphabet,
@@ -289,27 +291,6 @@ class SpecEngine:
         return gate(self, t)
 
     # ---------------------------------------------------------- bookkeeping
-    def record_arrival(self, k: int, t: int, block: Block) -> None:
-        """Store an actual block and advance the verified horizon."""
-        expected = len(self.needed)
-        self.actual[(k, t)] = block
-        self.history[k].append(t, block)
-        self.missing[t] = self.missing.get(t, expected) - 1
-        while self.missing.get(self.verified_upto + 1, expected) == 0:
-            self.verified_upto += 1
-        if self.sanitizer is not None:
-            ring = self.history[k]
-            self.sanitizer.on_ring_occupancy(
-                self.rank, k, len(ring), ring.capacity
-            )
-            # Run-ahead backlog: iterations arrived beyond the verified
-            # horizon, bounded at the *policy ceiling* (not the live fw).
-            self.sanitizer.on_inbox_depth(
-                self.rank, k, t - self.verified_upto, run_ahead_bound(
-                    self.policy.max_fw if self.policy is not None else self.fw
-                ),
-            )
-
     def prune(self) -> None:
         """Drop bookkeeping no correction can ever need again."""
         horizon = min(self.verified_upto, self.frontier)
@@ -383,7 +364,7 @@ class SpecEngine:
                 arrival = yield _TRY_RECV
                 if arrival is None:
                     break
-                yield from self._on_arrival(arrival)
+                yield from self._on_arrival(arrival) or ()
 
             # 2a. Pre-send window: Fig. 3 sends X_j(t) only after the
             #     previous iteration's trailing verification loop, so any
@@ -396,7 +377,7 @@ class SpecEngine:
                     yield from self._on_recv_timeout()
                     continue
                 self.wait += arrival.waited
-                yield from self._on_arrival(arrival)
+                yield from self._on_arrival(arrival) or ()
 
             # 2b. Broadcast X_j(t) (iteration 0 is known everywhere from
             #     the initial read; no message needed).
@@ -431,7 +412,7 @@ class SpecEngine:
                     yield from self._on_recv_timeout()
                     continue
                 self.wait += arrival.waited
-                yield from self._on_arrival(arrival)
+                yield from self._on_arrival(arrival) or ()
 
             # 3. Assemble inputs, speculating what is missing.
             inputs: Dict[int, Block] = {j: self.block(t)}
@@ -478,7 +459,7 @@ class SpecEngine:
             if arrival is None:
                 yield from self._on_recv_timeout()
                 continue
-            yield from self._on_arrival(arrival)
+            yield from self._on_arrival(arrival) or ()
 
         return self.block(T)
 
@@ -570,31 +551,45 @@ class SpecEngine:
             yield from self._gap_tick(src)
 
     # ------------------------------------------------------------- arrivals
-    def _on_arrival(self, arrival: Arrival) -> Generator:
-        """Route one arrival through the resilience layer.
+    def _on_arrival(self, arrival: Arrival) -> Optional[Generator]:
+        """Route one arrival through the resilience layer; the effects it
+        causes, or None when it causes none.
 
         Unsequenced arrivals (``seq < 0``, e.g. the DES wire before
         stamping) pass straight through.  Sequenced ones are suppressed
         as duplicates, parked on a gap, or accepted in order — parked
-        successors are replayed the moment the gap heals, so the
-        protocol core below only ever sees the fault-free order.
+        successors are replayed the moment the gap heals (:meth:`_heal`),
+        so the protocol core below only ever sees the fault-free order.
+        An in-order arrival from a sender with no open gap and nothing
+        stashed — every arrival of a fault-free run — is handed to
+        :meth:`_accept` directly and builds no generator of its own.
+        That is exact: no effect that :meth:`_verify` or :meth:`_cascade`
+        yields is answered with an arrival, so the sender's stash and
+        gaps cannot change while the verification runs.
         """
         self.stats.messages_received += 1
         k = arrival.src
         if k not in self.needed:  # pragma: no cover - audience routing
-            return
+            return None
         if arrival.seq < 0:
-            yield from self._accept(arrival) or ()
-            return
+            return self._accept(arrival)
         expected = self._recv_next.get(k, 0)
         if arrival.seq < expected:
             self.stats.dups_suppressed += 1
-            return
+            return None
         if arrival.seq > expected:
             self._recv_stash.setdefault(k, {})[arrival.seq] = arrival
-            yield from self._gap_tick(k)
-            return
+            return self._gap_tick(k)
         self._recv_next[k] = expected + 1
+        if k not in self._gaps and not self._recv_stash.get(k):
+            return self._accept(arrival)
+        return self._heal(arrival)
+
+    def _heal(self, arrival: Arrival) -> Generator:
+        """Accept the in-order ``arrival`` from a sender with an open gap
+        or a stash, replay the stashed successors it unblocks, and close
+        (or re-open) the sender's gap."""
+        k = arrival.src
         yield from self._accept(arrival) or ()
         stash = self._recv_stash.get(k)
         while stash:
@@ -615,17 +610,33 @@ class SpecEngine:
                 yield from self._gap_tick(k)
 
     def _accept(self, arrival: Arrival) -> Optional[Generator]:
-        """Store an in-order arrival; the effects of verifying (maybe
-        correcting) the speculation it settles, or None when it arrived
-        before it was needed — every arrival of a blocking run, which
-        then pays for no generator."""
-        k, t = arrival.src, arrival.iteration
+        """Store an in-order arrival and advance the verified horizon;
+        the effects of verifying (maybe correcting) the speculation it
+        settles, or None when it arrived before it was needed — every
+        arrival of a blocking run, which then pays for no generator."""
+        k, t, block = arrival.src, arrival.iteration, arrival.payload
         verified = self.verified_upto
-        self.record_arrival(k, t, arrival.payload)
+        expected = len(self.needed)
+        self.actual[(k, t)] = block
+        ring = self.history[k]
+        ring.append(t, block)
+        missing = self.missing
+        missing[t] = missing.get(t, expected) - 1
+        while missing.get(self.verified_upto + 1, expected) == 0:
+            self.verified_upto += 1
+        if self.sanitizer is not None:
+            self.sanitizer.on_ring_occupancy(self.rank, k, len(ring), ring.capacity)
+            # Run-ahead backlog: iterations arrived beyond the verified
+            # horizon, bounded at the *policy ceiling* (not the live fw).
+            self.sanitizer.on_inbox_depth(
+                self.rank, k, t - self.verified_upto, run_ahead_bound(
+                    self.policy.max_fw if self.policy is not None else self.fw
+                ),
+            )
         # Each iteration this arrival completed waited on its transit.
         self.lag += (self.verified_upto - verified) * arrival.latency
         spec = self.spec_used.pop((k, t), None)
-        return None if spec is None else self._verify(k, t, spec, arrival.payload)
+        return None if spec is None else self._verify(k, t, spec, block)
 
     def _book_verify(self, spent: float) -> None:
         self.overhead += spent  # check or correct: no window overlaps it

@@ -314,8 +314,10 @@ class CalendarRunner(LoopbackRunner):
         super().__init__(engines, event_log=event_log, sanitize=sanitize)
         if self.sanitizer is not None:
             env.sanitizer = self.sanitizer
+        #: rank -> its processor spec's price of ops (which refuses
+        #: negative ops), bound once: a Charge costs one frame for it.
         self._seconds_for = {
-            rank: cluster.processors[rank].seconds_for for rank in self.engines
+            rank: cluster.processors[rank].spec.seconds_for for rank in self.engines
         }
         for observer in self.observers.values():
             observer.clock = lambda: env.now

@@ -11,7 +11,7 @@ Invariants (property-tested in ``tests/test_engine_ring.py``):
 
 * times are strictly increasing — an out-of-order append raises;
 * at most ``capacity`` entries are retained, always the newest ones;
-* ``times()``/``values()`` views are consistent and aligned.
+* ``series()`` gives the times and the values aligned, oldest first.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ class HistoryRing:
         """Iteration numbers of the held samples, oldest first."""
         return [t for t, _ in self._items]
 
-    def values(self) -> List[Any]:
-        """Sample values aligned with :meth:`times`."""
-        return [v for _, v in self._items]
-
     def series(self) -> Tuple[List[int], List[Any]]:
-        """``(times, values)`` — the speculator's input signature."""
-        return self.times(), self.values()
+        """``(times, values)`` — the speculator's input signature, as two
+        fresh lists built in one pass over the ring."""
+        if not self._items:
+            return [], []
+        times, values = zip(*self._items)
+        return list(times), list(values)
 
     def __len__(self) -> int:
         return len(self._items)

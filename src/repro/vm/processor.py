@@ -1,8 +1,10 @@
 """The virtual processor: capacity, mailbox and phase trace of one rank.
 
 :meth:`VirtualProcessor.seconds_for` prices ops at the processor's
-capacity; the DES backend's
-:class:`~repro.engine.loopback.CalendarRunner` charges at that price.
+capacity, through its :class:`~repro.vm.specs.ProcessorSpec`; the DES
+backend's :class:`~repro.engine.loopback.CalendarRunner` charges with
+``ProcessorSpec.seconds_for`` directly (the same price, without this
+method's frame).
 ``send`` (asynchronous, PVM-style) and ``recv`` (blocking; the blocked
 span is a ``comm`` row of :attr:`VirtualProcessor.trace`) are the
 processor's own message API for a program run through

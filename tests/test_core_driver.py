@@ -366,3 +366,68 @@ def test_each_speculation_reads_its_ring_once(monkeypatch):
     # More recomputes than rejections: cascades recomputed later blocks.
     assert sum(s.recomputes - s.spec_rejected for s in result.stats) > 0
     assert len(reads) == sum(s.spec_made for s in result.stats)
+
+
+# ------------------------------------------- a reordered arrival heals its gap
+class _GapWatch:
+    """The sanitizer seat's hooks the engine calls, recorded."""
+
+    def __init__(self):
+        self.healed = []
+
+    def on_ring_occupancy(self, rank, src, size, capacity):
+        assert size <= capacity
+
+    def on_inbox_depth(self, rank, src, depth, bound):
+        assert depth <= bound
+
+    def on_gap_healed(self, rank, src, seq):
+        self.healed.append((rank, src, seq))
+
+
+def test_an_arrival_ahead_of_its_seq_is_parked_until_the_gap_heals():
+    """Rank 0 speculates X_1(1), then receives seq 1 (X_1(2)) before
+    seq 0 (X_1(1)).  Seq 1 is parked and a retransmit requested; seq 0
+    is accepted and verified, seq 1 replayed after it, and the gap
+    closes with ``on_gap_healed``."""
+    from repro.engine.core import SpecEngine, topology
+    from repro.engine.events import Arrival, Charge, Recv, Retransmit, TryRecv, Verified
+
+    prog = CoupledIncrement(nprocs=2, iterations=3)
+    needed, audience = topology(prog)
+    watch = _GapWatch()
+    engine = SpecEngine(prog, 0, needed[0], audience[0], fw=1, sanitizer=watch)
+    accepted = []
+    accept = engine._accept
+    engine._accept = lambda arrival: accepted.append(arrival.seq) or accept(arrival)
+    blocks = [prog.initial_block(1) + step for step in range(3)]
+    pending = [Arrival(1, 2, blocks[2], seq=1), Arrival(1, 1, blocks[1], seq=0)]
+
+    effects = []
+    gen = engine.run()
+    response = None
+    while True:
+        try:
+            effect = gen.send(response)
+        except StopIteration:
+            break
+        effects.append(type(effect))
+        response = None
+        if isinstance(effect, TryRecv) and engine.frontier >= 2 and pending:
+            response = pending.pop(0)
+        elif isinstance(effect, Recv):
+            response = pending.pop(0)
+        elif isinstance(effect, Retransmit):
+            assert (effect.peer, effect.seq, effect.attempt) == (1, 0, 1)
+            assert accepted == []  # seq 1 is parked, not accepted
+        assert not isinstance(effect, Charge) or effect.ops >= 0
+
+    assert accepted == [0, 1]
+    assert watch.healed == [(0, 1, 0)]
+    assert engine.history[1].times() == [0, 1, 2]
+    assert engine.verified_upto == 2
+    assert not engine._gaps and 1 not in engine._recv_stash
+    assert engine._recv_next[1] == 2
+    assert effects.count(Retransmit) == 1 and effects.count(Verified) == 1
+    s = engine.stats
+    assert (s.spec_made, s.checks, s.retransmits, s.messages_received) == (1, 1, 1, 2)

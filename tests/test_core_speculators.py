@@ -89,6 +89,10 @@ def test_common_validation(spec):
         spec.extrapolate([0, 1], v, 2)  # length mismatch
     with pytest.raises(ValueError):
         spec.extrapolate([1, 0], v * 2, 2)  # non-increasing times
+    with pytest.raises(ValueError, match="strictly increasing"):
+        spec.extrapolate([0, 0], v * 2, 2)  # equal times
+    with pytest.raises(ValueError, match="strictly increasing"):
+        spec.extrapolate([0, 2, 2], v * 3, 3)  # equal times at the end
     with pytest.raises(ValueError):
         spec.extrapolate([0], v, 0)  # target not in future
 

@@ -35,8 +35,7 @@ def test_ring_matches_list_trim_reference_model(seed):
             del ref[:-cap]  # the replaced copy-pasted trim idiom
             assert list(ring) == ref
             assert ring.times() == [t_ for t_, _ in ref]
-            assert ring.values() == [v_ for _, v_ in ref]
-            assert ring.series() == (ring.times(), ring.values())
+            assert ring.series() == ([t_ for t_, _ in ref], [v_ for _, v_ in ref])
             assert len(ring) == len(ref) <= cap
 
 
@@ -82,3 +81,21 @@ def test_constructor_validation_and_initial():
     ring = HistoryRing(3, initial=(0, "seed"))
     assert ring.capacity == 3
     assert list(ring) == [(0, "seed")]
+
+
+def test_series_of_an_empty_ring_is_two_empty_lists():
+    """A ring emptied of samples never happens in the engine (X(0) is
+    its seed), but ``series`` must not unpack an empty ``zip``."""
+    assert HistoryRing(3).series() == ([], [])
+
+
+def test_series_returns_fresh_lists():
+    ring = HistoryRing(3, initial=(0, "a"))
+    ring.append(2, "b")
+    times, values = ring.series()
+    assert (times, values) == ([0, 2], ["a", "b"])
+    assert type(times) is list and type(values) is list
+    times.append(99)
+    values.clear()
+    assert ring.series() == ([0, 2], ["a", "b"])
+    assert ring.series()[0] is not ring.series()[0]
