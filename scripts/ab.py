@@ -1,4 +1,4 @@
-"""Lockstep A/B of one benchmark workload: REV's ``src`` against this tree's.
+"""Lockstep A/B of benchmark workloads: REV's ``src`` against this tree's.
 
 A wall-time difference of a few per cent is smaller than this host's
 drift between two runs, so two separate ``bench/run.py`` runs cannot
@@ -10,10 +10,12 @@ show it.  This script times both trees in lockstep instead:
   checkout's ``bench/workloads.py`` unchanged, so the benchmark code is
   the same on every side, and samples at the benchmark's seed, so the
   des-nbody-p16 makespan pins hold;
-* each round takes one single sample of the workload at one FW from
-  every worker, in an order that cycles through all six orders of the
-  three, so no side is always first.  After each cycle the three
-  workers are replaced by fresh ones;
+* each round takes one single sample at one FW from every worker of
+  every requested workload, workload after workload, in an order that
+  cycles through all six orders of the three, so no side is always
+  first; a host phase that lasts minutes so falls on every workload,
+  not on one whole.  After each cycle all workers are replaced by
+  fresh ones;
 * per workload it prints each side's median and quartiles, and for
   ``A'/A`` (the A/A row: tree against itself) and ``B/A`` the median of
   the per-round ratios with a bootstrap 95 % interval and how many
@@ -297,39 +299,45 @@ def judge(workload: str, fw: int, replies: Dict[str, Dict[str, Any]]) -> List[st
     return []
 
 
-def lockstep(workload: str, trees: Dict[str, Path], fw: int,
-             rounds: int) -> tuple[Dict[str, Side], int]:
-    """``rounds`` rounds of one sample per worker.  The workers are fresh
-    every ``len(ORDERS)`` rounds, after a warm-up round (imports,
-    references, first-call paths): a process keeps its own speed for
-    life (its address layout, its hash seed), which no pairing within it
-    cancels.  A failed sample of a deterministic workload is Refused: it
-    fails the same way every time, on one tree or on both.  A round with
-    a failed mp sample is dropped whole; the number dropped is returned."""
-    sides = {label: Side(label, [], []) for label in trees}
-    dropped = 0
+def lockstep(workloads: Sequence[str], trees: Dict[str, Path], fw: int,
+             rounds: int) -> Dict[str, tuple[Dict[str, Side], int]]:
+    """``rounds`` rounds, each of one sample per worker of every workload
+    in turn; workload -> (its sides, its dropped rounds).  The workers
+    are fresh every ``len(ORDERS)`` rounds, after a warm-up round
+    (imports, references, first-call paths): a process keeps its own
+    speed for life (its address layout, its hash seed), which no pairing
+    within it cancels.  A failed sample of a deterministic workload is
+    Refused: it fails the same way every time, on one tree or on both.
+    A workload's round with a failed mp sample is dropped whole."""
+    sides = {workload: {label: Side(label, [], []) for label in trees}
+             for workload in workloads}
+    dropped = dict.fromkeys(workloads, 0)
     for start in range(0, rounds, len(ORDERS)):
-        workers = {label: Worker(label, src, workload, fw)
-                   for label, src in trees.items()}
+        workers: Dict[str, Dict[str, Worker]] = {workload: {} for workload in workloads}
         try:
+            for workload in workloads:
+                for label, src in trees.items():
+                    workers[workload][label] = Worker(label, src, workload, fw)
             for index in (-1, *range(start, min(start + len(ORDERS), rounds))):
-                replies = {label: workers[label].sample()
-                           for label in ORDERS[index % len(ORDERS)]}
-                failed = judge(workload, fw, replies)
-                if failed:
-                    dropped += index >= 0
-                    print("\n".join(failed), file=sys.stderr)
-                    continue
-                for label, reply in replies.items():
-                    side = sides[label]
-                    side.peak_rss_mb = max(side.peak_rss_mb, reply["peak_rss_mb"])
-                    if index >= 0:
-                        side.wall.append(reply["wall"])
-                        side.setup.append(reply["setup"])
+                for workload in workloads:
+                    replies = {label: workers[workload][label].sample()
+                               for label in ORDERS[index % len(ORDERS)]}
+                    failed = judge(workload, fw, replies)
+                    if failed:
+                        dropped[workload] += index >= 0
+                        print("\n".join(failed), file=sys.stderr)
+                        continue
+                    for label, reply in replies.items():
+                        side = sides[workload][label]
+                        side.peak_rss_mb = max(side.peak_rss_mb, reply["peak_rss_mb"])
+                        if index >= 0:
+                            side.wall.append(reply["wall"])
+                            side.setup.append(reply["setup"])
         finally:
-            for each in workers.values():
-                each.close()
-    return sides, dropped
+            for row in workers.values():
+                for each in row.values():
+                    each.close()
+    return {workload: (sides[workload], dropped[workload]) for workload in workloads}
 
 
 def report(workload: str, fw: int, sides: Dict[str, Side], dropped: int) -> List[str]:
@@ -474,16 +482,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("\n".join(lines), flush=True)
             return 0
         trees = {"A": rev_src, "A'": rev_src, "B": ROOT / "src"}
-        dropped_any = False
-        for workload in args.workload:
-            try:
-                sides, dropped = lockstep(workload, trees, args.fw, args.rounds)
-            except Refused as refused:
-                print(f"ab: refusing to compare: {refused}", file=sys.stderr)
-                return 2
-            dropped_any |= dropped > 0
+        try:
+            results = lockstep(args.workload, trees, args.fw, args.rounds)
+        except Refused as refused:
+            print(f"ab: refusing to compare: {refused}", file=sys.stderr)
+            return 2
+        for workload, (sides, dropped) in results.items():
             print("\n".join(report(workload, args.fw, sides, dropped)), flush=True)
-    return 1 if dropped_any else 0
+    return 1 if any(dropped for _, dropped in results.values()) else 0
 
 
 if __name__ == "__main__":

@@ -100,9 +100,9 @@ MUTANTS: Tuple[Mutant, ...] = (
              "except BaseException as exc:\n            self.succeed(None)"),),
            "a DES process that raises ends as if it had succeeded"),
     Mutant("SPL007", "engine-prints", ENGINE,
-           (("        yield CascadeBegin(iteration=t)\n",
+           (("        observer.cascade_begin(t)\n",
              "        print(\"cascade\", j, t)\n"
-             "        yield CascadeBegin(iteration=t)\n"),),
+             "        observer.cascade_begin(t)\n"),),
            "the engine prints each cascade"),
     Mutant("SPL007", "engine-reads-clock", ENGINE,
            (("from __future__ import annotations\n",
@@ -113,11 +113,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("SPL008", "charge-to-observer", LOOPBACK,
            (("elif kind is Charge:\n                response = self._charge",
              "elif kind is None:\n                response = self._charge"),),
-           "the loopback / DES dispatch hands Charge to the observer"),
+           "the loopback / DES dispatch does not know Charge (refused)"),
     Mutant("SPL008", "tryrecv-to-observer", LOOPBACK,
            (("elif kind is Recv or kind is TryRecv:",
              "elif kind is Recv:"),),
-           "the loopback / DES dispatch hands TryRecv to the observer"),
+           "the loopback / DES dispatch does not know TryRecv (refused)"),
     Mutant("SPF110", "receive-family-typo", ENGINE,
            (("match=(VARS, t)", "match=(\"var\", t)"),),
            "the receive-driven engine waits on a family nobody sends"),

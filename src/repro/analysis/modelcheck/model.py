@@ -1,6 +1,6 @@
 """specmc's execution model: N sans-I/O engines under an explicit scheduler.
 
-PR 3 made the protocol a pure state machine: ``SpecEngine.run()``
+The protocol is a pure state machine: ``SpecEngine.run(observer)``
 yields a frozen effect alphabet, never touches a clock, and all of a
 rank's live state sits in the engine object whenever the generator is
 parked at a ``Recv``/``TryRecv``.  That is exactly the shape an
@@ -274,8 +274,8 @@ class Execution(LoopbackRunner):
     engine's own :class:`OutOfOrderArrival`, reported as
     ``history-ring-bound``) are captured into :attr:`violation` rather
     than raised, so exploration code stays straight-line.  Nothing
-    else needs checking per state: the sanitizer judges every
-    ``WindowChanged`` as it is observed, and a
+    else needs checking per state: the sanitizer judges every window
+    change as the engine reports it, and a
     :class:`~repro.engine.ring.HistoryRing` can neither outgrow its
     capacity nor accept a non-increasing time.
     """
@@ -478,7 +478,9 @@ class Execution(LoopbackRunner):
 
     def _send(self, src: int, effect: Send) -> None:
         if self._drop and src == 1 and effect.dst == 0 and effect.seq == 0:
-            self._record(src, "send", effect.dst, effect.family, effect.iteration)
+            record = self.observers[src].record
+            if record is not None:
+                record("send", effect.dst, effect.family, effect.iteration, ())
             self.dropped += 1
         else:
             super()._send(src, effect)

@@ -3,10 +3,10 @@
 **Per rank, the live sanitizer offline.** Each rank's records of an
 :class:`~repro.trace.events.EventLog` (simulator, loopback, pipes or
 specmc's ``--emit-trace``), in program order, go through a
+:class:`~repro.engine.observer.RankObserver` seated on a
 :class:`~repro.engine.sanitizer.ProtocolSanitizer`:
-:data:`~repro.engine.observer.REPLAYED` rebuilds the effect a record was
-made from, and the call :data:`~repro.engine.observer.OBSERVED` makes
-for it live is made again, so a finding carries the invariant id the
+:data:`~repro.engine.observer.REPLAYED` makes the observer call each
+record was made by again, so a finding carries the invariant id the
 live seat raises (:mod:`repro.engine.invariants`).  The live calls
 outside that table are made the same way: a ``recv`` carrying its wire
 seq goes to ``on_delivery`` (loopback and pipes stamp it; the DES
@@ -14,7 +14,7 @@ networks are FIFO by construction and never check it); a
 ``retransmit`` opens its seq's gap, which heals once that seq has
 reached the rank -- by a ``recv`` of it, or the fault seam's ``fault``
 record for it (the seam re-delivers from its own buffer) -- as the
-engine's ``on_gap_healed`` does live; and a cascade ends at the first
+engine's ``gap_healed`` call does live; and a cascade ends at the first
 record that is not one of its steps.  A rank stops at its first
 violation, as the live seat raises at its first; the run-end checks
 run only when no rank violated.
@@ -123,40 +123,41 @@ def build_dynamic_hb(
 def _sanitize_rank(
     san: ProtocolSanitizer, events: list[TraceEvent], stop: Optional[int],
 ) -> Optional[ReplayFinding]:
-    """Feed one rank's records (up to seq ``stop``) to ``san``; the
-    finding for the first that violates, else None."""
+    """Feed one rank's records (up to seq ``stop``) to ``san``, through
+    an observer seat making each record's calls again; the finding for
+    the first that violates, else None."""
     # Not at module level: importing repro.analysis must not load the
     # engine package (which imports repro.analysis) part-way through.
-    from repro.engine.events import CascadeBegin, CascadeStep
-    from repro.engine.observer import OBSERVED, REPLAYED
+    from repro.engine.observer import REPLAYED, RankObserver
 
+    observer = RankObserver(events[0].rank, sanitizer=san)
     arrived: set[tuple[Optional[int], int]] = set()  # (src, wire seq)
     asked: dict[Optional[int], int] = {}  # src -> seq of its open gap
     in_cascade = False
     for ev in events:
         if stop is not None and ev.seq > stop:
             break
-        rank, kind = ev.rank, ev.kind
+        kind = ev.kind
         try:
-            rebuild = REPLAYED.get(kind)
-            effect = None if rebuild is None else rebuild(ev)
-            if in_cascade and type(effect) is not CascadeStep:
-                san.on_cascade_end(rank)
-            in_cascade = type(effect) in (CascadeBegin, CascadeStep)
-            if effect is not None:
-                OBSERVED[type(effect)][0](san, rank, effect)
+            correct = kind == "correct"
+            if in_cascade and not (correct and ev.iteration != ev.args[0]):
+                observer.cascade_end()
+            in_cascade = correct
+            replay = REPLAYED.get(kind)
+            if replay is not None:
+                replay(observer, ev)
             if kind == "retransmit":
                 asked[ev.peer] = ev.iteration
             elif ev.args and kind in ("recv", "fault"):
                 if kind == "recv":
-                    san.on_delivery(rank, ev.peer, ev.args[0])
+                    san.on_delivery(ev.rank, ev.peer, ev.args[0])
                 arrived.add((ev.peer, ev.args[0]))
             else:
                 continue
             if (ev.peer, asked.get(ev.peer)) in arrived:
-                san.on_gap_healed(rank, ev.peer, asked.pop(ev.peer))
+                observer.gap_healed(ev.peer, asked.pop(ev.peer))
         except ProtocolViolation as exc:
-            return ReplayFinding(exc.invariant, rank, ev.seq, exc.details)
+            return ReplayFinding(exc.invariant, ev.rank, ev.seq, exc.details)
     return None
 
 

@@ -33,7 +33,6 @@ from repro.core.receive_driven import IncrementalProgram
 from repro.core.results import RunReport, assemble_report
 from repro.engine.core import ReceiveDrivenEngine, build_engine, topology
 from repro.engine.loopback import CalendarRunner, LoopbackRunner
-from repro.engine.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.faults import FaultPlan, wrap_engine
 from repro.netsim.latency import latency_model
 from repro.netsim.network import DelayNetwork
@@ -236,12 +235,7 @@ def run(config: RunConfig) -> RunReport:
     return _start_in_process(config)
 
 
-def rank_engine(
-    config: RunConfig,
-    rank: int,
-    topo: Any,
-    sanitizer: Optional[ProtocolSanitizer],
-) -> Any:
+def rank_engine(config: RunConfig, rank: int, topo: Any) -> Any:
     """Rank ``rank``'s engine for ``config`` — the one construction site
     of every backend: the Fig. 7 baseline's
     :class:`~repro.engine.core.ReceiveDrivenEngine`, or a
@@ -255,7 +249,7 @@ def rank_engine(
     engine = build_engine(
         program, rank, topo, fw=config.fw, cascade=config.cascade,
         hist_cap=config.bw, policy=config.window_policy,
-        sanitizer=sanitizer, fault_plan=config.fault_plan,
+        fault_plan=config.fault_plan,
     )
     # charge_poll: DES recvs have no timeout, so retransmit backoff is
     # paid as TryRecv + Charge polls in virtual time.
@@ -291,18 +285,16 @@ def _start_in_process(config: RunConfig) -> RunReport:
                 "build a fresh Cluster per run"
             )
     log = EventLog() if config.record_trace else None
-    sanitizer = resolve_sanitizer(config.sanitize)
     topo = topology(config.program)
     engines = {
-        rank: rank_engine(config, rank, topo, sanitizer)
+        rank: rank_engine(config, rank, topo)
         for rank in range(config.program.nprocs)
     }
-    # The runner shares the sanitizer the engines were built with.
-    seat = False if sanitizer is None else sanitizer
     if cluster is None:
-        runner = LoopbackRunner(engines, event_log=log, sanitize=seat)
+        runner = LoopbackRunner(engines, event_log=log, sanitize=config.sanitize)
     else:
-        runner = CalendarRunner(cluster, engines, event_log=log, sanitize=seat)
+        runner = CalendarRunner(
+            cluster, engines, event_log=log, sanitize=config.sanitize)
     finals = runner.run()
     return assemble_report(
         config, finals, runner.traces.values(),

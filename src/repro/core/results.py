@@ -85,8 +85,8 @@ class RunReport:
         Per-rank :class:`SpecStats`.
     window_history:
         rank → ``(iteration, fw)`` trajectory, seeded with the initial
-        window and extended by WindowChanged effects when a window
-        policy is seated.
+        window and extended by each window change the engine reports
+        to its observer when a window policy is seated.
     fw:
         Forward window the run started with (0 = no speculation).
     iterations:

@@ -8,8 +8,8 @@ The package splits the paper's protocol (Fig. 3) from its media:
   socket, a pipe, or the simulator;
 * :mod:`repro.engine.transport` — the :class:`Transport` seam and the
   shared synchronous interpreter :func:`drive`;
-* :mod:`repro.engine.observer` — the one table every backend feeds its
-  notification effects through (sanitizer hooks + trace records);
+* :mod:`repro.engine.observer` — the one seat an engine reports its
+  protocol steps to (sanitizer hooks + trace records);
 * :mod:`repro.engine.sanitizer` — the opt-in runtime
   :class:`~repro.engine.sanitizer.ProtocolSanitizer`
   (``REPRO_SANITIZE=1``), the runtime seat of the invariant registry
@@ -46,21 +46,15 @@ from repro.engine.core import (
 from repro.engine.events import (
     VARS,
     Arrival,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
     Charge,
-    ComputeBegin,
-    Corrected,
     Effect,
     IterationDone,
     Recv,
     Send,
-    Speculated,
     TryRecv,
-    Verified,
 )
 from repro.engine.loopback import CalendarRunner, LoopbackDeadlock, LoopbackRunner
+from repro.engine.observer import RankObserver
 from repro.engine.ring import HistoryRing, OutOfOrderArrival
 from repro.engine.transport import Transport, TransportError, drive
 
@@ -68,27 +62,21 @@ __all__ = [
     "VARS",
     "Arrival",
     "CalendarRunner",
-    "CascadeBegin",
-    "CascadeEnd",
-    "CascadeStep",
     "Charge",
-    "ComputeBegin",
-    "Corrected",
     "Effect",
     "HistoryRing",
     "IterationDone",
     "LoopbackDeadlock",
     "LoopbackRunner",
     "OutOfOrderArrival",
+    "RankObserver",
     "ReceiveDrivenEngine",
     "Recv",
     "Send",
     "SpecEngine",
-    "Speculated",
     "Transport",
     "TransportError",
     "TryRecv",
-    "Verified",
     "default_hist_cap",
     "drive",
     "topology",

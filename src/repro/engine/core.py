@@ -12,26 +12,21 @@ the FW/BW windows of Section 3.2) for *every* backend.  The engine:
   protocol order at the receiver — the fix for the SPF111
   unordered-sends race;
 * calls the application's pure numerics (``compute`` / ``speculate``
-  / ``check`` / ``correct``) itself, but expresses *everything with a
+  / ``check`` / ``correct``) itself, expresses *everything with a
   cost or a side effect* as a yielded effect
-  (:mod:`repro.engine.events`) interpreted by a transport.
+  (:mod:`repro.engine.events`) interpreted by a transport, and reports
+  each protocol step (speculate, compute, verify, correct, cascade,
+  window) by calling the :class:`~repro.engine.observer.RankObserver`
+  it runs with.
 
-``SpecEngine.run()`` is a generator over effects::
-
-    gen = engine.run()
-    response = None
-    while True:
-        try:
-            effect = gen.send(response)
-        except StopIteration as stop:
-            final_block = stop.value
-            break
-        response = transport.handle(effect)   # Arrival / None
-
-The loopback runner answers effects from in-process queues, the DES
-backend (:class:`~repro.engine.loopback.CalendarRunner`, the same
-runner) from a simulated cluster's calendar and network, and the pipe
-transport with real ``multiprocessing`` I/O — three media, one
+``SpecEngine.run(observer)`` is a generator over effects, stepped by
+one of two loops: :func:`repro.engine.transport.drive` answers each
+effect from a synchronous transport (the pipe transport, real
+``multiprocessing`` I/O), and
+:meth:`repro.engine.loopback.LoopbackRunner.resume` from in-process
+queues -- under a round-robin schedule, or, as
+:class:`~repro.engine.loopback.CalendarRunner`, on a simulated
+cluster's calendar and network (the DES backend).  Three media, one
 protocol.
 
 :class:`ReceiveDrivenEngine` expresses the paper's Fig. 7 baseline
@@ -49,36 +44,28 @@ from repro.core.results import SpecStats
 from repro.engine.events import (
     VARS,
     Arrival,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
     Charge,
-    ComputeBegin,
-    Corrected,
-    Degraded,
     IterationDone,
     Recv,
     Retransmit,
     Send,
-    Speculated,
     TryRecv,
-    Verified,
-    WindowChanged,
 )
+from repro.engine.observer import RankObserver
 from repro.engine.ring import HistoryRing
 from repro.policy import CascadePolicy, WindowPolicy
 
 
-#: The field-less effects carry nothing, so each is built once.
-_TRY_RECV, _CASCADE_END = TryRecv(), CascadeEnd()
+#: The field-less effect carries nothing, so it is built once.
+_TRY_RECV = TryRecv()
 
 
 class RetransmitExhausted(RuntimeError):
     """A sequence gap survived the engine's full retry budget.
 
-    Raised *after* the final over-budget :class:`Retransmit` effect is
-    yielded, so the sanitizer seat (``retransmit-bounded``) observes
-    the violation before the rank dies.
+    Raised *after* the final over-budget request is reported to the
+    observer and yielded, so the sanitizer seat (``retransmit-bounded``)
+    observes the violation before the rank dies.
     """
 
 
@@ -174,22 +161,22 @@ class SpecEngine:
     policy:
         Optional :class:`~repro.policy.WindowPolicy` consulted at every
         ``IterationDone`` with the transport-supplied clock; a changed
-        window is announced as a ``WindowChanged`` effect.  The engine
-        spawns a private instance, so one template may seed all ranks.
-    sanitizer:
-        Optional :class:`~repro.engine.sanitizer.ProtocolSanitizer`
-        whose buffer-occupancy hooks (``buffer-occupancy-bounded``) are
-        fed on every arrival: history-ring occupancy vs capacity and
-        the run-ahead backlog vs the FW-derived inbox bound.
+        window is reported to the observer (``window_changed``).  The
+        engine spawns a private instance, so one template may seed all
+        ranks.
     max_retries / retry_backoff:
         Resilience budget for sequenced arrivals (``Arrival.seq >= 0``):
         a detected sequence gap is announced as a :class:`Retransmit`
-        effect and escalated with exponential backoff (base
+        request and escalated with exponential backoff (base
         ``retry_backoff`` transport clock units) at most ``max_retries``
         times before the engine gives up with
         :class:`RetransmitExhausted`.  Inert on fault-free transports,
         which always deliver in seq order.
     """
+
+    #: Who the protocol steps are reported to: the seat :meth:`run`
+    #: was given by its runner.
+    observer: RankObserver
 
     def __init__(
         self,
@@ -203,7 +190,6 @@ class SpecEngine:
         pre_send_horizon: Optional[HorizonFn] = None,
         window_ok: Optional[WindowFn] = None,
         policy: Optional[WindowPolicy] = None,
-        sanitizer: Optional[object] = None,
         max_retries: int = 4,
         retry_backoff: float = 1.0,
     ) -> None:
@@ -216,7 +202,6 @@ class SpecEngine:
         self.fw = fw
         self.cascade = cascade
         self.policy = policy.spawn() if policy is not None else None
-        self.sanitizer = sanitizer
         self.hist_cap = hist_cap if hist_cap is not None else default_hist_cap(program)
         #: This rank's protocol counters.
         self.stats = SpecStats(rank=rank)
@@ -346,13 +331,15 @@ class SpecEngine:
                 self._repair(t)
 
     # ------------------------------------------------------------ protocol
-    def run(self) -> Generator:
+    def run(self, observer: RankObserver) -> Generator:
         """The full protocol for this rank, as an effect generator.
 
         Yields :mod:`repro.engine.events` effects; ``Recv``/``TryRecv``
-        expect an :class:`Arrival` (or None) sent back.  Returns the
+        expect an :class:`Arrival` (or None) sent back.  Each protocol
+        step is reported to ``observer`` as it happens.  Returns the
         rank's final block.
         """
+        self.observer = observer
         prog = self.program
         j = self.rank
         T = prog.iterations
@@ -429,13 +416,11 @@ class SpecEngine:
                     self.spec_used[(k, t)] = spec
                     inputs[k] = spec
                     stats.spec_made += 1
-                    yield Speculated(peer=k, iteration=t)
+                    observer.speculated(k, t)
             self.inputs_used[t] = inputs
 
             # 4. Compute X_j(t+1).
-            yield ComputeBegin(
-                iteration=t, verified_upto=self.verified_upto, fw=self.fw
-            )
+            observer.compute_begin(t, self.verified_upto, self.fw)
             new_block = prog.compute(j, inputs, t)
             ops = prog.compute_ops(j)
             spent = yield Charge(ops, phase="compute", iteration=t)
@@ -448,7 +433,7 @@ class SpecEngine:
             # or step time); the seated policy retunes the window on it.
             now = yield IterationDone(iteration=t)
             if self.policy is not None:
-                yield from self._retune(t, now)
+                self._retune(t, now)
 
         # 5. Final verification: wait out all stragglers so every
         #    speculation is checked and corrected before reporting.
@@ -464,7 +449,7 @@ class SpecEngine:
         return self.block(T)
 
     # -------------------------------------------------------------- policy
-    def _retune(self, t: int, now: Optional[float]) -> Generator:
+    def _retune(self, t: int, now: Optional[float]) -> None:
         """Consult the seated window policy after iteration ``t``.
 
         ``now`` is the transport's response to ``IterationDone``; a
@@ -487,21 +472,12 @@ class SpecEngine:
         if new_fw != self.fw:
             old_fw = self.fw
             self.fw = new_fw
-            yield WindowChanged(
-                iteration=t + 1,
-                old_fw=old_fw,
-                new_fw=new_fw,
-                min_fw=policy.min_fw,
-                max_fw=policy.max_fw,
-            )
+            self.observer.window_changed(
+                t + 1, old_fw, new_fw, policy.min_fw, policy.max_fw)
         degraded = getattr(policy, "degraded", None)
         if degraded is not None and bool(degraded) != self._last_degraded:
             self._last_degraded = bool(degraded)
-            yield Degraded(
-                iteration=t + 1,
-                active=self._last_degraded,
-                losses=self.stats.retransmits,
-            )
+            self.observer.degraded(t + 1, self._last_degraded)
 
     # ----------------------------------------------------------- resilience
     def _backoff(self, attempt: int) -> float:
@@ -515,6 +491,7 @@ class SpecEngine:
 
     def _emit_retransmit(self, src: int, seq: int, attempt: int) -> Generator:
         self.stats.retransmits += 1
+        self.observer.retransmit(src, seq, attempt, self.max_retries)
         yield Retransmit(
             peer=src,
             seq=seq,
@@ -602,8 +579,8 @@ class SpecEngine:
             if not stash:
                 healed = self._gaps.pop(k)
                 self._recv_stash.pop(k, None)
-                if self.sanitizer is not None:
-                    self.sanitizer.on_gap_healed(self.rank, k, healed[0])
+                if self.observer.sanitizer is not None:
+                    self.observer.gap_healed(k, healed[0])
             else:
                 # The old gap healed but a later seq is still missing:
                 # open the follow-up gap with a fresh retry budget.
@@ -624,12 +601,13 @@ class SpecEngine:
         missing[t] = missing.get(t, expected) - 1
         while missing.get(self.verified_upto + 1, expected) == 0:
             self.verified_upto += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_ring_occupancy(self.rank, k, len(ring), ring.capacity)
+        observer = self.observer
+        if observer.sanitizer is not None:
+            observer.ring_occupancy(k, len(ring), ring.capacity)
             # Run-ahead backlog: iterations arrived beyond the verified
             # horizon, bounded at the *policy ceiling* (not the live fw).
-            self.sanitizer.on_inbox_depth(
-                self.rank, k, t - self.verified_upto, run_ahead_bound(
+            observer.inbox_depth(
+                k, t - self.verified_upto, run_ahead_bound(
                     self.policy.max_fw if self.policy is not None else self.fw
                 ),
             )
@@ -647,7 +625,7 @@ class SpecEngine:
         prog = self.program
         j = self.rank
         stats = self.stats
-        yield Verified(peer=k, iteration=t)
+        self.observer.verified(k, t)
         stats.checks += 1
         own = self.block(t)
         # The check numerics run before their Charge so wall-clock
@@ -674,7 +652,8 @@ class SpecEngine:
         prog = self.program
         j = self.rank
         stats = self.stats
-        yield CascadeBegin(iteration=t)
+        observer = self.observer
+        observer.cascade_begin(t)
 
         # Repair iteration t itself via the (possibly incremental)
         # application correction hook: priced now, run by _settle with
@@ -687,16 +666,16 @@ class SpecEngine:
         spent = yield Charge(ops, phase="correct", iteration=t)
         self._book_verify(ops if spent is None else spent)
         stats.recomputes += 1
-        yield Corrected(peer=k, iteration=t)
+        observer.corrected(k, t)
 
         if self.cascade == "none":
-            yield _CASCADE_END
+            observer.cascade_end()
             return
 
         # Cascade: iterations t+1 .. frontier-1 consumed the old chain.
         for t2 in range(t + 1, self.frontier):
-            yield CascadeStep(iteration=t2)
-            yield Corrected(peer=k, iteration=t2)
+            observer.cascade_step(t2)
+            observer.corrected(k, t2)
             inputs2 = self.inputs_used[t2]
             inputs2[j] = self.block(t2)
             for k2 in sorted(self.needed):
@@ -711,14 +690,14 @@ class SpecEngine:
                     self.spec_used[(k2, t2)] = respec
                     inputs2[k2] = respec
                     stats.spec_made += 1
-                    yield Speculated(peer=k2, iteration=t2, in_cascade=True)
+                    observer.respeculated(k2, t2)
             new_block = prog.compute(j, inputs2, t2)
             ops = prog.compute_ops(j)
             spent = yield Charge(ops, phase="correct", iteration=t2)
             self._book_verify(ops if spent is None else spent)
             self.chain[t2 + 1] = new_block
             stats.recomputes += 1
-        yield _CASCADE_END
+        observer.cascade_end()
 
 
 def build_engine(
@@ -729,7 +708,6 @@ def build_engine(
     cascade: "CascadePolicy | str" = CascadePolicy.RECOMPUTE,
     hist_cap: Optional[int] = None,
     policy: Optional[WindowPolicy] = None,
-    sanitizer: Optional[object] = None,
     fault_plan: Optional[Any] = None,
 ) -> SpecEngine:
     """Rank ``rank``'s speculative engine from a run's knobs (called by
@@ -744,8 +722,7 @@ def build_engine(
     }
     return SpecEngine(
         program, rank, needed[rank], audience[rank],
-        fw=fw, cascade=cascade, hist_cap=hist_cap, policy=policy,
-        sanitizer=sanitizer, **retry,
+        fw=fw, cascade=cascade, hist_cap=hist_cap, policy=policy, **retry,
     )
 
 
@@ -778,8 +755,9 @@ class ReceiveDrivenEngine:
         self._send_seq[dst] = seq + 1
         return seq
 
-    def run(self) -> Generator:
-        """The receive-driven protocol as an effect generator."""
+    def run(self, observer: RankObserver) -> Generator:
+        """The receive-driven protocol as an effect generator; it
+        speculates nothing, so it has nothing to tell ``observer``."""
         prog = self.program
         j = self.rank
         T = prog.iterations

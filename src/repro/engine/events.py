@@ -1,32 +1,35 @@
 """The sans-I/O engine's effect alphabet.
 
 The :class:`~repro.engine.core.SpecEngine` never performs I/O, never
-reads a clock and never charges time.  Instead its ``run()`` generator
-*yields* small immutable effect objects and receives the outcome back
-via ``generator.send(...)``.  A transport (DES, loopback, pipes)
-interprets each effect against its medium and resumes the engine.
-A run yields hundreds of thousands of them, so the ones with fields
-are frozen dataclasses filled by :func:`~repro.trace.records.record`
-and the engine builds the two without (``TryRecv``, ``CascadeEnd``) once.
+reads a clock and never charges time.  Instead its ``run(observer)``
+generator *yields* small immutable effect objects and receives the
+outcome back via ``generator.send(...)``.  A transport (DES, loopback,
+pipes) interprets each effect against its medium and resumes the
+engine.  A run yields hundreds of thousands of them, so the ones with
+fields are frozen dataclasses filled by
+:func:`~repro.trace.records.record` and the engine builds the one
+without (``TryRecv``) once.
 
-Two groups:
+Six effects, each of which a transport or the fault layer acts on:
 
-**I/O + cost effects** — require transport work (and, for
-:class:`Recv` / :class:`TryRecv`, a response):
+======================  ============================================
+:class:`Send`           hand one protocol message to the transport
+:class:`Recv`           block until a protocol message is available
+:class:`TryRecv`        non-blocking arrival check
+:class:`Charge`         account ``ops`` of compute to a phase
+:class:`IterationDone`  answered with the transport's clock; the
+                        fault layer ends a rank planned to crash there
+:class:`Retransmit`     serviced by the fault layer's loss buffer
+======================  ============================================
 
-=============  =============================================
-:class:`Send`      hand one protocol message to the transport
-:class:`Recv`      block until a protocol message is available
-:class:`TryRecv`   non-blocking arrival check
-:class:`Charge`    account ``ops`` of compute to a phase
-=============  =============================================
-
-**Protocol events** — pure notifications (speculate / compute /
-verify / correct / cascade); transports forward them to observers
-(the runtime :class:`~repro.engine.sanitizer.ProtocolSanitizer`,
-the :class:`~repro.trace.events.EventLog` consumed by specflow's
-trace replay).  Because every backend drives the same engine, all
-observers hook one code path.
+What the engine only reports -- speculate, compute, verify, correct,
+the cascade markers, window changes -- is not an effect: the engine
+calls the :class:`~repro.engine.observer.RankObserver` its runner
+passed to ``run`` (the runtime
+:class:`~repro.engine.sanitizer.ProtocolSanitizer` and the
+:class:`~repro.trace.events.EventLog` consumed by specflow's trace
+replay sit behind it), so every backend's observers hook one code
+path without a round trip through the runner.
 
 Message identity is ``(family, iteration)`` plus a per-destination
 ``seq`` stamped by the engine.  Sequenced sends are what fixes the
@@ -48,9 +51,6 @@ from repro.trace.records import record
 VARS = "vars"
 
 
-# --------------------------------------------------------------------------
-# I/O + cost effects
-# --------------------------------------------------------------------------
 @record
 @dataclass(frozen=True)
 class Send:
@@ -147,71 +147,6 @@ class Arrival:
     latency: float = 0.0
 
 
-# --------------------------------------------------------------------------
-# Protocol events (observer notifications; no response)
-# --------------------------------------------------------------------------
-@record
-@dataclass(frozen=True)
-class Speculated:
-    """A missing input was predicted from the peer's history ring."""
-
-    peer: int
-    iteration: int
-    #: Re-speculations inside a correction cascade notify the
-    #: sanitizer but are not separate trace events (the enclosing
-    #: ``correct`` event already covers the step).
-    in_cascade: bool = False
-
-
-@record
-@dataclass(frozen=True)
-class ComputeBegin:
-    """One iteration's compute step is entered (forward-window probe)."""
-
-    iteration: int
-    verified_upto: int
-    fw: int
-
-
-@record
-@dataclass(frozen=True)
-class Verified:
-    """A speculated input is about to be checked against the actual."""
-
-    peer: int
-    iteration: int
-
-
-@record
-@dataclass(frozen=True)
-class Corrected:
-    """A rejected speculation was repaired at ``iteration``."""
-
-    peer: int
-    iteration: int
-
-
-@record
-@dataclass(frozen=True)
-class CascadeBegin:
-    """A correction cascade opens at ``iteration``."""
-
-    iteration: int
-
-
-@record
-@dataclass(frozen=True)
-class CascadeStep:
-    """The cascade recomputes ``iteration`` (strictly ascending)."""
-
-    iteration: int
-
-
-@dataclass(frozen=True)
-class CascadeEnd:
-    """The correction cascade closed."""
-
-
 @record
 @dataclass(frozen=True)
 class IterationDone:
@@ -221,48 +156,10 @@ class IterationDone:
     under DES, wall seconds on pipes); the engine feeds it to the
     seated :class:`~repro.policy.WindowPolicy`.  A ``None`` response
     (loopback, the model checker) makes the engine fall back to its
-    charged ops plus its waits as the clock.
+    charged ops plus its waits as the clock.  The fault layer raises a
+    planned crash here.
     """
 
-    iteration: int
-
-
-@record
-@dataclass(frozen=True)
-class WindowChanged:
-    """The seated window policy moved this rank's FW.
-
-    Emitted only when ``new_fw != old_fw`` (so fixed-window runs stay
-    byte-identical); ``iteration`` is the first iteration the new
-    window governs (the decision fired after ``iteration - 1``
-    completed).  Bounds ride along so observers can check the
-    ``window-policy-bound`` invariant without knowing the policy.
-    """
-
-    iteration: int
-    old_fw: int
-    new_fw: int
-    min_fw: int
-    max_fw: int
-
-
-@record
-@dataclass(frozen=True)
-class FaultInjected:
-    """The fault layer perturbed one message on this rank's receive
-    path (chaos runs only).
-
-    ``kind`` is one of ``"drop"``, ``"duplicate"``, ``"delay"``,
-    ``"reorder"`` — the :class:`~repro.faults.FaultPlan` edge fault
-    that fired.  Emitted *by the fault layer*, not the engine, but
-    part of the effect alphabet so every transport's observer seat
-    (sanitizer, EventLog) sees faults through the same dispatch path
-    as protocol events.
-    """
-
-    kind: str
-    src: int
-    seq: int
     iteration: int
 
 
@@ -276,8 +173,10 @@ class Retransmit:
     ``max_attempts`` is the engine's retry budget; an attempt beyond
     the budget is the ``retransmit-bounded`` violation.  ``backoff``
     is the exponential wait (transport clock units) before the next
-    escalation.  The fault layer services the request from its
-    retained-loss buffer; fault-free runs never emit this.
+    escalation.  The engine reports the request to its observer,
+    then yields it; the fault layer services it from its retained-loss
+    buffer, and a runner answers it with None.  Fault-free runs never
+    emit this.
     """
 
     peer: int
@@ -287,39 +186,5 @@ class Retransmit:
     backoff: float
 
 
-@record
-@dataclass(frozen=True)
-class Degraded:
-    """The seated :class:`~repro.policy.DegradedWindow` flipped its
-    loss-degradation state.
-
-    ``active`` True means the policy is collapsing FW toward 0 under
-    persistent loss; False announces recovery (control handed back to
-    the wrapped policy).  ``losses`` is the cumulative retransmit
-    count the decision was based on.
-    """
-
-    iteration: int
-    active: bool
-    losses: int
-
-
 #: Every effect the engine may yield (for transports that dispatch).
-Effect = (
-    Send,
-    Recv,
-    TryRecv,
-    Charge,
-    Speculated,
-    ComputeBegin,
-    Verified,
-    Corrected,
-    CascadeBegin,
-    CascadeStep,
-    CascadeEnd,
-    IterationDone,
-    WindowChanged,
-    FaultInjected,
-    Retransmit,
-    Degraded,
-)
+Effect = (Send, Recv, TryRecv, Charge, IterationDone, Retransmit)

@@ -193,9 +193,9 @@ HISTORY_RING_BOUND = _register(
 WINDOW_POLICY_BOUND = _register(
     "window-policy-bound",
     "Adaptive windows stay within policy bounds and gate the present",
-    "Every WindowChanged announced by a seated window policy lands "
+    "Every window change a seated window policy announces lands "
     "within the policy's [min_fw, max_fw], and the forward-window "
-    "gates (ComputeBegin.fw) always reflect the *current* window, "
+    "gates (the fw each compute step reports) always reflect the *current* window, "
     "never the constructor's: adaptation may move the window, but it "
     "can neither escape its bounds nor leave a stale gate behind.",
     "safety",

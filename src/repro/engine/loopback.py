@@ -43,7 +43,9 @@ from functools import partial
 from itertools import count
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
+from repro.engine.events import (
+    Arrival, Charge, IterationDone, Recv, Retransmit, Send, TryRecv,
+)
 from repro.engine.observer import RankObserver
 from repro.engine.sanitizer import ProtocolSanitizer, resolve_sanitizer
 from repro.trace.phases import PhaseTrace
@@ -74,8 +76,7 @@ class LoopbackRunner:
         Run under the :class:`~repro.engine.sanitizer.ProtocolSanitizer`
         (the same runtime seat the DES and pipe backends use); ``None``
         (default) defers to the ``REPRO_SANITIZE`` environment variable.
-        An already-built sanitizer is shared as is (the loopback
-        backend hands over the one its engines were built with).
+        An already-built sanitizer is used as is.
     """
 
     def __init__(
@@ -97,10 +98,6 @@ class LoopbackRunner:
             rank: PhaseTrace(rank) for rank in self.engines
         }
         self._ops_clock: Dict[int, float] = dict.fromkeys(self.engines, 0.0)
-        #: ``(rank, kind, peer, family, iteration, args=())`` -> one
-        #: trace record, stamped with :meth:`_clock`.  It holds no
-        #: reference to the runner, so a finished run is freed at once.
-        self._record = _sink(event_log, self._clock())
         #: Scheduler sweeps completed — the loopback's ``wall_seconds``
         #: and the unit of ``Recv.timeout``.  Nothing else is timed:
         #: ``IterationDone`` is answered with None and arrivals carry
@@ -111,21 +108,26 @@ class LoopbackRunner:
         self.parked: Dict[int, Any] = {}
         #: rank -> final block, for every rank that has returned.
         self.finals: Dict[int, Any] = {}
-        #: rank -> observer seat (no clock).
+        #: rank -> observer seat.  Its ``record`` stamps each trace
+        #: record with :meth:`_clock` (None without an ``event_log``);
+        #: it holds no reference to the runner, so a finished run is
+        #: freed at once.
         self.observers: Dict[int, RankObserver] = {}
         #: rank -> what :meth:`resume` drives: the engine generator's
-        #: ``send`` and the observer's ``notify``.
-        self._seats: Dict[int, Tuple[Any, Any]] = {}
+        #: ``send``.
+        self._steps: Dict[int, Callable[[Any], Any]] = {}
+        stamp = self._clock()
         for rank, engine in self.engines.items():
             observer = self.observers[rank] = RankObserver(
                 rank,
                 sanitizer=self.sanitizer,
                 record=(
-                    None if event_log is None else partial(self._record, rank)
+                    None if event_log is None
+                    else partial(_stamped, event_log, stamp, rank)
                 ),
             )
             observer.begin(engine)
-            self._seats[rank] = (engine.run().send, observer.notify)
+            self._steps[rank] = engine.run(observer).send
 
     @property
     def window_history(self) -> Dict[int, list[Tuple[int, int]]]:
@@ -193,11 +195,12 @@ class LoopbackRunner:
     def resume(self, rank: int, response: Optional[Arrival] = None) -> None:
         """Step ``rank`` from ``response`` until it parks (:attr:`parked`)
         or returns (:attr:`finals`): ``Send``, ``Charge`` and the receives
-        go to this runner's primitives, anything else to the rank's
-        observer."""
+        go to this runner's primitives, ``IterationDone`` is answered
+        with :meth:`_now`, a ``Retransmit`` (the fault layer's to
+        service) with None; anything else is refused."""
         parked = self.parked
         parked.pop(rank, None)
-        send, notify = self._seats[rank]
+        send = self._steps[rank]
         while True:
             try:
                 effect = send(response)
@@ -218,8 +221,12 @@ class LoopbackRunner:
                 response = self._receive(rank, effect)
                 if rank in parked:
                     return
+            elif kind is IterationDone:
+                response = self._now()
+            elif kind is Retransmit:
+                response = None
             else:
-                response = notify(effect)
+                raise TypeError(f"rank {rank} yielded {effect!r}, not an effect")
 
     # ----------------------------------------------------------- primitives
     def _charge(self, rank: int, effect: Charge) -> Optional[float]:
@@ -234,6 +241,10 @@ class LoopbackRunner:
         self.parked[rank] = effect
         return None
 
+    def _now(self) -> Optional[float]:
+        """The clock reading answered to ``IterationDone``: none here."""
+        return None
+
     def _end(self) -> None:
         """The last rank returned."""
         if self.sanitizer is not None:
@@ -243,7 +254,9 @@ class LoopbackRunner:
     def _send(self, src: int, effect: Send) -> None:
         if effect.dst not in self.queues:
             raise ValueError(f"send to unknown rank {effect.dst}")
-        self._record(src, "send", effect.dst, effect.family, effect.iteration)
+        record = self.observers[src].record
+        if record is not None:
+            record("send", effect.dst, effect.family, effect.iteration, ())
         self.queues[effect.dst].append(
             (src, effect.seq, effect.family, effect.iteration, effect.payload)
         )
@@ -255,8 +268,9 @@ class LoopbackRunner:
         queue = self.queues[rank]
         src, seq, family, iteration, payload = queue[i]
         del queue[i]
-        self._record(
-            rank, "recv", src, family, iteration, (seq,) if check_seq else ())
+        record = self.observers[rank].record
+        if record is not None:
+            record("recv", src, family, iteration, (seq,) if check_seq else ())
         if check_seq and self.sanitizer is not None:
             self.sanitizer.on_delivery(rank, src, seq)
         return Arrival(src=src, iteration=iteration, payload=payload, seq=seq)
@@ -280,12 +294,13 @@ class LoopbackRunner:
         return lambda: float(next(steps))
 
 
-def _sink(event_log: Any, stamp: Callable[[], float]) -> Callable[..., None]:
-    """The runner's trace sink into ``event_log`` (a no-op without one)."""
-    if event_log is None:
-        return lambda *_: None
-    return lambda rank, kind, peer, family, iteration, args=(): event_log.record(
-        kind, rank, stamp(), peer, family, iteration, args)
+def _stamped(
+    event_log: Any, stamp: Callable[[], float], rank: int, kind: str,
+    peer: Optional[int], family: Optional[str], iteration: Optional[int],
+    args: Tuple[int, ...],
+) -> None:
+    """Rank ``rank``'s trace sink into ``event_log``, stamped with ``stamp()``."""
+    event_log.record(kind, rank, stamp(), peer, family, iteration, args)
 
 
 class CalendarRunner(LoopbackRunner):
@@ -319,8 +334,6 @@ class CalendarRunner(LoopbackRunner):
         self._seconds_for = {
             rank: cluster.processors[rank].spec.seconds_for for rank in self.engines
         }
-        for observer in self.observers.values():
-            observer.clock = lambda: env.now
         #: rank -> when the Charge / Recv it is parked on began.
         self._since: Dict[int, float] = {}
         #: rank -> the parked Recv no queued message has matched yet.
@@ -377,7 +390,9 @@ class CalendarRunner(LoopbackRunner):
     def _send(self, src: int, effect: Send) -> None:
         if effect.dst not in self.queues:
             raise ValueError(f"send to unknown rank {effect.dst}")
-        self._record(src, "send", effect.dst, effect.family, effect.iteration)
+        record = self.observers[src].record
+        if record is not None:
+            record("send", effect.dst, effect.family, effect.iteration, ())
         self.network.transmit(src, effect.dst, int(effect.nbytes),
                               partial(self._deliver, src, effect, self.env.now))
 
@@ -404,8 +419,13 @@ class CalendarRunner(LoopbackRunner):
 
     def _arrival(self, rank: int, message: Any, waited: float) -> Arrival:
         src, seq, family, iteration, payload, latency = message
-        self._record(rank, "recv", src, family, iteration)
+        record = self.observers[rank].record
+        if record is not None:
+            record("recv", src, family, iteration, ())
         return Arrival(src, iteration, payload, waited, seq, latency)
+
+    def _now(self) -> float:
+        return self.env.now
 
     def _clock(self) -> Callable[[], float]:
         env = self.env

@@ -1,110 +1,36 @@
 """The observer seat: one rank's protocol events, fanned out once.
 
-Every backend hands the effects it does not interpret itself
-(everything but ``Send`` / ``Recv`` / ``TryRecv`` / ``Charge``) to a
-:class:`RankObserver`.  What an effect means to the runtime
-:class:`~repro.engine.sanitizer.ProtocolSanitizer` and which trace
-record it leaves is one table, :data:`OBSERVED`; a backend contributes
-only its sanitizer, a ``record`` sink that stamps its own clock, and
-the ``clock`` answered to ``IterationDone``.  Each record carries what
-its effect's sanitizer call reads, and :data:`REPLAYED` turns it back
-into that effect: replaying a recorded trace
-(:mod:`repro.analysis.replay`) is running the sanitizer over it.
+The engine reports what it does -- speculate, compute, verify,
+correct, the cascade markers, window changes, retransmit requests --
+by calling the :class:`RankObserver` its runner passed to
+``run(observer)``; the fault layer reports each injected fault the
+same way.  Each method leaves the method's trace record, if the
+backend records one, then makes its
+:class:`~repro.engine.sanitizer.ProtocolSanitizer` call, if one is
+armed.  A backend contributes only its sanitizer and a ``record``
+sink that stamps its own clock (the runner's ``send`` / ``recv``
+records go through the same sink).  Each record carries what its
+call's sanitizer check reads, and :data:`REPLAYED` makes that call
+again from the record: replaying a recorded trace
+(:mod:`repro.analysis.replay`) is running an observer over it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.events import (
-    VARS,
-    CascadeBegin,
-    CascadeEnd,
-    CascadeStep,
-    ComputeBegin,
-    Corrected,
-    Degraded,
-    FaultInjected,
-    IterationDone,
-    Retransmit,
-    Speculated,
-    Verified,
-    WindowChanged,
-)
+from repro.engine.events import VARS
 from repro.trace.events import TraceEvent
-
-#: effect type -> (sanitizer call or None, trace record or None).  The
-#: call takes ``(sanitizer, rank, effect)``; the record takes ``(effect,
-#: cascade)``, ``cascade`` being the iteration the open correction
-#: cascade repaired first, and gives ``(kind, peer, family, iteration,
-#: args)`` -- ``args`` the further integers the call reads -- or None
-#: (cascade re-speculations: the enclosing ``correct`` covers the step).
-OBSERVED: Dict[type, Tuple[Optional[Callable], Optional[Callable]]] = {
-    Speculated: (
-        lambda san, rank, e: san.on_speculate(rank, e.peer, e.iteration),
-        lambda e, _: None if e.in_cascade
-        else ("speculate", e.peer, VARS, e.iteration, ()),
-    ),
-    ComputeBegin: (
-        lambda san, rank, e: san.on_compute_begin(
-            rank, e.iteration, e.verified_upto, e.fw),
-        lambda e, _: ("compute", None, None, e.iteration, (e.verified_upto, e.fw)),
-    ),
-    Verified: (
-        lambda san, rank, e: san.on_verify(rank, e.peer, e.iteration),
-        lambda e, _: ("verify", e.peer, VARS, e.iteration, ()),
-    ),
-    Corrected: (None, lambda e, cascade: (
-        "correct", e.peer, VARS, e.iteration, (cascade,))),
-    CascadeBegin: (
-        lambda san, rank, e: san.on_cascade_begin(rank, e.iteration), None),
-    CascadeStep: (
-        lambda san, rank, e: san.on_cascade_step(rank, e.iteration), None),
-    CascadeEnd: (lambda san, rank, e: san.on_cascade_end(rank), None),
-    IterationDone: (None, None),
-    WindowChanged: (
-        lambda san, rank, e: san.on_window_changed(
-            rank, e.iteration, e.old_fw, e.new_fw, e.min_fw, e.max_fw),
-        lambda e, _: (
-            "window", e.new_fw, None, e.iteration, (e.old_fw, e.min_fw, e.max_fw)),
-    ),
-    FaultInjected: (
-        None, lambda e, _: ("fault", e.src, VARS, e.iteration, (e.seq,))),
-    Retransmit: (
-        lambda san, rank, e: san.on_retransmit(
-            rank, e.peer, e.seq, e.attempt, e.max_attempts),
-        lambda e, _: (
-            "retransmit", e.peer, VARS, e.seq, (e.attempt, e.max_attempts)),
-    ),
-    Degraded: (
-        None, lambda e, _: ("degraded", int(e.active), None, e.iteration, ())),
-}
-
-#: :data:`OBSERVED` read backwards: record kind -> the effect, as far as
-#: its sanitizer call reads it.  A ``correct`` record is its cascade's
-#: repair when its iteration is the cascade's first, else a step.
-REPLAYED: Dict[str, Callable[[TraceEvent], Any]] = {
-    "speculate": lambda ev: Speculated(ev.peer, ev.iteration),
-    "compute": lambda ev: ComputeBegin(ev.iteration, *ev.args),
-    "verify": lambda ev: Verified(ev.peer, ev.iteration),
-    "correct": lambda ev: (
-        CascadeBegin if ev.iteration == ev.args[0] else CascadeStep)(ev.iteration),
-    "window": lambda ev: WindowChanged(
-        ev.iteration, ev.args[0], ev.peer, ev.args[1], ev.args[2]),
-    "retransmit": lambda ev: Retransmit(ev.peer, ev.iteration, *ev.args, backoff=0.0),
-}
 
 
 class RankObserver:
     """One rank's seat on the protocol event stream.
 
-    ``sanitizer`` (optional) is fed through :data:`OBSERVED`;
+    ``sanitizer`` (optional) is called by each method below;
     ``record(kind, peer, family, iteration, args)`` is the backend's
-    trace sink (it stamps rank and time; None when tracing is off);
-    ``clock()`` is the backend's reading answered to ``IterationDone``
-    — the seated window policy's timebase (without one, as on loopback
-    and in the model checker, the answer is None and the engine falls
-    back to its charged ops plus its waits).
+    trace sink (it stamps rank and time; None when tracing is off).
+    A method records before it checks, so a violating run's trace ends
+    at the call that violated.
     """
 
     def __init__(
@@ -112,14 +38,12 @@ class RankObserver:
         rank: int,
         sanitizer: Any = None,
         record: Optional[Callable[..., Any]] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.rank = rank
         self.sanitizer = sanitizer
         self.record = record
-        self.clock = clock
         #: (iteration, fw) trajectory: the initial window (see
-        #: :meth:`begin`), then one entry per ``WindowChanged``.
+        #: :meth:`begin`), then one entry per :meth:`window_changed`.
         self.window_history: List[Tuple[int, int]] = []
         #: The iteration the open correction cascade repaired first.
         self.cascade = -1
@@ -129,27 +53,118 @@ class RankObserver:
         engines without one, i.e. the receive-driven baseline)."""
         self.window_history = [(0, getattr(engine, "fw", 0))]
 
-    def notify(self, effect: Any) -> Optional[float]:
-        """Observe one effect; the clock reading for ``IterationDone``,
-        None for everything else.  The effect is recorded before it is
-        checked, so a violating run's trace ends at the effect that
-        violated."""
-        kind = type(effect)
-        if kind is IterationDone:
-            return None if self.clock is None else self.clock()
-        if kind is WindowChanged:
-            self.window_history.append((effect.iteration, effect.new_fw))
-        san = self.sanitizer
-        record = self.record
-        if san is None and record is None:
-            return None
-        if kind is CascadeBegin:
-            self.cascade = effect.iteration
-        check, trace = OBSERVED[kind]
-        if record is not None and trace is not None:
-            entry = trace(effect, self.cascade)
-            if entry is not None:
-                record(*entry)
-        if san is not None and check is not None:
-            check(san, self.rank, effect)
-        return None
+    # ------------------------------------------------ the engine's calls
+    def speculated(self, peer: int, iteration: int) -> None:
+        """A missing input was predicted from ``peer``'s history ring."""
+        if self.record is not None:
+            self.record("speculate", peer, VARS, iteration, ())
+        if self.sanitizer is not None:
+            self.sanitizer.on_speculate(self.rank, peer, iteration)
+
+    def respeculated(self, peer: int, iteration: int) -> None:
+        """A cascade step predicted the input again: checked, but not a
+        record of its own (the enclosing ``correct`` covers the step)."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_speculate(self.rank, peer, iteration)
+
+    def compute_begin(self, iteration: int, verified_upto: int, fw: int) -> None:
+        """One iteration's compute step is entered (forward-window probe)."""
+        if self.record is not None:
+            self.record("compute", None, None, iteration, (verified_upto, fw))
+        if self.sanitizer is not None:
+            self.sanitizer.on_compute_begin(self.rank, iteration, verified_upto, fw)
+
+    def verified(self, peer: int, iteration: int) -> None:
+        """A speculated input is about to be checked against the actual."""
+        if self.record is not None:
+            self.record("verify", peer, VARS, iteration, ())
+        if self.sanitizer is not None:
+            self.sanitizer.on_verify(self.rank, peer, iteration)
+
+    def cascade_begin(self, iteration: int) -> None:
+        """A correction cascade opens by repairing ``iteration``."""
+        self.cascade = iteration
+        if self.sanitizer is not None:
+            self.sanitizer.on_cascade_begin(self.rank, iteration)
+
+    def cascade_step(self, iteration: int) -> None:
+        """The cascade recomputes ``iteration`` (strictly ascending)."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_cascade_step(self.rank, iteration)
+
+    def corrected(self, peer: int, iteration: int) -> None:
+        """The cascade's repair or step at ``iteration`` is booked; the
+        record carries the cascade's first iteration."""
+        if self.record is not None:
+            self.record("correct", peer, VARS, iteration, (self.cascade,))
+
+    def cascade_end(self) -> None:
+        """The correction cascade closed."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_cascade_end(self.rank)
+
+    def window_changed(
+        self, iteration: int, old_fw: int, new_fw: int, min_fw: int, max_fw: int,
+    ) -> None:
+        """The seated window policy moved FW from ``iteration`` on; the
+        bounds ride along for the ``window-policy-bound`` check."""
+        self.window_history.append((iteration, new_fw))
+        if self.record is not None:
+            self.record("window", new_fw, None, iteration, (old_fw, min_fw, max_fw))
+        if self.sanitizer is not None:
+            self.sanitizer.on_window_changed(
+                self.rank, iteration, old_fw, new_fw, min_fw, max_fw)
+
+    def degraded(self, iteration: int, active: bool) -> None:
+        """The seated :class:`~repro.policy.DegradedWindow` collapsed FW
+        under persistent loss (``active``) or handed control back."""
+        if self.record is not None:
+            self.record("degraded", int(active), None, iteration, ())
+
+    def retransmit(self, peer: int, seq: int, attempt: int, max_attempts: int) -> None:
+        """The engine asks ``peer`` again for its ``seq``-th message."""
+        if self.record is not None:
+            self.record("retransmit", peer, VARS, seq, (attempt, max_attempts))
+        if self.sanitizer is not None:
+            self.sanitizer.on_retransmit(self.rank, peer, seq, attempt, max_attempts)
+
+    def fault(self, src: int, seq: int, iteration: int) -> None:
+        """The fault layer perturbed the ``seq``-th message from ``src``."""
+        if self.record is not None:
+            self.record("fault", src, VARS, iteration, (seq,))
+
+    # ------------- what only the sanitizer reads: called when one is armed
+    def ring_occupancy(self, peer: int, occupancy: int, capacity: int) -> None:
+        self.sanitizer.on_ring_occupancy(self.rank, peer, occupancy, capacity)
+
+    def inbox_depth(self, peer: int, depth: int, bound: int) -> None:
+        self.sanitizer.on_inbox_depth(self.rank, peer, depth, bound)
+
+    def gap_healed(self, peer: int, seq: int) -> None:
+        self.sanitizer.on_gap_healed(self.rank, peer, seq)
+
+
+def _replay_correct(obs: RankObserver, ev: TraceEvent) -> None:
+    """A ``correct`` record is its cascade's repair when its iteration
+    is the cascade's first, else a step; the ``corrected`` that wrote
+    it follows either."""
+    if ev.iteration == ev.args[0]:
+        obs.cascade_begin(ev.iteration)
+    else:
+        obs.cascade_step(ev.iteration)
+    obs.corrected(ev.peer, ev.iteration)
+
+
+#: Record kind -> the observer call(s) that made the record, as far as
+#: the record carries their arguments.
+REPLAYED: Dict[str, Callable[[RankObserver, TraceEvent], None]] = {
+    "speculate": lambda obs, ev: obs.speculated(ev.peer, ev.iteration),
+    "compute": lambda obs, ev: obs.compute_begin(ev.iteration, *ev.args),
+    "verify": lambda obs, ev: obs.verified(ev.peer, ev.iteration),
+    "correct": _replay_correct,
+    "window": lambda obs, ev: obs.window_changed(
+        ev.iteration, ev.args[0], ev.peer, ev.args[1], ev.args[2]),
+    "degraded": lambda obs, ev: obs.degraded(ev.iteration, bool(ev.peer)),
+    "retransmit": lambda obs, ev: obs.retransmit(ev.peer, ev.iteration, *ev.args),
+    "fault": lambda obs, ev: obs.fault(ev.peer, ev.args[0], ev.iteration),
+}

@@ -90,7 +90,6 @@ class PipeTransport:
         self._src_by_conn = {id(conn): src for src, conn in self._conns.items()}
         self._wait_list: List[Any] = list(self._conns.values())
         self.latency = latency if latency is not None else ConstantLatency(0.0)
-        self.record_events = record_events
         self.sanitizer: Optional[ProtocolSanitizer] = resolve_sanitizer(sanitize)
         #: Per-peer FIFO of gated messages, already sequence-checked.
         self._inbox: Dict[int, List[_Pending]] = {src: [] for src in self._conns}
@@ -106,14 +105,11 @@ class PipeTransport:
         self.trace = PhaseTrace(rank)
         self.t0 = time.monotonic()
         self._mark = self.t0
-        #: The rank's observer seat; its clock is wall seconds since
-        #: :meth:`start` (the seated window policy adapts on real
-        #: blocked-in-select time here).
+        #: The rank's observer seat (and trace sink, when recording).
         self.observer = RankObserver(
             rank,
             sanitizer=self.sanitizer,
             record=self._emit if record_events else None,
-            clock=lambda: self.wall_seconds,
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -126,7 +122,9 @@ class PipeTransport:
 
     @property
     def wall_seconds(self) -> float:
-        """Wall time since :meth:`start`."""
+        """Wall time since :meth:`start`, answered to ``IterationDone``:
+        the seated window policy adapts on real blocked-in-select time
+        here."""
         return time.monotonic() - self.t0
 
     def finish(self) -> None:
@@ -138,7 +136,9 @@ class PipeTransport:
 
     # ------------------------------------------------------------- handlers
     def send(self, effect: Send) -> None:
-        self._emit("send", effect.dst, effect.family, effect.iteration)
+        record = self.observer.record
+        if record is not None:
+            record("send", effect.dst, effect.family, effect.iteration, ())
         conn = self._conns.get(effect.dst)
         if conn is None:
             raise TransportError(f"no pipe to rank {effect.dst}")
@@ -207,9 +207,6 @@ class PipeTransport:
                 # to the next millisecond; select(2) parks to the stamp.
                 select.select(self._wait_list, (), (), timeout)
 
-    def notify(self, effect: Any) -> Optional[float]:
-        return self.observer.notify(effect)
-
     # ------------------------------------------------------------- internals
     def _pump(self) -> None:
         """Drain every pipe into the sequence-checked, gated inbox."""
@@ -251,7 +248,9 @@ class PipeTransport:
             return None
         _effective, seq, iteration, payload, transit = (
             self._inbox[best_src].pop(0))
-        self._emit("recv", best_src, VARS, iteration, (seq,))
+        record = self.observer.record
+        if record is not None:
+            record("recv", best_src, VARS, iteration, (seq,))
         if self.sanitizer is not None:
             self.sanitizer.on_delivery(self.rank, best_src, seq)
         return Arrival(src=best_src, iteration=iteration, payload=payload,
@@ -267,10 +266,8 @@ class PipeTransport:
 
     def _emit(
         self, kind: str, peer: Optional[int], family: Optional[str],
-        iteration: Optional[int], args: Tuple[int, ...] = (),
+        iteration: Optional[int], args: Tuple[int, ...],
     ) -> None:
-        if not self.record_events:
-            return
         # Opt-in recording buffer living exactly one worker run; the
         # parent drains it into the run's EventLog.
         self.events.append(

@@ -114,7 +114,7 @@ class ProtocolSanitizer:
         #: Outstanding (rank, src) -> missing seq retransmit requests
         #: awaiting a healing delivery (``retransmit-bounded``).
         self._open_gaps: dict[tuple[int, int], int] = {}
-        #: Per-rank current FW as announced by WindowChanged events
+        #: Per-rank current FW as announced by window changes
         #: (present only for ranks running an adaptive window policy).
         self._current_fw: dict[int, int] = {}
         self._last_now: float = float("-inf")

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from typing import Any, Optional, Protocol, runtime_checkable
 
-from repro.engine.events import Arrival, Charge, Recv, Send, TryRecv
+from repro.engine.events import (
+    Arrival, Charge, IterationDone, Recv, Retransmit, Send, TryRecv,
+)
+from repro.engine.observer import RankObserver
 
 
 class TransportError(RuntimeError):
@@ -29,6 +32,9 @@ class TransportError(RuntimeError):
 @runtime_checkable
 class Transport(Protocol):
     """What a synchronous transport must implement for :func:`drive`."""
+
+    #: The rank's observer seat, which :func:`drive` runs the engine with.
+    observer: RankObserver
 
     def send(self, effect: Send) -> None:
         """Hand one protocol message to the medium (asynchronous)."""
@@ -46,25 +52,22 @@ class Transport(Protocol):
         the real time since the previous effect boundary); the clock
         time charged, or None without a clock."""
 
-    def notify(self, event: Any) -> Optional[float]:
-        """Forward a protocol event to the medium's observers.
-
-        May return a clock reading (wall/virtual/step seconds) that
-        :func:`drive` sends back into the engine — the transport-time
-        channel the seated window policy adapts on at
-        ``IterationDone``.  Return None when the event needs no
-        response.
-        """
+    @property
+    def wall_seconds(self) -> float:
+        """The medium's clock, which :func:`drive` answers to
+        ``IterationDone`` — the timebase the seated window policy
+        adapts on."""
 
 
 def drive(engine: Any, transport: Transport) -> Any:
     """Run ``engine`` to completion against a synchronous transport.
 
     Returns the engine's final block.  This is the whole sans-I/O
-    pattern in eleven lines: the engine yields effects, the transport
-    performs them, arrivals (and clock readings) flow back in.
+    pattern in a dozen lines: the engine yields effects, the transport
+    performs them, arrivals (and clock readings) flow back in; a
+    ``Retransmit`` is the fault layer's to service and is answered None.
     """
-    gen = engine.run()
+    gen = engine.run(transport.observer)
     response: Optional[Arrival | float] = None
     while True:
         try:
@@ -81,5 +84,7 @@ def drive(engine: Any, transport: Transport) -> Any:
             response = transport.try_recv(effect)
         elif kind is Charge:
             response = transport.charge(effect)
-        else:
-            response = transport.notify(effect)
+        elif kind is IterationDone:
+            response = transport.wall_seconds
+        elif kind is not Retransmit:
+            raise TypeError(f"{effect!r} is not an effect")

@@ -16,9 +16,9 @@ timing, and re-running a chaos experiment replays it exactly.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.events import Arrival, FaultInjected
+from repro.engine.events import Arrival
 from repro.faults.plan import FaultPlan, FaultSummary
 
 
@@ -81,8 +81,9 @@ class FaultInjector:
 
     def admit(
         self, arrival: Arrival
-    ) -> Tuple[List[Arrival], List[FaultInjected]]:
-        """Filter one wire arrival; returns (deliverable now, events).
+    ) -> Tuple[List[Arrival], Optional[str]]:
+        """Filter one wire arrival; returns (deliverable now, the kind
+        of the edge fault that fired or None).
 
         Requires a sequenced arrival (``seq >= 0``): the seq is both
         the fault-decision key and the retransmit-buffer key.
@@ -91,15 +92,8 @@ class FaultInjector:
             raise ValueError("fault injection requires sequenced arrivals")
         src, seq = arrival.src, arrival.seq
         deliver: List[Arrival] = []
-        events: List[FaultInjected] = []
         fault = self._pick_fault(src, seq, arrival.iteration)
         if fault is not None:
-            events.append(
-                FaultInjected(
-                    kind=fault.kind, src=src, seq=seq,
-                    iteration=arrival.iteration,
-                )
-            )
             self._record(fault.kind)
             if fault.kind == "drop":
                 self.lost[(src, seq)] = (arrival, self.clock)
@@ -126,7 +120,7 @@ class FaultInjector:
             if held is not None:
                 # The swap the reorder fault was waiting for.
                 deliver.append(replace(held[0], waited=0.0))
-        return deliver, events
+        return deliver, None if fault is None else fault.kind
 
     # ----------------------------------------------------------------- clock
     def tick(self) -> List[Arrival]:

@@ -7,12 +7,12 @@ the plan between the transport and the engine: arrivals responding to
 served from the wrapper's local queue (never touching the wire, so
 the transport's own sequence bookkeeping stays contiguous), and the
 engine's :class:`~repro.engine.events.Retransmit` requests are
-serviced from the retained-loss buffer.  :class:`FaultInjected`
-events are pushed downstream so each backend's observer seat
-(sanitizer + EventLog) records them through its normal dispatch.  A
-straggler's factor multiplies ``Charge.ops`` and rides along as
-``Charge.factor`` for the medium that times phases instead of
-counting ops.
+serviced from the retained-loss buffer.  Each injected fault is
+reported to the rank's observer seat (``observer.fault``), which the
+engine reports its own protocol steps to as well.  A planned crash
+ends the rank at its ``IterationDone``.  A straggler's factor
+multiplies ``Charge.ops`` and rides along as ``Charge.factor`` for
+the medium that times phases instead of counting ops.
 
 Clocking: the injector's clock unit is one receive poll, on every
 backend.  While the injector holds anything, a blocking receive is
@@ -41,6 +41,7 @@ from repro.engine.events import (
     Retransmit,
     TryRecv,
 )
+from repro.engine.observer import RankObserver
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.faults.plan import FaultPlan
 
@@ -67,9 +68,9 @@ class FaultyEngine:
         return getattr(self._engine, name)
 
     # ---------------------------------------------------------------- running
-    def run(self) -> Generator:
+    def run(self, observer: RankObserver) -> Generator:
         inj = self.injector
-        gen = self._engine.run()
+        gen = self._engine.run(observer)
         response: Any = None
         while True:
             try:
@@ -79,10 +80,9 @@ class FaultyEngine:
             response = None
             kind = type(effect)
             if kind is Recv or kind is TryRecv:
-                response = yield from self._receive(effect)
+                response = yield from self._receive(effect, observer)
             elif kind is Retransmit:
                 inj.on_retransmit_request(effect.peer, effect.seq)
-                yield effect  # observers still record the request
             elif kind is Charge:
                 slow = inj.slowdown_for(effect.iteration)
                 if slow > 1.0:
@@ -100,8 +100,9 @@ class FaultyEngine:
             else:
                 response = yield effect
 
-    def _receive(self, effect: Any) -> Generator:
-        """Satisfy one Recv/TryRecv through the fault layer."""
+    def _receive(self, effect: Any, observer: RankObserver) -> Generator:
+        """Satisfy one Recv/TryRecv through the fault layer, reporting
+        each fault it injects to ``observer``."""
         inj = self.injector
         pending = self._pending
         blocking = type(effect) is Recv
@@ -135,9 +136,9 @@ class FaultyEngine:
                     self._note_stall(effect)
                     continue
             self._stalled = 0
-            deliver, events = inj.admit(arrival)
-            for event in events:
-                yield event
+            deliver, fault = inj.admit(arrival)
+            if fault is not None:
+                observer.fault(arrival.src, arrival.seq, arrival.iteration)
             pending.extend(deliver)
 
     def _note_stall(self, effect: Any) -> None:

@@ -108,9 +108,7 @@ def _run_protocol(
         record_events=config.record_trace,
         sanitize=config.sanitize,
     )
-    engine = rank_engine(
-        config, rank, topology(config.program), transport.sanitizer
-    )
+    engine = rank_engine(config, rank, topology(config.program))
     transport.observer.begin(engine)
 
     start_barrier.wait()

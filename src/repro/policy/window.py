@@ -195,8 +195,8 @@ class DegradedWindow:
     which re-widens at its own pace.
 
     The engine reads the public ``degraded`` flag after each decision
-    and emits a :class:`~repro.engine.events.Degraded` effect on every
-    flip, so traces show exactly when resilience mode engaged.
+    and reports every flip to its observer (a ``degraded`` record), so
+    traces show exactly when resilience mode engaged.
     """
 
     inner: "WindowPolicy"

@@ -2,7 +2,9 @@
 interval that contains 1 when nothing moved and excludes it when one
 side is 10 % faster; the claim rule's three tests (interval, win count,
 median gap against A's interquartile range), each failing on its own;
-and ``--count``'s call counter on functions of known call counts."""
+``--count``'s call counter on functions of known call counts; and the
+lockstep's visit order, round by round over every workload, on a
+stubbed worker."""
 
 import importlib.util
 import pathlib
@@ -152,3 +154,71 @@ def test_two_counts_of_one_deterministic_call_agree():
     first, second = AB.count_calls(guess), AB.count_calls(guess)
     assert first[:2] == second[:2]
     assert first[0] > 0 and first[1] > 0
+
+
+# ------------------------------------------------------------ the lockstep
+class _StubWorker:
+    """Answers every sample at once; logs its start, samples and close.
+    The ``drop`` sample (workload, label, its number among that side's
+    samples of that workload, warm-ups included) fails, as an mp sample
+    may."""
+
+    log = []
+    drop = None
+
+    def __init__(self, label, src, workload, fw):
+        self.label, self.workload = label, workload
+        self.log.append(("start", workload, label))
+
+    def sample(self, request=""):
+        self.log.append(("sample", self.workload, self.label))
+        served = self.log.count(("sample", self.workload, self.label))
+        reply = {"deterministic": self.workload != "mp", "setup": 0.001,
+                 "peak_rss_mb": 1.0, "wall": 1.0, "makespans": ["2.0"]}
+        if (self.workload, self.label, served) == self.drop:
+            del reply["wall"]
+            reply["failure"] = "worker died"
+        return reply
+
+    def close(self):
+        self.log.append(("close", self.workload, self.label))
+
+
+def test_each_round_samples_every_workload_before_the_next(monkeypatch):
+    """Two workloads, eight rounds: a warm-up round, then each round
+    takes the first workload's three samples, then the second's, in the
+    round's order of the sides; all six workers are fresh after six
+    rounds.  A failed mp sample drops that workload's round only."""
+    _StubWorker.log, _StubWorker.drop = [], ("mp", "B", 3)
+    monkeypatch.setattr(AB, "Worker", _StubWorker)
+    trees = {"A": pathlib.Path("a"), "A'": pathlib.Path("a"), "B": pathlib.Path("b")}
+    results = AB.lockstep(["des", "mp"], trees, 1, 8)
+
+    log = _StubWorker.log
+    starts = [i for i, entry in enumerate(log) if entry[0] == "start"]
+    assert starts == [*range(6), *range(6 + 42 + 6, 6 + 42 + 6 + 6)]
+    assert [entry[1:] for entry in log[:6]] == [
+        ("des", "A"), ("des", "A'"), ("des", "B"),
+        ("mp", "A"), ("mp", "A'"), ("mp", "B")]
+    samples = [entry[1:] for entry in log if entry[0] == "sample"]
+    assert len(samples) == 3 * 2 * (1 + 6 + 1 + 2)
+    # The warm-up round (the last order), then round 0 (the first).
+    assert samples[:12] == [
+        ("des", "B"), ("des", "A'"), ("des", "A"),
+        ("mp", "B"), ("mp", "A'"), ("mp", "A"),
+        ("des", "A"), ("des", "A'"), ("des", "B"),
+        ("mp", "A"), ("mp", "A'"), ("mp", "B")]
+    assert [w for w, _ in samples] == (["des"] * 3 + ["mp"] * 3) * 10
+    assert sum(entry[0] == "close" for entry in log) == 12
+    (des, des_dropped), (mp, mp_dropped) = results["des"], results["mp"]
+    assert des_dropped == 0 and all(len(side.wall) == 8 for side in des.values())
+    assert mp_dropped == 1 and all(len(side.wall) == 7 for side in mp.values())
+
+
+def test_a_failed_deterministic_sample_is_refused(monkeypatch):
+    _StubWorker.log, _StubWorker.drop = [], ("des", "A", 2)
+    monkeypatch.setattr(AB, "Worker", _StubWorker)
+    trees = {"A": pathlib.Path("a"), "A'": pathlib.Path("a"), "B": pathlib.Path("b")}
+    with pytest.raises(AB.Refused):
+        AB.lockstep(["des", "mp"], trees, 1, 8)
+    assert sum(entry[0] == "close" for entry in _StubWorker.log) == 6

@@ -22,15 +22,15 @@ from repro import api
 from repro.api import RunConfig, run
 from repro.apps import HeatEquation1D, NBodyProgram, WaveEquation1D
 from repro.engine.core import build_engine, topology
-from repro.engine.events import (
-    Arrival, CascadeBegin, Charge, Recv, Verified, WindowChanged,
-)
+from repro.engine.events import Arrival, Charge, Recv
+from repro.engine.observer import RankObserver
 from repro.nbody import ParticleSystem
 from repro.nbody.forces import PAIR_FLOPS
 from repro.nbody.speculation import pairwise_error_ratios
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.policy import CostWindow
 from repro.vm import Cluster, uniform_specs
+from tests.observer_spy import spy_on
 from tests.toy_programs import CoupledIncrement, RandomDrift
 
 THETA = 0.01
@@ -127,29 +127,14 @@ def test_one_call_over_the_rejections_is_the_calls_folded_in_order(
 
 # ----------------------------------------- where the engine runs a repair
 def watch(monkeypatch, program):
-    """Record every engine's effects, and each ``correct`` call as
-    (rank, iteration, number of effects its engine had yielded)."""
+    """Record every engine's effects and observer calls, and each
+    ``correct`` call as (rank, iteration, number of effects and calls
+    its engine had made)."""
     effects, calls = {}, []
     build = api.rank_engine
 
-    def watched(config, rank, topo, sanitizer):
-        engine = build(config, rank, topo, sanitizer)
-        inner = engine.run
-        seen = effects[rank] = []
-
-        def recording():
-            gen = inner()
-            response = None
-            while True:
-                try:
-                    effect = gen.send(response)
-                except StopIteration as stop:
-                    return stop.value
-                seen.append(effect)
-                response = yield effect
-
-        engine.run = recording
-        return engine
+    def watched(config, rank, topo):
+        return spy_on(build(config, rank, topo), effects.setdefault(rank, []))
 
     repair = program.correct
 
@@ -182,15 +167,16 @@ def test_repairs_run_inside_a_verification(monkeypatch, fw, cascade, policy, bac
     rejections = sum(s.spec_rejected for s in report.stats)
     assert 0 < len(calls) <= rejections
     if backend == "des" and policy == "cost":
-        assert any(type(e) is WindowChanged for seen in effects.values() for e in seen)
+        assert any(e[0] == "window_changed" for seen in effects.values()
+                   for e in seen if type(e) is tuple)
     for rank, _, at in calls:
         last, after = effects[rank][at - 1], effects[rank][at]
-        assert type(last) in (Verified, CascadeBegin)
+        assert type(last) is tuple and last[0] in ("verified", "cascade_begin")
         assert type(after) is Charge
-        assert after.phase == ("check" if type(last) is Verified else "correct")
+        assert after.phase == ("check" if last[0] == "verified" else "correct")
     if fw == 1 and policy == "static":
-        begun = {(rank, e.iteration) for rank, seen in effects.items()
-                 for e in seen if type(e) is CascadeBegin}
+        begun = {(rank, e[1][0]) for rank, seen in effects.items()
+                 for e in seen if type(e) is tuple and e[0] == "cascade_begin"}
         assert sorted((rank, t) for rank, t, _ in calls) == sorted(begun)
         assert len(calls) < rejections  # some iteration repaired several
 
@@ -226,7 +212,7 @@ def test_a_repair_owed_to_a_recomputed_block_is_not_applied_twice():
     engine = build_engine(prog, 0, topology(prog), fw=2, cascade="recompute")
     script = iter([(1, 1), (1, 2), (2, 1), (3, 1),
                    (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
-    gen = engine.run()
+    gen = engine.run(RankObserver(0))
     response = None
     while True:
         try:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.core import LinearExtrapolation, ZeroOrderHold
+from repro.engine.sanitizer import ProtocolSanitizer
 from repro.netsim import ConstantLatency, DelayNetwork
 from repro.vm import Cluster, uniform_specs
 
@@ -369,10 +370,12 @@ def test_each_speculation_reads_its_ring_once(monkeypatch):
 
 
 # ------------------------------------------- a reordered arrival heals its gap
-class _GapWatch:
-    """The sanitizer seat's hooks the engine calls, recorded."""
+class _GapWatch(ProtocolSanitizer):
+    """A sanitizer whose occupancy hooks assert their bounds and whose
+    healed gaps are recorded in ``healed``."""
 
     def __init__(self):
+        super().__init__()
         self.healed = []
 
     def on_ring_occupancy(self, rank, src, size, capacity):
@@ -383,6 +386,7 @@ class _GapWatch:
 
     def on_gap_healed(self, rank, src, seq):
         self.healed.append((rank, src, seq))
+        super().on_gap_healed(rank, src, seq)
 
 
 def test_an_arrival_ahead_of_its_seq_is_parked_until_the_gap_heals():
@@ -391,12 +395,14 @@ def test_an_arrival_ahead_of_its_seq_is_parked_until_the_gap_heals():
     is accepted and verified, seq 1 replayed after it, and the gap
     closes with ``on_gap_healed``."""
     from repro.engine.core import SpecEngine, topology
-    from repro.engine.events import Arrival, Charge, Recv, Retransmit, TryRecv, Verified
+    from repro.engine.events import Arrival, Charge, Recv, Retransmit, TryRecv
+    from repro.engine.observer import RankObserver
+    from tests.observer_spy import ObserverSpy
 
     prog = CoupledIncrement(nprocs=2, iterations=3)
     needed, audience = topology(prog)
     watch = _GapWatch()
-    engine = SpecEngine(prog, 0, needed[0], audience[0], fw=1, sanitizer=watch)
+    engine = SpecEngine(prog, 0, needed[0], audience[0], fw=1)
     accepted = []
     accept = engine._accept
     engine._accept = lambda arrival: accepted.append(arrival.seq) or accept(arrival)
@@ -404,7 +410,7 @@ def test_an_arrival_ahead_of_its_seq_is_parked_until_the_gap_heals():
     pending = [Arrival(1, 2, blocks[2], seq=1), Arrival(1, 1, blocks[1], seq=0)]
 
     effects = []
-    gen = engine.run()
+    gen = engine.run(ObserverSpy(RankObserver(0, sanitizer=watch), effects))
     response = None
     while True:
         try:
@@ -419,6 +425,7 @@ def test_an_arrival_ahead_of_its_seq_is_parked_until_the_gap_heals():
             response = pending.pop(0)
         elif isinstance(effect, Retransmit):
             assert (effect.peer, effect.seq, effect.attempt) == (1, 0, 1)
+            assert effects[-2] == ("retransmit", (1, 0, 1, engine.max_retries))
             assert accepted == []  # seq 1 is parked, not accepted
         assert not isinstance(effect, Charge) or effect.ops >= 0
 
@@ -428,6 +435,9 @@ def test_an_arrival_ahead_of_its_seq_is_parked_until_the_gap_heals():
     assert engine.verified_upto == 2
     assert not engine._gaps and 1 not in engine._recv_stash
     assert engine._recv_next[1] == 2
-    assert effects.count(Retransmit) == 1 and effects.count(Verified) == 1
+    assert effects.count(Retransmit) == 1
+    assert [e for e in effects if type(e) is tuple and e[0] == "verified"] == [
+        ("verified", (1, 1))]
+    assert ("gap_healed", (1, 0)) in effects
     s = engine.stats
     assert (s.spec_made, s.checks, s.retransmits, s.messages_received) == (1, 1, 1, 2)

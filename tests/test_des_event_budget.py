@@ -62,8 +62,8 @@ class Tally:
         self.engine, self.fw, self.counts = engine, engine.fw, counts
         self.stats = engine.stats
 
-    def run(self):
-        gen, response = self.engine.run(), None
+    def run(self, observer):
+        gen, response = self.engine.run(observer), None
         while True:
             try:
                 effect = gen.send(response)

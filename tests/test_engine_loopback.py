@@ -125,7 +125,7 @@ def test_event_log_records_protocol_kinds():
 class _StuckEngine:
     """Fake engine blocking forever on a message nobody will send."""
 
-    def run(self):
+    def run(self, observer):
         yield Recv(phase="comm", iteration=99, match=("vars", 99))
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -149,7 +149,7 @@ class _Script:
     def __init__(self, *effects):
         self.effects, self.responses = effects, []
 
-    def run(self):
+    def run(self, observer):
         for effect in self.effects:
             self.responses.append((yield effect))
         return len(self.responses)

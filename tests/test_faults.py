@@ -16,6 +16,7 @@ import pytest
 from repro import RunConfig, run
 from repro.engine.core import RetransmitExhausted, build_engine, topology
 from repro.engine.events import Recv
+from repro.engine.observer import RankObserver
 from repro.engine.sanitizer import ProtocolViolation
 from repro.faults import (
     EdgeFault,
@@ -238,7 +239,7 @@ def test_idle_seam_leaves_a_blocking_receive_unbounded():
     engine = wrap_engine(
         build_engine(prog, 0, topology(prog), fw=0, fault_plan=plan), plan
     )
-    effects = engine.run()
+    effects = engine.run(RankObserver(0))
     effect = next(effects)
     while type(effect) is not Recv:
         effect = effects.send(None)

@@ -16,8 +16,8 @@ from repro.trace import TraceEvent
 from repro.trace.records import record
 from repro.vm import Message
 
-#: Field-less effects have nothing to fill; the engine builds each once.
-FIELDLESS = (effects.TryRecv, effects.CascadeEnd)
+#: The field-less effect has nothing to fill; the engine builds it once.
+FIELDLESS = (effects.TryRecv,)
 CONVERTED = [cls for cls in effects.Effect if cls not in FIELDLESS] + [
     effects.Arrival, Message, TraceEvent]
 
@@ -99,8 +99,20 @@ def test_a_record_is_its_stock_twin_but_for_how_it_is_filled(cls):
 
 
 def test_records_of_different_classes_never_compare_equal():
-    assert effects.Verified(1, 2) != effects.Corrected(1, 2)
-    assert hash(effects.Verified(1, 2)) == hash(effects.Verified(peer=1, iteration=2))
+    @record
+    @dataclass(frozen=True)
+    class Verified:
+        peer: int
+        iteration: int
+
+    @record
+    @dataclass(frozen=True)
+    class Corrected:
+        peer: int
+        iteration: int
+
+    assert Verified(1, 2) != Corrected(1, 2)
+    assert hash(Verified(1, 2)) == hash(Verified(peer=1, iteration=2))
 
 
 def test_message_is_delivered_once_and_stays_frozen():

@@ -14,7 +14,7 @@ Three layers:
 import numpy as np
 import pytest
 
-from repro import api
+from repro.engine import loopback
 from repro.api import RunConfig, run
 from repro.cli import main
 from repro.des import Environment
@@ -172,15 +172,16 @@ def test_violation_carries_phase_trace():
 
 def _armed(monkeypatch):
     """The sanitizers the DES backend resolves, in run order (a report
-    carries none, so watch the one place the knob is resolved)."""
+    carries none, so watch the one place the knob is resolved: the
+    runner's constructor)."""
     armed = []
-    resolve = api.resolve_sanitizer
+    resolve = loopback.resolve_sanitizer
 
     def watched(sanitize):
         armed.append(resolve(sanitize))
         return armed[-1]
 
-    monkeypatch.setattr(api, "resolve_sanitizer", watched)
+    monkeypatch.setattr(loopback, "resolve_sanitizer", watched)
     return armed
 
 
@@ -216,7 +217,6 @@ def test_sanitizer_catches_forward_window_violation_in_real_run():
             prog, rank, needed[rank], audience[rank], fw=1,
             pre_send_horizon=lambda eng, t: -1,  # never wait before sending
             window_ok=lambda eng, t: True,
-            sanitizer=sanitizer,
         )
         for rank in range(3)
     }
